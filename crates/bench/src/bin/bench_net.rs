@@ -16,12 +16,9 @@
 use dpu_bench::{Args, JsonWriter};
 use dpu_core::probe::Probe;
 use dpu_core::StackId;
-use dpu_reactor::ReactorConfig;
-use dpu_repl::builder::{
-    group_reactor, group_runtime, send_probe_live, send_probe_reactor, specs, GroupStackOpts,
-    SwitchLayer,
-};
-use dpu_runtime::RuntimeConfig;
+use dpu_reactor::{Reactor, ReactorConfig};
+use dpu_repl::builder::{group, send_probe, specs, GroupStackOpts, SwitchLayer};
+use dpu_runtime::{Runtime, RuntimeConfig};
 use std::time::{Duration, Instant};
 
 const N: u32 = 3;
@@ -76,7 +73,7 @@ fn measure(
 }
 
 fn run_runtime(msgs: u32) -> Measured {
-    let (rt, h) = group_runtime(RuntimeConfig::new(N).with_shards(1), &opts());
+    let (rt, h) = group(&opts(), |mk| Runtime::spawn(RuntimeConfig::new(N).with_shards(1), mk));
     let probe = h.probe.expect("probe");
     let delivered = |node: u32| {
         rt.with_stack(StackId(node), move |s| {
@@ -91,14 +88,15 @@ fn run_runtime(msgs: u32) -> Measured {
             .expect("probe")
         })
     };
-    let m = measure(msgs, || send_probe_live(&rt, SENDER, &h), delivered, lats);
+    let m = measure(msgs, || send_probe(&rt, SENDER, &h), delivered, lats);
     rt.shutdown();
     m
 }
 
-fn run_reactor(msgs: u32) -> (Measured, dpu_reactor::ReactorStats) {
+fn run_reactor(msgs: u32) -> (Measured, dpu_core::telemetry::SocketCounters) {
     let cfg = ReactorConfig::new(N, (0..N).map(StackId).collect());
-    let (r, h) = group_reactor(cfg, &opts()).expect("spawn reactor");
+    let (r, h) = group(&opts(), |mk| Reactor::spawn(cfg, mk));
+    let r = r.expect("spawn reactor");
     let probe = h.probe.expect("probe");
     let delivered = |node: u32| {
         r.with_stack(StackId(node), move |s| {
@@ -116,7 +114,7 @@ fn run_reactor(msgs: u32) -> (Measured, dpu_reactor::ReactorStats) {
             .expect("probe")
         })
     };
-    let m = measure(msgs, || send_probe_reactor(&r, SENDER, &h), delivered, lats);
+    let m = measure(msgs, || send_probe(&r, SENDER, &h), delivered, lats);
     let stats = r.stats();
     r.shutdown();
     (m, stats)

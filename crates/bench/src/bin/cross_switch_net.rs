@@ -20,11 +20,9 @@
 use dpu_bench::Args;
 use dpu_core::probe::Probe;
 use dpu_core::StackId;
-use dpu_reactor::{NodeAddr, ReactorConfig};
+use dpu_reactor::{NodeAddr, Reactor, ReactorConfig};
 use dpu_repl::abcast_repl::ReplAbcastModule;
-use dpu_repl::builder::{
-    group_reactor, request_change_reactor, send_probe_reactor, specs, GroupStackOpts, SwitchLayer,
-};
+use dpu_repl::builder::{group, request_change, send_probe, specs, GroupStackOpts, SwitchLayer};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -96,7 +94,8 @@ fn child(half: u32, rdv: PathBuf) {
     let mut cfg = ReactorConfig::new(N, (lo..lo + HALF).map(StackId).collect());
     cfg.loss = LOSS;
     cfg.seed = 100 + u64::from(half);
-    let (r, h) = group_reactor(cfg, &opts).expect("spawn reactor");
+    let (r, h) = group(&opts, |mk| Reactor::spawn(cfg, mk));
+    let r = r.expect("spawn reactor");
 
     // Rendezvous: publish our bound addresses, install the peer's.
     let mine: String =
@@ -121,7 +120,7 @@ fn child(half: u32, rdv: PathBuf) {
 
     // Phase 1: both halves broadcast; total = 2 * PROBES messages.
     for _ in 0..PROBES {
-        send_probe_reactor(&r, StackId(lo + 1), &h);
+        send_probe(&r, StackId(lo + 1), &h);
     }
     wait_until(
         half,
@@ -134,10 +133,10 @@ fn child(half: u32, rdv: PathBuf) {
     // non-sequencer stack whose request must cross the process
     // boundary to reach the sequencer hosted by half 0.
     if half == 1 {
-        request_change_reactor(&r, StackId(lo + 1), &h, &specs::seq(1));
+        request_change(&r, StackId(lo + 1), &h, &specs::seq(1));
     }
     for _ in 0..PROBES {
-        send_probe_reactor(&r, StackId(lo + 2), &h);
+        send_probe(&r, StackId(lo + 2), &h);
     }
     let total = 4 * PROBES as usize;
     let settled = || {
@@ -196,7 +195,7 @@ fn child(half: u32, rdv: PathBuf) {
     // The transport properties the demo exists to show: loss fired on
     // the real socket and rp2p recovered through it.
     let stats = r.stats();
-    let transport = r.transport_stats();
+    let transport = r.telemetry_report().transport;
     assert!(stats.packets_dropped >= 1, "5% loss dropped nothing: {stats:?}");
     assert!(transport.retransmissions > 0, "recovery implies retransmissions: {transport:?}");
     assert_eq!(stats.malformed_dropped, 0, "peers only send well-formed frames");

@@ -21,9 +21,11 @@
 //! engine (`dpu_sim::par`) moves whole shards of drivers between worker
 //! threads across epoch barriers (drivers own all per-stack mutable
 //! state, so shard ownership transfers are plain `Send` moves — no
-//! shared-state protocol beyond the barrier itself), and `dpu-runtime`
-//! multiplexes many drivers per shard thread under the wall clock via
-//! [`poll`]. The planned epoll/UDP hosts hang off the same three calls.
+//! shared-state protocol beyond the barrier itself), and the two live
+//! hosts (`dpu-runtime`, `dpu-reactor`) multiplex many drivers per
+//! shard thread under the wall clock via [`poll`] — through the
+//! [`LiveShard`] they share (see [`live`]), each adding only its
+//! transport.
 //!
 //! # Timer ownership
 //!
@@ -38,6 +40,10 @@
 //!
 //! [`poll`]: StackDriver::poll
 
+pub mod live;
+
+pub use live::{dump_flight, Ctl, Host, LiveShard, LossModel, ReportFold, ShardPort, WallClock};
+
 use crate::ids::{StackId, TimerId};
 use crate::stack::{HostAction, Stack, StepInfo};
 use crate::time::Time;
@@ -47,7 +53,7 @@ use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::fmt;
 
 /// A closure a host routes to the driver to run against its stack
-/// (the sharded runtime's `with_stack`, a REPL command, ...).
+/// (a REPL command, a scripted fault, ...).
 pub type ControlFn = Box<dyn FnOnce(&mut Stack) + Send>;
 
 /// An external event a host feeds into a [`StackDriver`].
@@ -217,15 +223,11 @@ impl StackDriver {
 
     /// Swap the stack's scratch pool with a host-owned one — the
     /// shard-pool loan handoff (see [`Stack::swap_scratch`]). Call
-    /// before and after any encode-capable driver entry point.
+    /// before and after any encode-capable driver entry point. Only the
+    /// simulator calls this; live hosts go through [`LiveShard`], which
+    /// pairs the swaps in a guard.
     pub fn swap_scratch(&mut self, pool: &mut crate::wire::WireScratch) {
         self.stack.swap_scratch(pool);
-    }
-
-    /// Loan-handoff passthrough for the shard's dispatch buffer (see
-    /// [`Stack::swap_queue`]).
-    pub fn swap_queue(&mut self, buf: &mut crate::stack::DispatchBuf) {
-        self.stack.swap_queue(buf);
     }
 
     /// Unwrap, discarding pending events and armed timers.

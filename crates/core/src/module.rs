@@ -124,28 +124,10 @@ pub trait Module: Any + Send {
 }
 
 /// Counters reported by reliable-transport modules (see
-/// [`Module::transport_stats`]). All counters are cumulative over the
-/// module's lifetime; `unacked` is the current backlog.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TransportStats {
-    /// Data frames retransmitted after a retransmission-timer scan.
-    pub retransmissions: u64,
-    /// Frames dropped after exhausting the configured retransmit cap —
-    /// non-zero means a peer looked permanently dead and reliability was
-    /// given up for those frames.
-    pub exhausted: u64,
-    /// Frames currently awaiting acknowledgement across all peers.
-    pub unacked: u64,
-}
-
-impl TransportStats {
-    /// Fold another module's counters into this one (plain addition).
-    pub fn absorb(&mut self, other: TransportStats) {
-        self.retransmissions += other.retransmissions;
-        self.exhausted += other.exhausted;
-        self.unacked += other.unacked;
-    }
-}
+/// [`Module::transport_stats`]). Defined once, in `dpu-telemetry` (as
+/// `TransportCounters`, the type
+/// [`crate::telemetry::TelemetryReport::transport`] carries).
+pub use dpu_telemetry::TransportCounters as TransportStats;
 
 /// A serialisable description of a module to create: the paper's `prot`
 /// argument of `changeABcast(prot)` and the unit of

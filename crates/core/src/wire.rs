@@ -531,29 +531,11 @@ impl<T: Encode + ?Sized> Encode for LenPrefixed<'_, T> {
     }
 }
 
-/// Counters of one [`WireScratch`] pool.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ScratchStats {
-    /// Messages encoded through the scratch.
-    pub emitted: u64,
-    /// Messages whose backing buffer was reclaimed from an earlier
-    /// message (no new backing allocation).
-    pub reclaimed: u64,
-    /// Messages that required a new backing allocation — a fresh buffer,
-    /// or a reclaimed one that had to grow. In steady state this counter
-    /// stops moving: that is the "zero steady-state allocations" property
-    /// the benches assert.
-    pub allocations: u64,
-}
-
-impl ScratchStats {
-    /// Merge another pool's counters into this one (host aggregation).
-    pub fn absorb(&mut self, other: ScratchStats) {
-        self.emitted += other.emitted;
-        self.reclaimed += other.reclaimed;
-        self.allocations += other.allocations;
-    }
-}
+/// Counters of one [`WireScratch`] pool. Defined once, in
+/// `dpu-telemetry` (as `WireCounters`, the type
+/// [`crate::telemetry::TelemetryReport::wire`] carries), so a report
+/// folds pool counters without converting them.
+pub use dpu_telemetry::WireCounters as ScratchStats;
 
 /// How many emitted buffers a per-stack [`WireScratch`] keeps a handle
 /// to for reclaim. Bounds both the scan cost per encode and the retained

@@ -4,18 +4,20 @@
 //! (`dpu-sim`) and the in-process sharded runtime (`dpu-runtime`): one
 //! event-loop thread multiplexing N stacks whose network is **real
 //! nonblocking UDP sockets** over loopback (or any interface), so a
-//! protocol group can span OS processes. The same [`StackDriver`]
-//! drives the stacks — protocol modules cannot tell which host they
-//! run under; only the `ActionSink` behind `NetSend` changes.
+//! protocol group can span OS processes. Protocol modules cannot tell
+//! which host they run under; only the `ActionSink` behind `NetSend`
+//! changes — and this crate is exactly that: a [`LiveShard`] (drivers,
+//! pools, the loan, wake deadlines, the report fold, all shared with
+//! `dpu-runtime`) plus the UDP transport.
 //!
 //! ```text
 //!        ┌───────────── reactor thread ──────────────┐
 //!        │ epoll_wait(sockets…, eventfd, deadline)   │
 //!        │   ├─ readable socket → recv_from drain    │
-//!        │   │    └─ SockFrame decode → inject       │
-//!        │   ├─ eventfd → command queue (with_stack, │
+//!        │   │    └─ SockFrame decode → deliver      │
+//!        │   ├─ eventfd → command queue (Ctl,        │
 //!        │   │    set_peer, stop)                    │
-//!        │   └─ deadline → StackDriver::poll         │
+//!        │   └─ deadline → LiveShard::fire_due       │
 //!        └───────────────────────────────────────────┘
 //! ```
 //!
@@ -27,13 +29,12 @@
 //!   local or in another process — to its `SocketAddr`; **all** sends
 //!   go through a real `send_to`, even stack-to-stack within one
 //!   reactor, so the loopback path is exercised end to end.
-//! * Timer deadlines come from [`StackDriver::poll`]'s [`Wakeup`] and
-//!   become the `epoll_wait` timeout; an idle reactor blocks with no
-//!   deadline and burns no CPU.
-//! * Cross-thread commands ([`Reactor::with_stack`], peer updates,
-//!   shutdown) ride a channel paired with an eventfd wakeup.
+//! * [`LiveShard::next_deadline`] becomes the `epoll_wait` timeout; an
+//!   idle reactor blocks with no deadline and burns no CPU.
+//! * Cross-thread commands ([`Reactor::with_stack`], the reports, peer
+//!   updates, shutdown) ride a channel paired with an eventfd wakeup.
 //! * Socket input is untrusted: malformed datagrams are counted drops
-//!   ([`ReactorStats`]), never panics. Send-side probabilistic loss
+//!   ([`SocketCounters`]), never panics. Send-side probabilistic loss
 //!   ([`ReactorConfig::loss`]) injects faults for rp2p to recover.
 //!
 //! The raw `epoll`/`eventfd` FFI lives in [`sys`] — Linux-only, with a
@@ -45,19 +46,17 @@
 pub mod sys;
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
-use dpu_core::host::{ActionSink, HostEvent, StackDriver, Wakeup};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use dpu_core::host::{ActionSink, Ctl, Host, LiveShard, LossModel, ShardPort, WallClock};
+use dpu_core::telemetry::{SocketCounters, TelemetryReport};
 use dpu_core::time::Time;
 use dpu_core::{Stack, StackConfig, StackId, TelemetryConfig};
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// One row of the peer table: where a stack of the group lives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,57 +111,20 @@ impl ReactorConfig {
     }
 }
 
-/// Aggregate counters of one reactor.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReactorStats {
-    /// Frames handed to the send path.
-    pub packets_sent: u64,
-    /// Frames dropped by the injected loss model (before `send_to`).
-    pub packets_dropped: u64,
-    /// Frames dropped because the destination has no peer-table entry.
-    pub unroutable: u64,
-    /// `send_to` errors (counted and dropped; rp2p recovers).
-    pub send_errors: u64,
-    /// Received datagrams that were not well-formed
-    /// [`SockFrame`](dpu_net::sockframe::SockFrame)s
-    /// (junk, truncation, corruption, wrong magic) — counted, never
-    /// panicked on.
-    pub malformed_dropped: u64,
-    /// Well-formed frames whose destination is not hosted here.
-    pub misdirected: u64,
-    /// Datagrams received and decoded successfully.
-    pub packets_received: u64,
-}
-
-#[derive(Default)]
-struct StatsInner {
-    packets_sent: AtomicU64,
-    packets_dropped: AtomicU64,
-    unroutable: AtomicU64,
-    send_errors: AtomicU64,
-    malformed_dropped: AtomicU64,
-    misdirected: AtomicU64,
-    packets_received: AtomicU64,
-}
-
-type StackFn = Box<dyn FnOnce(&mut Stack) -> Box<dyn Any + Send> + Send>;
-
 enum Cmd {
-    /// Run a closure against a local stack, reply with the result.
-    Ctl { dst: StackId, f: StackFn, reply: Sender<Box<dyn Any + Send>> },
+    /// Run a control closure against the loop's shard.
+    Ctl(Ctl<Wire>),
     /// Insert/replace a peer-table row.
     SetPeer(NodeAddr),
-    /// Report the loop's scratch-pool counters (every encode on this
-    /// reactor runs under the pool loan).
-    PoolStats { reply: Sender<dpu_core::wire::ScratchStats> },
     /// Stop the loop and return the stacks.
     Stop,
 }
 
-/// The send path: executes drivers' `NetSend`s as real datagrams. Split
-/// out of the loop state so it can be the `ActionSink` while the
-/// drivers are borrowed.
+/// The UDP transport: executes drivers' `NetSend`s as real datagrams
+/// and decodes what the sockets receive.
 struct Wire {
+    /// One socket per hosted stack; socket index = the stack's local
+    /// index in the [`LiveShard`].
     sockets: Vec<UdpSocket>,
     /// Socket index of each local stack (sends leave the sender's own
     /// socket).
@@ -170,31 +132,19 @@ struct Wire {
     /// `StackId::idx() → SocketAddr` for the whole group.
     peers: Vec<Option<SocketAddr>>,
     codec: dpu_net::sockframe::FrameCodec,
-    stats: Arc<StatsInner>,
-    loss: f64,
-    rng: u64,
-}
-
-impl Wire {
-    fn next_rand(&mut self) -> f64 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
-    }
+    stats: SocketCounters,
+    loss: LossModel,
 }
 
 impl ActionSink for Wire {
     fn net_send(&mut self, _at: Time, src: StackId, dst: StackId, payload: Bytes) {
-        self.stats.packets_sent.fetch_add(1, Ordering::Relaxed);
-        if self.loss > 0.0 && self.next_rand() < self.loss {
-            self.stats.packets_dropped.fetch_add(1, Ordering::Relaxed);
+        self.stats.packets_sent += 1;
+        if self.loss.drops() {
+            self.stats.packets_dropped += 1;
             return;
         }
         let Some(&Some(addr)) = self.peers.get(dst.idx()) else {
-            self.stats.unroutable.fetch_add(1, Ordering::Relaxed);
+            self.stats.unroutable += 1;
             return;
         };
         let frame = self.codec.encode(src, dst, &payload);
@@ -202,7 +152,7 @@ impl ActionSink for Wire {
         // A full socket buffer or transient OS error is just packet
         // loss to the protocols above — counted, not escalated.
         if sock.send_to(&frame, addr).is_err() {
-            self.stats.send_errors.fetch_add(1, Ordering::Relaxed);
+            self.stats.send_errors += 1;
         }
     }
 }
@@ -211,42 +161,21 @@ impl ActionSink for Wire {
 /// module keeps real traffic far below this).
 const RECV_BUF: usize = 64 * 1024;
 
+/// The event-loop thread: a [`LiveShard`] over the UDP transport.
 struct Loop {
-    ids: Vec<StackId>,
-    drivers: Vec<StackDriver>,
-    /// Latest wakeup deadline of each driver (`None` = idle).
-    deadlines: Vec<Option<Time>>,
+    core: LiveShard,
     wire: Wire,
     cmds: Receiver<Cmd>,
     poller: sys::Poller,
-    start: Instant,
-    /// The loop-level encode-buffer pool, loaned to whichever driver is
-    /// being polled (see [`dpu_core::stack::Stack::swap_scratch`]): one
-    /// retained pool per reactor instead of one per stack.
-    pool: dpu_core::wire::WireScratch,
-    /// The shard-level dispatch-queue buffer, loaned alongside the
-    /// encode pool: cascade burst capacity scales with the loop, not
-    /// the stack count.
-    qpool: dpu_core::stack::DispatchBuf,
 }
 
 impl Loop {
-    fn now(&self) -> Time {
-        Time(self.start.elapsed().as_nanos() as u64)
-    }
-
     fn run(mut self) -> Vec<(StackId, Stack)> {
-        // Service start-up work (on_start handlers, first timers).
-        for i in 0..self.drivers.len() {
-            self.poll_driver(i);
-        }
         let mut ready: Vec<u64> = Vec::new();
         let mut buf = vec![0u8; RECV_BUF];
         loop {
-            let timeout = {
-                let now = self.now();
-                self.deadlines.iter().flatten().min().map(|at| at.since(now).to_std())
-            };
+            self.core.fire_due(self.core.now(), &mut self.wire);
+            let timeout = self.core.next_deadline().map(|at| at.since(self.core.now()).to_std());
             if self.poller.wait(&mut ready, timeout).is_err() {
                 // An epoll failure is unrecoverable for the loop;
                 // returning the stacks (instead of looping on the
@@ -255,131 +184,90 @@ impl Loop {
             }
             loop {
                 match self.cmds.try_recv() {
-                    Ok(Cmd::Stop) => return self.into_stacks(),
-                    Ok(Cmd::Ctl { dst, f, reply }) => {
-                        let local = self.local_idx(dst);
-                        // Loan the pool: the closure may encode.
-                        self.drivers[local].swap_scratch(&mut self.pool);
-                        self.drivers[local].swap_queue(&mut self.qpool);
-                        let r = f(self.drivers[local].stack_mut());
-                        self.drivers[local].swap_scratch(&mut self.pool);
-                        self.drivers[local].swap_queue(&mut self.qpool);
-                        let _ = reply.send(r);
-                        // The closure may have queued work or actions.
-                        self.poll_driver(local);
-                    }
-                    Ok(Cmd::PoolStats { reply }) => {
-                        let _ = reply.send(self.pool.stats());
-                    }
+                    Ok(Cmd::Stop) => return self.core.into_stacks(),
+                    Ok(Cmd::Ctl(ctl)) => ctl.run(&mut self.core, &mut self.wire),
                     Ok(Cmd::SetPeer(p)) => {
                         if p.id.idx() < self.wire.peers.len() {
                             self.wire.peers[p.id.idx()] = Some(p.addr);
                         }
                     }
                     Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => return self.into_stacks(),
+                    Err(TryRecvError::Disconnected) => return self.core.into_stacks(),
                 }
             }
-            let now = self.now();
             for &token in &ready {
-                Self::drain_socket(
-                    &mut self.wire,
-                    &mut self.drivers,
-                    &mut self.pool,
-                    &mut self.qpool,
-                    token as usize,
-                    &mut buf,
-                    now,
-                );
-            }
-            // Poll every driver that got input or whose deadline is
-            // due. (Drivers swallow injected events on poll, so a
-            // spurious poll of an idle driver is just a cheap no-op —
-            // poll all of them rather than tracking who was touched.)
-            for i in 0..self.drivers.len() {
-                self.poll_driver(i);
+                self.drain_socket(token as usize, &mut buf);
             }
         }
-        self.into_stacks()
+        self.core.into_stacks()
     }
 
-    /// Read every queued datagram off one socket, decode, and inject
-    /// into the destination driver.
-    fn drain_socket(
-        wire: &mut Wire,
-        drivers: &mut [StackDriver],
-        pool: &mut dpu_core::wire::WireScratch,
-        qpool: &mut dpu_core::stack::DispatchBuf,
-        sock_i: usize,
-        buf: &mut [u8],
-        now: Time,
-    ) {
+    /// Read every queued datagram off one socket, decode, and deliver
+    /// to the destination driver (one packet, one cascade — see
+    /// [`dpu_core::host::live`]).
+    fn drain_socket(&mut self, sock_i: usize, buf: &mut [u8]) {
         loop {
-            let len = match wire.sockets[sock_i].recv_from(buf) {
+            let len = match self.wire.sockets[sock_i].recv_from(buf) {
                 Ok((len, _from)) => len,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 // Transient receive errors (e.g. ICMP-reflected
                 // ECONNREFUSED on loopback) are loss, not failure.
                 Err(_) => continue,
             };
-            let Some(frame) = wire.codec.decode(&buf[..len]) else {
-                wire.stats.malformed_dropped.fetch_add(1, Ordering::Relaxed);
+            let Some(frame) = self.wire.codec.decode(&buf[..len]) else {
+                self.wire.stats.malformed_dropped += 1;
                 continue;
             };
-            let Some(&local) = wire.index_of.get(&frame.dst) else {
-                wire.stats.misdirected.fetch_add(1, Ordering::Relaxed);
+            let Some(local) = self.core.local_of(frame.dst) else {
+                self.wire.stats.misdirected += 1;
                 continue;
             };
-            wire.stats.packets_received.fetch_add(1, Ordering::Relaxed);
-            drivers[local].inject(HostEvent::Packet { src: frame.src, payload: frame.payload });
-            // One packet, one full dispatch cascade — matching the sim
-            // and the sharded runtime. Injecting a whole epoll batch
-            // before polling would interleave the cascades of
-            // consecutive packets in the stack's breadth-first queue,
-            // letting a packet overtake the module-creation reactions
-            // of the packet before it (fatal across a protocol switch).
-            drivers[local].swap_scratch(pool);
-            drivers[local].swap_queue(qpool);
-            let _ = drivers[local].poll(now, wire);
-            drivers[local].swap_scratch(pool);
-            drivers[local].swap_queue(qpool);
+            self.wire.stats.packets_received += 1;
+            self.core.deliver(local, frame.src, frame.payload, &mut self.wire);
         }
     }
+}
 
-    /// Run one driver's canonical drive loop (under the scratch-pool
-    /// loan — dispatched handlers encode); remember its next deadline
-    /// for the epoll timeout.
-    fn poll_driver(&mut self, local: usize) {
-        let now = self.now();
-        self.drivers[local].swap_scratch(&mut self.pool);
-        self.drivers[local].swap_queue(&mut self.qpool);
-        let wakeup = self.drivers[local].poll(now, &mut self.wire);
-        self.drivers[local].swap_scratch(&mut self.pool);
-        self.drivers[local].swap_queue(&mut self.qpool);
-        self.deadlines[local] = match wakeup {
-            Wakeup::Idle => None,
-            Wakeup::At(at) => Some(at),
-        };
+/// The handle's sending side: the command channel paired with the
+/// eventfd that wakes the loop out of `epoll_wait`.
+struct Cmds {
+    tx: Sender<Cmd>,
+    waker: sys::Waker,
+}
+
+impl Cmds {
+    /// Enqueue and wake. Errors mean the loop is gone; callers that
+    /// need a reply notice on their reply channel.
+    fn send(&self, cmd: Cmd) -> bool {
+        let sent = self.tx.send(cmd).is_ok();
+        self.waker.wake();
+        sent
+    }
+}
+
+impl ShardPort for Cmds {
+    type Transport = Wire;
+
+    fn shards(&self) -> usize {
+        1
     }
 
-    fn local_idx(&self, id: StackId) -> usize {
-        *self.wire.index_of.get(&id).expect("stack is hosted by this reactor")
-    }
-
-    fn into_stacks(self) -> Vec<(StackId, Stack)> {
-        self.ids.into_iter().zip(self.drivers.into_iter().map(StackDriver::into_stack)).collect()
+    fn post(&self, _shard: usize, ctl: Ctl<Wire>) {
+        assert!(self.send(Cmd::Ctl(ctl)), "reactor alive");
     }
 }
 
 /// The real-socket host. See crate docs.
+///
+/// `with_stack`, `stats`, `telemetry_report` and `dump_flight_recorders`
+/// ask the loop thread and block for the answer, so they must be called
+/// from outside it.
 pub struct Reactor {
-    cmds: Sender<Cmd>,
-    waker: sys::Waker,
+    cmds: Cmds,
     thread: Option<JoinHandle<Vec<(StackId, Stack)>>>,
     local: Vec<NodeAddr>,
     n: u32,
-    start: Instant,
-    stats: Arc<StatsInner>,
+    clock: WallClock,
 }
 
 impl Reactor {
@@ -394,14 +282,13 @@ impl Reactor {
         cfg: ReactorConfig,
         mut mk_stack: impl FnMut(StackConfig) -> Stack,
     ) -> io::Result<Reactor> {
-        let start = Instant::now();
+        let clock = WallClock::start();
         let poller = sys::Poller::new()?;
         let mut sockets = Vec::with_capacity(cfg.local.len());
         let mut index_of = BTreeMap::new();
         let mut peers: Vec<Option<SocketAddr>> = vec![None; cfg.n as usize];
         let mut local = Vec::with_capacity(cfg.local.len());
-        let mut ids = Vec::with_capacity(cfg.local.len());
-        let mut drivers = Vec::with_capacity(cfg.local.len());
+        let mut stacks = Vec::with_capacity(cfg.local.len());
         let peer_table = StackConfig::peer_table(cfg.n);
         for (i, &id) in cfg.local.iter().enumerate() {
             let sock = UdpSocket::bind(cfg.bind_addr)?;
@@ -412,7 +299,7 @@ impl Reactor {
             local.push(NodeAddr { id, addr });
             sockets.push(sock);
             index_of.insert(id, i);
-            let sc = StackConfig {
+            stacks.push(mk_stack(StackConfig {
                 id,
                 peers: Arc::clone(&peer_table),
                 seed: cfg.seed,
@@ -420,36 +307,26 @@ impl Reactor {
                 // Like the live runtime: no topology model.
                 cluster_size: None,
                 telemetry: cfg.telemetry,
-            };
-            ids.push(id);
-            drivers.push(StackDriver::new(mk_stack(sc)));
+            }));
         }
-        let stats = Arc::new(StatsInner::default());
         let (tx, rx) = unbounded::<Cmd>();
         let waker = poller.waker();
-        let n_local = drivers.len();
         let lp = Loop {
-            ids,
-            drivers,
-            deadlines: vec![None; n_local],
+            core: LiveShard::new(clock, stacks),
             wire: Wire {
                 sockets,
                 index_of,
                 peers,
                 codec: dpu_net::sockframe::FrameCodec::new(),
-                stats: Arc::clone(&stats),
-                loss: cfg.loss,
-                rng: cfg.seed ^ 0x9E3779B97F4A7C15 | 1,
+                stats: SocketCounters::default(),
+                loss: LossModel::new(cfg.loss, cfg.seed, 0),
             },
             cmds: rx,
             poller,
-            start,
-            pool: dpu_core::wire::WireScratch::shard_pool(),
-            qpool: dpu_core::stack::DispatchBuf::new(),
         };
         let thread =
             std::thread::Builder::new().name("dpu-reactor".into()).spawn(move || lp.run())?;
-        Ok(Reactor { cmds: tx, waker, thread: Some(thread), local, n: cfg.n, start, stats })
+        Ok(Reactor { cmds: Cmds { tx, waker }, thread: Some(thread), local, n: cfg.n, clock })
     }
 
     /// Total group size.
@@ -460,7 +337,7 @@ impl Reactor {
     /// Wall-clock time since the reactor started, as virtual [`Time`]
     /// (the same clock the loop stamps events with).
     pub fn now(&self) -> Time {
-        Time(self.start.elapsed().as_nanos() as u64)
+        self.clock.now()
     }
 
     /// The hosted stacks and the addresses their sockets actually
@@ -470,143 +347,51 @@ impl Reactor {
     }
 
     /// Insert or replace a peer-table row. Frames to unknown peers are
-    /// counted as [`ReactorStats::unroutable`] and dropped, so peers
+    /// counted as [`SocketCounters::unroutable`] and dropped, so peers
     /// may be added while traffic is already flowing.
     pub fn set_peer(&self, peer: NodeAddr) {
-        let _ = self.cmds.send(Cmd::SetPeer(peer));
-        self.waker.wake();
+        self.cmds.send(Cmd::SetPeer(peer));
     }
 
     /// Run a closure against a hosted stack (on the reactor thread)
-    /// and return the result. Blocks until serviced; must be called
-    /// from outside the reactor thread.
+    /// and return the result. Blocks until serviced. Panics — on the
+    /// calling thread; the loop keeps running — if `id` is not hosted
+    /// here.
     pub fn with_stack<R: Send + 'static>(
         &self,
         id: StackId,
         f: impl FnOnce(&mut Stack) -> R + Send + 'static,
     ) -> R {
-        let (tx, rx) = bounded(1);
-        let wrapped: StackFn = Box::new(move |s| Box::new(f(s)) as Box<dyn Any + Send>);
-        self.cmds.send(Cmd::Ctl { dst: id, f: wrapped, reply: tx }).expect("reactor alive");
-        self.waker.wake();
-        let boxed = rx.recv().expect("reactor replies");
-        *boxed.downcast::<R>().expect("result type")
+        self.cmds.on_stack(0, id, f)
     }
 
     /// Snapshot of the socket-path counters.
-    pub fn stats(&self) -> ReactorStats {
-        ReactorStats {
-            packets_sent: self.stats.packets_sent.load(Ordering::Relaxed),
-            packets_dropped: self.stats.packets_dropped.load(Ordering::Relaxed),
-            unroutable: self.stats.unroutable.load(Ordering::Relaxed),
-            send_errors: self.stats.send_errors.load(Ordering::Relaxed),
-            malformed_dropped: self.stats.malformed_dropped.load(Ordering::Relaxed),
-            misdirected: self.stats.misdirected.load(Ordering::Relaxed),
-            packets_received: self.stats.packets_received.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Aggregate [`dpu_core::wire::ScratchStats`] over the hosted
-    /// stacks' scratch pools.
-    pub fn wire_stats(&self) -> dpu_core::wire::ScratchStats {
-        let mut total = self.pool_stats();
-        for na in &self.local {
-            total.absorb(self.with_stack(na.id, |s| s.wire_stats()));
-        }
-        total
-    }
-
-    /// The loop-level scratch pool's counters — where every encode of
-    /// this reactor lands under the loan discipline (the per-stack
-    /// residuals summed by [`Reactor::wire_stats`] stay zero).
-    fn pool_stats(&self) -> dpu_core::wire::ScratchStats {
-        let (tx, rx) = bounded(1);
-        self.cmds.send(Cmd::PoolStats { reply: tx }).expect("reactor alive");
-        self.waker.wake();
-        rx.recv().expect("reactor replies")
-    }
-
-    /// Aggregate [`dpu_core::TransportStats`] over the hosted stacks
-    /// (rp2p retransmissions / exhaustion / unacked backlog — the
-    /// loss-recovery health of the socket path).
-    pub fn transport_stats(&self) -> dpu_core::TransportStats {
-        let mut total = dpu_core::TransportStats::default();
-        for na in &self.local {
-            total.absorb(self.with_stack(na.id, |s| s.transport_stats()));
-        }
-        total
+    pub fn stats(&self) -> SocketCounters {
+        self.cmds.on_shard(0, |_, wire| wire.stats)
     }
 
     /// Unified telemetry snapshot across the hosted stacks: the
     /// histogram families and switch-phase timeline plus wire,
-    /// transport, *and* socket-path counters ([`ReactorStats`] folded
-    /// into the host-agnostic report as its `sockets` block).
+    /// transport, *and* socket-path counters ([`Reactor::stats`] as the
+    /// report's `sockets` block), taken in one control round-trip.
     /// Shape-identical to `Sim::telemetry_report` and
     /// `Runtime::telemetry_report`.
-    ///
-    /// Must be called from outside the reactor thread.
-    pub fn telemetry_report(&self) -> dpu_core::telemetry::TelemetryReport {
-        let mut agg = dpu_core::telemetry::TelemetryAggregate::new();
-        let mut wire = dpu_core::wire::ScratchStats::default();
-        let mut transport = dpu_core::TransportStats::default();
-        for na in &self.local {
-            let (part, w, t) = self.with_stack(na.id, |s| {
-                let mut part = dpu_core::telemetry::TelemetryAggregate::new();
-                part.absorb(s.telemetry());
-                (part, s.wire_stats(), s.transport_stats())
-            });
-            agg.merge(&part);
-            wire.absorb(w);
-            transport.absorb(t);
-        }
-        wire.absorb(self.pool_stats());
-        let mut report = agg.report("reactor", self.local.len() as u32, self.now().as_nanos());
-        report.wire = dpu_core::telemetry::WireCounters {
-            emitted: wire.emitted,
-            reclaimed: wire.reclaimed,
-            allocations: wire.allocations,
-        };
-        report.transport = dpu_core::telemetry::TransportCounters {
-            retransmissions: transport.retransmissions,
-            exhausted: transport.exhausted,
-            unacked: transport.unacked,
-        };
-        let r = self.stats();
-        report.sockets = Some(dpu_core::telemetry::SocketCounters {
-            packets_sent: r.packets_sent,
-            packets_dropped: r.packets_dropped,
-            unroutable: r.unroutable,
-            send_errors: r.send_errors,
-            malformed_dropped: r.malformed_dropped,
-            misdirected: r.misdirected,
-            packets_received: r.packets_received,
-        });
-        report
+    pub fn telemetry_report(&self) -> TelemetryReport {
+        let (fold, sockets) = self.cmds.on_shard(0, |core, wire| (core.fold_report(), wire.stats));
+        fold.into_report("reactor", self.now(), Some(sockets))
     }
 
     /// Dump every hosted stack's flight recorder (most recent events,
     /// oldest first, with drop counts) — the postmortem a failing soak
     /// or crashed child process prints.
-    ///
-    /// Must be called from outside the reactor thread.
     pub fn dump_flight_recorders(&self) -> String {
-        let mut out = String::new();
-        for na in &self.local {
-            let chunk = self.with_stack(na.id, move |s| {
-                let mut buf = String::new();
-                s.telemetry().dump_flight(&format!("stack {}", s.id().0), &mut buf);
-                buf
-            });
-            out.push_str(&chunk);
-        }
-        out
+        self.cmds.dump_flight()
     }
 
     /// Stop the loop thread and return the hosted stacks in the order
     /// of `cfg.local`.
     pub fn shutdown(mut self) -> Vec<Stack> {
-        let _ = self.cmds.send(Cmd::Stop);
-        self.waker.wake();
+        self.cmds.send(Cmd::Stop);
         match self.thread.take() {
             Some(t) => t.join().expect("reactor thread").into_iter().map(|(_, s)| s).collect(),
             None => Vec::new(),
@@ -614,12 +399,30 @@ impl Reactor {
     }
 }
 
+impl Host for &Reactor {
+    fn now(&self) -> Time {
+        Reactor::now(self)
+    }
+    fn with_stack<R: Send + 'static>(
+        &mut self,
+        id: StackId,
+        f: impl FnOnce(&mut Stack) -> R + Send + 'static,
+    ) -> R {
+        Reactor::with_stack(self, id, f)
+    }
+    fn telemetry_report(&self) -> TelemetryReport {
+        Reactor::telemetry_report(self)
+    }
+    fn dump_flight_recorders(&self) -> String {
+        Reactor::dump_flight_recorders(self)
+    }
+}
+
 impl Drop for Reactor {
     fn drop(&mut self) {
         // Dropping without `shutdown()` (e.g. on a test panic) must
         // not leak the loop thread.
-        let _ = self.cmds.send(Cmd::Stop);
-        self.waker.wake();
+        self.cmds.send(Cmd::Stop);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }

@@ -121,7 +121,10 @@ fn two_reactors_recover_injected_loss_via_rp2p() {
     // have actually retransmitted through the real socket.
     let dropped = ra.stats().packets_dropped + rb.stats().packets_dropped;
     assert!(dropped > 0, "0.4 loss dropped nothing over 30+ frames");
-    assert!(ra.transport_stats().retransmissions > 0, "recovery implies retransmissions");
+    assert!(
+        ra.telemetry_report().transport.retransmissions > 0,
+        "recovery implies retransmissions"
+    );
     ra.shutdown();
     rb.shutdown();
 }

@@ -19,18 +19,21 @@
 //!               net (host boundary)
 //! ```
 //!
-//! [`group_sim`] instantiates `n` such stacks in a deterministic
-//! simulation and [`group_runtime`] instantiates them on the sharded
-//! live runtime (same stacks, wall clock — the paper's host-agnosticism
-//! claim in one call); [`drive_load`] generates the paper's
-//! constant-rate workload; [`check_run`] applies the generic DPU
-//! properties (§3) and the four atomic broadcast properties (§5.1) to a
-//! finished simulation run.
+//! [`group`] instantiates `n` such stacks on any host — a deterministic
+//! simulation ([`group_sim`] for short), the sharded live runtime, the
+//! real-socket reactor: same stacks, the paper's host-agnosticism claim
+//! in one call. What drives a built group is written once too, over
+//! [`Host`]: [`send_probe`] and [`request_change`] take `&mut Sim`,
+//! `&Runtime` or `&Reactor` alike.
+//! [`drive_load`] generates the paper's constant-rate workload;
+//! [`check_run`] applies the generic DPU properties (§3) and the four
+//! atomic broadcast properties (§5.1) to a finished simulation run.
 
 use crate::abcast_repl::{ReplAbcastModule, ReplParams};
 use crate::graceful::{GracefulParams, GracefulSwitcher};
 use crate::maestro::{MaestroParams, MaestroSwitcher};
 use dpu_core::abcast_check::AbcastChecker;
+use dpu_core::host::Host;
 use dpu_core::probe::Probe;
 use dpu_core::props;
 use dpu_core::time::{Dur, Time};
@@ -45,8 +48,6 @@ use dpu_protocols::abcast::sequencer::SeqAbcastModule;
 use dpu_protocols::consensus::ConsensusModule;
 use dpu_protocols::fd::FdModule;
 use dpu_protocols::gm::{GmModule, GmParams};
-use dpu_reactor::{Reactor, ReactorConfig};
-use dpu_runtime::{Runtime, RuntimeConfig};
 use dpu_sim::{Sim, SimConfig};
 
 /// Ready-made [`ModuleSpec`]s for the protocols of the workspace, with
@@ -301,107 +302,46 @@ pub fn build(sc: StackConfig, opts: &GroupStackOpts) -> BuiltStack {
     BuiltStack { stack, handles: Handles { top_service, probe, layer, gm, abcast } }
 }
 
-/// Instantiate `n` identical stacks (per `opts`) in a deterministic
-/// simulation. Returns the module handles, which are identical on every
-/// stack (construction order is fixed).
-pub fn group_sim(sim_cfg: SimConfig, opts: &GroupStackOpts) -> (Sim, Handles) {
-    let mut handles: Option<Handles> = None;
-    let sim = Sim::new(sim_cfg, |sc| {
-        let built = build(sc, opts);
-        if handles.is_none() {
-            handles = Some(built.handles.clone());
-        }
-        built.stack
-    });
-    (sim, handles.expect("at least one stack"))
-}
-
-/// Instantiate `cfg.n` identical stacks (per `opts`) on the sharded
-/// live runtime — the counterpart of [`group_sim`] for wall-clock hosts.
-/// The returned [`Handles`] are identical on every stack (construction
-/// is deterministic).
-pub fn group_runtime(cfg: RuntimeConfig, opts: &GroupStackOpts) -> (Runtime, Handles) {
-    let mut handles: Option<Handles> = None;
-    let rt = Runtime::spawn(cfg, |sc| {
-        let built = build(sc, opts);
-        if handles.is_none() {
-            handles = Some(built.handles.clone());
-        }
-        built.stack
-    });
-    (rt, handles.expect("at least one stack"))
-}
-
-/// Send one probe message from `node` on the live runtime (stamps the
-/// current wall-clock time). Counterpart of [`send_probe`].
-pub fn send_probe_live(rt: &Runtime, node: StackId, h: &Handles) {
-    let Some(probe) = h.probe else { return };
-    let top = h.top_service.clone();
-    let now = rt.now();
-    rt.with_stack(node, move |s| {
-        let payload =
-            s.with_module::<Probe, _>(probe, |p| p.next_payload(node, now)).expect("probe present");
-        s.call_as(probe, &top, ab_ops::ABCAST, payload);
-    });
-}
-
-/// Request a protocol change from `node` on the live runtime (the
-/// paper's `changeABcast(prot)`). Counterpart of [`request_change`].
-pub fn request_change_live(rt: &Runtime, node: StackId, h: &Handles, new_spec: &ModuleSpec) {
-    let Some(probe) = h.probe else { return };
-    let top = h.top_service.clone();
-    let data = dpu_core::wire::to_bytes(new_spec);
-    rt.with_stack(node, move |s| s.call_as(probe, &top, crate::CHANGE_OP, data));
-}
-
-/// Instantiate the locally-hosted slice of an `cfg.n`-stack group (per
-/// `opts`) on the epoll-backed real-socket host. The counterpart of
-/// [`group_runtime`] when the group spans OS processes: each process
-/// hosts `cfg.local` and exchanges frames over loopback UDP. The
-/// returned [`Handles`] are identical on every stack.
-pub fn group_reactor(
-    cfg: ReactorConfig,
+/// Instantiate a group of identical stacks (per `opts`) on any host:
+/// `spawn` is handed the `mk_stack` closure every host constructor
+/// takes (`Sim::new`, `Runtime::spawn`, `Reactor::spawn`) and returns
+/// whatever that constructor returns.
+///
+/// ```ignore
+/// let (rt, h) = group(&opts, |mk| Runtime::spawn(RuntimeConfig::new(3), mk));
+/// let (r, h) = group(&opts, |mk| Reactor::spawn(cfg, mk));   // r: io::Result<Reactor>
+/// ```
+///
+/// The returned [`Handles`] are the first built stack's (construction
+/// is deterministic, so they are identical on every stack of a group,
+/// whichever process hosts it).
+pub fn group<T>(
     opts: &GroupStackOpts,
-) -> std::io::Result<(Reactor, Handles)> {
-    let mut handles: Option<Handles> = None;
-    let r = Reactor::spawn(cfg, |sc| {
+    spawn: impl FnOnce(&mut dyn FnMut(StackConfig) -> Stack) -> T,
+) -> (T, Handles) {
+    let mut handles = None;
+    let host = spawn(&mut |sc| {
         let built = build(sc, opts);
-        if handles.is_none() {
-            handles = Some(built.handles.clone());
-        }
+        handles.get_or_insert(built.handles);
         built.stack
-    })?;
-    Ok((r, handles.expect("at least one local stack")))
-}
-
-/// Send one probe message from `node` on the real-socket host (stamps
-/// the current wall-clock time). Counterpart of [`send_probe_live`].
-pub fn send_probe_reactor(r: &Reactor, node: StackId, h: &Handles) {
-    let Some(probe) = h.probe else { return };
-    let top = h.top_service.clone();
-    let now = r.now();
-    r.with_stack(node, move |s| {
-        let payload =
-            s.with_module::<Probe, _>(probe, |p| p.next_payload(node, now)).expect("probe present");
-        s.call_as(probe, &top, ab_ops::ABCAST, payload);
     });
+    // A constructor that failed before building a stack reports its own
+    // error through `T`; the handles then come from a scratch build.
+    (host, handles.unwrap_or_else(|| build(StackConfig::nth(0, 1, 0), opts).handles))
 }
 
-/// Request a protocol change from `node` on the real-socket host (the
-/// paper's `changeABcast(prot)`). Counterpart of [`request_change_live`].
-pub fn request_change_reactor(r: &Reactor, node: StackId, h: &Handles, new_spec: &ModuleSpec) {
-    let Some(probe) = h.probe else { return };
-    let top = h.top_service.clone();
-    let data = dpu_core::wire::to_bytes(new_spec);
-    r.with_stack(node, move |s| s.call_as(probe, &top, crate::CHANGE_OP, data));
+/// [`group`] on a deterministic simulation.
+pub fn group_sim(sim_cfg: SimConfig, opts: &GroupStackOpts) -> (Sim, Handles) {
+    group(opts, |mk| Sim::new(sim_cfg, mk))
 }
 
-/// Send one probe message from `node` (stamps the current virtual time).
-pub fn send_probe(sim: &mut Sim, node: StackId, h: &Handles) {
+/// Send one probe message from `node`, stamped with the host's current
+/// time (virtual on the simulator, wall clock on the live hosts).
+pub fn send_probe(mut host: impl Host, node: StackId, h: &Handles) {
     let Some(probe) = h.probe else { return };
     let top = h.top_service.clone();
-    let now = sim.now();
-    sim.with_stack(node, |s| {
+    let now = host.now();
+    host.with_stack(node, move |s| {
         let payload =
             s.with_module::<Probe, _>(probe, |p| p.next_payload(node, now)).expect("probe present");
         s.call_as(probe, &top, ab_ops::ABCAST, payload);
@@ -411,11 +351,11 @@ pub fn send_probe(sim: &mut Sim, node: StackId, h: &Handles) {
 /// Request a protocol change from `node` (the paper's
 /// `changeABcast(prot)`): delivered to the switch layer on the top
 /// service.
-pub fn request_change(sim: &mut Sim, node: StackId, h: &Handles, new_spec: &ModuleSpec) {
+pub fn request_change(mut host: impl Host, node: StackId, h: &Handles, new_spec: &ModuleSpec) {
     let Some(probe) = h.probe else { return };
     let top = h.top_service.clone();
     let data = dpu_core::wire::to_bytes(new_spec);
-    sim.with_stack(node, |s| s.call_as(probe, &top, crate::CHANGE_OP, data));
+    host.with_stack(node, move |s| s.call_as(probe, &top, crate::CHANGE_OP, data));
 }
 
 /// An [`dpu_sim::workload::InjectFn`] that broadcasts one probe message
@@ -524,7 +464,7 @@ fn load_tick(sim: &mut Sim, node: StackId, h: Handles, interval: Dur, until: Tim
     if sim.now() > until || sim.stack(node).is_crashed() {
         return;
     }
-    send_probe(sim, node, &h);
+    send_probe(&mut *sim, node, &h);
     sim.schedule_in(interval, move |sim| load_tick(sim, node, h, interval, until));
 }
 
@@ -814,9 +754,11 @@ mod tests {
     }
 
     #[test]
-    fn group_runtime_spawns_same_handles_as_group_sim() {
+    fn group_on_the_runtime_yields_the_same_handles_as_group_sim() {
+        use dpu_runtime::{Runtime, RuntimeConfig};
         let opts = GroupStackOpts::default();
-        let (rt, h_rt) = group_runtime(dpu_runtime::RuntimeConfig::new(3).with_shards(2), &opts);
+        let (rt, h_rt) =
+            group(&opts, |mk| Runtime::spawn(RuntimeConfig::new(3).with_shards(2), mk));
         let (_, h_sim) = group_sim(SimConfig::lan(3, 1), &opts);
         assert_eq!(h_rt.top_service, h_sim.top_service);
         assert_eq!(h_rt.probe, h_sim.probe);

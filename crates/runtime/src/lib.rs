@@ -2,7 +2,7 @@
 //!
 //! Runs the same [`Stack`]s as the deterministic simulator, but for real:
 //! a small, fixed pool of *shard* threads multiplexes any number of
-//! [`StackDriver`]s under the wall clock, with crossbeam channels as the
+//! stacks under the wall clock, with crossbeam channels as the
 //! (in-process) network. This is the scaling host of the workspace —
 //! thousands of stacks per process on a handful of threads — and it
 //! demonstrates that protocol modules are host-agnostic: every stack is
@@ -20,30 +20,29 @@
 //! rt.shutdown();
 //! ```
 //!
-//! # The sharding model
+//! # LiveShard + mailbox transport
 //!
 //! The `n` stacks are assigned round-robin to [`RuntimeConfig::shards`]
-//! worker threads. Each shard owns:
+//! worker threads. Each thread owns one [`LiveShard`] — drivers, pools,
+//! the loan, wake deadlines, the report fold: everything this host
+//! shares with `dpu-reactor` — and adds only the transport:
 //!
-//! * its stacks' [`StackDriver`]s — stack, timer queue and drive loop;
 //! * one **mailbox** (an unbounded crossbeam channel) carrying packet
 //!   deliveries, control requests and shutdown;
-//! * one **timer wheel** (a min-heap of `(deadline, event)` pairs)
-//!   holding the next poll deadline of each driver plus packets whose
-//!   modeled delivery time has not arrived yet.
+//! * a `Router`, the [`ActionSink`] that applies the loss model and
+//!   posts each packet to the destination shard's mailbox, stamped with
+//!   a delivery time of `now + delay`;
+//! * a **delayed-delivery queue** (a min-heap by `(stamp, arrival)`)
+//!   holding packets until their stamp is due — per-packet latency costs
+//!   no thread any sleep, so one slow link never stalls the other stacks
+//!   of a shard.
 //!
-//! The shard loop is: fire due wheel entries → poll the touched drivers
-//! (the canonical drain-timers/step/execute loop lives in
-//! [`StackDriver::poll`]) → block on the mailbox until the earliest
-//! wheel deadline. Network sends are executed *by the sending shard*
-//! through an [`ActionSink`] that applies the loss model and routes the
-//! packet to the destination's shard, stamped with a delivery time of
-//! `now + delay` — per-packet latency costs no thread any sleep, so one
-//! slow link never stalls the other stacks of a shard.
+//! The shard loop is: deliver due packets → [`LiveShard::fire_due`] →
+//! block on the mailbox until the earlier of the next wake deadline and
+//! the next delivery stamp.
 //!
-//! Control requests ([`Runtime::with_stack`]) route to the owning shard
-//! and run between polls; [`Runtime::stats`] and [`Runtime::shutdown`]
-//! keep their pre-sharding signatures.
+//! Control requests ([`Runtime::with_stack`], the reports) route to the
+//! owning shard as [`Ctl`] closures and run between events.
 //!
 //! Since real threads race, runs are *not* reproducible — use `dpu-sim`
 //! for experiments, this runtime for live demos and soak tests.
@@ -52,17 +51,15 @@
 #![warn(missing_docs)]
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use dpu_core::host::{ActionSink, HostEvent, StackDriver, Wakeup};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use dpu_core::host::{ActionSink, Ctl, Host, LiveShard, LossModel, ShardPort, WallClock};
+use dpu_core::telemetry::{SocketCounters, TelemetryReport};
 use dpu_core::time::{Dur, Time};
 use dpu_core::{Stack, StackConfig, StackId, TelemetryConfig};
-use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Configuration of the sharded runtime.
 #[derive(Clone, Debug)]
@@ -125,33 +122,12 @@ impl RuntimeConfig {
     }
 }
 
-/// Aggregate counters across all shards.
-#[derive(Debug, Default)]
-pub struct RuntimeStats {
-    /// Packets handed to the in-process network.
-    pub packets_sent: u64,
-    /// Packets dropped by the loss model.
-    pub packets_dropped: u64,
-}
-
-#[derive(Default)]
-struct StatsInner {
-    packets_sent: AtomicU64,
-    packets_dropped: AtomicU64,
-}
-
-type StackFn = Box<dyn FnOnce(&mut Stack) -> Box<dyn Any + Send> + Send>;
-
 enum ShardMsg {
     /// Deliver `payload` from `src` to `dst` once the wall clock reaches
     /// `at` (the sender already applied the loss model).
     Deliver { dst: StackId, src: StackId, payload: Bytes, at: Time },
-    /// Run a closure against `dst`'s stack and send back the result.
-    Ctl { dst: StackId, f: StackFn, reply: Sender<Box<dyn Any + Send>> },
-    /// Report the shard-level scratch pool's counters (every encode on
-    /// this shard runs under the pool loan, so these are the shard's
-    /// wire stats).
-    PoolStats { reply: Sender<dpu_core::wire::ScratchStats> },
+    /// Run a control closure against the shard.
+    Ctl(Ctl<Router>),
     /// Stop the shard and return its stacks.
     Stop,
 }
@@ -162,33 +138,23 @@ enum ShardMsg {
 struct Router {
     shard_of: Arc<Vec<u32>>,
     mailboxes: Vec<Sender<ShardMsg>>,
-    stats: Arc<StatsInner>,
-    loss: f64,
+    /// This shard's share of [`Runtime::stats`].
+    stats: SocketCounters,
+    loss: LossModel,
     delay: Dur,
-    rng: u64,
-}
-
-impl Router {
-    fn next_rand(&mut self) -> f64 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 impl ActionSink for Router {
     fn net_send(&mut self, at: Time, src: StackId, dst: StackId, payload: Bytes) {
-        // SeqCst pairs with the dropped-before-sent load order in
-        // `Runtime::stats` to keep its snapshot monotonic.
-        self.stats.packets_sent.fetch_add(1, Ordering::SeqCst);
-        if self.loss > 0.0 && self.next_rand() < self.loss {
-            self.stats.packets_dropped.fetch_add(1, Ordering::SeqCst);
+        self.stats.packets_sent += 1;
+        if self.loss.drops() {
+            self.stats.packets_dropped += 1;
             return;
         }
-        let Some(&shard) = self.shard_of.get(dst.idx()) else { return };
+        let Some(&shard) = self.shard_of.get(dst.idx()) else {
+            self.stats.unroutable += 1;
+            return;
+        };
         // Ignore send errors: the destination shard may have shut down.
         let _ = self.mailboxes[shard as usize].send(ShardMsg::Deliver {
             dst,
@@ -199,91 +165,46 @@ impl ActionSink for Router {
     }
 }
 
-/// An entry on a shard's timer wheel. Ordered by `(time, seq)` for a
-/// stable min-heap with FIFO tie-breaking (like the simulator's heap).
-struct WheelEntry(Reverse<(Time, u64)>, WheelItem);
+/// A packet waiting for its delivery stamp: `(stamp, arrival seq, local
+/// destination, source, payload)`. The unique `seq` gives FIFO
+/// tie-breaking (like the simulator's heap) and ends every comparison
+/// before it reaches the payload.
+type Delayed = Reverse<(Time, u64, usize, StackId, Bytes)>;
 
-enum WheelItem {
-    /// Poll local driver `usize`; stale if its stamp moved (see
-    /// [`Shard::next_wake`]).
-    Wake(usize),
-    /// A packet whose modeled delivery time had not arrived when it
-    /// reached the shard.
-    Deliver { local: usize, src: StackId, payload: Bytes },
-}
-
-impl PartialEq for WheelEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
-    }
-}
-impl Eq for WheelEntry {}
-impl PartialOrd for WheelEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for WheelEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.cmp(&other.0)
-    }
-}
-
-/// One worker thread: a set of drivers, a mailbox, a timer wheel.
+/// One worker thread: a [`LiveShard`] over the mailbox transport.
 struct Shard {
-    ids: Vec<StackId>,
-    drivers: Vec<StackDriver>,
-    /// Scheduled wheel wake time per local driver. A wheel `Wake` whose
-    /// time differs from the stamp is stale and is skipped; the stamp
-    /// moves whenever a nearer deadline is scheduled, so cancelled and
-    /// superseded wakeups purge themselves on pop.
-    next_wake: Vec<Option<Time>>,
-    wheel: BinaryHeap<WheelEntry>,
-    wheel_seq: u64,
-    mailbox: Receiver<ShardMsg>,
+    core: LiveShard,
     router: Router,
-    start: Instant,
-    /// The shard-level encode-buffer pool, loaned to whichever driver
-    /// is being polled (see [`dpu_core::stack::Stack::swap_scratch`]):
-    /// retained encode memory scales with shard threads, not stacks.
-    pool: dpu_core::wire::WireScratch,
-    /// The shard-level dispatch-queue buffer, loaned alongside the
-    /// encode pool: cascade burst capacity scales with shards too.
-    qpool: dpu_core::stack::DispatchBuf,
+    mailbox: Receiver<ShardMsg>,
+    delayed: BinaryHeap<Delayed>,
+    delayed_seq: u64,
 }
 
-/// Upper bound on mailbox messages handled between wheel checks, so a
-/// flood of packets cannot starve due timers or delivery-timestamp
+/// Upper bound on mailbox messages handled between deadline checks, so
+/// a flood of packets cannot starve due timers or delivery-timestamp
 /// ordering.
 const DRAIN_BATCH: usize = 128;
 
 impl Shard {
-    fn now(&self) -> Time {
-        Time(self.start.elapsed().as_nanos() as u64)
-    }
-
     fn run(mut self) -> Vec<(StackId, Stack)> {
-        // Service the stacks' start-up work (on_start handlers).
-        for i in 0..self.drivers.len() {
-            self.poll_driver(i);
-        }
         loop {
-            let now = self.now();
-            self.fire_wheel(now);
-            // Park on the mailbox until the earliest wheel deadline —
-            // or indefinitely when the wheel is empty, so an idle shard
-            // burns no CPU. Every other wakeup arrives as a mailbox
-            // message, and shutdown never relies on a timeout:
-            // [`Runtime::shutdown`] and [`Runtime`]'s `Drop` both post
-            // an explicit `Stop` to every mailbox.
-            let msg = match self.wheel.peek() {
-                Some(WheelEntry(Reverse((at, _)), _)) => {
-                    match self.mailbox.recv_timeout(at.since(self.now()).to_std()) {
-                        Ok(msg) => msg,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
+            let now = self.core.now();
+            self.deliver_due(now);
+            self.core.fire_due(now, &mut self.router);
+            // Park on the mailbox until the earliest deadline — or
+            // indefinitely when there is none, so an idle shard burns no
+            // CPU. Every other wakeup arrives as a mailbox message, and
+            // shutdown never relies on a timeout: [`Runtime::shutdown`]
+            // and [`Runtime`]'s `Drop` both post an explicit `Stop` to
+            // every mailbox.
+            let next_delivery = self.delayed.peek().map(|Reverse(d)| d.0);
+            let deadline = self.core.next_deadline().into_iter().chain(next_delivery).min();
+            let msg = match deadline {
+                Some(at) => match self.mailbox.recv_timeout(at.since(self.core.now()).to_std()) {
+                    Ok(msg) => msg,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => break,
+                },
                 None => match self.mailbox.recv() {
                     Ok(msg) => msg,
                     Err(_) => break,
@@ -296,119 +217,78 @@ impl Shard {
                 match self.mailbox.try_recv() {
                     Ok(msg) => {
                         if !self.handle(msg) {
-                            return self.into_stacks();
+                            return self.core.into_stacks();
                         }
                     }
                     Err(_) => break,
                 }
             }
         }
-        self.into_stacks()
-    }
-
-    fn into_stacks(self) -> Vec<(StackId, Stack)> {
-        self.ids.into_iter().zip(self.drivers.into_iter().map(StackDriver::into_stack)).collect()
+        self.core.into_stacks()
     }
 
     /// Returns `false` on `Stop`.
     fn handle(&mut self, msg: ShardMsg) -> bool {
         match msg {
             ShardMsg::Deliver { dst, src, payload, at } => {
-                // Always through the wheel, even when already due: the
-                // wheel pops by (stamp, arrival seq), so a due packet
-                // cannot overtake an earlier-stamped one still parked
-                // there (per-sender FIFO survives `delay`).
-                let local = self.local_idx(dst);
-                self.push_wheel(at, WheelItem::Deliver { local, src, payload });
+                // Always through the queue, even when already due: it
+                // pops by (stamp, arrival seq), so a due packet cannot
+                // overtake an earlier-stamped one still parked there
+                // (per-sender FIFO survives `delay`).
+                if let Some(local) = self.core.local_of(dst) {
+                    self.delayed.push(Reverse((at, self.delayed_seq, local, src, payload)));
+                    self.delayed_seq += 1;
+                }
             }
-            ShardMsg::Ctl { dst, f, reply } => {
-                let local = self.local_idx(dst);
-                // Loan the pool for the closure (it may encode), and
-                // leave it loaned through the follow-up poll.
-                self.drivers[local].swap_scratch(&mut self.pool);
-                self.drivers[local].swap_queue(&mut self.qpool);
-                let r = f(self.drivers[local].stack_mut());
-                self.drivers[local].swap_scratch(&mut self.pool);
-                self.drivers[local].swap_queue(&mut self.qpool);
-                let _ = reply.send(r);
-                // The closure may have queued work or produced actions.
-                self.poll_driver(local);
-            }
-            ShardMsg::PoolStats { reply } => {
-                let _ = reply.send(self.pool.stats());
-            }
+            ShardMsg::Ctl(ctl) => ctl.run(&mut self.core, &mut self.router),
             ShardMsg::Stop => return false,
         }
         true
     }
 
-    fn local_idx(&self, id: StackId) -> usize {
-        // Round-robin assignment: shard s owns stacks s, s+k, s+2k, ...
-        // Must stay in lockstep with the `shard_of` map built in
-        // `Runtime::spawn`; the assert ties the two encodings together.
-        let local = id.idx() / self.router.mailboxes.len();
-        debug_assert_eq!(self.ids[local], id, "stack-to-shard assignment diverged");
-        local
-    }
-
-    fn fire_wheel(&mut self, now: Time) {
-        while let Some(WheelEntry(Reverse((at, _)), _)) = self.wheel.peek() {
-            if *at > now {
-                break;
-            }
-            let WheelEntry(Reverse((at, _)), item) = self.wheel.pop().expect("peeked");
-            match item {
-                WheelItem::Wake(local) => {
-                    if self.next_wake[local] != Some(at) {
-                        continue; // stale: superseded by a nearer wake
-                    }
-                    self.next_wake[local] = None;
-                    self.poll_driver(local);
-                }
-                WheelItem::Deliver { local, src, payload } => {
-                    self.drivers[local].inject(HostEvent::Packet { src, payload });
-                    self.poll_driver(local);
-                }
-            }
+    fn deliver_due(&mut self, now: Time) {
+        while self.delayed.peek().is_some_and(|Reverse(d)| d.0 <= now) {
+            let Reverse((_, _, local, src, payload)) = self.delayed.pop().expect("peeked");
+            self.core.deliver(local, src, payload, &mut self.router);
         }
     }
+}
 
-    /// Run one driver's canonical drive loop and keep a wheel wake
-    /// scheduled at its next deadline.
-    fn poll_driver(&mut self, local: usize) {
-        let now = self.now();
-        // The canonical drive loop dispatches module handlers, which
-        // encode — run it under the shard-pool loan.
-        self.drivers[local].swap_scratch(&mut self.pool);
-        self.drivers[local].swap_queue(&mut self.qpool);
-        let wakeup = self.drivers[local].poll(now, &mut self.router);
-        self.drivers[local].swap_scratch(&mut self.pool);
-        self.drivers[local].swap_queue(&mut self.qpool);
-        match wakeup {
-            Wakeup::Idle => {}
-            Wakeup::At(at) => {
-                if self.next_wake[local].is_none_or(|w| at < w) {
-                    self.next_wake[local] = Some(at);
-                    self.push_wheel(at, WheelItem::Wake(local));
-                }
-            }
+/// The handle's sending side: one mailbox per shard thread.
+struct Mailboxes(Vec<Sender<ShardMsg>>);
+
+impl Mailboxes {
+    fn stop_all(&self) {
+        for mb in &self.0 {
+            let _ = mb.send(ShardMsg::Stop);
         }
     }
+}
 
-    fn push_wheel(&mut self, at: Time, item: WheelItem) {
-        let seq = self.wheel_seq;
-        self.wheel_seq += 1;
-        self.wheel.push(WheelEntry(Reverse((at, seq)), item));
+impl ShardPort for Mailboxes {
+    type Transport = Router;
+
+    fn shards(&self) -> usize {
+        self.0.len()
+    }
+
+    fn post(&self, shard: usize, ctl: Ctl<Router>) {
+        self.0[shard].send(ShardMsg::Ctl(ctl)).expect("shard thread alive");
     }
 }
 
 /// The sharded runtime. See crate docs.
+///
+/// `with_stack`, `stats`, `telemetry_report` and `dump_flight_recorders`
+/// ask the shard threads and block for the answer, so they must be
+/// called from *outside* those threads: a call issued from code already
+/// running on a shard (e.g. inside another `with_stack` closure) would
+/// wait on the very thread that is executing it — a self-deadlock.
 pub struct Runtime {
-    mailboxes: Vec<Sender<ShardMsg>>,
+    mailboxes: Mailboxes,
     shard_of: Arc<Vec<u32>>,
     threads: Vec<JoinHandle<Vec<(StackId, Stack)>>>,
-    start: Instant,
-    stats: Arc<StatsInner>,
+    clock: WallClock,
 }
 
 impl Runtime {
@@ -416,14 +296,13 @@ impl Runtime {
     /// threads. `mk_stack` builds each stack from its [`StackConfig`]
     /// (called on the spawning thread, in stack-id order).
     pub fn spawn(cfg: RuntimeConfig, mut mk_stack: impl FnMut(StackConfig) -> Stack) -> Runtime {
-        let start = Instant::now();
-        let stats = Arc::new(StatsInner::default());
+        let clock = WallClock::start();
         let shards = cfg.effective_shards() as usize;
+        // Round-robin assignment: shard s owns stacks s, s+k, s+2k, ...
         let shard_of: Arc<Vec<u32>> =
             Arc::new((0..cfg.n).map(|i| i % shards as u32).collect::<Vec<_>>());
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards).map(|_| unbounded::<ShardMsg>()).unzip();
-        let mut by_shard: Vec<(Vec<StackId>, Vec<StackDriver>)> =
-            (0..shards).map(|_| (Vec::new(), Vec::new())).collect();
+        let mut by_shard: Vec<Vec<Stack>> = (0..shards).map(|_| Vec::new()).collect();
         let peer_table = StackConfig::peer_table(cfg.n);
         for i in 0..cfg.n {
             let sc = StackConfig {
@@ -436,34 +315,25 @@ impl Runtime {
                 cluster_size: None,
                 telemetry: cfg.telemetry,
             };
-            let (ids, drivers) = &mut by_shard[(i as usize) % shards];
-            ids.push(StackId(i));
-            drivers.push(StackDriver::new(mk_stack(sc)));
+            by_shard[shard_of[i as usize] as usize].push(mk_stack(sc));
         }
         let threads = by_shard
             .into_iter()
             .zip(rxs)
             .enumerate()
-            .map(|(s, ((ids, drivers), mailbox))| {
-                let n_local = drivers.len();
+            .map(|(s, (stacks, mailbox))| {
                 let shard = Shard {
-                    ids,
-                    drivers,
-                    next_wake: vec![None; n_local],
-                    wheel: BinaryHeap::new(),
-                    wheel_seq: 0,
-                    mailbox,
+                    core: LiveShard::new(clock, stacks),
                     router: Router {
                         shard_of: Arc::clone(&shard_of),
                         mailboxes: txs.clone(),
-                        stats: Arc::clone(&stats),
-                        loss: cfg.loss,
+                        stats: SocketCounters::default(),
+                        loss: LossModel::new(cfg.loss, cfg.seed, s as u64),
                         delay: cfg.delay,
-                        rng: cfg.seed ^ (s as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15) | 1,
                     },
-                    start,
-                    pool: dpu_core::wire::WireScratch::shard_pool(),
-                    qpool: dpu_core::stack::DispatchBuf::new(),
+                    mailbox,
+                    delayed: BinaryHeap::new(),
+                    delayed_seq: 0,
                 };
                 std::thread::Builder::new()
                     .name(format!("dpu-shard-{s}"))
@@ -471,7 +341,7 @@ impl Runtime {
                     .expect("spawn shard thread")
             })
             .collect();
-        Runtime { mailboxes: txs, shard_of, threads, start, stats }
+        Runtime { mailboxes: Mailboxes(txs), shard_of, threads, clock }
     }
 
     /// Number of stacks.
@@ -481,158 +351,87 @@ impl Runtime {
 
     /// Number of shard threads.
     pub fn shards(&self) -> u32 {
-        self.mailboxes.len() as u32
+        self.mailboxes.shards() as u32
     }
 
     /// Wall-clock time since the runtime started, as virtual [`Time`].
     pub fn now(&self) -> Time {
-        Time(self.start.elapsed().as_nanos() as u64)
+        self.clock.now()
     }
 
-    /// Aggregate network counters. The snapshot is monotonic
-    /// (`packets_dropped <= packets_sent` always holds): `dropped` is
-    /// loaded first and every drop increment is sequenced after its
-    /// send increment, all SeqCst.
-    pub fn stats(&self) -> RuntimeStats {
-        let packets_dropped = self.stats.packets_dropped.load(Ordering::SeqCst);
-        let packets_sent = self.stats.packets_sent.load(Ordering::SeqCst);
-        RuntimeStats { packets_sent, packets_dropped }
-    }
-
-    /// Aggregate [`dpu_core::wire::ScratchStats`] over the runtime: the
-    /// shard-level pools (where every encode lands under the loan
-    /// discipline — one request per *shard*, not per stack) plus each
-    /// stack's resident scratch as a residual (zero in normal operation;
-    /// kept so any encode outside a loan still counts). The steady-state
-    /// allocation oracle of the live message path.
-    ///
-    /// Like [`Runtime::with_stack`], must be called from outside the
-    /// shard threads.
-    pub fn wire_stats(&self) -> dpu_core::wire::ScratchStats {
-        let mut total = self.pool_stats();
-        for i in 0..self.n() {
-            total.absorb(self.with_stack(StackId(i), |s| s.wire_stats()));
-        }
-        total
-    }
-
-    /// Sum of the shard-level scratch pools' counters (one control
-    /// round-trip per shard).
-    fn pool_stats(&self) -> dpu_core::wire::ScratchStats {
-        let mut total = dpu_core::wire::ScratchStats::default();
-        for mb in &self.mailboxes {
-            let (tx, rx) = bounded(1);
-            mb.send(ShardMsg::PoolStats { reply: tx }).expect("shard thread alive");
-            total.absorb(rx.recv().expect("shard replies"));
-        }
-        total
-    }
-
-    /// Aggregate [`dpu_core::TransportStats`] over every stack — the
-    /// health of the reliable transport under the live loss model
-    /// (rp2p retransmissions, frames given up after the retransmit
-    /// cap, current unacked backlog).
-    ///
-    /// Like [`Runtime::with_stack`], must be called from outside the
-    /// shard threads.
-    pub fn transport_stats(&self) -> dpu_core::TransportStats {
-        let mut total = dpu_core::TransportStats::default();
-        for i in 0..self.n() {
-            total.absorb(self.with_stack(StackId(i), |s| s.transport_stats()));
+    /// Aggregate counters of the in-process network (the send-side
+    /// fields of [`SocketCounters`]; there are no sockets to err or
+    /// receive junk). Each shard's share is snapshotted on its own
+    /// thread, so `packets_dropped + unroutable <= packets_sent` always
+    /// holds.
+    pub fn stats(&self) -> SocketCounters {
+        let mut total = SocketCounters::default();
+        for shard in 0..self.mailboxes.shards() {
+            total.absorb(self.mailboxes.on_shard(shard, |_, router| router.stats));
         }
         total
     }
 
     /// Unified telemetry snapshot across every stack: delivery-latency /
     /// cascade-depth / scratch-occupancy / reseq-depth histograms, the
-    /// switch-phase timeline, and wire + transport counter families.
-    /// Shape-identical to `Sim::telemetry_report` and
-    /// `Reactor::telemetry_report`.
-    ///
-    /// Like [`Runtime::with_stack`], must be called from outside the
-    /// shard threads.
-    pub fn telemetry_report(&self) -> dpu_core::telemetry::TelemetryReport {
-        let mut agg = dpu_core::telemetry::TelemetryAggregate::new();
-        let mut wire = dpu_core::wire::ScratchStats::default();
-        let mut transport = dpu_core::TransportStats::default();
-        for i in 0..self.n() {
-            let (part, w, t) = self.with_stack(StackId(i), |s| {
-                let mut part = dpu_core::telemetry::TelemetryAggregate::new();
-                part.absorb(s.telemetry());
-                (part, s.wire_stats(), s.transport_stats())
-            });
-            agg.merge(&part);
-            wire.absorb(w);
-            transport.absorb(t);
-        }
-        wire.absorb(self.pool_stats());
-        let mut report = agg.report("runtime", self.n(), self.now().as_nanos());
-        report.wire = dpu_core::telemetry::WireCounters {
-            emitted: wire.emitted,
-            reclaimed: wire.reclaimed,
-            allocations: wire.allocations,
-        };
-        report.transport = dpu_core::telemetry::TransportCounters {
-            retransmissions: transport.retransmissions,
-            exhausted: transport.exhausted,
-            unacked: transport.unacked,
-        };
-        report
+    /// switch-phase timeline, and wire + transport counter families
+    /// (`sockets` stays `None`: this host has none). Shape-identical to
+    /// `Sim::telemetry_report` and `Reactor::telemetry_report`; one
+    /// control round-trip per shard.
+    pub fn telemetry_report(&self) -> TelemetryReport {
+        self.mailboxes.fold_report().into_report("runtime", self.now(), None)
     }
 
-    /// Dump every stack's flight recorder (most recent events, oldest
-    /// first, with drop counts) — the postmortem a failing soak prints.
-    ///
-    /// Like [`Runtime::with_stack`], must be called from outside the
-    /// shard threads.
+    /// Dump every stack's flight recorder, shard by shard (most recent
+    /// events, oldest first, with drop counts) — the postmortem a
+    /// failing soak prints.
     pub fn dump_flight_recorders(&self) -> String {
-        let mut out = String::new();
-        for i in 0..self.n() {
-            let chunk = self.with_stack(StackId(i), move |s| {
-                let mut buf = String::new();
-                s.telemetry().dump_flight(&format!("stack {}", s.id().0), &mut buf);
-                buf
-            });
-            out.push_str(&chunk);
-        }
-        out
+        self.mailboxes.dump_flight()
     }
 
     /// Run a closure against the stack of node `id` (on its owning
     /// shard) and return the result. Blocks until the shard services the
-    /// request.
-    ///
-    /// Must be called from *outside* the runtime's shard threads. A call
-    /// issued from code already running on a shard (e.g. inside another
-    /// `with_stack` closure) targeting a stack of that same shard would
-    /// wait on the very thread that is executing it — a self-deadlock.
+    /// request. Panics if `id` is not one of the runtime's stacks.
     pub fn with_stack<R: Send + 'static>(
         &self,
         id: StackId,
         f: impl FnOnce(&mut Stack) -> R + Send + 'static,
     ) -> R {
-        let (tx, rx) = bounded(1);
-        let wrapped: StackFn = Box::new(move |s| Box::new(f(s)) as Box<dyn Any + Send>);
-        let shard = self.shard_of[id.idx()] as usize;
-        self.mailboxes[shard]
-            .send(ShardMsg::Ctl { dst: id, f: wrapped, reply: tx })
-            .expect("shard thread alive");
-        let boxed = rx.recv().expect("shard replies");
-        *boxed.downcast::<R>().expect("result type")
+        // An id outside the group has no shard; any shard will report it
+        // as not hosted.
+        let shard = self.shard_of.get(id.idx()).map_or(0, |&s| s as usize);
+        self.mailboxes.on_stack(shard, id, f)
     }
 
     /// Stop all shard threads and return the final stacks in id order
     /// (for post-hoc trace inspection).
     pub fn shutdown(mut self) -> Vec<Stack> {
-        for mb in &self.mailboxes {
-            let _ = mb.send(ShardMsg::Stop);
-        }
+        self.mailboxes.stop_all();
         let mut stacks: Vec<(StackId, Stack)> = std::mem::take(&mut self.threads)
             .into_iter()
             .flat_map(|t| t.join().expect("shard thread"))
             .collect();
         stacks.sort_by_key(|(id, _)| *id);
         stacks.into_iter().map(|(_, s)| s).collect()
+    }
+}
+
+impl Host for &Runtime {
+    fn now(&self) -> Time {
+        Runtime::now(self)
+    }
+    fn with_stack<R: Send + 'static>(
+        &mut self,
+        id: StackId,
+        f: impl FnOnce(&mut Stack) -> R + Send + 'static,
+    ) -> R {
+        Runtime::with_stack(self, id, f)
+    }
+    fn telemetry_report(&self) -> TelemetryReport {
+        Runtime::telemetry_report(self)
+    }
+    fn dump_flight_recorders(&self) -> String {
+        Runtime::dump_flight_recorders(self)
     }
 }
 
@@ -643,9 +442,7 @@ impl Drop for Runtime {
         // so dropping a Runtime without `shutdown()` (e.g. on a test
         // panic) does not leak the shard threads. After `shutdown()` the
         // receivers are gone and these sends are ignored errors.
-        for mb in &self.mailboxes {
-            let _ = mb.send(ShardMsg::Stop);
-        }
+        self.mailboxes.stop_all();
         for t in std::mem::take(&mut self.threads) {
             let _ = t.join();
         }
@@ -658,7 +455,7 @@ mod tests {
     use dpu_core::stack::{net_ops, FactoryRegistry, ModuleCtx};
     use dpu_core::wire::Encode;
     use dpu_core::{Call, Module, Response, ServiceId, TimerId};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     /// Counts datagrams; replies "pong" to any "ping".
     struct PingPong {

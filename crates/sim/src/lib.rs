@@ -761,12 +761,13 @@ impl Sim {
     /// per-generator breakdowns, and the aggregated wire scratch stats,
     /// with a printable [`std::fmt::Display`].
     pub fn report(&self) -> SimReport {
+        let fold = self.fold();
         SimReport {
             n: self.cfg.n,
             now: self.now,
             stats: self.stats(),
-            wire: self.wire_stats(),
-            transport: self.transport_stats(),
+            wire: fold.wire,
+            transport: fold.transport,
             mem: self.mem_stats(),
         }
     }
@@ -1081,94 +1082,45 @@ impl Sim {
         }
     }
 
+    fn stacks(&self) -> impl Iterator<Item = &Stack> {
+        self.shards.iter().flat_map(|shard| shard.nodes.drivers()).map(|driver| driver.stack())
+    }
+
+    /// Every stack folded through [`dpu_core::host::ReportFold`]
+    /// (telemetry partials, resident scratch counters — zero under
+    /// pooling, where every encode runs under the pool loan — and
+    /// transport-module counters), plus what the stacks do not hold: the
+    /// shard pools and the partials of retired (churned) incarnations.
+    /// The one source of [`Sim::report`], [`Sim::wire_stats`] and
+    /// [`Sim::telemetry_report`].
+    fn fold(&self) -> dpu_core::host::ReportFold {
+        let mut fold = dpu_core::host::ReportFold::of_stacks(self.stacks());
+        for shard in &self.shards {
+            fold.wire.absorb(shard.pool.stats());
+            fold.wire.absorb(shard.retired_wire);
+            fold.transport.absorb(shard.retired_transport);
+        }
+        fold
+    }
+
     /// Aggregate [`dpu_core::wire::ScratchStats`] over the run: the
     /// steady-state-allocation oracle for the whole simulation (see the
     /// `wire_codec` bench and `BENCH_wire.json`). Also folded into
-    /// [`Sim::report`].
-    ///
-    /// With shard-level pooling active (the default) every encode runs
-    /// under the pool loan, so the totals are exactly Σ shard-pool
-    /// counters + retired partials — **O(shards), not O(n)**, which is
-    /// what makes a million-stack report cheap. With pooling off the
-    /// per-stack pools are walked instead (plus the retired partials,
-    /// so churned incarnations still count).
+    /// [`Sim::report`] and [`Sim::telemetry_report`].
     pub fn wire_stats(&self) -> dpu_core::wire::ScratchStats {
-        let mut total = dpu_core::wire::ScratchStats::default();
-        for shard in &self.shards {
-            total.absorb(shard.pool.stats());
-            total.absorb(shard.retired_wire);
-            if !shard.pooled {
-                for driver in shard.nodes.drivers() {
-                    total.absorb(driver.stack().wire_stats());
-                }
-            }
-        }
-        total
+        self.fold().wire
     }
 
-    /// Aggregate [`dpu_core::TransportStats`] over every stack — the
-    /// reliable-transport health of the run (rp2p retransmissions,
-    /// frames given up after the retransmit cap, current unacked
-    /// backlog) — plus the per-shard partials of retired (churned)
-    /// incarnations. The live counters are module state, so this walk
-    /// is O(live modules); it allocates nothing and materializes no
-    /// intermediate. Also folded into [`Sim::report`].
-    pub fn transport_stats(&self) -> dpu_core::TransportStats {
-        let mut total = dpu_core::TransportStats::default();
-        for shard in &self.shards {
-            total.absorb(shard.retired_transport);
-            for driver in shard.nodes.drivers() {
-                total.absorb(driver.stack().transport_stats());
-            }
-        }
-        total
-    }
-
-    /// The unified observability report: per-stack telemetry partials
-    /// (latency/cascade/occupancy histograms, switch timelines, flight
-    /// drops) folded by addition — the same order-independent fold as
-    /// [`Sim::wire_stats`] — plus the wire and transport counter
-    /// families. Shape-identical to `Runtime::telemetry_report` and
-    /// `Reactor::telemetry_report`.
+    /// The unified observability report. Shape-identical to
+    /// `Runtime::telemetry_report` and `Reactor::telemetry_report`.
     pub fn telemetry_report(&self) -> dpu_core::telemetry::TelemetryReport {
-        let mut agg = dpu_core::telemetry::TelemetryAggregate::new();
-        // Capacity runs build every stack with telemetry off, so the
-        // per-stack partials are all empty — skip the O(n) walk and the
-        // report is O(shards) like the rest of the streaming stats path.
-        if self.cfg.telemetry.enabled {
-            for shard in &self.shards {
-                for driver in shard.nodes.drivers() {
-                    agg.absorb(driver.stack().telemetry());
-                }
-            }
-        }
-        let mut report = agg.report("sim", self.cfg.n, self.now.as_nanos());
-        let w = self.wire_stats();
-        report.wire = dpu_core::telemetry::WireCounters {
-            emitted: w.emitted,
-            reclaimed: w.reclaimed,
-            allocations: w.allocations,
-        };
-        let t = self.transport_stats();
-        report.transport = dpu_core::telemetry::TransportCounters {
-            retransmissions: t.retransmissions,
-            exhausted: t.exhausted,
-            unacked: t.unacked,
-        };
-        report
+        self.fold().into_report("sim", self.now, None)
     }
 
     /// Dump every stack's flight recorder (most recent events, oldest
     /// first, with drop counts) — the postmortem a failing soak prints.
     pub fn dump_flight_recorders(&self) -> String {
-        let mut out = String::new();
-        for shard in &self.shards {
-            for driver in shard.nodes.drivers() {
-                let stack = driver.stack();
-                stack.telemetry().dump_flight(&format!("stack {}", stack.id().0), &mut out);
-            }
-        }
-        out
+        dpu_core::host::dump_flight(self.stacks())
     }
 
     /// Merge and take the traces of all stacks.
@@ -1181,6 +1133,25 @@ impl Sim {
             }
         }
         merged
+    }
+}
+
+impl dpu_core::host::Host for &mut Sim {
+    fn now(&self) -> Time {
+        Sim::now(self)
+    }
+    fn with_stack<R: Send + 'static>(
+        &mut self,
+        id: StackId,
+        f: impl FnOnce(&mut Stack) -> R + Send + 'static,
+    ) -> R {
+        Sim::with_stack(self, id, f)
+    }
+    fn telemetry_report(&self) -> dpu_core::telemetry::TelemetryReport {
+        Sim::telemetry_report(self)
+    }
+    fn dump_flight_recorders(&self) -> String {
+        Sim::dump_flight_recorders(self)
     }
 }
 

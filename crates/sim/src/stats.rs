@@ -134,9 +134,10 @@ pub struct SimReport {
     pub stats: SimStats,
     /// Aggregated wire scratch counters over every stack.
     pub wire: ScratchStats,
-    /// Aggregated reliable-transport counters over every stack
-    /// (`Sim::transport_stats`): rp2p retransmissions, frames given up
-    /// after the retransmit cap, and the unacked backlog at run end.
+    /// Aggregated reliable-transport counters over every stack (the
+    /// same fold as `TelemetryReport::transport`): rp2p retransmissions,
+    /// frames given up after the retransmit cap, and the unacked backlog
+    /// at run end.
     pub transport: TransportStats,
     /// Structural memory audit (`Sim::mem_stats`): total and per-stack
     /// resident-byte estimates at report time.

@@ -2,14 +2,17 @@
 //! hosts.
 //!
 //! `Sim::telemetry_report()`, `Runtime::telemetry_report()`, and
-//! `Reactor::telemetry_report()` all fold their per-stack
-//! [`crate::StackTelemetry`] partials through a [`TelemetryAggregate`]
-//! and emit this struct — so an operator (or a bench harness) reads the
-//! same fields whatever host ran the stacks. The host-specific counter
-//! families the repo used to print ad hoc — `ScratchStats`,
-//! `TransportStats`, `ReactorStats` — arrive here as plain counter
-//! mirrors ([`WireCounters`], [`TransportCounters`], [`SocketCounters`])
-//! so this crate stays below `dpu-core` in the dependency graph.
+//! `Reactor::telemetry_report()` all fold their stacks through
+//! `dpu_core::host::ReportFold` (per-stack [`crate::StackTelemetry`]
+//! partials into a [`TelemetryAggregate`], counters by addition) and
+//! emit this struct — so an operator (or a bench harness) reads the
+//! same fields whatever host ran the stacks. The counter families
+//! ([`WireCounters`], [`TransportCounters`], [`SocketCounters`]) are
+//! *defined* here, once: this crate sits below `dpu-core`, so core
+//! re-exports them (`dpu_core::wire::ScratchStats`,
+//! `dpu_core::TransportStats`) and the scratch pools, transport modules
+//! and live-host transports count straight into the types the report
+//! carries — nothing is copied field by field on the way out.
 //!
 //! `Display` renders the human block; [`TelemetryReport::to_json`]
 //! renders the machine form through [`crate::json::JsonWriter`].
@@ -20,48 +23,91 @@ use crate::timeline::SwitchTimeline;
 use crate::StackTelemetry;
 use std::fmt;
 
-/// Mirror of `dpu_core::wire::ScratchStats` (per-stack scratch pools,
-/// folded by addition).
+/// Counters of a scratch pool (`dpu_core::wire::WireScratch`), folded
+/// by addition across pools.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireCounters {
-    /// Messages encoded through the scratch pools.
+    /// Messages encoded through the scratch.
     pub emitted: u64,
-    /// Messages whose backing buffer was reclaimed.
+    /// Messages whose backing buffer was reclaimed from an earlier
+    /// message (no new backing allocation).
     pub reclaimed: u64,
-    /// Messages that required a new backing allocation.
+    /// Messages that required a new backing allocation — a fresh buffer,
+    /// or a reclaimed one that had to grow. In steady state this counter
+    /// stops moving: that is the "zero steady-state allocations" property
+    /// the benches assert.
     pub allocations: u64,
 }
 
-/// Mirror of `dpu_core::module::TransportStats` (rp2p reliability,
-/// folded by addition).
+impl WireCounters {
+    /// Merge another pool's counters into this one (host aggregation).
+    pub fn absorb(&mut self, other: WireCounters) {
+        self.emitted += other.emitted;
+        self.reclaimed += other.reclaimed;
+        self.allocations += other.allocations;
+    }
+}
+
+/// Counters reported by reliable-transport modules (see
+/// `dpu_core::Module::transport_stats`). All counters are cumulative
+/// over the module's lifetime; `unacked` is the current backlog.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportCounters {
-    /// Data frames retransmitted.
+    /// Data frames retransmitted after a retransmission-timer scan.
     pub retransmissions: u64,
-    /// Frames dropped after exhausting the retransmit cap.
+    /// Frames dropped after exhausting the configured retransmit cap —
+    /// non-zero means a peer looked permanently dead and reliability was
+    /// given up for those frames.
     pub exhausted: u64,
-    /// Frames currently awaiting acknowledgement.
+    /// Frames currently awaiting acknowledgement across all peers.
     pub unacked: u64,
 }
 
-/// Mirror of `dpu_reactor::ReactorStats` (OS-socket edge; zero and
-/// absent from Display on the in-memory hosts).
+impl TransportCounters {
+    /// Fold another module's counters into this one (plain addition).
+    pub fn absorb(&mut self, other: TransportCounters) {
+        self.retransmissions += other.retransmissions;
+        self.exhausted += other.exhausted;
+        self.unacked += other.unacked;
+    }
+}
+
+/// Counters of a live host's transport edge: the in-process mailbox
+/// network of `dpu-runtime` (send-side fields only) or the OS sockets of
+/// `dpu-reactor`. Each shard thread counts into its own plain copy;
+/// `stats()` on the host folds them by addition.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SocketCounters {
     /// Frames handed to the send path.
     pub packets_sent: u64,
-    /// Frames dropped by the injected loss model.
+    /// Frames dropped by the injected loss model (before the send).
     pub packets_dropped: u64,
-    /// Frames with no peer-table route.
+    /// Frames dropped because the destination has no route (no
+    /// peer-table entry; an id outside the group).
     pub unroutable: u64,
-    /// `send_to` errors.
+    /// `send_to` errors (counted and dropped; rp2p recovers).
     pub send_errors: u64,
-    /// Malformed datagrams dropped on receive.
+    /// Received datagrams that were not well-formed frames (junk,
+    /// truncation, corruption, wrong magic) — counted, never panicked
+    /// on.
     pub malformed_dropped: u64,
-    /// Well-formed frames for stacks not hosted here.
+    /// Well-formed frames whose destination is not hosted here.
     pub misdirected: u64,
-    /// Datagrams received and decoded.
+    /// Datagrams received and decoded successfully.
     pub packets_received: u64,
+}
+
+impl SocketCounters {
+    /// Fold another shard's counters into this one (plain addition).
+    pub fn absorb(&mut self, other: SocketCounters) {
+        self.packets_sent += other.packets_sent;
+        self.packets_dropped += other.packets_dropped;
+        self.unroutable += other.unroutable;
+        self.send_errors += other.send_errors;
+        self.malformed_dropped += other.malformed_dropped;
+        self.misdirected += other.misdirected;
+        self.packets_received += other.packets_received;
+    }
 }
 
 /// Percentile view of the switch-phase timeline across all stacks.
@@ -77,11 +123,10 @@ pub struct SwitchSummary {
 
 /// Host-side fold of per-stack [`StackTelemetry`] partials.
 ///
-/// Built by each host's report path the same way `Sim::wire_stats`
-/// folds `ScratchStats`: iterate the stacks, [`absorb`](Self::absorb)
-/// each one. Every constituent merges by addition, so the fold is
-/// order-independent — shard or worker iteration order cannot change
-/// the report.
+/// Built by `dpu_core::host::ReportFold`: iterate the stacks,
+/// [`absorb`](Self::absorb) each one. Every constituent merges by
+/// addition, so the fold is order-independent — shard or worker
+/// iteration order cannot change the report.
 #[derive(Debug, Default)]
 pub struct TelemetryAggregate {
     /// Stacks with telemetry enabled that were folded in.
@@ -118,8 +163,8 @@ impl TelemetryAggregate {
         self.flight_dropped += state.flight.dropped();
     }
 
-    /// Fold another aggregate into this one (hosts that visit stacks
-    /// through per-shard control channels fold one partial per stack).
+    /// Fold another aggregate into this one (the live hosts fold one
+    /// partial per shard thread).
     pub fn merge(&mut self, other: &TelemetryAggregate) {
         self.stacks_enabled += other.stacks_enabled;
         self.delivery_latency.merge(&other.delivery_latency);
@@ -155,8 +200,9 @@ impl TelemetryAggregate {
 }
 
 /// The unified observability report — same shape from Sim, Runtime,
-/// and Reactor. Histogram fields are percentile summaries; counter
-/// families mirror the host-side stats structs.
+/// and Reactor. Histogram fields are percentile summaries; the counter
+/// families are the very structs the pools, modules and transports
+/// count into.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TelemetryReport {
     /// Which host produced this: `"sim"`, `"runtime"`, or `"reactor"`.
@@ -179,9 +225,9 @@ pub struct TelemetryReport {
     pub switches: SwitchSummary,
     /// Flight-recorder events evicted across all stacks.
     pub flight_dropped: u64,
-    /// Scratch-pool counters (`ScratchStats` fold).
+    /// Scratch-pool counters, folded over pools and stacks.
     pub wire: WireCounters,
-    /// rp2p reliability counters (`TransportStats` fold).
+    /// rp2p reliability counters, folded over stacks.
     pub transport: TransportCounters,
     /// OS-socket counters; `None` on the in-memory hosts.
     pub sockets: Option<SocketCounters>,

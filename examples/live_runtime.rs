@@ -7,9 +7,7 @@
 //! cargo run --example live_runtime
 //! ```
 
-use dpu::repl::builder::{
-    group_runtime, request_change_live, send_probe_live, specs, GroupStackOpts, SwitchLayer,
-};
+use dpu::repl::builder::{group, request_change, send_probe, specs, GroupStackOpts, SwitchLayer};
 use dpu::runtime::{Runtime, RuntimeConfig};
 use dpu_core::probe::Probe;
 use dpu_core::{ModuleId, StackId};
@@ -30,22 +28,22 @@ fn main() {
         with_gm: false,
         extra_defaults: Vec::new(),
     };
-    let (rt, h) = group_runtime(RuntimeConfig::new(3).with_shards(2), &opts);
+    let (rt, h) = group(&opts, |mk| Runtime::spawn(RuntimeConfig::new(3).with_shards(2), mk));
     let probe = h.probe.expect("probe");
     let layer = h.layer.expect("repl layer");
 
     println!("3 live stacks multiplexed on {} shard threads; warming up ...", rt.shards());
     std::thread::sleep(Duration::from_millis(300));
     for node in 0..3 {
-        send_probe_live(&rt, StackId(node), &h);
+        send_probe(&rt, StackId(node), &h);
     }
     wait_for(&rt, probe, 3);
     println!("3 messages totally ordered in real time");
 
     println!("hot-swapping abcast.ct → abcast.seq while sending ...");
-    request_change_live(&rt, StackId(0), &h, &specs::seq(1));
+    request_change(&rt, StackId(0), &h, &specs::seq(1));
     for node in 0..3 {
-        send_probe_live(&rt, StackId(node), &h);
+        send_probe(&rt, StackId(node), &h);
     }
     wait_for(&rt, probe, 6);
 

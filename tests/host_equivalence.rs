@@ -9,10 +9,9 @@
 //! byte-for-byte equivalent to the hand-rolled one it replaced.
 
 use dpu::repl::builder::{
-    group_runtime, group_sim, request_change, send_probe, send_probe_live, specs, GroupStackOpts,
-    SwitchLayer,
+    group, group_sim, request_change, send_probe, specs, GroupStackOpts, SwitchLayer,
 };
-use dpu::runtime::RuntimeConfig;
+use dpu::runtime::{Runtime, RuntimeConfig};
 use dpu::sim::SimConfig;
 use dpu_core::time::{Dur, Time};
 use dpu_core::StackId;
@@ -80,9 +79,9 @@ fn shutdown_under_in_flight_load_returns_all_stacks() {
         extra_defaults: Vec::new(),
     };
     let n = 24u32;
-    let (rt, h) = group_runtime(RuntimeConfig::new(n).with_shards(3), &opts);
+    let (rt, h) = group(&opts, |mk| Runtime::spawn(RuntimeConfig::new(n).with_shards(3), mk));
     for i in 0..n {
-        send_probe_live(&rt, StackId(i), &h);
+        send_probe(&rt, StackId(i), &h);
     }
     // No quiescing: shut down with everything in flight.
     let stacks = rt.shutdown();

@@ -8,28 +8,14 @@
 //! exactly once, drained, and delivered the same messages in the same
 //! order — the paper's Figure-4 scenario over a real transport.
 
-use dpu::reactor::ReactorConfig;
-use dpu::repl::builder::{
-    group_reactor, request_change_reactor, send_probe_reactor, specs, GroupStackOpts, Handles,
-    SwitchLayer,
-};
-use dpu_core::probe::Probe;
+mod common;
+
+use common::live_switch_scenario;
+use dpu::reactor::{Reactor, ReactorConfig};
+use dpu::repl::builder::{group, specs, GroupStackOpts, SwitchLayer};
 use dpu_core::StackId;
-use dpu_repl::abcast_repl::ReplAbcastModule;
-use std::time::{Duration, Instant};
 
 const N: u32 = 8;
-
-fn wait_until(what: &str, deadline: Duration, mut done: impl FnMut() -> bool) {
-    let limit = Instant::now() + deadline;
-    loop {
-        if done() {
-            return;
-        }
-        assert!(Instant::now() < limit, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
 
 #[test]
 fn live_switch_across_two_reactors_over_loopback_udp() {
@@ -45,9 +31,11 @@ fn live_switch_across_two_reactors_over_loopback_udp() {
     let mut cfg_a = ReactorConfig::new(N, (0..N / 2).map(StackId).collect());
     cfg_a.loss = 0.02;
     cfg_a.seed = 11;
-    let (ra, h) = group_reactor(cfg_a, &opts).expect("spawn reactor a");
+    let (ra, h) = group(&opts, |mk| Reactor::spawn(cfg_a, mk));
+    let ra = ra.expect("spawn reactor a");
     let cfg_b = ReactorConfig::new(N, (N / 2..N).map(StackId).collect());
-    let (rb, hb) = group_reactor(cfg_b, &opts).expect("spawn reactor b");
+    let (rb, hb) = group(&opts, |mk| Reactor::spawn(cfg_b, mk));
+    let rb = rb.expect("spawn reactor b");
     // Construction is deterministic: both halves get identical handles.
     assert_eq!(h.probe, hb.probe);
     assert_eq!(h.layer, hb.layer);
@@ -61,61 +49,14 @@ fn live_switch_across_two_reactors_over_loopback_udp() {
         ra.set_peer(na);
     }
 
-    let probe = h.probe.expect("probe");
-    let layer = h.layer.expect("repl layer");
+    // Probes from both reactors, then the live switch requested from a
+    // non-sequencer stack on reactor B — the request itself crosses the
+    // loopback socket to reach the sequencer on reactor A — with probes
+    // from both reactors racing it.
     let host = |node: u32| if node < N / 2 { &ra } else { &rb };
-    let delivered = |node: u32| {
-        host(node).with_stack(StackId(node), move |s| {
-            s.with_module::<Probe, _>(probe, |p| p.delivered().len()).expect("probe")
-        })
-    };
-    let all_delivered = |count: usize| (0..N).all(|node| delivered(node) >= count);
+    live_switch_scenario(host, &h, N, &[1, 6], 5, &[2, 7]);
 
-    // Phase 1: probes from both reactors, totally ordered everywhere.
-    for node in [1, 6] {
-        send_probe_reactor(host(node), StackId(node), &h);
-    }
-    wait_until("phase-1 deliveries on all 8 stacks", Duration::from_secs(60), || all_delivered(2));
-
-    // The live switch, requested from a non-sequencer stack on reactor
-    // B — the request itself crosses the loopback socket to reach the
-    // sequencer on reactor A.
-    request_change_reactor(&rb, StackId(5), &h, &specs::seq(1));
-    for node in [2, 7] {
-        send_probe_reactor(host(node), StackId(node), &h);
-    }
-    wait_until("post-switch deliveries on all 8 stacks", Duration::from_secs(60), || {
-        all_delivered(4)
-    });
-
-    // Every stack applied exactly one switch and drained.
-    for node in 0..N {
-        let (sn, undelivered) = host(node).with_stack(StackId(node), move |s| {
-            s.with_module::<ReplAbcastModule, _>(layer, |m| (m.seq_number(), m.undelivered_len()))
-                .expect("repl layer")
-        });
-        let side = if node < N / 2 { "a" } else { "b" };
-        assert_eq!(sn, 1, "stack {node} (reactor {side}) must have switched exactly once");
-        assert_eq!(undelivered, 0, "stack {node} (reactor {side}) must have no stuck messages");
-    }
-
-    // Uniform total order across both reactors.
-    let log = |node: u32, h: &Handles| {
-        let probe = h.probe.expect("probe");
-        host(node).with_stack(StackId(node), move |s| {
-            s.with_module::<Probe, _>(probe, |p| {
-                p.delivered().iter().map(|r| r.msg).collect::<Vec<dpu_core::abcast_check::MsgId>>()
-            })
-            .expect("probe")
-        })
-    };
-    let reference = log(0, &h);
-    assert_eq!(reference.len(), 4);
-    for node in 1..N {
-        assert_eq!(log(node, &h), reference, "stack {node} diverged from the total order");
-    }
-
-    // The loss model fired and rp2p recovered through the real socket.
+    // All of it crossed the real sockets.
     assert!(ra.stats().packets_sent > 0 && rb.stats().packets_sent > 0);
     let a_stacks = ra.shutdown();
     let b_stacks = rb.shutdown();

@@ -16,10 +16,8 @@
 //! CI runs this with `--release` so shard scheduling races are exercised
 //! at real speed.
 
-use dpu::repl::builder::{
-    group_runtime, request_change_live, send_probe_live, specs, GroupStackOpts, SwitchLayer,
-};
-use dpu::runtime::RuntimeConfig;
+use dpu::repl::builder::{group, request_change, send_probe, specs, GroupStackOpts, SwitchLayer};
+use dpu::runtime::{Runtime, RuntimeConfig};
 use dpu_core::probe::Probe;
 use dpu_core::StackId;
 use dpu_repl::abcast_repl::ReplAbcastModule;
@@ -48,7 +46,7 @@ fn soak_256_stacks_on_4_shards_switch_live() {
         with_gm: false,
         extra_defaults: Vec::new(),
     };
-    let (rt, h) = group_runtime(RuntimeConfig::new(N).with_shards(SHARDS), &opts);
+    let (rt, h) = group(&opts, |mk| Runtime::spawn(RuntimeConfig::new(N).with_shards(SHARDS), mk));
     assert_eq!(rt.n(), N);
     assert_eq!(rt.shards(), SHARDS);
     let probe = h.probe.expect("probe");
@@ -66,16 +64,16 @@ fn soak_256_stacks_on_4_shards_switch_live() {
     // Phase 1: broadcasts from four corners of the group, totally
     // ordered on all 256 stacks.
     for node in [0, 63, 128, 255] {
-        send_probe_live(&rt, StackId(node), &h);
+        send_probe(&rt, StackId(node), &h);
     }
     wait_until("phase-1 deliveries on all 256 stacks", Duration::from_secs(120), || {
         all_delivered(4)
     });
 
     // The live switch, requested mid-traffic from a non-sequencer stack.
-    request_change_live(&rt, StackId(17), &h, &specs::seq(1));
+    request_change(&rt, StackId(17), &h, &specs::seq(1));
     for node in [1, 64, 129, 254] {
-        send_probe_live(&rt, StackId(node), &h);
+        send_probe(&rt, StackId(node), &h);
     }
     wait_until("post-switch deliveries on all 256 stacks", Duration::from_secs(120), || {
         all_delivered(8)

@@ -38,6 +38,9 @@ fn abcast_load_reaches_zero_allocation_steady_state() {
     drive_load(&mut sim, &h, 50.0, steady_until);
     sim.run_until(steady_until + Dur::millis(500));
     let steady = sim.wire_stats();
+    // The report path folds stack by stack, `wire_stats` shard by shard:
+    // under the loan discipline both see every encode.
+    assert_eq!(sim.telemetry_report().wire, steady);
 
     assert!(
         steady.emitted > warm.emitted + 100,
