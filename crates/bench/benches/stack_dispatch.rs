@@ -59,7 +59,7 @@ fn bench_dispatch(c: &mut Criterion) {
             seed: 1,
             trace: false,
             cluster_size: None,
-            telemetry: dpu_core::TelemetryConfig::off(),
+            telemetry: dpu_core::TelemetryConfig::default(),
         },
         FactoryRegistry::new(),
     );

@@ -51,6 +51,22 @@ const PRE_REFACTOR: &str = r#"{
     ]
   }"#;
 
+/// The last uninstrumented baseline: these rows were committed with
+/// telemetry switched off (`TelemetryConfig::off()`, one null pointer
+/// per stack) because switching it on cost ~17 KB/stack. Telemetry is
+/// now always on — histograms live in the shards, 160 B stay per
+/// stack — so the rows above include it; the difference to these is the
+/// whole price of observing the run.
+const UNINSTRUMENTED: &str = r#"{
+    "note": "same probe, telemetry off, at the parent commit of the shard-owned-telemetry PR (instrumented, that commit measured ~17 KB/stack more); that file's build_secs and ev/sec came from a different, faster host and are not comparable with the rows above",
+    "rows": [
+      { "n": 16384, "bytes_per_stack_built": 1402, "bytes_per_stack_run": 2485 },
+      { "n": 65536, "bytes_per_stack_built": 1388, "bytes_per_stack_run": 2392 },
+      { "n": 262144, "bytes_per_stack_built": 1386, "bytes_per_stack_run": 2373 },
+      { "n": 1048576, "bytes_per_stack_built": 1386, "bytes_per_stack_run": 2336 }
+    ]
+  }"#;
+
 struct Row {
     build_secs: f64,
     bytes_built: u64,
@@ -120,7 +136,7 @@ fn main() {
             "note",
             "bytes are live-heap deltas from a counting GlobalAlloc (built = after construction, \
              run = steady state incl. in-flight datagrams, peak = high-water during the window); \
-             ev/sec is machine-bound",
+             telemetry is on (always); ev/sec is machine-bound",
         )
         .key("rows")
         .begin_arr();
@@ -150,6 +166,7 @@ fn main() {
         headline = r.bytes_run / u64::from(n);
     }
     w.end_arr()
+        .field_raw("uninstrumented", UNINSTRUMENTED)
         .field_raw("pre_refactor", PRE_REFACTOR)
         .key("headline")
         .begin_obj()

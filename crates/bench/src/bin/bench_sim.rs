@@ -59,14 +59,11 @@
 //! recognizable, alongside the core-count-independent
 //! `available_parallelism` load-balance metric.
 
-use dpu_bench::synth::{
-    datagram_soak_sim_telemetry, delta, populate, FakeEvent, Profile, PROFILES,
-};
+use dpu_bench::synth::{datagram_soak_sim, delta, populate, FakeEvent, Profile, PROFILES};
 use dpu_bench::JsonWriter;
 use dpu_core::telemetry::HistSummary;
 use dpu_core::time::{Dur, Time};
 use dpu_core::ModuleSpec;
-use dpu_core::TelemetryConfig;
 use dpu_repl::builder::{drive_poisson, group_sim, GroupStackOpts, SwitchLayer};
 use dpu_sim::sched::SchedKind;
 use dpu_sim::{CpuConfig, NetConfig, SimConfig, SimStats};
@@ -184,13 +181,12 @@ fn abcast_soak_sim(
 }
 
 /// The timer-driven symmetric datagram soak (see module docs): returns
-/// wall seconds and the final stats. The bench profile runs it
-/// telemetry-ON so the latency columns in `BENCH_par.json` are real
-/// end-to-end delivery percentiles (the `LoadGen` payload carries its
-/// send stamp); the telemetry-off variant is the capacity baseline of
-/// `BENCH_scale.json`, benched separately.
+/// wall seconds and the final stats. The latency columns in
+/// `BENCH_par.json` are real end-to-end delivery percentiles (the
+/// `LoadGen` payload carries its send stamp); the same soak is the
+/// capacity baseline of `BENCH_scale.json`, benched separately.
 fn datagram_soak_run(n: u32, workers: usize) -> SoakRun {
-    let mut sim = datagram_soak_sim_telemetry(n, 42, workers, TelemetryConfig::on());
+    let mut sim = datagram_soak_sim(n, 42, workers);
     let t0 = Instant::now();
     sim.run_until(Time::ZERO + Dur::millis(400));
     let wall = t0.elapsed().as_secs_f64();

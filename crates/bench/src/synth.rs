@@ -121,8 +121,8 @@ impl Module for LoadGen {
         if resp.op == net_ops::RECV {
             self.received += 1;
             // The payload carries its send time (virtual-clock ns):
-            // stamp the end-to-end delivery latency. A no-op branch when
-            // telemetry is off — the capacity runs pay only the decode.
+            // stamp the end-to-end delivery latency (into the shard's
+            // lent histogram — the capacity runs are instrumented too).
             if let Ok((_src, payload)) = resp.decode::<(StackId, Bytes)>() {
                 if let Ok((send_ns, _pad)) = wire::from_bytes::<(u64, Bytes)>(&payload) {
                     let now_ns = ctx.now().as_nanos();
@@ -165,29 +165,17 @@ impl Module for LoadGen {
 
 /// The datagram-soak simulation of `BENCH_par.json`: `n` [`LoadGen`]
 /// stacks in 16 datacenter clusters joined by a WAN backbone (15 ms of
-/// lookahead), `workers` worker threads. Telemetry is off — this is the
-/// capacity scenario of `BENCH_scale.json`, whose bytes/stack budget is
-/// quoted without instrumentation; [`datagram_soak_sim_telemetry`]
-/// measures the documented per-stack cost of turning it on.
+/// lookahead), `workers` worker threads. Also the capacity scenario of
+/// `BENCH_scale.json`: instrumented like every other run, so its
+/// bytes/stack budget includes telemetry (160 B/stack at rest, the
+/// histograms live in the 16 shards).
 pub fn datagram_soak_sim(n: u32, seed: u64, workers: usize) -> Sim {
-    datagram_soak_sim_telemetry(n, seed, workers, dpu_core::TelemetryConfig::off())
-}
-
-/// [`datagram_soak_sim`] with an explicit [`dpu_core::TelemetryConfig`],
-/// for the capacity smoke's telemetry-on budget variant.
-pub fn datagram_soak_sim_telemetry(
-    n: u32,
-    seed: u64,
-    workers: usize,
-    telemetry: dpu_core::TelemetryConfig,
-) -> Sim {
     let cluster_size = (n / 16).max(1);
     let mut cfg =
         SimConfig::clustered(n, seed, cluster_size, NetConfig::datacenter(), NetConfig::wan());
     cfg.trace = false;
     cfg.cpu = CpuConfig::fast();
     cfg.workers = workers;
-    cfg.telemetry = telemetry;
     Sim::new(cfg, move |sc: StackConfig| {
         let node_seed = sc.seed ^ (u64::from(sc.id.0) << 20) ^ 0xA076_1D64_78BD_642F;
         let mut s = Stack::new(sc, FactoryRegistry::new());

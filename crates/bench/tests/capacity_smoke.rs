@@ -7,9 +7,8 @@
 //! wall clock ~20x); CI runs it as
 //! `cargo test -p dpu-bench --release -- --ignored`.
 
-use dpu_bench::synth::{datagram_soak_sim, datagram_soak_sim_telemetry};
+use dpu_bench::synth::datagram_soak_sim;
 use dpu_core::time::{Dur, Time};
-use dpu_core::TelemetryConfig;
 
 #[test]
 #[ignore = "release-only capacity smoke (65536 stacks); run with --release -- --ignored"]
@@ -27,45 +26,22 @@ fn capacity_smoke_65536_stacks() {
         report.stats.packets_delivered > 0,
         "the soak must deliver traffic across the recycled layout"
     );
-    // The capacity claim: the pre-refactor boxed layout sat at ~265 KB
-    // of *allocator-measured* bytes/stack at this size (dominated by
-    // the O(n²) owned peer tables). The structural estimate floors the
-    // allocator number, so holding it an order of magnitude below the
-    // old figure pins both the shared peer table and the slab reuse.
+    // The capacity claim, instrumented: the structural estimate measures
+    // 2 115 B/stack here (the pre-refactor boxed layout was ~265 KB of
+    // allocator-measured bytes/stack, dominated by the O(n²) owned peer
+    // tables; per-stack pre-allocated telemetry then added ~17 KB until
+    // the histograms moved into the shards). The bound is that
+    // measurement plus 4 %: one flight ring (1.5 KB) or one histogram
+    // (4.7 KB) leaking back into every stack fails it.
     assert!(
-        report.mem.bytes_per_stack < 30_000,
+        report.mem.bytes_per_stack < 2_200,
         "structural bytes/stack regressed: {}",
         report.mem.bytes_per_stack
     );
-}
-
-/// The same soak with telemetry *on*: the documented per-stack budget
-/// is the capacity-off figure plus a fixed ~17 KB of instrumentation
-/// (six 2.4 KB histograms, the 64-event flight ring, timeline
-/// bookkeeping — see ARCHITECTURE.md "Observability"). Fixed means
-/// fixed: the telemetry cost must not scale with n, so the combined
-/// structural bound is the off-mode bound plus 20 KB.
-#[test]
-#[ignore = "release-only capacity smoke (65536 stacks); run with --release -- --ignored"]
-fn capacity_smoke_65536_stacks_telemetry_on() {
-    let n = 65_536;
-    let mut sim = datagram_soak_sim_telemetry(n, 42, 4, TelemetryConfig::on());
-    sim.run_until(Time::ZERO + Dur::millis(10));
-    let report = sim.report();
-    assert!(
-        report.stats.events > u64::from(n),
-        "the soak must run: {} events",
-        report.stats.events
-    );
-    assert!(
-        report.mem.bytes_per_stack < 30_000 + 20_000,
-        "telemetry-on structural bytes/stack blew the documented budget: {}",
-        report.mem.bytes_per_stack
-    );
+    // The same run is observed: every stack is instrumented and the
+    // samples land in the 16 shard sets.
     let tel = sim.telemetry_report();
     assert_eq!(tel.stacks_enabled, n, "every stack must be instrumented");
-    assert!(
-        tel.scratch_occupancy_bytes.count > 0,
-        "instrumented soak must record occupancy samples"
-    );
+    assert!(tel.scratch_occupancy_bytes.count > 0, "the soak must record occupancy samples");
+    assert!(tel.delivery_latency_ns.count > 0, "the soak must record delivery latency");
 }

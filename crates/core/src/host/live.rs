@@ -8,8 +8,9 @@
 //! once:
 //!
 //! * [`LiveShard`] — the thread-side half: the drivers and their ids,
-//!   the shard-level scratch and dispatch-queue pools with the one RAII
-//!   loan that lends them, and the stamped heap of wake deadlines;
+//!   the shard-level scratch pool, dispatch-queue pool and telemetry set
+//!   with the one RAII loan that lends them, and the stamped heap of
+//!   wake deadlines;
 //! * [`Ctl`] + [`ShardPort`] — the control plane: a closure shipped to a
 //!   shard thread and the calling-thread helpers built on it
 //!   (`with_stack`, the report fold, the flight dump);
@@ -47,7 +48,7 @@ use crate::time::Time;
 use crate::wire::{ScratchStats, WireScratch};
 use crate::TransportStats;
 use bytes::Bytes;
-use dpu_telemetry::{SocketCounters, TelemetryAggregate, TelemetryReport};
+use dpu_telemetry::{SocketCounters, TelemetryAggregate, TelemetryReport, TelemetrySet};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -103,21 +104,32 @@ impl LossModel {
 }
 
 /// The shard-pool loan: while it lives, the driver's stack encodes into
-/// the shard's [`WireScratch`] and dispatches through the shard's
-/// [`DispatchBuf`]; dropping it swaps both back — on return, on early
-/// return and on unwind alike, so a loan cannot leak pool capacity into
+/// the shard's [`WireScratch`], dispatches through the shard's
+/// [`DispatchBuf`] and records into the shard's [`TelemetrySet`];
+/// dropping it swaps all three back — on return, on early return and on
+/// unwind alike, so a loan cannot leak pool capacity or a histogram into
 /// a stack. The only way to take a loan, and private to this module:
 /// hosts reach it through [`LiveShard`]'s entry points.
 struct Loan<'a> {
     driver: &'a mut StackDriver,
     pool: &'a mut WireScratch,
     qpool: &'a mut DispatchBuf,
+    telemetry: &'a mut TelemetrySet,
+}
+
+impl Loan<'_> {
+    /// Both the hand-out and the hand-back: every part is a swap.
+    fn swap(&mut self) {
+        let stack = &mut self.driver.stack;
+        stack.swap_scratch(self.pool);
+        stack.swap_queue(self.qpool);
+        stack.telemetry_mut().swap_set(self.telemetry);
+    }
 }
 
 impl Drop for Loan<'_> {
     fn drop(&mut self) {
-        self.driver.stack.swap_scratch(self.pool);
-        self.driver.stack.swap_queue(self.qpool);
+        self.swap();
     }
 }
 
@@ -142,6 +154,10 @@ pub struct LiveShard {
     /// The shard-level dispatch-queue buffer, loaned alongside: cascade
     /// burst capacity scales with shards too.
     qpool: DispatchBuf,
+    /// Everything this shard's stacks record at event rate (histograms,
+    /// recent deliveries), loaned alongside: one set per shard, summed
+    /// exactly as the per-stack ones would have been.
+    telemetry: TelemetrySet,
 }
 
 impl LiveShard {
@@ -161,6 +177,7 @@ impl LiveShard {
             clock,
             pool: WireScratch::shard_pool(),
             qpool: DispatchBuf::new(),
+            telemetry: TelemetrySet::default(),
         }
     }
 
@@ -177,10 +194,14 @@ impl LiveShard {
     }
 
     fn loan(&mut self, local: usize) -> Loan<'_> {
-        let driver = &mut self.drivers[local];
-        driver.stack.swap_scratch(&mut self.pool);
-        driver.stack.swap_queue(&mut self.qpool);
-        Loan { driver, pool: &mut self.pool, qpool: &mut self.qpool }
+        let mut loan = Loan {
+            driver: &mut self.drivers[local],
+            pool: &mut self.pool,
+            qpool: &mut self.qpool,
+            telemetry: &mut self.telemetry,
+        };
+        loan.swap();
+        loan
     }
 
     /// Run one driver's canonical drive loop (under the loan —
@@ -264,17 +285,18 @@ impl LiveShard {
     }
 
     /// This shard's part of the host's report: its stacks plus its pool
-    /// (where every encode lands under the loan discipline — the
-    /// per-stack residuals stay zero).
+    /// and telemetry set (where every encode and every sample lands
+    /// under the loan discipline — the per-stack residuals stay zero).
     pub fn fold_report(&self) -> ReportFold {
         let mut fold = ReportFold::of_stacks(self.stacks());
         fold.wire.absorb(self.pool.stats());
+        fold.absorb_set(&self.telemetry);
         fold
     }
 
     /// This shard's flight recorders (see [`dump_flight`]).
     pub fn dump_flight(&self) -> String {
-        dump_flight(self.stacks())
+        dump_flight(self.stacks(), &self.telemetry)
     }
 
     /// Unwrap into `(id, stack)` pairs in hosting order, discarding
@@ -284,18 +306,23 @@ impl LiveShard {
     }
 }
 
-/// Every stack's flight recorder (most recent events, oldest first,
-/// with drop counts) — the postmortem a failing soak prints.
-pub fn dump_flight<'a>(stacks: impl IntoIterator<Item = &'a Stack>) -> String {
+/// One shard's flight recorders — every stack's lifecycle ring, then
+/// the shard's recent deliveries (oldest first, with drop counts): the
+/// postmortem a failing soak prints.
+pub fn dump_flight<'a>(stacks: impl IntoIterator<Item = &'a Stack>, set: &TelemetrySet) -> String {
     let mut out = String::new();
     for stack in stacks {
         stack.telemetry().dump_flight(&format!("stack {}", stack.id().0), &mut out);
     }
+    if !set.deliveries.is_empty() {
+        set.deliveries.dump("shard deliveries", &mut out);
+    }
     out
 }
 
-/// A partial [`TelemetryReport`]: per-stack telemetry folded through a
-/// [`TelemetryAggregate`], wire and transport counters folded by
+/// A partial [`TelemetryReport`]: shard telemetry sets and per-stack
+/// remainders folded through a [`TelemetryAggregate`] (which also
+/// counts the hosted stacks), wire and transport counters folded by
 /// addition. Every constituent merges by addition, so partials from
 /// shard threads (or simulator shards) combine in any order.
 #[derive(Debug, Default)]
@@ -306,7 +333,6 @@ pub struct ReportFold {
     pub wire: ScratchStats,
     /// Reliable-transport counters (same).
     pub transport: TransportStats,
-    stacks: u32,
 }
 
 impl ReportFold {
@@ -318,9 +344,22 @@ impl ReportFold {
             fold.telemetry.absorb(stack.telemetry());
             fold.wire.absorb(stack.wire_stats());
             fold.transport.absorb(stack.transport_stats());
-            fold.stacks += 1;
         }
         fold
+    }
+
+    /// Add a shard's telemetry set — like `wire.absorb(pool.stats())`,
+    /// what the stacks do not hold.
+    pub fn absorb_set(&mut self, set: &TelemetrySet) {
+        self.telemetry.absorb_set(set);
+    }
+
+    /// Fold in a stack incarnation a restart is about to drop: all it
+    /// counted and measured, without counting it as hosted.
+    pub fn retire(&mut self, stack: &Stack) {
+        self.telemetry.absorb_retired(stack.telemetry());
+        self.wire.absorb(stack.wire_stats());
+        self.transport.absorb(stack.transport_stats());
     }
 
     /// Fold another partial into this one.
@@ -328,7 +367,6 @@ impl ReportFold {
         self.telemetry.merge(&other.telemetry);
         self.wire.absorb(other.wire);
         self.transport.absorb(other.transport);
-        self.stacks += other.stacks;
     }
 
     /// Condense into the report `host` hands to callers.
@@ -338,7 +376,8 @@ impl ReportFold {
         now: Time,
         sockets: Option<SocketCounters>,
     ) -> TelemetryReport {
-        let mut report = self.telemetry.report(host, self.stacks, now.as_nanos());
+        let stacks = self.telemetry.stacks_enabled;
+        let mut report = self.telemetry.report(host, stacks, now.as_nanos());
         report.wire = self.wire;
         report.transport = self.transport;
         report.sockets = sockets;
@@ -459,6 +498,6 @@ pub trait Host {
     /// The unified observability report over the hosted stacks.
     fn telemetry_report(&self) -> TelemetryReport;
 
-    /// Every hosted stack's flight recorder (see [`dump_flight`]).
+    /// Every shard's flight recorders (see [`dump_flight`]).
     fn dump_flight_recorders(&self) -> String;
 }

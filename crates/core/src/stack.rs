@@ -212,10 +212,8 @@ pub struct StackConfig {
     /// on flat hosts: locality-aware protocols must degenerate to a
     /// single cluster spanning the whole group.
     pub cluster_size: Option<u32>,
-    /// Observability switchboard (histograms, switch timeline, flight
-    /// recorder). On by default like `trace`; capacity-scale hosts pass
-    /// [`TelemetryConfig::off`] to shrink each stack by the telemetry
-    /// block.
+    /// Observability parameters (flight-ring capacity). Telemetry itself
+    /// is always on: it costs a stack 160 B at rest.
     pub telemetry: TelemetryConfig,
 }
 
@@ -340,9 +338,11 @@ pub struct Stack {
     /// the steady-state allocation-free path. One scratch per stack means
     /// one per `StackDriver`, whichever host owns the driver.
     scratch: WireScratch,
-    /// Observability state (histograms, switch timeline, flight ring).
-    /// Single-threaded like the rest of the stack, so recording is plain
-    /// integer arithmetic; never feeds back into protocol behaviour.
+    /// Observability state: the per-stack remainder (open switch record,
+    /// lifecycle flight ring) plus the handles of whichever
+    /// `TelemetrySet` is lent in. Single-threaded like the rest of the
+    /// stack, so recording is plain integer arithmetic; never feeds back
+    /// into protocol behaviour.
     telemetry: StackTelemetry,
 }
 
@@ -375,7 +375,7 @@ impl Stack {
             crashed: false,
             net_bridge: ModuleId(0),
             scratch: WireScratch::new(),
-            telemetry: StackTelemetry::new(&cfg.telemetry),
+            telemetry: StackTelemetry::new(&cfg.telemetry, cfg.id.0),
         };
         let bridge = stack.insert_module(Box::new(NetBridge));
         stack.net_bridge = bridge;
@@ -816,7 +816,8 @@ impl Stack {
 
     /// Mutable observability state: hosts use this to stamp events the
     /// stack cannot see itself (e.g. end-to-end latencies measured by a
-    /// harness).
+    /// harness), and to lend the stack their shard's `TelemetrySet`
+    /// around a drive call.
     pub fn telemetry_mut(&mut self) -> &mut StackTelemetry {
         &mut self.telemetry
     }
@@ -967,8 +968,8 @@ impl ModuleCtx<'_> {
 
     /// The stack's observability state. Modules record protocol-level
     /// metrics here (switch-phase stamps, resequencing depth, delivery
-    /// latency); every method is a no-op when telemetry is off, and
-    /// nothing recorded ever feeds back into protocol behaviour.
+    /// latency); nothing recorded ever feeds back into protocol
+    /// behaviour.
     pub fn telemetry(&mut self) -> &mut StackTelemetry {
         &mut self.stack.telemetry
     }

@@ -1,6 +1,7 @@
 //! `LiveShard`'s loan guard, through the public entry points: whatever
 //! way a loaned closure ends — return or unwind — the shard pool and
-//! the stack's resident scratch are swapped back.
+//! the stack's resident scratch, and the shard's telemetry set and the
+//! stack's own handles, are swapped back.
 
 use dpu_core::host::{LiveShard, NullSink, WallClock};
 use dpu_core::wire::ScratchStats;
@@ -20,16 +21,30 @@ fn pool(shard: &mut LiveShard) -> ScratchStats {
     shard.ctl(0, |s| s.wire_stats(), &mut NullSink)
 }
 
+/// Delivery-latency samples in the shard's report.
+fn latency_samples(shard: &LiveShard) -> u64 {
+    shard.fold_report().into_report("test", shard.now(), None).delivery_latency_ns.count
+}
+
 #[test]
 fn loan_is_returned_after_a_closure_that_encodes() {
     let mut shard = shard();
     assert_eq!(shard.local_of(StackId(0)), Some(0));
     assert_eq!(shard.local_of(StackId(1)), None);
-    shard.ctl(0, |s| drop(s.encode(&7u64)), &mut NullSink);
+    shard.ctl(
+        0,
+        |s| {
+            drop(s.encode(&7u64));
+            s.telemetry_mut().note_delivery(10, 5);
+        },
+        &mut NullSink,
+    );
     assert_eq!(pool(&mut shard).emitted, 1, "the encode landed in the shard pool");
     assert_eq!(shard.fold_report().wire.emitted, 1);
+    assert_eq!(latency_samples(&shard), 1, "the sample landed in the shard set");
     let (_, stack) = shard.into_stacks().pop().expect("one stack");
     assert_eq!(stack.wire_stats(), ScratchStats::default(), "resident scratch untouched");
+    assert_eq!(stack.telemetry().set_bytes(), 0, "no histogram or ring left in the stack");
 }
 
 #[test]
@@ -40,6 +55,7 @@ fn loan_is_returned_when_the_closure_unwinds() {
             0,
             |s| {
                 drop(s.encode(&7u64));
+                s.telemetry_mut().note_delivery(10, 5);
                 panic!("closure fails mid-loan");
             },
             &mut NullSink,
@@ -50,8 +66,21 @@ fn loan_is_returned_when_the_closure_unwinds() {
     // emission) would now sit inside the stack and the stack's empty
     // scratch in the shard: the next loan would see zero.
     assert_eq!(pool(&mut shard).emitted, 1, "pool is back in the shard");
-    shard.ctl(0, |s| drop(s.encode(&8u64)), &mut NullSink);
+    shard.ctl(
+        0,
+        |s| {
+            drop(s.encode(&8u64));
+            s.telemetry_mut().note_delivery(20, 6);
+        },
+        &mut NullSink,
+    );
     assert_eq!(shard.fold_report().wire.emitted, 2);
+    // Same for the telemetry handles: left swapped, the set (with its
+    // first sample) would be the stack's, the second sample would land
+    // in a fresh histogram in the shard, and the stack would come back
+    // holding an allocation.
+    assert_eq!(latency_samples(&shard), 2);
     let (_, stack) = shard.into_stacks().pop().expect("one stack");
     assert_eq!(stack.wire_stats(), ScratchStats::default(), "stack holds its own scratch again");
+    assert_eq!(stack.telemetry().set_bytes(), 0, "stack holds its own empty handles again");
 }

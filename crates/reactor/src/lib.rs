@@ -90,8 +90,8 @@ pub struct ReactorConfig {
     pub loss: f64,
     /// Record stack traces.
     pub trace: bool,
-    /// Per-stack observability (histograms, switch timeline, flight
-    /// recorder). On by default like under the other hosts.
+    /// Observability parameters (flight-ring capacity) handed to every
+    /// stack; telemetry itself is always on.
     pub telemetry: TelemetryConfig,
 }
 
@@ -381,9 +381,10 @@ impl Reactor {
         fold.into_report("reactor", self.now(), Some(sockets))
     }
 
-    /// Dump every hosted stack's flight recorder (most recent events,
-    /// oldest first, with drop counts) — the postmortem a failing soak
-    /// or crashed child process prints.
+    /// Dump the flight recorders: every hosted stack's lifecycle events,
+    /// then the shard's most recent deliveries (oldest first, with drop
+    /// counts) — the postmortem a failing soak or crashed child process
+    /// prints.
     pub fn dump_flight_recorders(&self) -> String {
         self.cmds.dump_flight()
     }

@@ -82,8 +82,8 @@ pub struct RuntimeConfig {
     pub delay: Dur,
     /// Record stack traces.
     pub trace: bool,
-    /// Per-stack observability (histograms, switch timeline, flight
-    /// recorder). On by default like under the simulator.
+    /// Observability parameters (flight-ring capacity) handed to every
+    /// stack; telemetry itself is always on.
     pub telemetry: TelemetryConfig,
 }
 
@@ -382,9 +382,9 @@ impl Runtime {
         self.mailboxes.fold_report().into_report("runtime", self.now(), None)
     }
 
-    /// Dump every stack's flight recorder, shard by shard (most recent
-    /// events, oldest first, with drop counts) — the postmortem a
-    /// failing soak prints.
+    /// Dump the flight recorders, shard by shard: every stack's
+    /// lifecycle events, then the shard's most recent deliveries (oldest
+    /// first, with drop counts) — the postmortem a failing soak prints.
     pub fn dump_flight_recorders(&self) -> String {
         self.mailboxes.dump_flight()
     }

@@ -168,10 +168,9 @@ pub struct SimConfig {
     /// and only clustered topologies have exploitable parallelism; see
     /// the [`par`] module docs.
     pub workers: usize,
-    /// Per-stack observability (histograms, switch timeline, flight
-    /// recorder). On by default like `trace`; capacity runs switch it
-    /// off. Never affects simulation results — telemetry records, it
-    /// does not feed back.
+    /// Observability parameters (flight-ring capacity) handed to every
+    /// stack. Telemetry is always on and never affects simulation
+    /// results — it records, it does not feed back.
     pub telemetry: TelemetryConfig,
     /// Shard-level scratch pooling (default on): each shard owns one
     /// [`dpu_core::wire::WireScratch`] pool loaned to whichever stack
@@ -314,14 +313,18 @@ pub(crate) struct Shard {
     /// being driven (see [`Shard::lend`]). Retained encode memory thus
     /// scales with shards, not stacks.
     pool: dpu_core::wire::WireScratch,
-    /// Whether the loan discipline is active ([`SimConfig::scratch_pooling`]).
+    /// Whether the scratch half of the loan is active
+    /// ([`SimConfig::scratch_pooling`]).
     pooled: bool,
-    /// Wire counters of retired stack incarnations (node restarts drop
-    /// the old stack's scratch; its history folds in here so
-    /// [`Sim::wire_stats`] stays exact across churn).
-    retired_wire: dpu_core::wire::ScratchStats,
-    /// Transport counters of retired stack incarnations, same story.
-    retired_transport: dpu_core::TransportStats,
+    /// Everything this shard's stacks record at event rate (histograms,
+    /// recent deliveries), loaned with the pool — unconditionally: one
+    /// set per shard, summed exactly as per-stack ones would have been.
+    telemetry: dpu_core::telemetry::TelemetrySet,
+    /// What retired stack incarnations counted and measured (node
+    /// restarts drop the old stack; its wire and transport counters,
+    /// completed switches and flight-ring drops fold in here so every
+    /// report counter stays monotone across churn).
+    retired: dpu_core::host::ReportFold,
 }
 
 impl Shard {
@@ -336,17 +339,24 @@ impl Shard {
         self.sched.push(at, seq, kind);
     }
 
-    /// The scratch-pool loan handoff: swap the shard pool into (or back
-    /// out of) the stack in `slot`. Called symmetrically around every
-    /// encode-capable driver entry point — packet delivery, dispatch
-    /// steps, host closures — so all encodes land in the shard pool and
-    /// the stack's resident scratch stays empty. No-op when pooling is
-    /// off. An O(1) field swap, not a copy.
+    /// The shard loan handoff: swap the shard's telemetry set and
+    /// scratch pool into (or back out of) the stack in `slot`. Called
+    /// symmetrically around every driver entry point that dispatches or
+    /// encodes — packet delivery, dispatch steps, host closures — so all
+    /// samples and encodes land in the shard's set and pool and the
+    /// stack's own stay empty. The scratch half is a no-op when pooling
+    /// is off. O(1) field swaps, not copies.
     #[inline]
     fn lend(&mut self, slot: usize) {
+        let driver = self.nodes.driver_mut(slot);
+        driver.stack_mut().telemetry_mut().swap_set(&mut self.telemetry);
         if self.pooled {
-            self.nodes.driver_mut(slot).swap_scratch(&mut self.pool);
+            driver.swap_scratch(&mut self.pool);
         }
+    }
+
+    fn stacks(&self) -> impl Iterator<Item = &Stack> {
+        self.nodes.drivers().map(StackDriver::stack)
     }
 
     /// The earliest queued event's time (the epoch-floor probe).
@@ -516,13 +526,11 @@ impl Shard {
         self.ensure_wake_at(id, deadline);
     }
 
-    /// Fold a retiring stack incarnation's wire/transport counters into
-    /// the shard's retired partials — called just before
+    /// Fold a retiring stack incarnation's counters and telemetry
+    /// remainder into the shard's retired partial — called just before
     /// [`NodeSlab::retire`] drops the old stack.
     fn absorb_retiring(&mut self, slot: usize) {
-        let stack = self.nodes.driver(slot).stack();
-        self.retired_wire.absorb(stack.wire_stats());
-        self.retired_transport.absorb(stack.transport_stats());
+        self.retired.retire(self.nodes.driver(slot).stack());
     }
 
     /// [`Shard::ensure_wake`] with the deadline already in hand (the
@@ -670,8 +678,8 @@ impl Sim {
                 outbox: vec![Vec::new(); nshards],
                 pool: dpu_core::wire::WireScratch::shard_pool(),
                 pooled: cfg.scratch_pooling,
-                retired_wire: dpu_core::wire::ScratchStats::default(),
-                retired_transport: dpu_core::TransportStats::default(),
+                telemetry: dpu_core::telemetry::TelemetrySet::default(),
+                retired: dpu_core::host::ReportFold::default(),
             });
         }
         let mut sim = Sim {
@@ -784,6 +792,7 @@ impl Sim {
         for shard in &self.shards {
             total += shard.nodes.mem_bytes();
             total += shard.pool.mem_bytes();
+            total += shard.telemetry.mem_bytes();
             total += shard.sched.mem_bytes();
             for ob in &shard.outbox {
                 total += ob.capacity() * size_of::<Inflight>();
@@ -1083,22 +1092,22 @@ impl Sim {
     }
 
     fn stacks(&self) -> impl Iterator<Item = &Stack> {
-        self.shards.iter().flat_map(|shard| shard.nodes.drivers()).map(|driver| driver.stack())
+        self.shards.iter().flat_map(Shard::stacks)
     }
 
-    /// Every stack folded through [`dpu_core::host::ReportFold`]
-    /// (telemetry partials, resident scratch counters — zero under
-    /// pooling, where every encode runs under the pool loan — and
+    /// Every stack folded through [`dpu_core::host::ReportFold`] (the
+    /// per-stack telemetry remainder, resident scratch counters — zero
+    /// under pooling, where every encode runs under the pool loan — and
     /// transport-module counters), plus what the stacks do not hold: the
-    /// shard pools and the partials of retired (churned) incarnations.
-    /// The one source of [`Sim::report`], [`Sim::wire_stats`] and
-    /// [`Sim::telemetry_report`].
+    /// shard pools and telemetry sets and the partials of retired
+    /// (churned) incarnations. The one source of [`Sim::report`],
+    /// [`Sim::wire_stats`] and [`Sim::telemetry_report`].
     fn fold(&self) -> dpu_core::host::ReportFold {
         let mut fold = dpu_core::host::ReportFold::of_stacks(self.stacks());
         for shard in &self.shards {
             fold.wire.absorb(shard.pool.stats());
-            fold.wire.absorb(shard.retired_wire);
-            fold.transport.absorb(shard.retired_transport);
+            fold.absorb_set(&shard.telemetry);
+            fold.merge(&shard.retired);
         }
         fold
     }
@@ -1117,10 +1126,14 @@ impl Sim {
         self.fold().into_report("sim", self.now, None)
     }
 
-    /// Dump every stack's flight recorder (most recent events, oldest
+    /// Dump the flight recorders, shard by shard: every stack's
+    /// lifecycle events, then the shard's most recent deliveries (oldest
     /// first, with drop counts) — the postmortem a failing soak prints.
     pub fn dump_flight_recorders(&self) -> String {
-        dpu_core::host::dump_flight(self.stacks())
+        self.shards
+            .iter()
+            .map(|shard| dpu_core::host::dump_flight(shard.stacks(), &shard.telemetry))
+            .collect()
     }
 
     /// Merge and take the traces of all stacks.

@@ -8,6 +8,12 @@
 //! emitted wire messages; and in both modes the scratch accounting
 //! identity `emitted == reclaimed + allocations` must hold exactly.
 //!
+//! The telemetry half of the loan is unconditional, so both arms lend
+//! the shard's `TelemetrySet`: after either run no hosted stack may
+//! hold an allocated histogram or delivery ring, the samples must be in
+//! the report, and the cascade-depth histogram (scratch-independent)
+//! must summarise identically.
+//!
 //! Reclaim/allocation *counts* are intentionally not compared across
 //! modes: a deep shared pool reclaims buffers a 32-entry per-stack set
 //! would have dropped, so those counters are the win being bought, not
@@ -15,6 +21,7 @@
 
 use bytes::Bytes;
 use dpu_core::stack::{net_ops, FactoryRegistry, ModuleCtx};
+use dpu_core::telemetry::HistSummary;
 use dpu_core::time::{Dur, Time};
 use dpu_core::wire::Encode;
 use dpu_core::{Call, Module, Response, ServiceId, Stack, StackConfig, StackId, TimerId};
@@ -85,12 +92,13 @@ struct Scenario {
     restart: bool,
 }
 
-/// One full run: returns `(stats, fingerprint, wire stats)`.
+/// One full run: returns `(stats, fingerprint, wire stats, cascade-depth
+/// summary)`.
 fn run(
     sc: &Scenario,
     pooling: bool,
     workers: usize,
-) -> (SimStats, u64, dpu_core::wire::ScratchStats) {
+) -> (SimStats, u64, dpu_core::wire::ScratchStats, HistSummary) {
     let intra = NetConfig::lan();
     let backbone = NetConfig {
         latency: Dur::micros(sc.backbone_us),
@@ -116,7 +124,18 @@ fn run(
     let stats = sim.stats();
     let fp = sim.merged_trace().fingerprint();
     let wire = sim.wire_stats();
-    (stats, fp, wire)
+    // Nothing recorded at event rate may have stayed in a stack…
+    for id in sim.stack_ids() {
+        assert_eq!(
+            sim.stack(id).telemetry().set_bytes(),
+            0,
+            "{id} holds a histogram or delivery ring (pooling={pooling})"
+        );
+    }
+    // …it is in the shard sets the report folds.
+    let tel = sim.telemetry_report();
+    assert!(tel.scratch_occupancy_bytes.count > 0, "packet arrivals must be sampled");
+    (stats, fp, wire, tel.cascade_depth)
 }
 
 proptest! {
@@ -143,6 +162,8 @@ proptest! {
         prop_assert_eq!(&pooled.0, &per_stack.0, "stats diverged");
         prop_assert_eq!(pooled.1, per_stack.1, "trace fingerprint diverged");
         prop_assert_eq!(pooled.2.emitted, per_stack.2.emitted, "emitted wire messages diverged");
+        prop_assert!(pooled.3.count > 0, "cascades must be sampled");
+        prop_assert_eq!(pooled.3, per_stack.3, "cascade-depth histogram diverged");
         for (mode, wire) in [("pooled", pooled.2), ("per-stack", per_stack.2)] {
             prop_assert_eq!(
                 wire.emitted,

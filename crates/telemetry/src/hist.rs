@@ -8,14 +8,20 @@
 //! [`Histogram::MAX_TRACKABLE`] saturate into the last bucket (the
 //! exact observed maximum is tracked separately).
 //!
-//! Recording is alloc-free and wait-free: one array index computation
-//! (a `leading_zeros`, two shifts) and a counter increment, no locks,
-//! no atomics — each stack owns its histogram exclusively, exactly like
-//! its `WireScratch` pool, and hosts aggregate by [`Histogram::merge`].
-//! Merging is pure bucket-count addition, so per-shard partials fold to
-//! the same totals whatever order (or worker count) produced them —
-//! the property that keeps `par_equiv`'s serial/parallel bit-equality
-//! intact when reports include percentiles.
+//! An empty histogram is one null pointer: the bucket array and the
+//! `count/sum/min/max` summary live behind a single box allocated by
+//! the first [`Histogram::record`] (or the first [`Histogram::merge`] of
+//! a non-empty one). After that, recording is alloc-free and wait-free:
+//! one array index computation (a `leading_zeros`, two shifts) and a
+//! counter increment, no locks, no atomics — whoever holds the handle
+//! holds it exclusively (a shard lends its histograms to the one stack
+//! it is driving, exactly like its `WireScratch` pool), and hosts
+//! aggregate by [`Histogram::merge`]. Merging is pure bucket-count
+//! addition, so per-shard partials fold to the same totals whatever
+//! order (or worker count) produced them — the property that keeps
+//! `par_equiv`'s serial/parallel bit-equality intact when reports
+//! include percentiles, and the reason one shard-owned histogram can
+//! stand in for the thousands of per-stack ones it replaces.
 
 use std::fmt;
 
@@ -30,27 +36,43 @@ const MAX_EXP: u32 = 39;
 /// Total bucket count for the geometry above.
 const NBUCKETS: usize = ((MAX_EXP - SUB_BITS + 1) as usize + 1) * SUB;
 
-/// A fixed-size log-linear histogram of `u64` samples.
+/// A fixed-geometry log-linear histogram of `u64` samples.
 ///
 /// With the default geometry (4 sub-bits, max exponent 39) the value
 /// range is `0 ..= 2^40-1` — for nanosecond latencies that is ~18
-/// minutes at ±6.25% resolution — in `592 × 4` bytes of counters.
-#[derive(Clone, PartialEq, Eq)]
+/// minutes at ±6.25% resolution — in `592 × 8` bytes of counters once
+/// the first sample lands, and one null pointer until then.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
-    /// Bucket counters. `u32` per bucket keeps the whole histogram at
-    /// ~2.4 KB (the per-stack budget matters at 10^5 stacks);
-    /// increments saturate rather than wrap, so a pathological soak
-    /// degrades percentile precision, never correctness.
-    counts: Box<[u32; NBUCKETS]>,
+    /// `None` until the first sample: a histogram nobody records into
+    /// (every hosted stack's, while its shard's set is not lent to it)
+    /// costs its handle and nothing else. An allocated block always
+    /// holds at least one sample, so `==` on the handle is `==` on the
+    /// recorded multiset.
+    buckets: Option<Box<Buckets>>,
+}
+
+/// The allocated half of a [`Histogram`].
+#[derive(Clone, PartialEq, Eq)]
+struct Buckets {
+    /// Bucket counters. `u64`: one shard-owned histogram counts what up
+    /// to 10^5 stacks record, so a bucket must not saturate before the
+    /// sample count itself does.
+    counts: [u64; NBUCKETS],
     count: u64,
     sum: u64,
     min: u64,
     max: u64,
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
+impl Buckets {
+    /// Out of line and cold: a 4.7 KB temporary inlined into `record`
+    /// would give every function that records a page-crossing stack
+    /// frame (and its entry probe) for an allocation that happens once.
+    #[cold]
+    #[inline(never)]
+    fn empty() -> Box<Buckets> {
+        Box::new(Buckets { counts: [0; NBUCKETS], count: 0, sum: 0, min: u64::MAX, max: 0 })
     }
 }
 
@@ -58,9 +80,9 @@ impl Histogram {
     /// Largest value recorded without saturating into the last bucket.
     pub const MAX_TRACKABLE: u64 = (1 << (MAX_EXP + 1)) - 1;
 
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram { counts: Box::new([0; NBUCKETS]), count: 0, sum: 0, min: u64::MAX, max: 0 }
+    /// An empty histogram (no allocation).
+    pub const fn new() -> Histogram {
+        Histogram { buckets: None }
     }
 
     /// Bucket index of `value` (saturating at the last bucket).
@@ -91,90 +113,85 @@ impl Histogram {
         (1u64 << msb) + sub * width + width / 2
     }
 
-    /// Record one sample. Alloc-free, wait-free: an index computation
-    /// and a saturating counter increment.
+    /// Record one sample. The first one allocates the bucket block;
+    /// every later one is alloc-free and wait-free: an index computation
+    /// and a counter increment.
     #[inline]
     pub fn record(&mut self, value: u64) {
-        let i = Self::index(value);
-        self.counts[i] = self.counts[i].saturating_add(1);
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
+        let b = self.buckets.get_or_insert_with(Buckets::empty);
+        b.counts[Self::index(value)] += 1;
+        b.count += 1;
+        b.sum = b.sum.saturating_add(value);
+        b.min = b.min.min(value);
+        b.max = b.max.max(value);
     }
 
     /// Fold `other` into `self`: pure addition on every bucket, so
     /// folding is associative and commutative — per-shard partials
-    /// merge to the same totals in any order.
+    /// merge to the same totals in any order. Folding an empty
+    /// histogram in is one branch.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a = a.saturating_add(*b);
+        let Some(o) = &other.buckets else { return };
+        let b = self.buckets.get_or_insert_with(Buckets::empty);
+        for (a, c) in b.counts.iter_mut().zip(o.counts.iter()) {
+            *a += c;
         }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        b.count += o.count;
+        b.sum = b.sum.saturating_add(o.sum);
+        b.min = b.min.min(o.min);
+        b.max = b.max.max(o.max);
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.count
+        self.buckets.as_ref().map_or(0, |b| b.count)
     }
 
     /// Exact smallest recorded sample (0 when empty).
     pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
+        self.buckets.as_ref().map_or(0, |b| b.min)
     }
 
     /// Exact largest recorded sample (0 when empty).
     pub fn max(&self) -> u64 {
-        self.max
+        self.buckets.as_ref().map_or(0, |b| b.max)
     }
 
     /// Mean of the recorded samples (0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
+        self.buckets.as_ref().map_or(0.0, |b| b.sum as f64 / b.count as f64)
     }
 
     /// Value at quantile `q` in `[0, 1]`, reconstructed from the bucket
     /// midpoints (relative error ≤ 2^-SUB_BITS); clamped to the exact
     /// observed `[min, max]`. Returns 0 when empty.
     pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        if target == self.count {
-            return self.max;
+        let Some(b) = &self.buckets else { return 0 };
+        let target = ((q * b.count as f64).ceil() as u64).clamp(1, b.count);
+        if target == b.count {
+            return b.max;
         }
         let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += u64::from(c);
+        for (i, &c) in b.counts.iter().enumerate() {
+            seen += c;
             if seen >= target {
                 // The saturation bucket has no meaningful midpoint; its
                 // representative is the exact observed maximum.
                 if i == NBUCKETS - 1 {
-                    return self.max;
+                    return b.max;
                 }
-                return Self::bucket_value(i).clamp(self.min, self.max);
+                return Self::bucket_value(i).clamp(b.min, b.max);
             }
         }
-        self.max
+        b.max
     }
 
-    /// Heap bytes behind this histogram — the boxed bucket array. The
-    /// struct itself is counted by whatever embeds it (structural
-    /// memory-audit convention shared with `Stack::mem_bytes`).
+    /// Heap bytes behind this histogram: the bucket block once a sample
+    /// has landed, nothing before. The handle itself is counted by
+    /// whatever embeds it (structural memory-audit convention shared
+    /// with `Stack::mem_bytes`).
     pub fn mem_bytes(&self) -> usize {
-        NBUCKETS * std::mem::size_of::<u32>()
+        self.buckets.as_ref().map_or(0, |b| std::mem::size_of_val(&**b))
     }
 
     /// Condense into the fixed percentile summary reports carry.
@@ -195,9 +212,9 @@ impl Histogram {
 impl fmt::Debug for Histogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Histogram")
-            .field("count", &self.count)
+            .field("count", &self.count())
             .field("min", &self.min())
-            .field("max", &self.max)
+            .field("max", &self.max())
             .finish()
     }
 }
@@ -325,5 +342,19 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.percentile(0.99), 0);
         assert_eq!(h.mean(), 0.0);
+    }
+
+    #[test]
+    fn empty_is_one_pointer_and_allocates_on_first_record() {
+        assert_eq!(std::mem::size_of::<Histogram>(), std::mem::size_of::<usize>());
+        let mut h = Histogram::new();
+        assert_eq!(h.mem_bytes(), 0);
+        let mut sink = Histogram::new();
+        sink.merge(&h);
+        assert_eq!(sink.mem_bytes(), 0, "merging an empty histogram must not allocate");
+        h.record(7);
+        assert_eq!(h.mem_bytes(), (NBUCKETS + 4) * std::mem::size_of::<u64>());
+        sink.merge(&h);
+        assert_eq!(sink, h);
     }
 }

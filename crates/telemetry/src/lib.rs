@@ -15,24 +15,37 @@
 //!   benches report "how long did clients go dark" per variant;
 //! - **queue pressure** — dispatch-cascade depth and scratch-pool
 //!   occupancy histograms;
-//! - **postmortems** — a fixed-capacity [`FlightRecorder`] per stack
-//!   that failing soaks dump instead of an opaque digest mismatch.
+//! - **postmortems** — bounded [`FlightRecorder`] rings (lifecycle
+//!   events per stack, recent deliveries per shard) that failing soaks
+//!   dump instead of an opaque digest mismatch.
 //!
 //! # Overhead discipline
 //!
-//! Every stack embeds one [`StackTelemetry`]. Recording is alloc-free
-//! and wait-free: a stack is single-threaded by construction (exactly
-//! like its `WireScratch` pool), so counters are plain integers —
-//! no locks, no atomics — and hosts aggregate by merge-by-addition,
-//! which is order-independent and therefore cannot perturb the
-//! `par_equiv` serial/parallel bit-equality. Telemetry never feeds back
-//! into protocol behaviour, so the golden trace fingerprint is
-//! untouched by construction. [`TelemetryConfig::off()`] leaves the
-//! state unallocated: every record call is then a single
-//! `Option` branch, and the per-stack cost is one pointer — the mode
-//! the 65536-stack capacity smoke runs in. Enabled, the state is one
-//! boxed block of fixed-size histograms plus the flight ring
-//! (~17 KB/stack; see ARCHITECTURE.md "Observability" for the budget).
+//! Every stack embeds one [`StackTelemetry`], always on. What is
+//! recorded at event rate — the four stack histograms, the timeline's
+//! blackout and swap-gap histograms, the per-delivery flight ring — is
+//! a [`TelemetrySet`] of *handles*, each one null pointer until its
+//! first sample. A host shard owns one set and swaps it into whichever
+//! stack it is driving, through the very loan that lends the shard's
+//! `WireScratch` pool; a stack nobody lends to (a bare `StackDriver`, a
+//! unit test) records into its own lazily allocated set through the
+//! same code. Histogram merge is exact bucket addition, so the shard's
+//! set *is* the sum of what its stacks would have recorded one by one,
+//! and the report is bit-identical whichever way the samples were
+//! split. Per stack remains what is per-stack by meaning: the open
+//! switch record, the completed count and the first few completed
+//! records, the running cascade depth, and a lifecycle flight ring
+//! allocated by the stack's first switch or crash — 160 B at rest (see
+//! ARCHITECTURE.md "Observability" for the budget).
+//!
+//! Recording is wait-free and, after each handle's first sample,
+//! alloc-free: a stack is single-threaded by construction (exactly like
+//! its `WireScratch` pool), so counters are plain integers — no locks,
+//! no atomics — and hosts aggregate by merge-by-addition, which is
+//! order-independent and therefore cannot perturb the `par_equiv`
+//! serial/parallel bit-equality. Telemetry never feeds back into
+//! protocol behaviour, so the golden trace fingerprint is untouched by
+//! construction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,40 +64,59 @@ pub use report::{
 };
 pub use timeline::{SwitchRecord, SwitchTimeline};
 
-/// Per-stack telemetry switchboard, set at stack construction.
+/// Per-stack telemetry parameters, set at stack construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Master switch. Off = no state allocated, every record call is a
-    /// single branch on a `None`.
-    pub enabled: bool,
-    /// Flight-recorder ring capacity (events retained per stack).
+    /// Flight-recorder ring capacity: events retained per ring — each
+    /// stack's lifecycle ring, and the delivery ring its pushes land in
+    /// (its shard's, or its own when nobody lends it one).
     pub flight_capacity: usize,
 }
 
 impl Default for TelemetryConfig {
-    /// On, with the default flight capacity — matching the repo's
-    /// trace-on-by-default convention for tests and examples.
     fn default() -> Self {
-        TelemetryConfig { enabled: true, flight_capacity: FLIGHT_CAPACITY }
+        TelemetryConfig { flight_capacity: FLIGHT_CAPACITY }
     }
 }
 
-impl TelemetryConfig {
-    /// Telemetry fully disabled: one pointer of per-stack cost, record
-    /// calls compile to a branch. The capacity smokes run this.
-    pub fn off() -> TelemetryConfig {
-        TelemetryConfig { enabled: false, flight_capacity: 0 }
-    }
+/// Everything recorded at event rate, as handles: six histograms and
+/// the per-delivery flight ring, each pointer-sized until its first
+/// sample. A host shard owns one set and lends it to the stack it is
+/// driving ([`StackTelemetry::swap_set`]); the stack's own handles park
+/// in the shard's set meanwhile and come back on the un-swap.
+#[derive(Debug, Default)]
+pub struct TelemetrySet {
+    /// End-to-end delivery latency, nanoseconds.
+    pub delivery_latency: Histogram,
+    /// Dispatch-cascade depth (stack steps per external trigger).
+    pub cascade_depth: Histogram,
+    /// Scratch-pool occupancy at packet arrival, bytes.
+    pub scratch_occupancy: Histogram,
+    /// rp2p resequencing-buffer depth at out-of-order insert.
+    pub reseq_depth: Histogram,
+    /// Switch blackout window (`first_delivery − requested`), ns.
+    pub blackout: Histogram,
+    /// Switch flush→activate gap, ns.
+    pub swap_gap: Histogram,
+    /// Most recent deliveries, tagged with the delivering stack.
+    pub deliveries: FlightRecorder,
+}
 
-    /// Telemetry on with default capacities.
-    pub fn on() -> TelemetryConfig {
-        TelemetryConfig::default()
+impl TelemetrySet {
+    /// Heap bytes behind the set's handles (0 until something records).
+    pub fn mem_bytes(&self) -> usize {
+        self.delivery_latency.mem_bytes()
+            + self.cascade_depth.mem_bytes()
+            + self.scratch_occupancy.mem_bytes()
+            + self.reseq_depth.mem_bytes()
+            + self.blackout.mem_bytes()
+            + self.swap_gap.mem_bytes()
+            + self.deliveries.mem_bytes()
     }
 }
 
-/// The allocated half of a [`StackTelemetry`]: fixed-size histograms,
-/// the switch timeline, and the flight ring. One heap block per
-/// instrumented stack; nothing here grows during a run.
+/// One stack's telemetry state: the handles of a [`TelemetrySet`] (its
+/// own, or its shard's while lent) plus what is per-stack by meaning.
 #[derive(Debug)]
 pub struct TelemetryState {
     /// End-to-end delivery latency, nanoseconds.
@@ -95,67 +127,104 @@ pub struct TelemetryState {
     pub scratch_occupancy: Histogram,
     /// rp2p resequencing-buffer depth at out-of-order insert.
     pub reseq_depth: Histogram,
-    /// Switch-phase timeline.
+    /// Switch-phase timeline. Its open record, completed count and
+    /// retained records are this stack's own under any loan; its two
+    /// histograms are set handles.
     pub switches: SwitchTimeline,
-    /// Crash flight recorder.
+    /// Lifecycle flight ring: switch phases, crash, module destroyed,
+    /// retransmit exhausted. Always this stack's own.
     pub flight: FlightRecorder,
+    /// Per-delivery flight ring (a set handle).
+    pub deliveries: FlightRecorder,
     /// Steps taken in the cascade currently being dispatched.
     cascade_run: u32,
+    /// Capacity of the rings this stack pushes into.
+    flight_capacity: u32,
+    /// This stack's id, stamped on every flight event.
+    stack: u32,
 }
 
 /// One stack's telemetry: embedded in every `Stack`, single-threaded
-/// like the rest of the stack's state. All record methods are `#[inline]`
-/// and reduce to one branch when telemetry is off.
-#[derive(Debug, Default)]
+/// like the rest of the stack's state. All record methods are
+/// `#[inline]`.
+#[derive(Debug)]
 pub struct StackTelemetry {
-    state: Option<Box<TelemetryState>>,
+    state: TelemetryState,
 }
 
 impl StackTelemetry {
-    /// Build per the config: `None` state when disabled.
-    pub fn new(cfg: &TelemetryConfig) -> StackTelemetry {
-        if !cfg.enabled {
-            return StackTelemetry { state: None };
-        }
+    /// Telemetry for stack number `stack`. Allocates nothing.
+    pub fn new(cfg: &TelemetryConfig, stack: u32) -> StackTelemetry {
         StackTelemetry {
-            state: Some(Box::new(TelemetryState {
+            state: TelemetryState {
                 delivery_latency: Histogram::new(),
                 cascade_depth: Histogram::new(),
                 scratch_occupancy: Histogram::new(),
                 reseq_depth: Histogram::new(),
                 switches: SwitchTimeline::new(),
-                flight: FlightRecorder::new(cfg.flight_capacity),
+                flight: FlightRecorder::new(),
+                deliveries: FlightRecorder::new(),
                 cascade_run: 0,
-            })),
+                flight_capacity: u32::try_from(cfg.flight_capacity).unwrap_or(u32::MAX),
+                stack,
+            },
         }
     }
 
-    /// A disabled instance (what `Default` also gives).
-    pub fn disabled() -> StackTelemetry {
-        StackTelemetry { state: None }
-    }
-
-    /// Whether this stack records anything.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.state.is_some()
-    }
-
-    /// The allocated state, if enabled (aggregation and dumps).
+    /// The recorded state (aggregation and dumps). Always `Some`; the
+    /// `Option` is the shape the whole-system benchmark matches on.
     pub fn state(&self) -> Option<&TelemetryState> {
-        self.state.as_deref()
+        Some(&self.state)
     }
 
-    /// An end-to-end delivery: records latency, closes a pending switch
-    /// record if the new module is active, and logs a flight event.
+    /// The loan handoff: swap every handle of `set` with this stack's —
+    /// seven pointer swaps. A host calls this symmetrically around each
+    /// drive call, at the one place it also swaps its scratch pool, so
+    /// that all event-rate recording lands in the shard's set and the
+    /// stack's own handles stay empty.
+    #[inline]
+    pub fn swap_set(&mut self, set: &mut TelemetrySet) {
+        use std::mem::swap;
+        let s = &mut self.state;
+        swap(&mut s.delivery_latency, &mut set.delivery_latency);
+        swap(&mut s.cascade_depth, &mut set.cascade_depth);
+        swap(&mut s.scratch_occupancy, &mut set.scratch_occupancy);
+        swap(&mut s.reseq_depth, &mut set.reseq_depth);
+        let (blackout, swap_gap) = s.switches.hists_mut();
+        swap(blackout, &mut set.blackout);
+        swap(swap_gap, &mut set.swap_gap);
+        swap(&mut s.deliveries, &mut set.deliveries);
+    }
+
+    #[inline]
+    fn event(&self, at_ns: u64, kind: FlightKind, detail: u64) -> FlightEvent {
+        FlightEvent { at_ns, detail, stack: self.state.stack, kind }
+    }
+
+    /// Push a lifecycle event onto this stack's own ring.
+    #[inline]
+    fn lifecycle(&mut self, at_ns: u64, kind: FlightKind, detail: u64) {
+        let event = self.event(at_ns, kind, detail);
+        self.state.flight.push(self.state.flight_capacity as usize, event);
+    }
+
+    /// Close the pending switch record if the new module is active.
+    #[inline]
+    fn close_switch(&mut self, now_ns: u64) {
+        if let Some(done) = self.state.switches.note_delivery(now_ns) {
+            self.lifecycle(now_ns, FlightKind::SwitchFirstDelivery, done.ordinal);
+        }
+    }
+
+    /// An end-to-end delivery: records latency, logs a delivery flight
+    /// event, and closes a pending switch record if the new module is
+    /// active.
     #[inline]
     pub fn note_delivery(&mut self, now_ns: u64, latency_ns: u64) {
-        let Some(s) = &mut self.state else { return };
-        s.delivery_latency.record(latency_ns);
-        s.flight.push(now_ns, FlightKind::Delivery, latency_ns);
-        if let Some(done) = s.switches.note_delivery(now_ns) {
-            s.flight.push(now_ns, FlightKind::SwitchFirstDelivery, done.ordinal);
-        }
+        self.state.delivery_latency.record(latency_ns);
+        let event = self.event(now_ns, FlightKind::Delivery, latency_ns);
+        self.state.deliveries.push(self.state.flight_capacity as usize, event);
+        self.close_switch(now_ns);
     }
 
     /// An upward delivery with no latency sample attached — the switch
@@ -166,24 +235,19 @@ impl StackTelemetry {
     /// is fed solely by [`Self::note_delivery`].
     #[inline]
     pub fn note_switch_delivery(&mut self, now_ns: u64) {
-        let Some(s) = &mut self.state else { return };
-        if let Some(done) = s.switches.note_delivery(now_ns) {
-            s.flight.push(now_ns, FlightKind::SwitchFirstDelivery, done.ordinal);
-        }
+        self.close_switch(now_ns);
     }
 
     /// One stack step dispatched inside the current cascade.
     #[inline]
     pub fn cascade_step(&mut self) {
-        if let Some(s) = &mut self.state {
-            s.cascade_run += 1;
-        }
+        self.state.cascade_run += 1;
     }
 
     /// The cascade drained: record its depth and reset.
     #[inline]
     pub fn cascade_end(&mut self) {
-        let Some(s) = &mut self.state else { return };
+        let s = &mut self.state;
         if s.cascade_run > 0 {
             s.cascade_depth.record(u64::from(s.cascade_run));
             s.cascade_run = 0;
@@ -193,95 +257,100 @@ impl StackTelemetry {
     /// Scratch-pool occupancy sample (bytes), taken at packet arrival.
     #[inline]
     pub fn record_scratch_occupancy(&mut self, bytes: u64) {
-        if let Some(s) = &mut self.state {
-            s.scratch_occupancy.record(bytes);
-        }
+        self.state.scratch_occupancy.record(bytes);
     }
 
     /// rp2p resequencing-buffer depth after an out-of-order insert.
     #[inline]
     pub fn record_reseq_depth(&mut self, depth: u64) {
-        if let Some(s) = &mut self.state {
-            s.reseq_depth.record(depth);
-        }
+        self.state.reseq_depth.record(depth);
+    }
+
+    fn pending_ordinal(&self) -> u64 {
+        self.state.switches.pending().map_or(0, |r| r.ordinal)
     }
 
     /// The stack learned a protocol switch is coming (idempotent while
     /// one is pending).
     #[inline]
     pub fn switch_requested(&mut self, now_ns: u64) {
-        let Some(s) = &mut self.state else { return };
-        let fresh = s.switches.pending().is_none();
-        s.switches.requested(now_ns);
+        let fresh = self.state.switches.pending().is_none();
+        self.state.switches.requested(now_ns);
         if fresh {
-            let ordinal = s.switches.pending().map_or(0, |r| r.ordinal);
-            s.flight.push(now_ns, FlightKind::SwitchRequested, ordinal);
+            self.lifecycle(now_ns, FlightKind::SwitchRequested, self.pending_ordinal());
         }
     }
 
     /// The outgoing module flushed and was unbound.
     #[inline]
     pub fn switch_flushed(&mut self, now_ns: u64) {
-        let Some(s) = &mut self.state else { return };
-        s.switches.flushed(now_ns);
-        let ordinal = s.switches.pending().map_or(0, |r| r.ordinal);
-        s.flight.push(now_ns, FlightKind::SwitchFlushed, ordinal);
+        self.state.switches.flushed(now_ns);
+        self.lifecycle(now_ns, FlightKind::SwitchFlushed, self.pending_ordinal());
     }
 
     /// The replacement module was created and bound.
     #[inline]
     pub fn switch_activated(&mut self, now_ns: u64) {
-        let Some(s) = &mut self.state else { return };
-        s.switches.activated(now_ns);
-        let ordinal = s.switches.pending().map_or(0, |r| r.ordinal);
-        s.flight.push(now_ns, FlightKind::SwitchActivated, ordinal);
+        self.state.switches.activated(now_ns);
+        self.lifecycle(now_ns, FlightKind::SwitchActivated, self.pending_ordinal());
     }
 
     /// The stack crashed (fail-stop).
     #[inline]
     pub fn note_crash(&mut self, now_ns: u64) {
-        if let Some(s) = &mut self.state {
-            s.flight.push(now_ns, FlightKind::Crash, 0);
-        }
+        self.lifecycle(now_ns, FlightKind::Crash, 0);
     }
 
     /// A module destroyed itself.
     #[inline]
     pub fn note_module_destroyed(&mut self, now_ns: u64) {
-        if let Some(s) = &mut self.state {
-            s.flight.push(now_ns, FlightKind::ModuleDestroyed, 0);
-        }
+        self.lifecycle(now_ns, FlightKind::ModuleDestroyed, 0);
     }
 
     /// rp2p exhausted retransmissions toward `peer`.
     #[inline]
     pub fn note_retransmit_exhausted(&mut self, now_ns: u64, peer: u64) {
-        if let Some(s) = &mut self.state {
-            s.flight.push(now_ns, FlightKind::RetransmitExhausted, peer);
-        }
+        self.lifecycle(now_ns, FlightKind::RetransmitExhausted, peer);
     }
 
-    /// Render this stack's flight ring as postmortem lines (no-op when
-    /// disabled).
+    /// Render this stack's flight rings as postmortem lines: its
+    /// lifecycle ring, then its own delivery ring if it ever recorded
+    /// un-lent. A stack with no event renders nothing.
     pub fn dump_flight(&self, label: &str, out: &mut String) {
-        if let Some(s) = &self.state {
-            s.flight.dump(label, out);
+        if !self.state.flight.is_empty() {
+            self.state.flight.dump(label, out);
+        }
+        if !self.state.deliveries.is_empty() {
+            self.state.deliveries.dump(&format!("{label} deliveries"), out);
         }
     }
 
-    /// Resident bytes of the telemetry state: the boxed block plus the
-    /// heap behind each component (0 when disabled). The pointer-sized
-    /// handle itself is counted by the stack that embeds it.
+    /// Heap bytes behind the set handles this stack currently holds: 0
+    /// on a hosted stack between drive calls — everything it records at
+    /// event rate lands in its shard's set.
+    pub fn set_bytes(&self) -> usize {
+        let s = &self.state;
+        s.delivery_latency.mem_bytes()
+            + s.cascade_depth.mem_bytes()
+            + s.scratch_occupancy.mem_bytes()
+            + s.reseq_depth.mem_bytes()
+            + s.switches.blackout().mem_bytes()
+            + s.switches.swap_gap().mem_bytes()
+            + s.deliveries.mem_bytes()
+    }
+
+    /// Heap bytes behind this stack's telemetry: what it holds of a set,
+    /// the retained switch records and the lifecycle ring. The inline
+    /// state itself is counted by the stack that embeds it.
     pub fn mem_bytes(&self) -> usize {
-        self.state.as_ref().map_or(0, |s| {
-            std::mem::size_of::<TelemetryState>()
-                + s.delivery_latency.mem_bytes()
-                + s.cascade_depth.mem_bytes()
-                + s.scratch_occupancy.mem_bytes()
-                + s.reseq_depth.mem_bytes()
-                + s.switches.mem_bytes()
-                + s.flight.mem_bytes()
-        })
+        let s = &self.state;
+        s.delivery_latency.mem_bytes()
+            + s.cascade_depth.mem_bytes()
+            + s.scratch_occupancy.mem_bytes()
+            + s.reseq_depth.mem_bytes()
+            + s.switches.mem_bytes()
+            + s.flight.mem_bytes()
+            + s.deliveries.mem_bytes()
     }
 }
 
@@ -289,25 +358,26 @@ impl StackTelemetry {
 mod tests {
     use super::*;
 
+    fn telemetry() -> StackTelemetry {
+        StackTelemetry::new(&TelemetryConfig::default(), 7)
+    }
+
     #[test]
-    fn off_allocates_nothing_and_records_nowhere() {
-        let mut t = StackTelemetry::new(&TelemetryConfig::off());
-        assert!(!t.is_enabled());
-        t.note_delivery(10, 5);
-        t.cascade_step();
-        t.cascade_end();
-        t.record_scratch_occupancy(100);
-        t.switch_requested(1);
-        t.switch_activated(2);
-        t.note_delivery(3, 1);
-        assert!(t.state().is_none());
+    fn at_rest_a_stack_holds_no_heap_and_a_small_inline_state() {
+        let t = telemetry();
         assert_eq!(t.mem_bytes(), 0);
-        assert_eq!(std::mem::size_of::<StackTelemetry>(), std::mem::size_of::<usize>());
+        assert_eq!(t.set_bytes(), 0);
+        // The million-stack budget: everything telemetry keeps per stack.
+        assert!(
+            std::mem::size_of::<StackTelemetry>() <= 160,
+            "per-stack telemetry grew: {} B",
+            std::mem::size_of::<StackTelemetry>()
+        );
     }
 
     #[test]
     fn cascade_depth_counts_steps_per_drain() {
-        let mut t = StackTelemetry::new(&TelemetryConfig::default());
+        let mut t = telemetry();
         for _ in 0..3 {
             t.cascade_step();
         }
@@ -323,7 +393,7 @@ mod tests {
 
     #[test]
     fn delivery_closes_switch_and_logs_flight_trail() {
-        let mut t = StackTelemetry::new(&TelemetryConfig::default());
+        let mut t = telemetry();
         t.switch_requested(100);
         t.switch_requested(150); // announcement after CHANGE_OP: no second flight event
         t.switch_flushed(200);
@@ -339,20 +409,47 @@ mod tests {
                 FlightKind::SwitchRequested,
                 FlightKind::SwitchFlushed,
                 FlightKind::SwitchActivated,
-                FlightKind::Delivery,
                 FlightKind::SwitchFirstDelivery,
             ]
         );
+        let deliveries: Vec<(u32, u64)> =
+            s.deliveries.events().map(|e| (e.stack, e.detail)).collect();
+        assert_eq!(deliveries, vec![(7, 42)], "deliveries ride their own ring, tagged");
     }
 
     #[test]
-    fn enabled_mem_budget_is_documented() {
-        let t = StackTelemetry::new(&TelemetryConfig::default());
-        let bytes = t.mem_bytes();
-        // The ARCHITECTURE.md budget: fixed, and comfortably under 20 KB
-        // per instrumented stack (4 + 2 histograms ≈ 2.4 KB each, a
-        // 64-event flight ring, the timeline bookkeeping).
-        assert!(bytes > 10_000, "suspiciously small: {bytes}");
-        assert!(bytes < 20_000, "telemetry state grew past its budget: {bytes}");
+    fn delivery_chatter_cannot_evict_lifecycle_events() {
+        let mut t = telemetry();
+        t.note_crash(5);
+        for i in 0..10 * FLIGHT_CAPACITY as u64 {
+            t.note_delivery(10 + i, 1);
+        }
+        let s = t.state().unwrap();
+        assert_eq!(s.flight.events().map(|e| e.kind).collect::<Vec<_>>(), vec![FlightKind::Crash]);
+        assert_eq!(s.flight.dropped(), 0);
+        assert_eq!(s.deliveries.len(), FLIGHT_CAPACITY);
+        assert_eq!(s.deliveries.dropped(), 9 * FLIGHT_CAPACITY as u64);
+    }
+
+    #[test]
+    fn lent_set_takes_the_samples_and_the_stack_keeps_what_is_its_own() {
+        let mut set = TelemetrySet::default();
+        let mut t = telemetry();
+        t.swap_set(&mut set);
+        t.switch_requested(100);
+        t.switch_activated(250);
+        t.note_delivery(400, 42);
+        t.cascade_step();
+        t.cascade_end();
+        t.swap_set(&mut set);
+        assert_eq!(t.set_bytes(), 0, "nothing event-rate may stay in the stack");
+        assert_eq!(set.delivery_latency.count(), 1);
+        assert_eq!(set.cascade_depth.count(), 1);
+        assert_eq!(set.blackout.max(), 300);
+        assert_eq!(set.deliveries.len(), 1);
+        let s = t.state().unwrap();
+        assert_eq!(s.switches.completed(), 1);
+        assert_eq!(s.switches.recent().len(), 1);
+        assert_eq!(s.flight.len(), 3, "lifecycle events stay with the stack");
     }
 }

@@ -3,9 +3,10 @@
 //!
 //! `Sim::telemetry_report()`, `Runtime::telemetry_report()`, and
 //! `Reactor::telemetry_report()` all fold their stacks through
-//! `dpu_core::host::ReportFold` (per-stack [`crate::StackTelemetry`]
-//! partials into a [`TelemetryAggregate`], counters by addition) and
-//! emit this struct — so an operator (or a bench harness) reads the
+//! `dpu_core::host::ReportFold` (each shard's [`crate::TelemetrySet`]
+//! plus the small per-stack remainder of every [`crate::StackTelemetry`]
+//! into a [`TelemetryAggregate`], counters by addition) and emit this
+//! struct — so an operator (or a bench harness) reads the
 //! same fields whatever host ran the stacks. The counter families
 //! ([`WireCounters`], [`TransportCounters`], [`SocketCounters`]) are
 //! *defined* here, once: this crate sits below `dpu-core`, so core
@@ -20,7 +21,7 @@
 use crate::hist::{HistSummary, Histogram};
 use crate::json::JsonWriter;
 use crate::timeline::SwitchTimeline;
-use crate::StackTelemetry;
+use crate::{StackTelemetry, TelemetrySet};
 use std::fmt;
 
 /// Counters of a scratch pool (`dpu_core::wire::WireScratch`), folded
@@ -121,15 +122,17 @@ pub struct SwitchSummary {
     pub swap_gap_ns: HistSummary,
 }
 
-/// Host-side fold of per-stack [`StackTelemetry`] partials.
+/// Host-side fold of shard [`TelemetrySet`]s and per-stack
+/// [`StackTelemetry`] remainders.
 ///
-/// Built by `dpu_core::host::ReportFold`: iterate the stacks,
-/// [`absorb`](Self::absorb) each one. Every constituent merges by
-/// addition, so the fold is order-independent — shard or worker
-/// iteration order cannot change the report.
+/// Built by `dpu_core::host::ReportFold`: [`absorb_set`](Self::absorb_set)
+/// each shard's set, [`absorb`](Self::absorb) each stack. Every
+/// constituent merges by addition, so the fold is order-independent —
+/// shard or worker iteration order cannot change the report, and neither
+/// can whether a sample was recorded into a lent set or a stack's own.
 #[derive(Debug, Default)]
 pub struct TelemetryAggregate {
-    /// Stacks with telemetry enabled that were folded in.
+    /// Stacks folded in (telemetry is always on: every hosted stack).
     pub stacks_enabled: u32,
     /// End-to-end delivery latency, nanoseconds.
     pub delivery_latency: Histogram,
@@ -141,7 +144,7 @@ pub struct TelemetryAggregate {
     pub reseq_depth: Histogram,
     /// Merged switch timelines.
     pub switches: SwitchTimeline,
-    /// Flight-recorder events evicted across all stacks.
+    /// Flight-recorder events evicted across all rings.
     pub flight_dropped: u64,
 }
 
@@ -151,16 +154,39 @@ impl TelemetryAggregate {
         TelemetryAggregate::default()
     }
 
-    /// Fold one stack's telemetry in (no-op for disabled stacks).
+    /// Fold one hosted stack's telemetry in: its switch counters and
+    /// retained records, its rings' drop counts, and whatever it
+    /// recorded into handles of its own (nothing, on a stack whose host
+    /// lends it a set — six empty merges are six branches).
     pub fn absorb(&mut self, t: &StackTelemetry) {
-        let Some(state) = t.state() else { return };
         self.stacks_enabled += 1;
+        self.absorb_retired(t);
+    }
+
+    /// [`Self::absorb`] for a stack incarnation that is no longer
+    /// hosted (a restart is retiring it): everything it measured, but
+    /// not the head-count.
+    pub fn absorb_retired(&mut self, t: &StackTelemetry) {
+        let state = &t.state;
         self.delivery_latency.merge(&state.delivery_latency);
         self.cascade_depth.merge(&state.cascade_depth);
         self.scratch_occupancy.merge(&state.scratch_occupancy);
         self.reseq_depth.merge(&state.reseq_depth);
         self.switches.merge(&state.switches);
-        self.flight_dropped += state.flight.dropped();
+        self.flight_dropped += state.flight.dropped() + state.deliveries.dropped();
+    }
+
+    /// Fold one shard's set in: exact bucket addition, so the result is
+    /// what folding every stack's own histograms used to give.
+    pub fn absorb_set(&mut self, set: &TelemetrySet) {
+        self.delivery_latency.merge(&set.delivery_latency);
+        self.cascade_depth.merge(&set.cascade_depth);
+        self.scratch_occupancy.merge(&set.scratch_occupancy);
+        self.reseq_depth.merge(&set.reseq_depth);
+        let (blackout, swap_gap) = self.switches.hists_mut();
+        blackout.merge(&set.blackout);
+        swap_gap.merge(&set.swap_gap);
+        self.flight_dropped += set.deliveries.dropped();
     }
 
     /// Fold another aggregate into this one (the live hosts fold one
@@ -209,7 +235,8 @@ pub struct TelemetryReport {
     pub host: &'static str,
     /// Stacks the host drives.
     pub stacks: u32,
-    /// Stacks that had telemetry enabled (0 = report is counters-only).
+    /// Stacks whose telemetry was folded in — every hosted stack (kept
+    /// for report-shape stability; equals `stacks`).
     pub stacks_enabled: u32,
     /// Host clock at report time, nanoseconds (virtual on sim).
     pub now_ns: u64,
@@ -223,7 +250,8 @@ pub struct TelemetryReport {
     pub reseq_depth: HistSummary,
     /// Switch-phase timeline percentiles.
     pub switches: SwitchSummary,
-    /// Flight-recorder events evicted across all stacks.
+    /// Flight-recorder events evicted across all rings (per-stack
+    /// lifecycle rings and per-shard delivery rings).
     pub flight_dropped: u64,
     /// Scratch-pool counters, folded over pools and stacks.
     pub wire: WireCounters,
@@ -360,8 +388,8 @@ mod tests {
     use crate::TelemetryConfig;
 
     fn sample_report() -> TelemetryReport {
-        let mut a = StackTelemetry::new(&TelemetryConfig::default());
-        let mut b = StackTelemetry::new(&TelemetryConfig::default());
+        let mut a = StackTelemetry::new(&TelemetryConfig::default(), 0);
+        let mut b = StackTelemetry::new(&TelemetryConfig::default(), 1);
         for i in 1..=100u64 {
             a.note_delivery(i * 1_000, i * 500);
             b.note_delivery(i * 1_000, i * 700);
@@ -390,13 +418,20 @@ mod tests {
     }
 
     #[test]
-    fn disabled_stacks_do_not_count() {
-        let off = StackTelemetry::new(&TelemetryConfig::off());
+    fn retired_stacks_keep_their_measurements_but_not_their_seat() {
+        let mut gone = StackTelemetry::new(&TelemetryConfig { flight_capacity: 1 }, 0);
+        gone.note_delivery(10, 5);
+        gone.note_delivery(20, 5);
+        gone.switch_requested(30);
+        gone.switch_activated(40);
+        gone.note_switch_delivery(50);
         let mut agg = TelemetryAggregate::new();
-        agg.absorb(&off);
-        let r = agg.report("runtime", 1, 0);
+        agg.absorb_retired(&gone);
+        let r = agg.report("sim", 0, 0);
         assert_eq!(r.stacks_enabled, 0);
-        assert_eq!(r.delivery_latency_ns.count, 0);
+        assert_eq!(r.delivery_latency_ns.count, 2);
+        assert_eq!(r.switches.completed, 1);
+        assert_eq!(r.flight_dropped, 3, "one delivery and two lifecycle events evicted");
     }
 
     #[test]

@@ -21,8 +21,12 @@
 //!
 //! Completed records fold into two histograms (blackout and
 //! flush→activate gap) plus a bounded list of raw records for the
-//! flight dump, so the memory footprint is fixed no matter how many
-//! switches a soak performs.
+//! flight dump, so the memory footprint is bounded no matter how many
+//! switches a soak performs. The two histograms are handles: on a
+//! hosted stack they are the shard's, lent for the duration of a drive
+//! call (see [`crate::TelemetrySet`]); what the timeline itself owns is
+//! the open record, the completed count and the retained records, and
+//! a stack that never switches allocates none of it.
 
 use crate::hist::Histogram;
 
@@ -71,8 +75,9 @@ impl SwitchRecord {
     }
 }
 
-/// Per-stack switch timeline: at most one pending record, fixed-size
-/// history, histograms for the two derived windows.
+/// Per-stack switch timeline: at most one pending record, a bounded
+/// history grown one record at a time, histograms for the two derived
+/// windows.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SwitchTimeline {
     pending: Option<SwitchRecord>,
@@ -96,7 +101,7 @@ impl SwitchTimeline {
         SwitchTimeline {
             pending: None,
             completed: 0,
-            recent: Vec::with_capacity(RETAINED_RECORDS),
+            recent: Vec::new(),
             blackout: Histogram::new(),
             swap_gap: Histogram::new(),
         }
@@ -149,6 +154,9 @@ impl SwitchTimeline {
             self.swap_gap.record(g);
         }
         if self.recent.len() < RETAINED_RECORDS {
+            // Exact growth: switches are rare, and `Vec`'s doubling would
+            // hold four records' worth of bytes for a stack's first one.
+            self.recent.reserve_exact(1);
             self.recent.push(done);
         }
         Some(done)
@@ -177,6 +185,13 @@ impl SwitchTimeline {
     /// Flush→activate gap histogram (ns).
     pub fn swap_gap(&self) -> &Histogram {
         &self.swap_gap
+    }
+
+    /// Both derived-window histograms, `(blackout, swap_gap)` — what a
+    /// [`crate::TelemetrySet`] swaps in and out and an aggregate merges
+    /// into.
+    pub(crate) fn hists_mut(&mut self) -> (&mut Histogram, &mut Histogram) {
+        (&mut self.blackout, &mut self.swap_gap)
     }
 
     /// Fold another stack's timeline into this aggregate: histogram

@@ -132,12 +132,17 @@ fn drive_every_loaned_entry_point<H: Host + Copy>(mut host: H) {
     assert!(pool.emitted >= sends, "{sends} sends encoded through the pool: {pool:?}");
     assert_eq!(pool.emitted, pool.reclaimed + pool.allocations);
     assert_eq!(report.stacks, N);
+    // The telemetry set rides the same loan: every packet arrival and
+    // every drained cascade was sampled, into the shard's histograms.
+    assert!(report.scratch_occupancy_bytes.count >= sends - 2, "{report}");
+    assert!(report.cascade_depth.count >= sends - 2, "{report}");
 }
 
 fn assert_residents_untouched(stacks: Vec<Stack>) {
     assert_eq!(stacks.len(), N as usize);
     for s in &stacks {
         assert_eq!(s.wire_stats(), ScratchStats::default(), "{} encoded outside a loan", s.id());
+        assert_eq!(s.telemetry().set_bytes(), 0, "{} holds a histogram or delivery ring", s.id());
     }
 }
 
