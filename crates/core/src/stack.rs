@@ -38,7 +38,7 @@ use bytes::Bytes;
 use dpu_telemetry::{StackTelemetry, TelemetryConfig};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Operation codes of the built-in `net` service (the host boundary).
 pub mod net_ops {
@@ -280,6 +280,14 @@ impl DispatchBuf {
     }
 }
 
+/// The `net` service id, interned once. [`Stack::packet_in`] needs it for
+/// every datagram on every host thread, and [`ServiceId::new`] takes the
+/// process-wide intern pool's lock.
+fn net_service() -> &'static ServiceId {
+    static NET: OnceLock<ServiceId> = OnceLock::new();
+    NET.get_or_init(|| ServiceId::new(crate::svc::NET))
+}
+
 /// The built-in module bound to the `net` service: it turns `net.SEND`
 /// calls into [`HostAction::NetSend`]. Packet arrivals are injected by the
 /// host via [`Stack::packet_in`] and fan out as `net.RECV` responses.
@@ -291,7 +299,7 @@ impl Module for NetBridge {
     }
 
     fn provides(&self) -> Vec<ServiceId> {
-        vec![ServiceId::new(crate::svc::NET)]
+        vec![net_service().clone()]
     }
 
     fn requires(&self) -> Vec<ServiceId> {
@@ -379,7 +387,7 @@ impl Stack {
         };
         let bridge = stack.insert_module(Box::new(NetBridge));
         stack.net_bridge = bridge;
-        stack.bind(&ServiceId::new(crate::svc::NET), bridge);
+        stack.bind(net_service(), bridge);
         stack
     }
 
@@ -609,25 +617,23 @@ impl Stack {
     }
 
     fn enqueue_response(&mut self, resp: Response) {
-        let to: Vec<ModuleId> = self
-            .requirers
-            .get(&resp.service)
-            .map(|v| v.iter().copied().filter(|m| *m != resp.from).collect())
-            .unwrap_or_default();
-        let live: Vec<ModuleId> = to.into_iter().filter(|m| self.modules.contains_key(m)).collect();
+        let mut fanout = 0;
+        for &to in self.requirers.get(&resp.service).map_or(&[][..], Vec::as_slice) {
+            if to != resp.from && self.modules.contains_key(&to) {
+                self.queue.push_back(Delivery::Response { to, resp: resp.clone() });
+                fanout += 1;
+            }
+        }
         self.trace.push(
             self.now,
             TraceEvent::Response {
                 stack: self.id,
-                service: resp.service.clone(),
+                service: resp.service,
                 op: resp.op,
                 from: resp.from,
-                fanout: live.len(),
+                fanout,
             },
         );
-        for m in live {
-            self.queue.push_back(Delivery::Response { to: m, resp: resp.clone() });
-        }
     }
 
     /// Inject a datagram arrival from the network. Fans out as a
@@ -642,7 +648,7 @@ impl Stack {
         self.telemetry.record_scratch_occupancy(self.scratch.mem_bytes() as u64);
         let data = self.scratch.encode(&(src, payload));
         self.enqueue_response(Response {
-            service: ServiceId::new(crate::svc::NET),
+            service: net_service().clone(),
             op: net_ops::RECV,
             data,
             from: self.net_bridge,
@@ -1152,7 +1158,7 @@ mod tests {
         let got = stack.with_module::<Client, _>(client, |c| c.got.clone()).unwrap();
         assert_eq!(got, vec![Bytes::from_static(b"queued")]);
         // Trace captured the block + release.
-        let evs: Vec<_> = stack.trace().events().iter().map(|(_, e)| e).collect();
+        let evs: Vec<_> = stack.trace().events().map(|(_, e)| e).collect();
         assert!(evs.iter().any(|e| matches!(e, TraceEvent::BlockedCall { .. })));
         assert!(evs.iter().any(|e| matches!(e, TraceEvent::ReleasedCall { .. })));
     }
@@ -1358,7 +1364,7 @@ mod tests {
         stack.packet_in(Time(7), StackId(1), Bytes::new());
         stack.timer_fired(Time(8), TimerId(1));
         assert!(!stack.has_work());
-        assert!(stack.trace().events().iter().any(|(_, e)| matches!(e, TraceEvent::Crash { .. })));
+        assert!(stack.trace().events().any(|(_, e)| matches!(e, TraceEvent::Crash { .. })));
     }
 
     #[test]
@@ -1374,7 +1380,6 @@ mod tests {
         assert!(stack
             .trace()
             .events()
-            .iter()
             .any(|(_, e)| matches!(e, TraceEvent::ModuleDestroyed { .. })));
     }
 

@@ -129,26 +129,46 @@ impl TraceEvent {
     }
 }
 
+/// One log entry: when, and what.
+type Entry = (Time, TraceEvent);
+
+/// Entries per storage segment (192 KiB of 48-byte entries): small
+/// enough that a log's unused tail is noise next to what it holds, large
+/// enough that the segment table of a multi-million-entry log stays a
+/// few kilobytes.
+const SEGMENT: usize = 4096;
+
 /// A time-stamped trace of [`TraceEvent`]s, ordered by append time.
 ///
 /// One log typically aggregates the events of *all* stacks of a run (the
 /// simulator interleaves them deterministically), which is what the remote
 /// property — protocol-operationability — needs.
+///
+/// Storage is a table of segments, so a log costs what it holds rather
+/// than the next power of two above it: the first segment grows
+/// geometrically up to the segment size (a small trace stays small),
+/// every later one is allocated whole, and an entry once pushed is never
+/// copied again. A disabled log allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct TraceLog {
-    events: Vec<(Time, TraceEvent)>,
+    /// Non-empty segments in append order; all but the last are full.
+    segments: Vec<Vec<Entry>>,
     enabled: bool,
+    /// Whether some entry is earlier than its predecessor. Hosts push in
+    /// time order, so this stays `false` outside hand-built logs; it is
+    /// what lets [`TraceLog::merge`] stream instead of sort.
+    unsorted: bool,
 }
 
 impl TraceLog {
     /// A log that records events.
     pub fn new() -> TraceLog {
-        TraceLog { events: Vec::new(), enabled: true }
+        TraceLog { enabled: true, ..TraceLog::default() }
     }
 
     /// A log that drops events (zero-overhead for benchmarks).
     pub fn disabled() -> TraceLog {
-        TraceLog { events: Vec::new(), enabled: false }
+        TraceLog::default()
     }
 
     /// Whether this log keeps events.
@@ -159,39 +179,99 @@ impl TraceLog {
     /// Append an event at time `t`.
     pub fn push(&mut self, t: Time, ev: TraceEvent) {
         if self.enabled {
-            self.events.push((t, ev));
+            self.append((t, ev));
+        }
+    }
+
+    fn append(&mut self, entry: Entry) {
+        let tail = self.segments.last();
+        self.unsorted |= tail.and_then(|s| s.last()).is_some_and(|(t, _)| entry.0 < *t);
+        if tail.is_none_or(|s| s.len() == s.capacity()) {
+            self.grow();
+        }
+        self.segments.last_mut().expect("grow leaves a segment with room").push(entry);
+    }
+
+    /// Make room for one more entry at the tail.
+    #[cold]
+    fn grow(&mut self) {
+        match self.segments.last_mut() {
+            // A segment short of `SEGMENT` (the first one, or the tail of
+            // a clone) doubles, which copies it; a full one is left alone.
+            Some(short) if short.capacity() < SEGMENT => {
+                short.reserve_exact(short.capacity().min(SEGMENT - short.capacity()));
+            }
+            Some(_) => self.segments.push(Vec::with_capacity(SEGMENT)),
+            None => self.segments.push(Vec::with_capacity(4)),
         }
     }
 
     /// All recorded events in append order.
-    pub fn events(&self) -> &[(Time, TraceEvent)] {
-        &self.events
+    pub fn events(&self) -> impl Iterator<Item = &(Time, TraceEvent)> {
+        self.segments.iter().flatten()
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.segments.iter().map(Vec::len).sum()
     }
 
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.segments.is_empty()
     }
 
-    /// Structural bytes held by the event vector (capacity × entry
-    /// size; event-internal strings are not walked). Feeds the hosts'
+    /// Structural bytes held: every segment at its capacity plus the
+    /// segment table (event-internal strings are not walked) — at most
+    /// one segment more than `len()` entries' worth. Feeds the hosts'
     /// memory audit — tracing is usually the dominant per-stack cost
     /// when enabled, which is why capacity runs disable it.
     pub fn mem_bytes(&self) -> usize {
-        self.events.capacity() * std::mem::size_of::<(Time, TraceEvent)>()
+        let entries: usize = self.segments.iter().map(Vec::capacity).sum();
+        entries * std::mem::size_of::<Entry>()
+            + self.segments.capacity() * std::mem::size_of::<Vec<Entry>>()
     }
 
     /// Append all events of `other` (e.g. to merge per-stack logs). The
     /// result is re-sorted by time, preserving append order for equal
-    /// times.
+    /// times (and this log's entries before `other`'s).
+    ///
+    /// A stable sort of a concatenation is the stable merge of its two
+    /// stably sorted halves, so two time-ordered logs — what hosts
+    /// produce — are merged in one streaming pass that frees this log's
+    /// old segments as it consumes them; an out-of-order side is sorted
+    /// first.
     pub fn merge(&mut self, other: &TraceLog) {
-        self.events.extend_from_slice(&other.events);
-        self.events.sort_by_key(|(t, _)| *t);
+        if other.unsorted {
+            let mut sorted = other.clone();
+            sorted.sort();
+            return self.merge(&sorted);
+        }
+        if self.unsorted {
+            self.sort();
+        }
+        let mut mine = std::mem::take(&mut self.segments).into_iter().flatten().peekable();
+        let mut theirs = other.events().peekable();
+        loop {
+            let entry = match (mine.peek(), theirs.peek()) {
+                (Some(a), Some(b)) if b.0 < a.0 => theirs.next().cloned(),
+                (Some(_), _) => mine.next(),
+                (None, _) => theirs.next().cloned(),
+            };
+            let Some(entry) = entry else { break };
+            self.append(entry);
+        }
+    }
+
+    /// Stable sort by time (only hand-built logs ever need it).
+    fn sort(&mut self) {
+        let mut all: Vec<Entry> =
+            std::mem::take(&mut self.segments).into_iter().flatten().collect();
+        all.sort_by_key(|(t, _)| *t);
+        self.unsorted = false;
+        for entry in all {
+            self.append(entry);
+        }
     }
 
     /// FNV-1a over the debug rendering of every `(time, event)` pair —
@@ -202,7 +282,7 @@ impl TraceLog {
     /// feed the rendering.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf29ce484222325;
-        for (t, e) in &self.events {
+        for (t, e) in self.events() {
             for b in format!("{}|{:?}\n", t.as_nanos(), e).bytes() {
                 h ^= u64::from(b);
                 h = h.wrapping_mul(0x100000001b3);
@@ -213,13 +293,12 @@ impl TraceLog {
 
     /// Iterate over events of a single stack.
     pub fn for_stack(&self, stack: StackId) -> impl Iterator<Item = &(Time, TraceEvent)> {
-        self.events.iter().filter(move |(_, e)| e.stack() == stack)
+        self.events().filter(move |(_, e)| e.stack() == stack)
     }
 
     /// The set of stacks that crashed in this trace.
     pub fn crashed_stacks(&self) -> std::collections::BTreeSet<StackId> {
-        self.events
-            .iter()
+        self.events()
             .filter_map(|(_, e)| match e {
                 TraceEvent::Crash { stack } => Some(*stack),
                 _ => None,
@@ -266,8 +345,116 @@ mod tests {
         let mut b = TraceLog::new();
         b.push(Time(2), bind(1, "p", 2));
         a.merge(&b);
-        assert_eq!(a.events()[0].0, Time(2));
-        assert_eq!(a.events()[1].0, Time(5));
+        let times: Vec<Time> = a.events().map(|(t, _)| *t).collect();
+        assert_eq!(times, vec![Time(2), Time(5)]);
+    }
+
+    /// The layout the segments replaced — one flat vector, sorted whole
+    /// on merge — kept here as the reference model.
+    #[derive(Clone, Default)]
+    struct Model(Vec<(Time, TraceEvent)>);
+
+    impl Model {
+        fn merge(&mut self, other: &Model) {
+            self.0.extend_from_slice(&other.0);
+            self.0.sort_by_key(|(t, _)| *t);
+        }
+
+        fn fingerprint(&self) -> u64 {
+            let mut h: u64 = 0xcbf29ce484222325;
+            for (t, e) in &self.0 {
+                for b in format!("{}|{:?}\n", t.as_nanos(), e).bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x100000001b3);
+                }
+            }
+            h
+        }
+    }
+
+    /// `len` pushes into a log and the model alike. Module ids count up
+    /// from `first_id`, so every entry is distinguishable; times repeat
+    /// often (ties), and either never decrease or jump about.
+    fn fill(len: usize, first_id: u64, in_order: bool, rng: &mut u64) -> (TraceLog, Model) {
+        let mut next = || {
+            *rng ^= *rng << 13;
+            *rng ^= *rng >> 7;
+            *rng ^= *rng << 17;
+            *rng
+        };
+        let (mut log, mut model) = (TraceLog::new(), Model::default());
+        let mut t = 0;
+        for i in 0..len as u64 {
+            t = if in_order { t + next() % 2 } else { next() % 50 };
+            let ev = bind((next() % 3) as u32, "p", first_id + i);
+            log.push(Time(t), ev.clone());
+            model.0.push((Time(t), ev));
+        }
+        (log, model)
+    }
+
+    fn assert_matches_model(log: &TraceLog, model: &Model) {
+        assert_eq!(log.len(), model.0.len());
+        assert_eq!(log.is_empty(), model.0.is_empty());
+        assert!(log.events().eq(model.0.iter()), "iteration order differs at len {}", log.len());
+        assert_eq!(log.fingerprint(), model.fingerprint());
+        for stack in 0..3 {
+            let expected = model.0.iter().filter(|(_, e)| e.stack() == StackId(stack));
+            assert!(log.for_stack(StackId(stack)).eq(expected));
+        }
+        // Pays for what it holds: at most one segment, and the table
+        // that lists the segments, beyond the entries themselves.
+        let entry = std::mem::size_of::<Entry>();
+        let table = log.segments.capacity() * std::mem::size_of::<Vec<Entry>>();
+        assert!(
+            log.mem_bytes() <= (log.len() + SEGMENT) * entry + table,
+            "{} entries hold {} B",
+            log.len(),
+            log.mem_bytes()
+        );
+    }
+
+    #[test]
+    fn random_pushes_and_merges_match_the_flat_vector_model() {
+        let mut rng = 0x9E3779B97F4A7C15;
+        let lens =
+            [0, 1, 3, 4, 5, 100, SEGMENT - 1, SEGMENT, SEGMENT + 1, 2 * SEGMENT, 2 * SEGMENT + 7];
+        for (i, &len) in lens.iter().enumerate() {
+            for in_order in [true, false] {
+                let (log, model) = fill(len, 0, in_order, &mut rng);
+                assert_matches_model(&log, &model);
+                // Merge with a log of another boundary length, both ways
+                // round and with either side out of order: ties must
+                // keep append order, this log's entries first.
+                let other_len = lens[(i + 3) % lens.len()];
+                for other_in_order in [true, false] {
+                    let (other, other_model) = fill(other_len, 1 << 32, other_in_order, &mut rng);
+                    let (mut merged, mut merged_model) = (log.clone(), model.clone());
+                    merged.merge(&other);
+                    merged_model.merge(&other_model);
+                    assert_matches_model(&merged, &merged_model);
+                    // A merged log keeps taking pushes and merges.
+                    merged.push(Time(7), bind(0, "q", 1));
+                    merged_model.0.push((Time(7), bind(0, "q", 1)));
+                    merged.merge(&log);
+                    merged_model.merge(&model);
+                    assert_matches_model(&merged, &merged_model);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_small_trace_stays_small_and_a_disabled_one_allocates_nothing() {
+        let mut rng = 1;
+        let (log, _) = fill(5, 0, true, &mut rng);
+        assert!(log.mem_bytes() <= 16 * std::mem::size_of::<Entry>());
+        let mut off = TraceLog::disabled();
+        for i in 0..3 * SEGMENT as u64 {
+            off.push(Time(i), bind(0, "p", i));
+        }
+        assert_eq!(off.mem_bytes(), 0);
+        assert_eq!(off.segments.capacity(), 0);
     }
 
     #[test]

@@ -106,19 +106,16 @@ proptest! {
         let trace = stack.trace();
         let blocked = trace
             .events()
-            .iter()
             .filter(|(_, e)| matches!(e, TraceEvent::BlockedCall { .. }))
             .count();
         let released = trace
             .events()
-            .iter()
             .filter(|(_, e)| matches!(e, TraceEvent::ReleasedCall { .. }))
             .count();
         prop_assert_eq!(blocked, released, "all blocked calls must be released");
         // 3. Dispatched + blocked = issued.
         let direct = trace
             .events()
-            .iter()
             .filter(|(_, e)| {
                 matches!(e, TraceEvent::Call { service, .. } if service.name() == "p")
             })

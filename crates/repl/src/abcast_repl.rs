@@ -43,13 +43,43 @@
 //! old module may still respond (§2 explicitly allows it), the guard
 //! discards stale `newABcast` deliveries the same way stale `nil` ones
 //! are discarded.
+//!
+//! A second deviation: **retirement**. Line 12 only unbinds, and §2 lets
+//! an unbound module stay (and respond); the listing never removes it.
+//! Left at that, every replaced incarnation keeps receiving — and being
+//! charged for — each response of the services it requires, so the cost
+//! of a message grows with the number of replacements behind it, and
+//! latency after a replacement does not return to what it was before
+//! (the opposite of Figure 5). §3 states when a module may go: once no
+//! stack has it bound. This module learns that from the total order, at
+//! zero messages: when it applies the switch to `sn` it remembers the
+//! outgoing provider as *pending* and starts an empty set of origins
+//! heard at `sn`; every `Adeliver(nil, sn = seqNumber, id)` marks
+//! `id`'s origin; once every member of the group is marked, all pending
+//! modules are destroyed. A switch that lands before the previous
+//! incarnation was retired appends to the pending list and starts the
+//! set afresh, so hearing everyone at the newer `sn` retires them all.
+//!
+//! Why it is safe: a message tagged `sn` was ABcast by its origin
+//! *after* the origin ran lines 11–14 for `sn`, so that origin has
+//! nothing older bound, and whatever an older incarnation could still
+//! deliver anywhere is discarded by line 18. A stack that lags behind
+//! the switch is, for that very reason, never heard at `sn`, so nobody
+//! pulls the old protocol out from under it — including protocols that
+//! relay through their peers' old modules (ring, hier). A crashed or
+//! silent peer is never heard either and pins retirement: the replaced
+//! modules then stay, exactly as the listing has it, and the gap shows
+//! as `completed − retired` in the telemetry report and as
+//! [`ReplAbcastModule::pending_retirement`] here. No timer, no message,
+//! no option; the bookkeeping is one bit per group member plus the
+//! pending ids, allocated by the first switch.
 
 use crate::CHANGE_OP;
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Time;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, Module, ModuleSpec, Response, ServiceId, StackId};
+use dpu_core::{Call, Module, ModuleId, ModuleSpec, Response, ServiceId, StackId};
 use dpu_protocols::abcast::ops as ab_ops;
 use std::collections::BTreeMap;
 
@@ -158,10 +188,18 @@ pub struct ReplAbcastModule {
     /// locally-sent messages are tracked (line 8 runs on the sender).
     undelivered: BTreeMap<(StackId, u64), Bytes>,
     next_id: u64,
+    // ---- retirement (see the module docs) ----
+    /// Replaced providers still in the stack, oldest first.
+    pending: Vec<ModuleId>,
+    /// One bit per entry of `ctx.peers()`: set once that stack's message
+    /// tagged with the current `seqNumber` was adelivered here. Empty
+    /// until the first switch.
+    heard: Box<[u64]>,
+    /// Clear bits left in `heard`.
+    unheard: u32,
+    retired_total: u32,
     // ---- instrumentation (not part of the algorithm) ----
-    switches_applied: u64,
     reissued_total: u64,
-    last_switch_at: Option<Time>,
     switch_times: Vec<Time>,
     delivered_count: u64,
 }
@@ -176,9 +214,11 @@ impl ReplAbcastModule {
             seq_number: 0,
             undelivered: BTreeMap::new(),
             next_id: 0,
-            switches_applied: 0,
+            pending: Vec::new(),
+            heard: Box::default(),
+            unheard: 0,
+            retired_total: 0,
             reissued_total: 0,
-            last_switch_at: None,
             switch_times: Vec::new(),
             delivered_count: 0,
         }
@@ -208,7 +248,19 @@ impl ReplAbcastModule {
 
     /// How many replacements this stack has applied.
     pub fn switches_applied(&self) -> u64 {
-        self.switches_applied
+        self.switch_times.len() as u64
+    }
+
+    /// Replaced modules this stack has destroyed, over all switches.
+    pub fn retired_total(&self) -> u64 {
+        u64::from(self.retired_total)
+    }
+
+    /// Replaced modules still in the stack, waiting for every member of
+    /// the group to be heard under the current protocol. Stays non-zero
+    /// for as long as a peer is crashed or silent.
+    pub fn pending_retirement(&self) -> usize {
+        self.pending.len()
     }
 
     /// Total messages re-issued across all switches (lines 15–16).
@@ -218,7 +270,7 @@ impl ReplAbcastModule {
 
     /// Virtual time at which the last replacement was applied locally.
     pub fn last_switch_at(&self) -> Option<Time> {
-        self.last_switch_at
+        self.switch_times.last().copied()
     }
 
     /// Local application times of every replacement, in order. The
@@ -236,6 +288,43 @@ impl ReplAbcastModule {
     fn abcast(&self, ctx: &mut ModuleCtx<'_>, payload: &ReplPayload) {
         let data = ctx.encode(payload);
         ctx.call(&self.required, ab_ops::ABCAST, data);
+    }
+
+    /// The switch to the current `seqNumber` is being applied: `outgoing`
+    /// joins the pending list and nobody has been heard yet.
+    fn await_retirement(&mut self, outgoing: Option<ModuleId>, group: usize) {
+        if let Some(module) = outgoing {
+            self.pending.reserve_exact(1);
+            self.pending.push(module);
+        }
+        self.heard = vec![0; group.div_ceil(64)].into();
+        self.unheard = u32::try_from(group).expect("stack ids are u32");
+    }
+
+    /// `origin` has a message tagged with the current `seqNumber` in the
+    /// total order, so it has switched. Once the whole group has, no
+    /// stack has a pending module bound any more: destroy them.
+    fn heard_from(&mut self, ctx: &mut ModuleCtx<'_>, origin: StackId) {
+        let peers = ctx.peers();
+        // Every host numbers its group 0..n; search only if one does not.
+        let identity = (peers.get(origin.idx()) == Some(&origin)).then_some(origin.idx());
+        let Some(idx) = identity.or_else(|| peers.iter().position(|p| *p == origin)) else {
+            return; // not a member of the group
+        };
+        let bit = 1u64 << (idx % 64);
+        if self.heard[idx / 64] & bit != 0 {
+            return;
+        }
+        self.heard[idx / 64] |= bit;
+        self.unheard -= 1;
+        if self.unheard == 0 {
+            let retired = self.pending.len() as u32;
+            for module in self.pending.drain(..) {
+                ctx.destroy_module(module);
+            }
+            self.retired_total += retired;
+            ctx.telemetry().note_retired(retired);
+        }
     }
 }
 
@@ -294,6 +383,8 @@ impl Module for ReplAbcastModule {
                                       // all delivered or reissued, so "flushed" coincides with
                                       // the unbind of the outgoing provider.
                 ctx.telemetry().switch_flushed(now_ns);
+                let outgoing = ctx.bound(&self.required);
+                self.await_retirement(outgoing, ctx.peers().len());
                 ctx.unbind(&self.required); // line 12
                 match ctx.create_module(&spec) {
                     // lines 13–14 (create_module binds the new provider
@@ -309,8 +400,8 @@ impl Module for ReplAbcastModule {
                 }
                 let activated_ns = ctx.now().as_nanos();
                 ctx.telemetry().switch_activated(activated_ns);
-                self.switches_applied += 1;
-                self.last_switch_at = Some(ctx.now());
+                // Exact growth, like the timeline's records: switches are rare.
+                self.switch_times.reserve_exact(1);
                 self.switch_times.push(ctx.now());
                 // Lines 15–16: reissue undelivered under the new protocol.
                 let reissue: Vec<((StackId, u64), Bytes)> =
@@ -327,6 +418,9 @@ impl Module for ReplAbcastModule {
                 }
                 self.undelivered.remove(&id); // lines 19–20
                 self.delivered_count += 1;
+                if !self.pending.is_empty() {
+                    self.heard_from(ctx, id.0);
+                }
                 // Closes the blackout window on the first post-switch
                 // delivery regardless of whether the consumer above
                 // timestamps its messages.

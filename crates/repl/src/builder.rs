@@ -525,6 +525,7 @@ mod tests {
     use crate::abcast_repl::ReplAbcastModule;
     use crate::graceful::GracefulSwitcher;
     use crate::maestro::MaestroSwitcher;
+    use dpu_core::trace::TraceEvent;
     use dpu_protocols::abcast::ct::{CtAbcastParams, KIND as CT_KIND};
     use dpu_protocols::abcast::ring::{RingAbcastParams, KIND as RING_KIND};
     use dpu_protocols::abcast::sequencer::{SeqAbcastParams, KIND as SEQ_KIND};
@@ -959,6 +960,54 @@ mod tests {
             stack.module_kind(old_bound).is_some(),
             "the old module remains in the stack (unbound)"
         );
+    }
+
+    #[test]
+    fn old_module_is_retired_once_every_stack_was_heard_on_the_new_protocol() {
+        // The complement of the test above: one probe from every stack
+        // later, each stack knows no stack has the old module bound, and
+        // it is gone — without the outgoing protocol ever having been
+        // pulled from under a stack that still had it bound.
+        let opts = GroupStackOpts::default();
+        let (mut sim, h) = group_sim(SimConfig::lan(3, 47), &opts);
+        sim.run_until(Time::ZERO + Dur::millis(300));
+        let abcast = ServiceId::new(dpu_protocols::ABCAST_SVC);
+        let old_bound = sim.stack(StackId(0)).bound(&abcast).unwrap();
+        request_change(&mut sim, StackId(0), &h, &seq_spec(1, dpu_protocols::ABCAST_SVC));
+        sim.run_until(Time::ZERO + Dur::secs(4));
+        assert!(sim.stack(StackId(0)).module_kind(old_bound).is_some(), "nobody heard yet");
+        for i in 0..3 {
+            send_probe(&mut sim, StackId(i), &h);
+        }
+        sim.run_until(Time::ZERO + Dur::secs(8));
+        let layer = h.layer.unwrap();
+        for id in sim.stack_ids() {
+            assert!(sim.stack(id).module_kind(old_bound).is_none(), "{id} keeps the old module");
+            let (retired, pending) = sim.with_stack(id, |s| {
+                s.with_module::<ReplAbcastModule, _>(layer, |m| {
+                    (m.retired_total(), m.pending_retirement())
+                })
+                .unwrap()
+            });
+            assert_eq!((retired, pending), (1, 0), "{id}");
+        }
+        let report = sim.telemetry_report();
+        assert_eq!((report.switches.completed, report.switches.retired), (3, 3));
+        let stacks = sim.stack_ids();
+        let trace = sim.merged_trace();
+        let destroyed = trace
+            .events()
+            .filter(
+                |(_, e)| matches!(e, TraceEvent::ModuleDestroyed { kind, .. } if kind == CT_KIND),
+            )
+            .count();
+        assert_eq!(destroyed, 3, "one ModuleDestroyed per stack");
+        // Same verdict as without retirement: every bind of a ct module
+        // found a live ct module on every other stack.
+        let op = props::check_protocol_operationability(&trace, CT_KIND, &stacks);
+        assert!(op.strong && op.weak, "{:?}", op.violations);
+        let op = props::check_protocol_operationability(&trace, SEQ_KIND, &stacks);
+        assert!(op.weak, "{:?}", op.violations);
     }
 
     #[test]

@@ -142,6 +142,10 @@ pub struct TelemetryState {
     flight_capacity: u32,
     /// This stack's id, stamped on every flight event.
     stack: u32,
+    /// Replaced modules this stack has destroyed since (see
+    /// [`StackTelemetry::note_retired`]). Sits in what was padding: the
+    /// inline state does not grow for it.
+    retired: u32,
 }
 
 /// One stack's telemetry: embedded in every `Stack`, single-threaded
@@ -167,6 +171,7 @@ impl StackTelemetry {
                 cascade_run: 0,
                 flight_capacity: u32::try_from(cfg.flight_capacity).unwrap_or(u32::MAX),
                 stack,
+                retired: 0,
             },
         }
     }
@@ -293,6 +298,16 @@ impl StackTelemetry {
     pub fn switch_activated(&mut self, now_ns: u64) {
         self.state.switches.activated(now_ns);
         self.lifecycle(now_ns, FlightKind::SwitchActivated, self.pending_ordinal());
+    }
+
+    /// The switch layer destroyed `modules` replaced incarnations that no
+    /// stack has bound any more. Against the completed count this says
+    /// how many replaced modules still ride along — a gap that stays open
+    /// points at a crashed or silent peer. (Each destruction also lands
+    /// in the lifecycle ring, via [`Self::note_module_destroyed`].)
+    #[inline]
+    pub fn note_retired(&mut self, modules: u32) {
+        self.state.retired += modules;
     }
 
     /// The stack crashed (fail-stop).

@@ -116,6 +116,12 @@ impl SocketCounters {
 pub struct SwitchSummary {
     /// Completed switches (summed over stacks).
     pub completed: u64,
+    /// Replaced modules destroyed once no stack had them bound (summed
+    /// over stacks). `completed − retired` replaced modules are still in
+    /// their stacks; the gap closes when every member of the group has
+    /// been heard under the new protocol, and stays open while a peer is
+    /// crashed or silent.
+    pub retired: u64,
     /// Blackout window (`first_delivery − requested`), nanoseconds.
     pub blackout_ns: HistSummary,
     /// Flush→activate gap, nanoseconds.
@@ -144,6 +150,8 @@ pub struct TelemetryAggregate {
     pub reseq_depth: Histogram,
     /// Merged switch timelines.
     pub switches: SwitchTimeline,
+    /// Replaced modules destroyed by the switch layer, summed over stacks.
+    pub modules_retired: u64,
     /// Flight-recorder events evicted across all rings.
     pub flight_dropped: u64,
 }
@@ -173,6 +181,7 @@ impl TelemetryAggregate {
         self.scratch_occupancy.merge(&state.scratch_occupancy);
         self.reseq_depth.merge(&state.reseq_depth);
         self.switches.merge(&state.switches);
+        self.modules_retired += u64::from(state.retired);
         self.flight_dropped += state.flight.dropped() + state.deliveries.dropped();
     }
 
@@ -198,6 +207,7 @@ impl TelemetryAggregate {
         self.scratch_occupancy.merge(&other.scratch_occupancy);
         self.reseq_depth.merge(&other.reseq_depth);
         self.switches.merge(&other.switches);
+        self.modules_retired += other.modules_retired;
         self.flight_dropped += other.flight_dropped;
     }
 
@@ -214,6 +224,7 @@ impl TelemetryAggregate {
             reseq_depth: self.reseq_depth.summary(),
             switches: SwitchSummary {
                 completed: self.switches.completed(),
+                retired: self.modules_retired,
                 blackout_ns: self.switches.blackout().summary(),
                 swap_gap_ns: self.switches.swap_gap().summary(),
             },
@@ -296,7 +307,10 @@ impl TelemetryReport {
         write_hist(w, "cascade_depth", &self.cascade_depth);
         write_hist(w, "scratch_occupancy_bytes", &self.scratch_occupancy_bytes);
         write_hist(w, "reseq_depth", &self.reseq_depth);
-        w.key("switches").begin_obj().field_u64("completed", self.switches.completed);
+        w.key("switches")
+            .begin_obj()
+            .field_u64("completed", self.switches.completed)
+            .field_u64("retired", self.switches.retired);
         write_hist(w, "blackout_ns", &self.switches.blackout_ns);
         write_hist(w, "swap_gap_ns", &self.switches.swap_gap_ns);
         w.end_obj();
@@ -348,7 +362,11 @@ impl fmt::Display for TelemetryReport {
         fmt_hist(f, "cascade depth", "steps", &self.cascade_depth)?;
         fmt_hist(f, "scratch occupancy", "B", &self.scratch_occupancy_bytes)?;
         fmt_hist(f, "reseq depth", "msgs", &self.reseq_depth)?;
-        writeln!(f, "  switches                 completed={}", self.switches.completed)?;
+        writeln!(
+            f,
+            "  switches                 completed={} retired={}",
+            self.switches.completed, self.switches.retired
+        )?;
         fmt_hist(f, "  blackout window", "ns", &self.switches.blackout_ns)?;
         fmt_hist(f, "  flush\u{2192}activate gap", "ns", &self.switches.swap_gap_ns)?;
         writeln!(

@@ -69,6 +69,67 @@ fn the_paper_experiment_n7_ct_to_ct_under_constant_load() {
 }
 
 #[test]
+fn latency_returns_to_normal_after_every_one_of_eight_replacements() {
+    // Figure 5's claim, held to the eighth replacement as to the first:
+    // n = 7, ct → ct every 500 ms under constant load. The mean latency
+    // of messages sent after the last replacement is within 15 % of the
+    // mean before the first, and no stack drags its replaced modules
+    // along (at most the very last one, if its retirement is pending).
+    const SWITCHES: u64 = 8;
+    let (mut sim, h) = group_sim(SimConfig::lan(7, 42), &opts(SwitchLayer::Repl));
+    sim.run_until(Time::ZERO + Dur::millis(500));
+    let first = sim.now() + Dur::secs(1);
+    let last = first + Dur::millis(500) * (SWITCHES - 1);
+    let until = last + Dur::secs(1);
+    drive_load(&mut sim, &h, 100.0, until);
+    for k in 0..SWITCHES {
+        let h = h.clone();
+        sim.schedule(first + Dur::millis(500) * k, move |sim| {
+            request_change(sim, StackId((k % 7) as u32), &h, &specs::ct(k + 1));
+        });
+    }
+    sim.run_until(until + Dur::secs(6));
+    check_run(&mut sim, &h).assert_ok();
+
+    let (layer, probe) = (h.layer.unwrap(), h.probe.unwrap());
+    let (mut before, mut after) = (Vec::new(), Vec::new());
+    for id in sim.stack_ids() {
+        let (sn, recs) = sim.with_stack(id, |s| {
+            let sn = s.with_module::<ReplAbcastModule, _>(layer, |m| m.seq_number()).unwrap();
+            let recs = s
+                .with_module::<dpu_core::probe::Probe, _>(probe, |p| p.delivered().to_vec())
+                .unwrap();
+            (sn, recs)
+        });
+        assert_eq!(sn, SWITCHES, "stack {id}");
+        for r in recs {
+            if r.sent_at < first {
+                before.push(r.latency().as_millis_f64());
+            } else if r.sent_at >= last + Dur::millis(300) {
+                after.push(r.latency().as_millis_f64());
+            }
+        }
+        let stack = sim.stack(id);
+        let bound = stack.bound(&dpu_protocols::ABCAST_SVC.into());
+        let unbound = stack
+            .modules()
+            .filter(|(m, kind)| kind.starts_with("abcast.") && Some(*m) != bound)
+            .count();
+        assert!(unbound <= 1, "stack {id} still carries {unbound} replaced abcast modules");
+    }
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+    assert!(before.len() > 100 && after.len() > 100, "{} / {}", before.len(), after.len());
+    let drift = mean(&after) / mean(&before) - 1.0;
+    assert!(
+        drift.abs() <= 0.15,
+        "mean latency {:.3} ms before the first replacement, {:.3} ms after the eighth ({:+.1} %)",
+        mean(&before),
+        mean(&after),
+        drift * 100.0
+    );
+}
+
+#[test]
 fn application_is_never_blocked_by_algorithm_1() {
     // §5.3: "the application on top of the stack is never blocked". In
     // trace terms: no call on the application-facing service is ever
@@ -85,7 +146,6 @@ fn application_is_never_blocked_by_algorithm_1() {
     let trace = sim.merged_trace();
     let blocked_app_calls = trace
         .events()
-        .iter()
         .filter(|(_, e)| {
             matches!(e, TraceEvent::BlockedCall { service, .. } if *service == h.top_service)
         })

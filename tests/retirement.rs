@@ -1,0 +1,216 @@
+//! Retirement of replaced incarnations (the second stated deviation in
+//! `dpu_repl::abcast_repl`): a replaced module goes once every stack has
+//! been heard under the new protocol — never earlier, whatever the
+//! outgoing protocol relays through its peers; a stack that lags keeps
+//! the old protocol alive everywhere; a crashed peer pins it.
+
+use dpu::repl::builder::{
+    check_run, drive_load, group_sim, request_change, specs, GroupStackOpts, Handles,
+};
+use dpu::sim::{NetConfig, Sim, SimConfig, Topology};
+use dpu_core::time::{Dur, Time};
+use dpu_core::trace::{TraceEvent, TraceLog};
+use dpu_core::{ModuleId, ModuleSpec, StackId};
+use dpu_repl::abcast_repl::ReplAbcastModule;
+use std::collections::BTreeMap;
+
+/// `(seqNumber, retired, pending)` of the replacement module on `id`.
+fn repl_state(sim: &mut Sim, h: &Handles, id: StackId) -> (u64, u64, usize) {
+    let layer = h.layer.expect("replacement layer present");
+    sim.with_stack(id, |s| {
+        s.with_module::<ReplAbcastModule, _>(layer, |m| {
+            (m.seq_number(), m.retired_total(), m.pending_retirement())
+        })
+        .expect("replacement module")
+    })
+}
+
+/// Unbound `abcast.*` modules still in stack `id`.
+fn unbound_abcast_modules(sim: &Sim, id: StackId) -> usize {
+    let stack = sim.stack(id);
+    let bound = stack.bound(&dpu_protocols::ABCAST_SVC.into());
+    stack.modules().filter(|(m, kind)| kind.starts_with("abcast.") && Some(*m) != bound).count()
+}
+
+/// The safety half of the rule, read off the trace: when stack `i`
+/// destroys its k-th abcast incarnation, every stack has already
+/// unbound *its* k-th (construction is deterministic, so the k-th
+/// `abcast.*` module created on each stack is the same incarnation).
+fn assert_nothing_destroyed_while_bound_anywhere(trace: &TraceLog, stacks: &[StackId]) {
+    let mut incarnations: BTreeMap<StackId, Vec<ModuleId>> = BTreeMap::new();
+    let mut unbound_at: BTreeMap<(StackId, usize), Time> = BTreeMap::new();
+    let mut destroyed = Vec::new();
+    for (t, ev) in trace.events() {
+        match ev {
+            TraceEvent::ModuleCreated { stack, module, kind } if kind.starts_with("abcast.") => {
+                incarnations.entry(*stack).or_default().push(*module);
+            }
+            TraceEvent::Unbind { stack, module, .. } => {
+                let of_stack = incarnations.get(stack).map_or(&[][..], Vec::as_slice);
+                if let Some(k) = of_stack.iter().position(|m| m == module) {
+                    unbound_at.insert((*stack, k), *t);
+                }
+            }
+            TraceEvent::ModuleDestroyed { stack, module, kind } if kind.starts_with("abcast.") => {
+                let k = incarnations[stack].iter().position(|m| m == module).expect("created");
+                destroyed.push((*t, *stack, k));
+            }
+            _ => {}
+        }
+    }
+    for (t, stack, k) in destroyed {
+        for j in stacks {
+            let unbound = unbound_at.get(&(*j, k));
+            assert!(
+                unbound.is_some_and(|u| *u <= t),
+                "{stack} destroyed abcast incarnation {k} at {t}, but {j} unbound it at {unbound:?}"
+            );
+        }
+    }
+}
+
+/// One stack hears everything 100 ms late (its outbound links are
+/// healthy) while the group replaces `spec(0)` by `spec(1)` by `spec(2)`
+/// in quick succession: the others finish both replacements before the
+/// laggard has applied the first. (Not later than that: from 150 ms on,
+/// ct loses the laggard for good — new-protocol traffic that reaches a
+/// stack ahead of its own switch is dropped, retirement or no
+/// retirement; see ROADMAP.)
+fn laggard_across_two_replacements(spec: fn(u64) -> ModuleSpec, seed: u64) {
+    const N: u32 = 4;
+    let laggard = StackId(N - 1);
+    let mut topology = Topology::flat(NetConfig::lan());
+    let held_back = NetConfig { latency: Dur::millis(100), jitter: Dur::ZERO, ..NetConfig::lan() };
+    for src in 0..N - 1 {
+        topology.set_link(StackId(src), laggard, held_back.clone());
+    }
+    let cfg = SimConfig { topology: Some(topology), ..SimConfig::lan(N, seed) };
+    let opts = GroupStackOpts { abcast: spec(0), ..GroupStackOpts::default() };
+    let (mut sim, h) = group_sim(cfg, &opts);
+    let ids = sim.stack_ids();
+    let prompt = &ids[..ids.len() - 1];
+    sim.run_until(Time::ZERO + Dur::secs(1));
+    let load_end = sim.now() + Dur::secs(4);
+    drive_load(&mut sim, &h, 40.0, load_end);
+
+    // The stack just before the laggard in id order requests each
+    // replacement as soon as it has applied the one before (under ring
+    // the token then reaches it before it reaches the laggard). Step in
+    // 1 ms slices and hold the rule at every one of them: no stack has
+    // retired more incarnations than the slowest stack has unbound.
+    let requester = StackId(N - 2);
+    let mut requested = 0;
+    let mut held_back_across_both = false;
+    while sim.now() < load_end + Dur::secs(4) {
+        let state: Vec<(u64, u64, usize)> =
+            ids.iter().map(|&id| repl_state(&mut sim, &h, id)).collect();
+        let slowest = state.iter().map(|s| s.0).min().unwrap();
+        for (id, (sn, retired, _)) in ids.iter().zip(&state) {
+            assert!(
+                *retired <= slowest,
+                "{id} (sn {sn}) retired {retired} incarnations while a stack is still at sn {slowest}"
+            );
+        }
+        let prompt_done = state[..prompt.len()].iter().all(|s| s.0 == 2);
+        held_back_across_both |= prompt_done && state[prompt.len()].0 == 0;
+        let warm = sim.now() >= Time::ZERO + Dur::secs(2);
+        if warm && requested < 2 && state[requester.idx()].0 == requested {
+            requested += 1;
+            request_change(&mut sim, requester, &h, &spec(requested));
+        }
+        let next = sim.now() + Dur::millis(1);
+        sim.run_until(next);
+    }
+    assert!(
+        held_back_across_both,
+        "the scenario must hold the laggard back across both replacements"
+    );
+
+    // The laggard applied both switches, was heard, and everything went.
+    for &id in &ids {
+        assert_eq!(repl_state(&mut sim, &h, id), (2, 2, 0), "{id}: (sn, retired, pending)");
+        assert_eq!(unbound_abcast_modules(&sim, id), 0, "{id}");
+    }
+    let report = check_run(&mut sim, &h);
+    report.assert_ok();
+    let sent = report.checker.broadcast_count();
+    for &id in &ids {
+        assert_eq!(report.checker.delivery_count(id), sent, "{id} missed deliveries");
+    }
+}
+
+#[test]
+fn laggard_keeps_outgoing_ct_alive_everywhere() {
+    laggard_across_two_replacements(specs::ct, 61);
+}
+
+#[test]
+fn laggard_keeps_outgoing_seq_alive_everywhere() {
+    laggard_across_two_replacements(specs::seq, 62);
+}
+
+#[test]
+fn laggard_keeps_outgoing_ring_alive_everywhere() {
+    laggard_across_two_replacements(specs::ring, 63);
+}
+
+#[test]
+fn laggard_keeps_outgoing_hier_alive_everywhere() {
+    laggard_across_two_replacements(specs::hier, 64);
+}
+
+#[test]
+fn retirement_never_precedes_the_last_unbind_in_the_trace() {
+    // Three replacements under load, cycling through the protocols; the
+    // merged trace must show every destruction after every stack's
+    // unbind of that incarnation.
+    let (mut sim, h) = group_sim(SimConfig::lan(5, 71), &GroupStackOpts::default());
+    sim.run_until(Time::ZERO + Dur::millis(300));
+    let until = sim.now() + Dur::secs(4);
+    drive_load(&mut sim, &h, 100.0, until);
+    for (k, spec) in [specs::ring(1), specs::hier(2), specs::seq(3)].into_iter().enumerate() {
+        let h = h.clone();
+        sim.schedule_in(Dur::secs(1 + k as u64), move |sim| {
+            request_change(sim, StackId(k as u32), &h, &spec)
+        });
+    }
+    sim.run_until(until + Dur::secs(4));
+    let ids = sim.stack_ids();
+    for &id in &ids {
+        assert_eq!(repl_state(&mut sim, &h, id), (3, 3, 0), "{id}: (sn, retired, pending)");
+    }
+    let trace = sim.merged_trace();
+    assert_nothing_destroyed_while_bound_anywhere(&trace, &ids);
+    let destroyed = trace
+        .events()
+        .filter(|(_, e)| matches!(e, TraceEvent::ModuleDestroyed { kind, .. } if kind.starts_with("abcast.")))
+        .count();
+    assert_eq!(destroyed, 3 * ids.len());
+}
+
+#[test]
+fn a_crashed_peer_pins_retirement_and_the_report_shows_it() {
+    // ct tolerates the crash, so the group keeps working and keeps
+    // replacing; but the crashed stack is never heard under the new
+    // protocol, so the replaced modules stay — the listing's behaviour.
+    let (mut sim, h) = group_sim(SimConfig::lan(3, 73), &GroupStackOpts::default());
+    sim.run_until(Time::ZERO + Dur::millis(300));
+    let until = sim.now() + Dur::secs(4);
+    drive_load(&mut sim, &h, 60.0, until);
+    sim.crash_at(Time::ZERO + Dur::millis(800), StackId(2));
+    for k in 1..=2u64 {
+        let h = h.clone();
+        sim.schedule_in(Dur::secs(k), move |sim| {
+            request_change(sim, StackId(0), &h, &specs::ct(k))
+        });
+    }
+    sim.run_until(until + Dur::secs(6));
+    for id in [StackId(0), StackId(1)] {
+        assert_eq!(repl_state(&mut sim, &h, id), (2, 0, 2), "{id}: (sn, retired, pending)");
+        assert_eq!(unbound_abcast_modules(&sim, id), 2, "{id}");
+    }
+    let report = sim.telemetry_report();
+    assert_eq!(report.switches.completed, 4, "two live stacks, two replacements each");
+    assert_eq!(report.switches.retired, 0, "completed − retired = replaced modules riding along");
+    check_run(&mut sim, &h).assert_ok();
+}
