@@ -3,8 +3,7 @@
 //! 1,048,576-stack row, the ROADMAP's million-stack target made
 //! visible in-tree.
 //!
-//! Unlike the structural `bytes/stack` estimate in `SimReport`, the
-//! numbers here come from a counting `GlobalAlloc`
+//! The numbers come from a counting `GlobalAlloc`
 //! (`dpu_bench::mem::CountingAlloc`): every row reports live heap
 //! bytes after construction and after the timed run window (the
 //! steady-state population, in-flight datagrams included), divided by

@@ -1,47 +1,6 @@
-//! Generates `BENCH_sim.json`: the simulator-scalability baseline — event
-//! throughput of the single-heap scheduler vs. the hierarchical
-//! timing-wheel calendar queue at n = 16 / 256 / 1024, committed so the
-//! perf trajectory of the discrete-event core is visible in-tree (the
-//! `BENCH_wire.json` pattern applied to the scheduler).
-//!
-//! Two measurements:
-//!
-//! * **scheduler microbenchmark** — push/pop throughput of
-//!   [`dpu_sim::sched::Scheduler`] alone, on structurally realistic
-//!   standing populations: one pending step per node (immediate
-//!   reschedule at modeled CPU cost, the dominant event class in real
-//!   runs — `SimStats` from the 1024-stack soak shows steps ≈ 5× packet
-//!   deliveries), one armed wake per node, one protocol timer per node,
-//!   and a per-profile population of in-flight datagrams:
-//!   - `lan_steady` — 13 packets/node at 20–150 µs flight times;
-//!   - `datacenter_burst` — 61 packets/node at 10–90 µs (fan-out
-//!     bursts: one sequencer broadcast alone puts n packets in flight);
-//!   - `wan_sustained` — 509 packets/node at 15–50 ms flight + NIC
-//!     queueing (geo-replication: at 15 ms one-way latency, a thousand
-//!     nodes exchanging a few thousand datagrams/s each keep hundreds
-//!     of thousands of datagrams in flight).
-//!
-//!   Each pop pushes a same-class replacement, so the population shape
-//!   is stationary. This isolates the data structure the refactor
-//!   replaced: the single `BinaryHeap` pays `O(log E)` sifts of
-//!   full-size payloads per event, the wheel `O(1)` bucket pushes and
-//!   24-byte key moves.
-//! * **end-to-end simulation** — the full Figure-4 stack (sequencer
-//!   ABcast) on a clustered datacenter topology under open-loop Poisson
-//!   load, measured as dispatched events per wall-clock second. Both
-//!   schedulers produce *identical* runs (asserted) — only the wall
-//!   clock differs.
-//!
-//! Usage: `cargo run --release -p dpu-bench --bin bench_sim [out.json]`
-//! (default output path `BENCH_sim.json` in the current directory).
-//! Absolute rates vary with the host; the committed baseline records
-//! the machine-independent speedup ratios alongside them.
-//!
-//! # Parallel-engine mode
-//!
-//! `bench_sim --workers N [--quick] [out.json]` benchmarks the
-//! conservative parallel engine instead and writes `BENCH_par.json`:
-//! serial (1-worker) vs N-worker wall clock and events/sec on two
+//! Generates `BENCH_par.json`: the conservative parallel engine's
+//! baseline. `bench_sim --workers N [--quick] [out.json]` measures
+//! serial (1-worker) vs N-worker wall clock and events/sec on three
 //! 16-cluster scenarios at n ∈ {256, 1024} —
 //!
 //! * `datagram_soak` — timer-driven symmetric datagram load
@@ -50,7 +9,9 @@
 //! * `abcast_switch_soak` — the `sim_scale_soak` scenario (sequencer
 //!   ABcast under Poisson load): the sequencer's cluster is the hot
 //!   shard, so the *available* parallelism (sum of per-shard events
-//!   over the max) caps the speedup well below the worker count.
+//!   over the max) caps the speedup well below the worker count;
+//! * `abcast_hier_soak` — the same load on the hierarchical variant,
+//!   whose per-cluster sequencers spread that fan-out over all shards.
 //!
 //! Every pair of runs is asserted to produce identical `SimStats` — the
 //! CI short profile (`--workers 4 --quick`) exists for that assertion.
@@ -58,52 +19,20 @@
 //! JSON records `host_cores` so single-core regenerations are
 //! recognizable, alongside the core-count-independent
 //! `available_parallelism` load-balance metric.
+//!
+//! The committed `BENCH_sim.json` (single heap vs timing wheel) was this
+//! binary's other mode; it is frozen — the heap it measured left the
+//! product, and the whole-system benchmark's `sim.sched_ns_per_op`
+//! times the same pop+push turnover on the wheel.
 
-use dpu_bench::synth::{datagram_soak_sim, delta, populate, FakeEvent, Profile, PROFILES};
-use dpu_bench::JsonWriter;
+use dpu_bench::synth::datagram_soak_sim;
+use dpu_bench::{Args, JsonWriter};
 use dpu_core::telemetry::HistSummary;
 use dpu_core::time::{Dur, Time};
 use dpu_core::ModuleSpec;
 use dpu_repl::builder::{drive_poisson, group_sim, GroupStackOpts, SwitchLayer};
-use dpu_sim::sched::SchedKind;
 use dpu_sim::{CpuConfig, NetConfig, SimConfig, SimStats};
 use std::time::Instant;
-
-/// Ops/sec through one scheduler at the profile's standing population:
-/// each pop pushes a same-class replacement relative to the popped time.
-fn sched_throughput(kind: SchedKind, n: u64, p: &Profile, ops: u64) -> f64 {
-    let (mut s, mut rng, mut seq) = populate(kind, n, p);
-    // Best of three timed blocks: a max-throughput estimator, so a
-    // descheduling blip in one block cannot masquerade as a structural
-    // slowdown (applied identically to both scheduler kinds).
-    let mut best = 0.0f64;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for _ in 0..ops {
-            let (at, (class, _)) = s.pop_before(Time(u64::MAX)).expect("stationary population");
-            let dt = delta(&mut rng, class, p);
-            s.push(Time(at.as_nanos() + dt), seq, (class, FakeEvent([seq; 5])));
-            seq += 1;
-        }
-        best = best.max(ops as f64 / t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Events/sec of a full Figure-4 simulation run (best of two, same
-/// estimator rationale as the microbenchmark); also returns the event
-/// count so the caller can assert both schedulers computed the same run.
-fn sim_throughput(kind: SchedKind, n: u32, load: f64) -> (f64, u64) {
-    let (a, ev) = sim_throughput_once(kind, n, load);
-    let (b, ev2) = sim_throughput_once(kind, n, load);
-    assert_eq!(ev, ev2, "same config must produce the same run");
-    (a.max(b), ev)
-}
-
-fn sim_throughput_once(kind: SchedKind, n: u32, load: f64) -> (f64, u64) {
-    let (wall, stats, _) = abcast_soak_run(kind, n, load, 1);
-    (stats.events as f64 / wall, stats.events)
-}
 
 /// `(wall seconds, stats, unified telemetry report)` of one soak run —
 /// the report carries the delivery-latency histogram the `BENCH_par`
@@ -112,9 +41,8 @@ type SoakRun = (f64, SimStats, dpu_core::telemetry::TelemetryReport);
 
 /// One full Figure-4 sequencer-abcast run (the `sim_scale_soak`
 /// scenario shape).
-fn abcast_soak_run(kind: SchedKind, n: u32, load: f64, workers: usize) -> SoakRun {
-    let (wall, stats, sim, _) =
-        abcast_soak_sim(dpu_repl::builder::specs::seq(0), kind, n, load, workers);
+fn abcast_soak_run(n: u32, load: f64, workers: usize) -> SoakRun {
+    let (wall, stats, sim, _) = abcast_soak_sim(dpu_repl::builder::specs::seq(0), n, load, workers);
     (wall, stats, sim.telemetry_report())
 }
 
@@ -132,7 +60,7 @@ fn hier_soak_run(n: u32, load: f64, workers: usize) -> SoakRun {
             ..dpu_protocols::abcast::hier::HierAbcastParams::default()
         },
     );
-    let (wall, stats, mut sim, h) = abcast_soak_sim(hier, SchedKind::Calendar, n, load, workers);
+    let (wall, stats, mut sim, h) = abcast_soak_sim(hier, n, load, workers);
     dpu_repl::builder::check_run(&mut sim, &h).assert_ok();
     let report = sim.telemetry_report();
     (wall, stats, report)
@@ -144,7 +72,6 @@ fn hier_soak_run(n: u32, load: f64, workers: usize) -> SoakRun {
 /// still-live sim + handles for post-run property checks.
 fn abcast_soak_sim(
     abcast: ModuleSpec,
-    kind: SchedKind,
     n: u32,
     load: f64,
     workers: usize,
@@ -153,7 +80,6 @@ fn abcast_soak_sim(
         SimConfig::clustered(n, 42, (n / 16).max(1), NetConfig::datacenter(), NetConfig::lan());
     cfg.trace = false;
     cfg.cpu = CpuConfig::fast();
-    cfg.sched.kind = kind;
     cfg.workers = workers;
     let rp2p = ModuleSpec::with_params(
         "rp2p",
@@ -171,7 +97,7 @@ fn abcast_soak_sim(
         extra_defaults: vec![(dpu_net::RP2P_SVC.to_string(), rp2p)],
     };
     // Time only the dispatch loop: constructing n full stacks is
-    // scheduler/worker-independent and would dilute the ratio.
+    // worker-independent and would dilute the ratio.
     let (mut sim, h) = group_sim(cfg, &opts);
     let t0 = Instant::now();
     sim.run_until(Time::ZERO + Dur::millis(200));
@@ -217,9 +143,8 @@ fn available_parallelism(stats: &SimStats) -> f64 {
     sum as f64 / max as f64
 }
 
-/// `--workers N` mode: generate the parallel-engine baseline
-/// (`BENCH_par.json`), asserting serial/parallel stats equality on
-/// every scenario.
+/// Generate the parallel-engine baseline (`BENCH_par.json`), asserting
+/// serial/parallel stats equality on every scenario.
 fn run_par_mode(workers: usize, quick: bool, out: &str) {
     let sizes: &[u32] = if quick { &[256] } else { &[256, 1024] };
     let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
@@ -247,9 +172,7 @@ fn run_par_mode(workers: usize, quick: bool, out: &str) {
     let mut headline_n = 0u32;
     for (kind, runner) in [
         ("datagram_soak", &datagram_soak_run as &dyn Fn(u32, usize) -> SoakRun),
-        ("abcast_switch_soak", &|n, w| {
-            abcast_soak_run(SchedKind::Calendar, n, 60.0 * (f64::from(n) / 16.0).sqrt(), w)
-        }),
+        ("abcast_switch_soak", &|n, w| abcast_soak_run(n, 60.0 * (f64::from(n) / 16.0).sqrt(), w)),
         ("abcast_hier_soak", &|n, w| hier_soak_run(n, 60.0 * (f64::from(n) / 16.0).sqrt(), w)),
     ] {
         for &n in sizes {
@@ -373,114 +296,14 @@ fn run_par_mode(workers: usize, quick: bool, out: &str) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let workers = args.iter().position(|a| a == "--workers").map(|i| {
-        args.get(i + 1).and_then(|v| v.parse::<usize>().ok()).expect("--workers needs a count")
-    });
-    let quick = args.iter().any(|a| a == "--quick");
-    let positional: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !a.starts_with("--") && args.get(i.wrapping_sub(1)).is_none_or(|p| p != "--workers")
-        })
-        .map(|(_, a)| a)
-        .collect();
-    if let Some(workers) = workers {
-        // The 1-worker run is the baseline of every row (serial_secs),
-        // so the comparison needs a genuine pool on the other side.
-        assert!(workers >= 2, "--workers needs >= 2; the serial baseline is measured in every row");
-        let out = positional.first().map_or("BENCH_par.json", |s| s.as_str());
-        run_par_mode(workers, quick, out);
-        return;
-    }
-    let out = positional.first().map_or("BENCH_sim.json", |s| s.as_str()).to_string();
-    let sizes = [16u64, 256, 1024];
-    let ops = 4_000_000u64;
-
-    let mut w = JsonWriter::new();
-    w.begin_obj()
-        .field_str("bench", "sim scheduler scaling (see crates/bench/src/bin/bench_sim.rs)")
-        .key("sched_microbench")
-        .begin_obj()
-        .field_str(
-            "description",
-            "scheduler push/pop ops/sec on stationary per-class populations (1 step + 1 timer + \
-             1 wake per node, plus per-profile in-flight packets); single heap vs hierarchical \
-             timing wheel (bucket 128 ns)",
-        )
-        .key("rows")
-        .begin_arr();
-    let mut ratio_1024_wan = 0.0f64;
-    for p in &PROFILES {
-        for &n in &sizes {
-            let heap = sched_throughput(SchedKind::SingleHeap, n, p, ops);
-            let wheel = sched_throughput(SchedKind::Calendar, n, p, ops);
-            let ratio = wheel / heap;
-            if n == 1024 && p.name == "wan_sustained" {
-                ratio_1024_wan = ratio;
-            }
-            eprintln!(
-                "sched {:<17} n={n:<5} heap {heap:>9.0}/s wheel {wheel:>9.0}/s ({ratio:.2}x)",
-                p.name
-            );
-            w.elem()
-                .begin_obj()
-                .field_str("profile", p.name)
-                .field_u64("n", n)
-                .field_u64("population", (p.packets_per_node + 3) * n)
-                .field_f64("single_heap", heap, 0)
-                .field_f64("calendar", wheel, 0)
-                .field_f64("speedup", ratio, 2)
-                .end_obj();
-        }
-    }
-    w.end_arr()
-        .end_obj()
-        .key("end_to_end")
-        .begin_obj()
-        .field_str(
-            "description",
-            "full Figure-4 sequencer-abcast sim on clustered datacenter topology, open-loop \
-             Poisson, dispatched events per wall second; both schedulers verified to compute \
-             identical runs",
-        )
-        .key("rows")
-        .begin_arr();
-    for &n in sizes.iter() {
-        let n = n as u32;
-        let load = 60.0 * (f64::from(n) / 16.0).sqrt().max(1.0);
-        let (e2e_heap, ev_heap) = sim_throughput(SchedKind::SingleHeap, n, load);
-        let (e2e_wheel, ev_wheel) = sim_throughput(SchedKind::Calendar, n, load);
-        assert_eq!(ev_heap, ev_wheel, "schedulers must compute identical runs");
-        let ratio = e2e_wheel / e2e_heap;
-        eprintln!(
-            "sim end-to-end      n={n:<5} heap {e2e_heap:>9.0} ev/s wheel {e2e_wheel:>9.0} ev/s \
-             ({ratio:.2}x, {ev_wheel} events)"
-        );
-        w.elem()
-            .begin_obj()
-            .field_u64("n", u64::from(n))
-            .field_u64("events", ev_wheel)
-            .field_f64("single_heap_ev_per_sec", e2e_heap, 0)
-            .field_f64("calendar_ev_per_sec", e2e_wheel, 0)
-            .field_f64("speedup", ratio, 2)
-            .end_obj();
-    }
-    w.end_arr()
-        .end_obj()
-        .key("headline")
-        .begin_obj()
-        .field_str(
-            "metric",
-            "scheduler event throughput at n = 1024, wan_sustained profile, calendar wheel vs \
-             single heap",
-        )
-        .field_f64("speedup", ratio_1024_wan, 2)
-        .end_obj()
-        .end_obj();
-    let json = w.finish();
-    std::fs::write(&out, &json).expect("write baseline json");
-    print!("{json}");
-    eprintln!("wrote {out}");
+    let args = Args::parse();
+    // The 1-worker run is the baseline of every row (serial_secs), so
+    // the comparison needs a genuine pool on the other side.
+    let workers: usize = args.get("workers", 0);
+    assert!(workers >= 2, "usage: bench_sim --workers N [--quick] [out.json], with N >= 2");
+    let out = std::env::args()
+        .skip(1)
+        .find(|a| !a.starts_with("--") && a.parse::<f64>().is_err())
+        .unwrap_or_else(|| "BENCH_par.json".to_string());
+    run_par_mode(workers, args.has("quick"), &out);
 }

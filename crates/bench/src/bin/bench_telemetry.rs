@@ -44,9 +44,8 @@ fn run_variant(name: &str, n: u32, load: f64, seed: u64, target: ModuleSpec) -> 
         SimConfig::clustered(n, seed, (n / 16).max(1), NetConfig::datacenter(), NetConfig::lan());
     cfg.trace = false;
     cfg.cpu = CpuConfig::fast();
-    // Same reasoning as scale_switch: a 1024-way fan-out takes
-    // milliseconds of modeled sequencer CPU, so the retransmit timer
-    // must sit above that queueing delay.
+    // A 1024-way fan-out takes milliseconds of modeled sequencer CPU,
+    // so the retransmit timer must sit above that queueing delay.
     let rp2p = ModuleSpec::with_params(
         "rp2p",
         &dpu_net::rp2p::Rp2pConfig {

@@ -1,9 +1,9 @@
 //! Live-heap accounting for the capacity benchmarks.
 //!
 //! [`CountingAlloc`] wraps [`std::alloc::System`] and keeps a live-bytes
-//! counter plus a high-water mark, so `bench_scale` and the churn
-//! regression test can report *measured* resident bytes per stack rather
-//! than structural estimates. Binaries opt in with:
+//! counter plus a high-water mark, so `bench_scale` and the capacity
+//! tests report *measured* resident bytes per stack. Binaries opt in
+//! with:
 //!
 //! ```ignore
 //! #[global_allocator]

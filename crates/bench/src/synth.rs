@@ -1,54 +1,12 @@
-//! Synthetic event streams for the scheduler benchmarks: the `bench_sim`
-//! baseline generator and the `sim_sched` criterion bench must draw from
-//! the *same* per-class delta tables, or their numbers stop being
-//! comparable — so the tables live here, once. Also home to
 //! [`LoadGen`], the timer-driven datagram soak module of the parallel
-//! (`BENCH_par.json`) baseline.
+//! (`BENCH_par.json`) and capacity (`BENCH_scale.json`) baselines.
 
 use bytes::Bytes;
 use dpu_core::stack::{net_ops, FactoryRegistry, ModuleCtx};
-use dpu_core::time::{Dur, Time};
+use dpu_core::time::Dur;
 use dpu_core::wire::{self, LenPrefixed};
 use dpu_core::{Call, Module, Response, ServiceId, Stack, StackConfig, StackId, TimerId};
-use dpu_sim::sched::{SchedConfig, SchedKind, Scheduler};
 use dpu_sim::{CpuConfig, NetConfig, Sim, SimConfig};
-
-/// Payload sized like the simulator's `EventKind` (discriminant + ids +
-/// a `Bytes`-sized body), so heap sifts move realistic bytes.
-#[derive(Clone, Copy)]
-pub struct FakeEvent(#[allow(dead_code)] pub [u64; 5]);
-
-/// One standing-population shape (see `bench_sim`'s module docs for the
-/// reasoning behind each profile's numbers).
-#[derive(Clone, Copy)]
-pub struct Profile {
-    /// Profile name, as recorded in `BENCH_sim.json`.
-    pub name: &'static str,
-    /// In-flight packets per node.
-    pub packets_per_node: u64,
-    /// Packet flight-time range (ns).
-    pub packet_lo: u64,
-    /// Packet flight-time range (ns).
-    pub packet_hi: u64,
-}
-
-/// The three standing-population profiles of `BENCH_sim.json`:
-/// LAN steady state, datacenter fan-out burst, WAN sustained load.
-pub const PROFILES: [Profile; 3] = [
-    Profile { name: "lan_steady", packets_per_node: 13, packet_lo: 20_000, packet_hi: 150_000 },
-    Profile {
-        name: "datacenter_burst",
-        packets_per_node: 61,
-        packet_lo: 10_000,
-        packet_hi: 90_000,
-    },
-    Profile {
-        name: "wan_sustained",
-        packets_per_node: 509,
-        packet_lo: 15_000_000,
-        packet_hi: 50_000_000,
-    },
-];
 
 /// splitmix64 step: the benches' deterministic RNG.
 pub fn splitmix(x: &mut u64) -> u64 {
@@ -57,19 +15,6 @@ pub fn splitmix(x: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^ (z >> 31)
-}
-
-/// Delta for one event class: 0 = step (post-dispatch reschedule at
-/// modeled CPU cost), 1 = packet (profile-dependent), 2 = protocol
-/// timer, 3 = wake (retransmit/heartbeat deadline).
-pub fn delta(rng: &mut u64, class: u8, p: &Profile) -> u64 {
-    let r = splitmix(rng);
-    match class {
-        0 => 500 + r % 1_500,                               // 0.5–2 µs
-        1 => p.packet_lo + r % (p.packet_hi - p.packet_lo), // flight time
-        2 => 1_000_000 + r % 9_000_000,                     // 1–10 ms
-        _ => 20_000_000 + r % 80_000_000,                   // 20–100 ms
-    }
 }
 
 /// A timer-driven datagram load module for the parallel-engine soak:
@@ -182,27 +127,4 @@ pub fn datagram_soak_sim(n: u32, seed: u64, workers: usize) -> Sim {
         s.add_module(Box::new(LoadGen::new(Dur::millis(5), 8, cluster_size, node_seed)));
         s
     })
-}
-
-/// Build a scheduler pre-loaded with the profile's stationary
-/// population: one step + one timer + one wake per node, plus
-/// `packets_per_node × n` in-flight packets. Returns the scheduler, the
-/// RNG state and the next sequence number, ready for the steady-state
-/// pop/push loop.
-pub fn populate(kind: SchedKind, n: u64, p: &Profile) -> (Scheduler<(u8, FakeEvent)>, u64, u64) {
-    let cfg = SchedConfig { kind, ..SchedConfig::default() };
-    let mut s = Scheduler::new(&cfg, n as usize);
-    let mut rng = 0xABCDEF_u64 ^ n;
-    let mut seq = 0u64;
-    for class in [0u8, 2, 3] {
-        for _ in 0..n {
-            s.push(Time(delta(&mut rng, class, p)), seq, (class, FakeEvent([seq; 5])));
-            seq += 1;
-        }
-    }
-    for _ in 0..p.packets_per_node * n {
-        s.push(Time(delta(&mut rng, 1, p)), seq, (1, FakeEvent([seq; 5])));
-        seq += 1;
-    }
-    (s, rng, seq)
 }

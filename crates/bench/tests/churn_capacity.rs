@@ -41,7 +41,6 @@ fn hundred_restarts_keep_live_bytes_per_stack_flat() {
     // first-use allocations (scratch pools, scheduler wheels, queues).
     sim.run_until(Time::ZERO + Dur::millis(200));
     let live_before = ALLOC.live();
-    let structural_before = sim.mem_stats().bytes_per_stack;
 
     let mut deadline = Time::ZERO + Dur::millis(200);
     for round in 0..100u32 {
@@ -55,7 +54,6 @@ fn hundred_restarts_keep_live_bytes_per_stack_flat() {
     // Settle after the last restart.
     sim.run_until(deadline + Dur::millis(100));
     let live_after = ALLOC.live();
-    let structural_after = sim.mem_stats().bytes_per_stack;
 
     // "Flat" = no per-restart growth. 100 restarts over 64 stacks with
     // a leak of even one retained incarnation (~10 KB+) per restart
@@ -68,13 +66,4 @@ fn hundred_restarts_keep_live_bytes_per_stack_flat() {
          (> {slack} slack; ~{} per restart)",
         (live_after.saturating_sub(live_before)) / 100,
     );
-    // The structural estimate must agree: recycled slots, not new ones.
-    assert!(
-        structural_after <= structural_before + structural_before / 4,
-        "structural bytes/stack grew across churn: \
-         {structural_before} -> {structural_after}"
-    );
-    // And the audit itself must be live: a 64-stack simulation holds at
-    // least a few hundred bytes of state per stack.
-    assert!(structural_after > 500, "structural audit imploded: {structural_after}");
 }

@@ -47,7 +47,6 @@ fn restarts_at_capacity_keep_live_bytes_per_stack_flat() {
     // baseline too early and normal fill-up masquerades as a leak.
     sim.run_until(Time::ZERO + Dur::millis(40));
     let live_before = ALLOC.live();
-    let structural_before = sim.mem_stats().bytes_per_stack;
 
     let mut deadline = Time::ZERO + Dur::millis(40);
     for round in 0..32u32 {
@@ -60,7 +59,6 @@ fn restarts_at_capacity_keep_live_bytes_per_stack_flat() {
     }
     sim.run_until(deadline + Dur::millis(5));
     let live_after = ALLOC.live();
-    let structural_after = sim.mem_stats().bytes_per_stack;
 
     // "Flat" = no per-restart growth. A retained incarnation is ~2 KB,
     // so even a one-per-restart leak would add ~64 KB; the slack is
@@ -74,16 +72,8 @@ fn restarts_at_capacity_keep_live_bytes_per_stack_flat() {
          (> {slack} slack; ~{} per restart)",
         (live_after.saturating_sub(live_before)) / 32,
     );
-    // The structural estimate must agree: recycled slots, not new ones.
-    assert!(
-        structural_after <= structural_before + structural_before / 20,
-        "structural bytes/stack grew across capacity churn: \
-         {structural_before} -> {structural_after}"
-    );
-    assert!(structural_after > 500, "structural audit imploded: {structural_after}");
     eprintln!(
-        "capacity churn: live {live_before} -> {live_after} B \
-         ({} B/stack structural)",
-        structural_after
+        "capacity churn: live {live_before} -> {live_after} B ({} B/stack)",
+        live_after / u64::from(N)
     );
 }

@@ -2,9 +2,8 @@
 //! build on a dev machine in single-digit seconds and hold its
 //! steady-state footprint under 2.5 KB per stack — instrumented, like
 //! every run: telemetry has no off switch — as measured by a counting
-//! allocator (not just the structural audit).
-//! This is the claim `BENCH_scale.json`'s million row commits to;
-//! the test keeps it honest on every capacity CI run.
+//! allocator. This is the claim `BENCH_scale.json`'s million row
+//! commits to; the test keeps it honest on every capacity CI run.
 //!
 //! `#[ignore]`d because it only makes sense in release (debug builds
 //! multiply the wall clock ~20x and the build budget is a release

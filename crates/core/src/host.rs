@@ -241,18 +241,6 @@ impl StackDriver {
         self.timers.len()
     }
 
-    /// Structural estimate of this driver's resident bytes: the stack's
-    /// own estimate ([`Stack::mem_bytes`]) plus the timer heap and the
-    /// pending-event queue. Same caveat as the stack's: a floor for
-    /// capacity planning, not an allocator-accurate number.
-    pub fn mem_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.stack.mem_bytes()
-            + self.timers.heap.len() * size_of::<(Time, u64, TimerId)>()
-            + self.timers.cancelled.len() * size_of::<TimerId>()
-            + self.pending.capacity() * size_of::<HostEvent>()
-    }
-
     /// Queue an external event. Applied by the next
     /// [`StackDriver::poll`] (or [`StackDriver::absorb`]).
     pub fn inject(&mut self, ev: HostEvent) {

@@ -273,11 +273,6 @@ impl DispatchBuf {
     pub fn new() -> DispatchBuf {
         DispatchBuf::default()
     }
-
-    /// Heap bytes held (capacity, matching the allocator's view).
-    pub fn mem_bytes(&self) -> usize {
-        self.queue.capacity() * std::mem::size_of::<Delivery>()
-    }
 }
 
 /// The `net` service id, interned once. [`Stack::packet_in`] needs it for
@@ -826,56 +821,6 @@ impl Stack {
     /// around a drive call.
     pub fn telemetry_mut(&mut self) -> &mut StackTelemetry {
         &mut self.telemetry
-    }
-
-    /// Structural estimate of this stack's resident bytes: the struct
-    /// itself, each module's concrete state (`size_of_val` through the
-    /// trait object), the dispatch/bindings/timers vec-maps (at their
-    /// *capacity*, matching what the allocator actually holds), queued
-    /// work, the trace log, the scratch pool's retained buffers, and an
-    /// amortized share of the host-shared peer table.
-    ///
-    /// Allocations *inside* module state (boxed fields, collected
-    /// payload `Bytes`) are invisible from here, so treat the number as
-    /// a floor — `tests/mem_audit.rs` pins how closely it tracks the
-    /// allocator-measured `CountingAlloc` figure. The peer table is one
-    /// `Arc<[StackId]>` per *host* shared by all `n` stacks; charging
-    /// each stack its `1/n` share keeps the audit honest without
-    /// re-introducing on paper the O(n²) cost the sharing removed.
-    pub fn mem_bytes(&self) -> usize {
-        use std::mem::{size_of, size_of_val};
-        let mut total = size_of::<Stack>();
-        total += self.modules.mem_bytes();
-        for slot in self.modules.values() {
-            total += slot.kind.capacity();
-            total += slot.provides.capacity() * size_of::<ServiceId>();
-            total += slot.requires.capacity() * size_of::<ServiceId>();
-            if let Some(m) = slot.module.as_deref() {
-                total += size_of_val(m);
-            }
-        }
-        total += self.bindings.mem_bytes();
-        total += self.requirers.mem_bytes();
-        for reqs in self.requirers.values() {
-            total += reqs.capacity() * size_of::<ModuleId>();
-        }
-        total += self.waiting.mem_bytes();
-        for queue in self.waiting.values() {
-            total += queue.capacity() * size_of::<Call>();
-        }
-        total += self.queue.capacity() * size_of::<Delivery>();
-        total += self.actions.capacity() * size_of::<HostAction>();
-        total += self.timers.mem_bytes();
-        total += self.defaults.mem_bytes();
-        total += self.trace.mem_bytes();
-        total += self.scratch.mem_bytes();
-        total += self.telemetry.mem_bytes();
-        // Amortized peer-table share: the shared allocation holds
-        // `peers.len()` ids (plus the Arc refcount header) and is held
-        // by `peers.len()` stacks.
-        let peer_alloc = self.peers.len() * size_of::<StackId>() + 2 * size_of::<usize>();
-        total += peer_alloc.div_ceil(self.peers.len().max(1));
-        total
     }
 
     /// Fold the [`crate::TransportStats`] of every live module that

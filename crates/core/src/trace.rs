@@ -223,9 +223,9 @@ impl TraceLog {
 
     /// Structural bytes held: every segment at its capacity plus the
     /// segment table (event-internal strings are not walked) — at most
-    /// one segment more than `len()` entries' worth. Feeds the hosts'
-    /// memory audit — tracing is usually the dominant per-stack cost
-    /// when enabled, which is why capacity runs disable it.
+    /// one segment more than `len()` entries' worth. Tracing is usually
+    /// the dominant per-stack cost when enabled, which is why capacity
+    /// runs disable it.
     pub fn mem_bytes(&self) -> usize {
         let entries: usize = self.segments.iter().map(Vec::capacity).sum();
         entries * std::mem::size_of::<Entry>()

@@ -147,12 +147,6 @@ impl<K: Ord, V> VecMap<K, V> {
     pub fn retain(&mut self, mut f: impl FnMut(&K, &mut V) -> bool) {
         self.entries.retain_mut(|(k, v)| f(k, v));
     }
-
-    /// Bytes of heap backing this map (capacity, not just len) — feeds
-    /// the structural memory audit.
-    pub fn mem_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<(K, V)>()
-    }
 }
 
 impl<K: Ord, V> Default for VecMap<K, V> {

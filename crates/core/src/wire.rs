@@ -640,8 +640,8 @@ impl WireScratch {
 
     /// Bytes currently pinned by the pool's retained buffer handles
     /// (an upper bound on what reclaim can recover; the buffers may be
-    /// co-owned by in-flight messages). Feeds the hosts' structural
-    /// memory audit. O(1).
+    /// co-owned by in-flight messages) — the `scratch_occupancy`
+    /// telemetry sample. O(1).
     pub fn mem_bytes(&self) -> usize {
         self.retained_bytes
     }
@@ -868,6 +868,64 @@ mod tests {
     fn option_bad_tag_rejected() {
         let b = Bytes::from_static(&[7]);
         assert_eq!(Option::<u8>::from_bytes(&b), Err(WireError::BadTag(7)));
+    }
+
+    /// What every scratch encode must leave true, whatever the budget.
+    fn check_pool(pool: &WireScratch) {
+        assert!(pool.retained.len() <= pool.cap_entries);
+        assert!(pool.retained_bytes <= pool.cap_bytes);
+        assert_eq!(pool.retained_bytes, pool.retained.iter().map(Bytes::len).sum::<usize>());
+        assert_eq!(pool.stats.emitted, pool.stats.reclaimed + pool.stats.allocations);
+    }
+
+    #[test]
+    fn both_scratch_budgets_encode_to_bytes_and_stay_within_budget() {
+        for mut pool in [WireScratch::new(), WireScratch::shard_pool()] {
+            // Consumers hold every message for a while — long enough
+            // that small messages fill the entry budget and large ones
+            // the byte budget before the oldest become reclaimable.
+            let mut in_flight = VecDeque::new();
+            let (mut most_entries, mut most_bytes) = (0, 0);
+            let mut x = 7u64;
+            for i in 0..6_000u64 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let (len, window) = match i / 2_000 {
+                    0 => (x >> 60, 1_500),         // < 16 B
+                    1 => (4_096 + (x >> 52), 300), // 4–8 KB
+                    _ => (x >> 47, 40),            // up to 128 KB: half are never retained
+                };
+                let value = (i, Bytes::from(vec![i as u8; len as usize]));
+                let out = pool.encode(&value);
+                assert_eq!(out, value.to_bytes(), "scratch encode differs from to_bytes");
+                check_pool(&pool);
+                most_entries = most_entries.max(pool.retained.len());
+                most_bytes = most_bytes.max(pool.retained_bytes);
+                in_flight.push_back(out);
+                in_flight.drain(..in_flight.len().saturating_sub(window));
+            }
+            assert!(pool.stats.reclaimed > 0, "nothing was ever reused");
+            assert_eq!(most_entries, pool.cap_entries, "the entry budget never bound");
+            if pool.cap_bytes != usize::MAX {
+                assert!(most_bytes > pool.cap_bytes - 8_300, "the byte budget never bound");
+            }
+        }
+    }
+
+    #[test]
+    fn shard_pool_scan_stops_at_its_window() {
+        // Reclaim looks at the oldest SHARD_POOL_SCAN entries only: with
+        // all of them still in flight nothing is reclaimed, however many
+        // younger entries are free; with one fewer, the first free one is.
+        for (pinned, reclaims) in [(SHARD_POOL_SCAN, false), (SHARD_POOL_SCAN - 1, true)] {
+            let mut pool = WireScratch::shard_pool();
+            let in_flight: Vec<Bytes> = (0..pinned as u64).map(|i| pool.encode(&!i)).collect();
+            for i in 0..200u64 {
+                assert_eq!(pool.encode(&!i), (!i).to_bytes());
+                check_pool(&pool);
+            }
+            assert_eq!(pool.stats.reclaimed > 0, reclaims, "{pinned} oldest entries in flight");
+            drop(in_flight);
+        }
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub mod stats;
 pub mod topology;
 pub mod workload;
 
-pub use sched::{SchedConfig, SchedKind};
-pub use stats::{MemStats, ShardStats, SimReport, SimStats, WorkloadStats};
+pub use sched::SchedConfig;
+pub use stats::{ShardStats, SimReport, SimStats, WorkloadStats};
 pub use topology::{NetConfig, Topology};
 
 use bytes::Bytes;
@@ -157,7 +157,7 @@ pub struct SimConfig {
     pub cpu: CpuConfig,
     /// Record traces in each stack (disable for long benchmark runs).
     pub trace: bool,
-    /// Event scheduler implementation and tuning.
+    /// Event scheduler tuning.
     pub sched: SchedConfig,
     /// Non-flat topology (clusters, per-link overrides). When `None` the
     /// simulation is flat: every link uses [`SimConfig::net`].
@@ -172,14 +172,6 @@ pub struct SimConfig {
     /// stack. Telemetry is always on and never affects simulation
     /// results — it records, it does not feed back.
     pub telemetry: TelemetryConfig,
-    /// Shard-level scratch pooling (default on): each shard owns one
-    /// [`dpu_core::wire::WireScratch`] pool loaned to whichever stack
-    /// is being driven, so retained encode buffers scale with *shards*
-    /// instead of total stacks. A pure representation change — encoded
-    /// bytes, traces and [`SimStats`] are bit-identical either way
-    /// (`tests/scratch_pool_equiv.rs` pins this); `false` restores the
-    /// per-stack retained pools.
-    pub scratch_pooling: bool,
 }
 
 impl SimConfig {
@@ -195,7 +187,6 @@ impl SimConfig {
             topology: None,
             workers: 1,
             telemetry: TelemetryConfig::default(),
-            scratch_pooling: true,
         }
     }
 
@@ -215,23 +206,9 @@ impl SimConfig {
         }
     }
 
-    /// Select the reference single-heap scheduler (builder style, for
-    /// equivalence tests and benchmarks).
-    pub fn with_single_heap(mut self) -> SimConfig {
-        self.sched = SchedConfig::single_heap();
-        self
-    }
-
     /// Set the worker-thread count (builder style).
     pub fn with_workers(mut self, workers: usize) -> SimConfig {
         self.workers = workers;
-        self
-    }
-
-    /// Enable/disable shard-level scratch pooling (builder style; see
-    /// [`SimConfig::scratch_pooling`]).
-    pub fn with_scratch_pooling(mut self, pooling: bool) -> SimConfig {
-        self.scratch_pooling = pooling;
         self
     }
 }
@@ -313,12 +290,9 @@ pub(crate) struct Shard {
     /// being driven (see [`Shard::lend`]). Retained encode memory thus
     /// scales with shards, not stacks.
     pool: dpu_core::wire::WireScratch,
-    /// Whether the scratch half of the loan is active
-    /// ([`SimConfig::scratch_pooling`]).
-    pooled: bool,
     /// Everything this shard's stacks record at event rate (histograms,
-    /// recent deliveries), loaned with the pool — unconditionally: one
-    /// set per shard, summed exactly as per-stack ones would have been.
+    /// recent deliveries), loaned with the pool: one set per shard,
+    /// summed exactly as per-stack ones would have been.
     telemetry: dpu_core::telemetry::TelemetrySet,
     /// What retired stack incarnations counted and measured (node
     /// restarts drop the old stack; its wire and transport counters,
@@ -344,15 +318,12 @@ impl Shard {
     /// symmetrically around every driver entry point that dispatches or
     /// encodes — packet delivery, dispatch steps, host closures — so all
     /// samples and encodes land in the shard's set and pool and the
-    /// stack's own stay empty. The scratch half is a no-op when pooling
-    /// is off. O(1) field swaps, not copies.
+    /// stack's own stay empty. O(1) field swaps, not copies.
     #[inline]
     fn lend(&mut self, slot: usize) {
         let driver = self.nodes.driver_mut(slot);
         driver.stack_mut().telemetry_mut().swap_set(&mut self.telemetry);
-        if self.pooled {
-            driver.swap_scratch(&mut self.pool);
-        }
+        driver.swap_scratch(&mut self.pool);
     }
 
     fn stacks(&self) -> impl Iterator<Item = &Stack> {
@@ -677,7 +648,6 @@ impl Sim {
                 now: Time::ZERO,
                 outbox: vec![Vec::new(); nshards],
                 pool: dpu_core::wire::WireScratch::shard_pool(),
-                pooled: cfg.scratch_pooling,
                 telemetry: dpu_core::telemetry::TelemetrySet::default(),
                 retired: dpu_core::host::ReportFold::default(),
             });
@@ -776,31 +746,7 @@ impl Sim {
             stats: self.stats(),
             wire: fold.wire,
             transport: fold.transport,
-            mem: self.mem_stats(),
         }
-    }
-
-    /// Structural memory audit: summed [`dpu_core::StackDriver`]
-    /// estimates plus each shard's scheduler queue and outboxes, and
-    /// the shared peer table counted once. A floor on the true
-    /// resident set (see [`MemStats`]); the `bench_scale` binary pairs
-    /// it with allocator-measured numbers. Also folded into
-    /// [`Sim::report`].
-    pub fn mem_stats(&self) -> MemStats {
-        use std::mem::size_of;
-        let mut total = 0usize;
-        for shard in &self.shards {
-            total += shard.nodes.mem_bytes();
-            total += shard.pool.mem_bytes();
-            total += shard.telemetry.mem_bytes();
-            total += shard.sched.mem_bytes();
-            for ob in &shard.outbox {
-                total += ob.capacity() * size_of::<Inflight>();
-            }
-        }
-        total += self.peer_table.len() * size_of::<StackId>();
-        let bytes_total = total as u64;
-        MemStats { bytes_total, bytes_per_stack: bytes_total / u64::from(self.cfg.n.max(1)) }
     }
 
     /// The topology (for link inspection; mutate via the `Sim` methods
@@ -1384,21 +1330,6 @@ mod tests {
         let end = sim.run_until_quiescent(Time::ZERO + Dur::secs(10));
         assert!(end < Time::ZERO + Dur::secs(1), "pingers quiesce quickly, got {end}");
         assert_eq!(sim.stats().packets_delivered, 6);
-    }
-
-    #[test]
-    fn single_heap_and_sharded_agree_exactly() {
-        let run = |cfg: SimConfig| {
-            let mut sim = Sim::new(cfg, pinger_stack);
-            sim.run_until(Time::ZERO + Dur::millis(20));
-            (sim.stats(), sim.merged_trace().len())
-        };
-        let mut lossy = SimConfig::lan(5, 99);
-        lossy.net.loss = 0.2;
-        lossy.net.duplicate = 0.1;
-        let a = run(lossy.clone());
-        let b = run(lossy.with_single_heap());
-        assert_eq!(a, b);
     }
 
     #[test]

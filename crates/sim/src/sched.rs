@@ -1,7 +1,5 @@
 //! The event scheduler behind [`crate::Sim`]: a hierarchical timing
-//! wheel (calendar queue) keyed by coarse time buckets, with the
-//! original single global `BinaryHeap` kept alongside as the reference
-//! implementation.
+//! wheel (calendar queue) keyed by coarse time buckets.
 //!
 //! # Why not one big heap
 //!
@@ -49,101 +47,48 @@
 //! never mixes events from different coarser ranges, and the serving
 //! array always holds the global minimum of the wheel; the overflow
 //! head is compared by full key on every pop. The pop sequence is
-//! therefore identical to the single heap's — and so is every
-//! downstream decision (RNG draws, trace contents, the golden
-//! fingerprint in `tests/host_equivalence.rs`).
-//! `crates/sim/tests/sched_equiv.rs` property-tests the equivalence;
-//! [`crate::SimConfig`] selects the implementation via [`SchedConfig`].
+//! therefore that of one global `(time, seq)` min-heap for *any*
+//! bucket width and slot count — and so is every downstream decision
+//! (RNG draws, trace contents, the golden fingerprint in
+//! `tests/host_equivalence.rs`, recorded when the scheduler *was* one
+//! global heap). `crates/sim/tests/sched_equiv.rs` property-tests the
+//! wheel against such a heap as its reference model.
 
 use dpu_core::time::{Dur, Time};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Which scheduler implementation a [`crate::Sim`] uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedKind {
-    /// One global `BinaryHeap` over all events — the pre-wheel
-    /// reference implementation, kept for equivalence tests and the
-    /// `bench_sim` comparison.
-    SingleHeap,
-    /// Hierarchical timing-wheel calendar queue (default).
-    Calendar,
-}
-
 /// Scheduler configuration, part of [`crate::SimConfig`].
 #[derive(Clone, Debug)]
 pub struct SchedConfig {
-    /// Implementation to use.
-    pub kind: SchedKind,
-    /// Level-0 bucket width (calendar only); rounded up to a power of
-    /// two of nanoseconds. See the module docs for the trade-off; the
-    /// default is 128 ns. With [`SchedConfig::adaptive`] set this is
-    /// only the starting width.
+    /// Level-0 bucket width; rounded up to a power of two of
+    /// nanoseconds. See the module docs for the trade-off; the default
+    /// is 128 ns. With [`SchedConfig::adaptive`] set this is only the
+    /// starting width.
     pub bucket: Dur,
-    /// Buckets per wheel level (calendar only); rounded up to a power
-    /// of two, minimum 64. Three levels cover `bucket × slots³`.
-    /// Default 256.
+    /// Buckets per wheel level; rounded up to a power of two, minimum
+    /// 64. Three levels cover `bucket × slots³`. Default 256.
     pub buckets: usize,
-    /// Brown-style adaptive bucket width (calendar only, default on):
-    /// the wheel tracks the average number of events per traversed
-    /// level-0 bucket and, when it drifts outside `[0.5, 2]`, halves or
-    /// doubles the bucket width and rebuilds. Resizing never changes
-    /// the pop order — the wheel is order-exact for *any* width — so
-    /// this is purely a constant-factor adaptation for event densities
-    /// the fixed default width does not fit.
+    /// Brown-style adaptive bucket width (default on): the wheel tracks
+    /// the average number of events per traversed level-0 bucket and,
+    /// when it drifts outside `[0.5, 2]`, halves or doubles the bucket
+    /// width and rebuilds. Resizing never changes the pop order — the
+    /// wheel is order-exact for *any* width — so this is purely a
+    /// constant-factor adaptation for event densities the fixed default
+    /// width does not fit.
     pub adaptive: bool,
 }
 
 impl Default for SchedConfig {
     fn default() -> SchedConfig {
-        SchedConfig {
-            kind: SchedKind::Calendar,
-            bucket: Dur::nanos(128),
-            buckets: 256,
-            adaptive: true,
-        }
-    }
-}
-
-impl SchedConfig {
-    /// The reference single-heap configuration.
-    pub fn single_heap() -> SchedConfig {
-        SchedConfig { kind: SchedKind::SingleHeap, ..SchedConfig::default() }
-    }
-}
-
-/// The deterministic total order: `(time, global push sequence)`.
-pub type Key = (Time, u64);
-
-/// A queued event: key plus payload.
-struct Entry<E> {
-    key: Key,
-    ev: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the min key on top.
-        other.key.cmp(&self.key)
+        SchedConfig { bucket: Dur::nanos(128), buckets: 256, adaptive: true }
     }
 }
 
 /// Payload storage for the wheel: keys circulate through buckets and
 /// heaps as 24-byte `(Time, seq, slot)` tuples, while the (much larger)
-/// event payloads sit still in this slab until served. Heap sifts,
-/// bucket drains and sorts therefore move a third of the bytes the
-/// reference single heap moves per level.
+/// event payloads sit still in this slab until served, so bucket
+/// drains, sorts and heap sifts never move a payload.
 struct Slab<E> {
     items: Vec<Option<E>>,
     free: Vec<u32>,
@@ -233,9 +178,13 @@ impl Level {
     }
 }
 
-/// Three-level hierarchical timing wheel + overflow heap. See the
-/// module docs for structure and invariants.
-struct Wheel<E> {
+/// A deterministic event scheduler: three-level hierarchical timing
+/// wheel + overflow heap. See the module docs for structure and
+/// invariants. Generic over the event payload so tests and benchmarks
+/// can drive it with synthetic events.
+pub struct Scheduler<E> {
+    /// Number of queued events.
+    len: usize,
     slab: Slab<E>,
     levels: Vec<Level>,
     /// Current level-0 bucket's keys, sorted *descending* and served
@@ -287,10 +236,14 @@ const RESIZE_PERIOD: u64 = 4096;
 const MIN_W_SHIFT: u32 = 4;
 const MAX_W_SHIFT: u32 = 26;
 
-impl<E> Wheel<E> {
-    fn new(cfg: &SchedConfig) -> Wheel<E> {
+impl<E> Scheduler<E> {
+    /// Build a scheduler. (`_homes` reserves the node count; the wheel
+    /// itself is node-agnostic — per-node queues live in each node's
+    /// `StackDriver`.)
+    pub fn new(cfg: &SchedConfig, _homes: usize) -> Scheduler<E> {
         let slots = cfg.buckets.next_power_of_two().max(64);
-        Wheel {
+        Scheduler {
+            len: 0,
             slab: Slab::new(),
             levels: (0..3).map(|_| Level::new(slots)).collect(),
             serving: Vec::new(),
@@ -316,8 +269,27 @@ impl<E> Wheel<E> {
         t.as_nanos() >> self.w_shift
     }
 
+    /// Number of queued events.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if no events are queued.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// How many adaptive bucket-width resizes the wheel has performed
+    /// (always 0 with `adaptive` off).
+    pub fn resizes(&self) -> u64 {
+        self.resizes
+    }
+
+    /// Queue event `ev` at `(at, seq)`. The caller owns the `seq`
+    /// counter — keys must be unique.
     #[inline]
-    fn push(&mut self, at: Time, seq: u64, ev: E) {
+    pub fn push(&mut self, at: Time, seq: u64, ev: E) {
+        self.len += 1;
         let idx = self.slab.insert(ev);
         self.place((at, seq, idx));
     }
@@ -481,9 +453,10 @@ impl<E> Wheel<E> {
         self.resizes += 1;
     }
 
-    /// The earliest queued key's time without popping it (refills the
-    /// serving window if necessary, which does not change pop order).
-    fn next_time(&mut self) -> Option<Time> {
+    /// The earliest queued event's time without popping it — the
+    /// parallel engine's epoch-floor probe (refills the serving window
+    /// if necessary, which does not change pop order).
+    pub fn next_time(&mut self) -> Option<Time> {
         if self.serving.is_empty() && self.late.is_empty() {
             self.refill();
         }
@@ -492,7 +465,15 @@ impl<E> Wheel<E> {
         [sk, lk, self.overflow_min].into_iter().flatten().min().map(|k| k.0)
     }
 
-    fn pop_before(&mut self, horizon: Time) -> Option<(Time, E)> {
+    /// Pop the earliest event if it is due at or before `horizon`.
+    /// Events come out in strict `(time, seq)` order.
+    pub fn pop_before(&mut self, horizon: Time) -> Option<(Time, E)> {
+        let key = self.pop_key(horizon)?;
+        self.len -= 1;
+        Some((key.0, self.slab.remove(key.2)))
+    }
+
+    fn pop_key(&mut self, horizon: Time) -> Option<WheelKey> {
         if self.adaptive && self.served_events + self.served_refills >= RESIZE_PERIOD {
             self.maybe_resize();
         }
@@ -506,8 +487,7 @@ impl<E> Wheel<E> {
             if key.0 > horizon {
                 return None;
             }
-            self.serving.pop();
-            return Some((key.0, self.slab.remove(key.2)));
+            return self.serving.pop();
         }
         let sk = self.serving.last().copied();
         let lk = self.late.peek().map(|&Reverse(k)| k);
@@ -528,119 +508,7 @@ impl<E> Wheel<E> {
             self.overflow.pop();
             self.overflow_min = self.overflow.peek().map(|&Reverse(k)| k);
         }
-        Some((min.0, self.slab.remove(min.2)))
-    }
-}
-
-/// A deterministic event scheduler: single-heap or hierarchical-wheel
-/// per [`SchedConfig`]. Generic over the event payload so the
-/// `bench_sim` binary can drive it with synthetic events.
-pub struct Scheduler<E> {
-    imp: Imp<E>,
-    len: usize,
-}
-
-enum Imp<E> {
-    Single(BinaryHeap<Entry<E>>),
-    Wheel(Box<Wheel<E>>),
-}
-
-impl<E> Scheduler<E> {
-    /// Build a scheduler. (`_homes` reserves the node count; the wheel
-    /// itself is node-agnostic — per-node queues live in each node's
-    /// `StackDriver`.)
-    pub fn new(cfg: &SchedConfig, _homes: usize) -> Scheduler<E> {
-        let imp = match cfg.kind {
-            SchedKind::SingleHeap => Imp::Single(BinaryHeap::new()),
-            SchedKind::Calendar => Imp::Wheel(Box::new(Wheel::new(cfg))),
-        };
-        Scheduler { imp, len: 0 }
-    }
-
-    /// Number of queued events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Queue event `ev` at `(at, seq)`. The caller owns the `seq`
-    /// counter — keys must be unique.
-    #[inline]
-    pub fn push(&mut self, at: Time, seq: u64, ev: E) {
-        self.len += 1;
-        match &mut self.imp {
-            Imp::Single(heap) => heap.push(Entry { key: (at, seq), ev }),
-            Imp::Wheel(w) => w.push(at, seq, ev),
-        }
-    }
-
-    /// The earliest queued event's time without popping it — the
-    /// parallel engine's epoch-floor probe.
-    pub fn next_time(&mut self) -> Option<Time> {
-        if self.len == 0 {
-            return None;
-        }
-        match &mut self.imp {
-            Imp::Single(heap) => heap.peek().map(|e| e.key.0),
-            Imp::Wheel(w) => w.next_time(),
-        }
-    }
-
-    /// How many adaptive bucket-width resizes the wheel has performed
-    /// (always 0 for the single heap and with `adaptive` off).
-    pub fn resizes(&self) -> u64 {
-        match &self.imp {
-            Imp::Single(_) => 0,
-            Imp::Wheel(w) => w.resizes,
-        }
-    }
-
-    /// Heap bytes held by the scheduler at *capacity* (slab, buckets,
-    /// heaps, free list) — what the allocator actually charges, not
-    /// just the live-event footprint. Feeds the structural memory
-    /// audit (`Sim::mem_stats`), which `tests/mem_audit.rs` reconciles
-    /// against a counting allocator.
-    pub fn mem_bytes(&self) -> usize {
-        use std::mem::size_of;
-        match &self.imp {
-            Imp::Single(heap) => heap.capacity() * size_of::<Entry<E>>(),
-            Imp::Wheel(w) => {
-                let mut total = w.slab.items.capacity() * size_of::<Option<E>>()
-                    + w.slab.free.capacity() * size_of::<u32>()
-                    + w.serving.capacity() * size_of::<WheelKey>()
-                    + (w.late.capacity() + w.overflow.capacity()) * size_of::<Reverse<WheelKey>>();
-                for level in &w.levels {
-                    total += level.occ.capacity() * size_of::<u64>();
-                    for slot in &level.slots {
-                        total += slot.capacity() * size_of::<WheelKey>();
-                    }
-                    total += level.slots.capacity() * size_of::<Vec<WheelKey>>();
-                }
-                total
-            }
-        }
-    }
-
-    /// Pop the earliest event if it is due at or before `horizon`.
-    /// Events come out in strict `(time, seq)` order regardless of the
-    /// implementation.
-    pub fn pop_before(&mut self, horizon: Time) -> Option<(Time, E)> {
-        let popped = match &mut self.imp {
-            Imp::Single(heap) => {
-                if heap.peek()?.key.0 > horizon {
-                    return None;
-                }
-                let e = heap.pop().expect("peeked");
-                (e.key.0, e.ev)
-            }
-            Imp::Wheel(w) => w.pop_before(horizon)?,
-        };
-        self.len -= 1;
-        Some(popped)
+        Some(min)
     }
 }
 
@@ -649,6 +517,33 @@ mod tests {
     use super::*;
 
     const FAR: Time = Time(u64::MAX);
+
+    /// The reference model: one global min-heap over `(time, seq)` —
+    /// what the simulator ran on before the wheel, and the order the
+    /// wheel must reproduce exactly.
+    #[derive(Default)]
+    struct Heap(BinaryHeap<Reverse<(Time, u64, u64)>>);
+
+    impl Heap {
+        fn push(&mut self, at: Time, seq: u64, ev: u64) {
+            self.0.push(Reverse((at, seq, ev)));
+        }
+
+        fn next_time(&self) -> Option<Time> {
+            self.0.peek().map(|&Reverse((at, ..))| at)
+        }
+
+        fn pop_before(&mut self, horizon: Time) -> Option<(Time, u64)> {
+            if self.next_time()? > horizon {
+                return None;
+            }
+            self.0.pop().map(|Reverse((at, _, ev))| (at, ev))
+        }
+
+        fn drain(&mut self) -> Vec<(Time, u64)> {
+            std::iter::from_fn(|| self.pop_before(FAR)).collect()
+        }
+    }
 
     fn drain<E>(s: &mut Scheduler<E>) -> Vec<(Time, E)> {
         let mut out = Vec::new();
@@ -659,13 +554,10 @@ mod tests {
     }
 
     #[test]
-    fn both_kinds_agree_on_interleaved_pushes_and_pops() {
-        let mk = |kind| {
-            let cfg = SchedConfig { kind, bucket: Dur::micros(1), buckets: 64, adaptive: true };
-            Scheduler::<u64>::new(&cfg, 4)
-        };
-        let mut a = mk(SchedKind::SingleHeap);
-        let mut b = mk(SchedKind::Calendar);
+    fn wheel_agrees_with_heap_on_interleaved_pushes_and_pops() {
+        let cfg = SchedConfig { bucket: Dur::micros(1), buckets: 64, adaptive: true };
+        let mut a = Heap::default();
+        let mut b = Scheduler::<u64>::new(&cfg, 4);
         // A deterministic pseudo-random schedule with ties, far timers,
         // zero-delay events and interleaved pops.
         let mut x: u64 = 0x9E3779B97F4A7C15;
@@ -682,7 +574,7 @@ mod tests {
                 popped.push(pa);
             }
         }
-        assert_eq!(drain(&mut a), drain(&mut b));
+        assert_eq!(a.drain(), drain(&mut b));
         assert!(popped.iter().any(Option::is_some));
     }
 
@@ -713,12 +605,7 @@ mod tests {
     fn far_future_events_survive_idle_jumps() {
         // Events beyond the wheel horizon (overflow), popped after long
         // idle gaps, interleaved with new near-term pushes.
-        let cfg = SchedConfig {
-            kind: SchedKind::Calendar,
-            bucket: Dur::micros(1),
-            buckets: 64,
-            adaptive: true,
-        };
+        let cfg = SchedConfig { bucket: Dur::micros(1), buckets: 64, adaptive: true };
         let mut s = Scheduler::new(&cfg, 2);
         s.push(Time::ZERO + Dur::secs(3600), 0, "hour");
         s.push(Time(5), 1, "now");
@@ -734,12 +621,7 @@ mod tests {
     fn same_bucket_late_pushes_keep_order() {
         // Events pushed into the *serving* bucket while it is being
         // drained must interleave by (time, seq).
-        let cfg = SchedConfig {
-            kind: SchedKind::Calendar,
-            bucket: Dur::millis(1),
-            buckets: 64,
-            adaptive: true,
-        };
+        let cfg = SchedConfig { bucket: Dur::millis(1), buckets: 64, adaptive: true };
         let mut s = Scheduler::new(&cfg, 1);
         s.push(Time(500), 0, "a");
         s.push(Time(900), 1, "c");
@@ -753,15 +635,12 @@ mod tests {
     }
 
     /// Drive a pathological density through an adaptive wheel and the
-    /// single heap in lockstep; the pop streams must match exactly and
-    /// the wheel must actually have resized in the given direction.
+    /// reference heap in lockstep; the pop streams must match exactly
+    /// and the wheel must actually have resized in the given direction.
     fn adaptive_agrees_with_heap(start_bucket: Dur, spacing_ns: u64) -> u64 {
-        let mk = |kind, adaptive| {
-            let cfg = SchedConfig { kind, bucket: start_bucket, buckets: 64, adaptive };
-            Scheduler::<u64>::new(&cfg, 1)
-        };
-        let mut heap = mk(SchedKind::SingleHeap, false);
-        let mut wheel = mk(SchedKind::Calendar, true);
+        let cfg = SchedConfig { bucket: start_bucket, buckets: 64, adaptive: true };
+        let mut heap = Heap::default();
+        let mut wheel = Scheduler::<u64>::new(&cfg, 1);
         // Steady-state pop/push at a fixed event spacing: enough
         // traffic to cross several resize evaluation windows.
         let mut seq = 0u64;
@@ -773,13 +652,13 @@ mod tests {
         for _ in 0..60_000u64 {
             let a = heap.pop_before(FAR).expect("heap nonempty");
             let b = wheel.pop_before(FAR).expect("wheel nonempty");
-            assert_eq!(a, b, "adaptive wheel diverged from the single heap");
+            assert_eq!(a, b, "adaptive wheel diverged from the reference heap");
             let t = Time(a.0.as_nanos() + 64 * spacing_ns);
             heap.push(t, seq, a.1);
             wheel.push(t, seq, a.1);
             seq += 1;
         }
-        assert_eq!(drain(&mut heap), drain(&mut wheel));
+        assert_eq!(heap.drain(), drain(&mut wheel));
         wheel.resizes()
     }
 
@@ -810,34 +689,26 @@ mod tests {
 
     #[test]
     fn next_time_peeks_without_consuming() {
-        for kind in [SchedKind::SingleHeap, SchedKind::Calendar] {
-            let cfg = SchedConfig { kind, ..SchedConfig::default() };
-            let mut s = Scheduler::new(&cfg, 1);
-            assert_eq!(s.next_time(), None);
-            s.push(Time(70), 0, "a");
-            s.push(Time(30), 1, "b");
-            s.push(Time::ZERO + Dur::secs(3600), 2, "far");
-            assert_eq!(s.next_time(), Some(Time(30)), "{kind:?}");
-            assert_eq!(s.next_time(), Some(Time(30)), "{kind:?}: peek must not consume");
-            assert_eq!(s.pop_before(FAR), Some((Time(30), "b")));
-            assert_eq!(s.next_time(), Some(Time(70)), "{kind:?}");
-            s.pop_before(FAR);
-            assert_eq!(s.next_time(), Some(Time::ZERO + Dur::secs(3600)), "{kind:?}: overflow");
-            s.pop_before(FAR);
-            assert_eq!(s.next_time(), None, "{kind:?}");
-        }
+        let mut s = Scheduler::new(&SchedConfig::default(), 1);
+        assert_eq!(s.next_time(), None);
+        s.push(Time(70), 0, "a");
+        s.push(Time(30), 1, "b");
+        s.push(Time::ZERO + Dur::secs(3600), 2, "far");
+        assert_eq!(s.next_time(), Some(Time(30)));
+        assert_eq!(s.next_time(), Some(Time(30)), "peek must not consume");
+        assert_eq!(s.pop_before(FAR), Some((Time(30), "b")));
+        assert_eq!(s.next_time(), Some(Time(70)));
+        s.pop_before(FAR);
+        assert_eq!(s.next_time(), Some(Time::ZERO + Dur::secs(3600)), "overflow");
+        s.pop_before(FAR);
+        assert_eq!(s.next_time(), None);
     }
 
     #[test]
     fn cascades_across_all_levels_preserve_order() {
         // Entries at every level of a tiny wheel (64 slots: L0 64µs,
         // L1 4.1ms, L2 262ms, overflow beyond ~16.8s at 1µs buckets).
-        let cfg = SchedConfig {
-            kind: SchedKind::Calendar,
-            bucket: Dur::micros(1),
-            buckets: 64,
-            adaptive: true,
-        };
+        let cfg = SchedConfig { bucket: Dur::micros(1), buckets: 64, adaptive: true };
         let mut s = Scheduler::new(&cfg, 1);
         let times = [
             3u64,

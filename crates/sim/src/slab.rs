@@ -99,25 +99,6 @@ impl NodeSlab {
         self.flags[slot] = 0;
     }
 
-    /// Structural bytes of this slab: the SoA backbone, the slot
-    /// vector, and every live driver's own estimate
-    /// ([`StackDriver::mem_bytes`], minus the `Stack` struct bytes the
-    /// inline slot capacity already covers). Feeds [`crate::Sim`]'s
-    /// memory audit.
-    pub(crate) fn mem_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let backbone = self.drivers.capacity() * size_of::<Option<StackDriver>>()
-            + self.cpu_free.capacity() * size_of::<Time>()
-            + self.nic_free.capacity() * size_of::<Time>()
-            + self.wake.capacity() * size_of::<Time>()
-            + self.flags.capacity();
-        let heap: usize = self
-            .drivers()
-            .map(|d| d.mem_bytes().saturating_sub(size_of::<dpu_core::Stack>()))
-            .sum();
-        backbone + heap
-    }
-
     #[inline]
     pub(crate) fn crashed(&self, slot: usize) -> bool {
         self.flags[slot] & CRASHED != 0

@@ -101,24 +101,6 @@ impl SimStats {
     }
 }
 
-/// Structural memory audit of a simulation (see `Sim::mem_stats`):
-/// the summed per-driver estimates plus the shards' scheduler queues,
-/// outboxes and the shared peer table (counted once).
-///
-/// These are *structural* numbers — walked from the data structures,
-/// not read from the allocator — so they floor the true resident set
-/// (module-internal boxes and in-flight payload `Bytes` are invisible).
-/// The committed `BENCH_scale.json` pairs them with allocator-measured
-/// bytes/stack from the counting-allocator harness in `dpu-bench`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemStats {
-    /// Summed structural bytes across the whole simulation.
-    pub bytes_total: u64,
-    /// `bytes_total / n` — the capacity-planning headline: multiply by
-    /// the target stack count to size a box.
-    pub bytes_per_stack: u64,
-}
-
 /// Everything a scenario wants to print at the end of a run, in one
 /// value with a one-summary [`fmt::Display`]: the run counters, the
 /// per-shard and per-generator breakdowns, and the aggregated wire
@@ -139,9 +121,6 @@ pub struct SimReport {
     /// frames given up after the retransmit cap, and the unacked backlog
     /// at run end.
     pub transport: TransportStats,
-    /// Structural memory audit (`Sim::mem_stats`): total and per-stack
-    /// resident-byte estimates at report time.
-    pub mem: MemStats,
 }
 
 impl fmt::Display for SimReport {
@@ -181,15 +160,10 @@ impl fmt::Display for SimReport {
             "wire: {} emitted, {} reclaimed, {} allocations",
             self.wire.emitted, self.wire.reclaimed, self.wire.allocations
         )?;
-        writeln!(
+        write!(
             f,
             "transport: {} retransmissions, {} exhausted, {} unacked",
             self.transport.retransmissions, self.transport.exhausted, self.transport.unacked
-        )?;
-        write!(
-            f,
-            "memory: ~{} bytes/stack structural ({} total)",
-            self.mem.bytes_per_stack, self.mem.bytes_total
         )
     }
 }
@@ -309,7 +283,6 @@ mod tests {
             stats,
             wire: ScratchStats { emitted: 120, reclaimed: 120, allocations: 6 },
             transport: TransportStats { retransmissions: 2, exhausted: 0, unacked: 1 },
-            mem: MemStats { bytes_total: 160_000, bytes_per_stack: 20_000 },
         };
         let expected = "\
 # sim report: n = 8, t = 2500.000ms
@@ -318,8 +291,7 @@ dispatch: 500 events, 240 stack steps
 shards (events/delivered/steps): [0] 260/60/130 [1] 230/56/110
 workload bursty       injected 64, bursts 4
 wire: 120 emitted, 120 reclaimed, 6 allocations
-transport: 2 retransmissions, 0 exhausted, 1 unacked
-memory: ~20000 bytes/stack structural (160000 total)";
+transport: 2 retransmissions, 0 exhausted, 1 unacked";
         assert_eq!(report.to_string(), expected);
     }
 
@@ -343,13 +315,11 @@ memory: ~20000 bytes/stack structural (160000 total)";
             stats,
             wire: ScratchStats::default(),
             transport: TransportStats { retransmissions: 9, exhausted: 1, unacked: 0 },
-            mem: MemStats { bytes_total: 40_000, bytes_per_stack: 20_000 },
         };
         let text = report.to_string();
         assert!(text.contains("dropped 2 (loss 2 / partition 0)"), "{text}");
         assert!(text.contains("workload poisson"), "{text}");
         assert!(text.contains("wire:"), "{text}");
         assert!(text.contains("transport: 9 retransmissions, 1 exhausted, 0 unacked"), "{text}");
-        assert!(text.contains("memory: ~20000 bytes/stack structural (40000 total)"), "{text}");
     }
 }

@@ -12,7 +12,7 @@ use dpu_core::stack::{net_ops, FactoryRegistry, ModuleCtx};
 use dpu_core::time::{Dur, Time};
 use dpu_core::wire::Encode;
 use dpu_core::{Call, Module, Response, ServiceId, Stack, StackConfig, StackId, TimerId};
-use dpu_sim::{NetConfig, SchedConfig, SchedKind, Sim, SimConfig, SimStats};
+use dpu_sim::{NetConfig, Sim, SimConfig, SimStats};
 use proptest::prelude::*;
 
 /// The shared equivalence-suite fingerprint (see
@@ -86,7 +86,7 @@ struct Scenario {
     crash: bool,
 }
 
-fn run(sc: &Scenario, kind: SchedKind, workers: usize) -> (SimStats, u64) {
+fn run(sc: &Scenario, workers: usize) -> (SimStats, u64) {
     let intra = NetConfig::lan();
     let backbone = NetConfig {
         latency: Dur::micros(sc.backbone_us),
@@ -96,7 +96,6 @@ fn run(sc: &Scenario, kind: SchedKind, workers: usize) -> (SimStats, u64) {
     let mut cfg = SimConfig::clustered(sc.n, sc.seed, sc.cluster_size, intra, backbone);
     cfg.net.loss = sc.loss;
     cfg.net.duplicate = sc.duplicate;
-    cfg.sched = SchedConfig { kind, ..SchedConfig::default() };
     cfg.workers = workers;
     let mut sim = Sim::new(cfg, mk_stack);
     if sc.crash {
@@ -112,9 +111,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
     /// One-worker and multi-worker runs of random clustered
-    /// configurations are identical, with either scheduler kind on the
-    /// parallel side — worker counts and scheduler implementations are
-    /// pure wall-clock knobs.
+    /// configurations are identical — the worker count is a pure
+    /// wall-clock knob.
     #[test]
     fn parallel_engine_reproduces_serial_fingerprint(
         n in 4u32..=12,
@@ -126,11 +124,10 @@ proptest! {
         millis in 30u64..100,
         crash in any::<bool>(),
         workers in 2usize..=4,
-        par_kind in prop_oneof![Just(SchedKind::Calendar), Just(SchedKind::SingleHeap)],
     ) {
         let sc = Scenario { n, cluster_size, seed, loss, duplicate, backbone_us, millis, crash };
-        let serial = run(&sc, SchedKind::Calendar, 1);
-        let parallel = run(&sc, par_kind, workers);
+        let serial = run(&sc, 1);
+        let parallel = run(&sc, workers);
         prop_assert_eq!(&serial.0, &parallel.0, "stats diverged");
         prop_assert_eq!(serial.1, parallel.1, "trace fingerprint diverged");
     }
@@ -223,9 +220,9 @@ proptest! {
             millis,
             crash: false,
         };
-        let serial = run(&sc, SchedKind::Calendar, 1);
-        let a = run(&sc, SchedKind::Calendar, workers_a);
-        let b = run(&sc, SchedKind::Calendar, workers_b);
+        let serial = run(&sc, 1);
+        let a = run(&sc, workers_a);
+        let b = run(&sc, workers_b);
         prop_assert_eq!(&serial.0, &a.0, "stats diverged (workers_a)");
         prop_assert_eq!(serial.1, a.1, "fingerprint diverged (workers_a)");
         prop_assert_eq!(&serial.0, &b.0, "stats diverged (workers_b)");

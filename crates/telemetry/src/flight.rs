@@ -137,8 +137,7 @@ impl FlightRecorder {
         self.len() == 0
     }
 
-    /// Heap bytes behind the ring: nothing before the first event. The
-    /// handle itself is counted by its embedder.
+    /// Heap bytes behind the ring: nothing before the first event.
     pub fn mem_bytes(&self) -> usize {
         self.ring.as_ref().map_or(0, |r| {
             std::mem::size_of::<Ring>() + r.events.capacity() * std::mem::size_of::<FlightEvent>()

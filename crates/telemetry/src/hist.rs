@@ -187,9 +187,8 @@ impl Histogram {
     }
 
     /// Heap bytes behind this histogram: the bucket block once a sample
-    /// has landed, nothing before. The handle itself is counted by
-    /// whatever embeds it (structural memory-audit convention shared
-    /// with `Stack::mem_bytes`).
+    /// has landed, nothing before (what [`crate::StackTelemetry::set_bytes`]
+    /// sums to show a hosted stack keeps none).
     pub fn mem_bytes(&self) -> usize {
         self.buckets.as_ref().map_or(0, |b| std::mem::size_of_val(&**b))
     }

@@ -102,19 +102,6 @@ pub struct TelemetrySet {
     pub deliveries: FlightRecorder,
 }
 
-impl TelemetrySet {
-    /// Heap bytes behind the set's handles (0 until something records).
-    pub fn mem_bytes(&self) -> usize {
-        self.delivery_latency.mem_bytes()
-            + self.cascade_depth.mem_bytes()
-            + self.scratch_occupancy.mem_bytes()
-            + self.reseq_depth.mem_bytes()
-            + self.blackout.mem_bytes()
-            + self.swap_gap.mem_bytes()
-            + self.deliveries.mem_bytes()
-    }
-}
-
 /// One stack's telemetry state: the handles of a [`TelemetrySet`] (its
 /// own, or its shard's while lent) plus what is per-stack by meaning.
 #[derive(Debug)]
@@ -353,20 +340,6 @@ impl StackTelemetry {
             + s.switches.swap_gap().mem_bytes()
             + s.deliveries.mem_bytes()
     }
-
-    /// Heap bytes behind this stack's telemetry: what it holds of a set,
-    /// the retained switch records and the lifecycle ring. The inline
-    /// state itself is counted by the stack that embeds it.
-    pub fn mem_bytes(&self) -> usize {
-        let s = &self.state;
-        s.delivery_latency.mem_bytes()
-            + s.cascade_depth.mem_bytes()
-            + s.scratch_occupancy.mem_bytes()
-            + s.reseq_depth.mem_bytes()
-            + s.switches.mem_bytes()
-            + s.flight.mem_bytes()
-            + s.deliveries.mem_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -380,8 +353,7 @@ mod tests {
     #[test]
     fn at_rest_a_stack_holds_no_heap_and_a_small_inline_state() {
         let t = telemetry();
-        assert_eq!(t.mem_bytes(), 0);
-        assert_eq!(t.set_bytes(), 0);
+        assert_eq!(t.set_bytes() + t.state.flight.mem_bytes(), 0);
         // The million-stack budget: everything telemetry keeps per stack.
         assert!(
             std::mem::size_of::<StackTelemetry>() <= 160,

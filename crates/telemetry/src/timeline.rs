@@ -208,14 +208,6 @@ impl SwitchTimeline {
             self.recent.push(*rec);
         }
     }
-
-    /// Heap bytes behind the timeline (the struct itself is counted by
-    /// its embedder).
-    pub fn mem_bytes(&self) -> usize {
-        self.recent.capacity() * std::mem::size_of::<SwitchRecord>()
-            + self.blackout.mem_bytes()
-            + self.swap_gap.mem_bytes()
-    }
 }
 
 #[cfg(test)]
