@@ -103,7 +103,7 @@ fn run_cross(
     for id in sim.stack_ids() {
         let (t, re) = sim.with_stack(id, |s| {
             s.with_module::<ReplAbcastModule, _>(layer, |m| {
-                (m.last_switch_at(), m.reissued_total())
+                (m.switch_times().last().copied(), m.reissued_total())
             })
             .expect("repl module")
         });

@@ -7,10 +7,8 @@ use dpu_core::time::{Dur, Time};
 use dpu_core::{ModuleSpec, StackId};
 use dpu_repl::abcast_repl::ReplAbcastModule;
 use dpu_repl::builder::{
-    drive_load, group_sim, request_change, specs, GroupStackOpts, SwitchLayer,
+    drive_load, group_sim, request_change, specs, switch_cost, GroupStackOpts, SwitchLayer,
 };
-use dpu_repl::graceful::GracefulSwitcher;
-use dpu_repl::maestro::MaestroSwitcher;
 use dpu_sim::SimConfig;
 
 /// Common parameters of one experiment run.
@@ -193,49 +191,23 @@ fn run_one_comparison(cfg: &ExpConfig, layer: SwitchLayer) -> CompareRow {
     sim.schedule(trigger, move |sim| request_change(sim, StackId(0), &h2, &spec));
     sim.run_until(cfg.measure_end() + cfg.tail);
 
-    let layer_id = h.layer.expect("switch layer present");
+    // Read every layer off the same grid: the switch is complete when
+    // the last stack's timeline says the replacement serves it (the
+    // paper's "all machines have replaced the old modules"); what it cost
+    // beyond the broadcasts comes from the layer skeleton.
     let mut blocked = Dur::ZERO;
     let mut coord = 0u64;
     let mut complete = trigger;
     for id in sim.stack_ids() {
-        match layer {
-            SwitchLayer::Repl => {
-                let done = sim.with_stack(id, |s| {
-                    s.with_module::<ReplAbcastModule, _>(layer_id, |m| m.last_switch_at())
-                        .expect("repl module")
-                });
-                if let Some(t) = done {
-                    complete = complete.max(t);
-                }
-            }
-            SwitchLayer::Maestro => {
-                let (b, c, d) = sim.with_stack(id, |s| {
-                    s.with_module::<MaestroSwitcher, _>(layer_id, |m| {
-                        (m.total_blocked(), m.coord_msgs(), m.last_switch_duration())
-                    })
-                    .expect("maestro module")
-                });
-                blocked = blocked.max(b);
-                coord += c;
-                if let Some(d) = d {
-                    complete = complete.max(trigger + d);
-                }
-            }
-            SwitchLayer::Graceful => {
-                let (b, c, d) = sim.with_stack(id, |s| {
-                    s.with_module::<GracefulSwitcher, _>(layer_id, |m| {
-                        (m.total_blocked(), m.coord_msgs(), m.last_switch_duration())
-                    })
-                    .expect("graceful module")
-                });
-                blocked = blocked.max(b);
-                coord += c;
-                if let Some(d) = d {
-                    complete = complete.max(trigger + d);
-                }
-            }
-            SwitchLayer::None => unreachable!("comparison always has a layer"),
+        let (activated_ns, (b, c)) = sim.with_stack(id, |s| {
+            let timeline = &s.telemetry().state().expect("always on").switches;
+            (timeline.recent().first().map(|r| r.activated_ns), switch_cost(s, &h))
+        });
+        if let Some(ns) = activated_ns {
+            complete = complete.max(Time::ZERO + Dur::nanos(ns));
         }
+        blocked = blocked.max(b);
+        coord += c;
     }
 
     let latencies = collect_latencies(&mut sim, &h);

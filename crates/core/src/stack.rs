@@ -33,7 +33,7 @@ use crate::module::{Call, Module, ModuleSpec, Op, Response};
 use crate::time::{Dur, Time};
 use crate::trace::{TraceEvent, TraceLog};
 use crate::vecmap::VecMap;
-use crate::wire::{Encode, ScratchStats, WireError, WireScratch};
+use crate::wire::{Decode, Encode, ScratchStats, WireError, WireScratch};
 use bytes::Bytes;
 use dpu_telemetry::{StackTelemetry, TelemetryConfig};
 use std::collections::{BTreeMap, VecDeque};
@@ -142,7 +142,7 @@ pub struct StepInfo {
 }
 
 /// A boxed module constructor, as stored in the registry.
-pub type ModuleFactory = Box<dyn Fn(&ModuleSpec) -> Box<dyn Module> + Send>;
+pub type ModuleFactory = Box<dyn Fn(&ModuleSpec) -> Result<Box<dyn Module>, StackError> + Send>;
 
 /// Registry of module factories, keyed by kind name.
 ///
@@ -160,20 +160,39 @@ impl FactoryRegistry {
         FactoryRegistry::default()
     }
 
-    /// Register a factory for `kind`. Later registrations replace earlier
-    /// ones.
+    /// Register a factory for a `kind` that takes no parameters. Later
+    /// registrations replace earlier ones.
     pub fn register(
         &mut self,
         kind: impl Into<String>,
         f: impl Fn(&ModuleSpec) -> Box<dyn Module> + Send + 'static,
     ) {
-        self.factories.insert(kind.into(), Box::new(f));
+        self.factories.insert(kind.into(), Box::new(move |spec| Ok(f(spec))));
     }
 
-    /// Build a module from `spec`, if its kind is registered.
+    /// Register a factory for a `kind` whose [`ModuleSpec::params`] are a
+    /// wire-encoded `P`: an empty blob means `P::default()`, anything
+    /// else must decode — a blob that does not is a
+    /// [`StackError::Wire`] out of [`FactoryRegistry::build`], never a
+    /// silently defaulted module (whose namespace 0 would share wire tags
+    /// with the first incarnation).
+    pub fn register_with<P: Decode + Default, M: Module>(
+        &mut self,
+        kind: impl Into<String>,
+        make: impl Fn(P) -> M + Send + 'static,
+    ) {
+        let factory = move |spec: &ModuleSpec| -> Result<Box<dyn Module>, StackError> {
+            let params = if spec.params.is_empty() { P::default() } else { spec.params::<P>()? };
+            Ok(Box::new(make(params)))
+        };
+        self.factories.insert(kind.into(), Box::new(factory));
+    }
+
+    /// Build a module from `spec`, if its kind is registered and its
+    /// parameters decode.
     pub fn build(&self, spec: &ModuleSpec) -> Result<Box<dyn Module>, StackError> {
         match self.factories.get(&spec.kind) {
-            Some(f) => Ok(f(spec)),
+            Some(f) => f(spec),
             None => Err(StackError::UnknownKind(spec.kind.clone())),
         }
     }
@@ -975,6 +994,13 @@ impl ModuleCtx<'_> {
     /// [`Stack::install`]).
     pub fn create_module(&mut self, spec: &ModuleSpec) -> Result<ModuleId, StackError> {
         self.stack.install(spec)
+    }
+
+    /// Whether this stack's registry can build `spec` (kind registered,
+    /// parameters decode), without creating anything: what a switch layer
+    /// asks before it proposes `spec` to the whole group.
+    pub fn check_spec(&self, spec: &ModuleSpec) -> Result<(), StackError> {
+        self.stack.factory.build(spec).map(drop)
     }
 
     /// Destroy a module (used by whole-stack switch baselines). A module

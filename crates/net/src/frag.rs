@@ -16,7 +16,7 @@ use crate::dgram::{self, Dgram, DgramRef};
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, WireResult};
-use dpu_core::{Call, Module, ModuleSpec, Response, ServiceId, StackId};
+use dpu_core::{Call, Module, Response, ServiceId, StackId};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Module kind name, for factory registration.
@@ -131,14 +131,7 @@ impl FragModule {
 
     /// Register this module's factory under [`KIND`].
     pub fn register(reg: &mut dpu_core::FactoryRegistry) {
-        reg.register(KIND, |spec: &ModuleSpec| {
-            let cfg = if spec.params.is_empty() {
-                FragConfig::default()
-            } else {
-                spec.params::<FragConfig>().unwrap_or_default()
-            };
-            Box::new(FragModule::new(cfg))
-        });
+        reg.register_with(KIND, FragModule::new);
     }
 
     /// Fragments put on the wire by this module.
@@ -478,7 +471,7 @@ mod tests {
         assert_eq!(wire::from_bytes::<FragConfig>(&b).unwrap(), cfg);
         let mut reg = FactoryRegistry::new();
         FragModule::register(&mut reg);
-        let m = reg.build(&ModuleSpec::with_params(KIND, &cfg)).unwrap();
+        let m = reg.build(&dpu_core::ModuleSpec::with_params(KIND, &cfg)).unwrap();
         assert_eq!(m.kind(), KIND);
     }
 }

@@ -30,7 +30,7 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Dur;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, Module, ModuleSpec, Response, ServiceId, StackId, TimerId};
+use dpu_core::{Call, Module, Response, ServiceId, StackId, TimerId};
 use std::collections::BTreeMap;
 
 /// Module kind name, for factory registration.
@@ -199,14 +199,7 @@ impl Rp2pModule {
     /// Register this module's factory under [`KIND`]. Empty params mean
     /// defaults; otherwise params decode as [`Rp2pConfig`].
     pub fn register(reg: &mut dpu_core::FactoryRegistry) {
-        reg.register(KIND, |spec: &ModuleSpec| {
-            let cfg = if spec.params.is_empty() {
-                Rp2pConfig::default()
-            } else {
-                spec.params::<Rp2pConfig>().unwrap_or_default()
-            };
-            Box::new(Rp2pModule::new(cfg))
-        });
+        reg.register_with(KIND, Rp2pModule::new);
     }
 
     /// Total data-frame retransmissions performed (observability).
@@ -600,7 +593,7 @@ mod tests {
         assert_eq!(wire::from_bytes::<Rp2pConfig>(&b).unwrap(), cfg);
         let mut reg = FactoryRegistry::new();
         Rp2pModule::register(&mut reg);
-        let m = reg.build(&ModuleSpec::with_params(KIND, &cfg)).unwrap();
+        let m = reg.build(&dpu_core::ModuleSpec::with_params(KIND, &cfg)).unwrap();
         assert_eq!(m.kind(), KIND);
     }
 

@@ -20,7 +20,7 @@ use crate::consensus::ops as cons_ops;
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, LenPrefixed, WireResult};
-use dpu_core::{Call, Module, ModuleSpec, Response, ServiceId, StackId};
+use dpu_core::{Call, Module, Response, ServiceId, StackId};
 use dpu_net::dgram::{self, Dgram, DgramRef};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -160,14 +160,7 @@ impl CtAbcastModule {
     /// Register this module's factory under [`KIND`]. Empty params mean
     /// defaults; otherwise params decode as [`CtAbcastParams`].
     pub fn register(reg: &mut dpu_core::FactoryRegistry) {
-        reg.register(KIND, |spec: &ModuleSpec| {
-            let params = if spec.params.is_empty() {
-                CtAbcastParams::default()
-            } else {
-                spec.params::<CtAbcastParams>().unwrap_or_default()
-            };
-            Box::new(CtAbcastModule::new(params))
-        });
+        reg.register_with(KIND, CtAbcastModule::new);
     }
 
     /// Messages Adelivered by this module.
@@ -543,7 +536,7 @@ mod tests {
         assert_eq!(wire::from_bytes::<CtAbcastParams>(&b).unwrap(), p);
         let mut reg = dpu_core::FactoryRegistry::new();
         CtAbcastModule::register(&mut reg);
-        let m = reg.build(&ModuleSpec::with_params(KIND, &p)).unwrap();
+        let m = reg.build(&dpu_core::ModuleSpec::with_params(KIND, &p)).unwrap();
         assert_eq!(m.kind(), KIND);
         assert_eq!(m.provides(), vec![dpu_core::ServiceId::new("abc")]);
         assert!(m.requires().contains(&dpu_core::ServiceId::new("c2")));

@@ -58,7 +58,7 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Dur;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, Module, ModuleSpec, Response, ServiceId, StackId, TimerId};
+use dpu_core::{Call, Module, Response, ServiceId, StackId, TimerId};
 use dpu_net::dgram::{self, Dgram, DgramRef};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -313,14 +313,7 @@ impl HierAbcastModule {
 
     /// Register this module's factory under [`KIND`].
     pub fn register(reg: &mut dpu_core::FactoryRegistry) {
-        reg.register(KIND, |spec: &ModuleSpec| {
-            let params = if spec.params.is_empty() {
-                HierAbcastParams::default()
-            } else {
-                spec.params::<HierAbcastParams>().unwrap_or_default()
-            };
-            Box::new(HierAbcastModule::new(params))
-        });
+        reg.register_with(KIND, HierAbcastModule::new);
     }
 
     /// Messages Adelivered by this module.
@@ -737,7 +730,7 @@ mod tests {
         assert_eq!(wire::from_bytes::<HierAbcastParams>(&b).unwrap(), p);
         let mut reg = dpu_core::FactoryRegistry::new();
         HierAbcastModule::register(&mut reg);
-        let m = reg.build(&ModuleSpec::with_params(KIND, &p)).unwrap();
+        let m = reg.build(&dpu_core::ModuleSpec::with_params(KIND, &p)).unwrap();
         assert_eq!(m.kind(), KIND);
         assert_eq!(m.provides(), vec![ServiceId::new("svc-x")]);
     }

@@ -19,7 +19,7 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Dur;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, Module, ModuleSpec, Response, ServiceId, StackId, TimerId};
+use dpu_core::{Call, Module, Response, ServiceId, StackId, TimerId};
 use dpu_net::dgram::{self, Dgram, DgramRef};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -156,14 +156,7 @@ impl RingAbcastModule {
 
     /// Register this module's factory under [`KIND`].
     pub fn register(reg: &mut dpu_core::FactoryRegistry) {
-        reg.register(KIND, |spec: &ModuleSpec| {
-            let params = if spec.params.is_empty() {
-                RingAbcastParams::default()
-            } else {
-                spec.params::<RingAbcastParams>().unwrap_or_default()
-            };
-            Box::new(RingAbcastModule::new(params))
-        });
+        reg.register_with(KIND, RingAbcastModule::new);
     }
 
     /// Messages Adelivered by this module.
@@ -384,7 +377,7 @@ mod tests {
         assert_eq!(wire::from_bytes::<RingAbcastParams>(&b).unwrap(), p);
         let mut reg = dpu_core::FactoryRegistry::new();
         RingAbcastModule::register(&mut reg);
-        let m = reg.build(&ModuleSpec::with_params(KIND, &p)).unwrap();
+        let m = reg.build(&dpu_core::ModuleSpec::with_params(KIND, &p)).unwrap();
         assert_eq!(m.kind(), KIND);
         assert_eq!(m.provides(), vec![ServiceId::new("ring")]);
     }

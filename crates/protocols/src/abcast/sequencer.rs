@@ -16,7 +16,7 @@ use crate::channels;
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, Module, ModuleSpec, Response, ServiceId, StackId};
+use dpu_core::{Call, Module, Response, ServiceId, StackId};
 use dpu_net::dgram::{self, Dgram, DgramRef};
 use std::collections::BTreeMap;
 
@@ -140,14 +140,7 @@ impl SeqAbcastModule {
 
     /// Register this module's factory under [`KIND`].
     pub fn register(reg: &mut dpu_core::FactoryRegistry) {
-        reg.register(KIND, |spec: &ModuleSpec| {
-            let params = if spec.params.is_empty() {
-                SeqAbcastParams::default()
-            } else {
-                spec.params::<SeqAbcastParams>().unwrap_or_default()
-            };
-            Box::new(SeqAbcastModule::new(params))
-        });
+        reg.register_with(KIND, SeqAbcastModule::new);
     }
 
     /// Messages Adelivered by this module.
@@ -347,7 +340,7 @@ mod tests {
         assert_eq!(wire::from_bytes::<SeqAbcastParams>(&b).unwrap(), p);
         let mut reg = dpu_core::FactoryRegistry::new();
         SeqAbcastModule::register(&mut reg);
-        let m = reg.build(&ModuleSpec::with_params(KIND, &p)).unwrap();
+        let m = reg.build(&dpu_core::ModuleSpec::with_params(KIND, &p)).unwrap();
         assert_eq!(m.kind(), KIND);
         assert_eq!(m.provides(), vec![ServiceId::new("svc-x")]);
     }

@@ -45,7 +45,7 @@ use crate::channels;
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, Module, ModuleSpec, Response, ServiceId, StackId};
+use dpu_core::{Call, Module, Response, ServiceId, StackId};
 use dpu_net::dgram::{self, Dgram, DgramRef};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -243,14 +243,7 @@ impl ConsensusModule {
         for (kind, policy) in
             [(KIND_CT, CoordPolicy::Rotating), (KIND_OFFSET, CoordPolicy::InstanceOffset)]
         {
-            reg.register(kind, move |spec: &ModuleSpec| {
-                let params = if spec.params.is_empty() {
-                    ConsensusParams::default()
-                } else {
-                    spec.params::<ConsensusParams>().unwrap_or_default()
-                };
-                Box::new(ConsensusModule::new(params, policy))
-            });
+            reg.register_with(kind, move |params| ConsensusModule::new(params, policy));
         }
     }
 
@@ -888,7 +881,7 @@ mod tests {
         assert_eq!(wire::from_bytes::<ConsensusParams>(&b).unwrap(), p);
         let mut reg = FactoryRegistry::new();
         ConsensusModule::register(&mut reg);
-        let m = reg.build(&ModuleSpec::with_params(KIND_OFFSET, &p)).unwrap();
+        let m = reg.build(&dpu_core::ModuleSpec::with_params(KIND_OFFSET, &p)).unwrap();
         assert_eq!(m.kind(), KIND_OFFSET);
         assert_eq!(m.provides(), vec![ServiceId::new("consensus2")]);
     }

@@ -23,7 +23,7 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::{Dur, Time};
 use dpu_core::wire::{Decode, Encode, WireResult};
-use dpu_core::{Call, Module, ModuleSpec, Response, ServiceId, StackId, TimerId};
+use dpu_core::{Call, Module, Response, ServiceId, StackId, TimerId};
 use dpu_net::dgram::{self, Dgram};
 use std::collections::BTreeMap;
 
@@ -112,14 +112,7 @@ impl FdModule {
     /// Register this module's factory under [`KIND`]. Empty params mean
     /// defaults; otherwise params decode as [`FdConfig`].
     pub fn register(reg: &mut dpu_core::FactoryRegistry) {
-        reg.register(KIND, |spec: &ModuleSpec| {
-            let cfg = if spec.params.is_empty() {
-                FdConfig::default()
-            } else {
-                spec.params::<FdConfig>().unwrap_or_default()
-            };
-            Box::new(FdModule::new(cfg))
-        });
+        reg.register_with(KIND, FdModule::new);
     }
 
     /// Currently suspected peers.
@@ -393,7 +386,7 @@ mod tests {
         assert_eq!(wire::from_bytes::<FdConfig>(&b).unwrap(), cfg);
         let mut reg = FactoryRegistry::new();
         FdModule::register(&mut reg);
-        let m = reg.build(&ModuleSpec::with_params(KIND, &cfg)).unwrap();
+        let m = reg.build(&dpu_core::ModuleSpec::with_params(KIND, &cfg)).unwrap();
         assert_eq!(m.kind(), KIND);
     }
 }

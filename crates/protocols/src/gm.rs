@@ -23,7 +23,7 @@ use crate::abcast::ops as ab_ops;
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, Module, ModuleSpec, Response, ServiceId, StackId};
+use dpu_core::{Call, Module, Response, ServiceId, StackId};
 
 /// Module kind name, for factory registration.
 pub const KIND: &str = "gm";
@@ -181,14 +181,7 @@ impl GmModule {
 
     /// Register this module's factory under [`KIND`].
     pub fn register(reg: &mut dpu_core::FactoryRegistry) {
-        reg.register(KIND, |spec: &ModuleSpec| {
-            let params = if spec.params.is_empty() {
-                GmParams::default()
-            } else {
-                spec.params::<GmParams>().unwrap_or_default()
-            };
-            Box::new(GmModule::new(params))
-        });
+        reg.register_with(KIND, GmModule::new);
     }
 
     /// The currently installed view.
@@ -418,7 +411,7 @@ mod tests {
         let mut reg = dpu_core::FactoryRegistry::new();
         GmModule::register(&mut reg);
         let p = GmParams { service: "gm".into(), abcast: "r-abcast".into(), auto_exclude: false };
-        let m = reg.build(&ModuleSpec::with_params(KIND, &p)).unwrap();
+        let m = reg.build(&dpu_core::ModuleSpec::with_params(KIND, &p)).unwrap();
         assert_eq!(m.kind(), KIND);
         assert_eq!(m.requires(), vec![ServiceId::new("r-abcast")]);
     }

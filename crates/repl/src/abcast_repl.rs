@@ -74,6 +74,7 @@
 //! no option; the bookkeeping is one bit per group member plus the
 //! pending ids, allocated by the first switch.
 
+use crate::layer::{self, HeardSet, Indirection};
 use crate::CHANGE_OP;
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
@@ -119,7 +120,7 @@ impl Decode for ReplParams {
 /// either an ordinary message (tag `nil` in the paper) or a replacement
 /// request (tag `newABcast`), both stamped with the current protocol
 /// version `sn`.
-enum ReplPayload {
+pub(crate) enum ReplPayload {
     /// `(nil, sn, m)` — an ordinary message with its unique id.
     Nil { sn: u64, id: (StackId, u64), data: Bytes },
     /// `(newABcast, sn, prot)` — a replacement request.
@@ -175,80 +176,131 @@ impl Decode for ReplPayload {
     }
 }
 
+/// Algorithm 1's variables and the lines that [`ReplAbcastModule`] and
+/// the [`crate::ablation`] variants run alike; the `sn` guards of lines
+/// 10 and 18 and the call of lines 15–16 are left to the module, because
+/// those are what an ablation omits.
+pub(crate) struct Algorithm1 {
+    pub ind: Indirection,
+    /// `seqNumber`.
+    pub seq_number: u64,
+    /// `undelivered`, keyed by unique message id. Only locally-sent
+    /// messages are tracked (line 8 runs on the sender).
+    undelivered: BTreeMap<(StackId, u64), Bytes>,
+    next_id: u64,
+}
+
+impl Algorithm1 {
+    pub fn over(service: &str) -> Algorithm1 {
+        Algorithm1 {
+            ind: Indirection::over(service),
+            seq_number: 0,
+            undelivered: BTreeMap::new(),
+            next_id: 0,
+        }
+    }
+
+    pub fn undelivered_len(&self) -> usize {
+        self.undelivered.len()
+    }
+
+    /// Lines 5–9: the calls on `r-abcast`.
+    pub fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
+        match call.op {
+            // Lines 7–9: rABcast(m).
+            ab_ops::ABCAST => {
+                let id = (ctx.stack_id(), self.next_id);
+                self.next_id += 1;
+                self.undelivered.insert(id, call.data.clone());
+                self.ind
+                    .abcast(ctx, &ReplPayload::Nil { sn: self.seq_number, id, data: call.data });
+            }
+            // Lines 5–6: changeABcast(prot).
+            CHANGE_OP => {
+                let Some(spec) = self.ind.change_requested(ctx, &call) else { return };
+                self.ind.abcast(ctx, &ReplPayload::NewAbcast { sn: self.seq_number, spec });
+            }
+            _ => {}
+        }
+    }
+
+    /// Lines 11–14: apply the replacement whose request was just
+    /// adelivered. Returns the provider that was bound until now.
+    pub fn switch_to(&mut self, ctx: &mut ModuleCtx<'_>, spec: &ModuleSpec) -> Option<ModuleId> {
+        layer::requested(ctx);
+        // There is no explicit flush protocol: the total order itself
+        // guarantees old-protocol messages are all delivered or reissued,
+        // so "flushed" coincides with the unbind of the outgoing provider.
+        layer::flushed(ctx);
+        self.seq_number += 1; // line 11
+        let outgoing = ctx.bound(&self.ind.required);
+        ctx.unbind(&self.ind.required); // line 12
+        layer::install(ctx, spec); // lines 13–14
+        layer::activated(ctx);
+        outgoing
+    }
+
+    /// Lines 15–16: reissue `undelivered` under the new protocol. Returns
+    /// how many messages that was.
+    pub fn reissue(&mut self, ctx: &mut ModuleCtx<'_>) -> u64 {
+        let reissue: Vec<((StackId, u64), Bytes)> =
+            self.undelivered.iter().map(|(&id, data)| (id, data.clone())).collect();
+        let count = reissue.len() as u64;
+        for (id, data) in reissue {
+            self.ind.abcast(ctx, &ReplPayload::Nil { sn: self.seq_number, id, data });
+        }
+        count
+    }
+
+    /// Lines 19–21: `m` leaves `undelivered` and is rAdelivered.
+    pub fn deliver(&mut self, ctx: &mut ModuleCtx<'_>, id: (StackId, u64), data: Bytes) {
+        self.undelivered.remove(&id);
+        self.ind.radeliver(ctx, data);
+    }
+}
+
 /// The replacement module for atomic broadcast (Algorithm 1). See the
 /// module docs for the listing and the correspondence.
 pub struct ReplAbcastModule {
-    /// `r-<service>`: what callers are wired to.
-    provided: ServiceId,
-    /// `<service>`: the updateable protocol underneath.
-    required: ServiceId,
-    /// Algorithm 1's `seqNumber`.
-    seq_number: u64,
-    /// Algorithm 1's `undelivered`, keyed by unique message id. Only
-    /// locally-sent messages are tracked (line 8 runs on the sender).
-    undelivered: BTreeMap<(StackId, u64), Bytes>,
-    next_id: u64,
+    core: Algorithm1,
     // ---- retirement (see the module docs) ----
     /// Replaced providers still in the stack, oldest first.
     pending: Vec<ModuleId>,
-    /// One bit per entry of `ctx.peers()`: set once that stack's message
-    /// tagged with the current `seqNumber` was adelivered here. Empty
-    /// until the first switch.
-    heard: Box<[u64]>,
-    /// Clear bits left in `heard`.
-    unheard: u32,
+    /// The stacks whose message tagged with the current `seqNumber` was
+    /// adelivered here. Empty until the first switch.
+    heard: HeardSet,
     retired_total: u32,
     // ---- instrumentation (not part of the algorithm) ----
     reissued_total: u64,
     switch_times: Vec<Time>,
-    delivered_count: u64,
 }
 
 impl ReplAbcastModule {
     /// Build with explicit parameters.
     pub fn new(params: ReplParams) -> ReplAbcastModule {
-        let required = ServiceId::new(&params.service);
         ReplAbcastModule {
-            provided: required.replaced(),
-            required,
-            seq_number: 0,
-            undelivered: BTreeMap::new(),
-            next_id: 0,
+            core: Algorithm1::over(&params.service),
             pending: Vec::new(),
-            heard: Box::default(),
-            unheard: 0,
+            heard: HeardSet::default(),
             retired_total: 0,
             reissued_total: 0,
             switch_times: Vec::new(),
-            delivered_count: 0,
         }
     }
 
     /// Register this module's factory under [`KIND`].
     pub fn register(reg: &mut dpu_core::FactoryRegistry) {
-        reg.register(KIND, |spec: &ModuleSpec| {
-            let params = if spec.params.is_empty() {
-                ReplParams::default()
-            } else {
-                spec.params::<ReplParams>().unwrap_or_default()
-            };
-            Box::new(ReplAbcastModule::new(params))
-        });
+        reg.register_with(KIND, ReplAbcastModule::new);
     }
 
     /// Algorithm 1's `seqNumber`: the current protocol version.
     pub fn seq_number(&self) -> u64 {
-        self.seq_number
+        self.core.seq_number
     }
 
     /// Messages sent locally and not yet rAdelivered.
     pub fn undelivered_len(&self) -> usize {
-        self.undelivered.len()
-    }
-
-    /// How many replacements this stack has applied.
-    pub fn switches_applied(&self) -> u64 {
-        self.switch_times.len() as u64
+        self.core.undelivered_len()
     }
 
     /// Replaced modules this stack has destroyed, over all switches.
@@ -268,9 +320,10 @@ impl ReplAbcastModule {
         self.reissued_total
     }
 
-    /// Virtual time at which the last replacement was applied locally.
-    pub fn last_switch_at(&self) -> Option<Time> {
-        self.switch_times.last().copied()
+    /// Change requests made on this stack and dropped because it could
+    /// not have built the requested protocol itself.
+    pub fn refused_changes(&self) -> u64 {
+        self.core.ind.refused()
     }
 
     /// Local application times of every replacement, in order. The
@@ -280,51 +333,15 @@ impl ReplAbcastModule {
         &self.switch_times
     }
 
-    /// Messages rAdelivered to the users above.
-    pub fn delivered_count(&self) -> u64 {
-        self.delivered_count
-    }
-
-    fn abcast(&self, ctx: &mut ModuleCtx<'_>, payload: &ReplPayload) {
-        let data = ctx.encode(payload);
-        ctx.call(&self.required, ab_ops::ABCAST, data);
-    }
-
-    /// The switch to the current `seqNumber` is being applied: `outgoing`
-    /// joins the pending list and nobody has been heard yet.
-    fn await_retirement(&mut self, outgoing: Option<ModuleId>, group: usize) {
-        if let Some(module) = outgoing {
-            self.pending.reserve_exact(1);
-            self.pending.push(module);
-        }
-        self.heard = vec![0; group.div_ceil(64)].into();
-        self.unheard = u32::try_from(group).expect("stack ids are u32");
-    }
-
-    /// `origin` has a message tagged with the current `seqNumber` in the
-    /// total order, so it has switched. Once the whole group has, no
+    /// Every member has been heard under the current `seqNumber`, so no
     /// stack has a pending module bound any more: destroy them.
-    fn heard_from(&mut self, ctx: &mut ModuleCtx<'_>, origin: StackId) {
-        let peers = ctx.peers();
-        // Every host numbers its group 0..n; search only if one does not.
-        let identity = (peers.get(origin.idx()) == Some(&origin)).then_some(origin.idx());
-        let Some(idx) = identity.or_else(|| peers.iter().position(|p| *p == origin)) else {
-            return; // not a member of the group
-        };
-        let bit = 1u64 << (idx % 64);
-        if self.heard[idx / 64] & bit != 0 {
-            return;
+    fn retire(&mut self, ctx: &mut ModuleCtx<'_>) {
+        let retired = self.pending.len() as u32;
+        for module in self.pending.drain(..) {
+            ctx.destroy_module(module);
         }
-        self.heard[idx / 64] |= bit;
-        self.unheard -= 1;
-        if self.unheard == 0 {
-            let retired = self.pending.len() as u32;
-            for module in self.pending.drain(..) {
-                ctx.destroy_module(module);
-            }
-            self.retired_total += retired;
-            ctx.telemetry().note_retired(retired);
-        }
+        self.retired_total += retired;
+        ctx.telemetry().note_retired(retired);
     }
 }
 
@@ -334,99 +351,48 @@ impl Module for ReplAbcastModule {
     }
 
     fn provides(&self) -> Vec<ServiceId> {
-        vec![self.provided.clone()]
+        vec![self.core.ind.provided.clone()]
     }
 
     fn requires(&self) -> Vec<ServiceId> {
-        vec![self.required.clone()]
+        vec![self.core.ind.required.clone()]
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
-        match call.op {
-            // Lines 7–9: rABcast(m).
-            ab_ops::ABCAST => {
-                let id = (ctx.stack_id(), self.next_id);
-                self.next_id += 1;
-                self.undelivered.insert(id, call.data.clone());
-                self.abcast(ctx, &ReplPayload::Nil { sn: self.seq_number, id, data: call.data });
-            }
-            // Lines 5–6: changeABcast(prot).
-            CHANGE_OP => {
-                let Ok(spec) = call.decode::<ModuleSpec>() else { return };
-                // The initiator learns of the switch here; everyone else
-                // when the NewAbcast announcement is adelivered (the
-                // timeline's `requested` stamp is idempotent across both).
-                let now_ns = ctx.now().as_nanos();
-                ctx.telemetry().switch_requested(now_ns);
-                self.abcast(ctx, &ReplPayload::NewAbcast { sn: self.seq_number, spec });
-            }
-            _ => {}
-        }
+        self.core.on_call(ctx, call);
     }
 
     fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, resp: Response) {
-        if resp.service != self.required || resp.op != ab_ops::ADELIVER {
-            return;
-        }
-        let Ok(payload) = resp.decode::<ReplPayload>() else { return };
+        let Some(payload) = self.core.ind.adelivered::<ReplPayload>(&resp) else { return };
         match payload {
             // Lines 10–16: Adeliver(newABcast, sn, prot).
             ReplPayload::NewAbcast { sn, spec } => {
-                if sn != self.seq_number {
+                if sn != self.core.seq_number {
                     return; // stale switch request from an old protocol
                 }
-                let now_ns = ctx.now().as_nanos();
-                ctx.telemetry().switch_requested(now_ns);
-                self.seq_number += 1; // line 11
-                                      // Under Repl there is no explicit flush protocol: the
-                                      // total order itself guarantees old-protocol messages are
-                                      // all delivered or reissued, so "flushed" coincides with
-                                      // the unbind of the outgoing provider.
-                ctx.telemetry().switch_flushed(now_ns);
-                let outgoing = ctx.bound(&self.required);
-                self.await_retirement(outgoing, ctx.peers().len());
-                ctx.unbind(&self.required); // line 12
-                match ctx.create_module(&spec) {
-                    // lines 13–14 (create_module binds the new provider
-                    // and recursively creates its required services)
-                    Ok(_new_module) => {}
-                    Err(e) => {
-                        // The switch was agreed globally but this stack
-                        // cannot build the protocol: surface loudly. The
-                        // service stays unbound, so calls block (weak
-                        // well-formedness) rather than corrupt state.
-                        panic!("replacement failed on {}: {e}", ctx.stack_id());
-                    }
+                // The outgoing provider joins the pending list and nobody
+                // has been heard under the new `seqNumber` yet. Exact
+                // growth, like the timeline's records: switches are rare.
+                if let Some(outgoing) = self.core.switch_to(ctx, &spec) {
+                    self.pending.reserve_exact(1);
+                    self.pending.push(outgoing);
                 }
-                let activated_ns = ctx.now().as_nanos();
-                ctx.telemetry().switch_activated(activated_ns);
-                // Exact growth, like the timeline's records: switches are rare.
+                self.heard.reset(ctx.peers().len());
                 self.switch_times.reserve_exact(1);
                 self.switch_times.push(ctx.now());
-                // Lines 15–16: reissue undelivered under the new protocol.
-                let reissue: Vec<((StackId, u64), Bytes)> =
-                    self.undelivered.iter().map(|(&id, data)| (id, data.clone())).collect();
-                self.reissued_total += reissue.len() as u64;
-                for (id, data) in reissue {
-                    self.abcast(ctx, &ReplPayload::Nil { sn: self.seq_number, id, data });
-                }
+                self.reissued_total += self.core.reissue(ctx);
             }
             // Lines 17–21: Adeliver(nil, sn, m).
             ReplPayload::Nil { sn, id, data } => {
-                if sn != self.seq_number {
+                if sn != self.core.seq_number {
                     return; // line 18: message of an older protocol
                 }
-                self.undelivered.remove(&id); // lines 19–20
-                self.delivered_count += 1;
-                if !self.pending.is_empty() {
-                    self.heard_from(ctx, id.0);
+                // `id.0` has a message tagged with the current `seqNumber`
+                // in the total order, so it has switched.
+                if !self.pending.is_empty() && self.heard.mark(ctx.peers(), id.0) {
+                    self.retire(ctx);
                 }
-                // Closes the blackout window on the first post-switch
-                // delivery regardless of whether the consumer above
-                // timestamps its messages.
-                let now_ns = ctx.now().as_nanos();
-                ctx.telemetry().note_switch_delivery(now_ns);
-                ctx.respond(&self.provided, ab_ops::ADELIVER, data); // line 21
+                self.core.deliver(ctx, id, data);
             }
         }
     }
@@ -480,6 +446,19 @@ mod tests {
         }
     }
 
+    /// The bytes `ReplPayload` and the ablation's own copy of it both
+    /// produced at commit 7ad5825, before the copy was dropped.
+    #[test]
+    fn payload_keeps_the_parent_commits_bytes() {
+        let hex = |p: &ReplPayload| -> String {
+            wire::to_bytes(p).iter().map(|b| format!("{b:02x}")).collect()
+        };
+        let nil = ReplPayload::Nil { sn: 3, id: (StackId(1), 9), data: Bytes::from_static(b"msg") };
+        assert_eq!(hex(&nil), "00030109036d7367");
+        let spec = ModuleSpec::with_params("abcast.seq", &7u64);
+        assert_eq!(hex(&ReplPayload::NewAbcast { sn: 1, spec }), "01010a6162636173742e7365710107");
+    }
+
     #[test]
     fn factory_registration() {
         let mut reg = dpu_core::FactoryRegistry::new();
@@ -487,6 +466,12 @@ mod tests {
         let m = reg.build(&ModuleSpec::new(KIND)).unwrap();
         assert_eq!(m.kind(), KIND);
         assert_eq!(m.provides(), vec![ServiceId::new("r-abcast")]);
+    }
+
+    #[test]
+    fn the_module_is_no_larger_than_before_the_skeleton() {
+        // `switch-1k-sim` and `fig5-ct-sim` carry one per stack.
+        assert!(std::mem::size_of::<ReplAbcastModule>() <= 160);
     }
 
     // End-to-end switching behaviour (multi-stack, across protocols,

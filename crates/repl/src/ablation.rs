@@ -12,18 +12,16 @@
 //!   application alongside the re-issued copies → **uniform integrity**
 //!   (duplicate delivery) violations.
 //!
-//! Both are bit-for-bit Algorithm 1 otherwise (compare
-//! [`crate::abcast_repl::ReplAbcastModule`]). The negative tests live in
+//! Both are Algorithm 1 otherwise, by construction: they run the same
+//! `Algorithm1` core (payload, codec, lines 5–9, 11–14, 15–16, 19–21) as
+//! [`crate::abcast_repl::ReplAbcastModule`] and differ only in the one
+//! guard or call they leave out. The negative tests live in
 //! this module; the positive counterpart — the full algorithm passing the
 //! same adversarial schedules — is everywhere else in the test suite.
 
-use crate::CHANGE_OP;
-use bytes::Bytes;
+use crate::abcast_repl::{Algorithm1, ReplPayload};
 use dpu_core::stack::ModuleCtx;
-use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, Module, ModuleSpec, Response, ServiceId, StackId};
-use dpu_protocols::abcast::ops as ab_ops;
-use std::collections::BTreeMap;
+use dpu_core::{Call, Module, Response, ServiceId};
 
 /// Module kind of the no-reissue ablation.
 pub const KIND_NO_REISSUE: &str = "repl.abcast.no-reissue";
@@ -39,69 +37,10 @@ pub enum Omit {
     VersionGuard,
 }
 
-// The payload mirrors ReplPayload in abcast_repl; duplicated here on
-// purpose so the ablations stay self-contained and the real module stays
-// free of test-only branches. The wire format is identical.
-enum Payload {
-    Nil { sn: u64, id: (StackId, u64), data: Bytes },
-    NewAbcast { sn: u64, spec: ModuleSpec },
-}
-
-impl Encode for Payload {
-    fn encode(&self, buf: &mut bytes::BytesMut) {
-        match self {
-            Payload::Nil { sn, id, data } => {
-                0u32.encode(buf);
-                sn.encode(buf);
-                id.0.encode(buf);
-                id.1.encode(buf);
-                data.encode(buf);
-            }
-            Payload::NewAbcast { sn, spec } => {
-                1u32.encode(buf);
-                sn.encode(buf);
-                spec.encode(buf);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self {
-            Payload::Nil { sn, id, data } => {
-                0u32.encoded_len()
-                    + sn.encoded_len()
-                    + id.0.encoded_len()
-                    + id.1.encoded_len()
-                    + data.encoded_len()
-            }
-            Payload::NewAbcast { sn, spec } => {
-                1u32.encoded_len() + sn.encoded_len() + spec.encoded_len()
-            }
-        }
-    }
-}
-
-impl Decode for Payload {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        match u32::decode(buf)? {
-            0 => Ok(Payload::Nil {
-                sn: u64::decode(buf)?,
-                id: (StackId::decode(buf)?, u64::decode(buf)?),
-                data: Bytes::decode(buf)?,
-            }),
-            1 => Ok(Payload::NewAbcast { sn: u64::decode(buf)?, spec: ModuleSpec::decode(buf)? }),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
-
 /// A replacement module with one ingredient of Algorithm 1 omitted.
 pub struct BrokenRepl {
     omit: Omit,
-    provided: ServiceId,
-    required: ServiceId,
-    seq_number: u64,
-    undelivered: BTreeMap<(StackId, u64), Bytes>,
-    next_id: u64,
+    core: Algorithm1,
 }
 
 /// Type alias documenting intent at use sites.
@@ -112,20 +51,7 @@ pub type NoGuardRepl = BrokenRepl;
 impl BrokenRepl {
     /// Build an ablation over the `abcast` service.
     pub fn new(omit: Omit) -> BrokenRepl {
-        let required = ServiceId::new(dpu_protocols::ABCAST_SVC);
-        BrokenRepl {
-            omit,
-            provided: required.replaced(),
-            required,
-            seq_number: 0,
-            undelivered: BTreeMap::new(),
-            next_id: 0,
-        }
-    }
-
-    fn abcast(&self, ctx: &mut ModuleCtx<'_>, payload: &Payload) {
-        let data = ctx.encode(payload);
-        ctx.call(&self.required, ab_ops::ABCAST, data);
+        BrokenRepl { omit, core: Algorithm1::over(dpu_protocols::ABCAST_SVC) }
     }
 }
 
@@ -138,67 +64,37 @@ impl Module for BrokenRepl {
     }
 
     fn provides(&self) -> Vec<ServiceId> {
-        vec![self.provided.clone()]
+        vec![self.core.ind.provided.clone()]
     }
 
     fn requires(&self) -> Vec<ServiceId> {
-        vec![self.required.clone()]
+        vec![self.core.ind.required.clone()]
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
-        match call.op {
-            ab_ops::ABCAST => {
-                let id = (ctx.stack_id(), self.next_id);
-                self.next_id += 1;
-                self.undelivered.insert(id, call.data.clone());
-                self.abcast(ctx, &Payload::Nil { sn: self.seq_number, id, data: call.data });
-            }
-            CHANGE_OP => {
-                if let Ok(spec) = call.decode::<ModuleSpec>() {
-                    self.abcast(ctx, &Payload::NewAbcast { sn: self.seq_number, spec });
-                }
-            }
-            _ => {}
-        }
+        self.core.on_call(ctx, call);
     }
 
     fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, resp: Response) {
-        if resp.service != self.required || resp.op != ab_ops::ADELIVER {
-            return;
-        }
-        let Ok(payload) = resp.decode::<Payload>() else { return };
+        let Some(payload) = self.core.ind.adelivered::<ReplPayload>(&resp) else { return };
         match payload {
-            Payload::NewAbcast { sn, spec } => {
-                if sn != self.seq_number {
+            ReplPayload::NewAbcast { sn, spec } => {
+                if sn != self.core.seq_number {
                     return;
                 }
-                self.seq_number += 1;
-                ctx.unbind(&self.required);
-                ctx.create_module(&spec).expect("ablation switch");
-                match self.omit {
-                    Omit::Reissue => {
-                        // BROKEN: lines 15-16 skipped — whatever was in
-                        // flight under the old protocol is lost.
-                    }
-                    Omit::VersionGuard => {
-                        let reissue: Vec<_> =
-                            self.undelivered.iter().map(|(&id, d)| (id, d.clone())).collect();
-                        for (id, data) in reissue {
-                            self.abcast(ctx, &Payload::Nil { sn: self.seq_number, id, data });
-                        }
-                    }
+                self.core.switch_to(ctx, &spec);
+                // BROKEN under `Omit::Reissue`: lines 15–16 skipped —
+                // whatever was in flight under the old protocol is lost.
+                if self.omit != Omit::Reissue {
+                    self.core.reissue(ctx);
                 }
             }
-            Payload::Nil { sn, id, data } => {
-                let accept = match self.omit {
-                    // BROKEN: line 18 skipped — old-protocol stragglers
-                    // are delivered alongside their re-issued copies.
-                    Omit::VersionGuard => true,
-                    Omit::Reissue => sn == self.seq_number,
-                };
-                if accept {
-                    self.undelivered.remove(&id);
-                    ctx.respond(&self.provided, ab_ops::ADELIVER, data);
+            ReplPayload::Nil { sn, id, data } => {
+                // BROKEN under `Omit::VersionGuard`: line 18 skipped —
+                // old-protocol stragglers are delivered alongside their
+                // re-issued copies.
+                if self.omit == Omit::VersionGuard || sn == self.core.seq_number {
+                    self.core.deliver(ctx, id, data);
                 }
             }
         }
@@ -213,6 +109,8 @@ mod tests {
     };
     use dpu_core::abcast_check::AbcastViolation;
     use dpu_core::time::{Dur, Time};
+    use dpu_core::StackId;
+    use dpu_protocols::abcast::ops as ab_ops;
     use dpu_sim::{Sim, SimConfig};
 
     /// Build the standard stack but with a broken replacement layer.
@@ -257,17 +155,6 @@ mod tests {
         });
         sim.run_until(until + Dur::secs(10));
         check_run(&mut sim, &h).checker.check()
-    }
-
-    #[test]
-    fn ablation_payload_wire_contract() {
-        use dpu_core::wire::testing::assert_wire_contract;
-        assert_wire_contract(&Payload::Nil {
-            sn: 1,
-            id: (StackId(0), 7),
-            data: Bytes::from_static(b"m"),
-        });
-        assert_wire_contract(&Payload::NewAbcast { sn: 2, spec: ModuleSpec::new("abcast.ct") });
     }
 
     #[test]

@@ -37,7 +37,9 @@ use dpu_core::host::Host;
 use dpu_core::probe::Probe;
 use dpu_core::props;
 use dpu_core::time::{Dur, Time};
-use dpu_core::{FactoryRegistry, ModuleId, ModuleSpec, ServiceId, Stack, StackConfig, StackId};
+use dpu_core::{
+    FactoryRegistry, Module, ModuleId, ModuleSpec, ServiceId, Stack, StackConfig, StackId,
+};
 use dpu_net::rp2p::Rp2pModule;
 use dpu_net::udp::UdpModule;
 use dpu_protocols::abcast::ct::CtAbcastModule;
@@ -259,24 +261,18 @@ pub fn build(sc: StackConfig, opts: &GroupStackOpts) -> BuiltStack {
     let abcast_svc = ServiceId::new(dpu_protocols::ABCAST_SVC);
     let abcast = stack.install(&opts.abcast).expect("install abcast");
 
-    let (layer, top_service) = match opts.layer {
-        SwitchLayer::None => (None, abcast_svc.clone()),
-        SwitchLayer::Repl => {
-            let m = stack.add_module(Box::new(ReplAbcastModule::new(ReplParams::default())));
-            stack.bind(&abcast_svc.replaced(), m);
-            (Some(m), abcast_svc.replaced())
-        }
-        SwitchLayer::Maestro => {
-            let m = stack.add_module(Box::new(MaestroSwitcher::new(MaestroParams::default())));
-            stack.bind(&abcast_svc.replaced(), m);
-            (Some(m), abcast_svc.replaced())
-        }
-        SwitchLayer::Graceful => {
-            let m = stack.add_module(Box::new(GracefulSwitcher::new(GracefulParams::default())));
-            stack.bind(&abcast_svc.replaced(), m);
-            (Some(m), abcast_svc.replaced())
-        }
+    let module: Option<Box<dyn Module>> = match opts.layer {
+        SwitchLayer::None => None,
+        SwitchLayer::Repl => Some(Box::new(ReplAbcastModule::new(ReplParams::default()))),
+        SwitchLayer::Maestro => Some(Box::new(MaestroSwitcher::new(MaestroParams::default()))),
+        SwitchLayer::Graceful => Some(Box::new(GracefulSwitcher::new(GracefulParams::default()))),
     };
+    let layer = module.map(|module| {
+        let m = stack.add_module(module);
+        stack.bind(&abcast_svc.replaced(), m);
+        m
+    });
+    let top_service = if layer.is_some() { abcast_svc.replaced() } else { abcast_svc };
 
     let probe = opts.probe_pad.map(|pad| {
         stack.add_module(Box::new(Probe::new(
@@ -350,12 +346,28 @@ pub fn send_probe(mut host: impl Host, node: StackId, h: &Handles) {
 
 /// Request a protocol change from `node` (the paper's
 /// `changeABcast(prot)`): delivered to the switch layer on the top
-/// service.
+/// service, in the probe's name.
 pub fn request_change(mut host: impl Host, node: StackId, h: &Handles, new_spec: &ModuleSpec) {
-    let Some(probe) = h.probe else { return };
+    let Some(probe) = h.probe else {
+        panic!("request_change requires a probe");
+    };
     let top = h.top_service.clone();
     let data = dpu_core::wire::to_bytes(new_spec);
     host.with_stack(node, move |s| s.call_as(probe, &top, crate::CHANGE_OP, data));
+}
+
+/// What switching cost one stack beyond the broadcasts themselves: the
+/// time its application spent blocked, and the point-to-point
+/// coordination messages it sent. Both are zero under Algorithm 1, whose
+/// switch rides the total order.
+pub fn switch_cost(stack: &mut Stack, h: &Handles) -> (Dur, u64) {
+    let Some(layer) = h.layer else { return (Dur::ZERO, 0) };
+    stack
+        .with_module::<MaestroSwitcher, _>(layer, |m| (m.total_blocked(), m.coord_msgs()))
+        .or_else(|| {
+            stack.with_module::<GracefulSwitcher, _>(layer, |m| (m.total_blocked(), m.coord_msgs()))
+        })
+        .unwrap_or((Dur::ZERO, 0))
 }
 
 /// An [`dpu_sim::workload::InjectFn`] that broadcasts one probe message
@@ -523,8 +535,6 @@ pub fn check_run(sim: &mut Sim, h: &Handles) -> RunReport {
 mod tests {
     use super::*;
     use crate::abcast_repl::ReplAbcastModule;
-    use crate::graceful::GracefulSwitcher;
-    use crate::maestro::MaestroSwitcher;
     use dpu_core::trace::TraceEvent;
     use dpu_protocols::abcast::ct::{CtAbcastParams, KIND as CT_KIND};
     use dpu_protocols::abcast::ring::{RingAbcastParams, KIND as RING_KIND};
@@ -598,6 +608,11 @@ mod tests {
         (sim, h)
     }
 
+    /// Switches `id`'s timeline has seen through to a first delivery.
+    fn completed_switches(sim: &Sim, id: StackId) -> u64 {
+        sim.stack(id).telemetry().state().expect("always on").switches.completed()
+    }
+
     #[test]
     fn repl_replaces_ct_by_ct_like_the_paper() {
         // §6.2: "we replace the Chandra-Toueg ABcast protocol by the same
@@ -608,7 +623,7 @@ mod tests {
         for id in sim.stack_ids() {
             let (sn, switches, undeliv) = sim.with_stack(id, |s| {
                 s.with_module::<ReplAbcastModule, _>(layer, |m| {
-                    (m.seq_number(), m.switches_applied(), m.undelivered_len())
+                    (m.seq_number(), m.switch_times().len(), m.undelivered_len())
                 })
                 .unwrap()
             });
@@ -680,13 +695,9 @@ mod tests {
     #[test]
     fn maestro_switch_blocks_the_application() {
         let (mut sim, h) = run_with_switch(SwitchLayer::Maestro, ct_spec(0), ct_spec(1), 3, 5);
-        let layer = h.layer.unwrap();
         for id in sim.stack_ids() {
-            let (switches, blocked) = sim.with_stack(id, |s| {
-                s.with_module::<MaestroSwitcher, _>(layer, |m| (m.switches(), m.total_blocked()))
-                    .unwrap()
-            });
-            assert_eq!(switches, 1, "{id}");
+            let (blocked, _) = sim.with_stack(id, |s| switch_cost(s, &h));
+            assert_eq!(completed_switches(&sim, id), 1, "{id}");
             assert!(
                 blocked > Dur::ZERO,
                 "{id}: Maestro must have blocked the application, got {blocked}"
@@ -700,19 +711,12 @@ mod tests {
         // alternative slot.
         let (mut sim, h) =
             run_with_switch(SwitchLayer::Graceful, ct_spec(0), seq_spec(1, "abcast.alt"), 3, 13);
-        let layer = h.layer.unwrap();
         for id in sim.stack_ids() {
-            let (switches, blocked, msgs) = sim.with_stack(id, |s| {
-                s.with_module::<GracefulSwitcher, _>(layer, |m| {
-                    (m.switches(), m.total_blocked(), m.coord_msgs())
-                })
-                .unwrap()
-            });
-            assert_eq!(switches, 1, "{id}");
+            let (_, msgs) = sim.with_stack(id, |s| switch_cost(s, &h));
+            assert_eq!(completed_switches(&sim, id), 1, "{id}");
             // Three barrier phases cost coordination messages on every
             // stack (replies) and extra on the coordinator.
             assert!(msgs >= 2, "{id} sent only {msgs} coordination messages");
-            let _ = blocked; // blocked window may be tiny but exists
         }
     }
 
@@ -742,10 +746,7 @@ mod tests {
         send_probe(&mut sim, StackId(2), &h);
         sim.run_until(Time::ZERO + Dur::secs(16));
         for id in sim.stack_ids() {
-            let switches = sim.with_stack(id, |s| {
-                s.with_module::<GracefulSwitcher, _>(layer, |m| m.switches()).unwrap()
-            });
-            assert_eq!(switches, 2, "{id}");
+            assert_eq!(completed_switches(&sim, id), 2, "{id}");
         }
         let report = check_run(&mut sim, &h);
         report.assert_ok();
@@ -1035,5 +1036,112 @@ mod tests {
         for id in sim.stack_ids() {
             assert_eq!(report.checker.delivery_count(id), 3, "stack {id}");
         }
+    }
+
+    #[test]
+    fn every_layer_reports_its_switch_on_the_one_timeline() {
+        // One switch under load per layer; the group's report must read
+        // the same whichever layer performed it.
+        let n = 3u32;
+        for (layer, target) in [
+            (SwitchLayer::Repl, ct_spec(1)),
+            (SwitchLayer::Maestro, ct_spec(1)),
+            (SwitchLayer::Graceful, seq_spec(1, "abcast.alt")),
+        ] {
+            let opts = GroupStackOpts { layer, ..Default::default() };
+            let (mut sim, h) = group_sim(SimConfig::lan(n, 29), &opts);
+            sim.run_until(Time::ZERO + Dur::millis(300));
+            let modules_before = sim.stack(StackId(0)).modules().count();
+            let until = sim.now() + Dur::secs(4);
+            drive_load(&mut sim, &h, 60.0, until);
+            let h2 = h.clone();
+            sim.schedule_in(Dur::secs(2), move |sim| request_change(sim, StackId(0), &h2, &target));
+            sim.run_until(until + Dur::secs(8));
+            check_run(&mut sim, &h).assert_ok();
+            let report = sim.telemetry_report();
+            assert_eq!(report.switches.completed, u64::from(n), "{layer:?}");
+            assert_eq!(report.switches.blackout_ns.count, u64::from(n), "{layer:?}");
+            assert_eq!(report.switches.swap_gap_ns.count, u64::from(n), "{layer:?}");
+            for id in sim.stack_ids() {
+                let timeline = &sim.stack(id).telemetry().state().expect("always on").switches;
+                assert!(timeline.pending().is_none(), "{layer:?} {id}: record left open");
+            }
+            // Repl retires the replaced module once everyone was heard,
+            // Maestro destroys it at rebuild, Graceful at activate: one
+            // module in, one out, no dead module left riding along.
+            let modules_after = sim.stack(StackId(0)).modules().count();
+            assert_eq!(modules_after, modules_before, "{layer:?}");
+        }
+    }
+
+    #[test]
+    fn a_change_to_an_unknown_protocol_is_refused_where_it_is_requested() {
+        // Before the skeleton's dry run such a request was broadcast,
+        // agreed on, and then panicked every stack of the group.
+        for layer in [SwitchLayer::Repl, SwitchLayer::Maestro, SwitchLayer::Graceful] {
+            let opts = GroupStackOpts { layer, ..Default::default() };
+            let (mut sim, h) = group_sim(SimConfig::lan(3, 59), &opts);
+            sim.run_until(Time::ZERO + Dur::millis(300));
+            let until = sim.now() + Dur::secs(2);
+            drive_load(&mut sim, &h, 30.0, until);
+            let h2 = h.clone();
+            sim.schedule_in(Dur::secs(1), move |sim| {
+                request_change(&mut *sim, StackId(1), &h2, &ModuleSpec::new("abcast.nonesuch"));
+                // Known kind, parameters that do not decode.
+                let garbage = ModuleSpec { kind: CT_KIND.into(), params: vec![0xff].into() };
+                request_change(sim, StackId(2), &h2, &garbage);
+            });
+            sim.run_until(until + Dur::secs(4));
+            let report = check_run(&mut sim, &h);
+            report.assert_ok();
+            let sent = report.checker.broadcast_count();
+            assert!(sent >= 55, "{layer:?}: load sent only {sent}");
+            let layer_id = h.layer.unwrap();
+            for id in sim.stack_ids() {
+                assert_eq!(report.checker.delivery_count(id), sent, "{layer:?} {id}");
+                assert_eq!(completed_switches(&sim, id), 0, "{layer:?} {id}");
+                let timeline = &sim.stack(id).telemetry().state().expect("always on").switches;
+                assert!(timeline.pending().is_none(), "{layer:?} {id}: a switch started");
+                let refused = sim.with_stack(id, |s| {
+                    s.with_module::<ReplAbcastModule, _>(layer_id, |m| {
+                        assert_eq!(m.seq_number(), 0, "{id}: seqNumber moved");
+                        m.refused_changes()
+                    })
+                    .or_else(|| {
+                        s.with_module::<MaestroSwitcher, _>(layer_id, |m| m.refused_changes())
+                    })
+                    .or_else(|| {
+                        s.with_module::<GracefulSwitcher, _>(layer_id, |m| m.refused_changes())
+                    })
+                    .expect("one of the three layers")
+                });
+                assert_eq!(refused, u64::from(id != StackId(0)), "{layer:?} {id}");
+            }
+            let mut dump = String::new();
+            sim.stack(StackId(1)).telemetry().dump_flight("s1", &mut dump);
+            assert!(dump.contains("switch-refused"), "{layer:?}: {dump}");
+        }
+    }
+
+    #[test]
+    fn a_spec_with_garbage_params_is_an_error_not_a_default_module() {
+        // Used to build a module with default parameters — namespace 0,
+        // sharing wire tags with the first incarnation.
+        let garbage = ModuleSpec { kind: SEQ_KIND.into(), params: vec![0xff, 0xff].into() };
+        assert!(matches!(registry().build(&garbage), Err(dpu_core::stack::StackError::Wire(_))));
+        let mut stack = build(StackConfig::nth(0, 1, 1), &GroupStackOpts::default()).stack;
+        let modules = stack.modules().count();
+        assert!(matches!(stack.install(&garbage), Err(dpu_core::stack::StackError::Wire(_))));
+        assert_eq!(stack.modules().count(), modules, "nothing was created");
+        // Empty params still mean the defaults.
+        assert!(registry().build(&ModuleSpec::new(SEQ_KIND)).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "request_change requires a probe")]
+    fn request_change_without_a_probe_says_so() {
+        let opts = GroupStackOpts { probe_pad: None, ..Default::default() };
+        let (mut sim, h) = group_sim(SimConfig::lan(3, 61), &opts);
+        request_change(&mut sim, StackId(0), &h, &ct_spec(1));
     }
 }

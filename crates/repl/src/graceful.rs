@@ -26,17 +26,27 @@
 //! (only deactivate→activate, and the new component is pre-built), but
 //! the three barriers cost coordination messages and wall-clock time —
 //! both measured by `dpu-bench`'s `comparison`.
+//!
+//! On the shared `Coordinated` skeleton of `layer.rs` this is two ack
+//! rounds on channel [`dpu_protocols::channels::GRACEFUL`]: `Prepare` is
+//! its `Start`, `Prepared` / `Deactivate` the round-1 `Ack` / `Go`,
+//! `Deactivated` / `Activate` those of round 2, and the deactivate phase
+//! is its marker drain.
+//!
+//! One deviation from the composition model, which only marks the old
+//! AAC inactive: `activate` destroys it. The `Deactivated` barrier is §3's
+//! condition — when the CA sends `Activate`, every stack has drained the
+//! old AAC and none will call it again — and a component left behind
+//! would keep being handed (and charged for) every response of the
+//! services it requires, one more per switch.
 
-use crate::CHANGE_OP;
+use crate::layer::{self, Coordinated, Step};
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
-use dpu_core::time::{Dur, Time};
-use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, Module, ModuleSpec, Response, ServiceId, StackId};
-use dpu_net::dgram::{self, Dgram, DgramRef};
-use dpu_protocols::abcast::ops as ab_ops;
+use dpu_core::time::Dur;
+use dpu_core::wire::{Decode, Encode, WireResult};
+use dpu_core::{Call, Module, Response, ServiceId};
 use dpu_protocols::channels;
-use std::collections::{BTreeSet, VecDeque};
 
 /// Module kind name, for factory registration.
 pub const KIND: &str = "graceful";
@@ -77,280 +87,48 @@ impl Decode for GracefulParams {
     }
 }
 
-/// Payload envelope through the underlying atomic broadcast.
-enum Envelope {
-    Data { data: Bytes },
-    Marker { epoch: u64, from: StackId },
-}
-
-impl Encode for Envelope {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Envelope::Data { data } => {
-                0u32.encode(buf);
-                data.encode(buf);
-            }
-            Envelope::Marker { epoch, from } => {
-                1u32.encode(buf);
-                epoch.encode(buf);
-                from.encode(buf);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self {
-            Envelope::Data { data } => 0u32.encoded_len() + data.encoded_len(),
-            Envelope::Marker { epoch, from } => {
-                1u32.encoded_len() + epoch.encoded_len() + from.encoded_len()
-            }
-        }
-    }
-}
-
-impl Decode for Envelope {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        match u32::decode(buf)? {
-            0 => Ok(Envelope::Data { data: Bytes::decode(buf)? }),
-            1 => Ok(Envelope::Marker { epoch: u64::decode(buf)?, from: StackId::decode(buf)? }),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
-
-/// Coordination messages of the CA protocol (channel `GRACEFUL`).
-enum Coord {
-    Prepare { epoch: u64, spec: ModuleSpec, coord: StackId },
-    Prepared { epoch: u64, from: StackId },
-    Deactivate { epoch: u64 },
-    Deactivated { epoch: u64, from: StackId },
-    Activate { epoch: u64 },
-}
-
-impl Encode for Coord {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Coord::Prepare { epoch, spec, coord } => {
-                0u32.encode(buf);
-                epoch.encode(buf);
-                spec.encode(buf);
-                coord.encode(buf);
-            }
-            Coord::Prepared { epoch, from } => {
-                1u32.encode(buf);
-                epoch.encode(buf);
-                from.encode(buf);
-            }
-            Coord::Deactivate { epoch } => {
-                2u32.encode(buf);
-                epoch.encode(buf);
-            }
-            Coord::Deactivated { epoch, from } => {
-                3u32.encode(buf);
-                epoch.encode(buf);
-                from.encode(buf);
-            }
-            Coord::Activate { epoch } => {
-                4u32.encode(buf);
-                epoch.encode(buf);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self {
-            Coord::Prepare { epoch, spec, coord } => {
-                0u32.encoded_len() + epoch.encoded_len() + spec.encoded_len() + coord.encoded_len()
-            }
-            Coord::Prepared { epoch, from } => {
-                1u32.encoded_len() + epoch.encoded_len() + from.encoded_len()
-            }
-            Coord::Deactivate { epoch } => 2u32.encoded_len() + epoch.encoded_len(),
-            Coord::Deactivated { epoch, from } => {
-                3u32.encoded_len() + epoch.encoded_len() + from.encoded_len()
-            }
-            Coord::Activate { epoch } => 4u32.encoded_len() + epoch.encoded_len(),
-        }
-    }
-}
-
-impl Decode for Coord {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(match u32::decode(buf)? {
-            0 => Coord::Prepare {
-                epoch: u64::decode(buf)?,
-                spec: ModuleSpec::decode(buf)?,
-                coord: StackId::decode(buf)?,
-            },
-            1 => Coord::Prepared { epoch: u64::decode(buf)?, from: StackId::decode(buf)? },
-            2 => Coord::Deactivate { epoch: u64::decode(buf)? },
-            3 => Coord::Deactivated { epoch: u64::decode(buf)?, from: StackId::decode(buf)? },
-            4 => Coord::Activate { epoch: u64::decode(buf)? },
-            t => return Err(WireError::BadTag(t)),
-        })
-    }
-}
-
-#[derive(Debug, PartialEq, Eq)]
-enum Phase {
-    Idle,
-    /// New AAC created; waiting for the CA's `Deactivate`.
-    Prepared,
-    /// Blocked; draining the old AAC with markers.
-    Deactivating,
-    /// Drained; waiting for the CA's `Activate`.
-    WaitActivate,
-}
-
 /// The Graceful-Adaptation-style switcher. See module docs.
 pub struct GracefulSwitcher {
-    slot_a: ServiceId,
-    slot_b: ServiceId,
-    active: ServiceId,
-    rp2p_svc: ServiceId,
-    provided: ServiceId,
-    epoch: u64,
-    phase: Phase,
-    coordinator: Option<StackId>,
-    markers_seen: BTreeSet<StackId>,
-    future_markers: BTreeSet<(u64, StackId)>,
-    prepared_seen: BTreeSet<StackId>,
-    deactivated_seen: BTreeSet<StackId>,
-    queued: VecDeque<Bytes>,
-    // ---- instrumentation ----
-    blocked_since: Option<Time>,
-    total_blocked: Dur,
-    switch_started: Option<Time>,
-    last_switch_duration: Option<Dur>,
-    switches: u64,
-    coord_msgs: u64,
-    delivered_count: u64,
+    /// `sw.ind.required` is the active AAC slot.
+    sw: Coordinated,
+    /// The other declared slot: what the next protocol must provide.
+    spare: ServiceId,
 }
 
 impl GracefulSwitcher {
     /// Build with explicit parameters.
     pub fn new(params: GracefulParams) -> GracefulSwitcher {
-        let slot_a = ServiceId::new(&params.service);
-        let slot_b = ServiceId::new(&params.alt);
         GracefulSwitcher {
-            provided: slot_a.replaced(),
-            active: slot_a.clone(),
-            slot_a,
-            slot_b,
-            rp2p_svc: ServiceId::new(dpu_net::RP2P_SVC),
-            epoch: 0,
-            phase: Phase::Idle,
-            coordinator: None,
-            markers_seen: BTreeSet::new(),
-            future_markers: BTreeSet::new(),
-            prepared_seen: BTreeSet::new(),
-            deactivated_seen: BTreeSet::new(),
-            queued: VecDeque::new(),
-            blocked_since: None,
-            total_blocked: Dur::ZERO,
-            switch_started: None,
-            last_switch_duration: None,
-            switches: 0,
-            coord_msgs: 0,
-            delivered_count: 0,
+            sw: Coordinated::new(&params.service, channels::GRACEFUL),
+            spare: ServiceId::new(&params.alt),
         }
     }
 
     /// Register this module's factory under [`KIND`].
     pub fn register(reg: &mut dpu_core::FactoryRegistry) {
-        reg.register(KIND, |spec: &ModuleSpec| {
-            let params = if spec.params.is_empty() {
-                GracefulParams::default()
-            } else {
-                spec.params::<GracefulParams>().unwrap_or_default()
-            };
-            Box::new(GracefulSwitcher::new(params))
-        });
-    }
-
-    /// Completed switches.
-    pub fn switches(&self) -> u64 {
-        self.switches
+        reg.register_with(KIND, GracefulSwitcher::new);
     }
 
     /// Total virtual time the application spent blocked
     /// (deactivate → activate windows only).
     pub fn total_blocked(&self) -> Dur {
-        self.total_blocked
-    }
-
-    /// Duration of the last completed switch (prepare → activate).
-    pub fn last_switch_duration(&self) -> Option<Dur> {
-        self.last_switch_duration
+        self.sw.total_blocked()
     }
 
     /// Point-to-point coordination messages sent by this stack.
     pub fn coord_msgs(&self) -> u64 {
-        self.coord_msgs
+        self.sw.coord_msgs()
+    }
+
+    /// Change requests made on this stack and dropped because it could
+    /// not have built the requested protocol itself.
+    pub fn refused_changes(&self) -> u64 {
+        self.sw.ind.refused()
     }
 
     /// The service slot the next protocol must provide.
     pub fn inactive_slot(&self) -> &ServiceId {
-        if self.active == self.slot_a {
-            &self.slot_b
-        } else {
-            &self.slot_a
-        }
-    }
-
-    /// Messages rAdelivered to the users above.
-    pub fn delivered_count(&self) -> u64 {
-        self.delivered_count
-    }
-
-    fn send_coord(&mut self, ctx: &mut ModuleCtx<'_>, to: StackId, msg: &Coord) {
-        self.coord_msgs += 1;
-        let d = DgramRef { peer: to, channel: channels::GRACEFUL, body: msg };
-        let payload = ctx.encode(&d);
-        ctx.call(&self.rp2p_svc, dgram::SEND, payload);
-    }
-
-    fn broadcast_coord(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Coord) {
-        for peer in ctx.peers().to_vec() {
-            self.send_coord(ctx, peer, msg);
-        }
-    }
-
-    fn maybe_deactivated(&mut self, ctx: &mut ModuleCtx<'_>) {
-        if self.phase != Phase::Deactivating {
-            return;
-        }
-        let all: BTreeSet<StackId> = ctx.peers().iter().copied().collect();
-        if self.markers_seen != all {
-            return;
-        }
-        self.phase = Phase::WaitActivate;
-        let coord = self.coordinator.expect("coordinator set");
-        let epoch = self.epoch;
-        let me = ctx.stack_id();
-        self.send_coord(ctx, coord, &Coord::Deactivated { epoch, from: me });
-    }
-
-    fn activate(&mut self, ctx: &mut ModuleCtx<'_>) {
-        if self.phase != Phase::WaitActivate {
-            return;
-        }
-        // Deactivate the old AAC (unbind marks it inactive; the module
-        // object remains, per the composition model) and flip the slot.
-        ctx.unbind(&self.active.clone());
-        self.active = self.inactive_slot().clone();
-        self.phase = Phase::Idle;
-        self.coordinator = None;
-        if let Some(since) = self.blocked_since.take() {
-            self.total_blocked += ctx.now().since(since);
-        }
-        if let Some(start) = self.switch_started.take() {
-            self.last_switch_duration = Some(ctx.now().since(start));
-        }
-        self.switches += 1;
-        while let Some(data) = self.queued.pop_front() {
-            let active = self.active.clone();
-            let payload = ctx.encode(&Envelope::Data { data });
-            ctx.call(&active, ab_ops::ABCAST, payload);
-        }
+        &self.spare
     }
 }
 
@@ -360,132 +138,42 @@ impl Module for GracefulSwitcher {
     }
 
     fn provides(&self) -> Vec<ServiceId> {
-        vec![self.provided.clone()]
+        vec![self.sw.ind.provided.clone()]
     }
 
     fn requires(&self) -> Vec<ServiceId> {
         // The GA restriction: both AAC slots are declared up front.
-        vec![self.slot_a.clone(), self.slot_b.clone(), self.rp2p_svc.clone()]
+        vec![self.sw.ind.required.clone(), self.spare.clone(), self.sw.rp2p.clone()]
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
-        match call.op {
-            ab_ops::ABCAST => {
-                if self.phase == Phase::Deactivating || self.phase == Phase::WaitActivate {
-                    // Brief blocking window between deactivate & activate.
-                    self.queued.push_back(call.data);
-                } else {
-                    let active = self.active.clone();
-                    let payload = ctx.encode(&Envelope::Data { data: call.data });
-                    ctx.call(&active, ab_ops::ABCAST, payload);
-                }
-            }
-            CHANGE_OP => {
-                if self.phase != Phase::Idle {
-                    return;
-                }
-                let Ok(spec) = call.decode::<ModuleSpec>() else { return };
-                let epoch = self.epoch + 1;
-                let me = ctx.stack_id();
-                self.switch_started = Some(ctx.now());
-                let msg = Coord::Prepare { epoch, spec, coord: me };
-                self.broadcast_coord(ctx, &msg);
-            }
-            _ => {}
-        }
+        self.sw.on_call(ctx, call);
     }
 
     fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, resp: Response) {
-        if (resp.service == self.slot_a || resp.service == self.slot_b)
-            && resp.op == ab_ops::ADELIVER
-        {
-            let Ok(env) = resp.decode::<Envelope>() else { return };
-            match env {
-                Envelope::Data { data } => {
-                    self.delivered_count += 1;
-                    ctx.respond(&self.provided, ab_ops::ADELIVER, data);
-                }
-                Envelope::Marker { epoch, from } => {
-                    if epoch == self.epoch && self.phase == Phase::Deactivating {
-                        self.markers_seen.insert(from);
-                        self.maybe_deactivated(ctx);
-                    } else if epoch > self.epoch {
-                        self.future_markers.insert((epoch, from));
-                    }
-                }
+        match self.sw.on_response(ctx, resp) {
+            // Phase 1, `Prepare`: instantiate the new AAC; traffic still
+            // flows through the old one. Then `Prepared`.
+            Some(Step::Start(spec)) => {
+                layer::install(ctx, &spec);
+                self.sw.ack(ctx, 1);
             }
-            return;
-        }
-        if resp.service == self.rp2p_svc && resp.op == dgram::RECV {
-            let Ok(d) = resp.decode::<Dgram>() else { return };
-            if d.channel != channels::GRACEFUL {
-                return;
+            // Phase 2, `Deactivate`: stop sending through the old AAC and
+            // drain it (the brief blocking window opens); once drained,
+            // `Deactivated`.
+            Some(Step::Go(1)) => self.sw.begin_drain(ctx),
+            Some(Step::Drained) => self.sw.ack(ctx, 2),
+            // Phase 3, `Activate`: retire the old AAC, redirect to the
+            // new one and release the queued sends through it.
+            Some(Step::Go(_)) => {
+                if let Some(old) = ctx.bound(&self.sw.ind.required) {
+                    ctx.destroy_module(old);
+                }
+                std::mem::swap(&mut self.sw.ind.required, &mut self.spare);
+                layer::activated(ctx);
+                self.sw.finish(ctx);
             }
-            let Ok(msg) = dpu_core::wire::from_bytes::<Coord>(&d.data) else { return };
-            let me = ctx.stack_id();
-            let all: BTreeSet<StackId> = ctx.peers().iter().copied().collect();
-            match msg {
-                Coord::Prepare { epoch, spec, coord } => {
-                    if self.phase != Phase::Idle || epoch <= self.epoch {
-                        return;
-                    }
-                    self.epoch = epoch;
-                    self.coordinator = Some(coord);
-                    self.markers_seen.clear();
-                    self.prepared_seen.clear();
-                    self.deactivated_seen.clear();
-                    // Phase 1: instantiate the new AAC; traffic still
-                    // flows through the old one.
-                    if let Err(e) = ctx.create_module(&spec) {
-                        panic!("graceful prepare failed on {me}: {e}");
-                    }
-                    self.phase = Phase::Prepared;
-                    self.send_coord(ctx, coord, &Coord::Prepared { epoch, from: me });
-                }
-                Coord::Prepared { epoch, from } => {
-                    if epoch != self.epoch || self.coordinator != Some(me) {
-                        return;
-                    }
-                    self.prepared_seen.insert(from);
-                    if self.prepared_seen == all {
-                        self.broadcast_coord(ctx, &Coord::Deactivate { epoch });
-                    }
-                }
-                Coord::Deactivate { epoch } => {
-                    if epoch != self.epoch || self.phase != Phase::Prepared {
-                        return;
-                    }
-                    // Phase 2: stop sending through the old AAC, drain it.
-                    self.phase = Phase::Deactivating;
-                    self.blocked_since = Some(ctx.now());
-                    let buffered: Vec<StackId> = self
-                        .future_markers
-                        .iter()
-                        .filter(|(e, _)| *e == epoch)
-                        .map(|&(_, s)| s)
-                        .collect();
-                    self.future_markers.retain(|(e, _)| *e > epoch);
-                    self.markers_seen.extend(buffered);
-                    let active = self.active.clone();
-                    let payload = ctx.encode(&Envelope::Marker { epoch, from: me });
-                    ctx.call(&active, ab_ops::ABCAST, payload);
-                    self.maybe_deactivated(ctx);
-                }
-                Coord::Deactivated { epoch, from } => {
-                    if epoch != self.epoch || self.coordinator != Some(me) {
-                        return;
-                    }
-                    self.deactivated_seen.insert(from);
-                    if self.deactivated_seen == all {
-                        self.broadcast_coord(ctx, &Coord::Activate { epoch });
-                    }
-                }
-                Coord::Activate { epoch } => {
-                    if epoch == self.epoch {
-                        self.activate(ctx);
-                    }
-                }
-            }
+            None => {}
         }
     }
 }
@@ -496,24 +184,8 @@ mod tests {
     use dpu_core::wire;
 
     #[test]
-    fn graceful_types_wire_contract() {
-        use dpu_core::wire::testing::assert_wire_contract;
-        assert_wire_contract(&GracefulParams::default());
-        assert_wire_contract(&Envelope::Data { data: Bytes::from_static(b"m") });
-        assert_wire_contract(&Envelope::Marker { epoch: 3, from: StackId(1) });
-        assert_wire_contract(&Coord::Prepare {
-            epoch: 1,
-            spec: ModuleSpec::new("abcast.ring"),
-            coord: StackId(0),
-        });
-        assert_wire_contract(&Coord::Prepared { epoch: 1, from: StackId(2) });
-        assert_wire_contract(&Coord::Deactivate { epoch: 2 });
-        assert_wire_contract(&Coord::Deactivated { epoch: 2, from: StackId(1) });
-        assert_wire_contract(&Coord::Activate { epoch: 2 });
-    }
-
-    #[test]
     fn params_and_slots() {
+        wire::testing::assert_wire_contract(&GracefulParams::default());
         let p = GracefulParams::default();
         let b = wire::to_bytes(&p);
         assert_eq!(wire::from_bytes::<GracefulParams>(&b).unwrap(), p);
@@ -522,21 +194,6 @@ mod tests {
         assert_eq!(g.inactive_slot(), &ServiceId::new("abcast.alt"));
         assert!(g.requires().contains(&ServiceId::new("abcast")));
         assert!(g.requires().contains(&ServiceId::new("abcast.alt")));
-    }
-
-    #[test]
-    fn coord_roundtrips() {
-        let msgs = [
-            Coord::Prepare { epoch: 1, spec: ModuleSpec::new("abcast.seq"), coord: StackId(2) },
-            Coord::Prepared { epoch: 1, from: StackId(0) },
-            Coord::Deactivate { epoch: 1 },
-            Coord::Deactivated { epoch: 1, from: StackId(1) },
-            Coord::Activate { epoch: 1 },
-        ];
-        for m in msgs {
-            let b = wire::to_bytes(&m);
-            assert!(wire::from_bytes::<Coord>(&b).is_ok());
-        }
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //!   (Chen/Hiltunen/Schlichting): three coordinator-driven barrier phases
 //!   (prepare / deactivate / activate) over pre-created alternative
 //!   components.
+//! * `layer` (private) — the skeleton the three share: the `r-abcast`
+//!   indirection and its `changeABcast` handler, the payload envelopes,
+//!   the one-bit-per-member heard-set, and — for the two baselines — the
+//!   marker drain and the coordinator's ack rounds. Every layer stamps the
+//!   same switch timeline through it.
 //! * [`builder`] — constructs the full Figure-4 group communication stack
 //!   in one call, with any of the three switch layers (or none), a
 //!   measurement probe and optional group membership on top. Used by the
@@ -36,6 +41,7 @@ pub mod abcast_repl;
 pub mod ablation;
 pub mod builder;
 pub mod graceful;
+mod layer;
 pub mod maestro;
 
 /// Control operation shared by all three switch layers on their provided

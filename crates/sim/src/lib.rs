@@ -1060,8 +1060,8 @@ impl Sim {
 
     /// Aggregate [`dpu_core::wire::ScratchStats`] over the run: the
     /// steady-state-allocation oracle for the whole simulation (see the
-    /// `wire_codec` bench and `BENCH_wire.json`). Also folded into
-    /// [`Sim::report`] and [`Sim::telemetry_report`].
+    /// `wire_codec` bench and `tests/wire_steady_state.rs`). Also folded
+    /// into [`Sim::report`] and [`Sim::telemetry_report`].
     pub fn wire_stats(&self) -> dpu_core::wire::ScratchStats {
         self.fold().wire
     }

@@ -41,6 +41,9 @@ pub enum FlightKind {
     SwitchActivated,
     /// First post-activation delivery — the blackout window closed.
     SwitchFirstDelivery,
+    /// A change request named a protocol this stack cannot build; the
+    /// switch layer dropped it instead of proposing it to the group.
+    SwitchRefused,
     /// The stack crashed (fail-stop).
     Crash,
     /// A module destroyed itself (`ctx.destroy_self`).
@@ -57,6 +60,7 @@ impl fmt::Display for FlightKind {
             FlightKind::SwitchFlushed => "switch-flushed",
             FlightKind::SwitchActivated => "switch-activated",
             FlightKind::SwitchFirstDelivery => "switch-first-delivery",
+            FlightKind::SwitchRefused => "switch-refused",
             FlightKind::Crash => "crash",
             FlightKind::ModuleDestroyed => "module-destroyed",
             FlightKind::RetransmitExhausted => "retransmit-exhausted",

@@ -287,6 +287,13 @@ impl StackTelemetry {
         self.lifecycle(now_ns, FlightKind::SwitchActivated, self.pending_ordinal());
     }
 
+    /// The switch layer dropped a change request it could not have
+    /// applied itself (unknown kind, undecodable parameters).
+    #[inline]
+    pub fn note_switch_refused(&mut self, now_ns: u64) {
+        self.lifecycle(now_ns, FlightKind::SwitchRefused, 0);
+    }
+
     /// The switch layer destroyed `modules` replaced incarnations that no
     /// stack has bound any more. Against the completed count this says
     /// how many replaced modules still ride along — a gap that stays open

@@ -55,7 +55,7 @@ fn main() {
     for node in sim.stack_ids() {
         let (sn, switches, undelivered) = sim.with_stack(node, |s| {
             s.with_module::<ReplAbcastModule, _>(layer, |m| {
-                (m.seq_number(), m.switches_applied(), m.undelivered_len())
+                (m.seq_number(), m.switch_times().len(), m.undelivered_len())
             })
             .unwrap()
         });
