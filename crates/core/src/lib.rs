@@ -30,7 +30,9 @@
 //!   generic DPU correctness properties ([`props`]) — strong/weak
 //!   *stack-well-formedness* and strong/weak *protocol-operationability* —
 //!   plus the four atomic broadcast properties ([`abcast_check`]);
-//! * a workload/measurement probe module ([`probe`]).
+//! * a workload/measurement probe module ([`probe`]);
+//! * the two sets protocols collect their state by ([`sets`]): who has
+//!   been heard from, and which numbers of each author have been seen.
 //!
 //! The *replacement module* itself (the paper's §4–§5 contribution) lives in
 //! the `dpu-repl` crate; everything it needs — interception, rebinding,
@@ -45,6 +47,7 @@ pub mod ids;
 pub mod module;
 pub mod probe;
 pub mod props;
+pub mod sets;
 pub mod stack;
 pub mod time;
 pub mod trace;
@@ -56,6 +59,7 @@ pub use dpu_telemetry::{StackTelemetry, TelemetryConfig};
 pub use host::{ActionSink, HostEvent, StackDriver, Wakeup};
 pub use ids::{ModuleId, ServiceId, StackId, TimerId};
 pub use module::{Call, Module, ModuleSpec, Op, Response, TransportStats};
+pub use sets::{HeardSet, IntervalSet};
 pub use stack::{FactoryRegistry, HostAction, ModuleCtx, Stack, StackConfig};
 pub use time::{Dur, Time};
 pub use trace::{TraceEvent, TraceLog};

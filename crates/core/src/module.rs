@@ -117,7 +117,10 @@ pub trait Module: Any + Send {
     /// (retransmission + acknowledgements). The default is `None`;
     /// `rp2p`-style modules override it so hosts can aggregate transport
     /// health per stack ([`crate::stack::Stack::transport_stats`]) and
-    /// per run without downcasting to concrete module types.
+    /// per run without downcasting to concrete module types. A protocol
+    /// that holds per-message state until the group is done with it
+    /// (consensus, consensus-based atomic broadcast) reports how much
+    /// through the same hook, in the `held` gauge.
     fn transport_stats(&self) -> Option<TransportStats> {
         None
     }

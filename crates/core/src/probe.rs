@@ -158,6 +158,11 @@ impl Probe {
     pub fn take_delivered(&mut self) -> Vec<DeliveryRecord> {
         std::mem::take(&mut self.delivered)
     }
+
+    /// Drain the record of messages sent, like [`Probe::take_delivered`].
+    pub fn take_sent(&mut self) -> Vec<(MsgId, Time)> {
+        std::mem::take(&mut self.sent)
+    }
 }
 
 impl Module for Probe {

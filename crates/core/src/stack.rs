@@ -915,6 +915,13 @@ impl ModuleCtx<'_> {
         &self.stack.peers
     }
 
+    /// The same table as [`ModuleCtx::peers`], as the shared allocation
+    /// the stack holds (a reference count, not a copy): what a module
+    /// iterates while it sends to every member through `self`.
+    pub fn peer_table(&self) -> Arc<[StackId]> {
+        Arc::clone(&self.stack.peers)
+    }
+
     /// Nodes per topology cluster (`None` on flat hosts): stack `i`
     /// belongs to cluster `i / cluster_size`, matching the simulator's
     /// topology rule. Locality-aware protocols (e.g. the hierarchical

@@ -387,6 +387,7 @@ impl Module for Rp2pModule {
             retransmissions: self.retransmissions,
             exhausted: self.exhausted,
             unacked: self.unacked() as u64,
+            held: 0,
         })
     }
 }
@@ -563,7 +564,10 @@ mod tests {
         assert_eq!(exhausted, 8, "every frame to the dead peer is given up");
         assert_eq!(retrans, 8 * 5, "each frame retried exactly cap times");
         // The Module::transport_stats hook reports the same numbers.
-        assert_eq!(ts, dpu_core::TransportStats { retransmissions: 40, exhausted: 8, unacked: 0 });
+        assert_eq!(
+            ts,
+            dpu_core::TransportStats { retransmissions: 40, exhausted: 8, unacked: 0, held: 0 }
+        );
     }
 
     #[test]

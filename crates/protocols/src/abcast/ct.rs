@@ -10,6 +10,15 @@
 //! order; the `delivered` set filters messages that appear in several
 //! batches. Uniformity and crash tolerance are inherited from consensus.
 //!
+//! None of this grows with the run. Gossip is FIFO per pair, so a batch
+//! that carries an origin's message carries every earlier one not yet
+//! delivered: each origin is delivered in sequence order and `delivered`
+//! (an [`IntervalSet`]) is one watermark per origin. `unordered` holds
+//! what is in flight, `decisions` the batches decided ahead of their
+//! turn, and of its proposals the module remembers only whether it has
+//! made the current one. The `held` gauge of [`TransportStats`] counts
+//! the unordered messages plus any delivered ahead of a gap.
+//!
 //! Unlike the common construction, this module is **not** built on top of
 //! view synchrony — the paper points this out for its own ABcast module,
 //! and that its replacement algorithm works for either flavour.
@@ -20,9 +29,9 @@ use crate::consensus::ops as cons_ops;
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, LenPrefixed, WireResult};
-use dpu_core::{Call, Module, Response, ServiceId, StackId};
+use dpu_core::{Call, IntervalSet, Module, Response, ServiceId, StackId, TransportStats};
 use dpu_net::dgram::{self, Dgram, DgramRef};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Module kind name, for factory registration.
 pub const KIND: &str = "abcast.ct";
@@ -126,9 +135,10 @@ pub struct CtAbcastModule {
     rp2p_svc: ServiceId,
     next_seq: u64,
     unordered: BTreeMap<MsgKey, Bytes>,
-    delivered: BTreeSet<MsgKey>,
+    delivered: IntervalSet<StackId>,
     next_instance: u64,
-    proposed: BTreeSet<u64>,
+    /// Whether this module has proposed for `next_instance`.
+    proposed: bool,
     decisions: BTreeMap<u64, Batch>,
     deliveries: u64,
     batch_timer_armed: bool,
@@ -148,9 +158,9 @@ impl CtAbcastModule {
             rp2p_svc: ServiceId::new(dpu_net::RP2P_SVC),
             next_seq: 0,
             unordered: BTreeMap::new(),
-            delivered: BTreeSet::new(),
+            delivered: IntervalSet::new(),
             next_instance: 0,
-            proposed: BTreeSet::new(),
+            proposed: false,
             decisions: BTreeMap::new(),
             deliveries: 0,
             batch_timer_armed: false,
@@ -181,7 +191,7 @@ impl CtAbcastModule {
     fn gossip(&self, ctx: &mut ModuleCtx<'_>, key: MsgKey, data: &Bytes) {
         let me = ctx.stack_id();
         let gossip = Gossip { ns: self.params.namespace, key, data: data.clone() };
-        for peer in ctx.peers().to_vec() {
+        for &peer in ctx.peer_table().iter() {
             if peer == me {
                 continue;
             }
@@ -194,11 +204,7 @@ impl CtAbcastModule {
     }
 
     fn try_propose(&mut self, ctx: &mut ModuleCtx<'_>, force: bool) {
-        let k = self.next_instance;
-        if self.proposed.contains(&k) {
-            return;
-        }
-        if self.unordered.is_empty() && !force {
+        if self.proposed || (self.unordered.is_empty() && !force) {
             return;
         }
         // Batching: hold the proposal briefly so concurrent messages
@@ -211,18 +217,19 @@ impl CtAbcastModule {
             }
             return;
         }
-        self.propose_now(ctx, k);
+        self.propose_now(ctx);
     }
 
-    fn propose_now(&mut self, ctx: &mut ModuleCtx<'_>, k: u64) {
-        self.proposed.insert(k);
+    /// Propose the current `unordered` set for `next_instance`.
+    fn propose_now(&mut self, ctx: &mut ModuleCtx<'_>) {
+        self.proposed = true;
         let batch: Batch = self
             .unordered
             .iter()
             .map(|(&(origin, seq), data)| (origin, seq, data.clone()))
             .collect();
         // The batch is framed in place inside the PROPOSE payload.
-        let payload = ctx.encode(&(self.params.namespace, k, LenPrefixed(&batch)));
+        let payload = ctx.encode(&(self.params.namespace, self.next_instance, LenPrefixed(&batch)));
         ctx.call(&self.cons_svc, cons_ops::PROPOSE, payload);
     }
 
@@ -237,6 +244,7 @@ impl CtAbcastModule {
                 }
             }
             self.next_instance += 1;
+            self.proposed = false;
         }
         // Keep ordering the backlog.
         self.try_propose(ctx, false);
@@ -262,7 +270,7 @@ impl Module for CtAbcastModule {
         }
         let key = (ctx.stack_id(), self.next_seq);
         self.next_seq += 1;
-        if self.delivered.contains(&key) {
+        if self.delivered.contains(key) {
             return; // cannot happen (fresh key), defensive
         }
         self.unordered.insert(key, call.data.clone());
@@ -273,9 +281,8 @@ impl Module for CtAbcastModule {
     fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>, _timer: dpu_core::TimerId, tag: u64) {
         if tag == TAG_BATCH {
             self.batch_timer_armed = false;
-            let k = self.next_instance;
-            if !self.proposed.contains(&k) && !self.unordered.is_empty() {
-                self.propose_now(ctx, k);
+            if !self.proposed && !self.unordered.is_empty() {
+                self.propose_now(ctx);
             }
         }
     }
@@ -290,7 +297,7 @@ impl Module for CtAbcastModule {
             if g.ns != self.params.namespace {
                 return;
             }
-            if !self.delivered.contains(&g.key) {
+            if !self.delivered.contains(g.key) {
                 self.unordered.insert(g.key, g.data);
                 self.try_propose(ctx, false);
             }
@@ -326,6 +333,13 @@ impl Module for CtAbcastModule {
                 _ => {}
             }
         }
+    }
+
+    /// No transport, but the same report: `held` is what this module
+    /// keeps until the group has ordered it.
+    fn transport_stats(&self) -> Option<TransportStats> {
+        let held = self.unordered.len() + self.delivered.gaps();
+        Some(TransportStats { held: held as u64, ..TransportStats::default() })
     }
 }
 

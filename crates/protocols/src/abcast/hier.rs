@@ -58,7 +58,7 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Dur;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, Module, Response, ServiceId, StackId, TimerId};
+use dpu_core::{Call, IntervalSet, Module, Response, ServiceId, StackId, TimerId};
 use dpu_net::dgram::{self, Dgram, DgramRef};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -270,12 +270,15 @@ pub struct HierAbcastModule {
     /// Next local sequence number of this forwarder's stream.
     next_k: u64,
     /// Keys already forwarded (dedup of member re-sends).
-    fwd_seen: BTreeSet<MsgKey>,
+    fwd_seen: IntervalSet<StackId>,
     /// Whether this non-primary node has claimed the relay role.
     claimed: bool,
     // -- leader state --
     next_g: u64,
-    committed: BTreeSet<MsgKey>,
+    /// Keys already committed (dedup across forwarders). Like `fwd_seen`
+    /// one run per origin: an origin numbers its broadcasts consecutively
+    /// from a clock-seeded start.
+    committed: IntervalSet<StackId>,
     /// The commit log, indexed by `g` — replayed to claiming relays.
     log: Vec<(MsgKey, Bytes)>,
     /// Current relay per cluster, where it differs from the primary.
@@ -301,10 +304,10 @@ impl HierAbcastModule {
             buffer: BTreeMap::new(),
             deliveries: 0,
             next_k: 0,
-            fwd_seen: BTreeSet::new(),
+            fwd_seen: IntervalSet::new(),
             claimed: false,
             next_g: 0,
-            committed: BTreeSet::new(),
+            committed: IntervalSet::new(),
             log: Vec::new(),
             relays: BTreeMap::new(),
             streams: BTreeMap::new(),
@@ -409,7 +412,7 @@ impl HierAbcastModule {
         self.next_g += 1;
         self.log.push((key, data.clone()));
         let clusters: BTreeSet<u32> =
-            ctx.peers().to_vec().iter().map(|&p| self.cluster_of(ctx, p)).collect();
+            ctx.peers().iter().map(|&p| self.cluster_of(ctx, p)).collect();
         for c in clusters {
             let relay = self.relay_of(ctx, c);
             self.send(ctx, relay, &Frame::Commit { g, key, data: data.clone() });

@@ -190,7 +190,7 @@ impl RingAbcastModule {
         let Some(mut seq) = self.token.take() else { return };
         self.rotations += 1;
         while let Some(data) = self.pending.pop_front() {
-            for peer in ctx.peers().to_vec() {
+            for &peer in ctx.peer_table().iter() {
                 self.send(ctx, peer, &Frame::Order { seq, data: data.clone() });
             }
             seq += 1;

@@ -213,7 +213,7 @@ impl Module for SeqAbcastModule {
                 }
                 let seq = self.next_assign;
                 self.next_assign += 1;
-                for peer in ctx.peers().to_vec() {
+                for &peer in ctx.peer_table().iter() {
                     self.send(ctx, peer, &Frame::Order { seq, data: data.clone() });
                 }
             }

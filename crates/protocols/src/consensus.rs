@@ -32,6 +32,46 @@
 //! * response [`ops::NEED_PROPOSAL`] — `(ns, k)`: the instance is running
 //!   remotely but has no local proposal yet; users should propose.
 //!
+//! Proposing `(ns, k)` also tells the module that its user has consumed
+//! every decision of `ns` below `k`: instance numbers of a namespace are
+//! proposed in order (atomic broadcast proposes `k + 1` only after it has
+//! delivered batch `k`).
+//!
+//! # What an instance costs, and for how long
+//!
+//! An instance is collected by *stability*, read off frames the algorithm
+//! sends anyway — no message, timer or dispatch step is added for it:
+//!
+//! 1. at the local decision it shrinks to a tombstone: the decided value
+//!    (a late `PROPOSE` is re-answered with it), whether the user was ever
+//!    asked for a proposal (a late frame still raises `NEED_PROPOSAL`
+//!    once if not), and a [`HeardSet`] of the deciders whose `Decide` has
+//!    arrived. Estimates, proposals and acks go, and late ones are no
+//!    longer filed;
+//! 2. the tombstone goes once `Decide` has been heard from **every**
+//!    member — each decider relays `Decide` to all and rp2p is FIFO per
+//!    pair, so nothing of `(ns, k)` is still in flight towards this
+//!    process — **and** the user has proposed a higher `k` in `ns`, so it
+//!    is done with `DECIDE(k)`. (Hearing everyone is not enough: the
+//!    stack dispatches breadth-first, so a user may `PROPOSE k` after the
+//!    decision and before its own `DECIDE(k)` reaches it.) That `(ns, k)`
+//!    was collected is remembered in an [`IntervalSet`] — one watermark
+//!    per namespace in practice — so a duplicated or forged frame for it
+//!    is dropped instead of starting the instance afresh. An instance
+//!    this process has simply not seen yet is not in that set, whatever
+//!    its number, and opens as ever.
+//!
+//! What stays is bounded by the group and the namespaces, not by the
+//! run: the instances in flight plus, per namespace ever used, its last
+//! tombstone (nothing higher is ever proposed there), its watermark and
+//! its highest proposed `k` — a few hundred bytes that grow with
+//! *replacements* of the user above, not with messages. A crashed or
+//! silent member is never heard and pins every tombstone decided after
+//! it fell silent, exactly as it pins module retirement in `dpu-repl`;
+//! [`ConsensusModule::live_instances`] and the `held` gauge of
+//! [`dpu_core::TransportStats`] show the pin, and it lifts once the
+//! heard-sets follow the membership view (ROADMAP item 1(b)).
+//!
 //! # Variants
 //!
 //! [`CoordPolicy::Rotating`] is the textbook CT schedule (kind
@@ -45,7 +85,7 @@ use crate::channels;
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, Module, Response, ServiceId, StackId};
+use dpu_core::{Call, HeardSet, IntervalSet, Module, Response, ServiceId, StackId, TransportStats};
 use dpu_net::dgram::{self, Dgram, DgramRef};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -182,12 +222,12 @@ impl Decode for WireMsg {
     }
 }
 
+/// An instance this process has not decided yet.
 #[derive(Default)]
-struct Inst {
+struct Open {
     proposal: Option<Bytes>,
     estimate: Option<(Bytes, u64)>,
     round: u64,
-    decided: Option<Bytes>,
     /// Rounds for which this process already sent its estimate.
     estimate_sent: BTreeSet<u64>,
     /// Rounds this process already acked or nacked.
@@ -202,8 +242,16 @@ struct Inst {
     proposals_recv: BTreeMap<u64, Bytes>,
     /// Whether a NEED_PROPOSAL response was already emitted.
     need_sent: bool,
-    /// Whether the decision was already relayed to peers.
-    relayed: bool,
+}
+
+/// The tombstone of an instance this process has decided (and relayed):
+/// what it can still be asked for. See the module docs.
+struct Decided {
+    value: Bytes,
+    /// The user proposed here, or was asked to.
+    prompted: bool,
+    /// The deciders whose `Decide` has arrived, this process included.
+    heard: HeardSet,
 }
 
 /// The consensus module. See module docs.
@@ -214,7 +262,12 @@ pub struct ConsensusModule {
     rp2p_svc: ServiceId,
     fd_svc: ServiceId,
     suspected: BTreeSet<StackId>,
-    insts: BTreeMap<(u64, u64), Inst>,
+    open: BTreeMap<(u64, u64), Open>,
+    decided: BTreeMap<(u64, u64), Decided>,
+    /// The instances collected so far, by namespace.
+    collected: IntervalSet<u64>,
+    /// The highest `k` the user has proposed, by namespace.
+    proposed_hi: BTreeMap<u64, u64>,
     decided_count: u64,
     max_round_seen: u64,
 }
@@ -230,7 +283,10 @@ impl ConsensusModule {
             rp2p_svc: ServiceId::new(dpu_net::RP2P_SVC),
             fd_svc: ServiceId::new(crate::FD_SVC),
             suspected: BTreeSet::new(),
-            insts: BTreeMap::new(),
+            open: BTreeMap::new(),
+            decided: BTreeMap::new(),
+            collected: IntervalSet::new(),
+            proposed_hi: BTreeMap::new(),
             decided_count: 0,
             max_round_seen: 0,
         }
@@ -250,6 +306,13 @@ impl ConsensusModule {
     /// Number of instances decided locally.
     pub fn decided_count(&self) -> u64 {
         self.decided_count
+    }
+
+    /// Instances this module holds state for: those still running plus
+    /// the tombstones not yet collected. In flight + one per namespace
+    /// while every member answers; see the module docs for what pins it.
+    pub fn live_instances(&self) -> usize {
+        self.open.len() + self.decided.len()
     }
 
     /// Highest round reached by any instance (1-based round numbers start
@@ -282,7 +345,7 @@ impl ConsensusModule {
     }
 
     fn broadcast(&self, ctx: &mut ModuleCtx<'_>, msg: &WireMsg) {
-        for peer in ctx.peers().to_vec() {
+        for &peer in ctx.peer_table().iter() {
             self.send(ctx, peer, msg);
         }
     }
@@ -291,25 +354,63 @@ impl ConsensusModule {
         WireMsg { inc: self.params.incarnation, ns, k, round, body }
     }
 
-    fn decide(&mut self, ctx: &mut ModuleCtx<'_>, ns: u64, k: u64, v: Bytes) {
-        let inst = self.insts.entry((ns, k)).or_default();
-        if inst.decided.is_some() {
-            return;
-        }
-        inst.decided = Some(v.clone());
-        self.decided_count += 1;
-        if !inst.relayed {
-            inst.relayed = true;
-            let me = ctx.stack_id();
+    /// `(ns, k)` decided `v`: this process found out itself (`from` is
+    /// this stack) or `from` relayed it. The first time, decide, relay and
+    /// answer the user; every time, note that `from` has decided.
+    fn decide(&mut self, ctx: &mut ModuleCtx<'_>, ns: u64, k: u64, v: Bytes, from: StackId) {
+        let me = ctx.stack_id();
+        if !self.decided.contains_key(&(ns, k)) {
+            if self.collected.contains((ns, k)) {
+                return;
+            }
+            let prompted =
+                self.open.remove(&(ns, k)).is_some_and(|o| o.proposal.is_some() || o.need_sent);
+            let mut heard = HeardSet::new(ctx.peers().len());
+            heard.mark(ctx.peers(), me);
+            self.decided.insert((ns, k), Decided { value: v.clone(), prompted, heard });
+            self.decided_count += 1;
             let msg = self.wire(ns, k, 0, Body::Decide { v: v.clone() });
-            for peer in ctx.peers().to_vec() {
+            for &peer in ctx.peer_table().iter() {
                 if peer != me {
                     self.send(ctx, peer, &msg);
                 }
             }
+            let data = ctx.encode(&(ns, k, v));
+            ctx.respond(&self.svc, ops::DECIDE, data);
         }
-        let data = ctx.encode(&(ns, k, v));
-        ctx.respond(&self.svc, ops::DECIDE, data);
+        let done = self.decided.get_mut(&(ns, k)).expect("decided above");
+        done.heard.mark(ctx.peers(), from);
+        if done.heard.is_complete() && self.proposed_hi.get(&ns).is_some_and(|hi| k < *hi) {
+            self.collect(ns, k);
+        }
+    }
+
+    /// Nothing of `(ns, k)` is in flight towards this process and its user
+    /// is done with it: forget it, remember that.
+    fn collect(&mut self, ns: u64, k: u64) {
+        self.decided.remove(&(ns, k));
+        self.collected.insert((ns, k));
+    }
+
+    /// The user proposes `(ns, k)`, so it has consumed the decisions of
+    /// `ns` below `k`: collect those everyone has been heard on. Only the
+    /// numbers since the last proposal need a look — a lower tombstone
+    /// still here is waiting for a `Decide`, and goes when that arrives.
+    fn release_below(&mut self, ns: u64, k: u64) {
+        let hi = self.proposed_hi.entry(ns).or_insert(0);
+        if k <= *hi {
+            return;
+        }
+        let mut from = std::mem::replace(hi, k);
+        while let Some(ripe) = self
+            .decided
+            .range((ns, from)..(ns, k))
+            .find(|(_, done)| done.heard.is_complete())
+            .map(|(&(_, ripe), _)| ripe)
+        {
+            self.collect(ns, ripe);
+            from = ripe + 1;
+        }
     }
 
     /// The idempotent progress engine: inspect the instance state and take
@@ -323,8 +424,8 @@ impl ConsensusModule {
         let me = ctx.stack_id();
         let majority = Self::majority(ctx);
         loop {
-            if self.insts.entry((ns, k)).or_default().decided.is_some() {
-                return;
+            if !self.open.contains_key(&(ns, k)) {
+                return; // decided
             }
 
             // Coordinator duties apply to *any* round this process
@@ -332,7 +433,7 @@ impl ConsensusModule {
             // still be working on older rounds.
             // Phase 2: a majority of estimates for a round → proposal.
             let ready: Vec<u64> = {
-                let inst = self.insts.get(&(ns, k)).expect("entry exists");
+                let inst = self.open.get(&(ns, k)).expect("entry exists");
                 inst.estimates
                     .iter()
                     .filter(|(r2, ests)| {
@@ -344,7 +445,7 @@ impl ConsensusModule {
                     .collect()
             };
             for r2 in ready {
-                let inst = self.insts.get_mut(&(ns, k)).expect("entry exists");
+                let inst = self.open.get_mut(&(ns, k)).expect("entry exists");
                 let ests = inst.estimates.get(&r2).expect("checked");
                 // Largest ts wins; ties broken by longer value (prefers
                 // non-empty proposals in the abcast use case), then by
@@ -363,7 +464,7 @@ impl ConsensusModule {
 
             // Phase 4: a majority of acks on an own proposal → decide.
             let decided: Option<(u64, Bytes)> = {
-                let inst = self.insts.get(&(ns, k)).expect("entry exists");
+                let inst = self.open.get(&(ns, k)).expect("entry exists");
                 inst.acks
                     .iter()
                     .find(|(r2, acks)| {
@@ -372,17 +473,17 @@ impl ConsensusModule {
                     .map(|(&r2, _)| (r2, inst.coord_proposal[&r2].clone()))
             };
             if let Some((_, v)) = decided {
-                self.decide(ctx, ns, k, v);
+                self.decide(ctx, ns, k, v, me);
                 return;
             }
 
-            let r = self.insts.get(&(ns, k)).expect("entry exists").round;
+            let r = self.open.get(&(ns, k)).expect("entry exists").round;
             self.max_round_seen = self.max_round_seen.max(r);
             let coord = self.coord(ctx, k, r);
 
             // Phase 1: send my estimate for my current round.
             let est_msg: Option<WireMsg> = {
-                let inst = self.insts.get_mut(&(ns, k)).expect("entry exists");
+                let inst = self.open.get_mut(&(ns, k)).expect("entry exists");
                 match inst.estimate.clone() {
                     Some((est, ts)) if !inst.estimate_sent.contains(&r) => {
                         inst.estimate_sent.insert(r);
@@ -398,7 +499,7 @@ impl ConsensusModule {
             // Phase 3: respond to the proposal of my current round, or
             // give up on a suspected coordinator; either way move to the
             // next round and loop.
-            let inst = self.insts.get_mut(&(ns, k)).expect("entry exists");
+            let inst = self.open.get_mut(&(ns, k)).expect("entry exists");
             if inst.responded.contains(&r) {
                 // Already responded but round was not advanced (can only
                 // happen transiently); push forward defensively.
@@ -430,39 +531,44 @@ impl ConsensusModule {
         if msg.inc != self.params.incarnation {
             return;
         }
-        let (ns, k) = (msg.ns, msg.k);
-        {
-            let inst = self.insts.entry((ns, k)).or_default();
-            match msg.body {
-                Body::Estimate { est, ts } => {
-                    inst.estimates.entry(msg.round).or_default().insert(from, (est, ts));
-                }
-                Body::Proposal { v } => {
-                    inst.proposals_recv.insert(msg.round, v);
-                    // A proposal for a future round lets us jump forward:
-                    // rounds we skipped can no longer decide without us.
-                    if msg.round > inst.round {
-                        inst.round = msg.round;
-                    }
-                }
-                Body::Ack => {
-                    inst.acks.entry(msg.round).or_default().insert(from);
-                }
-                Body::Nack => {
-                    // The nacker moved on; nothing to do — the coordinator
-                    // keeps waiting for a majority of acks which may still
-                    // arrive from others.
-                }
-                Body::Decide { v } => {
-                    self.decide(ctx, ns, k, v);
-                    return;
-                }
-            }
+        let (ns, k, round) = (msg.ns, msg.k, msg.round);
+        match msg.body {
+            Body::Estimate { est, ts } => self.on_frame(ctx, ns, k, |inst| {
+                inst.estimates.entry(round).or_default().insert(from, (est, ts));
+            }),
+            Body::Proposal { v } => self.on_frame(ctx, ns, k, |inst| {
+                inst.proposals_recv.insert(round, v);
+                // A proposal for a future round lets us jump forward:
+                // rounds we skipped can no longer decide without us.
+                inst.round = inst.round.max(round);
+            }),
+            Body::Ack => self.on_frame(ctx, ns, k, |inst| {
+                inst.acks.entry(round).or_default().insert(from);
+            }),
+            // The nacker moved on; nothing to file — the coordinator
+            // keeps waiting for a majority of acks which may still
+            // arrive from others.
+            Body::Nack => self.on_frame(ctx, ns, k, |_| {}),
+            Body::Decide { v } => self.decide(ctx, ns, k, v, from),
         }
-        // Prompt the service user for a proposal if we are a bystander.
-        let inst = self.insts.get_mut(&(ns, k)).expect("entry exists");
-        if inst.proposal.is_none() && !inst.need_sent {
-            inst.need_sent = true;
+    }
+
+    /// A frame of a running instance: `file` it (opening the instance if
+    /// this is the first this process sees of it), ask the user for a
+    /// proposal if it is a bystander, and take every step now enabled.
+    /// For a decided instance only the question is left; for a collected
+    /// one, nothing.
+    fn on_frame(&mut self, ctx: &mut ModuleCtx<'_>, ns: u64, k: u64, file: impl FnOnce(&mut Open)) {
+        let unprompted = if let Some(done) = self.decided.get_mut(&(ns, k)) {
+            !std::mem::replace(&mut done.prompted, true)
+        } else if self.collected.contains((ns, k)) {
+            return;
+        } else {
+            let inst = self.open.entry((ns, k)).or_default();
+            file(inst);
+            inst.proposal.is_none() && !std::mem::replace(&mut inst.need_sent, true)
+        };
+        if unprompted {
             let data = ctx.encode(&(ns, k));
             ctx.respond(&self.svc, ops::NEED_PROPOSAL, data);
         }
@@ -491,14 +597,18 @@ impl Module for ConsensusModule {
             return;
         }
         let Ok((ns, k, v)) = call.decode::<(u64, u64, Bytes)>() else { return };
-        let inst = self.insts.entry((ns, k)).or_default();
-        if let Some(d) = inst.decided.clone() {
+        self.release_below(ns, k);
+        if let Some(done) = self.decided.get(&(ns, k)) {
             // Already decided (e.g. the decision arrived before the local
             // proposal): re-respond for the late proposer.
-            let data = ctx.encode(&(ns, k, d));
+            let data = ctx.encode(&(ns, k, &done.value));
             ctx.respond(&self.svc, ops::DECIDE, data);
             return;
         }
+        if self.collected.contains((ns, k)) {
+            return; // proposed out of order: the user was done with it
+        }
+        let inst = self.open.entry((ns, k)).or_default();
         if inst.proposal.is_some() {
             return; // at most one proposal per instance per process
         }
@@ -519,9 +629,9 @@ impl Module for ConsensusModule {
             self.suspected = new;
             // Suspicions may unblock round changes in any open instance.
             let open: Vec<(u64, u64)> = self
-                .insts
+                .open
                 .iter()
-                .filter(|(_, i)| i.decided.is_none() && i.estimate.is_some())
+                .filter(|(_, i)| i.estimate.is_some())
                 .map(|(&key, _)| key)
                 .collect();
             for (ns, k) in open {
@@ -537,6 +647,12 @@ impl Module for ConsensusModule {
             let Ok(msg) = dpu_core::wire::from_bytes::<WireMsg>(&d.data) else { return };
             self.on_wire(ctx, d.peer, msg);
         }
+    }
+
+    /// No transport, but the same report: `held` is
+    /// [`ConsensusModule::live_instances`].
+    fn transport_stats(&self) -> Option<TransportStats> {
+        Some(TransportStats { held: self.live_instances() as u64, ..TransportStats::default() })
     }
 }
 
@@ -884,6 +1000,158 @@ mod tests {
         let m = reg.build(&dpu_core::ModuleSpec::with_params(KIND_OFFSET, &p)).unwrap();
         assert_eq!(m.kind(), KIND_OFFSET);
         assert_eq!(m.provides(), vec![ServiceId::new("consensus2")]);
+    }
+
+    /// Stands in for rp2p on a lone stack: records what consensus sends
+    /// and hands it whatever frame the test injects.
+    struct Wire {
+        sent: Vec<Dgram>,
+    }
+
+    const INJECT: dpu_core::Op = 99;
+
+    impl Module for Wire {
+        fn kind(&self) -> &str {
+            "test-wire"
+        }
+        fn provides(&self) -> Vec<ServiceId> {
+            vec![ServiceId::new(dpu_net::RP2P_SVC)]
+        }
+        fn requires(&self) -> Vec<ServiceId> {
+            Vec::new()
+        }
+        fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
+            match call.op {
+                dgram::SEND => self.sent.push(call.decode().unwrap()),
+                INJECT => ctx.respond(&ServiceId::new(dpu_net::RP2P_SVC), dgram::RECV, call.data),
+                _ => {}
+            }
+        }
+        fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
+    }
+
+    /// Stack 0 of a group of three, alone: m1 net, m2 wire, m3 consensus,
+    /// m4 user (never proposes unless the test does).
+    struct Lone {
+        stack: Stack,
+    }
+
+    impl Lone {
+        const WIRE: ModuleId = ModuleId(2);
+        const CONS: ModuleId = ModuleId(3);
+        const USER: ModuleId = ModuleId(4);
+
+        fn new() -> Lone {
+            let mut stack = Stack::new(StackConfig::nth(0, 3, 1), FactoryRegistry::new());
+            let wire = stack.add_module(Box::new(Wire { sent: Vec::new() }));
+            let cons = stack.add_module(Box::new(ConsensusModule::new(
+                ConsensusParams::default(),
+                CoordPolicy::Rotating,
+            )));
+            stack.add_module(Box::new(User {
+                decisions: BTreeMap::new(),
+                needs: vec![],
+                auto_value: None,
+            }));
+            stack.bind(&ServiceId::new(dpu_net::RP2P_SVC), wire);
+            stack.bind(&ServiceId::new(crate::CONSENSUS_SVC), cons);
+            let mut lone = Lone { stack };
+            lone.settle();
+            lone
+        }
+
+        fn settle(&mut self) {
+            while self.stack.step(Time::ZERO).is_some() {}
+        }
+
+        /// A frame of instance `(0, k)`, round 0, arrives from `from`.
+        fn recv(&mut self, from: u32, k: u64, body: Body) {
+            let msg = WireMsg { inc: 0, ns: 0, k, round: 0, body };
+            let d = DgramRef { peer: StackId(from), channel: channels::CONSENSUS, body: &msg };
+            self.stack.call_as(
+                Self::USER,
+                &ServiceId::new(dpu_net::RP2P_SVC),
+                INJECT,
+                d.to_bytes(),
+            );
+            self.settle();
+        }
+
+        fn propose(&mut self, k: u64, v: &'static [u8]) {
+            let payload = (0u64, k, Bytes::from_static(v)).to_bytes();
+            let svc = ServiceId::new(crate::CONSENSUS_SVC);
+            self.stack.call_as(Self::USER, &svc, ops::PROPOSE, payload);
+            self.settle();
+        }
+
+        /// `(frames sent so far, live instances, DECIDE(0, k) seen by the
+        /// user, NEED_PROPOSALs raised so far)`.
+        fn state(&mut self, k: u64) -> (usize, usize, Option<Bytes>, Vec<(u64, u64)>) {
+            let sent = self.stack.with_module::<Wire, _>(Self::WIRE, |w| w.sent.len()).unwrap();
+            let live = self
+                .stack
+                .with_module::<ConsensusModule, _>(Self::CONS, |m| m.live_instances())
+                .unwrap();
+            let (decision, needs) = self
+                .stack
+                .with_module::<User, _>(Self::USER, |u| {
+                    (u.decisions.remove(&(0, k)), u.needs.clone())
+                })
+                .unwrap();
+            (sent, live, decision, needs)
+        }
+    }
+
+    #[test]
+    fn late_propose_is_re_answered_until_a_higher_one_releases_the_instance() {
+        let v = || Bytes::from_static(b"v");
+        let mut lone = Lone::new();
+        // Stack 1 relays the decision of (0, 4): decide, relay to both
+        // peers, tell the user. The user never proposed and is not asked.
+        lone.recv(1, 4, Body::Decide { v: v() });
+        assert_eq!(lone.state(4), (2, 1, Some(v()), vec![]));
+        // Stack 2's relay completes the heard-set. Nobody proposed beyond
+        // 4 yet, so the tombstone stays: the user's own DECIDE(4) may
+        // still sit behind a PROPOSE 4 in the dispatch queue.
+        lone.recv(2, 4, Body::Decide { v: v() });
+        assert_eq!(lone.state(4), (2, 1, None, vec![]));
+        // That late PROPOSE 4: re-answered, nothing sent, nothing run.
+        lone.propose(4, b"late");
+        assert_eq!(lone.state(4), (2, 1, Some(v()), vec![]));
+        // PROPOSE 5 says the user is done with 4: collected. Instance 5
+        // opens and sends its estimate to the round-0 coordinator.
+        lone.propose(5, b"next");
+        assert_eq!(lone.state(4), (3, 1, None, vec![]));
+        // A stray frame for 4, of any kind, finds nothing and starts
+        // nothing: no instance, no frame, no NEED_PROPOSAL, no decision.
+        lone.recv(1, 4, Body::Estimate { est: v(), ts: 0 });
+        lone.recv(2, 4, Body::Ack);
+        lone.recv(2, 4, Body::Decide { v: Bytes::from_static(b"forged") });
+        lone.propose(4, b"again");
+        assert_eq!(lone.state(4), (3, 1, None, vec![]));
+        // An instance below the highest proposed k that this stack never
+        // saw is not "collected": it opens as ever and asks the user.
+        lone.recv(1, 2, Body::Estimate { est: v(), ts: 0 });
+        assert_eq!(lone.state(2), (3, 2, None, vec![(0, 2)]));
+        // It decides, is heard from everyone, and goes at once: the user
+        // proposed beyond it long ago.
+        lone.recv(1, 2, Body::Decide { v: v() });
+        assert_eq!(lone.state(2), (5, 2, Some(v()), vec![(0, 2)]));
+        lone.recv(2, 2, Body::Decide { v: v() });
+        assert_eq!(lone.state(2), (5, 1, None, vec![(0, 2)]));
+    }
+
+    #[test]
+    fn a_late_frame_still_prompts_a_bystander_once_after_the_decision() {
+        let mut lone = Lone::new();
+        lone.recv(1, 0, Body::Decide { v: Bytes::from_static(b"v") });
+        // Decided without the user ever having been asked: the first late
+        // frame asks (as it always did), the second does not, neither is
+        // filed or answered on the wire.
+        lone.recv(2, 0, Body::Estimate { est: Bytes::new(), ts: 0 });
+        lone.recv(2, 0, Body::Nack);
+        let (sent, live, _, needs) = lone.state(0);
+        assert_eq!((sent, live, needs), (2, 1, vec![(0, 0)]));
     }
 
     #[test]

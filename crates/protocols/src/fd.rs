@@ -133,7 +133,7 @@ impl FdModule {
 
     fn send_heartbeats(&self, ctx: &mut ModuleCtx<'_>) {
         let me = ctx.stack_id();
-        for peer in ctx.peers().to_vec() {
+        for &peer in ctx.peer_table().iter() {
             if peer == me {
                 continue;
             }
@@ -174,7 +174,7 @@ impl Module for FdModule {
     fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
         let me = ctx.stack_id();
         let now = ctx.now();
-        for peer in ctx.peers().to_vec() {
+        for &peer in ctx.peers() {
             if peer != me {
                 self.peers.insert(
                     peer,

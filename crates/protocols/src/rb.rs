@@ -25,9 +25,8 @@
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, WireResult};
-use dpu_core::{Call, Module, ModuleSpec, Response, ServiceId, StackId};
+use dpu_core::{Call, IntervalSet, Module, ModuleSpec, Response, ServiceId, StackId};
 use dpu_net::dgram::{self, Dgram, DgramRef};
-use std::collections::BTreeSet;
 
 /// Module kind name, for factory registration.
 pub const KIND: &str = "rb";
@@ -76,7 +75,9 @@ pub struct RbModule {
     svc: ServiceId,
     rp2p_svc: ServiceId,
     next_seq: u64,
-    delivered: BTreeSet<(StackId, u64)>,
+    /// What was delivered already: one run per origin, plus one per
+    /// message a relay brought ahead of its predecessors.
+    delivered: IntervalSet<StackId>,
     relays: u64,
 }
 
@@ -87,7 +88,7 @@ impl RbModule {
             svc: ServiceId::new(crate::RB_SVC),
             rp2p_svc: ServiceId::new(dpu_net::RP2P_SVC),
             next_seq: 0,
-            delivered: BTreeSet::new(),
+            delivered: IntervalSet::new(),
             relays: 0,
         }
     }
@@ -104,12 +105,12 @@ impl RbModule {
 
     /// Messages delivered.
     pub fn delivered_count(&self) -> usize {
-        self.delivered.len()
+        self.delivered.len() as usize
     }
 
     fn send_to_all(&self, ctx: &mut ModuleCtx<'_>, msg: &RbMsg, skip: &[StackId]) {
         let me = ctx.stack_id();
-        for peer in ctx.peers().to_vec() {
+        for &peer in ctx.peer_table().iter() {
             if peer == me || skip.contains(&peer) {
                 continue;
             }
@@ -187,6 +188,7 @@ mod tests {
     use dpu_net::rp2p::{Rp2pConfig, Rp2pModule};
     use dpu_net::udp::UdpModule;
     use dpu_sim::{Sim, SimConfig};
+    use std::collections::BTreeSet;
 
     struct App {
         got: Vec<(StackId, Bytes)>,

@@ -71,16 +71,16 @@
 //! modules then stay, exactly as the listing has it, and the gap shows
 //! as `completed − retired` in the telemetry report and as
 //! [`ReplAbcastModule::pending_retirement`] here. No timer, no message,
-//! no option; the bookkeeping is one bit per group member plus the
-//! pending ids, allocated by the first switch.
+//! no option; the bookkeeping is one bit per group member (a
+//! [`HeardSet`]) plus the pending ids.
 
-use crate::layer::{self, HeardSet, Indirection};
+use crate::layer::{self, Indirection};
 use crate::CHANGE_OP;
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Time;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, Module, ModuleId, ModuleSpec, Response, ServiceId, StackId};
+use dpu_core::{Call, HeardSet, Module, ModuleId, ModuleSpec, Response, ServiceId, StackId};
 use dpu_protocols::abcast::ops as ab_ops;
 use std::collections::BTreeMap;
 
@@ -377,7 +377,7 @@ impl Module for ReplAbcastModule {
                     self.pending.reserve_exact(1);
                     self.pending.push(outgoing);
                 }
-                self.heard.reset(ctx.peers().len());
+                self.heard = HeardSet::new(ctx.peers().len());
                 self.switch_times.reserve_exact(1);
                 self.switch_times.push(ctx.now());
                 self.reissued_total += self.core.reissue(ctx);

@@ -28,7 +28,7 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::{Dur, Time};
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, ModuleSpec, Response, ServiceId, StackId};
+use dpu_core::{Call, HeardSet, ModuleSpec, Response, ServiceId, StackId};
 use dpu_net::dgram::{self, Dgram, DgramRef};
 use dpu_protocols::abcast::ops as ab_ops;
 use std::collections::{BTreeSet, VecDeque};
@@ -241,47 +241,6 @@ impl Decode for Coord {
     }
 }
 
-/// Which members of the group have been heard from: one bit per entry of
-/// `ctx.peers()`, nothing allocated until the first [`HeardSet::reset`].
-/// Repl marks the origins adelivered under the current `seqNumber`, a
-/// [`MarkerDrain`] the senders of flush markers, a coordinator the
-/// senders of acks.
-#[derive(Default)]
-pub(crate) struct HeardSet {
-    /// Bits past the group size are kept set, so "everyone heard" is
-    /// "every word full".
-    bits: Box<[u64]>,
-}
-
-impl HeardSet {
-    /// Nobody of a group of `group` has been heard yet.
-    pub fn reset(&mut self, group: usize) {
-        let mut bits = vec![0u64; group.div_ceil(64)];
-        if let Some(spare) = bits.last_mut().filter(|_| !group.is_multiple_of(64)) {
-            *spare = u64::MAX << (group % 64);
-        }
-        self.bits = bits.into();
-    }
-
-    /// `origin` has been heard. True when that makes the set complete:
-    /// exactly once per [`HeardSet::reset`], and never for a duplicate, a
-    /// stack outside `peers`, or a set that was not reset.
-    pub fn mark(&mut self, peers: &[StackId], origin: StackId) -> bool {
-        // Every host numbers its group 0..n; search only if one does not.
-        let identity = (peers.get(origin.idx()) == Some(&origin)).then_some(origin.idx());
-        let Some(idx) = identity.or_else(|| peers.iter().position(|p| *p == origin)) else {
-            return false; // not a member of the group
-        };
-        let Some(word) = self.bits.get_mut(idx / 64) else { return false };
-        let bit = 1u64 << (idx % 64);
-        if *word & bit != 0 {
-            return false;
-        }
-        *word |= bit;
-        self.bits.iter().all(|w| *w == u64::MAX)
-    }
-}
-
 /// Flushing the outgoing protocol with markers while the application
 /// waits: every stack stops sending and broadcasts a marker through the
 /// old protocol; once a stack has adelivered a marker from everyone,
@@ -308,7 +267,7 @@ impl MarkerDrain {
     /// Switch `epoch` starts here: from now on its markers count.
     fn open(&mut self, ctx: &mut ModuleCtx<'_>, epoch: u64) {
         self.epoch = epoch;
-        self.heard.reset(ctx.peers().len());
+        self.heard = HeardSet::new(ctx.peers().len());
         for (e, from) in std::mem::take(&mut self.early) {
             if e == epoch {
                 self.heard.mark(ctx.peers(), from);
@@ -430,7 +389,7 @@ impl Coordinated {
     }
 
     fn broadcast(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Coord) {
-        for peer in ctx.peers().to_vec() {
+        for &peer in ctx.peer_table().iter() {
             self.send(ctx, peer, msg);
         }
     }
@@ -485,7 +444,7 @@ impl Coordinated {
                 }
                 self.coordinator = Some(coord);
                 self.collecting = 1;
-                self.acks.reset(ctx.peers().len());
+                self.acks = HeardSet::new(ctx.peers().len());
                 requested(ctx);
                 self.drain.open(ctx, epoch);
                 Some(Step::Start(spec))
@@ -498,7 +457,7 @@ impl Coordinated {
                     && self.acks.mark(ctx.peers(), from)
                 {
                     self.collecting += 1;
-                    self.acks.reset(ctx.peers().len());
+                    self.acks = HeardSet::new(ctx.peers().len());
                     self.broadcast(ctx, &Coord::Go { round, epoch });
                 }
                 None
@@ -602,47 +561,5 @@ mod tests {
         assert_eq!(hex(&Coord::Go { round: 1, epoch: 1 }), "0201");
         assert_eq!(hex(&Coord::Ack { round: 2, epoch: 1, from: StackId(2) }), "030102");
         assert_eq!(hex(&Coord::Go { round: 2, epoch: 1 }), "0401");
-    }
-
-    /// `HeardSet` against a `BTreeSet` model: random marks with
-    /// duplicates and non-members, at word boundaries, on the identity
-    /// peer table every host builds and on one that is not.
-    #[test]
-    fn heard_set_matches_a_btreeset_model() {
-        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        for n in [1usize, 63, 64, 65, 1024] {
-            let identity: Vec<StackId> = (0..n as u32).map(StackId).collect();
-            let shifted: Vec<StackId> = (0..n as u32).rev().map(|i| StackId(3 * i + 5)).collect();
-            for peers in [identity, shifted] {
-                let mut set = HeardSet::default();
-                assert!(!set.mark(&peers, peers[0]), "n={n}: a set never reset ignores marks");
-                for _round in 0..3 {
-                    set.reset(n);
-                    let mut model = BTreeSet::new();
-                    let mut completions = 0;
-                    while model.len() < n {
-                        let r = next();
-                        // A member, a repeat of one, or an outsider.
-                        let origin = match r % 4 {
-                            0 => StackId(u32::MAX - (r >> 8) as u32 % 7),
-                            1 if !model.is_empty() => *model.iter().next().unwrap(),
-                            _ => peers[(r >> 8) as usize % n],
-                        };
-                        let fresh = peers.contains(&origin) && model.insert(origin);
-                        let completed = set.mark(&peers, origin);
-                        assert_eq!(completed, fresh && model.len() == n, "n={n} origin={origin}");
-                        completions += usize::from(completed);
-                    }
-                    assert_eq!(completions, 1, "n={n}");
-                    assert!(!set.mark(&peers, peers[n / 2]), "n={n}: complete stays quiet");
-                }
-            }
-        }
     }
 }

@@ -50,8 +50,9 @@ impl WireCounters {
 }
 
 /// Counters reported by reliable-transport modules (see
-/// `dpu_core::Module::transport_stats`). All counters are cumulative
-/// over the module's lifetime; `unacked` is the current backlog.
+/// `dpu_core::Module::transport_stats`). The counters are cumulative
+/// over the module's lifetime; `unacked` and `held` are gauges, the
+/// current backlog.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportCounters {
     /// Data frames retransmitted after a retransmission-timer scan.
@@ -62,6 +63,14 @@ pub struct TransportCounters {
     pub exhausted: u64,
     /// Frames currently awaiting acknowledgement across all peers.
     pub unacked: u64,
+    /// Protocol state currently held until the group is done with it:
+    /// consensus instances open or decided but not yet collected, and
+    /// atomic broadcast messages not yet ordered or seen ahead of a gap.
+    /// A handful per stack while every member answers; it grows with the
+    /// traffic while a crashed or silent peer pins collection, which is
+    /// what lifts once the heard-sets follow the membership view
+    /// (ROADMAP item 1(b)).
+    pub held: u64,
 }
 
 impl TransportCounters {
@@ -70,6 +79,7 @@ impl TransportCounters {
         self.retransmissions += other.retransmissions;
         self.exhausted += other.exhausted;
         self.unacked += other.unacked;
+        self.held += other.held;
     }
 }
 
@@ -326,6 +336,7 @@ impl TelemetryReport {
             .field_u64("retransmissions", self.transport.retransmissions)
             .field_u64("exhausted", self.transport.exhausted)
             .field_u64("unacked", self.transport.unacked)
+            .field_u64("held", self.transport.held)
             .end_obj();
         if let Some(s) = &self.sockets {
             w.key("sockets")
@@ -376,8 +387,11 @@ impl fmt::Display for TelemetryReport {
         )?;
         writeln!(
             f,
-            "  transport                retransmissions={} exhausted={} unacked={}",
-            self.transport.retransmissions, self.transport.exhausted, self.transport.unacked
+            "  transport                retransmissions={} exhausted={} unacked={} held={}",
+            self.transport.retransmissions,
+            self.transport.exhausted,
+            self.transport.unacked,
+            self.transport.held
         )?;
         if let Some(s) = &self.sockets {
             writeln!(
@@ -421,7 +435,8 @@ mod tests {
         agg.absorb(&b);
         let mut report = agg.report("sim", 2, 200_000);
         report.wire = WireCounters { emitted: 10, reclaimed: 8, allocations: 2 };
-        report.transport = TransportCounters { retransmissions: 1, exhausted: 0, unacked: 3 };
+        report.transport =
+            TransportCounters { retransmissions: 1, exhausted: 0, unacked: 3, held: 4 };
         report
     }
 
@@ -481,5 +496,6 @@ mod tests {
         assert!(text.contains("delivery latency"), "{text}");
         assert!(text.contains("blackout window"), "{text}");
         assert!(text.contains("completed=1"), "{text}");
+        assert!(text.contains("unacked=3 held=4"), "{text}");
     }
 }

@@ -9,7 +9,7 @@
 //! byte-for-byte equivalent to the hand-rolled one it replaced.
 
 use dpu::repl::builder::{
-    group, group_sim, request_change, send_probe, specs, GroupStackOpts, SwitchLayer,
+    drive_load, group, group_sim, request_change, send_probe, specs, GroupStackOpts, SwitchLayer,
 };
 use dpu::runtime::{Runtime, RuntimeConfig};
 use dpu::sim::SimConfig;
@@ -22,17 +22,21 @@ fn trace_fingerprint(trace: &dpu_core::TraceLog) -> u64 {
     trace.fingerprint()
 }
 
-/// One fixed, fully deterministic scenario: 3 Figure-4 stacks under the
-/// Repl layer, traffic before/during/after a live ct -> seq switch.
-fn golden_run() -> (dpu::sim::SimStats, u64) {
-    let opts = GroupStackOpts {
+/// Figure-4 stacks under the Repl layer, starting on `abcast.ct`.
+fn repl_over_ct() -> GroupStackOpts {
+    GroupStackOpts {
         abcast: specs::ct(0),
         layer: SwitchLayer::Repl,
         probe_pad: Some(8),
         with_gm: false,
         extra_defaults: Vec::new(),
-    };
-    let (mut sim, h) = group_sim(SimConfig::lan(3, 20_060_425), &opts);
+    }
+}
+
+/// One fixed, fully deterministic scenario: 3 Figure-4 stacks under the
+/// Repl layer, traffic before/during/after a live ct -> seq switch.
+fn golden_run() -> (dpu::sim::SimStats, u64) {
+    let (mut sim, h) = group_sim(SimConfig::lan(3, 20_060_425), &repl_over_ct());
     sim.run_until(Time::ZERO + Dur::millis(200));
     for i in 0..3 {
         send_probe(&mut sim, StackId(i), &h);
@@ -88,5 +92,38 @@ fn shutdown_under_in_flight_load_returns_all_stacks() {
     assert_eq!(stacks.len(), n as usize);
     for (i, s) in stacks.iter().enumerate() {
         assert_eq!(s.id(), StackId(i as u32));
+    }
+}
+
+/// The consensus path under replacement: n = 7, Repl over `abcast.ct`,
+/// 150 msg/s for 3 s, ct → ct under a fresh namespace after 1 s and
+/// after 2 s. Collecting consensus instances, delivered-sets and
+/// proposal marks by stability must not move one traced event.
+fn ct_replacement_run(seed: u64) -> u64 {
+    let (mut sim, h) = group_sim(SimConfig::lan(7, seed), &repl_over_ct());
+    sim.run_until(Time::ZERO + Dur::millis(200));
+    let until = sim.now() + Dur::secs(3);
+    drive_load(&mut sim, &h, 150.0, until);
+    for k in 1..=2u64 {
+        let h = h.clone();
+        sim.schedule_in(Dur::secs(k), move |sim| {
+            request_change(sim, StackId(k as u32), &h, &specs::ct(k))
+        });
+    }
+    sim.run_until(until + Dur::secs(2));
+    trace_fingerprint(&sim.merged_trace())
+}
+
+/// Recorded 2026-10-02 at commit 57fe5a7, where every consensus instance
+/// and every delivered key was kept for the length of the run.
+const CT_REPLACEMENT_FPS: [(u64, u64); 3] =
+    [(11, 0x6d4c3f10a13194cf), (12, 0xef232e8e86088525), (13, 0xc9794b3925be4984)];
+
+#[test]
+fn ct_under_replacement_matches_the_recording_from_before_collection() {
+    for (seed, golden) in CT_REPLACEMENT_FPS {
+        let fp = ct_replacement_run(seed);
+        println!("seed {seed}: {fp:#x}");
+        assert_eq!(fp, golden, "seed {seed}: merged trace diverged from the parent's");
     }
 }
