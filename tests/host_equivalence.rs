@@ -1,12 +1,16 @@
-//! Host-equivalence tests: the `StackDriver` refactor must not change
-//! what the deterministic simulator computes, and the sharded runtime
-//! must stay shutdown-safe under load.
+//! Host-equivalence tests: a refactor must not change what the
+//! deterministic simulator computes, and the sharded runtime must stay
+//! shutdown-safe under load.
 //!
-//! The golden fingerprint below was recorded from the pre-`StackDriver`
-//! simulator (thread-per-stack era) for the exact `(config, seed)` used
-//! here. `Sim` now drives every stack through `dpu_core::host::StackDriver`;
-//! producing the same fingerprint means the canonical drive loop is
-//! byte-for-byte equivalent to the hand-rolled one it replaced.
+//! The fingerprints below pin the merged trace of four fixed
+//! `(config, seed)` scenarios, event for event. They were first recorded
+//! from the pre-`StackDriver` simulator (`0x4026a4be2f99a940`, held from
+//! PR 1 through PR 18) and before consensus state was collected (PR 17);
+//! PR 19 changed what `rp2p` puts on the wire — resends by age, acks on
+//! the reverse traffic — which moves the simulator's event order, so all
+//! four were re-recorded there, once, in a commit of their own whose
+//! message carries the before/after verdicts. A change that does not
+//! mean to alter protocol behaviour must reproduce them bit for bit.
 
 use dpu::repl::builder::{
     drive_load, group, group_sim, request_change, send_probe, specs, GroupStackOpts, SwitchLayer,
@@ -55,19 +59,21 @@ fn golden_run() -> (dpu::sim::SimStats, u64) {
 #[test]
 fn sim_through_stack_driver_matches_pre_refactor_recording() {
     let (stats, fp) = golden_run();
-    // Values recorded from the pre-refactor simulator; see module docs.
+    // Values recorded at PR 19; see module docs.
     println!("stats: {stats:?}");
     println!("fingerprint: {fp:#x}");
-    assert_eq!(fp, GOLDEN_FP, "merged trace diverged from the pre-refactor recording");
+    assert_eq!(fp, GOLDEN_FP, "merged trace diverged from the recording");
     assert_eq!(stats.packets_sent, GOLDEN_SENT);
     assert_eq!(stats.packets_delivered, GOLDEN_DELIVERED);
 }
 
-/// Recorded 2026-07-29 from commit 181cd88 (hand-rolled drive loops in
-/// both hosts), scenario and seed as in [`golden_run`].
-const GOLDEN_FP: u64 = 0x4026a4be2f99a940;
-const GOLDEN_SENT: u64 = 2620;
-const GOLDEN_DELIVERED: u64 = 2620;
+/// Recorded 2026-10-02 at PR 19 (rp2p resends by age and acks on the
+/// reverse traffic), scenario and seed as in [`golden_run`]. Before:
+/// `0x4026a4be2f99a940`, 2620 sent, 2620 delivered, recorded 2026-07-29
+/// from commit 181cd88 (hand-rolled drive loops in both hosts).
+const GOLDEN_FP: u64 = 0x1c1b9566e95456b1;
+const GOLDEN_SENT: u64 = 2502;
+const GOLDEN_DELIVERED: u64 = 2502;
 
 #[test]
 fn shutdown_under_in_flight_load_returns_all_stacks() {
@@ -98,7 +104,8 @@ fn shutdown_under_in_flight_load_returns_all_stacks() {
 /// The consensus path under replacement: n = 7, Repl over `abcast.ct`,
 /// 150 msg/s for 3 s, ct → ct under a fresh namespace after 1 s and
 /// after 2 s. Collecting consensus instances, delivered-sets and
-/// proposal marks by stability must not move one traced event.
+/// proposal marks by stability did not move one traced event (PR 17);
+/// nothing that leaves the wire alone may.
 fn ct_replacement_run(seed: u64) -> u64 {
     let (mut sim, h) = group_sim(SimConfig::lan(7, seed), &repl_over_ct());
     sim.run_until(Time::ZERO + Dur::millis(200));
@@ -114,16 +121,19 @@ fn ct_replacement_run(seed: u64) -> u64 {
     trace_fingerprint(&sim.merged_trace())
 }
 
-/// Recorded 2026-10-02 at commit 57fe5a7, where every consensus instance
-/// and every delivered key was kept for the length of the run.
+/// Recorded 2026-10-02 at PR 19, with [`GOLDEN_FP`]. Before
+/// (commit 57fe5a7, where every consensus instance and every delivered
+/// key was kept for the length of the run, unchanged by PR 17's
+/// collection): `0x6d4c3f10a13194cf`, `0xef232e8e86088525`,
+/// `0xc9794b3925be4984`.
 const CT_REPLACEMENT_FPS: [(u64, u64); 3] =
-    [(11, 0x6d4c3f10a13194cf), (12, 0xef232e8e86088525), (13, 0xc9794b3925be4984)];
+    [(11, 0x243adcef5e8a1db1), (12, 0xd4db1459d79ad246), (13, 0x127eadc205be7925)];
 
 #[test]
 fn ct_under_replacement_matches_the_recording_from_before_collection() {
     for (seed, golden) in CT_REPLACEMENT_FPS {
         let fp = ct_replacement_run(seed);
         println!("seed {seed}: {fp:#x}");
-        assert_eq!(fp, golden, "seed {seed}: merged trace diverged from the parent's");
+        assert_eq!(fp, golden, "seed {seed}: merged trace diverged from the recording");
     }
 }
