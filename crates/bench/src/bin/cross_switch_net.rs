@@ -5,8 +5,10 @@
 //! rendezvous through a temp directory (the stand-in for a name
 //! service), and a non-sequencer stack requests `changeABcast(seq(1))`
 //! while probes flow with 5% injected send-side loss. Each child
-//! asserts the switch applied exactly once, nothing is stuck, loss
-//! actually fired, and rp2p actually retransmitted; the parent asserts
+//! asserts the switch applied exactly once, nothing is stuck and loss
+//! actually fired; the half that hosts the sequencer — the one whose
+//! data frames are numerous enough that some were certainly among the
+//! dropped — also that rp2p actually retransmitted; the parent asserts
 //! both processes delivered the *same messages in the same order* by
 //! comparing FNV-1a digests of the delivery logs.
 //!
@@ -28,8 +30,11 @@ use std::time::{Duration, Instant};
 
 const N: u32 = 8;
 const HALF: u32 = N / 2;
-/// Probes per phase per child; total messages = 4 * PROBES.
-const PROBES: u32 = 5;
+/// Probes per phase per child; total messages = 4 * PROBES. The
+/// sequencer (stack 0, half 0) sends each of them to the 7 other stacks:
+/// 280 data frames, so P(the loss model spared them all) = 0.95^280 <
+/// 10^-6.
+const PROBES: u32 = 10;
 const LOSS: f64 = 0.05;
 
 fn main() {
@@ -193,11 +198,19 @@ fn child(half: u32, rdv: PathBuf) {
     write_atomic(&rdv.join(format!("digest_{half}")), &format!("{:016x}\n", fnv(&reference)));
 
     // The transport properties the demo exists to show: loss fired on
-    // the real socket and rp2p recovered through it.
+    // the real socket and rp2p recovered through it (everything was
+    // delivered, above). Only a lost *data* frame is certain to be
+    // resent — a lost ack is usually covered by the next cumulative one
+    // before the frame is a period old, a heartbeat is not rp2p's — so a
+    // resend is certain only where the data frames are many: half 1 sends
+    // one per broadcast of its own (21 in all) and in about half the runs
+    // loses nothing but acks and heartbeats.
     let stats = r.stats();
     let transport = r.telemetry_report().transport;
     assert!(stats.packets_dropped >= 1, "5% loss dropped nothing: {stats:?}");
-    assert!(transport.retransmissions > 0, "recovery implies retransmissions: {transport:?}");
+    if half == 0 {
+        assert!(transport.retransmissions > 0, "280 data frames, none resent: {transport:?}");
+    }
     assert_eq!(stats.malformed_dropped, 0, "peers only send well-formed frames");
     println!(
         "half {half}: {} sent, {} dropped by loss model, {} retransmissions, digest ok",

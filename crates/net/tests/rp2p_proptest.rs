@@ -1,6 +1,8 @@
 //! Property tests for RP2P: under *any* combination of loss,
 //! duplication, jitter and message pattern, delivery is exactly-once and
-//! FIFO per ordered pair of stacks.
+//! FIFO per ordered pair of stacks — also when the two directions of a
+//! pair talk at once, so that acks ride data frames and wait on the ack
+//! timer — and once the network heals nothing stays unacknowledged.
 
 use bytes::Bytes;
 use dpu_core::stack::{FactoryRegistry, ModuleCtx, Stack, StackConfig};
@@ -113,6 +115,60 @@ proptest! {
                     .collect();
                 prop_assert_eq!(got_from, want_from, "node {} from {}", node, sender);
             }
+        }
+    }
+
+    #[test]
+    fn a_conversation_is_exactly_once_fifo_both_ways_and_settles(
+        seed in 0u64..10_000,
+        loss in 0.0f64..0.3,
+        duplicate in 0.0f64..0.3,
+        // Above the gaps between sends, so frames overtake each other.
+        jitter_us in 0u64..3_000,
+        // (pause before the send in 100 µs, sender) over 2 stacks
+        schedule in proptest::collection::vec((0u64..40, 0u32..2), 1..80),
+    ) {
+        let mut cfg = SimConfig::lan(2, seed);
+        cfg.net.loss = loss;
+        cfg.net.duplicate = duplicate;
+        cfg.net.jitter = Dur::micros(jitter_us);
+        let mut sim = Sim::new(cfg, mk_stack);
+        let mut sent = [0u16; 2];
+        for &(pause, from) in &schedule {
+            let at = sim.now() + Dur::micros(100 * pause);
+            sim.run_until(at);
+            let d = Dgram {
+                peer: StackId(1 - from),
+                channel: 9,
+                data: Bytes::from(sent[from as usize].to_be_bytes().to_vec()),
+            };
+            sent[from as usize] += 1;
+            sim.with_stack(StackId(from), |s| {
+                s.call_as(
+                    SINK,
+                    &ServiceId::new(dpu_net::RP2P_SVC),
+                    dgram::SEND,
+                    dpu_core::wire::to_bytes(&d),
+                )
+            });
+        }
+        // The network heals. A frame whose last transmission was lost is
+        // resent by the first scan that finds it a full period old (at
+        // most two periods away) and its ack is back within another
+        // quarter: four quiet periods settle everything.
+        sim.set_loss(0.0);
+        let healed = sim.now();
+        sim.run_until(healed + Rp2pConfig::default().retransmit * 4);
+        for node in 0..2u32 {
+            let got = sim.with_stack(StackId(node), |s| {
+                s.with_module::<Sink, _>(SINK, |k| k.got.clone()).unwrap()
+            });
+            let want: Vec<(StackId, Bytes)> = (0..sent[1 - node as usize])
+                .map(|i| (StackId(1 - node), Bytes::from(i.to_be_bytes().to_vec())))
+                .collect();
+            prop_assert_eq!(got, want, "node {}", node);
+            let ts = sim.with_stack(StackId(node), |s| s.transport_stats());
+            prop_assert_eq!(ts.unacked, 0, "node {}: {:?}", node, ts);
         }
     }
 }

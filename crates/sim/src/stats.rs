@@ -282,7 +282,7 @@ mod tests {
             now: dpu_core::time::Time(2_500_000_000),
             stats,
             wire: ScratchStats { emitted: 120, reclaimed: 120, allocations: 6 },
-            transport: TransportStats { retransmissions: 2, exhausted: 0, unacked: 1, held: 0 },
+            transport: TransportStats { retransmissions: 2, unacked: 1, ..Default::default() },
         };
         let expected = "\
 # sim report: n = 8, t = 2500.000ms
@@ -314,7 +314,7 @@ transport: 2 retransmissions, 0 exhausted, 1 unacked";
             now: dpu_core::time::Time(5_000_000),
             stats,
             wire: ScratchStats::default(),
-            transport: TransportStats { retransmissions: 9, exhausted: 1, unacked: 0, held: 0 },
+            transport: TransportStats { retransmissions: 9, exhausted: 1, ..Default::default() },
         };
         let text = report.to_string();
         assert!(text.contains("dropped 2 (loss 2 / partition 0)"), "{text}");

@@ -57,6 +57,11 @@ impl WireCounters {
 pub struct TransportCounters {
     /// Data frames retransmitted after a retransmission-timer scan.
     pub retransmissions: u64,
+    /// Standalone ack frames put on the wire. An ack that rode a data
+    /// frame going the same way cost no packet and is not counted, so
+    /// against the data frames a peer received this is what reporting
+    /// receipt cost.
+    pub acks: u64,
     /// Frames dropped after exhausting the configured retransmit cap —
     /// non-zero means a peer looked permanently dead and reliability was
     /// given up for those frames.
@@ -77,6 +82,7 @@ impl TransportCounters {
     /// Fold another module's counters into this one (plain addition).
     pub fn absorb(&mut self, other: TransportCounters) {
         self.retransmissions += other.retransmissions;
+        self.acks += other.acks;
         self.exhausted += other.exhausted;
         self.unacked += other.unacked;
         self.held += other.held;
@@ -334,6 +340,7 @@ impl TelemetryReport {
         w.key("transport")
             .begin_obj()
             .field_u64("retransmissions", self.transport.retransmissions)
+            .field_u64("acks", self.transport.acks)
             .field_u64("exhausted", self.transport.exhausted)
             .field_u64("unacked", self.transport.unacked)
             .field_u64("held", self.transport.held)
@@ -387,8 +394,9 @@ impl fmt::Display for TelemetryReport {
         )?;
         writeln!(
             f,
-            "  transport                retransmissions={} exhausted={} unacked={} held={}",
+            "  transport                retransmissions={} acks={} exhausted={} unacked={} held={}",
             self.transport.retransmissions,
+            self.transport.acks,
             self.transport.exhausted,
             self.transport.unacked,
             self.transport.held
@@ -436,7 +444,7 @@ mod tests {
         let mut report = agg.report("sim", 2, 200_000);
         report.wire = WireCounters { emitted: 10, reclaimed: 8, allocations: 2 };
         report.transport =
-            TransportCounters { retransmissions: 1, exhausted: 0, unacked: 3, held: 4 };
+            TransportCounters { retransmissions: 1, acks: 2, exhausted: 0, unacked: 3, held: 4 };
         report
     }
 
@@ -481,6 +489,7 @@ mod tests {
             "\"blackout_ns\"",
             "\"wire\"",
             "\"transport\"",
+            "\"acks\": 2",
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
         }
@@ -496,6 +505,7 @@ mod tests {
         assert!(text.contains("delivery latency"), "{text}");
         assert!(text.contains("blackout window"), "{text}");
         assert!(text.contains("completed=1"), "{text}");
+        assert!(text.contains("retransmissions=1 acks=2"), "{text}");
         assert!(text.contains("unacked=3 held=4"), "{text}");
     }
 }
