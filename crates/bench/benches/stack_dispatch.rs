@@ -18,7 +18,7 @@ impl Module for Echo {
         "echo"
     }
     fn provides(&self) -> Vec<ServiceId> {
-        vec![self.svc.clone()]
+        vec![self.svc]
     }
     fn requires(&self) -> Vec<ServiceId> {
         Vec::new()
@@ -42,7 +42,7 @@ impl Module for Sink {
         Vec::new()
     }
     fn requires(&self) -> Vec<ServiceId> {
-        vec![self.svc.clone()]
+        vec![self.svc]
     }
     fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
     fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {
@@ -63,8 +63,8 @@ fn bench_dispatch(c: &mut Criterion) {
         },
         FactoryRegistry::new(),
     );
-    let echo = stack.add_module(Box::new(Echo { svc: svc.clone() }));
-    let sink = stack.add_module(Box::new(Sink { svc: svc.clone(), got: 0 }));
+    let echo = stack.add_module(Box::new(Echo { svc }));
+    let sink = stack.add_module(Box::new(Sink { svc, got: 0 }));
     stack.bind(&svc, echo);
     while stack.step(Time(0)).is_some() {}
     let payload = Bytes::from_static(b"0123456789abcdef");

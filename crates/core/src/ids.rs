@@ -1,7 +1,6 @@
 //! Identifiers for stacks, modules, services and timers.
 
 use std::fmt;
-use std::sync::Arc;
 
 /// Identifies one protocol stack, i.e. one machine/process in the system
 /// (the paper's "stack i").
@@ -60,39 +59,43 @@ impl fmt::Debug for TimerId {
 /// The name of a service — the *specification* of a distributed protocol
 /// (the paper's lower-case `p`, `q`, `r`).
 ///
-/// Cheap to clone (reference-counted string). Two `ServiceId`s compare
-/// equal iff their names are equal, regardless of how they were created.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ServiceId(Arc<str>);
+/// One word, `Copy`: a handle to the name's entry in a process-wide
+/// intern pool, which never frees a name. Two `ServiceId`s compare equal
+/// iff their names are equal, regardless of how they were created, and
+/// they order, hash and print by name — the handle itself is never
+/// observable.
+#[derive(Clone, Copy)]
+pub struct ServiceId(&'static &'static str);
 
 impl ServiceId {
     /// Create a service id from a name.
     ///
     /// Names are interned in a process-wide pool: every `ServiceId` for
-    /// the same name shares one `Arc<str>` allocation. Without this,
-    /// each stack's module slots retain their own copies of "net",
-    /// "abcast", "r-abcast", … — a hundred-odd bytes per stack that a
-    /// million-stack simulation cannot afford. The pool grows with the
-    /// number of *distinct* service names in the process (a handful),
-    /// never with stack count or message volume.
+    /// the same name is the same handle, so a call, a response, a step
+    /// report and a trace entry each carry eight bytes and copying one
+    /// touches no reference count. The pool grows with the number of
+    /// *distinct* service names in the process (a handful), never with
+    /// stack count or message volume; this lookup takes its lock, so hot
+    /// paths keep the id they were built with instead of making it again.
     pub fn new(name: impl AsRef<str>) -> ServiceId {
         use std::collections::BTreeMap;
         use std::sync::{Mutex, OnceLock};
-        static POOL: OnceLock<Mutex<BTreeMap<Arc<str>, ()>>> = OnceLock::new();
+        static POOL: OnceLock<Mutex<BTreeMap<&'static str, ServiceId>>> = OnceLock::new();
         let name = name.as_ref();
         let mut pool = POOL.get_or_init(Default::default).lock().unwrap();
-        if let Some((arc, ())) = pool.get_key_value(name) {
-            return ServiceId(arc.clone());
+        if let Some(&id) = pool.get(name) {
+            return id;
         }
-        let arc: Arc<str> = Arc::from(name);
-        pool.insert(arc.clone(), ());
-        ServiceId(arc)
+        let name: &'static str = Box::leak(Box::from(name));
+        let id = ServiceId(Box::leak(Box::new(name)));
+        pool.insert(name, id);
+        id
     }
 
     /// The service name.
     #[inline]
     pub fn name(&self) -> &str {
-        &self.0
+        self.0
     }
 
     /// The indirection interface `r-<name>` for this service
@@ -100,6 +103,40 @@ impl ServiceId {
     /// this id, which the replacement module provides.
     pub fn replaced(&self) -> ServiceId {
         ServiceId::new(crate::svc::replaced(self.name()))
+    }
+}
+
+impl PartialEq for ServiceId {
+    /// One pool entry per name, so the same name is the same handle.
+    #[inline]
+    fn eq(&self, other: &ServiceId) -> bool {
+        std::ptr::eq(self.0, other.0)
+    }
+}
+
+impl Eq for ServiceId {}
+
+impl Ord for ServiceId {
+    #[inline]
+    fn cmp(&self, other: &ServiceId) -> std::cmp::Ordering {
+        if self == other {
+            std::cmp::Ordering::Equal
+        } else {
+            self.name().cmp(other.name())
+        }
+    }
+}
+
+impl PartialOrd for ServiceId {
+    #[inline]
+    fn partial_cmp(&self, other: &ServiceId) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl std::hash::Hash for ServiceId {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.name().hash(state);
     }
 }
 
@@ -117,13 +154,13 @@ impl From<String> for ServiceId {
 
 impl fmt::Debug for ServiceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "svc:{}", self.0)
+        write!(f, "svc:{}", self.name())
     }
 }
 
 impl fmt::Display for ServiceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.name())
     }
 }
 
@@ -140,9 +177,29 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         let mut set = HashSet::new();
-        set.insert(a.clone());
+        set.insert(a);
         assert!(set.contains(&b));
         assert!(!set.contains(&c));
+    }
+
+    #[test]
+    fn a_service_id_is_one_word_that_orders_and_prints_by_name() {
+        assert_eq!(std::mem::size_of::<ServiceId>(), 8);
+        assert_eq!(std::mem::size_of::<Option<ServiceId>>(), 8);
+        // Interned in the opposite of name order: the handles' addresses
+        // say nothing about the order of the ids.
+        let z = ServiceId::new("ids-test-z");
+        let a = ServiceId::new("ids-test-a");
+        let copy = z;
+        assert_eq!(copy, z);
+        assert!(a < z);
+        assert!(z > a);
+        assert_eq!(z.cmp(&ServiceId::new(String::from("ids-test-z"))), std::cmp::Ordering::Equal);
+        let mut sorted = [z, a, ServiceId::new("ids-test-m")];
+        sorted.sort();
+        let names: Vec<&str> = sorted.iter().map(ServiceId::name).collect();
+        assert_eq!(names, ["ids-test-a", "ids-test-m", "ids-test-z"]);
+        assert_eq!(format!("{a} {a:?}"), "ids-test-a svc:ids-test-a");
     }
 
     #[test]

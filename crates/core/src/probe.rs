@@ -175,7 +175,7 @@ impl Module for Probe {
     }
 
     fn requires(&self) -> Vec<ServiceId> {
-        vec![self.service.clone()]
+        vec![self.service]
     }
 
     fn on_call(&mut self, _ctx: &mut ModuleCtx<'_>, _call: Call) {}
@@ -246,7 +246,7 @@ mod tests {
             "loopsvc"
         }
         fn provides(&self) -> Vec<ServiceId> {
-            vec![self.service.clone()]
+            vec![self.service]
         }
         fn requires(&self) -> Vec<ServiceId> {
             Vec::new()
@@ -261,8 +261,8 @@ mod tests {
     fn probe_records_latency_through_a_stack() {
         let svc = ServiceId::new("abcast");
         let mut stack = Stack::new(StackConfig::nth(0, 1, 1), FactoryRegistry::new());
-        let provider = stack.add_module(Box::new(LoopSvc { service: svc.clone() }));
-        let probe_id = stack.add_module(Box::new(Probe::new(svc.clone(), 1, 2, 0)));
+        let provider = stack.add_module(Box::new(LoopSvc { service: svc }));
+        let probe_id = stack.add_module(Box::new(Probe::new(svc, 1, 2, 0)));
         stack.bind(&svc, provider);
         let payload = stack
             .with_module::<Probe, _>(probe_id, |p| p.next_payload(StackId(0), Time(100)))
@@ -283,7 +283,7 @@ mod tests {
     #[test]
     fn probe_ignores_other_ops_and_services() {
         let svc = ServiceId::new("abcast");
-        let mut p = Probe::new(svc.clone(), 1, 2, 0);
+        let mut p = Probe::new(svc, 1, 2, 0);
         // Build a response with the wrong op via a fake dispatch: easiest
         // is to check take_delivered on a fresh probe stays empty.
         assert!(p.take_delivered().is_empty());

@@ -52,13 +52,13 @@ pub fn check_stack_well_formedness(log: &TraceLog) -> Assessment {
                     // it never resolves; refined below.
                 }
                 let _ = (t, op, from);
-                *outstanding.entry((*stack, service.clone())).or_insert(0) += 1;
+                *outstanding.entry((*stack, *service)).or_insert(0) += 1;
             }
             TraceEvent::ReleasedCall { stack, service, .. } => {
-                if let Some(n) = outstanding.get_mut(&(*stack, service.clone())) {
+                if let Some(n) = outstanding.get_mut(&(*stack, *service)) {
                     *n = n.saturating_sub(1);
                     if *n == 0 {
-                        outstanding.remove(&(*stack, service.clone()));
+                        outstanding.remove(&(*stack, *service));
                     }
                 }
             }
@@ -117,20 +117,20 @@ pub fn check_protocol_operationability(
     let crashed = log.crashed_stacks();
 
     // Reconstruct module lifetimes and kinds.
-    let mut kind_of: BTreeMap<(StackId, ModuleId), String> = BTreeMap::new();
+    let mut kind_of: BTreeMap<(StackId, ModuleId), &str> = BTreeMap::new();
     let mut lifetimes: BTreeMap<StackId, Vec<Lifetime>> = BTreeMap::new();
     let mut open: BTreeMap<(StackId, ModuleId), usize> = BTreeMap::new();
     for (t, ev) in log.events() {
         match ev {
             TraceEvent::ModuleCreated { stack, module, kind: k } => {
-                kind_of.insert((*stack, *module), k.clone());
-                if k == kind {
+                kind_of.insert((*stack, *module), k);
+                if **k == *kind {
                     let v = lifetimes.entry(*stack).or_default();
                     open.insert((*stack, *module), v.len());
                     v.push(Lifetime { created: *t, destroyed: None });
                 }
             }
-            TraceEvent::ModuleDestroyed { stack, module, kind: k } if k == kind => {
+            TraceEvent::ModuleDestroyed { stack, module, kind: k } if **k == *kind => {
                 if let Some(idx) = open.remove(&(*stack, *module)) {
                     if let Some(v) = lifetimes.get_mut(stack) {
                         v[idx].destroyed = Some(*t);
@@ -144,7 +144,7 @@ pub fn check_protocol_operationability(
     // For every bind of a module of `kind`, check all other stacks.
     for (t, ev) in log.events() {
         let TraceEvent::Bind { stack: binder, module, .. } = ev else { continue };
-        if kind_of.get(&(*binder, *module)).map(String::as_str) != Some(kind) {
+        if kind_of.get(&(*binder, *module)) != Some(&kind) {
             continue;
         }
         for j in stacks {

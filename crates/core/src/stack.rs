@@ -313,7 +313,7 @@ impl Module for NetBridge {
     }
 
     fn provides(&self) -> Vec<ServiceId> {
-        vec![net_service().clone()]
+        vec![*net_service()]
     }
 
     fn requires(&self) -> Vec<ServiceId> {
@@ -507,11 +507,8 @@ impl Stack {
         }
         for svc in &requires {
             if !self.bindings.contains_key(svc) {
-                let spec = self
-                    .defaults
-                    .get(svc)
-                    .cloned()
-                    .ok_or_else(|| StackError::NoDefaultProvider(svc.clone()))?;
+                let spec =
+                    self.defaults.get(svc).cloned().ok_or(StackError::NoDefaultProvider(*svc))?;
                 let dep = self.factory.build(&spec)?;
                 let dep_id = self.insert_module(dep);
                 self.wire_in(dep_id)?;
@@ -527,13 +524,13 @@ impl Stack {
         let provides = module.provides();
         let requires = module.requires();
         for svc in &requires {
-            self.requirers.get_mut_or_default(svc.clone()).push(id);
+            self.requirers.get_mut_or_default(*svc).push(id);
         }
-        self.modules.insert(
-            id,
-            ModuleSlot { module: Some(module), kind: kind.clone(), provides, requires },
+        self.trace.push(
+            self.now,
+            TraceEvent::ModuleCreated { stack: self.id, module: id, kind: kind.as_str().into() },
         );
-        self.trace.push(self.now, TraceEvent::ModuleCreated { stack: self.id, module: id, kind });
+        self.modules.insert(id, ModuleSlot { module: Some(module), kind, provides, requires });
         self.queue.push_back(Delivery::Start { to: id });
         id
     }
@@ -542,23 +539,22 @@ impl Stack {
     /// previously bound module is implicitly unbound first. Calls blocked
     /// on the service are released in FIFO order.
     pub fn bind(&mut self, service: &ServiceId, module: ModuleId) {
-        if let Some(prev) = self.bindings.insert(service.clone(), module) {
+        if let Some(prev) = self.bindings.insert(*service, module) {
             if prev != module {
                 self.trace.push(
                     self.now,
-                    TraceEvent::Unbind { stack: self.id, service: service.clone(), module: prev },
+                    TraceEvent::Unbind { stack: self.id, service: *service, module: prev },
                 );
             }
         }
-        self.trace
-            .push(self.now, TraceEvent::Bind { stack: self.id, service: service.clone(), module });
+        self.trace.push(self.now, TraceEvent::Bind { stack: self.id, service: *service, module });
         if let Some(mut blocked) = self.waiting.remove(service) {
             for call in blocked.drain(..) {
                 self.trace.push(
                     self.now,
                     TraceEvent::ReleasedCall {
                         stack: self.id,
-                        service: service.clone(),
+                        service: *service,
                         op: call.op,
                         from: call.from,
                     },
@@ -575,7 +571,7 @@ impl Stack {
         if let Some(prev) = self.bindings.remove(service) {
             self.trace.push(
                 self.now,
-                TraceEvent::Unbind { stack: self.id, service: service.clone(), module: prev },
+                TraceEvent::Unbind { stack: self.id, service: *service, module: prev },
             );
         }
     }
@@ -587,7 +583,7 @@ impl Stack {
             return;
         }
         let bound_services: Vec<ServiceId> =
-            self.bindings.iter().filter(|(_, m)| **m == id).map(|(s, _)| s.clone()).collect();
+            self.bindings.iter().filter(|(_, m)| **m == id).map(|(s, _)| *s).collect();
         for svc in bound_services {
             self.unbind(&svc);
         }
@@ -597,7 +593,7 @@ impl Stack {
     /// Make a service call on behalf of module `from` (used by hosts and
     /// probes to inject work; modules use [`ModuleCtx::call`]).
     pub fn call_as(&mut self, from: ModuleId, service: &ServiceId, op: Op, data: Bytes) {
-        self.enqueue_call(Call { service: service.clone(), op, data, from });
+        self.enqueue_call(Call { service: *service, op, data, from });
     }
 
     fn enqueue_call(&mut self, call: Call) {
@@ -607,7 +603,7 @@ impl Stack {
                     self.now,
                     TraceEvent::Call {
                         stack: self.id,
-                        service: call.service.clone(),
+                        service: call.service,
                         op: call.op,
                         from: call.from,
                         to,
@@ -620,12 +616,12 @@ impl Stack {
                     self.now,
                     TraceEvent::BlockedCall {
                         stack: self.id,
-                        service: call.service.clone(),
+                        service: call.service,
                         op: call.op,
                         from: call.from,
                     },
                 );
-                self.waiting.get_mut_or_default(call.service.clone()).push_back(call);
+                self.waiting.get_mut_or_default(call.service).push_back(call);
             }
         }
     }
@@ -662,7 +658,7 @@ impl Stack {
         self.telemetry.record_scratch_occupancy(self.scratch.mem_bytes() as u64);
         let data = self.scratch.encode(&(src, payload));
         self.enqueue_response(Response {
-            service: net_service().clone(),
+            service: *net_service(),
             op: net_ops::RECV,
             data,
             from: self.net_bridge,
@@ -722,8 +718,8 @@ impl Stack {
             let Some(slot) = self.modules.get_mut(&to) else { continue };
             let mut module = slot.module.take().expect("module re-entrancy");
             let (service, op) = match &delivery {
-                Delivery::Call { call, .. } => (Some(call.service.clone()), Some(call.op)),
-                Delivery::Response { resp, .. } => (Some(resp.service.clone()), Some(resp.op)),
+                Delivery::Call { call, .. } => (Some(call.service), Some(call.op)),
+                Delivery::Response { resp, .. } => (Some(resp.service), Some(resp.op)),
                 _ => (None, None),
             };
             let mut ctx = ModuleCtx { stack: self, me: to, destroyed_self: false };
@@ -746,7 +742,7 @@ impl Stack {
                 self.telemetry.cascade_end();
             }
             if destroyed {
-                let kind = module.kind().to_string();
+                let kind = module.kind().into();
                 self.telemetry.note_module_destroyed(self.now.as_nanos());
                 self.trace.push(
                     self.now,
@@ -763,7 +759,7 @@ impl Stack {
     fn remove_module_records(&mut self, id: ModuleId) {
         self.modules.remove(&id);
         let bound: Vec<ServiceId> =
-            self.bindings.iter().filter(|(_, m)| **m == id).map(|(s, _)| s.clone()).collect();
+            self.bindings.iter().filter(|(_, m)| **m == id).map(|(s, _)| *s).collect();
         for svc in bound {
             self.unbind(&svc);
         }
@@ -954,7 +950,7 @@ impl ModuleCtx<'_> {
     /// Call a service (paper: "service call"). If the service is unbound
     /// the call blocks until a module is bound.
     pub fn call(&mut self, service: &ServiceId, op: Op, data: Bytes) {
-        self.stack.enqueue_call(Call { service: service.clone(), op, data, from: self.me });
+        self.stack.enqueue_call(Call { service: *service, op, data, from: self.me });
     }
 
     /// Respond on a service this module provides (paper: "service
@@ -962,7 +958,7 @@ impl ModuleCtx<'_> {
     /// requires the service (excluding this module itself). Note that a
     /// module may respond even after being unbound.
     pub fn respond(&mut self, service: &ServiceId, op: Op, data: Bytes) {
-        self.stack.enqueue_response(Response { service: service.clone(), op, data, from: self.me });
+        self.stack.enqueue_response(Response { service: *service, op, data, from: self.me });
     }
 
     /// Arm a one-shot timer; `tag` is returned to
@@ -1017,13 +1013,8 @@ impl ModuleCtx<'_> {
         if id == self.me {
             self.destroyed_self = true;
             // Unbind immediately so no further calls are routed to us.
-            let bound: Vec<ServiceId> = self
-                .stack
-                .bindings
-                .iter()
-                .filter(|(_, m)| **m == id)
-                .map(|(s, _)| s.clone())
-                .collect();
+            let bound: Vec<ServiceId> =
+                self.stack.bindings.iter().filter(|(_, m)| **m == id).map(|(s, _)| *s).collect();
             for svc in bound {
                 self.stack.unbind(&svc);
             }

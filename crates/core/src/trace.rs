@@ -93,7 +93,7 @@ pub enum TraceEvent {
         /// Fresh module id.
         module: ModuleId,
         /// Module kind (protocol identity across stacks).
-        kind: String,
+        kind: Box<str>,
     },
     /// A module was destroyed and removed from a stack.
     ModuleDestroyed {
@@ -102,7 +102,7 @@ pub enum TraceEvent {
         /// Destroyed module id.
         module: ModuleId,
         /// Module kind.
-        kind: String,
+        kind: Box<str>,
     },
     /// The stack crashed (injected by the host). No further events occur
     /// on a crashed stack.
@@ -132,7 +132,14 @@ impl TraceEvent {
 /// One log entry: when, and what.
 type Entry = (Time, TraceEvent);
 
-/// Entries per storage segment (192 KiB of 48-byte entries): small
+// A traced run is mostly these entries (one per call and per response),
+// so their size is pinned: a service name is one word and a module kind
+// two, and a field that pushes the largest variant past 32 bytes costs
+// every traced stack a fifth of its memory.
+const _: () = assert!(std::mem::size_of::<ServiceId>() == 8);
+const _: () = assert!(std::mem::size_of::<Entry>() == 40);
+
+/// Entries per storage segment (160 KiB of 40-byte entries): small
 /// enough that a log's unused tail is noise next to what it holds, large
 /// enough that the segment table of a multi-million-entry log stays a
 /// few kilobytes.
@@ -473,24 +480,12 @@ mod tests {
         let s = StackId(3);
         let svc = ServiceId::new("p");
         let evs = vec![
-            TraceEvent::Call {
-                stack: s,
-                service: svc.clone(),
-                op: 0,
-                from: ModuleId(1),
-                to: ModuleId(2),
-            },
-            TraceEvent::BlockedCall { stack: s, service: svc.clone(), op: 0, from: ModuleId(1) },
-            TraceEvent::ReleasedCall { stack: s, service: svc.clone(), op: 0, from: ModuleId(1) },
-            TraceEvent::Response {
-                stack: s,
-                service: svc.clone(),
-                op: 0,
-                from: ModuleId(1),
-                fanout: 2,
-            },
-            TraceEvent::Bind { stack: s, service: svc.clone(), module: ModuleId(1) },
-            TraceEvent::Unbind { stack: s, service: svc.clone(), module: ModuleId(1) },
+            TraceEvent::Call { stack: s, service: svc, op: 0, from: ModuleId(1), to: ModuleId(2) },
+            TraceEvent::BlockedCall { stack: s, service: svc, op: 0, from: ModuleId(1) },
+            TraceEvent::ReleasedCall { stack: s, service: svc, op: 0, from: ModuleId(1) },
+            TraceEvent::Response { stack: s, service: svc, op: 0, from: ModuleId(1), fanout: 2 },
+            TraceEvent::Bind { stack: s, service: svc, module: ModuleId(1) },
+            TraceEvent::Unbind { stack: s, service: svc, module: ModuleId(1) },
             TraceEvent::ModuleCreated { stack: s, module: ModuleId(1), kind: "k".into() },
             TraceEvent::ModuleDestroyed { stack: s, module: ModuleId(1), kind: "k".into() },
             TraceEvent::Crash { stack: s },

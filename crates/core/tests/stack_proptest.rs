@@ -26,7 +26,7 @@ impl Module for Recorder {
         "recorder"
     }
     fn provides(&self) -> Vec<ServiceId> {
-        vec![self.svc.clone()]
+        vec![self.svc]
     }
     fn requires(&self) -> Vec<ServiceId> {
         Vec::new()
@@ -61,7 +61,7 @@ proptest! {
         let svc = ServiceId::new("p");
         let mut stack = Stack::new(StackConfig::nth(0, 1, 7), FactoryRegistry::new());
         let provider =
-            stack.add_module(Box::new(Recorder { svc: svc.clone(), got: Vec::new() }));
+            stack.add_module(Box::new(Recorder { svc, got: Vec::new() }));
         let caller = ModuleId(0); // synthetic caller id for call_as
         let mut issued: u64 = 0;
         let mut bound = false;
@@ -135,8 +135,8 @@ proptest! {
     ) {
         let svc = ServiceId::new("p");
         let mut stack = Stack::new(StackConfig::nth(0, 1, 3), FactoryRegistry::new());
-        let a = stack.add_module(Box::new(Recorder { svc: svc.clone(), got: Vec::new() }));
-        let b = stack.add_module(Box::new(Recorder { svc: svc.clone(), got: Vec::new() }));
+        let a = stack.add_module(Box::new(Recorder { svc, got: Vec::new() }));
+        let b = stack.add_module(Box::new(Recorder { svc, got: Vec::new() }));
         let caller = ModuleId(0);
         let mut issued = 0u64;
         let mut t = 0u64;

@@ -208,11 +208,11 @@ impl Module for FragModule {
     }
 
     fn provides(&self) -> Vec<ServiceId> {
-        vec![self.frag_svc.clone()]
+        vec![self.frag_svc]
     }
 
     fn requires(&self) -> Vec<ServiceId> {
-        vec![self.udp_svc.clone()]
+        vec![self.udp_svc]
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
@@ -270,7 +270,7 @@ mod tests {
             Vec::new()
         }
         fn requires(&self) -> Vec<ServiceId> {
-            vec![self.svc.clone()]
+            vec![self.svc]
         }
         fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
         fn on_response(&mut self, _: &mut ModuleCtx<'_>, resp: Response) {

@@ -444,11 +444,11 @@ impl Module for Rp2pModule {
     }
 
     fn provides(&self) -> Vec<ServiceId> {
-        vec![self.rp2p_svc.clone()]
+        vec![self.rp2p_svc]
     }
 
     fn requires(&self) -> Vec<ServiceId> {
-        vec![self.udp_svc.clone()]
+        vec![self.udp_svc]
     }
 
     fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {

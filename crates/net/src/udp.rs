@@ -59,11 +59,11 @@ impl Module for UdpModule {
     }
 
     fn provides(&self) -> Vec<ServiceId> {
-        vec![self.udp_svc.clone()]
+        vec![self.udp_svc]
     }
 
     fn requires(&self) -> Vec<ServiceId> {
-        vec![self.net_svc.clone()]
+        vec![self.net_svc]
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {

@@ -257,11 +257,11 @@ impl Module for CtAbcastModule {
     }
 
     fn provides(&self) -> Vec<ServiceId> {
-        vec![self.svc.clone()]
+        vec![self.svc]
     }
 
     fn requires(&self) -> Vec<ServiceId> {
-        vec![self.cons_svc.clone(), self.rp2p_svc.clone()]
+        vec![self.cons_svc, self.rp2p_svc]
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {

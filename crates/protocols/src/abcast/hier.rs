@@ -450,11 +450,11 @@ impl Module for HierAbcastModule {
     }
 
     fn provides(&self) -> Vec<ServiceId> {
-        vec![self.svc.clone()]
+        vec![self.svc]
     }
 
     fn requires(&self) -> Vec<ServiceId> {
-        vec![self.rp2p_svc.clone()]
+        vec![self.rp2p_svc]
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {

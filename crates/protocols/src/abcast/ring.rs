@@ -220,11 +220,11 @@ impl Module for RingAbcastModule {
     }
 
     fn provides(&self) -> Vec<ServiceId> {
-        vec![self.svc.clone()]
+        vec![self.svc]
     }
 
     fn requires(&self) -> Vec<ServiceId> {
-        vec![self.rp2p_svc.clone()]
+        vec![self.rp2p_svc]
     }
 
     fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {

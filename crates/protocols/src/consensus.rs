@@ -585,11 +585,11 @@ impl Module for ConsensusModule {
     }
 
     fn provides(&self) -> Vec<ServiceId> {
-        vec![self.svc.clone()]
+        vec![self.svc]
     }
 
     fn requires(&self) -> Vec<ServiceId> {
-        vec![self.rp2p_svc.clone(), self.fd_svc.clone()]
+        vec![self.rp2p_svc, self.fd_svc]
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {

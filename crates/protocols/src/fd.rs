@@ -164,11 +164,11 @@ impl Module for FdModule {
     }
 
     fn provides(&self) -> Vec<ServiceId> {
-        vec![self.fd_svc.clone()]
+        vec![self.fd_svc]
     }
 
     fn requires(&self) -> Vec<ServiceId> {
-        vec![self.udp_svc.clone()]
+        vec![self.udp_svc]
     }
 
     fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {

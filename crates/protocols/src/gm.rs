@@ -220,14 +220,14 @@ impl Module for GmModule {
     }
 
     fn provides(&self) -> Vec<ServiceId> {
-        vec![self.svc.clone()]
+        vec![self.svc]
     }
 
     fn requires(&self) -> Vec<ServiceId> {
         if self.auto_exclude {
-            vec![self.abcast_svc.clone(), self.fd_svc.clone()]
+            vec![self.abcast_svc, self.fd_svc]
         } else {
-            vec![self.abcast_svc.clone()]
+            vec![self.abcast_svc]
         }
     }
 

@@ -96,11 +96,11 @@ impl Module for OmegaModule {
     }
 
     fn provides(&self) -> Vec<ServiceId> {
-        vec![self.svc.clone()]
+        vec![self.svc]
     }
 
     fn requires(&self) -> Vec<ServiceId> {
-        vec![self.fd_svc.clone()]
+        vec![self.fd_svc]
     }
 
     fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {

@@ -351,11 +351,11 @@ impl Module for ReplAbcastModule {
     }
 
     fn provides(&self) -> Vec<ServiceId> {
-        vec![self.core.ind.provided.clone()]
+        vec![self.core.ind.provided]
     }
 
     fn requires(&self) -> Vec<ServiceId> {
-        vec![self.core.ind.required.clone()]
+        vec![self.core.ind.required]
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {

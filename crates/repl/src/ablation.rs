@@ -64,11 +64,11 @@ impl Module for BrokenRepl {
     }
 
     fn provides(&self) -> Vec<ServiceId> {
-        vec![self.core.ind.provided.clone()]
+        vec![self.core.ind.provided]
     }
 
     fn requires(&self) -> Vec<ServiceId> {
-        vec![self.core.ind.required.clone()]
+        vec![self.core.ind.required]
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
@@ -130,7 +130,7 @@ mod tests {
             built.stack.bind(&r_svc, layer);
             // Re-point the probe at the broken layer.
             let probe = built.stack.add_module(Box::new(dpu_core::probe::Probe::new(
-                r_svc.clone(),
+                r_svc,
                 ab_ops::ABCAST,
                 ab_ops::ADELIVER,
                 8,

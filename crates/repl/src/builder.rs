@@ -275,12 +275,7 @@ pub fn build(sc: StackConfig, opts: &GroupStackOpts) -> BuiltStack {
     let top_service = if layer.is_some() { abcast_svc.replaced() } else { abcast_svc };
 
     let probe = opts.probe_pad.map(|pad| {
-        stack.add_module(Box::new(Probe::new(
-            top_service.clone(),
-            ab_ops::ABCAST,
-            ab_ops::ADELIVER,
-            pad,
-        )))
+        stack.add_module(Box::new(Probe::new(top_service, ab_ops::ABCAST, ab_ops::ADELIVER, pad)))
     });
 
     let gm = if opts.with_gm {
@@ -335,7 +330,7 @@ pub fn group_sim(sim_cfg: SimConfig, opts: &GroupStackOpts) -> (Sim, Handles) {
 /// time (virtual on the simulator, wall clock on the live hosts).
 pub fn send_probe(mut host: impl Host, node: StackId, h: &Handles) {
     let Some(probe) = h.probe else { return };
-    let top = h.top_service.clone();
+    let top = h.top_service;
     let now = host.now();
     host.with_stack(node, move |s| {
         let payload =
@@ -351,7 +346,7 @@ pub fn request_change(mut host: impl Host, node: StackId, h: &Handles, new_spec:
     let Some(probe) = h.probe else {
         panic!("request_change requires a probe");
     };
-    let top = h.top_service.clone();
+    let top = h.top_service;
     let data = dpu_core::wire::to_bytes(new_spec);
     host.with_stack(node, move |s| s.call_as(probe, &top, crate::CHANGE_OP, data));
 }
@@ -735,7 +730,7 @@ mod tests {
         sim.run_until(Time::ZERO + Dur::secs(5));
         let layer = h.layer.unwrap();
         let inactive = sim.with_stack(StackId(0), |s| {
-            s.with_module::<GracefulSwitcher, _>(layer, |m| m.inactive_slot().clone()).unwrap()
+            s.with_module::<GracefulSwitcher, _>(layer, |m| *m.inactive_slot()).unwrap()
         });
         assert_eq!(inactive, ServiceId::new(dpu_protocols::ABCAST_SVC));
         send_probe(&mut sim, StackId(1), &h);
@@ -999,7 +994,7 @@ mod tests {
         let destroyed = trace
             .events()
             .filter(
-                |(_, e)| matches!(e, TraceEvent::ModuleDestroyed { kind, .. } if kind == CT_KIND),
+                |(_, e)| matches!(e, TraceEvent::ModuleDestroyed { kind, .. } if **kind == *CT_KIND),
             )
             .count();
         assert_eq!(destroyed, 3, "one ModuleDestroyed per stack");

@@ -138,12 +138,12 @@ impl Module for GracefulSwitcher {
     }
 
     fn provides(&self) -> Vec<ServiceId> {
-        vec![self.sw.ind.provided.clone()]
+        vec![self.sw.ind.provided]
     }
 
     fn requires(&self) -> Vec<ServiceId> {
         // The GA restriction: both AAC slots are declared up front.
-        vec![self.sw.ind.required.clone(), self.spare.clone(), self.sw.rp2p.clone()]
+        vec![self.sw.ind.required, self.spare, self.sw.rp2p]
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {

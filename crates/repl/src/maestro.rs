@@ -114,11 +114,11 @@ impl Module for MaestroSwitcher {
     }
 
     fn provides(&self) -> Vec<ServiceId> {
-        vec![self.sw.ind.provided.clone()]
+        vec![self.sw.ind.provided]
     }
 
     fn requires(&self) -> Vec<ServiceId> {
-        vec![self.sw.ind.required.clone(), self.sw.rp2p.clone()]
+        vec![self.sw.ind.required, self.sw.rp2p]
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {

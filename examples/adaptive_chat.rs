@@ -37,7 +37,7 @@ impl Module for ChatClient {
         Vec::new()
     }
     fn requires(&self) -> Vec<ServiceId> {
-        vec![self.top.clone()]
+        vec![self.top]
     }
     fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
     fn on_response(&mut self, _: &mut ModuleCtx<'_>, resp: Response) {
@@ -55,7 +55,7 @@ impl Module for ChatClient {
 
 fn say(sim: &mut Sim, node: u32, chat: ModuleId, top: &ServiceId, who: &str, text: &str) {
     let line: Bytes = (CHAT_MAGIC, who.to_string(), text.to_string()).to_bytes();
-    let top = top.clone();
+    let top = *top;
     sim.with_stack(StackId(node), |s| s.call_as(chat, &top, ab_ops::ABCAST, line));
 }
 
@@ -72,7 +72,7 @@ fn main() {
     let mut handles = None;
     let mut sim = Sim::new(SimConfig::lan(3, 2006), |sc| {
         let mut built = build(sc, &opts);
-        let top = built.handles.top_service.clone();
+        let top = built.handles.top_service;
         let id = built.stack.add_module(Box::new(ChatClient { top, transcript: vec![] }));
         chat_id.get_or_insert(id);
         handles.get_or_insert(built.handles.clone());
@@ -80,7 +80,7 @@ fn main() {
     });
     let chat = chat_id.unwrap();
     let h = handles.unwrap();
-    let top = h.top_service.clone();
+    let top = h.top_service;
 
     sim.run_until(Time::ZERO + Dur::millis(300));
     say(&mut sim, 0, chat, &top, users[0], "shall we switch to the sequencer?");

@@ -46,7 +46,7 @@ impl Module for KvStore {
         Vec::new()
     }
     fn requires(&self) -> Vec<ServiceId> {
-        vec![self.top.clone()]
+        vec![self.top]
     }
     fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
     fn on_response(&mut self, _: &mut ModuleCtx<'_>, resp: Response) {
@@ -66,7 +66,7 @@ impl Module for KvStore {
 
 fn put(sim: &mut Sim, node: u32, kv: ModuleId, top: &ServiceId, key: &str, value: &str) {
     let cmd: Bytes = (KV_MAGIC, key.to_string(), value.to_string()).to_bytes();
-    let top = top.clone();
+    let top = *top;
     sim.with_stack(StackId(node), |s| s.call_as(kv, &top, ab_ops::ABCAST, cmd));
 }
 
@@ -94,7 +94,7 @@ fn main() {
     cfg.net.loss = 0.02;
     let mut sim = Sim::new(cfg, |sc| {
         let mut built = build(sc, &opts);
-        let top = built.handles.top_service.clone();
+        let top = built.handles.top_service;
         let id = built.stack.add_module(Box::new(KvStore::new(top)));
         kv_id.get_or_insert(id);
         handles.get_or_insert(built.handles.clone());
@@ -102,7 +102,7 @@ fn main() {
     });
     let kv = kv_id.expect("kv module added");
     let h = handles.expect("handles");
-    let top = h.top_service.clone();
+    let top = h.top_service;
 
     sim.run_until(Time::ZERO + Dur::millis(300));
     println!("5 replicas up; writing through CT-ABcast ...");
