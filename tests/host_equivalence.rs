@@ -7,10 +7,12 @@
 //! from the pre-`StackDriver` simulator (`0x4026a4be2f99a940`, held from
 //! PR 1 through PR 18) and before consensus state was collected (PR 17);
 //! PR 19 changed what `rp2p` puts on the wire — resends by age, acks on
-//! the reverse traffic — which moves the simulator's event order, so all
-//! four were re-recorded there, once, in a commit of their own whose
-//! message carries the before/after verdicts. A change that does not
-//! mean to alter protocol behaviour must reproduce them bit for bit.
+//! the reverse traffic — and PR 20 which modules a datagram response is
+//! dispatched to (the one listening on its channel, not every user of
+//! the service); each moves the simulator's event order, so each
+//! re-recorded all four, once, in a commit of its own whose message
+//! carries the before/after verdicts. A change that does not mean to
+//! alter protocol behaviour must reproduce them bit for bit.
 
 use dpu::repl::builder::{
     drive_load, group, group_sim, request_change, send_probe, specs, GroupStackOpts, SwitchLayer,
@@ -59,7 +61,7 @@ fn golden_run() -> (dpu::sim::SimStats, u64) {
 #[test]
 fn sim_through_stack_driver_matches_pre_refactor_recording() {
     let (stats, fp) = golden_run();
-    // Values recorded at PR 19; see module docs.
+    // Values recorded at PR 20; see module docs.
     println!("stats: {stats:?}");
     println!("fingerprint: {fp:#x}");
     assert_eq!(fp, GOLDEN_FP, "merged trace diverged from the recording");
@@ -67,13 +69,15 @@ fn sim_through_stack_driver_matches_pre_refactor_recording() {
     assert_eq!(stats.packets_delivered, GOLDEN_DELIVERED);
 }
 
-/// Recorded 2026-10-02 at PR 19 (rp2p resends by age and acks on the
-/// reverse traffic), scenario and seed as in [`golden_run`]. Before:
+/// Recorded 2026-10-03 at PR 20 (datagram responses routed by channel),
+/// scenario and seed as in [`golden_run`]. Before: `0x1c1b9566e95456b1`,
+/// 2502 sent, 2502 delivered, recorded 2026-10-02 at PR 19 (rp2p resends
+/// by age and acks on the reverse traffic); before that
 /// `0x4026a4be2f99a940`, 2620 sent, 2620 delivered, recorded 2026-07-29
 /// from commit 181cd88 (hand-rolled drive loops in both hosts).
-const GOLDEN_FP: u64 = 0x1c1b9566e95456b1;
-const GOLDEN_SENT: u64 = 2502;
-const GOLDEN_DELIVERED: u64 = 2502;
+const GOLDEN_FP: u64 = 0xf8c0b4e378cdc9a5;
+const GOLDEN_SENT: u64 = 2506;
+const GOLDEN_DELIVERED: u64 = 2506;
 
 #[test]
 fn shutdown_under_in_flight_load_returns_all_stacks() {
@@ -121,13 +125,14 @@ fn ct_replacement_run(seed: u64) -> u64 {
     trace_fingerprint(&sim.merged_trace())
 }
 
-/// Recorded 2026-10-02 at PR 19, with [`GOLDEN_FP`]. Before
-/// (commit 57fe5a7, where every consensus instance and every delivered
-/// key was kept for the length of the run, unchanged by PR 17's
+/// Recorded 2026-10-03 at PR 20, with [`GOLDEN_FP`]. Before (PR 19):
+/// `0x243adcef5e8a1db1`, `0xd4db1459d79ad246`, `0x127eadc205be7925`;
+/// before that (commit 57fe5a7, where every consensus instance and every
+/// delivered key was kept for the length of the run, unchanged by PR 17's
 /// collection): `0x6d4c3f10a13194cf`, `0xef232e8e86088525`,
 /// `0xc9794b3925be4984`.
 const CT_REPLACEMENT_FPS: [(u64, u64); 3] =
-    [(11, 0x243adcef5e8a1db1), (12, 0xd4db1459d79ad246), (13, 0x127eadc205be7925)];
+    [(11, 0x24c7d155b94fca7c), (12, 0xa7c0f5dbe4fb3f6e), (13, 0x526ff844078538dd)];
 
 #[test]
 fn ct_under_replacement_matches_the_recording_from_before_collection() {
