@@ -39,6 +39,12 @@ impl Call {
 /// A response to a service call: an invocation flowing from the provider
 /// of `service` back to the modules that require it, on the local stack.
 ///
+/// Routing: the stack hands a copy to every live module that lists
+/// `service` in [`Module::requires`], except the responder itself. A
+/// response issued *on a channel* ([`ModuleCtx::respond_on`]) also skips
+/// every requirer whose [`Module::listens_on`] names another channel; the
+/// channel is a routing key only and is not part of what is delivered.
+///
 /// Remote interaction (a response occurring on stack `j ≠ i`) arises when a
 /// provider module on stack `j` responds there as a consequence of a call
 /// made on stack `i` — e.g. `Adeliver` on every stack after one `ABcast`.
@@ -87,8 +93,25 @@ pub trait Module: Any + Send {
 
     /// Services this module requires. The stack uses this to route
     /// responses: a response on service `s` is delivered to every module
-    /// requiring `s`.
+    /// requiring `s` — narrowed, for responses issued on a channel, by
+    /// [`Module::listens_on`].
     fn requires(&self) -> Vec<ServiceId>;
+
+    /// The one channel of required service `service` this module listens
+    /// on, if it wants no other: a response the provider issues on a
+    /// different channel ([`ModuleCtx::respond_on`]) is then not
+    /// dispatched to this module at all, instead of being dispatched and
+    /// dropped on its first comparison. `None` — the default — means
+    /// everything on the service, which is also what a response issued
+    /// without a channel ([`ModuleCtx::respond`]) reaches whatever is
+    /// returned here. Asked when a response is routed, so it must be a
+    /// pure function of the module's configuration; the module keeps its
+    /// own check (a provider that does not key its responses still
+    /// reaches it with every channel).
+    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+        let _ = service;
+        None
+    }
 
     /// Invoked once when the module is created and inserted in the stack.
     fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {

@@ -626,10 +626,22 @@ impl Stack {
         }
     }
 
-    fn enqueue_response(&mut self, resp: Response) {
+    /// The one response path. `channel` is the provider's end of the
+    /// routing key (`None`: a plain [`ModuleCtx::respond`], reaches every
+    /// requirer); a requirer's end is [`Module::listens_on`], asked here
+    /// rather than stored — every requirer is in its slot (only the
+    /// module being dispatched is out, and that is the responder), so the
+    /// key costs a stack no byte at rest.
+    fn enqueue_response(&mut self, resp: Response, channel: Option<u16>) {
         let mut fanout = 0;
         for &to in self.requirers.get(&resp.service).map_or(&[][..], Vec::as_slice) {
-            if to != resp.from && self.modules.contains_key(&to) {
+            if to == resp.from {
+                continue;
+            }
+            let Some(slot) = self.modules.get(&to) else { continue };
+            let wanted =
+                channel.and(slot.module.as_deref()).and_then(|m| m.listens_on(&resp.service));
+            if wanted.is_none() || wanted == channel {
                 self.queue.push_back(Delivery::Response { to, resp: resp.clone() });
                 fanout += 1;
             }
@@ -657,12 +669,10 @@ impl Stack {
         // encode hot path, frequent enough to catch retention spikes.
         self.telemetry.record_scratch_occupancy(self.scratch.mem_bytes() as u64);
         let data = self.scratch.encode(&(src, payload));
-        self.enqueue_response(Response {
-            service: *net_service(),
-            op: net_ops::RECV,
-            data,
-            from: self.net_bridge,
-        });
+        self.enqueue_response(
+            Response { service: *net_service(), op: net_ops::RECV, data, from: self.net_bridge },
+            None,
+        );
     }
 
     /// Fire a timer previously armed via [`HostAction::SetTimer`]. Firing
@@ -955,10 +965,23 @@ impl ModuleCtx<'_> {
 
     /// Respond on a service this module provides (paper: "service
     /// response"). The response is delivered to every local module that
-    /// requires the service (excluding this module itself). Note that a
-    /// module may respond even after being unbound.
+    /// requires the service (excluding this module itself), whatever
+    /// channel it listens on. Note that a module may respond even after
+    /// being unbound.
     pub fn respond(&mut self, service: &ServiceId, op: Op, data: Bytes) {
-        self.stack.enqueue_response(Response { service: *service, op, data, from: self.me });
+        self.stack.enqueue_response(Response { service: *service, op, data, from: self.me }, None);
+    }
+
+    /// [`ModuleCtx::respond`] on one `channel` of the service: the same
+    /// response, delivered to the requirers that listen on `channel` or
+    /// declare no channel at all ([`Module::listens_on`]), and to nobody
+    /// who declared another. For a provider that multiplexes its users —
+    /// it has the channel in hand from the header it just decoded, so the
+    /// stack need not step every other user only for each to decode the
+    /// same header and drop the frame.
+    pub fn respond_on(&mut self, service: &ServiceId, channel: u16, op: Op, data: Bytes) {
+        let resp = Response { service: *service, op, data, from: self.me };
+        self.stack.enqueue_response(resp, Some(channel));
     }
 
     /// Arm a one-shot timer; `tag` is returned to
@@ -1383,6 +1406,100 @@ mod tests {
         run_until_idle(&mut stack);
         let n = stack.with_module::<Loopy, _>(loopy, |l| l.responses).unwrap();
         assert_eq!(n, 0);
+    }
+
+    /// Provides `mux`, and requires it too (as `rp2p`-over-`rp2p` would):
+    /// a call's op is the channel to respond on, `0xffff` for no channel.
+    struct Mux;
+
+    const NO_CHANNEL: Op = 0xffff;
+
+    impl Module for Mux {
+        fn kind(&self) -> &str {
+            "mux"
+        }
+        fn provides(&self) -> Vec<ServiceId> {
+            vec![ServiceId::new("mux")]
+        }
+        fn requires(&self) -> Vec<ServiceId> {
+            vec![ServiceId::new("mux")]
+        }
+        fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
+            match call.op {
+                NO_CHANNEL => ctx.respond(&call.service, call.op, call.data),
+                channel => ctx.respond_on(&call.service, channel, call.op, call.data),
+            }
+        }
+        fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {
+            panic!("the responder is never its own requirer");
+        }
+    }
+
+    /// Requires `mux` and `echo`, listening on `channel` of `mux` only
+    /// (`None`: on everything); records the op of every response.
+    struct Listener {
+        channel: Option<u16>,
+        got: Vec<Op>,
+    }
+
+    impl Module for Listener {
+        fn kind(&self) -> &str {
+            "listener"
+        }
+        fn provides(&self) -> Vec<ServiceId> {
+            Vec::new()
+        }
+        fn requires(&self) -> Vec<ServiceId> {
+            vec![ServiceId::new("mux"), ServiceId::new("echo")]
+        }
+        fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+            self.channel.filter(|_| service.name() == "mux")
+        }
+        fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
+        fn on_response(&mut self, _: &mut ModuleCtx<'_>, resp: Response) {
+            self.got.push(resp.op);
+        }
+    }
+
+    #[test]
+    fn a_response_on_a_channel_reaches_its_listeners_and_the_undeclared() {
+        let mut stack = new_stack();
+        let mux = stack.add_module(Box::new(Mux));
+        let echo = stack.add_module(Box::new(Echo));
+        stack.bind(&ServiceId::new("mux"), mux);
+        stack.bind(&ServiceId::new("echo"), echo);
+        let listener = |stack: &mut Stack, channel| {
+            stack.add_module(Box::new(Listener { channel, got: vec![] }))
+        };
+        let on_3 = listener(&mut stack, Some(3));
+        let on_4 = listener(&mut stack, Some(4));
+        let also_on_4 = listener(&mut stack, Some(4));
+        let on_all = listener(&mut stack, None);
+        run_until_idle(&mut stack);
+        stack.take_trace();
+        // Channel 3, channel 4, a channel nobody declared, no channel —
+        // and one response on the other service every listener requires,
+        // where the `mux` channel must not narrow anything.
+        for op in [3, 4, 9, NO_CHANNEL] {
+            stack.call_as(on_all, &ServiceId::new("mux"), op, Bytes::new());
+        }
+        stack.call_as(on_all, &ServiceId::new("echo"), 4, Bytes::new());
+        run_until_idle(&mut stack);
+        let got = |stack: &mut Stack, id| stack.with_module::<Listener, _>(id, |l| l.got.clone());
+        assert_eq!(got(&mut stack, on_3).unwrap(), [3, NO_CHANNEL, 4]);
+        assert_eq!(got(&mut stack, on_4).unwrap(), [4, NO_CHANNEL, 4]);
+        assert_eq!(got(&mut stack, also_on_4).unwrap(), [4, NO_CHANNEL, 4]);
+        assert_eq!(got(&mut stack, on_all).unwrap(), [3, 4, 9, NO_CHANNEL, 4]);
+        // The trace counts the modules reached, not the modules requiring.
+        let fanouts: Vec<(Op, usize)> = stack
+            .trace()
+            .events()
+            .filter_map(|(_, e)| match e {
+                TraceEvent::Response { op, fanout, .. } => Some((*op, *fanout)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fanouts, [(3, 2), (4, 3), (9, 1), (NO_CHANNEL, 4), (4, 4)]);
     }
 
     #[test]

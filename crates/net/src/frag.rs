@@ -165,7 +165,7 @@ impl FragModule {
             self.messages_reassembled += 1;
             let d = Dgram { peer: src, channel: frag.channel, data: frag.data };
             let up = ctx.encode(&d);
-            ctx.respond(&self.frag_svc, dgram::RECV, up);
+            ctx.respond_on(&self.frag_svc, frag.channel, dgram::RECV, up);
             return;
         }
         let slots = self.slots.entry(src).or_default();
@@ -186,7 +186,7 @@ impl FragModule {
             self.messages_reassembled += 1;
             let d = Dgram { peer: src, channel: slot.channel, data: whole.freeze() };
             let up = ctx.encode(&d);
-            ctx.respond(&self.frag_svc, dgram::RECV, up);
+            ctx.respond_on(&self.frag_svc, slot.channel, dgram::RECV, up);
             return;
         }
         // Evict the oldest incomplete message under slot pressure.
@@ -213,6 +213,10 @@ impl Module for FragModule {
 
     fn requires(&self) -> Vec<ServiceId> {
         vec![self.udp_svc]
+    }
+
+    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+        (*service == self.udp_svc).then_some(crate::FRAG_UDP_CHANNEL)
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {

@@ -301,7 +301,7 @@ impl Rp2pModule {
     fn deliver(&self, ctx: &mut ModuleCtx<'_>, src: StackId, channel: u16, data: Bytes) {
         let d = Dgram { peer: src, channel, data };
         let up = ctx.encode(&d);
-        ctx.respond(&self.rp2p_svc, dgram::RECV, up);
+        ctx.respond_on(&self.rp2p_svc, channel, dgram::RECV, up);
     }
 
     /// Release one frame from [`Rp2pModule::pending_up`]; defer the rest
@@ -449,6 +449,10 @@ impl Module for Rp2pModule {
 
     fn requires(&self) -> Vec<ServiceId> {
         vec![self.udp_svc]
+    }
+
+    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+        (*service == self.udp_svc).then_some(RP2P_UDP_CHANNEL)
     }
 
     fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {

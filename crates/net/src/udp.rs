@@ -97,7 +97,7 @@ impl Module for UdpModule {
             return;
         };
         let up = ctx.encode(&Dgram { peer: src, channel, data });
-        ctx.respond(&self.udp_svc, dgram::RECV, up);
+        ctx.respond_on(&self.udp_svc, channel, dgram::RECV, up);
     }
 }
 

@@ -264,6 +264,10 @@ impl Module for CtAbcastModule {
         vec![self.cons_svc, self.rp2p_svc]
     }
 
+    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+        (*service == self.rp2p_svc).then_some(channels::ABCAST_CT)
+    }
+
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
         if call.op != ops::ABCAST {
             return;

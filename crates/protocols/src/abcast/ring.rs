@@ -227,6 +227,10 @@ impl Module for RingAbcastModule {
         vec![self.rp2p_svc]
     }
 
+    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+        (*service == self.rp2p_svc).then_some(channels::ABCAST_RING)
+    }
+
     fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
         // The lowest-id stack injects the initial token.
         if Some(&ctx.stack_id()) == ctx.peers().iter().min() {

@@ -592,6 +592,10 @@ impl Module for ConsensusModule {
         vec![self.rp2p_svc, self.fd_svc]
     }
 
+    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+        (*service == self.rp2p_svc).then_some(channels::CONSENSUS)
+    }
+
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
         if call.op != ops::PROPOSE {
             return;

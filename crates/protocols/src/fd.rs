@@ -171,6 +171,10 @@ impl Module for FdModule {
         vec![self.udp_svc]
     }
 
+    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+        (*service == self.udp_svc).then_some(channels::FD)
+    }
+
     fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
         let me = ctx.stack_id();
         let now = ctx.now();

@@ -149,6 +149,10 @@ impl Module for RbModule {
         vec![self.rp2p_svc]
     }
 
+    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+        (*service == self.rp2p_svc).then_some(RB_CHANNEL)
+    }
+
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
         if call.op != ops::BCAST {
             return;

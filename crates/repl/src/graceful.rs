@@ -146,6 +146,10 @@ impl Module for GracefulSwitcher {
         vec![self.sw.ind.required, self.spare, self.sw.rp2p]
     }
 
+    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+        self.sw.listens_on(service)
+    }
+
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
         self.sw.on_call(ctx, call);
     }

@@ -381,6 +381,12 @@ impl Coordinated {
         self.coord_msgs
     }
 
+    /// The layer's [`dpu_core::Module::listens_on`]: of rp2p, only the
+    /// coordination channel; of the protocols underneath, everything.
+    pub fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+        (*service == self.rp2p).then_some(self.channel)
+    }
+
     fn send(&mut self, ctx: &mut ModuleCtx<'_>, to: StackId, msg: &Coord) {
         self.coord_msgs += 1;
         let d = DgramRef { peer: to, channel: self.channel, body: msg };

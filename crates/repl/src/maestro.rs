@@ -121,6 +121,10 @@ impl Module for MaestroSwitcher {
         vec![self.sw.ind.required, self.sw.rp2p]
     }
 
+    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+        self.sw.listens_on(service)
+    }
+
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
         // The Maestro cost: from `Flush` to `Resume` the skeleton queues
         // every `rABcast` — the application blocks for the whole switch.

@@ -1,15 +1,25 @@
+//! Scenarios more than one test binary runs.
+//!
 //! The live-switch scenario shared by `runtime_live` and `reactor_live`:
 //! probe → live switch with probes racing it → check that every stack
 //! switched once, drained, and delivered everything in one total order.
 //! Written once over [`Host`]; the caller supplies which host serves
 //! which stack, so a group may sit on one runtime or span two reactors.
+//!
+//! The paper's testbed in the simulator ([`paper_testbed_3s`]), whose
+//! packets `transport_economy` counts and whose dispatch steps
+//! `dispatch_economy` counts.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
-use dpu::repl::builder::{request_change, send_probe, specs, Handles};
+use dpu::repl::builder::{
+    drive_load, group_sim, request_change, send_probe, specs, GroupStackOpts, Handles, SwitchLayer,
+};
+use dpu::sim::{Sim, SimConfig};
 use dpu_core::abcast_check::AbcastChecker;
 use dpu_core::host::Host;
 use dpu_core::probe::Probe;
+use dpu_core::time::{Dur, Time};
 use dpu_core::StackId;
 use dpu_repl::abcast_repl::ReplAbcastModule;
 use std::time::{Duration, Instant};
@@ -84,4 +94,29 @@ pub fn live_switch_scenario<H: Host>(
         }
     }
     checker.assert_ok();
+}
+
+/// The `fig5-ct-sim` inputs of the benchmark, shortened to 3 s: n = 7
+/// Figure-4 stacks, Repl over `abcast.ct`, zero loss, seed 42, warmed up
+/// for 500 ms; then scheduled, not yet run: 150 msg/s round-robin until
+/// the returned time, and a ct → ct replacement after 1 s and after 2 s.
+pub fn paper_testbed_3s() -> (Sim, Handles, Time) {
+    let opts = GroupStackOpts {
+        abcast: specs::ct(0),
+        layer: SwitchLayer::Repl,
+        probe_pad: Some(32),
+        with_gm: false,
+        extra_defaults: Vec::new(),
+    };
+    let (mut sim, h) = group_sim(SimConfig::lan(7, 42), &opts);
+    sim.run_until(Time::ZERO + Dur::millis(500));
+    let until = sim.now() + Dur::secs(3);
+    drive_load(&mut sim, &h, 150.0, until);
+    for k in 1..=2u64 {
+        let h = h.clone();
+        sim.schedule_in(Dur::secs(k), move |sim| {
+            request_change(sim, StackId(k as u32), &h, &specs::ct(k))
+        });
+    }
+    (sim, h, until)
 }

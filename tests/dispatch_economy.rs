@@ -1,0 +1,76 @@
+//! What a broadcast costs in dispatch steps on the paper's testbed (the
+//! `transport_economy` inputs), and that a datagram is handed to the
+//! module that listens on its channel, not to every user of the service.
+//!
+//! `udp` and `rp2p` respond *on* the channel they just decoded
+//! (`ModuleCtx::respond_on`) and every datagram user declares the one
+//! channel it listens on (`Module::listens_on`), so `fd` is not stepped
+//! for `rp2p`'s frames, `rp2p` not for `fd`'s heartbeats, and `abcast.ct`
+//! and `consensus` not for each other's. With the simulator charging
+//! 40 µs a step that is the larger half of the latency: routed by service
+//! name alone this run took 861 steps a broadcast.
+
+mod common;
+
+use dpu::repl::builder::check_run;
+use dpu_core::time::Dur;
+use dpu_core::{StackId, TraceEvent};
+use dpu_net::dgram;
+use dpu_protocols::abcast::ct::KIND as CT_KIND;
+use std::collections::BTreeMap;
+
+#[test]
+fn a_datagram_is_dispatched_to_the_module_listening_on_its_channel() {
+    let (mut sim, h, until) = common::paper_testbed_3s();
+    // Steps are counted like `transport_economy` counts packets: over the
+    // load and the half second its last broadcasts take to settle.
+    let steps_before = sim.stats().steps;
+    sim.run_until(until + Dur::millis(500));
+    let steps = sim.stats().steps - steps_before;
+    sim.run_until(until + Dur::secs(2));
+    let trace = sim.merged_trace();
+    let report = check_run(&mut sim, &h);
+    report.assert_ok();
+    let broadcasts = report.checker.broadcast_count();
+    assert!(broadcasts >= 440, "150 msg/s for 3 s, got {broadcasts}");
+    let per_msg = steps as f64 / broadcasts as f64;
+    println!("{broadcasts} broadcasts, {steps} steps ({per_msg:.1} a broadcast)");
+    assert!(per_msg <= 760.0, "{per_msg:.1} dispatch steps a broadcast");
+
+    // Every udp datagram has one taker (rp2p or fd); an rp2p frame has
+    // one too, except that a replaced abcast.ct and its successor listen
+    // on the same channel until the old one is retired.
+    let mut ct_live: BTreeMap<StackId, usize> = BTreeMap::new();
+    let (mut udp, mut rp2p, mut rp2p_twice) = (0u64, 0u64, 0u64);
+    for (t, e) in trace.events() {
+        match e {
+            TraceEvent::ModuleCreated { stack, kind, .. } if **kind == *CT_KIND => {
+                *ct_live.entry(*stack).or_default() += 1;
+            }
+            TraceEvent::ModuleDestroyed { stack, kind, .. } if **kind == *CT_KIND => {
+                *ct_live.entry(*stack).or_default() -= 1;
+            }
+            TraceEvent::Response { stack, service, op: dgram::RECV, fanout, .. } => {
+                match service.name() {
+                    dpu_net::UDP_SVC => {
+                        udp += 1;
+                        assert_eq!(*fanout, 1, "udp RECV at {t:?} on {stack}");
+                    }
+                    dpu_net::RP2P_SVC => {
+                        rp2p += 1;
+                        assert!(*fanout <= 2, "rp2p RECV at {t:?} on {stack} reached {fanout}");
+                        if *fanout == 2 {
+                            rp2p_twice += 1;
+                            assert_eq!(ct_live[stack], 2, "rp2p RECV at {t:?} on {stack}");
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            _ => {}
+        }
+    }
+    println!("{udp} udp RECV, {rp2p} rp2p RECV of which {rp2p_twice} reached two modules");
+    assert!(udp > rp2p && rp2p > 0, "the trace must hold the datagrams it is asked about");
+    assert!(rp2p_twice > 0, "two replacements must each leave two abcast.ct side by side");
+}

@@ -5,38 +5,28 @@
 //!
 //! `rp2p` puts a frame on the wire once and reports its receipt on
 //! traffic that already flows, so with nothing lost there is nothing to
-//! resend, and a broadcast costs its data frames, the acks no data frame
-//! could carry, and `fd`'s heartbeats. Before resends went by age and acks
-//! rode the reverse traffic this run read 4 802 resends and 139.6 packets
-//! a broadcast.
+//! resend, and what `rp2p` adds to the packets its users and `fd` send
+//! anyway is the acks no data frame could carry. Before resends went by
+//! age and acks rode the reverse traffic this run read 4 802 resends and
+//! ≈ 0.8 standalone acks for every other packet.
+//!
+//! Packets a broadcast are printed, not bounded: beyond what `rp2p` adds
+//! they measure `abcast.ct`'s batch size — how many messages share one
+//! consensus instance — and a batch shrinks as the stacks get faster.
+//! This run read 116.2 while responses still fanned out by service name
+//! and 126.2 once they were routed by channel and ct, on the CPU that
+//! freed, decided smaller batches sooner: the ceiling of 125 that stood
+//! here failed on a change that made every broadcast cheaper.
 
-use dpu::repl::builder::{
-    check_run, drive_load, group_sim, request_change, specs, GroupStackOpts, SwitchLayer,
-};
-use dpu::sim::SimConfig;
-use dpu_core::time::{Dur, Time};
-use dpu_core::StackId;
+mod common;
+
+use dpu::repl::builder::check_run;
+use dpu_core::time::Dur;
 
 #[test]
 fn a_lossless_run_resends_nothing_and_acks_on_the_reverse_traffic() {
-    let opts = GroupStackOpts {
-        abcast: specs::ct(0),
-        layer: SwitchLayer::Repl,
-        probe_pad: Some(32),
-        with_gm: false,
-        extra_defaults: Vec::new(),
-    };
-    let (mut sim, h) = group_sim(SimConfig::lan(7, 42), &opts);
-    sim.run_until(Time::ZERO + Dur::millis(500));
+    let (mut sim, h, until) = common::paper_testbed_3s();
     let sent_before = sim.stats().packets_sent;
-    let until = sim.now() + Dur::secs(3);
-    drive_load(&mut sim, &h, 150.0, until);
-    for k in 1..=2u64 {
-        let h = h.clone();
-        sim.schedule_in(Dur::secs(k), move |sim| {
-            request_change(sim, StackId(k as u32), &h, &specs::ct(k))
-        });
-    }
     // Packets are counted over the load and the half second its last
     // broadcasts take to settle; the idle tail is heartbeats only.
     sim.run_until(until + Dur::millis(500));
@@ -54,8 +44,11 @@ fn a_lossless_run_resends_nothing_and_acks_on_the_reverse_traffic() {
     assert!(broadcasts >= 440.0, "150 msg/s for 3 s, got {broadcasts}");
     assert_eq!(transport.retransmissions, 0, "nothing was lost, nothing is resent");
     assert_eq!(transport.unacked, 0, "everything sent was acknowledged");
-    assert!(per_msg <= 125.0, "{per_msg:.1} packets a broadcast");
-    // Well under one standalone ack per data frame (it was one for one).
+    // What rp2p adds: standalone acks against everything else on the wire
+    // (data frames and heartbeats; acks only flow while the load does, so
+    // the whole run's count belongs to the counted packets). 0.29 here.
+    let acks_per_packet = transport.acks as f64 / (packets - transport.acks) as f64;
+    assert!(acks_per_packet <= 0.35, "{acks_per_packet:.2} standalone acks per other packet");
     let acks_per_msg = transport.acks as f64 / broadcasts;
     assert!(acks_per_msg <= 35.0, "{acks_per_msg:.1} standalone acks a broadcast");
 }
