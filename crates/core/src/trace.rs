@@ -129,6 +129,93 @@ impl TraceEvent {
     }
 }
 
+/// A running digest of an append-only sequence: how many items it has
+/// had, and a hash chain over them. Two sequences are the same iff their
+/// chains are equal (up to a 64-bit collision), in O(1) state — what a
+/// [`TraceLog`] keeps of every entry ever pushed and a
+/// [`crate::probe::Probe`] of its delivery order. Items of one chain must
+/// be self-delimiting: fixed width, or led by a tag.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Chain {
+    /// Items folded in so far.
+    pub len: u64,
+    /// The hash chain over them.
+    pub head: u64,
+}
+
+impl Chain {
+    /// Append one item, given as the words that identify it.
+    #[inline]
+    pub fn fold(&mut self, item: &[u64]) {
+        for &word in item {
+            self.head = mix(self.head ^ word);
+        }
+        self.len += 1;
+    }
+
+    /// Append a whole sequence, given as its chain: `part`'s items are
+    /// counted and pinned, in the order the parts are joined.
+    pub fn join(&mut self, part: Chain) {
+        self.head = mix(mix(self.head ^ part.len) ^ part.head);
+        self.len += part.len;
+    }
+}
+
+/// A bijection on words (odd multiply, xor-shift), so one changed word
+/// always changes the head it is folded into.
+#[inline]
+fn mix(x: u64) -> u64 {
+    let x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^ (x >> 32)
+}
+
+/// One word for a name: FNV-1a over its bytes, never the interned
+/// handle's address.
+#[inline]
+fn name_word(name: &str) -> u64 {
+    name.bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+impl TraceEvent {
+    /// The entry as the fixed-width item a [`Chain`] folds: time, then
+    /// variant, op and stack in one word, service (or kind) name, and the
+    /// two remaining fields.
+    fn words(&self, t: Time) -> [u64; 5] {
+        let head =
+            |tag: u64, stack: &StackId, op: Op| tag | u64::from(op) << 8 | u64::from(stack.0) << 32;
+        let svc = |service: &ServiceId| name_word(service.name());
+        let [tag, name, a, b] = match self {
+            TraceEvent::Call { stack, service, op, from, to } => {
+                [head(0, stack, *op), svc(service), from.0, to.0]
+            }
+            TraceEvent::BlockedCall { stack, service, op, from } => {
+                [head(1, stack, *op), svc(service), from.0, 0]
+            }
+            TraceEvent::ReleasedCall { stack, service, op, from } => {
+                [head(2, stack, *op), svc(service), from.0, 0]
+            }
+            TraceEvent::Response { stack, service, op, from, fanout } => {
+                [head(3, stack, *op), svc(service), from.0, *fanout as u64]
+            }
+            TraceEvent::Bind { stack, service, module } => {
+                [head(4, stack, 0), svc(service), module.0, 0]
+            }
+            TraceEvent::Unbind { stack, service, module } => {
+                [head(5, stack, 0), svc(service), module.0, 0]
+            }
+            TraceEvent::ModuleCreated { stack, module, kind } => {
+                [head(6, stack, 0), name_word(kind), module.0, 0]
+            }
+            TraceEvent::ModuleDestroyed { stack, module, kind } => {
+                [head(7, stack, 0), name_word(kind), module.0, 0]
+            }
+            TraceEvent::Crash { stack } => [head(8, stack, 0), 0, 0, 0],
+        };
+        [t.as_nanos(), tag, name, a, b]
+    }
+}
+
 /// One log entry: when, and what.
 type Entry = (Time, TraceEvent);
 
@@ -165,6 +252,9 @@ pub struct TraceLog {
     /// time order, so this stays `false` outside hand-built logs; it is
     /// what lets [`TraceLog::merge`] stream instead of sort.
     unsorted: bool,
+    /// Every entry ever pushed, folded where it happened; a merged log's
+    /// chain joins its parts' in merge order.
+    chain: Chain,
 }
 
 impl TraceLog {
@@ -186,6 +276,7 @@ impl TraceLog {
     /// Append an event at time `t`.
     pub fn push(&mut self, t: Time, ev: TraceEvent) {
         if self.enabled {
+            self.chain.fold(&ev.words(t));
             self.append((t, ev));
         }
     }
@@ -249,10 +340,15 @@ impl TraceLog {
     /// old segments as it consumes them; an out-of-order side is sorted
     /// first.
     pub fn merge(&mut self, other: &TraceLog) {
+        self.chain.join(other.chain);
+        self.merge_entries(other);
+    }
+
+    fn merge_entries(&mut self, other: &TraceLog) {
         if other.unsorted {
             let mut sorted = other.clone();
             sorted.sort();
-            return self.merge(&sorted);
+            return self.merge_entries(&sorted);
         }
         if self.unsorted {
             self.sort();
@@ -296,6 +392,20 @@ impl TraceLog {
             }
         }
         h
+    }
+
+    /// The digest of every entry pushed, folded at `push` from the
+    /// entry's field values — for one stack's log, the head of its
+    /// chain; for a merged log, the parts' chains joined in merge order
+    /// (which pins what the time-sorted stream did: the per-stack streams
+    /// determine the merge).
+    pub fn digest(&self) -> u64 {
+        self.chain.head
+    }
+
+    /// Entries ever pushed, over all merged parts.
+    pub fn pushed(&self) -> u64 {
+        self.chain.len
     }
 
     /// Iterate over events of a single stack.
@@ -462,6 +572,107 @@ mod tests {
         }
         assert_eq!(off.mem_bytes(), 0);
         assert_eq!(off.segments.capacity(), 0);
+    }
+
+    #[test]
+    fn the_digest_tells_every_field_of_every_variant_apart() {
+        let (s, t) = (StackId(3), StackId(4));
+        let (p, q) = (ServiceId::new("p"), ServiceId::new("q"));
+        let (m, n) = (ModuleId(1), ModuleId(2));
+        use TraceEvent::*;
+        // Each variant, then the same with one field changed at a time.
+        let events = vec![
+            Call { stack: s, service: p, op: 0, from: m, to: n },
+            Call { stack: t, service: p, op: 0, from: m, to: n },
+            Call { stack: s, service: q, op: 0, from: m, to: n },
+            Call { stack: s, service: p, op: 1, from: m, to: n },
+            Call { stack: s, service: p, op: 0, from: n, to: n },
+            Call { stack: s, service: p, op: 0, from: m, to: m },
+            BlockedCall { stack: s, service: p, op: 0, from: m },
+            BlockedCall { stack: t, service: p, op: 0, from: m },
+            BlockedCall { stack: s, service: q, op: 0, from: m },
+            BlockedCall { stack: s, service: p, op: 1, from: m },
+            BlockedCall { stack: s, service: p, op: 0, from: n },
+            ReleasedCall { stack: s, service: p, op: 0, from: m },
+            ReleasedCall { stack: t, service: p, op: 0, from: m },
+            ReleasedCall { stack: s, service: q, op: 0, from: m },
+            ReleasedCall { stack: s, service: p, op: 1, from: m },
+            ReleasedCall { stack: s, service: p, op: 0, from: n },
+            Response { stack: s, service: p, op: 0, from: m, fanout: 2 },
+            Response { stack: t, service: p, op: 0, from: m, fanout: 2 },
+            Response { stack: s, service: q, op: 0, from: m, fanout: 2 },
+            Response { stack: s, service: p, op: 1, from: m, fanout: 2 },
+            Response { stack: s, service: p, op: 0, from: n, fanout: 2 },
+            Response { stack: s, service: p, op: 0, from: m, fanout: 1 },
+            Bind { stack: s, service: p, module: m },
+            Bind { stack: t, service: p, module: m },
+            Bind { stack: s, service: q, module: m },
+            Bind { stack: s, service: p, module: n },
+            Unbind { stack: s, service: p, module: m },
+            Unbind { stack: t, service: p, module: m },
+            Unbind { stack: s, service: q, module: m },
+            Unbind { stack: s, service: p, module: n },
+            ModuleCreated { stack: s, module: m, kind: "k".into() },
+            ModuleCreated { stack: t, module: m, kind: "k".into() },
+            ModuleCreated { stack: s, module: n, kind: "k".into() },
+            ModuleCreated { stack: s, module: m, kind: "l".into() },
+            ModuleDestroyed { stack: s, module: m, kind: "k".into() },
+            ModuleDestroyed { stack: t, module: m, kind: "k".into() },
+            ModuleDestroyed { stack: s, module: n, kind: "k".into() },
+            ModuleDestroyed { stack: s, module: m, kind: "l".into() },
+            Crash { stack: s },
+            Crash { stack: t },
+        ];
+        let digest_of = |entries: &[(Time, TraceEvent)]| {
+            let mut log = TraceLog::new();
+            for (t, e) in entries {
+                log.push(*t, e.clone());
+            }
+            assert_eq!(log.pushed(), entries.len() as u64);
+            log.digest()
+        };
+        let mut seen = std::collections::BTreeSet::new();
+        for e in &events {
+            for t in [Time(5), Time(6)] {
+                assert!(seen.insert(digest_of(&[(t, e.clone())])), "{e:?} at {t:?} collides");
+            }
+        }
+        // Order and repetition count; equal pushes agree, whichever
+        // handle named the service.
+        let (a, b) = ((Time(1), events[0].clone()), (Time(1), events[22].clone()));
+        assert_ne!(digest_of(&[a.clone(), b.clone()]), digest_of(&[b.clone(), a.clone()]));
+        assert_ne!(digest_of(&[a.clone(), a.clone()]), digest_of(std::slice::from_ref(&a)));
+        let again = Call { stack: s, service: ServiceId::new("p"), op: 0, from: m, to: n };
+        assert_eq!(digest_of(&[a.clone(), b.clone()]), digest_of(&[(Time(1), again), b]));
+    }
+
+    #[test]
+    fn a_merged_digest_joins_its_parts_in_merge_order() {
+        let part = |stack, times: &[u64]| {
+            let mut log = TraceLog::new();
+            for &t in times {
+                log.push(Time(t), bind(stack, "p", t));
+            }
+            log
+        };
+        let (a, b) = (part(0, &[1, 4]), part(1, &[2, 3, 9]));
+        let merged = |parts: &[&TraceLog]| {
+            let mut m = TraceLog::new();
+            for p in parts {
+                m.merge(p);
+            }
+            (m.pushed(), m.digest())
+        };
+        assert_eq!(merged(&[&a, &b]), merged(&[&a.clone(), &b.clone()]));
+        assert_eq!(merged(&[&a, &b]).0, 5);
+        assert_ne!(merged(&[&a, &b]).1, merged(&[&b, &a]).1);
+        // One entry moved from one part to the other: same time-sorted
+        // stream of times, different parts, different digest.
+        assert_ne!(merged(&[&a, &b]).1, merged(&[&part(0, &[1, 4]), &part(1, &[2, 3, 8])]).1);
+        // A disabled part pushes nothing and still takes its place.
+        let mut off = TraceLog::disabled();
+        off.push(Time(1), bind(2, "p", 1));
+        assert_eq!(merged(&[&a, &off, &b]).0, 5);
     }
 
     #[test]
