@@ -62,7 +62,7 @@ pub use module::{Call, Module, ModuleSpec, Op, Response, TransportStats};
 pub use sets::{HeardSet, IntervalSet};
 pub use stack::{FactoryRegistry, HostAction, ModuleCtx, Stack, StackConfig};
 pub use time::{Dur, Time};
-pub use trace::{TraceEvent, TraceLog};
+pub use trace::{Chain, TraceEvent, TraceLog};
 
 /// Well-known service names used across the workspace.
 pub mod svc {

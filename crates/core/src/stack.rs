@@ -470,11 +470,7 @@ impl Stack {
 
     /// Take the recorded trace, leaving an empty one (same enablement).
     pub fn take_trace(&mut self) -> TraceLog {
-        let enabled = self.trace.is_enabled();
-        std::mem::replace(
-            &mut self.trace,
-            if enabled { TraceLog::new() } else { TraceLog::disabled() },
-        )
+        self.trace.take()
     }
 
     /// Insert an already-constructed module (no binding, no recursion).
@@ -1491,6 +1487,7 @@ mod tests {
         assert_eq!(got(&mut stack, also_on_4).unwrap(), [4, NO_CHANNEL, 4]);
         assert_eq!(got(&mut stack, on_all).unwrap(), [3, 4, 9, NO_CHANNEL, 4]);
         // The trace counts the modules reached, not the modules requiring.
+        assert_eq!(stack.trace().dropped(), 0, "five responses fit the log's tail");
         let fanouts: Vec<(Op, usize)> = stack
             .trace()
             .events()

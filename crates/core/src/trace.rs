@@ -1,10 +1,19 @@
 //! Trace recording: every structurally relevant event of a run (calls,
-//! responses, bindings, module lifecycle, crashes) is appended to a
+//! responses, bindings, module lifecycle, crashes) is pushed to a
 //! [`TraceLog`], which the property checkers in [`crate::props`] consume.
+//!
+//! A log costs what its checkers read. The *structural* entries — binds,
+//! unbinds, module lifetimes, blocked and released calls, crashes — are
+//! kept whole; calls and responses, one per dispatch step and all but a
+//! few of a run's entries, are folded into a digest where they happen
+//! and only the most recent are kept. A traced stack therefore grows with
+//! its replacements, not with its messages, and tracing stays on at every
+//! scale the system runs at.
 
 use crate::ids::{ModuleId, ServiceId, StackId};
 use crate::module::Op;
 use crate::time::Time;
+use std::collections::VecDeque;
 
 /// One structurally relevant event observed during a run.
 ///
@@ -219,198 +228,224 @@ impl TraceEvent {
 /// One log entry: when, and what.
 type Entry = (Time, TraceEvent);
 
-// A traced run is mostly these entries (one per call and per response),
-// so their size is pinned: a service name is one word and a module kind
-// two, and a field that pushes the largest variant past 32 bytes costs
-// every traced stack a fifth of its memory.
+// A service name is one word and a module kind two, which keeps an entry
+// at 40 bytes (the tail is `TAIL` of them per traced stack); all of a
+// log's state sits behind one pointer, so a disabled log is one word in
+// every stack of a capacity run.
 const _: () = assert!(std::mem::size_of::<ServiceId>() == 8);
 const _: () = assert!(std::mem::size_of::<Entry>() == 40);
+const _: () = assert!(std::mem::size_of::<TraceLog>() == 8);
 
-/// Entries per storage segment (160 KiB of 40-byte entries): small
-/// enough that a log's unused tail is noise next to what it holds, large
-/// enough that the segment table of a multi-million-entry log stays a
-/// few kilobytes.
-const SEGMENT: usize = 4096;
+/// Dispatch entries (calls and responses) a log keeps: the most recent
+/// 4096, 160 KiB — several broadcasts' worth of steps on the paper's
+/// testbed, for diagnosis and for tests that read calls over a short
+/// window. Older ones live on in the digest and in [`TraceLog::dropped`].
+const TAIL: usize = 4096;
 
-/// A time-stamped trace of [`TraceEvent`]s, ordered by append time.
+/// A time-stamped trace of [`TraceEvent`]s, ordered by push time.
 ///
 /// One log typically aggregates the events of *all* stacks of a run (the
 /// simulator interleaves them deterministically), which is what the remote
 /// property — protocol-operationability — needs.
 ///
-/// Storage is a table of segments, so a log costs what it holds rather
-/// than the next power of two above it: the first segment grows
-/// geometrically up to the segment size (a small trace stays small),
-/// every later one is allocated whole, and an entry once pushed is never
-/// copied again. A disabled log allocates nothing.
+/// It holds three things: every structural entry, complete and in push
+/// order; a [`Chain`] over every entry ever pushed, folded at `push` with
+/// no allocation and no formatting; and the last [`TAIL`] dispatch
+/// entries. A disabled log holds nothing and allocates nothing.
 #[derive(Clone, Debug, Default)]
-pub struct TraceLog {
-    /// Non-empty segments in append order; all but the last are full.
-    segments: Vec<Vec<Entry>>,
-    enabled: bool,
-    /// Whether some entry is earlier than its predecessor. Hosts push in
-    /// time order, so this stays `false` outside hand-built logs; it is
-    /// what lets [`TraceLog::merge`] stream instead of sort.
-    unsorted: bool,
-    /// Every entry ever pushed, folded where it happened; a merged log's
-    /// chain joins its parts' in merge order.
+pub struct TraceLog(Option<Box<Kept>>);
+
+/// What an enabled log holds.
+#[derive(Clone, Debug, Default)]
+struct Kept {
+    /// Structural entries in push order, each with the number of dispatch
+    /// entries pushed before it — its place among the tail's.
+    structural: Vec<(u64, Entry)>,
+    /// The most recent dispatch entries, at most [`TAIL`] after a push.
+    tail: VecDeque<Entry>,
+    /// Dispatch entries ever pushed, kept or not.
+    dispatched: u64,
+    /// Every entry ever pushed; a merged log's chain joins its parts'.
     chain: Chain,
+    /// Time of the last entry pushed, and whether some entry was earlier
+    /// than its predecessor. Hosts push in time order, so `unsorted`
+    /// stays `false` outside hand-built logs; it is what lets
+    /// [`TraceLog::merge`] stream instead of sort.
+    last: Time,
+    unsorted: bool,
+}
+
+/// Walk structural entries (each with the count of dispatch entries
+/// before it) and tail entries (numbered from `first`) in push order.
+fn interleave<T>(
+    structural: impl Iterator<Item = (u64, T)>,
+    mut tail: impl Iterator<Item = T>,
+    first: u64,
+) -> impl Iterator<Item = T> {
+    let mut structural = structural.peekable();
+    let mut next = first;
+    std::iter::from_fn(move || match structural.peek() {
+        Some((before, _)) if *before <= next => structural.next().map(|(_, entry)| entry),
+        _ => {
+            next += 1;
+            tail.next()
+        }
+    })
+}
+
+impl Kept {
+    fn dropped(&self) -> u64 {
+        self.dispatched - self.tail.len() as u64
+    }
+
+    fn append(&mut self, entry: Entry) {
+        self.unsorted |= entry.0 < self.last;
+        self.last = entry.0;
+        if matches!(entry.1, TraceEvent::Call { .. } | TraceEvent::Response { .. }) {
+            if self.tail.len() >= TAIL {
+                self.tail.pop_front();
+            }
+            self.tail.push_back(entry);
+            self.dispatched += 1;
+        } else {
+            self.structural.push((self.dispatched, entry));
+        }
+    }
+
+    fn entries(&self) -> impl Iterator<Item = &Entry> {
+        interleave(self.structural.iter().map(|(at, e)| (*at, e)), self.tail.iter(), self.dropped())
+    }
+
+    fn into_entries(self) -> impl Iterator<Item = Entry> {
+        let first = self.dropped();
+        interleave(self.structural.into_iter(), self.tail.into_iter(), first)
+    }
+
+    /// A log of `entries` (in their order) standing for `chain`, of
+    /// which `dropped` dispatch entries were let go before.
+    fn rebuilt(chain: Chain, dropped: u64, entries: impl Iterator<Item = Entry>) -> Kept {
+        let mut kept = Kept { chain, dispatched: dropped, ..Kept::default() };
+        entries.for_each(|entry| kept.append(entry));
+        kept
+    }
+
+    /// Stable sort by time (only hand-built logs ever need it).
+    fn sort(&mut self) {
+        let (chain, dropped) = (self.chain, self.dropped());
+        let mut all: Vec<Entry> = std::mem::take(self).into_entries().collect();
+        all.sort_by_key(|(t, _)| *t);
+        *self = Kept::rebuilt(chain, dropped, all.into_iter());
+    }
+
+    /// Merge the time-ordered `other` in (its chain is already joined).
+    fn merge_sorted(&mut self, other: &Kept) {
+        if self.unsorted {
+            self.sort();
+        }
+        let (chain, dropped) = (self.chain, self.dropped() + other.dropped());
+        let mut mine = std::mem::take(self).into_entries().peekable();
+        let mut theirs = other.entries().peekable();
+        let merged = std::iter::from_fn(|| match (mine.peek(), theirs.peek()) {
+            (Some(a), Some(b)) if b.0 < a.0 => theirs.next().cloned(),
+            (Some(_), _) => mine.next(),
+            (None, _) => theirs.next().cloned(),
+        });
+        *self = Kept::rebuilt(chain, dropped, merged);
+    }
 }
 
 impl TraceLog {
     /// A log that records events.
     pub fn new() -> TraceLog {
-        TraceLog { enabled: true, ..TraceLog::default() }
+        TraceLog(Some(Box::default()))
     }
 
-    /// A log that drops events (zero-overhead for benchmarks).
+    /// A log that ignores events: one null word, for stacks whose host
+    /// asked for no trace.
     pub fn disabled() -> TraceLog {
-        TraceLog::default()
+        TraceLog(None)
     }
 
-    /// Whether this log keeps events.
+    /// Whether this log records events.
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.0.is_some()
     }
 
-    /// Append an event at time `t`.
+    /// Take what was recorded, leaving an empty log (same enablement).
+    pub fn take(&mut self) -> TraceLog {
+        TraceLog(self.0.as_mut().map(|kept| Box::new(std::mem::take(&mut **kept))))
+    }
+
+    /// Record an event at time `t`.
     pub fn push(&mut self, t: Time, ev: TraceEvent) {
-        if self.enabled {
-            self.chain.fold(&ev.words(t));
-            self.append((t, ev));
+        if let Some(kept) = &mut self.0 {
+            kept.chain.fold(&ev.words(t));
+            kept.append((t, ev));
         }
     }
 
-    fn append(&mut self, entry: Entry) {
-        let tail = self.segments.last();
-        self.unsorted |= tail.and_then(|s| s.last()).is_some_and(|(t, _)| entry.0 < *t);
-        if tail.is_none_or(|s| s.len() == s.capacity()) {
-            self.grow();
-        }
-        self.segments.last_mut().expect("grow leaves a segment with room").push(entry);
-    }
-
-    /// Make room for one more entry at the tail.
-    #[cold]
-    fn grow(&mut self) {
-        match self.segments.last_mut() {
-            // A segment short of `SEGMENT` (the first one, or the tail of
-            // a clone) doubles, which copies it; a full one is left alone.
-            Some(short) if short.capacity() < SEGMENT => {
-                short.reserve_exact(short.capacity().min(SEGMENT - short.capacity()));
-            }
-            Some(_) => self.segments.push(Vec::with_capacity(SEGMENT)),
-            None => self.segments.push(Vec::with_capacity(4)),
-        }
-    }
-
-    /// All recorded events in append order.
+    /// The retained events in push order: every structural one, and the
+    /// dispatch entries still in the tail — the complete log whenever
+    /// [`TraceLog::dropped`] is zero.
     pub fn events(&self) -> impl Iterator<Item = &(Time, TraceEvent)> {
-        self.segments.iter().flatten()
+        self.0.iter().flat_map(|kept| kept.entries())
     }
 
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.segments.iter().map(Vec::len).sum()
+    /// Entries ever pushed, over all merged parts.
+    pub fn pushed(&self) -> u64 {
+        self.0.as_ref().map_or(0, |kept| kept.chain.len)
     }
 
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
+    /// Dispatch entries folded into the digest and let go: what
+    /// [`TraceLog::events`] no longer yields.
+    pub fn dropped(&self) -> u64 {
+        self.0.as_ref().map_or(0, |kept| kept.dropped())
     }
 
-    /// Structural bytes held: every segment at its capacity plus the
-    /// segment table (event-internal strings are not walked) — at most
-    /// one segment more than `len()` entries' worth. Tracing is usually
-    /// the dominant per-stack cost when enabled, which is why capacity
-    /// runs disable it.
+    /// Structural bytes held (event-internal strings are not walked):
+    /// the structural entries at capacity, plus a tail that stops
+    /// growing at [`TAIL`] entries. What a traced stack pays grows with
+    /// binds and module lifetimes, not with calls.
     pub fn mem_bytes(&self) -> usize {
-        let entries: usize = self.segments.iter().map(Vec::capacity).sum();
-        entries * std::mem::size_of::<Entry>()
-            + self.segments.capacity() * std::mem::size_of::<Vec<Entry>>()
+        self.0.as_ref().map_or(0, |kept| {
+            std::mem::size_of::<Kept>()
+                + kept.structural.capacity() * std::mem::size_of::<(u64, Entry)>()
+                + kept.tail.capacity() * std::mem::size_of::<Entry>()
+        })
     }
 
     /// Append all events of `other` (e.g. to merge per-stack logs). The
-    /// result is re-sorted by time, preserving append order for equal
-    /// times (and this log's entries before `other`'s).
+    /// result is ordered by time, preserving push order for equal times
+    /// (and this log's entries before `other`'s); its chain is this
+    /// log's joined by `other`'s, and its tail the last [`TAIL`] dispatch
+    /// entries of the merged stream.
     ///
     /// A stable sort of a concatenation is the stable merge of its two
     /// stably sorted halves, so two time-ordered logs — what hosts
-    /// produce — are merged in one streaming pass that frees this log's
-    /// old segments as it consumes them; an out-of-order side is sorted
-    /// first.
+    /// produce — are merged in one streaming pass; an out-of-order side
+    /// is sorted first.
     pub fn merge(&mut self, other: &TraceLog) {
-        self.chain.join(other.chain);
-        self.merge_entries(other);
-    }
-
-    fn merge_entries(&mut self, other: &TraceLog) {
-        if other.unsorted {
-            let mut sorted = other.clone();
+        let Some(mine) = self.0.as_deref_mut() else { return };
+        mine.chain.join(other.0.as_ref().map_or(Chain::default(), |kept| kept.chain));
+        let Some(theirs) = other.0.as_deref() else { return };
+        if theirs.unsorted {
+            let mut sorted = theirs.clone();
             sorted.sort();
-            return self.merge_entries(&sorted);
+            return mine.merge_sorted(&sorted);
         }
-        if self.unsorted {
-            self.sort();
-        }
-        let mut mine = std::mem::take(&mut self.segments).into_iter().flatten().peekable();
-        let mut theirs = other.events().peekable();
-        loop {
-            let entry = match (mine.peek(), theirs.peek()) {
-                (Some(a), Some(b)) if b.0 < a.0 => theirs.next().cloned(),
-                (Some(_), _) => mine.next(),
-                (None, _) => theirs.next().cloned(),
-            };
-            let Some(entry) = entry else { break };
-            self.append(entry);
-        }
-    }
-
-    /// Stable sort by time (only hand-built logs ever need it).
-    fn sort(&mut self) {
-        let mut all: Vec<Entry> =
-            std::mem::take(&mut self.segments).into_iter().flatten().collect();
-        all.sort_by_key(|(t, _)| *t);
-        self.unsorted = false;
-        for entry in all {
-            self.append(entry);
-        }
-    }
-
-    /// FNV-1a over the debug rendering of every `(time, event)` pair —
-    /// the construction every equivalence suite pins runs with
-    /// (`tests/host_equivalence.rs` golden fingerprint,
-    /// `crates/sim/tests/{sched,par}_equiv.rs`). Stable across
-    /// platforms: no pointers and no nondeterministically ordered maps
-    /// feed the rendering.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for (t, e) in self.events() {
-            for b in format!("{}|{:?}\n", t.as_nanos(), e).bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        }
-        h
+        mine.merge_sorted(theirs);
     }
 
     /// The digest of every entry pushed, folded at `push` from the
     /// entry's field values — for one stack's log, the head of its
     /// chain; for a merged log, the parts' chains joined in merge order
-    /// (which pins what the time-sorted stream did: the per-stack streams
-    /// determine the merge).
-    pub fn digest(&self) -> u64 {
-        self.chain.head
-    }
-
-    /// Entries ever pushed, over all merged parts.
-    pub fn pushed(&self) -> u64 {
-        self.chain.len
-    }
-
-    /// Iterate over events of a single stack.
-    pub fn for_stack(&self, stack: StackId) -> impl Iterator<Item = &(Time, TraceEvent)> {
-        self.events().filter(move |(_, e)| e.stack() == stack)
+    /// (which pins what the time-sorted stream would: the per-stack
+    /// streams determine the merge). Stable across platforms and runs:
+    /// names are hashed by their bytes, never by address. This is what
+    /// every equivalence suite pins runs with
+    /// (`tests/host_equivalence.rs`, `crates/sim/tests/{sched,par}_equiv.rs`).
+    pub fn fingerprint(&self) -> u64 {
+        self.0.as_ref().map_or(0, |kept| kept.chain.head)
     }
 
     /// The set of stacks that crashed in this trace.
@@ -436,23 +471,43 @@ mod tests {
         }
     }
 
+    fn call(stack: u32, svc: &str, from: u64) -> TraceEvent {
+        TraceEvent::Call {
+            stack: StackId(stack),
+            service: ServiceId::new(svc),
+            op: 0,
+            from: ModuleId(from),
+            to: ModuleId(0),
+        }
+    }
+
+    fn is_dispatch(ev: &TraceEvent) -> bool {
+        matches!(ev, TraceEvent::Call { .. } | TraceEvent::Response { .. })
+    }
+
     #[test]
     fn push_and_query() {
         let mut log = TraceLog::new();
         log.push(Time(1), bind(0, "p", 1));
+        log.push(Time(2), call(1, "p", 2));
         log.push(Time(2), bind(1, "p", 2));
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.for_stack(StackId(0)).count(), 1);
-        assert_eq!(log.for_stack(StackId(1)).count(), 1);
-        assert_eq!(log.for_stack(StackId(2)).count(), 0);
+        assert_eq!((log.pushed(), log.dropped()), (3, 0));
+        let times: Vec<Time> = log.events().map(|(t, _)| *t).collect();
+        assert_eq!(times, vec![Time(1), Time(2), Time(2)]);
+        assert!(is_dispatch(&log.events().nth(1).unwrap().1), "events come in push order");
+        let taken = log.take();
+        assert_eq!((taken.pushed(), log.pushed()), (3, 0));
+        assert!(log.is_enabled() && log.events().next().is_none());
+        assert_eq!(log.fingerprint(), TraceLog::new().fingerprint());
     }
 
     #[test]
     fn disabled_log_drops_events() {
         let mut log = TraceLog::disabled();
         log.push(Time(1), bind(0, "p", 1));
-        assert!(log.is_empty());
-        assert!(!log.is_enabled());
+        assert_eq!(log.pushed(), 0);
+        assert!(log.events().next().is_none());
+        assert!(!log.is_enabled() && !log.take().is_enabled());
     }
 
     #[test]
@@ -466,8 +521,10 @@ mod tests {
         assert_eq!(times, vec![Time(2), Time(5)]);
     }
 
-    /// The layout the segments replaced — one flat vector, sorted whole
-    /// on merge — kept here as the reference model.
+    /// The keep-everything layout this log replaced — one flat vector,
+    /// sorted whole on merge — kept here as the reference model: the log
+    /// must yield the model's structural entries, all of them, among its
+    /// last `TAIL` dispatch entries.
     #[derive(Clone, Default)]
     struct Model(Vec<(Time, TraceEvent)>);
 
@@ -477,21 +534,26 @@ mod tests {
             self.0.sort_by_key(|(t, _)| *t);
         }
 
-        fn fingerprint(&self) -> u64 {
-            let mut h: u64 = 0xcbf29ce484222325;
-            for (t, e) in &self.0 {
-                for b in format!("{}|{:?}\n", t.as_nanos(), e).bytes() {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x100000001b3);
-                }
-            }
-            h
+        fn dropped(&self) -> usize {
+            self.0.iter().filter(|(_, e)| is_dispatch(e)).count().saturating_sub(TAIL)
+        }
+
+        fn retained(&self) -> impl Iterator<Item = &(Time, TraceEvent)> {
+            let mut skip = self.dropped();
+            self.0.iter().filter(move |(_, e)| {
+                let gone = is_dispatch(e) && skip > 0;
+                skip -= usize::from(gone);
+                !gone
+            })
         }
     }
 
     /// `len` pushes into a log and the model alike. Module ids count up
     /// from `first_id`, so every entry is distinguishable; times repeat
-    /// often (ties), and either never decrease or jump about.
+    /// often (ties), and either never decrease or jump about. A
+    /// time-ordered fill mixes calls in among the binds; an out-of-order
+    /// one (hand-built logs, which hold what a test wrote into them) is
+    /// binds alone.
     fn fill(len: usize, first_id: u64, in_order: bool, rng: &mut u64) -> (TraceLog, Model) {
         let mut next = || {
             *rng ^= *rng << 13;
@@ -503,7 +565,12 @@ mod tests {
         let mut t = 0;
         for i in 0..len as u64 {
             t = if in_order { t + next() % 2 } else { next() % 50 };
-            let ev = bind((next() % 3) as u32, "p", first_id + i);
+            let stack = (next() % 3) as u32;
+            let ev = if in_order && next() % 4 != 0 {
+                call(stack, "p", first_id + i)
+            } else {
+                bind(stack, "p", first_id + i)
+            };
             log.push(Time(t), ev.clone());
             model.0.push((Time(t), ev));
         }
@@ -511,31 +578,23 @@ mod tests {
     }
 
     fn assert_matches_model(log: &TraceLog, model: &Model) {
-        assert_eq!(log.len(), model.0.len());
-        assert_eq!(log.is_empty(), model.0.is_empty());
-        assert!(log.events().eq(model.0.iter()), "iteration order differs at len {}", log.len());
-        assert_eq!(log.fingerprint(), model.fingerprint());
-        for stack in 0..3 {
-            let expected = model.0.iter().filter(|(_, e)| e.stack() == StackId(stack));
-            assert!(log.for_stack(StackId(stack)).eq(expected));
-        }
-        // Pays for what it holds: at most one segment, and the table
-        // that lists the segments, beyond the entries themselves.
-        let entry = std::mem::size_of::<Entry>();
-        let table = log.segments.capacity() * std::mem::size_of::<Vec<Entry>>();
-        assert!(
-            log.mem_bytes() <= (log.len() + SEGMENT) * entry + table,
-            "{} entries hold {} B",
-            log.len(),
-            log.mem_bytes()
-        );
+        assert_eq!(log.pushed(), model.0.len() as u64);
+        assert_eq!(log.dropped(), model.dropped() as u64);
+        assert!(log.events().eq(model.retained()), "iteration differs at {}", log.pushed());
+        // Pays for the structural entries (a doubling vector of them)
+        // and a tail that has stopped growing — not for what it dropped.
+        let structural = model.0.iter().filter(|(_, e)| !is_dispatch(e)).count();
+        let bound = std::mem::size_of::<Kept>()
+            + (2 * structural + 4) * std::mem::size_of::<(u64, Entry)>()
+            + TAIL * std::mem::size_of::<Entry>();
+        assert!(log.mem_bytes() <= bound, "{} entries hold {} B", log.pushed(), log.mem_bytes());
     }
 
     #[test]
     fn random_pushes_and_merges_match_the_flat_vector_model() {
         let mut rng = 0x9E3779B97F4A7C15;
-        let lens =
-            [0, 1, 3, 4, 5, 100, SEGMENT - 1, SEGMENT, SEGMENT + 1, 2 * SEGMENT, 2 * SEGMENT + 7];
+        let lens = [0, 1, 3, 4, 5, 100, TAIL - 1, TAIL, TAIL + 1, 2 * TAIL, 4 * TAIL + 7];
+        let mut overflowed = 0;
         for (i, &len) in lens.iter().enumerate() {
             for in_order in [true, false] {
                 let (log, model) = fill(len, 0, in_order, &mut rng);
@@ -556,22 +615,42 @@ mod tests {
                     merged.merge(&log);
                     merged_model.merge(&model);
                     assert_matches_model(&merged, &merged_model);
+                    overflowed += usize::from(merged.dropped() > 0);
                 }
             }
         }
+        assert!(overflowed > 10, "the sweep must take single and merged logs past the tail");
     }
 
     #[test]
-    fn a_small_trace_stays_small_and_a_disabled_one_allocates_nothing() {
-        let mut rng = 1;
-        let (log, _) = fill(5, 0, true, &mut rng);
-        assert!(log.mem_bytes() <= 16 * std::mem::size_of::<Entry>());
+    fn a_log_grows_with_its_structural_entries_not_with_its_calls() {
+        let mut log = TraceLog::new();
+        log.push(Time(0), bind(0, "p", 0));
+        assert!(
+            log.mem_bytes() <= std::mem::size_of::<Kept>() + 4 * 48,
+            "a small trace stays small"
+        );
+        for i in 0..TAIL as u64 {
+            log.push(Time(i), call(0, "p", i));
+        }
+        let full = log.mem_bytes();
+        assert!(full <= std::mem::size_of::<Kept>() + 4 * 48 + TAIL * 40);
+        let digest = log.fingerprint();
+        for i in 0..3 * TAIL as u64 {
+            log.push(Time(TAIL as u64 + i), call(0, "p", i));
+        }
+        assert_eq!(log.mem_bytes(), full, "a full tail must stay where it is");
+        assert_eq!((log.pushed(), log.dropped()), (4 * TAIL as u64 + 1, 3 * TAIL as u64));
+        assert_ne!(log.fingerprint(), digest, "what is let go is still in the digest");
+        // The bind pushed first is still there, ahead of the tail.
+        assert_eq!(log.events().next(), Some(&(Time(0), bind(0, "p", 0))));
+        assert_eq!(log.events().count(), TAIL + 1);
+
         let mut off = TraceLog::disabled();
-        for i in 0..3 * SEGMENT as u64 {
-            off.push(Time(i), bind(0, "p", i));
+        for i in 0..3 * TAIL as u64 {
+            off.push(Time(i), call(0, "p", i));
         }
         assert_eq!(off.mem_bytes(), 0);
-        assert_eq!(off.segments.capacity(), 0);
     }
 
     #[test]
@@ -629,7 +708,7 @@ mod tests {
                 log.push(*t, e.clone());
             }
             assert_eq!(log.pushed(), entries.len() as u64);
-            log.digest()
+            log.fingerprint()
         };
         let mut seen = std::collections::BTreeSet::new();
         for e in &events {
@@ -661,7 +740,7 @@ mod tests {
             for p in parts {
                 m.merge(p);
             }
-            (m.pushed(), m.digest())
+            (m.pushed(), m.fingerprint())
         };
         assert_eq!(merged(&[&a, &b]), merged(&[&a.clone(), &b.clone()]));
         assert_eq!(merged(&[&a, &b]).0, 5);

@@ -113,7 +113,8 @@ proptest! {
             .filter(|(_, e)| matches!(e, TraceEvent::ReleasedCall { .. }))
             .count();
         prop_assert_eq!(blocked, released, "all blocked calls must be released");
-        // 3. Dispatched + blocked = issued.
+        // 3. Dispatched + blocked = issued (the log still holds every call).
+        prop_assert_eq!(trace.dropped(), 0);
         let direct = trace
             .events()
             .filter(|(_, e)| {

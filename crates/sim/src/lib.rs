@@ -155,7 +155,10 @@ pub struct SimConfig {
     pub net: NetConfig,
     /// CPU model.
     pub cpu: CpuConfig,
-    /// Record traces in each stack (disable for long benchmark runs).
+    /// Record a trace in each stack: every bind, unbind, module lifetime
+    /// and blocked call, plus a digest of every call and response — per
+    /// stack a fixed tail and what its replacements add, whatever the
+    /// length of the run (`dpu_core::trace`).
     pub trace: bool,
     /// Event scheduler tuning.
     pub sched: SchedConfig,
@@ -1082,7 +1085,10 @@ impl Sim {
             .collect()
     }
 
-    /// Merge and take the traces of all stacks.
+    /// Merge and take the traces of all stacks, shard by shard and slot
+    /// by slot — stack order, and the same whatever the worker count —
+    /// which is the order the merged [`TraceLog::fingerprint`] joins the
+    /// per-stack digests in.
     pub fn merged_trace(&mut self) -> TraceLog {
         let mut merged = TraceLog::new();
         for shard in &mut self.shards {
@@ -1192,7 +1198,7 @@ mod tests {
             let mut sim = pinger_sim(5, seed);
             sim.run_until(Time::ZERO + Dur::millis(5));
             let stats = sim.stats();
-            let trace_len = sim.merged_trace().len();
+            let trace_len = sim.merged_trace().pushed();
             (stats, trace_len)
         };
         assert_eq!(run(7), run(7));
@@ -1382,7 +1388,7 @@ mod tests {
         let run = |workers| {
             let mut sim = Sim::new(SimConfig::lan(4, 33).with_workers(workers), pinger_stack);
             sim.run_until(Time::ZERO + Dur::millis(10));
-            (sim.stats(), sim.merged_trace().len())
+            (sim.stats(), sim.merged_trace().pushed())
         };
         assert_eq!(run(1), run(4));
     }
@@ -1396,7 +1402,7 @@ mod tests {
                 .with_workers(workers);
             let mut sim = Sim::new(cfg, pinger_stack);
             sim.run_until(Time::ZERO + Dur::millis(120));
-            (sim.stats(), sim.merged_trace().len())
+            (sim.stats(), sim.merged_trace().pushed())
         };
         assert_eq!(run(1), run(3));
     }

@@ -63,14 +63,14 @@ fn mk_stack(sc: StackConfig) -> Stack {
     s
 }
 
-fn run(n: u32, seed: u64, loss: f64, duplicate: f64, millis: u64) -> (SimStats, usize) {
+fn run(n: u32, seed: u64, loss: f64, duplicate: f64, millis: u64) -> (SimStats, u64) {
     let mut cfg = SimConfig::lan(n, seed);
     cfg.net.loss = loss;
     cfg.net.duplicate = duplicate;
     let mut sim = Sim::new(cfg, mk_stack);
     sim.run_until(Time::ZERO + Dur::millis(millis));
     let stats = sim.stats().clone();
-    let trace_len = sim.merged_trace().len();
+    let trace_len = sim.merged_trace().pushed();
     (stats, trace_len)
 }
 

@@ -97,10 +97,11 @@ pub fn live_switch_scenario<H: Host>(
 }
 
 /// The `fig5-ct-sim` inputs of the benchmark, shortened to 3 s: n = 7
-/// Figure-4 stacks, Repl over `abcast.ct`, zero loss, seed 42, warmed up
-/// for 500 ms; then scheduled, not yet run: 150 msg/s round-robin until
+/// Figure-4 stacks, Repl over `abcast.ct`, zero loss, seed 42, advanced
+/// through a 500 ms warm-up by `warm_up` (`Sim::run_until`, or a caller's
+/// loop that reads the trace on the way); then scheduled, not yet run: 150 msg/s round-robin until
 /// the returned time, and a ct → ct replacement after 1 s and after 2 s.
-pub fn paper_testbed_3s() -> (Sim, Handles, Time) {
+pub fn paper_testbed_3s(mut warm_up: impl FnMut(&mut Sim, Time)) -> (Sim, Handles, Time) {
     let opts = GroupStackOpts {
         abcast: specs::ct(0),
         layer: SwitchLayer::Repl,
@@ -109,7 +110,7 @@ pub fn paper_testbed_3s() -> (Sim, Handles, Time) {
         extra_defaults: Vec::new(),
     };
     let (mut sim, h) = group_sim(SimConfig::lan(7, 42), &opts);
-    sim.run_until(Time::ZERO + Dur::millis(500));
+    warm_up(&mut sim, Time::ZERO + Dur::millis(500));
     let until = sim.now() + Dur::secs(3);
     drive_load(&mut sim, &h, 150.0, until);
     for k in 1..=2u64 {

@@ -13,7 +13,8 @@
 mod common;
 
 use dpu::repl::builder::check_run;
-use dpu_core::time::Dur;
+use dpu::sim::Sim;
+use dpu_core::time::{Dur, Time};
 use dpu_core::{StackId, TraceEvent};
 use dpu_net::dgram;
 use dpu_protocols::abcast::ct::KIND as CT_KIND;
@@ -21,14 +22,58 @@ use std::collections::BTreeMap;
 
 #[test]
 fn a_datagram_is_dispatched_to_the_module_listening_on_its_channel() {
-    let (mut sim, h, until) = common::paper_testbed_3s();
+    // Every udp datagram has one taker (rp2p or fd); an rp2p frame has
+    // one too, except that a replaced abcast.ct and its successor listen
+    // on the same channel until the old one is retired. The log keeps
+    // calls and responses only for a while, so it is read every 10 ms —
+    // short enough that none was let go: every dispatch entry of the run,
+    // warm-up included, passes through here.
+    let mut ct_live: BTreeMap<StackId, usize> = BTreeMap::new();
+    let (mut udp, mut rp2p, mut rp2p_twice, mut traced) = (0u64, 0u64, 0u64, 0u64);
+    let mut read_trace_until = |sim: &mut Sim, end: Time| {
+        while sim.now() < end {
+            let next = (sim.now() + Dur::millis(10)).min(end);
+            sim.run_until(next);
+            let trace = sim.merged_trace();
+            assert_eq!(trace.dropped(), 0, "slice ending {next} pushed {}", trace.pushed());
+            traced += trace.pushed();
+            for (t, e) in trace.events() {
+                match e {
+                    TraceEvent::ModuleCreated { stack, kind, .. } if **kind == *CT_KIND => {
+                        *ct_live.entry(*stack).or_default() += 1;
+                    }
+                    TraceEvent::ModuleDestroyed { stack, kind, .. } if **kind == *CT_KIND => {
+                        *ct_live.entry(*stack).or_default() -= 1;
+                    }
+                    TraceEvent::Response { stack, service, op: dgram::RECV, fanout, .. } => {
+                        match service.name() {
+                            dpu_net::UDP_SVC => {
+                                udp += 1;
+                                assert_eq!(*fanout, 1, "udp RECV at {t:?} on {stack}");
+                            }
+                            dpu_net::RP2P_SVC => {
+                                rp2p += 1;
+                                assert!(*fanout <= 2, "rp2p RECV at {t:?} on {stack}: {fanout}");
+                                if *fanout == 2 {
+                                    rp2p_twice += 1;
+                                    assert_eq!(ct_live[stack], 2, "rp2p RECV at {t:?} on {stack}");
+                                }
+                            }
+                            _ => {}
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+    };
+    let (mut sim, h, until) = common::paper_testbed_3s(&mut read_trace_until);
     // Steps are counted like `transport_economy` counts packets: over the
     // load and the half second its last broadcasts take to settle.
     let steps_before = sim.stats().steps;
-    sim.run_until(until + Dur::millis(500));
+    read_trace_until(&mut sim, until + Dur::millis(500));
     let steps = sim.stats().steps - steps_before;
-    sim.run_until(until + Dur::secs(2));
-    let trace = sim.merged_trace();
+    read_trace_until(&mut sim, until + Dur::secs(2));
     let report = check_run(&mut sim, &h);
     report.assert_ok();
     let broadcasts = report.checker.broadcast_count();
@@ -37,40 +82,8 @@ fn a_datagram_is_dispatched_to_the_module_listening_on_its_channel() {
     println!("{broadcasts} broadcasts, {steps} steps ({per_msg:.1} a broadcast)");
     assert!(per_msg <= 760.0, "{per_msg:.1} dispatch steps a broadcast");
 
-    // Every udp datagram has one taker (rp2p or fd); an rp2p frame has
-    // one too, except that a replaced abcast.ct and its successor listen
-    // on the same channel until the old one is retired.
-    let mut ct_live: BTreeMap<StackId, usize> = BTreeMap::new();
-    let (mut udp, mut rp2p, mut rp2p_twice) = (0u64, 0u64, 0u64);
-    for (t, e) in trace.events() {
-        match e {
-            TraceEvent::ModuleCreated { stack, kind, .. } if **kind == *CT_KIND => {
-                *ct_live.entry(*stack).or_default() += 1;
-            }
-            TraceEvent::ModuleDestroyed { stack, kind, .. } if **kind == *CT_KIND => {
-                *ct_live.entry(*stack).or_default() -= 1;
-            }
-            TraceEvent::Response { stack, service, op: dgram::RECV, fanout, .. } => {
-                match service.name() {
-                    dpu_net::UDP_SVC => {
-                        udp += 1;
-                        assert_eq!(*fanout, 1, "udp RECV at {t:?} on {stack}");
-                    }
-                    dpu_net::RP2P_SVC => {
-                        rp2p += 1;
-                        assert!(*fanout <= 2, "rp2p RECV at {t:?} on {stack} reached {fanout}");
-                        if *fanout == 2 {
-                            rp2p_twice += 1;
-                            assert_eq!(ct_live[stack], 2, "rp2p RECV at {t:?} on {stack}");
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            _ => {}
-        }
-    }
-    println!("{udp} udp RECV, {rp2p} rp2p RECV of which {rp2p_twice} reached two modules");
+    println!("{traced} entries traced: {udp} udp RECV, {rp2p} rp2p RECV of which {rp2p_twice} reached two modules");
+    assert!(traced > sim.stats().steps / 2, "the trace must have been on");
     assert!(udp > rp2p && rp2p > 0, "the trace must hold the datagrams it is asked about");
     assert!(rp2p_twice > 0, "two replacements must each leave two abcast.ct side by side");
 }

@@ -11,8 +11,13 @@
 //! dispatched to (the one listening on its channel, not every user of
 //! the service); each moves the simulator's event order, so each
 //! re-recorded all four, once, in a commit of its own whose message
-//! carries the before/after verdicts. A change that does not mean to
-//! alter protocol behaviour must reproduce them bit for bit.
+//! carries the before/after verdicts. PR 21 changed the *construction*,
+//! not the runs: the fingerprint had been FNV-1a over the debug rendering
+//! of a complete log and became the digest the log folds at `push`; the
+//! commit that introduced the digest still kept the complete log,
+//! reproduced the four old values and recorded the four new ones from the
+//! same runs. A change that does not mean to alter protocol behaviour must
+//! reproduce them bit for bit.
 
 use dpu::repl::builder::{
     drive_load, group, group_sim, request_change, send_probe, specs, GroupStackOpts, SwitchLayer,
@@ -23,10 +28,9 @@ use dpu_core::time::{Dur, Time};
 use dpu_core::StackId;
 
 /// The shared equivalence-suite fingerprint (see
-/// `dpu_core::TraceLog::fingerprint`) and, beside it, the digest the log
-/// folds at `push` (`dpu_core::TraceLog::digest`).
-fn trace_fingerprint(trace: &dpu_core::TraceLog) -> (u64, u64) {
-    (trace.fingerprint(), trace.digest())
+/// `dpu_core::TraceLog::fingerprint`).
+fn trace_fingerprint(trace: &dpu_core::TraceLog) -> u64 {
+    trace.fingerprint()
 }
 
 /// Figure-4 stacks under the Repl layer, starting on `abcast.ct`.
@@ -42,7 +46,7 @@ fn repl_over_ct() -> GroupStackOpts {
 
 /// One fixed, fully deterministic scenario: 3 Figure-4 stacks under the
 /// Repl layer, traffic before/during/after a live ct -> seq switch.
-fn golden_run() -> (dpu::sim::SimStats, (u64, u64)) {
+fn golden_run() -> (dpu::sim::SimStats, u64) {
     let (mut sim, h) = group_sim(SimConfig::lan(3, 20_060_425), &repl_over_ct());
     sim.run_until(Time::ZERO + Dur::millis(200));
     for i in 0..3 {
@@ -61,26 +65,24 @@ fn golden_run() -> (dpu::sim::SimStats, (u64, u64)) {
 
 #[test]
 fn sim_through_stack_driver_matches_pre_refactor_recording() {
-    let (stats, (fp, digest)) = golden_run();
-    // Values recorded at PR 20; see module docs.
+    let (stats, fp) = golden_run();
+    // Values recorded at PR 20 and PR 21; see module docs.
     println!("stats: {stats:?}");
-    println!("fingerprint: {fp:#x}, digest: {digest:#x}");
+    println!("fingerprint: {fp:#x}");
     assert_eq!(fp, GOLDEN_FP, "merged trace diverged from the recording");
-    assert_eq!(digest, GOLDEN_DIGEST, "trace digest diverged from the recording");
     assert_eq!(stats.packets_sent, GOLDEN_SENT);
     assert_eq!(stats.packets_delivered, GOLDEN_DELIVERED);
 }
 
-/// Recorded 2026-10-03 at PR 20 (datagram responses routed by channel),
-/// scenario and seed as in [`golden_run`]. Before: `0x1c1b9566e95456b1`,
+/// The push-time digest of the run recorded 2026-10-03 at PR 20 (datagram
+/// responses routed by channel), scenario and seed as in [`golden_run`];
+/// taken 2026-10-05 at PR 21 beside that run's rendered-log fingerprint
+/// `0xf8c0b4e378cdc9a5`, which it replaces. Before: `0x1c1b9566e95456b1`,
 /// 2502 sent, 2502 delivered, recorded 2026-10-02 at PR 19 (rp2p resends
 /// by age and acks on the reverse traffic); before that
 /// `0x4026a4be2f99a940`, 2620 sent, 2620 delivered, recorded 2026-07-29
 /// from commit 181cd88 (hand-rolled drive loops in both hosts).
-const GOLDEN_FP: u64 = 0xf8c0b4e378cdc9a5;
-/// The same run's push-time digest, recorded 2026-10-05 at PR 21 from the
-/// commit that still kept the complete log and reproduced [`GOLDEN_FP`].
-const GOLDEN_DIGEST: u64 = 0xc837f9d17ef4aec8;
+const GOLDEN_FP: u64 = 0xc837f9d17ef4aec8;
 const GOLDEN_SENT: u64 = 2506;
 const GOLDEN_DELIVERED: u64 = 2506;
 
@@ -115,7 +117,7 @@ fn shutdown_under_in_flight_load_returns_all_stacks() {
 /// after 2 s. Collecting consensus instances, delivered-sets and
 /// proposal marks by stability did not move one traced event (PR 17);
 /// nothing that leaves the wire alone may.
-fn ct_replacement_run(seed: u64) -> (u64, u64) {
+fn ct_replacement_run(seed: u64) -> u64 {
     let (mut sim, h) = group_sim(SimConfig::lan(7, seed), &repl_over_ct());
     sim.run_until(Time::ZERO + Dur::millis(200));
     let until = sim.now() + Dur::secs(3);
@@ -130,26 +132,22 @@ fn ct_replacement_run(seed: u64) -> (u64, u64) {
     trace_fingerprint(&sim.merged_trace())
 }
 
-/// Recorded 2026-10-03 at PR 20, with [`GOLDEN_FP`]. Before (PR 19):
+/// Recorded with [`GOLDEN_FP`]: the PR 20 runs, whose rendered-log
+/// fingerprints were `0x24c7d155b94fca7c`, `0xa7c0f5dbe4fb3f6e`,
+/// `0x526ff844078538dd`. Before (PR 19):
 /// `0x243adcef5e8a1db1`, `0xd4db1459d79ad246`, `0x127eadc205be7925`;
 /// before that (commit 57fe5a7, where every consensus instance and every
 /// delivered key was kept for the length of the run, unchanged by PR 17's
 /// collection): `0x6d4c3f10a13194cf`, `0xef232e8e86088525`,
 /// `0xc9794b3925be4984`.
 const CT_REPLACEMENT_FPS: [(u64, u64); 3] =
-    [(11, 0x24c7d155b94fca7c), (12, 0xa7c0f5dbe4fb3f6e), (13, 0x526ff844078538dd)];
-/// The same three runs' push-time digests, recorded with [`GOLDEN_DIGEST`].
-const CT_REPLACEMENT_DIGESTS: [u64; 3] =
-    [0xbbd536c7ac4ecce9, 0xb6eedb08baab46ff, 0x50aae2c9d74d0e4f];
+    [(11, 0xbbd536c7ac4ecce9), (12, 0xb6eedb08baab46ff), (13, 0x50aae2c9d74d0e4f)];
 
 #[test]
 fn ct_under_replacement_matches_the_recording_from_before_collection() {
-    for ((seed, golden), golden_digest) in
-        CT_REPLACEMENT_FPS.into_iter().zip(CT_REPLACEMENT_DIGESTS)
-    {
-        let (fp, digest) = ct_replacement_run(seed);
-        println!("seed {seed}: {fp:#x}, digest {digest:#x}");
+    for (seed, golden) in CT_REPLACEMENT_FPS {
+        let fp = ct_replacement_run(seed);
+        println!("seed {seed}: {fp:#x}");
         assert_eq!(fp, golden, "seed {seed}: merged trace diverged from the recording");
-        assert_eq!(digest, golden_digest, "seed {seed}: trace digest diverged from the recording");
     }
 }

@@ -21,11 +21,12 @@
 mod common;
 
 use dpu::repl::builder::check_run;
+use dpu::sim::Sim;
 use dpu_core::time::Dur;
 
 #[test]
 fn a_lossless_run_resends_nothing_and_acks_on_the_reverse_traffic() {
-    let (mut sim, h, until) = common::paper_testbed_3s();
+    let (mut sim, h, until) = common::paper_testbed_3s(Sim::run_until);
     let sent_before = sim.stats().packets_sent;
     // Packets are counted over the load and the half second its last
     // broadcasts take to settle; the idle tail is heartbeats only.
