@@ -10,7 +10,8 @@
 //! data frames are numerous enough that some were certainly among the
 //! dropped — also that rp2p actually retransmitted; the parent asserts
 //! both processes delivered the *same messages in the same order* by
-//! comparing FNV-1a digests of the delivery logs.
+//! comparing the probes' delivery-order heads (`Probe::order_head`: how
+//! many, and a hash chain over them folded at delivery time).
 //!
 //! ```text
 //! cargo run --release -p dpu-bench --bin cross_switch_net
@@ -24,7 +25,10 @@ use dpu_core::probe::Probe;
 use dpu_core::StackId;
 use dpu_reactor::{NodeAddr, Reactor, ReactorConfig};
 use dpu_repl::abcast_repl::ReplAbcastModule;
-use dpu_repl::builder::{group, request_change, send_probe, specs, GroupStackOpts, SwitchLayer};
+use dpu_repl::builder::{
+    assert_one_delivery_order, group, request_change, send_probe, specs, GroupStackOpts,
+    SwitchLayer,
+};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -182,20 +186,12 @@ fn child(half: u32, rdv: PathBuf) {
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    // Local uniformity, then publish the digest for the parent.
-    let log = |node: u32| {
-        r.with_stack(StackId(node), move |s| {
-            s.with_module::<Probe, _>(probe, |p| {
-                p.delivered().iter().map(|rec| rec.msg).collect::<Vec<_>>()
-            })
-            .expect("probe")
-        })
-    };
-    let reference = log(lo);
-    for node in lo + 1..lo + HALF {
-        assert_eq!(log(node), reference, "stack {node} diverged inside half {half}");
-    }
-    write_atomic(&rdv.join(format!("digest_{half}")), &format!("{:016x}\n", fnv(&reference)));
+    // Local uniformity, then publish the digest for the parent: every
+    // probe folded its deliveries into a (count, head) pair as they
+    // happened.
+    let reference = assert_one_delivery_order(|_| &r, &h, (lo..lo + HALF).map(StackId));
+    let digest = format!("{} deliveries, head {:016x}\n", reference.len, reference.head);
+    write_atomic(&rdv.join(format!("digest_{half}")), &digest);
 
     // The transport properties the demo exists to show: loss fired on
     // the real socket and rp2p recovered through it (everything was
@@ -257,18 +253,4 @@ fn read_when_present(path: &Path) -> String {
         assert!(Instant::now() < limit, "peer never published {}", path.display());
         std::thread::sleep(Duration::from_millis(10));
     }
-}
-
-/// FNV-1a over the delivery log — a cheap order-sensitive fingerprint.
-fn fnv(log: &[(StackId, u64)]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    };
-    for (origin, seq) in log {
-        origin.0.to_le_bytes().into_iter().for_each(&mut eat);
-        seq.to_le_bytes().into_iter().for_each(&mut eat);
-    }
-    h
 }

@@ -14,6 +14,7 @@ use crate::ids::{ServiceId, StackId};
 use crate::module::{Call, Module, Op, Response};
 use crate::stack::ModuleCtx;
 use crate::time::Time;
+use crate::trace::Chain;
 use crate::wire::{Decode, Encode, WireResult};
 use bytes::{Bytes, BytesMut};
 
@@ -101,6 +102,7 @@ pub struct Probe {
     next_seq: u64,
     sent: Vec<(MsgId, Time)>,
     delivered: Vec<DeliveryRecord>,
+    order: Chain,
 }
 
 impl Probe {
@@ -116,6 +118,7 @@ impl Probe {
             next_seq: 0,
             sent: Vec::new(),
             delivered: Vec::new(),
+            order: Chain::default(),
         }
     }
 
@@ -152,6 +155,15 @@ impl Probe {
     /// Deliveries recorded at this stack, in delivery order.
     pub fn delivered(&self) -> &[DeliveryRecord] {
         &self.delivered
+    }
+
+    /// How many messages this stack has delivered and the head of the
+    /// hash chain over their `(origin, seq)` in delivery order, folded at
+    /// delivery time: two stacks delivered the same messages in the same
+    /// order iff their heads are equal — across shards, hosts and OS
+    /// processes, and whether or not the records were drained.
+    pub fn order_head(&self) -> Chain {
+        self.order
     }
 
     /// Drain recorded deliveries (keeps memory bounded in long runs).
@@ -192,6 +204,7 @@ impl Module for Probe {
             // delivery.
             let latency = now.as_nanos().saturating_sub(msg.sent_at.as_nanos());
             ctx.telemetry().note_delivery(now.as_nanos(), latency);
+            self.order.fold(&[u64::from(msg.origin.0), msg.seq]);
             self.delivered.push(DeliveryRecord {
                 msg: msg.id(),
                 sent_at: msg.sent_at,
@@ -278,6 +291,17 @@ mod tests {
         assert_eq!(recs[0].sent_at, Time(100));
         assert!(recs[0].delivered_at >= Time(100));
         assert_eq!(recs[0].latency(), recs[0].delivered_at.since(Time(100)));
+        // The order digest is folded from the same delivery and outlives
+        // the records.
+        let mut expected = Chain::default();
+        expected.fold(&[0, 0]);
+        let head = stack
+            .with_module::<Probe, _>(probe_id, |p| {
+                p.take_delivered();
+                p.order_head()
+            })
+            .unwrap();
+        assert_eq!((head, head.len), (expected, 1));
     }
 
     #[test]

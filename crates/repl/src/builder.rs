@@ -38,7 +38,8 @@ use dpu_core::probe::Probe;
 use dpu_core::props;
 use dpu_core::time::{Dur, Time};
 use dpu_core::{
-    FactoryRegistry, Module, ModuleId, ModuleSpec, ServiceId, Stack, StackConfig, StackId,
+    Chain, FactoryRegistry, Module, ModuleId, ModuleSpec, ServiceId, Stack, StackConfig, StackId,
+    TraceLog,
 };
 use dpu_net::rp2p::Rp2pModule;
 use dpu_net::udp::UdpModule;
@@ -339,6 +340,43 @@ pub fn send_probe(mut host: impl Host, node: StackId, h: &Handles) {
     });
 }
 
+/// Assert that all of `nodes` delivered the same probe messages in the
+/// same order, by comparing the `(count, head)` each probe folded as it
+/// delivered ([`Probe::order_head`]) — O(1) per stack, whichever host or
+/// OS process serves it. Only on a mismatch are the two delivery logs
+/// read, to say where they part. Returns the common head.
+pub fn assert_one_delivery_order<H: Host>(
+    host_of: impl Fn(StackId) -> H,
+    h: &Handles,
+    nodes: impl IntoIterator<Item = StackId>,
+) -> Chain {
+    let probe = h.probe.expect("assert_one_delivery_order requires a probe");
+    let head = |id: StackId| {
+        host_of(id).with_stack(id, move |s| {
+            s.with_module::<Probe, _>(probe, |p| p.order_head()).expect("probe present")
+        })
+    };
+    let log = |id: StackId| {
+        host_of(id).with_stack(id, move |s| {
+            s.with_module::<Probe, _>(probe, |p| {
+                p.delivered().iter().map(|r| r.msg).collect::<Vec<_>>()
+            })
+            .expect("probe present")
+        })
+    };
+    let mut nodes = nodes.into_iter();
+    let first = nodes.next().expect("at least one stack");
+    let reference = head(first);
+    for id in nodes {
+        let other = head(id);
+        if other != reference {
+            assert_eq!(log(id), log(first), "{id} and {first} diverged from one total order");
+            panic!("{id} and {first} diverged: {other:?} vs {reference:?} (records drained?)");
+        }
+    }
+    reference
+}
+
 /// Request a protocol change from `node` (the paper's
 /// `changeABcast(prot)`): delivered to the switch layer on the top
 /// service, in the probe's name.
@@ -481,6 +519,10 @@ pub struct RunReport {
     pub checker: AbcastChecker,
     /// Stack-well-formedness assessment.
     pub wellformed: props::Assessment,
+    /// The merged trace it was assessed on (taken from the stacks), for
+    /// [`props::check_protocol_operationability`] of whichever kinds the
+    /// run switched between.
+    pub trace: TraceLog,
 }
 
 impl RunReport {
@@ -523,7 +565,7 @@ pub fn check_run(sim: &mut Sim, h: &Handles) -> RunReport {
     }
     let trace = sim.merged_trace();
     let wellformed = props::check_stack_well_formedness(&trace);
-    RunReport { checker, wellformed }
+    RunReport { checker, wellformed, trace }
 }
 
 #[cfg(test)]

@@ -16,7 +16,10 @@
 //! CI runs this with `--release` so shard scheduling races are exercised
 //! at real speed.
 
-use dpu::repl::builder::{group, request_change, send_probe, specs, GroupStackOpts, SwitchLayer};
+use dpu::repl::builder::{
+    assert_one_delivery_order, group, request_change, send_probe, specs, GroupStackOpts,
+    SwitchLayer,
+};
 use dpu::runtime::{Runtime, RuntimeConfig};
 use dpu_core::probe::Probe;
 use dpu_core::StackId;
@@ -89,19 +92,10 @@ fn soak_256_stacks_on_4_shards_switch_live() {
         assert_eq!(undelivered, 0, "stack {node} must have no stuck messages");
     }
 
-    // All 256 stacks delivered the same 8 messages in the same order.
-    let reference: Vec<dpu_core::abcast_check::MsgId> = rt.with_stack(StackId(0), move |s| {
-        s.with_module::<Probe, _>(probe, |p| p.delivered().iter().map(|r| r.msg).collect())
-            .expect("probe")
-    });
-    assert_eq!(reference.len(), 8);
-    for node in 1..N {
-        let log: Vec<dpu_core::abcast_check::MsgId> = rt.with_stack(StackId(node), move |s| {
-            s.with_module::<Probe, _>(probe, |p| p.delivered().iter().map(|r| r.msg).collect())
-                .expect("probe")
-        });
-        assert_eq!(log, reference, "stack {node} diverged from the total order");
-    }
+    // All 256 stacks delivered the same 8 messages in the same order:
+    // equal delivery-order heads, folded by each probe as it delivered.
+    let head = assert_one_delivery_order(|_| &rt, &h, (0..N).map(StackId));
+    assert_eq!(head.len, 8);
 
     let stacks = rt.shutdown();
     assert_eq!(stacks.len(), N as usize);
