@@ -3,8 +3,12 @@
 //!
 //! The inputs are `fig5-ct-sim`'s — n = 7, `abcast.ct` under the Repl
 //! layer, 150 msg/s round-robin, ct → ct replacements under fresh
-//! namespaces — with the trace off and the probe's records taken out
-//! before the heap is read, so what is left is what the protocols hold.
+//! namespaces — with the probe's records taken out before the heap is
+//! read, so what is left is what the protocols hold; with the trace off,
+//! and once more with it on, as the benchmark runs it: a traced stack
+//! keeps its binds and module lifetimes (the same four replacements in
+//! both runs) and a fixed tail of calls, not an entry per dispatch step.
+//! Kept whole, the trace made that ratio read ≈ 4.
 //! The same four replacements happen in the short and in the long run;
 //! only the number of messages differs. Before consensus instances were
 //! collected by stability the long run held ≈ 3.5 KB per extra instance
@@ -19,7 +23,9 @@
 
 use bytes::Bytes;
 use dpu_bench::mem::CountingAlloc;
+use dpu_core::abcast_check::AbcastChecker;
 use dpu_core::probe::Probe;
+use dpu_core::props;
 use dpu_core::stack::{FactoryRegistry, ModuleCtx, Stack, StackConfig};
 use dpu_core::time::{Dur, Time};
 use dpu_core::{Call, Module, ModuleId, Response, ServiceId, StackId};
@@ -28,7 +34,7 @@ use dpu_net::udp::UdpModule;
 use dpu_protocols::consensus::ConsensusModule;
 use dpu_protocols::rb::{self, RbModule};
 use dpu_repl::builder::{
-    check_run, drive_load, group_sim, request_change, specs, GroupStackOpts, SwitchLayer,
+    drive_load, group_sim, request_change, specs, GroupStackOpts, SwitchLayer,
 };
 use dpu_sim::{Sim, SimConfig};
 use std::sync::Mutex;
@@ -53,11 +59,12 @@ fn live_instances(sim: &mut Sim, id: StackId) -> usize {
 }
 
 /// One `abcast.ct` run of `load` seconds with `switches` replacements, one
-/// a second from the first second on. Returns live bytes per stack.
-fn ct_run(layer: SwitchLayer, switches: u64, load: Dur) -> u64 {
+/// a second from the first second on. Returns live bytes per stack — the
+/// trace's among them when it is on.
+fn ct_run(layer: SwitchLayer, switches: u64, load: Dur, traced: bool) -> u64 {
     let live0 = ALLOC.live();
     let mut cfg = SimConfig::lan(N, 101);
-    cfg.trace = false;
+    cfg.trace = traced;
     let opts = GroupStackOpts {
         abcast: specs::ct(0),
         layer,
@@ -88,25 +95,35 @@ fn ct_run(layer: SwitchLayer, switches: u64, load: Dur) -> u64 {
             assert!(live <= bound, "{id} holds {live} consensus instances at {}", sim.now());
         }
     }
-    let report = check_run(&mut sim, &h);
-    report.assert_ok();
-    let broadcasts = report.checker.broadcast_count();
-    assert!(broadcasts as f64 >= 0.95 * RATE * load.as_secs_f64(), "only {broadcasts} broadcasts");
-    for &id in &ids {
-        assert_eq!(report.checker.delivery_count(id), broadcasts, "{id} missed deliveries");
-    }
-    drop(report);
-    let held = sim.telemetry_report().transport.held;
-    assert!(held <= u64::from(N) * (1 + switches + 8), "held = {held} at the end of the run");
-    // The probe's records are the measurement, not the system.
+    // The probe's records are the measurement, not the system: they go
+    // to the checker and out of the heap before it is read. The trace
+    // stays where it is until then (`check_run` would take it).
     let probe = h.probe.expect("probe");
+    let mut checker = AbcastChecker::new(ids.iter().copied());
     for &id in &ids {
-        sim.with_stack(id, |s| {
-            s.with_module::<Probe, _>(probe, |p| drop((p.take_sent(), p.take_delivered())))
+        let (sent, delivered) = sim.with_stack(id, |s| {
+            s.with_module::<Probe, _>(probe, |p| (p.take_sent(), p.take_delivered()))
                 .expect("probe present")
         });
+        sent.into_iter().for_each(|(msg, t)| checker.record_broadcast(msg, id, t));
+        delivered.into_iter().for_each(|r| checker.record_delivery(r.msg, id, r.delivered_at));
     }
-    (ALLOC.live() - live0) / u64::from(N)
+    checker.assert_ok();
+    let broadcasts = checker.broadcast_count();
+    assert!(broadcasts as f64 >= 0.95 * RATE * load.as_secs_f64(), "only {broadcasts} broadcasts");
+    for &id in &ids {
+        assert_eq!(checker.delivery_count(id), broadcasts, "{id} missed deliveries");
+    }
+    drop(checker);
+    let held = sim.telemetry_report().transport.held;
+    assert!(held <= u64::from(N) * (1 + switches + 8), "held = {held} at the end of the run");
+    let live = (ALLOC.live() - live0) / u64::from(N);
+    // What the trace kept is what the §3 checker reads, whole.
+    let trace = sim.merged_trace();
+    assert_eq!(trace.pushed() > 0, traced);
+    let wellformed = props::check_stack_well_formedness(&trace);
+    assert!(wellformed.weak, "{:?}", wellformed.violations);
+    live
 }
 
 fn assert_flat(what: &str, short: u64, long: u64) {
@@ -118,16 +135,24 @@ fn assert_flat(what: &str, short: u64, long: u64) {
 #[test]
 fn four_times_the_messages_cost_the_same_bytes_under_repl() {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let short = ct_run(SwitchLayer::Repl, 4, SHORT);
-    let long = ct_run(SwitchLayer::Repl, 4, SHORT * 4);
+    let short = ct_run(SwitchLayer::Repl, 4, SHORT, false);
+    let long = ct_run(SwitchLayer::Repl, 4, SHORT * 4, false);
     assert_flat("repl over ct", short, long);
+}
+
+#[test]
+fn four_times_the_messages_cost_the_same_bytes_under_repl_with_the_trace_on() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let short = ct_run(SwitchLayer::Repl, 4, SHORT, true);
+    let long = ct_run(SwitchLayer::Repl, 4, SHORT * 4, true);
+    assert_flat("repl over ct, traced", short, long);
 }
 
 #[test]
 fn four_times_the_messages_cost_the_same_bytes_without_a_switch_layer() {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let short = ct_run(SwitchLayer::None, 0, SHORT);
-    let long = ct_run(SwitchLayer::None, 0, SHORT * 4);
+    let short = ct_run(SwitchLayer::None, 0, SHORT, false);
+    let long = ct_run(SwitchLayer::None, 0, SHORT * 4, false);
     assert_flat("ct alone", short, long);
 }
 

@@ -43,15 +43,10 @@ pub fn check_stack_well_formedness(log: &TraceLog) -> Assessment {
     // Outstanding blocked calls per (stack, service): count.
     let mut outstanding: BTreeMap<(StackId, ServiceId), u64> = BTreeMap::new();
     let mut crashed: BTreeSet<StackId> = BTreeSet::new();
-    for (t, ev) in log.events() {
+    for (_, ev) in log.events() {
         match ev {
-            TraceEvent::BlockedCall { stack, service, op, from } => {
+            TraceEvent::BlockedCall { stack, service, .. } => {
                 assessment.strong = false;
-                if assessment.violations.is_empty() {
-                    // Remember the first blocking point for diagnostics if
-                    // it never resolves; refined below.
-                }
-                let _ = (t, op, from);
                 *outstanding.entry((*stack, *service)).or_insert(0) += 1;
             }
             TraceEvent::ReleasedCall { stack, service, .. } => {

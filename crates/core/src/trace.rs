@@ -240,7 +240,7 @@ const _: () = assert!(std::mem::size_of::<TraceLog>() == 8);
 /// 4096, 160 KiB — several broadcasts' worth of steps on the paper's
 /// testbed, for diagnosis and for tests that read calls over a short
 /// window. Older ones live on in the digest and in [`TraceLog::dropped`].
-const TAIL: usize = 4096;
+pub const TAIL: usize = 4096;
 
 /// A time-stamped trace of [`TraceEvent`]s, ordered by push time.
 ///
@@ -329,28 +329,28 @@ impl Kept {
         kept
     }
 
-    /// Stable sort by time (only hand-built logs ever need it).
-    fn sort(&mut self) {
-        let (chain, dropped) = (self.chain, self.dropped());
-        let mut all: Vec<Entry> = std::mem::take(self).into_entries().collect();
-        all.sort_by_key(|(t, _)| *t);
-        *self = Kept::rebuilt(chain, dropped, all.into_iter());
-    }
-
-    /// Merge the time-ordered `other` in (its chain is already joined).
-    fn merge_sorted(&mut self, other: &Kept) {
-        if self.unsorted {
-            self.sort();
-        }
+    /// Merge `other`'s entries in (its chain is already joined): one
+    /// streaming pass when both sides are in time order; a stable sort
+    /// of the concatenation otherwise — the same thing, since a stable
+    /// sort of a concatenation is the stable merge of its stably sorted
+    /// halves.
+    fn merge_entries(&mut self, other: &Kept) {
         let (chain, dropped) = (self.chain, self.dropped() + other.dropped());
+        let in_order = !self.unsorted && !other.unsorted;
         let mut mine = std::mem::take(self).into_entries().peekable();
-        let mut theirs = other.entries().peekable();
-        let merged = std::iter::from_fn(|| match (mine.peek(), theirs.peek()) {
-            (Some(a), Some(b)) if b.0 < a.0 => theirs.next().cloned(),
-            (Some(_), _) => mine.next(),
-            (None, _) => theirs.next().cloned(),
-        });
-        *self = Kept::rebuilt(chain, dropped, merged);
+        let mut theirs = other.entries().cloned().peekable();
+        *self = if in_order {
+            let merged = std::iter::from_fn(|| match (mine.peek(), theirs.peek()) {
+                (Some(a), Some(b)) if b.0 < a.0 => theirs.next(),
+                (Some(_), _) => mine.next(),
+                (None, _) => theirs.next(),
+            });
+            Kept::rebuilt(chain, dropped, merged)
+        } else {
+            let mut all: Vec<Entry> = mine.chain(theirs).collect();
+            all.sort_by_key(|(t, _)| *t);
+            Kept::rebuilt(chain, dropped, all.into_iter())
+        };
     }
 }
 
@@ -418,22 +418,14 @@ impl TraceLog {
     /// result is ordered by time, preserving push order for equal times
     /// (and this log's entries before `other`'s); its chain is this
     /// log's joined by `other`'s, and its tail the last [`TAIL`] dispatch
-    /// entries of the merged stream.
-    ///
-    /// A stable sort of a concatenation is the stable merge of its two
-    /// stably sorted halves, so two time-ordered logs — what hosts
-    /// produce — are merged in one streaming pass; an out-of-order side
-    /// is sorted first.
+    /// entries of the merged stream. Two time-ordered logs — what hosts
+    /// produce — are merged in one streaming pass.
     pub fn merge(&mut self, other: &TraceLog) {
         let Some(mine) = self.0.as_deref_mut() else { return };
         mine.chain.join(other.0.as_ref().map_or(Chain::default(), |kept| kept.chain));
-        let Some(theirs) = other.0.as_deref() else { return };
-        if theirs.unsorted {
-            let mut sorted = theirs.clone();
-            sorted.sort();
-            return mine.merge_sorted(&sorted);
+        if let Some(theirs) = other.0.as_deref() {
+            mine.merge_entries(theirs);
         }
-        mine.merge_sorted(theirs);
     }
 
     /// The digest of every entry pushed, folded at `push` from the

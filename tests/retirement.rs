@@ -69,18 +69,20 @@ fn assert_nothing_destroyed_while_bound_anywhere(trace: &TraceLog, stacks: &[Sta
     }
 }
 
-/// One stack hears everything 100 ms late (its outbound links are
+/// One stack hears everything `lag` late (its outbound links are
 /// healthy) while the group replaces `spec(0)` by `spec(1)` by `spec(2)`
 /// in quick succession: the others finish both replacements before the
-/// laggard has applied the first. (Not later than that: from 150 ms on,
-/// ct loses the laggard for good — new-protocol traffic that reaches a
-/// stack ahead of its own switch is dropped, retirement or no
-/// retirement; see ROADMAP.)
-fn laggard_across_two_replacements(spec: fn(u64) -> ModuleSpec, seed: u64) {
+/// laggard has applied the first. The four variants run at 100 ms, ct at
+/// 150 ms too. Far enough behind (seeds 61–66: from 270 ms on) ct loses
+/// the laggard for good — new-protocol traffic that reaches a stack ahead
+/// of its own switch is dropped, retirement or no retirement — which the
+/// `#[ignore]`d 300 ms case below keeps on record until ROADMAP item 1(a)
+/// fixes it.
+fn laggard_across_two_replacements(spec: fn(u64) -> ModuleSpec, seed: u64, lag: Dur) {
     const N: u32 = 4;
     let laggard = StackId(N - 1);
     let mut topology = Topology::flat(NetConfig::lan());
-    let held_back = NetConfig { latency: Dur::millis(100), jitter: Dur::ZERO, ..NetConfig::lan() };
+    let held_back = NetConfig { latency: lag, jitter: Dur::ZERO, ..NetConfig::lan() };
     for src in 0..N - 1 {
         topology.set_link(StackId(src), laggard, held_back.clone());
     }
@@ -141,22 +143,37 @@ fn laggard_across_two_replacements(spec: fn(u64) -> ModuleSpec, seed: u64) {
 
 #[test]
 fn laggard_keeps_outgoing_ct_alive_everywhere() {
-    laggard_across_two_replacements(specs::ct, 61);
+    laggard_across_two_replacements(specs::ct, 61, Dur::millis(100));
+}
+
+/// ROADMAP item 1 recorded 4–9 messages lost here when `rp2p` still
+/// resent by timer and datagrams fanned out to every user of the service
+/// (before PRs 19 and 20); at today's event order nothing is, for seeds
+/// 61–66 and every lag up to 260 ms, so this is a plain regression test.
+#[test]
+fn laggard_150ms_behind_loses_nothing_under_ct() {
+    laggard_across_two_replacements(specs::ct, 61, Dur::millis(150));
+}
+
+#[test]
+#[ignore = "ROADMAP item 1(a): frames for incarnation sn+k that arrive before the local switch are dropped"]
+fn laggard_300ms_behind_loses_nothing_under_ct() {
+    laggard_across_two_replacements(specs::ct, 61, Dur::millis(300));
 }
 
 #[test]
 fn laggard_keeps_outgoing_seq_alive_everywhere() {
-    laggard_across_two_replacements(specs::seq, 62);
+    laggard_across_two_replacements(specs::seq, 62, Dur::millis(100));
 }
 
 #[test]
 fn laggard_keeps_outgoing_ring_alive_everywhere() {
-    laggard_across_two_replacements(specs::ring, 63);
+    laggard_across_two_replacements(specs::ring, 63, Dur::millis(100));
 }
 
 #[test]
 fn laggard_keeps_outgoing_hier_alive_everywhere() {
-    laggard_across_two_replacements(specs::hier, 64);
+    laggard_across_two_replacements(specs::hier, 64, Dur::millis(100));
 }
 
 #[test]

@@ -6,7 +6,9 @@
 //! (`dpu_sim::par`).
 //!
 //! Asserts the uniform total order (and the other three atomic broadcast
-//! properties of §5.1) on *every* stack across the mid-load switch.
+//! properties of §5.1) on *every* stack across the mid-load switch, and —
+//! the trace is on — the §3 properties on every stack's binds, unbinds
+//! and module lifetimes.
 //!
 //! Under `--release` (the CI configuration) this runs the full 1024
 //! stacks on a worker pool sized to the machine; debug builds run a
@@ -17,13 +19,13 @@
 //! dedicated CI step (`cargo test --release -- --ignored`).
 
 use dpu::repl::builder::{
-    drive_poisson, group_sim, request_change, specs, GroupStackOpts, SwitchLayer,
+    check_run, drive_poisson, group_sim, request_change, specs, GroupStackOpts, SwitchLayer,
 };
 use dpu::sim::{NetConfig, SimConfig};
-use dpu_core::abcast_check::AbcastChecker;
-use dpu_core::probe::Probe;
+use dpu_core::props;
 use dpu_core::time::{Dur, Time};
 use dpu_core::{ServiceId, StackId};
+use dpu_protocols::abcast::sequencer::KIND as SEQ_KIND;
 
 /// Worker pool for the release soaks: up to 4, bounded by the machine
 /// (a single-core host runs the identical schedule on one thread).
@@ -37,10 +39,12 @@ fn live_switch_soak(n: u32, rate: f64, workers: usize) {
     // engine's lookahead window.
     let mut cfg =
         SimConfig::clustered(n, 20_241_024, n / 16, NetConfig::datacenter(), NetConfig::lan());
-    cfg.trace = false; // probe records carry the assertions; traces would be GBs
-                       // Modern cores, not the paper's Pentium III: with the default
-                       // calibration the sequencer's 1024-way fan-out would cost ~82 ms of
-                       // modeled CPU per broadcast and saturate at ~12 msg/s.
+    // The trace stays on: a stack keeps its binds and module lifetimes
+    // and a fixed 160 KiB tail of calls, so 1024 traced stacks cost
+    // ≈ 170 MB, not the gigabytes an entry per dispatch step did.
+    // Modern cores, not the paper's Pentium III: with the default
+    // calibration the sequencer's 1024-way fan-out would cost ~82 ms of
+    // modeled CPU per broadcast and saturate at ~12 msg/s.
     cfg.cpu = dpu::sim::CpuConfig::fast();
     cfg.workers = workers;
     // The sequencer's n-way fan-out costs single-digit milliseconds of
@@ -79,23 +83,18 @@ fn live_switch_soak(n: u32, rate: f64, workers: usize) {
     });
     sim.run_until(load_end + Dur::secs(3 * scale));
 
-    // Collect probe records and check the four §5.1 properties —
-    // uniform total order on every one of the n stacks included.
-    let probe = h.probe.expect("probe installed");
-    let mut checker = AbcastChecker::new(sim.stack_ids());
-    for id in sim.stack_ids() {
-        let (sent, delivered) = sim.with_stack(id, |s| {
-            s.with_module::<Probe, _>(probe, |p| (p.sent().to_vec(), p.delivered().to_vec()))
-                .expect("probe present")
-        });
-        for (msg, t) in sent {
-            checker.record_broadcast(msg, id, t);
-        }
-        for rec in delivered {
-            checker.record_delivery(rec.msg, id, rec.delivered_at);
-        }
-    }
-    checker.assert_ok();
+    // Collect probe records and traces and check the four §5.1
+    // properties — uniform total order on every one of the n stacks
+    // included — and the §3 properties on every one of them too: no call
+    // blocked for good, and whenever a stack bound a sequencer module
+    // every other stack had, or came to have, one.
+    let report = check_run(&mut sim, &h);
+    report.assert_ok();
+    assert!(report.trace.pushed() > 1000 * u64::from(n), "the trace must have been on");
+    let operationable =
+        props::check_protocol_operationability(&report.trace, SEQ_KIND, &sim.stack_ids());
+    assert!(operationable.weak, "{:?}", operationable.violations);
+    let checker = report.checker;
 
     let sent = checker.broadcast_count();
     assert!(sent > 100, "Poisson load too thin: {sent} broadcasts");
@@ -108,7 +107,7 @@ fn live_switch_soak(n: u32, rate: f64, workers: usize) {
     let abcast_svc = ServiceId::new("abcast");
     for id in sim.stack_ids() {
         let bound = sim.stack(id).bound(&abcast_svc).expect("abcast bound");
-        assert_eq!(sim.stack(id).module_kind(bound), Some("abcast.seq"), "{id}");
+        assert_eq!(sim.stack(id).module_kind(bound), Some(SEQ_KIND), "{id}");
         assert_ne!(bound, h.abcast, "{id} still runs the pre-switch module");
     }
 
