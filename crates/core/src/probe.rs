@@ -301,7 +301,7 @@ mod tests {
                 p.order_head()
             })
             .unwrap();
-        assert_eq!((head, head.len), (expected, 1));
+        assert_eq!(head, expected);
     }
 
     #[test]

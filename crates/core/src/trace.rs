@@ -187,6 +187,12 @@ fn name_word(name: &str) -> u64 {
 }
 
 impl TraceEvent {
+    /// A call or a response — one per dispatch step — as opposed to the
+    /// structural events the property checkers read.
+    fn is_dispatch(&self) -> bool {
+        matches!(self, TraceEvent::Call { .. } | TraceEvent::Response { .. })
+    }
+
     /// The entry as the fixed-width item a [`Chain`] folds: time, then
     /// variant, op and stack in one word, service (or kind) name, and the
     /// two remaining fields.
@@ -301,7 +307,7 @@ impl Kept {
     fn append(&mut self, entry: Entry) {
         self.unsorted |= entry.0 < self.last;
         self.last = entry.0;
-        if matches!(entry.1, TraceEvent::Call { .. } | TraceEvent::Response { .. }) {
+        if entry.1.is_dispatch() {
             if self.tail.len() >= TAIL {
                 self.tail.pop_front();
             }
@@ -473,10 +479,6 @@ mod tests {
         }
     }
 
-    fn is_dispatch(ev: &TraceEvent) -> bool {
-        matches!(ev, TraceEvent::Call { .. } | TraceEvent::Response { .. })
-    }
-
     #[test]
     fn push_and_query() {
         let mut log = TraceLog::new();
@@ -486,7 +488,7 @@ mod tests {
         assert_eq!((log.pushed(), log.dropped()), (3, 0));
         let times: Vec<Time> = log.events().map(|(t, _)| *t).collect();
         assert_eq!(times, vec![Time(1), Time(2), Time(2)]);
-        assert!(is_dispatch(&log.events().nth(1).unwrap().1), "events come in push order");
+        assert!(log.events().nth(1).unwrap().1.is_dispatch(), "events come in push order");
         let taken = log.take();
         assert_eq!((taken.pushed(), log.pushed()), (3, 0));
         assert!(log.is_enabled() && log.events().next().is_none());
@@ -527,13 +529,13 @@ mod tests {
         }
 
         fn dropped(&self) -> usize {
-            self.0.iter().filter(|(_, e)| is_dispatch(e)).count().saturating_sub(TAIL)
+            self.0.iter().filter(|(_, e)| e.is_dispatch()).count().saturating_sub(TAIL)
         }
 
         fn retained(&self) -> impl Iterator<Item = &(Time, TraceEvent)> {
             let mut skip = self.dropped();
             self.0.iter().filter(move |(_, e)| {
-                let gone = is_dispatch(e) && skip > 0;
+                let gone = e.is_dispatch() && skip > 0;
                 skip -= usize::from(gone);
                 !gone
             })
@@ -575,7 +577,7 @@ mod tests {
         assert!(log.events().eq(model.retained()), "iteration differs at {}", log.pushed());
         // Pays for the structural entries (a doubling vector of them)
         // and a tail that has stopped growing — not for what it dropped.
-        let structural = model.0.iter().filter(|(_, e)| !is_dispatch(e)).count();
+        let structural = model.0.iter().filter(|(_, e)| !e.is_dispatch()).count();
         let bound = std::mem::size_of::<Kept>()
             + (2 * structural + 4) * std::mem::size_of::<(u64, Entry)>()
             + TAIL * std::mem::size_of::<Entry>();

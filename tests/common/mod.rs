@@ -105,8 +105,9 @@ pub fn live_switch_scenario<H: Host>(
 /// The `fig5-ct-sim` inputs of the benchmark, shortened to 3 s: n = 7
 /// Figure-4 stacks, Repl over `abcast.ct`, zero loss, seed 42, advanced
 /// through a 500 ms warm-up by `warm_up` (`Sim::run_until`, or a caller's
-/// loop that reads the trace on the way); then scheduled, not yet run: 150 msg/s round-robin until
-/// the returned time, and a ct → ct replacement after 1 s and after 2 s.
+/// loop that reads the trace on the way); then scheduled, not yet run:
+/// 150 msg/s round-robin until the returned time, and a ct → ct
+/// replacement after 1 s and after 2 s.
 pub fn paper_testbed_3s(mut warm_up: impl FnMut(&mut Sim, Time)) -> (Sim, Handles, Time) {
     let opts = GroupStackOpts {
         abcast: specs::ct(0),
