@@ -67,10 +67,16 @@ pub use trace::{Chain, TraceEvent, TraceLog};
 /// Well-known service names used across the workspace.
 pub mod svc {
     /// The raw network service provided by the host environment (the
-    /// paper's "Net" at the bottom of Figure 1/4). Calls on it become
-    /// [`crate::HostAction::NetSend`]; packet arrivals come back as
-    /// responses on it.
+    /// paper's "Net" at the bottom of Figure 1). Calls on it become
+    /// [`crate::HostAction::NetSend`]; on a stack with no module bound to
+    /// [`UDP`], packet arrivals come back as responses on it.
     pub const NET: &str = "net";
+
+    /// The unreliable datagram service (the paper's "UDP", the bottom of
+    /// Figure 4). Named here because the stack's edge asks the module
+    /// bound to it what an arriving datagram is
+    /// ([`crate::Module::on_packet`]); the module itself is `dpu-net`'s.
+    pub const UDP: &str = "udp";
 
     /// Naming convention for the indirection interface introduced by a
     /// replacement module: callers of service `p` are rewired to `r-p`

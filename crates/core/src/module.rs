@@ -1,9 +1,9 @@
 //! The [`Module`] trait and the two kinds of inter-module interaction:
 //! service [`Call`]s and [`Response`]s (paper §2, Figure 2).
 
-use crate::ids::{ModuleId, ServiceId};
+use crate::ids::{ModuleId, ServiceId, StackId};
 use crate::stack::ModuleCtx;
-use crate::wire::{Decode, Encode, WireResult};
+use crate::wire::{Decode, Encode, WireResult, WireScratch};
 use bytes::{Bytes, BytesMut};
 use std::any::Any;
 
@@ -110,6 +110,27 @@ pub trait Module: Any + Send {
     /// reaches it with every channel).
     fn listens_on(&self, service: &ServiceId) -> Option<u16> {
         let _ = service;
+        None
+    }
+
+    /// The edge's question to the module bound to [`crate::svc::UDP`],
+    /// asked by [`crate::Stack::packet_in`] of every arriving datagram
+    /// before anything is queued: parse the header `frame` carries and
+    /// return `(channel, op, data)`, which the stack issues as this
+    /// module's response on that service and channel — so the first
+    /// module *stepped* for a packet is the one listening on its channel.
+    /// The frame's layout stays with the module that owns it; the stack
+    /// reads none of it. `None` — the default, and what a module answers
+    /// for a frame it refuses (and counts) — leaves the datagram to the
+    /// `net` service, where on a stack built over `udp` nobody listens.
+    /// `frame` is untrusted wire input.
+    fn on_packet(
+        &mut self,
+        src: StackId,
+        frame: &Bytes,
+        scratch: &mut WireScratch,
+    ) -> Option<(u16, Op, Bytes)> {
+        let _ = (src, frame, scratch);
         None
     }
 

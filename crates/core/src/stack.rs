@@ -302,9 +302,18 @@ fn net_service() -> &'static ServiceId {
     NET.get_or_init(|| ServiceId::new(crate::svc::NET))
 }
 
-/// The built-in module bound to the `net` service: it turns `net.SEND`
-/// calls into [`HostAction::NetSend`]. Packet arrivals are injected by the
-/// host via [`Stack::packet_in`] and fan out as `net.RECV` responses.
+/// The `udp` service id, interned once for the same reason.
+fn udp_service() -> &'static ServiceId {
+    static UDP: OnceLock<ServiceId> = OnceLock::new();
+    UDP.get_or_init(|| ServiceId::new(crate::svc::UDP))
+}
+
+/// The built-in module bound to the `net` service, for stacks with no
+/// `udp` module (test sinks, load generators, ping-pong probes): it turns
+/// `net.SEND` calls into [`HostAction::NetSend`], and [`Stack::packet_in`]
+/// fans arrivals out as `net.RECV` responses in its name. A stack built
+/// over `udp` never steps it — `udp` sends with [`ModuleCtx::net_send`]
+/// and the edge responds on `udp` directly.
 struct NetBridge;
 
 impl Module for NetBridge {
@@ -654,7 +663,13 @@ impl Stack {
         );
     }
 
-    /// Inject a datagram arrival from the network. Fans out as a
+    /// Inject a datagram arrival from the network — the one edge every
+    /// host delivers through. The header is read once, here: the module
+    /// bound to `udp` says which channel the datagram is for
+    /// ([`Module::on_packet`]) and the stack responds on `udp` and that
+    /// channel in its name, without stepping it, so the first module
+    /// dispatched is the one listening there. With no module bound to
+    /// `udp`, or a datagram it does not take, the arrival fans out as a
     /// `net.RECV` response to every module requiring the `net` service.
     pub fn packet_in(&mut self, now: Time, src: StackId, payload: Bytes) {
         if self.crashed {
@@ -664,6 +679,17 @@ impl Stack {
         // Sample scratch-pool pressure once per arriving packet — off the
         // encode hot path, frequent enough to catch retention spikes.
         self.telemetry.record_scratch_occupancy(self.scratch.mem_bytes() as u64);
+        let udp = *udp_service();
+        if let Some(&from) = self.bindings.get(&udp) {
+            if let Some(module) = self.modules.get_mut(&from).and_then(|s| s.module.as_mut()) {
+                if let Some((channel, op, data)) =
+                    module.on_packet(src, &payload, &mut self.scratch)
+                {
+                    self.enqueue_response(Response { service: udp, op, data, from }, Some(channel));
+                    return;
+                }
+            }
+        }
         let data = self.scratch.encode(&(src, payload));
         self.enqueue_response(
             Response { service: *net_service(), op: net_ops::RECV, data, from: self.net_bridge },
@@ -1052,9 +1078,13 @@ impl ModuleCtx<'_> {
         self.stack.next_rand()
     }
 
-    /// Low-level escape hatch used by the built-in net bridge: emit a raw
-    /// network send. Protocol modules should call the `net` service
-    /// instead so the send is visible as a service interaction.
+    /// Put a datagram on the wire: the host transmits `payload` to stack
+    /// `dst` as it is ([`HostAction::NetSend`]). This is how the bottom of
+    /// a stack sends — `udp` calls it once per datagram, and so does the
+    /// built-in `net` bridge for stacks without one. A protocol module
+    /// above the bottom calls `udp` (or `rp2p`) instead, so that its send
+    /// is a service interaction the trace sees and a replacement can
+    /// intercept.
     pub fn net_send(&mut self, dst: StackId, payload: Bytes) {
         self.stack.actions.push(HostAction::NetSend { dst, payload });
     }
@@ -1224,6 +1254,88 @@ mod tests {
         run_until_idle(&mut stack);
         let got = stack.with_module::<NetUser, _>(user, |u| u.got.clone()).unwrap();
         assert_eq!(got, vec![(StackId(1), Bytes::from_static(b"pkt"))]);
+    }
+
+    /// The edge asks the module bound to `udp` what a datagram is and
+    /// responds on `udp` in its name without stepping it; what that module
+    /// does not take goes to the `net` requirers as on a stack without one.
+    #[test]
+    fn packet_in_asks_the_module_bound_to_udp_first() {
+        /// Takes frames whose first byte is a channel < 0x80; hands the
+        /// rest up on that channel.
+        struct Bottom;
+        impl Module for Bottom {
+            fn kind(&self) -> &str {
+                "bottom"
+            }
+            fn provides(&self) -> Vec<ServiceId> {
+                vec![ServiceId::new(crate::svc::UDP)]
+            }
+            fn requires(&self) -> Vec<ServiceId> {
+                Vec::new()
+            }
+            fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
+            fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
+            fn on_packet(
+                &mut self,
+                _src: StackId,
+                frame: &Bytes,
+                _scratch: &mut WireScratch,
+            ) -> Option<(u16, Op, Bytes)> {
+                let channel = *frame.first().filter(|c| **c < 0x80)?;
+                Some((u16::from(channel), 9, frame.slice(1..)))
+            }
+        }
+        /// Requires `udp` (on channel 3 only) and `net`; records both.
+        struct Listener {
+            got: Vec<(ServiceId, Op, Bytes)>,
+        }
+        impl Module for Listener {
+            fn kind(&self) -> &str {
+                "listener"
+            }
+            fn provides(&self) -> Vec<ServiceId> {
+                Vec::new()
+            }
+            fn requires(&self) -> Vec<ServiceId> {
+                vec![ServiceId::new(crate::svc::UDP), ServiceId::new(crate::svc::NET)]
+            }
+            fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+                (service.name() == crate::svc::UDP).then_some(3)
+            }
+            fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
+            fn on_response(&mut self, _: &mut ModuleCtx<'_>, resp: Response) {
+                self.got.push((resp.service, resp.op, resp.data));
+            }
+        }
+        let mut stack = new_stack();
+        let bottom = stack.add_module(Box::new(Bottom));
+        let listener = stack.add_module(Box::new(Listener { got: vec![] }));
+        run_until_idle(&mut stack); // the `on_start`s
+        let (udp, net) = (ServiceId::new(crate::svc::UDP), ServiceId::new(crate::svc::NET));
+
+        // Nothing bound to `udp` yet: the `net` path.
+        stack.packet_in(Time(1), StackId(1), Bytes::from_static(b"\x03abc"));
+        stack.bind(&udp, bottom);
+        // Taken, on the listener's channel; taken, on another; not taken.
+        stack.packet_in(Time(2), StackId(1), Bytes::from_static(b"\x03abc"));
+        stack.packet_in(Time(3), StackId(1), Bytes::from_static(b"\x04abc"));
+        stack.packet_in(Time(4), StackId(1), Bytes::from_static(b"\xffabc"));
+        let mut stepped = Vec::new();
+        while let Some(info) = stack.step(Time(5)) {
+            stepped.push(info.module);
+        }
+        assert_eq!(stepped, vec![listener; 3], "`bottom` answers the edge, it is never stepped");
+        let got = stack.with_module::<Listener, _>(listener, |l| l.got.clone()).unwrap();
+        let raw = |frame: &'static [u8]| (StackId(1), Bytes::from_static(frame)).to_bytes();
+        assert_eq!(
+            got,
+            vec![
+                (net, net_ops::RECV, raw(b"\x03abc")),
+                (udp, 9, Bytes::from_static(b"abc")),
+                (net, net_ops::RECV, raw(b"\xffabc")),
+            ]
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod sockframe;
 pub mod udp;
 
 /// Service name of the unreliable datagram service.
-pub const UDP_SVC: &str = "udp";
+pub const UDP_SVC: &str = dpu_core::svc::UDP;
 /// Service name of the reliable point-to-point service.
 pub const RP2P_SVC: &str = "rp2p";
 /// Service name of the MTU fragmentation service (same datagram

