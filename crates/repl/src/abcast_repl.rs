@@ -272,6 +272,7 @@ pub struct ReplAbcastModule {
     retired_total: u32,
     // ---- instrumentation (not part of the algorithm) ----
     reissued_total: u64,
+    ahead_dropped: u64,
     switch_times: Vec<Time>,
 }
 
@@ -284,6 +285,7 @@ impl ReplAbcastModule {
             heard: HeardSet::default(),
             retired_total: 0,
             reissued_total: 0,
+            ahead_dropped: 0,
             switch_times: Vec::new(),
         }
     }
@@ -320,6 +322,13 @@ impl ReplAbcastModule {
         self.reissued_total
     }
 
+    /// Payloads adelivered here under a `seqNumber` *higher* than this
+    /// stack's own and discarded by the `sn` guards of lines 10 and 18:
+    /// traffic of a newer protocol that overtook the local switch.
+    pub fn ahead_dropped(&self) -> u64 {
+        self.ahead_dropped
+    }
+
     /// Change requests made on this stack and dropped because it could
     /// not have built the requested protocol itself.
     pub fn refused_changes(&self) -> u64 {
@@ -331,6 +340,15 @@ impl ReplAbcastModule {
     /// old modules" is the max of the k-th entry across stacks.
     pub fn switch_times(&self) -> &[Time] {
         &self.switch_times
+    }
+
+    /// The `sn` guard of lines 10 and 18. The listing discards whatever
+    /// is not of the current protocol as "older"; a payload of a *newer*
+    /// one, adelivered ahead of the local switch, fails the same test and
+    /// is counted apart — nothing re-sends it.
+    fn is_current(&mut self, sn: u64) -> bool {
+        self.ahead_dropped += u64::from(sn > self.core.seq_number);
+        sn == self.core.seq_number
     }
 
     /// Every member has been heard under the current `seqNumber`, so no
@@ -367,7 +385,7 @@ impl Module for ReplAbcastModule {
         match payload {
             // Lines 10–16: Adeliver(newABcast, sn, prot).
             ReplPayload::NewAbcast { sn, spec } => {
-                if sn != self.core.seq_number {
+                if !self.is_current(sn) {
                     return; // stale switch request from an old protocol
                 }
                 // The outgoing provider joins the pending list and nobody
@@ -384,7 +402,7 @@ impl Module for ReplAbcastModule {
             }
             // Lines 17–21: Adeliver(nil, sn, m).
             ReplPayload::Nil { sn, id, data } => {
-                if sn != self.core.seq_number {
+                if !self.is_current(sn) {
                     return; // line 18: message of an older protocol
                 }
                 // `id.0` has a message tagged with the current `seqNumber`
