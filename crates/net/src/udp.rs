@@ -9,18 +9,18 @@
 //! datagrams may be lost, duplicated or reordered; whatever arrives is
 //! handed up unchanged.
 
-use crate::dgram::{self, Dgram};
+use crate::dgram;
 use bytes::{BufMut, Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
-use dpu_core::wire::{self, Encode, WireScratch};
+use dpu_core::wire::{self, Decode, Encode, WireScratch};
 use dpu_core::{Call, Module, ModuleSpec, Op, Response, ServiceId, StackId};
 
 /// Module kind name, for factory registration.
 pub const KIND: &str = "udp";
 
 /// The UDP module: translates between the `udp` service interface
-/// ([`Dgram`] payloads) and the `(channel, data)` frames that cross the
-/// wire, counting malformed inbound frames it drops. A [`Dgram`] encodes
+/// ([`dgram::Dgram`] payloads) and the `(channel, data)` frames that cross
+/// the wire, counting malformed inbound frames it drops. A `Dgram` encodes
 /// as `peer ++ frame`, so neither direction re-encodes the frame.
 pub struct UdpModule {
     udp_svc: ServiceId,
@@ -53,8 +53,14 @@ impl Default for UdpModule {
     }
 }
 
-/// A received [`Dgram`], written in one pass: the source followed by the
-/// frame's bytes exactly as they arrived.
+/// The channel of a `(channel, data)` frame — the part of a
+/// [`dgram::Dgram`] that crosses the wire — if the frame decodes whole.
+fn channel_of(frame: &Bytes) -> Option<u16> {
+    wire::from_bytes::<(u16, Bytes)>(frame).ok().map(|(channel, _data)| channel)
+}
+
+/// A received [`dgram::Dgram`], written in one pass: the source followed
+/// by the frame's bytes exactly as they arrived.
 struct Arrived<'a> {
     src: StackId,
     frame: &'a [u8],
@@ -87,10 +93,13 @@ impl Module for UdpModule {
         if call.op != dgram::SEND {
             return;
         }
-        let Ok(d) = call.decode::<Dgram>() else { return };
         // The frame is what follows the destination in the caller's own
-        // bytes: forwarded, not rebuilt.
-        ctx.net_send(d.peer, call.data.slice(d.peer.encoded_len()..));
+        // bytes: checked, then forwarded as it is, not rebuilt.
+        let mut frame = call.data;
+        let Ok(dst) = StackId::decode(&mut frame) else { return };
+        if channel_of(&frame).is_some() {
+            ctx.net_send(dst, frame);
+        }
     }
 
     fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
@@ -103,7 +112,7 @@ impl Module for UdpModule {
     ) -> Option<(u16, Op, Bytes)> {
         // Untrusted wire input: a frame that does not decode whole is
         // dropped and counted, never unwrapped.
-        let Ok((channel, _data)) = wire::from_bytes::<(u16, Bytes)>(frame) else {
+        let Some(channel) = channel_of(frame) else {
             self.malformed_dropped += 1;
             return None;
         };
@@ -114,6 +123,7 @@ impl Module for UdpModule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dgram::Dgram;
     use dpu_core::stack::{FactoryRegistry, HostAction, Stack, StackConfig};
     use dpu_core::time::Time;
 
