@@ -680,15 +680,13 @@ impl Stack {
         // encode hot path, frequent enough to catch retention spikes.
         self.telemetry.record_scratch_occupancy(self.scratch.mem_bytes() as u64);
         let udp = *udp_service();
-        if let Some(&from) = self.bindings.get(&udp) {
-            if let Some(module) = self.modules.get_mut(&from).and_then(|s| s.module.as_mut()) {
-                if let Some((channel, op, data)) =
-                    module.on_packet(src, &payload, &mut self.scratch)
-                {
-                    self.enqueue_response(Response { service: udp, op, data, from }, Some(channel));
-                    return;
-                }
-            }
+        let taken = self.bindings.get(&udp).and_then(|&from| {
+            let module = self.modules.get_mut(&from)?.module.as_mut()?;
+            let (channel, op, data) = module.on_packet(src, &payload, &mut self.scratch)?;
+            Some((Response { service: udp, op, data, from }, channel))
+        });
+        if let Some((resp, channel)) = taken {
+            return self.enqueue_response(resp, Some(channel));
         }
         let data = self.scratch.encode(&(src, payload));
         self.enqueue_response(

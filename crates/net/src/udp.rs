@@ -126,6 +126,7 @@ mod tests {
     use crate::dgram::Dgram;
     use dpu_core::stack::{FactoryRegistry, HostAction, Stack, StackConfig};
     use dpu_core::time::Time;
+    use dpu_core::ModuleId;
 
     /// Records `udp` RECV responses.
     struct UdpSink {
@@ -150,6 +151,15 @@ mod tests {
         }
     }
 
+    /// A stack of a bound [`UdpModule`] and a [`UdpSink`], with their ids.
+    fn udp_stack() -> (Stack, ModuleId, ModuleId) {
+        let mut stack = Stack::new(StackConfig::nth(0, 2, 1), FactoryRegistry::new());
+        let udp = stack.add_module(Box::new(UdpModule::new()));
+        stack.bind(&ServiceId::new(crate::UDP_SVC), udp);
+        let user = stack.add_module(Box::new(UdpSink { got: vec![] }));
+        (stack, udp, user)
+    }
+
     fn run_until_idle(stack: &mut Stack) {
         let mut t = stack.now();
         while stack.step(t).is_some() {
@@ -159,10 +169,7 @@ mod tests {
 
     #[test]
     fn send_produces_net_host_action_with_frame() {
-        let mut stack = Stack::new(StackConfig::nth(0, 2, 1), FactoryRegistry::new());
-        let udp = stack.add_module(Box::new(UdpModule::new()));
-        stack.bind(&ServiceId::new(crate::UDP_SVC), udp);
-        let user = stack.add_module(Box::new(UdpSink { got: vec![] }));
+        let (mut stack, _, user) = udp_stack();
         let d = Dgram { peer: StackId(1), channel: 7, data: Bytes::from_static(b"hello") };
         stack.call_as(user, &ServiceId::new(crate::UDP_SVC), dgram::SEND, wire::to_bytes(&d));
         run_until_idle(&mut stack);
@@ -179,10 +186,7 @@ mod tests {
 
     #[test]
     fn packet_in_surfaces_as_udp_recv() {
-        let mut stack = Stack::new(StackConfig::nth(0, 2, 1), FactoryRegistry::new());
-        let udp = stack.add_module(Box::new(UdpModule::new()));
-        stack.bind(&ServiceId::new(crate::UDP_SVC), udp);
-        let user = stack.add_module(Box::new(UdpSink { got: vec![] }));
+        let (mut stack, _, user) = udp_stack();
         let frame = wire::to_bytes(&(9u16, Bytes::from_static(b"payload")));
         stack.packet_in(Time(5), StackId(1), frame);
         run_until_idle(&mut stack);
@@ -195,10 +199,7 @@ mod tests {
 
     #[test]
     fn malformed_frames_are_dropped() {
-        let mut stack = Stack::new(StackConfig::nth(0, 2, 1), FactoryRegistry::new());
-        let udp = stack.add_module(Box::new(UdpModule::new()));
-        stack.bind(&ServiceId::new(crate::UDP_SVC), udp);
-        let user = stack.add_module(Box::new(UdpSink { got: vec![] }));
+        let (mut stack, udp, user) = udp_stack();
         stack.packet_in(Time(5), StackId(1), Bytes::from_static(&[0xff, 0xff, 0xff]));
         run_until_idle(&mut stack);
         let got = stack.with_module::<UdpSink, _>(user, |u| u.got.clone()).unwrap();
@@ -221,10 +222,7 @@ mod tests {
 
     #[test]
     fn send_forwards_the_callers_bytes_as_the_old_re_encode_built_them() {
-        let mut stack = Stack::new(StackConfig::nth(0, 2, 1), FactoryRegistry::new());
-        let udp = stack.add_module(Box::new(UdpModule::new()));
-        stack.bind(&ServiceId::new(crate::UDP_SVC), udp);
-        let user = stack.add_module(Box::new(UdpSink { got: vec![] }));
+        let (mut stack, _, user) = udp_stack();
         for d in corpus() {
             let data = wire::to_bytes(&d);
             stack.call_as(user, &ServiceId::new(crate::UDP_SVC), dgram::SEND, data);
@@ -240,9 +238,7 @@ mod tests {
 
     #[test]
     fn receive_hands_up_the_dgram_the_old_two_passes_built() {
-        let mut stack = Stack::new(StackConfig::nth(0, 2, 1), FactoryRegistry::new());
-        let udp = stack.add_module(Box::new(UdpModule::new()));
-        stack.bind(&ServiceId::new(crate::UDP_SVC), udp);
+        let (mut stack, udp, _) = udp_stack();
         let mut scratch = WireScratch::new();
         for d in corpus() {
             let frame = wire::to_bytes(&(d.channel, d.data.clone()));
@@ -259,10 +255,7 @@ mod tests {
     fn neither_direction_goes_through_net() {
         use dpu_core::TraceEvent;
         assert!(UdpModule::new().requires().is_empty());
-        let mut stack = Stack::new(StackConfig::nth(0, 2, 1), FactoryRegistry::new());
-        let udp = stack.add_module(Box::new(UdpModule::new()));
-        stack.bind(&ServiceId::new(crate::UDP_SVC), udp);
-        let user = stack.add_module(Box::new(UdpSink { got: vec![] }));
+        let (mut stack, udp, user) = udp_stack();
         run_until_idle(&mut stack); // the three `on_start`s
         let d = Dgram { peer: StackId(1), channel: 7, data: Bytes::from_static(b"hello") };
         stack.call_as(user, &ServiceId::new(crate::UDP_SVC), dgram::SEND, wire::to_bytes(&d));

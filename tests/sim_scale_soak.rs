@@ -90,7 +90,12 @@ fn live_switch_soak(n: u32, rate: f64, workers: usize) {
     // every other stack had, or came to have, one.
     let report = check_run(&mut sim, &h);
     report.assert_ok();
-    assert!(report.trace.pushed() > 1000 * u64::from(n), "the trace must have been on");
+    // An entry per call and per response, so about one per dispatch step
+    // (`1000 * n` stood here and measured how many steps a broadcast
+    // costs: 256 stacks read 219 254 once `udp` was the bottom of the
+    // stack).
+    let (pushed, steps) = (report.trace.pushed(), sim.stats().steps);
+    assert!(pushed > steps / 2, "the trace must have been on: {pushed} entries, {steps} steps");
     let operationable =
         props::check_protocol_operationability(&report.trace, SEQ_KIND, &sim.stack_ids());
     assert!(operationable.weak, "{:?}", operationable.violations);
