@@ -10,7 +10,7 @@
 //! the stack count. A final drop-check asserts the simulation releases
 //! what it allocated — the same counter the churn regression test uses.
 //!
-//! The scenario is the `BENCH_par.json` datagram soak
+//! The scenario is the datagram soak
 //! ([`dpu_bench::synth::datagram_soak_sim`]): n timer-driven `LoadGen`
 //! stacks in 16 datacenter clusters over a WAN backbone. Capacity, not
 //! parallel speedup, is the subject — rows run serial by default
@@ -29,7 +29,8 @@
 
 use dpu_bench::mem::CountingAlloc;
 use dpu_bench::synth::datagram_soak_sim;
-use dpu_bench::JsonWriter;
+use dpu_bench::Args;
+use dpu_core::telemetry::json::JsonWriter;
 use dpu_core::time::{Dur, Time};
 use std::time::Instant;
 
@@ -104,19 +105,10 @@ fn run_row(n: u32, workers: usize, window: Dur) -> Row {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let workers = args
-        .iter()
-        .position(|a| a == "--workers")
-        .map_or(1, |i| args[i + 1].parse().expect("--workers needs a count"));
-    let out = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| {
-            !a.starts_with("--") && args.get(i.wrapping_sub(1)).is_none_or(|p| p != "--workers")
-        })
-        .map_or("BENCH_scale.json", |(_, a)| a.as_str());
+    let args = Args::parse();
+    let quick = args.has("quick");
+    let workers: usize = args.get("workers", 1);
+    let out = args.positional().unwrap_or("BENCH_scale.json");
     let sizes: &[u32] = if quick { &[4096, 262144] } else { &[16384, 65536, 262144, 1_048_576] };
     let window = Dur::millis(50);
     let host_cores = std::thread::available_parallelism().map_or(1, usize::from);

@@ -1,6 +1,6 @@
-//! Experiment drivers shared by the figure binaries and the Criterion
-//! benches: steady-state runs, runs with scheduled replacements, and the
-//! three-way switcher comparison.
+//! Experiment drivers shared by the figure binaries: steady-state runs,
+//! runs with scheduled replacements, and the three-way switcher
+//! comparison.
 
 use crate::stats::{collect_latencies, MsgLatency, Summary};
 use dpu_core::time::{Dur, Time};

@@ -1,18 +1,25 @@
-//! # dpu-bench — the evaluation harness
+//! # dpu-bench — the paper's tables, and the one row nothing else measures
 //!
 //! Regenerates every figure of the paper's §6 evaluation and the measured
-//! version of its §4.2/§5.3 comparison, on the deterministic simulator:
+//! version of its §4.2/§5.3 comparison, on the deterministic simulator.
+//! Every other number this repository commits to is measured by the
+//! whole-system benchmark (`benchmark/`, named by `BENCHMARK.json`); a
+//! binary stays here only if it produces a paper table, is the
+//! two-process demo CI runs, or reports a number the benchmark does not.
 //!
-//! | binary | paper artifact |
+//! | binary | what it produces |
 //! |---|---|
 //! | `fig5` | Figure 5 — ABcast latency vs. time across a replacement (n = 7) |
 //! | `fig6` | Figure 6 — latency vs. load, n ∈ {3, 7}, three series |
 //! | `comparison` | §4.2/§5.3 — Repl vs. Maestro vs. Graceful Adaptation, measured |
+//! | `ablation` | layer cost, coordinator policy and proposal batching, across loads |
 //! | `consensus_switch` | §7 / ref \[16\] — replacing the agreement protocol under load |
 //! | `cross_switch` | switching between *different* ABcast protocols (the paper's motivation) |
+//! | `cross_switch_net` | the Figure-4 switch across two OS processes over loopback UDP |
+//! | `bench_scale` | `BENCH_scale.json` — heap bytes per stack and events/s up to 2²⁰ stacks |
 //!
-//! Criterion micro-benchmarks live in `benches/`. All runs are pure
-//! functions of their seed; `EXPERIMENTS.md` records outputs.
+//! All simulator runs are pure functions of their seed; CI runs every
+//! binary above with `--quick`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,13 +28,6 @@ pub mod experiments;
 pub mod mem;
 pub mod stats;
 pub mod synth;
-
-// The one JSON writer every `BENCH_*.json` emitter uses (re-exported
-// from the telemetry crate, whose reports share the same writer), so
-// the committed baselines stay format-consistent without a serde
-// dependency.
-pub use dpu_core::telemetry::json;
-pub use dpu_core::telemetry::json::JsonWriter;
 
 /// Tiny CLI helper: read `--key value` style options with defaults, plus
 /// a `--quick` switch that the binaries use to shrink sweeps.
@@ -57,6 +57,15 @@ impl Args {
         let flag = format!("--{name}");
         self.raw.iter().any(|a| a == &flag)
     }
+
+    /// The first argument that is neither a `--flag` nor a number (a
+    /// flag's value): the output path of the binaries that write a file.
+    pub fn positional(&self) -> Option<&str> {
+        self.raw
+            .iter()
+            .map(String::as_str)
+            .find(|a| !a.starts_with("--") && a.parse::<f64>().is_err())
+    }
 }
 
 #[cfg(test)]
@@ -68,5 +77,11 @@ mod tests {
         assert_eq!(a.get("load", 100.0f64), 100.0);
         assert!(a.has("quick"));
         assert!(!a.has("slow"));
+        assert_eq!(a.positional(), None);
+        // A path anywhere, and a valued flag that comes last without
+        // its value.
+        let a = super::Args { raw: vec!["--quick".into(), "o.json".into(), "--workers".into()] };
+        assert_eq!(a.positional(), Some("o.json"));
+        assert_eq!(a.get("workers", 1usize), 1);
     }
 }

@@ -1,5 +1,7 @@
-//! [`LoadGen`], the timer-driven datagram soak module of the parallel
-//! (`BENCH_par.json`) and capacity (`BENCH_scale.json`) baselines.
+//! [`LoadGen`], the timer-driven datagram soak module of the capacity
+//! baseline (`BENCH_scale.json`) and of the tests that build the same
+//! soak (`capacity_smoke`, `million_smoke`, `churn_capacity*`,
+//! `par_soak`).
 
 use bytes::Bytes;
 use dpu_core::stack::{net_ops, FactoryRegistry, ModuleCtx};
@@ -8,8 +10,8 @@ use dpu_core::wire::{self, LenPrefixed};
 use dpu_core::{Call, Module, Response, ServiceId, Stack, StackConfig, StackId, TimerId};
 use dpu_sim::{CpuConfig, NetConfig, Sim, SimConfig};
 
-/// splitmix64 step: the benches' deterministic RNG.
-pub fn splitmix(x: &mut u64) -> u64 {
+/// splitmix64 step: the soak's deterministic RNG.
+fn splitmix(x: &mut u64) -> u64 {
     *x = x.wrapping_add(0x9E3779B97F4A7C15);
     let mut z = *x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
@@ -20,29 +22,23 @@ pub fn splitmix(x: &mut u64) -> u64 {
 /// A timer-driven datagram load module for the parallel-engine soak:
 /// every `period`, each node fires `burst` datagrams at deterministic
 /// pseudo-random peers — mostly within its own cluster, occasionally
-/// across the backbone — and counts receipts. Being timer-driven, the
-/// load needs no barrier actions at all, so it measures the parallel
-/// engine's epoch machinery and nothing else; and being uniform over
-/// nodes, the per-cluster work is balanced (the achievable-speedup
-/// ceiling is the worker count, not a hot sequencer).
+/// across the backbone — and stamps the latency of what it receives.
+/// Being timer-driven, the load needs no barrier actions at all, so it
+/// measures the parallel engine's epoch machinery and nothing else; and
+/// being uniform over nodes, the per-cluster work is balanced (the
+/// achievable-speedup ceiling is the worker count, not a hot sequencer).
 pub struct LoadGen {
     period: Dur,
     burst: u32,
     cluster_size: u32,
     rng: u64,
-    received: u64,
 }
 
 impl LoadGen {
     /// One node's generator; `seed` should mix the stack seed and id so
     /// streams differ per node.
     pub fn new(period: Dur, burst: u32, cluster_size: u32, seed: u64) -> LoadGen {
-        LoadGen { period, burst, cluster_size, rng: seed, received: 0 }
-    }
-
-    /// Datagrams this node received.
-    pub fn received(&self) -> u64 {
-        self.received
+        LoadGen { period, burst, cluster_size, rng: seed }
     }
 }
 
@@ -64,7 +60,6 @@ impl Module for LoadGen {
     fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
     fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, resp: Response) {
         if resp.op == net_ops::RECV {
-            self.received += 1;
             // The payload carries its send time (virtual-clock ns):
             // stamp the end-to-end delivery latency (into the shard's
             // lent histogram — the capacity runs are instrumented too).
@@ -108,9 +103,9 @@ impl Module for LoadGen {
     }
 }
 
-/// The datagram-soak simulation of `BENCH_par.json`: `n` [`LoadGen`]
-/// stacks in 16 datacenter clusters joined by a WAN backbone (15 ms of
-/// lookahead), `workers` worker threads. Also the capacity scenario of
+/// The datagram-soak simulation: `n` [`LoadGen`] stacks in 16
+/// datacenter clusters joined by a WAN backbone (15 ms of lookahead),
+/// `workers` worker threads. The capacity scenario of
 /// `BENCH_scale.json`: instrumented like every other run, so its
 /// bytes/stack budget includes telemetry (160 B/stack at rest, the
 /// histograms live in the 16 shards).

@@ -4,8 +4,11 @@
 //! The flat sequencer protocol funnels every broadcast through one
 //! stack: at n = 1024 the sequencer's n-way fan-out makes its cluster
 //! the hot shard of the parallel simulation engine and caps available
-//! parallelism near 2× (see `BENCH_par.json`). This variant
-//! decentralizes the fan-out along the topology:
+//! parallelism — the per-shard event sum over the busiest shard's
+//! count, whose inverse the benchmark reports as `sim.hot_shard_share`
+//! — near 2× of a possible 16. This variant decentralizes the fan-out
+//! along the topology (12.3× where the flat sequencer leaves 2.5×, at
+//! n = 256: `crates/bench/tests/par_soak.rs`):
 //!
 //! * **Local sequencer** — the lowest-id member of each topology
 //!   cluster orders its cluster's broadcasts into a *cluster stream*:

@@ -17,9 +17,7 @@
 //! * [`gm::GmModule`] — group membership (totally ordered views over
 //!   atomic broadcast), optionally auto-excluding suspected members;
 //! * [`rb::RbModule`] — unordered reliable broadcast (relay-on-first-
-//!   delivery dissemination);
-//! * [`omega::OmegaModule`] — Ω eventual leader election over the
-//!   failure detector.
+//!   delivery dissemination).
 //!
 //! ## Service graph
 //!
@@ -52,7 +50,6 @@ pub mod abcast;
 pub mod consensus;
 pub mod fd;
 pub mod gm;
-pub mod omega;
 pub mod rb;
 pub mod testing;
 
@@ -66,8 +63,6 @@ pub const ABCAST_SVC: &str = "abcast";
 pub const GM_SVC: &str = "gm";
 /// Service name of (unordered) reliable broadcast.
 pub const RB_SVC: &str = "rb";
-/// Service name of Ω eventual leader election.
-pub const LEADER_SVC: &str = "leader";
 
 /// RP2P/UDP channel allocation across the workspace (RP2P's own frames
 /// use channel 0; see `dpu_net::rp2p::RP2P_UDP_CHANNEL`).

@@ -157,8 +157,10 @@ impl ActionSink for Wire {
     }
 }
 
-/// Largest datagram the reactor accepts (the UDP maximum; the frag
-/// module keeps real traffic far below this).
+/// Largest datagram the reactor accepts (the UDP maximum). Nothing keeps
+/// a sender below it: no stack contains `dpu_net::frag`, and a larger
+/// frame is refused by `sendto` and counted in `send_errors` above
+/// (`tests/reactor_live.rs`, the 70 000-byte broadcast).
 const RECV_BUF: usize = 64 * 1024;
 
 /// The event-loop thread: a [`LiveShard`] over the UDP transport.

@@ -172,7 +172,6 @@ pub fn registry() -> FactoryRegistry {
     GracefulSwitcher::register(&mut reg);
     GmModule::register(&mut reg);
     dpu_protocols::rb::RbModule::register(&mut reg);
-    dpu_protocols::omega::OmegaModule::register(&mut reg);
     reg
 }
 

@@ -35,9 +35,9 @@
 //! still covers the protocol stack's timer range (rp2p retransmit
 //! 20–100 ms, fd heartbeat/timeout 20/100 ms all live in level 2). The
 //! 128 ns default keeps buckets near-singleton even with half a
-//! million datagrams in flight (the WAN-sustained profile of
-//! `BENCH_sim.json`) and measured best-or-equal across every profile
-//! swept; see `ARCHITECTURE.md` for the sensitivity data.
+//! million datagrams in flight (a WAN-sustained profile) and measured
+//! best-or-equal across every profile swept; see `ARCHITECTURE.md` for
+//! the sensitivity data.
 //!
 //! # Determinism
 //!

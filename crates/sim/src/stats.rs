@@ -60,7 +60,8 @@ pub struct SimStats {
     /// Stack steps dispatched across all nodes.
     pub steps: u64,
     /// Scheduler events dispatched (packets, steps, wakes, crashes,
-    /// actions) — the numerator of the `bench_sim` events/sec metric.
+    /// actions) — the numerator of every events/sec figure (`bench_scale`,
+    /// the benchmark's `sim.events_per_s`).
     /// Includes barrier-time actions, which belong to no shard, so this
     /// can exceed the sum of the per-shard rows.
     pub events: u64,

@@ -1,7 +1,8 @@
 //! Serial-vs-parallel equivalence property test: the conservative
 //! clustered engine must produce *bit-identical* runs — same stats,
-//! same trace fingerprint — whatever the worker count, across random
-//! topologies, seeds, fault settings and scheduler kinds. This is the
+//! same trace fingerprint, same delivery-latency histogram — whatever
+//! the worker count, across random topologies, seeds and fault
+//! settings. This is the
 //! parallel-engine counterpart of `sched_equiv.rs`: event order decides
 //! every RNG draw downstream, so one out-of-order dispatch, one
 //! misordered cross-cluster exchange or one shard-RNG share diverges
@@ -9,8 +10,9 @@
 
 use bytes::Bytes;
 use dpu_core::stack::{net_ops, FactoryRegistry, ModuleCtx};
+use dpu_core::telemetry::HistSummary;
 use dpu_core::time::{Dur, Time};
-use dpu_core::wire::Encode;
+use dpu_core::wire::{self, Encode, LenPrefixed};
 use dpu_core::{Call, Module, Response, ServiceId, Stack, StackConfig, StackId, TimerId};
 use dpu_sim::{NetConfig, Sim, SimConfig, SimStats};
 use proptest::prelude::*;
@@ -24,7 +26,9 @@ fn trace_fingerprint(trace: &dpu_core::TraceLog) -> u64 {
 /// A busy module: periodic timers, rotating sends (half of them across
 /// cluster boundaries, by construction of the rotation), echoes — the
 /// event diversity that exercises intra-epoch processing, the
-/// cross-cluster exchange and stale-wake handling alike.
+/// cross-cluster exchange and stale-wake handling alike. Every datagram
+/// carries its send time and the receiver stamps the latency, so the
+/// shards' telemetry histograms have something to disagree about.
 struct Chatter {
     period: Dur,
     next_peer: u32,
@@ -50,9 +54,13 @@ impl Module for Chatter {
             return;
         }
         self.received += 1;
+        let (src, stamp): (StackId, Bytes) = resp.decode().unwrap();
+        if let Ok(sent_ns) = wire::from_bytes::<u64>(&stamp) {
+            let now_ns = ctx.now().as_nanos();
+            ctx.telemetry().note_delivery(now_ns, now_ns.saturating_sub(sent_ns));
+        }
         if self.received.is_multiple_of(2) {
-            let (src, _): (StackId, Bytes) = resp.decode().unwrap();
-            let reply = (src, Bytes::from_static(b"echo")).to_bytes();
+            let reply = (src, stamp).to_bytes();
             ctx.call(&ServiceId::new(dpu_core::svc::NET), net_ops::SEND, reply);
         }
     }
@@ -62,7 +70,7 @@ impl Module for Chatter {
         let peer = StackId((me + 1 + self.next_peer) % n);
         self.next_peer = (self.next_peer + 1) % n.max(1);
         if peer != ctx.stack_id() {
-            let data = (peer, Bytes::from_static(b"tick")).to_bytes();
+            let data = (peer, LenPrefixed(&ctx.now().as_nanos())).to_bytes();
             ctx.call(&ServiceId::new(dpu_core::svc::NET), net_ops::SEND, data);
         }
         ctx.set_timer(self.period, 1);
@@ -86,7 +94,7 @@ struct Scenario {
     crash: bool,
 }
 
-fn run(sc: &Scenario, workers: usize) -> (SimStats, u64) {
+fn run(sc: &Scenario, workers: usize) -> (SimStats, u64, HistSummary) {
     let intra = NetConfig::lan();
     let backbone = NetConfig {
         latency: Dur::micros(sc.backbone_us),
@@ -104,7 +112,7 @@ fn run(sc: &Scenario, workers: usize) -> (SimStats, u64) {
     sim.run_until(Time::ZERO + Dur::millis(sc.millis));
     let stats = sim.stats();
     let fp = trace_fingerprint(&sim.merged_trace());
-    (stats, fp)
+    (stats, fp, sim.telemetry_report().delivery_latency_ns)
 }
 
 proptest! {
@@ -130,6 +138,7 @@ proptest! {
         let parallel = run(&sc, workers);
         prop_assert_eq!(&serial.0, &parallel.0, "stats diverged");
         prop_assert_eq!(serial.1, parallel.1, "trace fingerprint diverged");
+        prop_assert_eq!(serial.2, parallel.2, "delivery-latency histogram diverged");
     }
 }
 
@@ -227,6 +236,8 @@ proptest! {
         prop_assert_eq!(serial.1, a.1, "fingerprint diverged (workers_a)");
         prop_assert_eq!(&serial.0, &b.0, "stats diverged (workers_b)");
         prop_assert_eq!(serial.1, b.1, "fingerprint diverged (workers_b)");
+        prop_assert_eq!(serial.2, a.2, "delivery-latency histogram diverged (workers_a)");
+        prop_assert_eq!(serial.2, b.2, "delivery-latency histogram diverged (workers_b)");
     }
 }
 

@@ -1,12 +1,12 @@
 //! A minimal pretty-printing JSON writer.
 //!
-//! The repo commits machine-readable benchmark baselines
-//! (`BENCH_*.json`) and telemetry reports; each used to hand-roll its
-//! own `format!` JSON, which meant four slightly different escaping and
-//! indentation dialects. This writer is the single implementation:
-//! two-space indented, keys in call order, comma bookkeeping handled by
-//! a container stack. `dpu_bench::json` re-exports it for the bench
-//! bins; [`crate::TelemetryReport::to_json`] uses it directly.
+//! The repo commits a machine-readable capacity baseline
+//! (`BENCH_scale.json`) and emits telemetry reports; each emitter used to
+//! hand-roll its own `format!` JSON, which meant four slightly different
+//! escaping and indentation dialects. This writer is the single
+//! implementation: two-space indented, keys in call order, comma
+//! bookkeeping handled by a container stack. `bench_scale` and
+//! [`crate::TelemetryReport::to_json`] both use it.
 //!
 //! Not a serializer framework — no derive, no reflection, no
 //! non-finite-float cleverness (non-finite writes `null`). A `raw`

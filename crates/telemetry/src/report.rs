@@ -303,8 +303,7 @@ fn write_hist(w: &mut JsonWriter, key: &str, h: &HistSummary) {
 }
 
 impl TelemetryReport {
-    /// Render the machine-readable form (the shape `BENCH_telemetry.json`
-    /// rows embed).
+    /// Render the machine-readable form.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         self.write_json(&mut w);

@@ -31,8 +31,8 @@
 //!
 //! The other examples (`adaptive_chat`, `replicated_kv`,
 //! `membership_demo`, `live_runtime`) exercise the same stack under
-//! different workloads and hosts; `cargo test -q` and `cargo bench`
-//! run the test suite and the criterion microbenchmarks.
+//! different workloads and hosts; `cargo test -q` runs the test suite,
+//! and the whole-system benchmark in `benchmark/` measures it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,8 +12,10 @@ mod common;
 
 use common::live_switch_scenario;
 use dpu::reactor::{Reactor, ReactorConfig};
-use dpu::repl::builder::{group, specs, GroupStackOpts, SwitchLayer};
+use dpu::repl::builder::{group, send_probe, specs, GroupStackOpts, SwitchLayer};
+use dpu_core::probe::Probe;
 use dpu_core::StackId;
+use std::time::{Duration, Instant};
 
 const N: u32 = 8;
 
@@ -61,4 +63,49 @@ fn live_switch_across_two_reactors_over_loopback_udp() {
     let a_stacks = ra.shutdown();
     let b_stacks = rb.shutdown();
     assert_eq!(a_stacks.len() + b_stacks.len(), N as usize);
+}
+
+/// ROADMAP item 4(c), decided: why `dpu_net::frag` stays although no
+/// stack contains it. A probe of 60 000 bytes is adelivered by all three
+/// stacks with no send error; one of 70 000 by none — `sendto` refuses a
+/// frame over the UDP limit, the reactor counts the refusal as loss, and
+/// `rp2p` resends the same oversize frame for as long as the run lasts.
+/// Passes once `frag` sits under `rp2p` on this host (`Rp2pConfig::lower`
+/// is there for it); until then CI runs it with `continue-on-error`.
+#[test]
+#[ignore = "known failure: nothing fragments a frame over the UDP limit on the reactor"]
+fn a_70_000_byte_broadcast_is_adelivered_everywhere() {
+    let opts = GroupStackOpts {
+        abcast: specs::ct(0),
+        layer: SwitchLayer::Repl,
+        probe_pad: Some(70_000),
+        with_gm: false,
+        extra_defaults: Vec::new(),
+    };
+    let cfg = ReactorConfig::new(3, (0..3).map(StackId).collect());
+    let (r, h) = group(&opts, |mk| Reactor::spawn(cfg, mk));
+    let r = r.expect("spawn reactor");
+    let probe = h.probe.expect("probe");
+    send_probe(&r, StackId(0), &h);
+    let delivered = || {
+        let on = |node| {
+            r.with_stack(StackId(node), move |s| {
+                s.with_module::<Probe, _>(probe, |p| p.order_head().len).expect("probe")
+            })
+        };
+        [on(0), on(1), on(2)]
+    };
+    let deadline = Instant::now() + Duration::from_millis(1500);
+    while delivered() != [1, 1, 1] && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let stats = r.stats();
+    println!(
+        "delivered per stack {:?}; send_errors {} of {} sends",
+        delivered(),
+        stats.send_errors,
+        stats.packets_sent
+    );
+    assert_eq!(delivered(), [1, 1, 1], "the broadcast was not adelivered by every stack");
+    r.shutdown();
 }

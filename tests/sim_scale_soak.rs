@@ -135,8 +135,8 @@ fn thousand_stack_live_switch_under_poisson_load() {
 /// The 4096-stack variant: the parallel engine exercised at 4× the
 /// usual scale. Its value is correctness under a real worker pool —
 /// this scenario's sequencer cluster bounds the speedup at ~2× (see
-/// `BENCH_par.json`) — and at minutes of CPU it only runs in the
-/// dedicated CI step (`--release -- --ignored`).
+/// `crates/protocols/src/abcast/hier.rs`) — and at minutes of CPU it
+/// only runs in the dedicated CI step (`--release -- --ignored`).
 #[test]
 #[ignore = "release-mode CI soak: run with --release -- --ignored"]
 fn four_thousand_stack_live_switch_under_poisson_load() {
