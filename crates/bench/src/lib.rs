@@ -19,7 +19,7 @@
 //! | `bench_scale` | `BENCH_scale.json` — heap bytes per stack and events/s up to 2²⁰ stacks |
 //!
 //! All simulator runs are pure functions of their seed; CI runs every
-//! binary above with `--quick`.
+//! binary above (`--quick` shrinks the sweeps).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,11 +2,10 @@
 //! clustered engine must produce *bit-identical* runs — same stats,
 //! same trace fingerprint, same delivery-latency histogram — whatever
 //! the worker count, across random topologies, seeds and fault
-//! settings. This is the
-//! parallel-engine counterpart of `sched_equiv.rs`: event order decides
-//! every RNG draw downstream, so one out-of-order dispatch, one
-//! misordered cross-cluster exchange or one shard-RNG share diverges
-//! the fingerprint immediately.
+//! settings. This is the parallel-engine counterpart of
+//! `sched_equiv.rs`: event order decides every RNG draw downstream, so
+//! one out-of-order dispatch, one misordered cross-cluster exchange or
+//! one shard-RNG share diverges the fingerprint immediately.
 
 use bytes::Bytes;
 use dpu_core::stack::{net_ops, FactoryRegistry, ModuleCtx};

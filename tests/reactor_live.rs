@@ -99,13 +99,11 @@ fn a_70_000_byte_broadcast_is_adelivered_everywhere() {
     while delivered() != [1, 1, 1] && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
-    let stats = r.stats();
+    let (delivered, stats) = (delivered(), r.stats());
     println!(
-        "delivered per stack {:?}; send_errors {} of {} sends",
-        delivered(),
-        stats.send_errors,
-        stats.packets_sent
+        "delivered per stack {delivered:?}; send_errors {} of {} sends",
+        stats.send_errors, stats.packets_sent
     );
-    assert_eq!(delivered(), [1, 1, 1], "the broadcast was not adelivered by every stack");
     r.shutdown();
+    assert_eq!(delivered, [1, 1, 1], "the broadcast was not adelivered by every stack");
 }
