@@ -2,7 +2,7 @@
 //! (`tests/wire_steady_state.rs` applied to the observability layer).
 //!
 //! Every per-sample operation — histogram record, flight-recorder push,
-//! switch-phase stamp — must be alloc-free once each handle has seen
+//! switch-phase stamp, hold-back count — must be alloc-free once each handle has seen
 //! its first sample and each bounded buffer has reached its bound: a
 //! histogram's bucket block is allocated by its first record and never
 //! again, a flight ring grows with its content up to its capacity, and
@@ -45,6 +45,7 @@ fn record_path_is_allocation_free() {
     t.record_scratch_occupancy(4096);
     t.record_reseq_depth(3);
     t.note_retransmit_exhausted(4_000, 9);
+    t.note_held();
     for k in 0..16 {
         switch(&mut t, 5_000 + k * 10);
     }
@@ -58,6 +59,9 @@ fn record_path_is_allocation_free() {
         t.cascade_end();
         t.record_scratch_occupancy(4096 + (i % 64) * 128);
         t.record_reseq_depth(i % 8);
+        t.note_held();
+        t.note_released(1);
+        t.note_hold_back_dropped();
         if i % 10_000 == 0 {
             // A full switch lifecycle, flight events included, is also
             // on the zero-allocation path.
@@ -73,4 +77,5 @@ fn record_path_is_allocation_free() {
     let state = t.state().expect("telemetry always has state");
     assert!(state.delivery_latency.count() > 100_000, "samples must actually land");
     assert_eq!(state.switches.completed(), 26);
+    assert_eq!(state.hold_back.as_deref().map(|c| c.released), Some(100_000));
 }

@@ -123,7 +123,8 @@ pub trait Module: Any + Send {
     /// reads none of it. `None` — the default, and what a module answers
     /// for a frame it refuses (and counts) — leaves the datagram to the
     /// `net` service, where on a stack built over `udp` nobody listens.
-    /// `frame` is untrusted wire input.
+    /// `frame` is untrusted wire input. The way out is
+    /// [`Module::on_send`].
     fn on_packet(
         &mut self,
         src: StackId,
@@ -131,6 +132,19 @@ pub trait Module: Any + Send {
         scratch: &mut WireScratch,
     ) -> Option<(u16, Op, Bytes)> {
         let _ = (src, frame, scratch);
+        None
+    }
+
+    /// The mirror of [`Module::on_packet`], on the way out: what this
+    /// module, bound to [`crate::svc::UDP`], would put on the wire for a
+    /// call `op` with payload `data` — `(destination, datagram)`. The
+    /// stack asks it when the call is made (the call is traced as any
+    /// other) and hands the datagram to the host inside the caller's
+    /// step, so no step of this module sends. `None` — the default, and
+    /// the answer for a call it would not send — queues the call to
+    /// [`Module::on_call`] as for any other service.
+    fn on_send(&mut self, op: Op, data: &Bytes) -> Option<(StackId, Bytes)> {
+        let _ = (op, data);
         None
     }
 

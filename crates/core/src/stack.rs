@@ -23,6 +23,11 @@
 //!   bound — the weak stack-well-formedness regime. The trace records
 //!   [`TraceEvent::BlockedCall`]/[`TraceEvent::ReleasedCall`] so checkers
 //!   can verify both regimes.
+//! * A response issued on a channel that no local module listens on yet
+//!   is **held back** the same way, until a module that listens there is
+//!   created (a frame for a protocol that a switch is about to create
+//!   here, arriving from a peer that switched first), at most
+//!   [`HOLD_BACK`] a service.
 //! * [`Stack::install`] implements the recursive `create_module` procedure
 //!   of Algorithm 1 (lines 22–28): create the module, bind its provided
 //!   services, then recursively create default providers for any required
@@ -259,6 +264,18 @@ impl StackConfig {
     }
 }
 
+/// Responses a stack holds back per service for a module not created
+/// yet; past this the oldest is dropped (and counted).
+pub const HOLD_BACK: usize = 64;
+
+/// What waits on a service: a call for a provider to be bound, or a
+/// response issued on a channel for a module listening there to be
+/// created.
+enum Waiting {
+    Call(Call),
+    Response(Response, u16),
+}
+
 enum Delivery {
     Call { to: ModuleId, call: Call },
     Response { to: ModuleId, resp: Response },
@@ -312,8 +329,8 @@ fn udp_service() -> &'static ServiceId {
 /// `udp` module (test sinks, load generators, ping-pong probes): it turns
 /// `net.SEND` calls into [`HostAction::NetSend`], and [`Stack::packet_in`]
 /// fans arrivals out as `net.RECV` responses in its name. A stack built
-/// over `udp` never steps it — `udp` sends with [`ModuleCtx::net_send`]
-/// and the edge responds on `udp` directly.
+/// over `udp` never steps it: the edge sends for `udp`
+/// ([`Module::on_send`]) and responds on `udp` ([`Module::on_packet`]).
 struct NetBridge;
 
 impl Module for NetBridge {
@@ -352,8 +369,9 @@ pub struct Stack {
     /// Modules requiring each service, in registration order — the
     /// response fan-out set.
     requirers: VecMap<ServiceId, Vec<ModuleId>>,
-    /// Calls blocked on an unbound service (weak stack-well-formedness).
-    waiting: VecMap<ServiceId, VecDeque<Call>>,
+    /// Calls blocked on an unbound service (weak stack-well-formedness),
+    /// and responses held back for a listener not created yet.
+    waiting: VecMap<ServiceId, VecDeque<Waiting>>,
     queue: VecDeque<Delivery>,
     actions: Vec<HostAction>,
     timers: VecMap<TimerId, (ModuleId, u64)>,
@@ -535,9 +553,45 @@ impl Stack {
             self.now,
             TraceEvent::ModuleCreated { stack: self.id, module: id, kind: kind.as_str().into() },
         );
-        self.modules.insert(id, ModuleSlot { module: Some(module), kind, provides, requires });
         self.queue.push_back(Delivery::Start { to: id });
+        // What arrived for this module before it existed comes right
+        // after its `on_start`, in arrival order.
+        for svc in &requires {
+            let Some(channel) = module.listens_on(svc) else { continue };
+            let held = self.release_waiting(svc, |w| match w {
+                Waiting::Response(resp, on) if on == channel => Ok(resp),
+                w => Err(w),
+            });
+            if !held.is_empty() {
+                self.telemetry.note_released(held.len() as u64);
+            }
+            for resp in held {
+                self.queue.push_back(Delivery::Response { to: id, resp });
+            }
+        }
+        self.modules.insert(id, ModuleSlot { module: Some(module), kind, provides, requires });
         id
+    }
+
+    /// Take what waits on `service` that `pick` accepts (`Ok`), in order,
+    /// and leave what it hands back (`Err`) waiting.
+    fn release_waiting<T>(
+        &mut self,
+        service: &ServiceId,
+        mut pick: impl FnMut(Waiting) -> Result<T, Waiting>,
+    ) -> Vec<T> {
+        let Some(all) = self.waiting.remove(service) else { return Vec::new() };
+        let (mut taken, mut kept) = (Vec::new(), VecDeque::new());
+        for w in all {
+            match pick(w) {
+                Ok(t) => taken.push(t),
+                Err(w) => kept.push_back(w),
+            }
+        }
+        if !kept.is_empty() {
+            self.waiting.insert(*service, kept);
+        }
+        taken
     }
 
     /// Bind `module` to `service` (paper §2 "Module bindings"). Any
@@ -553,19 +607,21 @@ impl Stack {
             }
         }
         self.trace.push(self.now, TraceEvent::Bind { stack: self.id, service: *service, module });
-        if let Some(mut blocked) = self.waiting.remove(service) {
-            for call in blocked.drain(..) {
-                self.trace.push(
-                    self.now,
-                    TraceEvent::ReleasedCall {
-                        stack: self.id,
-                        service: *service,
-                        op: call.op,
-                        from: call.from,
-                    },
-                );
-                self.queue.push_back(Delivery::Call { to: module, call });
-            }
+        let blocked = self.release_waiting(service, |w| match w {
+            Waiting::Call(call) => Ok(call),
+            w => Err(w),
+        });
+        for call in blocked {
+            self.trace.push(
+                self.now,
+                TraceEvent::ReleasedCall {
+                    stack: self.id,
+                    service: *service,
+                    op: call.op,
+                    from: call.from,
+                },
+            );
+            self.queue.push_back(Delivery::Call { to: module, call });
         }
     }
 
@@ -601,34 +657,44 @@ impl Stack {
         self.enqueue_call(Call { service: *service, op, data, from });
     }
 
+    /// The one call path. A call to `udp` is also the edge on the way
+    /// out: the module bound there is asked what it would put on the wire
+    /// ([`Module::on_send`]) and the datagram leaves inside the caller's
+    /// step, with the call traced as any other — so a rebinding still
+    /// redirects it — and the `udp` module never stepped. Its slot holds
+    /// it (only the caller is out), unless it is the caller itself; an
+    /// answer of `None` takes the queued path.
     fn enqueue_call(&mut self, call: Call) {
-        match self.bindings.get(&call.service) {
-            Some(&to) => {
-                self.trace.push(
-                    self.now,
-                    TraceEvent::Call {
-                        stack: self.id,
-                        service: call.service,
-                        op: call.op,
-                        from: call.from,
-                        to,
-                    },
-                );
-                self.queue.push_back(Delivery::Call { to, call });
-            }
-            None => {
-                self.trace.push(
-                    self.now,
-                    TraceEvent::BlockedCall {
-                        stack: self.id,
-                        service: call.service,
-                        op: call.op,
-                        from: call.from,
-                    },
-                );
-                self.waiting.get_mut_or_default(call.service).push_back(call);
+        let Some(&to) = self.bindings.get(&call.service) else {
+            self.trace.push(
+                self.now,
+                TraceEvent::BlockedCall {
+                    stack: self.id,
+                    service: call.service,
+                    op: call.op,
+                    from: call.from,
+                },
+            );
+            self.waiting.get_mut_or_default(call.service).push_back(Waiting::Call(call));
+            return;
+        };
+        self.trace.push(
+            self.now,
+            TraceEvent::Call {
+                stack: self.id,
+                service: call.service,
+                op: call.op,
+                from: call.from,
+                to,
+            },
+        );
+        if call.service == *udp_service() {
+            let module = self.modules.get_mut(&to).and_then(|slot| slot.module.as_mut());
+            if let Some((dst, payload)) = module.and_then(|m| m.on_send(call.op, &call.data)) {
+                return self.actions.push(HostAction::NetSend { dst, payload });
             }
         }
+        self.queue.push_back(Delivery::Call { to, call });
     }
 
     /// The one response path. `channel` is the provider's end of the
@@ -637,6 +703,12 @@ impl Stack {
     /// rather than stored — every requirer is in its slot (only the
     /// module being dispatched is out, and that is the responder), so the
     /// key costs a stack no byte at rest.
+    ///
+    /// A response on a channel that reaches no module is held back, not
+    /// dropped: the first module created that listens on that channel
+    /// gets it after its `on_start` (`insert_module`). Past
+    /// [`HOLD_BACK`] held on the service the oldest goes. A response
+    /// without a channel is never held.
     fn enqueue_response(&mut self, resp: Response, channel: Option<u16>) {
         let mut fanout = 0;
         for &to in self.requirers.get(&resp.service).map_or(&[][..], Vec::as_slice) {
@@ -661,6 +733,22 @@ impl Stack {
                 fanout,
             },
         );
+        if let (0, Some(channel)) = (fanout, channel) {
+            self.hold_back(resp, channel);
+        }
+    }
+
+    fn hold_back(&mut self, resp: Response, channel: u16) {
+        let waiting = self.waiting.get_mut_or_default(resp.service);
+        let held = |w: &Waiting| matches!(w, Waiting::Response(..));
+        if waiting.iter().filter(|w| held(w)).count() == HOLD_BACK {
+            if let Some(oldest) = waiting.iter().position(held) {
+                waiting.remove(oldest);
+                self.telemetry.note_hold_back_dropped();
+            }
+        }
+        waiting.push_back(Waiting::Response(resp, channel));
+        self.telemetry.note_held();
     }
 
     /// Inject a datagram arrival from the network — the one edge every
@@ -1078,11 +1166,13 @@ impl ModuleCtx<'_> {
 
     /// Put a datagram on the wire: the host transmits `payload` to stack
     /// `dst` as it is ([`HostAction::NetSend`]). This is how the bottom of
-    /// a stack sends — `udp` calls it once per datagram, and so does the
-    /// built-in `net` bridge for stacks without one. A protocol module
-    /// above the bottom calls `udp` (or `rp2p`) instead, so that its send
-    /// is a service interaction the trace sees and a replacement can
-    /// intercept.
+    /// a stack sends when it is stepped — `udp` for a call the edge left
+    /// to it, the built-in `net` bridge on stacks without `udp`; a call
+    /// to `udp` normally leaves without a step of `udp`
+    /// ([`Module::on_send`]). A protocol module above the bottom calls
+    /// `udp` (or `rp2p`) instead, so that its send is a service
+    /// interaction the trace sees and a rebinding can redirect — still
+    /// true, now without a step.
     pub fn net_send(&mut self, dst: StackId, payload: Bytes) {
         self.stack.actions.push(HostAction::NetSend { dst, payload });
     }
@@ -1607,6 +1697,281 @@ mod tests {
             })
             .collect();
         assert_eq!(fanouts, [(3, 2), (4, 3), (9, 1), (NO_CHANNEL, 4), (4, 4)]);
+    }
+
+    /// Provides `udp` and answers the edge for `SEND` (op 1) calls whose
+    /// payload is non-empty: one datagram to stack 2; with `edge` off it
+    /// has no `on_send` and sends from `on_call` instead, as a module
+    /// without the method does. Counts its `on_call`s.
+    struct Wire {
+        edge: bool,
+        stepped: usize,
+    }
+
+    fn wire_frame(data: &Bytes) -> Option<(StackId, Bytes)> {
+        (!data.is_empty()).then(|| (StackId(2), data.clone()))
+    }
+
+    impl Module for Wire {
+        fn kind(&self) -> &str {
+            "wire"
+        }
+        fn provides(&self) -> Vec<ServiceId> {
+            vec![ServiceId::new(crate::svc::UDP)]
+        }
+        fn requires(&self) -> Vec<ServiceId> {
+            Vec::new()
+        }
+        fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
+            self.stepped += 1;
+            if let Some((dst, payload)) = wire_frame(&call.data).filter(|_| call.op == 1) {
+                ctx.net_send(dst, payload);
+            }
+        }
+        fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
+        fn on_send(&mut self, op: Op, data: &Bytes) -> Option<(StackId, Bytes)> {
+            wire_frame(data).filter(|_| self.edge && op == 1)
+        }
+    }
+
+    /// Calls `udp` SEND with its payload from its own `on_start`.
+    struct Sender(&'static [u8]);
+
+    impl Module for Sender {
+        fn kind(&self) -> &str {
+            "sender"
+        }
+        fn provides(&self) -> Vec<ServiceId> {
+            Vec::new()
+        }
+        fn requires(&self) -> Vec<ServiceId> {
+            Vec::new()
+        }
+        fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
+            ctx.call(&ServiceId::new(crate::svc::UDP), 1, Bytes::from_static(self.0));
+        }
+        fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
+        fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
+    }
+
+    /// Steps until idle: `(module, category, actions drained after it)`.
+    fn steps_and_actions(stack: &mut Stack) -> Vec<(ModuleId, StepCategory, Vec<HostAction>)> {
+        let mut out = Vec::new();
+        while let Some(info) = stack.step(stack.now()) {
+            out.push((info.module, info.category, stack.drain_actions()));
+        }
+        out
+    }
+
+    fn sent(payload: &'static [u8]) -> Vec<HostAction> {
+        vec![HostAction::NetSend { dst: StackId(2), payload: Bytes::from_static(payload) }]
+    }
+
+    #[test]
+    fn a_call_to_udp_leaves_at_the_edge_inside_the_callers_step() {
+        let mut stack = new_stack();
+        let wire = stack.add_module(Box::new(Wire { edge: true, stepped: 0 }));
+        stack.bind(&ServiceId::new(crate::svc::UDP), wire);
+        run_until_idle(&mut stack);
+        stack.take_trace();
+        let sender = stack.add_module(Box::new(Sender(b"dgram")));
+        assert_eq!(
+            steps_and_actions(&mut stack),
+            vec![(sender, StepCategory::Start, sent(b"dgram"))],
+            "one step, the caller's, and the datagram with it"
+        );
+        let calls: Vec<_> = stack
+            .trace()
+            .events()
+            .filter_map(|(_, e)| match e {
+                TraceEvent::Call { service, from, to, .. } => Some((service.name(), *from, *to)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(calls, [(crate::svc::UDP, sender, wire)], "the send is still a traced call");
+        assert_eq!(stack.with_module::<Wire, _>(wire, |w| w.stepped), Some(0));
+
+        // A call the module would not send (empty payload) is queued to it.
+        stack.call_as(sender, &ServiceId::new(crate::svc::UDP), 1, Bytes::new());
+        assert_eq!(steps_and_actions(&mut stack), vec![(wire, StepCategory::Call, vec![])]);
+    }
+
+    #[test]
+    fn a_call_to_an_unbound_udp_blocks_and_is_released_to_a_step() {
+        let mut stack = new_stack();
+        let sender = stack.add_module(Box::new(Sender(b"early")));
+        run_until_idle(&mut stack);
+        assert!(stack.drain_actions().is_empty(), "nothing bound to `udp`: the call waits");
+        let wire = stack.add_module(Box::new(Wire { edge: true, stepped: 0 }));
+        stack.bind(&ServiceId::new(crate::svc::UDP), wire);
+        assert!(stack.drain_actions().is_empty(), "a released call is queued, not sent");
+        assert_eq!(
+            steps_and_actions(&mut stack),
+            vec![(wire, StepCategory::Start, vec![]), (wire, StepCategory::Call, sent(b"early"))]
+        );
+        let evs: Vec<_> = stack.trace().events().map(|(_, e)| e).collect();
+        assert!(evs
+            .iter()
+            .any(|e| matches!(e, TraceEvent::BlockedCall { from, .. } if *from == sender)));
+        assert!(evs
+            .iter()
+            .any(|e| matches!(e, TraceEvent::ReleasedCall { from, .. } if *from == sender)));
+    }
+
+    #[test]
+    fn a_udp_module_without_on_send_is_stepped_as_before() {
+        let mut stack = new_stack();
+        let wire = stack.add_module(Box::new(Wire { edge: false, stepped: 0 }));
+        stack.bind(&ServiceId::new(crate::svc::UDP), wire);
+        run_until_idle(&mut stack);
+        let sender = stack.add_module(Box::new(Sender(b"dgram")));
+        assert_eq!(
+            steps_and_actions(&mut stack),
+            vec![(sender, StepCategory::Start, vec![]), (wire, StepCategory::Call, sent(b"dgram"))]
+        );
+    }
+
+    /// Provides `chan`: a call's op is the channel to respond on
+    /// (`NO_CHANNEL`: none), its data what is responded.
+    struct Chan;
+
+    impl Module for Chan {
+        fn kind(&self) -> &str {
+            "chan"
+        }
+        fn provides(&self) -> Vec<ServiceId> {
+            vec![ServiceId::new("chan")]
+        }
+        fn requires(&self) -> Vec<ServiceId> {
+            Vec::new()
+        }
+        fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
+            match call.op {
+                NO_CHANNEL => ctx.respond(&call.service, 0, call.data),
+                channel => ctx.respond_on(&call.service, channel, 0, call.data),
+            }
+        }
+        fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
+    }
+
+    /// Requires `chan`, listening on `channel`; records what it gets.
+    struct Tuned {
+        channel: Option<u16>,
+        got: Vec<Bytes>,
+    }
+
+    impl Module for Tuned {
+        fn kind(&self) -> &str {
+            "tuned"
+        }
+        fn provides(&self) -> Vec<ServiceId> {
+            Vec::new()
+        }
+        fn requires(&self) -> Vec<ServiceId> {
+            vec![ServiceId::new("chan")]
+        }
+        fn listens_on(&self, _: &ServiceId) -> Option<u16> {
+            self.channel
+        }
+        fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
+        fn on_response(&mut self, _: &mut ModuleCtx<'_>, resp: Response) {
+            self.got.push(resp.data);
+        }
+    }
+
+    /// A stack with [`Chan`] bound and `(channel, data)` responded on it
+    /// before anybody listens.
+    fn chan_stack(responses: &[(Op, &'static [u8])]) -> (Stack, ModuleId) {
+        let mut stack = new_stack();
+        let chan = stack.add_module(Box::new(Chan));
+        stack.bind(&ServiceId::new("chan"), chan);
+        for &(channel, data) in responses {
+            stack.call_as(chan, &ServiceId::new("chan"), channel, Bytes::from_static(data));
+        }
+        run_until_idle(&mut stack);
+        (stack, chan)
+    }
+
+    fn tune_in(stack: &mut Stack, channel: Option<u16>) -> ModuleId {
+        stack.add_module(Box::new(Tuned { channel, got: Vec::new() }))
+    }
+
+    fn tuned(stack: &mut Stack, id: ModuleId) -> Vec<Bytes> {
+        stack.with_module::<Tuned, _>(id, |t| t.got.clone()).unwrap()
+    }
+
+    /// `(held, released, dropped)`, as this stack counted them.
+    fn hold_back(stack: &Stack) -> (u64, u64, u64) {
+        let counted = stack.telemetry().state().unwrap().hold_back.as_deref();
+        counted.map_or((0, 0, 0), |c| (c.held, c.released, c.dropped))
+    }
+
+    #[test]
+    fn a_response_nobody_listens_for_waits_for_its_module() {
+        let (mut stack, _) = chan_stack(&[(3, b"a"), (4, b"x"), (3, b"b")]);
+        let fanouts: Vec<usize> = stack
+            .trace()
+            .events()
+            .filter_map(|(_, e)| match e {
+                TraceEvent::Response { fanout, .. } => Some(*fanout),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fanouts, [0, 0, 0]);
+        // Created later: one on another channel, then one on channel 3 —
+        // which gets both of channel 3's, right after its `on_start`.
+        let on_9 = tune_in(&mut stack, Some(9));
+        let on_3 = tune_in(&mut stack, Some(3));
+        let stepped: Vec<_> =
+            steps_and_actions(&mut stack).into_iter().map(|(m, c, _)| (m, c)).collect();
+        assert_eq!(
+            stepped,
+            [
+                (on_9, StepCategory::Start),
+                (on_3, StepCategory::Start),
+                (on_3, StepCategory::Response),
+                (on_3, StepCategory::Response),
+            ]
+        );
+        assert_eq!(tuned(&mut stack, on_3), [&b"a"[..], b"b"]);
+        assert!(tuned(&mut stack, on_9).is_empty());
+        // Channel 4's waits on, for the first module listening there.
+        let on_4 = tune_in(&mut stack, Some(4));
+        run_until_idle(&mut stack);
+        assert_eq!(tuned(&mut stack, on_4), [&b"x"[..]]);
+        assert_eq!(hold_back(&stack), (3, 3, 0));
+    }
+
+    #[test]
+    fn a_response_without_a_channel_is_never_held() {
+        let (mut stack, _) = chan_stack(&[(NO_CHANNEL, b"a")]);
+        let everything = tune_in(&mut stack, None);
+        run_until_idle(&mut stack);
+        assert!(tuned(&mut stack, everything).is_empty());
+        assert_eq!(hold_back(&stack), (0, 0, 0));
+    }
+
+    #[test]
+    fn the_hold_back_drops_its_oldest_past_the_bound() {
+        let frames: Vec<Bytes> = (0..HOLD_BACK as u32 + 2).map(|i| i.to_bytes()).collect();
+        let (mut stack, chan) = chan_stack(&[]);
+        for f in &frames {
+            stack.call_as(chan, &ServiceId::new("chan"), 5, f.clone());
+        }
+        run_until_idle(&mut stack);
+        let on_5 = tune_in(&mut stack, Some(5));
+        run_until_idle(&mut stack);
+        assert_eq!(tuned(&mut stack, on_5), frames[2..]);
+        let all = frames.len() as u64;
+        assert_eq!(hold_back(&stack), (all, all - 2, 2));
+    }
+
+    #[test]
+    fn a_crash_clears_the_hold_back() {
+        let (mut stack, _) = chan_stack(&[(3, b"a")]);
+        stack.crash(Time(9));
+        tune_in(&mut stack, Some(3));
+        assert_eq!(stack.pending(), 1, "the new module's `Start`, and nothing held for it");
     }
 
     #[test]

@@ -827,13 +827,15 @@ mod tests {
         }
         sim.run_until(Time::ZERO + Dur::millis(5));
         assert_eq!(transport(&mut sim, 0).unacked, 0);
-        // Frame 3 gets through; the wire dies under its ack — timed from
-        // the frame's arrival (the ack leaves a step or two later), not
+        // Frame 3 gets through; the wire dies behind it, under its ack —
+        // timed from the frame's send (loss is drawn as a datagram leaves,
+        // so the one in flight arrives; the ack leaves at the earliest a
+        // link latency later, inside the step that takes the frame), not
         // from what the steps on either side of the wire happen to cost.
         send(&mut sim, 0, 1, 3);
         let sent_at = sim.now();
-        let delivered = sim.stats().packets_delivered;
-        while sim.stats().packets_delivered == delivered {
+        let sent = sim.stats().packets_sent;
+        while sim.stats().packets_sent == sent {
             sim.run_until(sim.now() + Dur::micros(10));
         }
         sim.set_loss(1.0);

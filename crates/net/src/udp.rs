@@ -2,12 +2,15 @@
 //! the unreliable network with channel multiplexing.
 //!
 //! Provides service [`crate::UDP_SVC`] and requires nothing: it *is* the
-//! bottom. A `SEND` goes straight to the host ([`ModuleCtx::net_send`]);
-//! an arriving datagram is classified at the stack's edge
-//! ([`Module::on_packet`]) and surfaces as a `RECV` on its channel without
-//! this module being stepped. Send semantics match the underlying network:
-//! datagrams may be lost, duplicated or reordered; whatever arrives is
-//! handed up unchanged.
+//! bottom, and the stack's edge does its work in both directions without
+//! stepping it. A `SEND` call is checked at the edge ([`Module::on_send`])
+//! and leaves for the host inside the caller's step; an arriving datagram
+//! is classified there ([`Module::on_packet`]) and surfaces as a `RECV` on
+//! its channel. One validator serves both (`channel_of`). A call that
+//! waited for `udp` to be bound is released to a step of this module and
+//! goes out through [`ModuleCtx::net_send`] the same way. Send semantics match the
+//! underlying network: datagrams may be lost, duplicated or reordered;
+//! whatever arrives is handed up unchanged.
 
 use crate::dgram;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -90,16 +93,21 @@ impl Module for UdpModule {
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
-        if call.op != dgram::SEND {
-            return;
+        if let Some((dst, frame)) = self.on_send(call.op, &call.data) {
+            ctx.net_send(dst, frame);
+        }
+    }
+
+    fn on_send(&mut self, op: Op, data: &Bytes) -> Option<(StackId, Bytes)> {
+        if op != dgram::SEND {
+            return None;
         }
         // The frame is what follows the destination in the caller's own
         // bytes: checked, then forwarded as it is, not rebuilt.
-        let mut frame = call.data;
-        let Ok(dst) = StackId::decode(&mut frame) else { return };
-        if channel_of(&frame).is_some() {
-            ctx.net_send(dst, frame);
-        }
+        let mut frame = data.clone();
+        let dst = StackId::decode(&mut frame).ok()?;
+        channel_of(&frame)?;
+        Some((dst, frame))
     }
 
     fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
@@ -250,7 +258,8 @@ mod tests {
     }
 
     /// `udp` is the bottom: it requires nothing, and neither direction
-    /// touches the `net` service or steps the module bound to it.
+    /// touches the `net` service, or steps `udp` itself — the edge sends
+    /// for it and responds in its name.
     #[test]
     fn neither_direction_goes_through_net() {
         use dpu_core::TraceEvent;
@@ -259,6 +268,9 @@ mod tests {
         run_until_idle(&mut stack); // the three `on_start`s
         let d = Dgram { peer: StackId(1), channel: 7, data: Bytes::from_static(b"hello") };
         stack.call_as(user, &ServiceId::new(crate::UDP_SVC), dgram::SEND, wire::to_bytes(&d));
+        let sent =
+            vec![HostAction::NetSend { dst: StackId(1), payload: stack.encode(&(7u16, d.data)) }];
+        assert_eq!(stack.drain_actions(), sent, "the datagram leaves with the call");
         stack.packet_in(Time(5), StackId(1), wire::to_bytes(&(7u16, Bytes::from_static(b"yo"))));
         let mut stepped = Vec::new();
         let mut t = stack.now();
@@ -266,7 +278,7 @@ mod tests {
             stepped.push(info.module);
             t = Time(t.0 + 1);
         }
-        assert_eq!(stepped, vec![udp, user], "one step to send, none of `udp` to receive");
+        assert_eq!(stepped, vec![user], "no step of `udp` to send, none to receive");
         let net = ServiceId::new(dpu_core::svc::NET);
         let on_net = stack.trace().events().any(|(_, e)| match e {
             TraceEvent::Call { service, .. } | TraceEvent::Response { service, .. } => {

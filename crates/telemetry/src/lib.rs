@@ -59,8 +59,8 @@ pub mod timeline;
 pub use flight::{FlightEvent, FlightKind, FlightRecorder, FLIGHT_CAPACITY};
 pub use hist::{HistSummary, Histogram};
 pub use report::{
-    SocketCounters, SwitchSummary, TelemetryAggregate, TelemetryReport, TransportCounters,
-    WireCounters,
+    HoldBackCounters, SocketCounters, SwitchSummary, TelemetryAggregate, TelemetryReport,
+    TransportCounters, WireCounters,
 };
 pub use timeline::{SwitchRecord, SwitchTimeline};
 
@@ -79,9 +79,9 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// Everything recorded at event rate, as handles: six histograms and
-/// the per-delivery flight ring, each pointer-sized until its first
-/// sample. A host shard owns one set and lends it to the stack it is
+/// Everything recorded at event rate, as handles: six histograms, the
+/// per-delivery flight ring and the hold-back counters, each
+/// pointer-sized until its first sample. A host shard owns one set and lends it to the stack it is
 /// driving ([`StackTelemetry::swap_set`]); the stack's own handles park
 /// in the shard's set meanwhile and come back on the un-swap.
 #[derive(Debug, Default)]
@@ -100,6 +100,8 @@ pub struct TelemetrySet {
     pub swap_gap: Histogram,
     /// Most recent deliveries, tagged with the delivering stack.
     pub deliveries: FlightRecorder,
+    /// Responses held back for a module not created yet.
+    pub hold_back: Option<Box<HoldBackCounters>>,
 }
 
 /// One stack's telemetry state: the handles of a [`TelemetrySet`] (its
@@ -123,6 +125,8 @@ pub struct TelemetryState {
     pub flight: FlightRecorder,
     /// Per-delivery flight ring (a set handle).
     pub deliveries: FlightRecorder,
+    /// Responses held back for a module not created yet (a set handle).
+    pub hold_back: Option<Box<HoldBackCounters>>,
     /// Steps taken in the cascade currently being dispatched.
     cascade_run: u32,
     /// Capacity of the rings this stack pushes into.
@@ -155,6 +159,7 @@ impl StackTelemetry {
                 switches: SwitchTimeline::new(),
                 flight: FlightRecorder::new(),
                 deliveries: FlightRecorder::new(),
+                hold_back: None,
                 cascade_run: 0,
                 flight_capacity: u32::try_from(cfg.flight_capacity).unwrap_or(u32::MAX),
                 stack,
@@ -170,7 +175,7 @@ impl StackTelemetry {
     }
 
     /// The loan handoff: swap every handle of `set` with this stack's —
-    /// seven pointer swaps. A host calls this symmetrically around each
+    /// eight pointer swaps. A host calls this symmetrically around each
     /// drive call, at the one place it also swaps its scratch pool, so
     /// that all event-rate recording lands in the shard's set and the
     /// stack's own handles stay empty.
@@ -186,6 +191,7 @@ impl StackTelemetry {
         swap(blackout, &mut set.blackout);
         swap(swap_gap, &mut set.swap_gap);
         swap(&mut s.deliveries, &mut set.deliveries);
+        swap(&mut s.hold_back, &mut set.hold_back);
     }
 
     #[inline]
@@ -316,6 +322,31 @@ impl StackTelemetry {
         self.lifecycle(now_ns, FlightKind::ModuleDestroyed, 0);
     }
 
+    #[inline]
+    fn hold_back(&mut self) -> &mut HoldBackCounters {
+        self.state.hold_back.get_or_insert_with(Box::default)
+    }
+
+    /// A response reached no module and was held back for one created
+    /// later.
+    #[inline]
+    pub fn note_held(&mut self) {
+        self.hold_back().held += 1;
+    }
+
+    /// A module was created that listens where `n` held-back responses
+    /// wait; they are queued to it.
+    #[inline]
+    pub fn note_released(&mut self, n: u64) {
+        self.hold_back().released += n;
+    }
+
+    /// The hold-back was full: its oldest response was dropped.
+    #[inline]
+    pub fn note_hold_back_dropped(&mut self) {
+        self.hold_back().dropped += 1;
+    }
+
     /// rp2p exhausted retransmissions toward `peer`.
     #[inline]
     pub fn note_retransmit_exhausted(&mut self, now_ns: u64, peer: u64) {
@@ -346,6 +377,7 @@ impl StackTelemetry {
             + s.switches.blackout().mem_bytes()
             + s.switches.swap_gap().mem_bytes()
             + s.deliveries.mem_bytes()
+            + s.hold_back.as_ref().map_or(0, |_| std::mem::size_of::<HoldBackCounters>())
     }
 }
 

@@ -127,6 +127,30 @@ impl SocketCounters {
     }
 }
 
+/// Counters of the stacks' hold-back (`dpu_core::Stack`): a response
+/// issued on a channel that no local module listens on yet is parked
+/// until one that does is created, instead of being dropped. Folded by
+/// addition; `held − released − dropped` is what is still parked (or
+/// went with a crash).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HoldBackCounters {
+    /// Responses parked because they reached no module.
+    pub held: u64,
+    /// Parked responses handed to a module created after them.
+    pub released: u64,
+    /// Parked responses dropped, oldest first, at the bound.
+    pub dropped: u64,
+}
+
+impl HoldBackCounters {
+    /// Fold another set's counters into this one (plain addition).
+    pub fn absorb(&mut self, other: HoldBackCounters) {
+        self.held += other.held;
+        self.released += other.released;
+        self.dropped += other.dropped;
+    }
+}
+
 /// Percentile view of the switch-phase timeline across all stacks.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SwitchSummary {
@@ -170,6 +194,8 @@ pub struct TelemetryAggregate {
     pub modules_retired: u64,
     /// Flight-recorder events evicted across all rings.
     pub flight_dropped: u64,
+    /// Hold-back counters, summed over sets and stacks.
+    pub hold_back: HoldBackCounters,
 }
 
 impl TelemetryAggregate {
@@ -199,6 +225,9 @@ impl TelemetryAggregate {
         self.switches.merge(&state.switches);
         self.modules_retired += u64::from(state.retired);
         self.flight_dropped += state.flight.dropped() + state.deliveries.dropped();
+        if let Some(c) = &state.hold_back {
+            self.hold_back.absorb(**c);
+        }
     }
 
     /// Fold one shard's set in: exact bucket addition, so the result is
@@ -212,6 +241,9 @@ impl TelemetryAggregate {
         blackout.merge(&set.blackout);
         swap_gap.merge(&set.swap_gap);
         self.flight_dropped += set.deliveries.dropped();
+        if let Some(c) = &set.hold_back {
+            self.hold_back.absorb(**c);
+        }
     }
 
     /// Fold another aggregate into this one (the live hosts fold one
@@ -225,6 +257,7 @@ impl TelemetryAggregate {
         self.switches.merge(&other.switches);
         self.modules_retired += other.modules_retired;
         self.flight_dropped += other.flight_dropped;
+        self.hold_back.absorb(other.hold_back);
     }
 
     /// Condense into the report a host hands to callers.
@@ -245,6 +278,7 @@ impl TelemetryAggregate {
                 swap_gap_ns: self.switches.swap_gap().summary(),
             },
             flight_dropped: self.flight_dropped,
+            hold_back: self.hold_back,
             wire: WireCounters::default(),
             transport: TransportCounters::default(),
             sockets: None,
@@ -280,6 +314,9 @@ pub struct TelemetryReport {
     /// Flight-recorder events evicted across all rings (per-stack
     /// lifecycle rings and per-shard delivery rings).
     pub flight_dropped: u64,
+    /// Responses held back for a module not created yet, folded over
+    /// stacks.
+    pub hold_back: HoldBackCounters,
     /// Scratch-pool counters, folded over pools and stacks.
     pub wire: WireCounters,
     /// rp2p reliability counters, folded over stacks.
@@ -330,6 +367,12 @@ impl TelemetryReport {
         write_hist(w, "swap_gap_ns", &self.switches.swap_gap_ns);
         w.end_obj();
         w.field_u64("flight_dropped", self.flight_dropped);
+        w.key("hold_back")
+            .begin_obj()
+            .field_u64("held", self.hold_back.held)
+            .field_u64("released", self.hold_back.released)
+            .field_u64("dropped", self.hold_back.dropped)
+            .end_obj();
         w.key("wire")
             .begin_obj()
             .field_u64("emitted", self.wire.emitted)
@@ -386,6 +429,11 @@ impl fmt::Display for TelemetryReport {
         )?;
         fmt_hist(f, "  blackout window", "ns", &self.switches.blackout_ns)?;
         fmt_hist(f, "  flush\u{2192}activate gap", "ns", &self.switches.swap_gap_ns)?;
+        writeln!(
+            f,
+            "  hold-back                held={} released={} dropped={}",
+            self.hold_back.held, self.hold_back.released, self.hold_back.dropped
+        )?;
         writeln!(
             f,
             "  wire                     emitted={} reclaimed={} allocations={}",
@@ -486,6 +534,7 @@ mod tests {
             "\"reseq_depth\"",
             "\"switches\"",
             "\"blackout_ns\"",
+            "\"hold_back\"",
             "\"wire\"",
             "\"transport\"",
             "\"acks\": 2",

@@ -37,7 +37,7 @@ const RETAINED_RECORDS: usize = 16;
 /// stack-local nanoseconds; `u64::MAX` marks a stamp not yet taken.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SwitchRecord {
-    /// Monotonic per-stack switch ordinal (1-based).
+    /// Monotonic per-stack switch ordinal (1-based; 0 is no switch).
     pub ordinal: u64,
     /// When the stack learned of the switch.
     pub requested_ns: u64,
@@ -52,6 +52,15 @@ pub struct SwitchRecord {
 const UNSET: u64 = u64::MAX;
 
 impl SwitchRecord {
+    /// A timeline's open record while no switch is underway.
+    const IDLE: SwitchRecord = SwitchRecord {
+        ordinal: 0,
+        requested_ns: UNSET,
+        flushed_ns: UNSET,
+        activated_ns: UNSET,
+        first_delivery_ns: UNSET,
+    };
+
     fn new(ordinal: u64, requested_ns: u64) -> SwitchRecord {
         SwitchRecord {
             ordinal,
@@ -80,7 +89,9 @@ impl SwitchRecord {
 /// windows.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SwitchTimeline {
-    pending: Option<SwitchRecord>,
+    /// The open record, [`SwitchRecord::IDLE`] (ordinal 0) while no
+    /// switch is underway: an `Option` would cost every stack a word.
+    pending: SwitchRecord,
     completed: u64,
     recent: Vec<SwitchRecord>,
     /// `first_delivery − requested` of completed switches.
@@ -99,7 +110,7 @@ impl SwitchTimeline {
     /// An empty timeline.
     pub fn new() -> SwitchTimeline {
         SwitchTimeline {
-            pending: None,
+            pending: SwitchRecord::IDLE,
             completed: 0,
             recent: Vec::new(),
             blackout: Histogram::new(),
@@ -111,15 +122,18 @@ impl SwitchTimeline {
     /// is pending: the initiator calls this at `CHANGE_OP` and again
     /// when the totally-ordered announcement comes back.
     pub fn requested(&mut self, now_ns: u64) {
-        if self.pending.is_none() {
-            let ordinal = self.completed + 1;
-            self.pending = Some(SwitchRecord::new(ordinal, now_ns));
+        if self.pending.ordinal == 0 {
+            self.pending = SwitchRecord::new(self.completed + 1, now_ns);
         }
+    }
+
+    fn pending_mut(&mut self) -> Option<&mut SwitchRecord> {
+        (self.pending.ordinal != 0).then_some(&mut self.pending)
     }
 
     /// Stamp "old module flushed and unbound".
     pub fn flushed(&mut self, now_ns: u64) {
-        if let Some(rec) = &mut self.pending {
+        if let Some(rec) = self.pending_mut() {
             if rec.flushed_ns == UNSET {
                 rec.flushed_ns = now_ns;
             }
@@ -128,7 +142,7 @@ impl SwitchTimeline {
 
     /// Stamp "replacement module created and bound".
     pub fn activated(&mut self, now_ns: u64) {
-        if let Some(rec) = &mut self.pending {
+        if let Some(rec) = self.pending_mut() {
             if rec.activated_ns == UNSET {
                 rec.activated_ns = now_ns;
             }
@@ -140,12 +154,12 @@ impl SwitchTimeline {
     /// active; pre-activation deliveries came from the old module and
     /// leave the record open.
     pub fn note_delivery(&mut self, now_ns: u64) -> Option<SwitchRecord> {
-        let rec = self.pending.as_mut()?;
+        let rec = self.pending_mut()?;
         if rec.activated_ns == UNSET {
             return None;
         }
         rec.first_delivery_ns = now_ns;
-        let done = self.pending.take().expect("checked above");
+        let done = std::mem::replace(&mut self.pending, SwitchRecord::IDLE);
         self.completed += 1;
         if let Some(b) = done.blackout_ns() {
             self.blackout.record(b);
@@ -169,7 +183,7 @@ impl SwitchTimeline {
 
     /// The in-flight record, if a switch is underway.
     pub fn pending(&self) -> Option<&SwitchRecord> {
-        self.pending.as_ref()
+        (self.pending.ordinal != 0).then_some(&self.pending)
     }
 
     /// First few completed records, oldest first (bounded).

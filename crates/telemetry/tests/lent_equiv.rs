@@ -39,6 +39,9 @@ enum Op {
     Activated,
     Crash,
     Exhausted { peer: u64 },
+    Held,
+    Released { n: u64 },
+    HeldDropped,
 }
 
 fn random_op(rng: &mut Rng) -> Op {
@@ -51,8 +54,13 @@ fn random_op(rng: &mut Rng) -> Op {
         12 => Op::Requested,
         13 => Op::Flushed,
         14 => Op::Activated,
-        _ if rng.below(4) == 0 => Op::Crash,
-        _ => Op::Exhausted { peer: rng.below(8) },
+        _ => match rng.below(8) {
+            0..=1 => Op::Crash,
+            2 => Op::Held,
+            3 => Op::Released { n: 1 + rng.below(3) },
+            4 => Op::HeldDropped,
+            _ => Op::Exhausted { peer: rng.below(8) },
+        },
     }
 }
 
@@ -73,6 +81,9 @@ fn apply(t: &mut StackTelemetry, now: u64, op: Op) {
         Op::Activated => t.switch_activated(now),
         Op::Crash => t.note_crash(now),
         Op::Exhausted { peer } => t.note_retransmit_exhausted(now, peer),
+        Op::Held => t.note_held(),
+        Op::Released { n } => t.note_released(n),
+        Op::HeldDropped => t.note_hold_back_dropped(),
     }
 }
 
@@ -91,6 +102,7 @@ fn assert_same_fold(owned: &TelemetryAggregate, lent: &TelemetryAggregate, seed:
     assert_eq!(owned.switches.completed(), lent.switches.completed(), "seed {seed}: completed");
     assert_eq!(owned.switches.recent(), lent.switches.recent(), "seed {seed}: retained records");
     assert_eq!(owned.stacks_enabled, lent.stacks_enabled, "seed {seed}: head-count");
+    assert_eq!(owned.hold_back, lent.hold_back, "seed {seed}: hold-back");
 }
 
 #[test]
