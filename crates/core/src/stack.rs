@@ -1165,14 +1165,13 @@ impl ModuleCtx<'_> {
     }
 
     /// Put a datagram on the wire: the host transmits `payload` to stack
-    /// `dst` as it is ([`HostAction::NetSend`]). This is how the bottom of
-    /// a stack sends when it is stepped — `udp` for a call the edge left
-    /// to it, the built-in `net` bridge on stacks without `udp`; a call
-    /// to `udp` normally leaves without a step of `udp`
-    /// ([`Module::on_send`]). A protocol module above the bottom calls
-    /// `udp` (or `rp2p`) instead, so that its send is a service
-    /// interaction the trace sees and a rebinding can redirect — still
-    /// true, now without a step.
+    /// `dst` as it is ([`HostAction::NetSend`]). Only the bottom of a
+    /// stack sends this way, from a step — `udp` for a call that waited
+    /// for it to be bound, the built-in `net` bridge on stacks without
+    /// `udp`. A protocol module above the bottom calls `udp` (or `rp2p`)
+    /// instead, so that its send is a service interaction the trace sees
+    /// and a rebinding can redirect; that costs no step of `udp`, whose
+    /// datagram leaves inside the caller's step ([`Module::on_send`]).
     pub fn net_send(&mut self, dst: StackId, payload: Bytes) {
         self.stack.actions.push(HostAction::NetSend { dst, payload });
     }
@@ -1702,10 +1701,9 @@ mod tests {
     /// Provides `udp` and answers the edge for `SEND` (op 1) calls whose
     /// payload is non-empty: one datagram to stack 2; with `edge` off it
     /// has no `on_send` and sends from `on_call` instead, as a module
-    /// without the method does. Counts its `on_call`s.
+    /// without the method does.
     struct Wire {
         edge: bool,
-        stepped: usize,
     }
 
     fn wire_frame(data: &Bytes) -> Option<(StackId, Bytes)> {
@@ -1723,7 +1721,6 @@ mod tests {
             Vec::new()
         }
         fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
-            self.stepped += 1;
             if let Some((dst, payload)) = wire_frame(&call.data).filter(|_| call.op == 1) {
                 ctx.net_send(dst, payload);
             }
@@ -1770,7 +1767,7 @@ mod tests {
     #[test]
     fn a_call_to_udp_leaves_at_the_edge_inside_the_callers_step() {
         let mut stack = new_stack();
-        let wire = stack.add_module(Box::new(Wire { edge: true, stepped: 0 }));
+        let wire = stack.add_module(Box::new(Wire { edge: true }));
         stack.bind(&ServiceId::new(crate::svc::UDP), wire);
         run_until_idle(&mut stack);
         stack.take_trace();
@@ -1789,7 +1786,6 @@ mod tests {
             })
             .collect();
         assert_eq!(calls, [(crate::svc::UDP, sender, wire)], "the send is still a traced call");
-        assert_eq!(stack.with_module::<Wire, _>(wire, |w| w.stepped), Some(0));
 
         // A call the module would not send (empty payload) is queued to it.
         stack.call_as(sender, &ServiceId::new(crate::svc::UDP), 1, Bytes::new());
@@ -1802,7 +1798,7 @@ mod tests {
         let sender = stack.add_module(Box::new(Sender(b"early")));
         run_until_idle(&mut stack);
         assert!(stack.drain_actions().is_empty(), "nothing bound to `udp`: the call waits");
-        let wire = stack.add_module(Box::new(Wire { edge: true, stepped: 0 }));
+        let wire = stack.add_module(Box::new(Wire { edge: true }));
         stack.bind(&ServiceId::new(crate::svc::UDP), wire);
         assert!(stack.drain_actions().is_empty(), "a released call is queued, not sent");
         assert_eq!(
@@ -1821,7 +1817,7 @@ mod tests {
     #[test]
     fn a_udp_module_without_on_send_is_stepped_as_before() {
         let mut stack = new_stack();
-        let wire = stack.add_module(Box::new(Wire { edge: false, stepped: 0 }));
+        let wire = stack.add_module(Box::new(Wire { edge: false }));
         stack.bind(&ServiceId::new(crate::svc::UDP), wire);
         run_until_idle(&mut stack);
         let sender = stack.add_module(Box::new(Sender(b"dgram")));
