@@ -60,12 +60,15 @@ fn restarts_at_capacity_keep_live_bytes_per_stack_flat() {
     sim.run_until(deadline + Dur::millis(5));
     let live_after = ALLOC.live();
 
-    // "Flat" = no per-restart growth. A retained incarnation is ~2 KB,
-    // so even a one-per-restart leak would add ~64 KB; the slack is
-    // sized for allocator noise across a quarter-million stacks still
-    // ratcheting queue capacities toward their high-water marks
-    // (~8 B/stack), not for leaks.
-    let slack = 2 * 1024 * 1024;
+    // "Flat" = no growth with the stacks. What still moves is traffic,
+    // not state: in-flight datagrams, wheel entries and the shards'
+    // dispatch buffers settling at their peak read +122 KB here
+    // (0.47 B/stack; +548 KB while every stack ratcheted its own queue
+    // toward its high-water mark). The slack is four times that, so a
+    // leak of 2 B a stack fails it; one incarnation (~2 KB) kept per
+    // restart, 64 KB over 32, is below what this scale resolves —
+    // `churn_capacity.rs` pins the restart path itself.
+    let slack = 512 * 1024;
     assert!(
         live_after <= live_before + slack,
         "live bytes grew across capacity churn: {live_before} -> {live_after} \

@@ -221,7 +221,7 @@ fn four_times_the_messages_cost_the_same_bytes_in_rb() {
     let messages = (RATE * SHORT.as_secs_f64()) as u64;
     let short = rb_run(messages);
     let long = rb_run(4 * messages);
-    // ≈ 1.14 (16.3 → 18.7 KB; 1.015 at 23.7 → 24.1 KB while `udp`
+    // ≈ 1.14 (15.5 → 17.6 KB; 1.015 at 23.7 → 24.1 KB while `udp`
     // re-encoded every frame for `net`). What rises is capacity, not
     // state: the shard's scratch pool reuses its ≈ 410 buffers for frames
     // of any size, each growing (64–127 B → 128–255 B, by allocator size

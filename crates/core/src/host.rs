@@ -25,7 +25,8 @@
 //! hosts (`dpu-runtime`, `dpu-reactor`) multiplex many drivers per
 //! shard thread under the wall clock via [`poll`] — through the
 //! [`LiveShard`] they share (see [`live`]), each adding only its
-//! transport.
+//! transport. All three lend each shard's [`ShardPools`] to the stack
+//! they are driving through the one guard, [`Loan`].
 //!
 //! # Timer ownership
 //!
@@ -45,12 +46,15 @@ pub mod live;
 pub use live::{dump_flight, Ctl, Host, LiveShard, LossModel, ReportFold, ShardPort, WallClock};
 
 use crate::ids::{StackId, TimerId};
-use crate::stack::{HostAction, Stack, StepInfo};
+use crate::stack::{DispatchBuf, HostAction, Stack, StepInfo};
 use crate::time::Time;
+use crate::wire::WireScratch;
 use bytes::Bytes;
+use dpu_telemetry::TelemetrySet;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 /// A closure a host routes to the driver to run against its stack
 /// (a REPL command, a scripted fault, ...).
@@ -221,15 +225,6 @@ impl StackDriver {
         &mut self.stack
     }
 
-    /// Swap the stack's scratch pool with a host-owned one — the
-    /// shard-pool loan handoff (see [`Stack::swap_scratch`]). Call
-    /// before and after any encode-capable driver entry point. Only the
-    /// simulator calls this; live hosts go through [`LiveShard`], which
-    /// pairs the swaps in a guard.
-    pub fn swap_scratch(&mut self, pool: &mut crate::wire::WireScratch) {
-        self.stack.swap_scratch(pool);
-    }
-
     /// Unwrap, discarding pending events and armed timers.
     pub fn into_stack(self) -> Stack {
         self.stack
@@ -317,6 +312,9 @@ impl StackDriver {
 
     /// Execute all actions the stack has produced, as of time `at`:
     /// timers arm relative to `at`, sends reach the sink stamped `at`.
+    /// The actions are drained in place: the buffer keeps its capacity
+    /// for the next step (or goes back to a lending shard when the stack
+    /// is idle — see [`ShardPools`]).
     pub fn settle(&mut self, at: Time, sink: &mut dyn ActionSink) {
         let src = self.stack.id();
         for action in self.stack.drain_actions() {
@@ -375,6 +373,82 @@ pub const MAX_POLL_ROUNDS: usize = 64;
 /// (see its docs). Generous: steps are sub-microsecond, so an honest
 /// burst this large still returns within milliseconds.
 pub const MAX_POLL_STEPS: usize = 100_000;
+
+/// What a host shard lends whichever stack it is driving: the
+/// encode-buffer pool, the dispatch buffers and the telemetry set — one
+/// of each per shard instead of one per stack, so retained capacity and
+/// event-rate samples scale with shards. The simulator's shards and
+/// [`LiveShard`] each hold one and reach a stack only through
+/// [`ShardPools::lend`].
+pub struct ShardPools {
+    scratch: WireScratch,
+    dispatch: DispatchBuf,
+    telemetry: TelemetrySet,
+}
+
+impl Default for ShardPools {
+    fn default() -> ShardPools {
+        ShardPools {
+            scratch: WireScratch::shard_pool(),
+            dispatch: DispatchBuf::default(),
+            telemetry: TelemetrySet::default(),
+        }
+    }
+}
+
+impl ShardPools {
+    /// Lend the pools to `driver`'s stack for as long as the returned
+    /// [`Loan`] lives. Wrap every driver call that can run module code,
+    /// encode or enqueue work.
+    pub fn lend<'a>(&'a mut self, driver: &'a mut StackDriver) -> Loan<'a> {
+        let mut loan = Loan { driver, pools: self };
+        loan.swap();
+        loan.driver.stack.lend_dispatch(&mut loan.pools.dispatch);
+        loan
+    }
+}
+
+/// The shard loan, the one way a host lends its [`ShardPools`]: while
+/// it lives, the driver's stack encodes into the shard's pool, records
+/// into the shard's telemetry set, and dispatches through the shard's
+/// buffers unless it still holds its own. Dropping it hands the pool
+/// and the set back, and with them every dispatch buffer the stack no
+/// longer needs — on return, early return and unwind alike, so a loan
+/// cannot leak pool capacity or a histogram into a stack, and a stack
+/// without work holds no dispatch capacity. Dereferences to the driver.
+pub struct Loan<'a> {
+    driver: &'a mut StackDriver,
+    pools: &'a mut ShardPools,
+}
+
+impl Loan<'_> {
+    /// The symmetric part, both ways: the pool and the set are swaps.
+    fn swap(&mut self) {
+        let stack = &mut self.driver.stack;
+        stack.swap_scratch(&mut self.pools.scratch);
+        stack.telemetry_mut().swap_set(&mut self.pools.telemetry);
+    }
+}
+
+impl Drop for Loan<'_> {
+    fn drop(&mut self) {
+        self.driver.stack.return_dispatch(&mut self.pools.dispatch);
+        self.swap();
+    }
+}
+
+impl Deref for Loan<'_> {
+    type Target = StackDriver;
+    fn deref(&self) -> &StackDriver {
+        self.driver
+    }
+}
+
+impl DerefMut for Loan<'_> {
+    fn deref_mut(&mut self) -> &mut StackDriver {
+        self.driver
+    }
+}
 
 impl fmt::Debug for StackDriver {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -684,11 +758,11 @@ mod tests {
         // Run on_start but do not let the driver's own queue fire: fish
         // the armed id out and inject the expiry as a host event instead.
         while d.step_raw(Time::ZERO).is_some() {}
-        let actions = d.stack_mut().drain_actions();
-        let first = actions
-            .iter()
+        let first = d
+            .stack_mut()
+            .drain_actions()
             .find_map(|a| match a {
-                HostAction::SetTimer { id, .. } => Some(*id),
+                HostAction::SetTimer { id, .. } => Some(id),
                 _ => None,
             })
             .expect("beat armed a timer");

@@ -8,9 +8,8 @@
 //! once:
 //!
 //! * [`LiveShard`] — the thread-side half: the drivers and their ids,
-//!   the shard-level scratch pool, dispatch-queue pool and telemetry set
-//!   with the one RAII loan that lends them, and the stamped heap of
-//!   wake deadlines;
+//!   the shard's [`ShardPools`] (lent through the [`Loan`](super::Loan)
+//!   the simulator takes too), and the stamped heap of wake deadlines;
 //! * [`Ctl`] + [`ShardPort`] — the control plane: a closure shipped to a
 //!   shard thread and the calling-thread helpers built on it
 //!   (`with_stack`, the report fold, the flight dump);
@@ -41,14 +40,14 @@
 //! packet overtake the module-creation reactions of the packet before
 //! it (fatal across a protocol switch).
 
-use super::{ActionSink, StackDriver, Wakeup};
+use super::{ActionSink, ShardPools, StackDriver, Wakeup};
 use crate::ids::StackId;
-use crate::stack::{DispatchBuf, Stack};
+use crate::stack::Stack;
 use crate::time::Time;
-use crate::wire::{ScratchStats, WireScratch};
+use crate::wire::ScratchStats;
 use crate::TransportStats;
 use bytes::Bytes;
-use dpu_telemetry::{SocketCounters, TelemetryAggregate, TelemetryReport, TelemetrySet};
+use dpu_telemetry::{SocketCounters, TelemetryAggregate, TelemetryReport};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -103,36 +102,6 @@ impl LossModel {
     }
 }
 
-/// The shard-pool loan: while it lives, the driver's stack encodes into
-/// the shard's [`WireScratch`], dispatches through the shard's
-/// [`DispatchBuf`] and records into the shard's [`TelemetrySet`];
-/// dropping it swaps all three back — on return, on early return and on
-/// unwind alike, so a loan cannot leak pool capacity or a histogram into
-/// a stack. The only way to take a loan, and private to this module:
-/// hosts reach it through [`LiveShard`]'s entry points.
-struct Loan<'a> {
-    driver: &'a mut StackDriver,
-    pool: &'a mut WireScratch,
-    qpool: &'a mut DispatchBuf,
-    telemetry: &'a mut TelemetrySet,
-}
-
-impl Loan<'_> {
-    /// Both the hand-out and the hand-back: every part is a swap.
-    fn swap(&mut self) {
-        let stack = &mut self.driver.stack;
-        stack.swap_scratch(self.pool);
-        stack.swap_queue(self.qpool);
-        stack.telemetry_mut().swap_set(self.telemetry);
-    }
-}
-
-impl Drop for Loan<'_> {
-    fn drop(&mut self) {
-        self.swap();
-    }
-}
-
 /// The thread-side half of a live host: a set of drivers, the pools
 /// they borrow, and when each next needs CPU. See the [module
 /// docs](self) for what the owning transport loop must do.
@@ -147,17 +116,10 @@ pub struct LiveShard {
     next_wake: Vec<Option<Time>>,
     wakes: BinaryHeap<Reverse<(Time, usize)>>,
     clock: WallClock,
-    /// The shard-level encode-buffer pool, loaned to whichever driver is
-    /// running: retained encode memory scales with shard threads, not
-    /// stacks.
-    pool: WireScratch,
-    /// The shard-level dispatch-queue buffer, loaned alongside: cascade
-    /// burst capacity scales with shards too.
-    qpool: DispatchBuf,
-    /// Everything this shard's stacks record at event rate (histograms,
-    /// recent deliveries), loaned alongside: one set per shard, summed
-    /// exactly as the per-stack ones would have been.
-    telemetry: TelemetrySet,
+    /// Encode buffers, dispatch buffers and the telemetry set, lent to
+    /// whichever driver is running: retained memory and event-rate
+    /// samples scale with shard threads, not stacks.
+    pools: ShardPools,
 }
 
 impl LiveShard {
@@ -175,9 +137,7 @@ impl LiveShard {
             ids,
             drivers,
             clock,
-            pool: WireScratch::shard_pool(),
-            qpool: DispatchBuf::new(),
-            telemetry: TelemetrySet::default(),
+            pools: ShardPools::default(),
         }
     }
 
@@ -193,23 +153,12 @@ impl LiveShard {
         self.index_of.get(&id).copied()
     }
 
-    fn loan(&mut self, local: usize) -> Loan<'_> {
-        let mut loan = Loan {
-            driver: &mut self.drivers[local],
-            pool: &mut self.pool,
-            qpool: &mut self.qpool,
-            telemetry: &mut self.telemetry,
-        };
-        loan.swap();
-        loan
-    }
-
     /// Run one driver's canonical drive loop (under the loan —
     /// dispatched handlers encode) and keep a wake scheduled at its next
     /// deadline.
     fn poll(&mut self, local: usize, sink: &mut dyn ActionSink) {
         let now = self.now();
-        let wakeup = self.loan(local).driver.poll(now, sink);
+        let wakeup = self.pools.lend(&mut self.drivers[local]).poll(now, sink);
         self.arm(local, wakeup);
     }
 
@@ -224,9 +173,9 @@ impl LiveShard {
     ) {
         let now = self.now();
         let wakeup = {
-            let loan = self.loan(local);
-            loan.driver.deliver(now, src, payload);
-            loan.driver.poll(now, sink)
+            let mut loan = self.pools.lend(&mut self.drivers[local]);
+            loan.deliver(now, src, payload);
+            loan.poll(now, sink)
         };
         self.arm(local, wakeup);
     }
@@ -240,7 +189,7 @@ impl LiveShard {
         f: impl FnOnce(&mut Stack) -> R,
         sink: &mut dyn ActionSink,
     ) -> R {
-        let r = f(self.loan(local).driver.stack_mut());
+        let r = f(self.pools.lend(&mut self.drivers[local]).stack_mut());
         self.poll(local, sink);
         r
     }
@@ -284,19 +233,18 @@ impl LiveShard {
         self.drivers.iter().map(StackDriver::stack)
     }
 
-    /// This shard's part of the host's report: its stacks plus its pool
-    /// and telemetry set (where every encode and every sample lands
-    /// under the loan discipline — the per-stack residuals stay zero).
+    /// This shard's part of the host's report: its stacks plus its pools
+    /// (where every encode and every sample lands under the loan
+    /// discipline — the per-stack residuals stay zero).
     pub fn fold_report(&self) -> ReportFold {
         let mut fold = ReportFold::of_stacks(self.stacks());
-        fold.wire.absorb(self.pool.stats());
-        fold.absorb_set(&self.telemetry);
+        fold.absorb_pools(&self.pools);
         fold
     }
 
     /// This shard's flight recorders (see [`dump_flight`]).
     pub fn dump_flight(&self) -> String {
-        dump_flight(self.stacks(), &self.telemetry)
+        dump_flight(self.stacks(), &self.pools)
     }
 
     /// Unwrap into `(id, stack)` pairs in hosting order, discarding
@@ -309,13 +257,14 @@ impl LiveShard {
 /// One shard's flight recorders — every stack's lifecycle ring, then
 /// the shard's recent deliveries (oldest first, with drop counts): the
 /// postmortem a failing soak prints.
-pub fn dump_flight<'a>(stacks: impl IntoIterator<Item = &'a Stack>, set: &TelemetrySet) -> String {
+pub fn dump_flight<'a>(stacks: impl IntoIterator<Item = &'a Stack>, pools: &ShardPools) -> String {
     let mut out = String::new();
     for stack in stacks {
         stack.telemetry().dump_flight(&format!("stack {}", stack.id().0), &mut out);
     }
-    if !set.deliveries.is_empty() {
-        set.deliveries.dump("shard deliveries", &mut out);
+    let deliveries = &pools.telemetry.deliveries;
+    if !deliveries.is_empty() {
+        deliveries.dump("shard deliveries", &mut out);
     }
     out
 }
@@ -328,8 +277,7 @@ pub fn dump_flight<'a>(stacks: impl IntoIterator<Item = &'a Stack>, set: &Teleme
 #[derive(Debug, Default)]
 pub struct ReportFold {
     telemetry: TelemetryAggregate,
-    /// Scratch-pool counters. Public so a host can add what its stacks
-    /// do not hold: shard pools, retired incarnations.
+    /// Scratch-pool counters.
     pub wire: ScratchStats,
     /// Reliable-transport counters (same).
     pub transport: TransportStats,
@@ -348,10 +296,11 @@ impl ReportFold {
         fold
     }
 
-    /// Add a shard's telemetry set — like `wire.absorb(pool.stats())`,
-    /// what the stacks do not hold.
-    pub fn absorb_set(&mut self, set: &TelemetrySet) {
-        self.telemetry.absorb_set(set);
+    /// Add what a shard's pools hold and its stacks do not: the scratch
+    /// pool's counters and the telemetry set.
+    pub fn absorb_pools(&mut self, pools: &ShardPools) {
+        self.wire.absorb(pools.scratch.stats());
+        self.telemetry.absorb_set(&pools.telemetry);
     }
 
     /// Fold in a stack incarnation a restart is about to drop: all it

@@ -291,24 +291,17 @@ struct ModuleSlot {
     requires: Vec<ServiceId>,
 }
 
-/// Shard-owned dispatch-queue capacity, loaned to stacks around
-/// dispatch via [`Stack::swap_queue`]. A dispatch cascade's enqueue
-/// burst (a timer handler fanning out calls, a packet fanning out
-/// responses) ratchets a queue's capacity to its peak; with the loan,
-/// that capacity is paid once per shard instead of once per stack —
-/// at a million stacks the difference is the better part of a
-/// kilobyte each. The buffer is empty between loans apart from the
-/// capacity it holds.
+/// Shard-owned dispatch capacity: the delivery queue and the action
+/// buffer, which a stack needs only while it has work. A cascade's burst
+/// ratchets a buffer to its peak; lent, that is paid once per shard.
+/// Each buffer on its own: a stack holding no capacity borrows the
+/// shard's ([`Stack::lend_dispatch`]); an idle stack hands its own back
+/// and the shard keeps the larger ([`Stack::return_dispatch`]); a busy
+/// stack keeps its own and nothing moves. The shard's is always empty.
 #[derive(Default)]
-pub struct DispatchBuf {
+pub(crate) struct DispatchBuf {
     queue: VecDeque<Delivery>,
-}
-
-impl DispatchBuf {
-    /// An empty buffer; capacity grows to the shard's peak cascade.
-    pub fn new() -> DispatchBuf {
-        DispatchBuf::default()
-    }
+    actions: Vec<HostAction>,
 }
 
 /// The `net` service id, interned once. [`Stack::packet_in`] needs it for
@@ -795,15 +788,17 @@ impl Stack {
         }
     }
 
-    /// Crash the stack: it drops all pending work and ignores all further
-    /// input. Used for fault-injection experiments.
+    /// Crash the stack: it drops all pending work, with the capacity that
+    /// held it, and ignores all further input. Used for fault-injection
+    /// experiments.
     pub fn crash(&mut self, now: Time) {
         if self.crashed {
             return;
         }
         self.now = now;
         self.crashed = true;
-        self.queue.clear();
+        self.queue = VecDeque::new();
+        self.actions = Vec::new();
         self.waiting.clear();
         self.telemetry.note_crash(now.as_nanos());
         self.trace.push(now, TraceEvent::Crash { stack: self.id });
@@ -887,9 +882,16 @@ impl Stack {
         self.timers.retain(|_, (m, _)| *m != id);
     }
 
-    /// Take all host actions produced since the last drain.
-    pub fn drain_actions(&mut self) -> Vec<HostAction> {
-        std::mem::take(&mut self.actions)
+    /// Drain the host actions produced since the last drain, in order,
+    /// in place: the buffer keeps its capacity for the next step.
+    pub fn drain_actions(&mut self) -> std::vec::Drain<'_, HostAction> {
+        self.actions.drain(..)
+    }
+
+    /// Delivery and host-action slots this stack holds (capacity): none
+    /// once idle, if a shard lends to it ([`crate::host::ShardPools`]).
+    pub fn dispatch_capacity(&self) -> (usize, usize) {
+        (self.queue.capacity(), self.actions.capacity())
     }
 
     /// Encode a payload through this stack's [`WireScratch`] (steady-state
@@ -902,7 +904,7 @@ impl Stack {
 
     /// Counters of this stack's scratch pool (see [`ScratchStats`]).
     ///
-    /// Under a shard-level pool (see [`Stack::swap_scratch`]) every
+    /// Under a shard-level pool (see [`crate::host::ShardPools`]) every
     /// encode happens while the shard's pool is loaned in, so the
     /// resident scratch stays empty and this returns zeros — the host
     /// reports the pool's counters instead.
@@ -910,35 +912,38 @@ impl Stack {
         self.scratch.stats()
     }
 
-    /// Swap this stack's [`WireScratch`] with `other` — the shard-pool
-    /// loan handoff. Hosts that own a shard-level pool call this before
-    /// driving any encode-capable entry point (packet injection,
-    /// dispatch, host closures) and again after, so retained encode
-    /// buffers live in one pool per shard instead of one per stack.
-    /// The swap moves the retained buffers *and* the counters, so stats
-    /// accumulated during the loan stay with the pool; it is a pure
-    /// representation change — encoded bytes are identical either way.
-    pub fn swap_scratch(&mut self, other: &mut WireScratch) {
+    /// Swap this stack's [`WireScratch`] with `other` — the scratch part
+    /// of the shard loan, both ways. The swap moves the retained buffers
+    /// *and* the counters, so stats accumulated during the loan stay
+    /// with the pool; encoded bytes are identical either way.
+    pub(crate) fn swap_scratch(&mut self, other: &mut WireScratch) {
         std::mem::swap(&mut self.scratch, other);
     }
 
-    /// Swap this stack's dispatch queue with a shard-owned
-    /// [`DispatchBuf`] — the second half of the shard-pool loan. The
-    /// burst capacity a dispatch cascade ratchets up (a timer handler
-    /// fanning out dozens of calls) then lives in one buffer per shard
-    /// instead of one per stack. Deliveries pending on either side are
-    /// carried across the swap in FIFO order, so the handoff is
-    /// observationally invisible: a delivery enqueued outside a loan
-    /// (a packet parked until its step, a due timer) rides along.
-    pub fn swap_queue(&mut self, buf: &mut DispatchBuf) {
-        std::mem::swap(&mut self.queue, &mut buf.queue);
-        // Carry pending deliveries with exact capacity: between loans a
-        // stack parks at most a delivery or two (a packet waiting for
-        // its step, a fired timer), and `VecDeque`'s minimum growth
-        // would pin four 64-byte slots per stack for them.
-        self.queue.reserve_exact(buf.queue.len());
-        while let Some(d) = buf.queue.pop_front() {
-            self.queue.push_back(d);
+    /// Taking a shard loan: each buffer holding no capacity takes the shard's.
+    pub(crate) fn lend_dispatch(&mut self, shard: &mut DispatchBuf) {
+        if self.queue.capacity() == 0 {
+            std::mem::swap(&mut self.queue, &mut shard.queue);
+        }
+        if self.actions.capacity() == 0 {
+            std::mem::swap(&mut self.actions, &mut shard.actions);
+        }
+    }
+
+    /// Ending a shard loan: an empty buffer leaves; the shard keeps the
+    /// larger of it and its own.
+    pub(crate) fn return_dispatch(&mut self, shard: &mut DispatchBuf) {
+        if self.queue.is_empty() {
+            let spare = std::mem::take(&mut self.queue);
+            if spare.capacity() > shard.queue.capacity() {
+                shard.queue = spare;
+            }
+        }
+        if self.actions.is_empty() {
+            let spare = std::mem::take(&mut self.actions);
+            if spare.capacity() > shard.actions.capacity() {
+                shard.actions = spare;
+            }
         }
     }
 
@@ -1308,7 +1313,7 @@ mod tests {
         let data = (StackId(2), payload.clone()).to_bytes();
         stack.call_as(client, &ServiceId::new(crate::svc::NET), net_ops::SEND, data);
         run_until_idle(&mut stack);
-        let actions = stack.drain_actions();
+        let actions: Vec<_> = stack.drain_actions().collect();
         assert_eq!(actions, vec![HostAction::NetSend { dst: StackId(2), payload }]);
     }
 
@@ -1454,11 +1459,10 @@ mod tests {
         let mut stack = new_stack();
         let user = stack.add_module(Box::new(TimerUser { fired: vec![] }));
         run_until_idle(&mut stack);
-        let actions = stack.drain_actions();
-        let set: Vec<TimerId> = actions
-            .iter()
+        let set: Vec<TimerId> = stack
+            .drain_actions()
             .filter_map(|a| match a {
-                HostAction::SetTimer { id, .. } => Some(*id),
+                HostAction::SetTimer { id, .. } => Some(id),
                 _ => None,
             })
             .collect();
@@ -1552,6 +1556,117 @@ mod tests {
         stack.timer_fired(Time(8), TimerId(1));
         assert!(!stack.has_work());
         assert!(stack.trace().events().any(|(_, e)| matches!(e, TraceEvent::Crash { .. })));
+    }
+
+    fn net_send_from(stack: &mut Stack, from: ModuleId) {
+        let data = (StackId(2), Bytes::from_static(b"x")).to_bytes();
+        stack.call_as(from, &ServiceId::new(crate::svc::NET), net_ops::SEND, data);
+    }
+
+    #[test]
+    fn a_crashed_stack_holds_no_dispatch_capacity() {
+        let mut stack = new_stack();
+        let echo = stack.add_module(Box::new(Echo));
+        let client = stack.add_module(Box::new(Client::default()));
+        stack.bind(&ServiceId::new("echo"), echo);
+        net_send_from(&mut stack, client);
+        run_until_idle(&mut stack); // the send waits in `actions`
+        stack.call_as(client, &ServiceId::new("echo"), 1, Bytes::new());
+        assert!(stack.has_work());
+        stack.crash(Time(5));
+        assert_eq!(stack.dispatch_capacity(), (0, 0));
+    }
+
+    /// `work` on `stack` under a loan of `shard`'s dispatch buffers, as a
+    /// host takes it.
+    fn lent<R>(
+        stack: &mut Stack,
+        shard: &mut DispatchBuf,
+        work: impl FnOnce(&mut Stack) -> R,
+    ) -> R {
+        stack.lend_dispatch(shard);
+        let r = work(stack);
+        stack.return_dispatch(shard);
+        r
+    }
+
+    #[test]
+    fn an_idle_stack_holds_no_dispatch_capacity() {
+        let mut shard = DispatchBuf::default();
+        let mut stack = new_stack();
+        let client = stack.add_module(Box::new(Client::default()));
+        for _ in 0..3 {
+            let sent = lent(&mut stack, &mut shard, |s| {
+                net_send_from(s, client);
+                run_until_idle(s);
+                s.drain_actions().count()
+            });
+            assert_eq!(sent, 1);
+            assert_eq!(stack.dispatch_capacity(), (0, 0));
+            assert!(shard.queue.capacity() > 0 && shard.actions.capacity() > 0);
+        }
+    }
+
+    #[test]
+    fn a_busy_stack_keeps_its_own_buffer_in_fifo_order() {
+        let mut shard = DispatchBuf::default();
+        let mut stack = new_stack();
+        let echo = stack.add_module(Box::new(Echo));
+        let client = stack.add_module(Box::new(Client::default()));
+        stack.bind(&ServiceId::new("echo"), echo);
+        lent(&mut stack, &mut shard, run_until_idle); // the `on_start`s
+        shard.queue.reserve(64);
+        let warm = shard.queue.capacity();
+        let call = |s: &mut Stack, i: u8| {
+            s.call_as(client, &ServiceId::new("echo"), 1, Bytes::copy_from_slice(&[i]));
+        };
+        // Work enqueued under one loan waits in the buffer the stack took;
+        // later loans find the stack busy and move nothing either way.
+        for i in 0..5 {
+            lent(&mut stack, &mut shard, |s| call(s, i));
+            assert_eq!(stack.pending(), usize::from(i) + 1);
+            assert_eq!(stack.dispatch_capacity().0, warm, "the one buffer, not a copy");
+            assert_eq!(shard.queue.capacity(), 0, "nothing carried back");
+        }
+        lent(&mut stack, &mut shard, |s| s.step(Time(1)));
+        assert_eq!(stack.dispatch_capacity().0, warm, "still busy");
+        lent(&mut stack, &mut shard, |s| call(s, 5));
+        lent(&mut stack, &mut shard, run_until_idle);
+        let got = stack.with_module::<Client, _>(client, |c| c.got.clone()).unwrap();
+        let order: Vec<u8> = got.iter().map(|b| b[0]).collect();
+        assert_eq!(order, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(stack.dispatch_capacity(), (0, 0));
+        assert_eq!(shard.queue.capacity(), warm, "idle: the buffer went back");
+    }
+
+    #[test]
+    fn the_shard_keeps_the_larger_buffer() {
+        let mut shard = DispatchBuf::default();
+        shard.queue.reserve(8);
+        shard.actions.reserve(100);
+        let (small, large) = (shard.queue.capacity(), shard.actions.capacity());
+        let mut stack = new_stack();
+        run_until_idle(&mut stack);
+        stack.queue.reserve(100);
+        stack.actions.reserve(8);
+        let bigger = stack.queue.capacity();
+        assert!(bigger > small && stack.actions.capacity() < large);
+        stack.return_dispatch(&mut shard);
+        assert_eq!(stack.dispatch_capacity(), (0, 0), "the smaller of each pair is freed");
+        assert_eq!((shard.queue.capacity(), shard.actions.capacity()), (bigger, large));
+    }
+
+    #[test]
+    fn a_stack_never_lent_to_keeps_its_buffers() {
+        let mut stack = new_stack();
+        let client = stack.add_module(Box::new(Client::default()));
+        for _ in 0..3 {
+            net_send_from(&mut stack, client);
+            run_until_idle(&mut stack);
+            assert_eq!(stack.drain_actions().count(), 1);
+            let (queue, actions) = stack.dispatch_capacity();
+            assert!(queue > 0 && actions > 0, "its own buffers, drained in place");
+        }
     }
 
     #[test]
@@ -1755,7 +1870,7 @@ mod tests {
     fn steps_and_actions(stack: &mut Stack) -> Vec<(ModuleId, StepCategory, Vec<HostAction>)> {
         let mut out = Vec::new();
         while let Some(info) = stack.step(stack.now()) {
-            out.push((info.module, info.category, stack.drain_actions()));
+            out.push((info.module, info.category, stack.drain_actions().collect()));
         }
         out
     }
@@ -1797,10 +1912,10 @@ mod tests {
         let mut stack = new_stack();
         let sender = stack.add_module(Box::new(Sender(b"early")));
         run_until_idle(&mut stack);
-        assert!(stack.drain_actions().is_empty(), "nothing bound to `udp`: the call waits");
+        assert!(stack.drain_actions().next().is_none(), "nothing bound to `udp`: the call waits");
         let wire = stack.add_module(Box::new(Wire { edge: true }));
         stack.bind(&ServiceId::new(crate::svc::UDP), wire);
-        assert!(stack.drain_actions().is_empty(), "a released call is queued, not sent");
+        assert!(stack.drain_actions().next().is_none(), "a released call is queued, not sent");
         assert_eq!(
             steps_and_actions(&mut stack),
             vec![(wire, StepCategory::Start, vec![]), (wire, StepCategory::Call, sent(b"early"))]

@@ -583,7 +583,7 @@ const SHARD_POOL_SCAN: usize = 32;
 ///   [`crate::Stack`]; small retain window, scans everything.
 /// * **shard-level** ([`WireScratch::shard_pool`]): one pool per host
 ///   shard, loaned to whichever stack is being driven (see
-///   [`crate::Stack::swap_scratch`]); deeper retain window with a byte
+///   [`crate::host::ShardPools`]); deeper retain window with a byte
 ///   budget and a bounded oldest-first scan, so retained encode memory
 ///   scales with *shards*, not with total stacks.
 ///

@@ -1,11 +1,14 @@
 //! `LiveShard`'s loan guard, through the public entry points: whatever
 //! way a loaned closure ends — return or unwind — the shard pool and
 //! the stack's resident scratch, and the shard's telemetry set and the
-//! stack's own handles, are swapped back.
+//! stack's own handles, are swapped back, and a stack left without work
+//! holds no dispatch capacity.
 
+use bytes::Bytes;
 use dpu_core::host::{LiveShard, NullSink, WallClock};
-use dpu_core::wire::ScratchStats;
-use dpu_core::{FactoryRegistry, Stack, StackConfig, StackId};
+use dpu_core::stack::net_ops;
+use dpu_core::wire::{Encode, ScratchStats};
+use dpu_core::{FactoryRegistry, ModuleId, ServiceId, Stack, StackConfig, StackId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn shard() -> LiveShard {
@@ -26,6 +29,23 @@ fn latency_samples(shard: &LiveShard) -> u64 {
     shard.fold_report().into_report("test", shard.now(), None).delivery_latency_ns.count
 }
 
+/// Queue a datagram to the stack itself through the built-in `net`
+/// bridge (module 1): a dispatch step and a host action to come.
+fn queue_a_send(s: &mut Stack) {
+    let data = (StackId(0), Bytes::from_static(b"x")).to_bytes();
+    s.call_as(ModuleId(1), &ServiceId::new(dpu_core::svc::NET), net_ops::SEND, data);
+}
+
+/// What the shard hands back at the end: the one stack, which must hold
+/// none of the loaned state.
+fn assert_handed_back(shard: LiveShard) {
+    let (_, stack) = shard.into_stacks().pop().expect("one stack");
+    assert_eq!(stack.wire_stats(), ScratchStats::default(), "stack holds its own scratch again");
+    assert_eq!(stack.telemetry().set_bytes(), 0, "no histogram or ring left in the stack");
+    assert!(!stack.has_work());
+    assert_eq!(stack.dispatch_capacity(), (0, 0), "an idle stack holds no dispatch slots");
+}
+
 #[test]
 fn loan_is_returned_after_a_closure_that_encodes() {
     let mut shard = shard();
@@ -36,15 +56,14 @@ fn loan_is_returned_after_a_closure_that_encodes() {
         |s| {
             drop(s.encode(&7u64));
             s.telemetry_mut().note_delivery(10, 5);
+            queue_a_send(s);
         },
         &mut NullSink,
     );
     assert_eq!(pool(&mut shard).emitted, 1, "the encode landed in the shard pool");
     assert_eq!(shard.fold_report().wire.emitted, 1);
     assert_eq!(latency_samples(&shard), 1, "the sample landed in the shard set");
-    let (_, stack) = shard.into_stacks().pop().expect("one stack");
-    assert_eq!(stack.wire_stats(), ScratchStats::default(), "resident scratch untouched");
-    assert_eq!(stack.telemetry().set_bytes(), 0, "no histogram or ring left in the stack");
+    assert_handed_back(shard);
 }
 
 #[test]
@@ -56,6 +75,8 @@ fn loan_is_returned_when_the_closure_unwinds() {
             |s| {
                 drop(s.encode(&7u64));
                 s.telemetry_mut().note_delivery(10, 5);
+                // Busy as it unwinds: the stack keeps the buffer it took.
+                queue_a_send(s);
                 panic!("closure fails mid-loan");
             },
             &mut NullSink,
@@ -78,9 +99,8 @@ fn loan_is_returned_when_the_closure_unwinds() {
     // Same for the telemetry handles: left swapped, the set (with its
     // first sample) would be the stack's, the second sample would land
     // in a fresh histogram in the shard, and the stack would come back
-    // holding an allocation.
+    // holding an allocation. And the send queued before the unwind ran
+    // at the next poll, after which the stack's buffer went back.
     assert_eq!(latency_samples(&shard), 2);
-    let (_, stack) = shard.into_stacks().pop().expect("one stack");
-    assert_eq!(stack.wire_stats(), ScratchStats::default(), "stack holds its own scratch again");
-    assert_eq!(stack.telemetry().set_bytes(), 0, "stack holds its own empty handles again");
+    assert_handed_back(shard);
 }

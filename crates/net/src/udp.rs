@@ -181,7 +181,7 @@ mod tests {
         let d = Dgram { peer: StackId(1), channel: 7, data: Bytes::from_static(b"hello") };
         stack.call_as(user, &ServiceId::new(crate::UDP_SVC), dgram::SEND, wire::to_bytes(&d));
         run_until_idle(&mut stack);
-        let actions = stack.drain_actions();
+        let actions: Vec<_> = stack.drain_actions().collect();
         assert_eq!(actions.len(), 1);
         let HostAction::NetSend { dst, payload } = &actions[0] else {
             panic!("expected NetSend");
@@ -237,7 +237,7 @@ mod tests {
             run_until_idle(&mut stack);
             let old = stack.encode(&(d.channel, d.data.clone()));
             assert_eq!(
-                stack.drain_actions(),
+                stack.drain_actions().collect::<Vec<_>>(),
                 vec![HostAction::NetSend { dst: d.peer, payload: old }],
                 "{d:?}"
             );
@@ -270,7 +270,8 @@ mod tests {
         stack.call_as(user, &ServiceId::new(crate::UDP_SVC), dgram::SEND, wire::to_bytes(&d));
         let sent =
             vec![HostAction::NetSend { dst: StackId(1), payload: stack.encode(&(7u16, d.data)) }];
-        assert_eq!(stack.drain_actions(), sent, "the datagram leaves with the call");
+        let actions: Vec<_> = stack.drain_actions().collect();
+        assert_eq!(actions, sent, "the datagram leaves with the call");
         stack.packet_in(Time(5), StackId(1), wire::to_bytes(&(7u16, Bytes::from_static(b"yo"))));
         let mut stepped = Vec::new();
         let mut t = stack.now();

@@ -71,7 +71,7 @@ pub use stats::{ShardStats, SimReport, SimStats, WorkloadStats};
 pub use topology::{NetConfig, Topology};
 
 use bytes::Bytes;
-use dpu_core::host::{ActionSink, StackDriver};
+use dpu_core::host::{ActionSink, ReportFold, ShardPools, StackDriver};
 use dpu_core::stack::StepCategory;
 use dpu_core::time::{Dur, Time};
 use dpu_core::trace::TraceLog;
@@ -289,19 +289,16 @@ pub(crate) struct Shard {
     now: Time,
     /// Cross-cluster packets emitted this epoch, per destination shard.
     outbox: Vec<Vec<Inflight>>,
-    /// The shard-level encode-buffer pool, loaned to whichever stack is
-    /// being driven (see [`Shard::lend`]). Retained encode memory thus
-    /// scales with shards, not stacks.
-    pool: dpu_core::wire::WireScratch,
-    /// Everything this shard's stacks record at event rate (histograms,
-    /// recent deliveries), loaned with the pool: one set per shard,
-    /// summed exactly as per-stack ones would have been.
-    telemetry: dpu_core::telemetry::TelemetrySet,
+    /// Encode buffers, dispatch buffers and the telemetry set, lent to
+    /// whichever stack an event drives ([`ShardPools::lend`]): retained
+    /// memory and event-rate samples scale with shards, not stacks, and
+    /// a stack without work holds no dispatch capacity.
+    pools: ShardPools,
     /// What retired stack incarnations counted and measured (node
     /// restarts drop the old stack; its wire and transport counters,
     /// completed switches and flight-ring drops fold in here so every
     /// report counter stays monotone across churn).
-    retired: dpu_core::host::ReportFold,
+    retired: ReportFold,
 }
 
 impl Shard {
@@ -314,19 +311,6 @@ impl Shard {
         let seq = self.seq;
         self.seq += 1;
         self.sched.push(at, seq, kind);
-    }
-
-    /// The shard loan handoff: swap the shard's telemetry set and
-    /// scratch pool into (or back out of) the stack in `slot`. Called
-    /// symmetrically around every driver entry point that dispatches or
-    /// encodes — packet delivery, dispatch steps, host closures — so all
-    /// samples and encodes land in the shard's set and pool and the
-    /// stack's own stay empty. O(1) field swaps, not copies.
-    #[inline]
-    fn lend(&mut self, slot: usize) {
-        let driver = self.nodes.driver_mut(slot);
-        driver.stack_mut().telemetry_mut().swap_set(&mut self.telemetry);
-        driver.swap_scratch(&mut self.pool);
     }
 
     fn stacks(&self) -> impl Iterator<Item = &Stack> {
@@ -370,9 +354,7 @@ impl Shard {
                 if self.nodes.crashed(slot) {
                     return;
                 }
-                self.lend(slot);
-                self.nodes.driver_mut(slot).deliver(at, src, payload);
-                self.lend(slot);
+                self.pools.lend(self.nodes.driver_mut(slot)).deliver(at, src, payload);
                 self.stats.packets_delivered += 1;
                 self.ensure_step(dst);
             }
@@ -383,7 +365,7 @@ impl Shard {
                     return;
                 }
                 self.nodes.set_wake(slot, None);
-                let next = self.nodes.driver_mut(slot).wake(at);
+                let next = self.pools.lend(self.nodes.driver_mut(slot)).wake(at);
                 self.ensure_step(node);
                 self.ensure_wake_at(node, next);
             }
@@ -406,19 +388,14 @@ impl Shard {
         if self.nodes.crashed(slot) {
             return;
         }
-        self.lend(slot);
-        let step = self.nodes.driver_mut(slot).step_raw(at);
-        let Some(info) = step else {
-            self.lend(slot);
-            return;
-        };
-        self.stats.steps += 1;
-        let cost = shared.cpu.cost(info.category);
-        let done = at + cost;
-        self.nodes.set_cpu_free(slot, done);
+        let mut loan = self.pools.lend(self.nodes.driver_mut(slot));
+        let Some(info) = loan.step_raw(at) else { return };
+        let done = at + shared.cpu.cost(info.category);
         let mut buf = SendBuf::default();
-        self.nodes.driver_mut(slot).settle(done, &mut buf);
-        self.lend(slot);
+        loan.settle(done, &mut buf);
+        drop(loan);
+        self.stats.steps += 1;
+        self.nodes.set_cpu_free(slot, done);
         self.flush_sends(shared, buf);
         self.ensure_step(id);
         self.ensure_wake(id);
@@ -650,9 +627,8 @@ impl Sim {
                 stats: SimStats::default(),
                 now: Time::ZERO,
                 outbox: vec![Vec::new(); nshards],
-                pool: dpu_core::wire::WireScratch::shard_pool(),
-                telemetry: dpu_core::telemetry::TelemetrySet::default(),
-                retired: dpu_core::host::ReportFold::default(),
+                pools: ShardPools::default(),
+                retired: ReportFold::default(),
             });
         }
         let mut sim = Sim {
@@ -768,30 +744,22 @@ impl Sim {
     /// Mutate a stack, then reschedule its CPU if the mutation produced
     /// work. Use this (not direct field access) so injected calls run.
     pub fn with_stack<R>(&mut self, id: StackId, f: impl FnOnce(&mut Stack) -> R) -> R {
-        let shard = self.shard_of(id);
-        let slot = shard.slot(id);
-        shard.lend(slot);
-        let r = f(shard.nodes.driver_mut(slot).stack_mut());
-        shard.lend(slot);
-        self.after_stack_mutation(id);
-        r
-    }
-
-    fn after_stack_mutation(&mut self, id: StackId) {
-        // A direct mutation (e.g. install()) may have produced host
-        // actions; execute them and schedule the CPU.
         let now = self.now;
         let shared = shared_view!(self);
         let k = shared.topology.cluster_of(id) as usize;
         let shard = &mut self.shards[k];
         shard.now = shard.now.max(now);
+        let mut loan = shard.pools.lend(shard.nodes.driver_mut(shard.slot(id)));
+        let r = f(loan.stack_mut());
+        // A mutation (e.g. install()) may have produced host actions.
         let mut buf = SendBuf::default();
-        let slot = shard.slot(id);
-        shard.nodes.driver_mut(slot).settle(now, &mut buf);
+        loan.settle(now, &mut buf);
+        drop(loan);
         shard.flush_sends(&shared, buf);
         shard.ensure_step(id);
         shard.ensure_wake(id);
         self.flush_outboxes_from(k);
+        r
     }
 
     /// Move the cross-cluster packets a barrier-context mutation
@@ -856,7 +824,8 @@ impl Sim {
         shard.absorb_retiring(slot);
         shard.nodes.retire(slot);
         shard.nodes.recycle(slot, StackDriver::new(stack), now);
-        self.after_stack_mutation(id);
+        // Settle what building the stack produced; schedule its CPU.
+        self.with_stack(id, |_| ());
     }
 
     /// [`Sim::restart_node`], but the replacement stack is built *after*
@@ -875,7 +844,8 @@ impl Sim {
         let now = self.now;
         let shard = self.shard_of(id);
         shard.nodes.recycle(slot, driver, now);
-        self.after_stack_mutation(id);
+        // Settle what building the stack produced; schedule its CPU.
+        self.with_stack(id, |_| ());
     }
 
     /// Block traffic in both directions between the two groups.
@@ -1051,11 +1021,10 @@ impl Sim {
     /// shard pools and telemetry sets and the partials of retired
     /// (churned) incarnations. The one source of [`Sim::report`],
     /// [`Sim::wire_stats`] and [`Sim::telemetry_report`].
-    fn fold(&self) -> dpu_core::host::ReportFold {
-        let mut fold = dpu_core::host::ReportFold::of_stacks(self.stacks());
+    fn fold(&self) -> ReportFold {
+        let mut fold = ReportFold::of_stacks(self.stacks());
         for shard in &self.shards {
-            fold.wire.absorb(shard.pool.stats());
-            fold.absorb_set(&shard.telemetry);
+            fold.absorb_pools(&shard.pools);
             fold.merge(&shard.retired);
         }
         fold
@@ -1081,7 +1050,7 @@ impl Sim {
     pub fn dump_flight_recorders(&self) -> String {
         self.shards
             .iter()
-            .map(|shard| dpu_core::host::dump_flight(shard.stacks(), &shard.telemetry))
+            .map(|shard| dpu_core::host::dump_flight(shard.stacks(), &shard.pools))
             .collect()
     }
 

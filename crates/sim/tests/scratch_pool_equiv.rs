@@ -1,9 +1,10 @@
 //! The shard loan's accounting, end to end: a `Sim` lends each shard's
-//! scratch pool and `TelemetrySet` to whichever stack it drives, so
-//! after any run — random clustered topologies, loss, crashes, restarts,
-//! worker counts — everything encoded or recorded at event rate must be
-//! in the shard's pool and set and nothing in a hosted stack: no
-//! histogram, no delivery ring, no encode counter. The totals a report
+//! scratch pool, dispatch buffers and `TelemetrySet` to whichever stack
+//! it drives, so after any run — random clustered topologies, loss,
+//! crashes, restarts, worker counts — everything encoded or recorded at
+//! event rate must be in the shard's pool and set and nothing in a
+//! hosted stack: no histogram, no delivery ring, no encode counter, and
+//! no dispatch capacity in a stack without work. The totals a report
 //! folds are then exactly the shard pools plus what retired stacks
 //! counted, and must satisfy `emitted == reclaimed + allocations`.
 //!
@@ -108,11 +109,14 @@ fn run(sc: &Scenario, workers: usize) -> (SimStats, ScratchStats) {
     }
     sim.run_until(Time::ZERO + Dur::millis(sc.millis));
     // Nothing encoded or recorded at event rate may have stayed in a
-    // stack…
+    // stack, nor dispatch capacity in one without work…
     for id in sim.stack_ids() {
         let stack = sim.stack(id);
         assert_eq!(stack.telemetry().set_bytes(), 0, "{id} holds a histogram or delivery ring");
         assert_eq!(stack.wire_stats(), ScratchStats::default(), "{id} holds encode counters");
+        if !stack.has_work() {
+            assert_eq!(stack.dispatch_capacity(), (0, 0), "{id} is idle and holds dispatch slots");
+        }
     }
     // …it is in the shard sets and pools the report folds.
     let tel = sim.telemetry_report();

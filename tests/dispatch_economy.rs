@@ -171,7 +171,7 @@ fn no_step_is_dispatched_to_the_module_bound_to_udp() {
             for (i, s) in stacks.iter_mut().enumerate() {
                 loop {
                     let info = s.step(now);
-                    for action in s.drain_actions() {
+                    for action in s.drain_actions().collect::<Vec<_>>() {
                         match action {
                             HostAction::NetSend { dst, payload } => {
                                 sends += 1;

@@ -1,5 +1,6 @@
 //! What the two live hosts share, tested once over both: the loan
-//! discipline of the shard pools, a bad stack id, an unroutable send.
+//! discipline of the shard pools (no encode, sample or idle dispatch
+//! capacity left in a stack), a bad stack id, an unroutable send.
 //! `dpu-runtime` and `dpu-reactor` are the same `LiveShard` under
 //! different transports, so every test here is one generic body run
 //! against a 1-shard `Runtime` and against a `Reactor`.
@@ -143,6 +144,9 @@ fn assert_residents_untouched(stacks: Vec<Stack>) {
     for s in &stacks {
         assert_eq!(s.wire_stats(), ScratchStats::default(), "{} encoded outside a loan", s.id());
         assert_eq!(s.telemetry().set_bytes(), 0, "{} holds a histogram or delivery ring", s.id());
+        if !s.has_work() {
+            assert_eq!(s.dispatch_capacity(), (0, 0), "{} idle, holding dispatch slots", s.id());
+        }
     }
 }
 
