@@ -277,7 +277,7 @@ pub fn dump_flight<'a>(stacks: impl IntoIterator<Item = &'a Stack>, pools: &Shar
 #[derive(Debug, Default)]
 pub struct ReportFold {
     telemetry: TelemetryAggregate,
-    /// Scratch-pool counters.
+    /// Scratch-pool counters; public for the hosts' own reports.
     pub wire: ScratchStats,
     /// Reliable-transport counters (same).
     pub transport: TransportStats,
