@@ -45,6 +45,40 @@ impl fmt::Display for ModuleId {
     }
 }
 
+/// A routing key within a service: which of its users a response is for
+/// ([`ModuleCtx::respond_on`](crate::stack::ModuleCtx::respond_on),
+/// [`Module::listens_on`](crate::module::Module::listens_on)).
+///
+/// One number, `incarnation · 16 + base`, on the wire as one varint: a
+/// `base` (< 16) names a protocol's slot in a channel table, and the
+/// `incarnation` tells apart the modules of one protocol that a dynamic
+/// update runs side by side. Incarnation 0 of base `b` is the single byte
+/// `b`. Incarnations of one base only rise (each replacement takes a fresh
+/// one), which is what lets the stack drop a response for an incarnation
+/// older than a live listener's ([`Channel::supersedes`]). Incarnations
+/// from 2⁶⁰ up wrap onto lower ones.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Channel(pub(crate) u64);
+
+impl Channel {
+    /// Channel `base` of `incarnation`. A `const fn`: in a constant, a
+    /// base of 16 or more fails to compile.
+    pub const fn new(base: u8, incarnation: u64) -> Channel {
+        assert!(base < 16, "a channel base is below 16");
+        Channel(incarnation << 4 | base as u64)
+    }
+
+    /// The same base at `incarnation`.
+    pub const fn at(self, incarnation: u64) -> Channel {
+        Channel(incarnation << 4 | (self.0 & 15))
+    }
+
+    /// Whether this is a later incarnation of `other`'s base.
+    pub fn supersedes(self, other: Channel) -> bool {
+        self.0 & 15 == other.0 & 15 && self.0 > other.0
+    }
+}
+
 /// Identifies a timer set by a module via
 /// [`ModuleCtx::set_timer`](crate::stack::ModuleCtx::set_timer).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -208,6 +242,16 @@ mod tests {
         assert_eq!(p.replaced().name(), "r-abcast");
         // The indirection of an indirection is distinct again.
         assert_eq!(p.replaced().replaced().name(), "r-r-abcast");
+    }
+
+    #[test]
+    fn a_channel_is_a_base_at_an_incarnation() {
+        const CT: Channel = Channel::new(4, 0);
+        assert_eq!(CT.at(3), Channel::new(4, 3));
+        assert_eq!(CT.at(3).at(0), CT);
+        assert!(CT.at(2).supersedes(CT.at(1)));
+        assert!(!CT.at(1).supersedes(CT.at(1)) && !CT.at(1).supersedes(CT.at(2)));
+        assert!(!Channel::new(5, 9).supersedes(CT.at(1)), "another base");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The [`Module`] trait and the two kinds of inter-module interaction:
 //! service [`Call`]s and [`Response`]s (paper §2, Figure 2).
 
-use crate::ids::{ModuleId, ServiceId, StackId};
+use crate::ids::{Channel, ModuleId, ServiceId, StackId};
 use crate::stack::ModuleCtx;
 use crate::wire::{Decode, Encode, WireResult, WireScratch};
 use bytes::{Bytes, BytesMut};
@@ -107,8 +107,12 @@ pub trait Module: Any + Send {
     /// returned here. Asked when a response is routed, so it must be a
     /// pure function of the module's configuration; the module keeps its
     /// own check (a provider that does not key its responses still
-    /// reaches it with every channel).
-    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+    /// reaches it with every channel). A module that a replacement may run
+    /// beside another of its kind listens on its own incarnation of its
+    /// base ([`Channel::at`]): a response for a later incarnation waits in
+    /// the stack for that module, and one for an incarnation older than a
+    /// live listener's is dropped there.
+    fn listens_on(&self, service: &ServiceId) -> Option<Channel> {
         let _ = service;
         None
     }
@@ -130,7 +134,7 @@ pub trait Module: Any + Send {
         src: StackId,
         frame: &Bytes,
         scratch: &mut WireScratch,
-    ) -> Option<(u16, Op, Bytes)> {
+    ) -> Option<(Channel, Op, Bytes)> {
         let _ = (src, frame, scratch);
         None
     }

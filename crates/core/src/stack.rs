@@ -27,13 +27,15 @@
 //!   is **held back** the same way, until a module that listens there is
 //!   created (a frame for a protocol that a switch is about to create
 //!   here, arriving from a peer that switched first), at most
-//!   [`HOLD_BACK`] a service.
+//!   [`HOLD_BACK`] a service — unless a live module listens on a later
+//!   incarnation of the same channel base: then the response is stale,
+//!   for a module retired here, and is dropped.
 //! * [`Stack::install`] implements the recursive `create_module` procedure
 //!   of Algorithm 1 (lines 22–28): create the module, bind its provided
 //!   services, then recursively create default providers for any required
 //!   service that has no bound module.
 
-use crate::ids::{ModuleId, ServiceId, StackId, TimerId};
+use crate::ids::{Channel, ModuleId, ServiceId, StackId, TimerId};
 use crate::module::{Call, Module, ModuleSpec, Op, Response};
 use crate::time::{Dur, Time};
 use crate::trace::{TraceEvent, TraceLog};
@@ -273,7 +275,7 @@ pub const HOLD_BACK: usize = 64;
 /// created.
 enum Waiting {
     Call(Call),
-    Response(Response, u16),
+    Response(Response, Channel),
 }
 
 enum Delivery {
@@ -454,6 +456,12 @@ impl Stack {
     /// Number of pending internal deliveries.
     pub fn pending(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Responses held back right now for a listener not created yet.
+    pub fn held_back(&self) -> usize {
+        let held = |w: &&Waiting| matches!(w, Waiting::Response(..));
+        self.waiting.values().map(|w| w.iter().filter(held).count()).sum()
     }
 
     /// Whether [`Stack::step`] has work to do.
@@ -701,9 +709,12 @@ impl Stack {
     /// dropped: the first module created that listens on that channel
     /// gets it after its `on_start` (`insert_module`). Past
     /// [`HOLD_BACK`] held on the service the oldest goes. A response
-    /// without a channel is never held.
-    fn enqueue_response(&mut self, resp: Response, channel: Option<u16>) {
-        let mut fanout = 0;
+    /// without a channel is never held. Nor is a stale one, for an
+    /// incarnation older than a live listener's on the same base
+    /// ([`Channel::supersedes`]): incarnations only rise, so its module
+    /// was here and has been retired. It is dropped and counted.
+    fn enqueue_response(&mut self, resp: Response, channel: Option<Channel>) {
+        let (mut fanout, mut stale) = (0, false);
         for &to in self.requirers.get(&resp.service).map_or(&[][..], Vec::as_slice) {
             if to == resp.from {
                 continue;
@@ -714,6 +725,8 @@ impl Stack {
             if wanted.is_none() || wanted == channel {
                 self.queue.push_back(Delivery::Response { to, resp: resp.clone() });
                 fanout += 1;
+            } else {
+                stale |= wanted.zip(channel).is_some_and(|(w, c)| w.supersedes(c));
             }
         }
         self.trace.push(
@@ -727,11 +740,15 @@ impl Stack {
             },
         );
         if let (0, Some(channel)) = (fanout, channel) {
-            self.hold_back(resp, channel);
+            self.hold_back(resp, channel, stale);
         }
     }
 
-    fn hold_back(&mut self, resp: Response, channel: u16) {
+    fn hold_back(&mut self, resp: Response, channel: Channel, stale: bool) {
+        self.telemetry.note_held();
+        if stale {
+            return self.telemetry.note_hold_back_dropped();
+        }
         let waiting = self.waiting.get_mut_or_default(resp.service);
         let held = |w: &Waiting| matches!(w, Waiting::Response(..));
         if waiting.iter().filter(|w| held(w)).count() == HOLD_BACK {
@@ -741,7 +758,6 @@ impl Stack {
             }
         }
         waiting.push_back(Waiting::Response(resp, channel));
-        self.telemetry.note_held();
     }
 
     /// Inject a datagram arrival from the network — the one edge every
@@ -1092,7 +1108,7 @@ impl ModuleCtx<'_> {
     /// it has the channel in hand from the header it just decoded, so the
     /// stack need not step every other user only for each to decode the
     /// same header and drop the frame.
-    pub fn respond_on(&mut self, service: &ServiceId, channel: u16, op: Op, data: Bytes) {
+    pub fn respond_on(&mut self, service: &ServiceId, channel: Channel, op: Op, data: Bytes) {
         let resp = Response { service: *service, op, data, from: self.me };
         self.stack.enqueue_response(resp, Some(channel));
     }
@@ -1353,8 +1369,8 @@ mod tests {
     /// does not take goes to the `net` requirers as on a stack without one.
     #[test]
     fn packet_in_asks_the_module_bound_to_udp_first() {
-        /// Takes frames whose first byte is a channel < 0x80; hands the
-        /// rest up on that channel.
+        /// Takes frames whose first byte is a channel base (< 16); hands
+        /// the rest up on that channel.
         struct Bottom;
         impl Module for Bottom {
             fn kind(&self) -> &str {
@@ -1373,9 +1389,9 @@ mod tests {
                 _src: StackId,
                 frame: &Bytes,
                 _scratch: &mut WireScratch,
-            ) -> Option<(u16, Op, Bytes)> {
-                let channel = *frame.first().filter(|c| **c < 0x80)?;
-                Some((u16::from(channel), 9, frame.slice(1..)))
+            ) -> Option<(Channel, Op, Bytes)> {
+                let base = *frame.first().filter(|c| **c < 16)?;
+                Some((Channel::new(base, 0), 9, frame.slice(1..)))
             }
         }
         /// Requires `udp` (on channel 3 only) and `net`; records both.
@@ -1392,8 +1408,8 @@ mod tests {
             fn requires(&self) -> Vec<ServiceId> {
                 vec![ServiceId::new(crate::svc::UDP), ServiceId::new(crate::svc::NET)]
             }
-            fn listens_on(&self, service: &ServiceId) -> Option<u16> {
-                (service.name() == crate::svc::UDP).then_some(3)
+            fn listens_on(&self, service: &ServiceId) -> Option<Channel> {
+                (service.name() == crate::svc::UDP).then_some(Channel::new(3, 0))
             }
             fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
             fn on_response(&mut self, _: &mut ModuleCtx<'_>, resp: Response) {
@@ -1719,7 +1735,8 @@ mod tests {
     }
 
     /// Provides `mux`, and requires it too (as `rp2p`-over-`rp2p` would):
-    /// a call's op is the channel to respond on, `0xffff` for no channel.
+    /// a call's op is the channel base to respond on (at incarnation 0),
+    /// `0xffff` for no channel.
     struct Mux;
 
     const NO_CHANNEL: Op = 0xffff;
@@ -1737,7 +1754,7 @@ mod tests {
         fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
             match call.op {
                 NO_CHANNEL => ctx.respond(&call.service, call.op, call.data),
-                channel => ctx.respond_on(&call.service, channel, call.op, call.data),
+                base => ctx.respond_on(&call.service, chan(base), call.op, call.data),
             }
         }
         fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {
@@ -1748,7 +1765,7 @@ mod tests {
     /// Requires `mux` and `echo`, listening on `channel` of `mux` only
     /// (`None`: on everything); records the op of every response.
     struct Listener {
-        channel: Option<u16>,
+        channel: Option<Channel>,
         got: Vec<Op>,
     }
 
@@ -1762,7 +1779,7 @@ mod tests {
         fn requires(&self) -> Vec<ServiceId> {
             vec![ServiceId::new("mux"), ServiceId::new("echo")]
         }
-        fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+        fn listens_on(&self, service: &ServiceId) -> Option<Channel> {
             self.channel.filter(|_| service.name() == "mux")
         }
         fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
@@ -1781,9 +1798,9 @@ mod tests {
         let listener = |stack: &mut Stack, channel| {
             stack.add_module(Box::new(Listener { channel, got: vec![] }))
         };
-        let on_3 = listener(&mut stack, Some(3));
-        let on_4 = listener(&mut stack, Some(4));
-        let also_on_4 = listener(&mut stack, Some(4));
+        let on_3 = listener(&mut stack, Some(chan(3)));
+        let on_4 = listener(&mut stack, Some(chan(4)));
+        let also_on_4 = listener(&mut stack, Some(chan(4)));
         let on_all = listener(&mut stack, None);
         run_until_idle(&mut stack);
         stack.take_trace();
@@ -1942,8 +1959,14 @@ mod tests {
         );
     }
 
+    /// Channel `op` (a base, at incarnation 0) or, from 16 up, incarnation
+    /// `op / 16` of base `op % 16`: how the test modules read an op.
+    fn chan(op: Op) -> Channel {
+        Channel::new((op % 16) as u8, u64::from(op / 16))
+    }
+
     /// Provides `chan`: a call's op is the channel to respond on
-    /// (`NO_CHANNEL`: none), its data what is responded.
+    /// ([`chan`]; `NO_CHANNEL`: none), its data what is responded.
     struct Chan;
 
     impl Module for Chan {
@@ -1959,7 +1982,7 @@ mod tests {
         fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
             match call.op {
                 NO_CHANNEL => ctx.respond(&call.service, 0, call.data),
-                channel => ctx.respond_on(&call.service, channel, 0, call.data),
+                op => ctx.respond_on(&call.service, chan(op), 0, call.data),
             }
         }
         fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
@@ -1967,7 +1990,7 @@ mod tests {
 
     /// Requires `chan`, listening on `channel`; records what it gets.
     struct Tuned {
-        channel: Option<u16>,
+        channel: Option<Channel>,
         got: Vec<Bytes>,
     }
 
@@ -1981,7 +2004,7 @@ mod tests {
         fn requires(&self) -> Vec<ServiceId> {
             vec![ServiceId::new("chan")]
         }
-        fn listens_on(&self, _: &ServiceId) -> Option<u16> {
+        fn listens_on(&self, _: &ServiceId) -> Option<Channel> {
             self.channel
         }
         fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
@@ -2003,8 +2026,8 @@ mod tests {
         (stack, chan)
     }
 
-    fn tune_in(stack: &mut Stack, channel: Option<u16>) -> ModuleId {
-        stack.add_module(Box::new(Tuned { channel, got: Vec::new() }))
+    fn tune_in(stack: &mut Stack, channel: Option<Op>) -> ModuleId {
+        stack.add_module(Box::new(Tuned { channel: channel.map(chan), got: Vec::new() }))
     }
 
     fn tuned(stack: &mut Stack, id: ModuleId) -> Vec<Bytes> {
@@ -2083,6 +2106,33 @@ mod tests {
         stack.crash(Time(9));
         tune_in(&mut stack, Some(3));
         assert_eq!(stack.pending(), 1, "the new module's `Start`, and nothing held for it");
+    }
+
+    /// The incarnation in the key: what a module that checked its
+    /// namespace used to decide for itself, decided once by the stack.
+    #[test]
+    fn the_key_routes_one_incarnation_holds_a_later_and_drops_an_older() {
+        let at = |incarnation: Op| incarnation * 16 + 5;
+        let (mut stack, chan) = chan_stack(&[]);
+        let on_1 = tune_in(&mut stack, Some(at(1)));
+        let respond = |stack: &mut Stack, op: Op, data: &'static [u8]| {
+            stack.call_as(chan, &ServiceId::new("chan"), op, Bytes::from_static(data));
+            run_until_idle(stack);
+        };
+        respond(&mut stack, at(1), b"exact");
+        assert_eq!(tuned(&mut stack, on_1), [&b"exact"[..]], "an exact match is routed");
+        respond(&mut stack, at(2), b"later");
+        respond(&mut stack, at(0), b"older");
+        respond(&mut stack, 6, b"other base");
+        assert_eq!(stack.held_back(), 2, "the later incarnation and the other base wait");
+        assert_eq!(hold_back(&stack), (3, 0, 1), "the older one is dropped, and counted");
+        let on_2 = tune_in(&mut stack, Some(at(2)));
+        let on_6 = tune_in(&mut stack, Some(6));
+        run_until_idle(&mut stack);
+        assert_eq!(tuned(&mut stack, on_2), [&b"later"[..]]);
+        assert_eq!(tuned(&mut stack, on_6), [&b"other base"[..]]);
+        assert_eq!(tuned(&mut stack, on_1), [&b"exact"[..]]);
+        assert_eq!((stack.held_back(), hold_back(&stack)), (0, (3, 2, 1)));
     }
 
     #[test]

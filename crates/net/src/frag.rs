@@ -16,7 +16,7 @@ use crate::dgram::{self, Dgram, DgramRef};
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, WireResult};
-use dpu_core::{Call, Module, Response, ServiceId, StackId};
+use dpu_core::{Call, Channel, Module, Response, ServiceId, StackId};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Module kind name, for factory registration.
@@ -60,24 +60,16 @@ struct Fragment {
     msg_id: u64,
     index: u32,
     count: u32,
-    channel: u16,
+    channel: Channel,
     data: Bytes,
 }
 
 impl Encode for Fragment {
     fn encode(&self, buf: &mut BytesMut) {
-        self.msg_id.encode(buf);
-        self.index.encode(buf);
-        self.count.encode(buf);
-        self.channel.encode(buf);
-        self.data.encode(buf);
+        (self.msg_id, self.index, self.count, self.channel, &self.data).encode(buf);
     }
     fn encoded_len(&self) -> usize {
-        self.msg_id.encoded_len()
-            + self.index.encoded_len()
-            + self.count.encoded_len()
-            + self.channel.encoded_len()
-            + self.data.encoded_len()
+        (self.msg_id, self.index, self.count, self.channel, &self.data).encoded_len()
     }
 }
 
@@ -87,7 +79,7 @@ impl Decode for Fragment {
             msg_id: u64::decode(buf)?,
             index: u32::decode(buf)?,
             count: u32::decode(buf)?,
-            channel: u16::decode(buf)?,
+            channel: Channel::decode(buf)?,
             data: Bytes::decode(buf)?,
         })
     }
@@ -95,7 +87,7 @@ impl Decode for Fragment {
 
 struct Slot {
     count: u32,
-    channel: u16,
+    channel: Channel,
     parts: BTreeMap<u32, Bytes>,
 }
 
@@ -215,7 +207,7 @@ impl Module for FragModule {
         vec![self.udp_svc]
     }
 
-    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+    fn listens_on(&self, service: &ServiceId) -> Option<Channel> {
         (*service == self.udp_svc).then_some(crate::FRAG_UDP_CHANNEL)
     }
 
@@ -287,6 +279,8 @@ mod tests {
     /// Layout: m1 net, m2 udp, m3 frag, m4 sink.
     const FRAG: ModuleId = ModuleId(3);
     const SINK: ModuleId = ModuleId(4);
+    /// The channel the tests send on.
+    const CH: Channel = Channel::new(5, 0);
 
     fn mk_stack(sc: StackConfig) -> Stack {
         let mut s = Stack::new(sc, FactoryRegistry::new());
@@ -299,7 +293,7 @@ mod tests {
     }
 
     fn send_big(sim: &mut Sim, from: u32, to: u32, size: usize, fill: u8) {
-        let d = Dgram { peer: StackId(to), channel: 5, data: Bytes::from(vec![fill; size]) };
+        let d = Dgram { peer: StackId(to), channel: CH, data: Bytes::from(vec![fill; size]) };
         sim.with_stack(StackId(from), |s| {
             s.call_as(SINK, &ServiceId::new(crate::FRAG_SVC), dgram::SEND, wire::to_bytes(&d))
         });
@@ -329,7 +323,7 @@ mod tests {
         let got = sim
             .with_stack(StackId(1), |s| s.with_module::<Sink, _>(SINK, |k| k.got.clone()).unwrap());
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].channel, 5);
+        assert_eq!(got[0].channel, CH);
         assert_eq!(got[0].data, Bytes::from(vec![9u8; size]));
         let frags = sim.with_stack(StackId(0), |s| {
             s.with_module::<FragModule, _>(FRAG, |m| m.fragments_sent()).unwrap()
@@ -399,7 +393,7 @@ mod tests {
         cfg.net.loss = 0.25;
         let mut sim = Sim::new(cfg, mk);
         for i in 0..4u8 {
-            let d = Dgram { peer: StackId(1), channel: 5, data: Bytes::from(vec![i; 6_000]) };
+            let d = Dgram { peer: StackId(1), channel: CH, data: Bytes::from(vec![i; 6_000]) };
             sim.with_stack(StackId(0), |s| {
                 s.call_as(SINK5, &ServiceId::new(crate::RP2P_SVC), dgram::SEND, wire::to_bytes(&d))
             });
@@ -438,7 +432,7 @@ mod tests {
                 msg_id,
                 index: 0,
                 count: 2,
-                channel: 5,
+                channel: CH,
                 data: Bytes::from_static(b"half"),
             };
             let d =
@@ -459,7 +453,7 @@ mod tests {
     #[test]
     fn fragment_and_config_wire_contract() {
         for data in [Bytes::new(), Bytes::from_static(b"chunk"), Bytes::from(vec![1u8; 1400])] {
-            let frag = Fragment { msg_id: 77, index: 2, count: 9, channel: 5, data };
+            let frag = Fragment { msg_id: 77, index: 2, count: 9, channel: CH.at(77), data };
             dpu_core::wire::testing::assert_wire_contract(&frag);
         }
         dpu_core::wire::testing::assert_wire_contract(&FragConfig {

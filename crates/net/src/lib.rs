@@ -37,14 +37,14 @@ pub const RP2P_SVC: &str = "rp2p";
 /// interface as UDP, for oversized payloads).
 pub const FRAG_SVC: &str = "frag";
 /// UDP channel reserved for fragmentation frames.
-pub const FRAG_UDP_CHANNEL: u16 = 2;
+pub const FRAG_UDP_CHANNEL: dpu_core::Channel = dpu_core::Channel::new(2, 0);
 
 /// Shared operation codes and payload shapes for datagram-style services
 /// (`udp` and `rp2p` use the same interface shape).
 pub mod dgram {
     use bytes::{Bytes, BytesMut};
     use dpu_core::wire::{Decode, Encode, WireResult};
-    use dpu_core::{Op, StackId};
+    use dpu_core::{Channel, Op, StackId};
 
     /// Downward call: send `(dst, channel, data)`.
     pub const SEND: Op = 1;
@@ -57,7 +57,7 @@ pub mod dgram {
         /// The remote stack (destination on send, source on receive).
         pub peer: StackId,
         /// Multiplexing channel; receivers filter on it.
-        pub channel: u16,
+        pub channel: Channel,
         /// Opaque payload.
         pub data: Bytes,
     }
@@ -77,7 +77,7 @@ pub mod dgram {
         fn decode(buf: &mut Bytes) -> WireResult<Self> {
             Ok(Dgram {
                 peer: StackId::decode(buf)?,
-                channel: u16::decode(buf)?,
+                channel: Channel::decode(buf)?,
                 data: Bytes::decode(buf)?,
             })
         }
@@ -93,7 +93,7 @@ pub mod dgram {
         /// Destination stack.
         pub peer: StackId,
         /// Multiplexing channel.
-        pub channel: u16,
+        pub channel: Channel,
         /// The payload message, encoded in place.
         pub body: &'a B,
     }
@@ -117,11 +117,15 @@ mod tests {
     use super::dgram::Dgram;
     use bytes::Bytes;
     use dpu_core::wire;
-    use dpu_core::StackId;
+    use dpu_core::{Channel, StackId};
 
     #[test]
     fn dgram_roundtrip() {
-        let d = Dgram { peer: StackId(4), channel: 9, data: Bytes::from_static(b"abc") };
+        let d = Dgram {
+            peer: StackId(4),
+            channel: Channel::new(9, 2),
+            data: Bytes::from_static(b"abc"),
+        };
         let b = wire::to_bytes(&d);
         let back: Dgram = wire::from_bytes(&b).unwrap();
         assert_eq!(back, d);
@@ -130,7 +134,7 @@ mod tests {
     #[test]
     fn dgram_wire_contract() {
         for data in [Bytes::new(), Bytes::from_static(b"abc"), Bytes::from(vec![0u8; 300])] {
-            let d = Dgram { peer: StackId(4), channel: 9, data };
+            let d = Dgram { peer: StackId(4), channel: Channel::new(9, 300), data };
             wire::testing::assert_wire_contract(&d);
         }
     }
@@ -142,14 +146,11 @@ mod tests {
         use super::dgram::DgramRef;
         use dpu_core::wire::Encode;
         let body = (7u16, Bytes::from_static(b"payload"), 42u64);
-        let one_pass = DgramRef { peer: StackId(3), channel: 5, body: &body }.to_bytes();
-        let two_pass =
-            Dgram { peer: StackId(3), channel: 5, data: wire::to_bytes(&body) }.to_bytes();
+        let channel = Channel::new(5, 0);
+        let one_pass = DgramRef { peer: StackId(3), channel, body: &body }.to_bytes();
+        let two_pass = Dgram { peer: StackId(3), channel, data: wire::to_bytes(&body) }.to_bytes();
         assert_eq!(one_pass, two_pass);
-        wire::testing::assert_wire_contract(&Dgram {
-            peer: StackId(3),
-            channel: 5,
-            data: wire::to_bytes(&body),
-        });
+        let data = wire::to_bytes(&body);
+        wire::testing::assert_wire_contract(&Dgram { peer: StackId(3), channel, data });
     }
 }

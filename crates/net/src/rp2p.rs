@@ -18,11 +18,15 @@
 //! flows anyway. On a stack that is charged CPU per datagram (the paper's
 //! testbed) every packet saved is latency saved.
 //!
-//! * **Resend by age.** Every unacked frame remembers when it last went
-//!   out. The periodic scan (one timer of [`Rp2pConfig::retransmit`])
-//!   resends only what has been unacked for a full period: a younger
-//!   frame is still inside its round trip, or its ack is waiting for a
-//!   ride. With nothing lost, nothing is resent.
+//! * **Resend by age, doubling.** Every unacked frame remembers when it
+//!   last went out and how often it was resent. The periodic scan (one
+//!   timer of [`Rp2pConfig::retransmit`]) resends only what has been
+//!   unacked for `retransmit << min(resends, 6)`: one period the first
+//!   time, then two, four … up to 64. A younger frame is still inside its
+//!   round trip, or its ack is waiting for a ride. With nothing lost,
+//!   nothing is resent; against a round trip far longer than the period
+//!   (a peer 400 ms away, resends every 20 ms), the doubling is what stops
+//!   each frame going out twenty times before its first ack can arrive.
 //! * **Acks ride data.** Every data frame — first transmission or resend
 //!   — carries the cumulative ack for the reverse direction (`ack`, one
 //!   varint) and so settles whatever was owed to its destination; the
@@ -45,14 +49,11 @@
 //!   resending, i.e. an ack was lost: the immediate re-ack is what repairs
 //!   that.
 //!
-//! When a retransmission fills a sequence gap, the resequencing buffer
-//! releases the recovered frames **one per dispatch cascade** (the rest
-//! ride a zero-delay timer) rather than all at once. The stack's
-//! delivery queue is breadth-first, so a batch release would let frame
-//! k+1 reach modules before frame k's reactions — including
-//! `create_module` during a dynamic protocol update — have run; a
-//! switching group would then discard new-protocol traffic that arrived
-//! ahead of its own switch and stall. See [`Rp2pModule`]'s `pending_up`.
+//! When a retransmission fills a sequence gap, the frames it recovers go
+//! up at once, in order. A frame for a protocol incarnation this stack's
+//! own switch has not created yet reaches no module: the stack holds it
+//! for that module (`dpu_core::Stack`'s hold-back), so nothing here needs
+//! to wait for the switch.
 //!
 //! Provides service [`crate::RP2P_SVC`], requires [`crate::UDP_SVC`]. All
 //! wire traffic uses UDP channel [`RP2P_UDP_CHANNEL`]; the user-facing
@@ -63,25 +64,30 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::{Dur, Time};
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, Module, Response, ServiceId, StackId, TimerId};
+use dpu_core::{Call, Channel, Module, Response, ServiceId, StackId, TimerId};
 use std::collections::BTreeMap;
 
 /// Module kind name, for factory registration.
 pub const KIND: &str = "rp2p";
 
 /// UDP channel reserved for RP2P's own frames.
-pub const RP2P_UDP_CHANNEL: u16 = 0;
+pub const RP2P_UDP_CHANNEL: Channel = Channel::new(0, 0);
 
 const TAG_RETRANSMIT: u64 = 1;
-const TAG_RELEASE: u64 = 2;
-const TAG_ACK: u64 = 3;
+const TAG_ACK: u64 = 2;
+
+/// A frame's resend age doubles with each resend up to
+/// `retransmit << MAX_BACKOFF`. A constant, not a knob: [`Rp2pConfig`]
+/// keeps its three fields.
+const MAX_BACKOFF: u64 = 6;
 
 /// Tuning knobs for RP2P.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Rp2pConfig {
     /// Period of the retransmission scan, and the age at which the scan
-    /// resends an unacked frame. An ack waits at most a quarter of it for
-    /// a data frame to ride (see the module docs).
+    /// first resends an unacked frame; each resend doubles the age for the
+    /// next, up to 64 periods (see the module docs). An ack waits at most a
+    /// quarter of it for a data frame to ride.
     pub retransmit: Dur,
     /// The datagram service underneath (default [`crate::UDP_SVC`]; point
     /// it at [`crate::FRAG_SVC`] when frames can exceed the MTU).
@@ -91,7 +97,10 @@ pub struct Rp2pConfig {
     /// grows the unacked map without bound; with one, exhausted frames
     /// are dropped and counted (see [`Rp2pModule::exhausted`]) —
     /// reliability is traded for bounded memory, exactly like a TCP
-    /// connection timing out.
+    /// connection timing out. With a cap of `c` the frame is given up
+    /// once the last resend is as old as the next would wait: about
+    /// `retransmit · (2^(c+1) − 1)` after it was first sent for `c ≤ 6`
+    /// (63 periods for 5), and 64 periods more for each resend beyond six.
     pub max_retransmits: u64,
 }
 
@@ -132,7 +141,7 @@ enum Frame {
     /// tag 0: a data frame. `ack` is the cumulative ack for the reverse
     /// direction (same meaning as [`Frame::Ack`]'s `cum`; 0 while nothing
     /// has arrived from the destination).
-    Data { seq: u64, ack: u64, channel: u16, data: Bytes },
+    Data { seq: u64, ack: u64, channel: Channel, data: Bytes },
     /// tag 1: cumulative ack — all `seq < cum` received in order.
     Ack { cum: u64 },
 }
@@ -140,29 +149,16 @@ enum Frame {
 impl Encode for Frame {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
-            Frame::Data { seq, ack, channel, data } => {
-                0u32.encode(buf);
-                seq.encode(buf);
-                ack.encode(buf);
-                channel.encode(buf);
-                data.encode(buf);
-            }
-            Frame::Ack { cum } => {
-                1u32.encode(buf);
-                cum.encode(buf);
-            }
+            Frame::Data { seq, ack, channel, data } => (0u32, seq, ack, channel, data).encode(buf),
+            Frame::Ack { cum } => (1u32, cum).encode(buf),
         }
     }
     fn encoded_len(&self) -> usize {
         match self {
             Frame::Data { seq, ack, channel, data } => {
-                0u32.encoded_len()
-                    + seq.encoded_len()
-                    + ack.encoded_len()
-                    + channel.encoded_len()
-                    + data.encoded_len()
+                (0u32, seq, ack, channel, data).encoded_len()
             }
-            Frame::Ack { cum } => 1u32.encoded_len() + cum.encoded_len(),
+            Frame::Ack { cum } => (1u32, cum).encoded_len(),
         }
     }
 }
@@ -173,7 +169,7 @@ impl Decode for Frame {
             0 => Ok(Frame::Data {
                 seq: u64::decode(buf)?,
                 ack: u64::decode(buf)?,
-                channel: u16::decode(buf)?,
+                channel: Channel::decode(buf)?,
                 data: Bytes::decode(buf)?,
             }),
             1 => Ok(Frame::Ack { cum: u64::decode(buf)? }),
@@ -185,7 +181,7 @@ impl Decode for Frame {
 /// A sent-but-unacknowledged data frame, with its retransmit count and
 /// the time it last went out.
 struct Unacked {
-    channel: u16,
+    channel: Channel,
     data: Bytes,
     attempts: u64,
     sent_at: Time,
@@ -207,7 +203,7 @@ struct PeerIn {
     next_expected: u64,
     /// Frames that arrived ahead of a gap. Empty — and without storage —
     /// while the stream arrives in order.
-    buffer: BTreeMap<u64, (u16, Bytes)>,
+    buffer: BTreeMap<u64, (Channel, Bytes)>,
     /// Frames have arrived that no frame to this peer has reported yet.
     owed: bool,
 }
@@ -228,6 +224,12 @@ fn udp_send(udp_svc: &ServiceId, ctx: &mut ModuleCtx<'_>, dst: StackId, frame: &
     ctx.call(udp_svc, dgram::SEND, payload);
 }
 
+/// Hand a frame up, on its channel.
+fn deliver(rp2p_svc: &ServiceId, ctx: &mut ModuleCtx<'_>, src: StackId, ch: Channel, data: Bytes) {
+    let up = ctx.encode(&Dgram { peer: src, channel: ch, data });
+    ctx.respond_on(rp2p_svc, ch, dgram::RECV, up);
+}
+
 /// The reliable point-to-point module. See module docs.
 pub struct Rp2pModule {
     cfg: Rp2pConfig,
@@ -235,17 +237,6 @@ pub struct Rp2pModule {
     udp_svc: ServiceId,
     out: BTreeMap<StackId, PeerOut>,
     inn: BTreeMap<StackId, PeerIn>,
-    /// Resequenced frames awaiting upward delivery. At most one frame is
-    /// released per dispatch cascade (the rest ride a zero-delay timer):
-    /// the stack's delivery queue is breadth-first, so handing a whole
-    /// recovered batch up at once would let frame k+1 reach modules
-    /// *before* the chain of module-creation reactions triggered by
-    /// frame k has run — a dynamic-update group would discard
-    /// new-protocol traffic arriving ahead of its own switch and stall
-    /// forever. One-per-cascade restores the order Algorithm 1 assumes.
-    pending_up: std::collections::VecDeque<(StackId, u16, Bytes)>,
-    /// Whether a `TAG_RELEASE` timer is armed.
-    releasing: bool,
     /// Whether a `TAG_ACK` timer is armed (only while some peer is owed).
     ack_armed: bool,
     retransmissions: u64,
@@ -265,8 +256,6 @@ impl Rp2pModule {
             udp_svc,
             out: BTreeMap::new(),
             inn: BTreeMap::new(),
-            pending_up: std::collections::VecDeque::new(),
-            releasing: false,
             ack_armed: false,
             retransmissions: 0,
             acks: 0,
@@ -296,31 +285,6 @@ impl Rp2pModule {
     /// Number of frames currently awaiting ack across all peers.
     pub fn unacked(&self) -> usize {
         self.out.values().map(|p| p.unacked.len()).sum()
-    }
-
-    fn deliver(&self, ctx: &mut ModuleCtx<'_>, src: StackId, channel: u16, data: Bytes) {
-        let d = Dgram { peer: src, channel, data };
-        let up = ctx.encode(&d);
-        ctx.respond_on(&self.rp2p_svc, channel, dgram::RECV, up);
-    }
-
-    /// Release one frame from [`Rp2pModule::pending_up`]; defer the rest
-    /// to a zero-delay timer so each frame's full dispatch cascade runs
-    /// before the next frame is seen by any module. In the common case
-    /// (one in-order frame, nothing buffered) this is an immediate
-    /// delivery with no timer — byte-identical to handing the frame up
-    /// directly.
-    fn release(&mut self, ctx: &mut ModuleCtx<'_>) {
-        if self.releasing {
-            return; // a release timer is already armed
-        }
-        if let Some((src, ch, d)) = self.pending_up.pop_front() {
-            self.deliver(ctx, src, ch, d);
-        }
-        if !self.pending_up.is_empty() {
-            self.releasing = true;
-            ctx.set_timer(Dur::ZERO, TAG_RELEASE);
-        }
     }
 
     /// `src` has everything below `cum`: forget it. A `cum` beyond what
@@ -368,8 +332,7 @@ impl Rp2pModule {
                 if seq == pin.next_expected && pin.buffer.is_empty() {
                     // In order, nothing waiting behind a gap: no map node.
                     pin.next_expected += 1;
-                    self.pending_up.push_back((src, channel, data));
-                    self.release(ctx);
+                    deliver(&self.rp2p_svc, ctx, src, channel, data);
                 } else if fresh {
                     pin.buffer.insert(seq, (channel, data));
                     if seq > pin.next_expected {
@@ -380,13 +343,12 @@ impl Rp2pModule {
                     // Drain in-order prefix.
                     while let Some((ch, d)) = pin.buffer.remove(&pin.next_expected) {
                         pin.next_expected += 1;
-                        self.pending_up.push_back((src, ch, d));
+                        deliver(&self.rp2p_svc, ctx, src, ch, d);
                     }
                     if pin.buffer.is_empty() {
                         // An emptied BTreeMap keeps its root leaf; let it go.
                         pin.buffer = BTreeMap::new();
                     }
-                    self.release(ctx);
                 }
                 self.acknowledge(ctx, src, fresh);
             }
@@ -394,9 +356,10 @@ impl Rp2pModule {
         }
     }
 
-    /// The periodic scan: resend what has been unacked for a full
-    /// `retransmit` period (a frame younger than that is still inside its
-    /// round trip, or its ack is waiting for a ride). Frames that hit the
+    /// The periodic scan: resend what has been unacked for
+    /// `retransmit << min(resends so far, MAX_BACKOFF)` (a frame younger
+    /// than that is still inside its round trip, or its ack is waiting for
+    /// a ride, or its peer is slow to answer). Frames that hit the
     /// retransmit cap are dropped from the unacked map here (counted, not
     /// resent), so a dead peer's backlog is bounded by cap × send rate
     /// instead of growing forever.
@@ -413,7 +376,7 @@ impl Rp2pModule {
             }
             let mut dropped = 0u64;
             pout.unacked.retain(|&seq, fr| {
-                if now.since(fr.sent_at) < period {
+                if now.since(fr.sent_at) < period * (1 << fr.attempts.min(MAX_BACKOFF)) {
                     return true;
                 }
                 if cap > 0 && fr.attempts >= cap {
@@ -451,7 +414,7 @@ impl Module for Rp2pModule {
         vec![self.udp_svc]
     }
 
-    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+    fn listens_on(&self, service: &ServiceId) -> Option<Channel> {
         (*service == self.udp_svc).then_some(RP2P_UDP_CHANNEL)
     }
 
@@ -466,7 +429,7 @@ impl Module for Rp2pModule {
         let Ok(d) = call.decode::<Dgram>() else { return };
         if d.peer == ctx.stack_id() {
             // Local loopback: trivially reliable and ordered.
-            self.deliver(ctx, d.peer, d.channel, d.data);
+            deliver(&self.rp2p_svc, ctx, d.peer, d.channel, d.data);
             return;
         }
         let now = ctx.now();
@@ -497,10 +460,6 @@ impl Module for Rp2pModule {
 
     fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>, _timer: TimerId, tag: u64) {
         match tag {
-            TAG_RELEASE => {
-                self.releasing = false;
-                self.release(ctx);
-            }
             TAG_ACK => {
                 // Whatever no data frame carried in the meantime, every
                 // owed peer at once, in `StackId` order.
@@ -565,6 +524,8 @@ mod tests {
     /// rp2p, m4 sink.
     const RP2P: ModuleId = ModuleId(3);
     const SINK: ModuleId = ModuleId(4);
+    /// The channel the tests send on.
+    const CH: Channel = Channel::new(5, 0);
 
     fn mk_stack(sc: StackConfig) -> Stack {
         let mut s = Stack::new(sc, FactoryRegistry::new());
@@ -577,7 +538,7 @@ mod tests {
     }
 
     fn send(sim: &mut Sim, from: u32, to: u32, tagbyte: u8) {
-        let d = Dgram { peer: StackId(to), channel: 5, data: Bytes::from(vec![tagbyte]) };
+        let d = Dgram { peer: StackId(to), channel: CH, data: Bytes::from(vec![tagbyte]) };
         sim.with_stack(StackId(from), |s| {
             s.call_as(SINK, &ServiceId::new(crate::RP2P_SVC), dgram::SEND, wire::to_bytes(&d))
         });
@@ -725,6 +686,34 @@ mod tests {
         assert_eq!(exhausted, 0);
     }
 
+    #[test]
+    fn a_silent_peer_is_resent_to_at_doubling_ages_up_to_the_cap() {
+        let mut cfg = SimConfig::lan(2, 13);
+        cfg.net.loss = 1.0;
+        let mut sim = Sim::new(cfg, mk_capped(9));
+        // Sent between two scans (one every 20 ms): each resend is a scan.
+        sim.run_until(Time::ZERO + Dur::millis(5));
+        send(&mut sim, 0, 1, 0);
+        let sent_at = sim.now();
+        let mut resent_at = Vec::new();
+        while sim.now() < sent_at + Dur::secs(10) {
+            let before = transport(&mut sim, 0).retransmissions;
+            sim.run_until(sim.now() + Dur::millis(1));
+            if transport(&mut sim, 0).retransmissions > before {
+                resent_at.push(sim.now());
+            }
+        }
+        let periods =
+            |d: Dur| d.as_nanos() as f64 / Rp2pConfig::default().retransmit.as_nanos() as f64;
+        let first = periods(resent_at[0].since(sent_at));
+        assert!((1.0..2.0).contains(&first), "first resend {first:.2} periods after the send");
+        let gaps: Vec<u64> =
+            resent_at.windows(2).map(|w| periods(w[1].since(w[0])).round() as u64).collect();
+        assert_eq!(gaps, [2, 4, 8, 16, 32, 64, 64, 64], "periods between resends");
+        let ts = transport(&mut sim, 0);
+        assert_eq!((ts.retransmissions, ts.exhausted, ts.unacked), (9, 1, 0), "{ts:?}");
+    }
+
     fn transport(sim: &mut Sim, node: u32) -> dpu_core::TransportStats {
         sim.with_stack(StackId(node), |s| s.transport_stats())
     }
@@ -867,7 +856,7 @@ mod tests {
         // everything ever, alone and on a data frame.
         for forged in [
             Frame::Ack { cum: u64::MAX },
-            Frame::Data { seq: 0, ack: u64::MAX, channel: 5, data: Bytes::from_static(b"x") },
+            Frame::Data { seq: 0, ack: u64::MAX, channel: CH, data: Bytes::from_static(b"x") },
         ] {
             let d = Dgram {
                 peer: StackId(0),
@@ -907,10 +896,11 @@ mod tests {
     fn frame_and_config_wire_contract() {
         use dpu_core::wire::testing::assert_wire_contract;
         let data = Bytes::from_static(b"xy");
-        assert_wire_contract(&Frame::Data { seq: 9, ack: 0, channel: 3, data: data.clone() });
-        assert_wire_contract(&Frame::Data { seq: 9, ack: 300, channel: 3, data });
+        assert_wire_contract(&Frame::Data { seq: 9, ack: 0, channel: CH, data: data.clone() });
+        assert_wire_contract(&Frame::Data { seq: 9, ack: 300, channel: CH.at(40), data });
         let (seq, ack) = (u64::MAX, u64::MAX);
-        assert_wire_contract(&Frame::Data { seq, ack, channel: 0, data: Bytes::new() });
+        let channel = CH.at(u64::MAX);
+        assert_wire_contract(&Frame::Data { seq, ack, channel, data: Bytes::new() });
         assert_wire_contract(&Frame::Ack { cum: 123_456 });
         assert_wire_contract(&Rp2pConfig {
             retransmit: Dur::millis(55),

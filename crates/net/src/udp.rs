@@ -16,7 +16,7 @@ use crate::dgram;
 use bytes::{BufMut, Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{self, Decode, Encode, WireScratch};
-use dpu_core::{Call, Module, ModuleSpec, Op, Response, ServiceId, StackId};
+use dpu_core::{Call, Channel, Module, ModuleSpec, Op, Response, ServiceId, StackId};
 
 /// Module kind name, for factory registration.
 pub const KIND: &str = "udp";
@@ -58,8 +58,8 @@ impl Default for UdpModule {
 
 /// The channel of a `(channel, data)` frame — the part of a
 /// [`dgram::Dgram`] that crosses the wire — if the frame decodes whole.
-fn channel_of(frame: &Bytes) -> Option<u16> {
-    wire::from_bytes::<(u16, Bytes)>(frame).ok().map(|(channel, _data)| channel)
+fn channel_of(frame: &Bytes) -> Option<Channel> {
+    wire::from_bytes::<(Channel, Bytes)>(frame).ok().map(|(channel, _data)| channel)
 }
 
 /// A received [`dgram::Dgram`], written in one pass: the source followed
@@ -117,7 +117,7 @@ impl Module for UdpModule {
         src: StackId,
         frame: &Bytes,
         scratch: &mut WireScratch,
-    ) -> Option<(u16, Op, Bytes)> {
+    ) -> Option<(Channel, Op, Bytes)> {
         // Untrusted wire input: a frame that does not decode whole is
         // dropped and counted, never unwrapped.
         let Some(channel) = channel_of(frame) else {
@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn send_produces_net_host_action_with_frame() {
         let (mut stack, _, user) = udp_stack();
-        let d = Dgram { peer: StackId(1), channel: 7, data: Bytes::from_static(b"hello") };
+        let d = Dgram { peer: StackId(1), channel: ch(7), data: Bytes::from_static(b"hello") };
         stack.call_as(user, &ServiceId::new(crate::UDP_SVC), dgram::SEND, wire::to_bytes(&d));
         run_until_idle(&mut stack);
         let actions: Vec<_> = stack.drain_actions().collect();
@@ -187,21 +187,21 @@ mod tests {
             panic!("expected NetSend");
         };
         assert_eq!(*dst, StackId(1));
-        let (ch, data): (u16, Bytes) = wire::from_bytes(payload).unwrap();
-        assert_eq!(ch, 7);
+        let (channel, data): (Channel, Bytes) = wire::from_bytes(payload).unwrap();
+        assert_eq!(channel, ch(7));
         assert_eq!(data, Bytes::from_static(b"hello"));
     }
 
     #[test]
     fn packet_in_surfaces_as_udp_recv() {
         let (mut stack, _, user) = udp_stack();
-        let frame = wire::to_bytes(&(9u16, Bytes::from_static(b"payload")));
+        let frame = wire::to_bytes(&(ch(9), Bytes::from_static(b"payload")));
         stack.packet_in(Time(5), StackId(1), frame);
         run_until_idle(&mut stack);
         let got = stack.with_module::<UdpSink, _>(user, |u| u.got.clone()).unwrap();
         assert_eq!(
             got,
-            vec![Dgram { peer: StackId(1), channel: 9, data: Bytes::from_static(b"payload") }]
+            vec![Dgram { peer: StackId(1), channel: ch(9), data: Bytes::from_static(b"payload") }]
         );
     }
 
@@ -216,12 +216,19 @@ mod tests {
         assert_eq!(dropped, 1, "the malformed frame must be counted, not unwrapped");
     }
 
+    /// Base `base` at incarnation 0: the one-byte channels.
+    fn ch(base: u8) -> Channel {
+        Channel::new(base, 0)
+    }
+
     /// The `dgram_wire_contract` corpus, across one- and multi-byte peers
     /// and channels.
     fn corpus() -> Vec<Dgram> {
         let mut out = Vec::new();
         for data in [Bytes::new(), Bytes::from_static(b"abc"), Bytes::from(vec![0u8; 300])] {
-            for (peer, channel) in [(4, 9), (0, 0), (200, 300), (u32::MAX, u16::MAX)] {
+            for (peer, channel) in
+                [(4, ch(9)), (0, ch(0)), (200, ch(4).at(300)), (u32::MAX, ch(15).at(u64::MAX))]
+            {
                 out.push(Dgram { peer: StackId(peer), channel, data: data.clone() });
             }
         }
@@ -266,13 +273,13 @@ mod tests {
         assert!(UdpModule::new().requires().is_empty());
         let (mut stack, udp, user) = udp_stack();
         run_until_idle(&mut stack); // the three `on_start`s
-        let d = Dgram { peer: StackId(1), channel: 7, data: Bytes::from_static(b"hello") };
+        let d = Dgram { peer: StackId(1), channel: ch(7), data: Bytes::from_static(b"hello") };
         stack.call_as(user, &ServiceId::new(crate::UDP_SVC), dgram::SEND, wire::to_bytes(&d));
         let sent =
-            vec![HostAction::NetSend { dst: StackId(1), payload: stack.encode(&(7u16, d.data)) }];
+            vec![HostAction::NetSend { dst: StackId(1), payload: stack.encode(&(ch(7), d.data)) }];
         let actions: Vec<_> = stack.drain_actions().collect();
         assert_eq!(actions, sent, "the datagram leaves with the call");
-        stack.packet_in(Time(5), StackId(1), wire::to_bytes(&(7u16, Bytes::from_static(b"yo"))));
+        stack.packet_in(Time(5), StackId(1), wire::to_bytes(&(ch(7), Bytes::from_static(b"yo"))));
         let mut stepped = Vec::new();
         let mut t = stack.now();
         while let Some(info) = stack.step(t) {

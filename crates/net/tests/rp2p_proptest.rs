@@ -7,7 +7,7 @@
 use bytes::Bytes;
 use dpu_core::stack::{FactoryRegistry, ModuleCtx, Stack, StackConfig};
 use dpu_core::time::{Dur, Time};
-use dpu_core::{Call, Module, ModuleId, Response, ServiceId, StackId};
+use dpu_core::{Call, Channel, Module, ModuleId, Response, ServiceId, StackId};
 use dpu_net::dgram::{self, Dgram};
 use dpu_net::rp2p::{Rp2pConfig, Rp2pModule};
 use dpu_net::udp::UdpModule;
@@ -72,7 +72,7 @@ proptest! {
                 expected[to as usize].push((StackId(from), tag.clone()));
                 let d = Dgram {
                     peer: StackId(to),
-                    channel: 9,
+                    channel: Channel::new(9, 0),
                     data: Bytes::from(tag),
                 };
                 sim.with_stack(StackId(from), |s| {
@@ -139,7 +139,7 @@ proptest! {
             sim.run_until(at);
             let d = Dgram {
                 peer: StackId(1 - from),
-                channel: 9,
+                channel: Channel::new(9, 0),
                 data: Bytes::from(sent[from as usize].to_be_bytes().to_vec()),
             };
             sent[from as usize] += 1;

@@ -25,11 +25,11 @@
 
 use super::{ops, MsgKey};
 use crate::channels;
-use crate::consensus::ops as cons_ops;
+use crate::consensus::{self, ops as cons_ops};
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, LenPrefixed, WireResult};
-use dpu_core::{Call, IntervalSet, Module, Response, ServiceId, StackId, TransportStats};
+use dpu_core::{Call, Channel, IntervalSet, Module, Response, ServiceId, StackId, TransportStats};
 use dpu_net::dgram::{self, Dgram, DgramRef};
 use std::collections::BTreeMap;
 
@@ -39,7 +39,9 @@ pub const KIND: &str = "abcast.ct";
 /// Factory parameters of the consensus-based atomic broadcast.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CtAbcastParams {
-    /// Incarnation namespace: tags gossip traffic and consensus instances.
+    /// Incarnation namespace: the incarnation of the gossip channel and of
+    /// the consensus decisions this module listens on, and the key of its
+    /// consensus instances.
     pub namespace: u64,
     /// Service name to provide (default [`crate::ABCAST_SVC`]).
     pub service: String,
@@ -93,35 +95,24 @@ impl Decode for CtAbcastParams {
     }
 }
 
-/// Gossip frame: `(namespace, origin, seq, payload)`.
+/// Gossip frame: `(origin, seq, payload)`.
 struct Gossip {
-    ns: u64,
     key: MsgKey,
     data: Bytes,
 }
 
 impl Encode for Gossip {
     fn encode(&self, buf: &mut BytesMut) {
-        self.ns.encode(buf);
-        self.key.0.encode(buf);
-        self.key.1.encode(buf);
-        self.data.encode(buf);
+        (&self.key, &self.data).encode(buf);
     }
     fn encoded_len(&self) -> usize {
-        self.ns.encoded_len()
-            + self.key.0.encoded_len()
-            + self.key.1.encoded_len()
-            + self.data.encoded_len()
+        (&self.key, &self.data).encoded_len()
     }
 }
 
 impl Decode for Gossip {
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(Gossip {
-            ns: u64::decode(buf)?,
-            key: (StackId::decode(buf)?, u64::decode(buf)?),
-            data: Bytes::decode(buf)?,
-        })
+        Ok(Gossip { key: MsgKey::decode(buf)?, data: Bytes::decode(buf)? })
     }
 }
 
@@ -188,16 +179,22 @@ impl CtAbcastModule {
         self.unordered.len()
     }
 
+    /// This incarnation's gossip channel.
+    fn channel(&self) -> Channel {
+        channels::ABCAST_CT.at(self.params.namespace)
+    }
+
     fn gossip(&self, ctx: &mut ModuleCtx<'_>, key: MsgKey, data: &Bytes) {
         let me = ctx.stack_id();
-        let gossip = Gossip { ns: self.params.namespace, key, data: data.clone() };
+        let gossip = Gossip { key, data: data.clone() };
+        let channel = self.channel();
         for &peer in ctx.peer_table().iter() {
             if peer == me {
                 continue;
             }
             // Gossip encoded in place inside the Dgram, one scratch pass
             // per peer (each peer's datagram is an independent buffer).
-            let d = DgramRef { peer, channel: channels::ABCAST_CT, body: &gossip };
+            let d = DgramRef { peer, channel, body: &gossip };
             let payload = ctx.encode(&d);
             ctx.call(&self.rp2p_svc, dgram::SEND, payload);
         }
@@ -264,8 +261,12 @@ impl Module for CtAbcastModule {
         vec![self.cons_svc, self.rp2p_svc]
     }
 
-    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
-        (*service == self.rp2p_svc).then_some(channels::ABCAST_CT)
+    fn listens_on(&self, service: &ServiceId) -> Option<Channel> {
+        if *service == self.rp2p_svc {
+            Some(self.channel())
+        } else {
+            (*service == self.cons_svc).then_some(consensus::USER.at(self.params.namespace))
+        }
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
@@ -294,13 +295,10 @@ impl Module for CtAbcastModule {
     fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, resp: Response) {
         if resp.service == self.rp2p_svc && resp.op == dgram::RECV {
             let Ok(d) = resp.decode::<Dgram>() else { return };
-            if d.channel != channels::ABCAST_CT {
+            if d.channel != self.channel() {
                 return;
             }
             let Ok(g) = dpu_core::wire::from_bytes::<Gossip>(&d.data) else { return };
-            if g.ns != self.params.namespace {
-                return;
-            }
             if !self.delivered.contains(g.key) {
                 self.unordered.insert(g.key, g.data);
                 self.try_propose(ctx, false);
@@ -310,10 +308,10 @@ impl Module for CtAbcastModule {
         if resp.service == self.cons_svc {
             match resp.op {
                 cons_ops::DECIDE => {
-                    let Ok((ns, k, value)) = resp.decode::<(u64, u64, Bytes)>() else {
+                    let Ok((_, k, value)) = resp.decode::<(u64, u64, Bytes)>() else {
                         return;
                     };
-                    if ns != self.params.namespace || k < self.next_instance {
+                    if k < self.next_instance {
                         return;
                     }
                     let Ok(batch) = dpu_core::wire::from_bytes::<Batch>(&value) else {
@@ -323,10 +321,7 @@ impl Module for CtAbcastModule {
                     self.drain_decisions(ctx);
                 }
                 cons_ops::NEED_PROPOSAL => {
-                    let Ok((ns, k)) = resp.decode::<(u64, u64)>() else { return };
-                    if ns != self.params.namespace {
-                        return;
-                    }
+                    let Ok((_, k)) = resp.decode::<(u64, u64)>() else { return };
                     // The group is running instance k; participate with
                     // whatever we have (possibly an empty batch) so the
                     // instance can reach a majority.
@@ -366,7 +361,6 @@ mod tests {
     fn gossip_and_params_wire_contract() {
         use dpu_core::wire::testing::assert_wire_contract;
         assert_wire_contract(&Gossip {
-            ns: 3,
             key: (StackId(1), 99),
             data: Bytes::from_static(b"payload"),
         });

@@ -61,9 +61,9 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Dur;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, IntervalSet, Module, Response, ServiceId, StackId, TimerId};
+use dpu_core::{Call, Channel, IntervalSet, Module, Response, ServiceId, StackId, TimerId};
 use dpu_net::dgram::{self, Dgram, DgramRef};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Module kind name, for factory registration.
 pub const KIND: &str = "abcast.hier";
@@ -71,7 +71,8 @@ pub const KIND: &str = "abcast.hier";
 /// Factory parameters of the hierarchical atomic broadcast.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HierAbcastParams {
-    /// Incarnation namespace tagging all wire traffic.
+    /// Incarnation namespace: the incarnation of the channel this module
+    /// sends and listens on.
     pub namespace: u64,
     /// Service name to provide (default [`crate::ABCAST_SVC`]).
     pub service: String,
@@ -138,103 +139,56 @@ enum Frame {
     Claim { cluster: u32, from: StackId },
 }
 
-/// A namespace-tagged frame, encoded in one forward pass.
-struct NsFrame<'a> {
-    ns: u64,
-    frame: &'a Frame,
-}
-
-impl Encode for NsFrame<'_> {
+impl Encode for Frame {
     fn encode(&self, buf: &mut BytesMut) {
-        self.ns.encode(buf);
-        match self.frame {
-            Frame::Req { key, data } => {
-                0u32.encode(buf);
-                key.encode(buf);
-                data.encode(buf);
-            }
+        match self {
+            Frame::Req { key, data } => (0u32, key, data).encode(buf),
             Frame::Fwd { cluster, k, from, key, data } => {
-                1u32.encode(buf);
-                cluster.encode(buf);
-                k.encode(buf);
-                from.encode(buf);
-                key.encode(buf);
-                data.encode(buf);
+                (1u32, cluster, k, from, (key, data)).encode(buf)
             }
-            Frame::Commit { g, key, data } => {
-                2u32.encode(buf);
-                g.encode(buf);
-                key.encode(buf);
-                data.encode(buf);
-            }
-            Frame::Rly { g, key, data } => {
-                3u32.encode(buf);
-                g.encode(buf);
-                key.encode(buf);
-                data.encode(buf);
-            }
-            Frame::Claim { cluster, from } => {
-                4u32.encode(buf);
-                cluster.encode(buf);
-                from.encode(buf);
-            }
+            Frame::Commit { g, key, data } => (2u32, g, key, data).encode(buf),
+            Frame::Rly { g, key, data } => (3u32, g, key, data).encode(buf),
+            Frame::Claim { cluster, from } => (4u32, cluster, from).encode(buf),
         }
     }
     fn encoded_len(&self) -> usize {
-        self.ns.encoded_len()
-            + match self.frame {
-                Frame::Req { key, data } => {
-                    0u32.encoded_len() + key.encoded_len() + data.encoded_len()
-                }
-                Frame::Fwd { cluster, k, from, key, data } => {
-                    1u32.encoded_len()
-                        + cluster.encoded_len()
-                        + k.encoded_len()
-                        + from.encoded_len()
-                        + key.encoded_len()
-                        + data.encoded_len()
-                }
-                Frame::Commit { g, key, data } | Frame::Rly { g, key, data } => {
-                    2u32.encoded_len() + g.encoded_len() + key.encoded_len() + data.encoded_len()
-                }
-                Frame::Claim { cluster, from } => {
-                    4u32.encoded_len() + cluster.encoded_len() + from.encoded_len()
-                }
+        match self {
+            Frame::Req { key, data } => (0u32, key, data).encoded_len(),
+            Frame::Fwd { cluster, k, from, key, data } => {
+                (1u32, cluster, k, from, (key, data)).encoded_len()
             }
+            Frame::Commit { g, key, data } => (2u32, g, key, data).encoded_len(),
+            Frame::Rly { g, key, data } => (3u32, g, key, data).encoded_len(),
+            Frame::Claim { cluster, from } => (4u32, cluster, from).encoded_len(),
+        }
     }
 }
 
-#[cfg(test)]
-fn encode_frame(ns: u64, frame: &Frame) -> Bytes {
-    NsFrame { ns, frame }.to_bytes()
-}
-
-fn decode_frame(buf: &Bytes) -> WireResult<(u64, Frame)> {
-    let mut b = buf.clone();
-    let ns = u64::decode(&mut b)?;
-    let frame = match u32::decode(&mut b)? {
-        0 => Frame::Req { key: MsgKey::decode(&mut b)?, data: Bytes::decode(&mut b)? },
-        1 => Frame::Fwd {
-            cluster: u32::decode(&mut b)?,
-            k: u64::decode(&mut b)?,
-            from: StackId::decode(&mut b)?,
-            key: MsgKey::decode(&mut b)?,
-            data: Bytes::decode(&mut b)?,
-        },
-        2 => Frame::Commit {
-            g: u64::decode(&mut b)?,
-            key: MsgKey::decode(&mut b)?,
-            data: Bytes::decode(&mut b)?,
-        },
-        3 => Frame::Rly {
-            g: u64::decode(&mut b)?,
-            key: MsgKey::decode(&mut b)?,
-            data: Bytes::decode(&mut b)?,
-        },
-        4 => Frame::Claim { cluster: u32::decode(&mut b)?, from: StackId::decode(&mut b)? },
-        t => return Err(WireError::BadTag(t)),
-    };
-    Ok((ns, frame))
+impl Decode for Frame {
+    fn decode(buf: &mut Bytes) -> WireResult<Self> {
+        Ok(match u32::decode(buf)? {
+            0 => Frame::Req { key: MsgKey::decode(buf)?, data: Bytes::decode(buf)? },
+            1 => Frame::Fwd {
+                cluster: u32::decode(buf)?,
+                k: u64::decode(buf)?,
+                from: StackId::decode(buf)?,
+                key: MsgKey::decode(buf)?,
+                data: Bytes::decode(buf)?,
+            },
+            2 => Frame::Commit {
+                g: u64::decode(buf)?,
+                key: MsgKey::decode(buf)?,
+                data: Bytes::decode(buf)?,
+            },
+            3 => Frame::Rly {
+                g: u64::decode(buf)?,
+                key: MsgKey::decode(buf)?,
+                data: Bytes::decode(buf)?,
+            },
+            4 => Frame::Claim { cluster: u32::decode(buf)?, from: StackId::decode(buf)? },
+            t => return Err(WireError::BadTag(t)),
+        })
+    }
 }
 
 /// One forwarder's cluster stream at the leader: entries commit in
@@ -353,7 +307,7 @@ impl HierAbcastModule {
 
     /// The merge leader: the globally lowest id.
     fn leader(ctx: &ModuleCtx<'_>) -> StackId {
-        *ctx.peers().iter().min().expect("non-empty group")
+        ctx.peers().iter().copied().fold(ctx.stack_id(), StackId::min)
     }
 
     /// The local sequencer this member currently believes in: the
@@ -364,18 +318,13 @@ impl HierAbcastModule {
         c[self.seq_idx % c.len()]
     }
 
-    /// The relay currently responsible for fanning commits into
-    /// `cluster` (primary until a claim replaces it).
-    fn relay_of(&self, ctx: &ModuleCtx<'_>, cluster: u32) -> StackId {
-        match self.relays.get(&cluster) {
-            Some(&r) => r,
-            None => *self.members(ctx, cluster).first().expect("populated cluster"),
-        }
+    /// This incarnation's channel.
+    fn channel(&self) -> Channel {
+        channels::ABCAST_HIER.at(self.params.namespace)
     }
 
     fn send(&self, ctx: &mut ModuleCtx<'_>, to: StackId, frame: &Frame) {
-        let body = NsFrame { ns: self.params.namespace, frame };
-        let d = DgramRef { peer: to, channel: channels::ABCAST_HIER, body: &body };
+        let d = DgramRef { peer: to, channel: self.channel(), body: frame };
         let payload = ctx.encode(&d);
         ctx.call(&self.rp2p_svc, dgram::SEND, payload);
     }
@@ -389,8 +338,7 @@ impl HierAbcastModule {
             return;
         }
         let leader = Self::leader(ctx);
-        let primary = *self.members(ctx, my_cluster).first().expect("populated cluster");
-        if ctx.stack_id() != primary && !self.claimed {
+        if self.members(ctx, my_cluster).first() != Some(&ctx.stack_id()) && !self.claimed {
             // First time acting in the primary's stead: take over the
             // relay role before the forward, so the leader replays the
             // log (RP2P is FIFO per link — the claim arrives first).
@@ -414,10 +362,14 @@ impl HierAbcastModule {
         let g = self.next_g;
         self.next_g += 1;
         self.log.push((key, data.clone()));
-        let clusters: BTreeSet<u32> =
-            ctx.peers().iter().map(|&p| self.cluster_of(ctx, p)).collect();
-        for c in clusters {
-            let relay = self.relay_of(ctx, c);
+        // One relay per cluster: its primary (first member) until a claim
+        // replaces it.
+        let mut primaries = BTreeMap::new();
+        for &p in ctx.peers() {
+            primaries.entry(self.cluster_of(ctx, p)).or_insert(p);
+        }
+        for (c, primary) in primaries {
+            let relay = self.relays.get(&c).copied().unwrap_or(primary);
             self.send(ctx, relay, &Frame::Commit { g, key, data: data.clone() });
         }
     }
@@ -460,8 +412,8 @@ impl Module for HierAbcastModule {
         vec![self.rp2p_svc]
     }
 
-    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
-        (*service == self.rp2p_svc).then_some(channels::ABCAST_HIER)
+    fn listens_on(&self, service: &ServiceId) -> Option<Channel> {
+        (*service == self.rp2p_svc).then_some(self.channel())
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
@@ -488,13 +440,10 @@ impl Module for HierAbcastModule {
             return;
         }
         let Ok(d) = resp.decode::<Dgram>() else { return };
-        if d.channel != channels::ABCAST_HIER {
+        if d.channel != self.channel() {
             return;
         }
-        let Ok((ns, frame)) = decode_frame(&d.data) else { return };
-        if ns != self.params.namespace {
-            return;
-        }
+        let Ok(frame) = dpu_core::wire::from_bytes::<Frame>(&d.data) else { return };
         match frame {
             Frame::Req { key, data } => self.handle_req(ctx, key, data),
             Frame::Fwd { k, from, key, data, .. } => {
@@ -506,11 +455,10 @@ impl Module for HierAbcastModule {
                     return; // duplicate
                 }
                 s.buf.insert(k, (key, data));
-                while let Some(entry) = {
-                    let s = self.streams.get_mut(&from).expect("stream just touched");
-                    s.buf.remove(&s.next_k).inspect(|_| s.next_k += 1)
-                } {
-                    self.commit(ctx, entry.0, entry.1);
+                while let Some((key, data)) = (self.streams.get_mut(&from))
+                    .and_then(|s| s.buf.remove(&s.next_k).inspect(|_| s.next_k += 1))
+                {
+                    self.commit(ctx, key, data);
                 }
             }
             Frame::Commit { g, key, data } => {
@@ -597,14 +545,7 @@ mod tests {
             Frame::Claim { cluster: 1, from: StackId(4) },
         ];
         for frame in &frames {
-            let nf = NsFrame { ns: 6, frame };
-            assert_eq!(nf.encoded_len(), nf.to_bytes().len());
-            let bytes = nf.to_bytes();
-            let (ns, _back) = decode_frame(&bytes).expect("roundtrip");
-            assert_eq!(ns, 6);
-            for cut in 0..bytes.len() {
-                assert!(decode_frame(&bytes.slice(..cut)).is_err());
-            }
+            assert_wire_contract(frame);
         }
         assert_wire_contract(&HierAbcastParams::default());
     }
@@ -714,18 +655,6 @@ mod tests {
         sim.run_until(Time::ZERO + Dur::secs(12));
         let survivors = [0u32, 1, 2, 4, 5, 6, 7, 8];
         assert_total_order(&mut sim, &survivors, 17);
-    }
-
-    #[test]
-    fn namespace_filtering_drops_foreign_frames() {
-        let p1 = HierAbcastParams { namespace: 1, ..HierAbcastParams::default() };
-        let frame_bytes = encode_frame(
-            2,
-            &Frame::Commit { g: 0, key: (StackId(0), 0), data: Bytes::from_static(b"x") },
-        );
-        let (ns, _) = decode_frame(&frame_bytes).unwrap();
-        assert_eq!(ns, 2);
-        assert_ne!(ns, p1.namespace);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Dur;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, Module, Response, ServiceId, StackId, TimerId};
+use dpu_core::{Call, Channel, Module, Response, ServiceId, StackId, TimerId};
 use dpu_net::dgram::{self, Dgram, DgramRef};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -31,7 +31,8 @@ const TAG_TOKEN: u64 = 1;
 /// Factory parameters of the token-ring atomic broadcast.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RingAbcastParams {
-    /// Incarnation namespace tagging all wire traffic.
+    /// Incarnation namespace: the incarnation of the channel this module
+    /// sends and listens on.
     pub namespace: u64,
     /// Service name to provide (default [`crate::ABCAST_SVC`]).
     pub service: String,
@@ -80,47 +81,29 @@ enum Frame {
     Order { seq: u64, data: Bytes },
 }
 
-/// A namespace-tagged frame, encoded in one forward pass.
-struct NsFrame<'a> {
-    ns: u64,
-    frame: &'a Frame,
-}
-
-impl Encode for NsFrame<'_> {
+impl Encode for Frame {
     fn encode(&self, buf: &mut BytesMut) {
-        self.ns.encode(buf);
-        match self.frame {
-            Frame::Token { next_seq } => {
-                0u32.encode(buf);
-                next_seq.encode(buf);
-            }
-            Frame::Order { seq, data } => {
-                1u32.encode(buf);
-                seq.encode(buf);
-                data.encode(buf);
-            }
+        match self {
+            Frame::Token { next_seq } => (0u32, next_seq).encode(buf),
+            Frame::Order { seq, data } => (1u32, seq, data).encode(buf),
         }
     }
     fn encoded_len(&self) -> usize {
-        self.ns.encoded_len()
-            + match self.frame {
-                Frame::Token { next_seq } => 0u32.encoded_len() + next_seq.encoded_len(),
-                Frame::Order { seq, data } => {
-                    1u32.encoded_len() + seq.encoded_len() + data.encoded_len()
-                }
-            }
+        match self {
+            Frame::Token { next_seq } => (0u32, next_seq).encoded_len(),
+            Frame::Order { seq, data } => (1u32, seq, data).encoded_len(),
+        }
     }
 }
 
-fn decode_frame(buf: &Bytes) -> WireResult<(u64, Frame)> {
-    let mut b = buf.clone();
-    let ns = u64::decode(&mut b)?;
-    let frame = match u32::decode(&mut b)? {
-        0 => Frame::Token { next_seq: u64::decode(&mut b)? },
-        1 => Frame::Order { seq: u64::decode(&mut b)?, data: Bytes::decode(&mut b)? },
-        t => return Err(WireError::BadTag(t)),
-    };
-    Ok((ns, frame))
+impl Decode for Frame {
+    fn decode(buf: &mut Bytes) -> WireResult<Self> {
+        match u32::decode(buf)? {
+            0 => Ok(Frame::Token { next_seq: u64::decode(buf)? }),
+            1 => Ok(Frame::Order { seq: u64::decode(buf)?, data: Bytes::decode(buf)? }),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
 }
 
 /// The token-ring atomic broadcast module. See module docs.
@@ -169,11 +152,15 @@ impl RingAbcastModule {
         self.rotations
     }
 
+    /// This incarnation's channel.
+    fn channel(&self) -> Channel {
+        channels::ABCAST_RING.at(self.params.namespace)
+    }
+
     fn send(&self, ctx: &mut ModuleCtx<'_>, to: StackId, frame: &Frame) {
-        // Namespace + frame encoded in place inside the Dgram, one
-        // scratch pass, no intermediate buffer.
-        let body = NsFrame { ns: self.params.namespace, frame };
-        let d = DgramRef { peer: to, channel: channels::ABCAST_RING, body: &body };
+        // The frame is encoded in place inside the Dgram, one scratch
+        // pass, no intermediate buffer.
+        let d = DgramRef { peer: to, channel: self.channel(), body: frame };
         let payload = ctx.encode(&d);
         ctx.call(&self.rp2p_svc, dgram::SEND, payload);
     }
@@ -227,8 +214,8 @@ impl Module for RingAbcastModule {
         vec![self.rp2p_svc]
     }
 
-    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
-        (*service == self.rp2p_svc).then_some(channels::ABCAST_RING)
+    fn listens_on(&self, service: &ServiceId) -> Option<Channel> {
+        (*service == self.rp2p_svc).then_some(self.channel())
     }
 
     fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
@@ -255,13 +242,10 @@ impl Module for RingAbcastModule {
             return;
         }
         let Ok(d) = resp.decode::<Dgram>() else { return };
-        if d.channel != channels::ABCAST_RING {
+        if d.channel != self.channel() {
             return;
         }
-        let Ok((ns, frame)) = decode_frame(&d.data) else { return };
-        if ns != self.params.namespace {
-            return;
-        }
+        let Ok(frame) = dpu_core::wire::from_bytes::<Frame>(&d.data) else { return };
         match frame {
             Frame::Token { next_seq } => {
                 self.token = Some(next_seq);
@@ -300,19 +284,8 @@ mod tests {
     #[test]
     fn frame_and_params_wire_contract() {
         use dpu_core::wire::testing::assert_wire_contract;
-        use dpu_core::wire::Encode;
-        let tok = Frame::Token { next_seq: 11 };
-        let ord = Frame::Order { seq: 8, data: Bytes::from_static(b"oo") };
-        for frame in [&tok, &ord] {
-            let nf = NsFrame { ns: 6, frame };
-            assert_eq!(nf.encoded_len(), nf.to_bytes().len());
-            let bytes = nf.to_bytes();
-            let (ns, _back) = decode_frame(&bytes).expect("roundtrip");
-            assert_eq!(ns, 6);
-            for cut in 0..bytes.len() {
-                assert!(decode_frame(&bytes.slice(..cut)).is_err());
-            }
-        }
+        assert_wire_contract(&Frame::Token { next_seq: 11 });
+        assert_wire_contract(&Frame::Order { seq: 8, data: Bytes::from_static(b"oo") });
         assert_wire_contract(&RingAbcastParams::default());
     }
 
@@ -388,7 +361,7 @@ mod tests {
 
     #[test]
     fn frame_decode_rejects_bad_tag() {
-        let raw = wire::to_bytes(&(0u64, 9u32));
-        assert!(decode_frame(&raw).is_err());
+        let raw = wire::to_bytes(&9u32);
+        assert!(wire::from_bytes::<Frame>(&raw).is_err());
     }
 }

@@ -16,7 +16,7 @@ use crate::channels;
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, Module, Response, ServiceId, StackId};
+use dpu_core::{Call, Channel, Module, Response, ServiceId, StackId};
 use dpu_net::dgram::{self, Dgram, DgramRef};
 use std::collections::BTreeMap;
 
@@ -26,7 +26,8 @@ pub const KIND: &str = "abcast.seq";
 /// Factory parameters of the sequencer atomic broadcast.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SeqAbcastParams {
-    /// Incarnation namespace tagging all wire traffic.
+    /// Incarnation namespace: the incarnation of the channel this module
+    /// sends and listens on.
     pub namespace: u64,
     /// Service name to provide (default [`crate::ABCAST_SVC`]).
     pub service: String,
@@ -61,52 +62,29 @@ enum Frame {
     Order { seq: u64, data: Bytes },
 }
 
-/// A namespace-tagged frame, encoded in one forward pass.
-struct NsFrame<'a> {
-    ns: u64,
-    frame: &'a Frame,
-}
-
-impl Encode for NsFrame<'_> {
+impl Encode for Frame {
     fn encode(&self, buf: &mut BytesMut) {
-        self.ns.encode(buf);
-        match self.frame {
-            Frame::Req { data } => {
-                0u32.encode(buf);
-                data.encode(buf);
-            }
-            Frame::Order { seq, data } => {
-                1u32.encode(buf);
-                seq.encode(buf);
-                data.encode(buf);
-            }
+        match self {
+            Frame::Req { data } => (0u32, data).encode(buf),
+            Frame::Order { seq, data } => (1u32, seq, data).encode(buf),
         }
     }
     fn encoded_len(&self) -> usize {
-        self.ns.encoded_len()
-            + match self.frame {
-                Frame::Req { data } => 0u32.encoded_len() + data.encoded_len(),
-                Frame::Order { seq, data } => {
-                    1u32.encoded_len() + seq.encoded_len() + data.encoded_len()
-                }
-            }
+        match self {
+            Frame::Req { data } => (0u32, data).encoded_len(),
+            Frame::Order { seq, data } => (1u32, seq, data).encoded_len(),
+        }
     }
 }
 
-#[cfg(test)]
-fn encode_frame(ns: u64, frame: &Frame) -> Bytes {
-    NsFrame { ns, frame }.to_bytes()
-}
-
-fn decode_frame(buf: &Bytes) -> WireResult<(u64, Frame)> {
-    let mut b = buf.clone();
-    let ns = u64::decode(&mut b)?;
-    let frame = match u32::decode(&mut b)? {
-        0 => Frame::Req { data: Bytes::decode(&mut b)? },
-        1 => Frame::Order { seq: u64::decode(&mut b)?, data: Bytes::decode(&mut b)? },
-        t => return Err(WireError::BadTag(t)),
-    };
-    Ok((ns, frame))
+impl Decode for Frame {
+    fn decode(buf: &mut Bytes) -> WireResult<Self> {
+        match u32::decode(buf)? {
+            0 => Ok(Frame::Req { data: Bytes::decode(buf)? }),
+            1 => Ok(Frame::Order { seq: u64::decode(buf)?, data: Bytes::decode(buf)? }),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
 }
 
 /// The fixed-sequencer atomic broadcast module. See module docs.
@@ -149,14 +127,18 @@ impl SeqAbcastModule {
     }
 
     fn sequencer(ctx: &ModuleCtx<'_>) -> StackId {
-        *ctx.peers().iter().min().expect("non-empty group")
+        ctx.peers().iter().copied().fold(ctx.stack_id(), StackId::min)
+    }
+
+    /// This incarnation's channel.
+    fn channel(&self) -> Channel {
+        channels::ABCAST_SEQ.at(self.params.namespace)
     }
 
     fn send(&self, ctx: &mut ModuleCtx<'_>, to: StackId, frame: &Frame) {
-        // Namespace + frame encoded in place inside the Dgram, one
-        // scratch pass, no intermediate buffer.
-        let body = NsFrame { ns: self.params.namespace, frame };
-        let d = DgramRef { peer: to, channel: channels::ABCAST_SEQ, body: &body };
+        // The frame is encoded in place inside the Dgram, one scratch
+        // pass, no intermediate buffer.
+        let d = DgramRef { peer: to, channel: self.channel(), body: frame };
         let payload = ctx.encode(&d);
         ctx.call(&self.rp2p_svc, dgram::SEND, payload);
     }
@@ -183,8 +165,8 @@ impl Module for SeqAbcastModule {
         vec![self.rp2p_svc]
     }
 
-    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
-        (*service == self.rp2p_svc).then_some(channels::ABCAST_SEQ)
+    fn listens_on(&self, service: &ServiceId) -> Option<Channel> {
+        (*service == self.rp2p_svc).then_some(self.channel())
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
@@ -200,13 +182,10 @@ impl Module for SeqAbcastModule {
             return;
         }
         let Ok(d) = resp.decode::<Dgram>() else { return };
-        if d.channel != channels::ABCAST_SEQ {
+        if d.channel != self.channel() {
             return;
         }
-        let Ok((ns, frame)) = decode_frame(&d.data) else { return };
-        if ns != self.params.namespace {
-            return;
-        }
+        let Ok(frame) = dpu_core::wire::from_bytes::<Frame>(&d.data) else { return };
         match frame {
             Frame::Req { data } => {
                 // Only the sequencer handles requests; anyone else
@@ -248,21 +227,8 @@ mod tests {
     #[test]
     fn frame_and_params_wire_contract() {
         use dpu_core::wire::testing::assert_wire_contract;
-        let req = Frame::Req { data: Bytes::from_static(b"m") };
-        let ord = Frame::Order { seq: 8, data: Bytes::from_static(b"oo") };
-        // NsFrame has no Decode (the receive path decodes field-wise),
-        // so check the length/byte contract directly.
-        for frame in [&req, &ord] {
-            use dpu_core::wire::Encode;
-            let nf = NsFrame { ns: 6, frame };
-            assert_eq!(nf.encoded_len(), nf.to_bytes().len());
-            let bytes = nf.to_bytes();
-            let (ns, _back) = decode_frame(&bytes).expect("roundtrip");
-            assert_eq!(ns, 6);
-            for cut in 0..bytes.len() {
-                assert!(decode_frame(&bytes.slice(..cut)).is_err());
-            }
-        }
+        assert_wire_contract(&Frame::Req { data: Bytes::from_static(b"m") });
+        assert_wire_contract(&Frame::Order { seq: 8, data: Bytes::from_static(b"oo") });
         assert_wire_contract(&SeqAbcastParams::default());
     }
 
@@ -326,15 +292,6 @@ mod tests {
         let d = delivered(&mut sim, 2);
         let order: Vec<u8> = d.iter().map(|b| b[0]).collect();
         assert_eq!(order, (0..20).collect::<Vec<u8>>());
-    }
-
-    #[test]
-    fn namespace_filtering_drops_foreign_frames() {
-        let p1 = SeqAbcastParams { namespace: 1, service: "abcast".into() };
-        let frame_bytes = encode_frame(2, &Frame::Order { seq: 0, data: Bytes::from_static(b"x") });
-        let (ns, _) = decode_frame(&frame_bytes).unwrap();
-        assert_eq!(ns, 2);
-        assert_ne!(ns, p1.namespace);
     }
 
     #[test]

@@ -32,6 +32,12 @@
 //! * response [`ops::NEED_PROPOSAL`] — `(ns, k)`: the instance is running
 //!   remotely but has no local proposal yet; users should propose.
 //!
+//! Both responses go out on channel [`USER`] at `ns`, the one the user of
+//! namespace `ns` listens on: a user not created yet finds them waiting
+//! in the stack when it is. The module's own frames travel on
+//! [`crate::channels::CONSENSUS`] at its [`ConsensusParams::incarnation`],
+//! so two consensus incarnations never see each other's.
+//!
 //! Proposing `(ns, k)` also tells the module that its user has consumed
 //! every decision of `ns` below `k`: instance numbers of a namespace are
 //! proposed in order (atomic broadcast proposes `k + 1` only after it has
@@ -85,7 +91,9 @@ use crate::channels;
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, HeardSet, IntervalSet, Module, Response, ServiceId, StackId, TransportStats};
+use dpu_core::{
+    Call, Channel, HeardSet, IntervalSet, Module, Response, ServiceId, StackId, TransportStats,
+};
 use dpu_net::dgram::{self, Dgram, DgramRef};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -105,6 +113,11 @@ pub mod ops {
     pub const NEED_PROPOSAL: Op = 3;
 }
 
+/// The channel base of the `consensus` service: a user with namespace
+/// `ns` listens on `USER.at(ns)`, where its `DECIDE`s and
+/// `NEED_PROPOSAL`s go out.
+pub const USER: Channel = Channel::new(0, 0);
+
 /// Coordinator schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CoordPolicy {
@@ -122,8 +135,9 @@ pub struct ConsensusParams {
     /// new incarnation live side by side with an old one under a
     /// different name (used by the consensus-replacement experiment).
     pub service: String,
-    /// Incarnation tag on all wire messages; two module incarnations with
-    /// different tags ignore each other's traffic entirely.
+    /// The incarnation of the channel this module's frames travel on; two
+    /// modules with different incarnations never see each other's
+    /// traffic.
     pub incarnation: u64,
 }
 
@@ -158,7 +172,6 @@ enum Body {
 }
 
 struct WireMsg {
-    inc: u64,
     ns: u64,
     k: u64,
     round: u64,
@@ -167,46 +180,29 @@ struct WireMsg {
 
 impl Encode for WireMsg {
     fn encode(&self, buf: &mut BytesMut) {
-        self.inc.encode(buf);
-        self.ns.encode(buf);
-        self.k.encode(buf);
-        self.round.encode(buf);
+        (self.ns, self.k, self.round).encode(buf);
         match &self.body {
-            Body::Estimate { est, ts } => {
-                0u32.encode(buf);
-                est.encode(buf);
-                ts.encode(buf);
-            }
-            Body::Proposal { v } => {
-                1u32.encode(buf);
-                v.encode(buf);
-            }
+            Body::Estimate { est, ts } => (0u32, est, ts).encode(buf),
+            Body::Proposal { v } => (1u32, v).encode(buf),
             Body::Ack => 2u32.encode(buf),
             Body::Nack => 3u32.encode(buf),
-            Body::Decide { v } => {
-                4u32.encode(buf);
-                v.encode(buf);
-            }
+            Body::Decide { v } => (4u32, v).encode(buf),
         }
     }
     fn encoded_len(&self) -> usize {
-        let head = self.inc.encoded_len()
-            + self.ns.encoded_len()
-            + self.k.encoded_len()
-            + self.round.encoded_len();
-        head + match &self.body {
-            Body::Estimate { est, ts } => 0u32.encoded_len() + est.encoded_len() + ts.encoded_len(),
-            Body::Proposal { v } => 1u32.encoded_len() + v.encoded_len(),
-            Body::Ack => 2u32.encoded_len(),
-            Body::Nack => 3u32.encoded_len(),
-            Body::Decide { v } => 4u32.encoded_len() + v.encoded_len(),
-        }
+        (self.ns, self.k, self.round).encoded_len()
+            + match &self.body {
+                Body::Estimate { est, ts } => (0u32, est, ts).encoded_len(),
+                Body::Proposal { v } => (1u32, v).encoded_len(),
+                Body::Ack => 2u32.encoded_len(),
+                Body::Nack => 3u32.encoded_len(),
+                Body::Decide { v } => (4u32, v).encoded_len(),
+            }
     }
 }
 
 impl Decode for WireMsg {
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        let inc = u64::decode(buf)?;
         let ns = u64::decode(buf)?;
         let k = u64::decode(buf)?;
         let round = u64::decode(buf)?;
@@ -218,7 +214,7 @@ impl Decode for WireMsg {
             4 => Body::Decide { v: Bytes::decode(buf)? },
             t => return Err(WireError::BadTag(t)),
         };
-        Ok(WireMsg { inc, ns, k, round, body })
+        Ok(WireMsg { ns, k, round, body })
     }
 }
 
@@ -336,10 +332,15 @@ impl ConsensusModule {
         peers[idx as usize]
     }
 
+    /// This incarnation's channel on rp2p.
+    fn channel(&self) -> Channel {
+        channels::CONSENSUS.at(self.params.incarnation)
+    }
+
     fn send(&self, ctx: &mut ModuleCtx<'_>, to: StackId, msg: &WireMsg) {
         // One forward pass through the stack scratch: the WireMsg is
         // encoded in place inside the Dgram frame.
-        let d = DgramRef { peer: to, channel: channels::CONSENSUS, body: msg };
+        let d = DgramRef { peer: to, channel: self.channel(), body: msg };
         let payload = ctx.encode(&d);
         ctx.call(&self.rp2p_svc, dgram::SEND, payload);
     }
@@ -348,10 +349,6 @@ impl ConsensusModule {
         for &peer in ctx.peer_table().iter() {
             self.send(ctx, peer, msg);
         }
-    }
-
-    fn wire(&self, ns: u64, k: u64, round: u64, body: Body) -> WireMsg {
-        WireMsg { inc: self.params.incarnation, ns, k, round, body }
     }
 
     /// `(ns, k)` decided `v`: this process found out itself (`from` is
@@ -369,14 +366,14 @@ impl ConsensusModule {
             heard.mark(ctx.peers(), me);
             self.decided.insert((ns, k), Decided { value: v.clone(), prompted, heard });
             self.decided_count += 1;
-            let msg = self.wire(ns, k, 0, Body::Decide { v: v.clone() });
+            let msg = WireMsg { ns, k, round: 0, body: Body::Decide { v: v.clone() } };
             for &peer in ctx.peer_table().iter() {
                 if peer != me {
                     self.send(ctx, peer, &msg);
                 }
             }
             let data = ctx.encode(&(ns, k, v));
-            ctx.respond(&self.svc, ops::DECIDE, data);
+            ctx.respond_on(&self.svc, USER.at(ns), ops::DECIDE, data);
         }
         let done = self.decided.get_mut(&(ns, k)).expect("decided above");
         done.heard.mark(ctx.peers(), from);
@@ -458,7 +455,7 @@ impl ConsensusModule {
                     .expect("non-empty");
                 let v = v.clone();
                 inst.coord_proposal.insert(r2, v.clone());
-                let msg = self.wire(ns, k, r2, Body::Proposal { v });
+                let msg = WireMsg { ns, k, round: r2, body: Body::Proposal { v } };
                 self.broadcast(ctx, &msg);
             }
 
@@ -487,7 +484,7 @@ impl ConsensusModule {
                 match inst.estimate.clone() {
                     Some((est, ts)) if !inst.estimate_sent.contains(&r) => {
                         inst.estimate_sent.insert(r);
-                        Some(self.wire(ns, k, r, Body::Estimate { est, ts }))
+                        Some(WireMsg { ns, k, round: r, body: Body::Estimate { est, ts } })
                     }
                     _ => None,
                 }
@@ -510,14 +507,14 @@ impl ConsensusModule {
                 inst.responded.insert(r);
                 inst.estimate = Some((v, r + 1));
                 inst.round = r + 1;
-                let msg = self.wire(ns, k, r, Body::Ack);
+                let msg = WireMsg { ns, k, round: r, body: Body::Ack };
                 self.send(ctx, coord, &msg);
                 continue;
             }
             if coord != me && self.suspected.contains(&coord) && inst.estimate.is_some() {
                 inst.responded.insert(r);
                 inst.round = r + 1;
-                let msg = self.wire(ns, k, r, Body::Nack);
+                let msg = WireMsg { ns, k, round: r, body: Body::Nack };
                 self.send(ctx, coord, &msg);
                 continue;
             }
@@ -528,9 +525,6 @@ impl ConsensusModule {
     }
 
     fn on_wire(&mut self, ctx: &mut ModuleCtx<'_>, from: StackId, msg: WireMsg) {
-        if msg.inc != self.params.incarnation {
-            return;
-        }
         let (ns, k, round) = (msg.ns, msg.k, msg.round);
         match msg.body {
             Body::Estimate { est, ts } => self.on_frame(ctx, ns, k, |inst| {
@@ -570,7 +564,7 @@ impl ConsensusModule {
         };
         if unprompted {
             let data = ctx.encode(&(ns, k));
-            ctx.respond(&self.svc, ops::NEED_PROPOSAL, data);
+            ctx.respond_on(&self.svc, USER.at(ns), ops::NEED_PROPOSAL, data);
         }
         self.advance(ctx, ns, k);
     }
@@ -592,8 +586,8 @@ impl Module for ConsensusModule {
         vec![self.rp2p_svc, self.fd_svc]
     }
 
-    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
-        (*service == self.rp2p_svc).then_some(channels::CONSENSUS)
+    fn listens_on(&self, service: &ServiceId) -> Option<Channel> {
+        (*service == self.rp2p_svc).then_some(self.channel())
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
@@ -606,7 +600,7 @@ impl Module for ConsensusModule {
             // Already decided (e.g. the decision arrived before the local
             // proposal): re-respond for the late proposer.
             let data = ctx.encode(&(ns, k, &done.value));
-            ctx.respond(&self.svc, ops::DECIDE, data);
+            ctx.respond_on(&self.svc, USER.at(ns), ops::DECIDE, data);
             return;
         }
         if self.collected.contains((ns, k)) {
@@ -645,7 +639,7 @@ impl Module for ConsensusModule {
         }
         if resp.service == self.rp2p_svc && resp.op == dgram::RECV {
             let Ok(d) = resp.decode::<Dgram>() else { return };
-            if d.channel != channels::CONSENSUS {
+            if d.channel != self.channel() {
                 return;
             }
             let Ok(msg) = dpu_core::wire::from_bytes::<WireMsg>(&d.data) else { return };
@@ -854,30 +848,6 @@ mod tests {
     }
 
     #[test]
-    fn different_incarnations_ignore_each_other() {
-        // Two consensus modules with different incarnations on the same
-        // channel: proposals to one must not be decided by the other.
-        // Here we just verify the wire-level filter.
-        let m = ConsensusModule::new(
-            ConsensusParams { service: "consensus".into(), incarnation: 1 },
-            CoordPolicy::Rotating,
-        );
-        assert_eq!(m.params.incarnation, 1);
-        let msg = WireMsg {
-            inc: 2,
-            ns: 0,
-            k: 0,
-            round: 0,
-            body: Body::Proposal { v: Bytes::from_static(b"x") },
-        };
-        let b = msg.to_bytes();
-        let back: WireMsg = wire::from_bytes(&b).unwrap();
-        assert_eq!(back.inc, 2);
-        // (Full cross-incarnation isolation is exercised by the
-        // replacement tests in dpu-repl.)
-    }
-
-    #[test]
     fn late_proposal_after_decision_gets_decide_response() {
         let mut sim = Sim::new(SimConfig::lan(3, 4), mk_stack_with(CoordPolicy::Rotating));
         propose(&mut sim, 0, 0, 0, "a");
@@ -989,7 +959,7 @@ mod tests {
             Body::Decide { v: Bytes::new() },
         ];
         for body in bodies {
-            assert_wire_contract(&WireMsg { inc: 7, ns: 1, k: 2, round: 3, body });
+            assert_wire_contract(&WireMsg { ns: 1, k: 2, round: 3, body });
         }
         assert_wire_contract(&ConsensusParams { service: "c2".into(), incarnation: 9 });
     }
@@ -1070,7 +1040,7 @@ mod tests {
 
         /// A frame of instance `(0, k)`, round 0, arrives from `from`.
         fn recv(&mut self, from: u32, k: u64, body: Body) {
-            let msg = WireMsg { inc: 0, ns: 0, k, round: 0, body };
+            let msg = WireMsg { ns: 0, k, round: 0, body };
             let d = DgramRef { peer: StackId(from), channel: channels::CONSENSUS, body: &msg };
             self.stack.call_as(
                 Self::USER,
@@ -1160,7 +1130,7 @@ mod tests {
 
     #[test]
     fn wire_msg_rejects_bad_tag() {
-        let raw = wire::to_bytes(&(0u64, 0u64, 0u64, 0u64, 9u32));
+        let raw = wire::to_bytes(&(0u64, 0u64, 0u64, 9u32));
         assert!(wire::from_bytes::<WireMsg>(&raw).is_err());
     }
 }

@@ -23,7 +23,7 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::{Dur, Time};
 use dpu_core::wire::{Decode, Encode, WireResult};
-use dpu_core::{Call, Module, Response, ServiceId, StackId, TimerId};
+use dpu_core::{Call, Channel, Module, Response, ServiceId, StackId, TimerId};
 use dpu_net::dgram::{self, Dgram};
 use std::collections::BTreeMap;
 
@@ -171,7 +171,7 @@ impl Module for FdModule {
         vec![self.udp_svc]
     }
 
-    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+    fn listens_on(&self, service: &ServiceId) -> Option<Channel> {
         (*service == self.udp_svc).then_some(channels::FD)
     }
 

@@ -35,13 +35,19 @@
 //! ## Protocol incarnations
 //!
 //! Every atomic broadcast module carries a `namespace` (from its
-//! [`dpu_core::ModuleSpec`] params): a fresh value per incarnation that
-//! tags all of its wire messages and its consensus instances. Two
-//! incarnations of the *same kind* (e.g. during the paper's
-//! "replace CT-ABcast by CT-ABcast" experiment, §6.2) therefore never
-//! confuse each other's traffic, while the modules themselves remain
-//! completely unaware of the replacement machinery — the modularity
-//! property the paper's structural solution is after.
+//! [`dpu_core::ModuleSpec`] params): a fresh value per incarnation, rising
+//! with every replacement. It is not in any frame. It is the incarnation
+//! of the channel the module sends and listens on
+//! (`channels::ABCAST_CT.at(namespace)`, and [`consensus::USER`] at it for
+//! its decisions), and it keys its consensus instances. The stack routes
+//! by that key, so two incarnations of the *same kind* (e.g. during the
+//! paper's "replace CT-ABcast by CT-ABcast" experiment, §6.2) never see
+//! each other's traffic. A frame for an incarnation this stack has not
+//! created yet waits in the stack for its module, and one for an
+//! incarnation older than a live one's is dropped there. The modules
+//! compare no namespace and remain completely unaware of the replacement
+//! machinery — the modularity property the paper's structural solution is
+//! after. `consensus` does the same with its own `incarnation`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,23 +70,32 @@ pub const GM_SVC: &str = "gm";
 /// Service name of (unordered) reliable broadcast.
 pub const RB_SVC: &str = "rb";
 
-/// RP2P/UDP channel allocation across the workspace (RP2P's own frames
-/// use channel 0; see `dpu_net::rp2p::RP2P_UDP_CHANNEL`).
+/// The channel table: one base (< 16) per protocol, at incarnation 0.
+/// On `udp` base 0 is `rp2p`'s own frames and base 2 `frag`'s
+/// (`dpu_net::rp2p::RP2P_UDP_CHANNEL`, `dpu_net::FRAG_UDP_CHANNEL`); on
+/// `consensus` a user listens on [`crate::consensus::USER`] at its
+/// namespace. A
+/// protocol that a replacement runs side by side with itself keys its
+/// frames with its incarnation: `ABCAST_CT.at(namespace)`.
 pub mod channels {
+    use dpu_core::Channel;
+
     /// Failure detector heartbeats (raw UDP).
-    pub const FD: u16 = 1;
-    /// Consensus messages (RP2P).
-    pub const CONSENSUS: u16 = 3;
-    /// Consensus-based atomic broadcast gossip (RP2P).
-    pub const ABCAST_CT: u16 = 4;
-    /// Sequencer atomic broadcast (RP2P).
-    pub const ABCAST_SEQ: u16 = 5;
-    /// Token-ring atomic broadcast (RP2P).
-    pub const ABCAST_RING: u16 = 6;
+    pub const FD: Channel = Channel::new(1, 0);
+    /// Consensus messages (RP2P), at the consensus incarnation.
+    pub const CONSENSUS: Channel = Channel::new(3, 0);
+    /// Consensus-based atomic broadcast gossip (RP2P), at the namespace.
+    pub const ABCAST_CT: Channel = Channel::new(4, 0);
+    /// Sequencer atomic broadcast (RP2P), at the namespace.
+    pub const ABCAST_SEQ: Channel = Channel::new(5, 0);
+    /// Token-ring atomic broadcast (RP2P), at the namespace.
+    pub const ABCAST_RING: Channel = Channel::new(6, 0);
     /// Maestro-style stack switch coordination (RP2P).
-    pub const MAESTRO: u16 = 7;
+    pub const MAESTRO: Channel = Channel::new(7, 0);
     /// Graceful-Adaptation-style switch coordination (RP2P).
-    pub const GRACEFUL: u16 = 8;
-    /// Hierarchical atomic broadcast (RP2P).
-    pub const ABCAST_HIER: u16 = 9;
+    pub const GRACEFUL: Channel = Channel::new(8, 0);
+    /// Hierarchical atomic broadcast (RP2P), at the namespace.
+    pub const ABCAST_HIER: Channel = Channel::new(9, 0);
+    /// Reliable broadcast (RP2P).
+    pub const RB: Channel = Channel::new(10, 0);
 }

@@ -22,17 +22,15 @@
 //! * call [`ops::BCAST`] — broadcast the payload bytes;
 //! * response [`ops::DELIVER`] — `(origin, payload)` delivered.
 
+use crate::channels;
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, WireResult};
-use dpu_core::{Call, IntervalSet, Module, ModuleSpec, Response, ServiceId, StackId};
+use dpu_core::{Call, Channel, IntervalSet, Module, ModuleSpec, Response, ServiceId, StackId};
 use dpu_net::dgram::{self, Dgram, DgramRef};
 
 /// Module kind name, for factory registration.
 pub const KIND: &str = "rb";
-
-/// RP2P channel used by reliable broadcast.
-pub const RB_CHANNEL: u16 = 10;
 
 /// Operation codes of the `rb` service.
 pub mod ops {
@@ -114,7 +112,7 @@ impl RbModule {
             if peer == me || skip.contains(&peer) {
                 continue;
             }
-            let d = DgramRef { peer, channel: RB_CHANNEL, body: msg };
+            let d = DgramRef { peer, channel: channels::RB, body: msg };
             let payload = ctx.encode(&d);
             ctx.call(&self.rp2p_svc, dgram::SEND, payload);
         }
@@ -149,8 +147,8 @@ impl Module for RbModule {
         vec![self.rp2p_svc]
     }
 
-    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
-        (*service == self.rp2p_svc).then_some(RB_CHANNEL)
+    fn listens_on(&self, service: &ServiceId) -> Option<Channel> {
+        (*service == self.rp2p_svc).then_some(channels::RB)
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
@@ -169,7 +167,7 @@ impl Module for RbModule {
             return;
         }
         let Ok(d) = resp.decode::<Dgram>() else { return };
-        if d.channel != RB_CHANNEL {
+        if d.channel != channels::RB {
             return;
         }
         let Ok(msg) = dpu_core::wire::from_bytes::<RbMsg>(&d.data) else { return };

@@ -6,7 +6,7 @@
 use bytes::Bytes;
 use dpu_core::stack::{FactoryRegistry, ModuleCtx, Stack, StackConfig};
 use dpu_core::wire::{self, Encode};
-use dpu_core::{Call, Module, ModuleId, Response, ServiceId, StackId};
+use dpu_core::{Call, Channel, Module, ModuleId, Response, ServiceId, StackId};
 use dpu_net::dgram::{self, Dgram};
 use dpu_net::rp2p::{Rp2pConfig, Rp2pModule};
 use dpu_net::sockframe::SockFrame;
@@ -51,7 +51,8 @@ fn mk_stack(sc: StackConfig) -> Stack {
 }
 
 fn send(r: &Reactor, from: u32, to: u32, tagbyte: u8) {
-    let d = Dgram { peer: StackId(to), channel: 5, data: Bytes::from(vec![tagbyte]) };
+    let d =
+        Dgram { peer: StackId(to), channel: Channel::new(5, 0), data: Bytes::from(vec![tagbyte]) };
     r.with_stack(StackId(from), move |s| {
         s.call_as(SINK, &ServiceId::new(dpu_net::RP2P_SVC), dgram::SEND, wire::to_bytes(&d))
     });

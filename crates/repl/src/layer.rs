@@ -28,7 +28,7 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::{Dur, Time};
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, HeardSet, ModuleSpec, Response, ServiceId, StackId};
+use dpu_core::{Call, Channel, HeardSet, ModuleSpec, Response, ServiceId, StackId};
 use dpu_net::dgram::{self, Dgram, DgramRef};
 use dpu_protocols::abcast::ops as ab_ops;
 use std::collections::{BTreeSet, VecDeque};
@@ -345,7 +345,7 @@ pub(crate) struct Coordinated {
     pub ind: Indirection,
     drain: MarkerDrain,
     pub rp2p: ServiceId,
-    channel: u16,
+    channel: Channel,
     /// Who runs the switch in progress; `None` when idle.
     coordinator: Option<StackId>,
     /// The round whose `Go` this stack is waiting for (0: none).
@@ -357,7 +357,7 @@ pub(crate) struct Coordinated {
 }
 
 impl Coordinated {
-    pub fn new(service: &str, channel: u16) -> Coordinated {
+    pub fn new(service: &str, channel: Channel) -> Coordinated {
         Coordinated {
             ind: Indirection::over(service),
             drain: MarkerDrain::default(),
@@ -383,7 +383,7 @@ impl Coordinated {
 
     /// The layer's [`dpu_core::Module::listens_on`]: of rp2p, only the
     /// coordination channel; of the protocols underneath, everything.
-    pub fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+    pub fn listens_on(&self, service: &ServiceId) -> Option<Channel> {
         (*service == self.rp2p).then_some(self.channel)
     }
 

@@ -35,7 +35,7 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Dur;
 use dpu_core::wire::{Decode, Encode, WireResult};
-use dpu_core::{Call, Module, ModuleSpec, Response, ServiceId};
+use dpu_core::{Call, Channel, Module, ModuleSpec, Response, ServiceId};
 use dpu_protocols::channels;
 
 /// Module kind name, for factory registration.
@@ -121,7 +121,7 @@ impl Module for MaestroSwitcher {
         vec![self.sw.ind.required, self.sw.rp2p]
     }
 
-    fn listens_on(&self, service: &ServiceId) -> Option<u16> {
+    fn listens_on(&self, service: &ServiceId) -> Option<Channel> {
         self.sw.listens_on(service)
     }
 

@@ -327,8 +327,8 @@ impl StackTelemetry {
         self.state.hold_back.get_or_insert_with(Box::default)
     }
 
-    /// A response reached no module and was held back for one created
-    /// later.
+    /// A response reached no module: it is held back for one created
+    /// later, or dropped as stale.
     #[inline]
     pub fn note_held(&mut self) {
         self.hold_back().held += 1;
@@ -341,7 +341,8 @@ impl StackTelemetry {
         self.hold_back().released += n;
     }
 
-    /// The hold-back was full: its oldest response was dropped.
+    /// A response that reached no module was stale, or the hold-back was
+    /// full and its oldest response was dropped.
     #[inline]
     pub fn note_hold_back_dropped(&mut self) {
         self.hold_back().dropped += 1;

@@ -129,16 +129,18 @@ impl SocketCounters {
 
 /// Counters of the stacks' hold-back (`dpu_core::Stack`): a response
 /// issued on a channel that no local module listens on yet is parked
-/// until one that does is created, instead of being dropped. Folded by
-/// addition; `held − released − dropped` is what is still parked (or
-/// went with a crash).
+/// until one that does is created, instead of being dropped — unless a
+/// live module listens on a later incarnation of its channel, which makes
+/// it stale. Folded by addition; `held − released − dropped` is what is
+/// still parked (or went with a crash).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HoldBackCounters {
-    /// Responses parked because they reached no module.
+    /// Responses that reached no module.
     pub held: u64,
     /// Parked responses handed to a module created after them.
     pub released: u64,
-    /// Parked responses dropped, oldest first, at the bound.
+    /// Stale responses, and parked ones dropped, oldest first, at the
+    /// bound.
     pub dropped: u64,
 }
 

@@ -17,8 +17,11 @@
 //! one message each with the edge and no hold-back, none before either,
 //! none with both; each of the four held and released exactly one frame.
 //! No smaller group (64 or 128 stacks, seeds 1–60) loses anything, so the
-//! test keeps 256 stacks and cuts the load to 400 ms, where seed 17 still
-//! loses without the hold-back: ≈ 1 s in release, 8 s in debug.
+//! test keeps 256 stacks and cuts the load to 400 ms: ≈ 1 s in release,
+//! 8 s in debug. Which seeds reach the case moves with the timing: when the
+//! namespace left the frame bodies for the channel (a byte less a frame),
+//! seed 17 stopped reaching it, and of seeds 1–40 at 400 ms, 21, 34 and 38
+//! hold one frame each and lose one broadcast without the hold-back.
 
 use dpu::repl::builder::{check_run, drive_load, group_sim, request_change, specs};
 use dpu::repl::builder::{GroupStackOpts, SwitchLayer};
@@ -74,7 +77,7 @@ fn seq_to_hier_under_load(n: u32, seed: u64) -> dpu_core::telemetry::HoldBackCou
 
 #[test]
 fn a_frame_that_arrives_before_its_module_is_not_lost() {
-    let held = seq_to_hier_under_load(256, 17);
+    let held = seq_to_hier_under_load(256, 21);
     assert!(held.released > 0, "the run must hold a frame back to test anything: {held:?}");
     assert_eq!(held.dropped, 0);
 }

@@ -14,7 +14,8 @@ use dpu::sim::SimConfig;
 use dpu_core::probe::ProbeMsg;
 use dpu_core::time::{Dur, Time};
 use dpu_core::wire::testing::assert_wire_contract;
-use dpu_core::{ModuleSpec, StackId};
+use dpu_core::wire::Encode;
+use dpu_core::{Channel, ModuleSpec, StackId};
 use proptest::prelude::*;
 
 #[derive(Clone, Copy, Debug)]
@@ -56,7 +57,7 @@ proptest! {
         origin: u32,
         seq: u64,
         t: u64,
-        channel: u16,
+        channel: u64,
         pad in proptest::collection::vec(any::<u8>(), 0..256),
         kind in "[a-z.]{1,24}",
         members in proptest::collection::vec(any::<u32>(), 0..8),
@@ -68,6 +69,13 @@ proptest! {
             sent_at: Time(t),
             pad: data.clone(),
         });
+        // A channel is one varint, `incarnation · 16 + base`: the old `u16`
+        // byte for byte at incarnation 0.
+        let (base, incarnation) = ((channel % 16) as u8, channel >> 4);
+        let channel = Channel::new(base, incarnation);
+        assert_wire_contract(&channel);
+        assert_eq!(channel.to_bytes(), (incarnation << 4 | u64::from(base)).to_bytes());
+        assert_eq!(Channel::new(base, 0).to_bytes(), u16::from(base).to_bytes());
         assert_wire_contract(&Dgram { peer: StackId(origin), channel, data: data.clone() });
         assert_wire_contract(&ModuleSpec { kind, params: data.clone() });
         assert_wire_contract(&GmOp::Join(StackId(origin)));

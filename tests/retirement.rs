@@ -8,11 +8,13 @@ use dpu::repl::builder::{
     check_run, drive_load, group_sim, request_change, specs, GroupStackOpts, Handles,
 };
 use dpu::sim::{NetConfig, Sim, SimConfig, Topology};
+use dpu_core::telemetry::HoldBackCounters;
 use dpu_core::time::{Dur, Time};
 use dpu_core::trace::{TraceEvent, TraceLog};
 use dpu_core::{ModuleId, ModuleSpec, StackId};
 use dpu_repl::abcast_repl::ReplAbcastModule;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// `(seqNumber, retired, pending)` of the replacement module on `id`.
 fn repl_state(sim: &mut Sim, h: &Handles, id: StackId) -> (u64, u64, usize) {
@@ -69,22 +71,34 @@ fn assert_nothing_destroyed_while_bound_anywhere(trace: &TraceLog, stacks: &[Sta
     }
 }
 
+/// How a laggard run ended (see [`laggard_run`]).
+#[derive(Debug)]
+struct LaggardRun {
+    /// The others finished both replacements before the laggard applied
+    /// the first.
+    held_back_across_both: bool,
+    /// The most responses the laggard's stack held at once for a module
+    /// its own switch had not created yet, sampled every millisecond.
+    laggard_peak_held: usize,
+    /// The group's hold-back counters at the end.
+    hold_back: HoldBackCounters,
+}
+
 /// One stack hears everything `lag` late (its outbound links are
 /// healthy) while the group, under `rate` msg/s, replaces `spec(0)` by
-/// `spec(1)` by `spec(2)` in quick succession: the others finish both
-/// replacements before the laggard has applied the first. The four
-/// variants run at 100 ms and 40 msg/s, ct at 150 ms too. Far enough
-/// behind and busy enough, ct loses the laggard for good — retirement or
-/// no retirement — which the `#[ignore]`d case below keeps on record
-/// until ROADMAP item 1(a) fixes it. Where the frames die is printed per
-/// stack: not at the replacement module's `sn` guards (`ahead_dropped`
-/// reads 0 on every stack of every losing run) but below it — the new
-/// incarnation's gossip and `consensus` DECIDEs reach the laggard before
-/// its own switch has created the `abcast.ct` they are for, are
-/// dispatched to the older incarnations on the same channel and dropped
-/// by their namespace guards; the new module then waits for decisions
-/// that were announced before it existed.
-fn laggard_across_two_replacements(spec: fn(u64) -> ModuleSpec, seed: u64, lag: Dur, rate: f64) {
+/// `spec(1)` by `spec(2)` in quick succession. Panics on a lost broadcast,
+/// on a retirement before the slowest stack has unbound, on a replaced
+/// module still in a stack at the end, and on a response still held back
+/// anywhere at the end.
+///
+/// Where a laggard's frames used to die (ROADMAP item 1(a')): the
+/// incarnations shared one channel per variant, so the new incarnation's
+/// frames reached the laggard's older ones, whose namespace guards dropped
+/// them; with the incarnation in the channel they wait in the stack for
+/// the module the laggard's own switch creates. Past that, ct lost at
+/// 400 ms / 200 msg/s to a retransmission storm (20 ms resends against a
+/// 400 ms round trip) until rp2p's resend age doubled.
+fn laggard_run(spec: fn(u64) -> ModuleSpec, seed: u64, lag: Dur, rate: f64) -> LaggardRun {
     const N: u32 = 4;
     let laggard = StackId(N - 1);
     let mut topology = Topology::flat(NetConfig::lan());
@@ -108,7 +122,7 @@ fn laggard_across_two_replacements(spec: fn(u64) -> ModuleSpec, seed: u64, lag: 
     // retired more incarnations than the slowest stack has unbound.
     let requester = StackId(N - 2);
     let mut requested = 0;
-    let mut held_back_across_both = false;
+    let (mut held_back_across_both, mut laggard_peak_held) = (false, 0);
     while sim.now() < load_end + Dur::secs(4) {
         let state: Vec<(u64, u64, usize)> =
             ids.iter().map(|&id| repl_state(&mut sim, &h, id)).collect();
@@ -121,6 +135,7 @@ fn laggard_across_two_replacements(spec: fn(u64) -> ModuleSpec, seed: u64, lag: 
         }
         let prompt_done = state[..prompt.len()].iter().all(|s| s.0 == 2);
         held_back_across_both |= prompt_done && state[prompt.len()].0 == 0;
+        laggard_peak_held = laggard_peak_held.max(sim.stack(laggard).held_back());
         let warm = sim.now() >= Time::ZERO + Dur::secs(2);
         if warm && requested < 2 && state[requester.idx()].0 == requested {
             requested += 1;
@@ -129,20 +144,24 @@ fn laggard_across_two_replacements(spec: fn(u64) -> ModuleSpec, seed: u64, lag: 
         let next = sim.now() + Dur::millis(1);
         sim.run_until(next);
     }
-    assert!(
-        held_back_across_both,
-        "the scenario must hold the laggard back across both replacements"
-    );
 
-    // Where a lost frame dies (ROADMAP item 1): what each replacement
-    // module discarded as tagged with a `seqNumber` ahead of its own.
-    for &id in &ids {
-        let layer = h.layer.expect("replacement layer present");
-        let ahead = sim.with_stack(id, |s| {
-            s.with_module::<ReplAbcastModule, _>(layer, |m| m.ahead_dropped()).unwrap()
-        });
-        println!("{id}: {ahead} payloads discarded as ahead of the local seqNumber");
-    }
+    // What the laggard held back, and what the replacement modules' `sn`
+    // guards discarded as ahead of their own switch (none: it waited).
+    let hold_back = sim.telemetry_report().hold_back;
+    let layer = h.layer.expect("replacement layer present");
+    let ahead: u64 = (ids.iter())
+        .map(|&id| {
+            sim.with_stack(id, |s| {
+                s.with_module(layer, |m: &mut ReplAbcastModule| m.ahead_dropped())
+            })
+        })
+        .map(|ahead| ahead.expect("replacement module"))
+        .sum();
+    println!(
+        "{}, {lag} behind at {rate} msg/s, seed {seed}: laggard held up to {laggard_peak_held}, \
+         {ahead} discarded as ahead; {hold_back:?}",
+        spec(0).kind
+    );
     let report = check_run(&mut sim, &h);
     report.assert_ok();
     let sent = report.checker.broadcast_count();
@@ -150,11 +169,32 @@ fn laggard_across_two_replacements(spec: fn(u64) -> ModuleSpec, seed: u64, lag: 
         assert_eq!(report.checker.delivery_count(id), sent, "{id} missed deliveries");
     }
 
-    // The laggard applied both switches, was heard, and everything went.
+    // The laggard applied both switches, was heard, and everything went:
+    // the replaced modules, and whatever any stack held back for a module.
     for &id in &ids {
         assert_eq!(repl_state(&mut sim, &h, id), (2, 2, 0), "{id}: (sn, retired, pending)");
         assert_eq!(unbound_abcast_modules(&sim, id), 0, "{id}");
+        assert_eq!(sim.stack(id).held_back(), 0, "{id} still holds responses back");
     }
+    assert_eq!(hold_back.held, hold_back.released + hold_back.dropped, "{hold_back:?}");
+    LaggardRun { held_back_across_both, laggard_peak_held, hold_back }
+}
+
+/// A [`laggard_run`] whose scenario does hold the laggard back across both
+/// replacements. The four variants run at 100 ms and 40 msg/s, ct at
+/// 150 ms and 400 ms too.
+fn laggard_across_two_replacements(
+    spec: fn(u64) -> ModuleSpec,
+    seed: u64,
+    lag: Dur,
+    rate: f64,
+) -> LaggardRun {
+    let run = laggard_run(spec, seed, lag, rate);
+    assert!(
+        run.held_back_across_both,
+        "the scenario must hold the laggard back across both replacements"
+    );
+    run
 }
 
 #[test]
@@ -171,19 +211,13 @@ fn laggard_150ms_behind_loses_nothing_under_ct() {
     laggard_across_two_replacements(specs::ct, 61, Dur::millis(150), 40.0);
 }
 
-/// The loss on record. Speed keeps moving the threshold: with `udp` the
-/// bottom of the stack (PR 22) the 40 msg/s scenario lost nothing from 270
-/// to 700 ms, so the case went to 300 ms at 100 msg/s; with `udp` sending
-/// at the edge as well (no step of `udp` at all) that passes too, and
-/// seeds 61–63 lose at 400 ms / 200 msg/s, 300 ms / 300 msg/s and 500 ms /
-/// 150 msg/s alike — the laggard's own broadcasts, with `ahead_dropped` 0
-/// on every stack. A faster stack moves the threshold; it does not close
-/// the hole (the same-channel half of item 1(a): the older incarnations'
-/// namespace guards).
+/// The loss item 1(a') kept on record: seeds 61–63 lost the laggard's own
+/// broadcasts at 400 ms / 200 msg/s, 300 ms / 300 msg/s and 500 ms /
+/// 150 msg/s alike. The laggard holds frames back for its own switch.
 #[test]
-#[ignore = "ROADMAP item 1(a): frames for incarnation sn+k that arrive before the local switch are dropped"]
 fn laggard_400ms_behind_loses_nothing_under_ct() {
-    laggard_across_two_replacements(specs::ct, 61, Dur::millis(400), 200.0);
+    let run = laggard_across_two_replacements(specs::ct, 61, Dur::millis(400), 200.0);
+    assert!(run.laggard_peak_held > 0, "nothing waited for the laggard's switch: {run:?}");
 }
 
 #[test]
@@ -199,6 +233,44 @@ fn laggard_keeps_outgoing_ring_alive_everywhere() {
 #[test]
 fn laggard_keeps_outgoing_hier_alive_everywhere() {
     laggard_across_two_replacements(specs::hier, 64, Dur::millis(100), 40.0);
+}
+
+/// ROADMAP item 1(a')'s sweep: lag 100–700 ms × 40–300 msg/s × the four
+/// variants × seeds 61–63, 336 [`laggard_run`]s over every core. Whether
+/// a cell holds the laggard back across both replacements depends on the
+/// cell, so only what every run asserts is asserted. Release only, as a
+/// CI step of its own (≈ 1 min on two cores).
+#[test]
+#[ignore = "release-only sweep of 336 runs: its own CI step"]
+fn laggard_sweep_loses_nothing() {
+    let variants: [fn(u64) -> ModuleSpec; 4] = [specs::ct, specs::seq, specs::ring, specs::hier];
+    let mut cells = Vec::new();
+    for spec in variants {
+        for lag in (100..=700).step_by(100) {
+            for rate in [40.0, 100.0, 200.0, 300.0] {
+                cells.extend((61..=63).map(|seed| (spec, seed, Dur::millis(lag), rate)));
+            }
+        }
+    }
+    assert_eq!(cells.len(), 336);
+    let next = AtomicUsize::new(0);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let peaks: Vec<(usize, u64)> = std::thread::scope(|s| {
+        let worker = || {
+            let mut peak = (0, 0);
+            while let Some(&(spec, seed, lag, rate)) = cells.get(next.fetch_add(1, Relaxed)) {
+                let run = laggard_run(spec, seed, lag, rate);
+                peak = peak.max((run.laggard_peak_held, run.hold_back.dropped));
+            }
+            peak
+        };
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
+        handles.into_iter().map(|h| h.join().expect("a sweep run failed")).collect()
+    });
+    let (held, dropped) = peaks.into_iter().max().unwrap_or_default();
+    println!(
+        "336 runs, none lost anything; the laggard held up to {held} at once ({dropped} dropped)"
+    );
 }
 
 #[test]
