@@ -21,8 +21,12 @@
 //! off — which moves the event order like PR 20 did, and re-recorded all
 //! four the same way. PR 25 let the edge send for `udp` too (no step of
 //! `udp` at all) and held back a frame for a module not created yet, and
-//! re-recorded them again. A change that does not mean to alter protocol
-//! behaviour must reproduce them bit for bit.
+//! re-recorded them again. Moving the protocol incarnation from the frame
+//! bodies into the channel changed the stack's routing: a byte less a
+//! frame, a frame for a newer incarnation held back and not fanned out to
+//! the older one, and rp2p handing a recovered batch up at once; all four
+//! were re-recorded once more. A change that does not mean to alter
+//! protocol behaviour must reproduce them bit for bit.
 
 use dpu::repl::builder::{
     drive_load, group, group_sim, request_change, send_probe, specs, GroupStackOpts, SwitchLayer,
@@ -71,7 +75,7 @@ fn golden_run() -> (dpu::sim::SimStats, u64) {
 #[test]
 fn sim_through_stack_driver_matches_pre_refactor_recording() {
     let (stats, fp) = golden_run();
-    // Values recorded at PR 25; see module docs.
+    // Values recorded with the incarnation in the channel; see module docs.
     println!("stats: {stats:?}");
     println!("fingerprint: {fp:#x}");
     assert_eq!(fp, GOLDEN_FP, "merged trace diverged from the recording");
@@ -79,9 +83,12 @@ fn sim_through_stack_driver_matches_pre_refactor_recording() {
     assert_eq!(stats.packets_delivered, GOLDEN_DELIVERED);
 }
 
-/// Recorded 2026-10-15 at PR 25 (`udp` sends at the edge), scenario and
-/// seed as in [`golden_run`]: 6 431 dispatch steps where there were
-/// 8 929, 2498 packets as before. Before: `0xd40e3333b6c82435`, recorded
+/// Recorded 2026-10-15 with the incarnation in the channel and none in
+/// the frame bodies, scenario and seed as in [`golden_run`]: 6 431
+/// dispatch steps and 2498 packets as before, a byte less in each
+/// protocol frame. Before: `0xbf99abe5e9b4ee38`, recorded 2026-10-15 when
+/// `udp` began to send at the edge (6 431 dispatch steps where there were
+/// 8 929, 2498 packets as before); before that `0xd40e3333b6c82435`, recorded
 /// 2026-10-05 at PR 22 (`udp` the bottom of the stack: 8 929 steps where
 /// there were 13 971); before that `0xc837f9d17ef4aec8`, 2506 sent,
 /// 2506 delivered — the
@@ -92,7 +99,7 @@ fn sim_through_stack_driver_matches_pre_refactor_recording() {
 /// reverse traffic); before that `0x4026a4be2f99a940`, 2620 / 2620,
 /// recorded 2026-07-29 from commit 181cd88 (hand-rolled drive loops in
 /// both hosts).
-const GOLDEN_FP: u64 = 0xbf99abe5e9b4ee38;
+const GOLDEN_FP: u64 = 0xc8a67ee8aeaca6f1;
 const GOLDEN_SENT: u64 = 2498;
 const GOLDEN_DELIVERED: u64 = 2498;
 
@@ -142,7 +149,9 @@ fn ct_replacement_run(seed: u64) -> u64 {
     trace_fingerprint(&sim.merged_trace())
 }
 
-/// Recorded with [`GOLDEN_FP`] at PR 25. Before, at PR 22:
+/// Recorded with [`GOLDEN_FP`]. Before, with `udp` sending at the edge:
+/// `0x0ae8f205f0882bd1`, `0xe7ef41f07f8f59b2`, `0xb521eb4a23f65cec`; before
+/// that:
 /// `0x3034f3d2424718d0`, `0xa30c4841e59794c5`, `0x1c9562d21721d869`;
 /// before that (the PR 20 runs, digests taken at PR 21): `0xbbd536c7ac4ecce9`, `0xb6eedb08baab46ff`,
 /// `0x50aae2c9d74d0e4f`, whose rendered-log fingerprints were
@@ -153,7 +162,7 @@ fn ct_replacement_run(seed: u64) -> u64 {
 /// collection): `0x6d4c3f10a13194cf`, `0xef232e8e86088525`,
 /// `0xc9794b3925be4984`.
 const CT_REPLACEMENT_FPS: [(u64, u64); 3] =
-    [(11, 0x0ae8f205f0882bd1), (12, 0xe7ef41f07f8f59b2), (13, 0xb521eb4a23f65cec)];
+    [(11, 0xd89e886e75ecd66c), (12, 0xdcd3ee7d8941bc7f), (13, 0x8580745787d38d58)];
 
 #[test]
 fn ct_under_replacement_matches_the_recording_from_before_collection() {
