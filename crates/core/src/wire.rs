@@ -948,20 +948,4 @@ mod tests {
         roundtrip(crate::ids::StackId(5));
         roundtrip(crate::time::Time(123_456_789));
     }
-
-    /// A channel keeps the byte a `u16` channel had at incarnation 0, and
-    /// costs one byte more only from incarnation 8 up.
-    #[test]
-    fn a_channel_is_the_old_u16_at_incarnation_zero() {
-        use crate::ids::Channel;
-        for base in 0..16u8 {
-            assert_eq!(Channel::new(base, 0).to_bytes(), u16::from(base).to_bytes());
-            for inc in [0, 1, 7, 8, 1 << 20, u64::MAX >> 4] {
-                let ch = Channel::new(base, inc);
-                testing::assert_wire_contract(&ch);
-                assert_eq!(ch.to_bytes(), ((inc << 4) | u64::from(base)).to_bytes());
-                assert_eq!(ch.encoded_len(), if inc < 8 { 1 } else { uvarint_len(inc << 4) });
-            }
-        }
-    }
 }

@@ -66,10 +66,18 @@ struct Fragment {
 
 impl Encode for Fragment {
     fn encode(&self, buf: &mut BytesMut) {
-        (self.msg_id, self.index, self.count, self.channel, &self.data).encode(buf);
+        self.msg_id.encode(buf);
+        self.index.encode(buf);
+        self.count.encode(buf);
+        self.channel.encode(buf);
+        self.data.encode(buf);
     }
     fn encoded_len(&self) -> usize {
-        (self.msg_id, self.index, self.count, self.channel, &self.data).encoded_len()
+        self.msg_id.encoded_len()
+            + self.index.encoded_len()
+            + self.count.encoded_len()
+            + self.channel.encoded_len()
+            + self.data.encoded_len()
     }
 }
 

@@ -149,16 +149,29 @@ enum Frame {
 impl Encode for Frame {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
-            Frame::Data { seq, ack, channel, data } => (0u32, seq, ack, channel, data).encode(buf),
-            Frame::Ack { cum } => (1u32, cum).encode(buf),
+            Frame::Data { seq, ack, channel, data } => {
+                0u32.encode(buf);
+                seq.encode(buf);
+                ack.encode(buf);
+                channel.encode(buf);
+                data.encode(buf);
+            }
+            Frame::Ack { cum } => {
+                1u32.encode(buf);
+                cum.encode(buf);
+            }
         }
     }
     fn encoded_len(&self) -> usize {
         match self {
             Frame::Data { seq, ack, channel, data } => {
-                (0u32, seq, ack, channel, data).encoded_len()
+                0u32.encoded_len()
+                    + seq.encoded_len()
+                    + ack.encoded_len()
+                    + channel.encoded_len()
+                    + data.encoded_len()
             }
-            Frame::Ack { cum } => (1u32, cum).encoded_len(),
+            Frame::Ack { cum } => 1u32.encoded_len() + cum.encoded_len(),
         }
     }
 }

@@ -180,24 +180,36 @@ struct WireMsg {
 
 impl Encode for WireMsg {
     fn encode(&self, buf: &mut BytesMut) {
-        (self.ns, self.k, self.round).encode(buf);
+        self.ns.encode(buf);
+        self.k.encode(buf);
+        self.round.encode(buf);
         match &self.body {
-            Body::Estimate { est, ts } => (0u32, est, ts).encode(buf),
-            Body::Proposal { v } => (1u32, v).encode(buf),
+            Body::Estimate { est, ts } => {
+                0u32.encode(buf);
+                est.encode(buf);
+                ts.encode(buf);
+            }
+            Body::Proposal { v } => {
+                1u32.encode(buf);
+                v.encode(buf);
+            }
             Body::Ack => 2u32.encode(buf),
             Body::Nack => 3u32.encode(buf),
-            Body::Decide { v } => (4u32, v).encode(buf),
+            Body::Decide { v } => {
+                4u32.encode(buf);
+                v.encode(buf);
+            }
         }
     }
     fn encoded_len(&self) -> usize {
-        (self.ns, self.k, self.round).encoded_len()
-            + match &self.body {
-                Body::Estimate { est, ts } => (0u32, est, ts).encoded_len(),
-                Body::Proposal { v } => (1u32, v).encoded_len(),
-                Body::Ack => 2u32.encoded_len(),
-                Body::Nack => 3u32.encoded_len(),
-                Body::Decide { v } => (4u32, v).encoded_len(),
-            }
+        let head = self.ns.encoded_len() + self.k.encoded_len() + self.round.encoded_len();
+        head + match &self.body {
+            Body::Estimate { est, ts } => 0u32.encoded_len() + est.encoded_len() + ts.encoded_len(),
+            Body::Proposal { v } => 1u32.encoded_len() + v.encoded_len(),
+            Body::Ack => 2u32.encoded_len(),
+            Body::Nack => 3u32.encoded_len(),
+            Body::Decide { v } => 4u32.encoded_len() + v.encoded_len(),
+        }
     }
 }
 

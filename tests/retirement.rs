@@ -8,7 +8,6 @@ use dpu::repl::builder::{
     check_run, drive_load, group_sim, request_change, specs, GroupStackOpts, Handles,
 };
 use dpu::sim::{NetConfig, Sim, SimConfig, Topology};
-use dpu_core::telemetry::HoldBackCounters;
 use dpu_core::time::{Dur, Time};
 use dpu_core::trace::{TraceEvent, TraceLog};
 use dpu_core::{ModuleId, ModuleSpec, StackId};
@@ -80,8 +79,6 @@ struct LaggardRun {
     /// The most responses the laggard's stack held at once for a module
     /// its own switch had not created yet, sampled every millisecond.
     laggard_peak_held: usize,
-    /// The group's hold-back counters at the end.
-    hold_back: HoldBackCounters,
 }
 
 /// One stack hears everything `lag` late (its outbound links are
@@ -177,7 +174,7 @@ fn laggard_run(spec: fn(u64) -> ModuleSpec, seed: u64, lag: Dur, rate: f64) -> L
         assert_eq!(sim.stack(id).held_back(), 0, "{id} still holds responses back");
     }
     assert_eq!(hold_back.held, hold_back.released + hold_back.dropped, "{hold_back:?}");
-    LaggardRun { held_back_across_both, laggard_peak_held, hold_back }
+    LaggardRun { held_back_across_both, laggard_peak_held }
 }
 
 /// A [`laggard_run`] whose scenario does hold the laggard back across both
@@ -239,7 +236,7 @@ fn laggard_keeps_outgoing_hier_alive_everywhere() {
 /// variants × seeds 61–63, 336 [`laggard_run`]s over every core. Whether
 /// a cell holds the laggard back across both replacements depends on the
 /// cell, so only what every run asserts is asserted. Release only, as a
-/// CI step of its own (≈ 1 min on two cores).
+/// CI step of its own (≈ 10 s on two cores).
 #[test]
 #[ignore = "release-only sweep of 336 runs: its own CI step"]
 fn laggard_sweep_loses_nothing() {
@@ -255,22 +252,18 @@ fn laggard_sweep_loses_nothing() {
     assert_eq!(cells.len(), 336);
     let next = AtomicUsize::new(0);
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let peaks: Vec<(usize, u64)> = std::thread::scope(|s| {
+    let peak = std::thread::scope(|s| {
         let worker = || {
-            let mut peak = (0, 0);
+            let mut peak = 0;
             while let Some(&(spec, seed, lag, rate)) = cells.get(next.fetch_add(1, Relaxed)) {
-                let run = laggard_run(spec, seed, lag, rate);
-                peak = peak.max((run.laggard_peak_held, run.hold_back.dropped));
+                peak = peak.max(laggard_run(spec, seed, lag, rate).laggard_peak_held);
             }
             peak
         };
         let handles: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
-        handles.into_iter().map(|h| h.join().expect("a sweep run failed")).collect()
+        handles.into_iter().map(|h| h.join().expect("a sweep run failed")).max().unwrap_or(0)
     });
-    let (held, dropped) = peaks.into_iter().max().unwrap_or_default();
-    println!(
-        "336 runs, none lost anything; the laggard held up to {held} at once ({dropped} dropped)"
-    );
+    println!("336 runs, none lost anything; the laggard held up to {peak} at once");
 }
 
 #[test]
