@@ -22,28 +22,26 @@
 //!   open-loop Poisson, bursty Poisson, node churn.
 //!
 //! Everything is driven from one seeded RNG family, so a run is a pure
-//! function of `(configuration, seed)` — every figure in
-//! `EXPERIMENTS.md` is exactly reproducible, whichever scheduler
-//! implementation (see [`SchedConfig`]) or worker count (see
-//! [`SimConfig::workers`] and [`par`]) executes it.
+//! function of `(configuration, seed)` — every number the benchmark and
+//! the paper-figure binaries print is exactly reproducible, whatever the
+//! scheduler tuning (see [`SchedConfig`]) or worker count (see
+//! [`SimConfig::workers`] and [`par`]).
 //!
-//! # Execution engines
+//! # The execution engine
 //!
 //! Nodes are partitioned into *shards*, one per [`Topology`] cluster.
 //! Each shard owns its nodes, its own [`sched`] event queue, its own
-//! RNG stream for link randomness, and its own [`stats`] partial:
-//!
-//! * a **flat topology** has a single shard, processed by the classic
-//!   serial loop in strict `(time, seq)` order — byte-identical to the
-//!   pre-sharding simulator (the golden trace of
-//!   `tests/host_equivalence.rs` pins this);
-//! * a **clustered topology** advances shards in *epochs* bounded by
-//!   the topology-derived lookahead (see [`Topology::lookahead`] and
-//!   the [`par`] module docs), exchanging cross-cluster packets at
-//!   deterministic barriers. The epoch schedule is a pure function of
-//!   the configuration, so the run is bit-identical whether the shards
-//!   are processed by one thread ([`SimConfig::workers`]` = 1`, the
-//!   default) or by a worker pool.
+//! RNG stream for link randomness, and its own [`stats`] partial. One
+//! engine runs every topology: shards advance in *epochs* bounded by
+//! the topology-derived lookahead (see [`Topology::lookahead`] and the
+//! [`par`] module docs), exchanging cross-cluster packets at
+//! deterministic barriers, and scheduled actions ([`Sim::schedule`])
+//! run between stretches of epochs. A **flat topology** is the
+//! one-shard case: its lookahead is unbounded, so a stretch is a single
+//! epoch up to the next action. The epoch schedule is a pure function
+//! of the configuration, so the run is bit-identical whether the shards
+//! are processed by one thread ([`SimConfig::workers`]` = 1`, the
+//! default) or by a worker pool.
 //!
 //! ```
 //! use dpu_core::{Stack, StackConfig, FactoryRegistry};
@@ -80,7 +78,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sched::Scheduler;
 use slab::NodeSlab;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::Arc;
 
 /// CPU model: virtual service time charged per dispatched stack step, by
@@ -235,10 +233,6 @@ pub(crate) enum EventKind {
     Crash {
         node: StackId,
     },
-    /// A control closure against the whole simulation. Only ever queued
-    /// in single-shard runs — clustered runs keep actions in the
-    /// simulation-level barrier queue (see [`Sim::schedule`]).
-    Action(Box<dyn FnOnce(&mut Sim) + Send>),
 }
 
 /// [`ActionSink`] that buffers sends so they can be replayed through the
@@ -379,7 +373,6 @@ impl Shard {
                 self.nodes.set_crashed(slot);
                 self.nodes.driver_mut(slot).stack_mut().crash(at);
             }
-            EventKind::Action(_) => unreachable!("actions are dispatched by the Sim, not a shard"),
         }
     }
 
@@ -502,8 +495,8 @@ impl Shard {
 }
 
 /// A barrier-time control closure: `(time, seq)`-ordered entries of the
-/// clustered engine's action queue. Actions at time `t` run after every
-/// shard event before `t` and before any shard event at or after `t`.
+/// simulation's action queue. Actions at time `t` run after every shard
+/// event before `t` and before any shard event at or after `t`.
 struct ActionEntry {
     at: Time,
     seq: u64,
@@ -552,8 +545,8 @@ pub struct Sim {
     cfg: SimConfig,
     now: Time,
     shards: Vec<Shard>,
-    /// Barrier-time actions (clustered engine only; single-shard runs
-    /// keep actions inline in the shard's event queue).
+    /// Barrier-time actions ([`Sim::schedule`]), run between stretches
+    /// of shard epochs on every topology.
     actions: BinaryHeap<ActionEntry>,
     action_seq: u64,
     /// Actions dispatched from the barrier queue (counted into
@@ -569,9 +562,9 @@ pub struct Sim {
     /// Persistent worker threads for the parallel engine, spawned on the
     /// first parallel stretch and parked on a condvar between stretches.
     pool: Option<par::WorkerPool>,
-    /// Conservative epoch width for the clustered engine (`ZERO` when
-    /// there is a single shard and epochs are unbounded).
-    lookahead: Dur,
+    /// Conservative epoch width (`None` when there is a single shard and
+    /// epochs are unbounded).
+    lookahead: Option<Dur>,
 }
 
 /// The splitmix64 finalizer behind every derived RNG stream of the
@@ -601,7 +594,8 @@ impl Sim {
         let topology =
             Arc::new(cfg.topology.take().unwrap_or_else(|| Topology::flat(cfg.net.clone())));
         let nshards = topology.cluster_count(cfg.n) as usize;
-        let lookahead = topology.lookahead(cfg.n).unwrap_or(Dur::ZERO);
+        // A zero-latency backbone still advances one nanosecond an epoch.
+        let lookahead = topology.lookahead(cfg.n).map(|la| la.max(Dur::nanos(1)));
         let cluster_size = topology.cluster_size().unwrap_or(cfg.n.max(1));
         let peer_table = StackConfig::peer_table(cfg.n);
         let mut shards = Vec::with_capacity(nshards);
@@ -782,18 +776,14 @@ impl Sim {
     }
 
     /// Schedule a closure to run at absolute virtual time `at` (clamped
-    /// to now). In clustered runs the closure runs at a deterministic
+    /// to now). On every topology the closure runs at a deterministic
     /// epoch barrier: after every event before `at`, before any event at
-    /// or after `at`.
+    /// or after `at`; actions at the same time run in scheduling order.
     pub fn schedule(&mut self, at: Time, f: impl FnOnce(&mut Sim) + Send + 'static) {
         let at = at.max(self.now);
-        if self.shards.len() == 1 {
-            self.shards[0].push(at, EventKind::Action(Box::new(f)));
-        } else {
-            let seq = self.action_seq;
-            self.action_seq += 1;
-            self.actions.push(ActionEntry { at, seq, f: Box::new(f) });
-        }
+        let seq = self.action_seq;
+        self.action_seq += 1;
+        self.actions.push(ActionEntry { at, seq, f: Box::new(f) });
     }
 
     /// Schedule a closure `delay` from now.
@@ -807,13 +797,18 @@ impl Sim {
         self.shard_of(id).push(at, EventKind::Crash { node: id });
     }
 
-    /// Replace node `id` with a freshly constructed stack, reviving it if
-    /// it was crashed. The new stack starts from scratch (it re-runs
-    /// `on_start`); in-flight packets addressed to the node are delivered
-    /// to the *new* incarnation. Used by [`workload::Generator::Churn`]-style
-    /// crash/restart schedules.
-    pub fn restart_node(&mut self, id: StackId, stack: Stack) {
-        let now = self.now;
+    /// Replace node `id` with a stack `factory` builds from its
+    /// [`StackConfig`], reviving it if it was crashed. The new stack
+    /// starts from scratch (it re-runs `on_start`); in-flight packets
+    /// addressed to the node are delivered to the *new* incarnation. Used
+    /// by [`workload::Generator::Churn`]-style crash/restart schedules.
+    ///
+    /// The factory runs *after* the old incarnation has been dropped,
+    /// against a vacant slab slot, so a restart's resident peak is one
+    /// stack's worth of state, not two — at 10^5+ stacks the difference
+    /// is whether a restart storm doubles the process footprint.
+    pub fn restart_node_with(&mut self, id: StackId, factory: impl FnOnce(StackConfig) -> Stack) {
+        let cfg = self.stack_config(id);
         let shard = self.shard_of(id);
         let slot = shard.slot(id);
         // Recycle the slab slot in place: the old incarnation's module,
@@ -821,23 +816,6 @@ impl Sim {
         // are reset — nothing of it survives into the new incarnation.
         // Its counters do: fold them into the shard's retired partials
         // so run totals stay exact across churn.
-        shard.absorb_retiring(slot);
-        shard.nodes.retire(slot);
-        shard.nodes.recycle(slot, StackDriver::new(stack), now);
-        // Settle what building the stack produced; schedule its CPU.
-        self.with_stack(id, |_| ());
-    }
-
-    /// [`Sim::restart_node`], but the replacement stack is built *after*
-    /// the old incarnation has been dropped: the factory runs against a
-    /// vacant slab slot, so a restart's resident peak is one stack's
-    /// worth of state, not two. Churn workloads restart through this
-    /// path — at 10^5+ stacks the difference is whether a restart storm
-    /// doubles the process footprint.
-    pub fn restart_node_with(&mut self, id: StackId, factory: impl FnOnce(StackConfig) -> Stack) {
-        let cfg = self.stack_config(id);
-        let shard = self.shard_of(id);
-        let slot = shard.slot(id);
         shard.absorb_retiring(slot);
         shard.nodes.retire(slot);
         let driver = StackDriver::new(factory(cfg));
@@ -908,104 +886,58 @@ impl Sim {
         self.now
     }
 
-    /// Process every event (and barrier action) with time ≤ `t`.
+    /// Process every event and action with time ≤ `t`: stretches of
+    /// shard epochs, each bounded by the next action (actions need
+    /// `&mut Sim`), and the actions between them. An action at `a` runs
+    /// after every event before `a` and before any event at `a` or
+    /// later. The schedule — and therefore the entire run — is
+    /// independent of [`SimConfig::workers`]; see the [`par`] module
+    /// docs for the determinism argument.
     fn run_events(&mut self, t: Time) {
-        if self.shards.len() == 1 {
-            self.run_serial(t);
-        } else {
-            self.run_clustered(t);
-        }
-    }
-
-    /// The classic serial loop: one shard, strict `(time, seq)` order,
-    /// actions inline in the event queue. Byte-identical to the
-    /// pre-sharding simulator.
-    fn run_serial(&mut self, t: Time) {
-        loop {
-            let Some((at, kind)) = self.shards[0].sched.pop_before(t) else { return };
-            match kind {
-                EventKind::Action(f) => {
-                    debug_assert!(at >= self.now, "time went backwards");
-                    self.now = at;
-                    self.shards[0].now = at;
-                    self.shards[0].stats.events += 1;
-                    f(self);
-                }
-                kind => {
-                    let shared = shared_view!(self);
-                    self.shards[0].dispatch(&shared, at, kind);
-                    self.now = at;
-                }
-            }
-        }
-    }
-
-    /// The conservative clustered engine: epochs of lookahead width,
-    /// cross-cluster exchange and barrier actions between them. The
-    /// epoch schedule — and therefore the entire run — is independent
-    /// of [`SimConfig::workers`]; see the [`par`] module docs for the
-    /// determinism argument.
-    fn run_clustered(&mut self, t: Time) {
         let cap = Time(t.0.saturating_add(1)); // exclusive event bound
         loop {
-            let next_act = self.actions.peek().map(|a| a.at);
-            let next_ev = self.shards.iter_mut().filter_map(|s| s.next_time()).min();
-            let floor = match (next_act, next_ev) {
-                (None, None) => return,
-                (a, e) => a.into_iter().chain(e).min().expect("one side is Some"),
-            };
-            if floor > t {
-                return;
-            }
-            if next_act == Some(floor) {
-                // Actions at `floor` run before shard events at `floor`.
-                self.now = floor;
-                while self.actions.peek().is_some_and(|a| a.at <= floor) {
-                    let entry = self.actions.pop().expect("peeked");
-                    self.actions_dispatched += 1;
-                    (entry.f)(self);
-                }
-                continue;
-            }
-            // A stretch of pure shard events: epochs up to the next
-            // action time (actions need `&mut Sim`, so they bound it).
-            let bound = Time(next_act.map_or(cap.0, |a| a.0.min(cap.0)));
+            let bound = self.actions.peek().map_or(cap, |a| a.at.min(cap));
             self.run_stretch(bound);
             let reached = self.shards.iter().map(|s| s.now).max().unwrap_or(self.now);
             self.now = self.now.max(reached);
+            if bound == cap {
+                return;
+            }
+            self.now = bound;
+            loop {
+                let entry = match self.actions.peek_mut() {
+                    Some(top) if top.at <= bound => PeekMut::pop(top),
+                    _ => break,
+                };
+                self.actions_dispatched += 1;
+                (entry.f)(self);
+            }
         }
     }
 
-    /// Run lookahead-wide epochs until every shard's next event is at or
-    /// beyond `bound` (exclusive). With `workers > 1` the shards are
-    /// processed by the [`par`] worker pool; the results are identical.
+    /// Run epochs until every shard's next event is at or beyond `bound`
+    /// (exclusive) — [`par::run_epochs`], with each epoch's shards
+    /// processed on this thread or, with `workers > 1`, by the [`par`]
+    /// worker pool; the results are identical.
     fn run_stretch(&mut self, bound: Time) {
         let workers = self.cfg.workers.clamp(1, self.shards.len());
-        let la = self.lookahead.as_nanos().max(1);
+        let lookahead = self.lookahead;
         if workers == 1 {
             let shared = shared_view!(self);
-            let mut views: Vec<&mut Shard> = self.shards.iter_mut().collect();
-            loop {
-                let Some(floor) = par::min_next_time(&mut views) else { return };
-                if floor >= bound {
-                    return;
-                }
-                let horizon = Time(floor.0.saturating_add(la).min(bound.0));
-                for shard in views.iter_mut() {
+            par::run_epochs(&mut self.shards, lookahead, bound, |shards, horizon| {
+                for shard in shards.iter_mut() {
                     shard.run_epoch(&shared, horizon);
                 }
-                par::exchange(&mut views);
-            }
+            });
         } else {
             let pool = self.pool.get_or_insert_with(|| par::WorkerPool::new(workers));
-            let shards = std::mem::take(&mut self.shards);
-            self.shards = pool.run_stretch(
-                shards,
+            let shards = &mut self.shards;
+            pool.stretch(
                 Arc::clone(&self.topology),
                 self.cfg.cpu.clone(),
                 self.cfg.n,
-                la,
-                bound,
+                shards.len(),
+                |epoch| par::run_epochs(shards, lookahead, bound, epoch),
             );
         }
     }
@@ -1231,8 +1163,7 @@ mod tests {
         sim.run_until(Time::ZERO + Dur::millis(10));
         assert!(sim.stack(StackId(2)).is_crashed());
         // Restart with a fresh stack: it re-pings on start and receives.
-        let sc = sim.stack_config(StackId(2));
-        sim.restart_node(StackId(2), pinger_stack(sc));
+        sim.restart_node_with(StackId(2), pinger_stack);
         assert!(!sim.stack(StackId(2)).is_crashed());
         sim.run_until(sim.now() + Dur::millis(10));
         // Its startup pings reached the live peers (node 2 crashed at
@@ -1248,17 +1179,25 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_actions_run_in_order() {
-        let mut sim = pinger_sim(2, 5);
-        sim.schedule(Time::ZERO + Dur::millis(2), |sim| {
-            assert_eq!(sim.now(), Time::ZERO + Dur::millis(2));
-            sim.crash_at(sim.now(), StackId(1));
-        });
-        sim.schedule_in(Dur::millis(1), |sim| {
-            assert!(!sim.stack(StackId(1)).is_crashed());
-        });
-        sim.run_until(Time::ZERO + Dur::millis(5));
-        assert!(sim.stack(StackId(1)).is_crashed());
+    fn scheduled_actions_run_in_time_order_before_events_at_their_time() {
+        let flat = SimConfig::lan(4, 5);
+        let clustered = SimConfig::clustered(4, 5, 2, NetConfig::lan(), NetConfig::wan());
+        for cfg in [flat, clustered] {
+            let mut sim = Sim::new(cfg, pinger_stack);
+            sim.schedule(Time::ZERO + Dur::millis(2), |sim| {
+                assert_eq!(sim.now(), Time::ZERO + Dur::millis(2));
+                sim.crash_at(sim.now(), StackId(1));
+            });
+            sim.schedule_in(Dur::millis(1), |sim| {
+                assert!(!sim.stack(StackId(1)).is_crashed());
+            });
+            // The tie rule: an action at `t` runs before any event at
+            // `t` — here, before the stacks' `Start` steps at zero.
+            sim.schedule(Time::ZERO, |sim| assert_eq!(sim.stats().steps, 0));
+            sim.run_until(Time::ZERO + Dur::millis(5));
+            assert!(sim.stack(StackId(1)).is_crashed());
+            assert!(sim.stats().steps > 0);
+        }
     }
 
     #[test]
@@ -1352,8 +1291,8 @@ mod tests {
 
     #[test]
     fn flat_runs_ignore_the_worker_knob() {
-        // One cluster has no lookahead, so `workers` cannot change
-        // anything — not even the code path taken.
+        // One shard has nothing to spread over workers, and the epoch
+        // schedule never depends on the worker count.
         let run = |workers| {
             let mut sim = Sim::new(SimConfig::lan(4, 33).with_workers(workers), pinger_stack);
             sim.run_until(Time::ZERO + Dur::millis(10));
@@ -1374,20 +1313,5 @@ mod tests {
             (sim.stats(), sim.merged_trace().pushed())
         };
         assert_eq!(run(1), run(3));
-    }
-
-    #[test]
-    fn clustered_actions_run_between_epochs_in_time_order() {
-        let cfg = SimConfig::clustered(4, 5, 2, NetConfig::lan(), NetConfig::wan());
-        let mut sim = Sim::new(cfg, pinger_stack);
-        sim.schedule(Time::ZERO + Dur::millis(2), |sim| {
-            assert_eq!(sim.now(), Time::ZERO + Dur::millis(2));
-            sim.crash_at(sim.now(), StackId(1));
-        });
-        sim.schedule_in(Dur::millis(1), |sim| {
-            assert!(!sim.stack(StackId(1)).is_crashed());
-        });
-        sim.run_until(Time::ZERO + Dur::millis(5));
-        assert!(sim.stack(StackId(1)).is_crashed());
     }
 }

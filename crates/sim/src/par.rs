@@ -61,19 +61,18 @@
 //! * per-worker counters are per-*shard* counters; folding them
 //!   ([`crate::Sim::stats`]) is commutative addition.
 //!
-//! A flat topology is a single cluster: the lookahead is undefined (no
-//! cross-cluster link exists), no safe window exists, and the engine
-//! falls back to the classic serial loop — which is why the golden
-//! trace of `tests/host_equivalence.rs` is unchanged even with
-//! `workers > 1`. `crates/sim/tests/par_equiv.rs` property-tests the
-//! serial-vs-parallel equivalence across random clustered topologies,
-//! seeds and worker counts, the same way `sched_equiv.rs` pins the
-//! scheduler implementations to each other.
+//! A flat topology is the one-shard case of the same protocol: no
+//! cross-cluster link exists, so the lookahead is unbounded and a
+//! stretch is a single epoch up to the next action, in the shard's
+//! strict `(time, seq)` order. With one shard there is nothing to
+//! spread over workers, so `workers > 1` runs it on the calling thread.
+//! `crates/sim/tests/par_equiv.rs` property-tests the equivalence of
+//! worker counts across random clustered topologies and seeds, and
+//! `sched_equiv.rs` pins the timing wheel to a reference heap.
 
 use crate::{CpuConfig, Shard, SimShared, Topology};
-use dpu_core::time::Time;
+use dpu_core::time::{Dur, Time};
 use parking_lot::Mutex;
-use std::ops::DerefMut;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
@@ -152,17 +151,33 @@ impl Drop for PoisonOnPanic<'_> {
     }
 }
 
-/// The earliest pending event time over all shards (the epoch floor).
-pub(crate) fn min_next_time<S: DerefMut<Target = Shard>>(shards: &mut [S]) -> Option<Time> {
-    shards.iter_mut().filter_map(|s| s.next_time()).min()
+/// The epoch schedule, written once for every worker count: floor = the
+/// earliest pending event over all shards; horizon = floor + lookahead,
+/// capped at `bound` (`None` = unbounded, so one shard runs straight to
+/// `bound`); `run` processes every shard to the horizon; [`exchange`].
+/// Repeats until no shard has an event before `bound` (exclusive).
+pub(crate) fn run_epochs(
+    shards: &mut Vec<Shard>,
+    lookahead: Option<Dur>,
+    bound: Time,
+    mut run: impl FnMut(&mut Vec<Shard>, Time),
+) {
+    while let Some(floor) =
+        shards.iter_mut().filter_map(Shard::next_time).min().filter(|f| *f < bound)
+    {
+        let horizon =
+            lookahead.map_or(bound, |la| Time(floor.0.saturating_add(la.as_nanos()).min(bound.0)));
+        run(shards, horizon);
+        exchange(shards);
+    }
 }
 
 /// Merge every shard's cross-cluster outboxes into the destination
 /// shards, in the fixed deterministic order: destination-major, then
-/// source shard, then emission order. Also used by the serial engine
-/// (single worker) and for barrier-context sends, so all three paths
-/// assign identical `(time, seq)` keys.
-pub(crate) fn exchange<S: DerefMut<Target = Shard>>(shards: &mut [S]) {
+/// source shard, then emission order. [`crate::Sim`]'s barrier-context
+/// sends follow the same order, so both assign identical `(time, seq)`
+/// keys.
+fn exchange(shards: &mut [Shard]) {
     for dst in 0..shards.len() {
         for src in 0..shards.len() {
             let batch = shards[src].take_outbox(dst);
@@ -248,21 +263,22 @@ impl WorkerPool {
         WorkerPool { workers, board, threads }
     }
 
-    /// Run epochs until every shard's next event is at or beyond `bound`
-    /// (exclusive), then hand the shards back. The control thread (the
-    /// caller) computes each epoch's horizon and claim order, parks the
-    /// shards in the job's cells for the parallel phase, and performs
-    /// the exchange between phases, when the workers hold no locks.
-    pub(crate) fn run_stretch(
+    /// Hand `body` the pool's one job — "run these shards to this
+    /// horizon on the workers" — for a stretch of epochs whose schedule
+    /// `body` computes ([`run_epochs`]), then stand the workers down.
+    /// The workers are woken on the first epoch, so a stretch with none
+    /// costs no wake-up. The control thread (the caller) sets each
+    /// epoch's horizon and claim order, parks the shards in the job's
+    /// cells for the parallel phase and takes them back after it, so the
+    /// exchange runs when the workers hold no locks.
+    pub(crate) fn stretch(
         &self,
-        mut shards: Vec<Shard>,
         topology: Arc<Topology>,
         cpu: CpuConfig,
         n: u32,
-        lookahead_ns: u64,
-        bound: Time,
-    ) -> Vec<Shard> {
-        let nshards = shards.len();
+        nshards: usize,
+        body: impl FnOnce(&mut dyn FnMut(&mut Vec<Shard>, Time)),
+    ) {
         let job = Arc::new(StretchJob {
             cells: (0..nshards).map(|_| Mutex::new(None)).collect(),
             topology,
@@ -274,29 +290,16 @@ impl WorkerPool {
             claim: AtomicUsize::new(0),
             order: (0..nshards).map(AtomicUsize::new).collect(),
         });
-        {
-            let (board, cond) = &*self.board;
-            let mut b = board.lock().expect("pool board poisoned");
-            b.gen += 1;
-            b.job = Some(Arc::clone(&job));
-            cond.notify_all();
-        }
         // If the control thread panics (exchange runs Shard code), the
         // workers must disband rather than spin on a dead cohort.
         let _poison = PoisonOnPanic(&job.barrier);
-        loop {
-            let floor = {
-                let mut views: Vec<&mut Shard> = shards.iter_mut().collect();
-                min_next_time(&mut views)
-            };
-            let Some(f) = floor.filter(|f| *f < bound) else {
-                job.stop.store(true, Ordering::Release);
-                if !job.barrier.wait() {
-                    panic!("parallel simulation worker panicked");
-                }
-                return shards;
-            };
-            job.horizon.store(f.0.saturating_add(lookahead_ns).min(bound.0), Ordering::Release);
+        let mut posted = false;
+        body(&mut |shards: &mut Vec<Shard>, horizon: Time| {
+            if !posted {
+                self.post(&job);
+                posted = true;
+            }
+            job.horizon.store(horizon.0, Ordering::Release);
             // Longest-queue-first claim order; ties break on shard index
             // (sort_by_key is stable), keeping the order deterministic —
             // not that it matters for the result, only for telemetry.
@@ -319,9 +322,22 @@ impl WorkerPool {
             shards.extend(
                 job.cells.iter().map(|c| c.lock().take().expect("shard parked for the epoch")),
             );
-            let mut views: Vec<&mut Shard> = shards.iter_mut().collect();
-            exchange(&mut views);
+        });
+        if posted {
+            job.stop.store(true, Ordering::Release);
+            if !job.barrier.wait() {
+                panic!("parallel simulation worker panicked");
+            }
         }
+    }
+
+    /// Wake the workers onto `job`.
+    fn post(&self, job: &Arc<StretchJob>) {
+        let (board, cond) = &*self.board;
+        let mut b = board.lock().expect("pool board poisoned");
+        b.gen += 1;
+        b.job = Some(Arc::clone(job));
+        cond.notify_all();
     }
 }
 

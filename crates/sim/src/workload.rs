@@ -67,7 +67,7 @@ pub type InjectFn = Box<dyn FnMut(&mut Sim, StackId) + Send>;
 pub type CompletedFn = Box<dyn FnMut(&mut Sim, StackId) -> u64 + Send>;
 
 /// Builds a replacement [`Stack`] for a restarted node; see
-/// [`Generator::Churn`] and [`Sim::restart_node`].
+/// [`Generator::Churn`] and [`Sim::restart_node_with`].
 pub type StackFactory = Arc<dyn Fn(StackConfig) -> Stack + Send + Sync>;
 
 /// A traffic or fault generator. Install with [`install`].

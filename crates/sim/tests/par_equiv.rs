@@ -204,7 +204,7 @@ proptest! {
     /// with more workers than ready shards (and again with fewer), the
     /// claim cursor's races decide only *which thread* executes a
     /// shard, never the shard-internal event order or the exchange
-    /// order — so every worker count reproduces the serial run
+    /// order — so every worker count reproduces the one-worker run
     /// bit-for-bit. Oversubscribed counts (workers > shards) maximise
     /// contention on the cursor; tiny counts maximise multi-shard
     /// batches per worker.
