@@ -6,8 +6,7 @@
 //! The contract between a stack and the outside world is three calls:
 //!
 //! * [`StackDriver::inject`] — feed an external [`HostEvent`] in: a
-//!   packet arrival, a timer expiry from a host-managed clock, or a
-//!   control closure to run against the stack;
+//!   packet arrival or a control closure to run against the stack;
 //! * [`StackDriver::poll`] — run the drive loop at time `now`, handing
 //!   every network send to an [`ActionSink`], and learn from the returned
 //!   [`Wakeup`] when the driver next needs CPU;
@@ -30,14 +29,14 @@
 //!
 //! # Timer ownership
 //!
-//! The driver owns the per-stack timer queue. [`HostAction::SetTimer`]
-//! arms an entry; [`HostAction::CancelTimer`] marks it cancelled, and
-//! cancelled entries are *purged* — lazily on pop, and eagerly by heap
-//! rebuild once they outnumber live entries — so long soaks with
-//! set/cancel churn (failure detectors, retransmit timers) do not
-//! accumulate garbage. Hosts never see timer actions; they only need to
-//! call [`StackDriver::poll`] again no later than the returned
-//! [`Wakeup`] deadline.
+//! The driver owns the per-stack timer queue, a min-heap of `(deadline,
+//! id)`: [`HostAction::SetTimer`] pushes an entry, and timers due at the
+//! same instant fire in the order they were set (ids rise with every
+//! `set_timer`). A timer is never cancelled: a module ignores a stale
+//! fire by its tag, and a destroyed module's timers fire into nothing.
+//! Hosts never see timer actions; they only need to call
+//! [`StackDriver::poll`] again no later than the returned [`Wakeup`]
+//! deadline.
 //!
 //! [`poll`]: StackDriver::poll
 
@@ -52,7 +51,7 @@ use crate::wire::WireScratch;
 use bytes::Bytes;
 use dpu_telemetry::TelemetrySet;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
@@ -69,10 +68,6 @@ pub enum HostEvent {
         /// Raw datagram contents.
         payload: Bytes,
     },
-    /// A host-managed timer expired. Only needed by hosts that keep
-    /// their own clocks; timers armed through [`HostAction::SetTimer`]
-    /// are serviced by the driver itself.
-    Timer(TimerId),
     /// Run a closure against the stack (control plane).
     Control(ControlFn),
 }
@@ -83,7 +78,6 @@ impl fmt::Debug for HostEvent {
             HostEvent::Packet { src, payload } => {
                 f.debug_struct("Packet").field("src", src).field("len", &payload.len()).finish()
             }
-            HostEvent::Timer(id) => f.debug_tuple("Timer").field(id).finish(),
             HostEvent::Control(_) => f.write_str("Control(..)"),
         }
     }
@@ -129,74 +123,13 @@ impl ActionSink for NullSink {
     fn net_send(&mut self, _at: Time, _src: StackId, _dst: StackId, _payload: Bytes) {}
 }
 
-/// Min-heap of armed timers with cancellation purging. Entries are
-/// `(deadline, arm-sequence)` so simultaneous timers fire in arming
-/// order, matching the FIFO tie-break of the event-heap hosts.
-#[derive(Debug, Default)]
-struct TimerQueue {
-    heap: BinaryHeap<Reverse<(Time, u64, TimerId)>>,
-    /// Ids cancelled while still in the heap. Purged lazily on pop and
-    /// by rebuild once they outnumber live entries, so long-delay
-    /// set/cancel churn cannot grow the heap without bound.
-    cancelled: BTreeSet<TimerId>,
-    seq: u64,
-}
-
-impl TimerQueue {
-    fn arm(&mut self, at: Time, id: TimerId) {
-        // TimerIds come from the stack's monotonic counter and are never
-        // reused, so an arriving arm cannot collide with a cancelled id.
-        debug_assert!(!self.cancelled.contains(&id), "timer id reuse");
-        self.heap.push(Reverse((at, self.seq, id)));
-        self.seq += 1;
-    }
-
-    fn cancel(&mut self, id: TimerId) {
-        self.cancelled.insert(id);
-        if self.cancelled.len() > 16 && self.cancelled.len() * 2 > self.heap.len() {
-            let cancelled = std::mem::take(&mut self.cancelled);
-            self.heap.retain(|Reverse((_, _, id))| !cancelled.contains(id));
-        }
-    }
-
-    /// Earliest live deadline; drops cancelled entries it skips over.
-    fn next_deadline(&mut self) -> Option<Time> {
-        while let Some(Reverse((at, _, id))) = self.heap.peek() {
-            if self.cancelled.remove(id) {
-                self.heap.pop();
-                continue;
-            }
-            return Some(*at);
-        }
-        None
-    }
-
-    /// Pop the earliest live entry if it is due at or before `now`.
-    fn pop_due(&mut self, now: Time) -> Option<TimerId> {
-        while let Some(Reverse((at, _, id))) = self.heap.peek() {
-            if *at > now {
-                return None;
-            }
-            let id = *id;
-            self.heap.pop();
-            if self.cancelled.remove(&id) {
-                continue;
-            }
-            return Some(id);
-        }
-        None
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
 /// Owns one [`Stack`] plus its timer queue and runs the canonical drive
 /// loop. See the [module docs](self) for the host contract.
 pub struct StackDriver {
     stack: Stack,
-    timers: TimerQueue,
+    /// Armed timers, earliest first; among equal deadlines the lower id,
+    /// which was set first.
+    timers: BinaryHeap<Reverse<(Time, TimerId)>>,
     pending: VecDeque<HostEvent>,
 }
 
@@ -204,7 +137,7 @@ impl StackDriver {
     /// Wrap a stack. Any actions the stack produced before wrapping are
     /// executed on the first [`StackDriver::poll`]/[`StackDriver::settle`].
     pub fn new(stack: Stack) -> StackDriver {
-        StackDriver { stack, timers: TimerQueue::default(), pending: VecDeque::new() }
+        StackDriver { stack, timers: BinaryHeap::new(), pending: VecDeque::new() }
     }
 
     /// The driven stack's id.
@@ -230,37 +163,29 @@ impl StackDriver {
         self.stack
     }
 
-    /// Number of heap entries in the timer queue (live + not-yet-purged
-    /// cancelled). Exposed for tests and host introspection.
-    pub fn armed_timers(&self) -> usize {
-        self.timers.len()
-    }
-
     /// Queue an external event. Applied by the next
-    /// [`StackDriver::poll`] (or [`StackDriver::absorb`]).
+    /// [`StackDriver::poll`] or [`StackDriver::deliver`].
     pub fn inject(&mut self, ev: HostEvent) {
         self.pending.push_back(ev);
     }
 
     /// Apply all queued injected events to the stack at time `now`.
-    /// Called by [`StackDriver::poll`]; virtual-time hosts call it
-    /// directly so the application time matches the event's schedule.
-    pub fn absorb(&mut self, now: Time) {
+    fn absorb(&mut self, now: Time) {
         while let Some(ev) = self.pending.pop_front() {
             match ev {
                 HostEvent::Packet { src, payload } => self.stack.packet_in(now, src, payload),
-                HostEvent::Timer(id) => self.stack.timer_fired(now, id),
                 HostEvent::Control(f) => f(&mut self.stack),
             }
         }
     }
 
     /// Deliver one packet directly at time `now`: any queued injected
-    /// events are absorbed first (preserving injection order), then the
+    /// events are applied first (preserving injection order), then the
     /// packet enters the stack — without a round-trip through the
-    /// pending queue. Equivalent to `inject(HostEvent::Packet{..})`
-    /// followed by [`StackDriver::absorb`], minus the queue churn; the
-    /// simulator's packet-arrival path (its hottest event) uses this.
+    /// pending queue, which is what `inject(HostEvent::Packet{..})`
+    /// would take. Virtual-time hosts deliver this way, so the packet
+    /// enters at its scheduled time; the simulator's packet-arrival path
+    /// (its hottest event) is this call.
     #[inline]
     pub fn deliver(&mut self, now: Time, src: StackId, payload: Bytes) {
         if !self.pending.is_empty() {
@@ -278,14 +203,18 @@ impl StackDriver {
     #[inline]
     pub fn wake(&mut self, now: Time) -> Option<Time> {
         self.fire_due(now);
-        self.timers.next_deadline()
+        self.next_deadline()
     }
 
     /// Fire every armed timer due at or before `now`. Returns how many
-    /// fired. (Cancelled entries are purged, not fired.)
+    /// fired.
     pub fn fire_due(&mut self, now: Time) -> usize {
         let mut fired = 0;
-        while let Some(id) = self.timers.pop_due(now) {
+        while let Some(&Reverse((at, id))) = self.timers.peek() {
+            if at > now {
+                break;
+            }
+            self.timers.pop();
             self.stack.timer_fired(now, id);
             fired += 1;
         }
@@ -293,8 +222,8 @@ impl StackDriver {
     }
 
     /// The earliest armed deadline, or `None` if no timers are armed.
-    pub fn next_deadline(&mut self) -> Option<Time> {
-        self.timers.next_deadline()
+    pub fn next_deadline(&self) -> Option<Time> {
+        self.timers.peek().map(|Reverse((at, _))| *at)
     }
 
     /// Whether the stack has dispatchable work queued.
@@ -320,8 +249,7 @@ impl StackDriver {
         for action in self.stack.drain_actions() {
             match action {
                 HostAction::NetSend { dst, payload } => sink.net_send(at, src, dst, payload),
-                HostAction::SetTimer { id, delay } => self.timers.arm(at + delay, id),
-                HostAction::CancelTimer { id } => self.timers.cancel(id),
+                HostAction::SetTimer { id, delay } => self.timers.push(Reverse((at + delay, id))),
             }
         }
     }
@@ -354,7 +282,7 @@ impl StackDriver {
             // closure or a pre-wrap mutation); drain defensively.
             self.settle(now, sink);
             // A just-executed action may have armed an already-due timer.
-            match self.timers.next_deadline() {
+            match self.next_deadline() {
                 Some(at) if at <= now => continue,
                 Some(at) => return Wakeup::At(at),
                 None => return Wakeup::Idle,
@@ -454,7 +382,7 @@ impl fmt::Debug for StackDriver {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StackDriver")
             .field("stack", &self.stack)
-            .field("armed_timers", &self.timers.len())
+            .field("timers", &self.timers.len())
             .field("pending_events", &self.pending.len())
             .finish()
     }
@@ -511,8 +439,7 @@ mod tests {
         }
     }
 
-    /// Arms a short timer on start; re-arms until 3 beats; arms and
-    /// immediately cancels a decoy each round.
+    /// Arms a short timer on start; re-arms until 3 beats.
     struct Beat {
         beats: u32,
     }
@@ -529,8 +456,6 @@ mod tests {
         }
         fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
             ctx.set_timer(Dur::millis(1), 1);
-            let decoy = ctx.set_timer(Dur::secs(3600), 9);
-            ctx.cancel_timer(decoy);
         }
         fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
         fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
@@ -538,8 +463,6 @@ mod tests {
             self.beats += 1;
             if self.beats < 3 {
                 ctx.set_timer(Dur::millis(1), 1);
-                let decoy = ctx.set_timer(Dur::secs(3600), 9);
-                ctx.cancel_timer(decoy);
             }
         }
     }
@@ -610,48 +533,11 @@ mod tests {
         // Poll late: beat 2 fires and re-arms relative to `now`.
         let w = d.poll(Time::ZERO + Dur::secs(1), &mut sink);
         assert_eq!(w, Wakeup::At(Time::ZERO + Dur::secs(1) + Dur::millis(1)));
-        // Final beat does not re-arm; only cancelled decoys remain, and
-        // they are purged, not reported.
+        // The final beat does not re-arm: no timer remains.
         let w = d.poll(Time::ZERO + Dur::secs(1) + Dur::millis(1), &mut sink);
-        assert_eq!(w, Wakeup::Idle, "decoys are cancelled, no live timer remains");
+        assert_eq!(w, Wakeup::Idle);
         let beats = d.stack_mut().with_module::<Beat, _>(BEAT, |b| b.beats).expect("beat module");
         assert_eq!(beats, 3);
-    }
-
-    #[test]
-    fn cancelled_timers_are_purged_not_retained() {
-        struct Churner;
-        impl Module for Churner {
-            fn kind(&self) -> &str {
-                "churner"
-            }
-            fn provides(&self) -> Vec<ServiceId> {
-                Vec::new()
-            }
-            fn requires(&self) -> Vec<ServiceId> {
-                Vec::new()
-            }
-            fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
-                // Long-soak pattern: arm a long timeout, cancel, re-arm.
-                for _ in 0..1000 {
-                    let t = ctx.set_timer(Dur::secs(3600), 1);
-                    ctx.cancel_timer(t);
-                }
-                ctx.set_timer(Dur::secs(3600), 2);
-            }
-            fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
-            fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
-        }
-        let mut s = Stack::new(StackConfig::nth(0, 1, 1), FactoryRegistry::new());
-        s.add_module(Box::new(Churner));
-        let mut d = StackDriver::new(s);
-        d.poll(Time::ZERO, &mut NullSink);
-        assert!(
-            d.armed_timers() < 100,
-            "cancelled entries must be purged, heap holds {}",
-            d.armed_timers()
-        );
-        assert_eq!(d.next_deadline(), Some(Time::ZERO + Dur::secs(3600)));
     }
 
     #[test]
@@ -739,8 +625,7 @@ mod tests {
     fn split_phase_settle_stamps_action_time() {
         let mut d = pingpong_driver();
         d.poll(Time(0), &mut NullSink);
-        d.inject(HostEvent::Packet { src: StackId(1), payload: Bytes::from_static(b"ping") });
-        d.absorb(Time(10));
+        d.deliver(Time(10), StackId(1), Bytes::from_static(b"ping"));
         let mut sink = RecSink::default();
         // Step at t=10 but settle at t=25 (modeled CPU cost), like Sim.
         while d.step_raw(Time(10)).is_some() {
@@ -750,25 +635,89 @@ mod tests {
         assert_eq!(sink.sent[0].0, Time(25));
     }
 
-    #[test]
-    fn timer_event_injection_fires_host_managed_timers() {
+    /// Provides `ties`. Sets timers `1` and `2` on start, both 2 ms
+    /// out; a call sets timer `3`, `op` ms out. Records what fires.
+    struct Ties {
+        fired: Vec<u64>,
+    }
+
+    impl Module for Ties {
+        fn kind(&self) -> &str {
+            "ties"
+        }
+        fn provides(&self) -> Vec<ServiceId> {
+            vec![ServiceId::new("ties")]
+        }
+        fn requires(&self) -> Vec<ServiceId> {
+            Vec::new()
+        }
+        fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
+            ctx.set_timer(Dur::millis(2), 1);
+            ctx.set_timer(Dur::millis(2), 2);
+        }
+        fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
+            ctx.set_timer(Dur::millis(u64::from(call.op)), 3);
+        }
+        fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
+        fn on_timer(&mut self, _: &mut ModuleCtx<'_>, _: TimerId, tag: u64) {
+            self.fired.push(tag);
+        }
+    }
+
+    const TIES: ModuleId = ModuleId(2);
+
+    fn ties_driver() -> StackDriver {
         let mut s = Stack::new(StackConfig::nth(0, 1, 1), FactoryRegistry::new());
-        s.add_module(Box::new(Beat { beats: 0 }));
-        let mut d = StackDriver::new(s);
-        // Run on_start but do not let the driver's own queue fire: fish
-        // the armed id out and inject the expiry as a host event instead.
-        while d.step_raw(Time::ZERO).is_some() {}
-        let first = d
-            .stack_mut()
-            .drain_actions()
-            .find_map(|a| match a {
-                HostAction::SetTimer { id, .. } => Some(id),
-                _ => None,
-            })
-            .expect("beat armed a timer");
-        d.inject(HostEvent::Timer(first));
-        d.poll(Time(99), &mut NullSink);
-        let beats = d.stack_mut().with_module::<Beat, _>(BEAT, |b| b.beats).unwrap();
-        assert_eq!(beats, 1);
+        s.add_module(Box::new(Ties { fired: Vec::new() }));
+        s.bind(&ServiceId::new("ties"), TIES);
+        StackDriver::new(s)
+    }
+
+    fn call_ties(s: &mut Stack, ms: u16) {
+        s.call_as(TIES, &ServiceId::new("ties"), ms, Bytes::new());
+    }
+
+    fn fired(d: &mut StackDriver) -> Vec<u64> {
+        d.stack_mut().with_module::<Ties, _>(TIES, |t| t.fired.clone()).expect("ties module")
+    }
+
+    #[test]
+    fn timers_due_together_fire_in_the_order_they_were_set() {
+        let due = Time::ZERO + Dur::millis(2);
+        // Through `poll`: two set in one step, the third in a later step.
+        let mut d = ties_driver();
+        d.inject(HostEvent::Control(Box::new(|s: &mut Stack| call_ties(s, 2))));
+        assert_eq!(d.poll(Time::ZERO, &mut NullSink), Wakeup::At(due));
+        assert_eq!(d.poll(due, &mut NullSink), Wakeup::Idle);
+        assert_eq!(fired(&mut d), [1, 2, 3]);
+
+        // Through `wake`, split-phase as the simulator drives it: the
+        // third is set 1 ms later, 1 ms out.
+        let mut d = ties_driver();
+        d.poll(Time::ZERO, &mut NullSink);
+        let later = Time::ZERO + Dur::millis(1);
+        call_ties(d.stack_mut(), 1);
+        while d.step_raw(later).is_some() {
+            d.settle(later, &mut NullSink);
+        }
+        assert_eq!(d.wake(due), None);
+        while d.step_raw(due).is_some() {
+            d.settle(due, &mut NullSink);
+        }
+        assert_eq!(fired(&mut d), [1, 2, 3]);
+    }
+
+    #[test]
+    fn a_destroyed_modules_timers_fire_into_nothing() {
+        let due = Time::ZERO + Dur::millis(2);
+        let mut d = ties_driver();
+        d.poll(Time::ZERO, &mut NullSink);
+        d.stack_mut().destroy_module(TIES);
+        let w = d.poll(Time::ZERO + Dur::millis(1), &mut NullSink);
+        assert_eq!(w, Wakeup::At(due), "the module is gone, its timers stay armed");
+        assert!(d.stack().module_kind(TIES).is_none());
+        assert_eq!(d.wake(due), None);
+        assert!(!d.has_work(), "no delivery for the destroyed module");
+        assert!(d.step_raw(due).is_none(), "and no step");
     }
 }

@@ -1,0 +1,379 @@
+//! Algorithm 1's structural half: the factory registry, module creation
+//! with recursive default providers (`create_module`, lines 22–28),
+//! binding, unbinding and destruction.
+
+use super::dispatch::{Delivery, Work};
+use super::route::Waiting;
+use super::{ModuleSlot, Stack, StackError};
+use crate::ids::{ModuleId, ServiceId};
+use crate::module::{Module, ModuleSpec};
+use crate::trace::TraceEvent;
+use crate::wire::Decode;
+use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
+
+/// A boxed module constructor, as stored in the registry.
+pub type ModuleFactory = Box<dyn Fn(&ModuleSpec) -> Result<Box<dyn Module>, StackError> + Send>;
+
+/// Registry of module factories, keyed by kind name.
+///
+/// A factory builds a fresh module instance from a [`ModuleSpec`]. The
+/// registry is consulted by [`Stack::install`] and by the recursive
+/// default-provider creation of Algorithm 1.
+#[derive(Default)]
+pub struct FactoryRegistry {
+    factories: BTreeMap<String, ModuleFactory>,
+}
+
+impl FactoryRegistry {
+    /// An empty registry.
+    pub fn new() -> FactoryRegistry {
+        FactoryRegistry::default()
+    }
+
+    /// Register a factory for a `kind` that takes no parameters. Later
+    /// registrations replace earlier ones.
+    pub fn register(
+        &mut self,
+        kind: impl Into<String>,
+        f: impl Fn(&ModuleSpec) -> Box<dyn Module> + Send + 'static,
+    ) {
+        self.factories.insert(kind.into(), Box::new(move |spec| Ok(f(spec))));
+    }
+
+    /// Register a factory for a `kind` whose [`ModuleSpec::params`] are a
+    /// wire-encoded `P`: an empty blob means `P::default()`, anything
+    /// else must decode — a blob that does not is a
+    /// [`StackError::Wire`] out of [`FactoryRegistry::build`], never a
+    /// silently defaulted module (whose namespace 0 would share wire tags
+    /// with the first incarnation).
+    pub fn register_with<P: Decode + Default, M: Module>(
+        &mut self,
+        kind: impl Into<String>,
+        make: impl Fn(P) -> M + Send + 'static,
+    ) {
+        let factory = move |spec: &ModuleSpec| -> Result<Box<dyn Module>, StackError> {
+            let params = if spec.params.is_empty() { P::default() } else { spec.params::<P>()? };
+            Ok(Box::new(make(params)))
+        };
+        self.factories.insert(kind.into(), Box::new(factory));
+    }
+
+    /// Build a module from `spec`, if its kind is registered and its
+    /// parameters decode.
+    pub fn build(&self, spec: &ModuleSpec) -> Result<Box<dyn Module>, StackError> {
+        match self.factories.get(&spec.kind) {
+            Some(f) => f(spec),
+            None => Err(StackError::UnknownKind(spec.kind.clone())),
+        }
+    }
+
+    /// Whether a factory for `kind` exists.
+    pub fn contains(&self, kind: &str) -> bool {
+        self.factories.contains_key(kind)
+    }
+}
+
+impl fmt::Debug for FactoryRegistry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FactoryRegistry")
+            .field("kinds", &self.factories.keys().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+impl Stack {
+    /// Configure the default provider spec for `service`, used by the
+    /// recursive module creation of Algorithm 1 (line 27: "find a module q
+    /// providing service s").
+    pub fn set_default_provider(&mut self, service: ServiceId, spec: ModuleSpec) {
+        self.defaults.insert(service, spec);
+    }
+
+    /// Create a module from `spec` via the factory registry and wire it in
+    /// per Algorithm 1 lines 22–28: bind each provided service that is
+    /// currently unbound, then recursively create default providers for
+    /// required services with no bound module.
+    pub fn install(&mut self, spec: &ModuleSpec) -> Result<ModuleId, StackError> {
+        let module = self.factory.build(spec)?;
+        let id = self.add_module(module);
+        self.wire_in(id)?;
+        Ok(id)
+    }
+
+    fn wire_in(&mut self, id: ModuleId) -> Result<(), StackError> {
+        let (provides, requires) = {
+            let slot = self.modules.get(&id).ok_or(StackError::UnknownModule(id))?;
+            (slot.provides.clone(), slot.requires.clone())
+        };
+        for svc in &provides {
+            if !self.bindings.contains_key(svc) {
+                self.bind(svc, id);
+            }
+        }
+        for svc in &requires {
+            if !self.bindings.contains_key(svc) {
+                let spec =
+                    self.defaults.get(svc).cloned().ok_or(StackError::NoDefaultProvider(*svc))?;
+                let dep = self.factory.build(&spec)?;
+                let dep_id = self.add_module(dep);
+                self.wire_in(dep_id)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Insert an already-constructed module (no binding, no recursion):
+    /// what [`Stack::install`] does before it wires the module in.
+    /// Probes and tests call it directly.
+    pub fn add_module(&mut self, module: Box<dyn Module>) -> ModuleId {
+        let id = ModuleId(self.next_module);
+        self.next_module += 1;
+        let kind = module.kind().to_string();
+        let provides = module.provides();
+        let requires = module.requires();
+        for svc in &requires {
+            self.requirers.get_mut_or_default(*svc).push(id);
+        }
+        self.trace.push(
+            self.now,
+            TraceEvent::ModuleCreated { stack: self.id, module: id, kind: kind.as_str().into() },
+        );
+        self.queue.push_back(Delivery { to: id, work: Work::Start });
+        // What arrived for this module before it existed comes right
+        // after its `on_start`, in arrival order.
+        for svc in &requires {
+            let Some(channel) = module.listens_on(svc) else { continue };
+            let held = self.release_waiting(svc, |w| match w {
+                Waiting::Response(resp, on) if on == channel => Ok(resp),
+                w => Err(w),
+            });
+            if !held.is_empty() {
+                self.telemetry.note_released(held.len() as u64);
+            }
+            for resp in held {
+                self.queue.push_back(Delivery { to: id, work: Work::Response(resp) });
+            }
+        }
+        self.modules.insert(id, ModuleSlot { module: Some(module), kind, provides, requires });
+        id
+    }
+
+    /// Take what waits on `service` that `pick` accepts (`Ok`), in order,
+    /// and leave what it hands back (`Err`) waiting.
+    fn release_waiting<T>(
+        &mut self,
+        service: &ServiceId,
+        mut pick: impl FnMut(Waiting) -> Result<T, Waiting>,
+    ) -> Vec<T> {
+        let Some(all) = self.waiting.remove(service) else { return Vec::new() };
+        let (mut taken, mut kept) = (Vec::new(), VecDeque::new());
+        for w in all {
+            match pick(w) {
+                Ok(t) => taken.push(t),
+                Err(w) => kept.push_back(w),
+            }
+        }
+        if !kept.is_empty() {
+            self.waiting.insert(*service, kept);
+        }
+        taken
+    }
+
+    /// Bind `module` to `service` (paper §2 "Module bindings"). Any
+    /// previously bound module is implicitly unbound first. Calls blocked
+    /// on the service are released in FIFO order.
+    pub fn bind(&mut self, service: &ServiceId, module: ModuleId) {
+        if let Some(prev) = self.bindings.insert(*service, module) {
+            if prev != module {
+                self.trace.push(
+                    self.now,
+                    TraceEvent::Unbind { stack: self.id, service: *service, module: prev },
+                );
+            }
+        }
+        self.trace.push(self.now, TraceEvent::Bind { stack: self.id, service: *service, module });
+        let blocked = self.release_waiting(service, |w| match w {
+            Waiting::Call(call) => Ok(call),
+            w => Err(w),
+        });
+        for call in blocked {
+            self.trace.push(
+                self.now,
+                TraceEvent::ReleasedCall {
+                    stack: self.id,
+                    service: *service,
+                    op: call.op,
+                    from: call.from,
+                },
+            );
+            self.queue.push_back(Delivery { to: module, work: Work::Call(call) });
+        }
+    }
+
+    /// Unbind whatever module is bound to `service`. Subsequent calls to
+    /// the service block until a new module is bound. Unbinding does *not*
+    /// remove the module from the stack (paper §2).
+    pub fn unbind(&mut self, service: &ServiceId) {
+        if let Some(prev) = self.bindings.remove(service) {
+            self.trace.push(
+                self.now,
+                TraceEvent::Unbind { stack: self.id, service: *service, module: prev },
+            );
+        }
+    }
+
+    /// Unbind `module` from every service it is bound to.
+    pub(super) fn unbind_all(&mut self, module: ModuleId) {
+        let bound: Vec<ServiceId> =
+            self.bindings.iter().filter(|(_, m)| **m == module).map(|(s, _)| *s).collect();
+        for svc in bound {
+            self.unbind(&svc);
+        }
+    }
+
+    /// Destroy a module: unbind it from any service it is bound to, run
+    /// its `on_stop`, and remove it. Pending deliveries to it are dropped.
+    pub fn destroy_module(&mut self, id: ModuleId) {
+        if !self.modules.contains_key(&id) {
+            return;
+        }
+        self.unbind_all(id);
+        self.queue.push_back(Delivery { to: id, work: Work::Stop });
+    }
+
+    /// Forget a destroyed module: its slot, its bindings, its place among
+    /// the requirers, and its armed timers — which then fire into nothing.
+    pub(super) fn remove_module_records(&mut self, id: ModuleId) {
+        self.modules.remove(&id);
+        self.unbind_all(id);
+        for reqs in self.requirers.values_mut() {
+            reqs.retain(|m| *m != id);
+        }
+        self.timers.retain(|_, (m, _)| *m != id);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::module::{Call, Response};
+    use crate::stack::tests::{new_stack, run_until_idle, Client, Echo};
+    use crate::stack::{ModuleCtx, StackConfig};
+    use bytes::Bytes;
+
+    #[test]
+    fn unbind_then_bind_preserves_fifo_order() {
+        let mut stack = new_stack();
+        let echo = stack.add_module(Box::new(Echo));
+        let client = stack.add_module(Box::new(Client::default()));
+        let svc = ServiceId::new("echo");
+        stack.bind(&svc, echo);
+        stack.unbind(&svc);
+        for i in 0..5u8 {
+            stack.call_as(client, &svc, 1, Bytes::copy_from_slice(&[i]));
+        }
+        stack.bind(&svc, echo);
+        run_until_idle(&mut stack);
+        let got = stack.with_module::<Client, _>(client, |c| c.got.clone()).unwrap();
+        let order: Vec<u8> = got.iter().map(|b| b[0]).collect();
+        assert_eq!(order, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn at_most_one_module_bound_per_service() {
+        let mut stack = new_stack();
+        let a = stack.add_module(Box::new(Echo));
+        let b = stack.add_module(Box::new(Echo));
+        let svc = ServiceId::new("echo");
+        stack.bind(&svc, a);
+        assert_eq!(stack.bound(&svc), Some(a));
+        stack.bind(&svc, b);
+        assert_eq!(stack.bound(&svc), Some(b));
+        // The old module is still in the stack (unbinding does not remove).
+        assert!(stack.module_kind(a).is_some());
+    }
+
+    #[test]
+    fn install_recursively_creates_default_providers() {
+        // upper requires "mid"; mid requires "low"; low requires nothing.
+        struct Svc {
+            name: &'static str,
+            kind_name: &'static str,
+            deps: Vec<&'static str>,
+        }
+        impl Module for Svc {
+            fn kind(&self) -> &str {
+                self.kind_name
+            }
+            fn provides(&self) -> Vec<ServiceId> {
+                vec![ServiceId::new(self.name)]
+            }
+            fn requires(&self) -> Vec<ServiceId> {
+                self.deps.iter().map(ServiceId::new).collect()
+            }
+            fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
+            fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
+        }
+        let mut reg = FactoryRegistry::new();
+        reg.register("upper", |_| {
+            Box::new(Svc { name: "up", kind_name: "upper", deps: vec!["mid"] })
+        });
+        reg.register("middle", |_| {
+            Box::new(Svc { name: "mid", kind_name: "middle", deps: vec!["low"] })
+        });
+        reg.register("lower", |_| Box::new(Svc { name: "low", kind_name: "lower", deps: vec![] }));
+        let mut stack = Stack::new(StackConfig::nth(0, 1, 7), reg);
+        stack.set_default_provider(ServiceId::new("mid"), ModuleSpec::new("middle"));
+        stack.set_default_provider(ServiceId::new("low"), ModuleSpec::new("lower"));
+        let up = stack.install(&ModuleSpec::new("upper")).unwrap();
+        assert_eq!(stack.bound(&ServiceId::new("up")), Some(up));
+        assert!(stack.bound(&ServiceId::new("mid")).is_some());
+        assert!(stack.bound(&ServiceId::new("low")).is_some());
+        // Installing again binds nothing new (services already bound).
+        let up2 = stack.install(&ModuleSpec::new("upper")).unwrap();
+        assert_ne!(up, up2);
+        assert_eq!(stack.bound(&ServiceId::new("up")), Some(up));
+    }
+
+    #[test]
+    fn install_fails_without_default_provider() {
+        struct Needy;
+        impl Module for Needy {
+            fn kind(&self) -> &str {
+                "needy"
+            }
+            fn provides(&self) -> Vec<ServiceId> {
+                vec![ServiceId::new("n")]
+            }
+            fn requires(&self) -> Vec<ServiceId> {
+                vec![ServiceId::new("missing")]
+            }
+            fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
+            fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
+        }
+        let mut reg = FactoryRegistry::new();
+        reg.register("needy", |_| Box::new(Needy));
+        let mut stack = Stack::new(StackConfig::nth(0, 1, 7), reg);
+        let err = stack.install(&ModuleSpec::new("needy")).unwrap_err();
+        assert_eq!(err, StackError::NoDefaultProvider(ServiceId::new("missing")));
+        let err2 = stack.install(&ModuleSpec::new("nope")).unwrap_err();
+        assert_eq!(err2, StackError::UnknownKind("nope".into()));
+    }
+
+    #[test]
+    fn destroy_module_unbinds_and_removes() {
+        let mut stack = new_stack();
+        let echo = stack.add_module(Box::new(Echo));
+        let svc = ServiceId::new("echo");
+        stack.bind(&svc, echo);
+        stack.destroy_module(echo);
+        run_until_idle(&mut stack);
+        assert_eq!(stack.bound(&svc), None);
+        assert!(stack.module_kind(echo).is_none());
+        assert!(stack
+            .trace()
+            .events()
+            .any(|(_, e)| matches!(e, TraceEvent::ModuleDestroyed { .. })));
+    }
+}

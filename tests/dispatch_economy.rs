@@ -185,7 +185,6 @@ fn no_step_is_dispatched_to_the_module_bound_to_udp() {
                             HostAction::SetTimer { id, delay } => {
                                 timers.insert((now + delay, i, id));
                             }
-                            HostAction::CancelTimer { .. } => {}
                         }
                     }
                     let Some(info) = info else { break };
