@@ -249,7 +249,13 @@ impl StackDriver {
         for action in self.stack.drain_actions() {
             match action {
                 HostAction::NetSend { dst, payload } => sink.net_send(at, src, dst, payload),
-                HostAction::SetTimer { id, delay } => self.timers.push(Reverse((at + delay, id))),
+                HostAction::SetTimer { id, delay } => {
+                    // Exact growth, as in the stack's maps: most stacks
+                    // keep one or two timers armed, and doubling (from
+                    // four slots) would pay for them in every stack.
+                    self.timers.reserve_exact(1);
+                    self.timers.push(Reverse((at + delay, id)));
+                }
             }
         }
     }
@@ -530,6 +536,7 @@ mod tests {
         // Poll exactly at the deadline: the beat fires and re-arms.
         let w = d.poll(Time::ZERO + Dur::millis(1), &mut sink);
         assert_eq!(w, Wakeup::At(Time::ZERO + Dur::millis(2)));
+        assert_eq!(d.timers.capacity(), 1, "one timer armed at a time holds one slot");
         // Poll late: beat 2 fires and re-arms relative to `now`.
         let w = d.poll(Time::ZERO + Dur::secs(1), &mut sink);
         assert_eq!(w, Wakeup::At(Time::ZERO + Dur::secs(1) + Dur::millis(1)));

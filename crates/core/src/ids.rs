@@ -90,46 +90,129 @@ impl fmt::Debug for TimerId {
     }
 }
 
+/// The entry for `name` in the process-wide intern pool, made on first
+/// use. The pool never frees a name and grows with the number of
+/// *distinct* names in the process (service names and module kinds, a few
+/// dozen), never with stack count or message volume; a lookup takes its
+/// lock, so hot paths keep the handle they were built with instead of
+/// making it again.
+fn intern(name: &str) -> &'static &'static str {
+    use std::collections::BTreeMap;
+    use std::sync::{Mutex, OnceLock, PoisonError};
+    static POOL: OnceLock<Mutex<BTreeMap<&'static str, &'static &'static str>>> = OnceLock::new();
+    let mut pool =
+        POOL.get_or_init(Default::default).lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&entry) = pool.get(name) {
+        return entry;
+    }
+    let name: &'static str = Box::leak(Box::from(name));
+    let entry: &'static &'static str = Box::leak(Box::new(name));
+    pool.insert(name, entry);
+    entry
+}
+
+/// An interned name: one word, `Copy` — a handle to the name's entry in
+/// the process-wide intern pool. What a [`ServiceId`] is, and what a
+/// stack keeps of a module's kind ([`crate::Module::kind`]) and a trace
+/// entry carries of it.
+///
+/// Two `Name`s compare equal iff their strings are equal, regardless of
+/// how they were made, and they order, hash and print by string — the
+/// handle itself is never observable. Dereferences to the string.
+#[derive(Clone, Copy)]
+pub struct Name(&'static &'static str);
+
+impl Name {
+    /// The handle for `name`.
+    pub fn new(name: impl AsRef<str>) -> Name {
+        Name(intern(name.as_ref()))
+    }
+
+    /// The string.
+    #[inline]
+    pub fn as_str(&self) -> &'static str {
+        self.0
+    }
+}
+
+impl std::ops::Deref for Name {
+    type Target = str;
+    #[inline]
+    fn deref(&self) -> &str {
+        self.0
+    }
+}
+
+impl PartialEq for Name {
+    /// One pool entry per string, so the same string is the same handle.
+    #[inline]
+    fn eq(&self, other: &Name) -> bool {
+        std::ptr::eq(self.0, other.0)
+    }
+}
+
+impl Eq for Name {}
+
+impl Ord for Name {
+    #[inline]
+    fn cmp(&self, other: &Name) -> std::cmp::Ordering {
+        if self == other {
+            std::cmp::Ordering::Equal
+        } else {
+            self.as_str().cmp(other.as_str())
+        }
+    }
+}
+
+impl PartialOrd for Name {
+    #[inline]
+    fn partial_cmp(&self, other: &Name) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl std::hash::Hash for Name {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl From<&str> for Name {
+    fn from(s: &str) -> Name {
+        Name::new(s)
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
 /// The name of a service — the *specification* of a distributed protocol
 /// (the paper's lower-case `p`, `q`, `r`).
 ///
-/// One word, `Copy`: a handle to the name's entry in a process-wide
-/// intern pool, which never frees a name. Two `ServiceId`s compare equal
+/// One word, `Copy`: an interned [`Name`]. Two `ServiceId`s compare equal
 /// iff their names are equal, regardless of how they were created, and
-/// they order, hash and print by name — the handle itself is never
-/// observable.
-#[derive(Clone, Copy)]
-pub struct ServiceId(&'static &'static str);
+/// they order, hash and print by name.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ServiceId(Name);
 
 impl ServiceId {
     /// Create a service id from a name.
     ///
-    /// Names are interned in a process-wide pool: every `ServiceId` for
-    /// the same name is the same handle, so a call, a response, a step
-    /// report and a trace entry each carry eight bytes and copying one
-    /// touches no reference count. The pool grows with the number of
-    /// *distinct* service names in the process (a handful), never with
-    /// stack count or message volume; this lookup takes its lock, so hot
-    /// paths keep the id they were built with instead of making it again.
+    /// Every `ServiceId` for the same name is the same handle, so a call,
+    /// a response, a step report and a trace entry each carry eight bytes
+    /// and copying one touches no reference count. This takes the intern
+    /// pool's lock (see [`Name`]).
     pub fn new(name: impl AsRef<str>) -> ServiceId {
-        use std::collections::BTreeMap;
-        use std::sync::{Mutex, OnceLock};
-        static POOL: OnceLock<Mutex<BTreeMap<&'static str, ServiceId>>> = OnceLock::new();
-        let name = name.as_ref();
-        let mut pool = POOL.get_or_init(Default::default).lock().unwrap();
-        if let Some(&id) = pool.get(name) {
-            return id;
-        }
-        let name: &'static str = Box::leak(Box::from(name));
-        let id = ServiceId(Box::leak(Box::new(name)));
-        pool.insert(name, id);
-        id
+        ServiceId(Name::new(name))
     }
 
     /// The service name.
     #[inline]
     pub fn name(&self) -> &str {
-        self.0
+        self.0.as_str()
     }
 
     /// The indirection interface `r-<name>` for this service
@@ -137,40 +220,6 @@ impl ServiceId {
     /// this id, which the replacement module provides.
     pub fn replaced(&self) -> ServiceId {
         ServiceId::new(crate::svc::replaced(self.name()))
-    }
-}
-
-impl PartialEq for ServiceId {
-    /// One pool entry per name, so the same name is the same handle.
-    #[inline]
-    fn eq(&self, other: &ServiceId) -> bool {
-        std::ptr::eq(self.0, other.0)
-    }
-}
-
-impl Eq for ServiceId {}
-
-impl Ord for ServiceId {
-    #[inline]
-    fn cmp(&self, other: &ServiceId) -> std::cmp::Ordering {
-        if self == other {
-            std::cmp::Ordering::Equal
-        } else {
-            self.name().cmp(other.name())
-        }
-    }
-}
-
-impl PartialOrd for ServiceId {
-    #[inline]
-    fn partial_cmp(&self, other: &ServiceId) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl std::hash::Hash for ServiceId {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.name().hash(state);
     }
 }
 
@@ -234,6 +283,16 @@ mod tests {
         let names: Vec<&str> = sorted.iter().map(ServiceId::name).collect();
         assert_eq!(names, ["ids-test-a", "ids-test-m", "ids-test-z"]);
         assert_eq!(format!("{a} {a:?}"), "ids-test-a svc:ids-test-a");
+    }
+
+    #[test]
+    fn a_module_kind_and_a_service_of_one_name_share_one_pool_entry() {
+        assert_eq!(std::mem::size_of::<Name>(), 8);
+        let kind = Name::new("ids-test-kind");
+        assert_eq!(kind, Name::from("ids-test-kind"));
+        assert!(std::ptr::eq(kind.as_str(), ServiceId::new("ids-test-kind").name()));
+        assert!(kind.starts_with("ids-"), "a name dereferences to its string");
+        assert_eq!(format!("{kind:?}"), "\"ids-test-kind\"");
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod wire;
 pub use dpu_telemetry as telemetry;
 pub use dpu_telemetry::{StackTelemetry, TelemetryConfig};
 pub use host::{ActionSink, HostEvent, StackDriver, Wakeup};
-pub use ids::{Channel, ModuleId, ServiceId, StackId, TimerId};
+pub use ids::{Channel, ModuleId, Name, ServiceId, StackId, TimerId};
 pub use module::{Call, Module, ModuleSpec, Op, Response, TransportStats};
 pub use sets::{HeardSet, IntervalSet};
 pub use stack::{FactoryRegistry, HostAction, ModuleCtx, Stack, StackConfig};

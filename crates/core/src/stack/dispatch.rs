@@ -127,12 +127,11 @@ impl Stack {
                 self.telemetry.cascade_end();
             }
             if destroyed {
-                let kind = module.kind().into();
                 self.telemetry.note_module_destroyed(self.now.as_nanos());
-                self.trace.push(
-                    self.now,
-                    TraceEvent::ModuleDestroyed { stack: self.id, module: to, kind },
-                );
+                if let Some(kind) = self.modules.get(&to).map(|slot| slot.kind) {
+                    let event = TraceEvent::ModuleDestroyed { stack: self.id, module: to, kind };
+                    self.trace.push(self.now, event);
+                }
                 self.remove_module_records(to);
             } else if let Some(slot) = self.modules.get_mut(&to) {
                 slot.module = Some(module);

@@ -54,8 +54,8 @@ pub use dispatch::{StepCategory, StepInfo};
 pub use registry::{FactoryRegistry, ModuleFactory};
 pub use route::{net_ops, HOLD_BACK};
 
-use crate::ids::{ModuleId, ServiceId, StackId, TimerId};
-use crate::module::{Module, ModuleSpec};
+use crate::ids::{ModuleId, Name, ServiceId, StackId, TimerId};
+use crate::module::Module;
 use crate::time::{Dur, Time};
 use crate::trace::{TraceEvent, TraceLog};
 use crate::vecmap::VecMap;
@@ -173,11 +173,13 @@ impl StackConfig {
     }
 }
 
-struct ModuleSlot {
+/// A module and its kind: all a stack keeps per module. What it provides
+/// and requires the stack asks the module when it wires it in, and the
+/// requirer lists remember the latter.
+pub(crate) struct ModuleSlot {
+    /// `None` while the module's own handler runs.
     module: Option<Box<dyn Module>>,
-    kind: String,
-    provides: Vec<ServiceId>,
-    requires: Vec<ServiceId>,
+    kind: Name,
 }
 
 /// The set of modules located on one machine, plus their bindings
@@ -199,8 +201,9 @@ pub struct Stack {
     actions: Vec<HostAction>,
     /// Armed timers: the module each fires into, and its tag.
     timers: VecMap<TimerId, (ModuleId, u64)>,
+    /// The group's module catalogue, shared with every stack it was
+    /// cloned into.
     factory: FactoryRegistry,
-    defaults: VecMap<ServiceId, ModuleSpec>,
     trace: TraceLog,
     next_module: u64,
     next_timer: u64,
@@ -219,7 +222,8 @@ pub struct Stack {
 }
 
 impl Stack {
-    /// Create a stack with the given configuration and factory registry.
+    /// Create a stack with the given configuration and module catalogue
+    /// (a group's stacks share one: pass each a clone).
     ///
     /// The built-in net bridge is created and bound to the `net` service.
     pub fn new(cfg: StackConfig, factory: FactoryRegistry) -> Stack {
@@ -237,7 +241,6 @@ impl Stack {
             actions: Vec::new(),
             timers: VecMap::new(),
             factory,
-            defaults: VecMap::new(),
             trace,
             next_module: 1,
             next_timer: 1,

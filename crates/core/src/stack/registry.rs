@@ -1,44 +1,67 @@
-//! Algorithm 1's structural half: the factory registry, module creation
+//! Algorithm 1's structural half: the module catalogue, module creation
 //! with recursive default providers (`create_module`, lines 22–28),
 //! binding, unbinding and destruction.
 
 use super::dispatch::{Delivery, Work};
 use super::route::Waiting;
 use super::{ModuleSlot, Stack, StackError};
-use crate::ids::{ModuleId, ServiceId};
+use crate::ids::{ModuleId, Name, ServiceId};
 use crate::module::{Module, ModuleSpec};
 use crate::trace::TraceEvent;
+use crate::vecmap::VecMap;
 use crate::wire::Decode;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
-/// A boxed module constructor, as stored in the registry.
-pub type ModuleFactory = Box<dyn Fn(&ModuleSpec) -> Result<Box<dyn Module>, StackError> + Send>;
+/// A module constructor, as stored in the registry: shared by every copy
+/// of the registry, and so by every stack of a group, which may live on
+/// different threads — hence `Sync`.
+pub type ModuleFactory =
+    Arc<dyn Fn(&ModuleSpec) -> Result<Box<dyn Module>, StackError> + Send + Sync>;
 
-/// Registry of module factories, keyed by kind name.
+/// A group's module catalogue: the module factories, keyed by kind name,
+/// and the default provider of each service (Algorithm 1, line 27: "find
+/// a module q providing service s").
 ///
 /// A factory builds a fresh module instance from a [`ModuleSpec`]. The
-/// registry is consulted by [`Stack::install`] and by the recursive
-/// default-provider creation of Algorithm 1.
-#[derive(Default)]
-pub struct FactoryRegistry {
+/// catalogue is consulted by [`Stack::install`] and by the recursive
+/// default-provider creation of Algorithm 1. It is the same for every
+/// stack of a group, so the stacks share it: a clone is a pointer copy,
+/// and registering on a registry that shares its catalogue copies the
+/// catalogue first, leaving the other holders alone. An empty registry
+/// is one null word.
+#[derive(Clone, Default)]
+pub struct FactoryRegistry(Option<Arc<Catalogue>>);
+
+#[derive(Clone, Default)]
+struct Catalogue {
     factories: BTreeMap<String, ModuleFactory>,
+    defaults: VecMap<ServiceId, ModuleSpec>,
 }
 
 impl FactoryRegistry {
-    /// An empty registry.
+    /// An empty registry. Allocates nothing.
     pub fn new() -> FactoryRegistry {
         FactoryRegistry::default()
     }
 
+    /// The catalogue to change: this registry's own, copied out of the
+    /// share first if another registry holds it too.
+    fn own(&mut self) -> &mut Catalogue {
+        Arc::make_mut(self.0.get_or_insert_with(Default::default))
+    }
+
     /// Register a factory for a `kind` that takes no parameters. Later
-    /// registrations replace earlier ones.
+    /// registrations replace earlier ones. The factory is shared by every
+    /// clone of the registry, on whatever thread its stack runs, so it
+    /// must be `Send + Sync`.
     pub fn register(
         &mut self,
         kind: impl Into<String>,
-        f: impl Fn(&ModuleSpec) -> Box<dyn Module> + Send + 'static,
+        f: impl Fn(&ModuleSpec) -> Box<dyn Module> + Send + Sync + 'static,
     ) {
-        self.factories.insert(kind.into(), Box::new(move |spec| Ok(f(spec))));
+        self.own().factories.insert(kind.into(), Arc::new(move |spec| Ok(f(spec))));
     }
 
     /// Register a factory for a `kind` whose [`ModuleSpec::params`] are a
@@ -46,50 +69,61 @@ impl FactoryRegistry {
     /// else must decode — a blob that does not is a
     /// [`StackError::Wire`] out of [`FactoryRegistry::build`], never a
     /// silently defaulted module (whose namespace 0 would share wire tags
-    /// with the first incarnation).
+    /// with the first incarnation). `Send + Sync` as for
+    /// [`FactoryRegistry::register`].
     pub fn register_with<P: Decode + Default, M: Module>(
         &mut self,
         kind: impl Into<String>,
-        make: impl Fn(P) -> M + Send + 'static,
+        make: impl Fn(P) -> M + Send + Sync + 'static,
     ) {
         let factory = move |spec: &ModuleSpec| -> Result<Box<dyn Module>, StackError> {
             let params = if spec.params.is_empty() { P::default() } else { spec.params::<P>()? };
             Ok(Box::new(make(params)))
         };
-        self.factories.insert(kind.into(), Box::new(factory));
+        self.own().factories.insert(kind.into(), Arc::new(factory));
+    }
+
+    /// Make `spec` the default provider of `service`: what the recursive
+    /// module creation of Algorithm 1 creates for a required service that
+    /// has no bound module. Later settings replace earlier ones.
+    pub fn set_default(&mut self, service: ServiceId, spec: ModuleSpec) {
+        self.own().defaults.insert(service, spec);
     }
 
     /// Build a module from `spec`, if its kind is registered and its
     /// parameters decode.
     pub fn build(&self, spec: &ModuleSpec) -> Result<Box<dyn Module>, StackError> {
-        match self.factories.get(&spec.kind) {
+        match self.0.as_ref().and_then(|c| c.factories.get(&spec.kind)) {
             Some(f) => f(spec),
             None => Err(StackError::UnknownKind(spec.kind.clone())),
         }
     }
 
+    /// Build the default provider of `service`.
+    fn build_default(&self, service: &ServiceId) -> Result<Box<dyn Module>, StackError> {
+        match self.0.as_ref().and_then(|c| c.defaults.get(service)) {
+            Some(spec) => self.build(spec),
+            None => Err(StackError::NoDefaultProvider(*service)),
+        }
+    }
+
     /// Whether a factory for `kind` exists.
     pub fn contains(&self, kind: &str) -> bool {
-        self.factories.contains_key(kind)
+        self.0.as_ref().is_some_and(|c| c.factories.contains_key(kind))
     }
 }
 
 impl fmt::Debug for FactoryRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let catalogue = self.0.as_deref();
         f.debug_struct("FactoryRegistry")
-            .field("kinds", &self.factories.keys().collect::<Vec<_>>())
+            .field("kinds", &catalogue.map(|c| c.factories.keys().collect::<Vec<_>>()))
+            .field("defaults", &catalogue.map(|c| &c.defaults))
             .finish()
     }
 }
 
 impl Stack {
-    /// Configure the default provider spec for `service`, used by the
-    /// recursive module creation of Algorithm 1 (line 27: "find a module q
-    /// providing service s").
-    pub fn set_default_provider(&mut self, service: ServiceId, spec: ModuleSpec) {
-        self.defaults.insert(service, spec);
-    }
-
     /// Create a module from `spec` via the factory registry and wire it in
     /// per Algorithm 1 lines 22–28: bind each provided service that is
     /// currently unbound, then recursively create default providers for
@@ -102,10 +136,9 @@ impl Stack {
     }
 
     fn wire_in(&mut self, id: ModuleId) -> Result<(), StackError> {
-        let (provides, requires) = {
-            let slot = self.modules.get(&id).ok_or(StackError::UnknownModule(id))?;
-            (slot.provides.clone(), slot.requires.clone())
-        };
+        let module = self.modules.get(&id).and_then(|slot| slot.module.as_ref());
+        let module = module.ok_or(StackError::UnknownModule(id))?;
+        let (provides, requires) = (module.provides(), module.requires());
         for svc in &provides {
             if !self.bindings.contains_key(svc) {
                 self.bind(svc, id);
@@ -113,9 +146,7 @@ impl Stack {
         }
         for svc in &requires {
             if !self.bindings.contains_key(svc) {
-                let spec =
-                    self.defaults.get(svc).cloned().ok_or(StackError::NoDefaultProvider(*svc))?;
-                let dep = self.factory.build(&spec)?;
+                let dep = self.factory.build_default(svc)?;
                 let dep_id = self.add_module(dep);
                 self.wire_in(dep_id)?;
             }
@@ -129,16 +160,14 @@ impl Stack {
     pub fn add_module(&mut self, module: Box<dyn Module>) -> ModuleId {
         let id = ModuleId(self.next_module);
         self.next_module += 1;
-        let kind = module.kind().to_string();
-        let provides = module.provides();
+        let kind = Name::new(module.kind());
         let requires = module.requires();
         for svc in &requires {
-            self.requirers.get_mut_or_default(*svc).push(id);
+            let requirers = self.requirers.get_mut_or_default(*svc);
+            requirers.reserve_exact(1);
+            requirers.push(id);
         }
-        self.trace.push(
-            self.now,
-            TraceEvent::ModuleCreated { stack: self.id, module: id, kind: kind.as_str().into() },
-        );
+        self.trace.push(self.now, TraceEvent::ModuleCreated { stack: self.id, module: id, kind });
         self.queue.push_back(Delivery { to: id, work: Work::Start });
         // What arrived for this module before it existed comes right
         // after its `on_start`, in arrival order.
@@ -155,7 +184,7 @@ impl Stack {
                 self.queue.push_back(Delivery { to: id, work: Work::Response(resp) });
             }
         }
-        self.modules.insert(id, ModuleSlot { module: Some(module), kind, provides, requires });
+        self.modules.insert(id, ModuleSlot { module: Some(module), kind });
         id
     }
 
@@ -323,9 +352,9 @@ mod tests {
             Box::new(Svc { name: "mid", kind_name: "middle", deps: vec!["low"] })
         });
         reg.register("lower", |_| Box::new(Svc { name: "low", kind_name: "lower", deps: vec![] }));
+        reg.set_default(ServiceId::new("mid"), ModuleSpec::new("middle"));
+        reg.set_default(ServiceId::new("low"), ModuleSpec::new("lower"));
         let mut stack = Stack::new(StackConfig::nth(0, 1, 7), reg);
-        stack.set_default_provider(ServiceId::new("mid"), ModuleSpec::new("middle"));
-        stack.set_default_provider(ServiceId::new("low"), ModuleSpec::new("lower"));
         let up = stack.install(&ModuleSpec::new("upper")).unwrap();
         assert_eq!(stack.bound(&ServiceId::new("up")), Some(up));
         assert!(stack.bound(&ServiceId::new("mid")).is_some());
@@ -359,6 +388,30 @@ mod tests {
         assert_eq!(err, StackError::NoDefaultProvider(ServiceId::new("missing")));
         let err2 = stack.install(&ModuleSpec::new("nope")).unwrap_err();
         assert_eq!(err2, StackError::UnknownKind("nope".into()));
+    }
+
+    #[test]
+    fn a_clone_shares_the_catalogue_until_it_changes_its_own() {
+        let empty = FactoryRegistry::new();
+        assert!(empty.0.is_none() && std::mem::size_of::<FactoryRegistry>() == 8);
+        let echo = ServiceId::new("echo");
+        let mut reg = FactoryRegistry::new();
+        reg.register("echo", |_| Box::new(Echo));
+        reg.set_default(echo, ModuleSpec::new("echo"));
+        let shared = |a: &FactoryRegistry, b: &FactoryRegistry| match (&a.0, &b.0) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        let mut copy = reg.clone();
+        assert!(shared(&reg, &copy), "a clone is a pointer copy");
+        copy.set_default(echo, ModuleSpec::new("other"));
+        assert!(!shared(&reg, &copy), "changing a shared catalogue copies it first");
+        assert_eq!(reg.build_default(&echo).map(|m| m.kind().to_string()), Ok("echo".into()));
+        assert_eq!(copy.build_default(&echo).err(), Some(StackError::UnknownKind("other".into())));
+        assert!(copy.contains("echo"), "the copy keeps what it was cloned with");
+        // Two stacks of one group hold one catalogue.
+        let (a, b) = (Stack::new(StackConfig::nth(0, 2, 1), reg.clone()), reg.clone());
+        assert!(shared(&a.factory, &b) && shared(&a.factory, &reg));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! its replacements, not with its messages, and tracing stays on at every
 //! scale the system runs at.
 
-use crate::ids::{ModuleId, ServiceId, StackId};
+use crate::ids::{ModuleId, Name, ServiceId, StackId};
 use crate::module::Op;
 use crate::time::Time;
 use std::collections::VecDeque;
@@ -102,7 +102,7 @@ pub enum TraceEvent {
         /// Fresh module id.
         module: ModuleId,
         /// Module kind (protocol identity across stacks).
-        kind: Box<str>,
+        kind: Name,
     },
     /// A module was destroyed and removed from a stack.
     ModuleDestroyed {
@@ -111,7 +111,7 @@ pub enum TraceEvent {
         /// Destroyed module id.
         module: ModuleId,
         /// Module kind.
-        kind: Box<str>,
+        kind: Name,
     },
     /// The stack crashed (injected by the host). No further events occur
     /// on a crashed stack.
@@ -234,12 +234,15 @@ impl TraceEvent {
 /// One log entry: when, and what.
 type Entry = (Time, TraceEvent);
 
-// A service name is one word and a module kind two, which keeps an entry
-// at 40 bytes (the tail is `TAIL` of them per traced stack); all of a
-// log's state sits behind one pointer, so a disabled log is one word in
-// every stack of a capacity run.
+// A service name and a module kind are one interned word each, which
+// keeps an entry at 40 bytes (the tail is `TAIL` of them per traced
+// stack) and a stack's slot for a module at the module and its kind; all
+// of a log's state sits behind one pointer, so a disabled log is one word
+// in every stack of a capacity run.
 const _: () = assert!(std::mem::size_of::<ServiceId>() == 8);
+const _: () = assert!(std::mem::size_of::<Name>() == 8);
 const _: () = assert!(std::mem::size_of::<Entry>() == 40);
+const _: () = assert!(std::mem::size_of::<crate::stack::ModuleSlot>() == 24);
 const _: () = assert!(std::mem::size_of::<TraceLog>() == 8);
 
 /// Dispatch entries (calls and responses) a log keeps: the most recent

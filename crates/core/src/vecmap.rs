@@ -3,10 +3,10 @@
 //!
 //! A `BTreeMap` allocates 11-entry leaf nodes, so a stack holding a
 //! handful of modules/bindings/timers pays for dozens of slots it never
-//! uses — at 10^6 stacks that overhead (~1.5–2 KB/stack across the six
+//! uses — at 10^6 stacks that overhead (~1.5–2 KB/stack across the five
 //! maps in [`crate::Stack`]) dominates the residual memory budget. A
-//! sorted `Vec<(K, V)>` stores exactly `len` entries (plus the usual
-//! amortized-doubling slack), and for the single-digit populations a
+//! sorted `Vec<(K, V)>` stores exactly `len` entries (every insert grows
+//! it by one slot, not by doubling), and for the single-digit populations a
 //! stack actually holds, binary search + `memmove` beats pointer-chasing
 //! tree nodes on the dispatch hot path too.
 //!
@@ -106,6 +106,7 @@ impl<K: Ord, V> VecMap<K, V> {
         let i = match self.idx(&key) {
             Ok(i) => i,
             Err(i) => {
+                self.grow_exact();
                 self.entries.insert(i, (key, V::default()));
                 i
             }
@@ -206,6 +207,17 @@ mod tests {
         m.get_mut_or_default(2).push(21);
         assert_eq!(m.get(&1), Some(&vec![10]));
         assert_eq!(m.get(&2), Some(&vec![20, 21]));
+    }
+
+    #[test]
+    fn every_insert_grows_capacity_to_the_length_exactly() {
+        let mut m: VecMap<u32, Vec<u32>> = VecMap::new();
+        for k in [5, 1, 9, 3, 7] {
+            m.get_mut_or_default(k);
+            assert_eq!(m.entries.capacity(), m.len(), "after inserting {k}");
+            m.insert(k + 10, Vec::new());
+            assert_eq!(m.entries.capacity(), m.len(), "after inserting {}", k + 10);
+        }
     }
 
     #[test]

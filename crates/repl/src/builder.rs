@@ -244,20 +244,34 @@ pub struct BuiltStack {
     pub handles: Handles,
 }
 
-/// Assemble one group communication stack per `opts`.
-pub fn build(sc: StackConfig, opts: &GroupStackOpts) -> BuiltStack {
-    let mut stack = Stack::new(sc, registry());
-    stack.set_default_provider(ServiceId::new(dpu_net::UDP_SVC), ModuleSpec::new("udp"));
-    stack.set_default_provider(ServiceId::new(dpu_net::RP2P_SVC), ModuleSpec::new("rp2p"));
-    stack.set_default_provider(ServiceId::new(dpu_protocols::FD_SVC), ModuleSpec::new("fd"));
-    stack.set_default_provider(
+/// The module catalogue of a group built per `opts`: every kind of the
+/// workspace, and the default providers Algorithm 1 creates below the
+/// broadcast — the standard four and `opts.extra_defaults`.
+fn catalogue(opts: &GroupStackOpts) -> FactoryRegistry {
+    let mut reg = registry();
+    reg.set_default(ServiceId::new(dpu_net::UDP_SVC), ModuleSpec::new("udp"));
+    reg.set_default(ServiceId::new(dpu_net::RP2P_SVC), ModuleSpec::new("rp2p"));
+    reg.set_default(ServiceId::new(dpu_protocols::FD_SVC), ModuleSpec::new("fd"));
+    reg.set_default(
         ServiceId::new(dpu_protocols::CONSENSUS_SVC),
         ModuleSpec::new(dpu_protocols::consensus::KIND_CT),
     );
     for (svc, spec) in &opts.extra_defaults {
-        stack.set_default_provider(ServiceId::new(svc), spec.clone());
+        reg.set_default(ServiceId::new(svc), spec.clone());
     }
+    reg
+}
 
+/// Assemble one group communication stack per `opts`, with a catalogue
+/// of its own ([`group`] shares one among its stacks).
+pub fn build(sc: StackConfig, opts: &GroupStackOpts) -> BuiltStack {
+    build_in(sc, opts, catalogue(opts))
+}
+
+/// [`build`] over `catalogue`, which must be `catalogue(opts)` or a
+/// clone of it.
+fn build_in(sc: StackConfig, opts: &GroupStackOpts, catalogue: FactoryRegistry) -> BuiltStack {
+    let mut stack = Stack::new(sc, catalogue);
     let abcast_svc = ServiceId::new(dpu_protocols::ABCAST_SVC);
     let abcast = stack.install(&opts.abcast).expect("install abcast");
 
@@ -305,20 +319,25 @@ pub fn build(sc: StackConfig, opts: &GroupStackOpts) -> BuiltStack {
 ///
 /// The returned [`Handles`] are the first built stack's (construction
 /// is deterministic, so they are identical on every stack of a group,
-/// whichever process hosts it).
+/// whichever process hosts it). The stacks share one module catalogue,
+/// as Algorithm 1's `create_module` assumes: one table of "a module q
+/// providing service s" for the whole group.
 pub fn group<T>(
     opts: &GroupStackOpts,
     spawn: impl FnOnce(&mut dyn FnMut(StackConfig) -> Stack) -> T,
 ) -> (T, Handles) {
+    let catalogue = catalogue(opts);
     let mut handles = None;
     let host = spawn(&mut |sc| {
-        let built = build(sc, opts);
+        let built = build_in(sc, opts, catalogue.clone());
         handles.get_or_insert(built.handles);
         built.stack
     });
     // A constructor that failed before building a stack reports its own
     // error through `T`; the handles then come from a scratch build.
-    (host, handles.unwrap_or_else(|| build(StackConfig::nth(0, 1, 0), opts).handles))
+    let handles =
+        handles.unwrap_or_else(|| build_in(StackConfig::nth(0, 1, 0), opts, catalogue).handles);
+    (host, handles)
 }
 
 /// [`group`] on a deterministic simulation.
