@@ -36,15 +36,17 @@ fn capacity_smoke_65536_stacks() {
         "the soak must deliver traffic across the recycled layout"
     );
     // The capacity claim, instrumented: the allocator measures
-    // 1 685 B/stack live here (the pre-refactor boxed layout was ~265 KB,
+    // 1 244 B/stack live here (the pre-refactor boxed layout was ~265 KB,
     // dominated by the O(n²) owned peer tables; per-stack pre-allocated
     // telemetry then added ~17 KB until the histograms moved into the
-    // shards, and every stack's own dispatch queue 512 B until idle
-    // stacks handed it back to the shard). The bound is that measurement
-    // plus 4 %: one flight ring (1.5 KB), one histogram (4.7 KB) or the
-    // eight-delivery queue of one `LoadGen` burst (512 B) left in every
-    // stack fails it.
-    assert!(bytes_per_stack < 1_753, "live bytes/stack regressed: {bytes_per_stack}");
+    // shards, every stack's own dispatch queue 512 B until idle stacks
+    // handed it back to the shard, and module slots holding a kind
+    // `String` and two service vectors, four-slot timer heaps and
+    // doubling requirer lists 441 B). The bound is that measurement
+    // plus 4 %: one flight ring (1.5 KB), one histogram (4.7 KB), the
+    // eight-delivery queue of one `LoadGen` burst (512 B) or a copied
+    // kind name left in every stack fails it.
+    assert!(bytes_per_stack < 1_294, "live bytes/stack regressed: {bytes_per_stack}");
     // The same run is observed: every stack is instrumented and the
     // samples land in the 16 shard sets.
     let tel = sim.telemetry_report();
