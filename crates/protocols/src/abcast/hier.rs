@@ -63,6 +63,7 @@ use dpu_core::time::Dur;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{Call, Channel, IntervalSet, Module, Response, ServiceId, StackId, TimerId};
 use dpu_net::dgram::{self, Dgram, DgramRef};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 /// Module kind name, for factory registration.
@@ -199,11 +200,25 @@ struct Stream {
     buf: BTreeMap<u64, (MsgKey, Bytes)>,
 }
 
+/// The cluster layout as this stack sees it. It depends only on the peer
+/// table and the cluster size, both fixed for a stack's life, so a module
+/// works it out once, on first use.
+struct Clusters {
+    /// This stack's cluster.
+    mine: u32,
+    /// Its members, in peer-table order (the candidate list).
+    members: Vec<StackId>,
+    /// Each cluster's primary, its first member: the leader's relay to
+    /// that cluster until a claim replaces it.
+    primaries: BTreeMap<u32, StackId>,
+}
+
 /// The hierarchical atomic broadcast module. See module docs.
 pub struct HierAbcastModule {
     params: HierAbcastParams,
     svc: ServiceId,
     rp2p_svc: ServiceId,
+    clusters: OnceCell<Clusters>,
     // -- member state --
     /// Per-origin sequence for this stack's own broadcasts. Lazily
     /// seeded from the virtual clock so a churn-restarted incarnation
@@ -252,6 +267,7 @@ impl HierAbcastModule {
             params,
             svc,
             rp2p_svc: ServiceId::new(dpu_net::RP2P_SVC),
+            clusters: OnceCell::new(),
             next_oseq: None,
             pending: BTreeMap::new(),
             seq_idx: 0,
@@ -300,9 +316,17 @@ impl HierAbcastModule {
         id.0 / self.cluster_nodes(ctx)
     }
 
-    /// Members of `cluster`, in id order (the candidate list).
-    fn members(&self, ctx: &ModuleCtx<'_>, cluster: u32) -> Vec<StackId> {
-        ctx.peers().iter().copied().filter(|&p| self.cluster_of(ctx, p) == cluster).collect()
+    fn clusters(&self, ctx: &ModuleCtx<'_>) -> &Clusters {
+        self.clusters.get_or_init(|| {
+            let mine = self.cluster_of(ctx, ctx.stack_id());
+            let mut primaries = BTreeMap::new();
+            for &p in ctx.peers() {
+                primaries.entry(self.cluster_of(ctx, p)).or_insert(p);
+            }
+            let members =
+                ctx.peers().iter().copied().filter(|&p| self.cluster_of(ctx, p) == mine).collect();
+            Clusters { mine, members, primaries }
+        })
     }
 
     /// The merge leader: the globally lowest id.
@@ -313,8 +337,7 @@ impl HierAbcastModule {
     /// The local sequencer this member currently believes in: the
     /// candidate list rotated by the stall counter.
     fn believed_sequencer(&self, ctx: &ModuleCtx<'_>) -> StackId {
-        let my_cluster = self.cluster_of(ctx, ctx.stack_id());
-        let c = self.members(ctx, my_cluster);
+        let c = &self.clusters(ctx).members;
         c[self.seq_idx % c.len()]
     }
 
@@ -333,12 +356,14 @@ impl HierAbcastModule {
     /// be addressed after failover rotation; the leader's per-forwarder
     /// streams and key dedup make concurrent actors safe).
     fn handle_req(&mut self, ctx: &mut ModuleCtx<'_>, key: MsgKey, data: Bytes) {
-        let my_cluster = self.cluster_of(ctx, ctx.stack_id());
+        let clusters = self.clusters(ctx);
+        let my_cluster = clusters.mine;
+        let primary = clusters.members.first() == Some(&ctx.stack_id());
         if self.cluster_of(ctx, key.0) != my_cluster || !self.fwd_seen.insert(key) {
             return;
         }
         let leader = Self::leader(ctx);
-        if self.members(ctx, my_cluster).first() != Some(&ctx.stack_id()) && !self.claimed {
+        if !primary && !self.claimed {
             // First time acting in the primary's stead: take over the
             // relay role before the forward, so the leader replays the
             // log (RP2P is FIFO per link — the claim arrives first).
@@ -364,12 +389,8 @@ impl HierAbcastModule {
         self.log.push((key, data.clone()));
         // One relay per cluster: its primary (first member) until a claim
         // replaces it.
-        let mut primaries = BTreeMap::new();
-        for &p in ctx.peers() {
-            primaries.entry(self.cluster_of(ctx, p)).or_insert(p);
-        }
-        for (c, primary) in primaries {
-            let relay = self.relays.get(&c).copied().unwrap_or(primary);
+        for (c, &primary) in &self.clusters(ctx).primaries {
+            let relay = self.relays.get(c).copied().unwrap_or(primary);
             self.send(ctx, relay, &Frame::Commit { g, key, data: data.clone() });
         }
     }
@@ -463,8 +484,7 @@ impl Module for HierAbcastModule {
             }
             Frame::Commit { g, key, data } => {
                 // Fan out inside the cluster, then file locally.
-                let my_cluster = self.cluster_of(ctx, ctx.stack_id());
-                for peer in self.members(ctx, my_cluster) {
+                for &peer in &self.clusters(ctx).members {
                     if peer != ctx.stack_id() {
                         self.send(ctx, peer, &Frame::Rly { g, key, data: data.clone() });
                     }
