@@ -9,7 +9,8 @@
 //! * [`rp2p::Rp2pModule`] — *reliable point-to-point* communication: FIFO,
 //!   duplicate-free, loss-recovering delivery between any pair of stacks,
 //!   built on UDP with sequence numbers, cumulative acks and
-//!   retransmission.
+//!   retransmission. A fan-out to many peers is one call
+//!   ([`dgram::SEND_MANY`]) that puts one frame per peer on the wire.
 //! * [`frag::FragModule`] — MTU fragmentation/reassembly for oversized
 //!   payloads, slotting between RP2P and UDP
 //!   (`rp2p → frag → udp`) when protocol messages outgrow a datagram.
@@ -43,6 +44,7 @@ pub const FRAG_UDP_CHANNEL: dpu_core::Channel = dpu_core::Channel::new(2, 0);
 /// (`udp` and `rp2p` use the same interface shape).
 pub mod dgram {
     use bytes::{Bytes, BytesMut};
+    use dpu_core::wire::{get_length_prefix, put_uvarint, uvarint_len, LenPrefixed};
     use dpu_core::wire::{Decode, Encode, WireResult};
     use dpu_core::{Channel, Op, StackId};
 
@@ -50,6 +52,15 @@ pub mod dgram {
     pub const SEND: Op = 1;
     /// Upward response: received `(src, channel, data)`.
     pub const RECV: Op = 2;
+    /// Downward call, `rp2p` only: send one `(channel, data)` to every
+    /// stack of a list, `(dsts, channel, data)` ([`DgramMany`]). One call,
+    /// so one dispatch step of `rp2p`, however many frames it puts on the
+    /// wire: `rp2p` treats each listed stack — in list order, a repeat
+    /// as often as it is listed, the stack itself by loopback — exactly as
+    /// a [`SEND`] to it. What a protocol fans out to its peers goes this
+    /// way ([`DgramManyRef`] builds the payload); `udp` and `frag` offer
+    /// only [`SEND`].
+    pub const SEND_MANY: Op = 3;
 
     /// Payload of [`SEND`] and [`RECV`].
     #[derive(Clone, Debug, PartialEq, Eq)]
@@ -102,19 +113,92 @@ pub mod dgram {
         fn encode(&self, buf: &mut BytesMut) {
             self.peer.encode(buf);
             self.channel.encode(buf);
-            dpu_core::wire::LenPrefixed(self.body).encode(buf);
+            LenPrefixed(self.body).encode(buf);
         }
         fn encoded_len(&self) -> usize {
             self.peer.encoded_len()
                 + self.channel.encoded_len()
-                + dpu_core::wire::LenPrefixed(self.body).encoded_len()
+                + LenPrefixed(self.body).encoded_len()
+        }
+    }
+
+    /// Payload of [`SEND_MANY`]: `data` on `channel` to each of `peers`.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct DgramMany {
+        /// The destination stacks, in send order.
+        pub peers: Vec<StackId>,
+        /// Multiplexing channel of every frame.
+        pub channel: Channel,
+        /// Opaque payload, the same for every destination.
+        pub data: Bytes,
+    }
+
+    impl Encode for DgramMany {
+        fn encode(&self, buf: &mut BytesMut) {
+            self.peers.encode(buf);
+            self.channel.encode(buf);
+            self.data.encode(buf);
+        }
+        fn encoded_len(&self) -> usize {
+            self.peers.encoded_len() + self.channel.encoded_len() + self.data.encoded_len()
+        }
+    }
+
+    impl Decode for DgramMany {
+        fn decode(buf: &mut Bytes) -> WireResult<Self> {
+            // A destination takes at least a byte: a count beyond the input
+            // left fails here, and the list is allocated once, at its size.
+            let count = get_length_prefix(buf)?;
+            let mut peers = Vec::with_capacity(count);
+            for _ in 0..count {
+                peers.push(StackId::decode(buf)?);
+            }
+            Ok(DgramMany { peers, channel: Channel::decode(buf)?, data: Bytes::decode(buf)? })
+        }
+    }
+
+    /// Borrowing view of a [`DgramMany`], as [`DgramRef`] is of a
+    /// [`Dgram`]: the destinations come from an iterator (walked once to
+    /// size the payload and once to write it, so it must be `Clone`, as a
+    /// filtered slice iterator is) and the body is encoded in place, one
+    /// forward pass into one buffer. Byte-identical to
+    /// `DgramMany { peers: peers.collect(), channel, data: body.to_bytes() }`.
+    pub struct DgramManyRef<'a, I, B: Encode + ?Sized> {
+        /// Destination stacks, in send order.
+        pub peers: I,
+        /// Multiplexing channel.
+        pub channel: Channel,
+        /// The payload message, encoded in place.
+        pub body: &'a B,
+    }
+
+    impl<I, B> Encode for DgramManyRef<'_, I, B>
+    where
+        I: Iterator<Item = StackId> + Clone,
+        B: Encode + ?Sized,
+    {
+        fn encode(&self, buf: &mut BytesMut) {
+            put_uvarint(buf, self.peers.clone().count() as u64);
+            for peer in self.peers.clone() {
+                peer.encode(buf);
+            }
+            self.channel.encode(buf);
+            LenPrefixed(self.body).encode(buf);
+        }
+        fn encoded_len(&self) -> usize {
+            let (count, peers) =
+                self.peers.clone().fold((0, 0), |(n, len), p| (n + 1, len + p.encoded_len()));
+            uvarint_len(count)
+                + peers
+                + self.channel.encoded_len()
+                + LenPrefixed(self.body).encoded_len()
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::dgram::Dgram;
+    use super::dgram::{Dgram, DgramMany, DgramManyRef};
     use bytes::Bytes;
     use dpu_core::wire;
     use dpu_core::{Channel, StackId};
@@ -152,5 +236,66 @@ mod tests {
         assert_eq!(one_pass, two_pass);
         let data = wire::to_bytes(&body);
         wire::testing::assert_wire_contract(&Dgram { peer: StackId(3), channel, data });
+    }
+
+    fn many(peers: &[u32], data: &'static [u8]) -> DgramMany {
+        let peers = peers.iter().copied().map(StackId).collect();
+        DgramMany { peers, channel: Channel::new(9, 300), data: Bytes::from_static(data) }
+    }
+
+    #[test]
+    fn dgram_many_wire_contract() {
+        for d in [many(&[], b"x"), many(&[1], b""), many(&[0, 2, 2, u32::MAX], b"abc")] {
+            wire::testing::assert_wire_contract(&d);
+        }
+    }
+
+    /// `DgramManyRef` must be byte-identical to the `DgramMany` it stands
+    /// for: the list its iterator yields, the body's own encoding.
+    #[test]
+    fn dgram_many_ref_matches_dgram_many() {
+        use dpu_core::wire::Encode;
+        let body = (7u16, Bytes::from_static(b"payload"));
+        let channel = Channel::new(5, 2);
+        let table: Vec<StackId> = (0..200).map(StackId).collect();
+        let me = StackId(3);
+        let peers = table.iter().copied().filter(|&p| p != me);
+        let view = DgramManyRef { peers: peers.clone(), channel, body: &body };
+        let whole = DgramMany { peers: peers.collect(), channel, data: wire::to_bytes(&body) };
+        assert_eq!(view.encoded_len(), view.to_bytes().len());
+        assert_eq!(view.to_bytes(), whole.to_bytes());
+        let empty = DgramManyRef { peers: std::iter::empty(), channel, body: &body };
+        let none = DgramMany { peers: Vec::new(), channel, data: wire::to_bytes(&body) };
+        assert_eq!(empty.to_bytes(), none.to_bytes());
+    }
+
+    /// What a forged `SEND_MANY` payload can do: fail to decode. A count
+    /// or a body length beyond what the input holds is refused before
+    /// anything is allocated, and a list that does decode is allocated
+    /// once, at its size: no more destinations than the input has bytes.
+    #[test]
+    fn a_forged_dgram_many_fails_without_allocating_beyond_its_input() {
+        use dpu_core::wire::{put_uvarint, WireError};
+        let decode = |raw: &[u8]| wire::from_bytes::<DgramMany>(&Bytes::copy_from_slice(raw));
+        // A count of 2^64 − 1 destinations in a 12-byte payload.
+        let mut huge = bytes::BytesMut::new();
+        put_uvarint(&mut huge, u64::MAX);
+        huge.extend_from_slice(&[0, 0]);
+        assert_eq!(decode(&huge), Err(WireError::BadLength(u64::MAX)));
+        // As many destinations as bytes follow: the list eats the channel
+        // and the body, and the decode runs out.
+        assert_eq!(decode(&[4, 1, 2, 3, 4]), Err(WireError::Truncated));
+        // An honest list, then a body length past the end.
+        assert_eq!(decode(&[1, 7, 9, 100, b'x']), Err(WireError::BadLength(100)));
+        // Nothing at all.
+        assert_eq!(decode(&[]), Err(WireError::Truncated));
+        // An empty list is a valid payload that sends nothing.
+        let channel = Channel::new(9, 0);
+        let data = Bytes::from_static(b"x");
+        assert_eq!(decode(&[0, 9, 1, b'x']), Ok(DgramMany { peers: Vec::new(), channel, data }));
+        // The longest list a payload can carry: one byte a destination.
+        let raw: Vec<u8> = [&[100u8][..], &[1; 100], &[9, 0]].concat();
+        let d = decode(&raw).expect("100 one-byte destinations");
+        assert_eq!(d.peers.capacity(), 100, "allocated once, at the list's size");
     }
 }

@@ -12,6 +12,20 @@
 //!
 //! Sends to the local stack are looped back directly (no wire traffic).
 //!
+//! # One call, many frames
+//!
+//! A protocol that fans a message out to its peers makes one call,
+//! [`dgram::SEND_MANY`]: the destination list, the channel and the body
+//! once. `rp2p` runs the one-destination [`dgram::SEND`] logic for each
+//! listed stack in list order — its own sequence number, the ack it owes
+//! that peer riding along, its own unacked entry, loopback for this stack
+//! — in that one dispatch step. Every frame it builds shares the one body
+//! buffer. Each frame is still its own datagram, acked and resent on its
+//! own: the per-pair guarantees above hold frame by frame, exactly as if
+//! each destination had been sent to alone. With the simulator charging a
+//! step of CPU per dispatch, n − 1 calls were n − 1 steps between the
+//! first peer's frame and the last's.
+//!
 //! # What goes on the wire, and when
 //!
 //! A frame goes out **once**, and its receipt is reported on traffic that
@@ -59,7 +73,7 @@
 //! wire traffic uses UDP channel [`RP2P_UDP_CHANNEL`]; the user-facing
 //! `channel` of each [`Dgram`] travels inside the RP2P frame.
 
-use crate::dgram::{self, Dgram, DgramRef};
+use crate::dgram::{self, Dgram, DgramMany, DgramRef};
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::{Dur, Time};
@@ -336,6 +350,27 @@ impl Rp2pModule {
         }
     }
 
+    /// What a [`dgram::SEND`] to `dst` does, and a [`dgram::SEND_MANY`]
+    /// for each stack it lists: the next sequence number to `dst`, the ack
+    /// owed to it riding along, the frame kept until acked — or, to this
+    /// stack itself, a loopback.
+    fn send_one(&mut self, ctx: &mut ModuleCtx<'_>, dst: StackId, channel: Channel, data: Bytes) {
+        if dst == ctx.stack_id() {
+            // Local loopback: trivially reliable and ordered.
+            deliver(&self.rp2p_svc, ctx, dst, channel, data);
+            return;
+        }
+        let now = ctx.now();
+        let ack = settle(&mut self.inn, dst);
+        let pout = self.out.entry(dst).or_default();
+        let seq = pout.next_seq;
+        pout.next_seq += 1;
+        pout.last_data = now;
+        pout.unacked
+            .insert(seq, Unacked { channel, data: data.clone(), attempts: 0, sent_at: now });
+        udp_send(&self.udp_svc, ctx, dst, &Frame::Data { seq, ack, channel, data });
+    }
+
     fn handle_frame(&mut self, ctx: &mut ModuleCtx<'_>, src: StackId, frame: Frame) {
         match frame {
             Frame::Data { seq, ack, channel, data } => {
@@ -436,27 +471,19 @@ impl Module for Rp2pModule {
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
-        if call.op != dgram::SEND {
-            return;
+        match call.op {
+            dgram::SEND => {
+                let Ok(d) = call.decode::<Dgram>() else { return };
+                self.send_one(ctx, d.peer, d.channel, d.data);
+            }
+            dgram::SEND_MANY => {
+                let Ok(d) = call.decode::<DgramMany>() else { return };
+                for peer in d.peers {
+                    self.send_one(ctx, peer, d.channel, d.data.clone());
+                }
+            }
+            _ => {}
         }
-        let Ok(d) = call.decode::<Dgram>() else { return };
-        if d.peer == ctx.stack_id() {
-            // Local loopback: trivially reliable and ordered.
-            deliver(&self.rp2p_svc, ctx, d.peer, d.channel, d.data);
-            return;
-        }
-        let now = ctx.now();
-        let ack = settle(&mut self.inn, d.peer);
-        let pout = self.out.entry(d.peer).or_default();
-        let seq = pout.next_seq;
-        pout.next_seq += 1;
-        pout.last_data = now;
-        pout.unacked.insert(
-            seq,
-            Unacked { channel: d.channel, data: d.data.clone(), attempts: 0, sent_at: now },
-        );
-        let frame = Frame::Data { seq, ack, channel: d.channel, data: d.data };
-        udp_send(&self.udp_svc, ctx, d.peer, &frame);
     }
 
     fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, resp: Response) {
@@ -574,6 +601,34 @@ mod tests {
         }
         sim.run_until(Time::ZERO + Dur::millis(100));
         assert_eq!(sink_data(&mut sim, 1), (0..10).collect::<Vec<u8>>());
+    }
+
+    #[test]
+    fn a_send_many_is_one_step_and_one_frame_per_listed_stack() {
+        // Stack 0 of four, stepped by hand: one call lists stack 2, this
+        // stack, stack 1 and stack 2 again.
+        let mut s = mk_stack(StackConfig::nth(0, 4, 1));
+        while s.step(Time::ZERO).is_some() {}
+        s.drain_actions().for_each(drop);
+        let peers = [2, 0, 1, 2].map(StackId).to_vec();
+        let d = DgramMany { peers, channel: CH, data: Bytes::from_static(b"m") };
+        s.call_as(SINK, &ServiceId::new(crate::RP2P_SVC), dgram::SEND_MANY, wire::to_bytes(&d));
+        let mut rp2p_steps = 0;
+        while let Some(info) = s.step(Time::ZERO) {
+            rp2p_steps += u32::from(info.module == RP2P);
+        }
+        let sent: Vec<StackId> = (s.drain_actions())
+            .filter_map(|a| match a {
+                dpu_core::HostAction::NetSend { dst, .. } => Some(dst),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rp2p_steps, 1);
+        assert_eq!(sent, [2, 1, 2].map(StackId), "a frame a listed peer, in list order");
+        let looped = s.with_module::<Rp2pSink, _>(SINK, |k| k.got.clone()).unwrap();
+        assert_eq!(looped, [Dgram { peer: StackId(0), channel: CH, data: d.data }]);
+        let ts = s.transport_stats();
+        assert_eq!(ts.unacked, 3, "stack 2's two frames are its seq 0 and 1: {ts:?}");
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //! duplication, jitter and message pattern, delivery is exactly-once and
 //! FIFO per ordered pair of stacks — also when the two directions of a
 //! pair talk at once, so that acks ride data frames and wait on the ack
-//! timer — and once the network heals nothing stays unacknowledged.
+//! timer — and once the network heals nothing stays unacknowledged. A
+//! `SEND_MANY` is a `SEND` to each stack it lists, however the two mix.
 
 use bytes::Bytes;
 use dpu_core::stack::{FactoryRegistry, ModuleCtx, Stack, StackConfig};
 use dpu_core::time::{Dur, Time};
 use dpu_core::{Call, Channel, Module, ModuleId, Response, ServiceId, StackId};
-use dpu_net::dgram::{self, Dgram};
+use dpu_net::dgram::{self, Dgram, DgramMany};
 use dpu_net::rp2p::{Rp2pConfig, Rp2pModule};
 use dpu_net::udp::UdpModule;
 use dpu_sim::{Sim, SimConfig};
@@ -38,6 +39,12 @@ impl Module for Sink {
 }
 
 const SINK: ModuleId = ModuleId(4);
+
+fn call_rp2p(sim: &mut Sim, from: u32, op: dpu_core::Op, payload: Bytes) {
+    sim.with_stack(StackId(from), |s| {
+        s.call_as(SINK, &ServiceId::new(dpu_net::RP2P_SVC), op, payload)
+    });
+}
 
 fn mk_stack(sc: StackConfig) -> Stack {
     let mut s = Stack::new(sc, FactoryRegistry::new());
@@ -169,6 +176,65 @@ proptest! {
             prop_assert_eq!(got, want, "node {}", node);
             let ts = sim.with_stack(StackId(node), |s| s.transport_stats());
             prop_assert_eq!(ts.unacked, 0, "node {}: {:?}", node, ts);
+        }
+    }
+
+    #[test]
+    fn send_many_is_a_send_to_each_listed_stack(
+        seed in 0u64..10_000,
+        loss in 0.0f64..0.45,
+        duplicate in 0.0f64..0.45,
+        // (sender, destination list over 3 stacks, send a one-stack list
+        // as a plain SEND): a list may hold the sender itself, hold a
+        // stack more than once, or be empty.
+        plan in proptest::collection::vec(
+            (0u32..3, proptest::collection::vec(0u32..3, 0..6), any::<bool>()),
+            1..16,
+        ),
+    ) {
+        let mut cfg = SimConfig::lan(3, seed);
+        cfg.net.loss = loss;
+        cfg.net.duplicate = duplicate;
+        let mut sim = Sim::new(cfg, mk_stack);
+        // What each stack must receive: a message per listed occurrence,
+        // in call order.
+        let mut expected: Vec<Vec<(StackId, Bytes)>> = vec![vec![], vec![], vec![]];
+        for (i, (from, to, single)) in plan.iter().enumerate() {
+            let data = Bytes::from(vec![*from as u8, i as u8]);
+            for &dst in to {
+                expected[dst as usize].push((StackId(*from), data.clone()));
+            }
+            let channel = Channel::new(9, 0);
+            let (op, payload) = match to[..] {
+                [dst] if *single => {
+                    let d = Dgram { peer: StackId(dst), channel, data };
+                    (dgram::SEND, dpu_core::wire::to_bytes(&d))
+                }
+                _ => {
+                    let peers = to.iter().copied().map(StackId).collect();
+                    (dgram::SEND_MANY, dpu_core::wire::to_bytes(&DgramMany { peers, channel, data }))
+                }
+            };
+            call_rp2p(&mut sim, *from, op, payload);
+        }
+        sim.run_until(Time::ZERO + Dur::secs(60));
+        for node in 0..3u32 {
+            let got = sim.with_stack(StackId(node), |s| {
+                s.with_module::<Sink, _>(SINK, |k| k.got.clone()).unwrap()
+            });
+            // Exactly one delivery per listed occurrence, and from each
+            // sender in the order it called.
+            prop_assert_eq!(got.len(), expected[node as usize].len(), "node {}", node);
+            for sender in 0..3u32 {
+                let from = |v: &[(StackId, Bytes)]| -> Vec<Bytes> {
+                    v.iter().filter(|(s, _)| *s == StackId(sender)).map(|(_, d)| d.clone()).collect()
+                };
+                prop_assert_eq!(
+                    from(&got),
+                    from(&expected[node as usize]),
+                    "node {} from {}", node, sender
+                );
+            }
         }
     }
 }

@@ -62,7 +62,7 @@ use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Dur;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{Call, Channel, IntervalSet, Module, Response, ServiceId, StackId, TimerId};
-use dpu_net::dgram::{self, Dgram, DgramRef};
+use dpu_net::dgram::{self, Dgram, DgramManyRef, DgramRef};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
@@ -352,6 +352,16 @@ impl HierAbcastModule {
         ctx.call(&self.rp2p_svc, dgram::SEND, payload);
     }
 
+    /// `frame` to every stack `peers` lists, in one call.
+    fn send_many<I>(&self, ctx: &mut ModuleCtx<'_>, peers: I, frame: &Frame)
+    where
+        I: Iterator<Item = StackId> + Clone,
+    {
+        let d = DgramManyRef { peers, channel: self.channel(), body: frame };
+        let payload = ctx.encode(&d);
+        ctx.call(&self.rp2p_svc, dgram::SEND_MANY, payload);
+    }
+
     /// Act as this cluster's sequencer for one request (any member may
     /// be addressed after failover rotation; the leader's per-forwarder
     /// streams and key dedup make concurrent actors safe).
@@ -389,10 +399,9 @@ impl HierAbcastModule {
         self.log.push((key, data.clone()));
         // One relay per cluster: its primary (first member) until a claim
         // replaces it.
-        for (c, &primary) in &self.clusters(ctx).primaries {
-            let relay = self.relays.get(c).copied().unwrap_or(primary);
-            self.send(ctx, relay, &Frame::Commit { g, key, data: data.clone() });
-        }
+        let relays = (self.clusters(ctx).primaries.iter())
+            .map(|(c, &primary)| self.relays.get(c).copied().unwrap_or(primary));
+        self.send_many(ctx, relays, &Frame::Commit { g, key, data });
     }
 
     /// Member: file a committed entry at its global position and
@@ -484,11 +493,9 @@ impl Module for HierAbcastModule {
             }
             Frame::Commit { g, key, data } => {
                 // Fan out inside the cluster, then file locally.
-                for &peer in &self.clusters(ctx).members {
-                    if peer != ctx.stack_id() {
-                        self.send(ctx, peer, &Frame::Rly { g, key, data: data.clone() });
-                    }
-                }
+                let me = ctx.stack_id();
+                let members = self.clusters(ctx).members.iter().copied().filter(|&p| p != me);
+                self.send_many(ctx, members, &Frame::Rly { g, key, data: data.clone() });
                 self.buffer_insert(ctx, g, key, data);
             }
             Frame::Rly { g, key, data } => self.buffer_insert(ctx, g, key, data),

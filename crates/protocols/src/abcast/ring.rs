@@ -20,7 +20,7 @@ use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Dur;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{Call, Channel, Module, Response, ServiceId, StackId, TimerId};
-use dpu_net::dgram::{self, Dgram, DgramRef};
+use dpu_net::dgram::{self, Dgram, DgramManyRef, DgramRef};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Module kind name, for factory registration.
@@ -165,6 +165,14 @@ impl RingAbcastModule {
         ctx.call(&self.rp2p_svc, dgram::SEND, payload);
     }
 
+    /// `frame` to every stack, this one included, in one call.
+    fn send_to_all(&self, ctx: &mut ModuleCtx<'_>, frame: &Frame) {
+        let table = ctx.peer_table();
+        let d = DgramManyRef { peers: table.iter().copied(), channel: self.channel(), body: frame };
+        let payload = ctx.encode(&d);
+        ctx.call(&self.rp2p_svc, dgram::SEND_MANY, payload);
+    }
+
     fn successor(ctx: &ModuleCtx<'_>) -> StackId {
         let peers = ctx.peers();
         let me = ctx.stack_id();
@@ -177,9 +185,7 @@ impl RingAbcastModule {
         let Some(mut seq) = self.token.take() else { return };
         self.rotations += 1;
         while let Some(data) = self.pending.pop_front() {
-            for &peer in ctx.peer_table().iter() {
-                self.send(ctx, peer, &Frame::Order { seq, data: data.clone() });
-            }
+            self.send_to_all(ctx, &Frame::Order { seq, data });
             seq += 1;
         }
         let succ = Self::successor(ctx);

@@ -17,7 +17,7 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{Call, Channel, Module, Response, ServiceId, StackId};
-use dpu_net::dgram::{self, Dgram, DgramRef};
+use dpu_net::dgram::{self, Dgram, DgramManyRef, DgramRef};
 use std::collections::BTreeMap;
 
 /// Module kind name, for factory registration.
@@ -143,6 +143,14 @@ impl SeqAbcastModule {
         ctx.call(&self.rp2p_svc, dgram::SEND, payload);
     }
 
+    /// `frame` to every stack, this one included, in one call.
+    fn send_to_all(&self, ctx: &mut ModuleCtx<'_>, frame: &Frame) {
+        let table = ctx.peer_table();
+        let d = DgramManyRef { peers: table.iter().copied(), channel: self.channel(), body: frame };
+        let payload = ctx.encode(&d);
+        ctx.call(&self.rp2p_svc, dgram::SEND_MANY, payload);
+    }
+
     fn drain(&mut self, ctx: &mut ModuleCtx<'_>) {
         while let Some(data) = self.buffer.remove(&self.next_deliver) {
             self.next_deliver += 1;
@@ -196,9 +204,7 @@ impl Module for SeqAbcastModule {
                 }
                 let seq = self.next_assign;
                 self.next_assign += 1;
-                for &peer in ctx.peer_table().iter() {
-                    self.send(ctx, peer, &Frame::Order { seq, data: data.clone() });
-                }
+                self.send_to_all(ctx, &Frame::Order { seq, data });
             }
             Frame::Order { seq, data } => {
                 if seq >= self.next_deliver {

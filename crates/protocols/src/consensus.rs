@@ -94,7 +94,7 @@ use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{
     Call, Channel, HeardSet, IntervalSet, Module, Response, ServiceId, StackId, TransportStats,
 };
-use dpu_net::dgram::{self, Dgram, DgramRef};
+use dpu_net::dgram::{self, Dgram, DgramManyRef, DgramRef};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Module kind name of the rotating-coordinator variant.
@@ -357,10 +357,15 @@ impl ConsensusModule {
         ctx.call(&self.rp2p_svc, dgram::SEND, payload);
     }
 
-    fn broadcast(&self, ctx: &mut ModuleCtx<'_>, msg: &WireMsg) {
-        for &peer in ctx.peer_table().iter() {
-            self.send(ctx, peer, msg);
-        }
+    /// `msg` to every stack `peers` lists, in one call: rp2p sends it on
+    /// to each, in order.
+    fn send_many<I>(&self, ctx: &mut ModuleCtx<'_>, peers: I, msg: &WireMsg)
+    where
+        I: Iterator<Item = StackId> + Clone,
+    {
+        let d = DgramManyRef { peers, channel: self.channel(), body: msg };
+        let payload = ctx.encode(&d);
+        ctx.call(&self.rp2p_svc, dgram::SEND_MANY, payload);
     }
 
     /// `(ns, k)` decided `v`: this process found out itself (`from` is
@@ -379,11 +384,8 @@ impl ConsensusModule {
             self.decided.insert((ns, k), Decided { value: v.clone(), prompted, heard });
             self.decided_count += 1;
             let msg = WireMsg { ns, k, round: 0, body: Body::Decide { v: v.clone() } };
-            for &peer in ctx.peer_table().iter() {
-                if peer != me {
-                    self.send(ctx, peer, &msg);
-                }
-            }
+            let table = ctx.peer_table();
+            self.send_many(ctx, table.iter().copied().filter(|&p| p != me), &msg);
             let data = ctx.encode(&(ns, k, v));
             ctx.respond_on(&self.svc, USER.at(ns), ops::DECIDE, data);
         }
@@ -468,7 +470,8 @@ impl ConsensusModule {
                 let v = v.clone();
                 inst.coord_proposal.insert(r2, v.clone());
                 let msg = WireMsg { ns, k, round: r2, body: Body::Proposal { v } };
-                self.broadcast(ctx, &msg);
+                let table = ctx.peer_table();
+                self.send_many(ctx, table.iter().copied(), &msg);
             }
 
             // Phase 4: a majority of acks on an own proposal → decide.
@@ -674,6 +677,7 @@ mod tests {
     use dpu_core::time::{Dur, Time};
     use dpu_core::wire::{self, Encode};
     use dpu_core::ModuleId;
+    use dpu_net::dgram::DgramMany;
     use dpu_net::rp2p::{Rp2pConfig, Rp2pModule};
     use dpu_net::udp::UdpModule;
     use dpu_sim::{Sim, SimConfig};
@@ -1009,6 +1013,15 @@ mod tests {
         fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
             match call.op {
                 dgram::SEND => self.sent.push(call.decode().unwrap()),
+                // One frame per listed destination, as rp2p sends them.
+                dgram::SEND_MANY => {
+                    let d: DgramMany = call.decode().unwrap();
+                    self.sent.extend(d.peers.into_iter().map(|peer| Dgram {
+                        peer,
+                        channel: d.channel,
+                        data: d.data.clone(),
+                    }));
+                }
                 INJECT => ctx.respond(&ServiceId::new(dpu_net::RP2P_SVC), dgram::RECV, call.data),
                 _ => {}
             }

@@ -27,7 +27,7 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, WireResult};
 use dpu_core::{Call, Channel, IntervalSet, Module, ModuleSpec, Response, ServiceId, StackId};
-use dpu_net::dgram::{self, Dgram, DgramRef};
+use dpu_net::dgram::{self, Dgram, DgramManyRef};
 
 /// Module kind name, for factory registration.
 pub const KIND: &str = "rb";
@@ -106,16 +106,14 @@ impl RbModule {
         self.delivered.len() as usize
     }
 
+    /// To every other stack but those in `skip`, in one call.
     fn send_to_all(&self, ctx: &mut ModuleCtx<'_>, msg: &RbMsg, skip: &[StackId]) {
         let me = ctx.stack_id();
-        for &peer in ctx.peer_table().iter() {
-            if peer == me || skip.contains(&peer) {
-                continue;
-            }
-            let d = DgramRef { peer, channel: channels::RB, body: msg };
-            let payload = ctx.encode(&d);
-            ctx.call(&self.rp2p_svc, dgram::SEND, payload);
-        }
+        let table = ctx.peer_table();
+        let peers = table.iter().copied().filter(|p| *p != me && !skip.contains(p));
+        let d = DgramManyRef { peers, channel: channels::RB, body: msg };
+        let payload = ctx.encode(&d);
+        ctx.call(&self.rp2p_svc, dgram::SEND_MANY, payload);
     }
 
     fn deliver(&mut self, ctx: &mut ModuleCtx<'_>, msg: &RbMsg) -> bool {

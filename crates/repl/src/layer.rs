@@ -29,7 +29,7 @@ use dpu_core::stack::ModuleCtx;
 use dpu_core::time::{Dur, Time};
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{Call, Channel, HeardSet, ModuleSpec, Response, ServiceId, StackId};
-use dpu_net::dgram::{self, Dgram, DgramRef};
+use dpu_net::dgram::{self, Dgram, DgramManyRef, DgramRef};
 use dpu_protocols::abcast::ops as ab_ops;
 use std::collections::{BTreeSet, VecDeque};
 
@@ -394,10 +394,14 @@ impl Coordinated {
         ctx.call(&self.rp2p, dgram::SEND, payload);
     }
 
+    /// To every stack, this one included, in one call; each destination
+    /// counts as a message.
     fn broadcast(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Coord) {
-        for &peer in ctx.peer_table().iter() {
-            self.send(ctx, peer, msg);
-        }
+        let table = ctx.peer_table();
+        self.coord_msgs += table.len() as u64;
+        let d = DgramManyRef { peers: table.iter().copied(), channel: self.channel, body: msg };
+        let payload = ctx.encode(&d);
+        ctx.call(&self.rp2p, dgram::SEND_MANY, payload);
     }
 
     /// Calls on the provided service: `rABcast(m)` and `changeABcast`.

@@ -21,7 +21,10 @@
 //! 8 s in debug. Which seeds reach the case moves with the timing: when the
 //! namespace left the frame bodies for the channel (a byte less a frame),
 //! seed 17 stopped reaching it, and of seeds 1–40 at 400 ms, 21, 34 and 38
-//! hold one frame each and lose one broadcast without the hold-back.
+//! held one frame each and lost one broadcast without the hold-back. Since
+//! a fan-out to many peers is one `rp2p` call (one dispatch step, not one
+//! a peer), only seed 37 of 1–40 reaches it: it holds and releases one
+//! frame, and with the hold-back gated off it loses a broadcast.
 
 use dpu::repl::builder::{check_run, drive_load, group_sim, request_change, specs};
 use dpu::repl::builder::{GroupStackOpts, SwitchLayer};
@@ -77,7 +80,7 @@ fn seq_to_hier_under_load(n: u32, seed: u64) -> dpu_core::telemetry::HoldBackCou
 
 #[test]
 fn a_frame_that_arrives_before_its_module_is_not_lost() {
-    let held = seq_to_hier_under_load(256, 21);
+    let held = seq_to_hier_under_load(256, 37);
     assert!(held.released > 0, "the run must hold a frame back to test anything: {held:?}");
     assert_eq!(held.dropped, 0);
 }

@@ -211,9 +211,12 @@ fn laggard_150ms_behind_loses_nothing_under_ct() {
 /// The loss item 1(a') kept on record: seeds 61–63 lost the laggard's own
 /// broadcasts at 400 ms / 200 msg/s, 300 ms / 300 msg/s and 500 ms /
 /// 150 msg/s alike. The laggard holds frames back for its own switch.
+/// Whether a seed reaches that moves with the timing: seed 61 did until a
+/// fan-out to many peers became one `rp2p` call; since then it holds none,
+/// and of seeds 61–70, 62 and 69 hold two at once.
 #[test]
 fn laggard_400ms_behind_loses_nothing_under_ct() {
-    let run = laggard_across_two_replacements(specs::ct, 61, Dur::millis(400), 200.0);
+    let run = laggard_across_two_replacements(specs::ct, 62, Dur::millis(400), 200.0);
     assert!(run.laggard_peak_held > 0, "nothing waited for the laggard's switch: {run:?}");
 }
 
