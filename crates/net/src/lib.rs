@@ -44,9 +44,10 @@ pub const FRAG_UDP_CHANNEL: dpu_core::Channel = dpu_core::Channel::new(2, 0);
 /// (`udp` and `rp2p` use the same interface shape).
 pub mod dgram {
     use bytes::{Bytes, BytesMut};
+    use dpu_core::stack::ModuleCtx;
     use dpu_core::wire::{get_length_prefix, put_uvarint, uvarint_len, LenPrefixed};
     use dpu_core::wire::{Decode, Encode, WireResult};
-    use dpu_core::{Channel, Op, StackId};
+    use dpu_core::{Channel, Op, ServiceId, StackId};
 
     /// Downward call: send `(dst, channel, data)`.
     pub const SEND: Op = 1;
@@ -58,8 +59,7 @@ pub mod dgram {
     /// wire: `rp2p` treats each listed stack — in list order, a repeat
     /// as often as it is listed, the stack itself by loopback — exactly as
     /// a [`SEND`] to it. What a protocol fans out to its peers goes this
-    /// way ([`DgramManyRef`] builds the payload); `udp` and `frag` offer
-    /// only [`SEND`].
+    /// way, through [`send_many`]; `udp` and `frag` offer only [`SEND`].
     pub const SEND_MANY: Op = 3;
 
     /// Payload of [`SEND`] and [`RECV`].
@@ -163,7 +163,7 @@ pub mod dgram {
     /// filtered slice iterator is) and the body is encoded in place, one
     /// forward pass into one buffer. Byte-identical to
     /// `DgramMany { peers: peers.collect(), channel, data: body.to_bytes() }`.
-    pub struct DgramManyRef<'a, I, B: Encode + ?Sized> {
+    pub(crate) struct DgramManyRef<'a, I, B: Encode + ?Sized> {
         /// Destination stacks, in send order.
         pub peers: I,
         /// Multiplexing channel.
@@ -193,6 +193,27 @@ pub mod dgram {
                 + self.channel.encoded_len()
                 + LenPrefixed(self.body).encoded_len()
         }
+    }
+
+    /// Send `body` on `channel` to every stack `peers` yields, in order,
+    /// with one [`SEND_MANY`] call of `svc` (`rp2p`): the one way a
+    /// protocol fans a message out. `body` is encoded once, in place,
+    /// through the stack's scratch pool. An empty list makes no call.
+    pub fn send_many<I, B>(
+        ctx: &mut ModuleCtx<'_>,
+        svc: &ServiceId,
+        peers: I,
+        channel: Channel,
+        body: &B,
+    ) where
+        I: Iterator<Item = StackId> + Clone,
+        B: Encode + ?Sized,
+    {
+        if peers.clone().next().is_none() {
+            return;
+        }
+        let payload = ctx.encode(&DgramManyRef { peers, channel, body });
+        ctx.call(svc, SEND_MANY, payload);
     }
 }
 

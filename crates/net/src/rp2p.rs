@@ -15,8 +15,8 @@
 //! # One call, many frames
 //!
 //! A protocol that fans a message out to its peers makes one call,
-//! [`dgram::SEND_MANY`]: the destination list, the channel and the body
-//! once. `rp2p` runs the one-destination [`dgram::SEND`] logic for each
+//! [`dgram::SEND_MANY`] ([`dgram::send_many`]): the destination list, the
+//! channel and the body once. `rp2p` runs the one-destination [`dgram::SEND`] logic for each
 //! listed stack in list order — its own sequence number, the ack it owes
 //! that peer riding along, its own unacked entry, loopback for this stack
 //! — in that one dispatch step. Every frame it builds shares the one body
@@ -603,32 +603,58 @@ mod tests {
         assert_eq!(sink_data(&mut sim, 1), (0..10).collect::<Vec<u8>>());
     }
 
-    #[test]
-    fn a_send_many_is_one_step_and_one_frame_per_listed_stack() {
-        // Stack 0 of four, stepped by hand: one call lists stack 2, this
-        // stack, stack 1 and stack 2 again.
+    /// Fans `7u8` out to its list through `dgram::send_many` as it starts.
+    struct Fan(Vec<StackId>);
+
+    impl Module for Fan {
+        fn kind(&self) -> &str {
+            "fan"
+        }
+        fn provides(&self) -> Vec<ServiceId> {
+            Vec::new()
+        }
+        fn requires(&self) -> Vec<ServiceId> {
+            vec![ServiceId::new(crate::RP2P_SVC)]
+        }
+        fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
+            let rp2p = ServiceId::new(crate::RP2P_SVC);
+            dgram::send_many(ctx, &rp2p, self.0.iter().copied(), CH, &7u8);
+        }
+        fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
+        fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
+    }
+
+    /// Stack 0 of four, stepped by hand, fans out to `to`: the steps of
+    /// rp2p that took, the datagrams it sent, what it looped back.
+    fn fan_out(to: &[u32]) -> (u32, Vec<StackId>, Vec<Dgram>) {
         let mut s = mk_stack(StackConfig::nth(0, 4, 1));
         while s.step(Time::ZERO).is_some() {}
         s.drain_actions().for_each(drop);
-        let peers = [2, 0, 1, 2].map(StackId).to_vec();
-        let d = DgramMany { peers, channel: CH, data: Bytes::from_static(b"m") };
-        s.call_as(SINK, &ServiceId::new(crate::RP2P_SVC), dgram::SEND_MANY, wire::to_bytes(&d));
+        s.add_module(Box::new(Fan(to.iter().copied().map(StackId).collect())));
         let mut rp2p_steps = 0;
         while let Some(info) = s.step(Time::ZERO) {
             rp2p_steps += u32::from(info.module == RP2P);
         }
-        let sent: Vec<StackId> = (s.drain_actions())
+        let sent = (s.drain_actions())
             .filter_map(|a| match a {
                 dpu_core::HostAction::NetSend { dst, .. } => Some(dst),
                 _ => None,
             })
             .collect();
-        assert_eq!(rp2p_steps, 1);
-        assert_eq!(sent, [2, 1, 2].map(StackId), "a frame a listed peer, in list order");
         let looped = s.with_module::<Rp2pSink, _>(SINK, |k| k.got.clone()).unwrap();
-        assert_eq!(looped, [Dgram { peer: StackId(0), channel: CH, data: d.data }]);
-        let ts = s.transport_stats();
-        assert_eq!(ts.unacked, 3, "stack 2's two frames are its seq 0 and 1: {ts:?}");
+        (rp2p_steps, sent, looped)
+    }
+
+    #[test]
+    fn a_fan_out_is_one_step_and_one_frame_per_listed_stack() {
+        // Stack 2, this stack, stack 1 and stack 2 again.
+        let (steps, sent, looped) = fan_out(&[2, 0, 1, 2]);
+        assert_eq!(steps, 1);
+        assert_eq!(sent, [2, 1, 2].map(StackId), "a frame a listed peer, in list order");
+        let data = wire::to_bytes(&7u8);
+        assert_eq!(looped, [Dgram { peer: StackId(0), channel: CH, data }]);
+        // An empty list is no call at all.
+        assert_eq!(fan_out(&[]), (0, vec![], vec![]));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, LenPrefixed, WireResult};
 use dpu_core::{Call, Channel, IntervalSet, Module, Response, ServiceId, StackId, TransportStats};
-use dpu_net::dgram::{self, Dgram, DgramManyRef};
+use dpu_net::dgram::{self, Dgram};
 use std::collections::BTreeMap;
 
 /// Module kind name, for factory registration.
@@ -184,16 +184,13 @@ impl CtAbcastModule {
         channels::ABCAST_CT.at(self.params.namespace)
     }
 
-    /// To every other stack, in one call: the gossip is encoded once, in
-    /// place, after the destination list.
+    /// To every other stack, in one call.
     fn gossip(&self, ctx: &mut ModuleCtx<'_>, key: MsgKey, data: &Bytes) {
         let me = ctx.stack_id();
         let table = ctx.peer_table();
-        let gossip = Gossip { key, data: data.clone() };
         let peers = table.iter().copied().filter(|&p| p != me);
-        let d = DgramManyRef { peers, channel: self.channel(), body: &gossip };
-        let payload = ctx.encode(&d);
-        ctx.call(&self.rp2p_svc, dgram::SEND_MANY, payload);
+        let gossip = Gossip { key, data: data.clone() };
+        dgram::send_many(ctx, &self.rp2p_svc, peers, self.channel(), &gossip);
     }
 
     fn try_propose(&mut self, ctx: &mut ModuleCtx<'_>, force: bool) {

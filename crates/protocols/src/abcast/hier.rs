@@ -62,7 +62,7 @@ use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Dur;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{Call, Channel, IntervalSet, Module, Response, ServiceId, StackId, TimerId};
-use dpu_net::dgram::{self, Dgram, DgramManyRef, DgramRef};
+use dpu_net::dgram::{self, Dgram, DgramRef};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
@@ -352,16 +352,6 @@ impl HierAbcastModule {
         ctx.call(&self.rp2p_svc, dgram::SEND, payload);
     }
 
-    /// `frame` to every stack `peers` lists, in one call.
-    fn send_many<I>(&self, ctx: &mut ModuleCtx<'_>, peers: I, frame: &Frame)
-    where
-        I: Iterator<Item = StackId> + Clone,
-    {
-        let d = DgramManyRef { peers, channel: self.channel(), body: frame };
-        let payload = ctx.encode(&d);
-        ctx.call(&self.rp2p_svc, dgram::SEND_MANY, payload);
-    }
-
     /// Act as this cluster's sequencer for one request (any member may
     /// be addressed after failover rotation; the leader's per-forwarder
     /// streams and key dedup make concurrent actors safe).
@@ -401,7 +391,8 @@ impl HierAbcastModule {
         // replaces it.
         let relays = (self.clusters(ctx).primaries.iter())
             .map(|(c, &primary)| self.relays.get(c).copied().unwrap_or(primary));
-        self.send_many(ctx, relays, &Frame::Commit { g, key, data });
+        let commit = Frame::Commit { g, key, data };
+        dgram::send_many(ctx, &self.rp2p_svc, relays, self.channel(), &commit);
     }
 
     /// Member: file a committed entry at its global position and
@@ -495,7 +486,8 @@ impl Module for HierAbcastModule {
                 // Fan out inside the cluster, then file locally.
                 let me = ctx.stack_id();
                 let members = self.clusters(ctx).members.iter().copied().filter(|&p| p != me);
-                self.send_many(ctx, members, &Frame::Rly { g, key, data: data.clone() });
+                let rly = Frame::Rly { g, key, data: data.clone() };
+                dgram::send_many(ctx, &self.rp2p_svc, members, self.channel(), &rly);
                 self.buffer_insert(ctx, g, key, data);
             }
             Frame::Rly { g, key, data } => self.buffer_insert(ctx, g, key, data),

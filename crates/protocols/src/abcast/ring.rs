@@ -20,7 +20,7 @@ use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Dur;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{Call, Channel, Module, Response, ServiceId, StackId, TimerId};
-use dpu_net::dgram::{self, Dgram, DgramManyRef, DgramRef};
+use dpu_net::dgram::{self, Dgram, DgramRef};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Module kind name, for factory registration.
@@ -168,9 +168,7 @@ impl RingAbcastModule {
     /// `frame` to every stack, this one included, in one call.
     fn send_to_all(&self, ctx: &mut ModuleCtx<'_>, frame: &Frame) {
         let table = ctx.peer_table();
-        let d = DgramManyRef { peers: table.iter().copied(), channel: self.channel(), body: frame };
-        let payload = ctx.encode(&d);
-        ctx.call(&self.rp2p_svc, dgram::SEND_MANY, payload);
+        dgram::send_many(ctx, &self.rp2p_svc, table.iter().copied(), self.channel(), frame);
     }
 
     fn successor(ctx: &ModuleCtx<'_>) -> StackId {

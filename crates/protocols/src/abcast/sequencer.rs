@@ -17,7 +17,7 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{Call, Channel, Module, Response, ServiceId, StackId};
-use dpu_net::dgram::{self, Dgram, DgramManyRef, DgramRef};
+use dpu_net::dgram::{self, Dgram, DgramRef};
 use std::collections::BTreeMap;
 
 /// Module kind name, for factory registration.
@@ -146,9 +146,7 @@ impl SeqAbcastModule {
     /// `frame` to every stack, this one included, in one call.
     fn send_to_all(&self, ctx: &mut ModuleCtx<'_>, frame: &Frame) {
         let table = ctx.peer_table();
-        let d = DgramManyRef { peers: table.iter().copied(), channel: self.channel(), body: frame };
-        let payload = ctx.encode(&d);
-        ctx.call(&self.rp2p_svc, dgram::SEND_MANY, payload);
+        dgram::send_many(ctx, &self.rp2p_svc, table.iter().copied(), self.channel(), frame);
     }
 
     fn drain(&mut self, ctx: &mut ModuleCtx<'_>) {

@@ -94,7 +94,7 @@ use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{
     Call, Channel, HeardSet, IntervalSet, Module, Response, ServiceId, StackId, TransportStats,
 };
-use dpu_net::dgram::{self, Dgram, DgramManyRef, DgramRef};
+use dpu_net::dgram::{self, Dgram, DgramRef};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Module kind name of the rotating-coordinator variant.
@@ -357,17 +357,6 @@ impl ConsensusModule {
         ctx.call(&self.rp2p_svc, dgram::SEND, payload);
     }
 
-    /// `msg` to every stack `peers` lists, in one call: rp2p sends it on
-    /// to each, in order.
-    fn send_many<I>(&self, ctx: &mut ModuleCtx<'_>, peers: I, msg: &WireMsg)
-    where
-        I: Iterator<Item = StackId> + Clone,
-    {
-        let d = DgramManyRef { peers, channel: self.channel(), body: msg };
-        let payload = ctx.encode(&d);
-        ctx.call(&self.rp2p_svc, dgram::SEND_MANY, payload);
-    }
-
     /// `(ns, k)` decided `v`: this process found out itself (`from` is
     /// this stack) or `from` relayed it. The first time, decide, relay and
     /// answer the user; every time, note that `from` has decided.
@@ -385,7 +374,8 @@ impl ConsensusModule {
             self.decided_count += 1;
             let msg = WireMsg { ns, k, round: 0, body: Body::Decide { v: v.clone() } };
             let table = ctx.peer_table();
-            self.send_many(ctx, table.iter().copied().filter(|&p| p != me), &msg);
+            let others = table.iter().copied().filter(|&p| p != me);
+            dgram::send_many(ctx, &self.rp2p_svc, others, self.channel(), &msg);
             let data = ctx.encode(&(ns, k, v));
             ctx.respond_on(&self.svc, USER.at(ns), ops::DECIDE, data);
         }
@@ -471,7 +461,7 @@ impl ConsensusModule {
                 inst.coord_proposal.insert(r2, v.clone());
                 let msg = WireMsg { ns, k, round: r2, body: Body::Proposal { v } };
                 let table = ctx.peer_table();
-                self.send_many(ctx, table.iter().copied(), &msg);
+                dgram::send_many(ctx, &self.rp2p_svc, table.iter().copied(), self.channel(), &msg);
             }
 
             // Phase 4: a majority of acks on an own proposal → decide.

@@ -27,7 +27,7 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, WireResult};
 use dpu_core::{Call, Channel, IntervalSet, Module, ModuleSpec, Response, ServiceId, StackId};
-use dpu_net::dgram::{self, Dgram, DgramManyRef};
+use dpu_net::dgram::{self, Dgram};
 
 /// Module kind name, for factory registration.
 pub const KIND: &str = "rb";
@@ -111,9 +111,7 @@ impl RbModule {
         let me = ctx.stack_id();
         let table = ctx.peer_table();
         let peers = table.iter().copied().filter(|p| *p != me && !skip.contains(p));
-        let d = DgramManyRef { peers, channel: channels::RB, body: msg };
-        let payload = ctx.encode(&d);
-        ctx.call(&self.rp2p_svc, dgram::SEND_MANY, payload);
+        dgram::send_many(ctx, &self.rp2p_svc, peers, channels::RB, msg);
     }
 
     fn deliver(&mut self, ctx: &mut ModuleCtx<'_>, msg: &RbMsg) -> bool {

@@ -29,7 +29,7 @@ use dpu_core::stack::ModuleCtx;
 use dpu_core::time::{Dur, Time};
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{Call, Channel, HeardSet, ModuleSpec, Response, ServiceId, StackId};
-use dpu_net::dgram::{self, Dgram, DgramManyRef, DgramRef};
+use dpu_net::dgram::{self, Dgram, DgramRef};
 use dpu_protocols::abcast::ops as ab_ops;
 use std::collections::{BTreeSet, VecDeque};
 
@@ -399,9 +399,7 @@ impl Coordinated {
     fn broadcast(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Coord) {
         let table = ctx.peer_table();
         self.coord_msgs += table.len() as u64;
-        let d = DgramManyRef { peers: table.iter().copied(), channel: self.channel, body: msg };
-        let payload = ctx.encode(&d);
-        ctx.call(&self.rp2p, dgram::SEND_MANY, payload);
+        dgram::send_many(ctx, &self.rp2p, table.iter().copied(), self.channel, msg);
     }
 
     /// Calls on the provided service: `rABcast(m)` and `changeABcast`.
