@@ -165,12 +165,6 @@ impl RingAbcastModule {
         ctx.call(&self.rp2p_svc, dgram::SEND, payload);
     }
 
-    /// `frame` to every stack, this one included, in one call.
-    fn send_to_all(&self, ctx: &mut ModuleCtx<'_>, frame: &Frame) {
-        let table = ctx.peer_table();
-        dgram::send_many(ctx, &self.rp2p_svc, table.iter().copied(), self.channel(), frame);
-    }
-
     fn successor(ctx: &ModuleCtx<'_>) -> StackId {
         let peers = ctx.peers();
         let me = ctx.stack_id();
@@ -182,8 +176,11 @@ impl RingAbcastModule {
     fn flush_and_pass(&mut self, ctx: &mut ModuleCtx<'_>) {
         let Some(mut seq) = self.token.take() else { return };
         self.rotations += 1;
+        // Each to every stack, this one included, in one call.
+        let all = ctx.peer_table();
         while let Some(data) = self.pending.pop_front() {
-            self.send_to_all(ctx, &Frame::Order { seq, data });
+            let order = Frame::Order { seq, data };
+            dgram::send_many(ctx, &self.rp2p_svc, all.iter().copied(), self.channel(), &order);
             seq += 1;
         }
         let succ = Self::successor(ctx);

@@ -143,12 +143,6 @@ impl SeqAbcastModule {
         ctx.call(&self.rp2p_svc, dgram::SEND, payload);
     }
 
-    /// `frame` to every stack, this one included, in one call.
-    fn send_to_all(&self, ctx: &mut ModuleCtx<'_>, frame: &Frame) {
-        let table = ctx.peer_table();
-        dgram::send_many(ctx, &self.rp2p_svc, table.iter().copied(), self.channel(), frame);
-    }
-
     fn drain(&mut self, ctx: &mut ModuleCtx<'_>) {
         while let Some(data) = self.buffer.remove(&self.next_deliver) {
             self.next_deliver += 1;
@@ -202,7 +196,10 @@ impl Module for SeqAbcastModule {
                 }
                 let seq = self.next_assign;
                 self.next_assign += 1;
-                self.send_to_all(ctx, &Frame::Order { seq, data });
+                // To every stack, this one included, in one call.
+                let all = ctx.peer_table();
+                let order = Frame::Order { seq, data };
+                dgram::send_many(ctx, &self.rp2p_svc, all.iter().copied(), self.channel(), &order);
             }
             Frame::Order { seq, data } => {
                 if seq >= self.next_deliver {
