@@ -11,15 +11,33 @@
 //!    it was last adopted, its `ts`) to the coordinator of `r`;
 //! 2. the coordinator collects a majority of estimates, picks the one with
 //!    the largest `ts`, and proposes it to all;
-//! 3. a process receiving the proposal adopts it (`ts ← r`) and *acks*;
-//!    a process that instead comes to suspect the coordinator (via the
-//!    `fd` service) *nacks* and moves to round `r + 1`;
+//! 3. a process receiving the proposal adopts it (`ts ← r`), *acks* and
+//!    waits for the decision: it moves to round `r + 1` only once it
+//!    suspects the coordinator (via the `fd` service) or hears a *nack*
+//!    for `r`. A process that suspects the coordinator before the
+//!    proposal arrives nacks — to every other process, not only the
+//!    coordinator — and moves to `r + 1` at once. A nack heard before
+//!    the proposal takes effect only after the ack;
 //! 4. on a majority of acks the coordinator decides and reliably
 //!    broadcasts the decision (every receiver relays it once).
 //!
+//! No process sends a frame to itself: the coordinator files its own
+//! estimate, its own copy of the proposal and its own ack in place, and
+//! sends the proposal to the n − 1 others. Where no process suspects
+//! another, an instance ends in round 0 with one proposal: n − 1
+//! estimates, n − 1 proposals and n − 1 acks, then the `Decide` relays.
+//!
 //! Safety (no two processes decide differently) holds under any failure
 //! detector behaviour; liveness needs ◇S and a majority of correct
-//! processes — exactly the assumptions of the paper.
+//! processes — exactly the assumptions of the paper. Waiting after the
+//! ack keeps liveness. If the coordinator of `r` crashes, every correct
+//! process comes to suspect it and moves on. If it is correct, every
+//! correct process either acks `r` (a nack it heard first does not stop
+//! the ack) or nacks `r`, and a correct nacker's nack reaches every
+//! correct process. So either every correct process acks — a majority,
+//! and the coordinator decides — or every correct process hears a nack
+//! and moves on. A nacker that crashed after reaching only some peers
+//! changes neither case.
 //!
 //! # Service interface (`consensus`, instance-keyed)
 //!
@@ -95,6 +113,7 @@ use dpu_core::{
     Call, Channel, HeardSet, IntervalSet, Module, Response, ServiceId, StackId, TransportStats,
 };
 use dpu_net::dgram::{self, Dgram, DgramRef};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Module kind name of the rotating-coordinator variant.
@@ -126,6 +145,18 @@ pub enum CoordPolicy {
     /// Coordinator of round `r` of instance `k` is `peers[(k + r) mod n]`,
     /// spreading coordinator load across instances.
     InstanceOffset,
+}
+
+impl CoordPolicy {
+    /// The coordinator of `round` of instance `k`.
+    fn coord(self, peers: &[StackId], k: u64, round: u64) -> StackId {
+        let n = peers.len() as u64;
+        let idx = match self {
+            CoordPolicy::Rotating => round % n,
+            CoordPolicy::InstanceOffset => (k + round) % n,
+        };
+        peers[idx as usize]
+    }
 }
 
 /// Factory parameters of the consensus module.
@@ -236,10 +267,14 @@ struct Open {
     proposal: Option<Bytes>,
     estimate: Option<(Bytes, u64)>,
     round: u64,
-    /// Rounds for which this process already sent its estimate.
-    estimate_sent: BTreeSet<u64>,
-    /// Rounds this process already acked or nacked.
-    responded: BTreeSet<u64>,
+    /// The last round this process sent (or, coordinating it, filed) its
+    /// estimate for. Rounds only go up, so one is enough.
+    estimated: Option<u64>,
+    /// The last round whose proposal this process acked. A nack moves it
+    /// to the next round at once, so only an ack is ever waited on.
+    acked: Option<u64>,
+    /// Rounds some peer nacked.
+    nacked: BTreeSet<u64>,
     /// Coordinator side: collected estimates per round.
     estimates: BTreeMap<u64, BTreeMap<StackId, (Bytes, u64)>>,
     /// Coordinator side: proposal this process broadcast per round.
@@ -250,6 +285,113 @@ struct Open {
     proposals_recv: BTreeMap<u64, Bytes>,
     /// Whether a NEED_PROPOSAL response was already emitted.
     need_sent: bool,
+}
+
+/// What one pass over an open instance found to do.
+enum Step {
+    /// Nothing is enabled: wait for a frame, a suspicion or the user.
+    Wait,
+    /// Something was filed in place or the round moved: look again.
+    Again,
+    /// Send `body` for the round to its coordinator.
+    ToCoord(StackId, u64, Body),
+    /// Send `body` for the round to every other process.
+    ToOthers(u64, Body),
+    /// A majority acked this process's proposal of the value.
+    Decide(Bytes),
+}
+
+impl Open {
+    /// A proposal for `round` arrived, or this process made it.
+    fn file_proposal(&mut self, round: u64, v: Bytes) {
+        self.proposals_recv.insert(round, v);
+        // A proposal for a future round lets us jump forward: rounds we
+        // skipped can no longer decide without us.
+        self.round = self.round.max(round);
+    }
+
+    /// The next step of the CT algorithm this instance can take on `me`,
+    /// its state updated for it. `coord` names a round's coordinator.
+    fn step(
+        &mut self,
+        me: StackId,
+        majority: usize,
+        coord: impl Fn(u64) -> StackId,
+        suspected: &BTreeSet<StackId>,
+    ) -> Step {
+        // Coordinator duties apply to *any* round this process
+        // coordinates, not just its current one — slower peers may still
+        // be working on older rounds.
+        // Phase 2: a majority of estimates for a round → proposal. Largest
+        // ts wins; ties broken by longer value (prefers non-empty
+        // proposals in the abcast use case), then by lower sender id
+        // (determinism).
+        let ready = self.estimates.iter().find_map(|(&r, ests)| {
+            if coord(r) != me || ests.len() < majority || self.coord_proposal.contains_key(&r) {
+                return None;
+            }
+            let (_, (v, _)) = ests.iter().max_by(|(ida, (va, tsa)), (idb, (vb, tsb))| {
+                tsa.cmp(tsb).then(va.len().cmp(&vb.len())).then(idb.cmp(ida))
+            })?;
+            Some((r, v.clone()))
+        });
+        if let Some((r, v)) = ready {
+            self.coord_proposal.insert(r, v.clone());
+            self.file_proposal(r, v.clone());
+            return Step::ToOthers(r, Body::Proposal { v });
+        }
+
+        // Phase 4: a majority of acks on an own proposal → decide.
+        let won = self.acks.iter().find_map(|(r, acks)| {
+            (acks.len() >= majority).then(|| self.coord_proposal.get(r)).flatten()
+        });
+        if let Some(v) = won {
+            return Step::Decide(v.clone());
+        }
+
+        // Phase 1: my estimate for my current round.
+        let r = self.round;
+        let coord = coord(r);
+        if let Some((est, ts)) = &self.estimate {
+            if self.estimated != Some(r) {
+                self.estimated = Some(r);
+                if coord != me {
+                    return Step::ToCoord(coord, r, Body::Estimate { est: est.clone(), ts: *ts });
+                }
+                self.estimates.entry(r).or_default().insert(me, (est.clone(), *ts));
+                return Step::Again;
+            }
+        }
+
+        // Phase 3: ack the proposal of my current round and wait for the
+        // decision, or give the round up: once its coordinator is
+        // suspected or a nack for it is heard after the ack, or, before
+        // any proposal, by nacking on a suspicion.
+        let suspect = coord != me && suspected.contains(&coord);
+        if self.acked == Some(r) {
+            if !suspect && !self.nacked.contains(&r) {
+                return Step::Wait;
+            }
+            self.round = r + 1;
+            return Step::Again;
+        }
+        if let Some(v) = self.proposals_recv.get(&r) {
+            self.acked = Some(r);
+            self.estimate = Some((v.clone(), r + 1));
+            if coord != me {
+                return Step::ToCoord(coord, r, Body::Ack);
+            }
+            self.acks.entry(r).or_default().insert(me);
+            return Step::Again;
+        }
+        if suspect && self.estimate.is_some() {
+            self.round = r + 1;
+            return Step::ToOthers(r, Body::Nack);
+        }
+        // Waiting: for a proposal (participant), for estimates
+        // (coordinator), or for a local proposal value.
+        Step::Wait
+    }
 }
 
 /// The tombstone of an instance this process has decided (and relayed):
@@ -323,25 +465,15 @@ impl ConsensusModule {
         self.open.len() + self.decided.len()
     }
 
-    /// Highest round reached by any instance (1-based round numbers start
-    /// at 0; a value of 0 means every instance decided in its first
-    /// round).
+    /// The highest round any instance reached here, counting from 0: 0
+    /// means every instance decided in its first round, as every
+    /// instance does where no process suspects another.
     pub fn max_round_seen(&self) -> u64 {
         self.max_round_seen
     }
 
     fn majority(ctx: &ModuleCtx<'_>) -> usize {
         ctx.peers().len() / 2 + 1
-    }
-
-    fn coord(&self, ctx: &ModuleCtx<'_>, k: u64, round: u64) -> StackId {
-        let peers = ctx.peers();
-        let n = peers.len() as u64;
-        let idx = match self.policy {
-            CoordPolicy::Rotating => round % n,
-            CoordPolicy::InstanceOffset => (k + round) % n,
-        };
-        peers[idx as usize]
     }
 
     /// This incarnation's channel on rp2p.
@@ -357,29 +489,34 @@ impl ConsensusModule {
         ctx.call(&self.rp2p_svc, dgram::SEND, payload);
     }
 
+    /// `msg` to every process but this one, in one call of `rp2p`.
+    fn send_others(ctx: &mut ModuleCtx<'_>, rp2p: &ServiceId, channel: Channel, msg: &WireMsg) {
+        let me = ctx.stack_id();
+        let table = ctx.peer_table();
+        dgram::send_many(ctx, rp2p, table.iter().copied().filter(|&p| p != me), channel, msg);
+    }
+
     /// `(ns, k)` decided `v`: this process found out itself (`from` is
     /// this stack) or `from` relayed it. The first time, decide, relay and
     /// answer the user; every time, note that `from` has decided.
     fn decide(&mut self, ctx: &mut ModuleCtx<'_>, ns: u64, k: u64, v: Bytes, from: StackId) {
-        let me = ctx.stack_id();
-        if !self.decided.contains_key(&(ns, k)) {
-            if self.collected.contains((ns, k)) {
-                return;
+        let channel = self.channel();
+        let done = match self.decided.entry((ns, k)) {
+            Entry::Occupied(done) => done.into_mut(),
+            Entry::Vacant(_) if self.collected.contains((ns, k)) => return,
+            Entry::Vacant(slot) => {
+                let prompted =
+                    self.open.remove(&(ns, k)).is_some_and(|o| o.proposal.is_some() || o.need_sent);
+                let mut heard = HeardSet::new(ctx.peers().len());
+                heard.mark(ctx.peers(), ctx.stack_id());
+                self.decided_count += 1;
+                let msg = WireMsg { ns, k, round: 0, body: Body::Decide { v: v.clone() } };
+                Self::send_others(ctx, &self.rp2p_svc, channel, &msg);
+                let data = ctx.encode(&(ns, k, &v));
+                ctx.respond_on(&self.svc, USER.at(ns), ops::DECIDE, data);
+                slot.insert(Decided { value: v, prompted, heard })
             }
-            let prompted =
-                self.open.remove(&(ns, k)).is_some_and(|o| o.proposal.is_some() || o.need_sent);
-            let mut heard = HeardSet::new(ctx.peers().len());
-            heard.mark(ctx.peers(), me);
-            self.decided.insert((ns, k), Decided { value: v.clone(), prompted, heard });
-            self.decided_count += 1;
-            let msg = WireMsg { ns, k, round: 0, body: Body::Decide { v: v.clone() } };
-            let table = ctx.peer_table();
-            let others = table.iter().copied().filter(|&p| p != me);
-            dgram::send_many(ctx, &self.rp2p_svc, others, self.channel(), &msg);
-            let data = ctx.encode(&(ns, k, v));
-            ctx.respond_on(&self.svc, USER.at(ns), ops::DECIDE, data);
-        }
-        let done = self.decided.get_mut(&(ns, k)).expect("decided above");
+        };
         done.heard.mark(ctx.peers(), from);
         if done.heard.is_complete() && self.proposed_hi.get(&ns).is_some_and(|hi| k < *hi) {
             self.collect(ns, k);
@@ -414,118 +551,31 @@ impl ConsensusModule {
         }
     }
 
-    /// The idempotent progress engine: inspect the instance state and take
-    /// every enabled step of the CT algorithm.
-    ///
-    /// Follows the textbook round structure: after acking (or nacking) the
-    /// proposal of its current round a process moves straight to the next
-    /// round; the decision arrives asynchronously via the reliable
+    /// The idempotent progress engine: take every step of the CT
+    /// algorithm the instance's state enables, one [`Open::step`] a pass,
+    /// until it waits or decides. The decision arrives via the reliable
     /// broadcast of `Decide` and terminates the instance.
     fn advance(&mut self, ctx: &mut ModuleCtx<'_>, ns: u64, k: u64) {
         let me = ctx.stack_id();
         let majority = Self::majority(ctx);
+        let policy = self.policy;
         loop {
-            if !self.open.contains_key(&(ns, k)) {
-                return; // decided
-            }
-
-            // Coordinator duties apply to *any* round this process
-            // coordinates, not just its current one — slower peers may
-            // still be working on older rounds.
-            // Phase 2: a majority of estimates for a round → proposal.
-            let ready: Vec<u64> = {
-                let inst = self.open.get(&(ns, k)).expect("entry exists");
-                inst.estimates
-                    .iter()
-                    .filter(|(r2, ests)| {
-                        self.coord(ctx, k, **r2) == me
-                            && ests.len() >= majority
-                            && !inst.coord_proposal.contains_key(r2)
-                    })
-                    .map(|(&r2, _)| r2)
-                    .collect()
-            };
-            for r2 in ready {
-                let inst = self.open.get_mut(&(ns, k)).expect("entry exists");
-                let ests = inst.estimates.get(&r2).expect("checked");
-                // Largest ts wins; ties broken by longer value (prefers
-                // non-empty proposals in the abcast use case), then by
-                // lower sender id (determinism).
-                let (_, (v, _)) = ests
-                    .iter()
-                    .max_by(|(ida, (va, tsa)), (idb, (vb, tsb))| {
-                        tsa.cmp(tsb).then(va.len().cmp(&vb.len())).then(idb.cmp(ida))
-                    })
-                    .expect("non-empty");
-                let v = v.clone();
-                inst.coord_proposal.insert(r2, v.clone());
-                let msg = WireMsg { ns, k, round: r2, body: Body::Proposal { v } };
-                let table = ctx.peer_table();
-                dgram::send_many(ctx, &self.rp2p_svc, table.iter().copied(), self.channel(), &msg);
-            }
-
-            // Phase 4: a majority of acks on an own proposal → decide.
-            let decided: Option<(u64, Bytes)> = {
-                let inst = self.open.get(&(ns, k)).expect("entry exists");
-                inst.acks
-                    .iter()
-                    .find(|(r2, acks)| {
-                        acks.len() >= majority && inst.coord_proposal.contains_key(r2)
-                    })
-                    .map(|(&r2, _)| (r2, inst.coord_proposal[&r2].clone()))
-            };
-            if let Some((_, v)) = decided {
-                self.decide(ctx, ns, k, v, me);
-                return;
-            }
-
-            let r = self.open.get(&(ns, k)).expect("entry exists").round;
-            self.max_round_seen = self.max_round_seen.max(r);
-            let coord = self.coord(ctx, k, r);
-
-            // Phase 1: send my estimate for my current round.
-            let est_msg: Option<WireMsg> = {
-                let inst = self.open.get_mut(&(ns, k)).expect("entry exists");
-                match inst.estimate.clone() {
-                    Some((est, ts)) if !inst.estimate_sent.contains(&r) => {
-                        inst.estimate_sent.insert(r);
-                        Some(WireMsg { ns, k, round: r, body: Body::Estimate { est, ts } })
-                    }
-                    _ => None,
+            let Some(inst) = self.open.get_mut(&(ns, k)) else { return }; // decided
+            self.max_round_seen = self.max_round_seen.max(inst.round);
+            let peers = ctx.peers();
+            let step = inst.step(me, majority, |r| policy.coord(peers, k, r), &self.suspected);
+            match step {
+                Step::Wait => return,
+                Step::Again => {}
+                Step::ToCoord(to, round, body) => {
+                    self.send(ctx, to, &WireMsg { ns, k, round, body })
                 }
-            };
-            if let Some(msg) = est_msg {
-                self.send(ctx, coord, &msg);
+                Step::ToOthers(round, body) => {
+                    let msg = WireMsg { ns, k, round, body };
+                    Self::send_others(ctx, &self.rp2p_svc, self.channel(), &msg);
+                }
+                Step::Decide(v) => return self.decide(ctx, ns, k, v, me),
             }
-
-            // Phase 3: respond to the proposal of my current round, or
-            // give up on a suspected coordinator; either way move to the
-            // next round and loop.
-            let inst = self.open.get_mut(&(ns, k)).expect("entry exists");
-            if inst.responded.contains(&r) {
-                // Already responded but round was not advanced (can only
-                // happen transiently); push forward defensively.
-                inst.round = r + 1;
-                continue;
-            }
-            if let Some(v) = inst.proposals_recv.get(&r).cloned() {
-                inst.responded.insert(r);
-                inst.estimate = Some((v, r + 1));
-                inst.round = r + 1;
-                let msg = WireMsg { ns, k, round: r, body: Body::Ack };
-                self.send(ctx, coord, &msg);
-                continue;
-            }
-            if coord != me && self.suspected.contains(&coord) && inst.estimate.is_some() {
-                inst.responded.insert(r);
-                inst.round = r + 1;
-                let msg = WireMsg { ns, k, round: r, body: Body::Nack };
-                self.send(ctx, coord, &msg);
-                continue;
-            }
-            // Waiting: for a proposal (participant), for estimates
-            // (coordinator), or for a local proposal value.
-            return;
         }
     }
 
@@ -535,19 +585,16 @@ impl ConsensusModule {
             Body::Estimate { est, ts } => self.on_frame(ctx, ns, k, |inst| {
                 inst.estimates.entry(round).or_default().insert(from, (est, ts));
             }),
-            Body::Proposal { v } => self.on_frame(ctx, ns, k, |inst| {
-                inst.proposals_recv.insert(round, v);
-                // A proposal for a future round lets us jump forward:
-                // rounds we skipped can no longer decide without us.
-                inst.round = inst.round.max(round);
-            }),
+            Body::Proposal { v } => self.on_frame(ctx, ns, k, |inst| inst.file_proposal(round, v)),
             Body::Ack => self.on_frame(ctx, ns, k, |inst| {
                 inst.acks.entry(round).or_default().insert(from);
             }),
-            // The nacker moved on; nothing to file — the coordinator
-            // keeps waiting for a majority of acks which may still
-            // arrive from others.
-            Body::Nack => self.on_frame(ctx, ns, k, |_| {}),
+            // The nacker moved on: whoever acked `round` stops waiting
+            // for its decision. The coordinator still counts the acks
+            // that arrive.
+            Body::Nack => self.on_frame(ctx, ns, k, |inst| {
+                inst.nacked.insert(round);
+            }),
             Body::Decide { v } => self.decide(ctx, ns, k, v, from),
         }
     }
@@ -924,6 +971,77 @@ mod tests {
         assert!(any_round_progress, "the partition should have forced round changes");
     }
 
+    /// Reads the consensus module of stack `node`.
+    fn cons<R>(sim: &mut Sim, node: u32, f: impl FnOnce(&mut ConsensusModule) -> R) -> R {
+        sim.with_stack(StackId(node), |s| s.with_module::<ConsensusModule, _>(CONS, f).unwrap())
+    }
+
+    /// What stack `node` acked in round 0 of `(0, 0)` and is waiting on.
+    fn acked_value(sim: &mut Sim, node: u32) -> Option<Bytes> {
+        cons(sim, node, |m| {
+            let inst = m.open.get(&(0, 0)).filter(|o| o.acked == Some(0) && o.round == 0)?;
+            inst.proposals_recv.get(&0).cloned()
+        })
+    }
+
+    #[test]
+    fn survivors_of_a_coordinator_cut_off_after_their_acks_decide_what_they_acked() {
+        let mut sim = Sim::new(SimConfig::lan(3, 81), mk_stack_with(CoordPolicy::Rotating));
+        sim.run_until(Time::ZERO + Dur::millis(200));
+        for i in 0..3 {
+            propose(&mut sim, i, 0, 0, &format!("v{i}"));
+        }
+        // Advance in steps shorter than a hop until both participants
+        // acked round 0, then cut its coordinator, stack 0, off. Acks
+        // already on the wire may still reach it, but no decision of its
+        // leaves: the participants wait on a round that cannot end.
+        let deadline = sim.now() + Dur::millis(50);
+        let acked = loop {
+            if let [Some(a), Some(b)] = [acked_value(&mut sim, 1), acked_value(&mut sim, 2)] {
+                assert_eq!(a, b, "one proposal per round");
+                break a;
+            }
+            assert!(sim.now() < deadline, "the participants never both acked round 0");
+            sim.run_until(sim.now() + Dur::micros(10));
+        };
+        sim.partition(&[StackId(0)], &[StackId(1), StackId(2)]);
+        sim.run_until(sim.now() + Dur::secs(3));
+        // They suspect stack 0, move to round 1, and decide there the
+        // value round 0 locked.
+        for i in 1..3 {
+            assert_eq!(decision(&mut sim, i, 0, 0), Some(acked.clone()), "stack {i}");
+            assert_eq!(cons(&mut sim, i, |m| m.max_round_seen()), 1, "stack {i}");
+        }
+    }
+
+    #[test]
+    fn a_nack_that_reached_one_peer_before_its_nacker_crashed_does_not_stall_the_group() {
+        // Of five, stack 2 is down, so the coordinator of round 0, stack
+        // 0, needs the acks of both 1 and 3. Stack 4 reaches only stack 3:
+        // it suspects 0, and its nack reaches 3 alone before 4 crashes.
+        let mut sim = Sim::new(SimConfig::lan(5, 91), mk_stack_with(CoordPolicy::Rotating));
+        sim.crash_at(Time::ZERO + Dur::millis(50), StackId(2));
+        sim.run_until(Time::ZERO + Dur::millis(200));
+        sim.partition(&[StackId(4)], &[StackId(0), StackId(1), StackId(2)]);
+        propose(&mut sim, 4, 0, 0, "v4");
+        let deadline = sim.now() + Dur::secs(2);
+        while !cons(&mut sim, 3, |m| m.open.get(&(0, 0)).is_some_and(|o| o.nacked.contains(&0))) {
+            assert!(sim.now() < deadline, "stack 4's nack never reached stack 3");
+            sim.run_until(sim.now() + Dur::millis(1));
+        }
+        sim.crash_at(sim.now(), StackId(4));
+        // Stack 3's user was asked and proposed. Stack 3 must still ack the
+        // proposal when it comes, or 0 and 1 would wait for ever.
+        for i in [0, 1] {
+            propose(&mut sim, i, 0, 0, &format!("v{i}"));
+        }
+        sim.run_until(sim.now() + Dur::secs(5));
+        let d = decision(&mut sim, 0, 0, 0).expect("the coordinator decides");
+        for i in [1, 3] {
+            assert_eq!(decision(&mut sim, i, 0, 0).as_ref(), Some(&d), "stack {i}");
+        }
+    }
+
     #[test]
     fn minority_partition_cannot_decide_alone() {
         let mut sim = Sim::new(SimConfig::lan(5, 71), mk_stack_with(CoordPolicy::Rotating));
@@ -983,12 +1101,14 @@ mod tests {
     }
 
     /// Stands in for rp2p on a lone stack: records what consensus sends
-    /// and hands it whatever frame the test injects.
+    /// and hands it whatever frame the test injects — or, for `fd`,
+    /// whatever suspicion.
     struct Wire {
         sent: Vec<Dgram>,
     }
 
     const INJECT: dpu_core::Op = 99;
+    const SUSPECT: dpu_core::Op = 98;
 
     impl Module for Wire {
         fn kind(&self) -> &str {
@@ -1013,14 +1133,18 @@ mod tests {
                     }));
                 }
                 INJECT => ctx.respond(&ServiceId::new(dpu_net::RP2P_SVC), dgram::RECV, call.data),
+                SUSPECT => {
+                    ctx.respond(&ServiceId::new(crate::FD_SVC), crate::fd::ops::SUSPECTS, call.data)
+                }
                 _ => {}
             }
         }
         fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
     }
 
-    /// Stack 0 of a group of three, alone: m1 net, m2 wire, m3 consensus,
-    /// m4 user (never proposes unless the test does).
+    /// Stack `id` of a group of three, alone: m1 net, m2 wire, m3
+    /// consensus, m4 user (never proposes unless the test does). Under
+    /// the rotating policy stack 0 coordinates round 0 and stack 1 round 1.
     struct Lone {
         stack: Stack,
     }
@@ -1030,8 +1154,8 @@ mod tests {
         const CONS: ModuleId = ModuleId(3);
         const USER: ModuleId = ModuleId(4);
 
-        fn new() -> Lone {
-            let mut stack = Stack::new(StackConfig::nth(0, 3, 1), FactoryRegistry::new());
+        fn at(id: u32) -> Lone {
+            let mut stack = Stack::new(StackConfig::nth(id, 3, 1), FactoryRegistry::new());
             let wire = stack.add_module(Box::new(Wire { sent: Vec::new() }));
             let cons = stack.add_module(Box::new(ConsensusModule::new(
                 ConsensusParams::default(),
@@ -1073,6 +1197,39 @@ mod tests {
             self.settle();
         }
 
+        /// `fd` reports `who` suspected.
+        fn suspect(&mut self, who: &[u32]) {
+            let list: Vec<StackId> = who.iter().copied().map(StackId).collect();
+            let svc = ServiceId::new(dpu_net::RP2P_SVC);
+            self.stack.call_as(Self::USER, &svc, SUSPECT, list.to_bytes());
+            self.settle();
+        }
+
+        /// Every frame sent so far, as `(to, round, what)`.
+        fn frames(&mut self) -> Vec<(u32, u64, String)> {
+            let text = |b: &Bytes| String::from_utf8_lossy(b).into_owned();
+            let sent = self.stack.with_module::<Wire, _>(Self::WIRE, |w| w.sent.clone()).unwrap();
+            sent.iter()
+                .map(|d| {
+                    let msg = wire::from_bytes::<WireMsg>(&d.data).unwrap();
+                    let what = match msg.body {
+                        Body::Estimate { est, ts } => format!("estimate {}@{ts}", text(&est)),
+                        Body::Proposal { v } => format!("proposal {}", text(&v)),
+                        Body::Ack => "ack".into(),
+                        Body::Nack => "nack".into(),
+                        Body::Decide { v } => format!("decide {}", text(&v)),
+                    };
+                    (d.peer.0, msg.round, what)
+                })
+                .collect()
+        }
+
+        fn max_round_seen(&mut self) -> u64 {
+            self.stack
+                .with_module::<ConsensusModule, _>(Self::CONS, |m| m.max_round_seen())
+                .unwrap()
+        }
+
         /// `(frames sent so far, live instances, DECIDE(0, k) seen by the
         /// user, NEED_PROPOSALs raised so far)`.
         fn state(&mut self, k: u64) -> (usize, usize, Option<Bytes>, Vec<(u64, u64)>) {
@@ -1094,7 +1251,7 @@ mod tests {
     #[test]
     fn late_propose_is_re_answered_until_a_higher_one_releases_the_instance() {
         let v = || Bytes::from_static(b"v");
-        let mut lone = Lone::new();
+        let mut lone = Lone::at(0);
         // Stack 1 relays the decision of (0, 4): decide, relay to both
         // peers, tell the user. The user never proposed and is not asked.
         lone.recv(1, 4, Body::Decide { v: v() });
@@ -1108,31 +1265,126 @@ mod tests {
         lone.propose(4, b"late");
         assert_eq!(lone.state(4), (2, 1, Some(v()), vec![]));
         // PROPOSE 5 says the user is done with 4: collected. Instance 5
-        // opens and sends its estimate to the round-0 coordinator.
+        // opens, and this stack, its round-0 coordinator, files its own
+        // estimate: no frame.
         lone.propose(5, b"next");
-        assert_eq!(lone.state(4), (3, 1, None, vec![]));
+        assert_eq!(lone.state(4), (2, 1, None, vec![]));
         // A stray frame for 4, of any kind, finds nothing and starts
         // nothing: no instance, no frame, no NEED_PROPOSAL, no decision.
         lone.recv(1, 4, Body::Estimate { est: v(), ts: 0 });
         lone.recv(2, 4, Body::Ack);
         lone.recv(2, 4, Body::Decide { v: Bytes::from_static(b"forged") });
         lone.propose(4, b"again");
-        assert_eq!(lone.state(4), (3, 1, None, vec![]));
+        assert_eq!(lone.state(4), (2, 1, None, vec![]));
         // An instance below the highest proposed k that this stack never
         // saw is not "collected": it opens as ever and asks the user.
         lone.recv(1, 2, Body::Estimate { est: v(), ts: 0 });
-        assert_eq!(lone.state(2), (3, 2, None, vec![(0, 2)]));
+        assert_eq!(lone.state(2), (2, 2, None, vec![(0, 2)]));
         // It decides, is heard from everyone, and goes at once: the user
         // proposed beyond it long ago.
         lone.recv(1, 2, Body::Decide { v: v() });
-        assert_eq!(lone.state(2), (5, 2, Some(v()), vec![(0, 2)]));
+        assert_eq!(lone.state(2), (4, 2, Some(v()), vec![(0, 2)]));
         lone.recv(2, 2, Body::Decide { v: v() });
-        assert_eq!(lone.state(2), (5, 1, None, vec![(0, 2)]));
+        assert_eq!(lone.state(2), (4, 1, None, vec![(0, 2)]));
+    }
+
+    /// `(to, round, what)`, as [`Lone::frames`] lists a frame.
+    fn frame(to: u32, round: u64, what: &str) -> (u32, u64, String) {
+        (to, round, what.to_string())
+    }
+
+    #[test]
+    fn a_participant_that_acked_waits_for_the_decision() {
+        let mut lone = Lone::at(2);
+        lone.propose(0, b"mine");
+        lone.recv(0, 0, Body::Proposal { v: Bytes::from_static(b"v") });
+        // No estimate for round 1 follows the ack: nothing gave round 0 up.
+        let acked = [frame(0, 0, "estimate mine@0"), frame(0, 0, "ack")];
+        assert_eq!(lone.frames(), acked);
+        assert_eq!(lone.max_round_seen(), 0);
+        // Its decision ends the instance: the relay to both peers is all
+        // that follows.
+        lone.recv(0, 0, Body::Decide { v: Bytes::from_static(b"v") });
+        let relayed = [frame(0, 0, "decide v"), frame(1, 0, "decide v")];
+        assert_eq!(lone.frames()[2..], relayed);
+        assert_eq!(lone.max_round_seen(), 0);
+    }
+
+    #[test]
+    fn a_nack_or_a_suspicion_moves_a_participant_that_acked_to_the_next_round() {
+        for nack in [true, false] {
+            let what = if nack { "a nack from stack 1" } else { "a suspicion of stack 0" };
+            let mut lone = Lone::at(2);
+            lone.propose(0, b"mine");
+            lone.recv(0, 0, Body::Proposal { v: Bytes::from_static(b"v") });
+            if nack {
+                lone.recv(1, 0, Body::Nack);
+            } else {
+                lone.suspect(&[0]);
+            }
+            // The acked value, locked at ts 1, goes to stack 1, round 1's
+            // coordinator; no nack: the ack stands.
+            let expected =
+                [frame(0, 0, "estimate mine@0"), frame(0, 0, "ack"), frame(1, 1, "estimate v@1")];
+            assert_eq!(lone.frames(), expected, "{what}");
+            assert_eq!(lone.max_round_seen(), 1, "{what}");
+        }
+        // A suspicion of someone else leaves the wait alone.
+        let mut lone = Lone::at(2);
+        lone.propose(0, b"mine");
+        lone.recv(0, 0, Body::Proposal { v: Bytes::from_static(b"v") });
+        lone.suspect(&[1]);
+        assert_eq!(lone.frames().len(), 2);
+    }
+
+    #[test]
+    fn a_nack_heard_before_the_proposal_moves_a_participant_on_only_after_its_ack() {
+        let mut lone = Lone::at(2);
+        lone.propose(0, b"mine");
+        lone.recv(1, 0, Body::Nack);
+        assert_eq!(lone.frames(), [frame(0, 0, "estimate mine@0")]);
+        assert_eq!(lone.max_round_seen(), 0);
+        // The coordinator may still lack this ack for its majority.
+        lone.recv(0, 0, Body::Proposal { v: Bytes::from_static(b"v") });
+        let expected =
+            [frame(0, 0, "estimate mine@0"), frame(0, 0, "ack"), frame(1, 1, "estimate v@1")];
+        assert_eq!(lone.frames(), expected);
+    }
+
+    #[test]
+    fn a_nacker_tells_every_peer() {
+        let mut lone = Lone::at(2);
+        lone.propose(0, b"mine");
+        lone.suspect(&[0]);
+        let expected = [
+            frame(0, 0, "estimate mine@0"),
+            frame(0, 0, "nack"),
+            frame(1, 0, "nack"),
+            frame(1, 1, "estimate mine@0"),
+        ];
+        assert_eq!(lone.frames(), expected);
+    }
+
+    #[test]
+    fn a_coordinator_files_its_own_frames_and_proposes_to_the_others() {
+        let mut lone = Lone::at(0);
+        lone.propose(0, b"mine");
+        assert_eq!(lone.frames(), []);
+        // Its own estimate and stack 1's make a majority: the longer value
+        // is proposed to the two others, and acked here in place.
+        lone.recv(1, 0, Body::Estimate { est: Bytes::from_static(b"theirs"), ts: 0 });
+        let proposed = [frame(1, 0, "proposal theirs"), frame(2, 0, "proposal theirs")];
+        assert_eq!(lone.frames(), proposed);
+        // One more ack is a majority: decide and relay to the two others.
+        lone.recv(2, 0, Body::Ack);
+        let decided = [frame(1, 0, "decide theirs"), frame(2, 0, "decide theirs")];
+        assert_eq!(lone.frames()[2..], decided);
+        assert_eq!(lone.state(0).2, Some(Bytes::from_static(b"theirs")));
     }
 
     #[test]
     fn a_late_frame_still_prompts_a_bystander_once_after_the_decision() {
-        let mut lone = Lone::new();
+        let mut lone = Lone::at(0);
         lone.recv(1, 0, Body::Decide { v: Bytes::from_static(b"v") });
         // Decided without the user ever having been asked: the first late
         // frame asks (as it always did), the second does not, neither is
