@@ -28,8 +28,10 @@
 //! were re-recorded once more. A fan-out to many peers then became one
 //! `rp2p` call (`dgram::SEND_MANY`, one dispatch step where there was one
 //! a peer), which moves the event order as any change in what a step
-//! costs does; all four were re-recorded again. A change that does not mean to alter protocol
-//! behaviour must reproduce them bit for bit.
+//! costs does; all four were re-recorded again. Consensus then stopped
+//! moving to the next round after an ack and sending frames to itself,
+//! and all four were re-recorded once more. A change that does not mean to
+//! alter protocol behaviour must reproduce them bit for bit.
 
 use dpu::repl::builder::{
     drive_load, group, group_sim, request_change, send_probe, specs, GroupStackOpts, SwitchLayer,
@@ -78,7 +80,7 @@ fn golden_run() -> (dpu::sim::SimStats, u64) {
 #[test]
 fn sim_through_stack_driver_matches_pre_refactor_recording() {
     let (stats, fp) = golden_run();
-    // Values recorded with a fan-out one rp2p call; see module docs.
+    // Values recorded with consensus ending in round 0; see module docs.
     println!("stats: {stats:?}");
     println!("fingerprint: {fp:#x}");
     assert_eq!(fp, GOLDEN_FP, "merged trace diverged from the recording");
@@ -86,9 +88,13 @@ fn sim_through_stack_driver_matches_pre_refactor_recording() {
     assert_eq!(stats.packets_delivered, GOLDEN_DELIVERED);
 }
 
-/// Recorded 2026-10-15 with a fan-out to many peers one `rp2p` call,
-/// scenario and seed as in [`golden_run`]: 6 387 dispatch steps where
-/// there were 6 431, 2497 packets where there were 2498. Before:
+/// Recorded 2026-10-16 with a consensus instance that ends in round 0
+/// (a process that acked waits for the decision, and none sends a frame
+/// to itself), scenario and seed as in [`golden_run`]: 6 286 dispatch
+/// steps where there were 6 387, 2476 packets where there were 2497.
+/// Before: `0x03a6650e25797123`, recorded 2026-10-15 with a fan-out to
+/// many peers one `rp2p` call (6 387 steps where there were 6 431, 2497
+/// packets where there were 2498); before that
 /// `0xc8a67ee8aeaca6f1`, recorded 2026-10-15 with the incarnation in the
 /// channel and none in the frame bodies (6 431 steps and 2498 packets as
 /// before, a byte less in each protocol frame); before that
@@ -105,9 +111,9 @@ fn sim_through_stack_driver_matches_pre_refactor_recording() {
 /// reverse traffic); before that `0x4026a4be2f99a940`, 2620 / 2620,
 /// recorded 2026-07-29 from commit 181cd88 (hand-rolled drive loops in
 /// both hosts).
-const GOLDEN_FP: u64 = 0x03a6650e25797123;
-const GOLDEN_SENT: u64 = 2497;
-const GOLDEN_DELIVERED: u64 = 2497;
+const GOLDEN_FP: u64 = 0x38c07db7a37f92b5;
+const GOLDEN_SENT: u64 = 2476;
+const GOLDEN_DELIVERED: u64 = 2476;
 
 #[test]
 fn shutdown_under_in_flight_load_returns_all_stacks() {
@@ -155,7 +161,9 @@ fn ct_replacement_run(seed: u64) -> u64 {
     trace_fingerprint(&sim.merged_trace())
 }
 
-/// Recorded with [`GOLDEN_FP`]. Before, with the incarnation in the
+/// Recorded with [`GOLDEN_FP`]. Before, with a fan-out one `rp2p` call:
+/// `0x30ccf9a0058f367a`, `0x957ece490890830e`, `0x21d86a0f65f42e99`;
+/// before that, with the incarnation in the
 /// channel: `0xd89e886e75ecd66c`, `0xdcd3ee7d8941bc7f`, `0x8580745787d38d58`;
 /// before that, with `udp` sending at the edge: `0x0ae8f205f0882bd1`,
 /// `0xe7ef41f07f8f59b2`, `0xb521eb4a23f65cec`; before that:
@@ -169,7 +177,7 @@ fn ct_replacement_run(seed: u64) -> u64 {
 /// collection): `0x6d4c3f10a13194cf`, `0xef232e8e86088525`,
 /// `0xc9794b3925be4984`.
 const CT_REPLACEMENT_FPS: [(u64, u64); 3] =
-    [(11, 0x30ccf9a0058f367a), (12, 0x957ece490890830e), (13, 0x21d86a0f65f42e99)];
+    [(11, 0xa968ca25fc666ba3), (12, 0xcd18f7389d21eafe), (13, 0x21acf588ee43360e)];
 
 #[test]
 fn ct_under_replacement_matches_the_recording_from_before_collection() {
