@@ -363,10 +363,10 @@ impl Open {
             }
         }
 
-        // Phase 3: ack the proposal of my current round and wait for the
-        // decision, or give the round up: once its coordinator is
-        // suspected or a nack for it is heard after the ack, or, before
-        // any proposal, by nacking on a suspicion.
+        // Phase 3: ack the proposal of my current round, then wait for the
+        // decision until the round is given up: its coordinator suspected
+        // or a nack for it heard. With no proposal yet, a suspicion of the
+        // coordinator gives the round up with a nack to everyone.
         let suspect = coord != me && suspected.contains(&coord);
         if self.acked == Some(r) {
             if !suspect && !self.nacked.contains(&r) {
