@@ -10,7 +10,7 @@
 //!
 //! The *correctness* ablations (what breaks when Algorithm 1's re-issue
 //! or version guard is omitted) are mechanised as negative tests in
-//! `dpu_repl::ablation`.
+//! `crates/repl/src/ablation.rs`, a module compiled for tests only.
 //!
 //! ```text
 //! cargo run --release -p dpu-bench --bin ablation [--quick]

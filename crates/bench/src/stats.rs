@@ -74,8 +74,6 @@ pub struct Summary {
     pub n: usize,
     /// Mean average-latency, in milliseconds.
     pub mean_ms: f64,
-    /// Median, in milliseconds.
-    pub p50_ms: f64,
     /// 95th percentile, in milliseconds.
     pub p95_ms: f64,
     /// Maximum, in milliseconds.
@@ -95,7 +93,6 @@ impl Summary {
         Summary {
             n,
             mean_ms: ms.iter().sum::<f64>() / n as f64,
-            p50_ms: pick(0.5),
             p95_ms: pick(0.95),
             max_ms: ms[n - 1],
         }
@@ -144,8 +141,7 @@ mod tests {
         let s = Summary::of((1..=100u64).map(Dur::millis));
         assert_eq!(s.n, 100);
         assert!((s.mean_ms - 50.5).abs() < 1e-9);
-        // Nearest-rank on index round((n-1)·q): q=0.5 → index 50 → 51 ms.
-        assert_eq!(s.p50_ms, 51.0);
+        // Nearest-rank on index round((n-1)·q): q=0.95 → index 94 → 95 ms.
         assert_eq!(s.p95_ms, 95.0);
         assert_eq!(s.max_ms, 100.0);
     }

@@ -25,14 +25,10 @@ fn capacity_smoke_65536_stacks() {
     sim.run_until(Time::ZERO + Dur::millis(10));
     let bytes_per_stack = (ALLOC.live() - live0) / u64::from(n);
     println!("live bytes/stack: {bytes_per_stack}");
-    let report = sim.report();
+    let stats = sim.stats();
+    assert!(stats.events > u64::from(n), "the soak must actually run: {} events", stats.events);
     assert!(
-        report.stats.events > u64::from(n),
-        "the soak must actually run: {} events",
-        report.stats.events
-    );
-    assert!(
-        report.stats.packets_delivered > 0,
+        stats.packets_delivered > 0,
         "the soak must deliver traffic across the recycled layout"
     );
     // The capacity claim, instrumented: the allocator measures

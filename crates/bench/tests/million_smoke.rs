@@ -42,13 +42,9 @@ fn million_smoke() {
     let run_secs = run0.elapsed().as_secs_f64();
     let run_per_stack = (ALLOC.live() - live0) / u64::from(n);
 
-    let report = sim.report();
-    assert!(
-        report.stats.events > u64::from(n),
-        "the soak must actually run: {} events",
-        report.stats.events
-    );
-    assert!(report.stats.packets_delivered > 0, "the soak must deliver traffic");
+    let stats = sim.stats();
+    assert!(stats.events > u64::from(n), "the soak must actually run: {} events", stats.events);
+    assert!(stats.packets_delivered > 0, "the soak must deliver traffic");
     // The headline bound: steady-state allocator-measured heap, per
     // stack, telemetry included, at its reading (1 043 B; 1 057 B built)
     // plus 4 %. Shard scratch pools, shard-owned histograms and dispatch
@@ -69,6 +65,6 @@ fn million_smoke() {
     eprintln!(
         "million smoke: built in {build_secs:.2} s at {built_per_stack} B/stack, \
          ran {} events in {run_secs:.1} s at {run_per_stack} B/stack steady state",
-        report.stats.events
+        stats.events
     );
 }

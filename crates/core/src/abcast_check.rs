@@ -129,7 +129,7 @@ impl AbcastChecker {
     }
 
     /// Stacks considered correct: configured and never crashed.
-    pub fn correct_stacks(&self) -> Vec<StackId> {
+    pub(crate) fn correct_stacks(&self) -> Vec<StackId> {
         self.stacks.iter().copied().filter(|s| !self.crashed.contains(s)).collect()
     }
 

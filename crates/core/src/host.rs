@@ -57,7 +57,7 @@ use std::ops::{Deref, DerefMut};
 
 /// A closure a host routes to the driver to run against its stack
 /// (a REPL command, a scripted fault, ...).
-pub type ControlFn = Box<dyn FnOnce(&mut Stack) + Send>;
+pub(crate) type ControlFn = Box<dyn FnOnce(&mut Stack) + Send>;
 
 /// An external event a host feeds into a [`StackDriver`].
 pub enum HostEvent {
@@ -159,7 +159,7 @@ impl StackDriver {
     }
 
     /// Unwrap, discarding pending events and armed timers.
-    pub fn into_stack(self) -> Stack {
+    pub(crate) fn into_stack(self) -> Stack {
         self.stack
     }
 
@@ -266,8 +266,8 @@ impl StackDriver {
     ///
     /// The loop is *bounded* two ways so a pathological module cannot
     /// wedge one `poll` call forever and starve the host's other work:
-    /// at most [`MAX_POLL_ROUNDS`] fire/step rounds (zero-delay timer
-    /// re-arm spin) and at most [`MAX_POLL_STEPS`] stack steps (a
+    /// at most `MAX_POLL_ROUNDS` fire/step rounds (zero-delay timer
+    /// re-arm spin) and at most `MAX_POLL_STEPS` stack steps (a
     /// call/response cycle that never drains). On either bound the call
     /// returns `Wakeup::At(now)` — the stack still [`has
     /// work`](StackDriver::has_work) — and the host polls again after
@@ -301,12 +301,12 @@ impl StackDriver {
 /// Bound on the fire/step/settle rounds of one [`StackDriver::poll`]
 /// call (see its docs). Generous: an honest stack re-enters the loop
 /// only when an action armed a timer that is already due.
-pub const MAX_POLL_ROUNDS: usize = 64;
+pub(crate) const MAX_POLL_ROUNDS: usize = 64;
 
 /// Bound on stack steps dispatched by one [`StackDriver::poll`] call
 /// (see its docs). Generous: steps are sub-microsecond, so an honest
 /// burst this large still returns within milliseconds.
-pub const MAX_POLL_STEPS: usize = 100_000;
+pub(crate) const MAX_POLL_STEPS: usize = 100_000;
 
 /// What a host shard lends whichever stack it is driving: the
 /// encode-buffer pool, the dispatch buffers and the telemetry set — one

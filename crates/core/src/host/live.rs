@@ -15,9 +15,8 @@
 //!   (`with_stack`, the report fold, the flight dump);
 //! * [`ReportFold`] — the one place a [`TelemetryReport`] is built from
 //!   stacks, shared with the simulator;
-//! * [`Host`] — `now` / `with_stack` / `telemetry_report` /
-//!   `dump_flight_recorders` over all three hosts, so harness code is
-//!   written once;
+//! * [`Host`] — `now` / `with_stack` / `telemetry_report` over all
+//!   three hosts, so harness code is written once;
 //! * [`WallClock`] and [`LossModel`] — the clock and the fault injector
 //!   both live hosts use.
 //!
@@ -426,7 +425,7 @@ pub trait ShardPort {
 }
 
 /// What every host — simulator, runtime, reactor — offers a harness:
-/// a clock, access to a stack, and the two observability dumps. Code
+/// a clock, access to a stack, and the observability report. Code
 /// written against it (`dpu_repl::builder::send_probe`, the live
 /// scenario tests) runs on all three. Implemented for the borrow each
 /// host is driven through — `&mut Sim`, `&Runtime`, `&Reactor` (like
@@ -446,7 +445,4 @@ pub trait Host {
 
     /// The unified observability report over the hosted stacks.
     fn telemetry_report(&self) -> TelemetryReport;
-
-    /// Every shard's flight recorders (see [`dump_flight`]).
-    fn dump_flight_recorders(&self) -> String;
 }

@@ -55,7 +55,7 @@ impl fmt::Display for ModuleId {
 /// update runs side by side. Incarnation 0 of base `b` is the single byte
 /// `b`. Incarnations of one base only rise (each replacement takes a fresh
 /// one), which is what lets the stack drop a response for an incarnation
-/// older than a live listener's ([`Channel::supersedes`]). Incarnations
+/// older than a live listener's (`Channel::supersedes`). Incarnations
 /// from 2⁶⁰ up wrap onto lower ones.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Channel(pub(crate) u64);
@@ -74,7 +74,7 @@ impl Channel {
     }
 
     /// Whether this is a later incarnation of `other`'s base.
-    pub fn supersedes(self, other: Channel) -> bool {
+    pub(crate) fn supersedes(self, other: Channel) -> bool {
         self.0 & 15 == other.0 & 15 && self.0 > other.0
     }
 }

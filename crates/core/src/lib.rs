@@ -51,7 +51,7 @@ pub mod sets;
 pub mod stack;
 pub mod time;
 pub mod trace;
-pub mod vecmap;
+pub(crate) mod vecmap;
 pub mod wire;
 
 pub use dpu_telemetry as telemetry;

@@ -20,7 +20,7 @@ use bytes::{Bytes, BytesMut};
 
 /// Magic prefix distinguishing probe payloads from other users of a
 /// shared broadcast service (e.g. group membership).
-pub const PROBE_MAGIC: u32 = 0x5052_4F42; // "PROB"
+pub(crate) const PROBE_MAGIC: u32 = 0x5052_4F42; // "PROB"
 
 /// The payload format the probe broadcasts. Protocol modules treat it as
 /// opaque bytes; only probes produce and consume it.
@@ -96,7 +96,6 @@ impl DeliveryRecord {
 /// The probe module. See the module-level docs.
 pub struct Probe {
     service: ServiceId,
-    send_op: Op,
     deliver_op: Op,
     pad: usize,
     next_seq: u64,
@@ -106,13 +105,12 @@ pub struct Probe {
 }
 
 impl Probe {
-    /// A probe attached to `service`, using operation `send_op` for
-    /// downward calls and recording responses with `deliver_op`. `pad`
-    /// bytes of zero padding emulate the application payload size.
-    pub fn new(service: ServiceId, send_op: Op, deliver_op: Op, pad: usize) -> Probe {
+    /// A probe attached to `service`, recording responses with
+    /// `deliver_op`. `pad` bytes of zero padding emulate the application
+    /// payload size.
+    pub fn new(service: ServiceId, deliver_op: Op, pad: usize) -> Probe {
         Probe {
             service,
-            send_op,
             deliver_op,
             pad,
             next_seq: 0,
@@ -140,11 +138,6 @@ impl Probe {
     /// The service this probe calls.
     pub fn service(&self) -> &ServiceId {
         &self.service
-    }
-
-    /// The send operation of the attached service.
-    pub fn send_op(&self) -> Op {
-        self.send_op
     }
 
     /// Messages sent from this stack: `(id, send time)`.
@@ -236,7 +229,7 @@ mod tests {
 
     #[test]
     fn next_payload_increments_seq_and_records() {
-        let mut p = Probe::new(ServiceId::new("abcast"), 1, 2, 8);
+        let mut p = Probe::new(ServiceId::new("abcast"), 2, 8);
         let b1 = p.next_payload(StackId(0), Time(5));
         let b2 = p.next_payload(StackId(0), Time(9));
         let m1: ProbeMsg = wire::from_bytes(&b1).unwrap();
@@ -275,7 +268,7 @@ mod tests {
         let svc = ServiceId::new("abcast");
         let mut stack = Stack::new(StackConfig::nth(0, 1, 1), FactoryRegistry::new());
         let provider = stack.add_module(Box::new(LoopSvc { service: svc }));
-        let probe_id = stack.add_module(Box::new(Probe::new(svc, 1, 2, 0)));
+        let probe_id = stack.add_module(Box::new(Probe::new(svc, 2, 0)));
         stack.bind(&svc, provider);
         let payload = stack
             .with_module::<Probe, _>(probe_id, |p| p.next_payload(StackId(0), Time(100)))
@@ -307,11 +300,10 @@ mod tests {
     #[test]
     fn probe_ignores_other_ops_and_services() {
         let svc = ServiceId::new("abcast");
-        let mut p = Probe::new(svc, 1, 2, 0);
+        let mut p = Probe::new(svc, 2, 0);
         // Build a response with the wrong op via a fake dispatch: easiest
         // is to check take_delivered on a fresh probe stays empty.
         assert!(p.take_delivered().is_empty());
         assert_eq!(p.service(), &svc);
-        assert_eq!(p.send_op(), 1);
     }
 }

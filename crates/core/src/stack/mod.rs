@@ -27,7 +27,7 @@
 //!   is **held back** the same way, until a module that listens there is
 //!   created (a frame for a protocol that a switch is about to create
 //!   here, arriving from a peer that switched first), at most
-//!   [`HOLD_BACK`] a service — unless a live module listens on a later
+//!   `route::HOLD_BACK` a service — unless a live module listens on a later
 //!   incarnation of the same channel base: then the response is stale,
 //!   for a module retired here, and is dropped.
 //! * [`Stack::install`] implements the recursive `create_module` procedure
@@ -51,8 +51,8 @@ mod route;
 pub use ctx::ModuleCtx;
 pub(crate) use dispatch::DispatchBuf;
 pub use dispatch::{StepCategory, StepInfo};
-pub use registry::{FactoryRegistry, ModuleFactory};
-pub use route::{net_ops, HOLD_BACK};
+pub use registry::FactoryRegistry;
+pub use route::net_ops;
 
 use crate::ids::{ModuleId, Name, ServiceId, StackId, TimerId};
 use crate::module::Module;

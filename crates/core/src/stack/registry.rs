@@ -17,7 +17,7 @@ use std::sync::Arc;
 /// A module constructor, as stored in the registry: shared by every copy
 /// of the registry, and so by every stack of a group, which may live on
 /// different threads — hence `Sync`.
-pub type ModuleFactory =
+pub(crate) type ModuleFactory =
     Arc<dyn Fn(&ModuleSpec) -> Result<Box<dyn Module>, StackError> + Send + Sync>;
 
 /// A group's module catalogue: the module factories, keyed by kind name,

@@ -23,7 +23,7 @@ pub mod net_ops {
 
 /// Responses a stack holds back per service for a module not created
 /// yet; past this the oldest is dropped (and counted).
-pub const HOLD_BACK: usize = 64;
+pub(crate) const HOLD_BACK: usize = 64;
 
 /// What waits on a service: a call for a provider to be bound, or a
 /// response issued on a channel for a module listening there to be

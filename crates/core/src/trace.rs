@@ -249,7 +249,7 @@ const _: () = assert!(std::mem::size_of::<TraceLog>() == 8);
 /// 4096, 160 KiB — several broadcasts' worth of steps on the paper's
 /// testbed, for diagnosis and for tests that read calls over a short
 /// window. Older ones live on in the digest and in [`TraceLog::dropped`].
-pub const TAIL: usize = 4096;
+pub(crate) const TAIL: usize = 4096;
 
 /// A time-stamped trace of [`TraceEvent`]s, ordered by push time.
 ///
@@ -259,7 +259,7 @@ pub const TAIL: usize = 4096;
 ///
 /// It holds three things: every structural entry, complete and in push
 /// order; a [`Chain`] over every entry ever pushed, folded at `push` with
-/// no allocation and no formatting; and the last [`TAIL`] dispatch
+/// no allocation and no formatting; and the last `TAIL` dispatch
 /// entries. A disabled log holds nothing and allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct TraceLog(Option<Box<Kept>>);
@@ -375,11 +375,6 @@ impl TraceLog {
         TraceLog(None)
     }
 
-    /// Whether this log records events.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Take what was recorded, leaving an empty log (same enablement).
     pub fn take(&mut self) -> TraceLog {
         TraceLog(self.0.as_mut().map(|kept| Box::new(std::mem::take(&mut **kept))))
@@ -413,7 +408,7 @@ impl TraceLog {
 
     /// Structural bytes held (event-internal strings are not walked):
     /// the structural entries at capacity, plus a tail that stops
-    /// growing at [`TAIL`] entries. What a traced stack pays grows with
+    /// growing at `TAIL` entries. What a traced stack pays grows with
     /// binds and module lifetimes, not with calls.
     pub fn mem_bytes(&self) -> usize {
         self.0.as_ref().map_or(0, |kept| {
@@ -426,7 +421,7 @@ impl TraceLog {
     /// Append all events of `other` (e.g. to merge per-stack logs). The
     /// result is ordered by time, preserving push order for equal times
     /// (and this log's entries before `other`'s); its chain is this
-    /// log's joined by `other`'s, and its tail the last [`TAIL`] dispatch
+    /// log's joined by `other`'s, and its tail the last `TAIL` dispatch
     /// entries of the merged stream. Two time-ordered logs — what hosts
     /// produce — are merged in one streaming pass.
     pub fn merge(&mut self, other: &TraceLog) {
@@ -450,7 +445,7 @@ impl TraceLog {
     }
 
     /// The set of stacks that crashed in this trace.
-    pub fn crashed_stacks(&self) -> std::collections::BTreeSet<StackId> {
+    pub(crate) fn crashed_stacks(&self) -> std::collections::BTreeSet<StackId> {
         self.events()
             .filter_map(|(_, e)| match e {
                 TraceEvent::Crash { stack } => Some(*stack),
@@ -494,7 +489,7 @@ mod tests {
         assert!(log.events().nth(1).unwrap().1.is_dispatch(), "events come in push order");
         let taken = log.take();
         assert_eq!((taken.pushed(), log.pushed()), (3, 0));
-        assert!(log.is_enabled() && log.events().next().is_none());
+        assert!(log.0.is_some() && log.events().next().is_none());
         assert_eq!(log.fingerprint(), TraceLog::new().fingerprint());
     }
 
@@ -504,7 +499,7 @@ mod tests {
         log.push(Time(1), bind(0, "p", 1));
         assert_eq!(log.pushed(), 0);
         assert!(log.events().next().is_none());
-        assert!(!log.is_enabled() && !log.take().is_enabled());
+        assert!(log.0.is_none() && log.take().0.is_none());
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::fmt;
 /// than the current maximum is `O(1)` amortized (a push), which is the
 /// common case for monotonic ids ([`crate::ModuleId`], [`crate::TimerId`]).
 #[derive(Clone, PartialEq, Eq)]
-pub struct VecMap<K, V> {
+pub(crate) struct VecMap<K, V> {
     entries: Vec<(K, V)>,
 }
 
@@ -99,7 +99,7 @@ impl<K: Ord, V> VecMap<K, V> {
 
     /// The value under `key`, inserting `V::default()` first if absent
     /// (the `entry(k).or_default()` idiom).
-    pub fn get_mut_or_default(&mut self, key: K) -> &mut V
+    pub(crate) fn get_mut_or_default(&mut self, key: K) -> &mut V
     where
         V: Default,
     {
@@ -117,11 +117,6 @@ impl<K: Ord, V> VecMap<K, V> {
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Drop every entry, keeping the allocation.
@@ -169,7 +164,7 @@ mod tests {
     #[test]
     fn insert_get_remove_roundtrip() {
         let mut m: VecMap<u32, &str> = VecMap::new();
-        assert!(m.is_empty());
+        assert_eq!(m.len(), 0);
         assert_eq!(m.insert(5, "five"), None);
         assert_eq!(m.insert(1, "one"), None);
         assert_eq!(m.insert(3, "three"), None);

@@ -189,7 +189,7 @@ pub fn put_uvarint(buf: &mut BytesMut, mut v: u64) {
 /// batch decoding (every tag, id, and length prefix passes through
 /// here), so the one-byte case is kept branch-minimal.
 #[inline]
-pub fn get_uvarint(buf: &mut Bytes) -> WireResult<u64> {
+pub(crate) fn get_uvarint(buf: &mut Bytes) -> WireResult<u64> {
     let s: &[u8] = buf.chunk();
     let Some(&first) = s.first() else {
         return Err(WireError::Truncated);
@@ -596,7 +596,7 @@ const SHARD_POOL_SCAN: usize = 32;
 ///
 /// * **per-stack** ([`WireScratch::new`]): one pool inside every
 ///   [`crate::Stack`]; small retain window, scans everything.
-/// * **shard-level** ([`WireScratch::shard_pool`]): one pool per host
+/// * **shard-level** (`WireScratch::shard_pool`): one pool per host
 ///   shard, loaned to whichever stack is being driven (see
 ///   [`crate::host::ShardPools`]); deeper retain window with a byte
 ///   budget and a bounded oldest-first scan, so retained encode memory
@@ -637,7 +637,7 @@ impl WireScratch {
     /// An empty pool with the shard-level budget: deeper retain window
     /// (many stacks' in-flight messages coexist), a total byte budget,
     /// and a bounded oldest-first reclaim scan.
-    pub fn shard_pool() -> WireScratch {
+    pub(crate) fn shard_pool() -> WireScratch {
         WireScratch {
             retained: VecDeque::new(),
             retained_bytes: 0,

@@ -5,7 +5,7 @@
 //! Sits between RP2P and UDP when protocol messages can exceed the
 //! network MTU — consensus-based atomic broadcast batches, for instance,
 //! grow with load. Provides the same [`Dgram`] interface as UDP
-//! (service [`crate::FRAG_SVC`]), so RP2P can be pointed at it via
+//! (service `crate::FRAG_SVC`), so RP2P can be pointed at it via
 //! [`crate::rp2p::Rp2pConfig::lower`].
 //!
 //! Fragmentation is *unreliable*, like the UDP underneath: a lost
@@ -24,13 +24,13 @@ pub const KIND: &str = "frag";
 
 /// Tuning knobs of the fragmentation module.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FragConfig {
+pub(crate) struct FragConfig {
     /// Maximum payload bytes per fragment (Ethernet default minus
     /// headroom for our framing).
-    pub mtu: usize,
+    pub(crate) mtu: usize,
     /// Maximum concurrent reassembly slots per source; oldest incomplete
     /// messages are evicted first.
-    pub reassembly_slots: usize,
+    pub(crate) reassembly_slots: usize,
 }
 
 impl Default for FragConfig {
@@ -115,7 +115,7 @@ pub struct FragModule {
 
 impl FragModule {
     /// A module with the given configuration.
-    pub fn new(cfg: FragConfig) -> FragModule {
+    pub(crate) fn new(cfg: FragConfig) -> FragModule {
         FragModule {
             cfg,
             frag_svc: ServiceId::new(crate::FRAG_SVC),
@@ -132,16 +132,6 @@ impl FragModule {
     /// Register this module's factory under [`KIND`].
     pub fn register(reg: &mut dpu_core::FactoryRegistry) {
         reg.register_with(KIND, FragModule::new);
-    }
-
-    /// Fragments put on the wire by this module.
-    pub fn fragments_sent(&self) -> u64 {
-        self.fragments_sent
-    }
-
-    /// Messages fully reassembled and delivered up.
-    pub fn messages_reassembled(&self) -> u64 {
-        self.messages_reassembled
     }
 
     /// Incomplete messages evicted (fragment loss or slot pressure).
@@ -317,7 +307,7 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].data.len(), 100);
         let frags = sim.with_stack(StackId(0), |s| {
-            s.with_module::<FragModule, _>(FRAG, |m| m.fragments_sent()).unwrap()
+            s.with_module::<FragModule, _>(FRAG, |m| m.fragments_sent).unwrap()
         });
         assert_eq!(frags, 1);
     }
@@ -334,7 +324,7 @@ mod tests {
         assert_eq!(got[0].channel, CH);
         assert_eq!(got[0].data, Bytes::from(vec![9u8; size]));
         let frags = sim.with_stack(StackId(0), |s| {
-            s.with_module::<FragModule, _>(FRAG, |m| m.fragments_sent()).unwrap()
+            s.with_module::<FragModule, _>(FRAG, |m| m.fragments_sent).unwrap()
         });
         assert_eq!(frags as usize, size.div_ceil(1400));
     }
@@ -451,8 +441,7 @@ mod tests {
         }
         sim.run_until(Time::ZERO + Dur::millis(100));
         let (evicted, reassembled) = sim.with_stack(StackId(1), |s| {
-            s.with_module::<FragModule, _>(FRAG, |m| (m.evicted(), m.messages_reassembled()))
-                .unwrap()
+            s.with_module::<FragModule, _>(FRAG, |m| (m.evicted(), m.messages_reassembled)).unwrap()
         });
         assert_eq!(reassembled, 0);
         assert!(evicted >= 1, "slot pressure must evict");

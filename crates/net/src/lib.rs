@@ -36,7 +36,7 @@ pub const UDP_SVC: &str = dpu_core::svc::UDP;
 pub const RP2P_SVC: &str = "rp2p";
 /// Service name of the MTU fragmentation service (same datagram
 /// interface as UDP, for oversized payloads).
-pub const FRAG_SVC: &str = "frag";
+pub(crate) const FRAG_SVC: &str = "frag";
 /// UDP channel reserved for fragmentation frames.
 pub const FRAG_UDP_CHANNEL: dpu_core::Channel = dpu_core::Channel::new(2, 0);
 

@@ -104,7 +104,7 @@ pub struct Rp2pConfig {
     /// quarter of it for a data frame to ride.
     pub retransmit: Dur,
     /// The datagram service underneath (default [`crate::UDP_SVC`]; point
-    /// it at [`crate::FRAG_SVC`] when frames can exceed the MTU).
+    /// it at `crate::FRAG_SVC` when frames can exceed the MTU).
     pub lower: String,
     /// Give up on a frame after this many retransmissions (`0` =
     /// unbounded, the default). Without a cap a permanently-dead peer

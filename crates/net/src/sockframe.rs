@@ -24,7 +24,7 @@ use dpu_core::StackId;
 /// Leading magic of every reactor datagram (`b"DPU0"` as a big-endian
 /// integer). Rejects cross-talk from unrelated processes on the same
 /// port range before any length field is trusted.
-pub const MAGIC: u32 = 0x4450_5530;
+pub(crate) const MAGIC: u32 = 0x4450_5530;
 
 /// The envelope of one datagram between two reactor-hosted stacks.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -69,7 +69,7 @@ impl Decode for SockFrame {
 
 /// Counters of one [`FrameCodec`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FrameStats {
+pub(crate) struct FrameStats {
     /// Frames encoded for sending.
     pub encoded: u64,
     /// Frames decoded successfully from received datagrams.
@@ -123,7 +123,7 @@ impl FrameCodec {
 
     /// Decode one received datagram. `None` means the bytes were not a
     /// well-formed frame; the drop is counted in
-    /// [`FrameStats::malformed_dropped`].
+    /// `FrameStats::malformed_dropped`.
     pub fn decode(&mut self, datagram: &[u8]) -> Option<SockFrame> {
         match wire::from_bytes::<SockFrame>(&Bytes::copy_from_slice(datagram)) {
             Ok(f) => {
@@ -135,11 +135,6 @@ impl FrameCodec {
                 None
             }
         }
-    }
-
-    /// Codec counters so far.
-    pub fn stats(&self) -> FrameStats {
-        self.stats
     }
 
     /// The scratch pool's counters (steady-state allocation oracle of
@@ -168,7 +163,7 @@ mod tests {
         let via_codec = codec.encode(StackId(1), StackId(2), &payload);
         let owned = SockFrame { src: StackId(1), dst: StackId(2), payload }.to_bytes();
         assert_eq!(via_codec, owned);
-        assert_eq!(codec.stats().encoded, 1);
+        assert_eq!(codec.stats.encoded, 1);
     }
 
     #[test]
@@ -179,7 +174,7 @@ mod tests {
         assert_eq!(back.src, StackId(5));
         assert_eq!(back.dst, StackId(6));
         assert_eq!(back.payload, Bytes::from_static(b"payload"));
-        assert_eq!(codec.stats(), FrameStats { encoded: 1, decoded: 1, malformed_dropped: 0 });
+        assert_eq!(codec.stats, FrameStats { encoded: 1, decoded: 1, malformed_dropped: 0 });
     }
 
     #[test]
@@ -188,7 +183,7 @@ mod tests {
         let mut d = codec.encode(StackId(1), StackId(2), &Bytes::from_static(b"x")).to_vec();
         d[0] ^= 0xff; // clobber the magic
         assert!(codec.decode(&d).is_none());
-        assert_eq!(codec.stats().malformed_dropped, 1);
+        assert_eq!(codec.stats.malformed_dropped, 1);
     }
 
     #[test]
@@ -219,7 +214,7 @@ mod tests {
             c[i] ^= 0x80;
             let _ = codec.decode(&c);
         }
-        assert!(codec.stats().malformed_dropped >= good.len() as u64);
+        assert!(codec.stats.malformed_dropped >= good.len() as u64);
     }
 
     #[test]

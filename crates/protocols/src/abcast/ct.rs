@@ -174,11 +174,6 @@ impl CtAbcastModule {
         self.next_instance
     }
 
-    /// Messages accepted but not yet ordered.
-    pub fn unordered_len(&self) -> usize {
-        self.unordered.len()
-    }
-
     /// This incarnation's gossip channel.
     fn channel(&self) -> Channel {
         channels::ABCAST_CT.at(self.params.namespace)
@@ -492,7 +487,7 @@ mod tests {
         sim.run_until(Time::ZERO + Dur::secs(5));
         let (deliv, inst, pend) = sim.with_stack(StackId(0), |s| {
             s.with_module::<CtAbcastModule, _>(ABCAST, |m| {
-                (m.deliveries(), m.instances_done(), m.unordered_len())
+                (m.deliveries(), m.instances_done(), m.unordered.len())
             })
             .unwrap()
         });

@@ -49,7 +49,7 @@ pub mod ops {
 
 /// Internal identity of a broadcast message: `(origin, per-origin seq)`.
 /// Used by the consensus-based variant to deduplicate across batches.
-pub type MsgKey = (StackId, u64);
+pub(crate) type MsgKey = (StackId, u64);
 
 #[cfg(test)]
 pub(crate) mod testkit {

@@ -5,7 +5,7 @@
 //! # Algorithm sketch (per instance)
 //!
 //! Rounds are asynchronous; round `r` has a coordinator determined by the
-//! [`CoordPolicy`].
+//! `CoordPolicy`.
 //!
 //! 1. every process sends its current *estimate* (with the round in which
 //!    it was last adopted, its `ts`) to the coordinator of `r`;
@@ -45,15 +45,15 @@
 //! independent users (e.g. two incarnations of atomic broadcast around a
 //! dynamic protocol update) and `k` is the user's instance counter.
 //!
-//! * call [`ops::PROPOSE`] — `(ns, k, value)`;
-//! * response [`ops::DECIDE`] — `(ns, k, value)`;
-//! * response [`ops::NEED_PROPOSAL`] — `(ns, k)`: the instance is running
+//! * call `ops::PROPOSE` — `(ns, k, value)`;
+//! * response `ops::DECIDE` — `(ns, k, value)`;
+//! * response `ops::NEED_PROPOSAL` — `(ns, k)`: the instance is running
 //!   remotely but has no local proposal yet; users should propose.
 //!
-//! Both responses go out on channel [`USER`] at `ns`, the one the user of
+//! Both responses go out on channel `USER` at `ns`, the one the user of
 //! namespace `ns` listens on: a user not created yet finds them waiting
 //! in the stack when it is. The module's own frames travel on
-//! [`crate::channels::CONSENSUS`] at its [`ConsensusParams::incarnation`],
+//! `crate::channels::CONSENSUS` at its [`ConsensusParams::incarnation`],
 //! so two consensus incarnations never see each other's.
 //!
 //! Proposing `(ns, k)` also tells the module that its user has consumed
@@ -98,8 +98,8 @@
 //!
 //! # Variants
 //!
-//! [`CoordPolicy::Rotating`] is the textbook CT schedule (kind
-//! `consensus.ct`). [`CoordPolicy::InstanceOffset`] rotates the *starting*
+//! `CoordPolicy::Rotating` is the textbook CT schedule (kind
+//! `consensus.ct`). `CoordPolicy::InstanceOffset` rotates the *starting*
 //! coordinator with the instance number (kind `consensus.offset`),
 //! spreading coordinator load across instances — the second agreement
 //! protocol used by the consensus-replacement experiment (paper §7 /
@@ -125,21 +125,21 @@ pub const KIND_OFFSET: &str = "consensus.offset";
 pub mod ops {
     use dpu_core::Op;
     /// Call: propose `(ns, k, value)` for instance `(ns, k)`.
-    pub const PROPOSE: Op = 1;
+    pub(crate) const PROPOSE: Op = 1;
     /// Response: instance `(ns, k)` decided `value`.
-    pub const DECIDE: Op = 2;
+    pub(crate) const DECIDE: Op = 2;
     /// Response: instance `(ns, k)` needs a local proposal.
-    pub const NEED_PROPOSAL: Op = 3;
+    pub(crate) const NEED_PROPOSAL: Op = 3;
 }
 
 /// The channel base of the `consensus` service: a user with namespace
 /// `ns` listens on `USER.at(ns)`, where its `DECIDE`s and
 /// `NEED_PROPOSAL`s go out.
-pub const USER: Channel = Channel::new(0, 0);
+pub(crate) const USER: Channel = Channel::new(0, 0);
 
 /// Coordinator schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CoordPolicy {
+pub(crate) enum CoordPolicy {
     /// Coordinator of round `r` is `peers[r mod n]` (textbook CT).
     Rotating,
     /// Coordinator of round `r` of instance `k` is `peers[(k + r) mod n]`,
@@ -424,7 +424,7 @@ pub struct ConsensusModule {
 
 impl ConsensusModule {
     /// Build with explicit parameters and policy.
-    pub fn new(params: ConsensusParams, policy: CoordPolicy) -> ConsensusModule {
+    pub(crate) fn new(params: ConsensusParams, policy: CoordPolicy) -> ConsensusModule {
         let svc = ServiceId::new(&params.service);
         ConsensusModule {
             params,

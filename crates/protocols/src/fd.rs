@@ -14,8 +14,8 @@
 //!
 //! ## Service interface (`fd`)
 //!
-//! * call [`ops::QUERY`] — request an immediate suspicion snapshot;
-//! * response [`ops::SUSPECTS`] — `Vec<StackId>` of currently suspected
+//! * call `ops::QUERY` — request an immediate suspicion snapshot;
+//! * response `ops::SUSPECTS` — `Vec<StackId>` of currently suspected
 //!   peers; emitted on every change and after each `QUERY`.
 
 use crate::channels;
@@ -34,9 +34,9 @@ pub const KIND: &str = "fd";
 pub mod ops {
     use dpu_core::Op;
     /// Call: request an immediate [`SUSPECTS`] response.
-    pub const QUERY: Op = 1;
+    pub(crate) const QUERY: Op = 1;
     /// Response: the current suspicion list, as `Vec<StackId>`.
-    pub const SUSPECTS: Op = 2;
+    pub(crate) const SUSPECTS: Op = 2;
 }
 
 const TAG_HEARTBEAT: u64 = 1;
@@ -44,13 +44,13 @@ const TAG_CHECK: u64 = 2;
 
 /// Tuning knobs of the failure detector.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FdConfig {
+pub(crate) struct FdConfig {
     /// Heartbeat send period.
     pub heartbeat: Dur,
     /// Initial suspicion timeout.
     pub timeout: Dur,
     /// Added to a peer's timeout after each wrong suspicion.
-    pub backoff: Dur,
+    pub(crate) backoff: Dur,
 }
 
 impl Default for FdConfig {
@@ -99,7 +99,7 @@ pub struct FdModule {
 
 impl FdModule {
     /// A failure detector with the given configuration.
-    pub fn new(cfg: FdConfig) -> FdModule {
+    pub(crate) fn new(cfg: FdConfig) -> FdModule {
         FdModule {
             cfg,
             fd_svc: ServiceId::new(crate::FD_SVC),
@@ -110,7 +110,7 @@ impl FdModule {
     }
 
     /// Register this module's factory under [`KIND`]. Empty params mean
-    /// defaults; otherwise params decode as [`FdConfig`].
+    /// defaults; otherwise params decode as `FdConfig`.
     pub fn register(reg: &mut dpu_core::FactoryRegistry) {
         reg.register_with(KIND, FdModule::new);
     }
@@ -118,11 +118,6 @@ impl FdModule {
     /// Currently suspected peers.
     pub fn suspected(&self) -> Vec<StackId> {
         self.peers.iter().filter(|(_, p)| p.suspected).map(|(&id, _)| id).collect()
-    }
-
-    /// How many suspicions were later revoked (accuracy diagnostics).
-    pub fn wrong_suspicions(&self) -> u64 {
-        self.wrong_suspicions
     }
 
     fn publish(&self, ctx: &mut ModuleCtx<'_>) {
@@ -336,7 +331,7 @@ mod tests {
         sim.run_until(Time::ZERO + Dur::secs(3));
         assert!(suspected_at(&mut sim, 0).is_empty(), "suspicion must be revoked after heal");
         let wrong = sim.with_stack(StackId(0), |s| {
-            s.with_module::<FdModule, _>(FD, |m| m.wrong_suspicions()).unwrap()
+            s.with_module::<FdModule, _>(FD, |m| m.wrong_suspicions).unwrap()
         });
         assert!(wrong >= 1);
     }
@@ -354,7 +349,7 @@ mod tests {
             sim.run_until(t);
         }
         let wrong = sim.with_stack(StackId(0), |s| {
-            s.with_module::<FdModule, _>(FD, |m| m.wrong_suspicions()).unwrap()
+            s.with_module::<FdModule, _>(FD, |m| m.wrong_suspicions).unwrap()
         });
         assert!(wrong >= 2);
         // Peer timeout grew beyond the initial 100ms.

@@ -17,7 +17,7 @@
 //! ## Service interface (`gm`)
 //!
 //! * call [`ops::REQUEST`] — a [`GmOp`] (join/leave);
-//! * response [`ops::VIEW`] — the newly installed [`View`].
+//! * response `ops::VIEW` — the newly installed [`View`].
 
 use crate::abcast::ops as ab_ops;
 use bytes::{Bytes, BytesMut};
@@ -38,7 +38,7 @@ pub mod ops {
     /// Call: request a membership change ([`super::GmOp`]).
     pub const REQUEST: Op = 1;
     /// Response: a new [`super::View`] was installed.
-    pub const VIEW: Op = 2;
+    pub(crate) const VIEW: Op = 2;
 }
 
 /// A membership change request.

@@ -38,7 +38,7 @@
 //! [`dpu_core::ModuleSpec`] params): a fresh value per incarnation, rising
 //! with every replacement. It is not in any frame. It is the incarnation
 //! of the channel the module sends and listens on
-//! (`channels::ABCAST_CT.at(namespace)`, and [`consensus::USER`] at it for
+//! (`channels::ABCAST_CT.at(namespace)`, and `consensus::USER` at it for
 //! its decisions), and it keys its consensus instances. The stack routes
 //! by that key, so two incarnations of the *same kind* (e.g. during the
 //! paper's "replace CT-ABcast by CT-ABcast" experiment, §6.2) never see
@@ -73,7 +73,7 @@ pub const RB_SVC: &str = "rb";
 /// The channel table: one base (< 16) per protocol, at incarnation 0.
 /// On `udp` base 0 is `rp2p`'s own frames and base 2 `frag`'s
 /// (`dpu_net::rp2p::RP2P_UDP_CHANNEL`, `dpu_net::FRAG_UDP_CHANNEL`); on
-/// `consensus` a user listens on [`crate::consensus::USER`] at its
+/// `consensus` a user listens on `crate::consensus::USER` at its
 /// namespace. A
 /// protocol that a replacement runs side by side with itself keys its
 /// frames with its incarnation: `ABCAST_CT.at(namespace)`.
@@ -83,19 +83,19 @@ pub mod channels {
     /// Failure detector heartbeats (raw UDP).
     pub const FD: Channel = Channel::new(1, 0);
     /// Consensus messages (RP2P), at the consensus incarnation.
-    pub const CONSENSUS: Channel = Channel::new(3, 0);
+    pub(crate) const CONSENSUS: Channel = Channel::new(3, 0);
     /// Consensus-based atomic broadcast gossip (RP2P), at the namespace.
-    pub const ABCAST_CT: Channel = Channel::new(4, 0);
+    pub(crate) const ABCAST_CT: Channel = Channel::new(4, 0);
     /// Sequencer atomic broadcast (RP2P), at the namespace.
-    pub const ABCAST_SEQ: Channel = Channel::new(5, 0);
+    pub(crate) const ABCAST_SEQ: Channel = Channel::new(5, 0);
     /// Token-ring atomic broadcast (RP2P), at the namespace.
-    pub const ABCAST_RING: Channel = Channel::new(6, 0);
+    pub(crate) const ABCAST_RING: Channel = Channel::new(6, 0);
     /// Maestro-style stack switch coordination (RP2P).
     pub const MAESTRO: Channel = Channel::new(7, 0);
     /// Graceful-Adaptation-style switch coordination (RP2P).
     pub const GRACEFUL: Channel = Channel::new(8, 0);
     /// Hierarchical atomic broadcast (RP2P), at the namespace.
-    pub const ABCAST_HIER: Channel = Channel::new(9, 0);
+    pub(crate) const ABCAST_HIER: Channel = Channel::new(9, 0);
     /// Reliable broadcast (RP2P).
-    pub const RB: Channel = Channel::new(10, 0);
+    pub(crate) const RB: Channel = Channel::new(10, 0);
 }

@@ -101,11 +101,6 @@ impl RbModule {
         self.relays
     }
 
-    /// Messages delivered.
-    pub fn delivered_count(&self) -> usize {
-        self.delivered.len() as usize
-    }
-
     /// To every other stack but those in `skip`, in one call.
     fn send_to_all(&self, ctx: &mut ModuleCtx<'_>, msg: &RbMsg, skip: &[StackId]) {
         let me = ctx.stack_id();

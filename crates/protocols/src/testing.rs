@@ -81,7 +81,7 @@ impl Variant {
 
 /// Records every ADELIVER payload, in order. The conformance assertions
 /// run over these logs.
-pub struct RecordingApp {
+pub(crate) struct RecordingApp {
     /// The delivery log, in Adelivery order.
     pub delivered: Vec<Bytes>,
 }
@@ -105,10 +105,10 @@ impl Module for RecordingApp {
 }
 
 /// Module id of the [`RecordingApp`] in a [`conformance_stack`].
-pub const APP: ModuleId = ModuleId(7);
+pub(crate) const APP: ModuleId = ModuleId(7);
 
 /// Build the standard conformance stack: net bridge → udp → rp2p → fd →
-/// consensus → `variant` abcast → [`RecordingApp`]. Identical layout
+/// consensus → `variant` abcast → `RecordingApp`. Identical layout
 /// for every variant, so runs differ only in the protocol under test.
 pub fn conformance_stack(sc: StackConfig, variant: Variant, ns: u64) -> Stack {
     let mut s = Stack::new(sc, FactoryRegistry::new());
@@ -159,7 +159,7 @@ pub fn assert_no_creation(who: &str, log: &[Bytes], sent: &BTreeSet<Bytes>) {
 /// pair of logs must agree where both have entries — the shorter log is
 /// a prefix of the longer. Holds even for nodes that crashed or
 /// restarted mid-run, whose logs simply stop short (or are empty).
-pub fn assert_prefix_agreement(logs: &[(String, Vec<Bytes>)]) {
+pub(crate) fn assert_prefix_agreement(logs: &[(String, Vec<Bytes>)]) {
     for (wa, a) in logs {
         for (wb, b) in logs {
             let common = a.len().min(b.len());

@@ -37,13 +37,13 @@
 //!   ([`SocketCounters`]), never panics. Send-side probabilistic loss
 //!   ([`ReactorConfig::loss`]) injects faults for rp2p to recover.
 //!
-//! The raw `epoll`/`eventfd` FFI lives in [`sys`] — Linux-only, with a
+//! The raw `epoll`/`eventfd` FFI lives in `sys` — Linux-only, with a
 //! documented degraded fallback elsewhere (see that module's docs).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod sys;
+mod sys;
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
@@ -81,7 +81,7 @@ pub struct ReactorConfig {
     /// Bind address for the local sockets; port 0 (the default via
     /// [`ReactorConfig::new`]) lets the OS pick. Actual addresses are
     /// reported by [`Reactor::local_addrs`].
-    pub bind_addr: SocketAddr,
+    pub(crate) bind_addr: SocketAddr,
     /// Seed mixed into each stack's deterministic RNG stream.
     pub seed: u64,
     /// Probability of dropping an outbound datagram before `send_to`
@@ -415,9 +415,6 @@ impl Host for &Reactor {
     }
     fn telemetry_report(&self) -> TelemetryReport {
         Reactor::telemetry_report(self)
-    }
-    fn dump_flight_recorders(&self) -> String {
-        Reactor::dump_flight_recorders(self)
     }
 }
 

@@ -24,13 +24,13 @@ use std::time::Duration;
 
 /// Token value [`Poller::wait`] never reports: reserved for the
 /// internal wakeup channel.
-pub const WAKE_TOKEN: u64 = u64::MAX;
+pub(crate) const WAKE_TOKEN: u64 = u64::MAX;
 
 #[cfg(target_os = "linux")]
-pub use linux::{Poller, Waker};
+pub(crate) use linux::{Poller, Waker};
 
 #[cfg(not(target_os = "linux"))]
-pub use fallback::{Poller, Waker};
+pub(crate) use fallback::{Poller, Waker};
 
 /// Clamp an optional wait budget to epoll's millisecond resolution:
 /// `None` blocks forever (-1), `Some` rounds *up* so a deadline is
@@ -106,7 +106,7 @@ mod linux {
     }
 
     /// The epoll-backed readiness poller. One per reactor loop.
-    pub struct Poller {
+    pub(crate) struct Poller {
         epfd: OwnedFd,
         wake: Arc<OwnedFd>,
     }
@@ -117,7 +117,7 @@ mod linux {
     /// is a harmless write to a still-open fd, never to a recycled
     /// descriptor.
     #[derive(Clone)]
-    pub struct Waker {
+    pub(crate) struct Waker {
         wake: Arc<OwnedFd>,
     }
 
@@ -159,7 +159,7 @@ mod linux {
         }
 
         /// A wakeup handle usable from any thread.
-        pub fn waker(&self) -> Waker {
+        pub(crate) fn waker(&self) -> Waker {
             Waker { wake: Arc::clone(&self.wake) }
         }
 
@@ -217,14 +217,14 @@ mod fallback {
     /// sleep-polls in ~1 ms slices and reports *every* registered
     /// token; the reactor's nonblocking reads establish actual
     /// readiness. Degraded but correct — see the module docs.
-    pub struct Poller {
+    pub(crate) struct Poller {
         tokens: Mutex<Vec<u64>>,
         woken: Arc<AtomicBool>,
     }
 
     /// Cross-thread wakeup handle for the fallback poller.
     #[derive(Clone)]
-    pub struct Waker {
+    pub(crate) struct Waker {
         woken: Arc<AtomicBool>,
     }
 
@@ -252,7 +252,7 @@ mod fallback {
         }
 
         /// A wakeup handle usable from any thread.
-        pub fn waker(&self) -> Waker {
+        pub(crate) fn waker(&self) -> Waker {
             Waker { woken: Arc::clone(&self.woken) }
         }
 

@@ -181,7 +181,7 @@ impl Decode for ReplPayload {
 /// 10 and 18 and the call of lines 15–16 are left to the module, because
 /// those are what an ablation omits.
 pub(crate) struct Algorithm1 {
-    pub ind: Indirection,
+    pub(crate) ind: Indirection,
     /// `seqNumber`.
     pub seq_number: u64,
     /// `undelivered`, keyed by unique message id. Only locally-sent
@@ -226,7 +226,11 @@ impl Algorithm1 {
 
     /// Lines 11–14: apply the replacement whose request was just
     /// adelivered. Returns the provider that was bound until now.
-    pub fn switch_to(&mut self, ctx: &mut ModuleCtx<'_>, spec: &ModuleSpec) -> Option<ModuleId> {
+    pub(crate) fn switch_to(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        spec: &ModuleSpec,
+    ) -> Option<ModuleId> {
         layer::requested(ctx);
         // There is no explicit flush protocol: the total order itself
         // guarantees old-protocol messages are all delivered or reissued,
@@ -242,7 +246,7 @@ impl Algorithm1 {
 
     /// Lines 15–16: reissue `undelivered` under the new protocol. Returns
     /// how many messages that was.
-    pub fn reissue(&mut self, ctx: &mut ModuleCtx<'_>) -> u64 {
+    pub(crate) fn reissue(&mut self, ctx: &mut ModuleCtx<'_>) -> u64 {
         let reissue: Vec<((StackId, u64), Bytes)> =
             self.undelivered.iter().map(|(&id, data)| (id, data.clone())).collect();
         let count = reissue.len() as u64;
@@ -327,12 +331,6 @@ impl ReplAbcastModule {
     /// traffic of a newer protocol that overtook the local switch.
     pub fn ahead_dropped(&self) -> u64 {
         self.ahead_dropped
-    }
-
-    /// Change requests made on this stack and dropped because it could
-    /// not have built the requested protocol itself.
-    pub fn refused_changes(&self) -> u64 {
-        self.core.ind.refused()
     }
 
     /// Local application times of every replacement, in order. The

@@ -3,11 +3,11 @@
 //! algorithm. They exist to show — mechanically, via the property
 //! checkers — that every line is load-bearing:
 //!
-//! * [`NoReissueRepl`] skips lines 15–16 (re-issuing `undelivered` under
+//! * [`Omit::Reissue`] skips lines 15–16 (re-issuing `undelivered` under
 //!   the new protocol). Messages that were in flight when the switch was
 //!   ordered are silently dropped → **validity** (and agreement)
 //!   violations under load.
-//! * [`NoGuardRepl`] skips the `sn = seqNumber` check of line 18.
+//! * [`Omit::VersionGuard`] skips the `sn = seqNumber` check of line 18.
 //!   Late deliveries from the old, unbound protocol are handed to the
 //!   application alongside the re-issued copies → **uniform integrity**
 //!   (duplicate delivery) violations.
@@ -15,22 +15,23 @@
 //! Both are Algorithm 1 otherwise, by construction: they run the same
 //! `Algorithm1` core (payload, codec, lines 5–9, 11–14, 15–16, 19–21) as
 //! [`crate::abcast_repl::ReplAbcastModule`] and differ only in the one
-//! guard or call they leave out. The negative tests live in
-//! this module; the positive counterpart — the full algorithm passing the
-//! same adversarial schedules — is everywhere else in the test suite.
+//! guard or call they leave out. Only this module's negative tests build
+//! them, so it is compiled for tests alone; the positive counterpart —
+//! the full algorithm passing the same adversarial schedules — is
+//! everywhere else in the test suite.
 
 use crate::abcast_repl::{Algorithm1, ReplPayload};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::{Call, Module, Response, ServiceId};
 
 /// Module kind of the no-reissue ablation.
-pub const KIND_NO_REISSUE: &str = "repl.abcast.no-reissue";
+pub(crate) const KIND_NO_REISSUE: &str = "repl.abcast.no-reissue";
 /// Module kind of the no-version-guard ablation.
-pub const KIND_NO_GUARD: &str = "repl.abcast.no-guard";
+pub(crate) const KIND_NO_GUARD: &str = "repl.abcast.no-guard";
 
 /// Which ingredient to omit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Omit {
+pub(crate) enum Omit {
     /// Skip lines 15–16 (no re-issue of undelivered messages).
     Reissue,
     /// Skip the line-18 version check (deliver any `nil` message).
@@ -38,15 +39,10 @@ pub enum Omit {
 }
 
 /// A replacement module with one ingredient of Algorithm 1 omitted.
-pub struct BrokenRepl {
+pub(crate) struct BrokenRepl {
     omit: Omit,
     core: Algorithm1,
 }
-
-/// Type alias documenting intent at use sites.
-pub type NoReissueRepl = BrokenRepl;
-/// Type alias documenting intent at use sites.
-pub type NoGuardRepl = BrokenRepl;
 
 impl BrokenRepl {
     /// Build an ablation over the `abcast` service.
@@ -131,7 +127,6 @@ mod tests {
             // Re-point the probe at the broken layer.
             let probe = built.stack.add_module(Box::new(dpu_core::probe::Probe::new(
                 r_svc,
-                ab_ops::ABCAST,
                 ab_ops::ADELIVER,
                 8,
             )));

@@ -16,8 +16,8 @@
 //!
 //! The GA restriction the paper criticises is modelled faithfully: the
 //! alternative components must be *pre-declared* — this switcher requires
-//! exactly two service slots ([`GracefulParams::service`] and
-//! [`GracefulParams::alt`]) fixed at construction, and each switch target
+//! exactly two service slots (`GracefulParams::service` and
+//! `GracefulParams::alt`) fixed at construction, and each switch target
 //! must provide whichever slot is currently inactive. A replacement whose
 //! protocol needs services outside the declared slots is impossible,
 //! whereas Algorithm 1's recursive `create_module` handles it.
@@ -53,7 +53,7 @@ pub const KIND: &str = "graceful";
 
 /// Factory parameters of the Graceful-Adaptation-style switcher.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GracefulParams {
+pub(crate) struct GracefulParams {
     /// First AAC slot: the service name of the initially active protocol
     /// (default [`dpu_protocols::ABCAST_SVC`]).
     pub service: String,
@@ -88,7 +88,7 @@ impl Decode for GracefulParams {
 }
 
 /// The Graceful-Adaptation-style switcher. See module docs.
-pub struct GracefulSwitcher {
+pub(crate) struct GracefulSwitcher {
     /// `sw.ind.required` is the active AAC slot.
     sw: Coordinated,
     /// The other declared slot: what the next protocol must provide.
@@ -111,24 +111,13 @@ impl GracefulSwitcher {
 
     /// Total virtual time the application spent blocked
     /// (deactivate → activate windows only).
-    pub fn total_blocked(&self) -> Dur {
+    pub(crate) fn total_blocked(&self) -> Dur {
         self.sw.total_blocked()
     }
 
     /// Point-to-point coordination messages sent by this stack.
     pub fn coord_msgs(&self) -> u64 {
         self.sw.coord_msgs()
-    }
-
-    /// Change requests made on this stack and dropped because it could
-    /// not have built the requested protocol itself.
-    pub fn refused_changes(&self) -> u64 {
-        self.sw.ind.refused()
-    }
-
-    /// The service slot the next protocol must provide.
-    pub fn inactive_slot(&self) -> &ServiceId {
-        &self.spare
     }
 }
 
@@ -195,7 +184,7 @@ mod tests {
         assert_eq!(wire::from_bytes::<GracefulParams>(&b).unwrap(), p);
         let g = GracefulSwitcher::new(p);
         assert_eq!(g.provides(), vec![ServiceId::new("r-abcast")]);
-        assert_eq!(g.inactive_slot(), &ServiceId::new("abcast.alt"));
+        assert_eq!(g.spare, ServiceId::new("abcast.alt"));
         assert!(g.requires().contains(&ServiceId::new("abcast")));
         assert!(g.requires().contains(&ServiceId::new("abcast.alt")));
     }

@@ -70,18 +70,12 @@ pub(crate) fn install(ctx: &mut ModuleCtx<'_>, spec: &ModuleSpec) {
 pub(crate) struct Indirection {
     pub provided: ServiceId,
     pub required: ServiceId,
-    refused: u32,
 }
 
 impl Indirection {
     pub fn over(service: &str) -> Indirection {
         let required = ServiceId::new(service);
-        Indirection { provided: required.replaced(), required, refused: 0 }
-    }
-
-    /// Change requests dropped because this stack could not build them.
-    pub fn refused(&self) -> u64 {
-        u64::from(self.refused)
+        Indirection { provided: required.replaced(), required }
     }
 
     /// Hand `payload` to the protocol underneath.
@@ -101,7 +95,7 @@ impl Indirection {
     /// `rAdeliver(m)` to the users above. Closes the blackout window on
     /// the first post-switch delivery, whether or not the consumer above
     /// timestamps its messages.
-    pub fn radeliver(&self, ctx: &mut ModuleCtx<'_>, data: Bytes) {
+    pub(crate) fn radeliver(&self, ctx: &mut ModuleCtx<'_>, data: Bytes) {
         let now_ns = ctx.now().as_nanos();
         ctx.telemetry().note_switch_delivery(now_ns);
         ctx.respond(&self.provided, ab_ops::ADELIVER, data);
@@ -110,11 +104,14 @@ impl Indirection {
     /// `changeABcast(prot)`: the protocol to propose to the group, or
     /// `None` for a request that is malformed or that this stack could
     /// not apply itself (unknown kind, undecodable parameters) — that one
-    /// is counted and logged, and nobody else ever hears of it.
-    pub fn change_requested(&mut self, ctx: &mut ModuleCtx<'_>, call: &Call) -> Option<ModuleSpec> {
+    /// is logged in the flight recorder, and nobody else ever hears of it.
+    pub(crate) fn change_requested(
+        &self,
+        ctx: &mut ModuleCtx<'_>,
+        call: &Call,
+    ) -> Option<ModuleSpec> {
         let spec = call.decode::<ModuleSpec>().ok()?;
         if ctx.check_spec(&spec).is_err() {
-            self.refused += 1;
             let now_ns = ctx.now().as_nanos();
             ctx.telemetry().note_switch_refused(now_ns);
             return None;
@@ -342,7 +339,7 @@ pub(crate) enum Step {
 /// round (the real systems lean on group membership for that — another
 /// dependency the paper's solution avoids).
 pub(crate) struct Coordinated {
-    pub ind: Indirection,
+    pub(crate) ind: Indirection,
     drain: MarkerDrain,
     pub rp2p: ServiceId,
     channel: Channel,
@@ -372,7 +369,7 @@ impl Coordinated {
     }
 
     /// Total virtual time the application spent blocked.
-    pub fn total_blocked(&self) -> Dur {
+    pub(crate) fn total_blocked(&self) -> Dur {
         self.drain.total_blocked
     }
 
@@ -482,7 +479,7 @@ impl Coordinated {
 
     /// Block the application and flush the protocol in service; ends in
     /// [`Step::Drained`].
-    pub fn begin_drain(&mut self, ctx: &mut ModuleCtx<'_>) {
+    pub(crate) fn begin_drain(&mut self, ctx: &mut ModuleCtx<'_>) {
         self.drain.begin(ctx, &self.ind);
     }
 

@@ -9,11 +9,11 @@
 //!   responses, and switches protocols by atomically broadcasting the
 //!   replacement request through the *old* protocol itself — no barriers,
 //!   no group membership, no blocking of the application.
-//! * [`maestro::MaestroSwitcher`] — a Maestro-style baseline (van Renesse
+//! * `maestro::MaestroSwitcher` — a Maestro-style baseline (van Renesse
 //!   et al., *Building adaptive systems using Ensemble*): whole-stack
 //!   switching with an explicit finalize phase that **blocks the
 //!   application** until the new stack is globally ready.
-//! * [`graceful::GracefulSwitcher`] — a Graceful-Adaptation-style baseline
+//! * `graceful::GracefulSwitcher` — a Graceful-Adaptation-style baseline
 //!   (Chen/Hiltunen/Schlichting): three coordinator-driven barrier phases
 //!   (prepare / deactivate / activate) over pre-created alternative
 //!   components.
@@ -38,7 +38,8 @@
 #![warn(missing_docs)]
 
 pub mod abcast_repl;
-pub mod ablation;
+#[cfg(test)]
+mod ablation;
 pub mod builder;
 pub mod graceful;
 mod layer;

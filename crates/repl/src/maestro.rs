@@ -43,7 +43,7 @@ pub const KIND: &str = "maestro";
 
 /// Factory parameters of the Maestro-style switcher.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MaestroParams {
+pub(crate) struct MaestroParams {
     /// The updateable service (default [`dpu_protocols::ABCAST_SVC`]).
     /// The switcher provides `r-<service>` and requires `<service>`.
     pub service: String,
@@ -71,7 +71,7 @@ impl Decode for MaestroParams {
 }
 
 /// The Maestro-style stack switch module. See module docs.
-pub struct MaestroSwitcher {
+pub(crate) struct MaestroSwitcher {
     sw: Coordinated,
     /// The protocol to rebuild with, from `Flush` until the drain ends.
     pending_spec: Option<ModuleSpec>,
@@ -92,19 +92,13 @@ impl MaestroSwitcher {
     }
 
     /// Total virtual time the application spent blocked.
-    pub fn total_blocked(&self) -> Dur {
+    pub(crate) fn total_blocked(&self) -> Dur {
         self.sw.total_blocked()
     }
 
     /// Point-to-point coordination messages sent by this stack.
     pub fn coord_msgs(&self) -> u64 {
         self.sw.coord_msgs()
-    }
-
-    /// Change requests made on this stack and dropped because it could
-    /// not have built the requested protocol itself.
-    pub fn refused_changes(&self) -> u64 {
-        self.sw.ind.refused()
     }
 }
 

@@ -430,9 +430,6 @@ impl Host for &Runtime {
     fn telemetry_report(&self) -> TelemetryReport {
         Runtime::telemetry_report(self)
     }
-    fn dump_flight_recorders(&self) -> String {
-        Runtime::dump_flight_recorders(self)
-    }
 }
 
 impl Drop for Runtime {

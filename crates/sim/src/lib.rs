@@ -18,8 +18,8 @@
 //!   queueing and the latency-vs-load curves of the paper's Figure 6 get
 //!   their characteristic knee;
 //! * **faults**: node crashes (and restarts) at arbitrary virtual times;
-//! * **traffic**: pluggable [`workload`] generators — closed-loop,
-//!   open-loop Poisson, bursty Poisson, node churn.
+//! * **traffic**: pluggable [`workload`] generators — open-loop
+//!   Poisson, bursty Poisson, node churn.
 //!
 //! Everything is driven from one seeded RNG family, so a run is a pure
 //! function of `(configuration, seed)` — every number the benchmark and
@@ -65,7 +65,7 @@ pub mod topology;
 pub mod workload;
 
 pub use sched::SchedConfig;
-pub use stats::{ShardStats, SimReport, SimStats, WorkloadStats};
+pub use stats::{ShardStats, SimStats, WorkloadStats};
 pub use topology::{NetConfig, Topology};
 
 use bytes::Bytes;
@@ -101,7 +101,7 @@ pub struct CpuConfig {
 
 impl CpuConfig {
     /// Default calibration (see module docs).
-    pub fn default_cal() -> CpuConfig {
+    pub(crate) fn default_cal() -> CpuConfig {
         CpuConfig {
             call: Dur::micros(40),
             response: Dur::micros(40),
@@ -115,7 +115,7 @@ impl CpuConfig {
     /// thousand cycles on a ~3 GHz core running the native stack rather
     /// than the paper's Pentium III Java framework. The thousand-node
     /// experiments use this together with [`crate::NetConfig::datacenter`];
-    /// with [`CpuConfig::default_cal`] a sequencer fanning one broadcast
+    /// with the default calibration a sequencer fanning one broadcast
     /// out to 1024 peers would charge 2 × 1024 × 40 µs ≈ 82 ms of CPU
     /// per message and saturate at ~12 msg/s.
     pub fn fast() -> CpuConfig {
@@ -669,7 +669,7 @@ impl Sim {
 
     /// The [`StackConfig`] node `id` was (and would again be) built from
     /// — used by churn workloads to construct replacement stacks.
-    pub fn stack_config(&self, id: StackId) -> StackConfig {
+    pub(crate) fn stack_config(&self, id: StackId) -> StackConfig {
         Self::mk_stack_config(&self.cfg, self.topology.cluster_size(), &self.peer_table, id)
     }
 
@@ -706,20 +706,6 @@ impl Sim {
     /// barrier action queue.
     pub fn queued_events(&self) -> usize {
         self.shards.iter().map(|s| s.sched.len()).sum::<usize>() + self.actions.len()
-    }
-
-    /// One-stop end-of-run summary: run counters, per-shard and
-    /// per-generator breakdowns, and the aggregated wire scratch stats,
-    /// with a printable [`std::fmt::Display`].
-    pub fn report(&self) -> SimReport {
-        let fold = self.fold();
-        SimReport {
-            n: self.cfg.n,
-            now: self.now,
-            stats: self.stats(),
-            wire: fold.wire,
-            transport: fold.transport,
-        }
     }
 
     /// The topology (for link inspection; mutate via the `Sim` methods
@@ -858,7 +844,7 @@ impl Sim {
     /// of the simulator's own streams (drawing from it does not perturb
     /// jitter/loss decisions). Workload generators take their randomness
     /// from here so runs stay pure functions of `(config, seed)`.
-    pub fn derive_rng(&self, salt: u64) -> SmallRng {
+    pub(crate) fn derive_rng(&self, salt: u64) -> SmallRng {
         // splitmix64-style finalizer over (seed, salt).
         SmallRng::seed_from_u64(mix64(self.cfg.seed ^ salt.wrapping_mul(0x9E3779B97F4A7C15)))
     }
@@ -876,14 +862,6 @@ impl Sim {
     pub fn run_until(&mut self, t: Time) {
         self.run_events(t);
         self.now = self.now.max(t);
-    }
-
-    /// Run until no events remain or the cap is reached; returns the final
-    /// virtual time. Note: stacks with periodic timers never quiesce —
-    /// use [`Sim::run_until`] for those.
-    pub fn run_until_quiescent(&mut self, cap: Time) -> Time {
-        self.run_events(cap);
-        self.now
     }
 
     /// Process every event and action with time ≤ `t`: stretches of
@@ -951,8 +929,7 @@ impl Sim {
     /// under pooling, where every encode runs under the pool loan — and
     /// transport-module counters), plus what the stacks do not hold: the
     /// shard pools and telemetry sets and the partials of retired
-    /// (churned) incarnations. The one source of [`Sim::report`],
-    /// [`Sim::wire_stats`] and [`Sim::telemetry_report`].
+    /// (churned) incarnations. The source of [`Sim::telemetry_report`].
     fn fold(&self) -> ReportFold {
         let mut fold = ReportFold::of_stacks(self.stacks());
         for shard in &self.shards {
@@ -960,14 +937,6 @@ impl Sim {
             fold.merge(&shard.retired);
         }
         fold
-    }
-
-    /// Aggregate [`dpu_core::wire::ScratchStats`] over the run: the
-    /// steady-state-allocation oracle for the whole simulation (see the
-    /// `wire_codec` bench and `tests/wire_steady_state.rs`). Also folded
-    /// into [`Sim::report`] and [`Sim::telemetry_report`].
-    pub fn wire_stats(&self) -> dpu_core::wire::ScratchStats {
-        self.fold().wire
     }
 
     /// The unified observability report. Shape-identical to
@@ -1015,9 +984,6 @@ impl dpu_core::host::Host for &mut Sim {
     }
     fn telemetry_report(&self) -> dpu_core::telemetry::TelemetryReport {
         Sim::telemetry_report(self)
-    }
-    fn dump_flight_recorders(&self) -> String {
-        Sim::dump_flight_recorders(self)
     }
 }
 
@@ -1239,14 +1205,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_quiescent_stops_when_drained() {
-        let mut sim = pinger_sim(3, 13);
-        let end = sim.run_until_quiescent(Time::ZERO + Dur::secs(10));
-        assert!(end < Time::ZERO + Dur::secs(1), "pingers quiesce quickly, got {end}");
-        assert_eq!(sim.stats().packets_delivered, 6);
-    }
-
-    #[test]
     fn clustered_topology_delays_cross_cluster_traffic() {
         // 2 clusters of 2 on instant-ish LANs joined by a slow backbone:
         // the intra-cluster ping lands long before the inter-cluster one.
@@ -1285,8 +1243,6 @@ mod tests {
         assert_eq!(shard_steps, stats.steps);
         assert!(stats.events >= stats.steps + stats.packets_delivered);
         assert!(stats.per_shard.iter().all(|s| s.packets_delivered > 0), "{stats:?}");
-        let report = sim.report();
-        assert!(report.to_string().contains("sim report"), "{report}");
     }
 
     #[test]

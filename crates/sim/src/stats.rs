@@ -1,18 +1,15 @@
-//! Run statistics: the counters a simulation accumulates, per-cluster
-//! (shard) and per-workload-generator breakdowns, and the one-stop
-//! [`SimReport`] scenarios print.
+//! Run statistics: the counters a simulation accumulates, with
+//! per-cluster (shard) and per-workload-generator breakdowns. What the
+//! stacks themselves count (wire, transport, histograms) is
+//! [`crate::Sim::telemetry_report`]'s.
 //!
 //! Since the cluster-sharded engine, counters are accumulated *per
 //! shard* — each topology cluster owns a private [`SimStats`] partial
 //! that its (possibly worker-thread-hosted) event loop increments
-//! without any synchronization — and [`crate::Sim::stats`] /
-//! [`crate::Sim::report`] fold the partials into the totals plus one
-//! [`ShardStats`] row per cluster. Folding is pure addition, so the
-//! totals are identical whichever worker count executed the run.
-
-use dpu_core::wire::ScratchStats;
-use dpu_core::TransportStats;
-use std::fmt;
+//! without any synchronization — and [`crate::Sim::stats`] folds the
+//! partials into the totals plus one [`ShardStats`] row per cluster.
+//! Folding is pure addition, so the totals are identical whichever
+//! worker count executed the run.
 
 /// Counters for one shard (one topology cluster, the unit the parallel
 /// engine schedules onto worker threads). Flat topologies have a single
@@ -102,73 +99,6 @@ impl SimStats {
     }
 }
 
-/// Everything a scenario wants to print at the end of a run, in one
-/// value with a one-summary [`fmt::Display`]: the run counters, the
-/// per-shard and per-generator breakdowns, and the aggregated wire
-/// scratch counters (`Sim::wire_stats`, folded in here so callers no
-/// longer stitch two reports together).
-#[derive(Clone, Debug)]
-pub struct SimReport {
-    /// Number of stacks.
-    pub n: u32,
-    /// Final virtual time.
-    pub now: dpu_core::time::Time,
-    /// Run counters.
-    pub stats: SimStats,
-    /// Aggregated wire scratch counters over every stack.
-    pub wire: ScratchStats,
-    /// Aggregated reliable-transport counters over every stack (the
-    /// same fold as `TelemetryReport::transport`): rp2p retransmissions,
-    /// frames given up after the retransmit cap, and the unacked backlog
-    /// at run end.
-    pub transport: TransportStats,
-}
-
-impl fmt::Display for SimReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = &self.stats;
-        writeln!(f, "# sim report: n = {}, t = {}", self.n, self.now)?;
-        writeln!(
-            f,
-            "packets: sent {} delivered {} dropped {} (loss {} / partition {}), {} payload bytes",
-            s.packets_sent,
-            s.packets_delivered,
-            s.packets_dropped(),
-            s.dropped_loss,
-            s.dropped_partition,
-            s.bytes_sent,
-        )?;
-        writeln!(f, "dispatch: {} events, {} stack steps", s.events, s.steps)?;
-        if !s.per_shard.is_empty() {
-            write!(f, "shards (events/delivered/steps):")?;
-            for (i, sh) in s.per_shard.iter().enumerate() {
-                write!(f, " [{i}] {}/{}/{}", sh.events, sh.packets_delivered, sh.steps)?;
-            }
-            writeln!(f)?;
-        }
-        for w in &s.workloads {
-            write!(f, "workload {:12} injected {}", w.name, w.injected)?;
-            if w.bursts > 0 {
-                write!(f, ", bursts {}", w.bursts)?;
-            }
-            if w.crashes + w.restarts > 0 {
-                write!(f, ", crashes {} restarts {}", w.crashes, w.restarts)?;
-            }
-            writeln!(f)?;
-        }
-        writeln!(
-            f,
-            "wire: {} emitted, {} reclaimed, {} allocations",
-            self.wire.emitted, self.wire.reclaimed, self.wire.allocations
-        )?;
-        write!(
-            f,
-            "transport: {} retransmissions, {} exhausted, {} unacked",
-            self.transport.retransmissions, self.transport.exhausted, self.transport.unacked
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,74 +183,5 @@ mod tests {
         assert_eq!(one_by_one.packets_sent, 60);
         assert_eq!(one_by_one.packets_dropped(), 18);
         assert_eq!(one_by_one.events, 120);
-    }
-
-    /// Golden snapshot of the full `Display` output: format changes
-    /// must be deliberate (update this string when they are).
-    #[test]
-    fn report_display_golden_snapshot() {
-        let stats = SimStats {
-            packets_sent: 120,
-            dropped_loss: 3,
-            dropped_partition: 1,
-            packets_delivered: 116,
-            bytes_sent: 7680,
-            steps: 240,
-            events: 500,
-            per_shard: vec![
-                ShardStats { events: 260, packets_delivered: 60, steps: 130 },
-                ShardStats { events: 230, packets_delivered: 56, steps: 110 },
-            ],
-            workloads: vec![WorkloadStats {
-                name: "bursty".into(),
-                injected: 64,
-                bursts: 4,
-                ..WorkloadStats::default()
-            }],
-        };
-        let report = SimReport {
-            n: 8,
-            now: dpu_core::time::Time(2_500_000_000),
-            stats,
-            wire: ScratchStats { emitted: 120, reclaimed: 120, allocations: 6 },
-            transport: TransportStats { retransmissions: 2, unacked: 1, ..Default::default() },
-        };
-        let expected = "\
-# sim report: n = 8, t = 2500.000ms
-packets: sent 120 delivered 116 dropped 4 (loss 3 / partition 1), 7680 payload bytes
-dispatch: 500 events, 240 stack steps
-shards (events/delivered/steps): [0] 260/60/130 [1] 230/56/110
-workload bursty       injected 64, bursts 4
-wire: 120 emitted, 120 reclaimed, 6 allocations
-transport: 2 retransmissions, 0 exhausted, 1 unacked";
-        assert_eq!(report.to_string(), expected);
-    }
-
-    #[test]
-    fn report_renders_one_summary() {
-        let stats = SimStats {
-            per_shard: vec![ShardStats::default(); 2],
-            packets_sent: 10,
-            packets_delivered: 8,
-            dropped_loss: 2,
-            workloads: vec![WorkloadStats {
-                name: "poisson".into(),
-                injected: 50,
-                ..WorkloadStats::default()
-            }],
-            ..SimStats::default()
-        };
-        let report = SimReport {
-            n: 2,
-            now: dpu_core::time::Time(5_000_000),
-            stats,
-            wire: ScratchStats::default(),
-            transport: TransportStats { retransmissions: 9, exhausted: 1, ..Default::default() },
-        };
-        let text = report.to_string();
-        assert!(text.contains("dropped 2 (loss 2 / partition 0)"), "{text}");
-        assert!(text.contains("workload poisson"), "{text}");
-        assert!(text.contains("wire:"), "{text}");
-        assert!(text.contains("transport: 9 retransmissions, 1 exhausted, 0 unacked"), "{text}");
     }
 }

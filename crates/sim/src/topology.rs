@@ -212,7 +212,7 @@ impl Topology {
 
     /// Number of clusters an `n`-node simulation has under this
     /// topology (1 for flat topologies).
-    pub fn cluster_count(&self, n: u32) -> u32 {
+    pub(crate) fn cluster_count(&self, n: u32) -> u32 {
         match self.cluster_size {
             Some(sz) => n.div_ceil(sz).max(1),
             None => 1,

@@ -13,21 +13,15 @@
 //!   (draw candidates at the peak rate, accept with probability
 //!   `rate(t)/peak`), the standard method for inhomogeneous Poisson
 //!   process simulation (Hohmann, "IPPP", 2019);
-//! * **closed-loop** ([`Generator::ClosedLoop`]) — each node keeps at
-//!   most `window` requests outstanding and injects the next one when
-//!   an earlier one completes, the ping-pong shape of the paper's own
-//!   probes;
 //! * **node churn** ([`Generator::Churn`]) — crash a random subset of
 //!   nodes at random times and restart them with freshly built stacks,
 //!   for live-switch-under-failure experiments.
 //!
 //! Generators are decoupled from *what* a message is: traffic variants
 //! carry an [`InjectFn`] that performs one application-level send (e.g.
-//! `dpu-repl`'s probe broadcast), and the closed-loop variant a
-//! [`CompletedFn`] that reports how many of a node's sends have
-//! completed. Each installed generator gets a
-//! [`crate::stats::WorkloadStats`] slot in [`crate::SimStats`],
-//! reported by [`crate::Sim::report`].
+//! `dpu-repl`'s probe broadcast). Each installed generator gets a
+//! [`crate::stats::WorkloadStats`] slot in [`crate::SimStats`]
+//! ([`crate::Sim::stats`]).
 //!
 //! # Cluster pinning
 //!
@@ -40,7 +34,7 @@
 //! process). A cluster's arrival times therefore never depend on
 //! another cluster's draws, matching how the parallel engine
 //! ([`crate::par`]) isolates cluster state; all sub-generators share
-//! the installed [`InjectFn`]/[`CompletedFn`] and the single
+//! the installed [`InjectFn`] and the single
 //! [`crate::stats::WorkloadStats`] slot. Churn is the exception: it
 //! crashes a random
 //! subset of the *whole* node set, so it stays a single global
@@ -61,10 +55,6 @@ use std::sync::Arc;
 /// Performs one application-level send from `node` (e.g. broadcast one
 /// probe message). Called on the simulation thread at injection time.
 pub type InjectFn = Box<dyn FnMut(&mut Sim, StackId) + Send>;
-
-/// Reports how many of `node`'s injected operations have completed
-/// (e.g. own probe messages delivered back). Drives the closed loop.
-pub type CompletedFn = Box<dyn FnMut(&mut Sim, StackId) -> u64 + Send>;
 
 /// Builds a replacement [`Stack`] for a restarted node; see
 /// [`Generator::Churn`] and [`Sim::restart_node_with`].
@@ -97,19 +87,6 @@ pub enum Generator {
         /// One application send.
         inject: InjectFn,
     },
-    /// Closed loop: every `poll`, each node with fewer than `window`
-    /// outstanding operations injects one more. `completed` reports a
-    /// node's finished operations.
-    ClosedLoop {
-        /// Max outstanding operations per node.
-        window: u64,
-        /// Poll interval.
-        poll: Dur,
-        /// One application send.
-        inject: InjectFn,
-        /// Completed-operation count for a node.
-        completed: CompletedFn,
-    },
     /// Crash `crashes` distinct random nodes of the workload at uniform
     /// random times in `[install time, until]`, restarting each
     /// `downtime` later with a stack built by `factory`.
@@ -123,7 +100,7 @@ pub enum Generator {
     },
 }
 
-/// An [`InjectFn`]/[`CompletedFn`] shared by the per-cluster
+/// An [`InjectFn`] shared by the per-cluster
 /// sub-generators of one installation. Sub-generators fire as barrier
 /// actions on the simulation thread, one at a time, so the lock is
 /// never contended.
@@ -167,24 +144,6 @@ pub fn install(
             assert!(burst >= base, "burst rate must be >= base rate");
             let shape = Intensity { base, peak: burst, period: period.as_nanos().max(1), duty };
             spawn_thinned(sim, id, nodes, until, inject, shape);
-        }
-        Generator::ClosedLoop { window, poll, inject, completed } => {
-            let inject = Arc::new(Mutex::new(inject));
-            let completed = Arc::new(Mutex::new(completed));
-            for (_, members) in split_by_cluster(sim, &nodes) {
-                let st = ClosedLoopState {
-                    id,
-                    sent: vec![0; members.len()],
-                    prev_done: vec![0; members.len()],
-                    nodes: members,
-                    window,
-                    poll,
-                    until,
-                    inject: Arc::clone(&inject),
-                    completed: Arc::clone(&completed),
-                };
-                closed_loop_tick(sim, Box::new(st));
-            }
         }
         Generator::Churn { crashes, downtime, factory } => {
             let rng = sub_rng(sim, id, 0);
@@ -320,49 +279,6 @@ fn thinned_fire(sim: &mut Sim, mut st: Box<ThinnedState>) {
     schedule_thinned(sim, st);
 }
 
-/// Closed-loop window state — one instance per topology cluster, over
-/// that cluster's nodes only.
-struct ClosedLoopState {
-    id: usize,
-    nodes: Vec<StackId>,
-    sent: Vec<u64>,
-    /// Last `completed` reading per node, to detect restarts.
-    prev_done: Vec<u64>,
-    window: u64,
-    poll: Dur,
-    until: Time,
-    inject: SharedFn<InjectFn>,
-    completed: SharedFn<CompletedFn>,
-}
-
-fn closed_loop_tick(sim: &mut Sim, mut st: Box<ClosedLoopState>) {
-    if sim.now() > st.until {
-        return;
-    }
-    for i in 0..st.nodes.len() {
-        let node = st.nodes[i];
-        if sim.stack(node).is_crashed() {
-            continue;
-        }
-        let done = (st.completed.lock())(sim, node);
-        if done < st.prev_done[i] {
-            // The completed counter went backwards: the node was
-            // restarted with a fresh stack (churn), which dropped its
-            // outstanding operations. Reconcile, or the stale `sent`
-            // count would starve the node for the rest of the run.
-            st.sent[i] = done;
-        }
-        st.prev_done[i] = done;
-        if st.sent[i].saturating_sub(done) < st.window {
-            (st.inject.lock())(sim, node);
-            st.sent[i] += 1;
-            sim.workload_mut(st.id).injected += 1;
-        }
-    }
-    let poll = st.poll;
-    sim.schedule_in(poll, move |sim| closed_loop_tick(sim, st));
-}
-
 #[allow(clippy::too_many_arguments)]
 fn spawn_churn(
     sim: &mut Sim,
@@ -490,74 +406,6 @@ mod tests {
         let w = &sim.stats().workloads[0];
         assert_eq!(w.injected, n);
         assert_eq!(w.bursts, 4, "one burst window per 2s period over 8s");
-    }
-
-    #[test]
-    fn closed_loop_respects_the_window() {
-        // completed() always reports 0, so each node can only ever have
-        // `window` outstanding → exactly window × n injections.
-        let hits = Arc::new(AtomicU64::new(0));
-        let mut sim = empty_sim(3, 23);
-        let nodes = sim.stack_ids();
-        let until = Time::ZERO + Dur::secs(5);
-        install(
-            &mut sim,
-            "closed",
-            nodes,
-            until,
-            Generator::ClosedLoop {
-                window: 2,
-                poll: Dur::millis(50),
-                inject: counting_inject(Arc::clone(&hits)),
-                completed: Box::new(|_, _| 0),
-            },
-        );
-        sim.run_until(until);
-        assert_eq!(hits.load(Ordering::Relaxed), 6, "window 2 × 3 nodes, nothing completes");
-    }
-
-    #[test]
-    fn closed_loop_recovers_when_completions_reset_after_restart() {
-        // A restarted node's fresh stack reports completed = 0; the
-        // closed loop must reconcile its stale `sent` count instead of
-        // treating the node as saturated forever.
-        let completions = Arc::new(AtomicU64::new(0));
-        let injections = Arc::new(AtomicU64::new(0));
-        let mut sim = empty_sim(1, 41);
-        let nodes = sim.stack_ids();
-        let until = Time::ZERO + Dur::secs(4);
-        let c = Arc::clone(&completions);
-        let i = Arc::clone(&injections);
-        install(
-            &mut sim,
-            "closed",
-            nodes,
-            until,
-            Generator::ClosedLoop {
-                window: 1,
-                poll: Dur::millis(100),
-                // Every injection completes instantly…
-                inject: Box::new(move |_, _| {
-                    i.fetch_add(1, Ordering::Relaxed);
-                    c.fetch_add(1, Ordering::Relaxed);
-                }),
-                completed: {
-                    let c = Arc::clone(&completions);
-                    Box::new(move |_, _| c.load(Ordering::Relaxed))
-                },
-            },
-        );
-        sim.run_until(Time::ZERO + Dur::secs(2));
-        let before_reset = injections.load(Ordering::Relaxed);
-        assert!(before_reset > 10, "loop must be injecting steadily");
-        // Simulate a churn restart: the fresh stack has completed nothing.
-        completions.store(0, Ordering::Relaxed);
-        sim.run_until(until);
-        let after_reset = injections.load(Ordering::Relaxed);
-        assert!(
-            after_reset > before_reset + 10,
-            "loop starved after the completion counter reset: {before_reset} -> {after_reset}"
-        );
     }
 
     #[test]

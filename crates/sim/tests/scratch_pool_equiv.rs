@@ -122,7 +122,7 @@ fn run(sc: &Scenario, workers: usize) -> (SimStats, ScratchStats) {
     let tel = sim.telemetry_report();
     assert!(tel.scratch_occupancy_bytes.count > 0, "packet arrivals must be sampled");
     assert!(tel.cascade_depth.count > 0, "cascades must be sampled");
-    (sim.stats(), sim.wire_stats())
+    (sim.stats(), tel.wire)
 }
 
 proptest! {

@@ -25,12 +25,12 @@ use std::collections::VecDeque;
 use std::fmt;
 
 /// Default ring capacity (events retained per ring).
-pub const FLIGHT_CAPACITY: usize = 64;
+pub(crate) const FLIGHT_CAPACITY: usize = 64;
 
 /// What happened, for the dump reader. Kinds mirror the trace event
 /// vocabulary but stay a closed enum so the recorder needs no strings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlightKind {
+pub(crate) enum FlightKind {
     /// A message reached its final consumer (probe/application layer).
     Delivery,
     /// A protocol switch was requested on this stack.
@@ -73,11 +73,11 @@ impl fmt::Display for FlightKind {
 /// detail word (switch sequence number, latency, peer id — the dump
 /// labels it generically).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FlightEvent {
+pub(crate) struct FlightEvent {
     /// Stack-local time in nanoseconds.
-    pub at_ns: u64,
+    pub(crate) at_ns: u64,
     /// Kind-specific detail (0 when the kind has none).
-    pub detail: u64,
+    pub(crate) detail: u64,
     /// The stack the event happened on (rides in what would otherwise be
     /// padding, so a shared ring costs no more per event than a private
     /// one).
@@ -86,7 +86,7 @@ pub struct FlightEvent {
     pub kind: FlightKind,
 }
 
-/// Bounded ring of the most recent [`FlightEvent`]s; pointer-sized
+/// Bounded ring of the most recent `FlightEvent`s; pointer-sized
 /// until the first push.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlightRecorder {
@@ -109,7 +109,7 @@ impl FlightRecorder {
     /// (and counting) the oldest when full. The ring grows by doubling
     /// until it holds `capacity` events; a full ring never allocates.
     #[inline]
-    pub fn push(&mut self, capacity: usize, event: FlightEvent) {
+    pub(crate) fn push(&mut self, capacity: usize, event: FlightEvent) {
         let ring =
             self.ring.get_or_insert_with(|| Box::new(Ring { events: VecDeque::new(), dropped: 0 }));
         if ring.events.len() >= capacity {
@@ -122,7 +122,7 @@ impl FlightRecorder {
     }
 
     /// Retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &FlightEvent> {
+    pub(crate) fn events(&self) -> impl Iterator<Item = &FlightEvent> {
         self.ring.iter().flat_map(|r| r.events.iter())
     }
 

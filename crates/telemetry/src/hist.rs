@@ -4,9 +4,9 @@
 //! `2^SUB_BITS` get exact unit buckets; every higher power-of-two range
 //! is split into `2^SUB_BITS` equal-width sub-buckets, so relative
 //! error is bounded at `2^-SUB_BITS` (±6.25% with the 4 sub-bit
-//! geometry used here) across the whole range. Values above
-//! [`Histogram::MAX_TRACKABLE`] saturate into the last bucket (the
-//! exact observed maximum is tracked separately).
+//! geometry used here) across the whole range. Values of `2^40` and
+//! above saturate into the last bucket (the exact observed maximum is
+//! tracked separately).
 //!
 //! An empty histogram is one null pointer: the bucket array and the
 //! `count/sum/min/max` summary live behind a single box allocated by
@@ -77,9 +77,6 @@ impl Buckets {
 }
 
 impl Histogram {
-    /// Largest value recorded without saturating into the last bucket.
-    pub const MAX_TRACKABLE: u64 = (1 << (MAX_EXP + 1)) - 1;
-
     /// An empty histogram (no allocation).
     pub const fn new() -> Histogram {
         Histogram { buckets: None }
@@ -234,11 +231,11 @@ pub struct HistSummary {
     /// Median (bucket-midpoint reconstruction, ±6.25%).
     pub p50: u64,
     /// 90th percentile.
-    pub p90: u64,
+    pub(crate) p90: u64,
     /// 99th percentile.
     pub p99: u64,
     /// 99.9th percentile.
-    pub p999: u64,
+    pub(crate) p999: u64,
 }
 
 #[cfg(test)]
@@ -279,7 +276,7 @@ mod tests {
 
     #[test]
     fn bucket_value_bounds_relative_error() {
-        for probe in [17u64, 1_000, 123_456, 7_000_000, 5_000_000_000, Histogram::MAX_TRACKABLE] {
+        for probe in [17u64, 1_000, 123_456, 7_000_000, 5_000_000_000, (1 << (MAX_EXP + 1)) - 1] {
             let mid = Histogram::bucket_value(Histogram::index(probe));
             let err = (mid as f64 - probe as f64).abs() / probe as f64;
             assert!(err <= 1.0 / SUB as f64, "error {err} too large for {probe} (mid {mid})");

@@ -115,20 +115,20 @@ impl JsonWriter {
     }
 
     /// Bare string value (after `key`/`elem`).
-    pub fn str_val(&mut self, v: &str) -> &mut Self {
+    pub(crate) fn str_val(&mut self, v: &str) -> &mut Self {
         self.push_escaped(v);
         self
     }
 
     /// Bare unsigned value.
-    pub fn u64_val(&mut self, v: u64) -> &mut Self {
+    pub(crate) fn u64_val(&mut self, v: u64) -> &mut Self {
         self.buf.push_str(&v.to_string());
         self
     }
 
     /// Bare float value with `decimals` fractional digits (non-finite
     /// floats become `null`).
-    pub fn f64_val(&mut self, v: f64, decimals: usize) -> &mut Self {
+    pub(crate) fn f64_val(&mut self, v: f64, decimals: usize) -> &mut Self {
         if v.is_finite() {
             self.buf.push_str(&format!("{v:.decimals$}"));
         } else {
@@ -137,15 +137,9 @@ impl JsonWriter {
         self
     }
 
-    /// Bare boolean value.
-    pub fn bool_val(&mut self, v: bool) -> &mut Self {
-        self.buf.push_str(if v { "true" } else { "false" });
-        self
-    }
-
     /// Splice pre-formatted JSON verbatim as the next value. The caller
     /// owns its validity and indentation.
-    pub fn raw_val(&mut self, raw: &str) -> &mut Self {
+    pub(crate) fn raw_val(&mut self, raw: &str) -> &mut Self {
         self.buf.push_str(raw);
         self
     }
@@ -163,11 +157,6 @@ impl JsonWriter {
     /// `"k": 1.25` with fixed fractional digits.
     pub fn field_f64(&mut self, k: &str, v: f64, decimals: usize) -> &mut Self {
         self.key(k).f64_val(v, decimals)
-    }
-
-    /// `"k": true`.
-    pub fn field_bool(&mut self, k: &str, v: bool) -> &mut Self {
-        self.key(k).bool_val(v)
     }
 
     /// `"k": <raw>`.

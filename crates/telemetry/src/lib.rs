@@ -51,12 +51,13 @@
 #![warn(missing_docs)]
 
 pub mod flight;
-pub mod hist;
+pub(crate) mod hist;
 pub mod json;
 pub mod report;
 pub mod timeline;
 
-pub use flight::{FlightEvent, FlightKind, FlightRecorder, FLIGHT_CAPACITY};
+pub use flight::FlightRecorder;
+use flight::{FlightEvent, FlightKind, FLIGHT_CAPACITY};
 pub use hist::{HistSummary, Histogram};
 pub use report::{
     HoldBackCounters, SocketCounters, SwitchSummary, TelemetryAggregate, TelemetryReport,

@@ -193,7 +193,7 @@ pub struct TelemetryAggregate {
     /// Merged switch timelines.
     pub switches: SwitchTimeline,
     /// Replaced modules destroyed by the switch layer, summed over stacks.
-    pub modules_retired: u64,
+    pub(crate) modules_retired: u64,
     /// Flight-recorder events evicted across all rings.
     pub flight_dropped: u64,
     /// Hold-back counters, summed over sets and stacks.
@@ -351,7 +351,7 @@ impl TelemetryReport {
 
     /// Write this report as a JSON object into an open writer (so bench
     /// rows can embed it under a key).
-    pub fn write_json(&self, w: &mut JsonWriter) {
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
         w.begin_obj()
             .field_str("host", self.host)
             .field_u64("stacks", u64::from(self.stacks))

@@ -38,15 +38,15 @@ const RETAINED_RECORDS: usize = 16;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SwitchRecord {
     /// Monotonic per-stack switch ordinal (1-based; 0 is no switch).
-    pub ordinal: u64,
+    pub(crate) ordinal: u64,
     /// When the stack learned of the switch.
-    pub requested_ns: u64,
+    pub(crate) requested_ns: u64,
     /// When the outgoing module finished flushing (unbound).
-    pub flushed_ns: u64,
+    pub(crate) flushed_ns: u64,
     /// When the replacement module was created and bound.
     pub activated_ns: u64,
     /// First delivery by the new module (closes the record).
-    pub first_delivery_ns: u64,
+    pub(crate) first_delivery_ns: u64,
 }
 
 const UNSET: u64 = u64::MAX;

@@ -11,8 +11,9 @@
 //!
 //! Differences from the real crate, deliberately accepted:
 //!
-//! * **no shrinking** — a failing case panics with the failing values'
-//!   case number and message, but is not minimized
+//! * **no shrinking** — a failing case (a `prop_assert*` failure or a
+//!   panic in the body alike) panics with its case number and message,
+//!   but is not minimized
 //!   (`max_shrink_iters` in [`test_runner::ProptestConfig`] is
 //!   accepted and ignored);
 //! * **deterministic seeding** — each test's RNG is seeded from the
@@ -843,14 +844,26 @@ macro_rules! __proptest_tests {
             let mut __rejects: u32 = 0;
             while __cases < __config.cases {
                 $crate::__proptest_sample_args!((&mut __rng) $($args)*);
-                // An immediately-called closure is the point here: it
-                // gives `prop_assert*` a `Result` scope to return into.
-                #[allow(clippy::redundant_closure_call)]
+                // The closure gives `prop_assert*` a `Result` scope to
+                // return into; catching its unwind gives a plain `assert!`
+                // in the body the same report, case number included.
                 let __result: ::core::result::Result<(), $crate::test_runner::TestCaseError> =
-                    (move || {
+                    match ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(move || {
                         $body
                         ::core::result::Result::Ok(())
-                    })();
+                    })) {
+                        ::core::result::Result::Ok(__result) => __result,
+                        ::core::result::Result::Err(__panic) => {
+                            let __msg = __panic
+                                .downcast_ref::<&str>()
+                                .map(|s| s.to_string())
+                                .or_else(|| __panic.downcast_ref::<String>().cloned())
+                                .unwrap_or_default();
+                            ::core::result::Result::Err(
+                                $crate::test_runner::TestCaseError::Fail(__msg),
+                            )
+                        }
+                    };
                 match __result {
                     ::core::result::Result::Ok(()) => {
                         __cases += 1;
@@ -986,5 +999,18 @@ mod tests {
     #[should_panic(expected = "failed at case")]
     fn failures_panic_with_case_number() {
         always_fails();
+    }
+
+    proptest! {
+        // A plain `assert!`, not `prop_assert!`: the body panics.
+        fn always_panics(x in 0u32..10) {
+            assert!(x > 100, "x was {}", x);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "failed at case 1: x was")]
+    fn a_panicking_body_reports_its_case() {
+        always_panics();
     }
 }

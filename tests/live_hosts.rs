@@ -3,7 +3,8 @@
 //! capacity left in a stack), a bad stack id, an unroutable send.
 //! `dpu-runtime` and `dpu-reactor` are the same `LiveShard` under
 //! different transports, so every test here is one generic body run
-//! against a 1-shard `Runtime` and against a `Reactor`.
+//! against a 1-shard `Runtime` and against a `Reactor`. The flight
+//! recorder dump is checked on the simulator too.
 
 mod common;
 
@@ -11,10 +12,11 @@ use bytes::Bytes;
 use common::wait_until;
 use dpu::reactor::{Reactor, ReactorConfig};
 use dpu::runtime::{Runtime, RuntimeConfig};
+use dpu::sim::{Sim, SimConfig};
 use dpu_core::host::Host;
 use dpu_core::stack::{net_ops, FactoryRegistry, ModuleCtx};
 use dpu_core::telemetry::SocketCounters;
-use dpu_core::time::Dur;
+use dpu_core::time::{Dur, Time};
 use dpu_core::wire::ScratchStats;
 use dpu_core::{
     svc, Call, Module, ModuleId, Response, ServiceId, Stack, StackConfig, StackId, TimerId,
@@ -227,5 +229,47 @@ fn runtime_counts_unroutable_sends() {
 fn reactor_counts_unroutable_sends() {
     let r = reactor();
     unroutable_send_is_counted(&r, || r.stats());
+    r.shutdown();
+}
+
+/// Destroy every stack's chatter module: a lifecycle event in each
+/// stack's own flight recorder, which the host's dump then names.
+fn destroy_every_chatter<H: Host>(mut host: H) {
+    for node in 0..N {
+        host.with_stack(StackId(node), |s| s.destroy_module(CHATTER));
+    }
+}
+
+fn names_every_stack(dump: &str) -> bool {
+    (0..N).all(|node| dump.contains(&format!("[stack {node}]")))
+}
+
+#[test]
+fn sim_flight_dump_names_every_stack() {
+    let mut sim = Sim::new(SimConfig::lan(N, 7), mk);
+    sim.run_until(Time::ZERO + Dur::millis(50));
+    destroy_every_chatter(&mut sim);
+    sim.run_until(sim.now() + Dur::millis(1));
+    let dump = sim.dump_flight_recorders();
+    assert!(names_every_stack(&dump), "{dump}");
+}
+
+#[test]
+fn runtime_flight_dump_names_every_stack() {
+    let rt = runtime();
+    destroy_every_chatter(&rt);
+    wait_until("every stack in the flight dump", Duration::from_secs(30), || {
+        names_every_stack(&rt.dump_flight_recorders())
+    });
+    rt.shutdown();
+}
+
+#[test]
+fn reactor_flight_dump_names_every_stack() {
+    let r = reactor();
+    destroy_every_chatter(&r);
+    wait_until("every stack in the flight dump", Duration::from_secs(30), || {
+        names_every_stack(&r.dump_flight_recorders())
+    });
     r.shutdown();
 }

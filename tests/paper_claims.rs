@@ -232,7 +232,6 @@ fn double_indirection_also_works() {
         // Move the probe to the outer service.
         let probe = built.stack.add_module(Box::new(dpu_core::probe::Probe::new(
             ServiceId::new("r-r-abcast"),
-            dpu_protocols::abcast::ops::ABCAST,
             dpu_protocols::abcast::ops::ADELIVER,
             0,
         )));

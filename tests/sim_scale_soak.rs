@@ -116,11 +116,11 @@ fn live_switch_soak(n: u32, rate: f64, workers: usize) {
         assert_ne!(bound, h.abcast, "{id} still runs the pre-switch module");
     }
 
-    // Workload counters made it into the unified report.
-    let report = sim.report();
-    assert_eq!(report.stats.workloads.len(), 1);
-    assert_eq!(report.stats.workloads[0].injected, sent as u64);
-    println!("{report}");
+    // Workload counters made it into the run statistics.
+    let stats = sim.stats();
+    assert_eq!(stats.workloads.len(), 1);
+    assert_eq!(stats.workloads[0].injected, sent as u64);
+    println!("{}", sim.telemetry_report());
 }
 
 #[test]
