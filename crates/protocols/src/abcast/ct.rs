@@ -9,6 +9,10 @@
 //! `unordered` set, values included). Batches are delivered in instance
 //! order; the `delivered` set filters messages that appear in several
 //! batches. Uniformity and crash tolerance are inherited from consensus.
+//! Gossip is not relayed: a message whose origin crashed before its
+//! gossip reached round 0's coordinator is ordered once the stacks that
+//! hold it suspect the origin, which sends the coordinator their
+//! estimates and prompts it to propose.
 //!
 //! None of this grows with the run. Gossip is FIFO per pair, so a batch
 //! that carries an origin's message carries every earlier one not yet
@@ -311,8 +315,12 @@ impl Module for CtAbcastModule {
                 cons_ops::NEED_PROPOSAL => {
                     let Ok((_, k)) = resp.decode::<(u64, u64)>() else { return };
                     // The group is running instance k; participate with
-                    // whatever we have (possibly an empty batch) so the
-                    // instance can reach a majority.
+                    // whatever we have (possibly an empty batch), this
+                    // stack's estimate should the instance go past round
+                    // 0. Round 0's coordinator is asked only once another
+                    // stack suspects someone (an origin that crashed
+                    // before its gossip got here), and has by then
+                    // proposed that stack's batch.
                     if k == self.next_instance {
                         self.try_propose(ctx, true);
                     }
@@ -431,6 +439,21 @@ mod tests {
         });
         sim.run_until(Time::ZERO + Dur::secs(15));
         assert_total_order(&mut sim, &[1, 2, 3, 4], 3);
+    }
+
+    #[test]
+    fn a_message_whose_origin_crashed_before_its_gossip_reached_the_coordinator_is_ordered() {
+        // Stack 4's gossip reaches 1, 2 and 3 but not stack 0, the round-0
+        // coordinator, and 4 crashes. Nobody prompts 0 until the others
+        // suspect 4 and send it their estimates.
+        let mut sim = ct_sim(5, 3);
+        sim.partition(&[StackId(4)], &[StackId(0)]);
+        abcast(&mut sim, 4, b"orphan");
+        sim.crash_at(sim.now() + Dur::millis(5), StackId(4));
+        sim.run_until(Time::ZERO + Dur::millis(200));
+        sim.heal_partitions();
+        sim.run_until(Time::ZERO + Dur::secs(10));
+        assert_total_order(&mut sim, &[0, 1, 2, 3], 1);
     }
 
     #[test]

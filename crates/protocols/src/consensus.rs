@@ -8,9 +8,14 @@
 //! `CoordPolicy`.
 //!
 //! 1. every process sends its current *estimate* (with the round in which
-//!    it was last adopted, its `ts`) to the coordinator of `r`;
-//! 2. the coordinator collects a majority of estimates, picks the one with
-//!    the largest `ts`, and proposes it to all;
+//!    it was last adopted, its `ts`) to the coordinator of `r`. Round 0
+//!    is the exception: it can lock no value, so its coordinator needs no
+//!    estimate but its own, and a participant sends one only to prompt a
+//!    coordinator whose user has not proposed — once it suspects some
+//!    process, and only while the round-0 proposal has not arrived;
+//! 2. the coordinator collects a majority of estimates (in round 0 one,
+//!    the first it holds), picks the one with the largest `ts`, and
+//!    proposes it to all;
 //! 3. a process receiving the proposal adopts it (`ts ← r`), *acks* and
 //!    waits for the decision: it moves to round `r + 1` only once it
 //!    suspects the coordinator (via the `fd` service) or hears a *nack*
@@ -25,12 +30,21 @@
 //! estimate, its own copy of the proposal and its own ack in place, and
 //! sends the proposal to the n − 1 others. Where no process suspects
 //! another, an instance ends in round 0 with one proposal: n − 1
-//! estimates, n − 1 proposals and n − 1 acks, then the `Decide` relays.
+//! proposals and n − 1 acks, then the `Decide` relays. Round 0's
+//! coordinator hears nothing from the others until one of them suspects
+//! someone, so it proposes when its own user does, or on the first
+//! estimate a suspicion sends it.
 //!
 //! Safety (no two processes decide differently) holds under any failure
 //! detector behaviour; liveness needs ◇S and a majority of correct
-//! processes — exactly the assumptions of the paper. Waiting after the
-//! ack keeps liveness. If the coordinator of `r` crashes, every correct
+//! processes — exactly the assumptions of the paper. Proposing on one
+//! estimate in round 0 is safe because nothing is locked before it; a
+//! majority that acked round `r` carries `ts` `r + 1` into every later
+//! majority of estimates, so rounds ≥ 1 keep the CT lock argument
+//! unchanged. A correct coordinator of round 0 proposes once its user
+//! does, as a correct process's user does, or once a participant's
+//! suspicion sends it an estimate. Waiting after the ack keeps
+//! liveness. If the coordinator of `r` crashes, every correct
 //! process comes to suspect it and moves on. If it is correct, every
 //! correct process either acks `r` (a nack it heard first does not stop
 //! the ack) or nacks `r`, and a correct nacker's nack reaches every
@@ -48,7 +62,10 @@
 //! * call `ops::PROPOSE` — `(ns, k, value)`;
 //! * response `ops::DECIDE` — `(ns, k, value)`;
 //! * response `ops::NEED_PROPOSAL` — `(ns, k)`: the instance is running
-//!   remotely but has no local proposal yet; users should propose.
+//!   remotely but has no local proposal yet; users should propose. Round
+//!   0's coordinator gets the first frame of an instance it has not
+//!   proposed in only once some participant suspects someone: a user
+//!   that proposes only when asked is asked then.
 //!
 //! Both responses go out on channel `USER` at `ns`, the one the user of
 //! namespace `ns` listens on: a user not created yet finds them waiting
@@ -63,8 +80,11 @@
 //!
 //! # What an instance costs, and for how long
 //!
-//! An instance is collected by *stability*, read off frames the algorithm
-//! sends anyway — no message, timer or dispatch step is added for it:
+//! Where no process suspects another, an instance costs (n + 2)(n − 1)
+//! frames: the n − 1 proposals, the n − 1 acks and each decider's
+//! `Decide` to the n − 1 others. It is collected by *stability*, read off
+//! frames the algorithm sends anyway — no message, timer or dispatch step
+//! is added for it:
 //!
 //! 1. at the local decision it shrinks to a tombstone: the decided value
 //!    (a late `PROPOSE` is re-answered with it), whether the user was ever
@@ -325,9 +345,11 @@ impl Open {
         // Phase 2: a majority of estimates for a round → proposal. Largest
         // ts wins; ties broken by longer value (prefers non-empty
         // proposals in the abcast use case), then by lower sender id
-        // (determinism).
+        // (determinism). Round 0 can lock nothing — every estimate in it
+        // carries ts 0 — so one estimate, the first held, is enough there.
         let ready = self.estimates.iter().find_map(|(&r, ests)| {
-            if coord(r) != me || ests.len() < majority || self.coord_proposal.contains_key(&r) {
+            let needed = if r == 0 { 1 } else { majority };
+            if coord(r) != me || ests.len() < needed || self.coord_proposal.contains_key(&r) {
                 return None;
             }
             let (_, (v, _)) = ests.iter().max_by(|(ida, (va, tsa)), (idb, (vb, tsb))| {
@@ -349,11 +371,18 @@ impl Open {
             return Step::Decide(v.clone());
         }
 
-        // Phase 1: my estimate for my current round.
+        // Phase 1: my estimate for my current round. In round 0 a
+        // participant's estimate only prompts a coordinator whose user has
+        // not proposed, which in atomic broadcast means the origin of a
+        // message crashed before its gossip got there: it goes once this
+        // process suspects someone, unless the proposal is already here.
         let r = self.round;
         let coord = coord(r);
+        let wanted = r > 0
+            || coord == me
+            || (!suspected.is_empty() && !self.proposals_recv.contains_key(&r));
         if let Some((est, ts)) = &self.estimate {
-            if self.estimated != Some(r) {
+            if wanted && self.estimated != Some(r) {
                 self.estimated = Some(r);
                 if coord != me {
                     return Step::ToCoord(coord, r, Body::Estimate { est: est.clone(), ts: *ts });
@@ -1265,27 +1294,28 @@ mod tests {
         lone.propose(4, b"late");
         assert_eq!(lone.state(4), (2, 1, Some(v()), vec![]));
         // PROPOSE 5 says the user is done with 4: collected. Instance 5
-        // opens, and this stack, its round-0 coordinator, files its own
-        // estimate: no frame.
+        // opens, and this stack, its round-0 coordinator, proposes its own
+        // estimate to the two others at once.
         lone.propose(5, b"next");
-        assert_eq!(lone.state(4), (2, 1, None, vec![]));
+        assert_eq!(lone.state(4), (4, 1, None, vec![]));
         // A stray frame for 4, of any kind, finds nothing and starts
         // nothing: no instance, no frame, no NEED_PROPOSAL, no decision.
         lone.recv(1, 4, Body::Estimate { est: v(), ts: 0 });
         lone.recv(2, 4, Body::Ack);
         lone.recv(2, 4, Body::Decide { v: Bytes::from_static(b"forged") });
         lone.propose(4, b"again");
-        assert_eq!(lone.state(4), (2, 1, None, vec![]));
+        assert_eq!(lone.state(4), (4, 1, None, vec![]));
         // An instance below the highest proposed k that this stack never
-        // saw is not "collected": it opens as ever and asks the user.
+        // saw is not "collected": it opens as ever, proposes the estimate
+        // to the two others and asks the user.
         lone.recv(1, 2, Body::Estimate { est: v(), ts: 0 });
-        assert_eq!(lone.state(2), (2, 2, None, vec![(0, 2)]));
+        assert_eq!(lone.state(2), (6, 2, None, vec![(0, 2)]));
         // It decides, is heard from everyone, and goes at once: the user
         // proposed beyond it long ago.
         lone.recv(1, 2, Body::Decide { v: v() });
-        assert_eq!(lone.state(2), (4, 2, Some(v()), vec![(0, 2)]));
+        assert_eq!(lone.state(2), (8, 2, Some(v()), vec![(0, 2)]));
         lone.recv(2, 2, Body::Decide { v: v() });
-        assert_eq!(lone.state(2), (4, 1, None, vec![(0, 2)]));
+        assert_eq!(lone.state(2), (8, 1, None, vec![(0, 2)]));
     }
 
     /// `(to, round, what)`, as [`Lone::frames`] lists a frame.
@@ -1299,14 +1329,14 @@ mod tests {
         lone.propose(0, b"mine");
         lone.recv(0, 0, Body::Proposal { v: Bytes::from_static(b"v") });
         // No estimate for round 1 follows the ack: nothing gave round 0 up.
-        let acked = [frame(0, 0, "estimate mine@0"), frame(0, 0, "ack")];
+        let acked = [frame(0, 0, "ack")];
         assert_eq!(lone.frames(), acked);
         assert_eq!(lone.max_round_seen(), 0);
         // Its decision ends the instance: the relay to both peers is all
         // that follows.
         lone.recv(0, 0, Body::Decide { v: Bytes::from_static(b"v") });
         let relayed = [frame(0, 0, "decide v"), frame(1, 0, "decide v")];
-        assert_eq!(lone.frames()[2..], relayed);
+        assert_eq!(lone.frames()[1..], relayed);
         assert_eq!(lone.max_round_seen(), 0);
     }
 
@@ -1324,8 +1354,7 @@ mod tests {
             }
             // The acked value, locked at ts 1, goes to stack 1, round 1's
             // coordinator; no nack: the ack stands.
-            let expected =
-                [frame(0, 0, "estimate mine@0"), frame(0, 0, "ack"), frame(1, 1, "estimate v@1")];
+            let expected = [frame(0, 0, "ack"), frame(1, 1, "estimate v@1")];
             assert_eq!(lone.frames(), expected, "{what}");
             assert_eq!(lone.max_round_seen(), 1, "{what}");
         }
@@ -1334,7 +1363,7 @@ mod tests {
         lone.propose(0, b"mine");
         lone.recv(0, 0, Body::Proposal { v: Bytes::from_static(b"v") });
         lone.suspect(&[1]);
-        assert_eq!(lone.frames().len(), 2);
+        assert_eq!(lone.frames().len(), 1);
     }
 
     #[test]
@@ -1342,12 +1371,11 @@ mod tests {
         let mut lone = Lone::at(2);
         lone.propose(0, b"mine");
         lone.recv(1, 0, Body::Nack);
-        assert_eq!(lone.frames(), [frame(0, 0, "estimate mine@0")]);
+        assert_eq!(lone.frames(), []);
         assert_eq!(lone.max_round_seen(), 0);
         // The coordinator may still lack this ack for its majority.
         lone.recv(0, 0, Body::Proposal { v: Bytes::from_static(b"v") });
-        let expected =
-            [frame(0, 0, "estimate mine@0"), frame(0, 0, "ack"), frame(1, 1, "estimate v@1")];
+        let expected = [frame(0, 0, "ack"), frame(1, 1, "estimate v@1")];
         assert_eq!(lone.frames(), expected);
     }
 
@@ -1366,20 +1394,42 @@ mod tests {
     }
 
     #[test]
+    fn a_participant_sends_a_round_0_estimate_only_on_a_suspicion_before_the_proposal() {
+        // Proposing in round 0 sends nothing: the coordinator needs no
+        // estimate to propose.
+        let mut lone = Lone::at(2);
+        lone.propose(0, b"mine");
+        assert_eq!(lone.frames(), []);
+        // A suspicion of stack 1 may mean the coordinator's user was never
+        // prompted: the estimate goes to stack 0, once.
+        lone.suspect(&[1]);
+        lone.suspect(&[]);
+        lone.suspect(&[1]);
+        assert_eq!(lone.frames(), [frame(0, 0, "estimate mine@0")]);
+        // With the round-0 proposal in hand, a suspicion sends no estimate.
+        let mut lone = Lone::at(2);
+        lone.propose(0, b"mine");
+        lone.recv(0, 0, Body::Proposal { v: Bytes::from_static(b"v") });
+        lone.suspect(&[1]);
+        assert_eq!(lone.frames(), [frame(0, 0, "ack")]);
+    }
+
+    #[test]
     fn a_coordinator_files_its_own_frames_and_proposes_to_the_others() {
         let mut lone = Lone::at(0);
         lone.propose(0, b"mine");
-        assert_eq!(lone.frames(), []);
-        // Its own estimate and stack 1's make a majority: the longer value
-        // is proposed to the two others, and acked here in place.
+        // Its own estimate is enough in round 0: it is proposed to the two
+        // others, and acked here in place.
+        let proposed = [frame(1, 0, "proposal mine"), frame(2, 0, "proposal mine")];
+        assert_eq!(lone.frames(), proposed);
+        // A later estimate, however long, changes nothing.
         lone.recv(1, 0, Body::Estimate { est: Bytes::from_static(b"theirs"), ts: 0 });
-        let proposed = [frame(1, 0, "proposal theirs"), frame(2, 0, "proposal theirs")];
         assert_eq!(lone.frames(), proposed);
         // One more ack is a majority: decide and relay to the two others.
         lone.recv(2, 0, Body::Ack);
-        let decided = [frame(1, 0, "decide theirs"), frame(2, 0, "decide theirs")];
+        let decided = [frame(1, 0, "decide mine"), frame(2, 0, "decide mine")];
         assert_eq!(lone.frames()[2..], decided);
-        assert_eq!(lone.state(0).2, Some(Bytes::from_static(b"theirs")));
+        assert_eq!(lone.state(0).2, Some(Bytes::from_static(b"mine")));
     }
 
     #[test]

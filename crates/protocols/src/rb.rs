@@ -11,11 +11,12 @@
 //! * **integrity** — `m` is delivered at most once, and only if broadcast.
 //!
 //! No ordering is promised — that is atomic broadcast's job. The
-//! consensus-based ABcast disseminates its payloads with exactly this
-//! pattern (inlined there for batching reasons); this standalone module
-//! provides the service to any other protocol that needs
-//! dissemination without ordering, and is the simplest complete example
-//! of a broadcast `Module`.
+//! consensus-based ABcast does not use this pattern: its gossip goes once
+//! to every peer and is never relayed, and a message whose origin crashed
+//! mid-gossip is ordered through consensus by whoever received it. This
+//! standalone module provides the service to any other protocol that
+//! needs dissemination without ordering, and is the simplest complete
+//! example of a broadcast `Module`.
 //!
 //! ## Service interface (`rb`)
 //!

@@ -17,9 +17,10 @@
 //! by service name alone this run took 861 steps a broadcast, 727 routed
 //! by channel through `net`, 483 with one step of `udp` a datagram sent,
 //! 373 with none, 308 once a fan-out to many peers was one `rp2p` call
-//! (`dgram::SEND_MANY`) rather than one call, and one step, a peer, and
-//! ≈ 251 now that a consensus instance ends in round 0 and no process
-//! sends a frame to itself.
+//! (`dgram::SEND_MANY`) rather than one call, and one step, a peer, 251
+//! once a consensus instance ended in round 0 and no process sent a frame
+//! to itself, and ≈ 234 now that round 0 has no estimates: its
+//! coordinator proposes at once.
 
 mod common;
 
@@ -123,23 +124,24 @@ fn a_datagram_is_dispatched_to_the_module_listening_on_its_channel() {
         };
         println!("  {:>6.1} {what} on {service}{edge}", *n as f64 / broadcasts as f64);
     }
-    // 251.4 here (307.9 while a process that acked a consensus round went
+    // 233.6 here (251.4 while every participant sent the coordinator a
+    // round-0 estimate it did not need; 307.9 while a process that acked a consensus round went
     // straight on to the next and the coordinator sent its own estimate,
     // proposal and ack to itself; 373.4 while every fan-out was a call to
     // `rp2p` a peer; 483.2 while a call to `udp` was a step of `udp`, one
     // per datagram sent; 727.0 while `udp` sat on `net`: a call to the
     // bridge to put a datagram on the wire and a response through `udp` to
     // take it off); the bound is that reading + 4 %.
-    assert!(per_msg <= 262.0, "{per_msg:.1} dispatch steps a broadcast");
-    // 21.1 (37.4 with the round-1 cascade and the frames to itself, 94.6
-    // with a call a peer): the gossip, the coordinator's proposal and each
-    // decider's relay are one call each; the rest have one destination,
-    // such as an estimate or an ack for the coordinator. A per-peer loop
-    // over `rp2p` or a consensus round beyond the first that came back
-    // fails here.
+    assert!(per_msg <= 243.0, "{per_msg:.1} dispatch steps a broadcast");
+    // 15.1 (21.1 with the round-0 estimates, 37.4 with the round-1 cascade
+    // and the frames to itself, 94.6 with a call a peer): the gossip, the
+    // coordinator's proposal and each decider's relay are one call each;
+    // the rest are the acks, one each for the coordinator. Round-0
+    // estimates sent with nobody suspected, a per-peer loop over `rp2p` or
+    // a consensus round beyond the first that came back fails here.
     let rp2p_calls = charged.get(&(ServiceId::new(dpu_net::RP2P_SVC), "calls")).copied();
     let rp2p_per_msg = rp2p_calls.unwrap_or(0) as f64 / broadcasts as f64;
-    assert!(rp2p_per_msg <= 22.0, "{rp2p_per_msg:.1} calls on rp2p a broadcast");
+    assert!(rp2p_per_msg <= 15.7, "{rp2p_per_msg:.1} calls on rp2p a broadcast");
 
     println!(
         "{traced} entries traced: {udp} udp RECV, {rp2p} rp2p RECV, {rp2p_overlap} of them while \
