@@ -30,8 +30,10 @@
 //! a peer), which moves the event order as any change in what a step
 //! costs does; all four were re-recorded again. Consensus then stopped
 //! moving to the next round after an ack and sending frames to itself,
-//! and all four were re-recorded once more. A change that does not mean to
-//! alter protocol behaviour must reproduce them bit for bit.
+//! and all four were re-recorded once more; and again when round 0 of
+//! consensus lost its estimates (its coordinator proposes at once). A
+//! change that does not mean to alter protocol behaviour must reproduce
+//! them bit for bit.
 
 use dpu::repl::builder::{
     drive_load, group, group_sim, request_change, send_probe, specs, GroupStackOpts, SwitchLayer,
@@ -80,7 +82,8 @@ fn golden_run() -> (dpu::sim::SimStats, u64) {
 #[test]
 fn sim_through_stack_driver_matches_pre_refactor_recording() {
     let (stats, fp) = golden_run();
-    // Values recorded with consensus ending in round 0; see module docs.
+    // Values recorded with round 0 of consensus proposing at once; see
+    // module docs.
     println!("stats: {stats:?}");
     println!("fingerprint: {fp:#x}");
     assert_eq!(fp, GOLDEN_FP, "merged trace diverged from the recording");
@@ -88,11 +91,15 @@ fn sim_through_stack_driver_matches_pre_refactor_recording() {
     assert_eq!(stats.packets_delivered, GOLDEN_DELIVERED);
 }
 
-/// Recorded 2026-10-16 with a consensus instance that ends in round 0
-/// (a process that acked waits for the decision, and none sends a frame
-/// to itself), scenario and seed as in [`golden_run`]: 6 286 dispatch
-/// steps where there were 6 387, 2476 packets where there were 2497.
-/// Before: `0x03a6650e25797123`, recorded 2026-10-15 with a fan-out to
+/// Recorded 2026-10-17 with round 0 of consensus proposing at once and
+/// no participant sending it an estimate unless it suspects someone,
+/// scenario and seed as in [`golden_run`]: 6 262 dispatch steps where
+/// there were 6 286, 2468 packets where there were 2476. Before:
+/// `0x38c07db7a37f92b5`, recorded 2026-10-16 with a consensus instance
+/// that ends in round 0 (a process that acked waits for the decision, and
+/// none sends a frame to itself: 6 286 steps where there were 6 387, 2476
+/// packets where there were 2497); before that
+/// `0x03a6650e25797123`, recorded 2026-10-15 with a fan-out to
 /// many peers one `rp2p` call (6 387 steps where there were 6 431, 2497
 /// packets where there were 2498); before that
 /// `0xc8a67ee8aeaca6f1`, recorded 2026-10-15 with the incarnation in the
@@ -111,9 +118,9 @@ fn sim_through_stack_driver_matches_pre_refactor_recording() {
 /// reverse traffic); before that `0x4026a4be2f99a940`, 2620 / 2620,
 /// recorded 2026-07-29 from commit 181cd88 (hand-rolled drive loops in
 /// both hosts).
-const GOLDEN_FP: u64 = 0x38c07db7a37f92b5;
-const GOLDEN_SENT: u64 = 2476;
-const GOLDEN_DELIVERED: u64 = 2476;
+const GOLDEN_FP: u64 = 0x1d40603b742fc78f;
+const GOLDEN_SENT: u64 = 2468;
+const GOLDEN_DELIVERED: u64 = 2468;
 
 #[test]
 fn shutdown_under_in_flight_load_returns_all_stacks() {
@@ -161,7 +168,9 @@ fn ct_replacement_run(seed: u64) -> u64 {
     trace_fingerprint(&sim.merged_trace())
 }
 
-/// Recorded with [`GOLDEN_FP`]. Before, with a fan-out one `rp2p` call:
+/// Recorded with [`GOLDEN_FP`]. Before, with a consensus instance that
+/// ends in round 0: `0xa968ca25fc666ba3`, `0xcd18f7389d21eafe`,
+/// `0x21acf588ee43360e`; before that, with a fan-out one `rp2p` call:
 /// `0x30ccf9a0058f367a`, `0x957ece490890830e`, `0x21d86a0f65f42e99`;
 /// before that, with the incarnation in the
 /// channel: `0xd89e886e75ecd66c`, `0xdcd3ee7d8941bc7f`, `0x8580745787d38d58`;
@@ -177,7 +186,7 @@ fn ct_replacement_run(seed: u64) -> u64 {
 /// collection): `0x6d4c3f10a13194cf`, `0xef232e8e86088525`,
 /// `0xc9794b3925be4984`.
 const CT_REPLACEMENT_FPS: [(u64, u64); 3] =
-    [(11, 0xa968ca25fc666ba3), (12, 0xcd18f7389d21eafe), (13, 0x21acf588ee43360e)];
+    [(11, 0x5c18701aeeba828f), (12, 0x9240943590377dca), (13, 0x6602b9ca33e9a177)];
 
 #[test]
 fn ct_under_replacement_matches_the_recording_from_before_collection() {
