@@ -11,8 +11,8 @@
 //! batches. Uniformity and crash tolerance are inherited from consensus.
 //! Gossip is not relayed: a message whose origin crashed before its
 //! gossip reached round 0's coordinator is ordered once the stacks that
-//! hold it suspect the origin, which sends the coordinator their
-//! estimates and prompts it to propose.
+//! hold it suspect the origin. The suspicion sends the coordinator their
+//! estimates, and the first one it gets it proposes.
 //!
 //! None of this grows with the run. Gossip is FIFO per pair, so a batch
 //! that carries an origin's message carries every earlier one not yet

@@ -32,8 +32,8 @@
 //! another, an instance ends in round 0 with one proposal: n − 1
 //! proposals and n − 1 acks, then the `Decide` relays. Round 0's
 //! coordinator hears nothing from the others until one of them suspects
-//! someone, so it proposes when its own user does, or on the first
-//! estimate a suspicion sends it.
+//! someone, so it proposes when its own user does — as the user of every
+//! correct process does — or on the first estimate a suspicion sends it.
 //!
 //! Safety (no two processes decide differently) holds under any failure
 //! detector behaviour; liveness needs ◇S and a majority of correct
@@ -41,17 +41,14 @@
 //! estimate in round 0 is safe because nothing is locked before it; a
 //! majority that acked round `r` carries `ts` `r + 1` into every later
 //! majority of estimates, so rounds ≥ 1 keep the CT lock argument
-//! unchanged. A correct coordinator of round 0 proposes once its user
-//! does, as a correct process's user does, or once a participant's
-//! suspicion sends it an estimate. Waiting after the ack keeps
-//! liveness. If the coordinator of `r` crashes, every correct
-//! process comes to suspect it and moves on. If it is correct, every
-//! correct process either acks `r` (a nack it heard first does not stop
-//! the ack) or nacks `r`, and a correct nacker's nack reaches every
-//! correct process. So either every correct process acks — a majority,
-//! and the coordinator decides — or every correct process hears a nack
-//! and moves on. A nacker that crashed after reaching only some peers
-//! changes neither case.
+//! unchanged. Waiting after the ack keeps liveness. If the coordinator
+//! of `r` crashes, every correct process comes to suspect it and moves
+//! on. If it is correct, every correct process either acks `r` (a nack
+//! it heard first does not stop the ack) or nacks `r`, and a correct
+//! nacker's nack reaches every correct process. So either every correct
+//! process acks — a majority, and the coordinator decides — or every
+//! correct process hears a nack and moves on. A nacker that crashed
+//! after reaching only some peers changes neither case.
 //!
 //! # Service interface (`consensus`, instance-keyed)
 //!

@@ -125,13 +125,14 @@ fn a_datagram_is_dispatched_to_the_module_listening_on_its_channel() {
         println!("  {:>6.1} {what} on {service}{edge}", *n as f64 / broadcasts as f64);
     }
     // 233.6 here (251.4 while every participant sent the coordinator a
-    // round-0 estimate it did not need; 307.9 while a process that acked a consensus round went
-    // straight on to the next and the coordinator sent its own estimate,
-    // proposal and ack to itself; 373.4 while every fan-out was a call to
-    // `rp2p` a peer; 483.2 while a call to `udp` was a step of `udp`, one
-    // per datagram sent; 727.0 while `udp` sat on `net`: a call to the
-    // bridge to put a datagram on the wire and a response through `udp` to
-    // take it off); the bound is that reading + 4 %.
+    // round-0 estimate it did not need; 307.9 while a process that acked a
+    // consensus round went straight on to the next and the coordinator
+    // sent its own estimate, proposal and ack to itself; 373.4 while every
+    // fan-out was a call to `rp2p` a peer; 483.2 while a call to `udp` was
+    // a step of `udp`, one per datagram sent; 727.0 while `udp` sat on
+    // `net`: a call to the bridge to put a datagram on the wire and a
+    // response through `udp` to take it off); the bound is that reading
+    // + 4 %.
     assert!(per_msg <= 243.0, "{per_msg:.1} dispatch steps a broadcast");
     // 15.1 (21.1 with the round-0 estimates, 37.4 with the round-1 cascade
     // and the frames to itself, 94.6 with a call a peer): the gossip, the
