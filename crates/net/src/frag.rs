@@ -249,7 +249,7 @@ mod tests {
     use dpu_core::time::{Dur, Time};
     use dpu_core::wire;
     use dpu_core::ModuleId;
-    use dpu_sim::{Sim, SimConfig};
+    use dpu_sim::{NetConfig, Sim, SimConfig, Topology};
 
     struct Sink {
         got: Vec<Dgram>,
@@ -348,7 +348,7 @@ mod tests {
     #[test]
     fn lost_fragment_loses_only_that_message() {
         let mut cfg = SimConfig::lan(2, 11);
-        cfg.net.loss = 0.5;
+        cfg.topology = Topology::flat(NetConfig::lossy(0.5));
         let mut sim = Sim::new(cfg, mk_stack);
         for i in 0..5 {
             send_big(&mut sim, 0, 1, 4_000, i);
@@ -388,7 +388,7 @@ mod tests {
         // Layout here: m1 net, m2 udp, m3 frag, m4 rp2p, m5 sink.
         const SINK5: ModuleId = ModuleId(5);
         let mut cfg = SimConfig::lan(2, 13);
-        cfg.net.loss = 0.25;
+        cfg.topology = Topology::flat(NetConfig::lossy(0.25));
         let mut sim = Sim::new(cfg, mk);
         for i in 0..4u8 {
             let d = Dgram { peer: StackId(1), channel: CH, data: Bytes::from(vec![i; 6_000]) };
@@ -408,8 +408,7 @@ mod tests {
 
     #[test]
     fn slot_pressure_evicts_oldest_incomplete() {
-        let mut cfg_sim = SimConfig::lan(2, 17);
-        cfg_sim.net.loss = 0.0;
+        let cfg_sim = SimConfig::lan(2, 17);
         let mk = |sc: StackConfig| -> Stack {
             let mut s = Stack::new(sc, FactoryRegistry::new());
             let udp = s.add_module(Box::new(UdpModule::new()));

@@ -535,7 +535,7 @@ mod tests {
     use dpu_core::time::Time;
     use dpu_core::wire;
     use dpu_core::ModuleId;
-    use dpu_sim::{Sim, SimConfig};
+    use dpu_sim::{NetConfig, Sim, SimConfig, Topology};
 
     /// Records `rp2p` RECV responses.
     struct Rp2pSink {
@@ -660,7 +660,7 @@ mod tests {
     #[test]
     fn recovers_from_heavy_loss() {
         let mut cfg = SimConfig::lan(2, 7);
-        cfg.net.loss = 0.4;
+        cfg.topology = Topology::flat(NetConfig::lossy(0.4));
         let mut sim = Sim::new(cfg, mk_stack);
         for i in 0..30u8 {
             send(&mut sim, 0, 1, i);
@@ -679,7 +679,7 @@ mod tests {
     #[test]
     fn suppresses_network_duplicates() {
         let mut cfg = SimConfig::lan(2, 7);
-        cfg.net.duplicate = 1.0;
+        cfg.topology = Topology::flat(NetConfig { duplicate: 1.0, ..NetConfig::lan() });
         let mut sim = Sim::new(cfg, mk_stack);
         for i in 0..10u8 {
             send(&mut sim, 0, 1, i);
@@ -740,7 +740,8 @@ mod tests {
     #[test]
     fn retransmit_cap_bounds_dead_peer_backlog() {
         let mut cfg = SimConfig::lan(2, 13);
-        cfg.net.loss = 1.0; // the wire is dead: nothing (incl. acks) arrives
+        // The wire is dead: nothing (incl. acks) arrives.
+        cfg.topology = Topology::flat(NetConfig::lossy(1.0));
         let mut sim = Sim::new(cfg, mk_capped(5));
         for i in 0..8u8 {
             send(&mut sim, 0, 1, i);
@@ -767,7 +768,7 @@ mod tests {
     #[test]
     fn default_config_retries_forever() {
         let mut cfg = SimConfig::lan(2, 13);
-        cfg.net.loss = 1.0;
+        cfg.topology = Topology::flat(NetConfig::lossy(1.0));
         let mut sim = Sim::new(cfg, mk_capped(0));
         for i in 0..4u8 {
             send(&mut sim, 0, 1, i);
@@ -783,7 +784,7 @@ mod tests {
     #[test]
     fn a_silent_peer_is_resent_to_at_doubling_ages_up_to_the_cap() {
         let mut cfg = SimConfig::lan(2, 13);
-        cfg.net.loss = 1.0;
+        cfg.topology = Topology::flat(NetConfig::lossy(1.0));
         let mut sim = Sim::new(cfg, mk_capped(9));
         // Sent between two scans (one every 20 ms): each resend is a scan.
         sim.run_until(Time::ZERO + Dur::millis(5));

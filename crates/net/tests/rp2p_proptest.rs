@@ -12,7 +12,7 @@ use dpu_core::{Call, Channel, Module, ModuleId, Response, ServiceId, StackId};
 use dpu_net::dgram::{self, Dgram, DgramMany};
 use dpu_net::rp2p::{Rp2pConfig, Rp2pModule};
 use dpu_net::udp::UdpModule;
-use dpu_sim::{Sim, SimConfig};
+use dpu_sim::{NetConfig, Sim, SimConfig, Topology};
 use proptest::prelude::*;
 
 struct Sink {
@@ -68,8 +68,7 @@ proptest! {
         plan in proptest::collection::vec((0u32..3, 0u32..3, 1usize..8), 1..6),
     ) {
         let mut cfg = SimConfig::lan(3, seed);
-        cfg.net.loss = loss;
-        cfg.net.duplicate = duplicate;
+        cfg.topology = Topology::flat(NetConfig { loss, duplicate, ..NetConfig::lan() });
         let mut sim = Sim::new(cfg, mk_stack);
         // Send the plan; tag each message with (sender, receiver, index).
         let mut expected: Vec<Vec<(StackId, Vec<u8>)>> = vec![vec![], vec![], vec![]];
@@ -136,9 +135,8 @@ proptest! {
         schedule in proptest::collection::vec((0u64..40, 0u32..2), 1..80),
     ) {
         let mut cfg = SimConfig::lan(2, seed);
-        cfg.net.loss = loss;
-        cfg.net.duplicate = duplicate;
-        cfg.net.jitter = Dur::micros(jitter_us);
+        let jitter = Dur::micros(jitter_us);
+        cfg.topology = Topology::flat(NetConfig { loss, duplicate, jitter, ..NetConfig::lan() });
         let mut sim = Sim::new(cfg, mk_stack);
         let mut sent = [0u16; 2];
         for &(pause, from) in &schedule {
@@ -193,8 +191,7 @@ proptest! {
         ),
     ) {
         let mut cfg = SimConfig::lan(3, seed);
-        cfg.net.loss = loss;
-        cfg.net.duplicate = duplicate;
+        cfg.topology = Topology::flat(NetConfig { loss, duplicate, ..NetConfig::lan() });
         let mut sim = Sim::new(cfg, mk_stack);
         // What each stack must receive: a message per listed occurrence,
         // in call order.

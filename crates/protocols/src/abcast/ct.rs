@@ -345,7 +345,7 @@ mod tests {
     use dpu_core::time::{Dur, Time};
     use dpu_core::wire;
     use dpu_core::StackId;
-    use dpu_sim::{Sim, SimConfig};
+    use dpu_sim::{NetConfig, Sim, SimConfig, Topology};
 
     fn ct_sim(n: u32, seed: u64) -> Sim {
         Sim::new(SimConfig::lan(n, seed), |sc| {
@@ -399,7 +399,7 @@ mod tests {
     #[test]
     fn survives_message_loss() {
         let mut cfg = SimConfig::lan(3, 11);
-        cfg.net.loss = 0.15;
+        cfg.topology = Topology::flat(NetConfig::lossy(0.15));
         let mut sim = Sim::new(cfg, |sc| {
             mk_stack(sc, || Box::new(CtAbcastModule::new(CtAbcastParams::default())))
         });

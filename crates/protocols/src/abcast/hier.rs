@@ -637,8 +637,7 @@ mod tests {
 
     #[test]
     fn loss_is_recovered_by_rp2p_underneath() {
-        let mut cfg = SimConfig::clustered(6, 11, 3, NetConfig::lossy(0.2), NetConfig::lossy(0.2));
-        cfg.net.loss = 0.2;
+        let cfg = SimConfig::clustered(6, 11, 3, NetConfig::lossy(0.2), NetConfig::lossy(0.2));
         let mut sim = Sim::new(cfg, |sc| mk_stack(sc, hier_default));
         sim.run_until(Time::ZERO + Dur::millis(50));
         for j in 0..10u8 {

@@ -274,7 +274,7 @@ mod tests {
     use crate::abcast::testkit::{abcast, assert_total_order, mk_stack, ABCAST};
     use dpu_core::time::Time;
     use dpu_core::wire;
-    use dpu_sim::{Sim, SimConfig};
+    use dpu_sim::{NetConfig, Sim, SimConfig, Topology};
 
     fn ring_sim(n: u32, seed: u64) -> Sim {
         Sim::new(SimConfig::lan(n, seed), |sc| {
@@ -336,7 +336,7 @@ mod tests {
     #[test]
     fn loss_is_recovered_by_rp2p_underneath() {
         let mut cfg = SimConfig::lan(3, 11);
-        cfg.net.loss = 0.2;
+        cfg.topology = Topology::flat(NetConfig::lossy(0.2));
         let mut sim = Sim::new(cfg, |sc| {
             mk_stack(sc, || Box::new(RingAbcastModule::new(RingAbcastParams::default())))
         });

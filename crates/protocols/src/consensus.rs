@@ -743,7 +743,7 @@ mod tests {
     use dpu_net::dgram::DgramMany;
     use dpu_net::rp2p::{Rp2pConfig, Rp2pModule};
     use dpu_net::udp::UdpModule;
-    use dpu_sim::{Sim, SimConfig};
+    use dpu_sim::{NetConfig, Sim, SimConfig, Topology};
 
     /// Records DECIDE responses; proposes on request.
     struct User {
@@ -877,7 +877,7 @@ mod tests {
     #[test]
     fn safety_holds_under_message_loss() {
         let mut cfg = SimConfig::lan(3, 21);
-        cfg.net.loss = 0.15;
+        cfg.topology = Topology::flat(NetConfig::lossy(0.15));
         let mut sim = Sim::new(cfg, mk_stack_with(CoordPolicy::Rotating));
         for k in 0..5u64 {
             for i in 0..3 {

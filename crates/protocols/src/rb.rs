@@ -181,7 +181,7 @@ mod tests {
     use dpu_core::ModuleId;
     use dpu_net::rp2p::{Rp2pConfig, Rp2pModule};
     use dpu_net::udp::UdpModule;
-    use dpu_sim::{Sim, SimConfig};
+    use dpu_sim::{NetConfig, Sim, SimConfig, Topology};
     use std::collections::BTreeSet;
 
     struct App {
@@ -300,7 +300,7 @@ mod tests {
     #[test]
     fn survives_message_loss_via_rp2p() {
         let mut cfg = SimConfig::lan(3, 11);
-        cfg.net.loss = 0.3;
+        cfg.topology = Topology::flat(NetConfig::lossy(0.3));
         let mut sim = Sim::new(cfg, mk_stack);
         for j in 0..10u8 {
             bcast(&mut sim, 0, &[j]);

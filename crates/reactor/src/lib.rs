@@ -88,11 +88,6 @@ pub struct ReactorConfig {
     /// (fault injection; the wire itself is loopback-reliable, so this
     /// is how the demos exercise rp2p recovery).
     pub loss: f64,
-    /// Record stack traces.
-    pub trace: bool,
-    /// Observability parameters (flight-ring capacity) handed to every
-    /// stack; telemetry itself is always on.
-    pub telemetry: TelemetryConfig,
 }
 
 impl ReactorConfig {
@@ -105,8 +100,6 @@ impl ReactorConfig {
             bind_addr: SocketAddr::from(([127, 0, 0, 1], 0)),
             seed: 0,
             loss: 0.0,
-            trace: false,
-            telemetry: TelemetryConfig::default(),
         }
     }
 }
@@ -305,10 +298,10 @@ impl Reactor {
                 id,
                 peers: Arc::clone(&peer_table),
                 seed: cfg.seed,
-                trace: cfg.trace,
+                trace: false,
                 // Like the live runtime: no topology model.
                 cluster_size: None,
-                telemetry: cfg.telemetry,
+                telemetry: TelemetryConfig::default(),
             }));
         }
         let (tx, rx) = unbounded::<Cmd>();

@@ -30,16 +30,12 @@
 //! * one **mailbox** (an unbounded crossbeam channel) carrying packet
 //!   deliveries, control requests and shutdown;
 //! * a `Router`, the [`ActionSink`] that applies the loss model and
-//!   posts each packet to the destination shard's mailbox, stamped with
-//!   a delivery time of `now + delay`;
-//! * a **delayed-delivery queue** (a min-heap by `(stamp, arrival)`)
-//!   holding packets until their stamp is due — per-packet latency costs
-//!   no thread any sleep, so one slow link never stalls the other stacks
-//!   of a shard.
+//!   posts each packet to the destination shard's mailbox.
 //!
-//! The shard loop is: deliver due packets → [`LiveShard::fire_due`] →
-//! block on the mailbox until the earlier of the next wake deadline and
-//! the next delivery stamp.
+//! The shard loop is: [`LiveShard::fire_due`] → block on the mailbox
+//! until the next wake deadline, handing each packet to
+//! [`LiveShard::deliver`] as it is taken off the mailbox — what
+//! `dpu-reactor` does with each datagram it reads off a socket.
 //!
 //! Control requests ([`Runtime::with_stack`], the reports) route to the
 //! owning shard as [`Ctl`] closures and run between events.
@@ -54,10 +50,8 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dpu_core::host::{ActionSink, Ctl, Host, LiveShard, LossModel, ShardPort, WallClock};
 use dpu_core::telemetry::{SocketCounters, TelemetryReport};
-use dpu_core::time::{Dur, Time};
+use dpu_core::time::Time;
 use dpu_core::{Stack, StackConfig, StackId, TelemetryConfig};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -76,30 +70,13 @@ pub struct RuntimeConfig {
     /// Probability of dropping an in-flight packet (fault injection for
     /// soak tests; uses an internal xorshift generator).
     pub loss: f64,
-    /// Artificial per-packet delivery delay. Applied as a delivery
-    /// *timestamp* on the receiving shard's timer wheel — no thread
-    /// sleeps, so delay on one packet never stalls other stacks.
-    pub delay: Dur,
-    /// Record stack traces.
-    pub trace: bool,
-    /// Observability parameters (flight-ring capacity) handed to every
-    /// stack; telemetry itself is always on.
-    pub telemetry: TelemetryConfig,
 }
 
 impl RuntimeConfig {
     /// `n` stacks with no fault injection, shard count picked
     /// automatically.
     pub fn new(n: u32) -> RuntimeConfig {
-        RuntimeConfig {
-            n,
-            shards: 0,
-            seed: 0,
-            loss: 0.0,
-            delay: Dur::ZERO,
-            trace: false,
-            telemetry: TelemetryConfig::default(),
-        }
+        RuntimeConfig { n, shards: 0, seed: 0, loss: 0.0 }
     }
 
     /// Set the shard-thread count (builder style). Capped to `n` at
@@ -123,9 +100,9 @@ impl RuntimeConfig {
 }
 
 enum ShardMsg {
-    /// Deliver `payload` from `src` to `dst` once the wall clock reaches
-    /// `at` (the sender already applied the loss model).
-    Deliver { dst: StackId, src: StackId, payload: Bytes, at: Time },
+    /// Deliver `payload` from `src` to `dst` (the sender already applied
+    /// the loss model).
+    Deliver { dst: StackId, src: StackId, payload: Bytes },
     /// Run a control closure against the shard.
     Ctl(Ctl<Router>),
     /// Stop the shard and return its stacks.
@@ -133,19 +110,17 @@ enum ShardMsg {
 }
 
 /// The sending half of the in-process network: executes a driver's
-/// `NetSend`s by routing each packet to the destination stack's shard,
-/// stamped with its delivery time.
+/// `NetSend`s by routing each packet to the destination stack's shard.
 struct Router {
     shard_of: Arc<Vec<u32>>,
     mailboxes: Vec<Sender<ShardMsg>>,
     /// This shard's share of [`Runtime::stats`].
     stats: SocketCounters,
     loss: LossModel,
-    delay: Dur,
 }
 
 impl ActionSink for Router {
-    fn net_send(&mut self, at: Time, src: StackId, dst: StackId, payload: Bytes) {
+    fn net_send(&mut self, _at: Time, src: StackId, dst: StackId, payload: Bytes) {
         self.stats.packets_sent += 1;
         if self.loss.drops() {
             self.stats.packets_dropped += 1;
@@ -156,50 +131,32 @@ impl ActionSink for Router {
             return;
         };
         // Ignore send errors: the destination shard may have shut down.
-        let _ = self.mailboxes[shard as usize].send(ShardMsg::Deliver {
-            dst,
-            src,
-            payload,
-            at: at + self.delay,
-        });
+        let _ = self.mailboxes[shard as usize].send(ShardMsg::Deliver { dst, src, payload });
     }
 }
-
-/// A packet waiting for its delivery stamp: `(stamp, arrival seq, local
-/// destination, source, payload)`. The unique `seq` gives FIFO
-/// tie-breaking (like the simulator's heap) and ends every comparison
-/// before it reaches the payload.
-type Delayed = Reverse<(Time, u64, usize, StackId, Bytes)>;
 
 /// One worker thread: a [`LiveShard`] over the mailbox transport.
 struct Shard {
     core: LiveShard,
     router: Router,
     mailbox: Receiver<ShardMsg>,
-    delayed: BinaryHeap<Delayed>,
-    delayed_seq: u64,
 }
 
 /// Upper bound on mailbox messages handled between deadline checks, so
-/// a flood of packets cannot starve due timers or delivery-timestamp
-/// ordering.
+/// a flood of packets cannot starve due timers.
 const DRAIN_BATCH: usize = 128;
 
 impl Shard {
     fn run(mut self) -> Vec<(StackId, Stack)> {
         loop {
-            let now = self.core.now();
-            self.deliver_due(now);
-            self.core.fire_due(now, &mut self.router);
+            self.core.fire_due(self.core.now(), &mut self.router);
             // Park on the mailbox until the earliest deadline — or
             // indefinitely when there is none, so an idle shard burns no
             // CPU. Every other wakeup arrives as a mailbox message, and
             // shutdown never relies on a timeout: [`Runtime::shutdown`]
             // and [`Runtime`]'s `Drop` both post an explicit `Stop` to
             // every mailbox.
-            let next_delivery = self.delayed.peek().map(|Reverse(d)| d.0);
-            let deadline = self.core.next_deadline().into_iter().chain(next_delivery).min();
-            let msg = match deadline {
+            let msg = match self.core.next_deadline() {
                 Some(at) => match self.mailbox.recv_timeout(at.since(self.core.now()).to_std()) {
                     Ok(msg) => msg,
                     Err(RecvTimeoutError::Timeout) => continue,
@@ -230,27 +187,15 @@ impl Shard {
     /// Returns `false` on `Stop`.
     fn handle(&mut self, msg: ShardMsg) -> bool {
         match msg {
-            ShardMsg::Deliver { dst, src, payload, at } => {
-                // Always through the queue, even when already due: it
-                // pops by (stamp, arrival seq), so a due packet cannot
-                // overtake an earlier-stamped one still parked there
-                // (per-sender FIFO survives `delay`).
+            ShardMsg::Deliver { dst, src, payload } => {
                 if let Some(local) = self.core.local_of(dst) {
-                    self.delayed.push(Reverse((at, self.delayed_seq, local, src, payload)));
-                    self.delayed_seq += 1;
+                    self.core.deliver(local, src, payload, &mut self.router);
                 }
             }
             ShardMsg::Ctl(ctl) => ctl.run(&mut self.core, &mut self.router),
             ShardMsg::Stop => return false,
         }
         true
-    }
-
-    fn deliver_due(&mut self, now: Time) {
-        while self.delayed.peek().is_some_and(|Reverse(d)| d.0 <= now) {
-            let Reverse((_, _, local, src, payload)) = self.delayed.pop().expect("peeked");
-            self.core.deliver(local, src, payload, &mut self.router);
-        }
     }
 }
 
@@ -309,11 +254,11 @@ impl Runtime {
                 id: StackId(i),
                 peers: Arc::clone(&peer_table),
                 seed: cfg.seed,
-                trace: cfg.trace,
+                trace: false,
                 // The live runtime has no topology model: one flat
                 // cluster, which locality-aware protocols degenerate to.
                 cluster_size: None,
-                telemetry: cfg.telemetry,
+                telemetry: TelemetryConfig::default(),
             };
             by_shard[shard_of[i as usize] as usize].push(mk_stack(sc));
         }
@@ -329,11 +274,8 @@ impl Runtime {
                         mailboxes: txs.clone(),
                         stats: SocketCounters::default(),
                         loss: LossModel::new(cfg.loss, cfg.seed, s as u64),
-                        delay: cfg.delay,
                     },
                     mailbox,
-                    delayed: BinaryHeap::new(),
-                    delayed_seq: 0,
                 };
                 std::thread::Builder::new()
                     .name(format!("dpu-shard-{s}"))
@@ -450,6 +392,7 @@ impl Drop for Runtime {
 mod tests {
     use super::*;
     use dpu_core::stack::{net_ops, FactoryRegistry, ModuleCtx};
+    use dpu_core::time::Dur;
     use dpu_core::wire::Encode;
     use dpu_core::{Call, Module, Response, ServiceId, TimerId};
     use std::time::{Duration, Instant};
@@ -611,49 +554,6 @@ mod tests {
         assert_eq!(got, 0);
         let stats = rt.stats();
         assert_eq!(stats.packets_dropped, stats.packets_sent);
-        rt.shutdown();
-    }
-
-    #[test]
-    fn delay_is_a_delivery_timestamp_not_a_sleep() {
-        // Pre-shard runtimes slept the whole node thread per delayed
-        // packet. Now the packet waits on the receiving shard's wheel:
-        // a control round-trip through the same (single) shard must
-        // complete in a fraction of the delay.
-        // Generous margins (2 s delay, 1 s bound) so a preempted CI
-        // runner does not flake the property.
-        let mut cfg = RuntimeConfig::new(2).with_shards(1);
-        cfg.delay = Dur::secs(2);
-        let rt = Runtime::spawn(cfg, mk);
-        let data = (StackId(1), Bytes::from_static(b"ping")).to_bytes();
-        rt.with_stack(StackId(0), move |s| {
-            s.call_as(PP, &ServiceId::new(dpu_core::svc::NET), net_ops::SEND, data)
-        });
-        let t0 = Instant::now();
-        let got_now = rt
-            .with_stack(StackId(1), |s| s.with_module::<PingPong, _>(PP, |p| p.got.len()).unwrap());
-        assert!(
-            t0.elapsed() < Duration::from_secs(1),
-            "shard stalled on packet delay: control round-trip took {:?}",
-            t0.elapsed()
-        );
-        // Only meaningful if we actually read back before the delivery
-        // time (a preempted runner could legitimately deliver by now).
-        if t0.elapsed() < Duration::from_secs(2) {
-            assert_eq!(got_now, 0, "packet must not arrive before its delivery time");
-        }
-        // The packet still arrives once its timestamp is due.
-        let deadline = Instant::now() + Duration::from_secs(15);
-        loop {
-            let got = rt.with_stack(StackId(1), |s| {
-                s.with_module::<PingPong, _>(PP, |p| p.got.len()).unwrap()
-            });
-            if got > 0 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "delayed packet never delivered");
-            std::thread::sleep(Duration::from_millis(10));
-        }
         rt.shutdown();
     }
 

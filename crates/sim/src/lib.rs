@@ -24,7 +24,7 @@
 //! Everything is driven from one seeded RNG family, so a run is a pure
 //! function of `(configuration, seed)` — every number the benchmark and
 //! the paper-figure binaries print is exactly reproducible, whatever the
-//! scheduler tuning (see [`SchedConfig`]) or worker count (see
+//! [`sched`] wheel's bucket width or the worker count (see
 //! [`SimConfig::workers`] and [`par`]).
 //!
 //! # The execution engine
@@ -148,9 +148,6 @@ pub struct SimConfig {
     /// Master seed; all randomness (jitter, loss, per-stack RNG streams,
     /// workload generators) derives from it.
     pub seed: u64,
-    /// Flat network model — the default link config. For non-flat shapes
-    /// set [`SimConfig::topology`] instead.
-    pub net: NetConfig,
     /// CPU model.
     pub cpu: CpuConfig,
     /// Record a trace in each stack: every bind, unbind, module lifetime
@@ -158,36 +155,30 @@ pub struct SimConfig {
     /// stack a fixed tail and what its replacements add, whatever the
     /// length of the run (`dpu_core::trace`).
     pub trace: bool,
-    /// Event scheduler tuning.
-    pub sched: SchedConfig,
-    /// Non-flat topology (clusters, per-link overrides). When `None` the
-    /// simulation is flat: every link uses [`SimConfig::net`].
-    pub topology: Option<Topology>,
+    /// The network: the [`NetConfig`] of every link class (one for a
+    /// flat topology, intra-cluster and backbone for a clustered one)
+    /// plus per-link overrides. A different link is a different
+    /// `NetConfig` handed to [`Topology::flat`] or
+    /// [`Topology::clustered`].
+    pub topology: Topology,
     /// Worker threads for the conservative parallel engine (default 1 =
     /// process every shard on the calling thread). The worker count
     /// never changes the result of a run — only its wall-clock time —
     /// and only clustered topologies have exploitable parallelism; see
     /// the [`par`] module docs.
     pub workers: usize,
-    /// Observability parameters (flight-ring capacity) handed to every
-    /// stack. Telemetry is always on and never affects simulation
-    /// results — it records, it does not feed back.
-    pub telemetry: TelemetryConfig,
 }
 
 impl SimConfig {
-    /// `n` machines on a healthy LAN.
+    /// `n` machines on a healthy LAN: `Topology::flat(NetConfig::lan())`.
     pub fn lan(n: u32, seed: u64) -> SimConfig {
         SimConfig {
             n,
             seed,
-            net: NetConfig::lan(),
             cpu: CpuConfig::default_cal(),
             trace: true,
-            sched: SchedConfig::default(),
-            topology: None,
+            topology: Topology::flat(NetConfig::lan()),
             workers: 1,
-            telemetry: TelemetryConfig::default(),
         }
     }
 
@@ -201,8 +192,7 @@ impl SimConfig {
         backbone: NetConfig,
     ) -> SimConfig {
         SimConfig {
-            net: intra.clone(),
-            topology: Some(Topology::clustered(cluster_size, intra, backbone)),
+            topology: Topology::clustered(cluster_size, intra, backbone),
             ..SimConfig::lan(n, seed)
         }
     }
@@ -525,7 +515,7 @@ impl Ord for ActionEntry {
 /// shard borrows stay disjoint from the read-only fields.
 macro_rules! shared_view {
     ($sim:expr) => {
-        SimShared { topology: &$sim.topology, cpu: &$sim.cfg.cpu, n: $sim.cfg.n }
+        SimShared { topology: &$sim.topology, cpu: &$sim.cpu, n: $sim.n }
     };
 }
 
@@ -542,7 +532,13 @@ macro_rules! topology_mut {
 
 /// The deterministic discrete-event host. See module docs.
 pub struct Sim {
-    cfg: SimConfig,
+    /// The [`SimConfig`] fields but `topology`, which is held once,
+    /// below.
+    n: u32,
+    seed: u64,
+    trace: bool,
+    cpu: CpuConfig,
+    workers: usize,
     now: Time,
     shards: Vec<Shard>,
     /// Barrier-time actions ([`Sim::schedule`]), run between stretches
@@ -590,34 +586,41 @@ fn shard_seed(seed: u64, idx: u32) -> u64 {
 impl Sim {
     /// Build a simulation; `mk_stack` constructs each stack from its
     /// [`StackConfig`] (attach factories, install modules, etc.).
-    pub fn new(mut cfg: SimConfig, mut mk_stack: impl FnMut(StackConfig) -> Stack) -> Sim {
-        let topology =
-            Arc::new(cfg.topology.take().unwrap_or_else(|| Topology::flat(cfg.net.clone())));
-        let nshards = topology.cluster_count(cfg.n) as usize;
+    pub fn new(cfg: SimConfig, mut mk_stack: impl FnMut(StackConfig) -> Stack) -> Sim {
+        let SimConfig { n, seed, cpu, trace, topology, workers } = cfg;
+        let nshards = topology.cluster_count(n) as usize;
         // A zero-latency backbone still advances one nanosecond an epoch.
-        let lookahead = topology.lookahead(cfg.n).map(|la| la.max(Dur::nanos(1)));
-        let cluster_size = topology.cluster_size().unwrap_or(cfg.n.max(1));
-        let peer_table = StackConfig::peer_table(cfg.n);
-        let mut shards = Vec::with_capacity(nshards);
+        let lookahead = topology.lookahead(n).map(|la| la.max(Dur::nanos(1)));
+        let cluster_size = topology.cluster_size().unwrap_or(n.max(1));
+        let mut sim = Sim {
+            n,
+            seed,
+            trace,
+            cpu,
+            workers,
+            now: Time::ZERO,
+            shards: Vec::with_capacity(nshards),
+            actions: BinaryHeap::new(),
+            action_seq: 0,
+            actions_dispatched: 0,
+            workloads: Vec::new(),
+            topology: Arc::new(topology),
+            peer_table: StackConfig::peer_table(n),
+            pool: None,
+            lookahead,
+        };
         for k in 0..nshards as u32 {
             let base = k * cluster_size;
-            let count = cluster_size.min(cfg.n - base);
+            let count = cluster_size.min(n - base);
             let drivers = (base..base + count)
-                .map(|i| {
-                    StackDriver::new(mk_stack(Self::mk_stack_config(
-                        &cfg,
-                        topology.cluster_size(),
-                        &peer_table,
-                        StackId(i),
-                    )))
-                })
+                .map(|i| StackDriver::new(mk_stack(sim.stack_config(StackId(i)))))
                 .collect();
-            shards.push(Shard {
+            sim.shards.push(Shard {
                 base,
                 nodes: NodeSlab::new(drivers),
-                sched: Scheduler::new(&cfg.sched, count as usize),
+                sched: Scheduler::new(&SchedConfig::default(), count as usize),
                 seq: 0,
-                rng: SmallRng::seed_from_u64(shard_seed(cfg.seed, k)),
+                rng: SmallRng::seed_from_u64(shard_seed(seed, k)),
                 stats: SimStats::default(),
                 now: Time::ZERO,
                 outbox: vec![Vec::new(); nshards],
@@ -625,40 +628,11 @@ impl Sim {
                 retired: ReportFold::default(),
             });
         }
-        let mut sim = Sim {
-            cfg,
-            now: Time::ZERO,
-            shards,
-            actions: BinaryHeap::new(),
-            action_seq: 0,
-            actions_dispatched: 0,
-            workloads: Vec::new(),
-            topology,
-            peer_table,
-            pool: None,
-            lookahead,
-        };
         // Stacks are born with pending Start deliveries.
-        for i in 0..sim.cfg.n {
+        for i in 0..n {
             sim.shard_of(StackId(i)).ensure_step(StackId(i));
         }
         sim
-    }
-
-    fn mk_stack_config(
-        cfg: &SimConfig,
-        cluster_size: Option<u32>,
-        peers: &Arc<[StackId]>,
-        id: StackId,
-    ) -> StackConfig {
-        StackConfig {
-            id,
-            peers: Arc::clone(peers),
-            seed: cfg.seed,
-            trace: cfg.trace,
-            cluster_size,
-            telemetry: cfg.telemetry,
-        }
     }
 
     #[inline]
@@ -670,7 +644,14 @@ impl Sim {
     /// The [`StackConfig`] node `id` was (and would again be) built from
     /// — used by churn workloads to construct replacement stacks.
     pub(crate) fn stack_config(&self, id: StackId) -> StackConfig {
-        Self::mk_stack_config(&self.cfg, self.topology.cluster_size(), &self.peer_table, id)
+        StackConfig {
+            id,
+            peers: Arc::clone(&self.peer_table),
+            seed: self.seed,
+            trace: self.trace,
+            cluster_size: self.topology.cluster_size(),
+            telemetry: TelemetryConfig::default(),
+        }
     }
 
     /// Current virtual time.
@@ -680,12 +661,12 @@ impl Sim {
 
     /// Number of stacks.
     pub fn n(&self) -> u32 {
-        self.cfg.n
+        self.n
     }
 
     /// All stack ids.
     pub fn stack_ids(&self) -> Vec<StackId> {
-        (0..self.cfg.n).map(StackId).collect()
+        (0..self.n).map(StackId).collect()
     }
 
     /// Run statistics so far: the per-shard partials folded into totals
@@ -819,7 +800,7 @@ impl Sim {
 
     /// Block all traffic between two clusters of the topology.
     pub fn partition_clusters(&mut self, a: u32, b: u32) {
-        let n = self.cfg.n;
+        let n = self.n;
         topology_mut!(self).partition_clusters(a, b, n);
     }
 
@@ -828,16 +809,11 @@ impl Sim {
         topology_mut!(self).heal_partitions();
     }
 
-    /// Change the loss probability from now on (applied to the default
-    /// link config and, in clustered topologies, the backbone; per-link
-    /// overrides are left alone).
+    /// Change the loss probability from now on, on every link class of
+    /// the topology: the flat or intra-cluster config and the backbone
+    /// (per-link overrides are left alone).
     pub fn set_loss(&mut self, loss: f64) {
-        self.cfg.net.loss = loss;
-        let topology = topology_mut!(self);
-        topology.default_mut().loss = loss;
-        if let Some(backbone) = topology.backbone_mut() {
-            backbone.loss = loss;
-        }
+        topology_mut!(self).set_loss(loss);
     }
 
     /// An RNG stream derived from the master seed and `salt`, independent
@@ -846,7 +822,7 @@ impl Sim {
     /// from here so runs stay pure functions of `(config, seed)`.
     pub(crate) fn derive_rng(&self, salt: u64) -> SmallRng {
         // splitmix64-style finalizer over (seed, salt).
-        SmallRng::seed_from_u64(mix64(self.cfg.seed ^ salt.wrapping_mul(0x9E3779B97F4A7C15)))
+        SmallRng::seed_from_u64(mix64(self.seed ^ salt.wrapping_mul(0x9E3779B97F4A7C15)))
     }
 
     pub(crate) fn register_workload(&mut self, name: String) -> usize {
@@ -898,7 +874,7 @@ impl Sim {
     /// processed on this thread or, with `workers > 1`, by the [`par`]
     /// worker pool; the results are identical.
     fn run_stretch(&mut self, bound: Time) {
-        let workers = self.cfg.workers.clamp(1, self.shards.len());
+        let workers = self.workers.clamp(1, self.shards.len());
         let lookahead = self.lookahead;
         if workers == 1 {
             let shared = shared_view!(self);
@@ -912,8 +888,8 @@ impl Sim {
             let shards = &mut self.shards;
             pool.stretch(
                 Arc::clone(&self.topology),
-                self.cfg.cpu.clone(),
-                self.cfg.n,
+                self.cpu.clone(),
+                self.n,
                 shards.len(),
                 |epoch| par::run_epochs(shards, lookahead, bound, epoch),
             );
@@ -1077,7 +1053,7 @@ mod tests {
     #[test]
     fn loss_drops_packets() {
         let mut cfg = SimConfig::lan(2, 3);
-        cfg.net.loss = 1.0;
+        cfg.topology = Topology::flat(NetConfig::lossy(1.0));
         let mut sim = Sim::new(cfg, pinger_stack);
         sim.run_until(Time::ZERO + Dur::millis(5));
         assert_eq!(sim.stats().packets_sent, 2);
@@ -1089,10 +1065,37 @@ mod tests {
     #[test]
     fn duplication_delivers_twice() {
         let mut cfg = SimConfig::lan(2, 3);
-        cfg.net.duplicate = 1.0;
+        cfg.topology = Topology::flat(NetConfig { duplicate: 1.0, ..NetConfig::lan() });
         let mut sim = Sim::new(cfg, pinger_stack);
         sim.run_until(Time::ZERO + Dur::millis(5));
         assert_eq!(sim.stats().packets_delivered, 4);
+    }
+
+    #[test]
+    fn clustered_faults_reach_every_link_class() {
+        // 6 stacks in clusters of 2, all-to-all: each stack pings its
+        // cluster mate over the intra link and 4 peers over the backbone
+        // (6 + 24 packets), so a fault missing either class shows.
+        let run = |intra: NetConfig, backbone: NetConfig, set_loss: bool| {
+            let mut sim = Sim::new(SimConfig::clustered(6, 13, 2, intra, backbone), pinger_stack);
+            if set_loss {
+                sim.set_loss(1.0);
+            }
+            sim.run_until(Time::ZERO + Dur::millis(50));
+            let stats = sim.stats();
+            assert_eq!(stats.packets_sent, 30);
+            stats
+        };
+        let lossy = NetConfig::lossy(1.0);
+        let stats = run(lossy.clone(), lossy, false);
+        assert_eq!(stats.packets_delivered, 0);
+        assert_eq!(stats.dropped_loss, stats.packets_sent);
+        let doubled = NetConfig { duplicate: 1.0, ..NetConfig::lan() };
+        let stats = run(doubled.clone(), doubled, false);
+        assert_eq!(stats.packets_delivered, 2 * stats.packets_sent);
+        let stats = run(NetConfig::lan(), NetConfig::lan(), true);
+        assert_eq!(stats.packets_delivered, 0);
+        assert_eq!(stats.dropped_loss, stats.packets_sent);
     }
 
     #[test]

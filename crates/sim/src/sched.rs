@@ -30,14 +30,19 @@
 //! cost per event is `O(1)` with small constants (24-byte key compares,
 //! `sort_unstable` over a handful of same-bucket entries).
 //!
-//! The level-0 width is the knob: a bucket should hold only a few
-//! events (so the serving sort stays trivial) while `slots³ × width`
+//! The level-0 width decides the constants: a bucket should hold only a
+//! few events (so the serving sort stays trivial) while `slots³ × width`
 //! still covers the protocol stack's timer range (rp2p retransmit
 //! 20–100 ms, fd heartbeat/timeout 20/100 ms all live in level 2). The
-//! 128 ns default keeps buckets near-singleton even with half a
-//! million datagrams in flight (a WAN-sustained profile) and measured
+//! 128 ns start keeps buckets near-singleton even with half a million
+//! datagrams in flight (a WAN-sustained profile) and measured
 //! best-or-equal across every profile swept; see `ARCHITECTURE.md` for
-//! the sensitivity data.
+//! the sensitivity data. From there the width adapts, Brown-style: the
+//! wheel tracks the average number of events per traversed level-0
+//! bucket and, when it drifts outside `[0.5, 2]`, halves or doubles the
+//! width and rebuilds. Resizing never changes the pop order — the wheel
+//! is order-exact for *any* width — so this is purely a constant-factor
+//! adaptation for event densities the starting width does not fit.
 //!
 //! # Determinism
 //!
@@ -58,30 +63,22 @@ use dpu_core::time::{Dur, Time};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Scheduler configuration, part of [`crate::SimConfig`].
+/// Scheduler geometry. The simulator builds every wheel with the
+/// default; tests and the benchmark's kernels sweep it.
 #[derive(Clone, Debug)]
 pub struct SchedConfig {
-    /// Level-0 bucket width; rounded up to a power of two of
-    /// nanoseconds. See the module docs for the trade-off; the default
-    /// is 128 ns. With [`SchedConfig::adaptive`] set this is only the
-    /// starting width.
+    /// Starting level-0 bucket width, rounded up to a power of two of
+    /// nanoseconds; the wheel adapts it as it runs (see the module
+    /// docs). Default 128 ns.
     pub bucket: Dur,
     /// Buckets per wheel level; rounded up to a power of two, minimum
     /// 64. Three levels cover `bucket × slots³`. Default 256.
     pub buckets: usize,
-    /// Brown-style adaptive bucket width (default on): the wheel tracks
-    /// the average number of events per traversed level-0 bucket and,
-    /// when it drifts outside `[0.5, 2]`, halves or doubles the bucket
-    /// width and rebuilds. Resizing never changes the pop order — the
-    /// wheel is order-exact for *any* width — so this is purely a
-    /// constant-factor adaptation for event densities the fixed default
-    /// width does not fit.
-    pub adaptive: bool,
 }
 
 impl Default for SchedConfig {
     fn default() -> SchedConfig {
-        SchedConfig { bucket: Dur::nanos(128), buckets: 256, adaptive: true }
+        SchedConfig { bucket: Dur::nanos(128), buckets: 256 }
     }
 }
 
@@ -213,10 +210,9 @@ pub struct Scheduler<E> {
     /// Cached `overflow` head, so the per-pop comparison against the
     /// far future is a register compare, not a heap peek.
     overflow_min: Option<WheelKey>,
-    /// Adaptive-width state (see [`SchedConfig::adaptive`]): events
-    /// served, serving refills, and level-0 buckets traversed since the
-    /// last resize decision.
-    adaptive: bool,
+    /// Adaptive-width state (see the module docs): events served,
+    /// serving refills, and level-0 buckets traversed since the last
+    /// resize decision.
     served_events: u64,
     served_refills: u64,
     l0_advanced: u64,
@@ -255,7 +251,6 @@ impl<E> Scheduler<E> {
             in_levels: 0,
             overflow: BinaryHeap::new(),
             overflow_min: None,
-            adaptive: cfg.adaptive,
             served_events: 0,
             served_refills: 0,
             l0_advanced: 0,
@@ -279,8 +274,7 @@ impl<E> Scheduler<E> {
         self.len == 0
     }
 
-    /// How many adaptive bucket-width resizes the wheel has performed
-    /// (always 0 with `adaptive` off).
+    /// How many adaptive bucket-width resizes the wheel has performed.
     pub fn resizes(&self) -> u64 {
         self.resizes
     }
@@ -474,7 +468,7 @@ impl<E> Scheduler<E> {
     }
 
     fn pop_key(&mut self, horizon: Time) -> Option<WheelKey> {
-        if self.adaptive && self.served_events + self.served_refills >= RESIZE_PERIOD {
+        if self.served_events + self.served_refills >= RESIZE_PERIOD {
             self.maybe_resize();
         }
         if self.serving.is_empty() && self.late.is_empty() {
@@ -555,7 +549,7 @@ mod tests {
 
     #[test]
     fn wheel_agrees_with_heap_on_interleaved_pushes_and_pops() {
-        let cfg = SchedConfig { bucket: Dur::micros(1), buckets: 64, adaptive: true };
+        let cfg = SchedConfig { bucket: Dur::micros(1), buckets: 64 };
         let mut a = Heap::default();
         let mut b = Scheduler::<u64>::new(&cfg, 4);
         // A deterministic pseudo-random schedule with ties, far timers,
@@ -605,7 +599,7 @@ mod tests {
     fn far_future_events_survive_idle_jumps() {
         // Events beyond the wheel horizon (overflow), popped after long
         // idle gaps, interleaved with new near-term pushes.
-        let cfg = SchedConfig { bucket: Dur::micros(1), buckets: 64, adaptive: true };
+        let cfg = SchedConfig { bucket: Dur::micros(1), buckets: 64 };
         let mut s = Scheduler::new(&cfg, 2);
         s.push(Time::ZERO + Dur::secs(3600), 0, "hour");
         s.push(Time(5), 1, "now");
@@ -621,7 +615,7 @@ mod tests {
     fn same_bucket_late_pushes_keep_order() {
         // Events pushed into the *serving* bucket while it is being
         // drained must interleave by (time, seq).
-        let cfg = SchedConfig { bucket: Dur::millis(1), buckets: 64, adaptive: true };
+        let cfg = SchedConfig { bucket: Dur::millis(1), buckets: 64 };
         let mut s = Scheduler::new(&cfg, 1);
         s.push(Time(500), 0, "a");
         s.push(Time(900), 1, "c");
@@ -638,7 +632,7 @@ mod tests {
     /// reference heap in lockstep; the pop streams must match exactly
     /// and the wheel must actually have resized in the given direction.
     fn adaptive_agrees_with_heap(start_bucket: Dur, spacing_ns: u64) -> u64 {
-        let cfg = SchedConfig { bucket: start_bucket, buckets: 64, adaptive: true };
+        let cfg = SchedConfig { bucket: start_bucket, buckets: 64 };
         let mut heap = Heap::default();
         let mut wheel = Scheduler::<u64>::new(&cfg, 1);
         // Steady-state pop/push at a fixed event spacing: enough
@@ -677,17 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn non_adaptive_wheel_never_resizes() {
-        let cfg = SchedConfig { adaptive: false, bucket: Dur::millis(1), ..SchedConfig::default() };
-        let mut s = Scheduler::new(&cfg, 1);
-        for seq in 0..30_000u64 {
-            s.push(Time(seq * 10), seq, seq);
-        }
-        while s.pop_before(FAR).is_some() {}
-        assert_eq!(s.resizes(), 0);
-    }
-
-    #[test]
     fn next_time_peeks_without_consuming() {
         let mut s = Scheduler::new(&SchedConfig::default(), 1);
         assert_eq!(s.next_time(), None);
@@ -708,7 +691,7 @@ mod tests {
     fn cascades_across_all_levels_preserve_order() {
         // Entries at every level of a tiny wheel (64 slots: L0 64µs,
         // L1 4.1ms, L2 262ms, overflow beyond ~16.8s at 1µs buckets).
-        let cfg = SchedConfig { bucket: Dur::micros(1), buckets: 64, adaptive: true };
+        let cfg = SchedConfig { bucket: Dur::micros(1), buckets: 64 };
         let mut s = Scheduler::new(&cfg, 1);
         let times = [
             3u64,

@@ -97,8 +97,9 @@ impl NetConfig {
 /// partition check.
 #[derive(Clone, Debug)]
 pub struct Topology {
-    /// Flat default, used when no override or cluster rule applies. This
-    /// is the config `SimConfig::net` seeds and `Sim::set_loss` mutates.
+    /// Flat default, used when no override or cluster rule applies: the
+    /// one link config of a flat topology, the intra-cluster one of a
+    /// clustered topology.
     default: NetConfig,
     /// Nodes per cluster (`None` = flat topology, every pair uses
     /// `default`). Node `i` belongs to cluster `i / cluster_size`.
@@ -169,14 +170,14 @@ impl Topology {
         &self.default
     }
 
-    /// The flat default config (mutable, for `Sim::set_loss`).
-    pub(crate) fn default_mut(&mut self) -> &mut NetConfig {
-        &mut self.default
-    }
-
-    /// The backbone config, if clustered (mutable, for `Sim::set_loss`).
-    pub(crate) fn backbone_mut(&mut self) -> Option<&mut NetConfig> {
-        self.backbone.as_mut()
+    /// Set the loss probability of the default config and, if clustered,
+    /// the backbone (`Sim::set_loss`); per-link overrides are left
+    /// alone.
+    pub(crate) fn set_loss(&mut self, loss: f64) {
+        self.default.loss = loss;
+        if let Some(backbone) = &mut self.backbone {
+            backbone.loss = loss;
+        }
     }
 
     /// Block traffic in both directions between the two node groups.

@@ -8,7 +8,7 @@ use dpu_core::stack::{net_ops, FactoryRegistry, ModuleCtx};
 use dpu_core::time::{Dur, Time};
 use dpu_core::wire::Encode;
 use dpu_core::{Call, Module, Response, ServiceId, Stack, StackConfig, StackId, TimerId};
-use dpu_sim::{Sim, SimConfig, SimStats};
+use dpu_sim::{NetConfig, Sim, SimConfig, SimStats, Topology};
 use proptest::prelude::*;
 
 /// A busy little module: periodically sends to a rotating peer, counts
@@ -65,8 +65,7 @@ fn mk_stack(sc: StackConfig) -> Stack {
 
 fn run(n: u32, seed: u64, loss: f64, duplicate: f64, millis: u64) -> (SimStats, u64) {
     let mut cfg = SimConfig::lan(n, seed);
-    cfg.net.loss = loss;
-    cfg.net.duplicate = duplicate;
+    cfg.topology = Topology::flat(NetConfig { loss, duplicate, ..NetConfig::lan() });
     let mut sim = Sim::new(cfg, mk_stack);
     sim.run_until(Time::ZERO + Dur::millis(millis));
     let stats = sim.stats().clone();

@@ -94,16 +94,15 @@ struct Scenario {
 }
 
 fn run(sc: &Scenario, workers: usize) -> (SimStats, u64, HistSummary) {
-    let intra = NetConfig::lan();
+    // The faults ride on both link classes.
+    let intra = NetConfig { loss: sc.loss, duplicate: sc.duplicate, ..NetConfig::lan() };
     let backbone = NetConfig {
         latency: Dur::micros(sc.backbone_us),
         jitter: Dur::micros(sc.backbone_us / 4),
-        ..NetConfig::lan()
+        ..intra.clone()
     };
-    let mut cfg = SimConfig::clustered(sc.n, sc.seed, sc.cluster_size, intra, backbone);
-    cfg.net.loss = sc.loss;
-    cfg.net.duplicate = sc.duplicate;
-    cfg.workers = workers;
+    let cfg =
+        SimConfig::clustered(sc.n, sc.seed, sc.cluster_size, intra, backbone).with_workers(workers);
     let mut sim = Sim::new(cfg, mk_stack);
     if sc.crash {
         sim.crash_at(Time::ZERO + Dur::millis(sc.millis / 2), StackId(sc.n - 1));

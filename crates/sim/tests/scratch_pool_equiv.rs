@@ -87,15 +87,15 @@ struct Scenario {
 /// One full run, with the per-stack residual checks every run must
 /// pass; returns the stats and the folded wire totals.
 fn run(sc: &Scenario, workers: usize) -> (SimStats, ScratchStats) {
-    let intra = NetConfig::lan();
+    // The loss rides on both link classes.
+    let intra = NetConfig::lossy(sc.loss);
     let backbone = NetConfig {
         latency: Dur::micros(sc.backbone_us),
         jitter: Dur::micros(sc.backbone_us / 4),
-        ..NetConfig::lan()
+        ..intra.clone()
     };
-    let mut cfg = SimConfig::clustered(sc.n, sc.seed, sc.cluster_size, intra, backbone);
-    cfg.net.loss = sc.loss;
-    cfg.workers = workers;
+    let cfg =
+        SimConfig::clustered(sc.n, sc.seed, sc.cluster_size, intra, backbone).with_workers(workers);
     let mut sim = Sim::new(cfg, mk_stack);
     if sc.crash {
         sim.crash_at(Time::ZERO + Dur::millis(sc.millis / 2), StackId(sc.n - 1));

@@ -63,7 +63,11 @@ impl Module for Beacon {
     }
 }
 
+/// Two-slot rings: lifecycle events overflow within a few switches, so
+/// `flight_dropped` has a per-stack part a restart could lose. The
+/// churn factory builds its replacements here too.
 fn mk_stack(sc: StackConfig) -> Stack {
+    let sc = StackConfig { telemetry: TelemetryConfig { flight_capacity: 2 }, ..sc };
     let mut s = Stack::new(sc, FactoryRegistry::new());
     s.add_module(Box::new(Beacon { received: 0 }));
     s
@@ -91,10 +95,7 @@ fn counters(r: &TelemetryReport) -> Vec<(&'static str, u64)> {
 #[test]
 fn every_report_counter_is_monotone_across_restarts() {
     const N: u32 = 12;
-    let mut cfg = SimConfig::clustered(N, 0xBEAC, 4, NetConfig::lan(), NetConfig::lan());
-    // Two-slot rings: lifecycle events overflow within a few switches,
-    // so `flight_dropped` has a per-stack part a restart could lose.
-    cfg.telemetry = TelemetryConfig { flight_capacity: 2 };
+    let cfg = SimConfig::clustered(N, 0xBEAC, 4, NetConfig::lan(), NetConfig::lan());
     let mut sim = Sim::new(cfg, mk_stack);
 
     let until = Time::ZERO + Dur::millis(200);

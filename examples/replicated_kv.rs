@@ -14,7 +14,7 @@
 
 use bytes::Bytes;
 use dpu::repl::builder::{build, request_change, specs, GroupStackOpts, SwitchLayer};
-use dpu::sim::{Sim, SimConfig};
+use dpu::sim::{NetConfig, Sim, SimConfig, Topology};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::{Dur, Time};
 use dpu_core::wire::{self, Encode};
@@ -91,7 +91,7 @@ fn main() {
     // 2% packet loss on the LAN: enough that rp2p's retransmission and
     // resequencing machinery actually does work worth observing.
     let mut cfg = SimConfig::lan(5, 7);
-    cfg.net.loss = 0.02;
+    cfg.topology = Topology::flat(NetConfig::lossy(0.02));
     let mut sim = Sim::new(cfg, |sc| {
         let mut built = build(sc, &opts);
         let top = built.handles.top_service;

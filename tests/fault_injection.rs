@@ -7,7 +7,7 @@ use dpu::repl::builder::{
     check_run, drive_load, group_sim, request_change, send_probe, specs, GroupStackOpts,
     SwitchLayer,
 };
-use dpu::sim::SimConfig;
+use dpu::sim::{NetConfig, SimConfig, Topology};
 use dpu_core::time::{Dur, Time};
 use dpu_core::StackId;
 
@@ -24,7 +24,7 @@ fn opts() -> GroupStackOpts {
 #[test]
 fn switch_survives_heavy_message_loss() {
     let mut cfg = SimConfig::lan(3, 5);
-    cfg.net.loss = 0.20;
+    cfg.topology = Topology::flat(NetConfig::lossy(0.20));
     let (mut sim, h) = group_sim(cfg, &opts());
     sim.run_until(Time::ZERO + Dur::millis(500));
     let until = sim.now() + Dur::secs(3);
@@ -47,7 +47,7 @@ fn switch_survives_heavy_message_loss() {
 #[test]
 fn switch_survives_duplicated_packets() {
     let mut cfg = SimConfig::lan(3, 9);
-    cfg.net.duplicate = 0.3;
+    cfg.topology = Topology::flat(NetConfig { duplicate: 0.3, ..NetConfig::lan() });
     let (mut sim, h) = group_sim(cfg, &opts());
     sim.run_until(Time::ZERO + Dur::millis(300));
     let until = sim.now() + Dur::secs(2);
@@ -172,7 +172,6 @@ fn hier_spec(ns: u64) -> dpu_core::ModuleSpec {
 }
 
 fn clustered_cfg(n: u32, seed: u64, sz: u32) -> SimConfig {
-    use dpu::sim::NetConfig;
     SimConfig::clustered(n, seed, sz, NetConfig::datacenter(), NetConfig::lan())
 }
 

@@ -10,7 +10,7 @@ use dpu::protocols::gm::{GmOp, GmParams, View};
 use dpu::repl::builder::{
     check_run, drive_load, group_sim, request_change, specs, GroupStackOpts, SwitchLayer,
 };
-use dpu::sim::SimConfig;
+use dpu::sim::{NetConfig, SimConfig, Topology};
 use dpu_core::probe::ProbeMsg;
 use dpu_core::time::{Dur, Time};
 use dpu_core::wire::testing::assert_wire_contract;
@@ -204,7 +204,7 @@ proptest! {
         switch_ms in 500u64..1500,
     ) {
         let mut cfg = SimConfig::lan(3, seed);
-        cfg.net.loss = loss;
+        cfg.topology = Topology::flat(NetConfig::lossy(loss));
         let opts = GroupStackOpts {
             abcast: specs::ct(0),
             layer: SwitchLayer::Repl,

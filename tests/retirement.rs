@@ -103,7 +103,7 @@ fn laggard_run(spec: fn(u64) -> ModuleSpec, seed: u64, lag: Dur, rate: f64) -> L
     for src in 0..N - 1 {
         topology.set_link(StackId(src), laggard, held_back.clone());
     }
-    let cfg = SimConfig { topology: Some(topology), ..SimConfig::lan(N, seed) };
+    let cfg = SimConfig { topology, ..SimConfig::lan(N, seed) };
     let opts = GroupStackOpts { abcast: spec(0), ..GroupStackOpts::default() };
     let (mut sim, h) = group_sim(cfg, &opts);
     let ids = sim.stack_ids();

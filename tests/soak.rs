@@ -7,7 +7,7 @@
 use dpu::repl::builder::{
     check_run, drive_load, request_change, specs, GroupStackOpts, SwitchLayer,
 };
-use dpu::sim::SimConfig;
+use dpu::sim::{NetConfig, SimConfig, Topology};
 use dpu_core::time::{Dur, Time};
 use dpu_core::StackId;
 use dpu_protocols::gm::{GmModule, GmParams, View};
@@ -16,7 +16,7 @@ use dpu_repl::abcast_repl::ReplAbcastModule;
 #[test]
 fn full_architecture_soak() {
     let mut sim_cfg = SimConfig::lan(7, 2006);
-    sim_cfg.net.loss = 0.05;
+    sim_cfg.topology = Topology::flat(NetConfig::lossy(0.05));
     let opts = GroupStackOpts {
         abcast: specs::ct(0),
         layer: SwitchLayer::Repl,
