@@ -68,8 +68,9 @@ pub use trace::{Chain, TraceEvent, TraceLog};
 pub mod svc {
     /// The raw network service provided by the host environment (the
     /// paper's "Net" at the bottom of Figure 1). Calls on it become
-    /// [`crate::HostAction::NetSend`]; on a stack with no module bound to
-    /// [`UDP`], packet arrivals come back as responses on it.
+    /// [`crate::HostAction::NetSend`] inside the caller's step, as calls on
+    /// [`UDP`] do; on a stack with no module bound to [`UDP`], packet
+    /// arrivals come back as responses on it.
     pub const NET: &str = "net";
 
     /// The unreliable datagram service (the paper's "UDP", the bottom of

@@ -140,13 +140,13 @@ pub trait Module: Any + Send {
     }
 
     /// The mirror of [`Module::on_packet`], on the way out: what this
-    /// module, bound to [`crate::svc::UDP`], would put on the wire for a
-    /// call `op` with payload `data` — `(destination, datagram)`. The
-    /// stack asks it when the call is made (the call is traced as any
-    /// other) and hands the datagram to the host inside the caller's
-    /// step, so no step of this module sends. `None` — the default, and
-    /// the answer for a call it would not send — queues the call to
-    /// [`Module::on_call`] as for any other service.
+    /// module, bound to [`crate::svc::UDP`] or [`crate::svc::NET`], would
+    /// put on the wire for a call `op` with payload `data` —
+    /// `(destination, datagram)`. The stack asks it when the call is made
+    /// (the call is traced as any other) and hands the datagram to the
+    /// host inside the caller's step, so no step of this module sends.
+    /// `None` — the default, and the answer for a call it would not send
+    /// — queues the call to [`Module::on_call`] as for any other service.
     fn on_send(&mut self, op: Op, data: &Bytes) -> Option<(StackId, Bytes)> {
         let _ = (op, data);
         None

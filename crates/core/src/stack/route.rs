@@ -1,7 +1,8 @@
 //! Where work goes: the one call path, the one response path, the
-//! hold-back for a listener not created yet, and the stack's edge —
-//! [`Stack::packet_in`] and, for stacks without `udp`, the built-in
-//! [`NetBridge`].
+//! hold-back for a listener not created yet, and the stack's edge — a
+//! call to `udp` or `net` sent inside the caller's step on the way out,
+//! [`Stack::packet_in`] on the way in, and, for stacks without `udp`, the
+//! built-in [`NetBridge`] that answers for `net`.
 
 use super::dispatch::{Delivery, Work};
 use super::{HostAction, ModuleCtx, Stack};
@@ -9,6 +10,7 @@ use crate::ids::{Channel, ModuleId, ServiceId, StackId};
 use crate::module::{Call, Module, Op, Response};
 use crate::time::Time;
 use crate::trace::TraceEvent;
+use crate::wire;
 use bytes::Bytes;
 use std::sync::OnceLock;
 
@@ -48,11 +50,14 @@ fn udp_service() -> &'static ServiceId {
 }
 
 /// The built-in module bound to the `net` service, for stacks with no
-/// `udp` module (test sinks, load generators, ping-pong probes): it turns
-/// `net.SEND` calls into [`HostAction::NetSend`], and [`Stack::packet_in`]
-/// fans arrivals out as `net.RECV` responses in its name. A stack built
-/// over `udp` never steps it: the edge sends for `udp`
-/// ([`Module::on_send`]) and responds on `udp` ([`Module::on_packet`]).
+/// `udp` module (test sinks, load generators, ping-pong probes). It is
+/// never stepped for a datagram either way: a `net.SEND` call leaves at
+/// the edge inside the caller's step ([`Module::on_send`], the decoded
+/// destination and a window on the caller's payload), and
+/// [`Stack::packet_in`] fans arrivals out as `net.RECV` responses in its
+/// name. A call the edge does not send — one released after blocking, or
+/// one `on_send` refuses — is queued to [`Module::on_call`], which sends
+/// what `on_send` would have.
 pub(super) struct NetBridge;
 
 impl Module for NetBridge {
@@ -69,11 +74,18 @@ impl Module for NetBridge {
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
-        if call.op == net_ops::SEND {
-            if let Ok((dst, payload)) = call.decode::<(StackId, Bytes)>() {
-                ctx.net_send(dst, payload);
-            }
+        if let Some((dst, payload)) = self.on_send(call.op, &call.data) {
+            ctx.net_send(dst, payload);
         }
+    }
+
+    fn on_send(&mut self, op: Op, data: &Bytes) -> Option<(StackId, Bytes)> {
+        if op != net_ops::SEND {
+            return None;
+        }
+        // Decoding `Bytes` is zero-copy: the datagram is a window on the
+        // caller's payload, not a re-encoding of it.
+        wire::from_bytes(data).ok()
     }
 
     fn on_response(&mut self, _ctx: &mut ModuleCtx<'_>, _resp: Response) {}
@@ -86,11 +98,11 @@ impl Stack {
         self.enqueue_call(Call { service: *service, op, data, from });
     }
 
-    /// The one call path. A call to `udp` is also the edge on the way
-    /// out: the module bound there is asked what it would put on the wire
-    /// ([`Module::on_send`]) and the datagram leaves inside the caller's
-    /// step, with the call traced as any other — so a rebinding still
-    /// redirects it — and the `udp` module never stepped. Its slot holds
+    /// The one call path. A call to `udp` or `net` is also the edge on
+    /// the way out: the module bound there is asked what it would put on
+    /// the wire ([`Module::on_send`]) and the datagram leaves inside the
+    /// caller's step, with the call traced as any other — so a rebinding
+    /// still redirects it — and that module never stepped. Its slot holds
     /// it (only the caller is out), unless it is the caller itself; an
     /// answer of `None` takes the queued path.
     pub(super) fn enqueue_call(&mut self, call: Call) {
@@ -117,7 +129,7 @@ impl Stack {
                 to,
             },
         );
-        if call.service == *udp_service() {
+        if call.service == *udp_service() || call.service == *net_service() {
             let module = self.modules.get_mut(&to).and_then(|slot| slot.module.as_mut());
             if let Some((dst, payload)) = module.and_then(|m| m.on_send(call.op, &call.data)) {
                 return self.actions.push(HostAction::NetSend { dst, payload });
@@ -271,10 +283,11 @@ mod tests {
     fn net_bridge_turns_send_calls_into_host_actions() {
         let mut stack = new_stack();
         let client = stack.add_module(Box::new(Client::default()));
+        run_until_idle(&mut stack); // the `on_start`s
         let payload = Bytes::from_static(b"datagram");
         let data = (StackId(2), payload.clone()).to_bytes();
         stack.call_as(client, &ServiceId::new(crate::svc::NET), net_ops::SEND, data);
-        run_until_idle(&mut stack);
+        assert_eq!(steps_and_actions(&mut stack), vec![], "no step sends the datagram");
         let actions: Vec<_> = stack.drain_actions().collect();
         assert_eq!(actions, vec![HostAction::NetSend { dst: StackId(2), payload }]);
     }
@@ -554,8 +567,9 @@ mod tests {
         }
     }
 
-    /// Calls `udp` SEND with its payload from its own `on_start`.
-    struct Sender(&'static [u8]);
+    /// Calls service `.0` with op `.1` and payload `.2` from its own
+    /// `on_start`.
+    struct Sender(&'static str, Op, Bytes);
 
     impl Module for Sender {
         fn kind(&self) -> &str {
@@ -568,10 +582,15 @@ mod tests {
             Vec::new()
         }
         fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
-            ctx.call(&ServiceId::new(crate::svc::UDP), 1, Bytes::from_static(self.0));
+            ctx.call(&ServiceId::new(self.0), self.1, self.2.clone());
         }
         fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
         fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
+    }
+
+    /// A [`Sender`] of `udp` SEND (op 1) with `payload`.
+    fn udp_sender(payload: &'static [u8]) -> Sender {
+        Sender(crate::svc::UDP, 1, Bytes::from_static(payload))
     }
 
     /// Steps until idle: `(module, category, actions drained after it)`.
@@ -594,7 +613,7 @@ mod tests {
         stack.bind(&ServiceId::new(crate::svc::UDP), wire);
         run_until_idle(&mut stack);
         stack.take_trace();
-        let sender = stack.add_module(Box::new(Sender(b"dgram")));
+        let sender = stack.add_module(Box::new(udp_sender(b"dgram")));
         assert_eq!(
             steps_and_actions(&mut stack),
             vec![(sender, StepCategory::Start, sent(b"dgram"))],
@@ -618,7 +637,7 @@ mod tests {
     #[test]
     fn a_call_to_an_unbound_udp_blocks_and_is_released_to_a_step() {
         let mut stack = new_stack();
-        let sender = stack.add_module(Box::new(Sender(b"early")));
+        let sender = stack.add_module(Box::new(udp_sender(b"early")));
         run_until_idle(&mut stack);
         assert!(stack.drain_actions().next().is_none(), "nothing bound to `udp`: the call waits");
         let wire = stack.add_module(Box::new(Wire { edge: true }));
@@ -643,10 +662,60 @@ mod tests {
         let wire = stack.add_module(Box::new(Wire { edge: false }));
         stack.bind(&ServiceId::new(crate::svc::UDP), wire);
         run_until_idle(&mut stack);
-        let sender = stack.add_module(Box::new(Sender(b"dgram")));
+        let sender = stack.add_module(Box::new(udp_sender(b"dgram")));
         assert_eq!(
             steps_and_actions(&mut stack),
             vec![(sender, StepCategory::Start, vec![]), (wire, StepCategory::Call, sent(b"dgram"))]
+        );
+    }
+
+    #[test]
+    fn a_call_to_net_leaves_at_the_edge_inside_the_callers_step() {
+        let net = ServiceId::new(crate::svc::NET);
+        let mut stack = new_stack();
+        run_until_idle(&mut stack); // the bridge's `on_start`
+        stack.take_trace();
+        let bridge = stack.bound(&net).unwrap();
+        let data = (StackId(2), Bytes::from_static(b"dgram")).to_bytes();
+        let sender = Sender(crate::svc::NET, net_ops::SEND, data.clone());
+        let caller = stack.add_module(Box::new(sender));
+        assert_eq!(
+            steps_and_actions(&mut stack),
+            vec![(caller, StepCategory::Start, sent(b"dgram"))],
+            "one step, the caller's, and the datagram with it"
+        );
+        assert!(!stack.has_work());
+        let calls: Vec<_> = stack
+            .trace()
+            .events()
+            .filter_map(|(_, e)| match e {
+                TraceEvent::Call { service, from, to, .. } => Some((service.name(), *from, *to)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(calls, [(crate::svc::NET, caller, bridge)], "traced to the bridge");
+
+        // A wrong op, a payload that does not decode, one with bytes left
+        // over: queued to the bridge, which sends none of them.
+        let mut trailing = data.to_vec();
+        trailing.push(0);
+        for (op, data) in [
+            (net_ops::RECV, data.clone()),
+            (net_ops::SEND, Bytes::from_static(b"\xff")),
+            (net_ops::SEND, Bytes::from(trailing)),
+        ] {
+            stack.call_as(caller, &net, op, data);
+            assert_eq!(steps_and_actions(&mut stack), vec![(bridge, StepCategory::Call, vec![])]);
+        }
+
+        // A call the edge cannot take — released by a bind after blocking
+        // — is a step of the bridge, and sends the same datagram.
+        stack.unbind(&net);
+        stack.call_as(caller, &net, net_ops::SEND, data);
+        stack.bind(&net, bridge);
+        assert_eq!(
+            steps_and_actions(&mut stack),
+            vec![(bridge, StepCategory::Call, sent(b"dgram"))]
         );
     }
 

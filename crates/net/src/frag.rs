@@ -17,6 +17,7 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, WireResult};
 use dpu_core::{Call, Channel, Module, Response, ServiceId, StackId};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Module kind name, for factory registration.
@@ -160,24 +161,32 @@ impl FragModule {
         }
         let slots = self.slots.entry(src).or_default();
         let order = self.order.entry(src).or_default();
-        let slot = slots.entry(frag.msg_id).or_insert_with(|| {
-            order.push_back(frag.msg_id);
-            Slot { count: frag.count, channel: frag.channel, parts: BTreeMap::new() }
-        });
-        slot.parts.insert(frag.index, frag.data);
-        if slot.parts.len() as u32 == slot.count {
-            let slot = slots.remove(&frag.msg_id).expect("just present");
-            order.retain(|&id| id != frag.msg_id);
-            let total: usize = slot.parts.values().map(Bytes::len).sum();
-            let mut whole = BytesMut::with_capacity(total);
-            for (_, part) in slot.parts {
-                whole.extend_from_slice(&part);
+        match slots.entry(frag.msg_id) {
+            // A fragment that opens a slot never completes it: a one-part
+            // message took the fast path above.
+            Entry::Vacant(entry) => {
+                order.push_back(frag.msg_id);
+                let parts = BTreeMap::from([(frag.index, frag.data)]);
+                entry.insert(Slot { count: frag.count, channel: frag.channel, parts });
             }
-            self.messages_reassembled += 1;
-            let d = Dgram { peer: src, channel: slot.channel, data: whole.freeze() };
-            let up = ctx.encode(&d);
-            ctx.respond_on(&self.frag_svc, slot.channel, dgram::RECV, up);
-            return;
+            Entry::Occupied(mut entry) => {
+                let slot = entry.get_mut();
+                slot.parts.insert(frag.index, frag.data);
+                if slot.parts.len() as u32 == slot.count {
+                    let slot = entry.remove();
+                    order.retain(|&id| id != frag.msg_id);
+                    let total: usize = slot.parts.values().map(Bytes::len).sum();
+                    let mut whole = BytesMut::with_capacity(total);
+                    for (_, part) in slot.parts {
+                        whole.extend_from_slice(&part);
+                    }
+                    self.messages_reassembled += 1;
+                    let d = Dgram { peer: src, channel: slot.channel, data: whole.freeze() };
+                    let up = ctx.encode(&d);
+                    ctx.respond_on(&self.frag_svc, slot.channel, dgram::RECV, up);
+                    return;
+                }
+            }
         }
         // Evict the oldest incomplete message under slot pressure.
         while slots.len() > self.cfg.reassembly_slots {

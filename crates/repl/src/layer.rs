@@ -486,8 +486,9 @@ impl Coordinated {
     /// This stack's part of `round` is done: tell the coordinator, wait
     /// for its [`Step::Go`].
     pub fn ack(&mut self, ctx: &mut ModuleCtx<'_>, round: u32) {
+        // Outside a switch there is nobody to ack.
+        let Some(coord) = self.coordinator else { return };
         self.awaiting = round;
-        let coord = self.coordinator.expect("a switch is in progress");
         let ack = Coord::Ack { round, epoch: self.drain.epoch, from: ctx.stack_id() };
         self.send(ctx, coord, &ack);
     }

@@ -136,7 +136,8 @@ impl Module for MaestroSwitcher {
             // Old protocol drained: whole-module teardown + rebuild, then
             // `Ready`.
             Some(Step::Drained) => {
-                let spec = self.pending_spec.take().expect("spec set at flush");
+                // `Flush` set the spec; a drain without one installs nothing.
+                let Some(spec) = self.pending_spec.take() else { return };
                 if let Some(old) = ctx.bound(&self.sw.ind.required) {
                     ctx.destroy_module(old);
                 }
