@@ -169,12 +169,6 @@ pub trait Module: Any + Send {
         let _ = (ctx, timer, tag);
     }
 
-    /// Invoked when the module is destroyed (e.g. by a Maestro-style
-    /// whole-stack switch). Unbinding alone does *not* trigger this.
-    fn on_stop(&mut self, ctx: &mut ModuleCtx<'_>) {
-        let _ = ctx;
-    }
-
     /// Health counters, if this module implements a reliable transport
     /// (retransmission + acknowledgements). The default is `None`;
     /// `rp2p`-style modules override it so hosts can aggregate transport

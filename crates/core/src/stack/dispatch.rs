@@ -22,7 +22,8 @@ pub enum StepCategory {
     Timer,
     /// A module's `on_start` ran.
     Start,
-    /// A module's `on_stop` ran (module removed afterwards).
+    /// A destroyed module was removed from the stack (its queued
+    /// [`Stack::destroy_module`] step; no module handler runs).
     Stop,
 }
 
@@ -113,7 +114,6 @@ impl Stack {
                     StepCategory::Start
                 }
                 Work::Stop => {
-                    module.on_stop(&mut ctx);
                     ctx.destroyed_self = true;
                     StepCategory::Stop
                 }

@@ -52,25 +52,15 @@ impl FactoryRegistry {
         Arc::make_mut(self.0.get_or_insert_with(Default::default))
     }
 
-    /// Register a factory for a `kind` that takes no parameters. Later
-    /// registrations replace earlier ones. The factory is shared by every
-    /// clone of the registry, on whatever thread its stack runs, so it
-    /// must be `Send + Sync`.
-    pub fn register(
-        &mut self,
-        kind: impl Into<String>,
-        f: impl Fn(&ModuleSpec) -> Box<dyn Module> + Send + Sync + 'static,
-    ) {
-        self.own().factories.insert(kind.into(), Arc::new(move |spec| Ok(f(spec))));
-    }
-
-    /// Register a factory for a `kind` whose [`ModuleSpec::params`] are a
-    /// wire-encoded `P`: an empty blob means `P::default()`, anything
-    /// else must decode — a blob that does not is a
-    /// [`StackError::Wire`] out of [`FactoryRegistry::build`], never a
-    /// silently defaulted module (whose namespace 0 would share wire tags
-    /// with the first incarnation). `Send + Sync` as for
-    /// [`FactoryRegistry::register`].
+    /// Register the factory of a `kind` whose [`ModuleSpec::params`] are
+    /// a wire-encoded `P` (`()` for a kind that takes none): an empty
+    /// blob means `P::default()`, anything else must decode — a blob that
+    /// does not is a [`StackError::Wire`] out of
+    /// [`FactoryRegistry::build`], never a silently defaulted module
+    /// (whose namespace 0 would share wire tags with the first
+    /// incarnation). Later registrations replace earlier ones. The
+    /// factory is shared by every clone of the registry, on whatever
+    /// thread its stack runs, so it must be `Send + Sync`.
     pub fn register_with<P: Decode + Default, M: Module>(
         &mut self,
         kind: impl Into<String>,
@@ -261,8 +251,10 @@ impl Stack {
         }
     }
 
-    /// Destroy a module: unbind it from any service it is bound to, run
-    /// its `on_stop`, and remove it. Pending deliveries to it are dropped.
+    /// Destroy a module: unbind it from any service it is bound to now,
+    /// and queue its removal, a step of its own
+    /// ([`StepCategory::Stop`](super::StepCategory::Stop)). Work queued
+    /// for it ahead of that step still runs; anything later is dropped.
     pub fn destroy_module(&mut self, id: ModuleId) {
         if !self.modules.contains_key(&id) {
             return;
@@ -345,13 +337,13 @@ mod tests {
             fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
         }
         let mut reg = FactoryRegistry::new();
-        reg.register("upper", |_| {
-            Box::new(Svc { name: "up", kind_name: "upper", deps: vec!["mid"] })
+        reg.register_with("upper", |()| Svc { name: "up", kind_name: "upper", deps: vec!["mid"] });
+        reg.register_with("middle", |()| Svc {
+            name: "mid",
+            kind_name: "middle",
+            deps: vec!["low"],
         });
-        reg.register("middle", |_| {
-            Box::new(Svc { name: "mid", kind_name: "middle", deps: vec!["low"] })
-        });
-        reg.register("lower", |_| Box::new(Svc { name: "low", kind_name: "lower", deps: vec![] }));
+        reg.register_with("lower", |()| Svc { name: "low", kind_name: "lower", deps: vec![] });
         reg.set_default(ServiceId::new("mid"), ModuleSpec::new("middle"));
         reg.set_default(ServiceId::new("low"), ModuleSpec::new("lower"));
         let mut stack = Stack::new(StackConfig::nth(0, 1, 7), reg);
@@ -382,7 +374,7 @@ mod tests {
             fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
         }
         let mut reg = FactoryRegistry::new();
-        reg.register("needy", |_| Box::new(Needy));
+        reg.register_with("needy", |()| Needy);
         let mut stack = Stack::new(StackConfig::nth(0, 1, 7), reg);
         let err = stack.install(&ModuleSpec::new("needy")).unwrap_err();
         assert_eq!(err, StackError::NoDefaultProvider(ServiceId::new("missing")));
@@ -396,7 +388,7 @@ mod tests {
         assert!(empty.0.is_none() && std::mem::size_of::<FactoryRegistry>() == 8);
         let echo = ServiceId::new("echo");
         let mut reg = FactoryRegistry::new();
-        reg.register("echo", |_| Box::new(Echo));
+        reg.register_with("echo", |()| Echo);
         reg.set_default(echo, ModuleSpec::new("echo"));
         let shared = |a: &FactoryRegistry, b: &FactoryRegistry| match (&a.0, &b.0) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),

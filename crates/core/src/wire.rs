@@ -283,6 +283,20 @@ impl Decode for i64 {
     }
 }
 
+/// The parameters of a module kind that takes none: no bytes.
+impl Encode for () {
+    fn encode(&self, _: &mut BytesMut) {}
+    fn encoded_len(&self) -> usize {
+        0
+    }
+}
+
+impl Decode for () {
+    fn decode(_: &mut Bytes) -> WireResult<Self> {
+        Ok(())
+    }
+}
+
 impl Encode for bool {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u8(u8::from(*self));

@@ -23,38 +23,12 @@ use std::collections::{BTreeMap, VecDeque};
 /// Module kind name, for factory registration.
 pub const KIND: &str = "frag";
 
-/// Tuning knobs of the fragmentation module.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct FragConfig {
-    /// Maximum payload bytes per fragment (Ethernet default minus
-    /// headroom for our framing).
-    pub(crate) mtu: usize,
-    /// Maximum concurrent reassembly slots per source; oldest incomplete
-    /// messages are evicted first.
-    pub(crate) reassembly_slots: usize,
-}
-
-impl Default for FragConfig {
-    fn default() -> Self {
-        FragConfig { mtu: 1400, reassembly_slots: 64 }
-    }
-}
-
-impl Encode for FragConfig {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.mtu.encode(buf);
-        self.reassembly_slots.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.mtu.encoded_len() + self.reassembly_slots.encoded_len()
-    }
-}
-
-impl Decode for FragConfig {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(FragConfig { mtu: usize::decode(buf)?, reassembly_slots: usize::decode(buf)? })
-    }
-}
+/// Maximum payload bytes per fragment (Ethernet's 1 500 minus headroom
+/// for our framing).
+const MTU: usize = 1400;
+/// Concurrent reassembly slots per source; the oldest incomplete message
+/// is evicted first.
+const REASSEMBLY_SLOTS: usize = 64;
 
 /// One fragment on the wire.
 struct Fragment {
@@ -102,7 +76,6 @@ struct Slot {
 
 /// The fragmentation module. See module docs.
 pub struct FragModule {
-    cfg: FragConfig,
     frag_svc: ServiceId,
     udp_svc: ServiceId,
     next_msg_id: u64,
@@ -115,10 +88,9 @@ pub struct FragModule {
 }
 
 impl FragModule {
-    /// A module with the given configuration.
-    pub(crate) fn new(cfg: FragConfig) -> FragModule {
+    /// A module with the MTU and reassembly slots of its constants.
+    pub(crate) fn new() -> FragModule {
         FragModule {
-            cfg,
             frag_svc: ServiceId::new(crate::FRAG_SVC),
             udp_svc: ServiceId::new(crate::UDP_SVC),
             next_msg_id: 0,
@@ -130,9 +102,10 @@ impl FragModule {
         }
     }
 
-    /// Register this module's factory under [`KIND`].
+    /// Register this module's factory under [`KIND`]. The kind takes no
+    /// parameters.
     pub fn register(reg: &mut dpu_core::FactoryRegistry) {
-        reg.register_with(KIND, FragModule::new);
+        reg.register_with(KIND, |()| FragModule::new());
     }
 
     /// Incomplete messages evicted (fragment loss or slot pressure).
@@ -189,7 +162,7 @@ impl FragModule {
             }
         }
         // Evict the oldest incomplete message under slot pressure.
-        while slots.len() > self.cfg.reassembly_slots {
+        while slots.len() > REASSEMBLY_SLOTS {
             if let Some(old) = order.pop_front() {
                 if slots.remove(&old).is_some() {
                     self.evicted += 1;
@@ -225,11 +198,10 @@ impl Module for FragModule {
         let Ok(d) = call.decode::<Dgram>() else { return };
         let msg_id = self.next_msg_id;
         self.next_msg_id += 1;
-        let mtu = self.cfg.mtu.max(1);
-        let count = d.data.len().div_ceil(mtu).max(1) as u32;
+        let count = d.data.len().div_ceil(MTU).max(1) as u32;
         for index in 0..count {
-            let lo = index as usize * mtu;
-            let hi = (lo + mtu).min(d.data.len());
+            let lo = index as usize * MTU;
+            let hi = (lo + MTU).min(d.data.len());
             let frag =
                 Fragment { msg_id, index, count, channel: d.channel, data: d.data.slice(lo..hi) };
             self.send_fragment(ctx, d.peer, &frag);
@@ -292,7 +264,7 @@ mod tests {
     fn mk_stack(sc: StackConfig) -> Stack {
         let mut s = Stack::new(sc, FactoryRegistry::new());
         let udp = s.add_module(Box::new(UdpModule::new()));
-        let frag = s.add_module(Box::new(FragModule::new(FragConfig::default())));
+        let frag = s.add_module(Box::new(FragModule::new()));
         s.add_module(Box::new(Sink { got: vec![], svc: ServiceId::new(crate::FRAG_SVC) }));
         s.bind(&ServiceId::new(crate::UDP_SVC), udp);
         s.bind(&ServiceId::new(crate::FRAG_SVC), frag);
@@ -335,7 +307,7 @@ mod tests {
         let frags = sim.with_stack(StackId(0), |s| {
             s.with_module::<FragModule, _>(FRAG, |m| m.fragments_sent).unwrap()
         });
-        assert_eq!(frags as usize, size.div_ceil(1400));
+        assert_eq!(frags as usize, size.div_ceil(MTU));
     }
 
     #[test]
@@ -383,7 +355,7 @@ mod tests {
         let mk = |sc: StackConfig| -> Stack {
             let mut s = Stack::new(sc, FactoryRegistry::new());
             let udp = s.add_module(Box::new(UdpModule::new()));
-            let frag = s.add_module(Box::new(FragModule::new(FragConfig::default())));
+            let frag = s.add_module(Box::new(FragModule::new()));
             let rp2p = s.add_module(Box::new(Rp2pModule::new(Rp2pConfig {
                 lower: crate::FRAG_SVC.to_string(),
                 ..Rp2pConfig::default()
@@ -418,22 +390,11 @@ mod tests {
     #[test]
     fn slot_pressure_evicts_oldest_incomplete() {
         let cfg_sim = SimConfig::lan(2, 17);
-        let mk = |sc: StackConfig| -> Stack {
-            let mut s = Stack::new(sc, FactoryRegistry::new());
-            let udp = s.add_module(Box::new(UdpModule::new()));
-            let frag = s.add_module(Box::new(FragModule::new(FragConfig {
-                mtu: 100,
-                reassembly_slots: 2,
-            })));
-            s.add_module(Box::new(Sink { got: vec![], svc: ServiceId::new(crate::FRAG_SVC) }));
-            s.bind(&ServiceId::new(crate::UDP_SVC), udp);
-            s.bind(&ServiceId::new(crate::FRAG_SVC), frag);
-            s
-        };
-        let mut sim = Sim::new(cfg_sim, mk);
-        // Send fragments manually: three two-fragment messages, each
-        // missing its second half, then watch eviction counters.
-        for msg_id in 0..3u64 {
+        let mut sim = Sim::new(cfg_sim, mk_stack);
+        // Send fragments manually: one two-fragment message more than
+        // there are slots, each missing its second half, then watch
+        // eviction counters.
+        for msg_id in 0..=REASSEMBLY_SLOTS as u64 {
             let frag = Fragment {
                 msg_id,
                 index: 0,
@@ -452,29 +413,14 @@ mod tests {
             s.with_module::<FragModule, _>(FRAG, |m| (m.evicted(), m.messages_reassembled)).unwrap()
         });
         assert_eq!(reassembled, 0);
-        assert!(evicted >= 1, "slot pressure must evict");
+        assert_eq!(evicted, 1, "slot pressure must evict the oldest, and only it");
     }
 
     #[test]
-    fn fragment_and_config_wire_contract() {
+    fn fragment_wire_contract() {
         for data in [Bytes::new(), Bytes::from_static(b"chunk"), Bytes::from(vec![1u8; 1400])] {
             let frag = Fragment { msg_id: 77, index: 2, count: 9, channel: CH.at(77), data };
             dpu_core::wire::testing::assert_wire_contract(&frag);
         }
-        dpu_core::wire::testing::assert_wire_contract(&FragConfig {
-            mtu: 512,
-            reassembly_slots: 8,
-        });
-    }
-
-    #[test]
-    fn config_roundtrip_and_factory() {
-        let cfg = FragConfig { mtu: 512, reassembly_slots: 8 };
-        let b = wire::to_bytes(&cfg);
-        assert_eq!(wire::from_bytes::<FragConfig>(&b).unwrap(), cfg);
-        let mut reg = FactoryRegistry::new();
-        FragModule::register(&mut reg);
-        let m = reg.build(&dpu_core::ModuleSpec::with_params(KIND, &cfg)).unwrap();
-        assert_eq!(m.kind(), KIND);
     }
 }

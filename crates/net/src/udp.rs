@@ -16,7 +16,7 @@ use crate::dgram;
 use bytes::{BufMut, Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{self, Decode, Encode, WireScratch};
-use dpu_core::{Call, Channel, Module, ModuleSpec, Op, Response, ServiceId, StackId};
+use dpu_core::{Call, Channel, Module, Op, Response, ServiceId, StackId};
 
 /// Module kind name, for factory registration.
 pub const KIND: &str = "udp";
@@ -36,9 +36,10 @@ impl UdpModule {
         UdpModule { udp_svc: ServiceId::new(crate::UDP_SVC), malformed_dropped: 0 }
     }
 
-    /// Register this module's factory under [`KIND`].
+    /// Register this module's factory under [`KIND`]. The kind takes no
+    /// parameters.
     pub fn register(reg: &mut dpu_core::FactoryRegistry) {
-        reg.register(KIND, |_spec: &ModuleSpec| Box::new(UdpModule::new()));
+        reg.register_with(KIND, |()| UdpModule::new());
     }
 
     /// Inbound datagrams dropped because their `(channel, data)` frame —
@@ -307,7 +308,7 @@ mod tests {
         let mut reg = FactoryRegistry::new();
         UdpModule::register(&mut reg);
         assert!(reg.contains(KIND));
-        let m = reg.build(&ModuleSpec::new(KIND)).unwrap();
+        let m = reg.build(&dpu_core::ModuleSpec::new(KIND)).unwrap();
         assert_eq!(m.kind(), KIND);
         assert_eq!(m.provides(), vec![ServiceId::new(crate::UDP_SVC)]);
     }

@@ -29,11 +29,10 @@
 //! spread over all clusters — which is exactly what lets the per-shard
 //! event counts balance in the parallel engine.
 //!
-//! Cluster membership is derived from the host: stack `i` belongs to
-//! cluster `i / cluster_size`, with `cluster_size` taken from the
-//! factory params when nonzero, else from
+//! Cluster membership comes from the host only: stack `i` belongs to
+//! cluster `i / cluster_size`, with `cluster_size` taken from
 //! [`dpu_core::stack::StackConfig::cluster_size`] (the simulator plumbs
-//! its `sim::topology` value there), else the whole group is one
+//! its `sim::topology` value there); without one the whole group is one
 //! cluster. Under the flat runtime host the protocol thus degenerates
 //! to a single cluster — one sequencer that is its own leader and
 //! relay, behaviorally the fixed-sequencer protocol with one extra
@@ -69,17 +68,13 @@ use std::collections::BTreeMap;
 /// Module kind name, for factory registration.
 pub const KIND: &str = "abcast.hier";
 
-/// Factory parameters of the hierarchical atomic broadcast.
+/// Factory parameters of the hierarchical atomic broadcast. The module
+/// provides [`crate::ABCAST_SVC`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HierAbcastParams {
     /// Incarnation namespace: the incarnation of the channel this module
     /// sends and listens on.
     pub namespace: u64,
-    /// Service name to provide (default [`crate::ABCAST_SVC`]).
-    pub service: String,
-    /// Nodes per cluster; `0` derives the value from the stack's host
-    /// configuration, falling back to one group-wide cluster.
-    pub cluster_size: u32,
     /// Stall timeout: a member whose pending broadcasts make no
     /// progress for this long rotates to the next local-sequencer
     /// candidate and re-sends. Must sit well above the steady-state
@@ -89,38 +84,23 @@ pub struct HierAbcastParams {
 
 impl Default for HierAbcastParams {
     fn default() -> Self {
-        HierAbcastParams {
-            namespace: 0,
-            service: crate::ABCAST_SVC.to_string(),
-            cluster_size: 0,
-            resend: Dur::millis(1500),
-        }
+        HierAbcastParams { namespace: 0, resend: Dur::millis(1500) }
     }
 }
 
 impl Encode for HierAbcastParams {
     fn encode(&self, buf: &mut BytesMut) {
         self.namespace.encode(buf);
-        self.service.encode(buf);
-        self.cluster_size.encode(buf);
         self.resend.as_nanos().encode(buf);
     }
     fn encoded_len(&self) -> usize {
-        self.namespace.encoded_len()
-            + self.service.encoded_len()
-            + self.cluster_size.encoded_len()
-            + self.resend.as_nanos().encoded_len()
+        self.namespace.encoded_len() + self.resend.as_nanos().encoded_len()
     }
 }
 
 impl Decode for HierAbcastParams {
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(HierAbcastParams {
-            namespace: u64::decode(buf)?,
-            service: String::decode(buf)?,
-            cluster_size: u32::decode(buf)?,
-            resend: Dur::nanos(u64::decode(buf)?),
-        })
+        Ok(HierAbcastParams { namespace: u64::decode(buf)?, resend: Dur::nanos(u64::decode(buf)?) })
     }
 }
 
@@ -262,10 +242,9 @@ pub struct HierAbcastModule {
 impl HierAbcastModule {
     /// Build with explicit parameters.
     pub fn new(params: HierAbcastParams) -> HierAbcastModule {
-        let svc = ServiceId::new(&params.service);
         HierAbcastModule {
             params,
-            svc,
+            svc: ServiceId::new(crate::ABCAST_SVC),
             rp2p_svc: ServiceId::new(dpu_net::RP2P_SVC),
             clusters: OnceCell::new(),
             next_oseq: None,
@@ -302,29 +281,21 @@ impl HierAbcastModule {
         self.next_g
     }
 
-    /// Nodes per cluster on this stack: explicit params beat the host
-    /// configuration; a flat host is one group-wide cluster.
-    fn cluster_nodes(&self, ctx: &ModuleCtx<'_>) -> u32 {
-        if self.params.cluster_size > 0 {
-            self.params.cluster_size
-        } else {
-            ctx.cluster_size().unwrap_or(u32::MAX).max(1)
-        }
-    }
-
-    fn cluster_of(&self, ctx: &ModuleCtx<'_>, id: StackId) -> u32 {
-        id.0 / self.cluster_nodes(ctx)
+    /// The cluster of stack `id`, by the host's cluster size; a flat
+    /// host is one group-wide cluster.
+    fn cluster_of(ctx: &ModuleCtx<'_>, id: StackId) -> u32 {
+        id.0 / ctx.cluster_size().unwrap_or(u32::MAX).max(1)
     }
 
     fn clusters(&self, ctx: &ModuleCtx<'_>) -> &Clusters {
         self.clusters.get_or_init(|| {
-            let mine = self.cluster_of(ctx, ctx.stack_id());
+            let mine = Self::cluster_of(ctx, ctx.stack_id());
             let mut primaries = BTreeMap::new();
             for &p in ctx.peers() {
-                primaries.entry(self.cluster_of(ctx, p)).or_insert(p);
+                primaries.entry(Self::cluster_of(ctx, p)).or_insert(p);
             }
             let members =
-                ctx.peers().iter().copied().filter(|&p| self.cluster_of(ctx, p) == mine).collect();
+                ctx.peers().iter().copied().filter(|&p| Self::cluster_of(ctx, p) == mine).collect();
             Clusters { mine, members, primaries }
         })
     }
@@ -359,7 +330,7 @@ impl HierAbcastModule {
         let clusters = self.clusters(ctx);
         let my_cluster = clusters.mine;
         let primary = clusters.members.first() == Some(&ctx.stack_id());
-        if self.cluster_of(ctx, key.0) != my_cluster || !self.fwd_seen.insert(key) {
+        if Self::cluster_of(ctx, key.0) != my_cluster || !self.fwd_seen.insert(key) {
             return;
         }
         let leader = Self::leader(ctx);
@@ -619,23 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_cluster_size_param_overrides_flat_host() {
-        // Two synthetic clusters of 2 on a flat LAN: the params value
-        // beats the (absent) host topology.
-        let params = HierAbcastParams { cluster_size: 2, ..HierAbcastParams::default() };
-        let mut sim = Sim::new(SimConfig::lan(4, 5), move |sc| {
-            let params = params.clone();
-            mk_stack(sc, move || Box::new(HierAbcastModule::new(params)))
-        });
-        sim.run_until(Time::ZERO + Dur::millis(50));
-        for i in 0..4u32 {
-            abcast(&mut sim, i, &[i as u8]);
-        }
-        sim.run_until(Time::ZERO + Dur::secs(2));
-        assert_total_order(&mut sim, &[0, 1, 2, 3], 4);
-    }
-
-    #[test]
     fn loss_is_recovered_by_rp2p_underneath() {
         let cfg = SimConfig::clustered(6, 11, 3, NetConfig::lossy(0.2), NetConfig::lossy(0.2));
         let mut sim = Sim::new(cfg, |sc| mk_stack(sc, hier_default));
@@ -677,18 +631,13 @@ mod tests {
 
     #[test]
     fn params_roundtrip_and_factory() {
-        let p = HierAbcastParams {
-            namespace: 5,
-            service: "svc-x".into(),
-            cluster_size: 64,
-            resend: Dur::millis(700),
-        };
+        let p = HierAbcastParams { namespace: 5, resend: Dur::millis(700) };
         let b = wire::to_bytes(&p);
         assert_eq!(wire::from_bytes::<HierAbcastParams>(&b).unwrap(), p);
         let mut reg = dpu_core::FactoryRegistry::new();
         HierAbcastModule::register(&mut reg);
         let m = reg.build(&dpu_core::ModuleSpec::with_params(KIND, &p)).unwrap();
         assert_eq!(m.kind(), KIND);
-        assert_eq!(m.provides(), vec![ServiceId::new("svc-x")]);
+        assert_eq!(m.provides(), vec![ServiceId::new(crate::ABCAST_SVC)]);
     }
 }

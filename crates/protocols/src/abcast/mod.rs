@@ -59,7 +59,7 @@ pub(crate) mod testkit {
 
     use super::ops;
     use crate::consensus::{ConsensusModule, ConsensusParams, CoordPolicy};
-    use crate::fd::{FdConfig, FdModule};
+    use crate::fd::FdModule;
     use bytes::Bytes;
     use dpu_core::stack::{FactoryRegistry, ModuleCtx, Stack, StackConfig};
     use dpu_core::time::Time;
@@ -101,7 +101,7 @@ pub(crate) mod testkit {
         let mut s = Stack::new(sc, FactoryRegistry::new());
         let udp = s.add_module(Box::new(UdpModule::new()));
         let rp2p = s.add_module(Box::new(Rp2pModule::new(Rp2pConfig::default())));
-        let fd = s.add_module(Box::new(FdModule::new(FdConfig::default())));
+        let fd = s.add_module(Box::new(FdModule::new()));
         let cons = s.add_module(Box::new(ConsensusModule::new(
             ConsensusParams::default(),
             CoordPolicy::Rotating,

@@ -28,49 +28,31 @@ pub const KIND: &str = "abcast.ring";
 
 const TAG_TOKEN: u64 = 1;
 
-/// Factory parameters of the token-ring atomic broadcast.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// How long the holder keeps the token before passing it on (bounds the
+/// rotation period and thus worst-case ordering latency).
+const HOLD: Dur = Dur::millis(2);
+
+/// Factory parameters of the token-ring atomic broadcast. The module
+/// provides [`crate::ABCAST_SVC`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RingAbcastParams {
     /// Incarnation namespace: the incarnation of the channel this module
     /// sends and listens on.
     pub namespace: u64,
-    /// Service name to provide (default [`crate::ABCAST_SVC`]).
-    pub service: String,
-    /// How long the holder keeps the token before passing it on (bounds
-    /// the rotation period and thus worst-case ordering latency).
-    pub hold: Dur,
-}
-
-impl Default for RingAbcastParams {
-    fn default() -> Self {
-        RingAbcastParams {
-            namespace: 0,
-            service: crate::ABCAST_SVC.to_string(),
-            hold: Dur::millis(2),
-        }
-    }
 }
 
 impl Encode for RingAbcastParams {
     fn encode(&self, buf: &mut BytesMut) {
         self.namespace.encode(buf);
-        self.service.encode(buf);
-        self.hold.as_nanos().encode(buf);
     }
     fn encoded_len(&self) -> usize {
         self.namespace.encoded_len()
-            + self.service.encoded_len()
-            + self.hold.as_nanos().encoded_len()
     }
 }
 
 impl Decode for RingAbcastParams {
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(RingAbcastParams {
-            namespace: u64::decode(buf)?,
-            service: String::decode(buf)?,
-            hold: Dur::nanos(u64::decode(buf)?),
-        })
+        Ok(RingAbcastParams { namespace: u64::decode(buf)? })
     }
 }
 
@@ -123,10 +105,9 @@ pub struct RingAbcastModule {
 impl RingAbcastModule {
     /// Build with explicit parameters.
     pub fn new(params: RingAbcastParams) -> RingAbcastModule {
-        let svc = ServiceId::new(&params.service);
         RingAbcastModule {
             params,
-            svc,
+            svc: ServiceId::new(crate::ABCAST_SVC),
             rp2p_svc: ServiceId::new(dpu_net::RP2P_SVC),
             pending: VecDeque::new(),
             token: None,
@@ -187,7 +168,7 @@ impl RingAbcastModule {
         if succ == ctx.stack_id() {
             // Singleton ring: keep the token, re-arm the hold timer.
             self.token = Some(seq);
-            ctx.set_timer(self.params.hold, TAG_TOKEN);
+            ctx.set_timer(HOLD, TAG_TOKEN);
         } else {
             self.send(ctx, succ, &Frame::Token { next_seq: seq });
         }
@@ -223,7 +204,7 @@ impl Module for RingAbcastModule {
         // The lowest-id stack injects the initial token.
         if Some(&ctx.stack_id()) == ctx.peers().iter().min() {
             self.token = Some(0);
-            ctx.set_timer(self.params.hold, TAG_TOKEN);
+            ctx.set_timer(HOLD, TAG_TOKEN);
         }
     }
 
@@ -250,7 +231,7 @@ impl Module for RingAbcastModule {
         match frame {
             Frame::Token { next_seq } => {
                 self.token = Some(next_seq);
-                ctx.set_timer(self.params.hold, TAG_TOKEN);
+                ctx.set_timer(HOLD, TAG_TOKEN);
             }
             Frame::Order { seq, data } => {
                 if seq >= self.next_deliver {
@@ -350,14 +331,14 @@ mod tests {
 
     #[test]
     fn params_roundtrip_and_factory() {
-        let p = RingAbcastParams { namespace: 4, service: "ring".into(), hold: Dur::millis(7) };
+        let p = RingAbcastParams { namespace: 4 };
         let b = wire::to_bytes(&p);
         assert_eq!(wire::from_bytes::<RingAbcastParams>(&b).unwrap(), p);
         let mut reg = dpu_core::FactoryRegistry::new();
         RingAbcastModule::register(&mut reg);
         let m = reg.build(&dpu_core::ModuleSpec::with_params(KIND, &p)).unwrap();
         assert_eq!(m.kind(), KIND);
-        assert_eq!(m.provides(), vec![ServiceId::new("ring")]);
+        assert_eq!(m.provides(), vec![ServiceId::new(crate::ABCAST_SVC)]);
     }
 
     #[test]

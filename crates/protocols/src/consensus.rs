@@ -735,7 +735,7 @@ impl Module for ConsensusModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fd::{FdConfig, FdModule};
+    use crate::fd::FdModule;
     use dpu_core::stack::{FactoryRegistry, Stack, StackConfig};
     use dpu_core::time::{Dur, Time};
     use dpu_core::wire::{self, Encode};
@@ -795,7 +795,7 @@ mod tests {
             let mut s = Stack::new(sc, FactoryRegistry::new());
             let udp = s.add_module(Box::new(UdpModule::new()));
             let rp2p = s.add_module(Box::new(Rp2pModule::new(Rp2pConfig::default())));
-            let fd = s.add_module(Box::new(FdModule::new(FdConfig::default())));
+            let fd = s.add_module(Box::new(FdModule::new()));
             let cons =
                 s.add_module(Box::new(ConsensusModule::new(ConsensusParams::default(), policy)));
             s.add_module(Box::new(User {

@@ -3,11 +3,12 @@
 //! Approximates the ◇S class assumed by the paper (eventually weak
 //! accuracy, strong completeness) the standard way:
 //!
-//! * every `heartbeat` period each process sends a heartbeat datagram to
-//!   all peers over raw UDP (channel [`crate::channels::FD`]);
-//! * a peer silent for longer than its current timeout is **suspected**;
+//! * every 20 ms each process sends a heartbeat datagram to all peers
+//!   over raw UDP (channel [`crate::channels::FD`]);
+//! * a peer silent for longer than its current timeout (initially
+//!   100 ms) is **suspected**;
 //! * if a suspected peer is heard from again, it is unsuspected and its
-//!   timeout is increased — so wrong suspicions of any given correct peer
+//!   timeout grows by 50 ms — so wrong suspicions of any given correct peer
 //!   happen only finitely often once its timeout exceeds the real
 //!   worst-case delay (eventual accuracy);
 //! * crashed peers stop heartbeating and stay suspected (completeness).
@@ -19,10 +20,9 @@
 //!   peers; emitted on every change and after each `QUERY`.
 
 use crate::channels;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::{Dur, Time};
-use dpu_core::wire::{Decode, Encode, WireResult};
 use dpu_core::{Call, Channel, Module, Response, ServiceId, StackId, TimerId};
 use dpu_net::dgram::{self, Dgram};
 use std::collections::BTreeMap;
@@ -42,45 +42,12 @@ pub mod ops {
 const TAG_HEARTBEAT: u64 = 1;
 const TAG_CHECK: u64 = 2;
 
-/// Tuning knobs of the failure detector.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct FdConfig {
-    /// Heartbeat send period.
-    pub heartbeat: Dur,
-    /// Initial suspicion timeout.
-    pub timeout: Dur,
-    /// Added to a peer's timeout after each wrong suspicion.
-    pub(crate) backoff: Dur,
-}
-
-impl Default for FdConfig {
-    fn default() -> Self {
-        FdConfig { heartbeat: Dur::millis(20), timeout: Dur::millis(100), backoff: Dur::millis(50) }
-    }
-}
-
-impl Encode for FdConfig {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.heartbeat.as_nanos().encode(buf);
-        self.timeout.as_nanos().encode(buf);
-        self.backoff.as_nanos().encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.heartbeat.as_nanos().encoded_len()
-            + self.timeout.as_nanos().encoded_len()
-            + self.backoff.as_nanos().encoded_len()
-    }
-}
-
-impl Decode for FdConfig {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(FdConfig {
-            heartbeat: Dur::nanos(u64::decode(buf)?),
-            timeout: Dur::nanos(u64::decode(buf)?),
-            backoff: Dur::nanos(u64::decode(buf)?),
-        })
-    }
-}
+/// Heartbeat send period.
+const HEARTBEAT: Dur = Dur::millis(20);
+/// Initial suspicion timeout.
+const TIMEOUT: Dur = Dur::millis(100);
+/// Added to a peer's timeout after each wrong suspicion.
+const BACKOFF: Dur = Dur::millis(50);
 
 struct PeerState {
     last_heard: Time,
@@ -90,7 +57,6 @@ struct PeerState {
 
 /// The failure detector module. See module docs.
 pub struct FdModule {
-    cfg: FdConfig,
     fd_svc: ServiceId,
     udp_svc: ServiceId,
     peers: BTreeMap<StackId, PeerState>,
@@ -98,10 +64,9 @@ pub struct FdModule {
 }
 
 impl FdModule {
-    /// A failure detector with the given configuration.
-    pub(crate) fn new(cfg: FdConfig) -> FdModule {
+    /// A failure detector with the module's timing constants.
+    pub(crate) fn new() -> FdModule {
         FdModule {
-            cfg,
             fd_svc: ServiceId::new(crate::FD_SVC),
             udp_svc: ServiceId::new(dpu_net::UDP_SVC),
             peers: BTreeMap::new(),
@@ -109,10 +74,10 @@ impl FdModule {
         }
     }
 
-    /// Register this module's factory under [`KIND`]. Empty params mean
-    /// defaults; otherwise params decode as `FdConfig`.
+    /// Register this module's factory under [`KIND`]. The kind takes no
+    /// parameters.
     pub fn register(reg: &mut dpu_core::FactoryRegistry) {
-        reg.register_with(KIND, FdModule::new);
+        reg.register_with(KIND, |()| FdModule::new());
     }
 
     /// Currently suspected peers.
@@ -177,13 +142,13 @@ impl Module for FdModule {
             if peer != me {
                 self.peers.insert(
                     peer,
-                    PeerState { last_heard: now, timeout: self.cfg.timeout, suspected: false },
+                    PeerState { last_heard: now, timeout: TIMEOUT, suspected: false },
                 );
             }
         }
         self.send_heartbeats(ctx);
-        ctx.set_timer(self.cfg.heartbeat, TAG_HEARTBEAT);
-        ctx.set_timer(self.cfg.timeout, TAG_CHECK);
+        ctx.set_timer(HEARTBEAT, TAG_HEARTBEAT);
+        ctx.set_timer(TIMEOUT, TAG_CHECK);
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
@@ -207,7 +172,7 @@ impl Module for FdModule {
                 // Wrong suspicion: revoke and back the timeout off so the
                 // same peer is (eventually) never wrongly suspected again.
                 p.suspected = false;
-                p.timeout += self.cfg.backoff;
+                p.timeout += BACKOFF;
                 self.wrong_suspicions += 1;
                 self.publish(ctx);
             }
@@ -218,12 +183,12 @@ impl Module for FdModule {
         match tag {
             TAG_HEARTBEAT => {
                 self.send_heartbeats(ctx);
-                ctx.set_timer(self.cfg.heartbeat, TAG_HEARTBEAT);
+                ctx.set_timer(HEARTBEAT, TAG_HEARTBEAT);
             }
             TAG_CHECK => {
                 self.check_timeouts(ctx);
                 // Check at heartbeat granularity for prompt detection.
-                ctx.set_timer(self.cfg.heartbeat, TAG_CHECK);
+                ctx.set_timer(HEARTBEAT, TAG_CHECK);
             }
             _ => {}
         }
@@ -234,7 +199,6 @@ impl Module for FdModule {
 mod tests {
     use super::*;
     use dpu_core::stack::{FactoryRegistry, Stack, StackConfig};
-    use dpu_core::wire;
     use dpu_core::ModuleId;
     use dpu_net::udp::UdpModule;
     use dpu_sim::{Sim, SimConfig};
@@ -271,7 +235,7 @@ mod tests {
     fn mk_stack(sc: StackConfig) -> Stack {
         let mut s = Stack::new(sc, FactoryRegistry::new());
         let udp = s.add_module(Box::new(UdpModule::new()));
-        let fd = s.add_module(Box::new(FdModule::new(FdConfig::default())));
+        let fd = s.add_module(Box::new(FdModule::new()));
         s.add_module(Box::new(FdSink { latest: vec![], updates: 0 }));
         s.bind(&ServiceId::new(dpu_net::UDP_SVC), udp);
         s.bind(&ServiceId::new(crate::FD_SVC), fd);
@@ -282,11 +246,6 @@ mod tests {
         sim.with_stack(StackId(node), |s| {
             s.with_module::<FdModule, _>(FD, |m| m.suspected()).unwrap()
         })
-    }
-
-    #[test]
-    fn fd_config_wire_contract() {
-        dpu_core::wire::testing::assert_wire_contract(&FdConfig::default());
     }
 
     #[test]
@@ -356,7 +315,7 @@ mod tests {
         let timeout = sim.with_stack(StackId(0), |s| {
             s.with_module::<FdModule, _>(FD, |m| m.peers.get(&StackId(1)).unwrap().timeout).unwrap()
         });
-        assert!(timeout > FdConfig::default().timeout);
+        assert!(timeout > TIMEOUT);
     }
 
     #[test]
@@ -372,20 +331,5 @@ mod tests {
         let after = sim
             .with_stack(StackId(0), |s| s.with_module::<FdSink, _>(SINK, |k| k.updates).unwrap());
         assert_eq!(after, before + 1);
-    }
-
-    #[test]
-    fn config_roundtrip_and_factory() {
-        let cfg = FdConfig {
-            heartbeat: Dur::millis(5),
-            timeout: Dur::millis(30),
-            backoff: Dur::millis(10),
-        };
-        let b = wire::to_bytes(&cfg);
-        assert_eq!(wire::from_bytes::<FdConfig>(&b).unwrap(), cfg);
-        let mut reg = FactoryRegistry::new();
-        FdModule::register(&mut reg);
-        let m = reg.build(&dpu_core::ModuleSpec::with_params(KIND, &cfg)).unwrap();
-        assert_eq!(m.kind(), KIND);
     }
 }

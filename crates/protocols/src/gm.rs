@@ -106,11 +106,10 @@ impl Decode for View {
     }
 }
 
-/// Factory parameters of the group membership module.
+/// Factory parameters of the group membership module. The module
+/// provides [`crate::GM_SVC`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GmParams {
-    /// Service name to provide (default [`crate::GM_SVC`]).
-    pub service: String,
     /// Atomic broadcast service to require — normally the indirection
     /// interface `r-abcast` so GM keeps working across protocol updates.
     pub abcast: String,
@@ -123,32 +122,23 @@ pub struct GmParams {
 
 impl Default for GmParams {
     fn default() -> Self {
-        GmParams {
-            service: crate::GM_SVC.to_string(),
-            abcast: crate::ABCAST_SVC.to_string(),
-            auto_exclude: false,
-        }
+        GmParams { abcast: crate::ABCAST_SVC.to_string(), auto_exclude: false }
     }
 }
 
 impl Encode for GmParams {
     fn encode(&self, buf: &mut BytesMut) {
-        self.service.encode(buf);
         self.abcast.encode(buf);
         self.auto_exclude.encode(buf);
     }
     fn encoded_len(&self) -> usize {
-        self.service.encoded_len() + self.abcast.encoded_len() + self.auto_exclude.encoded_len()
+        self.abcast.encoded_len() + self.auto_exclude.encoded_len()
     }
 }
 
 impl Decode for GmParams {
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(GmParams {
-            service: String::decode(buf)?,
-            abcast: String::decode(buf)?,
-            auto_exclude: bool::decode(buf)?,
-        })
+        Ok(GmParams { abcast: String::decode(buf)?, auto_exclude: bool::decode(buf)? })
     }
 }
 
@@ -167,11 +157,9 @@ pub struct GmModule {
 impl GmModule {
     /// Build with explicit parameters.
     pub fn new(params: GmParams) -> GmModule {
-        let svc = ServiceId::new(&params.service);
-        let abcast_svc = ServiceId::new(&params.abcast);
         GmModule {
-            svc,
-            abcast_svc,
+            svc: ServiceId::new(crate::GM_SVC),
+            abcast_svc: ServiceId::new(&params.abcast),
             fd_svc: ServiceId::new(crate::FD_SVC),
             auto_exclude: params.auto_exclude,
             proposed_exclusions: std::collections::BTreeSet::new(),
@@ -401,7 +389,7 @@ mod tests {
         let v = View { id: 7, members: vec![StackId(0), StackId(2)] };
         let b = wire::to_bytes(&v);
         assert_eq!(wire::from_bytes::<View>(&b).unwrap(), v);
-        let p = GmParams { service: "gm".into(), abcast: "r-abcast".into(), auto_exclude: true };
+        let p = GmParams { abcast: "r-abcast".into(), auto_exclude: true };
         let b = wire::to_bytes(&p);
         assert_eq!(wire::from_bytes::<GmParams>(&b).unwrap(), p);
     }
@@ -410,7 +398,7 @@ mod tests {
     fn factory_registration() {
         let mut reg = dpu_core::FactoryRegistry::new();
         GmModule::register(&mut reg);
-        let p = GmParams { service: "gm".into(), abcast: "r-abcast".into(), auto_exclude: false };
+        let p = GmParams { abcast: "r-abcast".into(), auto_exclude: false };
         let m = reg.build(&dpu_core::ModuleSpec::with_params(KIND, &p)).unwrap();
         assert_eq!(m.kind(), KIND);
         assert_eq!(m.requires(), vec![ServiceId::new("r-abcast")]);

@@ -27,7 +27,7 @@ use crate::channels;
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, WireResult};
-use dpu_core::{Call, Channel, IntervalSet, Module, ModuleSpec, Response, ServiceId, StackId};
+use dpu_core::{Call, Channel, IntervalSet, Module, Response, ServiceId, StackId};
 use dpu_net::dgram::{self, Dgram};
 
 /// Module kind name, for factory registration.
@@ -92,9 +92,10 @@ impl RbModule {
         }
     }
 
-    /// Register this module's factory under [`KIND`].
+    /// Register this module's factory under [`KIND`]. The kind takes no
+    /// parameters.
     pub fn register(reg: &mut dpu_core::FactoryRegistry) {
-        reg.register(KIND, |_spec: &ModuleSpec| Box::new(RbModule::new()));
+        reg.register_with(KIND, |()| RbModule::new());
     }
 
     /// Messages this stack has relayed (agreement machinery at work).
@@ -315,7 +316,7 @@ mod tests {
     fn factory_registration() {
         let mut reg = FactoryRegistry::new();
         RbModule::register(&mut reg);
-        let m = reg.build(&ModuleSpec::new(KIND)).unwrap();
+        let m = reg.build(&dpu_core::ModuleSpec::new(KIND)).unwrap();
         assert_eq!(m.kind(), KIND);
         assert_eq!(m.provides(), vec![ServiceId::new(crate::RB_SVC)]);
     }

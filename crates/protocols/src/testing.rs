@@ -19,7 +19,7 @@ use crate::abcast::ops;
 use crate::abcast::ring::{RingAbcastModule, RingAbcastParams};
 use crate::abcast::sequencer::{SeqAbcastModule, SeqAbcastParams};
 use crate::consensus::{ConsensusModule, ConsensusParams, CoordPolicy};
-use crate::fd::{FdConfig, FdModule};
+use crate::fd::FdModule;
 use bytes::Bytes;
 use dpu_core::stack::{FactoryRegistry, ModuleCtx, Stack, StackConfig};
 use dpu_core::{Call, Module, ModuleId, Response, ServiceId};
@@ -67,10 +67,7 @@ impl Variant {
                 namespace: ns,
                 ..SeqAbcastParams::default()
             })),
-            Variant::Ring => Box::new(RingAbcastModule::new(RingAbcastParams {
-                namespace: ns,
-                ..RingAbcastParams::default()
-            })),
+            Variant::Ring => Box::new(RingAbcastModule::new(RingAbcastParams { namespace: ns })),
             Variant::Hier => Box::new(HierAbcastModule::new(HierAbcastParams {
                 namespace: ns,
                 ..HierAbcastParams::default()
@@ -114,7 +111,7 @@ pub fn conformance_stack(sc: StackConfig, variant: Variant, ns: u64) -> Stack {
     let mut s = Stack::new(sc, FactoryRegistry::new());
     let udp = s.add_module(Box::new(UdpModule::new()));
     let rp2p = s.add_module(Box::new(Rp2pModule::new(Rp2pConfig::default())));
-    let fd = s.add_module(Box::new(FdModule::new(FdConfig::default())));
+    let fd = s.add_module(Box::new(FdModule::new()));
     let cons = s.add_module(Box::new(ConsensusModule::new(
         ConsensusParams::default(),
         CoordPolicy::Rotating,

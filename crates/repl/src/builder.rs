@@ -30,8 +30,8 @@
 //! atomic broadcast properties (§5.1) to a finished simulation run.
 
 use crate::abcast_repl::{ReplAbcastModule, ReplParams};
-use crate::graceful::{GracefulParams, GracefulSwitcher};
-use crate::maestro::{MaestroParams, MaestroSwitcher};
+use crate::graceful::GracefulSwitcher;
+use crate::maestro::MaestroSwitcher;
 use dpu_core::abcast_check::AbcastChecker;
 use dpu_core::host::Host;
 use dpu_core::probe::Probe;
@@ -100,27 +100,15 @@ pub mod specs {
 
     /// Token-ring atomic broadcast with incarnation `ns`.
     pub fn ring(ns: u64) -> ModuleSpec {
-        ModuleSpec::with_params(
-            RING_KIND,
-            &RingAbcastParams { namespace: ns, ..RingAbcastParams::default() },
-        )
+        ModuleSpec::with_params(RING_KIND, &RingAbcastParams { namespace: ns })
     }
 
     /// Hierarchical (per-cluster sequencer) atomic broadcast with
     /// incarnation `ns`; cluster membership derives from the host.
     pub fn hier(ns: u64) -> ModuleSpec {
-        hier_in(ns, dpu_protocols::ABCAST_SVC)
-    }
-
-    /// Hierarchical atomic broadcast providing a specific service.
-    pub(crate) fn hier_in(ns: u64, service: &str) -> ModuleSpec {
         ModuleSpec::with_params(
             HIER_KIND,
-            &HierAbcastParams {
-                namespace: ns,
-                service: service.to_string(),
-                ..HierAbcastParams::default()
-            },
+            &HierAbcastParams { namespace: ns, ..HierAbcastParams::default() },
         )
     }
 
@@ -257,8 +245,8 @@ fn build_in(sc: StackConfig, opts: &GroupStackOpts, catalogue: FactoryRegistry) 
     let module: Option<Box<dyn Module>> = match opts.layer {
         SwitchLayer::None => None,
         SwitchLayer::Repl => Some(Box::new(ReplAbcastModule::new(ReplParams::default()))),
-        SwitchLayer::Maestro => Some(Box::new(MaestroSwitcher::new(MaestroParams::default()))),
-        SwitchLayer::Graceful => Some(Box::new(GracefulSwitcher::new(GracefulParams::default()))),
+        SwitchLayer::Maestro => Some(Box::new(MaestroSwitcher::new())),
+        SwitchLayer::Graceful => Some(Box::new(GracefulSwitcher::new())),
     };
     let layer = module.map(|module| {
         let m = stack.add_module(module);
@@ -273,7 +261,6 @@ fn build_in(sc: StackConfig, opts: &GroupStackOpts, catalogue: FactoryRegistry) 
 
     let gm = if opts.with_gm {
         let m = stack.add_module(Box::new(GmModule::new(GmParams {
-            service: dpu_protocols::GM_SVC.to_string(),
             abcast: top_service.name().to_string(),
             auto_exclude: false,
         })));
@@ -538,10 +525,7 @@ mod tests {
     }
 
     fn ring_spec(namespace: u64) -> ModuleSpec {
-        ModuleSpec::with_params(
-            RING_KIND,
-            &RingAbcastParams { namespace, ..RingAbcastParams::default() },
-        )
+        ModuleSpec::with_params(RING_KIND, &RingAbcastParams { namespace })
     }
 
     fn run_with_switch(
@@ -671,11 +655,6 @@ mod tests {
         use dpu_sim::NetConfig;
         let cfg = SimConfig::clustered(6, 19, 3, NetConfig::datacenter(), NetConfig::lan());
         run_with_switch_on(cfg, SwitchLayer::Repl, ct_spec(0), specs::hier(1));
-    }
-
-    #[test]
-    fn graceful_switch_to_hier_via_alternate_slot() {
-        run_with_switch(SwitchLayer::Graceful, ct_spec(0), specs::hier_in(1, "abcast.alt"), 3, 23);
     }
 
     #[test]
@@ -1085,16 +1064,30 @@ mod tests {
 
     #[test]
     fn a_spec_with_garbage_params_is_an_error_not_a_default_module() {
+        use dpu_core::stack::StackError;
         // Used to build a module with default parameters — namespace 0,
-        // sharing wire tags with the first incarnation.
-        let garbage = ModuleSpec { kind: SEQ_KIND.into(), params: vec![0xff, 0xff].into() };
-        assert!(matches!(registry().build(&garbage), Err(dpu_core::stack::StackError::Wire(_))));
+        // sharing wire tags with the first incarnation. A kind that takes
+        // no parameters refuses a blob too (here fd's former timing
+        // knobs), and a ring spec refuses its former service and token
+        // hold after the namespace.
+        let old_fd = (20_000_000u64, 100_000_000u64, 50_000_000u64);
+        let old_ring = (1u64, dpu_protocols::ABCAST_SVC, 2_000_000u64);
+        let garbage = [
+            ModuleSpec { kind: SEQ_KIND.into(), params: vec![0xff, 0xff].into() },
+            ModuleSpec::with_params(dpu_protocols::fd::KIND, &old_fd),
+            ModuleSpec::with_params(RING_KIND, &old_ring),
+        ];
         let mut stack = build(StackConfig::nth(0, 1, 1), &GroupStackOpts::default()).stack;
         let modules = stack.modules().count();
-        assert!(matches!(stack.install(&garbage), Err(dpu_core::stack::StackError::Wire(_))));
-        assert_eq!(stack.modules().count(), modules, "nothing was created");
+        for spec in &garbage {
+            assert!(matches!(registry().build(spec), Err(StackError::Wire(_))), "{spec:?}");
+            assert!(matches!(stack.install(spec), Err(StackError::Wire(_))), "{spec:?}");
+            assert_eq!(stack.modules().count(), modules, "nothing was created");
+        }
         // Empty params still mean the defaults.
-        assert!(registry().build(&ModuleSpec::new(SEQ_KIND)).is_ok());
+        for kind in [SEQ_KIND, dpu_protocols::fd::KIND, RING_KIND] {
+            assert!(registry().build(&ModuleSpec::new(kind)).is_ok(), "{kind}");
+        }
     }
 
     #[test]

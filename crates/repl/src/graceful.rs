@@ -16,8 +16,8 @@
 //!
 //! The GA restriction the paper criticises is modelled faithfully: the
 //! alternative components must be *pre-declared* — this switcher requires
-//! exactly two service slots (`GracefulParams::service` and
-//! `GracefulParams::alt`) fixed at construction, and each switch target
+//! exactly two service slots, `abcast` and `abcast.alt`, fixed in the
+//! module, and each switch target
 //! must provide whichever slot is currently inactive. A replacement whose
 //! protocol needs services outside the declared slots is impossible,
 //! whereas Algorithm 1's recursive `create_module` handles it.
@@ -41,51 +41,17 @@
 //! services it requires, one more per switch.
 
 use crate::layer::{self, Coordinated, Step};
-use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Dur;
-use dpu_core::wire::{Decode, Encode, WireResult};
 use dpu_core::{Call, Channel, Module, Response, ServiceId};
 use dpu_protocols::channels;
 
 /// Module kind name, for factory registration.
 pub const KIND: &str = "graceful";
 
-/// Factory parameters of the Graceful-Adaptation-style switcher.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct GracefulParams {
-    /// First AAC slot: the service name of the initially active protocol
-    /// (default [`dpu_protocols::ABCAST_SVC`]).
-    pub service: String,
-    /// Second AAC slot: the service name the *next* protocol must provide
-    /// (default `abcast.alt`). Slots alternate on every switch.
-    pub alt: String,
-}
-
-impl Default for GracefulParams {
-    fn default() -> Self {
-        GracefulParams {
-            service: dpu_protocols::ABCAST_SVC.to_string(),
-            alt: format!("{}.alt", dpu_protocols::ABCAST_SVC),
-        }
-    }
-}
-
-impl Encode for GracefulParams {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.service.encode(buf);
-        self.alt.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.service.encoded_len() + self.alt.encoded_len()
-    }
-}
-
-impl Decode for GracefulParams {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(GracefulParams { service: String::decode(buf)?, alt: String::decode(buf)? })
-    }
-}
+/// The second AAC slot: the service the protocol after the initial one
+/// must provide. Slots alternate on every switch.
+const ALT_SVC: &str = "abcast.alt";
 
 /// The Graceful-Adaptation-style switcher. See module docs.
 pub(crate) struct GracefulSwitcher {
@@ -96,17 +62,19 @@ pub(crate) struct GracefulSwitcher {
 }
 
 impl GracefulSwitcher {
-    /// Build with explicit parameters.
-    pub fn new(params: GracefulParams) -> GracefulSwitcher {
+    /// A switcher over the fixed slots [`dpu_protocols::ABCAST_SVC`]
+    /// (active first) and `abcast.alt`.
+    pub fn new() -> GracefulSwitcher {
         GracefulSwitcher {
-            sw: Coordinated::new(&params.service, channels::GRACEFUL),
-            spare: ServiceId::new(&params.alt),
+            sw: Coordinated::new(dpu_protocols::ABCAST_SVC, channels::GRACEFUL),
+            spare: ServiceId::new(ALT_SVC),
         }
     }
 
-    /// Register this module's factory under [`KIND`].
+    /// Register this module's factory under [`KIND`]. The kind takes no
+    /// parameters.
     pub fn register(reg: &mut dpu_core::FactoryRegistry) {
-        reg.register_with(KIND, GracefulSwitcher::new);
+        reg.register_with(KIND, |()| GracefulSwitcher::new());
     }
 
     /// Total virtual time the application spent blocked
@@ -174,15 +142,10 @@ impl Module for GracefulSwitcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpu_core::wire;
 
     #[test]
-    fn params_and_slots() {
-        wire::testing::assert_wire_contract(&GracefulParams::default());
-        let p = GracefulParams::default();
-        let b = wire::to_bytes(&p);
-        assert_eq!(wire::from_bytes::<GracefulParams>(&b).unwrap(), p);
-        let g = GracefulSwitcher::new(p);
+    fn slots() {
+        let g = GracefulSwitcher::new();
         assert_eq!(g.provides(), vec![ServiceId::new("r-abcast")]);
         assert_eq!(g.spare, ServiceId::new("abcast.alt"));
         assert!(g.requires().contains(&ServiceId::new("abcast")));

@@ -31,44 +31,13 @@
 //! that — another dependency the paper's solution avoids).
 
 use crate::layer::{self, Coordinated, Step};
-use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Dur;
-use dpu_core::wire::{Decode, Encode, WireResult};
 use dpu_core::{Call, Channel, Module, ModuleSpec, Response, ServiceId};
 use dpu_protocols::channels;
 
 /// Module kind name, for factory registration.
 pub const KIND: &str = "maestro";
-
-/// Factory parameters of the Maestro-style switcher.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct MaestroParams {
-    /// The updateable service (default [`dpu_protocols::ABCAST_SVC`]).
-    /// The switcher provides `r-<service>` and requires `<service>`.
-    pub service: String,
-}
-
-impl Default for MaestroParams {
-    fn default() -> Self {
-        MaestroParams { service: dpu_protocols::ABCAST_SVC.to_string() }
-    }
-}
-
-impl Encode for MaestroParams {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.service.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.service.encoded_len()
-    }
-}
-
-impl Decode for MaestroParams {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(MaestroParams { service: String::decode(buf)? })
-    }
-}
 
 /// The Maestro-style stack switch module. See module docs.
 pub(crate) struct MaestroSwitcher {
@@ -78,17 +47,19 @@ pub(crate) struct MaestroSwitcher {
 }
 
 impl MaestroSwitcher {
-    /// Build with explicit parameters.
-    pub fn new(params: MaestroParams) -> MaestroSwitcher {
+    /// A switcher over the fixed slot [`dpu_protocols::ABCAST_SVC`]: it
+    /// provides `r-abcast` and requires `abcast`.
+    pub fn new() -> MaestroSwitcher {
         MaestroSwitcher {
-            sw: Coordinated::new(&params.service, channels::MAESTRO),
+            sw: Coordinated::new(dpu_protocols::ABCAST_SVC, channels::MAESTRO),
             pending_spec: None,
         }
     }
 
-    /// Register this module's factory under [`KIND`].
+    /// Register this module's factory under [`KIND`]. The kind takes no
+    /// parameters.
     pub fn register(reg: &mut dpu_core::FactoryRegistry) {
-        reg.register_with(KIND, MaestroSwitcher::new);
+        reg.register_with(KIND, |()| MaestroSwitcher::new());
     }
 
     /// Total virtual time the application spent blocked.
@@ -155,15 +126,10 @@ impl Module for MaestroSwitcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpu_core::wire;
 
     #[test]
-    fn params_and_naming() {
-        wire::testing::assert_wire_contract(&MaestroParams::default());
-        let p = MaestroParams::default();
-        let b = wire::to_bytes(&p);
-        assert_eq!(wire::from_bytes::<MaestroParams>(&b).unwrap(), p);
-        let m = MaestroSwitcher::new(p);
+    fn naming() {
+        let m = MaestroSwitcher::new();
         assert_eq!(m.provides(), vec![ServiceId::new("r-abcast")]);
         assert!(m.requires().contains(&ServiceId::new("abcast")));
         assert_eq!(m.total_blocked(), Dur::ZERO);

@@ -84,19 +84,22 @@ use std::sync::Arc;
 /// CPU model: virtual service time charged per dispatched stack step, by
 /// step category. Calibrated very roughly to the paper's Pentium III
 /// 766 MHz running a Java protocol framework — absolute values only shape
-/// the saturation point, not the comparative results.
+/// the saturation point, not the comparative results. A caller picks a
+/// preset ([`CpuConfig::fast`], or the default calibration every
+/// [`SimConfig`] constructor sets).
 #[derive(Clone, Debug)]
 pub struct CpuConfig {
     /// Cost of dispatching a service call.
-    pub call: Dur,
+    call: Dur,
     /// Cost of dispatching a response.
-    pub response: Dur,
+    response: Dur,
     /// Cost of a timer handler.
-    pub timer: Dur,
+    timer: Dur,
     /// Cost of `on_start`.
-    pub start: Dur,
-    /// Cost of `on_stop`.
-    pub stop: Dur,
+    start: Dur,
+    /// Cost of removing a destroyed module (its `StepCategory::Stop`
+    /// step).
+    stop: Dur,
 }
 
 impl CpuConfig {

@@ -1,19 +1,12 @@
 //! Offline stand-in for [`crossbeam`](https://crates.io/crates/crossbeam).
 //!
-//! Implements the subset the workspace uses: [`channel`] — MPMC
-//! [`channel::bounded`] / [`channel::unbounded`] channels built on
-//! `Mutex` + `Condvar`, plus a [`select!`] macro limited to the shape
-//! the runtime needs (`recv(..) -> ..` arms followed by one
-//! `default(timeout)` arm). The former `thread::scope` surface is gone:
-//! the simulator's parallel engine now runs a persistent worker pool
-//! (`dpu-sim::par`) and the remaining scoped-thread users call
-//! `std::thread::scope` directly.
-//!
-//! The `select!` implementation parks the calling thread on a
-//! [`channel::SelectWaker`] registered with every polled channel, so a
-//! blocked select burns no CPU: senders (and sender disconnection)
-//! signal the waker, which re-polls the arms. Registration happens
-//! before the first poll, so a send racing with select cannot be lost.
+//! Implements the subset the workspace uses: [`channel::unbounded`] — an
+//! MPMC channel built on `Mutex` + `Condvar` — with blocking, timed and
+//! non-blocking receives. No bounded channels, no waiting on several
+//! channels at once and no `thread::scope`: the runtime's shards wait on
+//! one mailbox each with `recv_timeout`, the reactor polls its command
+//! channel with `try_recv`, and scoped-thread users call
+//! `std::thread::scope`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,8 +19,6 @@ pub mod channel {
     use std::sync::{Arc, Condvar, Mutex};
     use std::time::{Duration, Instant};
 
-    pub use crate::select;
-
     struct State<T> {
         queue: VecDeque<T>,
         senders: usize,
@@ -36,79 +27,8 @@ pub mod channel {
 
     struct Shared<T> {
         state: Mutex<State<T>>,
-        // Signalled on push, pop, and endpoint drop.
+        // Signalled on push and on the last sender's drop.
         cond: Condvar,
-        cap: Option<usize>,
-        // Wakers of `select!` calls currently parked on this channel,
-        // held weakly: a select that returned simply stops upgrading
-        // and is pruned on the next notify or registration. Lock order
-        // is always `state` before `select_wakers` (never the reverse),
-        // so notifying while holding the state lock cannot deadlock.
-        select_wakers: Mutex<Vec<std::sync::Weak<SelectWaker>>>,
-    }
-
-    impl<T> Shared<T> {
-        /// Wake every parked `select!`; prune the dead entries.
-        fn notify_select(&self) {
-            let mut ws = self.select_wakers.lock().unwrap_or_else(|e| e.into_inner());
-            ws.retain(|w| match w.upgrade() {
-                Some(s) => {
-                    s.signal();
-                    true
-                }
-                None => false,
-            });
-        }
-    }
-
-    /// The parking primitive behind [`crate::select!`]: a one-shot
-    /// (re-armable) flag + condvar. Each `select!` invocation creates
-    /// one, registers it with every polled channel, and parks on it
-    /// between polls; [`Sender::send`] and sender disconnection signal
-    /// it. Public only because the macro expands in caller crates.
-    pub struct SelectWaker {
-        signaled: Mutex<bool>,
-        cond: Condvar,
-    }
-
-    impl SelectWaker {
-        /// A fresh, unsignalled waker.
-        #[allow(clippy::new_ret_no_self)]
-        pub fn new() -> Arc<SelectWaker> {
-            Arc::new(SelectWaker { signaled: Mutex::new(false), cond: Condvar::new() })
-        }
-
-        /// Re-arm before polling the arms: a signal that arrives after
-        /// this point (and hence may correspond to a message the polls
-        /// will miss) is kept for the next [`SelectWaker::wait_until`].
-        pub fn prepare(&self) {
-            *self.signaled.lock().unwrap_or_else(|e| e.into_inner()) = false;
-        }
-
-        /// Mark ready and wake the parked thread.
-        pub fn signal(&self) {
-            *self.signaled.lock().unwrap_or_else(|e| e.into_inner()) = true;
-            self.cond.notify_all();
-        }
-
-        /// Park until signalled (consuming the signal, returns `true`)
-        /// or until `deadline` (returns `false`).
-        pub fn wait_until(&self, deadline: Instant) -> bool {
-            let mut sig = self.signaled.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if *sig {
-                    *sig = false;
-                    return true;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return false;
-                }
-                let (guard, _) =
-                    self.cond.wait_timeout(sig, deadline - now).unwrap_or_else(|e| e.into_inner());
-                sig = guard;
-            }
-        }
     }
 
     /// The sending half of a channel. Cloneable.
@@ -167,69 +87,25 @@ pub mod channel {
         }
     }
 
-    fn mk<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
+    /// Creates a channel of unbounded capacity.
+    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             state: Mutex::new(State { queue: VecDeque::new(), senders: 1, receivers: 1 }),
             cond: Condvar::new(),
-            cap,
-            select_wakers: Mutex::new(Vec::new()),
         });
         (Sender { shared: Arc::clone(&shared) }, Receiver { shared })
     }
 
-    /// Creates a channel of unbounded capacity.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        mk(None)
-    }
-
-    /// Creates a channel holding at most `cap` in-flight messages.
-    /// `bounded(0)` is a rendezvous channel: `send` blocks until a
-    /// receiver takes the value, as in the real crate.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        mk(Some(cap))
-    }
-
     impl<T> Sender<T> {
-        /// Sends `value`, blocking while a bounded channel is full (or,
-        /// for a zero-capacity channel, until a receiver takes it).
-        /// Fails only if every [`Receiver`] has been dropped.
+        /// Sends `value`; never blocks. Fails only if every [`Receiver`]
+        /// has been dropped.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if st.receivers == 0 {
-                    return Err(SendError(value));
-                }
-                match self.shared.cap {
-                    // Rendezvous: wait for the queue slot, push, then
-                    // wait until the receiver has popped our value
-                    // (ours is the only element while it is queued).
-                    Some(0) if !st.queue.is_empty() => {
-                        st = self.shared.cond.wait(st).unwrap_or_else(|e| e.into_inner());
-                    }
-                    Some(0) => {
-                        st.queue.push_back(value);
-                        self.shared.cond.notify_all();
-                        self.shared.notify_select();
-                        while !st.queue.is_empty() {
-                            if st.receivers == 0 {
-                                // Receivers vanished before the handoff:
-                                // reclaim the (sole) queued value.
-                                let v = st.queue.pop_front().expect("sole queued value");
-                                return Err(SendError(v));
-                            }
-                            st = self.shared.cond.wait(st).unwrap_or_else(|e| e.into_inner());
-                        }
-                        return Ok(());
-                    }
-                    Some(cap) if st.queue.len() >= cap => {
-                        st = self.shared.cond.wait(st).unwrap_or_else(|e| e.into_inner());
-                    }
-                    _ => break,
-                }
+            if st.receivers == 0 {
+                return Err(SendError(value));
             }
             st.queue.push_back(value);
             self.shared.cond.notify_all();
-            self.shared.notify_select();
             Ok(())
         }
     }
@@ -249,9 +125,6 @@ pub mod channel {
             st.senders -= 1;
             if st.senders == 0 {
                 self.shared.cond.notify_all();
-                // Disconnection counts as select-ready (an arm yields
-                // `Err(RecvError)`), so parked selects must wake too.
-                self.shared.notify_select();
             }
         }
     }
@@ -263,7 +136,6 @@ pub mod channel {
             let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 if let Some(v) = st.queue.pop_front() {
-                    self.shared.cond.notify_all();
                     return Ok(v);
                 }
                 if st.senders == 0 {
@@ -277,31 +149,10 @@ pub mod channel {
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
             match st.queue.pop_front() {
-                Some(v) => {
-                    self.shared.cond.notify_all();
-                    Ok(v)
-                }
+                Some(v) => Ok(v),
                 None if st.senders == 0 => Err(TryRecvError::Disconnected),
                 None => Err(TryRecvError::Empty),
             }
-        }
-
-        /// Implementation detail of [`crate::select!`]: park this
-        /// select invocation's waker on the channel. Held weakly; no
-        /// deregistration needed — dead entries are pruned here and on
-        /// notify, so repeated selects on an otherwise idle channel
-        /// cannot accumulate garbage.
-        #[doc(hidden)]
-        pub fn __register_select_waker(&self, waker: &Arc<SelectWaker>) {
-            let mut ws = self.shared.select_wakers.lock().unwrap_or_else(|e| e.into_inner());
-            ws.retain(|w| w.strong_count() > 0);
-            ws.push(Arc::downgrade(waker));
-        }
-
-        /// Registered (live or dead) select wakers, for the pruning test.
-        #[cfg(test)]
-        pub(crate) fn select_waker_count(&self) -> usize {
-            self.shared.select_wakers.lock().unwrap_or_else(|e| e.into_inner()).len()
         }
 
         /// Receives a message, giving up after `timeout`.
@@ -310,7 +161,6 @@ pub mod channel {
             let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 if let Some(v) = st.queue.pop_front() {
-                    self.shared.cond.notify_all();
                     return Ok(v);
                 }
                 if st.senders == 0 {
@@ -343,81 +193,13 @@ pub mod channel {
         fn drop(&mut self) {
             let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
             st.receivers -= 1;
-            if st.receivers == 0 {
-                self.shared.cond.notify_all();
-            }
         }
     }
-
-    /// Implementation detail of [`select!`]: pins the `Ok` type of a
-    /// select arm's binding to the receiver's element type.
-    #[doc(hidden)]
-    pub fn __typed_recv_result<T>(
-        _rx: &Receiver<T>,
-        r: Result<T, RecvError>,
-    ) -> Result<T, RecvError> {
-        r
-    }
-}
-
-/// Waits on several channel operations at once.
-///
-/// Shim limitation: supports only the shape used in this workspace —
-/// one or more `recv($receiver) -> $binding => $block` arms followed by
-/// a mandatory `default($timeout) => $block` arm. Arms are polled in
-/// order; if none is ready the thread *parks* on a
-/// [`channel::SelectWaker`] registered with every arm's channel until a
-/// send (or sender disconnection) signals it or the timeout elapses —
-/// a blocked select consumes no CPU. A disconnected channel counts as
-/// ready and yields `Err(RecvError)`, matching `crossbeam-channel`.
-#[macro_export]
-macro_rules! select {
-    (
-        $(recv($rx:expr) -> $pat:pat => $body:block)+
-        default($timeout:expr) => $dbody:block $(,)?
-    ) => {{
-        let __deadline = ::std::time::Instant::now() + $timeout;
-        let __waker = $crate::channel::SelectWaker::new();
-        // Register before the first poll: a message sent after the poll
-        // misses it necessarily signals the already-registered waker.
-        $(
-            ($rx).__register_select_waker(&__waker);
-        )+
-        loop {
-            __waker.prepare();
-            $(
-                {
-                    let __rx = &($rx);
-                    match __rx.try_recv() {
-                        ::std::result::Result::Ok(__v) => {
-                            let $pat = $crate::channel::__typed_recv_result(
-                                __rx,
-                                ::std::result::Result::Ok(__v),
-                            );
-                            break $body;
-                        }
-                        ::std::result::Result::Err($crate::channel::TryRecvError::Disconnected) => {
-                            let $pat = $crate::channel::__typed_recv_result(
-                                __rx,
-                                ::std::result::Result::Err($crate::channel::RecvError),
-                            );
-                            break $body;
-                        }
-                        ::std::result::Result::Err($crate::channel::TryRecvError::Empty) => {}
-                    }
-                }
-            )+
-            if !__waker.wait_until(__deadline) {
-                break $dbody;
-            }
-        }
-    }};
 }
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, unbounded, RecvError, TryRecvError};
-    use std::time::Duration;
+    use super::channel::{unbounded, TryRecvError};
 
     #[test]
     fn unbounded_roundtrip_across_threads() {
@@ -434,115 +216,5 @@ mod tests {
         h.join().unwrap();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
         assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn bounded_blocks_then_delivers() {
-        let (tx, rx) = bounded::<u32>(1);
-        tx.send(1).unwrap();
-        let h = std::thread::spawn(move || tx.send(2).unwrap());
-        std::thread::sleep(Duration::from_millis(10));
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.recv(), Ok(2));
-        h.join().unwrap();
-        assert_eq!(rx.recv(), Err(RecvError));
-    }
-
-    #[test]
-    fn zero_capacity_channel_is_rendezvous() {
-        let (tx, rx) = bounded::<u32>(0);
-        let taken = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let taken2 = std::sync::Arc::clone(&taken);
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            taken2.store(true, std::sync::atomic::Ordering::SeqCst);
-            rx.recv()
-        });
-        // send must block until the receiver is actually taking.
-        tx.send(9).unwrap();
-        assert!(taken.load(std::sync::atomic::Ordering::SeqCst), "send returned before handoff");
-        assert_eq!(h.join().unwrap(), Ok(9));
-    }
-
-    #[test]
-    fn zero_capacity_send_fails_when_receiver_drops() {
-        let (tx, rx) = bounded::<u32>(0);
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            drop(rx);
-        });
-        assert_eq!(tx.send(5), Err(crate::channel::SendError(5)));
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn select_picks_ready_arm_or_default() {
-        let (tx, rx) = unbounded::<u32>();
-        let (_tx2, rx2) = unbounded::<u32>();
-        tx.send(7).unwrap();
-        let mut hit;
-        select! {
-            recv(rx) -> msg => { assert_eq!(msg, Ok(7)); hit = 1; }
-            recv(rx2) -> _msg => { hit = 2; }
-            default(Duration::from_millis(5)) => { hit = 3; }
-        }
-        assert_eq!(hit, 1);
-        select! {
-            recv(rx) -> _msg => { hit = 4; }
-            default(Duration::from_millis(5)) => { hit = 5; }
-        }
-        assert_eq!(hit, 5);
-    }
-
-    #[test]
-    fn select_parks_until_cross_thread_send() {
-        let (tx, rx) = unbounded::<u32>();
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(40));
-            tx.send(11).unwrap();
-        });
-        let t0 = std::time::Instant::now();
-        let mut got = None;
-        select! {
-            recv(rx) -> msg => { got = Some(msg.unwrap()); }
-            default(Duration::from_secs(30)) => {}
-        }
-        // Woken by the send, long before the 30 s default arm.
-        assert_eq!(got, Some(11));
-        assert!(t0.elapsed() < Duration::from_secs(10), "select missed the waker signal");
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn select_wakes_on_sender_disconnect() {
-        let (tx, rx) = unbounded::<u32>();
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(40));
-            drop(tx);
-        });
-        let mut got = None;
-        select! {
-            recv(rx) -> msg => { got = Some(msg); }
-            default(Duration::from_secs(30)) => {}
-        }
-        assert_eq!(got, Some(Err(RecvError)));
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn repeated_idle_selects_do_not_accumulate_wakers() {
-        let (_tx, rx) = unbounded::<u32>();
-        let mut fired = false;
-        for _ in 0..64 {
-            select! {
-                recv(rx) -> _msg => { fired = true }
-                default(Duration::from_millis(1)) => {}
-            }
-        }
-        assert!(!fired, "nothing was sent");
-        // Dead wakers are pruned at registration time, so an idle
-        // channel polled in a loop stays at one live entry.
-        let n = rx.select_waker_count();
-        assert!(n <= 1, "waker list grew to {n}");
     }
 }

@@ -1,19 +1,17 @@
 //! Offline stand-in for [`parking_lot`](https://crates.io/crates/parking_lot).
 //!
-//! Wraps `std::sync` primitives behind the `parking_lot` API shape the
-//! workspace uses: non-poisoning `lock()` that returns the guard
-//! directly. Poison errors from `std` are swallowed by taking the inner
-//! guard, which matches `parking_lot`'s behaviour of not propagating
-//! panics through locks.
+//! Wraps `std::sync::Mutex` behind the `parking_lot` API shape the
+//! workspace uses: `Mutex::new` and a non-poisoning `lock()` that
+//! returns the guard directly. Poison errors from `std` are swallowed by
+//! taking the inner guard, which matches `parking_lot`'s behaviour of
+//! not propagating panics through locks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::fmt;
 use std::ops::{Deref, DerefMut};
 
 /// A mutual exclusion primitive (non-poisoning `std::sync::Mutex`).
-#[derive(Default)]
 pub struct Mutex<T: ?Sized> {
     inner: std::sync::Mutex<T>,
 }
@@ -23,32 +21,12 @@ impl<T> Mutex<T> {
     pub fn new(value: T) -> Mutex<T> {
         Mutex { inner: std::sync::Mutex::new(value) }
     }
-
-    /// Consumes the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available. Never poisons.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard { inner: self.inner.lock().unwrap_or_else(|e| e.into_inner()) }
-    }
-
-    /// Tries to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: g }),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard { inner: e.into_inner() }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.inner.fmt(f)
     }
 }
 
@@ -65,61 +43,6 @@ impl<T: ?Sized> Deref for MutexGuard<'_, T> {
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-/// A reader-writer lock (non-poisoning `std::sync::RwLock`).
-#[derive(Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new lock protecting `value`.
-    pub fn new(value: T) -> RwLock<T> {
-        RwLock { inner: std::sync::RwLock::new(value) }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard { inner: self.inner.read().unwrap_or_else(|e| e.into_inner()) }
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard { inner: self.inner.write().unwrap_or_else(|e| e.into_inner()) }
-    }
-}
-
-/// RAII guard returned by [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-/// RAII guard returned by [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.inner
     }

@@ -163,11 +163,7 @@ fn hier_spec(ns: u64) -> dpu_core::ModuleSpec {
     use dpu::protocols::abcast::hier::{HierAbcastParams, KIND};
     dpu_core::ModuleSpec::with_params(
         KIND,
-        &HierAbcastParams {
-            namespace: ns,
-            resend: Dur::millis(300),
-            ..HierAbcastParams::default()
-        },
+        &HierAbcastParams { namespace: ns, resend: Dur::millis(300) },
     )
 }
 

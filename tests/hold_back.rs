@@ -60,7 +60,7 @@ fn seq_to_hier_under_load(n: u32, seed: u64) -> dpu_core::telemetry::HoldBackCou
     drive_load(&mut sim, &h, 1000.0, load_end);
     let hier = ModuleSpec::with_params(
         HIER_KIND,
-        &HierAbcastParams { namespace: 1, resend: Dur::secs(30), ..HierAbcastParams::default() },
+        &HierAbcastParams { namespace: 1, resend: Dur::secs(30) },
     );
     sim.schedule(Time::ZERO + Dur::millis(500), {
         let h = h.clone();

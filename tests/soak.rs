@@ -30,7 +30,6 @@ fn full_architecture_soak() {
     let mut sim = dpu::sim::Sim::new(sim_cfg, |sc| {
         let mut built = dpu::repl::builder::build(sc, &opts);
         let gm = built.stack.add_module(Box::new(GmModule::new(GmParams {
-            service: dpu_protocols::GM_SVC.to_string(),
             abcast: built.handles.top_service.name().to_string(),
             auto_exclude: true,
         })));
