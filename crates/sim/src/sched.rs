@@ -22,13 +22,24 @@
 //! 32.8 µs, level 1 spans 8.4 ms, level 2 spans 2.15 s; the handful of
 //! events beyond that sit in a small overflow heap. Pushing is `O(1)`:
 //! compute the level whose current bucket range contains the deadline,
-//! append to that bucket's `Vec`. Popping serves the *current* level-0
-//! bucket from a sorted `serving` array; when it empties, an occupancy
-//! bitmap finds the next non-empty bucket, and crossing a level
-//! boundary *cascades* the next coarser bucket down one level — each
-//! event is moved at most twice before being served, so the amortized
-//! cost per event is `O(1)` with small constants (24-byte key compares,
-//! `sort_unstable` over a handful of same-bucket entries).
+//! link the event's slab node at the head of that bucket's chain.
+//! Popping serves the *current* level-0 bucket from a sorted `serving`
+//! array, filled by walking the bucket's chain; when it empties, an
+//! occupancy bitmap finds the next non-empty bucket, and crossing a
+//! level boundary *cascades* the next coarser bucket down one level,
+//! walking its chain and re-placing each key — each event is moved at
+//! most twice before being served, so the amortized cost per event is
+//! `O(1)` with small constants (24-byte key compares, `sort_unstable`
+//! over a handful of same-bucket entries).
+//!
+//! A bucket is a singly linked list threaded through the queued events
+//! themselves (Varghese & Lauck, "Hashed and Hierarchical Timing
+//! Wheels", SOSP 1987): each slab node carries its `(time, seq)` key and
+//! a `next` index, and a level holds one head index per bucket. No
+//! bucket keeps capacity after it drains — a bucket costs four bytes
+//! whatever it has held — and a served node goes onto the slab's free
+//! chain through the same `next` field. Order inside a chain carries no
+//! meaning: the serving sort and every re-placement read full keys.
 //!
 //! The level-0 width decides the constants: a bucket should hold only a
 //! few events (so the serving sort stays trivial) while `slots³ × width`
@@ -82,48 +93,81 @@ impl Default for SchedConfig {
     }
 }
 
-/// Payload storage for the wheel: keys circulate through buckets and
-/// heaps as 24-byte `(Time, seq, slot)` tuples, while the (much larger)
-/// event payloads sit still in this slab until served, so bucket
-/// drains, sorts and heap sifts never move a payload.
+/// "No node": the end of a chain, an empty bucket, an empty free list.
+const NIL: u32 = u32::MAX;
+
+/// One queued event: its `(at, seq)` key, the link to the next node of
+/// its bucket chain (or of the free chain, once served), and its
+/// payload.
+struct Node<E> {
+    at: Time,
+    seq: u64,
+    next: u32,
+    ev: Option<E>,
+}
+
+/// The wheel's storage. Every queued event is a node here and every
+/// wheel bucket is a chain of node indices through `next`, so a bucket
+/// costs its head index whatever it has held; served nodes form the
+/// free chain through the same field. The `serving` array and the two
+/// heaps hold 24-byte `(Time, seq, index)` keys, so sorts and heap
+/// sifts never move a payload.
 struct Slab<E> {
-    items: Vec<Option<E>>,
-    free: Vec<u32>,
+    nodes: Vec<Node<E>>,
+    /// Head of the free chain.
+    free: u32,
 }
 
 impl<E> Slab<E> {
     fn new() -> Slab<E> {
-        Slab { items: Vec::new(), free: Vec::new() }
+        Slab { nodes: Vec::new(), free: NIL }
     }
 
     #[inline]
-    fn insert(&mut self, ev: E) -> u32 {
-        match self.free.pop() {
-            Some(i) => {
-                self.items[i as usize] = Some(ev);
-                i
-            }
-            None => {
-                if self.items.len() == self.items.capacity() {
-                    // Grow in 1/8 chunks instead of Vec's doubling: the
-                    // slab tracks the standing event population (a
-                    // million stacks hold millions of events), and
-                    // doubling's up-to-100% slack on ~50-byte payloads
-                    // is hundreds of bytes per stack. An eighth keeps
-                    // amortized O(1) growth with bounded dead capacity.
-                    let chunk = (self.items.len() / 8).max(32);
-                    self.items.reserve_exact(chunk);
-                }
-                self.items.push(Some(ev));
-                (self.items.len() - 1) as u32
-            }
+    fn insert(&mut self, at: Time, seq: u64, ev: E) -> u32 {
+        let node = Node { at, seq, next: NIL, ev: Some(ev) };
+        if self.free != NIL {
+            let i = self.free;
+            let slot = &mut self.nodes[i as usize];
+            self.free = slot.next;
+            *slot = node;
+            return i;
         }
+        if self.nodes.len() == self.nodes.capacity() {
+            // Grow in 1/8 chunks instead of Vec's doubling: the slab
+            // tracks the standing event population (a million stacks
+            // hold millions of events), and doubling's up-to-100% slack
+            // on 64-byte nodes is hundreds of bytes per stack. An eighth
+            // keeps amortized O(1) growth with bounded dead capacity.
+            let chunk = (self.nodes.len() / 8).max(32);
+            self.nodes.reserve_exact(chunk);
+        }
+        self.nodes.push(node);
+        (self.nodes.len() - 1) as u32
     }
 
     #[inline]
     fn remove(&mut self, i: u32) -> E {
-        self.free.push(i);
-        self.items[i as usize].take().expect("live slab entry")
+        let node = &mut self.nodes[i as usize];
+        node.next = self.free;
+        self.free = i;
+        node.ev.take().expect("live slab entry")
+    }
+
+    /// Link node `i` at the front of the chain starting at `head`.
+    #[inline]
+    fn link(&mut self, i: u32, head: &mut u32) {
+        self.nodes[i as usize].next = *head;
+        *head = i;
+    }
+
+    /// Unlink the front node of the chain starting at `head`; its key.
+    #[inline]
+    fn unlink(&mut self, head: &mut u32) -> Option<WheelKey> {
+        let i = *head;
+        let node = self.nodes.get(i as usize)?; // NIL is past the end
+        *head = node.next;
+        Some((node.at, node.seq, i))
     }
 }
 
@@ -132,16 +176,16 @@ impl<E> Slab<E> {
 /// decisions.
 type WheelKey = (Time, u64, u32);
 
-/// One wheel level: `slots` unsorted key buckets plus an occupancy
-/// bitmap.
+/// One wheel level: `slots` bucket chains, each a head index into the
+/// slab, plus an occupancy bitmap.
 struct Level {
-    slots: Vec<Vec<WheelKey>>,
+    heads: Vec<u32>,
     occ: Vec<u64>,
 }
 
 impl Level {
     fn new(slots: usize) -> Level {
-        Level { slots: (0..slots).map(|_| Vec::new()).collect(), occ: vec![0u64; slots / 64] }
+        Level { heads: vec![NIL; slots], occ: vec![0u64; slots / 64] }
     }
 
     #[inline]
@@ -149,15 +193,17 @@ impl Level {
         self.occ[slot / 64] |= 1u64 << (slot % 64);
     }
 
+    /// Take bucket `slot`'s whole chain, leaving the bucket empty.
     #[inline]
-    fn clear(&mut self, slot: usize) {
+    fn take(&mut self, slot: usize) -> u32 {
         self.occ[slot / 64] &= !(1u64 << (slot % 64));
+        std::mem::replace(&mut self.heads[slot], NIL)
     }
 
     /// First occupied slot ≥ `from`, if any (scans never wrap: pushes
     /// always land strictly ahead of the cursor within a level).
     fn next_occupied(&self, from: usize) -> Option<usize> {
-        if from >= self.slots.len() {
+        if from >= self.heads.len() {
             return None;
         }
         let mut w = from / 64;
@@ -233,9 +279,10 @@ const MIN_W_SHIFT: u32 = 4;
 const MAX_W_SHIFT: u32 = 26;
 
 impl<E> Scheduler<E> {
-    /// Build a scheduler. (`_homes` reserves the node count; the wheel
-    /// itself is node-agnostic — per-node queues live in each node's
-    /// `StackDriver`.)
+    /// Build a scheduler. `_homes` is unused (the wheel is node-agnostic:
+    /// per-node queues live in each node's `StackDriver`); it stays only
+    /// because `benchmark/src/kernels.rs` names it, and ROADMAP item 7
+    /// drops it.
     pub fn new(cfg: &SchedConfig, _homes: usize) -> Scheduler<E> {
         let slots = cfg.buckets.next_power_of_two().max(64);
         Scheduler {
@@ -284,7 +331,7 @@ impl<E> Scheduler<E> {
     #[inline]
     pub fn push(&mut self, at: Time, seq: u64, ev: E) {
         self.len += 1;
-        let idx = self.slab.insert(ev);
+        let idx = self.slab.insert(at, seq, ev);
         self.place((at, seq, idx));
     }
 
@@ -299,8 +346,9 @@ impl<E> Scheduler<E> {
         for l in 0..3u32 {
             if b0 >> (self.shift * (l + 1)) == self.cursor >> (self.shift * (l + 1)) {
                 let slot = ((b0 >> (self.shift * l)) & self.mask) as usize;
-                self.levels[l as usize].slots[slot].push(key);
-                self.levels[l as usize].mark(slot);
+                let level = &mut self.levels[l as usize];
+                self.slab.link(key.2, &mut level.heads[slot]);
+                level.mark(slot);
                 self.in_levels += 1;
                 return;
             }
@@ -349,9 +397,10 @@ impl<E> Scheduler<E> {
             if let Some(slot) = self.levels[0].next_occupied(from) {
                 let prev = self.cursor;
                 self.cursor = (self.cursor & !self.mask) | slot as u64;
-                let bucket = &mut self.levels[0].slots[slot];
-                std::mem::swap(bucket, &mut self.serving);
-                self.levels[0].clear(slot);
+                let mut chain = self.levels[0].take(slot);
+                while let Some(key) = self.slab.unlink(&mut chain) {
+                    self.serving.push(key);
+                }
                 self.in_levels -= self.serving.len();
                 self.serving.sort_unstable_by(|a, b| b.cmp(a));
                 // Occupancy sample for the adaptive width: events per
@@ -385,10 +434,9 @@ impl<E> Scheduler<E> {
             self.cursor = coarse << (self.shift * l);
             // …and re-place its keys: they land one level finer (or in
             // `late`, for the bucket the cursor now points at).
-            let drained = std::mem::take(&mut self.levels[l as usize].slots[slot]);
-            self.levels[l as usize].clear(slot);
-            self.in_levels -= drained.len();
-            for key in drained {
+            let mut chain = self.levels[l as usize].take(slot);
+            while let Some(key) = self.slab.unlink(&mut chain) {
+                self.in_levels -= 1;
                 self.place(key);
             }
             return true;
@@ -424,24 +472,24 @@ impl<E> Scheduler<E> {
         let floor_ns = self.cursor << self.w_shift;
         self.w_shift = new_shift;
         self.cursor = floor_ns >> new_shift;
-        let mut keys: Vec<WheelKey> =
-            Vec::with_capacity(self.in_levels + self.overflow.len() + self.late.len());
+        // Every parked key goes onto one chain first: placing straight
+        // from a bucket could land a key in a bucket not yet walked.
+        let mut all = NIL;
         for level in &mut self.levels {
-            for slot in &mut level.slots {
-                keys.append(slot);
+            for head in &mut level.heads {
+                while let Some(key) = self.slab.unlink(head) {
+                    self.slab.link(key.2, &mut all);
+                }
             }
             level.occ.fill(0);
         }
-        while let Some(Reverse(k)) = self.overflow.pop() {
-            keys.push(k);
-        }
-        keys.append(&mut self.serving);
-        while let Some(Reverse(k)) = self.late.pop() {
-            keys.push(k);
+        let heaps = self.overflow.drain().chain(self.late.drain()).map(|Reverse(k)| k);
+        for key in heaps.chain(self.serving.drain(..)) {
+            self.slab.link(key.2, &mut all);
         }
         self.overflow_min = None;
         self.in_levels = 0;
-        for key in keys {
+        while let Some(key) = self.slab.unlink(&mut all) {
             self.place(key);
         }
         self.resizes += 1;
@@ -685,6 +733,30 @@ mod tests {
         assert_eq!(s.next_time(), Some(Time::ZERO + Dur::secs(3600)), "overflow");
         s.pop_before(FAR);
         assert_eq!(s.next_time(), None);
+    }
+
+    #[test]
+    fn a_served_node_is_reused_not_grown() {
+        // 64 slots of 1 µs: level 0 spans 64 µs, level 1 4.1 ms, level 2
+        // 262 ms; the spread below reaches all three and the overflow.
+        let cfg = SchedConfig { bucket: Dur::micros(1), buckets: 64 };
+        let mut s = Scheduler::new(&cfg, 1);
+        const N: u64 = 1_000;
+        let mut seq = 0;
+        let mut fill = |s: &mut Scheduler<u64>, from: Time| {
+            for i in 0..N {
+                let at = from + Dur::nanos(i * i * i * 300);
+                s.push(at, seq, i);
+                seq += 1;
+            }
+        };
+        fill(&mut s, Time::ZERO);
+        let grown = s.slab.nodes.capacity();
+        let now = drain(&mut s).last().unwrap().0;
+        fill(&mut s, now);
+        assert_eq!(s.slab.nodes.capacity(), grown, "the free chain lost served nodes");
+        assert_eq!(drain(&mut s).len() as u64, N);
+        assert!(s.levels.iter().all(|l| l.heads.iter().all(|&h| h == NIL)));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! exactly that order for any starting bucket width, slot count and
 //! resize history. An op-sequence model test of [`Scheduler`] against a
 //! local heap: random interleavings of pushes onto every wheel level,
-//! pops with horizons that stop short, and peeks followed by an earlier
-//! push (what the parallel engine's epoch-floor probe does), with event
+//! pops with horizons that stop short, peeks followed by an earlier
+//! push (what the parallel engine's epoch-floor probe does) and bursts
+//! of up to 1 024 keys at one instant (one long bucket chain), with event
 //! density swinging across both adaptive-resize thresholds. Event pop
 //! order decides every RNG draw of a `Sim` run downstream, so one
 //! out-of-order pop would diverge the fingerprint.
@@ -151,6 +152,16 @@ fn model_run(cfg: &SchedConfig, gaps: &[u64], seed: u64) -> u64 {
                 ls.pop(now + Dur::nanos(gap / 2));
                 None
             }
+            // A burst: up to 1 024 keys at one instant on any level, the
+            // shape of one broadcast's fan-out — one long bucket chain,
+            // cascaded whole and re-placed by the resizes it provokes.
+            13 if (r >> 5).is_multiple_of(8) => {
+                let at = now + Dur::nanos(width * slots.pow(((r >> 40) % 3) as u32) * k);
+                for _ in 0..1 + (r >> 16) % 1024 {
+                    ls.push(at);
+                }
+                None
+            }
             // Turnover: the head respawns one population ahead.
             _ => ls.pop(FAR).map(|at| at + Dur::nanos(POPULATION * gap)),
         };
@@ -158,7 +169,7 @@ fn model_run(cfg: &SchedConfig, gaps: &[u64], seed: u64) -> u64 {
             ls.push(at);
             last_at = at;
         }
-        if ls.wheel.len() as u64 > POPULATION {
+        while ls.wheel.len() as u64 > POPULATION {
             ls.pop(FAR);
         }
     }
