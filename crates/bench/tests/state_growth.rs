@@ -148,6 +148,21 @@ fn four_times_the_messages_cost_the_same_bytes_under_repl_with_the_trace_on() {
     assert_flat("repl over ct, traced", short, long, 1.1);
 }
 
+/// What the trace costs a stack on the paper's testbed: its structural
+/// entries, and a seventh of the one tail of calls its shard lends to
+/// whichever stack it drives. Read 25 379 B in most runs (25 284–26 693
+/// over thirteen runs), bounded at the highest + 4 %; ≈ 165 KB while every
+/// stack kept a 160 KiB tail of its own.
+#[test]
+fn the_trace_costs_a_share_of_one_tail_per_shard() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let on = ct_run(SwitchLayer::Repl, 4, SHORT, true);
+    let off = ct_run(SwitchLayer::Repl, 4, SHORT, false);
+    let trace = on.saturating_sub(off);
+    println!("the trace: {trace} B/stack ({on} traced, {off} not)");
+    assert!(trace <= 27_760, "the trace costs {trace} B a stack");
+}
+
 #[test]
 fn four_times_the_messages_cost_the_same_bytes_without_a_switch_layer() {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());

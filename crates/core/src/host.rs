@@ -47,6 +47,7 @@ pub use live::{dump_flight, Ctl, Host, LiveShard, LossModel, ReportFold, ShardPo
 use crate::ids::{StackId, TimerId};
 use crate::stack::{DispatchBuf, HostAction, Stack, StepInfo};
 use crate::time::Time;
+use crate::trace::{Tail, TraceLog};
 use crate::wire::WireScratch;
 use bytes::Bytes;
 use dpu_telemetry::TelemetrySet;
@@ -309,15 +310,17 @@ pub(crate) const MAX_POLL_ROUNDS: usize = 64;
 pub(crate) const MAX_POLL_STEPS: usize = 100_000;
 
 /// What a host shard lends whichever stack it is driving: the
-/// encode-buffer pool, the dispatch buffers and the telemetry set — one
-/// of each per shard instead of one per stack, so retained capacity and
-/// event-rate samples scale with shards. The simulator's shards and
+/// encode-buffer pool, the dispatch buffers, the telemetry set and the
+/// trace's tail of recent calls — one of each per shard instead of one
+/// per stack, so retained capacity, event-rate samples and a traced
+/// run's tail scale with shards. The simulator's shards and
 /// [`LiveShard`] each hold one and reach a stack only through
 /// [`ShardPools::lend`].
 pub struct ShardPools {
     scratch: WireScratch,
     dispatch: DispatchBuf,
     telemetry: TelemetrySet,
+    trace: Tail,
 }
 
 impl Default for ShardPools {
@@ -326,6 +329,7 @@ impl Default for ShardPools {
             scratch: WireScratch::shard_pool(),
             dispatch: DispatchBuf::default(),
             telemetry: TelemetrySet::default(),
+            trace: Tail::default(),
         }
     }
 }
@@ -340,27 +344,45 @@ impl ShardPools {
         loan.driver.stack.lend_dispatch(&mut loan.pools.dispatch);
         loan
     }
+
+    /// Take the trace of `stacks` — the ones this shard lends to, in
+    /// stack order — and merge it into `into`: each stack's structural
+    /// entries, and the calls and responses they pushed through the
+    /// shard's tail, in the order they were pushed (see
+    /// [`TraceLog::merge`] for the chain and the order by time). The
+    /// stacks' logs and the tail are left empty.
+    pub fn take_trace<'a>(
+        &mut self,
+        stacks: impl IntoIterator<Item = &'a mut Stack>,
+        into: &mut TraceLog,
+    ) {
+        into.merge_lent(&mut self.trace, stacks.into_iter().map(Stack::take_trace));
+    }
 }
 
 /// The shard loan, the one way a host lends its [`ShardPools`]: while
 /// it lives, the driver's stack encodes into the shard's pool, records
-/// into the shard's telemetry set, and dispatches through the shard's
-/// buffers unless it still holds its own. Dropping it hands the pool
-/// and the set back, and with them every dispatch buffer the stack no
-/// longer needs — on return, early return and unwind alike, so a loan
-/// cannot leak pool capacity or a histogram into a stack, and a stack
-/// without work holds no dispatch capacity. Dereferences to the driver.
+/// into the shard's telemetry set, pushes its calls and responses
+/// through the shard's trace tail, and dispatches through the shard's
+/// buffers unless it still holds its own. Dropping it hands the pool,
+/// the set and the tail back, and with them every dispatch buffer the
+/// stack no longer needs — on return, early return and unwind alike, so
+/// a loan cannot leak pool capacity, a histogram or a tail into a
+/// stack, and a stack without work holds no dispatch capacity.
+/// Dereferences to the driver.
 pub struct Loan<'a> {
     driver: &'a mut StackDriver,
     pools: &'a mut ShardPools,
 }
 
 impl Loan<'_> {
-    /// The symmetric part, both ways: the pool and the set are swaps.
+    /// The symmetric part, both ways: the pool, the set and the tail are
+    /// swaps.
     fn swap(&mut self) {
         let stack = &mut self.driver.stack;
         stack.swap_scratch(&mut self.pools.scratch);
         stack.telemetry_mut().swap_set(&mut self.pools.telemetry);
+        stack.swap_tail(&mut self.pools.trace);
     }
 }
 
@@ -577,55 +599,99 @@ mod tests {
         assert_eq!(w, Wakeup::At(Time(5)));
     }
 
-    #[test]
-    fn endless_call_response_cycle_cannot_wedge_poll() {
-        // Provides "c" and echoes every call; the partner below turns
-        // every response into a fresh call — an infinite dispatch cycle
-        // with no timers involved.
-        struct EchoC;
-        impl Module for EchoC {
-            fn kind(&self) -> &str {
-                "echoc"
-            }
-            fn provides(&self) -> Vec<ServiceId> {
-                vec![ServiceId::new("c")]
-            }
-            fn requires(&self) -> Vec<ServiceId> {
-                Vec::new()
-            }
-            fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
-                ctx.respond(&call.service, call.op, call.data);
-            }
-            fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
+    /// Provides "c" and echoes every call.
+    struct EchoC;
+
+    impl Module for EchoC {
+        fn kind(&self) -> &str {
+            "echoc"
         }
-        struct Relentless;
-        impl Module for Relentless {
-            fn kind(&self) -> &str {
-                "relentless"
-            }
-            fn provides(&self) -> Vec<ServiceId> {
-                Vec::new()
-            }
-            fn requires(&self) -> Vec<ServiceId> {
-                vec![ServiceId::new("c")]
-            }
-            fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
-                ctx.call(&ServiceId::new("c"), 1, Bytes::new());
-            }
-            fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
-            fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, _: Response) {
-                ctx.call(&ServiceId::new("c"), 1, Bytes::new());
-            }
+        fn provides(&self) -> Vec<ServiceId> {
+            vec![ServiceId::new("c")]
         }
-        let mut s = Stack::new(StackConfig::nth(0, 1, 1), FactoryRegistry::new());
+        fn requires(&self) -> Vec<ServiceId> {
+            Vec::new()
+        }
+        fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
+            ctx.respond(&call.service, call.op, call.data);
+        }
+        fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
+    }
+
+    /// Turns every response on "c" into a fresh call: with [`EchoC`], an
+    /// infinite dispatch cycle with no timers involved.
+    struct Relentless;
+
+    impl Module for Relentless {
+        fn kind(&self) -> &str {
+            "relentless"
+        }
+        fn provides(&self) -> Vec<ServiceId> {
+            Vec::new()
+        }
+        fn requires(&self) -> Vec<ServiceId> {
+            vec![ServiceId::new("c")]
+        }
+        fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
+            ctx.call(&ServiceId::new("c"), 1, Bytes::new());
+        }
+        fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
+        fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, _: Response) {
+            ctx.call(&ServiceId::new("c"), 1, Bytes::new());
+        }
+    }
+
+    fn cycle_driver(id: u32) -> StackDriver {
+        let mut s = Stack::new(StackConfig::nth(id, 2, 1), FactoryRegistry::new());
         let echo = s.add_module(Box::new(EchoC));
         s.add_module(Box::new(Relentless));
         s.bind(&ServiceId::new("c"), echo);
-        let mut d = StackDriver::new(s);
+        StackDriver::new(s)
+    }
+
+    #[test]
+    fn endless_call_response_cycle_cannot_wedge_poll() {
+        let mut d = cycle_driver(0);
         // Must return (step budget), asking to be re-polled immediately.
         let w = d.poll(Time(3), &mut NullSink);
         assert_eq!(w, Wakeup::At(Time(3)));
         assert!(d.has_work(), "the cycle is still pending, host re-polls");
+    }
+
+    #[test]
+    fn traced_stacks_of_one_shard_push_their_calls_through_its_one_tail() {
+        use crate::trace::{TraceEvent, TAIL};
+        let mut pools = ShardPools::default();
+        let mut drivers = [cycle_driver(0), cycle_driver(1)];
+        let built = drivers.each_ref().map(|d| d.stack().trace().mem_bytes());
+        for round in 0..2 {
+            for d in &mut drivers {
+                let mut loan = pools.lend(d);
+                for _ in 0..=TAIL {
+                    loan.step_raw(Time(round)).expect("the cycle never ends");
+                    loan.settle(Time(round), &mut NullSink);
+                }
+            }
+            assert_eq!(pools.trace.len(), TAIL, "one tail for the shard, full and no more");
+        }
+        for (d, built) in drivers.iter().zip(built) {
+            let trace = d.stack().trace();
+            assert!(trace.pushed() > 2 * TAIL as u64);
+            assert_eq!(trace.mem_bytes(), built, "a stack holds its structural entries only");
+            assert!(trace.events().all(|(_, e)| !matches!(e, TraceEvent::Call { .. })));
+        }
+        // Taking a stack's trace inside a loan leaves the shard its tail.
+        let pushed = drivers[0].stack().trace().pushed();
+        let mut loan = pools.lend(&mut drivers[0]);
+        let taken = loan.stack_mut().take_trace();
+        drop(loan);
+        assert_eq!(pools.trace.len(), TAIL);
+        assert_eq!(taken.pushed(), pushed);
+        assert_eq!(taken.events().count(), 5, "three modules created, two binds");
+        let mut merged = TraceLog::new();
+        pools.take_trace(drivers.iter_mut().map(StackDriver::stack_mut), &mut merged);
+        assert_eq!(pools.trace.len(), 0, "folding a shard's trace empties its tail");
+        assert_eq!(merged.events().count(), TAIL + 5, "the tail and stack 1's build");
     }
 
     #[test]

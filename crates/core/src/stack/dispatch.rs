@@ -1,12 +1,12 @@
 //! Running the work: the delivery queue, [`Stack::step`] (one delivery
 //! to one module handler), timer expiry, and the shard loan of the
-//! dispatch and encode buffers.
+//! dispatch and encode buffers and the trace tail.
 
 use super::{HostAction, ModuleCtx, Stack};
 use crate::ids::{ModuleId, TimerId};
 use crate::module::{Call, Response};
 use crate::time::Time;
-use crate::trace::TraceEvent;
+use crate::trace::{Tail, TraceEvent};
 use crate::wire::WireScratch;
 use std::collections::VecDeque;
 
@@ -158,6 +158,13 @@ impl Stack {
     /// with the pool; encoded bytes are identical either way.
     pub(crate) fn swap_scratch(&mut self, other: &mut WireScratch) {
         std::mem::swap(&mut self.scratch, other);
+    }
+
+    /// Swap the tail this stack's trace pushes calls and responses
+    /// through with `tail` — the trace part of the shard loan, both ways
+    /// (see [`crate::trace::TraceLog`]).
+    pub(crate) fn swap_tail(&mut self, tail: &mut Tail) {
+        self.trace.swap_tail(tail);
     }
 
     /// Taking a shard loan: each buffer holding no capacity takes the shard's.

@@ -306,12 +306,16 @@ impl Stack {
         self.modules.iter().map(|(id, s)| (*id, s.kind.as_str()))
     }
 
-    /// Access the recorded trace.
+    /// Access the recorded trace. Under a host, the stack's calls and
+    /// responses live in its shard's tail, not here: read them with the
+    /// host's merged trace (`Sim::merged_trace`).
     pub fn trace(&self) -> &TraceLog {
         &self.trace
     }
 
     /// Take the recorded trace, leaving an empty one (same enablement).
+    /// A shard's tail lent to the stack stays with the loan: under a
+    /// host, what is taken is the structural entries and the digest.
     pub fn take_trace(&mut self) -> TraceLog {
         self.trace.take()
     }

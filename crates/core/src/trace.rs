@@ -6,9 +6,9 @@
 //! unbinds, module lifetimes, blocked and released calls, crashes — are
 //! kept whole; calls and responses, one per dispatch step and all but a
 //! few of a run's entries, are folded into a digest where they happen
-//! and only the most recent are kept. A traced stack therefore grows with
-//! its replacements, not with its messages, and tracing stays on at every
-//! scale the system runs at.
+//! and only the most recent are kept, in one tail per host shard. A
+//! traced stack therefore grows with its replacements, not with its
+//! messages, and tracing stays on at every scale the system runs at.
 
 use crate::ids::{ModuleId, Name, ServiceId, StackId};
 use crate::module::Op;
@@ -235,21 +235,63 @@ impl TraceEvent {
 type Entry = (Time, TraceEvent);
 
 // A service name and a module kind are one interned word each, which
-// keeps an entry at 40 bytes (the tail is `TAIL` of them per traced
-// stack) and a stack's slot for a module at the module and its kind; all
-// of a log's state sits behind one pointer, so a disabled log is one word
-// in every stack of a capacity run.
+// keeps an entry at 40 bytes (a tail is `TAIL` of them) and a stack's
+// slot for a module at the module and its kind; all of a log's state
+// sits behind one pointer, so a disabled log is one word in every stack
+// of a capacity run.
 const _: () = assert!(std::mem::size_of::<ServiceId>() == 8);
 const _: () = assert!(std::mem::size_of::<Name>() == 8);
 const _: () = assert!(std::mem::size_of::<Entry>() == 40);
 const _: () = assert!(std::mem::size_of::<crate::stack::ModuleSlot>() == 24);
 const _: () = assert!(std::mem::size_of::<TraceLog>() == 8);
 
-/// Dispatch entries (calls and responses) a log keeps: the most recent
-/// 4096, 160 KiB — several broadcasts' worth of steps on the paper's
-/// testbed, for diagnosis and for tests that read calls over a short
-/// window. Older ones live on in the digest and in [`TraceLog::dropped`].
+/// Dispatch entries (calls and responses) a tail keeps: the most recent
+/// 4096, 160 KiB — some 17 broadcasts' worth of the steps of all seven
+/// stacks of the paper's testbed, for diagnosis and for tests that read
+/// calls over a short window. Older ones live on in the digest and in
+/// [`TraceLog::dropped`]. A bare stack's log keeps its own tail; under a
+/// host, every stack of a shard pushes through the shard's one (see
+/// [`crate::host::ShardPools`]), so read a hosted stack's calls from the
+/// host's merged trace.
 pub(crate) const TAIL: usize = 4096;
+
+/// Where a structural entry was pushed through a [`Tail`]: after how
+/// many dispatch entries, then after how many structural ones — its place
+/// in the tail's push order, whichever log pushed it.
+type Place = (u64, u64);
+
+/// The most recent dispatch entries pushed through it, at most [`TAIL`],
+/// and the count of every entry pushed, which places structural entries
+/// among them. A log holds its own; a host shard lends its one to
+/// whichever stack it drives ([`TraceLog::swap_tail`]).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Tail {
+    entries: VecDeque<Entry>,
+    /// Dispatch entries ever pushed, kept or not.
+    dispatched: u64,
+    /// Structural entries pushed, into whichever log held the tail.
+    structural: u64,
+}
+
+impl Tail {
+    fn push(&mut self, entry: Entry) {
+        if self.entries.len() >= TAIL {
+            self.entries.pop_front();
+        }
+        self.entries.push_back(entry);
+        self.dispatched += 1;
+    }
+
+    fn dropped(&self) -> u64 {
+        self.dispatched - self.entries.len() as u64
+    }
+
+    /// Dispatch entries held.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+}
 
 /// A time-stamped trace of [`TraceEvent`]s, ordered by push time.
 ///
@@ -259,21 +301,24 @@ pub(crate) const TAIL: usize = 4096;
 ///
 /// It holds three things: every structural entry, complete and in push
 /// order; a [`Chain`] over every entry ever pushed, folded at `push` with
-/// no allocation and no formatting; and the last `TAIL` dispatch
-/// entries. A disabled log holds nothing and allocates nothing.
+/// no allocation and no formatting; and a tail of the last `TAIL`
+/// dispatch entries — its own, or the one a host shard lends it. A
+/// disabled log holds nothing and allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct TraceLog(Option<Box<Kept>>);
 
 /// What an enabled log holds.
 #[derive(Clone, Debug, Default)]
 struct Kept {
-    /// Structural entries in push order, each with the number of dispatch
-    /// entries pushed before it — its place among the tail's.
-    structural: Vec<(u64, Entry)>,
-    /// The most recent dispatch entries, at most [`TAIL`] after a push.
-    tail: VecDeque<Entry>,
-    /// Dispatch entries ever pushed, kept or not.
-    dispatched: u64,
+    /// Structural entries in push order, each with its place in the tail
+    /// it was pushed through.
+    structural: Vec<(Place, Entry)>,
+    /// The log's own tail, or the one lent to it while `lent`.
+    tail: Tail,
+    lent: bool,
+    /// While not `lent`: the structural entries from here on were placed
+    /// in the log's own tail, the ones before in the tail last lent.
+    own_from: usize,
     /// Every entry ever pushed; a merged log's chain joins its parts'.
     chain: Chain,
     /// Time of the last entry pushed, and whether some entry was earlier
@@ -286,6 +331,7 @@ struct Kept {
 
 /// Walk structural entries (each with the count of dispatch entries
 /// before it) and tail entries (numbered from `first`) in push order.
+/// Structural entries placed past the tail's end follow it.
 fn interleave<T>(
     structural: impl Iterator<Item = (u64, T)>,
     mut tail: impl Iterator<Item = T>,
@@ -295,47 +341,81 @@ fn interleave<T>(
     let mut next = first;
     std::iter::from_fn(move || match structural.peek() {
         Some((before, _)) if *before <= next => structural.next().map(|(_, entry)| entry),
-        _ => {
-            next += 1;
-            tail.next()
-        }
+        _ => match tail.next() {
+            Some(entry) => {
+                next += 1;
+                Some(entry)
+            }
+            None => structural.next().map(|(_, entry)| entry),
+        },
     })
 }
 
 impl Kept {
     fn dropped(&self) -> u64 {
-        self.dispatched - self.tail.len() as u64
+        self.tail.dropped()
     }
 
     fn append(&mut self, entry: Entry) {
         self.unsorted |= entry.0 < self.last;
         self.last = entry.0;
         if entry.1.is_dispatch() {
-            if self.tail.len() >= TAIL {
-                self.tail.pop_front();
-            }
-            self.tail.push_back(entry);
-            self.dispatched += 1;
+            self.tail.push(entry);
         } else {
-            self.structural.push((self.dispatched, entry));
+            self.structural.push(((self.tail.dispatched, self.tail.structural), entry));
+            self.tail.structural += 1;
         }
     }
 
     fn entries(&self) -> impl Iterator<Item = &Entry> {
-        interleave(self.structural.iter().map(|(at, e)| (*at, e)), self.tail.iter(), self.dropped())
+        let structural = self.structural.iter().map(|(at, e)| (at.0, e));
+        interleave(structural, self.tail.entries.iter(), self.dropped())
     }
 
     fn into_entries(self) -> impl Iterator<Item = Entry> {
         let first = self.dropped();
-        interleave(self.structural.into_iter(), self.tail.into_iter(), first)
+        let structural = self.structural.into_iter().map(|(at, e)| (at.0, e));
+        interleave(structural, self.tail.entries.into_iter(), first)
     }
 
     /// A log of `entries` (in their order) standing for `chain`, of
     /// which `dropped` dispatch entries were let go before.
     fn rebuilt(chain: Chain, dropped: u64, entries: impl Iterator<Item = Entry>) -> Kept {
-        let mut kept = Kept { chain, dispatched: dropped, ..Kept::default() };
+        let tail = Tail { dispatched: dropped, ..Tail::default() };
+        let mut kept = Kept { chain, tail, ..Kept::default() };
         entries.for_each(|entry| kept.append(entry));
         kept
+    }
+
+    /// Move what was pushed through the log's own tail onto `onto`,
+    /// after what `onto` holds: its entries, their count, and the places
+    /// of the structural entries pushed among them. The own tail is left
+    /// empty.
+    fn settle_own(&mut self, onto: &mut Tail) {
+        let own = std::mem::take(&mut self.tail);
+        let (d, s) = (onto.dispatched, onto.structural);
+        for ((dispatched, structural), _) in &mut self.structural[self.own_from..] {
+            (*dispatched, *structural) = (d + *dispatched, s + *structural);
+        }
+        onto.dispatched += own.dropped();
+        onto.structural += own.structural;
+        own.entries.into_iter().for_each(|entry| onto.push(entry));
+    }
+
+    /// Everything but a lent tail, which stays. What is taken keeps its
+    /// structural entries in order, ahead of an empty tail of its own.
+    fn take(&mut self) -> Kept {
+        if !self.lent {
+            return std::mem::take(self);
+        }
+        let lent = Kept { tail: std::mem::take(&mut self.tail), lent: true, ..Kept::default() };
+        let mut taken = std::mem::replace(self, lent);
+        for (i, (place, _)) in taken.structural.iter_mut().enumerate() {
+            *place = (0, i as u64);
+        }
+        taken.tail.structural = taken.structural.len() as u64;
+        taken.lent = false;
+        taken
     }
 
     /// Merge `other`'s entries in (its chain is already joined): one
@@ -376,8 +456,9 @@ impl TraceLog {
     }
 
     /// Take what was recorded, leaving an empty log (same enablement).
+    /// A tail lent to this log stays: it is the host's.
     pub fn take(&mut self) -> TraceLog {
-        TraceLog(self.0.as_mut().map(|kept| Box::new(std::mem::take(&mut **kept))))
+        TraceLog(self.0.as_mut().map(|kept| Box::new(kept.take())))
     }
 
     /// Record an event at time `t`.
@@ -388,9 +469,27 @@ impl TraceLog {
         }
     }
 
+    /// Lend this log `tail`, or hand it back: the two halves of a host
+    /// shard's loan, one swap each way. Lending first moves whatever the
+    /// log pushed through its own tail since it last held a lent one —
+    /// a stack's entries from before its first loan — onto `tail`, so
+    /// those entries take their place there; handing back leaves the log
+    /// its own tail, empty. A disabled log takes no tail.
+    pub(crate) fn swap_tail(&mut self, tail: &mut Tail) {
+        let Some(kept) = self.0.as_deref_mut() else { return };
+        if !kept.lent {
+            kept.settle_own(tail);
+        }
+        std::mem::swap(&mut kept.tail, tail);
+        kept.lent = !kept.lent;
+        kept.own_from = kept.structural.len();
+    }
+
     /// The retained events in push order: every structural one, and the
     /// dispatch entries still in the tail — the complete log whenever
-    /// [`TraceLog::dropped`] is zero.
+    /// [`TraceLog::dropped`] is zero. A stack under a host keeps no
+    /// dispatch entries of its own: they are in its shard's tail, which
+    /// [`crate::host::ShardPools::take_trace`] folds in.
     pub fn events(&self) -> impl Iterator<Item = &(Time, TraceEvent)> {
         self.0.iter().flat_map(|kept| kept.entries())
     }
@@ -400,21 +499,22 @@ impl TraceLog {
         self.0.as_ref().map_or(0, |kept| kept.chain.len)
     }
 
-    /// Dispatch entries folded into the digest and let go: what
-    /// [`TraceLog::events`] no longer yields.
+    /// Dispatch entries folded into the digest and let go from the tail:
+    /// what [`TraceLog::events`] no longer yields of it.
     pub fn dropped(&self) -> u64 {
         self.0.as_ref().map_or(0, |kept| kept.dropped())
     }
 
     /// Structural bytes held (event-internal strings are not walked):
-    /// the structural entries at capacity, plus a tail that stops
-    /// growing at `TAIL` entries. What a traced stack pays grows with
-    /// binds and module lifetimes, not with calls.
+    /// the structural entries at capacity, plus a tail of its own that
+    /// stops growing at `TAIL` entries. What a traced stack pays grows
+    /// with binds and module lifetimes, not with calls — and under a
+    /// host, which holds the tail, with nothing else.
     pub fn mem_bytes(&self) -> usize {
         self.0.as_ref().map_or(0, |kept| {
             std::mem::size_of::<Kept>()
-                + kept.structural.capacity() * std::mem::size_of::<(u64, Entry)>()
-                + kept.tail.capacity() * std::mem::size_of::<Entry>()
+                + kept.structural.capacity() * std::mem::size_of::<(Place, Entry)>()
+                + kept.tail.entries.capacity() * std::mem::size_of::<Entry>()
         })
     }
 
@@ -430,6 +530,30 @@ impl TraceLog {
         if let Some(theirs) = other.0.as_deref() {
             mine.merge_entries(theirs);
         }
+    }
+
+    /// Merge in `parts`, logs that pushed through the one lent `tail` (a
+    /// host shard's stacks, in stack order), and empty the tail. The
+    /// parts' chains are joined in order, as [`TraceLog::merge`] joins
+    /// them; their entries come in the order they were pushed through
+    /// the tail — equal-time entries of different stacks in dispatch
+    /// order — and are then merged by time into this log's.
+    pub(crate) fn merge_lent(&mut self, tail: &mut Tail, parts: impl Iterator<Item = TraceLog>) {
+        let Some(mine) = self.0.as_deref_mut() else { return };
+        let mut structural = Vec::new();
+        for part in parts {
+            mine.chain.join(part.0.as_ref().map_or(Chain::default(), |kept| kept.chain));
+            if let Some(mut kept) = part.0 {
+                kept.settle_own(tail);
+                structural.append(&mut kept.structural);
+            }
+        }
+        structural.sort_by_key(|(place, _)| *place);
+        let tail = std::mem::take(tail);
+        let first = tail.dropped();
+        let structural = structural.into_iter().map(|(at, e)| (at.0, e));
+        let pushed = interleave(structural, tail.entries.into_iter(), first);
+        mine.merge_entries(&Kept::rebuilt(Chain::default(), first, pushed));
     }
 
     /// The digest of every entry pushed, folded at `push` from the
@@ -577,7 +701,7 @@ mod tests {
         // and a tail that has stopped growing — not for what it dropped.
         let structural = model.0.iter().filter(|(_, e)| !e.is_dispatch()).count();
         let bound = std::mem::size_of::<Kept>()
-            + (2 * structural + 4) * std::mem::size_of::<(u64, Entry)>()
+            + (2 * structural + 4) * std::mem::size_of::<(Place, Entry)>()
             + TAIL * std::mem::size_of::<Entry>();
         assert!(log.mem_bytes() <= bound, "{} entries hold {} B", log.pushed(), log.mem_bytes());
     }
@@ -614,19 +738,97 @@ mod tests {
         assert!(overflowed > 10, "the sweep must take single and merged logs past the tail");
     }
 
+    /// Logs that push through one lent tail — a host shard's stacks —
+    /// folded as `Sim::merged_trace` folds a shard, two shards into one
+    /// log. The model of a shard is the flat vector of every push in the
+    /// order it reached the tail (an entry pushed outside a loan reaches
+    /// it when its log is next lent, or folded), of which the tail keeps
+    /// the last `TAIL` calls; the fold is that, sorted whole by time and
+    /// merged with what the log held. The digest is that of the same
+    /// pushes into bare logs, merged in stack order.
+    #[test]
+    fn logs_sharing_a_lent_tail_fold_to_the_flat_vector_model() {
+        let mut rng = 0x2545_F491_4F6C_DD1D_u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let lens = [0, 1, 5, 100, TAIL - 1, TAIL + 1, 2 * TAIL, 4 * TAIL + 7];
+        let mut overflowed = 0;
+        for (i, &len) in lens.iter().enumerate() {
+            let (mut folded, mut by_stack) = (TraceLog::new(), TraceLog::new());
+            // What the folded log must hold, push and drop.
+            let (mut kept, mut pushed, mut dropped) = (Model::default(), 0, 0);
+            let mut id = 0;
+            for shard_len in [len, lens[(i + 3) % lens.len()]] {
+                let mut logs = vec![TraceLog::new(); 3];
+                let mut bare = vec![TraceLog::new(); 3];
+                // What each log pushed outside a loan, not yet in a tail.
+                let mut pending: Vec<Vec<Entry>> = vec![Vec::new(); 3];
+                let (mut tail, mut shard) = (Tail::default(), Model::default());
+                let (mut t, end) = (0, id + shard_len as u64);
+                while id < end {
+                    let s = (next() % 3) as usize;
+                    let lent = next() % 8 != 0;
+                    if lent {
+                        logs[s].swap_tail(&mut tail);
+                        shard.0.append(&mut pending[s]);
+                    }
+                    let burst = if next() % 64 == 0 { TAIL as u64 + 1 } else { 1 + next() % 4 };
+                    for _ in 0..burst {
+                        t += next() % 2;
+                        let ev = if next() % 4 != 0 {
+                            call(s as u32, "p", id)
+                        } else {
+                            bind(s as u32, "p", id)
+                        };
+                        id += 1;
+                        logs[s].push(Time(t), ev.clone());
+                        bare[s].push(Time(t), ev.clone());
+                        let to = if lent { &mut shard.0 } else { &mut pending[s] };
+                        to.push((Time(t), ev));
+                    }
+                    if lent {
+                        logs[s].swap_tail(&mut tail);
+                        assert!(tail.len() <= TAIL);
+                        assert_eq!(logs[s].dropped(), 0, "a log holds no calls between loans");
+                    }
+                }
+                pending.iter_mut().for_each(|p| shard.0.append(p));
+                folded.merge_lent(&mut tail, logs.iter_mut().map(TraceLog::take));
+                bare.iter().for_each(|log| by_stack.merge(log));
+                assert_eq!(tail.len(), 0, "folding empties the tail");
+
+                pushed += shard.0.len() as u64;
+                dropped += shard.dropped() as u64;
+                kept.merge(&Model(shard.retained().cloned().collect()));
+                dropped += kept.dropped() as u64;
+                kept = Model(kept.retained().cloned().collect());
+                assert_eq!((folded.pushed(), folded.dropped()), (pushed, dropped));
+                assert!(folded.events().eq(kept.0.iter()), "iteration differs at {pushed}");
+                assert_eq!(folded.fingerprint(), by_stack.fingerprint());
+                assert_eq!(folded.pushed(), by_stack.pushed());
+                overflowed += usize::from(folded.dropped() > 0);
+            }
+        }
+        assert!(overflowed > 5, "the sweep must take shared tails past their length");
+    }
+
     #[test]
     fn a_log_grows_with_its_structural_entries_not_with_its_calls() {
         let mut log = TraceLog::new();
         log.push(Time(0), bind(0, "p", 0));
         assert!(
-            log.mem_bytes() <= std::mem::size_of::<Kept>() + 4 * 48,
+            log.mem_bytes() <= std::mem::size_of::<Kept>() + 4 * 56,
             "a small trace stays small"
         );
         for i in 0..TAIL as u64 {
             log.push(Time(i), call(0, "p", i));
         }
         let full = log.mem_bytes();
-        assert!(full <= std::mem::size_of::<Kept>() + 4 * 48 + TAIL * 40);
+        assert!(full <= std::mem::size_of::<Kept>() + 4 * 56 + TAIL * 40);
         let digest = log.fingerprint();
         for i in 0..3 * TAIL as u64 {
             log.push(Time(TAIL as u64 + i), call(0, "p", i));

@@ -155,8 +155,10 @@ pub struct SimConfig {
     pub cpu: CpuConfig,
     /// Record a trace in each stack: every bind, unbind, module lifetime
     /// and blocked call, plus a digest of every call and response — per
-    /// stack a fixed tail and what its replacements add, whatever the
-    /// length of the run (`dpu_core::trace`).
+    /// stack what its replacements add, per shard one fixed tail of
+    /// recent calls, whatever the length of the run (`dpu_core::trace`).
+    /// A stack's calls live in its shard's tail: read them with
+    /// [`Sim::merged_trace`].
     pub trace: bool,
     /// The network: the [`NetConfig`] of every link class (one for a
     /// flat topology, intra-cluster and backbone for a clustered one)
@@ -937,14 +939,16 @@ impl Sim {
     /// Merge and take the traces of all stacks, shard by shard and slot
     /// by slot — stack order, and the same whatever the worker count —
     /// which is the order the merged [`TraceLog::fingerprint`] joins the
-    /// per-stack digests in.
+    /// per-stack digests in. Each shard's calls and responses live in its
+    /// one tail ([`ShardPools::take_trace`]), so the result keeps the last
+    /// 4096 of them per shard and then of the merged stream; equal-time
+    /// entries of one shard come in dispatch order, of different shards
+    /// in shard order.
     pub fn merged_trace(&mut self) -> TraceLog {
         let mut merged = TraceLog::new();
         for shard in &mut self.shards {
-            for driver in shard.nodes.drivers_mut() {
-                let t = driver.stack_mut().take_trace();
-                merged.merge(&t);
-            }
+            let stacks = shard.nodes.drivers_mut().map(StackDriver::stack_mut);
+            shard.pools.take_trace(stacks, &mut merged);
         }
         merged
     }
@@ -1051,6 +1055,58 @@ mod tests {
         let (a, _) = run(7);
         let (b, _) = run(8);
         assert_eq!(a.packets_delivered, b.packets_delivered);
+    }
+
+    /// What a stack pushes before its first loan — its build, in
+    /// `Sim::new` or `restart_node_with` — and outside any (a crash)
+    /// lands in the merged trace in order: in time, and ahead of the
+    /// calls of the incarnation it built. (A stack stamps its build at
+    /// its own clock, zero, also when a restart builds it.)
+    #[test]
+    fn entries_pushed_outside_a_loan_land_in_order() {
+        use dpu_core::TraceEvent;
+        let mut sim = pinger_sim(4, 1);
+        sim.run_until(Time::ZERO + Dur::millis(10));
+        let restart = sim.now();
+        sim.restart_node_with(StackId(2), pinger_stack);
+        sim.crash_at(restart + Dur::millis(2), StackId(3));
+        sim.run_until(restart + Dur::millis(10));
+        let trace = sim.merged_trace();
+        assert_eq!(trace.dropped(), 0);
+        let events: Vec<_> = trace.events().collect();
+        assert!(events.windows(2).all(|w| w[0].0 <= w[1].0), "the merged trace is in time order");
+        for stack in 0..4 {
+            let id = StackId(stack);
+            let mine: Vec<_> = events.iter().filter(|(_, e)| e.stack() == id).collect();
+            let call = |e: &TraceEvent| matches!(e, TraceEvent::Call { .. });
+            let dispatch = |e: &TraceEvent| call(e) || matches!(e, TraceEvent::Response { .. });
+            // The old incarnation of stack 2 went with its structural
+            // entries; its calls stay in the shard's tail.
+            let first_call = mine
+                .iter()
+                .position(|(t, e)| call(e) && (stack != 2 || *t >= restart))
+                .expect("the stack pinged");
+            let build: Vec<_> =
+                mine.iter().enumerate().filter(|(_, (_, e))| !dispatch(e)).take(3).collect();
+            let created =
+                TraceEvent::ModuleCreated { stack: id, module: PINGER, kind: "pinger".into() };
+            let bound = TraceEvent::Bind {
+                stack: id,
+                service: ServiceId::new(dpu_core::svc::NET),
+                module: dpu_core::ModuleId(1),
+            };
+            let kinds = build.iter().map(|(_, (_, e))| std::mem::discriminant(e));
+            let order = [&created, &bound, &created].map(std::mem::discriminant);
+            assert!(kinds.eq(order), "stack {stack}: the bridge, its bind, the pinger");
+            assert_eq!(build[2].1 .1, created, "stack {stack}'s pinger is built last");
+            assert!(build[2].0 < first_call, "stack {stack}'s build comes before its calls");
+        }
+        let crash = events
+            .iter()
+            .position(|(_, e)| matches!(e, TraceEvent::Crash { stack: StackId(3) }))
+            .expect("the crash is traced");
+        assert_eq!(events[crash].0, restart + Dur::millis(2));
+        assert!(events[crash + 1..].iter().all(|(_, e)| e.stack() != StackId(3)));
     }
 
     #[test]
