@@ -47,7 +47,7 @@ pub use live::{dump_flight, Ctl, Host, LiveShard, LossModel, ReportFold, ShardPo
 use crate::ids::{StackId, TimerId};
 use crate::stack::{DispatchBuf, HostAction, Stack, StepInfo};
 use crate::time::Time;
-use crate::trace::{Tail, TraceLog};
+use crate::trace::Tail;
 use crate::wire::WireScratch;
 use bytes::Bytes;
 use dpu_telemetry::TelemetrySet;
@@ -345,18 +345,15 @@ impl ShardPools {
         loan
     }
 
-    /// Take the trace of `stacks` — the ones this shard lends to, in
-    /// stack order — and merge it into `into`: each stack's structural
-    /// entries, and the calls and responses they pushed through the
-    /// shard's tail, in the order they were pushed (see
-    /// [`TraceLog::merge`] for the chain and the order by time). The
-    /// stacks' logs and the tail are left empty.
-    pub fn take_trace<'a>(
-        &mut self,
-        stacks: impl IntoIterator<Item = &'a mut Stack>,
-        into: &mut TraceLog,
-    ) {
-        into.merge_lent(&mut self.trace, stacks.into_iter().map(Stack::take_trace));
+    /// Hand each of `stacks` — every stack this shard lends to — the
+    /// calls and responses it pushed that the shard's trace tail still
+    /// holds, and empty the tail: each stack's trace is then its own
+    /// again, to read or take, and its
+    /// [`dropped`](crate::TraceLog::dropped) counts only what it lost.
+    /// A host does this before it reads its stacks' traces.
+    pub fn hand_back_trace<'a>(&mut self, stacks: impl IntoIterator<Item = &'a mut Stack>) {
+        let stacks = stacks.into_iter().map(|stack| (stack.id(), stack.trace_mut()));
+        self.trace.hand_back(stacks);
     }
 }
 
@@ -641,8 +638,8 @@ mod tests {
         }
     }
 
-    fn cycle_driver(id: u32) -> StackDriver {
-        let mut s = Stack::new(StackConfig::nth(id, 2, 1), FactoryRegistry::new());
+    fn cycle_driver(cfg: StackConfig) -> StackDriver {
+        let mut s = Stack::new(cfg, FactoryRegistry::new());
         let echo = s.add_module(Box::new(EchoC));
         s.add_module(Box::new(Relentless));
         s.bind(&ServiceId::new("c"), echo);
@@ -651,7 +648,7 @@ mod tests {
 
     #[test]
     fn endless_call_response_cycle_cannot_wedge_poll() {
-        let mut d = cycle_driver(0);
+        let mut d = cycle_driver(StackConfig::nth(0, 1, 1));
         // Must return (step budget), asking to be re-polled immediately.
         let w = d.poll(Time(3), &mut NullSink);
         assert_eq!(w, Wakeup::At(Time(3)));
@@ -662,7 +659,7 @@ mod tests {
     fn traced_stacks_of_one_shard_push_their_calls_through_its_one_tail() {
         use crate::trace::{TraceEvent, TAIL};
         let mut pools = ShardPools::default();
-        let mut drivers = [cycle_driver(0), cycle_driver(1)];
+        let mut drivers = [0, 1].map(|id| cycle_driver(StackConfig::nth(id, 2, 1)));
         let built = drivers.each_ref().map(|d| d.stack().trace().mem_bytes());
         for round in 0..2 {
             for d in &mut drivers {
@@ -678,7 +675,8 @@ mod tests {
             let trace = d.stack().trace();
             assert!(trace.pushed() > 2 * TAIL as u64);
             assert_eq!(trace.mem_bytes(), built, "a stack holds its structural entries only");
-            assert!(trace.events().all(|(_, e)| !matches!(e, TraceEvent::Call { .. })));
+            assert_eq!(trace.events().count(), 5, "three modules created, two binds");
+            assert_eq!(trace.dropped(), trace.pushed() - 5, "its calls are in the shard's tail");
         }
         // Taking a stack's trace inside a loan leaves the shard its tail.
         let pushed = drivers[0].stack().trace().pushed();
@@ -687,11 +685,18 @@ mod tests {
         drop(loan);
         assert_eq!(pools.trace.len(), TAIL);
         assert_eq!(taken.pushed(), pushed);
-        assert_eq!(taken.events().count(), 5, "three modules created, two binds");
-        let mut merged = TraceLog::new();
-        pools.take_trace(drivers.iter_mut().map(StackDriver::stack_mut), &mut merged);
-        assert_eq!(pools.trace.len(), 0, "folding a shard's trace empties its tail");
-        assert_eq!(merged.events().count(), TAIL + 5, "the tail and stack 1's build");
+        assert_eq!(taken.events().count(), 5);
+        assert_eq!(taken.dropped(), pushed - 5, "its calls stayed in the shard's tail");
+        // Handed back, stack 1 holds the whole tail: its calls are the
+        // last pushed. Stack 0's went with what was taken.
+        pools.hand_back_trace(drivers.iter_mut().map(StackDriver::stack_mut));
+        assert_eq!(pools.trace.len(), 0, "handing the calls back empties the tail");
+        let [zero, one] = drivers.each_ref().map(|d| d.stack().trace());
+        assert_eq!((zero.pushed(), zero.dropped(), zero.events().count()), (0, 0, 0));
+        let calls = one.events().filter(|(_, e)| matches!(e, TraceEvent::Call { .. })).count();
+        assert!(calls >= TAIL / 2, "the echoes' calls alternate with their responses");
+        assert_eq!(one.events().count(), TAIL + 5);
+        assert_eq!(one.pushed() - one.dropped(), TAIL as u64 + 5);
     }
 
     #[test]

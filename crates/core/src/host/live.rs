@@ -115,9 +115,9 @@ pub struct LiveShard {
     next_wake: Vec<Option<Time>>,
     wakes: BinaryHeap<Reverse<(Time, usize)>>,
     clock: WallClock,
-    /// Encode buffers, dispatch buffers and the telemetry set, lent to
-    /// whichever driver is running: retained memory and event-rate
-    /// samples scale with shard threads, not stacks.
+    /// Encode buffers, dispatch buffers, the telemetry set and the
+    /// trace tail, lent to whichever driver is running: retained memory
+    /// and event-rate samples scale with shard threads, not stacks.
     pools: ShardPools,
 }
 
@@ -247,8 +247,10 @@ impl LiveShard {
     }
 
     /// Unwrap into `(id, stack)` pairs in hosting order, discarding
-    /// pending events and armed timers.
-    pub fn into_stacks(self) -> Vec<(StackId, Stack)> {
+    /// pending events and armed timers. Each traced stack gets back the
+    /// calls the shard's trace tail still holds of it.
+    pub fn into_stacks(mut self) -> Vec<(StackId, Stack)> {
+        self.pools.hand_back_trace(self.drivers.iter_mut().map(StackDriver::stack_mut));
         self.ids.into_iter().zip(self.drivers.into_iter().map(StackDriver::into_stack)).collect()
     }
 }

@@ -307,15 +307,22 @@ impl Stack {
     }
 
     /// Access the recorded trace. Under a host, the stack's calls and
-    /// responses live in its shard's tail, not here: read them with the
-    /// host's merged trace (`Sim::merged_trace`).
+    /// responses live in its shard's tail, counted as dropped here, until
+    /// the shard hands them back (`ShardPools::hand_back_trace`, which
+    /// `Sim::merged_trace` and `LiveShard::into_stacks` call).
     pub fn trace(&self) -> &TraceLog {
         &self.trace
     }
 
+    /// The trace, for a shard handing the stack its calls back.
+    pub(crate) fn trace_mut(&mut self) -> &mut TraceLog {
+        &mut self.trace
+    }
+
     /// Take the recorded trace, leaving an empty one (same enablement).
-    /// A shard's tail lent to the stack stays with the loan: under a
-    /// host, what is taken is the structural entries and the digest.
+    /// A shard's tail lent to the stack stays with the loan, and the
+    /// calls in it are no longer the stack's: under a host, hand them
+    /// back first (see [`Stack::trace`]).
     pub fn take_trace(&mut self) -> TraceLog {
         self.trace.take()
     }

@@ -251,26 +251,20 @@ const _: () = assert!(std::mem::size_of::<TraceLog>() == 8);
 /// calls over a short window. Older ones live on in the digest and in
 /// [`TraceLog::dropped`]. A bare stack's log keeps its own tail; under a
 /// host, every stack of a shard pushes through the shard's one (see
-/// [`crate::host::ShardPools`]), so read a hosted stack's calls from the
-/// host's merged trace.
+/// [`crate::host::ShardPools`]), which hands each stack its calls back
+/// when the host's traces are read.
 pub(crate) const TAIL: usize = 4096;
 
-/// Where a structural entry was pushed through a [`Tail`]: after how
-/// many dispatch entries, then after how many structural ones — its place
-/// in the tail's push order, whichever log pushed it.
-type Place = (u64, u64);
-
 /// The most recent dispatch entries pushed through it, at most [`TAIL`],
-/// and the count of every entry pushed, which places structural entries
+/// and the count of every one pushed, which places structural entries
 /// among them. A log holds its own; a host shard lends its one to
-/// whichever stack it drives ([`TraceLog::swap_tail`]).
+/// whichever stack it drives ([`TraceLog::swap_tail`]) and hands each
+/// stack its calls back for reading ([`Tail::hand_back`]).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Tail {
     entries: VecDeque<Entry>,
     /// Dispatch entries ever pushed, kept or not.
     dispatched: u64,
-    /// Structural entries pushed, into whichever log held the tail.
-    structural: u64,
 }
 
 impl Tail {
@@ -282,7 +276,8 @@ impl Tail {
         self.dispatched += 1;
     }
 
-    fn dropped(&self) -> u64 {
+    /// The number of the first entry held: how many were let go.
+    fn first(&self) -> u64 {
         self.dispatched - self.entries.len() as u64
     }
 
@@ -290,6 +285,52 @@ impl Tail {
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
+    }
+
+    /// Hand each log of `stacks` — every log that pushed through this
+    /// tail (a host shard's), each with its stack's id, none of them
+    /// holding it now — the calls it pushed that this tail still holds,
+    /// as a tail of its own, and leave this one empty. What a log pushed
+    /// through its own tail outside a loan first takes its place here.
+    /// Calls no log claims — those of an earlier incarnation of a stack,
+    /// or pushed before its trace was last taken — are let go, as they
+    /// would have been with the log that pushed them.
+    pub(crate) fn hand_back<'a>(
+        &mut self,
+        stacks: impl Iterator<Item = (StackId, &'a mut TraceLog)>,
+    ) {
+        let mut logs: Vec<&mut Kept> = Vec::new();
+        // Per stack: its log, and how many of the calls it pushed are
+        // still unclaimed — the most recent ones of its stack are its.
+        let mut unclaimed = std::collections::BTreeMap::new();
+        for (id, log) in stacks.filter_map(|(id, log)| Some((id, log.0.as_deref_mut()?))) {
+            debug_assert!(!log.lent, "a log is handed its calls back outside a loan");
+            log.settle_own(self);
+            unclaimed.insert(id, (logs.len(), log.calls()));
+            logs.push(log);
+        }
+        let tail = std::mem::take(self);
+        // Each log's calls, newest first, with their numbers here.
+        let mut claimed: Vec<Vec<(u64, Entry)>> = logs.iter().map(|_| Vec::new()).collect();
+        for (entry, at) in tail.entries.into_iter().rev().zip((0..tail.dispatched).rev()) {
+            if let Some((log, left @ 1..)) = unclaimed.get_mut(&entry.1.stack()) {
+                *left -= 1;
+                claimed[*log].push((at, entry));
+            }
+        }
+        for (log, mut mine) in logs.into_iter().zip(claimed) {
+            mine.reverse();
+            // A structural entry's place among the log's calls: all but
+            // those it holds from the entry's place here on.
+            let (calls, mut before) = (log.calls(), 0);
+            for (place, _) in &mut log.structural {
+                before += mine[before..].iter().take_while(|(at, _)| *at < *place).count();
+                *place = calls - (mine.len() - before) as u64;
+            }
+            log.tail =
+                Tail { entries: mine.into_iter().map(|(_, e)| e).collect(), dispatched: calls };
+            log.own_from = 0;
+        }
     }
 }
 
@@ -310,14 +351,15 @@ pub struct TraceLog(Option<Box<Kept>>);
 /// What an enabled log holds.
 #[derive(Clone, Debug, Default)]
 struct Kept {
-    /// Structural entries in push order, each with its place in the tail
-    /// it was pushed through.
-    structural: Vec<(Place, Entry)>,
+    /// Structural entries in push order, each with the number of dispatch
+    /// entries pushed through its tail before it — its place among them.
+    structural: Vec<(u64, Entry)>,
     /// The log's own tail, or the one lent to it while `lent`.
     tail: Tail,
     lent: bool,
-    /// While not `lent`: the structural entries from here on were placed
-    /// in the log's own tail, the ones before in the tail last lent.
+    /// Outside a loan, the structural entries before this one were
+    /// placed in a tail lent to the log, the rest in its own; during a
+    /// loan, all of them are placed in the lent tail.
     own_from: usize,
     /// Every entry ever pushed; a merged log's chain joins its parts'.
     chain: Chain,
@@ -331,29 +373,47 @@ struct Kept {
 
 /// Walk structural entries (each with the count of dispatch entries
 /// before it) and tail entries (numbered from `first`) in push order.
-/// Structural entries placed past the tail's end follow it.
+/// The first `settled` structural entries were placed in another tail,
+/// ahead of all of these, and come first.
 fn interleave<T>(
     structural: impl Iterator<Item = (u64, T)>,
+    settled: usize,
     mut tail: impl Iterator<Item = T>,
     first: u64,
 ) -> impl Iterator<Item = T> {
-    let mut structural = structural.peekable();
+    let placed =
+        structural.enumerate().map(move |(i, (at, e))| (if i < settled { 0 } else { at }, e));
+    let mut structural = placed.peekable();
     let mut next = first;
     std::iter::from_fn(move || match structural.peek() {
         Some((before, _)) if *before <= next => structural.next().map(|(_, entry)| entry),
-        _ => match tail.next() {
-            Some(entry) => {
-                next += 1;
-                Some(entry)
-            }
-            None => structural.next().map(|(_, entry)| entry),
-        },
+        _ => {
+            next += 1;
+            tail.next()
+        }
     })
 }
 
 impl Kept {
+    /// Dispatch entries pushed, whichever tail they went through.
+    fn calls(&self) -> u64 {
+        self.chain.len - self.structural.len() as u64
+    }
+
+    /// The structural entries placed in a lent tail, and the dispatch
+    /// entries of the log's own tail: during a loan, all and none.
+    fn own(&self) -> (usize, usize) {
+        if self.lent {
+            (self.structural.len(), 0)
+        } else {
+            (self.own_from, self.tail.entries.len())
+        }
+    }
+
+    /// The calls pushed that the log does not hold: let go from its
+    /// tail, or pushed through one lent to it.
     fn dropped(&self) -> u64 {
-        self.tail.dropped()
+        self.calls() - self.own().1 as u64
     }
 
     fn append(&mut self, entry: Entry) {
@@ -362,60 +422,54 @@ impl Kept {
         if entry.1.is_dispatch() {
             self.tail.push(entry);
         } else {
-            self.structural.push(((self.tail.dispatched, self.tail.structural), entry));
-            self.tail.structural += 1;
+            self.structural.push((self.tail.dispatched, entry));
         }
     }
 
     fn entries(&self) -> impl Iterator<Item = &Entry> {
-        let structural = self.structural.iter().map(|(at, e)| (at.0, e));
-        interleave(structural, self.tail.entries.iter(), self.dropped())
+        let (settled, own) = self.own();
+        let structural = self.structural.iter().map(|(at, e)| (*at, e));
+        interleave(structural, settled, self.tail.entries.iter().take(own), self.tail.first())
     }
 
     fn into_entries(self) -> impl Iterator<Item = Entry> {
-        let first = self.dropped();
-        let structural = self.structural.into_iter().map(|(at, e)| (at.0, e));
-        interleave(structural, self.tail.entries.into_iter(), first)
+        let ((settled, own), first) = (self.own(), self.tail.first());
+        interleave(
+            self.structural.into_iter(),
+            settled,
+            self.tail.entries.into_iter().take(own),
+            first,
+        )
     }
 
-    /// A log of `entries` (in their order) standing for `chain`, of
-    /// which `dropped` dispatch entries were let go before.
-    fn rebuilt(chain: Chain, dropped: u64, entries: impl Iterator<Item = Entry>) -> Kept {
-        let tail = Tail { dispatched: dropped, ..Tail::default() };
-        let mut kept = Kept { chain, tail, ..Kept::default() };
+    /// A log of `entries` (in their order) standing for `chain`.
+    fn rebuilt(chain: Chain, entries: impl Iterator<Item = Entry>) -> Kept {
+        let mut kept = Kept { chain, ..Kept::default() };
         entries.for_each(|entry| kept.append(entry));
         kept
     }
 
-    /// Move what was pushed through the log's own tail onto `onto`,
-    /// after what `onto` holds: its entries, their count, and the places
-    /// of the structural entries pushed among them. The own tail is left
-    /// empty.
+    /// Move the log's own tail onto `onto`, after what `onto` holds —
+    /// its entries, their count, and the places of the structural
+    /// entries pushed among them — leaving it empty.
     fn settle_own(&mut self, onto: &mut Tail) {
         let own = std::mem::take(&mut self.tail);
-        let (d, s) = (onto.dispatched, onto.structural);
-        for ((dispatched, structural), _) in &mut self.structural[self.own_from..] {
-            (*dispatched, *structural) = (d + *dispatched, s + *structural);
+        for (place, _) in &mut self.structural[self.own_from..] {
+            *place += onto.dispatched;
         }
-        onto.dispatched += own.dropped();
-        onto.structural += own.structural;
+        self.own_from = self.structural.len();
+        onto.dispatched += own.first();
         own.entries.into_iter().for_each(|entry| onto.push(entry));
     }
 
-    /// Everything but a lent tail, which stays. What is taken keeps its
-    /// structural entries in order, ahead of an empty tail of its own.
+    /// Everything but a lent tail, which stays.
     fn take(&mut self) -> Kept {
         if !self.lent {
             return std::mem::take(self);
         }
-        let lent = Kept { tail: std::mem::take(&mut self.tail), lent: true, ..Kept::default() };
-        let mut taken = std::mem::replace(self, lent);
-        for (i, (place, _)) in taken.structural.iter_mut().enumerate() {
-            *place = (0, i as u64);
-        }
-        taken.tail.structural = taken.structural.len() as u64;
-        taken.lent = false;
-        taken
+        let rest = Kept { tail: std::mem::take(&mut self.tail), lent: true, ..Kept::default() };
+        let taken = std::mem::replace(self, rest);
+        Kept { lent: false, own_from: taken.structural.len(), ..taken }
     }
 
     /// Merge `other`'s entries in (its chain is already joined): one
@@ -424,7 +478,7 @@ impl Kept {
     /// sort of a concatenation is the stable merge of its stably sorted
     /// halves.
     fn merge_entries(&mut self, other: &Kept) {
-        let (chain, dropped) = (self.chain, self.dropped() + other.dropped());
+        let chain = self.chain;
         let in_order = !self.unsorted && !other.unsorted;
         let mut mine = std::mem::take(self).into_entries().peekable();
         let mut theirs = other.entries().cloned().peekable();
@@ -434,11 +488,11 @@ impl Kept {
                 (Some(_), _) => mine.next(),
                 (None, _) => theirs.next(),
             });
-            Kept::rebuilt(chain, dropped, merged)
+            Kept::rebuilt(chain, merged)
         } else {
             let mut all: Vec<Entry> = mine.chain(theirs).collect();
             all.sort_by_key(|(t, _)| *t);
-            Kept::rebuilt(chain, dropped, all.into_iter())
+            Kept::rebuilt(chain, all.into_iter())
         };
     }
 }
@@ -456,7 +510,8 @@ impl TraceLog {
     }
 
     /// Take what was recorded, leaving an empty log (same enablement).
-    /// A tail lent to this log stays: it is the host's.
+    /// A tail lent to this log stays: it is the host's, and the calls
+    /// pushed through it count as dropped in what is taken.
     pub fn take(&mut self) -> TraceLog {
         TraceLog(self.0.as_mut().map(|kept| Box::new(kept.take())))
     }
@@ -486,10 +541,10 @@ impl TraceLog {
     }
 
     /// The retained events in push order: every structural one, and the
-    /// dispatch entries still in the tail — the complete log whenever
-    /// [`TraceLog::dropped`] is zero. A stack under a host keeps no
-    /// dispatch entries of its own: they are in its shard's tail, which
-    /// [`crate::host::ShardPools::take_trace`] folds in.
+    /// dispatch entries the log holds — the complete log whenever
+    /// [`TraceLog::dropped`] is zero. A stack under a host holds its
+    /// calls only once its shard hands them back (`Sim::merged_trace`
+    /// and `LiveShard::into_stacks` do); until then they count as dropped.
     pub fn events(&self) -> impl Iterator<Item = &(Time, TraceEvent)> {
         self.0.iter().flat_map(|kept| kept.entries())
     }
@@ -499,8 +554,9 @@ impl TraceLog {
         self.0.as_ref().map_or(0, |kept| kept.chain.len)
     }
 
-    /// Dispatch entries folded into the digest and let go from the tail:
-    /// what [`TraceLog::events`] no longer yields of it.
+    /// Dispatch entries pushed and not held: folded into the digest and
+    /// let go, or in a host shard's tail. [`TraceLog::events`] yields
+    /// [`TraceLog::pushed`] less these.
     pub fn dropped(&self) -> u64 {
         self.0.as_ref().map_or(0, |kept| kept.dropped())
     }
@@ -512,9 +568,10 @@ impl TraceLog {
     /// host, which holds the tail, with nothing else.
     pub fn mem_bytes(&self) -> usize {
         self.0.as_ref().map_or(0, |kept| {
+            let tail = if kept.lent { 0 } else { kept.tail.entries.capacity() };
             std::mem::size_of::<Kept>()
-                + kept.structural.capacity() * std::mem::size_of::<(Place, Entry)>()
-                + kept.tail.entries.capacity() * std::mem::size_of::<Entry>()
+                + kept.structural.capacity() * std::mem::size_of::<(u64, Entry)>()
+                + tail * std::mem::size_of::<Entry>()
         })
     }
 
@@ -530,30 +587,6 @@ impl TraceLog {
         if let Some(theirs) = other.0.as_deref() {
             mine.merge_entries(theirs);
         }
-    }
-
-    /// Merge in `parts`, logs that pushed through the one lent `tail` (a
-    /// host shard's stacks, in stack order), and empty the tail. The
-    /// parts' chains are joined in order, as [`TraceLog::merge`] joins
-    /// them; their entries come in the order they were pushed through
-    /// the tail — equal-time entries of different stacks in dispatch
-    /// order — and are then merged by time into this log's.
-    pub(crate) fn merge_lent(&mut self, tail: &mut Tail, parts: impl Iterator<Item = TraceLog>) {
-        let Some(mine) = self.0.as_deref_mut() else { return };
-        let mut structural = Vec::new();
-        for part in parts {
-            mine.chain.join(part.0.as_ref().map_or(Chain::default(), |kept| kept.chain));
-            if let Some(mut kept) = part.0 {
-                kept.settle_own(tail);
-                structural.append(&mut kept.structural);
-            }
-        }
-        structural.sort_by_key(|(place, _)| *place);
-        let tail = std::mem::take(tail);
-        let first = tail.dropped();
-        let structural = structural.into_iter().map(|(at, e)| (at.0, e));
-        let pushed = interleave(structural, tail.entries.into_iter(), first);
-        mine.merge_entries(&Kept::rebuilt(Chain::default(), first, pushed));
     }
 
     /// The digest of every entry pushed, folded at `push` from the
@@ -701,7 +734,7 @@ mod tests {
         // and a tail that has stopped growing — not for what it dropped.
         let structural = model.0.iter().filter(|(_, e)| !e.is_dispatch()).count();
         let bound = std::mem::size_of::<Kept>()
-            + (2 * structural + 4) * std::mem::size_of::<(Place, Entry)>()
+            + (2 * structural + 4) * std::mem::size_of::<(u64, Entry)>()
             + TAIL * std::mem::size_of::<Entry>();
         assert!(log.mem_bytes() <= bound, "{} entries hold {} B", log.pushed(), log.mem_bytes());
     }
@@ -738,14 +771,21 @@ mod tests {
         assert!(overflowed > 10, "the sweep must take single and merged logs past the tail");
     }
 
+    /// What a log yields is what was pushed less what it does not hold.
+    fn assert_consistent(log: &TraceLog) {
+        assert_eq!(log.pushed() - log.dropped(), log.events().count() as u64);
+    }
+
     /// Logs that push through one lent tail — a host shard's stacks —
-    /// folded as `Sim::merged_trace` folds a shard, two shards into one
-    /// log. The model of a shard is the flat vector of every push in the
-    /// order it reached the tail (an entry pushed outside a loan reaches
-    /// it when its log is next lent, or folded), of which the tail keeps
-    /// the last `TAIL` calls; the fold is that, sorted whole by time and
-    /// merged with what the log held. The digest is that of the same
-    /// pushes into bare logs, merged in stack order.
+    /// handed their calls back and merged in stack order, as
+    /// `Sim::merged_trace` folds a shard; two shards into one log. The
+    /// model of a shard is the flat vector of every push in the order it
+    /// reached the tail (an entry pushed outside a loan reaches it when
+    /// its log is next lent, or handed its calls back), of which the tail
+    /// keeps the last `TAIL` calls. Each log is handed back its own of
+    /// those — none of what it pushed before it was taken — so the fold
+    /// is the model's per-log parts, merged in stack order, and its
+    /// digest that of the same pushes into bare logs, merged alike.
     #[test]
     fn logs_sharing_a_lent_tail_fold_to_the_flat_vector_model() {
         let mut rng = 0x2545_F491_4F6C_DD1D_u64;
@@ -756,25 +796,28 @@ mod tests {
             rng
         };
         let lens = [0, 1, 5, 100, TAIL - 1, TAIL + 1, 2 * TAIL, 4 * TAIL + 7];
-        let mut overflowed = 0;
+        let (mut overflowed, mut taken) = (0, 0);
         for (i, &len) in lens.iter().enumerate() {
-            let (mut folded, mut by_stack) = (TraceLog::new(), TraceLog::new());
-            // What the folded log must hold, push and drop.
-            let (mut kept, mut pushed, mut dropped) = (Model::default(), 0, 0);
+            let (mut folded, mut by_stack, mut model) =
+                (TraceLog::new(), TraceLog::new(), Model::default());
             let mut id = 0;
             for shard_len in [len, lens[(i + 3) % lens.len()]] {
                 let mut logs = vec![TraceLog::new(); 3];
                 let mut bare = vec![TraceLog::new(); 3];
-                // What each log pushed outside a loan, not yet in a tail.
-                let mut pending: Vec<Vec<Entry>> = vec![Vec::new(); 3];
-                let (mut tail, mut shard) = (Tail::default(), Model::default());
+                // Every push in the order it reached the tail, with the
+                // incarnation of the log that pushed it (a log taken
+                // starts a new one); and what each log pushed outside a
+                // loan, which has not reached it yet.
+                let (mut tail, mut shard) = (Tail::default(), Vec::new());
+                let mut pending: Vec<Vec<(u32, Entry)>> = vec![Vec::new(); 3];
+                let mut incarnation = [0; 3];
                 let (mut t, end) = (0, id + shard_len as u64);
                 while id < end {
                     let s = (next() % 3) as usize;
                     let lent = next() % 8 != 0;
                     if lent {
                         logs[s].swap_tail(&mut tail);
-                        shard.0.append(&mut pending[s]);
+                        shard.append(&mut pending[s]);
                     }
                     let burst = if next() % 64 == 0 { TAIL as u64 + 1 } else { 1 + next() % 4 };
                     for _ in 0..burst {
@@ -787,33 +830,62 @@ mod tests {
                         id += 1;
                         logs[s].push(Time(t), ev.clone());
                         bare[s].push(Time(t), ev.clone());
-                        let to = if lent { &mut shard.0 } else { &mut pending[s] };
-                        to.push((Time(t), ev));
+                        let to = if lent { &mut shard } else { &mut pending[s] };
+                        to.push((incarnation[s], (Time(t), ev)));
+                    }
+                    if lent && next() % 32 == 0 {
+                        // Taken inside the loan: its calls stay in the
+                        // tail, counted as dropped in what is taken.
+                        let gone = logs[s].take();
+                        assert_consistent(&gone);
+                        assert!(gone.events().all(|(_, e)| !e.is_dispatch()));
+                        assert_eq!(gone.pushed(), bare[s].pushed());
+                        bare[s] = TraceLog::new();
+                        incarnation[s] += 1;
+                        taken += 1;
                     }
                     if lent {
                         logs[s].swap_tail(&mut tail);
                         assert!(tail.len() <= TAIL);
-                        assert_eq!(logs[s].dropped(), 0, "a log holds no calls between loans");
+                        let held = logs[s].events().filter(|(_, e)| e.is_dispatch()).count();
+                        assert_eq!(held, 0, "a log holds no calls between loans");
                     }
+                    assert_consistent(&logs[s]);
                 }
-                pending.iter_mut().for_each(|p| shard.0.append(p));
-                folded.merge_lent(&mut tail, logs.iter_mut().map(TraceLog::take));
-                bare.iter().for_each(|log| by_stack.merge(log));
-                assert_eq!(tail.len(), 0, "folding empties the tail");
-
-                pushed += shard.0.len() as u64;
-                dropped += shard.dropped() as u64;
-                kept.merge(&Model(shard.retained().cloned().collect()));
-                dropped += kept.dropped() as u64;
-                kept = Model(kept.retained().cloned().collect());
-                assert_eq!((folded.pushed(), folded.dropped()), (pushed, dropped));
-                assert!(folded.events().eq(kept.0.iter()), "iteration differs at {pushed}");
-                assert_eq!(folded.fingerprint(), by_stack.fingerprint());
+                pending.iter_mut().for_each(|p| shard.append(p));
+                let stacks = (0..).map(StackId).zip(&mut logs);
+                tail.hand_back(stacks);
+                assert_eq!(tail.len(), 0, "handing the calls back empties the tail");
+                let mut gone = shard.iter().filter(|(_, (_, e))| e.is_dispatch()).count();
+                gone = gone.saturating_sub(TAIL);
+                shard.retain(|(_, (_, e))| {
+                    let dropped = e.is_dispatch() && gone > 0;
+                    gone -= usize::from(dropped);
+                    !dropped
+                });
+                for (s, log) in logs.iter_mut().enumerate() {
+                    let mine: Vec<Entry> = shard
+                        .iter()
+                        .filter(|(of, (_, e))| e.stack().0 == s as u32 && *of == incarnation[s])
+                        .map(|(_, entry)| entry.clone())
+                        .collect();
+                    assert!(log.events().eq(mine.iter()), "log {s} holds its calls back");
+                    assert_consistent(log);
+                    assert_eq!(log.pushed(), bare[s].pushed());
+                    folded.merge(&log.take());
+                    by_stack.merge(&bare[s]);
+                    model.merge(&Model(mine));
+                    model = Model(model.retained().cloned().collect());
+                }
+                assert!(folded.events().eq(model.0.iter()), "iteration differs at {id}");
+                assert_consistent(&folded);
                 assert_eq!(folded.pushed(), by_stack.pushed());
+                assert_eq!(folded.fingerprint(), by_stack.fingerprint());
                 overflowed += usize::from(folded.dropped() > 0);
             }
         }
         assert!(overflowed > 5, "the sweep must take shared tails past their length");
+        assert!(taken > 5, "the sweep must take logs inside a loan");
     }
 
     #[test]
@@ -821,14 +893,14 @@ mod tests {
         let mut log = TraceLog::new();
         log.push(Time(0), bind(0, "p", 0));
         assert!(
-            log.mem_bytes() <= std::mem::size_of::<Kept>() + 4 * 56,
+            log.mem_bytes() <= std::mem::size_of::<Kept>() + 4 * 48,
             "a small trace stays small"
         );
         for i in 0..TAIL as u64 {
             log.push(Time(i), call(0, "p", i));
         }
         let full = log.mem_bytes();
-        assert!(full <= std::mem::size_of::<Kept>() + 4 * 56 + TAIL * 40);
+        assert!(full <= std::mem::size_of::<Kept>() + 4 * 48 + TAIL * 40);
         let digest = log.fingerprint();
         for i in 0..3 * TAIL as u64 {
             log.push(Time(TAIL as u64 + i), call(0, "p", i));

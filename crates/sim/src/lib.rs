@@ -157,8 +157,8 @@ pub struct SimConfig {
     /// and blocked call, plus a digest of every call and response — per
     /// stack what its replacements add, per shard one fixed tail of
     /// recent calls, whatever the length of the run (`dpu_core::trace`).
-    /// A stack's calls live in its shard's tail: read them with
-    /// [`Sim::merged_trace`].
+    /// A stack's calls live in its shard's tail until
+    /// [`Sim::merged_trace`] hands them back and reads them.
     pub trace: bool,
     /// The network: the [`NetConfig`] of every link class (one for a
     /// flat topology, intra-cluster and backbone for a clustered one)
@@ -939,16 +939,18 @@ impl Sim {
     /// Merge and take the traces of all stacks, shard by shard and slot
     /// by slot — stack order, and the same whatever the worker count —
     /// which is the order the merged [`TraceLog::fingerprint`] joins the
-    /// per-stack digests in. Each shard's calls and responses live in its
-    /// one tail ([`ShardPools::take_trace`]), so the result keeps the last
-    /// 4096 of them per shard and then of the merged stream; equal-time
-    /// entries of one shard come in dispatch order, of different shards
-    /// in shard order.
+    /// per-stack digests in. Each shard first hands its stacks back their
+    /// calls and responses from its one tail
+    /// ([`ShardPools::hand_back_trace`]), so the result keeps the last
+    /// 4096 of them per shard and then of the merged stream.
     pub fn merged_trace(&mut self) -> TraceLog {
         let mut merged = TraceLog::new();
         for shard in &mut self.shards {
-            let stacks = shard.nodes.drivers_mut().map(StackDriver::stack_mut);
-            shard.pools.take_trace(stacks, &mut merged);
+            shard.pools.hand_back_trace(shard.nodes.drivers_mut().map(StackDriver::stack_mut));
+            for driver in shard.nodes.drivers_mut() {
+                let t = driver.stack_mut().take_trace();
+                merged.merge(&t);
+            }
         }
         merged
     }
@@ -1060,7 +1062,8 @@ mod tests {
     /// What a stack pushes before its first loan — its build, in
     /// `Sim::new` or `restart_node_with` — and outside any (a crash)
     /// lands in the merged trace in order: in time, and ahead of the
-    /// calls of the incarnation it built. (A stack stamps its build at
+    /// calls of the incarnation it built, and no call of an incarnation
+    /// a restart replaced is left. (A stack stamps its build at
     /// its own clock, zero, also when a restart builds it.)
     #[test]
     fn entries_pushed_outside_a_loan_land_in_order() {
@@ -1080,12 +1083,12 @@ mod tests {
             let mine: Vec<_> = events.iter().filter(|(_, e)| e.stack() == id).collect();
             let call = |e: &TraceEvent| matches!(e, TraceEvent::Call { .. });
             let dispatch = |e: &TraceEvent| call(e) || matches!(e, TraceEvent::Response { .. });
-            // The old incarnation of stack 2 went with its structural
-            // entries; its calls stay in the shard's tail.
-            let first_call = mine
-                .iter()
-                .position(|(t, e)| call(e) && (stack != 2 || *t >= restart))
-                .expect("the stack pinged");
+            // The old incarnation of stack 2 went with its trace, calls
+            // and all, though its calls were in the shard's tail.
+            if stack == 2 {
+                assert!(mine.iter().all(|(t, e)| !dispatch(e) || *t >= restart));
+            }
+            let first_call = mine.iter().position(|(_, e)| call(e)).expect("the stack pinged");
             let build: Vec<_> =
                 mine.iter().enumerate().filter(|(_, (_, e))| !dispatch(e)).take(3).collect();
             let created =

@@ -42,7 +42,7 @@ fn live_switch_soak(n: u32, rate: f64, workers: usize) {
     // The trace stays on: a stack keeps its binds and module lifetimes,
     // and each of the 16 shards one 160 KiB tail of calls that it lends
     // to the stack it drives, so at the end of the run 1024 traced
-    // stacks hold 3.7 MB more than untraced ones (43 MB while every
+    // stacks hold 3.5 MB more than untraced ones (43 MB while every
     // stack kept a tail of its own), not the gigabytes an entry per
     // dispatch step did.
     // Modern cores, not the paper's Pentium III: with the default
