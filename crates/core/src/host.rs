@@ -1,7 +1,8 @@
-//! The unified host API: [`StackDriver`] owns a [`Stack`] plus its timer
-//! queue and encapsulates the *canonical drive loop* every host used to
-//! hand-duplicate — drain due timers, step the stack until idle, execute
-//! the produced [`HostAction`]s, report the next wakeup deadline.
+//! The unified host API: [`StackDriver`] owns a [`Stack`] plus the
+//! events injected into it and encapsulates the *canonical drive loop*
+//! every host used to hand-duplicate — drain due timers, step the stack
+//! until idle, execute the produced [`HostAction`]s, report the next
+//! wakeup deadline.
 //!
 //! The contract between a stack and the outside world is three calls:
 //!
@@ -27,32 +28,37 @@
 //! transport. All three lend each shard's [`ShardPools`] to the stack
 //! they are driving through the one guard, [`Loan`].
 //!
-//! # Timer ownership
+//! # Timers
 //!
-//! The driver owns the per-stack timer queue, a min-heap of `(deadline,
-//! id)`: [`HostAction::SetTimer`] pushes an entry, and timers due at the
-//! same instant fire in the order they were set (ids rise with every
-//! `set_timer`). A timer is never cancelled: a module ignores a stale
-//! fire by its tag, and a destroyed module's timers fire into nothing.
-//! Hosts never see timer actions; they only need to call
+//! A stack keeps one timer table: each armed timer's deadline, module
+//! and tag, under its id. A module's `set_timer` enters the timer, and
+//! the driver's settle of the step's [`HostAction::SetTimer`] stamps its
+//! deadline, relative to the settle time. Timers due together fire
+//! earliest deadline first and, on equal deadlines, in the order they
+//! were set (ids rise with every `set_timer`). A timer is never
+//! cancelled: a module ignores a stale fire by its tag, and a destroyed
+//! module's timers stay in the table, wake the driver when due and fire
+//! into nothing. Hosts never see timer actions; they only need to call
 //! [`StackDriver::poll`] again no later than the returned [`Wakeup`]
 //! deadline.
 //!
 //! [`poll`]: StackDriver::poll
+//! [`HostAction`]: crate::HostAction
+//! [`HostAction::NetSend`]: crate::HostAction::NetSend
+//! [`HostAction::SetTimer`]: crate::HostAction::SetTimer
 
 pub mod live;
 
 pub use live::{dump_flight, Ctl, Host, LiveShard, LossModel, ReportFold, ShardPort, WallClock};
 
-use crate::ids::{StackId, TimerId};
-use crate::stack::{DispatchBuf, HostAction, Stack, StepInfo};
+use crate::ids::StackId;
+use crate::stack::{DispatchBuf, Stack, StepInfo};
 use crate::time::Time;
 use crate::trace::Tail;
-use crate::wire::WireScratch;
+use crate::wire::{ScratchStats, WireScratch};
 use bytes::Bytes;
 use dpu_telemetry::TelemetrySet;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
@@ -124,13 +130,11 @@ impl ActionSink for NullSink {
     fn net_send(&mut self, _at: Time, _src: StackId, _dst: StackId, _payload: Bytes) {}
 }
 
-/// Owns one [`Stack`] plus its timer queue and runs the canonical drive
-/// loop. See the [module docs](self) for the host contract.
+/// Owns one [`Stack`] plus the events injected into it and runs the
+/// canonical drive loop. See the [module docs](self) for the host
+/// contract.
 pub struct StackDriver {
     stack: Stack,
-    /// Armed timers, earliest first; among equal deadlines the lower id,
-    /// which was set first.
-    timers: BinaryHeap<Reverse<(Time, TimerId)>>,
     pending: VecDeque<HostEvent>,
 }
 
@@ -138,7 +142,7 @@ impl StackDriver {
     /// Wrap a stack. Any actions the stack produced before wrapping are
     /// executed on the first [`StackDriver::poll`]/[`StackDriver::settle`].
     pub fn new(stack: Stack) -> StackDriver {
-        StackDriver { stack, timers: BinaryHeap::new(), pending: VecDeque::new() }
+        StackDriver { stack, pending: VecDeque::new() }
     }
 
     /// The driven stack's id.
@@ -159,9 +163,19 @@ impl StackDriver {
         &mut self.stack
     }
 
-    /// Unwrap, discarding pending events and armed timers.
+    /// Unwrap, discarding pending events.
     pub(crate) fn into_stack(self) -> Stack {
         self.stack
+    }
+
+    /// Drop everything the driven incarnation holds — injected events,
+    /// modules, timers, buffers, trace and lifecycle records — leaving
+    /// an empty stack with the same id in place: what a host does to a
+    /// restarted node's slot before it builds the next incarnation, so
+    /// that the two never coexist.
+    pub fn tear_down(&mut self) {
+        self.pending = VecDeque::new();
+        self.stack.tear_down();
     }
 
     /// Queue an external event. Applied by the next
@@ -195,12 +209,9 @@ impl StackDriver {
         self.stack.packet_in(now, src, payload);
     }
 
-    /// The fused wake hook: fire every timer due at or before `now` and
-    /// report the next armed deadline in the same pass — one call where
-    /// hosts used to pair [`StackDriver::fire_due`] with
-    /// [`StackDriver::next_deadline`] (two traversals of the timer
-    /// heap's top). Virtual-time hosts batch their per-node wake
-    /// handling through this.
+    /// The wake hook: fire every timer due at or before `now` and report
+    /// the next armed deadline. Virtual-time hosts batch their per-node
+    /// wake handling through this.
     #[inline]
     pub fn wake(&mut self, now: Time) -> Option<Time> {
         self.fire_due(now);
@@ -210,21 +221,12 @@ impl StackDriver {
     /// Fire every armed timer due at or before `now`. Returns how many
     /// fired.
     pub fn fire_due(&mut self, now: Time) -> usize {
-        let mut fired = 0;
-        while let Some(&Reverse((at, id))) = self.timers.peek() {
-            if at > now {
-                break;
-            }
-            self.timers.pop();
-            self.stack.timer_fired(now, id);
-            fired += 1;
-        }
-        fired
+        self.stack.fire_due(now)
     }
 
     /// The earliest armed deadline, or `None` if no timers are armed.
     pub fn next_deadline(&self) -> Option<Time> {
-        self.timers.peek().map(|Reverse((at, _))| *at)
+        self.stack.next_deadline()
     }
 
     /// Whether the stack has dispatchable work queued.
@@ -241,24 +243,13 @@ impl StackDriver {
     }
 
     /// Execute all actions the stack has produced, as of time `at`:
-    /// timers arm relative to `at`, sends reach the sink stamped `at`.
+    /// timers are due relative to `at`, sends reach the sink stamped `at`.
     /// The actions are drained in place: the buffer keeps its capacity
     /// for the next step (or goes back to a lending shard when the stack
     /// is idle — see [`ShardPools`]).
     pub fn settle(&mut self, at: Time, sink: &mut dyn ActionSink) {
         let src = self.stack.id();
-        for action in self.stack.drain_actions() {
-            match action {
-                HostAction::NetSend { dst, payload } => sink.net_send(at, src, dst, payload),
-                HostAction::SetTimer { id, delay } => {
-                    // Exact growth, as in the stack's maps: most stacks
-                    // keep one or two timers armed, and doubling (from
-                    // four slots) would pay for them in every stack.
-                    self.timers.reserve_exact(1);
-                    self.timers.push(Reverse((at + delay, id)));
-                }
-            }
-        }
+        self.stack.settle(at, |dst, payload| sink.net_send(at, src, dst, payload));
     }
 
     /// The canonical drive loop: absorb injected events, then repeat
@@ -315,23 +306,15 @@ pub(crate) const MAX_POLL_STEPS: usize = 100_000;
 /// per stack, so retained capacity, event-rate samples and a traced
 /// run's tail scale with shards. The simulator's shards and
 /// [`LiveShard`] each hold one and reach a stack only through
-/// [`ShardPools::lend`].
+/// [`ShardPools::lend`]. The pool and the dispatch buffers are boxed,
+/// each allocated by the first loan that needs it, and each moves into a
+/// stack and back by one pointer.
+#[derive(Default)]
 pub struct ShardPools {
-    scratch: WireScratch,
-    dispatch: DispatchBuf,
+    scratch: Option<Box<WireScratch>>,
+    dispatch: Option<Box<DispatchBuf>>,
     telemetry: TelemetrySet,
     trace: Tail,
-}
-
-impl Default for ShardPools {
-    fn default() -> ShardPools {
-        ShardPools {
-            scratch: WireScratch::shard_pool(),
-            dispatch: DispatchBuf::default(),
-            telemetry: TelemetrySet::default(),
-            trace: Tail::default(),
-        }
-    }
 }
 
 impl ShardPools {
@@ -339,6 +322,7 @@ impl ShardPools {
     /// [`Loan`] lives. Wrap every driver call that can run module code,
     /// encode or enqueue work.
     pub fn lend<'a>(&'a mut self, driver: &'a mut StackDriver) -> Loan<'a> {
+        self.scratch.get_or_insert_with(|| Box::new(WireScratch::shard_pool()));
         let mut loan = Loan { driver, pools: self };
         loan.swap();
         loan.driver.stack.lend_dispatch(&mut loan.pools.dispatch);
@@ -355,6 +339,11 @@ impl ShardPools {
         let stacks = stacks.into_iter().map(|stack| (stack.id(), stack.trace_mut()));
         self.trace.hand_back(stacks);
     }
+
+    /// The scratch pool's counters (zero while it is lent out).
+    pub(crate) fn wire_stats(&self) -> ScratchStats {
+        self.scratch.as_ref().map_or(ScratchStats::default(), |s| s.stats())
+    }
 }
 
 /// The shard loan, the one way a host lends its [`ShardPools`]: while
@@ -362,19 +351,19 @@ impl ShardPools {
 /// into the shard's telemetry set, pushes its calls and responses
 /// through the shard's trace tail, and dispatches through the shard's
 /// buffers unless it still holds its own. Dropping it hands the pool,
-/// the set and the tail back, and with them every dispatch buffer the
-/// stack no longer needs — on return, early return and unwind alike, so
-/// a loan cannot leak pool capacity, a histogram or a tail into a
-/// stack, and a stack without work holds no dispatch capacity.
-/// Dereferences to the driver.
+/// the set and the tail back, and with them the dispatch box if the
+/// stack no longer needs it — on return, early return and unwind alike,
+/// so a loan cannot leak pool capacity, a histogram or a tail into a
+/// stack, and a stack without work holds no scratch and no dispatch
+/// box. Dereferences to the driver.
 pub struct Loan<'a> {
     driver: &'a mut StackDriver,
     pools: &'a mut ShardPools,
 }
 
 impl Loan<'_> {
-    /// The symmetric part, both ways: the pool, the set and the tail are
-    /// swaps.
+    /// The symmetric part, both ways: the pool is one pointer swap, the
+    /// set and the tail are swaps of their handles.
     fn swap(&mut self) {
         let stack = &mut self.driver.stack;
         stack.swap_scratch(&mut self.pools.scratch);
@@ -407,7 +396,6 @@ impl fmt::Debug for StackDriver {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StackDriver")
             .field("stack", &self.stack)
-            .field("timers", &self.timers.len())
             .field("pending_events", &self.pending.len())
             .finish()
     }
@@ -416,7 +404,7 @@ impl fmt::Debug for StackDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::ServiceId;
+    use crate::ids::{ServiceId, TimerId};
     use crate::module::{Call, Module, Response};
     use crate::stack::{net_ops, FactoryRegistry, ModuleCtx, StackConfig};
     use crate::time::Dur;
@@ -555,7 +543,6 @@ mod tests {
         // Poll exactly at the deadline: the beat fires and re-arms.
         let w = d.poll(Time::ZERO + Dur::millis(1), &mut sink);
         assert_eq!(w, Wakeup::At(Time::ZERO + Dur::millis(2)));
-        assert_eq!(d.timers.capacity(), 1, "one timer armed at a time holds one slot");
         // Poll late: beat 2 fires and re-arms relative to `now`.
         let w = d.poll(Time::ZERO + Dur::secs(1), &mut sink);
         assert_eq!(w, Wakeup::At(Time::ZERO + Dur::secs(1) + Dur::millis(1)));
@@ -797,5 +784,59 @@ mod tests {
         assert_eq!(d.wake(due), None);
         assert!(!d.has_work(), "no delivery for the destroyed module");
         assert!(d.step_raw(due).is_none(), "and no step");
+    }
+
+    #[test]
+    fn timers_fire_earliest_deadline_first_then_lowest_id() {
+        // Timers 1 and 2 are due at 2 ms; timer 3, set later, at 1 ms.
+        let mut d = ties_driver();
+        d.inject(HostEvent::Control(Box::new(|s: &mut Stack| call_ties(s, 1))));
+        assert_eq!(d.poll(Time::ZERO, &mut NullSink), Wakeup::At(Time::ZERO + Dur::millis(1)));
+        let due = Time::ZERO + Dur::millis(2);
+        assert_eq!(d.wake(due), None, "all three were due");
+        while d.step_raw(due).is_some() {
+            d.settle(due, &mut NullSink);
+        }
+        assert_eq!(fired(&mut d), [3, 1, 2]);
+    }
+
+    #[test]
+    fn a_hosted_stack_at_rest_holds_no_scratch_and_no_dispatch_box() {
+        let mut pools = ShardPools::default();
+        let mut pp = pingpong_driver();
+        let mut beat = StackDriver::new({
+            let mut s = Stack::new(StackConfig::nth(1, 2, 1), FactoryRegistry::new());
+            s.add_module(Box::new(Beat { beats: 0 }));
+            s
+        });
+        let drain = |d: &mut StackDriver, now: Time, pools: &mut ShardPools| {
+            let mut loan = pools.lend(d);
+            while loan.step_raw(now).is_some() {
+                loan.settle(now, &mut NullSink);
+            }
+        };
+        for d in [&mut pp, &mut beat] {
+            assert!(!d.stack().at_rest(), "building queued the modules' starts");
+            drain(d, Time::ZERO, &mut pools);
+            assert!(d.stack().at_rest(), "step and settle");
+        }
+        // An arrival encodes through the pool and leaves work queued: the
+        // busy stack keeps the box, the pool goes back.
+        pools.lend(&mut pp).deliver(Time(1), StackId(1), Bytes::from_static(b"ping"));
+        assert!(pp.stack().has_work() && pp.stack().wire_stats() == Default::default());
+        drain(&mut pp, Time(1), &mut pools);
+        assert!(pp.stack().at_rest(), "arrival, then its steps");
+        let due = Time::ZERO + Dur::millis(1);
+        assert_eq!(pools.lend(&mut beat).wake(due), None);
+        drain(&mut beat, due, &mut pools);
+        assert!(beat.stack().at_rest(), "wake, then its steps");
+        // A control closure run through `poll`, as `Sim::with_stack` runs
+        // one: the encode lands in the pool.
+        let mut loan = pools.lend(&mut pp);
+        loan.inject(HostEvent::Control(Box::new(|s: &mut Stack| drop(s.encode(&7u64)))));
+        loan.poll(Time(2), &mut NullSink);
+        drop(loan);
+        assert!(pp.stack().at_rest(), "control closure");
+        assert_eq!(pools.wire_stats().emitted, 2, "the arrival's and the closure's encodes");
     }
 }

@@ -300,7 +300,7 @@ impl ReportFold {
     /// Add what a shard's pools hold and its stacks do not: the scratch
     /// pool's counters and the telemetry set.
     pub fn absorb_pools(&mut self, pools: &ShardPools) {
-        self.wire.absorb(pools.scratch.stats());
+        self.wire.absorb(pools.wire_stats());
         self.telemetry.absorb_set(&pools.telemetry);
     }
 

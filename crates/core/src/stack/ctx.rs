@@ -1,5 +1,6 @@
 //! [`ModuleCtx`]: everything a module handler may do to the world.
 
+use super::dispatch::Armed;
 use super::{HostAction, Stack, StackError};
 use crate::ids::{Channel, ModuleId, ServiceId, StackId, TimerId};
 use crate::module::{Call, ModuleSpec, Op, Response};
@@ -60,7 +61,7 @@ impl ModuleCtx<'_> {
     ///
     /// [`WireScratch`]: crate::wire::WireScratch
     pub fn encode<T: Encode + ?Sized>(&mut self, value: &T) -> Bytes {
-        self.stack.scratch.encode(value)
+        self.stack.encode(value)
     }
 
     /// The stack's observability state. Modules record protocol-level
@@ -107,8 +108,8 @@ impl ModuleCtx<'_> {
     pub fn set_timer(&mut self, delay: Dur, tag: u64) {
         let id = TimerId(self.stack.next_timer);
         self.stack.next_timer += 1;
-        self.stack.timers.insert(id, (self.me, tag));
-        self.stack.actions.push(HostAction::SetTimer { id, delay });
+        self.stack.timers.insert(id, Armed::new(self.me, tag));
+        self.stack.act(HostAction::SetTimer { id, delay });
     }
 
     /// Bind `module` to `service` (dynamic reconfiguration).
@@ -167,6 +168,6 @@ impl ModuleCtx<'_> {
     /// datagram leaves inside the caller's step
     /// ([`Module::on_send`](crate::module::Module::on_send)).
     pub fn net_send(&mut self, dst: StackId, payload: Bytes) {
-        self.stack.actions.push(HostAction::NetSend { dst, payload });
+        self.stack.act(HostAction::NetSend { dst, payload });
     }
 }

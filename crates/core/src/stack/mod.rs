@@ -61,7 +61,7 @@ use crate::trace::{TraceEvent, TraceLog};
 use crate::vecmap::VecMap;
 use crate::wire::{Encode, ScratchStats, WireError, WireScratch};
 use bytes::Bytes;
-use dispatch::Delivery;
+use dispatch::Armed;
 use dpu_telemetry::{StackTelemetry, TelemetryConfig};
 use route::{net_service, NetBridge, Waiting};
 use std::collections::VecDeque;
@@ -146,7 +146,7 @@ pub struct StackConfig {
     /// single cluster spanning the whole group.
     pub cluster_size: Option<u32>,
     /// Observability parameters (flight-ring capacity). Telemetry itself
-    /// is always on: it costs a stack 160 B at rest.
+    /// is always on: it costs a stack 96 B at rest.
     pub telemetry: TelemetryConfig,
 }
 
@@ -197,10 +197,12 @@ pub struct Stack {
     /// Calls blocked on an unbound service (weak stack-well-formedness),
     /// and responses held back for a listener not created yet.
     waiting: VecMap<ServiceId, VecDeque<Waiting>>,
-    queue: VecDeque<Delivery>,
-    actions: Vec<HostAction>,
-    /// Armed timers: the module each fires into, and its tag.
-    timers: VecMap<TimerId, (ModuleId, u64)>,
+    /// The delivery queue and the action buffer: the shard's while it
+    /// lends them, kept only while they hold work ([`DispatchBuf`]).
+    dispatch: Option<Box<DispatchBuf>>,
+    /// The one timer table: every armed timer's deadline, the module it
+    /// fires into, and its tag.
+    timers: VecMap<TimerId, Armed>,
     /// The group's module catalogue, shared with every stack it was
     /// cloned into.
     factory: FactoryRegistry,
@@ -210,9 +212,10 @@ pub struct Stack {
     crashed: bool,
     net_bridge: ModuleId,
     /// Reusable encode buffers for every message this stack produces —
-    /// the steady-state allocation-free path. One scratch per stack means
-    /// one per `StackDriver`, whichever host owns the driver.
-    scratch: WireScratch,
+    /// the steady-state allocation-free path: the shard's pool while a
+    /// host lends it, else this stack's own, allocated by its first
+    /// encode. A hosted stack at rest holds none.
+    scratch: Option<Box<WireScratch>>,
     /// Observability state: the per-stack remainder (open switch record,
     /// lifecycle flight ring) plus the handles of whichever
     /// `TelemetrySet` is lent in. Single-threaded like the rest of the
@@ -228,17 +231,34 @@ impl Stack {
     /// The built-in net bridge is created and bound to the `net` service.
     pub fn new(cfg: StackConfig, factory: FactoryRegistry) -> Stack {
         let trace = if cfg.trace { TraceLog::new() } else { TraceLog::disabled() };
-        let mut stack = Stack {
-            id: cfg.id,
-            peers: cfg.peers,
-            cluster_size: cfg.cluster_size,
+        let telemetry = StackTelemetry::new(&cfg.telemetry, cfg.id.0);
+        let mut stack =
+            Stack::empty(cfg.id, cfg.peers, cfg.cluster_size, factory, trace, telemetry);
+        let bridge = stack.add_module(Box::new(NetBridge));
+        stack.net_bridge = bridge;
+        stack.bind(net_service(), bridge);
+        stack
+    }
+
+    /// A stack with no module, not even the net bridge.
+    fn empty(
+        id: StackId,
+        peers: Arc<[StackId]>,
+        cluster_size: Option<u32>,
+        factory: FactoryRegistry,
+        trace: TraceLog,
+        telemetry: StackTelemetry,
+    ) -> Stack {
+        Stack {
+            id,
+            peers,
+            cluster_size,
             now: Time::ZERO,
             modules: VecMap::new(),
             bindings: VecMap::new(),
             requirers: VecMap::new(),
             waiting: VecMap::new(),
-            queue: VecDeque::new(),
-            actions: Vec::new(),
+            dispatch: None,
             timers: VecMap::new(),
             factory,
             trace,
@@ -246,13 +266,17 @@ impl Stack {
             next_timer: 1,
             crashed: false,
             net_bridge: ModuleId(0),
-            scratch: WireScratch::new(),
-            telemetry: StackTelemetry::new(&cfg.telemetry, cfg.id.0),
-        };
-        let bridge = stack.add_module(Box::new(NetBridge));
-        stack.net_bridge = bridge;
-        stack.bind(net_service(), bridge);
-        stack
+            scratch: None,
+            telemetry,
+        }
+    }
+
+    /// Drop everything this incarnation holds, leaving an empty stack
+    /// with the same id and peers (see `StackDriver::tear_down`).
+    pub(crate) fn tear_down(&mut self) {
+        let telemetry = StackTelemetry::new(&TelemetryConfig::default(), self.id.0);
+        let (peers, factory) = (Arc::clone(&self.peers), self.factory.clone());
+        *self = Stack::empty(self.id, peers, None, factory, TraceLog::disabled(), telemetry);
     }
 
     /// This stack's id.
@@ -283,12 +307,12 @@ impl Stack {
 
     /// Number of pending internal deliveries.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.dispatch.as_ref().map_or(0, |d| d.pending())
     }
 
     /// Whether [`Stack::step`] has work to do.
     pub fn has_work(&self) -> bool {
-        !self.queue.is_empty() && !self.crashed
+        self.pending() > 0 && !self.crashed
     }
 
     /// The module currently bound to `service`, if any.
@@ -336,8 +360,7 @@ impl Stack {
         }
         self.now = now;
         self.crashed = true;
-        self.queue = VecDeque::new();
-        self.actions = Vec::new();
+        self.dispatch = None;
         self.waiting.clear();
         self.telemetry.note_crash(now.as_nanos());
         self.trace.push(now, TraceEvent::Crash { stack: self.id });
@@ -348,17 +371,17 @@ impl Stack {
     /// and tests use this to build injected payloads; modules use
     /// [`ModuleCtx::encode`].
     pub fn encode<T: Encode + ?Sized>(&mut self, value: &T) -> Bytes {
-        self.scratch.encode(value)
+        scratch(&mut self.scratch).encode(value)
     }
 
     /// Counters of this stack's scratch pool (see [`ScratchStats`]).
     ///
     /// Under a shard-level pool (see [`crate::host::ShardPools`]) every
-    /// encode happens while the shard's pool is loaned in, so the
-    /// resident scratch stays empty and this returns zeros — the host
+    /// encode happens while the shard's pool is loaned in, so the stack
+    /// holds no scratch of its own and this returns zeros — the host
     /// reports the pool's counters instead.
     pub fn wire_stats(&self) -> ScratchStats {
-        self.scratch.stats()
+        self.scratch.as_ref().map_or(ScratchStats::default(), |s| s.stats())
     }
 
     /// This stack's observability state (hosts fold these into a
@@ -402,13 +425,19 @@ impl Stack {
     }
 }
 
+/// The scratch in `slot`: the pool a loan put there, or the stack's own,
+/// allocated here by its first encode.
+fn scratch(slot: &mut Option<Box<WireScratch>>) -> &mut WireScratch {
+    slot.get_or_insert_with(Box::default)
+}
+
 impl fmt::Debug for Stack {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Stack")
             .field("id", &self.id)
             .field("modules", &self.modules.len())
             .field("bindings", &self.bindings)
-            .field("pending", &self.queue.len())
+            .field("pending", &self.pending())
             .field("crashed", &self.crashed)
             .finish()
     }

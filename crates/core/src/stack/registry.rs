@@ -2,7 +2,7 @@
 //! with recursive default providers (`create_module`, lines 22–28),
 //! binding, unbinding and destruction.
 
-use super::dispatch::{Delivery, Work};
+use super::dispatch::Work;
 use super::route::Waiting;
 use super::{ModuleSlot, Stack, StackError};
 use crate::ids::{ModuleId, Name, ServiceId};
@@ -158,7 +158,7 @@ impl Stack {
             requirers.push(id);
         }
         self.trace.push(self.now, TraceEvent::ModuleCreated { stack: self.id, module: id, kind });
-        self.queue.push_back(Delivery { to: id, work: Work::Start });
+        self.enqueue(id, Work::Start);
         // What arrived for this module before it existed comes right
         // after its `on_start`, in arrival order.
         for svc in &requires {
@@ -171,7 +171,7 @@ impl Stack {
                 self.telemetry.note_released(held.len() as u64);
             }
             for resp in held {
-                self.queue.push_back(Delivery { to: id, work: Work::Response(resp) });
+                self.enqueue(id, Work::Response(resp));
             }
         }
         self.modules.insert(id, ModuleSlot { module: Some(module), kind });
@@ -226,7 +226,7 @@ impl Stack {
                     from: call.from,
                 },
             );
-            self.queue.push_back(Delivery { to: module, work: Work::Call(call) });
+            self.enqueue(module, Work::Call(call));
         }
     }
 
@@ -260,18 +260,18 @@ impl Stack {
             return;
         }
         self.unbind_all(id);
-        self.queue.push_back(Delivery { to: id, work: Work::Stop });
+        self.enqueue(id, Work::Stop);
     }
 
-    /// Forget a destroyed module: its slot, its bindings, its place among
-    /// the requirers, and its armed timers — which then fire into nothing.
+    /// Forget a destroyed module: its slot, its bindings and its place
+    /// among the requirers. Its armed timers stay in the table, still due
+    /// and still waking the host, and fire into nothing.
     pub(super) fn remove_module_records(&mut self, id: ModuleId) {
         self.modules.remove(&id);
         self.unbind_all(id);
         for reqs in self.requirers.values_mut() {
             reqs.retain(|m| *m != id);
         }
-        self.timers.retain(|_, (m, _)| *m != id);
     }
 }
 

@@ -4,8 +4,8 @@
 //! [`Stack::packet_in`] on the way in, and, for stacks without `udp`, the
 //! built-in [`NetBridge`] that answers for `net`.
 
-use super::dispatch::{Delivery, Work};
-use super::{HostAction, ModuleCtx, Stack};
+use super::dispatch::Work;
+use super::{DispatchBuf, HostAction, ModuleCtx, Stack};
 use crate::ids::{Channel, ModuleId, ServiceId, StackId};
 use crate::module::{Call, Module, Op, Response};
 use crate::time::Time;
@@ -132,10 +132,10 @@ impl Stack {
         if call.service == *udp_service() || call.service == *net_service() {
             let module = self.modules.get_mut(&to).and_then(|slot| slot.module.as_mut());
             if let Some((dst, payload)) = module.and_then(|m| m.on_send(call.op, &call.data)) {
-                return self.actions.push(HostAction::NetSend { dst, payload });
+                return self.act(HostAction::NetSend { dst, payload });
             }
         }
-        self.queue.push_back(Delivery { to, work: Work::Call(call) });
+        self.enqueue(to, Work::Call(call));
     }
 
     /// The one response path. `channel` is the provider's end of the
@@ -163,7 +163,7 @@ impl Stack {
             let wanted =
                 channel.and(slot.module.as_deref()).and_then(|m| m.listens_on(&resp.service));
             if wanted.is_none() || wanted == channel {
-                self.queue.push_back(Delivery { to, work: Work::Response(resp.clone()) });
+                DispatchBuf::enqueue(&mut self.dispatch, to, Work::Response(resp.clone()));
                 fanout += 1;
             } else {
                 stale |= wanted.zip(channel).is_some_and(|(w, c)| w.supersedes(c));
@@ -221,17 +221,19 @@ impl Stack {
         self.now = now;
         // Sample scratch-pool pressure once per arriving packet — off the
         // encode hot path, frequent enough to catch retention spikes.
-        self.telemetry.record_scratch_occupancy(self.scratch.mem_bytes() as u64);
+        let occupancy = self.scratch.as_ref().map_or(0, |s| s.mem_bytes());
+        self.telemetry.record_scratch_occupancy(occupancy as u64);
         let udp = *udp_service();
         let taken = self.bindings.get(&udp).and_then(|&from| {
             let module = self.modules.get_mut(&from)?.module.as_mut()?;
-            let (channel, op, data) = module.on_packet(src, &payload, &mut self.scratch)?;
+            let scratch = super::scratch(&mut self.scratch);
+            let (channel, op, data) = module.on_packet(src, &payload, scratch)?;
             Some((Response { service: udp, op, data, from }, channel))
         });
         if let Some((resp, channel)) = taken {
             return self.enqueue_response(resp, Some(channel));
         }
-        let data = self.scratch.encode(&(src, payload));
+        let data = self.encode(&(src, payload));
         self.enqueue_response(
             Response { service: *net_service(), op: net_ops::RECV, data, from: self.net_bridge },
             None,

@@ -138,11 +138,6 @@ impl<K: Ord, V> VecMap<K, V> {
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
         self.entries.iter_mut().map(|(_, v)| v)
     }
-
-    /// Keep only the entries for which `f` returns `true`.
-    pub fn retain(&mut self, mut f: impl FnMut(&K, &mut V) -> bool) {
-        self.entries.retain_mut(|(k, v)| f(k, v));
-    }
 }
 
 impl<K: Ord, V> Default for VecMap<K, V> {
@@ -213,17 +208,5 @@ mod tests {
             m.insert(k + 10, Vec::new());
             assert_eq!(m.entries.capacity(), m.len(), "after inserting {}", k + 10);
         }
-    }
-
-    #[test]
-    fn retain_filters_in_place() {
-        let mut m: VecMap<u32, u32> = VecMap::new();
-        for k in 0..10 {
-            m.insert(k, k);
-        }
-        m.retain(|k, _| k % 2 == 0);
-        assert_eq!(m.len(), 5);
-        assert!(m.contains_key(&4));
-        assert!(!m.contains_key(&5));
     }
 }

@@ -467,7 +467,7 @@ impl Shard {
 
     /// Fold a retiring stack incarnation's counters and telemetry
     /// remainder into the shard's retired partial — called just before
-    /// [`NodeSlab::retire`] drops the old stack.
+    /// [`NodeSlab::retire`] tears the old stack down.
     fn absorb_retiring(&mut self, slot: usize) {
         self.retired.retire(self.nodes.driver(slot).stack());
     }
@@ -775,8 +775,8 @@ impl Sim {
     /// addressed to the node are delivered to the *new* incarnation. Used
     /// by [`workload::Generator::Churn`]-style crash/restart schedules.
     ///
-    /// The factory runs *after* the old incarnation has been dropped,
-    /// against a vacant slab slot, so a restart's resident peak is one
+    /// The factory runs *after* the old incarnation has been torn down
+    /// in its slab slot, so a restart's resident peak is one
     /// stack's worth of state, not two — at 10^5+ stacks the difference
     /// is whether a restart storm doubles the process footprint.
     pub fn restart_node_with(&mut self, id: StackId, factory: impl FnOnce(StackConfig) -> Stack) {
@@ -784,7 +784,7 @@ impl Sim {
         let shard = self.shard_of(id);
         let slot = shard.slot(id);
         // Recycle the slab slot in place: the old incarnation's module,
-        // timer and scratch state is dropped here, before the SoA fields
+        // timer and buffer state is dropped here, before the SoA fields
         // are reset — nothing of it survives into the new incarnation.
         // Its counters do: fold them into the shard's retired partials
         // so run totals stay exact across churn.
@@ -1185,6 +1185,61 @@ mod tests {
         // The crash event at t=0 was scheduled before any processing.
         assert_eq!(received(&mut sim, 2), 0);
         assert!(sim.stack(StackId(2)).is_crashed());
+    }
+
+    /// Arms one timer 5 ms out on start if `arm`; counts its fires.
+    struct Alarm {
+        arm: bool,
+        fired: u32,
+    }
+
+    impl Module for Alarm {
+        fn kind(&self) -> &str {
+            "alarm"
+        }
+        fn provides(&self) -> Vec<ServiceId> {
+            Vec::new()
+        }
+        fn requires(&self) -> Vec<ServiceId> {
+            Vec::new()
+        }
+        fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
+            if self.arm {
+                ctx.set_timer(Dur::millis(5), 0);
+            }
+        }
+        fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
+        fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
+        fn on_timer(&mut self, _: &mut ModuleCtx<'_>, _: dpu_core::TimerId, _: u64) {
+            self.fired += 1;
+        }
+    }
+
+    #[test]
+    fn a_destroyed_modules_timer_still_wakes_its_node_and_fires_into_nothing() {
+        // In an alarm stack the alarm is m2, like the pinger.
+        let run = |arm: bool, destroy: bool| {
+            let mut sim = Sim::new(SimConfig::lan(1, 3), |sc| {
+                let mut s = Stack::new(sc, FactoryRegistry::new());
+                s.add_module(Box::new(Alarm { arm, fired: 0 }));
+                s
+            });
+            sim.run_until(Time::ZERO + Dur::millis(1));
+            if destroy {
+                sim.with_stack(StackId(0), |s| s.destroy_module(PINGER));
+            }
+            sim.run_until(Time::ZERO + Dur::millis(10));
+            let fired =
+                sim.with_stack(StackId(0), |s| s.with_module::<Alarm, _>(PINGER, |a| a.fired));
+            (sim.stats().events, sim.stats().steps, fired)
+        };
+        let (_, _, fired) = run(true, false);
+        assert_eq!(fired, Some(1));
+        let (armed_events, armed_steps, gone) = run(true, true);
+        let (bare_events, bare_steps, _) = run(false, true);
+        assert_eq!(gone, None);
+        assert_eq!(armed_steps, bare_steps, "nothing dispatched");
+        assert_eq!(armed_events, bare_events + 1, "the timer still woke its node");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   by `id - shard.base`. Slots are never moved after construction;
 //!   churn restarts *recycle* a slot in place ([`NodeSlab::retire`] +
 //!   [`NodeSlab::recycle`]), so a restart frees the old incarnation's
-//!   module and scratch state eagerly instead of holding both stacks
-//!   alive while the replacement is built;
+//!   module, timer and buffer state eagerly instead of holding both
+//!   stacks alive while the replacement is built;
 //! * **struct-of-arrays**: the per-node fields the dispatch loop
 //!   actually walks live in dense parallel vectors (`cpu_free`,
 //!   `nic_free`, `wake`, packed `crashed`/`step_scheduled` flags), one
@@ -35,11 +35,10 @@ const STEP_SCHEDULED: u8 = 1 << 1;
 /// Slot-stable driver slab + SoA hot fields for one shard's nodes. See
 /// module docs.
 pub(crate) struct NodeSlab {
-    /// `None` only transiently: between [`NodeSlab::retire`] and the
-    /// [`NodeSlab::recycle`] that refills the slot (no event dispatch
-    /// can observe a vacant slot — the simulation is paused during a
-    /// restart).
-    drivers: Vec<Option<StackDriver>>,
+    /// Between [`NodeSlab::retire`] and the [`NodeSlab::recycle`] that
+    /// refills a slot, its driver is an empty shell (no event dispatch
+    /// can observe it — the simulation is paused during a restart).
+    drivers: Vec<StackDriver>,
     cpu_free: Vec<Time>,
     /// When each node's outbound link finishes its current
     /// transmission; sends serialise behind it (NIC queueing).
@@ -54,7 +53,7 @@ impl NodeSlab {
     pub(crate) fn new(drivers: Vec<StackDriver>) -> NodeSlab {
         let n = drivers.len();
         NodeSlab {
-            drivers: drivers.into_iter().map(Some).collect(),
+            drivers,
             cpu_free: vec![Time::ZERO; n],
             nic_free: vec![Time::ZERO; n],
             wake: vec![NO_WAKE; n],
@@ -64,35 +63,36 @@ impl NodeSlab {
 
     #[inline]
     pub(crate) fn driver(&self, slot: usize) -> &StackDriver {
-        self.drivers[slot].as_ref().expect("node slot vacant outside a restart")
+        &self.drivers[slot]
     }
 
     #[inline]
     pub(crate) fn driver_mut(&mut self, slot: usize) -> &mut StackDriver {
-        self.drivers[slot].as_mut().expect("node slot vacant outside a restart")
+        &mut self.drivers[slot]
     }
 
     /// The drivers, in slot order (stats/trace aggregation).
     pub(crate) fn drivers(&self) -> impl Iterator<Item = &StackDriver> {
-        self.drivers.iter().map(|d| d.as_ref().expect("node slot vacant outside a restart"))
+        self.drivers.iter()
     }
 
     /// Mutable drivers, in slot order.
     pub(crate) fn drivers_mut(&mut self) -> impl Iterator<Item = &mut StackDriver> {
-        self.drivers.iter_mut().map(|d| d.as_mut().expect("node slot vacant outside a restart"))
+        self.drivers.iter_mut()
     }
 
-    /// Drop the slot's driver *now*, leaving the slot vacant for
-    /// [`NodeSlab::recycle`]. Separating the drop from the refill is
-    /// what caps a churn restart's resident peak at one incarnation.
+    /// Tear the slot's incarnation down *now*, in place, leaving a shell
+    /// for [`NodeSlab::recycle`] to overwrite. Separating the teardown
+    /// from the refill is what caps a churn restart's resident peak at
+    /// one incarnation.
     pub(crate) fn retire(&mut self, slot: usize) {
-        self.drivers[slot] = None;
+        self.drivers[slot].tear_down();
     }
 
     /// Refill a slot with a fresh incarnation and reset its SoA state
     /// (revived, idle CPU/NIC as of `now`, no wake scheduled).
     pub(crate) fn recycle(&mut self, slot: usize, driver: StackDriver, now: Time) {
-        self.drivers[slot] = Some(driver);
+        self.drivers[slot] = driver;
         self.cpu_free[slot] = now;
         self.nic_free[slot] = now;
         self.wake[slot] = NO_WAKE;

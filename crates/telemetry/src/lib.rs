@@ -34,9 +34,10 @@
 //! and the report is bit-identical whichever way the samples were
 //! split. Per stack remains what is per-stack by meaning: the open
 //! switch record, the completed count and the first few completed
-//! records, the running cascade depth, and a lifecycle flight ring
-//! allocated by the stack's first switch or crash — 160 B at rest (see
-//! ARCHITECTURE.md "Observability" for the budget).
+//! records, boxed by the stack's first switch, the running cascade
+//! depth, and a lifecycle flight ring allocated by the stack's first
+//! switch or crash — 96 B at rest (see ARCHITECTURE.md "Observability"
+//! for the budget).
 //!
 //! Recording is wait-free and, after each handle's first sample,
 //! alloc-free: a stack is single-threaded by construction (exactly like
@@ -397,7 +398,7 @@ mod tests {
         assert_eq!(t.set_bytes() + t.state.flight.mem_bytes(), 0);
         // The million-stack budget: everything telemetry keeps per stack.
         assert!(
-            std::mem::size_of::<StackTelemetry>() <= 160,
+            std::mem::size_of::<StackTelemetry>() <= 96,
             "per-stack telemetry grew: {} B",
             std::mem::size_of::<StackTelemetry>()
         );

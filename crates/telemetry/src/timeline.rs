@@ -25,8 +25,9 @@
 //! switches a soak performs. The two histograms are handles: on a
 //! hosted stack they are the shard's, lent for the duration of a drive
 //! call (see [`crate::TelemetrySet`]); what the timeline itself owns is
-//! the open record, the completed count and the retained records, and
-//! a stack that never switches allocates none of it.
+//! the open record, the completed count and the retained records, boxed
+//! by the first switch stamp: a stack that never switches holds one
+//! null word of it.
 
 use crate::hist::Histogram;
 
@@ -89,15 +90,28 @@ impl SwitchRecord {
 /// windows.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SwitchTimeline {
-    /// The open record, [`SwitchRecord::IDLE`] (ordinal 0) while no
-    /// switch is underway: an `Option` would cost every stack a word.
-    pending: SwitchRecord,
-    completed: u64,
-    recent: Vec<SwitchRecord>,
+    /// What switches leave on this stack; `None` until the first one.
+    records: Option<Box<Records>>,
     /// `first_delivery − requested` of completed switches.
     blackout: Histogram,
     /// `activated − flushed` of completed switches.
     swap_gap: Histogram,
+}
+
+/// The timeline's own part: the open record, the completed count and
+/// the retained records.
+#[derive(Clone, Debug, PartialEq)]
+struct Records {
+    /// The open record, [`SwitchRecord::IDLE`] (ordinal 0) while no
+    /// switch is underway: an `Option` would cost a word.
+    pending: SwitchRecord,
+    completed: u64,
+    recent: Vec<SwitchRecord>,
+}
+
+impl Records {
+    const EMPTY: Records =
+        Records { pending: SwitchRecord::IDLE, completed: 0, recent: Vec::new() };
 }
 
 impl Default for SwitchTimeline {
@@ -109,26 +123,27 @@ impl Default for SwitchTimeline {
 impl SwitchTimeline {
     /// An empty timeline.
     pub fn new() -> SwitchTimeline {
-        SwitchTimeline {
-            pending: SwitchRecord::IDLE,
-            completed: 0,
-            recent: Vec::new(),
-            blackout: Histogram::new(),
-            swap_gap: Histogram::new(),
-        }
+        SwitchTimeline { records: None, blackout: Histogram::new(), swap_gap: Histogram::new() }
+    }
+
+    /// The records, boxed here the first time a switch needs them.
+    fn records_mut(&mut self) -> &mut Records {
+        self.records.get_or_insert_with(|| Box::new(Records::EMPTY))
     }
 
     /// Stamp "the stack learned of a switch". Idempotent while a record
     /// is pending: the initiator calls this at `CHANGE_OP` and again
     /// when the totally-ordered announcement comes back.
     pub fn requested(&mut self, now_ns: u64) {
-        if self.pending.ordinal == 0 {
-            self.pending = SwitchRecord::new(self.completed + 1, now_ns);
+        let records = self.records_mut();
+        if records.pending.ordinal == 0 {
+            records.pending = SwitchRecord::new(records.completed + 1, now_ns);
         }
     }
 
     fn pending_mut(&mut self) -> Option<&mut SwitchRecord> {
-        (self.pending.ordinal != 0).then_some(&mut self.pending)
+        let records = self.records.as_deref_mut()?;
+        (records.pending.ordinal != 0).then_some(&mut records.pending)
     }
 
     /// Stamp "old module flushed and unbound".
@@ -159,36 +174,37 @@ impl SwitchTimeline {
             return None;
         }
         rec.first_delivery_ns = now_ns;
-        let done = std::mem::replace(&mut self.pending, SwitchRecord::IDLE);
-        self.completed += 1;
+        let done = std::mem::replace(rec, SwitchRecord::IDLE);
         if let Some(b) = done.blackout_ns() {
             self.blackout.record(b);
         }
         if let Some(g) = done.swap_gap_ns() {
             self.swap_gap.record(g);
         }
-        if self.recent.len() < RETAINED_RECORDS {
+        let records = self.records_mut();
+        records.completed += 1;
+        if records.recent.len() < RETAINED_RECORDS {
             // Exact growth: switches are rare, and `Vec`'s doubling would
             // hold four records' worth of bytes for a stack's first one.
-            self.recent.reserve_exact(1);
-            self.recent.push(done);
+            records.recent.reserve_exact(1);
+            records.recent.push(done);
         }
         Some(done)
     }
 
     /// Completed switches on this stack.
     pub fn completed(&self) -> u64 {
-        self.completed
+        self.records.as_ref().map_or(0, |r| r.completed)
     }
 
     /// The in-flight record, if a switch is underway.
     pub fn pending(&self) -> Option<&SwitchRecord> {
-        (self.pending.ordinal != 0).then_some(&self.pending)
+        self.records.as_deref().map(|r| &r.pending).filter(|p| p.ordinal != 0)
     }
 
     /// First few completed records, oldest first (bounded).
     pub fn recent(&self) -> &[SwitchRecord] {
-        &self.recent
+        self.records.as_deref().map_or(&[], |r| &r.recent)
     }
 
     /// Blackout-window histogram (`first_delivery − requested`, ns).
@@ -212,15 +228,13 @@ impl SwitchTimeline {
     /// addition plus counter sums; raw records merge up to the retained
     /// cap. Order-independent on the histogram side.
     pub fn merge(&mut self, other: &SwitchTimeline) {
-        self.completed += other.completed;
         self.blackout.merge(&other.blackout);
         self.swap_gap.merge(&other.swap_gap);
-        for rec in &other.recent {
-            if self.recent.len() == RETAINED_RECORDS {
-                break;
-            }
-            self.recent.push(*rec);
-        }
+        let Some(theirs) = other.records.as_deref() else { return };
+        let ours = self.records_mut();
+        ours.completed += theirs.completed;
+        let room = RETAINED_RECORDS.saturating_sub(ours.recent.len());
+        ours.recent.extend(theirs.recent.iter().take(room));
     }
 }
 
@@ -292,5 +306,48 @@ mod tests {
         assert_eq!(agg.blackout().count(), 2);
         assert_eq!(agg.blackout().max(), 100);
         assert_eq!(agg.recent().len(), 2);
+    }
+
+    #[test]
+    fn a_timeline_that_never_switched_holds_no_records() {
+        let mut tl = SwitchTimeline::new();
+        tl.flushed(1);
+        tl.activated(2);
+        assert!(tl.note_delivery(3).is_none());
+        let mut agg = SwitchTimeline::new();
+        agg.merge(&tl);
+        assert!(tl.records.is_none() && agg.records.is_none());
+        assert_eq!((tl.completed(), tl.recent(), tl.pending()), (0, &[][..], None));
+        tl.requested(4);
+        assert!(tl.records.is_some(), "the first switch stamp boxes them");
+    }
+
+    #[test]
+    fn completed_and_recent_read_every_switch_up_to_the_cap() {
+        let mut tl = SwitchTimeline::new();
+        for t in (0..20u64).map(|k| k * 100) {
+            tl.requested(t);
+            tl.flushed(t + 10);
+            tl.activated(t + 20);
+            tl.note_delivery(t + 50);
+        }
+        assert_eq!(tl.completed(), 20);
+        assert_eq!(tl.recent().len(), RETAINED_RECORDS);
+        for (k, rec) in (0u64..).zip(tl.recent()) {
+            let t = k * 100;
+            let want = SwitchRecord {
+                ordinal: k + 1,
+                requested_ns: t,
+                flushed_ns: t + 10,
+                activated_ns: t + 20,
+                first_delivery_ns: t + 50,
+            };
+            assert_eq!(*rec, want);
+        }
+        let mut agg = SwitchTimeline::new();
+        agg.merge(&tl);
+        agg.merge(&tl);
+        assert_eq!(agg.completed(), 40);
+        assert_eq!(agg.recent(), tl.recent(), "the first sixteen, merged in order");
     }
 }
