@@ -54,7 +54,7 @@ const PRE_REFACTOR: &str = r#"{
 /// The last uninstrumented baseline: these rows were committed with
 /// telemetry switched off (`TelemetryConfig::off()`, one null pointer
 /// per stack) because switching it on cost ~17 KB/stack. Telemetry is
-/// now always on — histograms live in the shards, 96 B stay per
+/// now always on — histograms live in the shards, 48 B stay per
 /// stack — so the rows above include it; the difference to these is the
 /// whole price of observing the run.
 const UNINSTRUMENTED: &str = r#"{

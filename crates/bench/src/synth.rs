@@ -107,7 +107,7 @@ impl Module for LoadGen {
 /// datacenter clusters joined by a WAN backbone (15 ms of lookahead),
 /// `workers` worker threads. The capacity scenario of
 /// `BENCH_scale.json`: instrumented like every other run, so its
-/// bytes/stack budget includes telemetry (96 B/stack at rest, the
+/// bytes/stack budget includes telemetry (48 B/stack at rest, the
 /// histograms live in the 16 shards).
 pub fn datagram_soak_sim(n: u32, seed: u64, workers: usize) -> Sim {
     let cluster_size = (n / 16).max(1);

@@ -32,7 +32,10 @@ fn capacity_smoke_65536_stacks() {
         "the soak must deliver traffic across the recycled layout"
     );
     // The capacity claim, instrumented: the allocator measures
-    // 969 B/stack live here (1 193 B while a stack's slab row held an
+    // 841 B/stack live here (969 B while the slab row was 344 B, seven
+    // telemetry handles, a host-event queue header and four capacity
+    // words among them, and requirers were per-service lists; 1 193 B
+    // while a stack's slab row held an
     // inline scratch pool, inline dispatch buffers, inline switch records
     // and a second timer table; 1 255 B while the scheduler wheel's bucket
     // `Vec`s kept the largest fill each had held; the pre-refactor boxed
@@ -45,7 +48,7 @@ fn capacity_smoke_65536_stacks() {
     // measurement plus 4 %: one flight ring (1.5 KB), one histogram
     // (4.7 KB), the eight-delivery queue of one `LoadGen` burst (512 B)
     // or a copied kind name left in every stack fails it.
-    assert!(bytes_per_stack < 1_008, "live bytes/stack regressed: {bytes_per_stack}");
+    assert!(bytes_per_stack < 875, "live bytes/stack regressed: {bytes_per_stack}");
     // The same run is observed: every stack is instrumented and the
     // samples land in the 16 shard sets.
     let tel = sim.telemetry_report();

@@ -46,24 +46,28 @@ fn million_smoke() {
     assert!(stats.events > u64::from(n), "the soak must actually run: {} events", stats.events);
     assert!(stats.packets_delivered > 0, "the soak must deliver traffic");
     // The headline bound: steady-state allocator-measured heap, per
-    // stack, telemetry included, at its reading (793 B) plus 4 %.
+    // stack, telemetry included, at its reading (665 B) plus 4 %.
     // Shard scratch pools, shard-owned histograms and dispatch buffers
     // (an idle stack holds none: 1 995 B while each kept its own queue,
     // 1 017 B while a stack's slab row still held an empty inline pool,
     // empty buffer headers, inline switch records and a driver-side
-    // timer heap beside its timer map),
-    // exact-growth maps, requirer lists and timer heaps, interned service
+    // timer heap beside its timer map, 793 B while the row was 344 B
+    // with seven telemetry handles, a host-event queue header and four
+    // capacity words in it),
+    // exact boxed-slice tables, one requirers table and an exact-growth
+    // timer table, interned service
     // names and module kinds (1 484 B while every module slot kept its
     // own kind and service lists), and scheduler buckets that are chains
     // through the event slab (1 041 B while each bucket was a `Vec`
     // keeping the largest fill it had held) are what hold it there.
-    // Built reads 923 B, more than the run: every stack is built with
-    // one queued event and its own boxed dispatch buffers for its queued
-    // starts, and an event's slab node carries its 16-byte key and chain
-    // link beside the payload (1 083 B built with the inline row).
+    // Built reads 483 B, less than the run: a built stack's starts are a
+    // count, not a boxed queue, and what the run adds is traffic — every
+    // stack is built with one queued event, whose slab node carries its
+    // 16-byte key and chain link beside the payload (923 B built while
+    // the starts waited in a boxed queue, 1 083 B with the inline row).
     assert!(
-        run_per_stack <= 824,
-        "steady-state bytes/stack blew the 824 B budget: {run_per_stack} \
+        run_per_stack <= 691,
+        "steady-state bytes/stack blew the 691 B budget: {run_per_stack} \
          (built {built_per_stack})"
     );
     // Generous wall guard so a pathological slowdown (quadratic scan,

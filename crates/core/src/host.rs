@@ -52,12 +52,12 @@ pub mod live;
 pub use live::{dump_flight, Ctl, Host, LiveShard, LossModel, ReportFold, ShardPort, WallClock};
 
 use crate::ids::StackId;
-use crate::stack::{DispatchBuf, Stack, StepInfo};
+use crate::stack::{ShardDispatch, Stack, StepInfo};
 use crate::time::Time;
 use crate::trace::Tail;
 use crate::wire::{ScratchStats, WireScratch};
 use bytes::Bytes;
-use dpu_telemetry::TelemetrySet;
+use dpu_telemetry::ShardTelemetry;
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -135,14 +135,22 @@ impl ActionSink for NullSink {
 /// contract.
 pub struct StackDriver {
     stack: Stack,
-    pending: VecDeque<HostEvent>,
+    /// Injected events not applied yet, boxed by the first
+    /// [`StackDriver::inject`]: the simulator delivers directly and never
+    /// injects, so its drivers hold one null word here.
+    pending: Option<Box<Injected>>,
 }
+
+/// A driver's queue of injected events, boxed whole so that a driver
+/// that never has one holds a null word, not a queue header.
+#[derive(Default)]
+struct Injected(VecDeque<HostEvent>);
 
 impl StackDriver {
     /// Wrap a stack. Any actions the stack produced before wrapping are
     /// executed on the first [`StackDriver::poll`]/[`StackDriver::settle`].
     pub fn new(stack: Stack) -> StackDriver {
-        StackDriver { stack, pending: VecDeque::new() }
+        StackDriver { stack, pending: None }
     }
 
     /// The driven stack's id.
@@ -174,19 +182,24 @@ impl StackDriver {
     /// restarted node's slot before it builds the next incarnation, so
     /// that the two never coexist.
     pub fn tear_down(&mut self) {
-        self.pending = VecDeque::new();
+        self.pending = None;
         self.stack.tear_down();
     }
 
     /// Queue an external event. Applied by the next
     /// [`StackDriver::poll`] or [`StackDriver::deliver`].
     pub fn inject(&mut self, ev: HostEvent) {
-        self.pending.push_back(ev);
+        self.pending.get_or_insert_with(Box::default).0.push_back(ev);
+    }
+
+    /// Whether injected events wait to be applied.
+    fn has_injected(&self) -> bool {
+        self.pending.as_ref().is_some_and(|p| !p.0.is_empty())
     }
 
     /// Apply all queued injected events to the stack at time `now`.
     fn absorb(&mut self, now: Time) {
-        while let Some(ev) = self.pending.pop_front() {
+        while let Some(ev) = self.pending.as_mut().and_then(|p| p.0.pop_front()) {
             match ev {
                 HostEvent::Packet { src, payload } => self.stack.packet_in(now, src, payload),
                 HostEvent::Control(f) => f(&mut self.stack),
@@ -203,7 +216,7 @@ impl StackDriver {
     /// (its hottest event) is this call.
     #[inline]
     pub fn deliver(&mut self, now: Time, src: StackId, payload: Bytes) {
-        if !self.pending.is_empty() {
+        if self.has_injected() {
             self.absorb(now);
         }
         self.stack.packet_in(now, src, payload);
@@ -231,7 +244,7 @@ impl StackDriver {
 
     /// Whether the stack has dispatchable work queued.
     pub fn has_work(&self) -> bool {
-        self.stack.has_work() || !self.pending.is_empty()
+        self.stack.has_work() || self.has_injected()
     }
 
     /// Split-phase stepping for hosts that charge modeled CPU cost:
@@ -306,14 +319,15 @@ pub(crate) const MAX_POLL_STEPS: usize = 100_000;
 /// per stack, so retained capacity, event-rate samples and a traced
 /// run's tail scale with shards. The simulator's shards and
 /// [`LiveShard`] each hold one and reach a stack only through
-/// [`ShardPools::lend`]. The pool and the dispatch buffers are boxed,
-/// each allocated by the first loan that needs it, and each moves into a
-/// stack and back by one pointer.
+/// [`ShardPools::lend`]. The pool, the dispatch queue and the telemetry
+/// set are boxed, each allocated by the first loan that needs it, and
+/// each moves into a stack and back by one pointer; the action buffer
+/// moves on its own, apart from the queue.
 #[derive(Default)]
 pub struct ShardPools {
     scratch: Option<Box<WireScratch>>,
-    dispatch: Option<Box<DispatchBuf>>,
-    telemetry: TelemetrySet,
+    dispatch: ShardDispatch,
+    telemetry: ShardTelemetry,
     trace: Tail,
 }
 
@@ -350,12 +364,13 @@ impl ShardPools {
 /// it lives, the driver's stack encodes into the shard's pool, records
 /// into the shard's telemetry set, pushes its calls and responses
 /// through the shard's trace tail, and dispatches through the shard's
-/// buffers unless it still holds its own. Dropping it hands the pool,
-/// the set and the tail back, and with them the dispatch box if the
-/// stack no longer needs it — on return, early return and unwind alike,
-/// so a loan cannot leak pool capacity, a histogram or a tail into a
-/// stack, and a stack without work holds no scratch and no dispatch
-/// box. Dereferences to the driver.
+/// buffers unless it still holds a queue of its own. Dropping it hands
+/// the pool, the set, the tail and the action buffer back, and with them
+/// the dispatch box if the stack no longer needs it — on return, early
+/// return and unwind alike, so a loan cannot leak pool capacity, a
+/// histogram or a tail into a stack, and a stack without work holds no
+/// scratch, no dispatch box and no telemetry set. Dereferences to the
+/// driver.
 pub struct Loan<'a> {
     driver: &'a mut StackDriver,
     pools: &'a mut ShardPools,
@@ -363,7 +378,7 @@ pub struct Loan<'a> {
 
 impl Loan<'_> {
     /// The symmetric part, both ways: the pool is one pointer swap, the
-    /// set and the tail are swaps of their handles.
+    /// telemetry two, the tail a swap of its handles.
     fn swap(&mut self) {
         let stack = &mut self.driver.stack;
         stack.swap_scratch(&mut self.pools.scratch);
@@ -396,7 +411,7 @@ impl fmt::Debug for StackDriver {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StackDriver")
             .field("stack", &self.stack)
-            .field("pending_events", &self.pending.len())
+            .field("pending_events", &self.pending.as_ref().map_or(0, |p| p.0.len()))
             .finish()
     }
 }
@@ -815,8 +830,13 @@ mod tests {
                 loan.settle(now, &mut NullSink);
             }
         };
-        for d in [&mut pp, &mut beat] {
-            assert!(!d.stack().at_rest(), "building queued the modules' starts");
+        let net = ServiceId::new(crate::svc::NET);
+        for (d, from) in [(&mut pp, PP), (&mut beat, BEAT)] {
+            assert!(d.stack().at_rest() && d.has_work(), "building counts the modules' starts");
+            // A send made outside a loan waits in a box of the stack's own.
+            let data = (StackId(0), Bytes::from_static(b"x")).to_bytes();
+            d.stack_mut().call_as(from, &net, net_ops::SEND, data);
+            assert!(!d.stack().at_rest(), "the send waits in the stack's own box");
             drain(d, Time::ZERO, &mut pools);
             assert!(d.stack().at_rest(), "step and settle");
         }
@@ -838,5 +858,32 @@ mod tests {
         drop(loan);
         assert!(pp.stack().at_rest(), "control closure");
         assert_eq!(pools.wire_stats().emitted, 2, "the arrival's and the closure's encodes");
+    }
+
+    #[test]
+    fn a_hosted_stack_at_rest_holds_no_telemetry_set() {
+        let mut pools = ShardPools::default();
+        let mut hosted = pingpong_driver();
+        for now in 1..4 {
+            let mut loan = pools.lend(&mut hosted);
+            loan.deliver(Time(now), StackId(1), Bytes::from_static(b"ping"));
+            loan.stack_mut().telemetry_mut().note_delivery(now, 7);
+            loan.poll(Time(now), &mut NullSink);
+        }
+        let state = hosted.stack().telemetry().state().expect("always on");
+        assert!(state.set.is_none(), "no set at rest");
+        assert_eq!(hosted.stack().telemetry().set_bytes(), 0);
+        let set = pools.telemetry.set.as_deref().expect("the shard's, boxed under the first loan");
+        assert_eq!(set.delivery_latency.count(), 3);
+        assert!(pools.telemetry.cascade_depth.count() > 0, "the cascades ran under loans");
+        // A stack that recorded before it was hosted keeps its own set:
+        // it parks in the shard during a loan and comes back.
+        let mut bare = pingpong_driver();
+        bare.stack_mut().telemetry_mut().note_delivery(0, 1);
+        let own = bare.stack().telemetry().set_bytes();
+        assert!(own > 0, "a bare stack boxes its own");
+        pools.lend(&mut bare).poll(Time(5), &mut NullSink);
+        assert_eq!(bare.stack().telemetry().set_bytes(), own);
+        assert_eq!(pools.telemetry.set.as_deref().map(|s| s.delivery_latency.count()), Some(3));
     }
 }

@@ -263,8 +263,8 @@ pub fn dump_flight<'a>(stacks: impl IntoIterator<Item = &'a Stack>, pools: &Shar
     for stack in stacks {
         stack.telemetry().dump_flight(&format!("stack {}", stack.id().0), &mut out);
     }
-    let deliveries = &pools.telemetry.deliveries;
-    if !deliveries.is_empty() {
+    let deliveries = pools.telemetry.set.as_ref().map(|set| &set.deliveries);
+    if let Some(deliveries) = deliveries.filter(|d| !d.is_empty()) {
         deliveries.dump("shard deliveries", &mut out);
     }
     out

@@ -1,6 +1,5 @@
 //! [`ModuleCtx`]: everything a module handler may do to the world.
 
-use super::dispatch::Armed;
 use super::{HostAction, Stack, StackError};
 use crate::ids::{Channel, ModuleId, ServiceId, StackId, TimerId};
 use crate::module::{Call, ModuleSpec, Op, Response};
@@ -108,7 +107,7 @@ impl ModuleCtx<'_> {
     pub fn set_timer(&mut self, delay: Dur, tag: u64) {
         let id = TimerId(self.stack.next_timer);
         self.stack.next_timer += 1;
-        self.stack.timers.insert(id, Armed::new(self.me, tag));
+        self.stack.timers.arm(id, self.me, tag);
         self.stack.act(HostAction::SetTimer { id, delay });
     }
 

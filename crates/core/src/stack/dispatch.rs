@@ -1,6 +1,7 @@
-//! Running the work: the delivery queue, [`Stack::step`] (one delivery
-//! to one module handler), the timer table, and the shard loan of the
-//! dispatch and encode buffers and the trace tail.
+//! Running the work: the delivery queue and the count of modules still
+//! to start, [`Stack::step`] (one delivery to one module handler), the
+//! timer table, and the shard loan of the dispatch and encode buffers
+//! and the trace tail.
 
 use super::{HostAction, ModuleCtx, Stack};
 use crate::ids::{ModuleId, StackId, TimerId};
@@ -62,24 +63,60 @@ pub(super) struct Armed {
 /// yet: never due (no host's clock reaches it), and no wakeup.
 const UNSETTLED: Time = Time(u64::MAX);
 
-impl Armed {
-    pub(super) fn new(module: ModuleId, tag: u64) -> Armed {
-        Armed { at: UNSETTLED, module, tag }
+/// The one timer table: every armed timer by id, ascending. Ids only
+/// rise, so arming a timer appends it. The table grows by exactly one
+/// slot when full and keeps its capacity when a timer fires, so a
+/// module that re-arms as it fires makes no allocator call.
+#[derive(Default)]
+pub(super) struct Timers(Vec<(TimerId, Armed)>);
+
+impl Timers {
+    /// Arm timer `id` for `module`, tagged `tag`, unsettled.
+    pub(super) fn arm(&mut self, id: TimerId, module: ModuleId, tag: u64) {
+        if self.0.len() == self.0.capacity() {
+            self.0.reserve_exact(1);
+        }
+        let i = self.0.partition_point(|(t, _)| *t < id);
+        self.0.insert(i, (id, Armed { at: UNSETTLED, module, tag }));
+    }
+
+    fn find(&self, id: TimerId) -> Result<usize, usize> {
+        self.0.binary_search_by(|(t, _)| t.cmp(&id))
+    }
+
+    fn remove(&mut self, id: TimerId) -> Option<Armed> {
+        self.find(id).ok().map(|i| self.0.remove(i).1)
+    }
+
+    fn get_mut(&mut self, id: TimerId) -> Option<&mut Armed> {
+        self.find(id).ok().map(|i| &mut self.0[i].1)
     }
 }
 
 /// Dispatch capacity: the delivery queue and the action buffer, which a
 /// stack needs only while it has work, boxed so that a stack without
 /// work holds one null word. A cascade's burst ratchets a buffer to its
-/// peak; lent, that is paid once per shard. A stack holding no box
-/// borrows the shard's ([`Stack::lend_dispatch`]); an idle stack hands
-/// its box back and the shard keeps the larger of each buffer
-/// ([`Stack::return_dispatch`]); a busy stack keeps its own and nothing
-/// moves. A stack nobody lends to boxes its own with its first delivery
-/// or action. The shard's is always empty.
+/// peak; lent, that is paid once per shard ([`ShardDispatch`]). A stack
+/// nobody lends to boxes its own with its first delivery or action.
 #[derive(Default)]
 pub(crate) struct DispatchBuf {
     queue: VecDeque<Delivery>,
+    actions: Vec<HostAction>,
+}
+
+/// What a shard keeps of the dispatch capacity between loans: a box
+/// whose queue is empty, and the action buffer, apart from it. A loan
+/// hands a stack a box — its own if it is busy, else the shard's, else
+/// a new one — with the shard's action buffer in it
+/// ([`Stack::lend_dispatch`]). At the end of the loan the action
+/// buffer, empty after every settle, comes back whatever the stack's
+/// state, and the box comes back too if its queue is empty; the shard
+/// keeps the larger of each ([`Stack::return_dispatch`]). So a busy
+/// stack keeps only its queue, and the next stack lent while it does
+/// allocates a box and a queue but no action buffer.
+#[derive(Default)]
+pub(crate) struct ShardDispatch {
+    buf: Option<Box<DispatchBuf>>,
     actions: Vec<HostAction>,
 }
 
@@ -90,35 +127,48 @@ impl DispatchBuf {
         slot.get_or_insert_with(Box::default)
     }
 
-    /// Queue `work` for module `to` in `slot`'s buffers.
-    pub(super) fn enqueue(slot: &mut Option<Box<DispatchBuf>>, to: ModuleId, work: Work) {
-        DispatchBuf::of(slot).queue.push_back(Delivery { to, work });
-    }
-
     /// Deliveries queued.
     pub(super) fn pending(&self) -> usize {
         self.queue.len()
     }
-
-    fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.actions.is_empty()
-    }
-
-    /// Keep the larger of each pair of buffers, this one's or `spare`'s.
-    fn keep_larger(&mut self, spare: DispatchBuf) {
-        if spare.queue.capacity() > self.queue.capacity() {
-            self.queue = spare.queue;
-        }
-        if spare.actions.capacity() > self.actions.capacity() {
-            self.actions = spare.actions;
-        }
-    }
 }
 
 impl Stack {
-    /// Queue `work` for module `to`.
+    /// Queue `work` for module `to`, behind the starts still counted
+    /// (see [`Stack::next_module_id`]), which go into the queue first.
     pub(super) fn enqueue(&mut self, to: ModuleId, work: Work) {
-        DispatchBuf::enqueue(&mut self.dispatch, to, work);
+        let queue = &mut DispatchBuf::of(&mut self.dispatch).queue;
+        for id in self.next_module - u64::from(self.starting)..self.next_module {
+            queue.push_back(Delivery { to: ModuleId(id), work: Work::Start });
+        }
+        self.starting = 0;
+        queue.push_back(Delivery { to, work });
+    }
+
+    /// The id of the module being created, with its start queued. While
+    /// nothing else is queued, the starts of the modules created since
+    /// are counted, not queued — the last `starting` ids — so a stack
+    /// just built holds no dispatch box; [`Stack::step`] runs them, in
+    /// creation order, before anything queued after them.
+    pub(super) fn next_module_id(&mut self) -> ModuleId {
+        let id = ModuleId(self.next_module);
+        if self.pending() > usize::from(self.starting) || self.starting == u16::MAX {
+            self.enqueue(id, Work::Start);
+        } else {
+            self.starting += 1;
+        }
+        self.next_module += 1;
+        id
+    }
+
+    /// The next delivery: a counted start, or the head of the queue.
+    fn next_delivery(&mut self) -> Option<Delivery> {
+        if self.starting == 0 {
+            return self.dispatch.as_mut().and_then(|d| d.queue.pop_front());
+        }
+        let to = ModuleId(self.next_module - u64::from(self.starting));
+        self.starting -= 1;
+        Some(Delivery { to, work: Work::Start })
     }
 
     /// Ask the host to perform `action`.
@@ -130,7 +180,7 @@ impl Stack {
     /// an unknown timer, or one whose module was destroyed, is a no-op;
     /// so is firing any timer on a crashed stack, which forgets it.
     pub fn timer_fired(&mut self, now: Time, id: TimerId) {
-        let armed = self.timers.remove(&id);
+        let armed = self.timers.remove(id);
         if self.crashed {
             return;
         }
@@ -160,9 +210,9 @@ impl Stack {
     fn next_due(&self, now: Time) -> Option<TimerId> {
         let mut next: Option<(Time, TimerId)> = None;
         // Ids ascend: of two equal deadlines the first found stays.
-        for (&id, armed) in self.timers.iter() {
+        for (id, armed) in &self.timers.0 {
             if armed.at <= now && next.is_none_or(|(at, _)| armed.at < at) {
-                next = Some((armed.at, id));
+                next = Some((armed.at, *id));
             }
         }
         next.map(|(_, id)| id)
@@ -170,7 +220,7 @@ impl Stack {
 
     /// The earliest settled deadline, or `None` if no timer is armed.
     pub(crate) fn next_deadline(&self) -> Option<Time> {
-        self.timers.values().map(|a| a.at).filter(|&at| at != UNSETTLED).min()
+        self.timers.0.iter().map(|(_, a)| a.at).filter(|&at| at != UNSETTLED).min()
     }
 
     /// Execute the actions produced since the last settle, as of `at`:
@@ -183,7 +233,7 @@ impl Stack {
             match action {
                 HostAction::NetSend { dst, payload } => send(dst, payload),
                 HostAction::SetTimer { id, delay } => {
-                    if let Some(armed) = self.timers.get_mut(&id) {
+                    if let Some(armed) = self.timers.get_mut(id) {
                         armed.at = at + delay;
                     }
                 }
@@ -200,9 +250,7 @@ impl Stack {
         }
         self.now = now;
         loop {
-            let Some(Delivery { to, work }) =
-                self.dispatch.as_mut().and_then(|d| d.queue.pop_front())
-            else {
+            let Some(Delivery { to, work }) = self.next_delivery() else {
                 // The cascade triggered by the last external input has
                 // drained; record how many steps it took.
                 self.telemetry.cascade_end();
@@ -285,20 +333,31 @@ impl Stack {
     }
 
     /// Taking a shard loan: a stack holding no dispatch box takes the
-    /// shard's.
-    pub(crate) fn lend_dispatch(&mut self, shard: &mut Option<Box<DispatchBuf>>) {
-        if self.dispatch.is_none() {
-            self.dispatch = shard.take();
+    /// shard's, or a new one if a busy stack holds that; a box without
+    /// an action buffer takes the shard's.
+    pub(crate) fn lend_dispatch(&mut self, shard: &mut ShardDispatch) {
+        let buf = self.dispatch.get_or_insert_with(|| shard.buf.take().unwrap_or_default());
+        if buf.actions.capacity() == 0 {
+            std::mem::swap(&mut buf.actions, &mut shard.actions);
         }
     }
 
-    /// Ending a shard loan: an idle stack's box leaves; the shard keeps
-    /// it, or the larger of each buffer if it holds a box of its own.
-    pub(crate) fn return_dispatch(&mut self, shard: &mut Option<Box<DispatchBuf>>) {
-        let Some(spare) = self.dispatch.take_if(|d| d.is_idle()) else { return };
-        match shard {
-            Some(own) => own.keep_larger(*spare),
-            None => *shard = Some(spare),
+    /// Ending a shard loan: the action buffer leaves, unless it holds
+    /// actions not settled yet, and the box leaves if its queue is
+    /// empty. The shard keeps the larger of each.
+    pub(crate) fn return_dispatch(&mut self, shard: &mut ShardDispatch) {
+        let Some(buf) = self.dispatch.as_deref_mut() else { return };
+        if !buf.actions.is_empty() {
+            return;
+        }
+        let actions = std::mem::take(&mut buf.actions);
+        if actions.capacity() > shard.actions.capacity() {
+            shard.actions = actions;
+        }
+        let Some(idle) = self.dispatch.take_if(|d| d.queue.is_empty()) else { return };
+        match &mut shard.buf {
+            Some(own) if own.queue.capacity() >= idle.queue.capacity() => {}
+            own => *own = Some(idle),
         }
     }
 
@@ -317,7 +376,7 @@ mod tests {
     use crate::stack::tests::{net_send_from, new_stack, run_until_idle, Client, Echo};
     use bytes::Bytes;
 
-    type Shard = Option<Box<DispatchBuf>>;
+    type Shard = ShardDispatch;
 
     /// `work` on `stack` under a loan of `shard`'s dispatch buffers, as a
     /// host takes it.
@@ -328,19 +387,35 @@ mod tests {
         r
     }
 
+    /// The capacity of the shard's queue and action buffer.
     fn capacity(shard: &Shard) -> (usize, usize) {
-        shard.as_ref().map_or((0, 0), |d| (d.queue.capacity(), d.actions.capacity()))
+        (shard.buf.as_ref().map_or(0, |d| d.queue.capacity()), shard.actions.capacity())
+    }
+
+    /// A stack with an echo provider and a client of it: a call queues a
+    /// delivery, and its response another.
+    fn echo_stack() -> (Stack, ModuleId) {
+        let mut stack = new_stack();
+        let echo = stack.add_module(Box::new(Echo));
+        let client = stack.add_module(Box::new(Client::default()));
+        stack.bind(&ServiceId::new("echo"), echo);
+        (stack, client)
+    }
+
+    /// Queue a call to the echo and a send at the edge, and run them.
+    fn call_and_send(stack: &mut Stack, client: ModuleId) {
+        stack.call_as(client, &ServiceId::new("echo"), 1, Bytes::new());
+        net_send_from(stack, client);
+        run_until_idle(stack);
     }
 
     #[test]
     fn an_idle_stack_holds_no_dispatch_box() {
-        let mut shard = None;
-        let mut stack = new_stack();
-        let client = stack.add_module(Box::new(Client::default()));
+        let mut shard = Shard::default();
+        let (mut stack, client) = echo_stack();
         for _ in 0..3 {
             let sent = lent(&mut stack, &mut shard, |s| {
-                net_send_from(s, client);
-                run_until_idle(s);
+                call_and_send(s, client);
                 s.drain_actions().count()
             });
             assert_eq!(sent, 1);
@@ -352,7 +427,7 @@ mod tests {
 
     #[test]
     fn a_busy_stack_keeps_its_own_buffer_in_fifo_order() {
-        let mut shard = None;
+        let mut shard = Shard::default();
         let mut stack = new_stack();
         let echo = stack.add_module(Box::new(Echo));
         let client = stack.add_module(Box::new(Client::default()));
@@ -361,17 +436,18 @@ mod tests {
         let mut warm = DispatchBuf::default();
         warm.queue.reserve(64);
         let warm_cap = warm.queue.capacity();
-        shard = Some(Box::new(warm));
+        shard.buf = Some(Box::new(warm));
         let call = |s: &mut Stack, i: u8| {
             s.call_as(client, &ServiceId::new("echo"), 1, Bytes::copy_from_slice(&[i]));
         };
         // Work enqueued under one loan waits in the box the stack took;
-        // later loans find the stack busy and move nothing either way.
+        // later loans find the stack busy and move only the action
+        // buffer, both ways.
         for i in 0..5 {
             lent(&mut stack, &mut shard, |s| call(s, i));
             assert_eq!(stack.pending(), usize::from(i) + 1);
-            assert_eq!(stack.dispatch_capacity().0, warm_cap, "the one buffer, not a copy");
-            assert!(shard.is_none(), "nothing carried back");
+            assert_eq!(stack.dispatch_capacity(), (warm_cap, 0), "the one queue, not a copy");
+            assert!(shard.buf.is_none(), "nothing carried back");
         }
         lent(&mut stack, &mut shard, |s| s.step(Time(1)));
         assert_eq!(stack.dispatch_capacity().0, warm_cap, "still busy");
@@ -388,9 +464,8 @@ mod tests {
     fn the_shard_keeps_the_larger_buffer() {
         let mut own = DispatchBuf::default();
         own.queue.reserve(8);
-        own.actions.reserve(100);
-        let (small, large) = (own.queue.capacity(), own.actions.capacity());
-        let mut shard = Some(Box::new(own));
+        let mut shard = Shard { buf: Some(Box::new(own)), actions: Vec::with_capacity(100) };
+        let (small, large) = capacity(&shard);
         let mut stack = new_stack();
         run_until_idle(&mut stack);
         stack.dispatch = None;
@@ -406,16 +481,73 @@ mod tests {
     }
 
     #[test]
+    fn a_busy_stack_hands_back_its_action_buffer() {
+        let mut shard = Shard::default();
+        let (mut a, a_client) = echo_stack();
+        let (mut b, b_client) = echo_stack();
+        let echo = ServiceId::new("echo");
+        lent(&mut a, &mut shard, run_until_idle);
+        // After its `on_start`s, `a` sends, then is left with a call
+        // queued: busy.
+        let sent = lent(&mut a, &mut shard, |s| {
+            net_send_from(s, a_client);
+            let sent = s.drain_actions().count();
+            s.call_as(a_client, &echo, 1, Bytes::new());
+            sent
+        });
+        assert_eq!(sent, 1);
+        let actions = shard.actions.capacity();
+        assert!(actions > 0 && shard.buf.is_none(), "the busy stack keeps only its queue");
+        assert_eq!(a.dispatch_capacity().1, 0);
+        // `b`, lent while `a` holds the shard's box, gets a new one with
+        // the shard's action buffer in it.
+        let sent = lent(&mut b, &mut shard, |s| {
+            assert_eq!(s.dispatch_capacity().1, actions, "the shard's action buffer");
+            net_send_from(s, b_client);
+            s.drain_actions().count()
+        });
+        assert_eq!(sent, 1);
+        assert!(b.dispatch.is_none() && shard.buf.is_some(), "idle: its box stays with the shard");
+        lent(&mut a, &mut shard, run_until_idle);
+        assert!(a.dispatch.is_none());
+        assert_eq!(a.with_module::<Client, _>(a_client, |c| c.got.len()), Some(1));
+    }
+
+    #[test]
     fn a_stack_never_lent_to_keeps_its_buffers() {
-        let mut stack = new_stack();
-        let client = stack.add_module(Box::new(Client::default()));
+        let (mut stack, client) = echo_stack();
         for _ in 0..3 {
-            net_send_from(&mut stack, client);
-            run_until_idle(&mut stack);
+            call_and_send(&mut stack, client);
             assert_eq!(stack.drain_actions().count(), 1);
             let (queue, actions) = stack.dispatch_capacity();
             assert!(queue > 0 && actions > 0, "its own buffers, drained in place");
         }
+    }
+
+    #[test]
+    fn a_built_stack_counts_its_starts_and_runs_them_before_later_work() {
+        let (mut stack, client) = echo_stack();
+        assert!(stack.dispatch.is_none(), "three starts, no box");
+        assert_eq!(stack.pending(), 3);
+        stack.call_as(client, &ServiceId::new("echo"), 1, Bytes::new());
+        let late = stack.add_module(Box::new(Client::default()));
+        assert_eq!(stack.pending(), 5, "the call queued behind the starts, then a start");
+        let mut steps = Vec::new();
+        while let Some(info) = stack.step(Time(1)) {
+            steps.push((info.module, info.category));
+        }
+        use StepCategory::{Call, Response, Start};
+        let (bridge, echo) = (ModuleId(1), ModuleId(2));
+        let starts = [(bridge, Start), (echo, Start), (client, Start)];
+        assert_eq!(steps[..3], starts, "in creation order");
+        let rest = [(echo, Call), (late, Start), (client, Response), (late, Response)];
+        assert_eq!(steps[3..], rest);
+        // Created once the stack is idle, a module's start is counted too.
+        let mut fresh = new_stack();
+        fresh.step(Time(1));
+        let more = fresh.add_module(Box::new(Echo));
+        assert!(fresh.dispatch.is_none() && fresh.pending() == 1);
+        assert_eq!(fresh.step(Time(2)).map(|i| (i.module, i.category)), Some((more, Start)));
     }
 
     #[test]

@@ -49,7 +49,8 @@ mod registry;
 mod route;
 
 pub use ctx::ModuleCtx;
-pub(crate) use dispatch::DispatchBuf;
+use dispatch::DispatchBuf;
+pub(crate) use dispatch::ShardDispatch;
 pub use dispatch::{StepCategory, StepInfo};
 pub use registry::FactoryRegistry;
 pub use route::net_ops;
@@ -61,7 +62,7 @@ use crate::trace::{TraceEvent, TraceLog};
 use crate::vecmap::VecMap;
 use crate::wire::{Encode, ScratchStats, WireError, WireScratch};
 use bytes::Bytes;
-use dispatch::Armed;
+use dispatch::Timers;
 use dpu_telemetry::{StackTelemetry, TelemetryConfig};
 use route::{net_service, NetBridge, Waiting};
 use std::collections::VecDeque;
@@ -146,7 +147,7 @@ pub struct StackConfig {
     /// single cluster spanning the whole group.
     pub cluster_size: Option<u32>,
     /// Observability parameters (flight-ring capacity). Telemetry itself
-    /// is always on: it costs a stack 96 B at rest.
+    /// is always on: it costs a stack 48 B at rest.
     pub telemetry: TelemetryConfig,
 }
 
@@ -175,7 +176,7 @@ impl StackConfig {
 
 /// A module and its kind: all a stack keeps per module. What it provides
 /// and requires the stack asks the module when it wires it in, and the
-/// requirer lists remember the latter.
+/// requirers table remembers the latter.
 pub(crate) struct ModuleSlot {
     /// `None` while the module's own handler runs.
     module: Option<Box<dyn Module>>,
@@ -191,18 +192,24 @@ pub struct Stack {
     now: Time,
     modules: VecMap<ModuleId, ModuleSlot>,
     bindings: VecMap<ServiceId, ModuleId>,
-    /// Modules requiring each service, in registration order — the
-    /// response fan-out set.
-    requirers: VecMap<ServiceId, Vec<ModuleId>>,
+    /// Who requires what, one `(service, module)` pair per requirement,
+    /// sorted: a service's run of pairs is its response fan-out set, in
+    /// registration order (module ids ascend). One exact allocation for
+    /// the whole table.
+    requirers: Box<[(ServiceId, ModuleId)]>,
     /// Calls blocked on an unbound service (weak stack-well-formedness),
     /// and responses held back for a listener not created yet.
     waiting: VecMap<ServiceId, VecDeque<Waiting>>,
     /// The delivery queue and the action buffer: the shard's while it
     /// lends them, kept only while they hold work ([`DispatchBuf`]).
     dispatch: Option<Box<DispatchBuf>>,
+    /// Modules created last whose start is due before anything queued:
+    /// the ids `next_module - starting .. next_module`
+    /// ([`Stack::next_module_id`]).
+    starting: u16,
     /// The one timer table: every armed timer's deadline, the module it
     /// fires into, and its tag.
-    timers: VecMap<TimerId, Armed>,
+    timers: Timers,
     /// The group's module catalogue, shared with every stack it was
     /// cloned into.
     factory: FactoryRegistry,
@@ -217,8 +224,8 @@ pub struct Stack {
     /// encode. A hosted stack at rest holds none.
     scratch: Option<Box<WireScratch>>,
     /// Observability state: the per-stack remainder (open switch record,
-    /// lifecycle flight ring) plus the handles of whichever
-    /// `TelemetrySet` is lent in. Single-threaded like the rest of the
+    /// lifecycle flight ring) plus the set and the cascade histogram of
+    /// whichever shard lends them. Single-threaded like the rest of the
     /// stack, so recording is plain integer arithmetic; never feeds back
     /// into protocol behaviour.
     telemetry: StackTelemetry,
@@ -256,10 +263,11 @@ impl Stack {
             now: Time::ZERO,
             modules: VecMap::new(),
             bindings: VecMap::new(),
-            requirers: VecMap::new(),
+            requirers: Box::default(),
             waiting: VecMap::new(),
             dispatch: None,
-            timers: VecMap::new(),
+            starting: 0,
+            timers: Timers::default(),
             factory,
             trace,
             next_module: 1,
@@ -307,7 +315,7 @@ impl Stack {
 
     /// Number of pending internal deliveries.
     pub fn pending(&self) -> usize {
-        self.dispatch.as_ref().map_or(0, |d| d.pending())
+        usize::from(self.starting) + self.dispatch.as_ref().map_or(0, |d| d.pending())
     }
 
     /// Whether [`Stack::step`] has work to do.
@@ -361,6 +369,7 @@ impl Stack {
         self.now = now;
         self.crashed = true;
         self.dispatch = None;
+        self.starting = 0;
         self.waiting.clear();
         self.telemetry.note_crash(now.as_nanos());
         self.trace.push(now, TraceEvent::Crash { stack: self.id });
@@ -392,7 +401,7 @@ impl Stack {
 
     /// Mutable observability state: hosts use this to stamp events the
     /// stack cannot see itself (e.g. end-to-end latencies measured by a
-    /// harness), and to lend the stack their shard's `TelemetrySet`
+    /// harness), and to lend the stack their shard's telemetry set
     /// around a drive call.
     pub fn telemetry_mut(&mut self) -> &mut StackTelemetry {
         &mut self.telemetry

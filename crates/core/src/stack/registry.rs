@@ -8,7 +8,7 @@ use super::{ModuleSlot, Stack, StackError};
 use crate::ids::{ModuleId, Name, ServiceId};
 use crate::module::{Module, ModuleSpec};
 use crate::trace::TraceEvent;
-use crate::vecmap::VecMap;
+use crate::vecmap::{insert_exact, retain_exact, VecMap};
 use crate::wire::Decode;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -148,17 +148,16 @@ impl Stack {
     /// what [`Stack::install`] does before it wires the module in.
     /// Probes and tests call it directly.
     pub fn add_module(&mut self, module: Box<dyn Module>) -> ModuleId {
-        let id = ModuleId(self.next_module);
-        self.next_module += 1;
+        let id = self.next_module_id();
         let kind = Name::new(module.kind());
         let requires = module.requires();
         for svc in &requires {
-            let requirers = self.requirers.get_mut_or_default(*svc);
-            requirers.reserve_exact(1);
-            requirers.push(id);
+            // Ids ascend: the new module goes last among the service's
+            // requirers, in registration order.
+            let i = self.requirers.partition_point(|&r| r <= (*svc, id));
+            insert_exact(&mut self.requirers, i, (*svc, id));
         }
         self.trace.push(self.now, TraceEvent::ModuleCreated { stack: self.id, module: id, kind });
-        self.enqueue(id, Work::Start);
         // What arrived for this module before it existed comes right
         // after its `on_start`, in arrival order.
         for svc in &requires {
@@ -269,9 +268,7 @@ impl Stack {
     pub(super) fn remove_module_records(&mut self, id: ModuleId) {
         self.modules.remove(&id);
         self.unbind_all(id);
-        for reqs in self.requirers.values_mut() {
-            reqs.retain(|m| *m != id);
-        }
+        retain_exact(&mut self.requirers, |&(_, m)| m != id);
     }
 }
 
@@ -420,5 +417,55 @@ mod tests {
             .trace()
             .events()
             .any(|(_, e)| matches!(e, TraceEvent::ModuleDestroyed { .. })));
+    }
+
+    #[test]
+    fn a_response_fans_out_in_registration_order_across_destroy_and_reinstall() {
+        /// Requires its services; ignores what it gets.
+        struct Needs(&'static [&'static str]);
+        impl Module for Needs {
+            fn kind(&self) -> &str {
+                "needs"
+            }
+            fn provides(&self) -> Vec<ServiceId> {
+                Vec::new()
+            }
+            fn requires(&self) -> Vec<ServiceId> {
+                self.0.iter().map(ServiceId::new).collect()
+            }
+            fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
+            fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
+        }
+        let mut reg = FactoryRegistry::new();
+        reg.register_with("client", |()| Client::default());
+        let mut stack = Stack::new(StackConfig::nth(0, 1, 7), reg);
+        let svc = ServiceId::new("echo");
+        let echo = stack.add_module(Box::new(Echo));
+        stack.bind(&svc, echo);
+        // Another service's requirers share the table.
+        let a = stack.add_module(Box::new(Needs(&["echo", "side"])));
+        let b = stack.add_module(Box::new(Needs(&["side", "echo"])));
+        stack.add_module(Box::new(Needs(&["side"])));
+        let c = stack.add_module(Box::new(Client::default()));
+        run_until_idle(&mut stack);
+        let fanout = |stack: &mut Stack| {
+            stack.call_as(a, &svc, 1, Bytes::new());
+            let mut reached = Vec::new();
+            while let Some(info) = stack.step(crate::time::Time(1)) {
+                if info.category == crate::stack::StepCategory::Response {
+                    reached.push(info.module);
+                }
+            }
+            reached
+        };
+        assert_eq!(fanout(&mut stack), [a, b, c]);
+        stack.destroy_module(b);
+        run_until_idle(&mut stack);
+        assert!(stack.requirers.iter().all(|&(_, m)| m != b), "b left the table");
+        let d = stack.install(&ModuleSpec::new("client")).unwrap();
+        run_until_idle(&mut stack);
+        assert_eq!(fanout(&mut stack), [a, c, d]);
+        let pairs = stack.requirers.len();
+        assert_eq!(pairs, 5, "two for a, one each for the side-only module, c and d");
     }
 }

@@ -5,7 +5,7 @@
 //! built-in [`NetBridge`] that answers for `net`.
 
 use super::dispatch::Work;
-use super::{DispatchBuf, HostAction, ModuleCtx, Stack};
+use super::{HostAction, ModuleCtx, Stack};
 use crate::ids::{Channel, ModuleId, ServiceId, StackId};
 use crate::module::{Call, Module, Op, Response};
 use crate::time::Time;
@@ -155,7 +155,10 @@ impl Stack {
     /// was here and has been retired. It is dropped and counted.
     pub(super) fn enqueue_response(&mut self, resp: Response, channel: Option<Channel>) {
         let (mut fanout, mut stale) = (0, false);
-        for &to in self.requirers.get(&resp.service).map_or(&[][..], Vec::as_slice) {
+        let first = self.requirers.partition_point(|&(s, _)| s < resp.service);
+        let count = self.requirers[first..].partition_point(|&(s, _)| s == resp.service);
+        for i in first..first + count {
+            let to = self.requirers[i].1;
             if to == resp.from {
                 continue;
             }
@@ -163,7 +166,7 @@ impl Stack {
             let wanted =
                 channel.and(slot.module.as_deref()).and_then(|m| m.listens_on(&resp.service));
             if wanted.is_none() || wanted == channel {
-                DispatchBuf::enqueue(&mut self.dispatch, to, Work::Response(resp.clone()));
+                self.enqueue(to, Work::Response(resp.clone()));
                 fanout += 1;
             } else {
                 stale |= wanted.zip(channel).is_some_and(|(w, c)| w.supersedes(c));
@@ -798,8 +801,8 @@ mod tests {
 
     /// `(held, released, dropped)`, as this stack counted them.
     fn hold_back(stack: &Stack) -> (u64, u64, u64) {
-        let counted = stack.telemetry().state().unwrap().hold_back.as_deref();
-        counted.map_or((0, 0, 0), |c| (c.held, c.released, c.dropped))
+        let set = stack.telemetry().state().unwrap().set.as_deref();
+        set.map_or((0, 0, 0), |s| (s.hold_back.held, s.hold_back.released, s.hold_back.dropped))
     }
 
     #[test]

@@ -245,10 +245,12 @@ const _: () = assert!(std::mem::size_of::<Entry>() == 40);
 const _: () = assert!(std::mem::size_of::<crate::stack::ModuleSlot>() == 24);
 const _: () = assert!(std::mem::size_of::<TraceLog>() == 8);
 // The slab row of every hosted stack. A stack at rest holds only its
-// own state: what a loan lends (the scratch pool, the dispatch buffers)
-// is one pointer each, the switch records are boxed by the first
-// switch, and its timers are one table.
-const _: () = assert!(std::mem::size_of::<crate::host::StackDriver>() <= 344);
+// own state: what a loan lends (the scratch pool, the dispatch buffers,
+// the telemetry set) is one pointer each, the switch records and the
+// driver's injected events are boxed by their first use, the tables
+// built at build or switch time are exact boxed slices, and its timers
+// are one table.
+const _: () = assert!(std::mem::size_of::<crate::host::StackDriver>() <= 240);
 
 /// Dispatch entries (calls and responses) a tail keeps: the most recent
 /// 4096, 160 KiB — some 17 broadcasts' worth of the steps of all seven

@@ -1,14 +1,17 @@
-//! A sorted-vector map: the capacity-path replacement for `BTreeMap`
-//! in per-stack state.
+//! A sorted boxed-slice map: the capacity-path replacement for
+//! `BTreeMap` in per-stack state.
 //!
 //! A `BTreeMap` allocates 11-entry leaf nodes, so a stack holding a
-//! handful of modules/bindings/timers pays for dozens of slots it never
-//! uses — at 10^6 stacks that overhead (~1.5–2 KB/stack across the five
-//! maps in [`crate::Stack`]) dominates the residual memory budget. A
-//! sorted `Vec<(K, V)>` stores exactly `len` entries (every insert grows
-//! it by one slot, not by doubling), and for the single-digit populations a
-//! stack actually holds, binary search + `memmove` beats pointer-chasing
-//! tree nodes on the dispatch hot path too.
+//! handful of modules/bindings pays for dozens of slots it never uses —
+//! at 10^6 stacks that overhead (~1.5–2 KB/stack across the maps in
+//! [`crate::Stack`]) dominates the residual memory budget. A sorted
+//! `Box<[(K, V)]>` stores exactly `len` entries and no capacity word:
+//! every insert or remove reallocates it to the new length, and for the
+//! single-digit populations a stack actually holds, binary search +
+//! `memmove` beats pointer-chasing tree nodes on the dispatch hot path
+//! too. The tables that use it change only when a stack is built or
+//! switches protocol; the timer table, which churns with every timer,
+//! keeps a `Vec` of its own.
 //!
 //! Iteration order is **ascending by key** — identical to `BTreeMap` —
 //! which is what keeps trace event order (and therefore the golden
@@ -16,21 +19,47 @@
 
 use std::fmt;
 
-/// A map backed by a `Vec` of key-sorted `(K, V)` pairs.
+/// A map backed by a boxed slice of key-sorted `(K, V)` pairs, exactly
+/// as long as the map: 16 bytes inline, `len` entries on the heap.
 ///
-/// Lookups are `O(log n)`, inserts/removes `O(n)` (memmove) — the right
-/// trade for small, read-mostly populations. Inserting a key greater
-/// than the current maximum is `O(1)` amortized (a push), which is the
-/// common case for monotonic ids ([`crate::ModuleId`], [`crate::TimerId`]).
+/// Lookups are `O(log n)`, inserts/removes `O(n)` plus one reallocation
+/// — the right trade for small populations that change at build and
+/// switch time only.
 #[derive(Clone, PartialEq, Eq)]
 pub(crate) struct VecMap<K, V> {
-    entries: Vec<(K, V)>,
+    entries: Box<[(K, V)]>,
+}
+
+/// Insert `item` at index `i` of `slice`, reallocating it to exactly
+/// one more element.
+pub(crate) fn insert_exact<T>(slice: &mut Box<[T]>, i: usize, item: T) {
+    let mut v = std::mem::take(slice).into_vec();
+    v.reserve_exact(1);
+    v.insert(i, item);
+    *slice = v.into_boxed_slice();
+}
+
+/// Keep the elements of `slice` that `keep` accepts, in order,
+/// reallocating it to exactly those (no allocator call if all stay).
+pub(crate) fn retain_exact<T>(slice: &mut Box<[T]>, keep: impl FnMut(&T) -> bool) {
+    let mut v = std::mem::take(slice).into_vec();
+    v.retain(keep);
+    *slice = v.into_boxed_slice();
+}
+
+/// Remove and return the element at index `i` of `slice`, reallocating
+/// it to exactly the rest.
+fn remove_exact<T>(slice: &mut Box<[T]>, i: usize) -> T {
+    let mut v = std::mem::take(slice).into_vec();
+    let item = v.remove(i);
+    *slice = v.into_boxed_slice();
+    item
 }
 
 impl<K: Ord, V> VecMap<K, V> {
     /// An empty map. Does not allocate.
-    pub const fn new() -> Self {
-        VecMap { entries: Vec::new() }
+    pub fn new() -> Self {
+        VecMap { entries: Box::default() }
     }
 
     fn idx(&self, key: &K) -> Result<usize, usize> {
@@ -57,44 +86,21 @@ impl<K: Ord, V> VecMap<K, V> {
 
     /// Insert `value` under `key`, returning the previous value if the
     /// key was already present (same contract as `BTreeMap::insert`).
+    /// Replacing a value allocates nothing.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        // Fast path: monotonically increasing keys append.
-        if self.entries.last().is_none_or(|(k, _)| *k < key) {
-            self.grow_exact();
-            self.entries.push((key, value));
-            return None;
-        }
         match self.idx(&key) {
             Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
             Err(i) => {
-                self.grow_exact();
-                self.entries.insert(i, (key, value));
+                insert_exact(&mut self.entries, i, (key, value));
                 None
             }
         }
     }
 
-    /// Grow capacity by exactly one slot when full, instead of `Vec`'s
-    /// amortized doubling (minimum 4). These maps hold a handful of
-    /// entries per stack and are built once at boot, then mutated only
-    /// at protocol-switch or timer-churn rates — at a million stacks,
-    /// doubling's slack is megabytes of dead capacity, while exact
-    /// growth costs a few boot-time reallocations of tiny buffers.
-    /// Removals keep capacity, so a map that churns at a steady size
-    /// stops reallocating at its high-water mark.
-    #[inline]
-    fn grow_exact(&mut self) {
-        if self.entries.len() == self.entries.capacity() {
-            self.entries.reserve_exact(1);
-        }
-    }
-
     /// Remove and return the value stored under `key`, if any.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        match self.idx(key) {
-            Ok(i) => Some(self.entries.remove(i).1),
-            Err(_) => None,
-        }
+        let i = self.idx(key).ok()?;
+        Some(remove_exact(&mut self.entries, i).1)
     }
 
     /// The value under `key`, inserting `V::default()` first if absent
@@ -106,8 +112,7 @@ impl<K: Ord, V> VecMap<K, V> {
         let i = match self.idx(&key) {
             Ok(i) => i,
             Err(i) => {
-                self.grow_exact();
-                self.entries.insert(i, (key, V::default()));
+                insert_exact(&mut self.entries, i, (key, V::default()));
                 i
             }
         };
@@ -119,9 +124,9 @@ impl<K: Ord, V> VecMap<K, V> {
         self.entries.len()
     }
 
-    /// Drop every entry, keeping the allocation.
+    /// Drop every entry and the allocation that held them.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.entries = Box::default();
     }
 
     /// Iterate `(key, value)` pairs in ascending key order.
@@ -132,11 +137,6 @@ impl<K: Ord, V> VecMap<K, V> {
     /// Iterate values in ascending key order.
     pub fn values(&self) -> impl Iterator<Item = &V> {
         self.entries.iter().map(|(_, v)| v)
-    }
-
-    /// Iterate values mutably in ascending key order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.entries.iter_mut().map(|(_, v)| v)
     }
 }
 
@@ -200,13 +200,29 @@ mod tests {
     }
 
     #[test]
-    fn every_insert_grows_capacity_to_the_length_exactly() {
-        let mut m: VecMap<u32, Vec<u32>> = VecMap::new();
+    fn the_map_holds_exactly_its_entries_and_no_capacity_word() {
+        assert_eq!(std::mem::size_of::<VecMap<u32, u64>>(), 16);
+        let mut m: VecMap<u32, u64> = VecMap::new();
+        let heap = |m: &VecMap<u32, u64>| std::mem::size_of_val(&*m.entries);
         for k in [5, 1, 9, 3, 7] {
             m.get_mut_or_default(k);
-            assert_eq!(m.entries.capacity(), m.len(), "after inserting {k}");
-            m.insert(k + 10, Vec::new());
-            assert_eq!(m.entries.capacity(), m.len(), "after inserting {}", k + 10);
+            m.insert(k + 10, 0);
+            assert_eq!(heap(&m), m.len() * std::mem::size_of::<(u32, u64)>(), "after {k}");
         }
+        m.remove(&9);
+        assert_eq!(heap(&m), 9 * std::mem::size_of::<(u32, u64)>(), "a remove shrinks it");
+        m.clear();
+        assert_eq!((m.len(), heap(&m)), (0, 0));
+    }
+
+    #[test]
+    fn retain_and_insert_keep_a_slice_exact_and_in_order() {
+        let mut s: Box<[u32]> = Box::default();
+        for (i, x) in [(0, 4), (0, 1), (1, 2), (3, 9)] {
+            insert_exact(&mut s, i, x);
+        }
+        assert_eq!(&*s, [1, 2, 4, 9]);
+        retain_exact(&mut s, |x| x % 2 == 0);
+        assert_eq!(&*s, [2, 4]);
     }
 }

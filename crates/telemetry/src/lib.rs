@@ -22,31 +22,33 @@
 //! # Overhead discipline
 //!
 //! Every stack embeds one [`StackTelemetry`], always on. What is
-//! recorded at event rate — the four stack histograms, the timeline's
-//! blackout and swap-gap histograms, the per-delivery flight ring — is
-//! a [`TelemetrySet`] of *handles*, each one null pointer until its
-//! first sample. A host shard owns one set and swaps it into whichever
-//! stack it is driving, through the very loan that lends the shard's
-//! `WireScratch` pool; a stack nobody lends to (a bare `StackDriver`, a
-//! unit test) records into its own lazily allocated set through the
-//! same code. Histogram merge is exact bucket addition, so the shard's
-//! set *is* the sum of what its stacks would have recorded one by one,
-//! and the report is bit-identical whichever way the samples were
-//! split. Per stack remains what is per-stack by meaning: the open
-//! switch record, the completed count and the first few completed
-//! records, boxed by the stack's first switch, the running cascade
-//! depth, and a lifecycle flight ring allocated by the stack's first
-//! switch or crash — 96 B at rest (see ARCHITECTURE.md "Observability"
-//! for the budget).
+//! recorded at event rate — five histograms (delivery latency, scratch
+//! occupancy, resequencing depth, switch blackout and swap gap), the
+//! per-delivery flight ring and the hold-back counters — is one boxed
+//! [`TelemetrySet`], a null pointer until the stack's first record of
+//! any of them; the cascade-depth histogram is a handle of its own. A
+//! host shard owns one set and one cascade histogram
+//! ([`ShardTelemetry`]) and swaps both into whichever stack it is
+//! driving — two pointer swaps — through the very loan that lends the
+//! shard's `WireScratch` pool; a stack nobody lends to (a bare
+//! `StackDriver`, a unit test) boxes its own set through the same code.
+//! Histogram merge is exact bucket addition, so the shard's set *is*
+//! the sum of what its stacks would have recorded one by one, and the
+//! report is bit-identical whichever way the samples were split. Per
+//! stack remains what is per-stack by meaning: the open switch record,
+//! the completed count and the first few completed records, boxed by
+//! the stack's first switch, the running cascade depth, and a lifecycle
+//! flight ring allocated by the stack's first switch or crash — 48 B at
+//! rest (see ARCHITECTURE.md "Observability" for the budget).
 //!
-//! Recording is wait-free and, after each handle's first sample,
-//! alloc-free: a stack is single-threaded by construction (exactly like
-//! its `WireScratch` pool), so counters are plain integers — no locks,
-//! no atomics — and hosts aggregate by merge-by-addition, which is
-//! order-independent and therefore cannot perturb the `par_equiv`
-//! serial/parallel bit-equality. Telemetry never feeds back into
-//! protocol behaviour, so the golden trace fingerprint is untouched by
-//! construction.
+//! Recording is wait-free and, after the set's and each handle's first
+//! sample, alloc-free: a stack is single-threaded by construction
+//! (exactly like its `WireScratch` pool), so counters are plain
+//! integers — no locks, no atomics — and hosts aggregate by
+//! merge-by-addition, which is order-independent and therefore cannot
+//! perturb the `par_equiv` serial/parallel bit-equality. Telemetry never
+//! feeds back into protocol behaviour, so the golden trace fingerprint
+//! is untouched by construction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -81,17 +83,17 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// Everything recorded at event rate, as handles: six histograms, the
-/// per-delivery flight ring and the hold-back counters, each
-/// pointer-sized until its first sample. A host shard owns one set and lends it to the stack it is
-/// driving ([`StackTelemetry::swap_set`]); the stack's own handles park
-/// in the shard's set meanwhile and come back on the un-swap.
+/// Everything recorded at event rate but the cascade depth: five
+/// histograms, the per-delivery flight ring and the hold-back counters.
+/// A stack holds it boxed, as one pointer, null until its first record
+/// of any of them. A host shard owns one and lends it, with its
+/// cascade-depth histogram, to the stack it is driving
+/// ([`StackTelemetry::swap_set`]); the stack's own set parks in the
+/// shard meanwhile and comes back on the un-swap.
 #[derive(Debug, Default)]
 pub struct TelemetrySet {
     /// End-to-end delivery latency, nanoseconds.
     pub delivery_latency: Histogram,
-    /// Dispatch-cascade depth (stack steps per external trigger).
-    pub cascade_depth: Histogram,
     /// Scratch-pool occupancy at packet arrival, bytes.
     pub scratch_occupancy: Histogram,
     /// rp2p resequencing-buffer depth at out-of-order insert.
@@ -103,32 +105,36 @@ pub struct TelemetrySet {
     /// Most recent deliveries, tagged with the delivering stack.
     pub deliveries: FlightRecorder,
     /// Responses held back for a module not created yet.
-    pub hold_back: Option<Box<HoldBackCounters>>,
+    pub hold_back: HoldBackCounters,
 }
 
-/// One stack's telemetry state: the handles of a [`TelemetrySet`] (its
-/// own, or its shard's while lent) plus what is per-stack by meaning.
+/// What a host shard lends each stack it drives: its [`TelemetrySet`],
+/// boxed by the first stack that records into it, and its
+/// cascade-depth histogram.
+#[derive(Debug, Default)]
+pub struct ShardTelemetry {
+    /// The shard's set; `None` until a lent stack first records.
+    pub set: Option<Box<TelemetrySet>>,
+    /// Dispatch-cascade depth of every stack the shard drove.
+    pub cascade_depth: Histogram,
+}
+
+/// One stack's telemetry state: its [`TelemetrySet`] and cascade-depth
+/// histogram (its own, or its shard's while lent) plus what is
+/// per-stack by meaning.
 #[derive(Debug)]
 pub struct TelemetryState {
-    /// End-to-end delivery latency, nanoseconds.
-    pub delivery_latency: Histogram,
+    /// The set this stack records into: its shard's while lent, else
+    /// its own, boxed by its first record.
+    pub set: Option<Box<TelemetrySet>>,
     /// Dispatch-cascade depth (stack steps per external trigger).
     pub cascade_depth: Histogram,
-    /// Scratch-pool occupancy at packet arrival, bytes.
-    pub scratch_occupancy: Histogram,
-    /// rp2p resequencing-buffer depth at out-of-order insert.
-    pub reseq_depth: Histogram,
-    /// Switch-phase timeline. Its open record, completed count and
-    /// retained records are this stack's own under any loan; its two
-    /// histograms are set handles.
+    /// Switch-phase timeline: the open record, completed count and
+    /// retained records, this stack's own under any loan.
     pub switches: SwitchTimeline,
     /// Lifecycle flight ring: switch phases, crash, module destroyed,
     /// retransmit exhausted. Always this stack's own.
     pub flight: FlightRecorder,
-    /// Per-delivery flight ring (a set handle).
-    pub deliveries: FlightRecorder,
-    /// Responses held back for a module not created yet (a set handle).
-    pub hold_back: Option<Box<HoldBackCounters>>,
     /// Steps taken in the cascade currently being dispatched.
     cascade_run: u32,
     /// Capacity of the rings this stack pushes into.
@@ -136,8 +142,7 @@ pub struct TelemetryState {
     /// This stack's id, stamped on every flight event.
     stack: u32,
     /// Replaced modules this stack has destroyed since (see
-    /// [`StackTelemetry::note_retired`]). Sits in what was padding: the
-    /// inline state does not grow for it.
+    /// [`StackTelemetry::note_retired`]).
     retired: u32,
 }
 
@@ -154,14 +159,10 @@ impl StackTelemetry {
     pub fn new(cfg: &TelemetryConfig, stack: u32) -> StackTelemetry {
         StackTelemetry {
             state: TelemetryState {
-                delivery_latency: Histogram::new(),
+                set: None,
                 cascade_depth: Histogram::new(),
-                scratch_occupancy: Histogram::new(),
-                reseq_depth: Histogram::new(),
                 switches: SwitchTimeline::new(),
                 flight: FlightRecorder::new(),
-                deliveries: FlightRecorder::new(),
-                hold_back: None,
                 cascade_run: 0,
                 flight_capacity: u32::try_from(cfg.flight_capacity).unwrap_or(u32::MAX),
                 stack,
@@ -176,24 +177,22 @@ impl StackTelemetry {
         Some(&self.state)
     }
 
-    /// The loan handoff: swap every handle of `set` with this stack's —
-    /// eight pointer swaps. A host calls this symmetrically around each
-    /// drive call, at the one place it also swaps its scratch pool, so
-    /// that all event-rate recording lands in the shard's set and the
-    /// stack's own handles stay empty.
+    /// The loan handoff: swap the set pointer and the cascade-depth
+    /// histogram with `shard`'s — two pointer swaps. A host calls this
+    /// symmetrically around each drive call, at the one place it also
+    /// swaps its scratch pool, so that all event-rate recording lands in
+    /// the shard's set and the stack holds no set of its own.
     #[inline]
-    pub fn swap_set(&mut self, set: &mut TelemetrySet) {
-        use std::mem::swap;
-        let s = &mut self.state;
-        swap(&mut s.delivery_latency, &mut set.delivery_latency);
-        swap(&mut s.cascade_depth, &mut set.cascade_depth);
-        swap(&mut s.scratch_occupancy, &mut set.scratch_occupancy);
-        swap(&mut s.reseq_depth, &mut set.reseq_depth);
-        let (blackout, swap_gap) = s.switches.hists_mut();
-        swap(blackout, &mut set.blackout);
-        swap(swap_gap, &mut set.swap_gap);
-        swap(&mut s.deliveries, &mut set.deliveries);
-        swap(&mut s.hold_back, &mut set.hold_back);
+    pub fn swap_set(&mut self, shard: &mut ShardTelemetry) {
+        std::mem::swap(&mut self.state.set, &mut shard.set);
+        std::mem::swap(&mut self.state.cascade_depth, &mut shard.cascade_depth);
+    }
+
+    /// The set to record into: the lent one, or this stack's own, boxed
+    /// here by its first record.
+    #[inline]
+    fn set(&mut self) -> &mut TelemetrySet {
+        self.state.set.get_or_insert_with(Box::default)
     }
 
     #[inline]
@@ -212,6 +211,13 @@ impl StackTelemetry {
     #[inline]
     fn close_switch(&mut self, now_ns: u64) {
         if let Some(done) = self.state.switches.note_delivery(now_ns) {
+            let set = self.set();
+            if let Some(b) = done.blackout_ns() {
+                set.blackout.record(b);
+            }
+            if let Some(g) = done.swap_gap_ns() {
+                set.swap_gap.record(g);
+            }
             self.lifecycle(now_ns, FlightKind::SwitchFirstDelivery, done.ordinal);
         }
     }
@@ -221,9 +227,11 @@ impl StackTelemetry {
     /// active.
     #[inline]
     pub fn note_delivery(&mut self, now_ns: u64, latency_ns: u64) {
-        self.state.delivery_latency.record(latency_ns);
         let event = self.event(now_ns, FlightKind::Delivery, latency_ns);
-        self.state.deliveries.push(self.state.flight_capacity as usize, event);
+        let capacity = self.state.flight_capacity as usize;
+        let set = self.set();
+        set.delivery_latency.record(latency_ns);
+        set.deliveries.push(capacity, event);
         self.close_switch(now_ns);
     }
 
@@ -257,13 +265,13 @@ impl StackTelemetry {
     /// Scratch-pool occupancy sample (bytes), taken at packet arrival.
     #[inline]
     pub fn record_scratch_occupancy(&mut self, bytes: u64) {
-        self.state.scratch_occupancy.record(bytes);
+        self.set().scratch_occupancy.record(bytes);
     }
 
     /// rp2p resequencing-buffer depth after an out-of-order insert.
     #[inline]
     pub fn record_reseq_depth(&mut self, depth: u64) {
-        self.state.reseq_depth.record(depth);
+        self.set().reseq_depth.record(depth);
     }
 
     fn pending_ordinal(&self) -> u64 {
@@ -326,7 +334,7 @@ impl StackTelemetry {
 
     #[inline]
     fn hold_back(&mut self) -> &mut HoldBackCounters {
-        self.state.hold_back.get_or_insert_with(Box::default)
+        &mut self.set().hold_back
     }
 
     /// A response reached no module: it is held back for one created
@@ -363,24 +371,27 @@ impl StackTelemetry {
         if !self.state.flight.is_empty() {
             self.state.flight.dump(label, out);
         }
-        if !self.state.deliveries.is_empty() {
-            self.state.deliveries.dump(&format!("{label} deliveries"), out);
+        let deliveries = self.state.set.as_ref().map(|set| &set.deliveries);
+        if let Some(deliveries) = deliveries.filter(|d| !d.is_empty()) {
+            deliveries.dump(&format!("{label} deliveries"), out);
         }
     }
 
-    /// Heap bytes behind the set handles this stack currently holds: 0
-    /// on a hosted stack between drive calls — everything it records at
-    /// event rate lands in its shard's set.
+    /// Heap bytes behind the set and the cascade-depth histogram this
+    /// stack currently holds: 0 on a hosted stack between drive calls —
+    /// everything it records at event rate lands in its shard's.
     pub fn set_bytes(&self) -> usize {
         let s = &self.state;
-        s.delivery_latency.mem_bytes()
-            + s.cascade_depth.mem_bytes()
-            + s.scratch_occupancy.mem_bytes()
-            + s.reseq_depth.mem_bytes()
-            + s.switches.blackout().mem_bytes()
-            + s.switches.swap_gap().mem_bytes()
-            + s.deliveries.mem_bytes()
-            + s.hold_back.as_ref().map_or(0, |_| std::mem::size_of::<HoldBackCounters>())
+        let set = s.set.as_deref().map_or(0, |set| {
+            std::mem::size_of::<TelemetrySet>()
+                + set.delivery_latency.mem_bytes()
+                + set.scratch_occupancy.mem_bytes()
+                + set.reseq_depth.mem_bytes()
+                + set.blackout.mem_bytes()
+                + set.swap_gap.mem_bytes()
+                + set.deliveries.mem_bytes()
+        });
+        s.cascade_depth.mem_bytes() + set
     }
 }
 
@@ -398,7 +409,7 @@ mod tests {
         assert_eq!(t.set_bytes() + t.state.flight.mem_bytes(), 0);
         // The million-stack budget: everything telemetry keeps per stack.
         assert!(
-            std::mem::size_of::<StackTelemetry>() <= 96,
+            std::mem::size_of::<StackTelemetry>() <= 48,
             "per-stack telemetry grew: {} B",
             std::mem::size_of::<StackTelemetry>()
         );
@@ -429,8 +440,9 @@ mod tests {
         t.switch_activated(250);
         t.note_delivery(400, 42);
         let s = t.state().unwrap();
+        let set = s.set.as_deref().expect("the delivery boxed the set");
         assert_eq!(s.switches.completed(), 1);
-        assert_eq!(s.switches.blackout().max(), 300);
+        assert_eq!((set.blackout.max(), set.swap_gap.max()), (300, 50));
         let kinds: Vec<FlightKind> = s.flight.events().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
@@ -442,7 +454,7 @@ mod tests {
             ]
         );
         let deliveries: Vec<(u32, u64)> =
-            s.deliveries.events().map(|e| (e.stack, e.detail)).collect();
+            set.deliveries.events().map(|e| (e.stack, e.detail)).collect();
         assert_eq!(deliveries, vec![(7, 42)], "deliveries ride their own ring, tagged");
     }
 
@@ -456,29 +468,53 @@ mod tests {
         let s = t.state().unwrap();
         assert_eq!(s.flight.events().map(|e| e.kind).collect::<Vec<_>>(), vec![FlightKind::Crash]);
         assert_eq!(s.flight.dropped(), 0);
-        assert_eq!(s.deliveries.len(), FLIGHT_CAPACITY);
-        assert_eq!(s.deliveries.dropped(), 9 * FLIGHT_CAPACITY as u64);
+        let deliveries = &s.set.as_deref().expect("its own set").deliveries;
+        assert_eq!(deliveries.len(), FLIGHT_CAPACITY);
+        assert_eq!(deliveries.dropped(), 9 * FLIGHT_CAPACITY as u64);
     }
 
     #[test]
     fn lent_set_takes_the_samples_and_the_stack_keeps_what_is_its_own() {
-        let mut set = TelemetrySet::default();
+        let mut shard = ShardTelemetry::default();
         let mut t = telemetry();
-        t.swap_set(&mut set);
+        t.swap_set(&mut shard);
         t.switch_requested(100);
         t.switch_activated(250);
         t.note_delivery(400, 42);
         t.cascade_step();
         t.cascade_end();
-        t.swap_set(&mut set);
+        t.swap_set(&mut shard);
         assert_eq!(t.set_bytes(), 0, "nothing event-rate may stay in the stack");
+        assert!(t.state.set.is_none(), "the set the stack boxed went to the shard");
+        let set = shard.set.as_deref().expect("boxed under the loan");
         assert_eq!(set.delivery_latency.count(), 1);
-        assert_eq!(set.cascade_depth.count(), 1);
+        assert_eq!(shard.cascade_depth.count(), 1);
         assert_eq!(set.blackout.max(), 300);
         assert_eq!(set.deliveries.len(), 1);
         let s = t.state().unwrap();
         assert_eq!(s.switches.completed(), 1);
         assert_eq!(s.switches.recent().len(), 1);
         assert_eq!(s.flight.len(), 3, "lifecycle events stay with the stack");
+    }
+
+    #[test]
+    fn a_bare_stack_boxes_its_set_on_its_first_record() {
+        let mut t = telemetry();
+        t.cascade_step();
+        t.cascade_end();
+        t.switch_requested(1);
+        t.note_crash(2);
+        assert!(t.state.set.is_none(), "cascade depth, switch stamps and lifecycle need no set");
+        t.record_reseq_depth(3);
+        let set = t.state.set.as_deref().expect("the first set record boxes it");
+        assert_eq!((set.reseq_depth.count(), set.delivery_latency.count()), (1, 0));
+        let boxed: *const TelemetrySet = set;
+        t.note_held();
+        t.note_delivery(4, 5);
+        let set = t.state.set.as_deref().expect("kept");
+        assert!(std::ptr::eq(boxed, set), "one box for every later record");
+        assert_eq!((set.hold_back.held, set.deliveries.len()), (1, 1));
+        let inline = std::mem::size_of::<TelemetrySet>();
+        assert!(t.set_bytes() > inline, "the box and the buckets behind its handles");
     }
 }

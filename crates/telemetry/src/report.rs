@@ -21,7 +21,7 @@
 use crate::hist::{HistSummary, Histogram};
 use crate::json::JsonWriter;
 use crate::timeline::SwitchTimeline;
-use crate::{StackTelemetry, TelemetrySet};
+use crate::{ShardTelemetry, StackTelemetry, TelemetrySet};
 use std::fmt;
 
 /// Counters of a scratch pool (`dpu_core::wire::WireScratch`), folded
@@ -192,6 +192,10 @@ pub struct TelemetryAggregate {
     pub reseq_depth: Histogram,
     /// Merged switch timelines.
     pub switches: SwitchTimeline,
+    /// Switch blackout window (`first_delivery − requested`), ns.
+    pub blackout: Histogram,
+    /// Switch flush→activate gap, ns.
+    pub swap_gap: Histogram,
     /// Replaced modules destroyed by the switch layer, summed over stacks.
     pub(crate) modules_retired: u64,
     /// Flight-recorder events evicted across all rings.
@@ -207,9 +211,9 @@ impl TelemetryAggregate {
     }
 
     /// Fold one hosted stack's telemetry in: its switch counters and
-    /// retained records, its rings' drop counts, and whatever it
-    /// recorded into handles of its own (nothing, on a stack whose host
-    /// lends it a set — six empty merges are six branches).
+    /// retained records, its lifecycle ring's drop count, and whatever
+    /// it recorded into a set and a cascade histogram of its own
+    /// (nothing, on a stack whose host lends it a set).
     pub fn absorb(&mut self, t: &StackTelemetry) {
         self.stacks_enabled += 1;
         self.absorb_retired(t);
@@ -220,32 +224,29 @@ impl TelemetryAggregate {
     /// not the head-count.
     pub fn absorb_retired(&mut self, t: &StackTelemetry) {
         let state = &t.state;
-        self.delivery_latency.merge(&state.delivery_latency);
-        self.cascade_depth.merge(&state.cascade_depth);
-        self.scratch_occupancy.merge(&state.scratch_occupancy);
-        self.reseq_depth.merge(&state.reseq_depth);
+        self.absorb_handles(state.set.as_deref(), &state.cascade_depth);
         self.switches.merge(&state.switches);
         self.modules_retired += u64::from(state.retired);
-        self.flight_dropped += state.flight.dropped() + state.deliveries.dropped();
-        if let Some(c) = &state.hold_back {
-            self.hold_back.absorb(**c);
-        }
+        self.flight_dropped += state.flight.dropped();
     }
 
-    /// Fold one shard's set in: exact bucket addition, so the result is
-    /// what folding every stack's own histograms used to give.
-    pub fn absorb_set(&mut self, set: &TelemetrySet) {
+    /// Fold one shard's set and cascade histogram in: exact bucket
+    /// addition, so the result is what folding every stack's own
+    /// histograms would give.
+    pub fn absorb_set(&mut self, shard: &ShardTelemetry) {
+        self.absorb_handles(shard.set.as_deref(), &shard.cascade_depth);
+    }
+
+    fn absorb_handles(&mut self, set: Option<&TelemetrySet>, cascade_depth: &Histogram) {
+        self.cascade_depth.merge(cascade_depth);
+        let Some(set) = set else { return };
         self.delivery_latency.merge(&set.delivery_latency);
-        self.cascade_depth.merge(&set.cascade_depth);
         self.scratch_occupancy.merge(&set.scratch_occupancy);
         self.reseq_depth.merge(&set.reseq_depth);
-        let (blackout, swap_gap) = self.switches.hists_mut();
-        blackout.merge(&set.blackout);
-        swap_gap.merge(&set.swap_gap);
+        self.blackout.merge(&set.blackout);
+        self.swap_gap.merge(&set.swap_gap);
         self.flight_dropped += set.deliveries.dropped();
-        if let Some(c) = &set.hold_back {
-            self.hold_back.absorb(**c);
-        }
+        self.hold_back.absorb(set.hold_back);
     }
 
     /// Fold another aggregate into this one (the live hosts fold one
@@ -257,6 +258,8 @@ impl TelemetryAggregate {
         self.scratch_occupancy.merge(&other.scratch_occupancy);
         self.reseq_depth.merge(&other.reseq_depth);
         self.switches.merge(&other.switches);
+        self.blackout.merge(&other.blackout);
+        self.swap_gap.merge(&other.swap_gap);
         self.modules_retired += other.modules_retired;
         self.flight_dropped += other.flight_dropped;
         self.hold_back.absorb(other.hold_back);
@@ -276,8 +279,8 @@ impl TelemetryAggregate {
             switches: SwitchSummary {
                 completed: self.switches.completed(),
                 retired: self.modules_retired,
-                blackout_ns: self.switches.blackout().summary(),
-                swap_gap_ns: self.switches.swap_gap().summary(),
+                blackout_ns: self.blackout.summary(),
+                swap_gap_ns: self.swap_gap.summary(),
             },
             flight_dropped: self.flight_dropped,
             hold_back: self.hold_back,

@@ -19,17 +19,14 @@
 //! record is pending (a stack can both initiate a switch and later see
 //! its announcement).
 //!
-//! Completed records fold into two histograms (blackout and
-//! flush→activate gap) plus a bounded list of raw records for the
-//! flight dump, so the memory footprint is bounded no matter how many
-//! switches a soak performs. The two histograms are handles: on a
-//! hosted stack they are the shard's, lent for the duration of a drive
-//! call (see [`crate::TelemetrySet`]); what the timeline itself owns is
-//! the open record, the completed count and the retained records, boxed
-//! by the first switch stamp: a stack that never switches holds one
-//! null word of it.
-
-use crate::hist::Histogram;
+//! A completed record is handed back to the caller, which folds its
+//! blackout and flush→activate gap into the histograms of a
+//! [`crate::TelemetrySet`] (on a hosted stack, the shard's, lent for
+//! the duration of a drive call). What the timeline itself owns is the
+//! open record, the completed count and a bounded list of raw records
+//! for the flight dump, boxed by the first switch stamp: a stack that
+//! never switches holds one null word of it, and the footprint is
+//! bounded no matter how many switches a soak performs.
 
 /// Raw switch records retained (beyond this, only histograms grow).
 const RETAINED_RECORDS: usize = 16;
@@ -85,17 +82,12 @@ impl SwitchRecord {
     }
 }
 
-/// Per-stack switch timeline: at most one pending record, a bounded
-/// history grown one record at a time, histograms for the two derived
-/// windows.
-#[derive(Clone, Debug, PartialEq)]
+/// Per-stack switch timeline: at most one pending record and a bounded
+/// history grown one record at a time.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SwitchTimeline {
     /// What switches leave on this stack; `None` until the first one.
     records: Option<Box<Records>>,
-    /// `first_delivery − requested` of completed switches.
-    blackout: Histogram,
-    /// `activated − flushed` of completed switches.
-    swap_gap: Histogram,
 }
 
 /// The timeline's own part: the open record, the completed count and
@@ -114,16 +106,10 @@ impl Records {
         Records { pending: SwitchRecord::IDLE, completed: 0, recent: Vec::new() };
 }
 
-impl Default for SwitchTimeline {
-    fn default() -> Self {
-        SwitchTimeline::new()
-    }
-}
-
 impl SwitchTimeline {
     /// An empty timeline.
     pub fn new() -> SwitchTimeline {
-        SwitchTimeline { records: None, blackout: Histogram::new(), swap_gap: Histogram::new() }
+        SwitchTimeline { records: None }
     }
 
     /// The records, boxed here the first time a switch needs them.
@@ -175,12 +161,6 @@ impl SwitchTimeline {
         }
         rec.first_delivery_ns = now_ns;
         let done = std::mem::replace(rec, SwitchRecord::IDLE);
-        if let Some(b) = done.blackout_ns() {
-            self.blackout.record(b);
-        }
-        if let Some(g) = done.swap_gap_ns() {
-            self.swap_gap.record(g);
-        }
         let records = self.records_mut();
         records.completed += 1;
         if records.recent.len() < RETAINED_RECORDS {
@@ -207,29 +187,9 @@ impl SwitchTimeline {
         self.records.as_deref().map_or(&[], |r| &r.recent)
     }
 
-    /// Blackout-window histogram (`first_delivery − requested`, ns).
-    pub fn blackout(&self) -> &Histogram {
-        &self.blackout
-    }
-
-    /// Flush→activate gap histogram (ns).
-    pub fn swap_gap(&self) -> &Histogram {
-        &self.swap_gap
-    }
-
-    /// Both derived-window histograms, `(blackout, swap_gap)` — what a
-    /// [`crate::TelemetrySet`] swaps in and out and an aggregate merges
-    /// into.
-    pub(crate) fn hists_mut(&mut self) -> (&mut Histogram, &mut Histogram) {
-        (&mut self.blackout, &mut self.swap_gap)
-    }
-
-    /// Fold another stack's timeline into this aggregate: histogram
-    /// addition plus counter sums; raw records merge up to the retained
-    /// cap. Order-independent on the histogram side.
+    /// Fold another stack's timeline into this aggregate: the completed
+    /// counts add; raw records merge up to the retained cap.
     pub fn merge(&mut self, other: &SwitchTimeline) {
-        self.blackout.merge(&other.blackout);
-        self.swap_gap.merge(&other.swap_gap);
         let Some(theirs) = other.records.as_deref() else { return };
         let ours = self.records_mut();
         ours.completed += theirs.completed;
@@ -252,8 +212,7 @@ mod tests {
         assert_eq!(done.blackout_ns(), Some(8_000));
         assert_eq!(done.swap_gap_ns(), Some(1_000));
         assert_eq!(tl.completed(), 1);
-        assert_eq!(tl.blackout().count(), 1);
-        assert_eq!(tl.swap_gap().count(), 1);
+        assert_eq!(tl.recent(), [done]);
     }
 
     #[test]
@@ -290,7 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_histograms_and_counts() {
+    fn merge_sums_counts_and_records() {
         let mut a = SwitchTimeline::new();
         a.requested(0);
         a.activated(10);
@@ -303,9 +262,8 @@ mod tests {
         agg.merge(&a);
         agg.merge(&b);
         assert_eq!(agg.completed(), 2);
-        assert_eq!(agg.blackout().count(), 2);
-        assert_eq!(agg.blackout().max(), 100);
-        assert_eq!(agg.recent().len(), 2);
+        let blackouts: Vec<_> = agg.recent().iter().map(SwitchRecord::blackout_ns).collect();
+        assert_eq!(blackouts, [Some(30), Some(100)]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Lent == owned: recording into one shared [`TelemetrySet`] under a
+//! Lent == owned: recording into one shard's [`ShardTelemetry`] under a
 //! loan is a pure representation change. The same random record
 //! sequence over `k` stacks — once with every stack recording into
-//! handles of its own, once with all of them recording into one set
+//! a set of its own, once with all of them recording into one set
 //! that is swapped in and out around random stretches of the sequence —
 //! must fold to the same [`TelemetryAggregate`]: histograms `==`,
 //! completed switches, retained records, flight drops per stack.
@@ -10,7 +10,7 @@
 //! xorshift stream instead of a strategy library: 200 seeds, each a
 //! different `k`, sequence and lend/un-lend interleaving.
 
-use dpu_telemetry::{StackTelemetry, TelemetryAggregate, TelemetryConfig, TelemetrySet};
+use dpu_telemetry::{ShardTelemetry, StackTelemetry, TelemetryAggregate, TelemetryConfig};
 
 struct Rng(u64);
 
@@ -97,8 +97,8 @@ fn assert_same_fold(owned: &TelemetryAggregate, lent: &TelemetryAggregate, seed:
     assert_eq!(owned.cascade_depth, lent.cascade_depth, "seed {seed}: cascade depth");
     assert_eq!(owned.scratch_occupancy, lent.scratch_occupancy, "seed {seed}: scratch");
     assert_eq!(owned.reseq_depth, lent.reseq_depth, "seed {seed}: reseq depth");
-    assert_eq!(owned.switches.blackout(), lent.switches.blackout(), "seed {seed}: blackout");
-    assert_eq!(owned.switches.swap_gap(), lent.switches.swap_gap(), "seed {seed}: swap gap");
+    assert_eq!(owned.blackout, lent.blackout, "seed {seed}: blackout");
+    assert_eq!(owned.swap_gap, lent.swap_gap, "seed {seed}: swap gap");
     assert_eq!(owned.switches.completed(), lent.switches.completed(), "seed {seed}: completed");
     assert_eq!(owned.switches.recent(), lent.switches.recent(), "seed {seed}: retained records");
     assert_eq!(owned.stacks_enabled, lent.stacks_enabled, "seed {seed}: head-count");
@@ -126,7 +126,7 @@ fn lent_and_owned_recording_fold_to_the_same_aggregate() {
         // random stretch of its consecutive ops, swapped back out before
         // anyone else records — the host's loan discipline.
         let mut lent = stacks(k, &cfg);
-        let mut set = TelemetrySet::default();
+        let mut set = ShardTelemetry::default();
         let mut holder: Option<usize> = None;
         for (now, &(who, op)) in ops.iter().enumerate() {
             if holder != Some(who) || rng.below(3) == 0 {
@@ -160,8 +160,10 @@ fn lent_and_owned_recording_fold_to_the_same_aggregate() {
         }
         // Deliveries: the shared ring saw every stack's, in order.
         let delivered = ops.iter().filter(|(_, op)| matches!(op, Op::Delivery { .. })).count();
+        let deliveries = set.set.as_ref().map(|s| (s.deliveries.len(), s.deliveries.dropped()));
+        let (kept, dropped) = deliveries.unwrap_or_default();
         assert_eq!(
-            set.deliveries.len() as u64 + set.deliveries.dropped(),
+            kept as u64 + dropped,
             delivered as u64,
             "seed {seed}: every delivery reached the shared ring"
         );
