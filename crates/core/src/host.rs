@@ -336,7 +336,7 @@ impl ShardPools {
     /// [`Loan`] lives. Wrap every driver call that can run module code,
     /// encode or enqueue work.
     pub fn lend<'a>(&'a mut self, driver: &'a mut StackDriver) -> Loan<'a> {
-        self.scratch.get_or_insert_with(|| Box::new(WireScratch::shard_pool()));
+        self.scratch.get_or_insert_with(Box::default);
         let mut loan = Loan { driver, pools: self };
         loan.swap();
         loan.driver.stack.lend_dispatch(&mut loan.pools.dispatch);

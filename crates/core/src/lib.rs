@@ -32,7 +32,8 @@
 //!   plus the four atomic broadcast properties ([`abcast_check`]);
 //! * a workload/measurement probe module ([`probe`]);
 //! * the two sets protocols collect their state by ([`sets`]): who has
-//!   been heard from, and which numbers of each author have been seen.
+//!   been heard from, and which numbers of each author have been seen —
+//!   and the one resequencer, which releases numbered items in order.
 //!
 //! The *replacement module* itself (the paper's §4–§5 contribution) lives in
 //! the `dpu-repl` crate; everything it needs — interception, rebinding,
@@ -59,7 +60,7 @@ pub use dpu_telemetry::{StackTelemetry, TelemetryConfig};
 pub use host::{ActionSink, HostEvent, StackDriver, Wakeup};
 pub use ids::{Channel, ModuleId, Name, ServiceId, StackId, TimerId};
 pub use module::{Call, Module, ModuleSpec, Op, Response, TransportStats};
-pub use sets::{HeardSet, IntervalSet};
+pub use sets::{HeardSet, InOrder, IntervalSet};
 pub use stack::{FactoryRegistry, HostAction, ModuleCtx, Stack, StackConfig};
 pub use time::{Dur, Time};
 pub use trace::{Chain, TraceEvent, TraceLog};

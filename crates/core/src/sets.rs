@@ -1,11 +1,12 @@
 //! The two sets a protocol needs to let go of what the group is done
 //! with: *who* has been heard from ([`HeardSet`], one bit per member) and
 //! *which numbers* of each author have been seen ([`IntervalSet`], one
-//! run per author while they arrive in order).
+//! run per author while they arrive in order). Beside them, the one
+//! resequencer ([`InOrder`]): numbered items released in number order.
 //!
-//! Both answer exactly what the `BTreeSet` they replace would answer;
-//! neither grows with the length of the run. A replica remembers a
-//! high-water mark per author, not everything it ever saw.
+//! Each answers exactly what the `BTreeSet` or `BTreeMap` it replaces
+//! would answer; none grows with the length of the run. A replica
+//! remembers a high-water mark per author, not everything it ever saw.
 
 use crate::StackId;
 use std::collections::BTreeMap;
@@ -162,6 +163,75 @@ impl<K: Ord + Copy> IntervalSet<K> {
     }
 }
 
+/// Numbered items released in number order: "everything after `k`".
+/// Item `due()` is handed straight back and everything it unblocks
+/// follows; an item ahead of a gap waits (a second copy of it replaces
+/// the first, as `BTreeMap::insert` would); a number already released is
+/// refused. While items arrive in order the map stays empty — and,
+/// since an emptied map is dropped, without storage.
+///
+/// Users: rp2p per peer, the sequencer, ring and hierarchical broadcasts'
+/// deliveries and hier's per-forwarder streams, and `abcast.ct`'s
+/// decided batches.
+#[derive(Debug)]
+pub struct InOrder<T> {
+    /// The number released next: every number below it has been.
+    due: u64,
+    /// Items ahead of a gap, by number; never holds `due`.
+    ahead: BTreeMap<u64, T>,
+}
+
+impl<T> Default for InOrder<T> {
+    fn default() -> InOrder<T> {
+        InOrder { due: 0, ahead: BTreeMap::new() }
+    }
+}
+
+impl<T> InOrder<T> {
+    /// Nothing released yet; item 0 is due.
+    pub fn new() -> InOrder<T> {
+        InOrder::default()
+    }
+
+    /// The number released next.
+    pub fn due(&self) -> u64 {
+        self.due
+    }
+
+    /// How many items wait ahead of a gap.
+    pub fn held(&self) -> usize {
+        self.ahead.len()
+    }
+
+    /// Offer item `n`: the items it releases, in number order — nothing
+    /// unless `n` is due. Consume the iterator: a released item that is
+    /// not taken is lost.
+    pub fn offer(&mut self, n: u64, item: T) -> impl Iterator<Item = T> + '_ {
+        let mut first = None;
+        if n == self.due {
+            self.due += 1;
+            first = Some(item);
+        } else if n > self.due {
+            self.ahead.insert(n, item);
+        }
+        std::iter::from_fn(move || first.take().or_else(|| self.pop()))
+    }
+
+    /// The due item, if it waits here.
+    fn pop(&mut self) -> Option<T> {
+        if self.ahead.is_empty() {
+            return None;
+        }
+        let item = self.ahead.remove(&self.due)?;
+        self.due += 1;
+        if self.ahead.is_empty() {
+            // An emptied BTreeMap keeps its root leaf; let it go.
+            self.ahead = BTreeMap::new();
+        }
+        Some(item)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,6 +293,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn in_order_is_the_counter_and_the_map_it_replaced() {
+        type Item = (StackId, u64);
+        let two_fields = std::mem::size_of::<(u64, BTreeMap<u64, Item>)>();
+        assert_eq!(std::mem::size_of::<InOrder<Item>>(), two_fields);
     }
 
     #[test]

@@ -336,7 +336,9 @@ impl Stack {
     /// shard's, or a new one if a busy stack holds that; a box without
     /// an action buffer takes the shard's.
     pub(crate) fn lend_dispatch(&mut self, shard: &mut ShardDispatch) {
-        let buf = self.dispatch.get_or_insert_with(|| shard.buf.take().unwrap_or_default());
+        let buf = self.dispatch.get_or_insert_with(|| {
+            shard.buf.take().unwrap_or_else(|| Box::new(DispatchBuf::default()))
+        });
         if buf.actions.capacity() == 0 {
             std::mem::swap(&mut buf.actions, &mut shard.actions);
         }

@@ -26,11 +26,11 @@
 //!   `encoding`, byte-identical to encoding `value.to_bytes()` as a
 //!   [`Bytes`] field, letting a whole nested frame be written into one
 //!   buffer;
-//! * [`WireScratch`] is a reusable buffer pool: each stack (and therefore
-//!   each `StackDriver`) owns one, and in steady state every emitted
-//!   message reclaims the backing buffer of an earlier message whose
-//!   consumers have dropped it — zero new backing allocations
-//!   ([`ScratchStats`] counts them).
+//! * [`WireScratch`] is a reusable buffer pool: each host shard owns one
+//!   and lends it to the stack it drives (a bare stack makes its own),
+//!   and in steady state every emitted message reclaims the backing
+//!   buffer of an earlier message whose consumers have dropped it — zero
+//!   new backing allocations ([`ScratchStats`] counts them).
 //!
 //! Decoding is zero-copy: [`Bytes`] fields borrow the input buffer
 //! (`split_to` is a pointer advance on the shared backing storage), and
@@ -566,36 +566,29 @@ impl<T: Encode + ?Sized> Encode for LenPrefixed<'_, T> {
 /// folds pool counters without converting them.
 pub use dpu_telemetry::WireCounters as ScratchStats;
 
-/// How many emitted buffers a per-stack [`WireScratch`] keeps a handle
-/// to for reclaim. Bounds both the scan cost per encode and the retained
-/// memory (entries whose consumers are long-lived rotate out).
-const SCRATCH_RETAIN: usize = 32;
-
 /// Largest message a [`WireScratch`] will retain for reclaim. Messages
 /// above this (jumbo batches) allocate per emission instead, so one
-/// burst of huge messages cannot pin `SCRATCH_RETAIN` jumbo buffers per
-/// stack for the process lifetime — with thousands of stacks per
-/// process, that ratchet would be gigabytes of dead encode buffers.
+/// burst of huge messages cannot fill the pool's byte budget with a few
+/// jumbo buffers for the process lifetime.
 const SCRATCH_RETAIN_MAX_BYTES: usize = 64 * 1024;
 
-/// Entry budget of a shard-level pool ([`WireScratch::shard_pool`]). A
-/// shard-level pool serves *every* stack of a shard, so at soak rates
-/// the newest few hundred emissions are all still in flight (delivery
-/// latency × shard message rate); the pool must be deep enough that the
-/// *oldest* retained entries have had time to be consumed and become
-/// reclaimable, or every encode degrades to a fresh allocation.
-const SHARD_POOL_RETAIN: usize = 1024;
+/// Entry budget of a pool. A pool serves *every* stack of a shard, so at
+/// soak rates the newest few hundred emissions are all still in flight
+/// (delivery latency × shard message rate); the pool must be deep enough
+/// that the *oldest* retained entries have had time to be consumed and
+/// become reclaimable, or every encode degrades to a fresh allocation.
+const POOL_ENTRIES: usize = 1024;
 
-/// Total byte budget of a shard-level pool — the actual capacity knob
-/// (the entry budget is a backstop against byte-tiny floods). 1 MB per
-/// shard is 16 MB per 16-shard host, independent of stack count.
-const SHARD_POOL_BYTES: usize = 1 << 20;
+/// Total byte budget of a pool — the actual capacity knob (the entry
+/// budget is a backstop against byte-tiny floods). 1 MB per shard is
+/// 16 MB per 16-shard host, independent of stack count.
+const POOL_BYTES: usize = 1 << 20;
 
-/// How many entries (oldest first) a shard-level pool scans per encode.
-/// Oldest entries are the most likely to be unique again, so the
-/// expected hit is at index ~0; the cap keeps the worst case (a burst
-/// pinning everything) O(1) per encode instead of O(pool depth).
-const SHARD_POOL_SCAN: usize = 32;
+/// How many entries (oldest first) a pool scans per encode. Oldest
+/// entries are the most likely to be unique again, so the expected hit
+/// is at index ~0; the cap keeps the worst case (a burst pinning
+/// everything) O(1) per encode instead of O(pool depth).
+const POOL_SCAN: usize = 32;
 
 /// A reusable encode-buffer pool: the steady-state allocation-free path.
 ///
@@ -606,25 +599,18 @@ const SHARD_POOL_SCAN: usize = 32;
 /// which succeeds only for a unique owner) and reused — so once traffic
 /// reaches a steady state, no new backing buffers are allocated.
 ///
-/// Two deployments, same mechanics, different budgets:
-///
-/// * **per-stack** ([`WireScratch::new`]): one pool inside every
-///   [`crate::Stack`]; small retain window, scans everything.
-/// * **shard-level** (`WireScratch::shard_pool`): one pool per host
-///   shard, loaned to whichever stack is being driven (see
-///   [`crate::host::ShardPools`]); deeper retain window with a byte
-///   budget and a bounded oldest-first scan, so retained encode memory
-///   scales with *shards*, not with total stacks.
-///
-/// Either way the pool is single-threaded and needs no locking.
+/// One budget, a shard's: one pool per host shard, loaned to whichever
+/// stack is being driven (see [`crate::host::ShardPools`]), so retained
+/// encode memory scales with *shards*, not with total stacks. It retains
+/// up to 1 024 entries and 1 MB, and a reclaim scans the oldest 32. A
+/// stack nobody lends to (a bare one), a codec or a benchmark kernel
+/// makes a pool of its own with the same budget. The pool is
+/// single-threaded and needs no locking.
 pub struct WireScratch {
     retained: VecDeque<Bytes>,
     /// Incremental Σ len over `retained` — keeps [`WireScratch::mem_bytes`]
     /// O(1), which matters now that stacks sample it per packet.
     retained_bytes: usize,
-    cap_entries: usize,
-    cap_bytes: usize,
-    scan: usize,
     stats: ScratchStats,
 }
 
@@ -635,31 +621,9 @@ impl Default for WireScratch {
 }
 
 impl WireScratch {
-    /// An empty pool with the per-stack budget (32 entries, unbounded
-    /// total bytes — the per-entry retain cap already bounds it).
+    /// An empty pool.
     pub fn new() -> WireScratch {
-        WireScratch {
-            retained: VecDeque::new(),
-            retained_bytes: 0,
-            cap_entries: SCRATCH_RETAIN,
-            cap_bytes: usize::MAX,
-            scan: usize::MAX,
-            stats: ScratchStats::default(),
-        }
-    }
-
-    /// An empty pool with the shard-level budget: deeper retain window
-    /// (many stacks' in-flight messages coexist), a total byte budget,
-    /// and a bounded oldest-first reclaim scan.
-    pub(crate) fn shard_pool() -> WireScratch {
-        WireScratch {
-            retained: VecDeque::new(),
-            retained_bytes: 0,
-            cap_entries: SHARD_POOL_RETAIN,
-            cap_bytes: SHARD_POOL_BYTES,
-            scan: SHARD_POOL_SCAN,
-            stats: ScratchStats::default(),
-        }
+        WireScratch { retained: VecDeque::new(), retained_bytes: 0, stats: ScratchStats::default() }
     }
 
     /// Pool counters so far.
@@ -686,7 +650,7 @@ impl WireScratch {
         if len <= SCRATCH_RETAIN_MAX_BYTES {
             self.retained.push_back(out.clone());
             self.retained_bytes += len;
-            while self.retained.len() > self.cap_entries || self.retained_bytes > self.cap_bytes {
+            while self.retained.len() > POOL_ENTRIES || self.retained_bytes > POOL_BYTES {
                 let dropped = self.retained.pop_front().expect("non-empty while over budget");
                 self.retained_bytes -= dropped.len();
             }
@@ -702,7 +666,7 @@ impl WireScratch {
     /// runs oldest-first: the older an emission, the likelier its
     /// consumers have dropped their handles.
     fn take_buffer(&mut self, len: usize) -> BytesMut {
-        for i in 0..self.retained.len().min(self.scan) {
+        for i in 0..self.retained.len().min(POOL_SCAN) {
             if !self.retained[i].is_unique() {
                 continue;
             }
@@ -899,54 +863,51 @@ mod tests {
         assert_eq!(Option::<u8>::from_bytes(&b), Err(WireError::BadTag(7)));
     }
 
-    /// What every scratch encode must leave true, whatever the budget.
+    /// What every scratch encode must leave true.
     fn check_pool(pool: &WireScratch) {
-        assert!(pool.retained.len() <= pool.cap_entries);
-        assert!(pool.retained_bytes <= pool.cap_bytes);
+        assert!(pool.retained.len() <= POOL_ENTRIES);
+        assert!(pool.retained_bytes <= POOL_BYTES);
         assert_eq!(pool.retained_bytes, pool.retained.iter().map(Bytes::len).sum::<usize>());
         assert_eq!(pool.stats.emitted, pool.stats.reclaimed + pool.stats.allocations);
     }
 
     #[test]
-    fn both_scratch_budgets_encode_to_bytes_and_stay_within_budget() {
-        for mut pool in [WireScratch::new(), WireScratch::shard_pool()] {
-            // Consumers hold every message for a while — long enough
-            // that small messages fill the entry budget and large ones
-            // the byte budget before the oldest become reclaimable.
-            let mut in_flight = VecDeque::new();
-            let (mut most_entries, mut most_bytes) = (0, 0);
-            let mut x = 7u64;
-            for i in 0..6_000u64 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let (len, window) = match i / 2_000 {
-                    0 => (x >> 60, 1_500),         // < 16 B
-                    1 => (4_096 + (x >> 52), 300), // 4–8 KB
-                    _ => (x >> 47, 40),            // up to 128 KB: half are never retained
-                };
-                let value = (i, Bytes::from(vec![i as u8; len as usize]));
-                let out = pool.encode(&value);
-                assert_eq!(out, value.to_bytes(), "scratch encode differs from to_bytes");
-                check_pool(&pool);
-                most_entries = most_entries.max(pool.retained.len());
-                most_bytes = most_bytes.max(pool.retained_bytes);
-                in_flight.push_back(out);
-                in_flight.drain(..in_flight.len().saturating_sub(window));
-            }
-            assert!(pool.stats.reclaimed > 0, "nothing was ever reused");
-            assert_eq!(most_entries, pool.cap_entries, "the entry budget never bound");
-            if pool.cap_bytes != usize::MAX {
-                assert!(most_bytes > pool.cap_bytes - 8_300, "the byte budget never bound");
-            }
+    fn scratch_encodes_to_bytes_and_stays_within_budget() {
+        // Consumers hold every message for a while — long enough that
+        // small messages fill the entry budget and large ones the byte
+        // budget before the oldest become reclaimable.
+        let mut pool = WireScratch::new();
+        let mut in_flight = VecDeque::new();
+        let (mut most_entries, mut most_bytes) = (0, 0);
+        let mut x = 7u64;
+        for i in 0..6_000u64 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let (len, window) = match i / 2_000 {
+                0 => (x >> 60, 1_500),         // < 16 B
+                1 => (4_096 + (x >> 52), 300), // 4–8 KB
+                _ => (x >> 47, 40),            // up to 128 KB: half are never retained
+            };
+            let value = (i, Bytes::from(vec![i as u8; len as usize]));
+            let out = pool.encode(&value);
+            assert_eq!(out, value.to_bytes(), "scratch encode differs from to_bytes");
+            check_pool(&pool);
+            most_entries = most_entries.max(pool.retained.len());
+            most_bytes = most_bytes.max(pool.retained_bytes);
+            in_flight.push_back(out);
+            in_flight.drain(..in_flight.len().saturating_sub(window));
         }
+        assert!(pool.stats.reclaimed > 0, "nothing was ever reused");
+        assert_eq!(most_entries, POOL_ENTRIES, "the entry budget never bound");
+        assert!(most_bytes > POOL_BYTES - 8_300, "the byte budget never bound");
     }
 
     #[test]
-    fn shard_pool_scan_stops_at_its_window() {
-        // Reclaim looks at the oldest SHARD_POOL_SCAN entries only: with
-        // all of them still in flight nothing is reclaimed, however many
-        // younger entries are free; with one fewer, the first free one is.
-        for (pinned, reclaims) in [(SHARD_POOL_SCAN, false), (SHARD_POOL_SCAN - 1, true)] {
-            let mut pool = WireScratch::shard_pool();
+    fn scratch_scan_stops_at_its_window() {
+        // Reclaim looks at the oldest POOL_SCAN entries only: with all of
+        // them still in flight nothing is reclaimed, however many younger
+        // entries are free; with one fewer, the first free one is.
+        for (pinned, reclaims) in [(POOL_SCAN, false), (POOL_SCAN - 1, true)] {
+            let mut pool = WireScratch::new();
             let in_flight: Vec<Bytes> = (0..pinned as u64).map(|i| pool.encode(&!i)).collect();
             for i in 0..200u64 {
                 assert_eq!(pool.encode(&!i), (!i).to_bytes());

@@ -1,12 +1,18 @@
-//! Model test for [`IntervalSet`]: whatever the key stream — in order,
-//! reordered, duplicated, numbered from zero, from a clock-seeded start
-//! (the hierarchical broadcast's `oseq`) or across the end of `u64` —
-//! `insert` and `contains` answer exactly as the `BTreeSet<(StackId,
-//! u64)>` it replaced, and the runs it keeps are the maximal ones.
+//! Model tests for [`IntervalSet`] and [`InOrder`].
+//!
+//! Whatever the key stream — in order, reordered, duplicated, numbered
+//! from zero, from a clock-seeded start (the hierarchical broadcast's
+//! `oseq`) or across the end of `u64` — `insert` and `contains` answer
+//! exactly as the `BTreeSet<(StackId, u64)>` it replaced, and the runs it
+//! keeps are the maximal ones.
+//!
+//! Whatever the arrival order — in order, ahead of a gap, duplicated
+//! ahead, stale — `InOrder` releases exactly what the `BTreeMap` and
+//! counter it replaced released, in the same order.
 
-use dpu_core::{IntervalSet, StackId};
+use dpu_core::{InOrder, IntervalSet, StackId};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Where an author starts numbering.
 fn start() -> impl Strategy<Value = u64> {
@@ -58,5 +64,40 @@ proptest! {
             .count();
         let authors = model.iter().map(|&(id, _)| id).collect::<BTreeSet<_>>().len();
         prop_assert_eq!(set.gaps(), runs - authors);
+    }
+
+    #[test]
+    fn in_order_releases_as_a_btreemap_and_a_counter(
+        arrivals in proptest::collection::vec((0u32..5, 0u64..6), 1..400),
+    ) {
+        let mut order = InOrder::new();
+        let mut model = BTreeMap::new();
+        let mut due = 0u64;
+        for (i, (kind, ahead)) in arrivals.into_iter().enumerate() {
+            let n = match kind {
+                // Stale: released already (or, before anything was, due).
+                0 => due.saturating_sub(1 + ahead),
+                // Ahead of a gap, or — when `ahead` is 0 — due.
+                1 | 2 => due + ahead,
+                // A second copy of something that waits.
+                3 if !model.is_empty() => *model.keys().nth(ahead as usize % model.len()).unwrap(),
+                // Due.
+                _ => due,
+            };
+            // The six copies: refuse the stale, file the rest, release the
+            // contiguous prefix.
+            let mut want = Vec::new();
+            if n >= due {
+                model.insert(n, i);
+                while let Some(item) = model.remove(&due) {
+                    due += 1;
+                    want.push(item);
+                }
+            }
+            let got: Vec<usize> = order.offer(n, i).collect();
+            prop_assert_eq!(got, want, "offer({})", n);
+            prop_assert_eq!(order.due(), due);
+            prop_assert_eq!(order.held(), model.len());
+        }
     }
 }

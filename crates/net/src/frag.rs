@@ -12,7 +12,7 @@
 //! fragment loses the whole message (the reassembly slot is evicted
 //! LRU-style). Reliability stays where it belongs — in RP2P above.
 
-use crate::dgram::{self, Dgram, DgramRef};
+use crate::dgram::{self, Dgram};
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, WireResult};
@@ -115,11 +115,7 @@ impl FragModule {
 
     fn send_fragment(&mut self, ctx: &mut ModuleCtx<'_>, dst: StackId, frag: &Fragment) {
         self.fragments_sent += 1;
-        // One forward pass: the fragment is encoded in place inside the
-        // Dgram frame, through the stack's reusable scratch.
-        let d = DgramRef { peer: dst, channel: crate::FRAG_UDP_CHANNEL, body: frag };
-        let payload = ctx.encode(&d);
-        ctx.call(&self.udp_svc, dgram::SEND, payload);
+        dgram::send(ctx, &self.udp_svc, dst, crate::FRAG_UDP_CHANNEL, frag);
     }
 
     fn on_fragment(&mut self, ctx: &mut ModuleCtx<'_>, src: StackId, frag: Fragment) {
@@ -209,15 +205,9 @@ impl Module for FragModule {
     }
 
     fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, resp: Response) {
-        if resp.service != self.udp_svc || resp.op != dgram::RECV {
-            return;
+        if let Some((src, frag)) = dgram::recv(&resp, &self.udp_svc, crate::FRAG_UDP_CHANNEL) {
+            self.on_fragment(ctx, src, frag);
         }
-        let Ok(d) = resp.decode::<Dgram>() else { return };
-        if d.channel != crate::FRAG_UDP_CHANNEL {
-            return;
-        }
-        let Ok(frag) = dpu_core::wire::from_bytes::<Fragment>(&d.data) else { return };
-        self.on_fragment(ctx, d.peer, frag);
     }
 }
 

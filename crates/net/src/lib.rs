@@ -41,13 +41,15 @@ pub(crate) const FRAG_SVC: &str = "frag";
 pub const FRAG_UDP_CHANNEL: dpu_core::Channel = dpu_core::Channel::new(2, 0);
 
 /// Shared operation codes and payload shapes for datagram-style services
-/// (`udp` and `rp2p` use the same interface shape).
+/// (`udp` and `rp2p` use the same interface shape), and the client side
+/// every module above one uses: [`dgram::send`], [`dgram::send_many`] and
+/// [`dgram::recv`].
 pub mod dgram {
     use bytes::{Bytes, BytesMut};
     use dpu_core::stack::ModuleCtx;
+    use dpu_core::wire::{self, Decode, Encode, WireResult};
     use dpu_core::wire::{get_length_prefix, put_uvarint, uvarint_len, LenPrefixed};
-    use dpu_core::wire::{Decode, Encode, WireResult};
-    use dpu_core::{Channel, Op, ServiceId, StackId};
+    use dpu_core::{Channel, Op, Response, ServiceId, StackId};
 
     /// Downward call: send `(dst, channel, data)`.
     pub const SEND: Op = 1;
@@ -99,7 +101,7 @@ pub mod dgram {
     /// `Dgram { peer, channel, data: body.to_bytes() }` but writes the
     /// nested frame *forward* into one buffer (the body's length prefix
     /// comes from [`Encode::encoded_len`]), so no intermediate buffer is
-    /// built per layer. Every protocol module sends through this.
+    /// built per layer. Every module sends through this, by [`send`].
     pub struct DgramRef<'a, B: Encode + ?Sized> {
         /// Destination stack.
         pub peer: StackId,
@@ -195,6 +197,45 @@ pub mod dgram {
         }
     }
 
+    /// Send `body` on `channel` to `peer` with one [`SEND`] call of `svc`:
+    /// the one-destination twin of [`send_many`], and the one way a module
+    /// sends a datagram. `body` is encoded in place inside the envelope,
+    /// one forward pass through the stack's scratch pool; `&()` is the
+    /// empty body, byte for byte `Bytes::new()`.
+    pub fn send<B: Encode + ?Sized>(
+        ctx: &mut ModuleCtx<'_>,
+        svc: &ServiceId,
+        peer: StackId,
+        channel: Channel,
+        body: &B,
+    ) {
+        let payload = ctx.encode(&DgramRef { peer, channel, body });
+        ctx.call(svc, SEND, payload);
+    }
+
+    /// The envelope of `resp` if it is a [`RECV`] of `svc` on `channel`,
+    /// its body not decoded: the check every datagram user makes of what
+    /// comes up. A user that decodes the body takes [`recv`].
+    pub fn envelope(resp: &Response, svc: &ServiceId, channel: Channel) -> Option<Dgram> {
+        if resp.service != *svc || resp.op != RECV {
+            return None;
+        }
+        let d = resp.decode::<Dgram>().ok()?;
+        (d.channel == channel).then_some(d)
+    }
+
+    /// The source and the decoded body of `resp` if it is a [`RECV`] of
+    /// `svc` on `channel` whose body decodes whole as `B`; `None` for
+    /// anything else, so a module drops what is not its own.
+    pub fn recv<B: Decode>(
+        resp: &Response,
+        svc: &ServiceId,
+        channel: Channel,
+    ) -> Option<(StackId, B)> {
+        let d = envelope(resp, svc, channel)?;
+        Some((d.peer, wire::from_bytes(&d.data).ok()?))
+    }
+
     /// Send `body` on `channel` to every stack `peers` yields, in order,
     /// with one [`SEND_MANY`] call of `svc` (`rp2p`): the one way a
     /// protocol fans a message out. `body` is encoded once, in place,
@@ -219,10 +260,11 @@ pub mod dgram {
 
 #[cfg(test)]
 mod tests {
-    use super::dgram::{Dgram, DgramMany, DgramManyRef};
+    use super::dgram::{self, Dgram, DgramMany, DgramManyRef, DgramRef};
     use bytes::Bytes;
+    use dpu_core::stack::ModuleCtx;
     use dpu_core::wire;
-    use dpu_core::{Channel, StackId};
+    use dpu_core::{Call, Channel, Module, ModuleId, Response, ServiceId, StackId};
 
     #[test]
     fn dgram_roundtrip() {
@@ -248,7 +290,6 @@ mod tests {
     /// replaces: a `Dgram` whose payload is the body's own encoding.
     #[test]
     fn dgram_ref_matches_nested_to_bytes() {
-        use super::dgram::DgramRef;
         use dpu_core::wire::Encode;
         let body = (7u16, Bytes::from_static(b"payload"), 42u64);
         let channel = Channel::new(5, 0);
@@ -257,6 +298,101 @@ mod tests {
         assert_eq!(one_pass, two_pass);
         let data = wire::to_bytes(&body);
         wire::testing::assert_wire_contract(&Dgram { peer: StackId(3), channel, data });
+    }
+
+    /// Provides `svc` and records the payload of every call on it.
+    struct Recorder(Vec<Bytes>);
+
+    impl Module for Recorder {
+        fn kind(&self) -> &str {
+            "recorder"
+        }
+        fn provides(&self) -> Vec<ServiceId> {
+            vec![ServiceId::new("svc")]
+        }
+        fn requires(&self) -> Vec<ServiceId> {
+            Vec::new()
+        }
+        fn on_call(&mut self, _: &mut ModuleCtx<'_>, call: Call) {
+            assert_eq!(call.op, dgram::SEND);
+            self.0.push(call.data);
+        }
+        fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
+    }
+
+    /// Sends each of its bodies to stack 3 on `CH` through `dgram::send`
+    /// as it starts.
+    struct Sender(Vec<(u16, Bytes)>);
+
+    impl Module for Sender {
+        fn kind(&self) -> &str {
+            "sender"
+        }
+        fn provides(&self) -> Vec<ServiceId> {
+            Vec::new()
+        }
+        fn requires(&self) -> Vec<ServiceId> {
+            vec![ServiceId::new("svc")]
+        }
+        fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
+            for body in &self.0 {
+                dgram::send(ctx, &ServiceId::new("svc"), StackId(3), CH, body);
+            }
+            dgram::send(ctx, &ServiceId::new("svc"), StackId(3), CH, &());
+        }
+        fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
+        fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
+    }
+
+    const CH: Channel = Channel::new(5, 1);
+
+    /// `dgram::send` puts on the call exactly what `DgramRef` encodes,
+    /// and the empty body `&()` exactly what `Bytes::new()` does.
+    #[test]
+    fn send_frames_like_dgram_ref_and_the_unit_body_is_empty() {
+        use dpu_core::stack::{FactoryRegistry, Stack, StackConfig};
+        use dpu_core::time::Time;
+        use dpu_core::wire::Encode;
+        let bodies =
+            vec![(0, Bytes::new()), (7, Bytes::from_static(b"abc")), (9, vec![1; 300].into())];
+        let mut s = Stack::new(StackConfig::nth(0, 4, 1), FactoryRegistry::new());
+        let rec = s.add_module(Box::new(Recorder(Vec::new())));
+        s.bind(&ServiceId::new("svc"), rec);
+        s.add_module(Box::new(Sender(bodies.clone())));
+        while s.step(Time::ZERO).is_some() {}
+        let got = s.with_module::<Recorder, _>(rec, |r| r.0.clone()).expect("the recorder");
+        let mut want: Vec<Bytes> = (bodies.iter())
+            .map(|body| DgramRef { peer: StackId(3), channel: CH, body }.to_bytes())
+            .collect();
+        let empty = Dgram { peer: StackId(3), channel: CH, data: Bytes::new() };
+        want.push(empty.to_bytes());
+        assert_eq!(got, want);
+    }
+
+    /// `recv` returns the source and the body of a `RECV` of the service
+    /// on the channel, and `None` for anything else.
+    #[test]
+    fn recv_takes_only_a_whole_recv_of_its_service_on_its_channel() {
+        use dpu_core::wire::Encode;
+        let svc = ServiceId::new("svc");
+        let body = (7u16, Bytes::from_static(b"abc"));
+        let frame = |channel, data: Bytes| Dgram { peer: StackId(2), channel, data }.to_bytes();
+        let good = frame(CH, body.to_bytes());
+        let resp = |service, op, data| Response { service, op, data, from: ModuleId(1) };
+        let recv = |r: Response| dgram::recv::<(u16, Bytes)>(&r, &svc, CH);
+        assert_eq!(recv(resp(svc, dgram::RECV, good.clone())), Some((StackId(2), body.clone())));
+        let envelope = dgram::envelope(&resp(svc, dgram::RECV, good.clone()), &svc, CH);
+        assert_eq!(envelope.map(|d| d.data), Some(body.to_bytes()));
+        let refused = [
+            ("another service", resp(ServiceId::new("other"), dgram::RECV, good.clone())),
+            ("another op", resp(svc, dgram::SEND, good.clone())),
+            ("another channel", resp(svc, dgram::RECV, frame(Channel::new(5, 2), body.to_bytes()))),
+            ("a truncated envelope", resp(svc, dgram::RECV, good.slice(..good.len() - 1))),
+            ("an undecodable body", resp(svc, dgram::RECV, frame(CH, Bytes::from_static(b"\xff")))),
+        ];
+        for (what, r) in refused {
+            assert_eq!(recv(r), None, "{what}");
+        }
     }
 
     fn many(peers: &[u32], data: &'static [u8]) -> DgramMany {

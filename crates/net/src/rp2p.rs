@@ -73,12 +73,12 @@
 //! wire traffic uses UDP channel [`RP2P_UDP_CHANNEL`]; the user-facing
 //! `channel` of each [`Dgram`] travels inside the RP2P frame.
 
-use crate::dgram::{self, Dgram, DgramMany, DgramRef};
+use crate::dgram::{self, Dgram, DgramMany};
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::{Dur, Time};
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, Channel, Module, Response, ServiceId, StackId, TimerId};
+use dpu_core::{Call, Channel, InOrder, Module, Response, ServiceId, StackId, TimerId};
 use std::collections::BTreeMap;
 
 /// Module kind name, for factory registration.
@@ -227,10 +227,9 @@ struct PeerOut {
 
 #[derive(Default)]
 struct PeerIn {
-    next_expected: u64,
-    /// Frames that arrived ahead of a gap. Empty — and without storage —
-    /// while the stream arrives in order.
-    buffer: BTreeMap<u64, (Channel, Bytes)>,
+    /// The frames from this peer, by sequence number: `due()` is the
+    /// cumulative ack. Without storage while the stream arrives in order.
+    reseq: InOrder<(Channel, Bytes)>,
     /// Frames have arrived that no frame to this peer has reported yet.
     owed: bool,
 }
@@ -240,15 +239,8 @@ struct PeerIn {
 fn settle(inn: &mut BTreeMap<StackId, PeerIn>, peer: StackId) -> u64 {
     inn.get_mut(&peer).map_or(0, |pin| {
         pin.owed = false;
-        pin.next_expected
+        pin.reseq.due()
     })
-}
-
-fn udp_send(udp_svc: &ServiceId, ctx: &mut ModuleCtx<'_>, dst: StackId, frame: &Frame) {
-    // Frame encoded in place inside the Dgram, one scratch pass.
-    let d = DgramRef { peer: dst, channel: RP2P_UDP_CHANNEL, body: frame };
-    let payload = ctx.encode(&d);
-    ctx.call(udp_svc, dgram::SEND, payload);
 }
 
 /// Hand a frame up, on its channel.
@@ -346,7 +338,7 @@ impl Rp2pModule {
         } else {
             let cum = settle(&mut self.inn, src);
             self.acks += 1;
-            udp_send(&self.udp_svc, ctx, src, &Frame::Ack { cum });
+            dgram::send(ctx, &self.udp_svc, src, RP2P_UDP_CHANNEL, &Frame::Ack { cum });
         }
     }
 
@@ -368,7 +360,8 @@ impl Rp2pModule {
         pout.last_data = now;
         pout.unacked
             .insert(seq, Unacked { channel, data: data.clone(), attempts: 0, sent_at: now });
-        udp_send(&self.udp_svc, ctx, dst, &Frame::Data { seq, ack, channel, data });
+        let frame = Frame::Data { seq, ack, channel, data };
+        dgram::send(ctx, &self.udp_svc, dst, RP2P_UDP_CHANNEL, &frame);
     }
 
     fn handle_frame(&mut self, ctx: &mut ModuleCtx<'_>, src: StackId, frame: Frame) {
@@ -376,29 +369,16 @@ impl Rp2pModule {
             Frame::Data { seq, ack, channel, data } => {
                 self.acked(src, ack);
                 let pin = self.inn.entry(src).or_default();
-                let fresh = seq >= pin.next_expected;
-                if seq == pin.next_expected && pin.buffer.is_empty() {
-                    // In order, nothing waiting behind a gap: no map node.
-                    pin.next_expected += 1;
-                    deliver(&self.rp2p_svc, ctx, src, channel, data);
-                } else if fresh {
-                    pin.buffer.insert(seq, (channel, data));
-                    if seq > pin.next_expected {
-                        // Resequencing pressure: how deep the hole-filling
-                        // buffer runs when frames arrive out of order.
-                        ctx.telemetry().record_reseq_depth(pin.buffer.len() as u64);
-                    }
-                    // Drain in-order prefix.
-                    while let Some((ch, d)) = pin.buffer.remove(&pin.next_expected) {
-                        pin.next_expected += 1;
-                        deliver(&self.rp2p_svc, ctx, src, ch, d);
-                    }
-                    if pin.buffer.is_empty() {
-                        // An emptied BTreeMap keeps its root leaf; let it go.
-                        pin.buffer = BTreeMap::new();
-                    }
+                let due = pin.reseq.due();
+                for (ch, d) in pin.reseq.offer(seq, (channel, data)) {
+                    deliver(&self.rp2p_svc, ctx, src, ch, d);
                 }
-                self.acknowledge(ctx, src, fresh);
+                if seq > due {
+                    // Resequencing pressure: how deep the hole-filling
+                    // buffer runs when frames arrive out of order.
+                    ctx.telemetry().record_reseq_depth(pin.reseq.held() as u64);
+                }
+                self.acknowledge(ctx, src, seq >= due);
             }
             Frame::Ack { cum } => self.acked(src, cum),
         }
@@ -437,7 +417,7 @@ impl Rp2pModule {
                 self.retransmissions += 1;
                 let ack = settle(&mut self.inn, peer);
                 let frame = Frame::Data { seq, ack, channel: fr.channel, data: fr.data.clone() };
-                udp_send(&self.udp_svc, ctx, peer, &frame);
+                dgram::send(ctx, &self.udp_svc, peer, RP2P_UDP_CHANNEL, &frame);
                 true
             });
             if dropped > 0 {
@@ -487,15 +467,9 @@ impl Module for Rp2pModule {
     }
 
     fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, resp: Response) {
-        if resp.op != dgram::RECV || resp.service != self.udp_svc {
-            return;
+        if let Some((src, frame)) = dgram::recv(&resp, &self.udp_svc, RP2P_UDP_CHANNEL) {
+            self.handle_frame(ctx, src, frame);
         }
-        let Ok(d) = resp.decode::<Dgram>() else { return };
-        if d.channel != RP2P_UDP_CHANNEL {
-            return;
-        }
-        let Ok(frame) = dpu_core::wire::from_bytes::<Frame>(&d.data) else { return };
-        self.handle_frame(ctx, d.peer, frame);
     }
 
     fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>, _timer: TimerId, tag: u64) {
@@ -507,7 +481,8 @@ impl Module for Rp2pModule {
                 for (&peer, pin) in &mut self.inn {
                     if std::mem::take(&mut pin.owed) {
                         self.acks += 1;
-                        udp_send(&self.udp_svc, ctx, peer, &Frame::Ack { cum: pin.next_expected });
+                        let ack = &Frame::Ack { cum: pin.reseq.due() };
+                        dgram::send(ctx, &self.udp_svc, peer, RP2P_UDP_CHANNEL, ack);
                     }
                 }
             }

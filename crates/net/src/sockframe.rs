@@ -83,8 +83,9 @@ pub(crate) struct FrameStats {
 }
 
 /// A per-reactor frame codec: scratch-pooled encode, counted-drop
-/// decode. Single-threaded (one per reactor loop), like the per-stack
-/// [`WireScratch`] it wraps.
+/// decode. Single-threaded (one per reactor loop), like the
+/// [`WireScratch`] it wraps: one pool for every stack of the loop, a
+/// shard's budget.
 #[derive(Debug, Default)]
 pub struct FrameCodec {
     scratch: WireScratch,

@@ -33,8 +33,10 @@ use crate::consensus::{self, ops as cons_ops};
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, LenPrefixed, WireResult};
-use dpu_core::{Call, Channel, IntervalSet, Module, Response, ServiceId, StackId, TransportStats};
-use dpu_net::dgram::{self, Dgram};
+use dpu_core::{
+    Call, Channel, InOrder, IntervalSet, Module, Response, ServiceId, StackId, TransportStats,
+};
+use dpu_net::dgram;
 use std::collections::BTreeMap;
 
 /// Module kind name, for factory registration.
@@ -131,10 +133,11 @@ pub struct CtAbcastModule {
     next_seq: u64,
     unordered: BTreeMap<MsgKey, Bytes>,
     delivered: IntervalSet<StackId>,
-    next_instance: u64,
-    /// Whether this module has proposed for `next_instance`.
+    /// The decided batches, delivered in instance order: `due()` is the
+    /// instance running now.
+    decisions: InOrder<Batch>,
+    /// Whether this module has proposed for the instance running now.
     proposed: bool,
-    decisions: BTreeMap<u64, Batch>,
     deliveries: u64,
     batch_timer_armed: bool,
 }
@@ -154,9 +157,8 @@ impl CtAbcastModule {
             next_seq: 0,
             unordered: BTreeMap::new(),
             delivered: IntervalSet::new(),
-            next_instance: 0,
+            decisions: InOrder::new(),
             proposed: false,
-            decisions: BTreeMap::new(),
             deliveries: 0,
             batch_timer_armed: false,
         }
@@ -175,7 +177,7 @@ impl CtAbcastModule {
 
     /// Consensus instances completed by this module.
     pub fn instances_done(&self) -> u64 {
-        self.next_instance
+        self.decisions.due()
     }
 
     /// This incarnation's gossip channel.
@@ -209,7 +211,7 @@ impl CtAbcastModule {
         self.propose_now(ctx);
     }
 
-    /// Propose the current `unordered` set for `next_instance`.
+    /// Propose the current `unordered` set for the instance running now.
     fn propose_now(&mut self, ctx: &mut ModuleCtx<'_>) {
         self.proposed = true;
         let batch: Batch = self
@@ -218,12 +220,14 @@ impl CtAbcastModule {
             .map(|(&(origin, seq), data)| (origin, seq, data.clone()))
             .collect();
         // The batch is framed in place inside the PROPOSE payload.
-        let payload = ctx.encode(&(self.params.namespace, self.next_instance, LenPrefixed(&batch)));
+        let payload =
+            ctx.encode(&(self.params.namespace, self.decisions.due(), LenPrefixed(&batch)));
         ctx.call(&self.cons_svc, cons_ops::PROPOSE, payload);
     }
 
-    fn drain_decisions(&mut self, ctx: &mut ModuleCtx<'_>) {
-        while let Some(batch) = self.decisions.remove(&self.next_instance) {
+    /// File instance `k`'s decision and deliver every batch it unblocks.
+    fn decided(&mut self, ctx: &mut ModuleCtx<'_>, k: u64, batch: Batch) {
+        for batch in self.decisions.offer(k, batch) {
             for (origin, seq, data) in batch {
                 let key = (origin, seq);
                 if self.delivered.insert(key) {
@@ -232,7 +236,6 @@ impl CtAbcastModule {
                     ctx.respond(&self.svc, ops::ADELIVER, data);
                 }
             }
-            self.next_instance += 1;
             self.proposed = false;
         }
         // Keep ordering the backlog.
@@ -285,12 +288,7 @@ impl Module for CtAbcastModule {
     }
 
     fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, resp: Response) {
-        if resp.service == self.rp2p_svc && resp.op == dgram::RECV {
-            let Ok(d) = resp.decode::<Dgram>() else { return };
-            if d.channel != self.channel() {
-                return;
-            }
-            let Ok(g) = dpu_core::wire::from_bytes::<Gossip>(&d.data) else { return };
+        if let Some((_, g)) = dgram::recv::<Gossip>(&resp, &self.rp2p_svc, self.channel()) {
             if !self.delivered.contains(g.key) {
                 self.unordered.insert(g.key, g.data);
                 self.try_propose(ctx, false);
@@ -303,14 +301,13 @@ impl Module for CtAbcastModule {
                     let Ok((_, k, value)) = resp.decode::<(u64, u64, Bytes)>() else {
                         return;
                     };
-                    if k < self.next_instance {
+                    if k < self.decisions.due() {
                         return;
                     }
                     let Ok(batch) = dpu_core::wire::from_bytes::<Batch>(&value) else {
                         return;
                     };
-                    self.decisions.insert(k, batch);
-                    self.drain_decisions(ctx);
+                    self.decided(ctx, k, batch);
                 }
                 cons_ops::NEED_PROPOSAL => {
                     let Ok((_, k)) = resp.decode::<(u64, u64)>() else { return };
@@ -321,7 +318,7 @@ impl Module for CtAbcastModule {
                     // stack suspects someone (an origin that crashed
                     // before its gossip got here), and has by then
                     // proposed that stack's batch.
-                    if k == self.next_instance {
+                    if k == self.decisions.due() {
                         self.try_propose(ctx, true);
                     }
                 }

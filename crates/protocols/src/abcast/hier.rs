@@ -60,8 +60,10 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Dur;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, Channel, IntervalSet, Module, Response, ServiceId, StackId, TimerId};
-use dpu_net::dgram::{self, Dgram, DgramRef};
+use dpu_core::{
+    Call, Channel, InOrder, IntervalSet, Module, Response, ServiceId, StackId, TimerId,
+};
+use dpu_net::dgram;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
@@ -172,14 +174,6 @@ impl Decode for Frame {
     }
 }
 
-/// One forwarder's cluster stream at the leader: entries commit in
-/// local-sequence order, buffered until `k`-contiguous.
-#[derive(Default)]
-struct Stream {
-    next_k: u64,
-    buf: BTreeMap<u64, (MsgKey, Bytes)>,
-}
-
 /// The cluster layout as this stack sees it. It depends only on the peer
 /// table and the cluster size, both fixed for a stack's life, so a module
 /// works it out once, on first use.
@@ -213,10 +207,8 @@ pub struct HierAbcastModule {
     /// stall-timer tick.
     progress: bool,
     timer_armed: bool,
-    /// Next global sequence number to deliver, and the out-of-order
-    /// buffer.
-    next_deliver: u64,
-    buffer: BTreeMap<u64, (MsgKey, Bytes)>,
+    /// Committed entries, delivered in global sequence order.
+    order: InOrder<(MsgKey, Bytes)>,
     deliveries: u64,
     // -- acting-sequencer state --
     /// Next local sequence number of this forwarder's stream.
@@ -235,8 +227,9 @@ pub struct HierAbcastModule {
     log: Vec<(MsgKey, Bytes)>,
     /// Current relay per cluster, where it differs from the primary.
     relays: BTreeMap<u32, StackId>,
-    /// One stream per forwarder.
-    streams: BTreeMap<StackId, Stream>,
+    /// One stream per forwarder: its entries commit in local-sequence
+    /// order, held until `k`-contiguous.
+    streams: BTreeMap<StackId, InOrder<(MsgKey, Bytes)>>,
 }
 
 impl HierAbcastModule {
@@ -252,8 +245,7 @@ impl HierAbcastModule {
             seq_idx: 0,
             progress: false,
             timer_armed: false,
-            next_deliver: 0,
-            buffer: BTreeMap::new(),
+            order: InOrder::new(),
             deliveries: 0,
             next_k: 0,
             fwd_seen: IntervalSet::new(),
@@ -317,12 +309,6 @@ impl HierAbcastModule {
         channels::ABCAST_HIER.at(self.params.namespace)
     }
 
-    fn send(&self, ctx: &mut ModuleCtx<'_>, to: StackId, frame: &Frame) {
-        let d = DgramRef { peer: to, channel: self.channel(), body: frame };
-        let payload = ctx.encode(&d);
-        ctx.call(&self.rp2p_svc, dgram::SEND, payload);
-    }
-
     /// Act as this cluster's sequencer for one request (any member may
     /// be addressed after failover rotation; the leader's per-forwarder
     /// streams and key dedup make concurrent actors safe).
@@ -339,15 +325,13 @@ impl HierAbcastModule {
             // relay role before the forward, so the leader replays the
             // log (RP2P is FIFO per link — the claim arrives first).
             self.claimed = true;
-            self.send(ctx, leader, &Frame::Claim { cluster: my_cluster, from: ctx.stack_id() });
+            let claim = Frame::Claim { cluster: my_cluster, from: ctx.stack_id() };
+            dgram::send(ctx, &self.rp2p_svc, leader, self.channel(), &claim);
         }
         let k = self.next_k;
         self.next_k += 1;
-        self.send(
-            ctx,
-            leader,
-            &Frame::Fwd { cluster: my_cluster, k, from: ctx.stack_id(), key, data },
-        );
+        let fwd = Frame::Fwd { cluster: my_cluster, k, from: ctx.stack_id(), key, data };
+        dgram::send(ctx, &self.rp2p_svc, leader, self.channel(), &fwd);
     }
 
     /// Leader: commit one stream entry and fan it out to the relays.
@@ -368,13 +352,8 @@ impl HierAbcastModule {
 
     /// Member: file a committed entry at its global position and
     /// deliver the contiguous prefix.
-    fn buffer_insert(&mut self, ctx: &mut ModuleCtx<'_>, g: u64, key: MsgKey, data: Bytes) {
-        if g < self.next_deliver {
-            return;
-        }
-        self.buffer.insert(g, (key, data));
-        while let Some((key, data)) = self.buffer.remove(&self.next_deliver) {
-            self.next_deliver += 1;
+    fn file(&mut self, ctx: &mut ModuleCtx<'_>, g: u64, key: MsgKey, data: Bytes) {
+        for (key, data) in self.order.offer(g, (key, data)) {
             self.deliveries += 1;
             if self.pending.remove(&key).is_some() {
                 self.progress = true;
@@ -423,35 +402,26 @@ impl Module for HierAbcastModule {
         let key = (ctx.stack_id(), oseq);
         self.pending.insert(key, call.data.clone());
         let seqr = self.believed_sequencer(ctx);
-        self.send(ctx, seqr, &Frame::Req { key, data: call.data });
+        let req = Frame::Req { key, data: call.data };
+        dgram::send(ctx, &self.rp2p_svc, seqr, self.channel(), &req);
         self.arm_timer(ctx);
     }
 
     fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, resp: Response) {
-        if resp.service != self.rp2p_svc || resp.op != dgram::RECV {
-            return;
-        }
-        let Ok(d) = resp.decode::<Dgram>() else { return };
-        if d.channel != self.channel() {
-            return;
-        }
-        let Ok(frame) = dpu_core::wire::from_bytes::<Frame>(&d.data) else { return };
+        let Some((_, frame)) = dgram::recv(&resp, &self.rp2p_svc, self.channel()) else { return };
         match frame {
             Frame::Req { key, data } => self.handle_req(ctx, key, data),
             Frame::Fwd { k, from, key, data, .. } => {
                 if ctx.stack_id() != Self::leader(ctx) {
                     return;
                 }
-                let s = self.streams.entry(from).or_default();
-                if k < s.next_k {
-                    return; // duplicate
-                }
-                s.buf.insert(k, (key, data));
-                while let Some((key, data)) = (self.streams.get_mut(&from))
-                    .and_then(|s| s.buf.remove(&s.next_k).inspect(|_| s.next_k += 1))
-                {
+                // The stream is out of the map while it commits (a
+                // duplicate releases nothing).
+                let mut stream = std::mem::take(self.streams.entry(from).or_default());
+                for (key, data) in stream.offer(k, (key, data)) {
                     self.commit(ctx, key, data);
                 }
+                self.streams.insert(from, stream);
             }
             Frame::Commit { g, key, data } => {
                 // Fan out inside the cluster, then file locally.
@@ -459,9 +429,9 @@ impl Module for HierAbcastModule {
                 let members = self.clusters(ctx).members.iter().copied().filter(|&p| p != me);
                 let rly = Frame::Rly { g, key, data: data.clone() };
                 dgram::send_many(ctx, &self.rp2p_svc, members, self.channel(), &rly);
-                self.buffer_insert(ctx, g, key, data);
+                self.file(ctx, g, key, data);
             }
-            Frame::Rly { g, key, data } => self.buffer_insert(ctx, g, key, data),
+            Frame::Rly { g, key, data } => self.file(ctx, g, key, data),
             Frame::Claim { cluster, from } => {
                 if ctx.stack_id() != Self::leader(ctx) {
                     return;
@@ -469,10 +439,11 @@ impl Module for HierAbcastModule {
                 self.relays.insert(cluster, from);
                 // Replay the whole log to the claiming relay: a crashed
                 // primary may have left any subset of its cluster at any
-                // delivery depth, and re-relayed positions below a
-                // member's `next_deliver` are dropped idempotently.
+                // delivery depth, and re-relayed positions a member has
+                // delivered are refused idempotently.
                 for (g, (key, data)) in self.log.clone().into_iter().enumerate() {
-                    self.send(ctx, from, &Frame::Commit { g: g as u64, key, data });
+                    let commit = Frame::Commit { g: g as u64, key, data };
+                    dgram::send(ctx, &self.rp2p_svc, from, self.channel(), &commit);
                 }
             }
         }
@@ -493,7 +464,7 @@ impl Module for HierAbcastModule {
             self.seq_idx += 1;
             for (key, data) in self.pending.clone() {
                 let seqr = self.believed_sequencer(ctx);
-                self.send(ctx, seqr, &Frame::Req { key, data });
+                dgram::send(ctx, &self.rp2p_svc, seqr, self.channel(), &Frame::Req { key, data });
             }
         }
         self.arm_timer(ctx);

@@ -19,9 +19,9 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Dur;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, Channel, Module, Response, ServiceId, StackId, TimerId};
-use dpu_net::dgram::{self, Dgram, DgramRef};
-use std::collections::{BTreeMap, VecDeque};
+use dpu_core::{Call, Channel, InOrder, Module, Response, ServiceId, StackId, TimerId};
+use dpu_net::dgram;
+use std::collections::VecDeque;
 
 /// Module kind name, for factory registration.
 pub const KIND: &str = "abcast.ring";
@@ -96,8 +96,8 @@ pub struct RingAbcastModule {
     pending: VecDeque<Bytes>,
     /// `Some(next_seq)` while this stack holds the token.
     token: Option<u64>,
-    next_deliver: u64,
-    buffer: BTreeMap<u64, Bytes>,
+    /// The ordered messages, delivered in sequence.
+    order: InOrder<Bytes>,
     deliveries: u64,
     rotations: u64,
 }
@@ -111,8 +111,7 @@ impl RingAbcastModule {
             rp2p_svc: ServiceId::new(dpu_net::RP2P_SVC),
             pending: VecDeque::new(),
             token: None,
-            next_deliver: 0,
-            buffer: BTreeMap::new(),
+            order: InOrder::new(),
             deliveries: 0,
             rotations: 0,
         }
@@ -136,14 +135,6 @@ impl RingAbcastModule {
     /// This incarnation's channel.
     fn channel(&self) -> Channel {
         channels::ABCAST_RING.at(self.params.namespace)
-    }
-
-    fn send(&self, ctx: &mut ModuleCtx<'_>, to: StackId, frame: &Frame) {
-        // The frame is encoded in place inside the Dgram, one scratch
-        // pass, no intermediate buffer.
-        let d = DgramRef { peer: to, channel: self.channel(), body: frame };
-        let payload = ctx.encode(&d);
-        ctx.call(&self.rp2p_svc, dgram::SEND, payload);
     }
 
     fn successor(ctx: &ModuleCtx<'_>) -> StackId {
@@ -170,15 +161,8 @@ impl RingAbcastModule {
             self.token = Some(seq);
             ctx.set_timer(HOLD, TAG_TOKEN);
         } else {
-            self.send(ctx, succ, &Frame::Token { next_seq: seq });
-        }
-    }
-
-    fn drain(&mut self, ctx: &mut ModuleCtx<'_>) {
-        while let Some(data) = self.buffer.remove(&self.next_deliver) {
-            self.next_deliver += 1;
-            self.deliveries += 1;
-            ctx.respond(&self.svc, ops::ADELIVER, data);
+            let token = Frame::Token { next_seq: seq };
+            dgram::send(ctx, &self.rp2p_svc, succ, self.channel(), &token);
         }
     }
 }
@@ -220,23 +204,16 @@ impl Module for RingAbcastModule {
     }
 
     fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, resp: Response) {
-        if resp.service != self.rp2p_svc || resp.op != dgram::RECV {
-            return;
-        }
-        let Ok(d) = resp.decode::<Dgram>() else { return };
-        if d.channel != self.channel() {
-            return;
-        }
-        let Ok(frame) = dpu_core::wire::from_bytes::<Frame>(&d.data) else { return };
+        let Some((_, frame)) = dgram::recv(&resp, &self.rp2p_svc, self.channel()) else { return };
         match frame {
             Frame::Token { next_seq } => {
                 self.token = Some(next_seq);
                 ctx.set_timer(HOLD, TAG_TOKEN);
             }
             Frame::Order { seq, data } => {
-                if seq >= self.next_deliver {
-                    self.buffer.insert(seq, data);
-                    self.drain(ctx);
+                for data in self.order.offer(seq, data) {
+                    self.deliveries += 1;
+                    ctx.respond(&self.svc, ops::ADELIVER, data);
                 }
             }
         }

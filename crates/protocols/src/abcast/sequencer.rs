@@ -16,9 +16,8 @@ use crate::channels;
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
-use dpu_core::{Call, Channel, Module, Response, ServiceId, StackId};
-use dpu_net::dgram::{self, Dgram, DgramRef};
-use std::collections::BTreeMap;
+use dpu_core::{Call, Channel, InOrder, Module, Response, ServiceId, StackId};
+use dpu_net::dgram;
 
 /// Module kind name, for factory registration.
 pub const KIND: &str = "abcast.seq";
@@ -94,10 +93,8 @@ pub struct SeqAbcastModule {
     rp2p_svc: ServiceId,
     /// Sequencer state: next sequence number to assign.
     next_assign: u64,
-    /// Receiver state: next sequence number to deliver, and the
-    /// out-of-order buffer.
-    next_deliver: u64,
-    buffer: BTreeMap<u64, Bytes>,
+    /// Receiver state: the ordered messages, delivered in sequence.
+    order: InOrder<Bytes>,
     deliveries: u64,
 }
 
@@ -110,8 +107,7 @@ impl SeqAbcastModule {
             svc,
             rp2p_svc: ServiceId::new(dpu_net::RP2P_SVC),
             next_assign: 0,
-            next_deliver: 0,
-            buffer: BTreeMap::new(),
+            order: InOrder::new(),
             deliveries: 0,
         }
     }
@@ -133,22 +129,6 @@ impl SeqAbcastModule {
     /// This incarnation's channel.
     fn channel(&self) -> Channel {
         channels::ABCAST_SEQ.at(self.params.namespace)
-    }
-
-    fn send(&self, ctx: &mut ModuleCtx<'_>, to: StackId, frame: &Frame) {
-        // The frame is encoded in place inside the Dgram, one scratch
-        // pass, no intermediate buffer.
-        let d = DgramRef { peer: to, channel: self.channel(), body: frame };
-        let payload = ctx.encode(&d);
-        ctx.call(&self.rp2p_svc, dgram::SEND, payload);
-    }
-
-    fn drain(&mut self, ctx: &mut ModuleCtx<'_>) {
-        while let Some(data) = self.buffer.remove(&self.next_deliver) {
-            self.next_deliver += 1;
-            self.deliveries += 1;
-            ctx.respond(&self.svc, ops::ADELIVER, data);
-        }
     }
 }
 
@@ -174,18 +154,12 @@ impl Module for SeqAbcastModule {
             return;
         }
         let seqr = Self::sequencer(ctx);
-        self.send(ctx, seqr, &Frame::Req { data: call.data });
+        let req = Frame::Req { data: call.data };
+        dgram::send(ctx, &self.rp2p_svc, seqr, self.channel(), &req);
     }
 
     fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, resp: Response) {
-        if resp.service != self.rp2p_svc || resp.op != dgram::RECV {
-            return;
-        }
-        let Ok(d) = resp.decode::<Dgram>() else { return };
-        if d.channel != self.channel() {
-            return;
-        }
-        let Ok(frame) = dpu_core::wire::from_bytes::<Frame>(&d.data) else { return };
+        let Some((_, frame)) = dgram::recv(&resp, &self.rp2p_svc, self.channel()) else { return };
         match frame {
             Frame::Req { data } => {
                 // Only the sequencer handles requests; anyone else
@@ -202,9 +176,9 @@ impl Module for SeqAbcastModule {
                 dgram::send_many(ctx, &self.rp2p_svc, all.iter().copied(), self.channel(), &order);
             }
             Frame::Order { seq, data } => {
-                if seq >= self.next_deliver {
-                    self.buffer.insert(seq, data);
-                    self.drain(ctx);
+                for data in self.order.offer(seq, data) {
+                    self.deliveries += 1;
+                    ctx.respond(&self.svc, ops::ADELIVER, data);
                 }
             }
         }

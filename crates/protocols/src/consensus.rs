@@ -129,7 +129,7 @@ use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{
     Call, Channel, HeardSet, IntervalSet, Module, Response, ServiceId, StackId, TransportStats,
 };
-use dpu_net::dgram::{self, Dgram, DgramRef};
+use dpu_net::dgram;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -507,14 +507,6 @@ impl ConsensusModule {
         channels::CONSENSUS.at(self.params.incarnation)
     }
 
-    fn send(&self, ctx: &mut ModuleCtx<'_>, to: StackId, msg: &WireMsg) {
-        // One forward pass through the stack scratch: the WireMsg is
-        // encoded in place inside the Dgram frame.
-        let d = DgramRef { peer: to, channel: self.channel(), body: msg };
-        let payload = ctx.encode(&d);
-        ctx.call(&self.rp2p_svc, dgram::SEND, payload);
-    }
-
     /// `msg` to every process but this one, in one call of `rp2p`.
     fn send_others(ctx: &mut ModuleCtx<'_>, rp2p: &ServiceId, channel: Channel, msg: &WireMsg) {
         let me = ctx.stack_id();
@@ -594,7 +586,8 @@ impl ConsensusModule {
                 Step::Wait => return,
                 Step::Again => {}
                 Step::ToCoord(to, round, body) => {
-                    self.send(ctx, to, &WireMsg { ns, k, round, body })
+                    let msg = WireMsg { ns, k, round, body };
+                    dgram::send(ctx, &self.rp2p_svc, to, self.channel(), &msg);
                 }
                 Step::ToOthers(round, body) => {
                     let msg = WireMsg { ns, k, round, body };
@@ -715,13 +708,8 @@ impl Module for ConsensusModule {
             }
             return;
         }
-        if resp.service == self.rp2p_svc && resp.op == dgram::RECV {
-            let Ok(d) = resp.decode::<Dgram>() else { return };
-            if d.channel != self.channel() {
-                return;
-            }
-            let Ok(msg) = dpu_core::wire::from_bytes::<WireMsg>(&d.data) else { return };
-            self.on_wire(ctx, d.peer, msg);
+        if let Some((from, msg)) = dgram::recv(&resp, &self.rp2p_svc, self.channel()) {
+            self.on_wire(ctx, from, msg);
         }
     }
 
@@ -740,7 +728,7 @@ mod tests {
     use dpu_core::time::{Dur, Time};
     use dpu_core::wire::{self, Encode};
     use dpu_core::ModuleId;
-    use dpu_net::dgram::DgramMany;
+    use dpu_net::dgram::{Dgram, DgramMany, DgramRef};
     use dpu_net::rp2p::{Rp2pConfig, Rp2pModule};
     use dpu_net::udp::UdpModule;
     use dpu_sim::{NetConfig, Sim, SimConfig, Topology};

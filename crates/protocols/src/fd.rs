@@ -20,11 +20,10 @@
 //!   peers; emitted on every change and after each `QUERY`.
 
 use crate::channels;
-use bytes::Bytes;
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::{Dur, Time};
 use dpu_core::{Call, Channel, Module, Response, ServiceId, StackId, TimerId};
-use dpu_net::dgram::{self, Dgram};
+use dpu_net::dgram;
 use std::collections::BTreeMap;
 
 /// Module kind name, for factory registration.
@@ -97,9 +96,8 @@ impl FdModule {
             if peer == me {
                 continue;
             }
-            let d = Dgram { peer, channel: channels::FD, data: Bytes::new() };
-            let payload = ctx.encode(&d);
-            ctx.call(&self.udp_svc, dgram::SEND, payload);
+            // A heartbeat's body is empty.
+            dgram::send(ctx, &self.udp_svc, peer, channels::FD, &());
         }
     }
 
@@ -158,13 +156,8 @@ impl Module for FdModule {
     }
 
     fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, resp: Response) {
-        if resp.op != dgram::RECV || resp.service != self.udp_svc {
-            return;
-        }
-        let Ok(d) = resp.decode::<Dgram>() else { return };
-        if d.channel != channels::FD {
-            return;
-        }
+        // A heartbeat's body is never read.
+        let Some(d) = dgram::envelope(&resp, &self.udp_svc, channels::FD) else { return };
         let now = ctx.now();
         if let Some(p) = self.peers.get_mut(&d.peer) {
             p.last_heard = now;
@@ -198,6 +191,7 @@ impl Module for FdModule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use dpu_core::stack::{FactoryRegistry, Stack, StackConfig};
     use dpu_core::ModuleId;
     use dpu_net::udp::UdpModule;

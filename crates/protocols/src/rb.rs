@@ -28,7 +28,7 @@ use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::wire::{Decode, Encode, WireResult};
 use dpu_core::{Call, Channel, IntervalSet, Module, Response, ServiceId, StackId};
-use dpu_net::dgram::{self, Dgram};
+use dpu_net::dgram;
 
 /// Module kind name, for factory registration.
 pub const KIND: &str = "rb";
@@ -156,20 +156,15 @@ impl Module for RbModule {
     }
 
     fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, resp: Response) {
-        if resp.service != self.rp2p_svc || resp.op != dgram::RECV {
+        let Some((from, msg)) = dgram::recv::<RbMsg>(&resp, &self.rp2p_svc, channels::RB) else {
             return;
-        }
-        let Ok(d) = resp.decode::<Dgram>() else { return };
-        if d.channel != channels::RB {
-            return;
-        }
-        let Ok(msg) = dpu_core::wire::from_bytes::<RbMsg>(&d.data) else { return };
+        };
         // Relay on FIRST delivery — this is what upgrades best-effort to
         // (regular) reliable broadcast: even if the origin crashed after
         // reaching only us, everyone still gets it.
         if self.deliver(ctx, &msg) {
             self.relays += 1;
-            self.send_to_all(ctx, &msg, &[d.peer, msg.origin]);
+            self.send_to_all(ctx, &msg, &[from, msg.origin]);
         }
     }
 }

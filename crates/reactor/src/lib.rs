@@ -273,10 +273,27 @@ impl Reactor {
     /// The peer table starts with the local stacks' own (just-bound)
     /// addresses; remote peers are added with [`Reactor::set_peer`]
     /// after the processes exchange their [`Reactor::local_addrs`].
+    ///
+    /// A local id outside `0..n`, or one listed twice, is
+    /// [`io::ErrorKind::InvalidInput`], refused before anything is bound:
+    /// the first has no peer-table row, and the second would bind two
+    /// sockets under one id, one of them unreachable.
     pub fn spawn(
         cfg: ReactorConfig,
         mut mk_stack: impl FnMut(StackConfig) -> Stack,
     ) -> io::Result<Reactor> {
+        let mut hosted = vec![false; cfg.n as usize];
+        for &id in &cfg.local {
+            let refused = match hosted.get_mut(id.idx()) {
+                None => format!("{id} is not a member of a group of {}", cfg.n),
+                Some(true) => format!("{id} is listed twice"),
+                Some(seen) => {
+                    *seen = true;
+                    continue;
+                }
+            };
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, refused));
+        }
         let clock = WallClock::start();
         let poller = sys::Poller::new()?;
         let mut sockets = Vec::with_capacity(cfg.local.len());

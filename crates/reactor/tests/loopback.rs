@@ -222,3 +222,27 @@ fn set_peer_reroutes_unroutable_destinations() {
     wait_until("frames routed after set_peer", || r.stats().misdirected > 0);
     r.shutdown();
 }
+
+/// What `spawn` says of a config it cannot host: the error kind, and
+/// that it said so instead of panicking or binding.
+fn refused(n: u32, local: &[u32]) -> std::io::ErrorKind {
+    let cfg = ReactorConfig::new(n, local.iter().copied().map(StackId).collect());
+    match Reactor::spawn(cfg, |_| panic!("no stack is built for a refused config")) {
+        Ok(r) => {
+            r.shutdown();
+            panic!("spawned with local {local:?} of a group of {n}")
+        }
+        Err(e) => e.kind(),
+    }
+}
+
+#[test]
+fn spawn_refuses_a_local_id_outside_the_group() {
+    assert_eq!(refused(2, &[0, 2]), std::io::ErrorKind::InvalidInput);
+    assert_eq!(refused(3, &[77]), std::io::ErrorKind::InvalidInput);
+}
+
+#[test]
+fn spawn_refuses_a_local_id_listed_twice() {
+    assert_eq!(refused(3, &[1, 0, 1]), std::io::ErrorKind::InvalidInput);
+}

@@ -29,7 +29,7 @@ use dpu_core::stack::ModuleCtx;
 use dpu_core::time::{Dur, Time};
 use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{Call, Channel, HeardSet, ModuleSpec, Response, ServiceId, StackId};
-use dpu_net::dgram::{self, Dgram, DgramRef};
+use dpu_net::dgram;
 use dpu_protocols::abcast::ops as ab_ops;
 use std::collections::{BTreeSet, VecDeque};
 
@@ -386,9 +386,7 @@ impl Coordinated {
 
     fn send(&mut self, ctx: &mut ModuleCtx<'_>, to: StackId, msg: &Coord) {
         self.coord_msgs += 1;
-        let d = DgramRef { peer: to, channel: self.channel, body: msg };
-        let payload = ctx.encode(&d);
-        ctx.call(&self.rp2p, dgram::SEND, payload);
+        dgram::send(ctx, &self.rp2p, to, self.channel, msg);
     }
 
     /// To every stack, this one included, in one call; each destination
@@ -435,14 +433,7 @@ impl Coordinated {
                 }
             };
         }
-        if resp.op != dgram::RECV {
-            return None;
-        }
-        let d = resp.decode::<Dgram>().ok()?;
-        if d.channel != self.channel {
-            return None;
-        }
-        match dpu_core::wire::from_bytes::<Coord>(&d.data).ok()? {
+        match dgram::recv::<Coord>(&resp, &self.rp2p, self.channel)?.1 {
             Coord::Start { epoch, spec, coord } => {
                 if self.coordinator.is_some() || epoch <= self.drain.epoch {
                     return None;
