@@ -13,6 +13,10 @@
 //! The counters are plain relaxed atomics: the probes read them from the
 //! same thread that just finished building or running a simulation, and a
 //! handful of bytes of cross-thread slop is far below measurement noise.
+//! A zero-allocation gate must not take that slop (the test harness's
+//! own thread can allocate inside its window), so beside them each thread
+//! keeps its own count: [`CountingAlloc::thread_allocs`] and
+//! [`CountingAlloc::thread_live`].
 //!
 //! This is the one module in the crate allowed to use `unsafe` (the
 //! `GlobalAlloc` contract), mirroring how `dpu-reactor` confines its raw
@@ -20,7 +24,15 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+thread_local! {
+    /// This thread's allocation calls, and its bytes allocated minus
+    /// freed. `const`-initialised and without a destructor, so the
+    /// allocator never allocates to count.
+    static THREAD: Cell<(u64, i64)> = const { Cell::new((0, 0)) };
+}
 
 /// A [`System`]-backed allocator that tracks live and peak heap bytes.
 pub struct CountingAlloc {
@@ -63,14 +75,34 @@ impl CountingAlloc {
         self.allocs.load(Ordering::Relaxed)
     }
 
+    /// Allocation calls this thread has made, as [`Self::allocs`] counts
+    /// them for the process: what a zero-allocation gate differences.
+    pub fn thread_allocs(&self) -> u64 {
+        THREAD.with(|t| t.get().0)
+    }
+
+    /// Heap bytes this thread has allocated minus the bytes it has freed
+    /// (negative if it freed what another thread allocated).
+    pub fn thread_live(&self) -> i64 {
+        THREAD.with(|t| t.get().1)
+    }
+
     fn add(&self, n: usize) {
         self.allocs.fetch_add(1, Ordering::Relaxed);
         let live = self.live.fetch_add(n as u64, Ordering::Relaxed) + n as u64;
         self.peak.fetch_max(live, Ordering::Relaxed);
+        let _ = THREAD.try_with(|t| {
+            let (allocs, live) = t.get();
+            t.set((allocs + 1, live + n as i64));
+        });
     }
 
     fn sub(&self, n: usize) {
         self.live.fetch_sub(n as u64, Ordering::Relaxed);
+        let _ = THREAD.try_with(|t| {
+            let (allocs, live) = t.get();
+            t.set((allocs, live - n as i64));
+        });
     }
 }
 

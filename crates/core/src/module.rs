@@ -4,7 +4,7 @@
 use crate::ids::{Channel, ModuleId, ServiceId, StackId};
 use crate::stack::ModuleCtx;
 use crate::wire::{Decode, Encode, WireResult, WireScratch};
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use std::any::Any;
 
 /// An operation code within a service interface.
@@ -219,21 +219,7 @@ impl ModuleSpec {
     }
 }
 
-impl Encode for ModuleSpec {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.kind.encode(buf);
-        self.params.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.kind.encoded_len() + self.params.encoded_len()
-    }
-}
-
-impl Decode for ModuleSpec {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(ModuleSpec { kind: String::decode(buf)?, params: Bytes::decode(buf)? })
-    }
-}
+crate::wire_codec!(ModuleSpec { kind, params });
 
 #[cfg(test)]
 mod tests {
@@ -256,6 +242,12 @@ mod tests {
         let spec = ModuleSpec::new("fd");
         assert_eq!(spec.kind, "fd");
         assert!(spec.params.is_empty());
+    }
+
+    #[test]
+    fn module_spec_bytes() {
+        let spec = ModuleSpec::with_params("fd", &7u64);
+        wire::testing::assert_wire_bytes(&spec, &[2, b'f', b'd', 1, 7]);
     }
 
     #[test]

@@ -23,7 +23,8 @@ use bytes::{Bytes, BytesMut};
 pub(crate) const PROBE_MAGIC: u32 = 0x5052_4F42; // "PROB"
 
 /// The payload format the probe broadcasts. Protocol modules treat it as
-/// opaque bytes; only probes produce and consume it.
+/// opaque bytes; only probes produce and consume it. Its codec is written
+/// by hand: a magic prefix comes first, and decoding checks it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProbeMsg {
     /// Stack that originated the message.

@@ -6,8 +6,18 @@
 //! * unsigned integers use LEB128 varints;
 //! * signed integers use zigzag + varint;
 //! * `String`, `Vec<T>`, `Bytes` are length-prefixed;
-//! * enums encode a `u32` tag followed by the variant payload (by hand in
-//!   each protocol crate).
+//! * a struct is its fields in order, and an enum a `u32` tag followed by
+//!   the variant's fields.
+//!
+//! A frame or parameter type declares its layout once, as a list of its
+//! fields in wire order given to [`wire_codec!`](crate::wire_codec), which
+//! writes `encode`, `encoded_len` and `decode` from that one list. Written
+//! by hand are only the codecs that list cannot say: `dpu-repl`'s `Coord`
+//! (its round is computed from the tag, 2k − 1 and 2k), `dpu-net`'s
+//! `SockFrame` and [`ProbeMsg`](crate::probe::ProbeMsg) (a magic prefix,
+//! checked on decode), and the borrowed views that write a window or a
+//! nested frame forward (`dpu-net`'s `udp::Arrived`, `DgramRef`,
+//! `DgramManyRef` and `sockframe`'s `Out`).
 //!
 //! The codec exists because the offline dependency set contains `serde` but
 //! no serde *format* crate; a direct `Encode`/`Decode` pair is smaller and
@@ -147,7 +157,7 @@ pub const fn uvarint_len(v: u64) -> usize {
 /// `buf.remaining()`; anything larger is a malformed frame and fails
 /// here, before a `with_capacity` could be asked for gigabytes.
 #[inline]
-pub fn get_length_prefix(buf: &mut Bytes) -> WireResult<usize> {
+pub(crate) fn get_length_prefix(buf: &mut Bytes) -> WireResult<usize> {
     let len = get_uvarint(buf)?;
     if len > buf.remaining() as u64 {
         return Err(WireError::BadLength(len));
@@ -383,11 +393,15 @@ impl<T: Encode> Encode for Vec<T> {
 impl<T: Decode> Decode for Vec<T> {
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
         // Each element takes at least one byte on the wire, so the length
-        // check bounds the allocation below by the input size. Collecting
-        // from a sized range pre-allocates exactly and elides the
-        // per-push capacity checks of a push loop.
+        // check bounds the allocation below by the input size. The list
+        // is allocated once, at its length: collecting `Result`s would
+        // start from a size hint of 0 and grow by doubling.
         let len = get_length_prefix(buf)?;
-        (0..len).map(|_| T::decode(buf)).collect()
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(T::decode(buf)?);
+        }
+        Ok(out)
     }
 }
 
@@ -493,49 +507,94 @@ impl_tuple!(A: 0, B: 1, C: 2);
 impl_tuple!(A: 0, B: 1, C: 2, D: 3);
 impl_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
 
-impl Encode for crate::ids::StackId {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len()
-    }
+/// The id and time newtypes encode as the number they wrap.
+macro_rules! impl_newtype {
+    ($($ty:path),*) => {$(
+        impl Encode for $ty {
+            fn encode(&self, buf: &mut BytesMut) {
+                self.0.encode(buf);
+            }
+            fn encoded_len(&self) -> usize {
+                self.0.encoded_len()
+            }
+        }
+        impl Decode for $ty {
+            fn decode(buf: &mut Bytes) -> WireResult<Self> {
+                Ok(Self(Decode::decode(buf)?))
+            }
+        }
+    )*};
 }
 
-impl Decode for crate::ids::StackId {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(crate::ids::StackId(u32::decode(buf)?))
-    }
-}
+impl_newtype!(crate::ids::StackId, crate::ids::Channel, crate::time::Time, crate::time::Dur);
 
-impl Encode for crate::ids::Channel {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len()
-    }
-}
-
-impl Decode for crate::ids::Channel {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(crate::ids::Channel(u64::decode(buf)?))
-    }
-}
-
-impl Encode for crate::time::Time {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len()
-    }
-}
-
-impl Decode for crate::time::Time {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(crate::time::Time(u64::decode(buf)?))
-    }
+/// Implements [`Encode`] and [`Decode`] for a type from one list of its
+/// fields in wire order: the one place its layout is written.
+///
+/// * `wire_codec!(RbMsg { origin, seq, data })`: a struct is its fields,
+///   in the order listed.
+/// * `wire_codec!(enum Frame { 0 => Req { data }, 1 => Ack(seq), 2 => Nack })`:
+///   an enum is the variant's `u32` tag, then that variant's fields in the
+///   order listed; struct, tuple and unit variants alike. An unknown tag
+///   decodes as [`WireError::BadTag`].
+///
+/// Decoding reads the fields in the order listed, each field's type
+/// inferred from the type's declaration. The invoking crate depends on
+/// `bytes`, as every crate with a wire type does.
+#[macro_export]
+macro_rules! wire_codec {
+    (enum $ty:ident {
+        $($tag:literal => $variant:ident
+            $({ $($field:ident),* $(,)? })? $(( $($pos:ident),* $(,)? ))?),+ $(,)?
+    }) => {
+        impl $crate::wire::Encode for $ty {
+            fn encode(&self, buf: &mut ::bytes::BytesMut) {
+                match self {
+                    $(Self::$variant $({ $($field),* })? $(( $($pos),* ))? => {
+                        $crate::wire::put_uvarint(buf, $tag);
+                        $($($crate::wire::Encode::encode($field, buf);)*)?
+                        $($($crate::wire::Encode::encode($pos, buf);)*)?
+                    })+
+                }
+            }
+            fn encoded_len(&self) -> usize {
+                match self {
+                    $(Self::$variant $({ $($field),* })? $(( $($pos),* ))? => {
+                        $crate::wire::uvarint_len($tag)
+                            $($(+ $crate::wire::Encode::encoded_len($field))*)?
+                            $($(+ $crate::wire::Encode::encoded_len($pos))*)?
+                    })+
+                }
+            }
+        }
+        impl $crate::wire::Decode for $ty {
+            fn decode(buf: &mut ::bytes::Bytes) -> $crate::wire::WireResult<Self> {
+                Ok(match <u32 as $crate::wire::Decode>::decode(buf)? {
+                    $($tag => {
+                        $($(let $field = $crate::wire::Decode::decode(buf)?;)*)?
+                        $($(let $pos = $crate::wire::Decode::decode(buf)?;)*)?
+                        Self::$variant $({ $($field),* })? $(( $($pos),* ))?
+                    })+
+                    t => return Err($crate::wire::WireError::BadTag(t)),
+                })
+            }
+        }
+    };
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::wire::Encode for $ty {
+            fn encode(&self, buf: &mut ::bytes::BytesMut) {
+                $($crate::wire::Encode::encode(&self.$field, buf);)*
+            }
+            fn encoded_len(&self) -> usize {
+                0 $(+ $crate::wire::Encode::encoded_len(&self.$field))*
+            }
+        }
+        impl $crate::wire::Decode for $ty {
+            fn decode(buf: &mut ::bytes::Bytes) -> $crate::wire::WireResult<Self> {
+                Ok(Self { $($field: $crate::wire::Decode::decode(buf)?),* })
+            }
+        }
+    };
 }
 
 /// Encodes its referent behind a forward-written length prefix:
@@ -744,6 +803,13 @@ pub mod testing {
             }
         }
     }
+
+    /// Assert that `value` encodes to exactly `bytes` — the frozen layout
+    /// of its type, written out — and the full [`assert_wire_contract`].
+    pub fn assert_wire_bytes<T: Encode + Decode>(value: &T, bytes: &[u8]) {
+        assert_eq!(to_bytes(value).as_ref(), bytes, "the encoding moved");
+        assert_wire_contract(value);
+    }
 }
 
 #[cfg(test)]
@@ -922,5 +988,40 @@ mod tests {
     fn stack_id_and_time_roundtrip() {
         roundtrip(crate::ids::StackId(5));
         roundtrip(crate::time::Time(123_456_789));
+        roundtrip(crate::time::Dur(987_654_321));
+        assert_eq!(to_bytes(&crate::time::Dur::nanos(300)), to_bytes(&300u64));
+    }
+
+    #[test]
+    fn a_decoded_vec_is_allocated_once_at_its_length() {
+        let ids: Vec<_> = (0..9).map(crate::ids::StackId).collect();
+        let back: Vec<crate::ids::StackId> = from_bytes(&to_bytes(&ids)).expect("decode");
+        assert_eq!(back, ids);
+        assert_eq!(back.capacity(), 9);
+    }
+
+    struct Pair {
+        a: u32,
+        b: String,
+    }
+    crate::wire_codec!(Pair { a, b });
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Named { x: u64, y: Bytes },
+        Tuple(u8, bool),
+        Unit,
+    }
+    crate::wire_codec!(enum Shape { 0 => Named { x, y }, 3 => Tuple(p, q), 7 => Unit });
+
+    #[test]
+    fn wire_codec_writes_fields_in_order_behind_the_tag() {
+        let pair = Pair { a: 300, b: "hi".into() };
+        testing::assert_wire_bytes(&pair, &[0xac, 0x02, 2, b'h', b'i']);
+        let named = Shape::Named { x: 1, y: Bytes::from_static(b"z") };
+        testing::assert_wire_bytes(&named, &[0, 1, 1, b'z']);
+        testing::assert_wire_bytes(&Shape::Tuple(9, true), &[3, 9, 1]);
+        testing::assert_wire_bytes(&Shape::Unit, &[7]);
+        assert_eq!(Shape::from_bytes(&to_bytes(&5u32)), Err(WireError::BadTag(5)));
     }
 }

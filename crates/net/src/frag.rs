@@ -15,7 +15,6 @@
 use crate::dgram::{self, Dgram};
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
-use dpu_core::wire::{Decode, Encode, WireResult};
 use dpu_core::{Call, Channel, Module, Response, ServiceId, StackId};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
@@ -39,34 +38,7 @@ struct Fragment {
     data: Bytes,
 }
 
-impl Encode for Fragment {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.msg_id.encode(buf);
-        self.index.encode(buf);
-        self.count.encode(buf);
-        self.channel.encode(buf);
-        self.data.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.msg_id.encoded_len()
-            + self.index.encoded_len()
-            + self.count.encoded_len()
-            + self.channel.encoded_len()
-            + self.data.encoded_len()
-    }
-}
-
-impl Decode for Fragment {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(Fragment {
-            msg_id: u64::decode(buf)?,
-            index: u32::decode(buf)?,
-            count: u32::decode(buf)?,
-            channel: Channel::decode(buf)?,
-            data: Bytes::decode(buf)?,
-        })
-    }
-}
+dpu_core::wire_codec!(Fragment { msg_id, index, count, channel, data });
 
 struct Slot {
     count: u32,
@@ -218,7 +190,7 @@ mod tests {
     use crate::udp::UdpModule;
     use dpu_core::stack::{FactoryRegistry, Stack, StackConfig};
     use dpu_core::time::{Dur, Time};
-    use dpu_core::wire;
+    use dpu_core::wire::{self, Encode};
     use dpu_core::ModuleId;
     use dpu_sim::{NetConfig, Sim, SimConfig, Topology};
 
@@ -412,5 +384,8 @@ mod tests {
             let frag = Fragment { msg_id: 77, index: 2, count: 9, channel: CH.at(77), data };
             dpu_core::wire::testing::assert_wire_contract(&frag);
         }
+        let (channel, data) = (Channel::new(3, 1), Bytes::from("z"));
+        let frag = Fragment { msg_id: 200, index: 2, count: 9, channel, data };
+        dpu_core::wire::testing::assert_wire_bytes(&frag, &[0xc8, 0x01, 2, 9, 0x13, 1, b'z']);
     }
 }

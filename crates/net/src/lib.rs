@@ -47,8 +47,8 @@ pub const FRAG_UDP_CHANNEL: dpu_core::Channel = dpu_core::Channel::new(2, 0);
 pub mod dgram {
     use bytes::{Bytes, BytesMut};
     use dpu_core::stack::ModuleCtx;
-    use dpu_core::wire::{self, Decode, Encode, WireResult};
-    use dpu_core::wire::{get_length_prefix, put_uvarint, uvarint_len, LenPrefixed};
+    use dpu_core::wire::{self, Decode, Encode};
+    use dpu_core::wire::{put_uvarint, uvarint_len, LenPrefixed};
     use dpu_core::{Channel, Op, Response, ServiceId, StackId};
 
     /// Downward call: send `(dst, channel, data)`.
@@ -75,33 +75,15 @@ pub mod dgram {
         pub data: Bytes,
     }
 
-    impl Encode for Dgram {
-        fn encode(&self, buf: &mut BytesMut) {
-            self.peer.encode(buf);
-            self.channel.encode(buf);
-            self.data.encode(buf);
-        }
-        fn encoded_len(&self) -> usize {
-            self.peer.encoded_len() + self.channel.encoded_len() + self.data.encoded_len()
-        }
-    }
-
-    impl Decode for Dgram {
-        fn decode(buf: &mut Bytes) -> WireResult<Self> {
-            Ok(Dgram {
-                peer: StackId::decode(buf)?,
-                channel: Channel::decode(buf)?,
-                data: Bytes::decode(buf)?,
-            })
-        }
-    }
+    dpu_core::wire_codec!(Dgram { peer, channel, data });
 
     /// Borrowing view of a [`Dgram`] whose payload is a not-yet-encoded
     /// message: encodes byte-identically to
     /// `Dgram { peer, channel, data: body.to_bytes() }` but writes the
     /// nested frame *forward* into one buffer (the body's length prefix
     /// comes from [`Encode::encoded_len`]), so no intermediate buffer is
-    /// built per layer. Every module sends through this, by [`send`].
+    /// built per layer. Every module sends through this, by [`send`]. A
+    /// borrowed view, so its `Encode` is written by hand.
     pub struct DgramRef<'a, B: Encode + ?Sized> {
         /// Destination stack.
         pub peer: StackId,
@@ -135,29 +117,7 @@ pub mod dgram {
         pub data: Bytes,
     }
 
-    impl Encode for DgramMany {
-        fn encode(&self, buf: &mut BytesMut) {
-            self.peers.encode(buf);
-            self.channel.encode(buf);
-            self.data.encode(buf);
-        }
-        fn encoded_len(&self) -> usize {
-            self.peers.encoded_len() + self.channel.encoded_len() + self.data.encoded_len()
-        }
-    }
-
-    impl Decode for DgramMany {
-        fn decode(buf: &mut Bytes) -> WireResult<Self> {
-            // A destination takes at least a byte: a count beyond the input
-            // left fails here, and the list is allocated once, at its size.
-            let count = get_length_prefix(buf)?;
-            let mut peers = Vec::with_capacity(count);
-            for _ in 0..count {
-                peers.push(StackId::decode(buf)?);
-            }
-            Ok(DgramMany { peers, channel: Channel::decode(buf)?, data: Bytes::decode(buf)? })
-        }
-    }
+    dpu_core::wire_codec!(DgramMany { peers, channel, data });
 
     /// Borrowing view of a [`DgramMany`], as [`DgramRef`] is of a
     /// [`Dgram`]: the destinations come from an iterator (walked once to
@@ -165,6 +125,7 @@ pub mod dgram {
     /// filtered slice iterator is) and the body is encoded in place, one
     /// forward pass into one buffer. Byte-identical to
     /// `DgramMany { peers: peers.collect(), channel, data: body.to_bytes() }`.
+    /// A borrowed view, so its `Encode` is written by hand.
     pub(crate) struct DgramManyRef<'a, I, B: Encode + ?Sized> {
         /// Destination stacks, in send order.
         pub peers: I,
@@ -284,6 +245,8 @@ mod tests {
             let d = Dgram { peer: StackId(4), channel: Channel::new(9, 300), data };
             wire::testing::assert_wire_contract(&d);
         }
+        let d = Dgram { peer: StackId(4), channel: Channel::new(9, 2), data: Bytes::from("ab") };
+        wire::testing::assert_wire_bytes(&d, &[4, 0x29, 2, b'a', b'b']);
     }
 
     /// `DgramRef` must be byte-identical to the two-pass encoding it
@@ -405,6 +368,12 @@ mod tests {
         for d in [many(&[], b"x"), many(&[1], b""), many(&[0, 2, 2, u32::MAX], b"abc")] {
             wire::testing::assert_wire_contract(&d);
         }
+        let d = DgramMany {
+            peers: vec![StackId(1), StackId(300)],
+            channel: Channel::new(5, 1),
+            data: Bytes::from("x"),
+        };
+        wire::testing::assert_wire_bytes(&d, &[2, 1, 0xac, 0x02, 0x15, 1, b'x']);
     }
 
     /// `DgramManyRef` must be byte-identical to the `DgramMany` it stands

@@ -74,10 +74,9 @@
 //! `channel` of each [`Dgram`] travels inside the RP2P frame.
 
 use crate::dgram::{self, Dgram, DgramMany};
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::{Dur, Time};
-use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{Call, Channel, InOrder, Module, Response, ServiceId, StackId, TimerId};
 use std::collections::BTreeMap;
 
@@ -128,28 +127,7 @@ impl Default for Rp2pConfig {
     }
 }
 
-impl Encode for Rp2pConfig {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.retransmit.as_nanos().encode(buf);
-        self.lower.encode(buf);
-        self.max_retransmits.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.retransmit.as_nanos().encoded_len()
-            + self.lower.encoded_len()
-            + self.max_retransmits.encoded_len()
-    }
-}
-
-impl Decode for Rp2pConfig {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(Rp2pConfig {
-            retransmit: Dur::nanos(u64::decode(buf)?),
-            lower: String::decode(buf)?,
-            max_retransmits: u64::decode(buf)?,
-        })
-    }
-}
+dpu_core::wire_codec!(Rp2pConfig { retransmit, lower, max_retransmits });
 
 enum Frame {
     /// tag 0: a data frame. `ack` is the cumulative ack for the reverse
@@ -160,50 +138,7 @@ enum Frame {
     Ack { cum: u64 },
 }
 
-impl Encode for Frame {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Frame::Data { seq, ack, channel, data } => {
-                0u32.encode(buf);
-                seq.encode(buf);
-                ack.encode(buf);
-                channel.encode(buf);
-                data.encode(buf);
-            }
-            Frame::Ack { cum } => {
-                1u32.encode(buf);
-                cum.encode(buf);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self {
-            Frame::Data { seq, ack, channel, data } => {
-                0u32.encoded_len()
-                    + seq.encoded_len()
-                    + ack.encoded_len()
-                    + channel.encoded_len()
-                    + data.encoded_len()
-            }
-            Frame::Ack { cum } => 1u32.encoded_len() + cum.encoded_len(),
-        }
-    }
-}
-
-impl Decode for Frame {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        match u32::decode(buf)? {
-            0 => Ok(Frame::Data {
-                seq: u64::decode(buf)?,
-                ack: u64::decode(buf)?,
-                channel: Channel::decode(buf)?,
-                data: Bytes::decode(buf)?,
-            }),
-            1 => Ok(Frame::Ack { cum: u64::decode(buf)? }),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
+dpu_core::wire_codec!(enum Frame { 0 => Data { seq, ack, channel, data }, 1 => Ack { cum } });
 
 /// A sent-but-unacknowledged data frame, with its retransmit count and
 /// the time it last went out.
@@ -977,6 +912,16 @@ mod tests {
             lower: "udp".into(),
             max_retransmits: 3,
         });
+        use dpu_core::wire::testing::assert_wire_bytes;
+        let (channel, data) = (Channel::new(1, 0), Bytes::from("xy"));
+        assert_wire_bytes(
+            &Frame::Data { seq: 9, ack: 1, channel, data },
+            &[0, 9, 1, 1, 2, b'x', b'y'],
+        );
+        assert_wire_bytes(&Frame::Ack { cum: 5 }, &[1, 5]);
+        let config =
+            Rp2pConfig { retransmit: Dur::nanos(300), lower: "udp".into(), max_retransmits: 3 };
+        assert_wire_bytes(&config, &[0xac, 0x02, 3, b'u', b'd', b'p', 3]);
     }
 
     #[test]

@@ -26,7 +26,9 @@ use dpu_core::StackId;
 /// port range before any length field is trusted.
 pub(crate) const MAGIC: u32 = 0x4450_5530;
 
-/// The envelope of one datagram between two reactor-hosted stacks.
+/// The envelope of one datagram between two reactor-hosted stacks. Its
+/// codec is written by hand: a magic prefix comes first, and decoding
+/// checks it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SockFrame {
     /// Sending stack.
@@ -103,7 +105,8 @@ impl FrameCodec {
     pub fn encode(&mut self, src: StackId, dst: StackId, payload: &Bytes) -> Bytes {
         self.stats.encoded += 1;
         // Borrowing mirror of `SockFrame` so the payload is written
-        // forward without constructing an owning envelope first.
+        // forward without constructing an owning envelope first (a
+        // borrowed view, so its `Encode` is written by hand).
         struct Out<'a>(StackId, StackId, &'a Bytes);
         impl Encode for Out<'_> {
             fn encode(&self, buf: &mut BytesMut) {

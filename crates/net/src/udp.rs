@@ -64,7 +64,8 @@ fn channel_of(frame: &Bytes) -> Option<Channel> {
 }
 
 /// A received [`dgram::Dgram`], written in one pass: the source followed
-/// by the frame's bytes exactly as they arrived.
+/// by the frame's bytes exactly as they arrived. A borrowed view that
+/// writes a window forward, so its `Encode` is written by hand.
 struct Arrived<'a> {
     src: StackId,
     frame: &'a [u8],

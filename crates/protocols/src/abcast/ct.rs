@@ -30,9 +30,9 @@
 use super::{ops, MsgKey};
 use crate::channels;
 use crate::consensus::{self, ops as cons_ops};
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use dpu_core::stack::ModuleCtx;
-use dpu_core::wire::{Decode, Encode, LenPrefixed, WireResult};
+use dpu_core::wire::LenPrefixed;
 use dpu_core::{
     Call, Channel, InOrder, IntervalSet, Module, Response, ServiceId, StackId, TransportStats,
 };
@@ -75,31 +75,7 @@ impl Default for CtAbcastParams {
     }
 }
 
-impl Encode for CtAbcastParams {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.namespace.encode(buf);
-        self.service.encode(buf);
-        self.consensus.encode(buf);
-        self.batch_delay.as_nanos().encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.namespace.encoded_len()
-            + self.service.encoded_len()
-            + self.consensus.encoded_len()
-            + self.batch_delay.as_nanos().encoded_len()
-    }
-}
-
-impl Decode for CtAbcastParams {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(CtAbcastParams {
-            namespace: u64::decode(buf)?,
-            service: String::decode(buf)?,
-            consensus: String::decode(buf)?,
-            batch_delay: dpu_core::time::Dur::nanos(u64::decode(buf)?),
-        })
-    }
-}
+dpu_core::wire_codec!(CtAbcastParams { namespace, service, consensus, batch_delay });
 
 /// Gossip frame: `(origin, seq, payload)`.
 struct Gossip {
@@ -107,20 +83,7 @@ struct Gossip {
     data: Bytes,
 }
 
-impl Encode for Gossip {
-    fn encode(&self, buf: &mut BytesMut) {
-        (&self.key, &self.data).encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        (&self.key, &self.data).encoded_len()
-    }
-}
-
-impl Decode for Gossip {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(Gossip { key: MsgKey::decode(buf)?, data: Bytes::decode(buf)? })
-    }
-}
+dpu_core::wire_codec!(Gossip { key, data });
 
 type Batch = Vec<(StackId, u64, Bytes)>;
 
@@ -358,6 +321,16 @@ mod tests {
             data: Bytes::from_static(b"payload"),
         });
         assert_wire_contract(&CtAbcastParams::default());
+        use dpu_core::wire::testing::assert_wire_bytes;
+        let gossip = Gossip { key: (StackId(1), 99), data: Bytes::from("g") };
+        assert_wire_bytes(&gossip, &[1, 99, 1, b'g']);
+        let params = CtAbcastParams {
+            namespace: 2,
+            service: "a".into(),
+            consensus: "c".into(),
+            batch_delay: Dur::nanos(300),
+        };
+        assert_wire_bytes(&params, &[2, 1, b'a', 1, b'c', 0xac, 0x02]);
     }
 
     #[test]

@@ -56,10 +56,9 @@
 
 use super::{ops, MsgKey};
 use crate::channels;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Dur;
-use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{
     Call, Channel, InOrder, IntervalSet, Module, Response, ServiceId, StackId, TimerId,
 };
@@ -90,21 +89,7 @@ impl Default for HierAbcastParams {
     }
 }
 
-impl Encode for HierAbcastParams {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.namespace.encode(buf);
-        self.resend.as_nanos().encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.namespace.encoded_len() + self.resend.as_nanos().encoded_len()
-    }
-}
-
-impl Decode for HierAbcastParams {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(HierAbcastParams { namespace: u64::decode(buf)?, resend: Dur::nanos(u64::decode(buf)?) })
-    }
-}
+dpu_core::wire_codec!(HierAbcastParams { namespace, resend });
 
 enum Frame {
     /// tag 0: member → its cluster's (believed) local sequencer.
@@ -122,57 +107,13 @@ enum Frame {
     Claim { cluster: u32, from: StackId },
 }
 
-impl Encode for Frame {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Frame::Req { key, data } => (0u32, key, data).encode(buf),
-            Frame::Fwd { cluster, k, from, key, data } => {
-                (1u32, cluster, k, from, (key, data)).encode(buf)
-            }
-            Frame::Commit { g, key, data } => (2u32, g, key, data).encode(buf),
-            Frame::Rly { g, key, data } => (3u32, g, key, data).encode(buf),
-            Frame::Claim { cluster, from } => (4u32, cluster, from).encode(buf),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self {
-            Frame::Req { key, data } => (0u32, key, data).encoded_len(),
-            Frame::Fwd { cluster, k, from, key, data } => {
-                (1u32, cluster, k, from, (key, data)).encoded_len()
-            }
-            Frame::Commit { g, key, data } => (2u32, g, key, data).encoded_len(),
-            Frame::Rly { g, key, data } => (3u32, g, key, data).encoded_len(),
-            Frame::Claim { cluster, from } => (4u32, cluster, from).encoded_len(),
-        }
-    }
-}
-
-impl Decode for Frame {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(match u32::decode(buf)? {
-            0 => Frame::Req { key: MsgKey::decode(buf)?, data: Bytes::decode(buf)? },
-            1 => Frame::Fwd {
-                cluster: u32::decode(buf)?,
-                k: u64::decode(buf)?,
-                from: StackId::decode(buf)?,
-                key: MsgKey::decode(buf)?,
-                data: Bytes::decode(buf)?,
-            },
-            2 => Frame::Commit {
-                g: u64::decode(buf)?,
-                key: MsgKey::decode(buf)?,
-                data: Bytes::decode(buf)?,
-            },
-            3 => Frame::Rly {
-                g: u64::decode(buf)?,
-                key: MsgKey::decode(buf)?,
-                data: Bytes::decode(buf)?,
-            },
-            4 => Frame::Claim { cluster: u32::decode(buf)?, from: StackId::decode(buf)? },
-            t => return Err(WireError::BadTag(t)),
-        })
-    }
-}
+dpu_core::wire_codec!(enum Frame {
+    0 => Req { key, data },
+    1 => Fwd { cluster, k, from, key, data },
+    2 => Commit { g, key, data },
+    3 => Rly { g, key, data },
+    4 => Claim { cluster, from },
+});
 
 /// The cluster layout as this stack sees it. It depends only on the peer
 /// table and the cluster size, both fixed for a stack's life, so a module
@@ -509,6 +450,19 @@ mod tests {
             assert_wire_contract(frame);
         }
         assert_wire_contract(&HierAbcastParams::default());
+        use dpu_core::wire::testing::assert_wire_bytes;
+        let pinned: [&[u8]; 5] = [
+            &[0, 3, 77, 1, b'm'],
+            &[1, 2, 9, 6, 3, 77, 1, b'f'],
+            &[2, 4, 3, 77, 1, b'c'],
+            &[3, 5, 3, 77, 1, b'r'],
+            &[4, 1, 4],
+        ];
+        for (frame, bytes) in frames.iter().zip(pinned) {
+            assert_wire_bytes(frame, bytes);
+        }
+        let params = HierAbcastParams { namespace: 1, resend: Dur::nanos(300) };
+        assert_wire_bytes(&params, &[1, 0xac, 0x02]);
     }
 
     #[test]

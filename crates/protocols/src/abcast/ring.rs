@@ -15,10 +15,9 @@
 
 use super::ops;
 use crate::channels;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Dur;
-use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{Call, Channel, InOrder, Module, Response, ServiceId, StackId, TimerId};
 use dpu_net::dgram;
 use std::collections::VecDeque;
@@ -41,20 +40,7 @@ pub struct RingAbcastParams {
     pub namespace: u64,
 }
 
-impl Encode for RingAbcastParams {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.namespace.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.namespace.encoded_len()
-    }
-}
-
-impl Decode for RingAbcastParams {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(RingAbcastParams { namespace: u64::decode(buf)? })
-    }
-}
+dpu_core::wire_codec!(RingAbcastParams { namespace });
 
 enum Frame {
     /// tag 0: the token, carrying the next sequence number to assign.
@@ -63,30 +49,7 @@ enum Frame {
     Order { seq: u64, data: Bytes },
 }
 
-impl Encode for Frame {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Frame::Token { next_seq } => (0u32, next_seq).encode(buf),
-            Frame::Order { seq, data } => (1u32, seq, data).encode(buf),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self {
-            Frame::Token { next_seq } => (0u32, next_seq).encoded_len(),
-            Frame::Order { seq, data } => (1u32, seq, data).encoded_len(),
-        }
-    }
-}
-
-impl Decode for Frame {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        match u32::decode(buf)? {
-            0 => Ok(Frame::Token { next_seq: u64::decode(buf)? }),
-            1 => Ok(Frame::Order { seq: u64::decode(buf)?, data: Bytes::decode(buf)? }),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
+dpu_core::wire_codec!(enum Frame { 0 => Token { next_seq }, 1 => Order { seq, data } });
 
 /// The token-ring atomic broadcast module. See module docs.
 pub struct RingAbcastModule {
@@ -246,6 +209,13 @@ mod tests {
         assert_wire_contract(&Frame::Token { next_seq: 11 });
         assert_wire_contract(&Frame::Order { seq: 8, data: Bytes::from_static(b"oo") });
         assert_wire_contract(&RingAbcastParams::default());
+        use dpu_core::wire::testing::assert_wire_bytes;
+        assert_wire_bytes(&Frame::Token { next_seq: 11 }, &[0, 11]);
+        assert_wire_bytes(
+            &Frame::Order { seq: 8, data: Bytes::from("oo") },
+            &[1, 8, 2, b'o', b'o'],
+        );
+        assert_wire_bytes(&RingAbcastParams { namespace: 200 }, &[0xc8, 0x01]);
     }
 
     #[test]

@@ -13,9 +13,8 @@
 
 use super::ops;
 use crate::channels;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use dpu_core::stack::ModuleCtx;
-use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{Call, Channel, InOrder, Module, Response, ServiceId, StackId};
 use dpu_net::dgram;
 
@@ -38,21 +37,7 @@ impl Default for SeqAbcastParams {
     }
 }
 
-impl Encode for SeqAbcastParams {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.namespace.encode(buf);
-        self.service.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.namespace.encoded_len() + self.service.encoded_len()
-    }
-}
-
-impl Decode for SeqAbcastParams {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(SeqAbcastParams { namespace: u64::decode(buf)?, service: String::decode(buf)? })
-    }
-}
+dpu_core::wire_codec!(SeqAbcastParams { namespace, service });
 
 enum Frame {
     /// tag 0: a broadcast request sent to the sequencer.
@@ -61,30 +46,7 @@ enum Frame {
     Order { seq: u64, data: Bytes },
 }
 
-impl Encode for Frame {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Frame::Req { data } => (0u32, data).encode(buf),
-            Frame::Order { seq, data } => (1u32, seq, data).encode(buf),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self {
-            Frame::Req { data } => (0u32, data).encoded_len(),
-            Frame::Order { seq, data } => (1u32, seq, data).encoded_len(),
-        }
-    }
-}
-
-impl Decode for Frame {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        match u32::decode(buf)? {
-            0 => Ok(Frame::Req { data: Bytes::decode(buf)? }),
-            1 => Ok(Frame::Order { seq: u64::decode(buf)?, data: Bytes::decode(buf)? }),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
+dpu_core::wire_codec!(enum Frame { 0 => Req { data }, 1 => Order { seq, data } });
 
 /// The fixed-sequencer atomic broadcast module. See module docs.
 pub struct SeqAbcastModule {
@@ -205,6 +167,14 @@ mod tests {
         assert_wire_contract(&Frame::Req { data: Bytes::from_static(b"m") });
         assert_wire_contract(&Frame::Order { seq: 8, data: Bytes::from_static(b"oo") });
         assert_wire_contract(&SeqAbcastParams::default());
+        use dpu_core::wire::testing::assert_wire_bytes;
+        assert_wire_bytes(&Frame::Req { data: Bytes::from("m") }, &[0, 1, b'm']);
+        assert_wire_bytes(
+            &Frame::Order { seq: 8, data: Bytes::from("oo") },
+            &[1, 8, 2, b'o', b'o'],
+        );
+        let params = SeqAbcastParams { namespace: 5, service: "s".into() };
+        assert_wire_bytes(&params, &[5, 1, b's']);
     }
 
     #[test]

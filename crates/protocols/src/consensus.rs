@@ -123,9 +123,8 @@
 //! ref \[16\]).
 
 use crate::channels;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use dpu_core::stack::ModuleCtx;
-use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{
     Call, Channel, HeardSet, IntervalSet, Module, Response, ServiceId, StackId, TransportStats,
 };
@@ -195,21 +194,7 @@ impl Default for ConsensusParams {
     }
 }
 
-impl Encode for ConsensusParams {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.service.encode(buf);
-        self.incarnation.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.service.encoded_len() + self.incarnation.encoded_len()
-    }
-}
-
-impl Decode for ConsensusParams {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(ConsensusParams { service: String::decode(buf)?, incarnation: u64::decode(buf)? })
-    }
-}
+dpu_core::wire_codec!(ConsensusParams { service, incarnation });
 
 enum Body {
     Estimate { est: Bytes, ts: u64 },
@@ -226,57 +211,14 @@ struct WireMsg {
     body: Body,
 }
 
-impl Encode for WireMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.ns.encode(buf);
-        self.k.encode(buf);
-        self.round.encode(buf);
-        match &self.body {
-            Body::Estimate { est, ts } => {
-                0u32.encode(buf);
-                est.encode(buf);
-                ts.encode(buf);
-            }
-            Body::Proposal { v } => {
-                1u32.encode(buf);
-                v.encode(buf);
-            }
-            Body::Ack => 2u32.encode(buf),
-            Body::Nack => 3u32.encode(buf),
-            Body::Decide { v } => {
-                4u32.encode(buf);
-                v.encode(buf);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        let head = self.ns.encoded_len() + self.k.encoded_len() + self.round.encoded_len();
-        head + match &self.body {
-            Body::Estimate { est, ts } => 0u32.encoded_len() + est.encoded_len() + ts.encoded_len(),
-            Body::Proposal { v } => 1u32.encoded_len() + v.encoded_len(),
-            Body::Ack => 2u32.encoded_len(),
-            Body::Nack => 3u32.encoded_len(),
-            Body::Decide { v } => 4u32.encoded_len() + v.encoded_len(),
-        }
-    }
-}
-
-impl Decode for WireMsg {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        let ns = u64::decode(buf)?;
-        let k = u64::decode(buf)?;
-        let round = u64::decode(buf)?;
-        let body = match u32::decode(buf)? {
-            0 => Body::Estimate { est: Bytes::decode(buf)?, ts: u64::decode(buf)? },
-            1 => Body::Proposal { v: Bytes::decode(buf)? },
-            2 => Body::Ack,
-            3 => Body::Nack,
-            4 => Body::Decide { v: Bytes::decode(buf)? },
-            t => return Err(WireError::BadTag(t)),
-        };
-        Ok(WireMsg { ns, k, round, body })
-    }
-}
+dpu_core::wire_codec!(enum Body {
+    0 => Estimate { est, ts },
+    1 => Proposal { v },
+    2 => Ack,
+    3 => Nack,
+    4 => Decide { v },
+});
+dpu_core::wire_codec!(WireMsg { ns, k, round, body });
 
 /// An instance this process has not decided yet.
 #[derive(Default)]
@@ -1100,6 +1042,19 @@ mod tests {
             assert_wire_contract(&WireMsg { ns: 1, k: 2, round: 3, body });
         }
         assert_wire_contract(&ConsensusParams { service: "c2".into(), incarnation: 9 });
+        use dpu_core::wire::testing::assert_wire_bytes;
+        let pinned: [(Body, &[u8]); 5] = [
+            (Body::Estimate { est: Bytes::from("e"), ts: 4 }, &[1, 2, 3, 0, 1, b'e', 4]),
+            (Body::Proposal { v: Bytes::from("p") }, &[1, 2, 3, 1, 1, b'p']),
+            (Body::Ack, &[1, 2, 3, 2]),
+            (Body::Nack, &[1, 2, 3, 3]),
+            (Body::Decide { v: Bytes::new() }, &[1, 2, 3, 4, 0]),
+        ];
+        for (body, bytes) in pinned {
+            assert_wire_bytes(&WireMsg { ns: 1, k: 2, round: 3, body }, bytes);
+        }
+        let params = ConsensusParams { service: "c2".into(), incarnation: 9 };
+        assert_wire_bytes(&params, &[2, b'c', b'2', 9]);
     }
 
     #[test]

@@ -20,9 +20,7 @@
 //! * response `ops::VIEW` — the newly installed [`View`].
 
 use crate::abcast::ops as ab_ops;
-use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
-use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{Call, Module, Response, ServiceId, StackId};
 
 /// Module kind name, for factory registration.
@@ -50,36 +48,7 @@ pub enum GmOp {
     Leave(StackId),
 }
 
-impl Encode for GmOp {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            GmOp::Join(s) => {
-                0u32.encode(buf);
-                s.encode(buf);
-            }
-            GmOp::Leave(s) => {
-                1u32.encode(buf);
-                s.encode(buf);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self {
-            GmOp::Join(s) => 0u32.encoded_len() + s.encoded_len(),
-            GmOp::Leave(s) => 1u32.encoded_len() + s.encoded_len(),
-        }
-    }
-}
-
-impl Decode for GmOp {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        match u32::decode(buf)? {
-            0 => Ok(GmOp::Join(StackId::decode(buf)?)),
-            1 => Ok(GmOp::Leave(StackId::decode(buf)?)),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
+dpu_core::wire_codec!(enum GmOp { 0 => Join(id), 1 => Leave(id) });
 
 /// A membership view: a numbered composition of the group.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -90,21 +59,7 @@ pub struct View {
     pub members: Vec<StackId>,
 }
 
-impl Encode for View {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.id.encode(buf);
-        self.members.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len() + self.members.encoded_len()
-    }
-}
-
-impl Decode for View {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(View { id: u64::decode(buf)?, members: Vec::<StackId>::decode(buf)? })
-    }
-}
+dpu_core::wire_codec!(View { id, members });
 
 /// Factory parameters of the group membership module. The module
 /// provides [`crate::GM_SVC`].
@@ -126,21 +81,7 @@ impl Default for GmParams {
     }
 }
 
-impl Encode for GmParams {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.abcast.encode(buf);
-        self.auto_exclude.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.abcast.encoded_len() + self.auto_exclude.encoded_len()
-    }
-}
-
-impl Decode for GmParams {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(GmParams { abcast: String::decode(buf)?, auto_exclude: bool::decode(buf)? })
-    }
-}
+dpu_core::wire_codec!(GmParams { abcast, auto_exclude });
 
 /// The group membership module. See module docs.
 pub struct GmModule {
@@ -303,6 +244,12 @@ mod tests {
         assert_wire_contract(&GmOp::Leave(StackId(0)));
         assert_wire_contract(&View { id: 3, members: vec![StackId(0), StackId(2)] });
         assert_wire_contract(&GmParams::default());
+        use dpu_core::wire::testing::assert_wire_bytes;
+        assert_wire_bytes(&GmOp::Join(StackId(4)), &[0, 4]);
+        assert_wire_bytes(&GmOp::Leave(StackId(0)), &[1, 0]);
+        assert_wire_bytes(&View { id: 3, members: vec![StackId(0), StackId(2)] }, &[3, 2, 0, 2]);
+        let params = GmParams { abcast: "ab".into(), auto_exclude: true };
+        assert_wire_bytes(&params, &[2, b'a', b'b', 1]);
     }
 
     #[test]

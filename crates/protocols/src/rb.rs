@@ -24,9 +24,8 @@
 //! * response [`ops::DELIVER`] — `(origin, payload)` delivered.
 
 use crate::channels;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use dpu_core::stack::ModuleCtx;
-use dpu_core::wire::{Decode, Encode, WireResult};
 use dpu_core::{Call, Channel, IntervalSet, Module, Response, ServiceId, StackId};
 use dpu_net::dgram;
 
@@ -48,26 +47,7 @@ struct RbMsg {
     data: Bytes,
 }
 
-impl Encode for RbMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.origin.encode(buf);
-        self.seq.encode(buf);
-        self.data.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.origin.encoded_len() + self.seq.encoded_len() + self.data.encoded_len()
-    }
-}
-
-impl Decode for RbMsg {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(RbMsg {
-            origin: StackId::decode(buf)?,
-            seq: u64::decode(buf)?,
-            data: Bytes::decode(buf)?,
-        })
-    }
-}
+dpu_core::wire_codec!(RbMsg { origin, seq, data });
 
 /// The reliable broadcast module. See module docs.
 pub struct RbModule {
@@ -236,6 +216,8 @@ mod tests {
             seq: 5,
             data: Bytes::from_static(b"payload"),
         });
+        let msg = RbMsg { origin: StackId(2), seq: 5, data: Bytes::from("pl") };
+        dpu_core::wire::testing::assert_wire_bytes(&msg, &[2, 5, 2, b'p', b'l']);
     }
 
     #[test]

@@ -76,10 +76,9 @@
 
 use crate::layer::{self, Indirection};
 use crate::CHANGE_OP;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::Time;
-use dpu_core::wire::{Decode, Encode, WireError, WireResult};
 use dpu_core::{Call, HeardSet, Module, ModuleId, ModuleSpec, Response, ServiceId, StackId};
 use dpu_protocols::abcast::ops as ab_ops;
 use std::collections::BTreeMap;
@@ -101,20 +100,7 @@ impl Default for ReplParams {
     }
 }
 
-impl Encode for ReplParams {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.service.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.service.encoded_len()
-    }
-}
-
-impl Decode for ReplParams {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(ReplParams { service: String::decode(buf)? })
-    }
-}
+dpu_core::wire_codec!(ReplParams { service });
 
 /// What the replacement layer hands to the underlying atomic broadcast:
 /// either an ordinary message (tag `nil` in the paper) or a replacement
@@ -127,54 +113,7 @@ pub(crate) enum ReplPayload {
     NewAbcast { sn: u64, spec: ModuleSpec },
 }
 
-impl Encode for ReplPayload {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            ReplPayload::Nil { sn, id, data } => {
-                0u32.encode(buf);
-                sn.encode(buf);
-                id.0.encode(buf);
-                id.1.encode(buf);
-                data.encode(buf);
-            }
-            ReplPayload::NewAbcast { sn, spec } => {
-                1u32.encode(buf);
-                sn.encode(buf);
-                spec.encode(buf);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self {
-            ReplPayload::Nil { sn, id, data } => {
-                0u32.encoded_len()
-                    + sn.encoded_len()
-                    + id.0.encoded_len()
-                    + id.1.encoded_len()
-                    + data.encoded_len()
-            }
-            ReplPayload::NewAbcast { sn, spec } => {
-                1u32.encoded_len() + sn.encoded_len() + spec.encoded_len()
-            }
-        }
-    }
-}
-
-impl Decode for ReplPayload {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        match u32::decode(buf)? {
-            0 => Ok(ReplPayload::Nil {
-                sn: u64::decode(buf)?,
-                id: (StackId::decode(buf)?, u64::decode(buf)?),
-                data: Bytes::decode(buf)?,
-            }),
-            1 => {
-                Ok(ReplPayload::NewAbcast { sn: u64::decode(buf)?, spec: ModuleSpec::decode(buf)? })
-            }
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
+dpu_core::wire_codec!(enum ReplPayload { 0 => Nil { sn, id, data }, 1 => NewAbcast { sn, spec } });
 
 /// Algorithm 1's variables and the lines that [`ReplAbcastModule`] and
 /// the [`crate::ablation`] variants run alike; the `sn` guards of lines
@@ -429,6 +368,12 @@ mod tests {
             data: Bytes::from_static(b"m"),
         });
         assert_wire_contract(&ReplPayload::NewAbcast { sn: 2, spec: ModuleSpec::new("abcast.ct") });
+        use dpu_core::wire::testing::assert_wire_bytes;
+        assert_wire_bytes(&ReplParams { service: "ab".into() }, &[2, b'a', b'b']);
+        let nil = ReplPayload::Nil { sn: 1, id: (StackId(0), 7), data: Bytes::from("m") };
+        assert_wire_bytes(&nil, &[0, 1, 0, 7, 1, b'm']);
+        let spec = ModuleSpec::with_params("k", &7u64);
+        assert_wire_bytes(&ReplPayload::NewAbcast { sn: 2, spec }, &[1, 2, 1, b'k', 1, 7]);
     }
 
     #[test]

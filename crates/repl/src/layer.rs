@@ -27,7 +27,7 @@ use crate::CHANGE_OP;
 use bytes::{Bytes, BytesMut};
 use dpu_core::stack::ModuleCtx;
 use dpu_core::time::{Dur, Time};
-use dpu_core::wire::{Decode, Encode, WireError, WireResult};
+use dpu_core::wire::{Decode, Encode, WireResult};
 use dpu_core::{Call, Channel, HeardSet, ModuleSpec, Response, ServiceId, StackId};
 use dpu_net::dgram;
 use dpu_protocols::abcast::ops as ab_ops;
@@ -132,42 +132,11 @@ pub(crate) enum Envelope {
     Marker { epoch: u64, from: StackId },
 }
 
-impl Encode for Envelope {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Envelope::Data { data } => {
-                0u32.encode(buf);
-                data.encode(buf);
-            }
-            Envelope::Marker { epoch, from } => {
-                1u32.encode(buf);
-                epoch.encode(buf);
-                from.encode(buf);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self {
-            Envelope::Data { data } => 0u32.encoded_len() + data.encoded_len(),
-            Envelope::Marker { epoch, from } => {
-                1u32.encoded_len() + epoch.encoded_len() + from.encoded_len()
-            }
-        }
-    }
-}
-
-impl Decode for Envelope {
-    fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        match u32::decode(buf)? {
-            0 => Ok(Envelope::Data { data: Bytes::decode(buf)? }),
-            1 => Ok(Envelope::Marker { epoch: u64::decode(buf)?, from: StackId::decode(buf)? }),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
+dpu_core::wire_codec!(enum Envelope { 0 => Data { data }, 1 => Marker { epoch, from } });
 
 /// Point-to-point coordination messages of a [`Coordinated`] switch, on
-/// the layer's own rp2p channel. Rounds count from 1.
+/// the layer's own rp2p channel. Rounds count from 1. Its codec is
+/// written by hand: the round is not a field but computed from the tag.
 pub(crate) enum Coord {
     /// tag 0: open switch `epoch` (the initiator, now coordinator, to
     /// everyone).

@@ -15,14 +15,20 @@
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
+
+/// The backing buffer every empty [`Bytes`] shares, so making one is a
+/// reference-count bump, not an allocation. This static keeps a handle of
+/// its own: an empty `Bytes` is never unique, like the real crate's
+/// static ones.
+static EMPTY: LazyLock<Arc<Vec<u8>>> = LazyLock::new(|| Arc::new(Vec::new()));
 
 /// A cheaply cloneable, immutable, contiguous slice of memory.
 ///
 /// Internally an `Arc<Vec<u8>>` plus a `[start, end)` window, so `clone`,
 /// [`Bytes::slice`] and [`Bytes::split_to`] are O(1) and share storage,
 /// and [`BytesMut::freeze`] moves the buffer instead of copying it.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Bytes {
     data: Arc<Vec<u8>>,
     start: usize,
@@ -30,9 +36,9 @@ pub struct Bytes {
 }
 
 impl Bytes {
-    /// Creates a new empty `Bytes`.
+    /// Creates a new empty `Bytes`, sharing the one empty buffer.
     pub fn new() -> Bytes {
-        Bytes::from_vec(Vec::new())
+        Bytes { data: Arc::clone(&EMPTY), start: 0, end: 0 }
     }
 
     /// Creates a `Bytes` from a static slice (copied once here; the real
@@ -125,6 +131,12 @@ impl Bytes {
     #[inline]
     fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
+    }
+}
+
+impl Default for Bytes {
+    fn default() -> Bytes {
+        Bytes::new()
     }
 }
 
@@ -636,6 +648,14 @@ mod tests {
         drop(head); // b is now the unique owner, viewing 2..6
         let m = BytesMut::try_from(b).unwrap();
         assert_eq!(m.as_ref(), &[2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn empty_bytes_share_one_buffer_and_are_never_unique() {
+        let (a, b) = (Bytes::new(), Bytes::default());
+        assert!(Arc::ptr_eq(&a.data, &b.data), "two empty Bytes have storage of their own");
+        assert!(a.is_empty() && !a.is_unique());
+        assert!(BytesMut::try_from(a).is_err());
     }
 
     #[test]
