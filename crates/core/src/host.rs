@@ -54,7 +54,6 @@ pub use live::{dump_flight, Ctl, Host, LiveShard, LossModel, ReportFold, ShardPo
 use crate::ids::StackId;
 use crate::stack::{ShardDispatch, Stack, StepInfo};
 use crate::time::Time;
-use crate::trace::Tail;
 use crate::wire::{ScratchStats, WireScratch};
 use bytes::Bytes;
 use dpu_telemetry::ShardTelemetry;
@@ -314,10 +313,11 @@ pub(crate) const MAX_POLL_ROUNDS: usize = 64;
 pub(crate) const MAX_POLL_STEPS: usize = 100_000;
 
 /// What a host shard lends whichever stack it is driving: the
-/// encode-buffer pool, the dispatch buffers, the telemetry set and the
-/// trace's tail of recent calls — one of each per shard instead of one
-/// per stack, so retained capacity, event-rate samples and a traced
-/// run's tail scale with shards. The simulator's shards and
+/// encode-buffer pool, the dispatch buffers and the telemetry set — one
+/// of each per shard instead of one per stack, so retained capacity and
+/// event-rate samples scale with shards. A stack's trace is not lent: it
+/// keeps its structural entries, and its calls and responses live on
+/// only in its digest and its tally. The simulator's shards and
 /// [`LiveShard`] each hold one and reach a stack only through
 /// [`ShardPools::lend`]. The pool, the dispatch queue and the telemetry
 /// set are boxed, each allocated by the first loan that needs it, and
@@ -328,7 +328,6 @@ pub struct ShardPools {
     scratch: Option<Box<WireScratch>>,
     dispatch: ShardDispatch,
     telemetry: ShardTelemetry,
-    trace: Tail,
 }
 
 impl ShardPools {
@@ -343,17 +342,6 @@ impl ShardPools {
         loan
     }
 
-    /// Hand each of `stacks` — every stack this shard lends to — the
-    /// calls and responses it pushed that the shard's trace tail still
-    /// holds, and empty the tail: each stack's trace is then its own
-    /// again, to read or take, and its
-    /// [`dropped`](crate::TraceLog::dropped) counts only what it lost.
-    /// A host does this before it reads its stacks' traces.
-    pub fn hand_back_trace<'a>(&mut self, stacks: impl IntoIterator<Item = &'a mut Stack>) {
-        let stacks = stacks.into_iter().map(|stack| (stack.id(), stack.trace_mut()));
-        self.trace.hand_back(stacks);
-    }
-
     /// The scratch pool's counters (zero while it is lent out).
     pub(crate) fn wire_stats(&self) -> ScratchStats {
         self.scratch.as_ref().map_or(ScratchStats::default(), |s| s.stats())
@@ -362,15 +350,13 @@ impl ShardPools {
 
 /// The shard loan, the one way a host lends its [`ShardPools`]: while
 /// it lives, the driver's stack encodes into the shard's pool, records
-/// into the shard's telemetry set, pushes its calls and responses
-/// through the shard's trace tail, and dispatches through the shard's
+/// into the shard's telemetry set, and dispatches through the shard's
 /// buffers unless it still holds a queue of its own. Dropping it hands
-/// the pool, the set, the tail and the action buffer back, and with them
-/// the dispatch box if the stack no longer needs it — on return, early
-/// return and unwind alike, so a loan cannot leak pool capacity, a
-/// histogram or a tail into a stack, and a stack without work holds no
-/// scratch, no dispatch box and no telemetry set. Dereferences to the
-/// driver.
+/// the pool, the set and the action buffer back, and with them the
+/// dispatch box if the stack no longer needs it — on return, early
+/// return and unwind alike, so a loan cannot leak pool capacity or a
+/// histogram into a stack, and a stack without work holds no scratch,
+/// no dispatch box and no telemetry set. Dereferences to the driver.
 pub struct Loan<'a> {
     driver: &'a mut StackDriver,
     pools: &'a mut ShardPools,
@@ -378,12 +364,11 @@ pub struct Loan<'a> {
 
 impl Loan<'_> {
     /// The symmetric part, both ways: the pool is one pointer swap, the
-    /// telemetry two, the tail a swap of its handles.
+    /// telemetry two.
     fn swap(&mut self) {
         let stack = &mut self.driver.stack;
         stack.swap_scratch(&mut self.pools.scratch);
         stack.telemetry_mut().swap_set(&mut self.pools.telemetry);
-        stack.swap_tail(&mut self.pools.trace);
     }
 }
 
@@ -658,47 +643,28 @@ mod tests {
     }
 
     #[test]
-    fn traced_stacks_of_one_shard_push_their_calls_through_its_one_tail() {
-        use crate::trace::{TraceEvent, TAIL};
+    fn a_traced_stack_under_a_loan_keeps_no_calls_and_tallies_every_one() {
         let mut pools = ShardPools::default();
-        let mut drivers = [0, 1].map(|id| cycle_driver(StackConfig::nth(id, 2, 1)));
-        let built = drivers.each_ref().map(|d| d.stack().trace().mem_bytes());
-        for round in 0..2 {
-            for d in &mut drivers {
-                let mut loan = pools.lend(d);
-                for _ in 0..=TAIL {
-                    loan.step_raw(Time(round)).expect("the cycle never ends");
-                    loan.settle(Time(round), &mut NullSink);
-                }
+        let mut driver = cycle_driver(StackConfig::nth(0, 1, 1));
+        let mut steps = |driver: &mut StackDriver, n| {
+            let mut loan = pools.lend(driver);
+            for _ in 0..n {
+                loan.step_raw(Time(0)).expect("the cycle never ends");
+                loan.settle(Time(0), &mut NullSink);
             }
-            assert_eq!(pools.trace.len(), TAIL, "one tail for the shard, full and no more");
-        }
-        for (d, built) in drivers.iter().zip(built) {
-            let trace = d.stack().trace();
-            assert!(trace.pushed() > 2 * TAIL as u64);
-            assert_eq!(trace.mem_bytes(), built, "a stack holds its structural entries only");
-            assert_eq!(trace.events().count(), 5, "three modules created, two binds");
-            assert_eq!(trace.dropped(), trace.pushed() - 5, "its calls are in the shard's tail");
-        }
-        // Taking a stack's trace inside a loan leaves the shard its tail.
-        let pushed = drivers[0].stack().trace().pushed();
-        let mut loan = pools.lend(&mut drivers[0]);
-        let taken = loan.stack_mut().take_trace();
-        drop(loan);
-        assert_eq!(pools.trace.len(), TAIL);
-        assert_eq!(taken.pushed(), pushed);
-        assert_eq!(taken.events().count(), 5);
-        assert_eq!(taken.dropped(), pushed - 5, "its calls stayed in the shard's tail");
-        // Handed back, stack 1 holds the whole tail: its calls are the
-        // last pushed. Stack 0's went with what was taken.
-        pools.hand_back_trace(drivers.iter_mut().map(StackDriver::stack_mut));
-        assert_eq!(pools.trace.len(), 0, "handing the calls back empties the tail");
-        let [zero, one] = drivers.each_ref().map(|d| d.stack().trace());
-        assert_eq!((zero.pushed(), zero.dropped(), zero.events().count()), (0, 0, 0));
-        let calls = one.events().filter(|(_, e)| matches!(e, TraceEvent::Call { .. })).count();
-        assert!(calls >= TAIL / 2, "the echoes' calls alternate with their responses");
-        assert_eq!(one.events().count(), TAIL + 5);
-        assert_eq!(one.pushed() - one.dropped(), TAIL as u64 + 5);
+        };
+        // Its modules start and make their first call and response.
+        steps(&mut driver, 4);
+        let first = driver.stack().trace().mem_bytes();
+        steps(&mut driver, 10_000);
+        let trace = driver.stack().trace();
+        let calls: u64 = trace.tally().iter().map(|(_, _, tally)| tally.calls).sum();
+        let responses: u64 = trace.tally().iter().map(|(_, _, tally)| tally.responses).sum();
+        assert!(calls > 4_096, "{calls} calls");
+        assert_eq!(trace.mem_bytes(), first, "a stack holds no call, wherever it is driven");
+        assert_eq!(trace.events().count(), 5, "three modules created, two binds");
+        assert_eq!(trace.pushed(), 5 + calls + responses, "the tally counts every call");
+        assert_eq!(trace.tally().len(), 1, "one row: the calls and responses of c, op 1");
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //!
 //! [`LiveShard::deliver`] runs the full dispatch cascade of a packet
 //! before it returns — matching the simulator. Injecting a whole batch
-//! of packets before polling would interleave the cascades of
+//! of packets before polling would mix the cascades of
 //! consecutive packets in the stack's breadth-first queue, letting a
 //! packet overtake the module-creation reactions of the packet before
 //! it (fatal across a protocol switch).
@@ -115,9 +115,9 @@ pub struct LiveShard {
     next_wake: Vec<Option<Time>>,
     wakes: BinaryHeap<Reverse<(Time, usize)>>,
     clock: WallClock,
-    /// Encode buffers, dispatch buffers, the telemetry set and the
-    /// trace tail, lent to whichever driver is running: retained memory
-    /// and event-rate samples scale with shard threads, not stacks.
+    /// Encode buffers, dispatch buffers and the telemetry set, lent to
+    /// whichever driver is running: retained memory and event-rate
+    /// samples scale with shard threads, not stacks.
     pools: ShardPools,
 }
 
@@ -247,10 +247,10 @@ impl LiveShard {
     }
 
     /// Unwrap into `(id, stack)` pairs in hosting order, discarding
-    /// pending events and armed timers. Each traced stack gets back the
-    /// calls the shard's trace tail still holds of it.
-    pub fn into_stacks(mut self) -> Vec<(StackId, Stack)> {
-        self.pools.hand_back_trace(self.drivers.iter_mut().map(StackDriver::stack_mut));
+    /// pending events and armed timers. A traced stack's trace is
+    /// whole in it: its structural entries, its digest and its tally
+    /// (calls and responses are kept nowhere else).
+    pub fn into_stacks(self) -> Vec<(StackId, Stack)> {
         self.ids.into_iter().zip(self.drivers.into_iter().map(StackDriver::into_stack)).collect()
     }
 }

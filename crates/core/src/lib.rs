@@ -63,7 +63,7 @@ pub use module::{Call, Module, ModuleSpec, Op, Response, TransportStats};
 pub use sets::{HeardSet, InOrder, IntervalSet};
 pub use stack::{FactoryRegistry, HostAction, ModuleCtx, Stack, StackConfig};
 pub use time::{Dur, Time};
-pub use trace::{Chain, TraceEvent, TraceLog};
+pub use trace::{Chain, Tally, TraceEvent, TraceLog};
 
 /// Well-known service names used across the workspace.
 pub mod svc {

@@ -7,7 +7,7 @@ use super::{HostAction, ModuleCtx, Stack};
 use crate::ids::{ModuleId, StackId, TimerId};
 use crate::module::{Call, Response};
 use crate::time::Time;
-use crate::trace::{Tail, TraceEvent};
+use crate::trace::TraceEvent;
 use crate::wire::WireScratch;
 use bytes::Bytes;
 use std::collections::VecDeque;
@@ -323,13 +323,6 @@ impl Stack {
     /// identical either way.
     pub(crate) fn swap_scratch(&mut self, pool: &mut Option<Box<WireScratch>>) {
         std::mem::swap(&mut self.scratch, pool);
-    }
-
-    /// Swap the tail this stack's trace pushes calls and responses
-    /// through with `tail` — the trace part of the shard loan, both ways
-    /// (see [`crate::trace::TraceLog`]).
-    pub(crate) fn swap_tail(&mut self, tail: &mut Tail) {
-        self.trace.swap_tail(tail);
     }
 
     /// Taking a shard loan: a stack holding no dispatch box takes the

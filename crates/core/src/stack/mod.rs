@@ -338,23 +338,16 @@ impl Stack {
         self.modules.iter().map(|(id, s)| (*id, s.kind.as_str()))
     }
 
-    /// Access the recorded trace. Under a host, the stack's calls and
-    /// responses live in its shard's tail, counted as dropped here, until
-    /// the shard hands them back (`ShardPools::hand_back_trace`, which
-    /// `Sim::merged_trace` and `LiveShard::into_stacks` call).
+    /// Access the recorded trace: the stack's structural entries, its
+    /// digest and its tally. Its calls and responses live on only in
+    /// those two; under a host as on a bare stack, there is nothing more
+    /// to collect.
     pub fn trace(&self) -> &TraceLog {
         &self.trace
     }
 
-    /// The trace, for a shard handing the stack its calls back.
-    pub(crate) fn trace_mut(&mut self) -> &mut TraceLog {
-        &mut self.trace
-    }
-
-    /// Take the recorded trace, leaving an empty one (same enablement).
-    /// A shard's tail lent to the stack stays with the loan, and the
-    /// calls in it are no longer the stack's: under a host, hand them
-    /// back first (see [`Stack::trace`]).
+    /// Take the recorded trace, leaving an empty one (same enablement):
+    /// the structural entries, the digest and the tally move together.
     pub fn take_trace(&mut self) -> TraceLog {
         self.trace.take()
     }

@@ -250,6 +250,15 @@ mod tests {
     use crate::stack::tests::{new_stack, run_until_idle, Client, Echo};
     use crate::stack::StepCategory;
     use crate::wire::{Encode, WireScratch};
+    use crate::TraceLog;
+
+    /// The digest of `entries` pushed into a fresh log at their times:
+    /// what a log that pushed exactly these reads.
+    fn digest(entries: impl IntoIterator<Item = (Time, TraceEvent)>) -> u64 {
+        let mut log = TraceLog::new();
+        entries.into_iter().for_each(|(t, e)| log.push(t, e));
+        log.fingerprint()
+    }
 
     #[test]
     fn call_reaches_bound_provider_and_response_fans_out() {
@@ -513,6 +522,7 @@ mod tests {
         let on_all = listener(&mut stack, None);
         run_until_idle(&mut stack);
         stack.take_trace();
+        let t = stack.now();
         // Channel 3, channel 4, a channel nobody declared, no channel —
         // and one response on the other service every listener requires,
         // where the `mux` channel must not narrow anything.
@@ -526,17 +536,28 @@ mod tests {
         assert_eq!(got(&mut stack, on_4).unwrap(), [4, NO_CHANNEL, 4]);
         assert_eq!(got(&mut stack, also_on_4).unwrap(), [4, NO_CHANNEL, 4]);
         assert_eq!(got(&mut stack, on_all).unwrap(), [3, 4, 9, NO_CHANNEL, 4]);
-        // The trace counts the modules reached, not the modules requiring.
-        assert_eq!(stack.trace().dropped(), 0, "five responses fit the log's tail");
-        let fanouts: Vec<(Op, usize)> = stack
-            .trace()
-            .events()
-            .filter_map(|(_, e)| match e {
-                TraceEvent::Response { op, fanout, .. } => Some((*op, *fanout)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(fanouts, [(3, 2), (4, 3), (9, 1), (NO_CHANNEL, 4), (4, 4)]);
+        // The trace counts the modules reached, not the modules requiring:
+        // the five calls at once, then a response a step, one ns apart.
+        let id = stack.id();
+        let (mux_svc, echo_svc) = (ServiceId::new("mux"), ServiceId::new("echo"));
+        let call =
+            |service, op, to| (t, TraceEvent::Call { stack: id, service, op, from: on_all, to });
+        let response = |step: u64, service, op, from, fanout| {
+            (Time(t.0 + step), TraceEvent::Response { stack: id, service, op, from, fanout })
+        };
+        let expected = [
+            call(mux_svc, 3, mux),
+            call(mux_svc, 4, mux),
+            call(mux_svc, 9, mux),
+            call(mux_svc, NO_CHANNEL, mux),
+            call(echo_svc, 4, echo),
+            response(0, mux_svc, 3, mux, 2),
+            response(1, mux_svc, 4, mux, 3),
+            response(2, mux_svc, 9, mux, 1),
+            response(3, mux_svc, NO_CHANNEL, mux, 4),
+            response(4, echo_svc, 4, echo, 4),
+        ];
+        assert_eq!(stack.trace().fingerprint(), digest(expected));
     }
 
     /// Provides `udp` and answers the edge for `SEND` (op 1) calls whose
@@ -618,21 +639,19 @@ mod tests {
         stack.bind(&ServiceId::new(crate::svc::UDP), wire);
         run_until_idle(&mut stack);
         stack.take_trace();
+        let (t, id) = (stack.now(), stack.id());
         let sender = stack.add_module(Box::new(udp_sender(b"dgram")));
         assert_eq!(
             steps_and_actions(&mut stack),
             vec![(sender, StepCategory::Start, sent(b"dgram"))],
             "one step, the caller's, and the datagram with it"
         );
-        let calls: Vec<_> = stack
-            .trace()
-            .events()
-            .filter_map(|(_, e)| match e {
-                TraceEvent::Call { service, from, to, .. } => Some((service.name(), *from, *to)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(calls, [(crate::svc::UDP, sender, wire)], "the send is still a traced call");
+        let udp = ServiceId::new(crate::svc::UDP);
+        let expected = [
+            (t, TraceEvent::ModuleCreated { stack: id, module: sender, kind: "sender".into() }),
+            (t, TraceEvent::Call { stack: id, service: udp, op: 1, from: sender, to: wire }),
+        ];
+        assert_eq!(stack.trace().fingerprint(), digest(expected), "the send is a traced call");
 
         // A call the module would not send (empty payload) is queued to it.
         stack.call_as(sender, &ServiceId::new(crate::svc::UDP), 1, Bytes::new());
@@ -680,6 +699,7 @@ mod tests {
         let mut stack = new_stack();
         run_until_idle(&mut stack); // the bridge's `on_start`
         stack.take_trace();
+        let (t, id) = (stack.now(), stack.id());
         let bridge = stack.bound(&net).unwrap();
         let data = (StackId(2), Bytes::from_static(b"dgram")).to_bytes();
         let sender = Sender(crate::svc::NET, net_ops::SEND, data.clone());
@@ -690,15 +710,20 @@ mod tests {
             "one step, the caller's, and the datagram with it"
         );
         assert!(!stack.has_work());
-        let calls: Vec<_> = stack
-            .trace()
-            .events()
-            .filter_map(|(_, e)| match e {
-                TraceEvent::Call { service, from, to, .. } => Some((service.name(), *from, *to)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(calls, [(crate::svc::NET, caller, bridge)], "traced to the bridge");
+        let expected = [
+            (t, TraceEvent::ModuleCreated { stack: id, module: caller, kind: "sender".into() }),
+            (
+                t,
+                TraceEvent::Call {
+                    stack: id,
+                    service: net,
+                    op: net_ops::SEND,
+                    from: caller,
+                    to: bridge,
+                },
+            ),
+        ];
+        assert_eq!(stack.trace().fingerprint(), digest(expected), "traced to the bridge");
 
         // A wrong op, a payload that does not decode, one with bytes left
         // over: queued to the bridge, which sends none of them.
@@ -807,16 +832,24 @@ mod tests {
 
     #[test]
     fn a_response_nobody_listens_for_waits_for_its_module() {
-        let (mut stack, _) = chan_stack(&[(3, b"a"), (4, b"x"), (3, b"b")]);
-        let fanouts: Vec<usize> = stack
-            .trace()
-            .events()
-            .filter_map(|(_, e)| match e {
-                TraceEvent::Response { fanout, .. } => Some(*fanout),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(fanouts, [0, 0, 0]);
+        let (mut stack, chan) = chan_stack(&[]);
+        stack.take_trace();
+        let (t, id, service) = (stack.now(), stack.id(), ServiceId::new("chan"));
+        for (op, data) in [(3, b"a"), (4, b"x"), (3, b"b")] {
+            stack.call_as(chan, &service, op, Bytes::from_static(data));
+        }
+        run_until_idle(&mut stack);
+        // Three calls at once, then three responses that reach nobody.
+        let call = |op| (t, TraceEvent::Call { stack: id, service, op, from: chan, to: chan });
+        let response = |step: u64| {
+            let fanout = 0;
+            (
+                Time(t.0 + step),
+                TraceEvent::Response { stack: id, service, op: 0, from: chan, fanout },
+            )
+        };
+        let expected = [call(3), call(4), call(3), response(0), response(1), response(2)];
+        assert_eq!(stack.trace().fingerprint(), digest(expected));
         // Created later: one on another channel, then one on channel 3 —
         // which gets both of channel 3's, right after its `on_start`.
         let on_9 = tune_in(&mut stack, Some(9));

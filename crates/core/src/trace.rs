@@ -4,16 +4,16 @@
 //!
 //! A log costs what its checkers read. The *structural* entries — binds,
 //! unbinds, module lifetimes, blocked and released calls, crashes — are
-//! kept whole; calls and responses, one per dispatch step and all but a
-//! few of a run's entries, are folded into a digest where they happen
-//! and only the most recent are kept, in one tail per host shard. A
-//! traced stack therefore grows with its replacements, not with its
-//! messages, and tracing stays on at every scale the system runs at.
+//! kept whole. Calls and responses, one per dispatch step and all but a
+//! few of a run's entries, live on only in the log's digest, folded
+//! where they happen, and in its [`Tally`] per `(service, op)`. A traced
+//! stack therefore grows with its replacements and the services it
+//! binds, not with its messages, and tracing stays on at every scale the
+//! system runs at. Diagnosis of recent events is the flight recorder's.
 
 use crate::ids::{ModuleId, Name, ServiceId, StackId};
 use crate::module::Op;
 use crate::time::Time;
-use std::collections::VecDeque;
 
 /// One structurally relevant event observed during a run.
 ///
@@ -21,7 +21,8 @@ use std::collections::VecDeque;
 /// Payloads are intentionally *not* recorded: the generic DPU properties of
 /// the paper (§3) are about the structure of interactions, not their
 /// content. Protocol-specific checkers (e.g. [`crate::abcast_check`]) keep
-/// their own records.
+/// their own records. A [`TraceLog`] keeps every variant but `Call` and
+/// `Response`, which live on in its digest and its [`Tally`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A module called a service that was bound: the call was dispatched
@@ -187,12 +188,6 @@ fn name_word(name: &str) -> u64 {
 }
 
 impl TraceEvent {
-    /// A call or a response — one per dispatch step — as opposed to the
-    /// structural events the property checkers read.
-    fn is_dispatch(&self) -> bool {
-        matches!(self, TraceEvent::Call { .. } | TraceEvent::Response { .. })
-    }
-
     /// The entry as the fixed-width item a [`Chain`] folds: time, then
     /// variant, op and stack in one word, service (or kind) name, and the
     /// two remaining fields.
@@ -235,10 +230,9 @@ impl TraceEvent {
 type Entry = (Time, TraceEvent);
 
 // A service name and a module kind are one interned word each, which
-// keeps an entry at 40 bytes (a tail is `TAIL` of them) and a stack's
-// slot for a module at the module and its kind; all of a log's state
-// sits behind one pointer, so a disabled log is one word in every stack
-// of a capacity run.
+// keeps an entry at 40 bytes and a stack's slot for a module at the
+// module and its kind; all of a log's state sits behind one pointer, so
+// a disabled log is one word in every stack of a capacity run.
 const _: () = assert!(std::mem::size_of::<ServiceId>() == 8);
 const _: () = assert!(std::mem::size_of::<Name>() == 8);
 const _: () = assert!(std::mem::size_of::<Entry>() == 40);
@@ -252,255 +246,67 @@ const _: () = assert!(std::mem::size_of::<TraceLog>() == 8);
 // are one table.
 const _: () = assert!(std::mem::size_of::<crate::host::StackDriver>() <= 240);
 
-/// Dispatch entries (calls and responses) a tail keeps: the most recent
-/// 4096, 160 KiB — some 17 broadcasts' worth of the steps of all seven
-/// stacks of the paper's testbed, for diagnosis and for tests that read
-/// calls over a short window. Older ones live on in the digest and in
-/// [`TraceLog::dropped`]. A bare stack's log keeps its own tail; under a
-/// host, every stack of a shard pushes through the shard's one (see
-/// [`crate::host::ShardPools`]), which hands each stack its calls back
-/// when the host's traces are read.
-pub(crate) const TAIL: usize = 4096;
-
-/// The most recent dispatch entries pushed through it, at most [`TAIL`],
-/// and the count of every one pushed, which places structural entries
-/// among them. A log holds its own; a host shard lends its one to
-/// whichever stack it drives ([`TraceLog::swap_tail`]) and hands each
-/// stack its calls back for reading ([`Tail::hand_back`]).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Tail {
-    entries: VecDeque<Entry>,
-    /// Dispatch entries ever pushed, kept or not.
-    dispatched: u64,
+/// What the calls and responses of one `(service, op)` came to — what a
+/// [`TraceLog`] keeps of them besides its digest.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Calls made on the service with the op, dispatched or taken at the
+    /// stack's edge (blocked ones are structural entries).
+    pub calls: u64,
+    /// Responses made on it.
+    pub responses: u64,
+    /// Modules those responses reached: the sum of their `fanout`.
+    pub reached: u64,
+    /// The most modules one response reached.
+    pub most: u64,
 }
 
-impl Tail {
-    fn push(&mut self, entry: Entry) {
-        if self.entries.len() >= TAIL {
-            self.entries.pop_front();
-        }
-        self.entries.push_back(entry);
-        self.dispatched += 1;
-    }
-
-    /// The number of the first entry held: how many were let go.
-    fn first(&self) -> u64 {
-        self.dispatched - self.entries.len() as u64
-    }
-
-    /// Dispatch entries held.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Hand each log of `stacks` — every log that pushed through this
-    /// tail (a host shard's), each with its stack's id, none of them
-    /// holding it now — the calls it pushed that this tail still holds,
-    /// as a tail of its own, and leave this one empty. What a log pushed
-    /// through its own tail outside a loan first takes its place here.
-    /// Calls no log claims — those of an earlier incarnation of a stack,
-    /// or pushed before its trace was last taken — are let go, as they
-    /// would have been with the log that pushed them.
-    pub(crate) fn hand_back<'a>(
-        &mut self,
-        stacks: impl Iterator<Item = (StackId, &'a mut TraceLog)>,
-    ) {
-        let mut logs: Vec<&mut Kept> = Vec::new();
-        // Per stack: its log, and how many of the calls it pushed are
-        // still unclaimed — the most recent ones of its stack are its.
-        let mut unclaimed = std::collections::BTreeMap::new();
-        for (id, log) in stacks.filter_map(|(id, log)| Some((id, log.0.as_deref_mut()?))) {
-            debug_assert!(!log.lent, "a log is handed its calls back outside a loan");
-            log.settle_own(self);
-            unclaimed.insert(id, (logs.len(), log.calls()));
-            logs.push(log);
-        }
-        let tail = std::mem::take(self);
-        // Each log's calls, newest first, with their numbers here.
-        let mut claimed: Vec<Vec<(u64, Entry)>> = logs.iter().map(|_| Vec::new()).collect();
-        for (entry, at) in tail.entries.into_iter().rev().zip((0..tail.dispatched).rev()) {
-            if let Some((log, left @ 1..)) = unclaimed.get_mut(&entry.1.stack()) {
-                *left -= 1;
-                claimed[*log].push((at, entry));
-            }
-        }
-        for (log, mut mine) in logs.into_iter().zip(claimed) {
-            mine.reverse();
-            // A structural entry's place among the log's calls: all but
-            // those it holds from the entry's place here on.
-            let (calls, mut before) = (log.calls(), 0);
-            for (place, _) in &mut log.structural {
-                before += mine[before..].iter().take_while(|(at, _)| *at < *place).count();
-                *place = calls - (mine.len() - before) as u64;
-            }
-            log.tail =
-                Tail { entries: mine.into_iter().map(|(_, e)| e).collect(), dispatched: calls };
-            log.own_from = 0;
-        }
+impl Tally {
+    fn add(&mut self, other: &Tally) {
+        self.calls += other.calls;
+        self.responses += other.responses;
+        self.reached += other.reached;
+        self.most = self.most.max(other.most);
     }
 }
 
-/// A time-stamped trace of [`TraceEvent`]s, ordered by push time.
+/// A time-stamped trace of structural [`TraceEvent`]s, ordered by push
+/// time.
 ///
 /// One log typically aggregates the events of *all* stacks of a run (the
-/// simulator interleaves them deterministically), which is what the remote
+/// simulator merges them deterministically), which is what the remote
 /// property — protocol-operationability — needs.
 ///
 /// It holds three things: every structural entry, complete and in push
-/// order; a [`Chain`] over every entry ever pushed, folded at `push` with
-/// no allocation and no formatting; and a tail of the last `TAIL`
-/// dispatch entries — its own, or the one a host shard lends it. A
-/// disabled log holds nothing and allocates nothing.
+/// order; a [`Chain`] over every entry ever pushed, calls and responses
+/// included, folded at `push` with no allocation and no formatting; and
+/// a [`Tally`] of the calls and responses per `(service, op)`, as many as
+/// the services its stack binds. A disabled log holds nothing and
+/// allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct TraceLog(Option<Box<Kept>>);
 
 /// What an enabled log holds.
 #[derive(Clone, Debug, Default)]
 struct Kept {
-    /// Structural entries in push order, each with the number of dispatch
-    /// entries pushed through its tail before it — its place among them.
-    structural: Vec<(u64, Entry)>,
-    /// The log's own tail, or the one lent to it while `lent`.
-    tail: Tail,
-    lent: bool,
-    /// Outside a loan, the structural entries before this one were
-    /// placed in a tail lent to the log, the rest in its own; during a
-    /// loan, all of them are placed in the lent tail.
-    own_from: usize,
+    /// Structural entries in push order.
+    structural: Vec<Entry>,
+    /// Calls and responses per `(service, op)`, in first-seen order.
+    tally: Vec<(ServiceId, Op, Tally)>,
     /// Every entry ever pushed; a merged log's chain joins its parts'.
     chain: Chain,
-    /// Time of the last entry pushed, and whether some entry was earlier
-    /// than its predecessor. Hosts push in time order, so `unsorted`
-    /// stays `false` outside hand-built logs; it is what lets
-    /// [`TraceLog::merge`] stream instead of sort.
-    last: Time,
-    unsorted: bool,
-}
-
-/// Walk structural entries (each with the count of dispatch entries
-/// before it) and tail entries (numbered from `first`) in push order.
-/// The first `settled` structural entries were placed in another tail,
-/// ahead of all of these, and come first.
-fn interleave<T>(
-    structural: impl Iterator<Item = (u64, T)>,
-    settled: usize,
-    mut tail: impl Iterator<Item = T>,
-    first: u64,
-) -> impl Iterator<Item = T> {
-    let placed =
-        structural.enumerate().map(move |(i, (at, e))| (if i < settled { 0 } else { at }, e));
-    let mut structural = placed.peekable();
-    let mut next = first;
-    std::iter::from_fn(move || match structural.peek() {
-        Some((before, _)) if *before <= next => structural.next().map(|(_, entry)| entry),
-        _ => {
-            next += 1;
-            tail.next()
-        }
-    })
 }
 
 impl Kept {
-    /// Dispatch entries pushed, whichever tail they went through.
-    fn calls(&self) -> u64 {
-        self.chain.len - self.structural.len() as u64
-    }
-
-    /// The structural entries placed in a lent tail, and the dispatch
-    /// entries of the log's own tail: during a loan, all and none.
-    fn own(&self) -> (usize, usize) {
-        if self.lent {
-            (self.structural.len(), 0)
-        } else {
-            (self.own_from, self.tail.entries.len())
-        }
-    }
-
-    /// The calls pushed that the log does not hold: let go from its
-    /// tail, or pushed through one lent to it.
-    fn dropped(&self) -> u64 {
-        self.calls() - self.own().1 as u64
-    }
-
-    fn append(&mut self, entry: Entry) {
-        self.unsorted |= entry.0 < self.last;
-        self.last = entry.0;
-        if entry.1.is_dispatch() {
-            self.tail.push(entry);
-        } else {
-            self.structural.push((self.tail.dispatched, entry));
-        }
-    }
-
-    fn entries(&self) -> impl Iterator<Item = &Entry> {
-        let (settled, own) = self.own();
-        let structural = self.structural.iter().map(|(at, e)| (*at, e));
-        interleave(structural, settled, self.tail.entries.iter().take(own), self.tail.first())
-    }
-
-    fn into_entries(self) -> impl Iterator<Item = Entry> {
-        let ((settled, own), first) = (self.own(), self.tail.first());
-        interleave(
-            self.structural.into_iter(),
-            settled,
-            self.tail.entries.into_iter().take(own),
-            first,
-        )
-    }
-
-    /// A log of `entries` (in their order) standing for `chain`.
-    fn rebuilt(chain: Chain, entries: impl Iterator<Item = Entry>) -> Kept {
-        let mut kept = Kept { chain, ..Kept::default() };
-        entries.for_each(|entry| kept.append(entry));
-        kept
-    }
-
-    /// Move the log's own tail onto `onto`, after what `onto` holds —
-    /// its entries, their count, and the places of the structural
-    /// entries pushed among them — leaving it empty.
-    fn settle_own(&mut self, onto: &mut Tail) {
-        let own = std::mem::take(&mut self.tail);
-        for (place, _) in &mut self.structural[self.own_from..] {
-            *place += onto.dispatched;
-        }
-        self.own_from = self.structural.len();
-        onto.dispatched += own.first();
-        own.entries.into_iter().for_each(|entry| onto.push(entry));
-    }
-
-    /// Everything but a lent tail, which stays.
-    fn take(&mut self) -> Kept {
-        if !self.lent {
-            return std::mem::take(self);
-        }
-        let rest = Kept { tail: std::mem::take(&mut self.tail), lent: true, ..Kept::default() };
-        let taken = std::mem::replace(self, rest);
-        Kept { lent: false, own_from: taken.structural.len(), ..taken }
-    }
-
-    /// Merge `other`'s entries in (its chain is already joined): one
-    /// streaming pass when both sides are in time order; a stable sort
-    /// of the concatenation otherwise — the same thing, since a stable
-    /// sort of a concatenation is the stable merge of its stably sorted
-    /// halves.
-    fn merge_entries(&mut self, other: &Kept) {
-        let chain = self.chain;
-        let in_order = !self.unsorted && !other.unsorted;
-        let mut mine = std::mem::take(self).into_entries().peekable();
-        let mut theirs = other.entries().cloned().peekable();
-        *self = if in_order {
-            let merged = std::iter::from_fn(|| match (mine.peek(), theirs.peek()) {
-                (Some(a), Some(b)) if b.0 < a.0 => theirs.next(),
-                (Some(_), _) => mine.next(),
-                (None, _) => theirs.next(),
-            });
-            Kept::rebuilt(chain, merged)
-        } else {
-            let mut all: Vec<Entry> = mine.chain(theirs).collect();
-            all.sort_by_key(|(t, _)| *t);
-            Kept::rebuilt(chain, all.into_iter())
+    fn tally_mut(&mut self, service: ServiceId, op: Op) -> &mut Tally {
+        let at = match self.tally.iter().position(|(s, o, _)| *s == service && *o == op) {
+            Some(at) => at,
+            None => {
+                self.tally.push((service, op, Tally::default()));
+                self.tally.len() - 1
+            }
         };
+        &mut self.tally[at].2
     }
 }
 
@@ -516,44 +322,39 @@ impl TraceLog {
         TraceLog(None)
     }
 
-    /// Take what was recorded, leaving an empty log (same enablement).
-    /// A tail lent to this log stays: it is the host's, and the calls
-    /// pushed through it count as dropped in what is taken.
+    /// Take what was recorded — structural entries, digest and tally —
+    /// leaving an empty log (same enablement).
     pub fn take(&mut self) -> TraceLog {
-        TraceLog(self.0.as_mut().map(|kept| Box::new(kept.take())))
+        TraceLog(self.0.as_mut().map(|kept| Box::new(std::mem::take(&mut **kept))))
     }
 
-    /// Record an event at time `t`.
+    /// Record an event at time `t`: fold it into the digest, then keep
+    /// it if it is structural, or count it in the tally if it is a call
+    /// or a response.
     pub fn push(&mut self, t: Time, ev: TraceEvent) {
-        if let Some(kept) = &mut self.0 {
-            kept.chain.fold(&ev.words(t));
-            kept.append((t, ev));
+        let Some(kept) = &mut self.0 else { return };
+        kept.chain.fold(&ev.words(t));
+        match ev {
+            TraceEvent::Call { service, op, .. } => kept.tally_mut(service, op).calls += 1,
+            TraceEvent::Response { service, op, fanout, .. } => {
+                let fanout = fanout as u64;
+                let one = Tally { responses: 1, reached: fanout, most: fanout, calls: 0 };
+                kept.tally_mut(service, op).add(&one);
+            }
+            ev => kept.structural.push((t, ev)),
         }
     }
 
-    /// Lend this log `tail`, or hand it back: the two halves of a host
-    /// shard's loan, one swap each way. Lending first moves whatever the
-    /// log pushed through its own tail since it last held a lent one —
-    /// a stack's entries from before its first loan — onto `tail`, so
-    /// those entries take their place there; handing back leaves the log
-    /// its own tail, empty. A disabled log takes no tail.
-    pub(crate) fn swap_tail(&mut self, tail: &mut Tail) {
-        let Some(kept) = self.0.as_deref_mut() else { return };
-        if !kept.lent {
-            kept.settle_own(tail);
-        }
-        std::mem::swap(&mut kept.tail, tail);
-        kept.lent = !kept.lent;
-        kept.own_from = kept.structural.len();
-    }
-
-    /// The retained events in push order: every structural one, and the
-    /// dispatch entries the log holds — the complete log whenever
-    /// [`TraceLog::dropped`] is zero. A stack under a host holds its
-    /// calls only once its shard hands them back (`Sim::merged_trace`
-    /// and `LiveShard::into_stacks` do); until then they count as dropped.
+    /// The structural events in push order. Calls and responses are not
+    /// kept: see [`TraceLog::fingerprint`] and [`TraceLog::tally`].
     pub fn events(&self) -> impl Iterator<Item = &(Time, TraceEvent)> {
-        self.0.iter().flat_map(|kept| kept.entries())
+        self.0.iter().flat_map(|kept| kept.structural.iter())
+    }
+
+    /// The calls and responses pushed, per `(service, op)`: a merged
+    /// log's sums (and maxima) over its parts.
+    pub fn tally(&self) -> &[(ServiceId, Op, Tally)] {
+        self.0.as_ref().map_or(&[], |kept| &kept.tally)
     }
 
     /// Entries ever pushed, over all merged parts.
@@ -561,38 +362,32 @@ impl TraceLog {
         self.0.as_ref().map_or(0, |kept| kept.chain.len)
     }
 
-    /// Dispatch entries pushed and not held: folded into the digest and
-    /// let go, or in a host shard's tail. [`TraceLog::events`] yields
-    /// [`TraceLog::pushed`] less these.
-    pub fn dropped(&self) -> u64 {
-        self.0.as_ref().map_or(0, |kept| kept.dropped())
-    }
-
-    /// Structural bytes held (event-internal strings are not walked):
-    /// the structural entries at capacity, plus a tail of its own that
-    /// stops growing at `TAIL` entries. What a traced stack pays grows
-    /// with binds and module lifetimes, not with calls — and under a
-    /// host, which holds the tail, with nothing else.
+    /// Bytes held (event-internal strings are not walked): the
+    /// structural entries and the tally at capacity. What a traced stack
+    /// pays grows with binds, module lifetimes and the services it binds,
+    /// not with calls.
     pub fn mem_bytes(&self) -> usize {
         self.0.as_ref().map_or(0, |kept| {
-            let tail = if kept.lent { 0 } else { kept.tail.entries.capacity() };
             std::mem::size_of::<Kept>()
-                + kept.structural.capacity() * std::mem::size_of::<(u64, Entry)>()
-                + tail * std::mem::size_of::<Entry>()
+                + kept.structural.capacity() * std::mem::size_of::<Entry>()
+                + kept.tally.capacity() * std::mem::size_of::<(ServiceId, Op, Tally)>()
         })
     }
 
     /// Append all events of `other` (e.g. to merge per-stack logs). The
     /// result is ordered by time, preserving push order for equal times
-    /// (and this log's entries before `other`'s); its chain is this
-    /// log's joined by `other`'s, and its tail the last `TAIL` dispatch
-    /// entries of the merged stream. Two time-ordered logs — what hosts
-    /// produce — are merged in one streaming pass.
+    /// (and this log's entries before `other`'s): a stable sort of the
+    /// concatenation, one merge of two runs when both logs are in time
+    /// order, as hosts produce them. Its chain is this log's joined by
+    /// `other`'s, and its tally the two summed.
     pub fn merge(&mut self, other: &TraceLog) {
         let Some(mine) = self.0.as_deref_mut() else { return };
         mine.chain.join(other.0.as_ref().map_or(Chain::default(), |kept| kept.chain));
-        if let Some(theirs) = other.0.as_deref() {
-            mine.merge_entries(theirs);
+        let Some(theirs) = other.0.as_deref() else { return };
+        mine.structural.extend_from_slice(&theirs.structural);
+        mine.structural.sort_by_key(|(t, _)| *t);
+        for (service, op, tally) in &theirs.tally {
+            mine.tally_mut(*service, *op).add(tally);
         }
     }
 
@@ -603,7 +398,8 @@ impl TraceLog {
     /// streams determine the merge). Stable across platforms and runs:
     /// names are hashed by their bytes, never by address. This is what
     /// every equivalence suite pins runs with
-    /// (`tests/host_equivalence.rs`, `crates/sim/tests/{sched,par}_equiv.rs`).
+    /// (`tests/host_equivalence.rs`, `crates/sim/tests/{sched,par}_equiv.rs`),
+    /// and the one place calls and responses are checked in order.
     pub fn fingerprint(&self) -> u64 {
         self.0.as_ref().map_or(0, |kept| kept.chain.head)
     }
@@ -641,19 +437,39 @@ mod tests {
         }
     }
 
+    fn response(stack: u32, svc: &str, from: u64, fanout: usize) -> TraceEvent {
+        TraceEvent::Response {
+            stack: StackId(stack),
+            service: ServiceId::new(svc),
+            op: 1,
+            from: ModuleId(from),
+            fanout,
+        }
+    }
+
+    fn is_dispatch(e: &TraceEvent) -> bool {
+        matches!(e, TraceEvent::Call { .. } | TraceEvent::Response { .. })
+    }
+
     #[test]
     fn push_and_query() {
         let mut log = TraceLog::new();
         log.push(Time(1), bind(0, "p", 1));
         log.push(Time(2), call(1, "p", 2));
         log.push(Time(2), bind(1, "p", 2));
-        assert_eq!((log.pushed(), log.dropped()), (3, 0));
-        let times: Vec<Time> = log.events().map(|(t, _)| *t).collect();
-        assert_eq!(times, vec![Time(1), Time(2), Time(2)]);
-        assert!(log.events().nth(1).unwrap().1.is_dispatch(), "events come in push order");
+        log.push(Time(3), response(1, "p", 2, 3));
+        log.push(Time(3), response(1, "p", 2, 0));
+        assert_eq!(log.pushed(), 5);
+        let kept: Vec<_> = log.events().cloned().collect();
+        assert_eq!(kept, vec![(Time(1), bind(0, "p", 1)), (Time(2), bind(1, "p", 2))]);
+        let p = ServiceId::new("p");
+        let calls = Tally { calls: 1, ..Tally::default() };
+        let responses = Tally { responses: 2, reached: 3, most: 3, ..Tally::default() };
+        assert_eq!(log.tally(), [(p, 0, calls), (p, 1, responses)]);
         let taken = log.take();
-        assert_eq!((taken.pushed(), log.pushed()), (3, 0));
-        assert!(log.0.is_some() && log.events().next().is_none());
+        assert_eq!((taken.pushed(), log.pushed()), (5, 0));
+        assert_eq!(taken.tally().len(), 2);
+        assert!(log.0.is_some() && log.events().next().is_none() && log.tally().is_empty());
         assert_eq!(log.fingerprint(), TraceLog::new().fingerprint());
     }
 
@@ -661,8 +477,9 @@ mod tests {
     fn disabled_log_drops_events() {
         let mut log = TraceLog::disabled();
         log.push(Time(1), bind(0, "p", 1));
+        log.push(Time(1), call(0, "p", 1));
         assert_eq!(log.pushed(), 0);
-        assert!(log.events().next().is_none());
+        assert!(log.events().next().is_none() && log.tally().is_empty());
         assert!(log.0.is_none() && log.take().0.is_none());
     }
 
@@ -679,8 +496,8 @@ mod tests {
 
     /// The keep-everything layout this log replaced — one flat vector,
     /// sorted whole on merge — kept here as the reference model: the log
-    /// must yield the model's structural entries, all of them, among its
-    /// last `TAIL` dispatch entries.
+    /// must yield the model's structural entries, all of them and in its
+    /// order, and tally the model's calls and responses.
     #[derive(Clone, Default)]
     struct Model(Vec<(Time, TraceEvent)>);
 
@@ -690,26 +507,32 @@ mod tests {
             self.0.sort_by_key(|(t, _)| *t);
         }
 
-        fn dropped(&self) -> usize {
-            self.0.iter().filter(|(_, e)| e.is_dispatch()).count().saturating_sub(TAIL)
+        fn structural(&self) -> impl Iterator<Item = &(Time, TraceEvent)> {
+            self.0.iter().filter(|(_, e)| !is_dispatch(e))
         }
 
-        fn retained(&self) -> impl Iterator<Item = &(Time, TraceEvent)> {
-            let mut skip = self.dropped();
-            self.0.iter().filter(move |(_, e)| {
-                let gone = e.is_dispatch() && skip > 0;
-                skip -= usize::from(gone);
-                !gone
-            })
+        /// The tally, summed over every `(service, op)`.
+        fn tally(&self) -> Tally {
+            let mut sum = Tally::default();
+            for (_, e) in &self.0 {
+                match e {
+                    TraceEvent::Call { .. } => sum.calls += 1,
+                    TraceEvent::Response { fanout, .. } => {
+                        let fanout = *fanout as u64;
+                        sum.add(&Tally { responses: 1, reached: fanout, most: fanout, calls: 0 });
+                    }
+                    _ => {}
+                }
+            }
+            sum
         }
     }
 
     /// `len` pushes into a log and the model alike. Module ids count up
     /// from `first_id`, so every entry is distinguishable; times repeat
-    /// often (ties), and either never decrease or jump about. A
-    /// time-ordered fill mixes calls in among the binds; an out-of-order
-    /// one (hand-built logs, which hold what a test wrote into them) is
-    /// binds alone.
+    /// often (ties), and either never decrease or jump about, as in the
+    /// logs a test writes by hand. Calls and responses, on two services,
+    /// are mixed in among the binds.
     fn fill(len: usize, first_id: u64, in_order: bool, rng: &mut u64) -> (TraceLog, Model) {
         let mut next = || {
             *rng ^= *rng << 13;
@@ -722,10 +545,11 @@ mod tests {
         for i in 0..len as u64 {
             t = if in_order { t + next() % 2 } else { next() % 50 };
             let stack = (next() % 3) as u32;
-            let ev = if in_order && next() % 4 != 0 {
-                call(stack, "p", first_id + i)
-            } else {
-                bind(stack, "p", first_id + i)
+            let svc = if next() % 2 == 0 { "p" } else { "q" };
+            let ev = match next() % 4 {
+                0 => bind(stack, svc, first_id + i),
+                1 => response(stack, svc, first_id + i, (next() % 4) as usize),
+                _ => call(stack, svc, first_id + i),
             };
             log.push(Time(t), ev.clone());
             model.0.push((Time(t), ev));
@@ -735,29 +559,31 @@ mod tests {
 
     fn assert_matches_model(log: &TraceLog, model: &Model) {
         assert_eq!(log.pushed(), model.0.len() as u64);
-        assert_eq!(log.dropped(), model.dropped() as u64);
-        assert!(log.events().eq(model.retained()), "iteration differs at {}", log.pushed());
+        assert!(log.events().eq(model.structural()), "iteration differs at {}", log.pushed());
+        let mut sum = Tally::default();
+        log.tally().iter().for_each(|(_, _, tally)| sum.add(tally));
+        assert_eq!(sum, model.tally());
+        assert!(log.tally().len() <= 4, "one row per (service, op)");
         // Pays for the structural entries (a doubling vector of them)
-        // and a tail that has stopped growing — not for what it dropped.
-        let structural = model.0.iter().filter(|(_, e)| !e.is_dispatch()).count();
+        // and a tally row per (service, op) — not for its calls.
+        let structural = model.structural().count();
         let bound = std::mem::size_of::<Kept>()
-            + (2 * structural + 4) * std::mem::size_of::<(u64, Entry)>()
-            + TAIL * std::mem::size_of::<Entry>();
+            + (2 * structural + 4) * std::mem::size_of::<Entry>()
+            + 4 * std::mem::size_of::<(ServiceId, Op, Tally)>();
         assert!(log.mem_bytes() <= bound, "{} entries hold {} B", log.pushed(), log.mem_bytes());
     }
 
     #[test]
     fn random_pushes_and_merges_match_the_flat_vector_model() {
         let mut rng = 0x9E3779B97F4A7C15;
-        let lens = [0, 1, 3, 4, 5, 100, TAIL - 1, TAIL, TAIL + 1, 2 * TAIL, 4 * TAIL + 7];
-        let mut overflowed = 0;
+        let lens = [0, 1, 3, 4, 5, 100, 4095, 4096, 4097, 8192, 16391];
         for (i, &len) in lens.iter().enumerate() {
             for in_order in [true, false] {
                 let (log, model) = fill(len, 0, in_order, &mut rng);
                 assert_matches_model(&log, &model);
-                // Merge with a log of another boundary length, both ways
-                // round and with either side out of order: ties must
-                // keep append order, this log's entries first.
+                // Merge with a log of another length, both ways round and
+                // with either side out of order: ties must keep append
+                // order, this log's entries first.
                 let other_len = lens[(i + 3) % lens.len()];
                 for other_in_order in [true, false] {
                     let (other, other_model) = fill(other_len, 1 << 32, other_in_order, &mut rng);
@@ -771,156 +597,33 @@ mod tests {
                     merged.merge(&log);
                     merged_model.merge(&model);
                     assert_matches_model(&merged, &merged_model);
-                    overflowed += usize::from(merged.dropped() > 0);
                 }
             }
         }
-        assert!(overflowed > 10, "the sweep must take single and merged logs past the tail");
-    }
-
-    /// What a log yields is what was pushed less what it does not hold.
-    fn assert_consistent(log: &TraceLog) {
-        assert_eq!(log.pushed() - log.dropped(), log.events().count() as u64);
-    }
-
-    /// Logs that push through one lent tail — a host shard's stacks —
-    /// handed their calls back and merged in stack order, as
-    /// `Sim::merged_trace` folds a shard; two shards into one log. The
-    /// model of a shard is the flat vector of every push in the order it
-    /// reached the tail (an entry pushed outside a loan reaches it when
-    /// its log is next lent, or handed its calls back), of which the tail
-    /// keeps the last `TAIL` calls. Each log is handed back its own of
-    /// those — none of what it pushed before it was taken — so the fold
-    /// is the model's per-log parts, merged in stack order, and its
-    /// digest that of the same pushes into bare logs, merged alike.
-    #[test]
-    fn logs_sharing_a_lent_tail_fold_to_the_flat_vector_model() {
-        let mut rng = 0x2545_F491_4F6C_DD1D_u64;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        let lens = [0, 1, 5, 100, TAIL - 1, TAIL + 1, 2 * TAIL, 4 * TAIL + 7];
-        let (mut overflowed, mut taken) = (0, 0);
-        for (i, &len) in lens.iter().enumerate() {
-            let (mut folded, mut by_stack, mut model) =
-                (TraceLog::new(), TraceLog::new(), Model::default());
-            let mut id = 0;
-            for shard_len in [len, lens[(i + 3) % lens.len()]] {
-                let mut logs = vec![TraceLog::new(); 3];
-                let mut bare = vec![TraceLog::new(); 3];
-                // Every push in the order it reached the tail, with the
-                // incarnation of the log that pushed it (a log taken
-                // starts a new one); and what each log pushed outside a
-                // loan, which has not reached it yet.
-                let (mut tail, mut shard) = (Tail::default(), Vec::new());
-                let mut pending: Vec<Vec<(u32, Entry)>> = vec![Vec::new(); 3];
-                let mut incarnation = [0; 3];
-                let (mut t, end) = (0, id + shard_len as u64);
-                while id < end {
-                    let s = (next() % 3) as usize;
-                    let lent = next() % 8 != 0;
-                    if lent {
-                        logs[s].swap_tail(&mut tail);
-                        shard.append(&mut pending[s]);
-                    }
-                    let burst = if next() % 64 == 0 { TAIL as u64 + 1 } else { 1 + next() % 4 };
-                    for _ in 0..burst {
-                        t += next() % 2;
-                        let ev = if next() % 4 != 0 {
-                            call(s as u32, "p", id)
-                        } else {
-                            bind(s as u32, "p", id)
-                        };
-                        id += 1;
-                        logs[s].push(Time(t), ev.clone());
-                        bare[s].push(Time(t), ev.clone());
-                        let to = if lent { &mut shard } else { &mut pending[s] };
-                        to.push((incarnation[s], (Time(t), ev)));
-                    }
-                    if lent && next() % 32 == 0 {
-                        // Taken inside the loan: its calls stay in the
-                        // tail, counted as dropped in what is taken.
-                        let gone = logs[s].take();
-                        assert_consistent(&gone);
-                        assert!(gone.events().all(|(_, e)| !e.is_dispatch()));
-                        assert_eq!(gone.pushed(), bare[s].pushed());
-                        bare[s] = TraceLog::new();
-                        incarnation[s] += 1;
-                        taken += 1;
-                    }
-                    if lent {
-                        logs[s].swap_tail(&mut tail);
-                        assert!(tail.len() <= TAIL);
-                        let held = logs[s].events().filter(|(_, e)| e.is_dispatch()).count();
-                        assert_eq!(held, 0, "a log holds no calls between loans");
-                    }
-                    assert_consistent(&logs[s]);
-                }
-                pending.iter_mut().for_each(|p| shard.append(p));
-                let stacks = (0..).map(StackId).zip(&mut logs);
-                tail.hand_back(stacks);
-                assert_eq!(tail.len(), 0, "handing the calls back empties the tail");
-                let mut gone = shard.iter().filter(|(_, (_, e))| e.is_dispatch()).count();
-                gone = gone.saturating_sub(TAIL);
-                shard.retain(|(_, (_, e))| {
-                    let dropped = e.is_dispatch() && gone > 0;
-                    gone -= usize::from(dropped);
-                    !dropped
-                });
-                for (s, log) in logs.iter_mut().enumerate() {
-                    let mine: Vec<Entry> = shard
-                        .iter()
-                        .filter(|(of, (_, e))| e.stack().0 == s as u32 && *of == incarnation[s])
-                        .map(|(_, entry)| entry.clone())
-                        .collect();
-                    assert!(log.events().eq(mine.iter()), "log {s} holds its calls back");
-                    assert_consistent(log);
-                    assert_eq!(log.pushed(), bare[s].pushed());
-                    folded.merge(&log.take());
-                    by_stack.merge(&bare[s]);
-                    model.merge(&Model(mine));
-                    model = Model(model.retained().cloned().collect());
-                }
-                assert!(folded.events().eq(model.0.iter()), "iteration differs at {id}");
-                assert_consistent(&folded);
-                assert_eq!(folded.pushed(), by_stack.pushed());
-                assert_eq!(folded.fingerprint(), by_stack.fingerprint());
-                overflowed += usize::from(folded.dropped() > 0);
-            }
-        }
-        assert!(overflowed > 5, "the sweep must take shared tails past their length");
-        assert!(taken > 5, "the sweep must take logs inside a loan");
     }
 
     #[test]
     fn a_log_grows_with_its_structural_entries_not_with_its_calls() {
         let mut log = TraceLog::new();
         log.push(Time(0), bind(0, "p", 0));
+        log.push(Time(0), call(0, "p", 0));
+        let small = log.mem_bytes();
         assert!(
-            log.mem_bytes() <= std::mem::size_of::<Kept>() + 4 * 48,
+            small <= std::mem::size_of::<Kept>() + 4 * 40 + 4 * 48,
             "a small trace stays small"
         );
-        for i in 0..TAIL as u64 {
+        let digest = log.fingerprint();
+        for i in 0..16_384 {
             log.push(Time(i), call(0, "p", i));
         }
-        let full = log.mem_bytes();
-        assert!(full <= std::mem::size_of::<Kept>() + 4 * 48 + TAIL * 40);
-        let digest = log.fingerprint();
-        for i in 0..3 * TAIL as u64 {
-            log.push(Time(TAIL as u64 + i), call(0, "p", i));
-        }
-        assert_eq!(log.mem_bytes(), full, "a full tail must stay where it is");
-        assert_eq!((log.pushed(), log.dropped()), (4 * TAIL as u64 + 1, 3 * TAIL as u64));
-        assert_ne!(log.fingerprint(), digest, "what is let go is still in the digest");
-        // The bind pushed first is still there, ahead of the tail.
-        assert_eq!(log.events().next(), Some(&(Time(0), bind(0, "p", 0))));
-        assert_eq!(log.events().count(), TAIL + 1);
+        assert_eq!(log.mem_bytes(), small, "calls on a tallied (service, op) cost nothing");
+        assert_eq!(log.pushed(), 16_386);
+        assert_eq!(log.tally()[0].2.calls, 16_385);
+        assert_ne!(log.fingerprint(), digest, "what is not kept is still in the digest");
+        assert_eq!(log.events().collect::<Vec<_>>(), [&(Time(0), bind(0, "p", 0))]);
 
         let mut off = TraceLog::disabled();
-        for i in 0..3 * TAIL as u64 {
+        for i in 0..16_384 {
             off.push(Time(i), call(0, "p", i));
         }
         assert_eq!(off.mem_bytes(), 0);

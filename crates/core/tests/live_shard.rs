@@ -9,7 +9,7 @@ use bytes::Bytes;
 use dpu_core::host::{LiveShard, NullSink, WallClock};
 use dpu_core::stack::net_ops;
 use dpu_core::wire::{Encode, ScratchStats};
-use dpu_core::{FactoryRegistry, ModuleId, ServiceId, Stack, StackConfig, StackId, TraceEvent};
+use dpu_core::{FactoryRegistry, ModuleId, ServiceId, Stack, StackConfig, StackId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn shard() -> LiveShard {
@@ -104,22 +104,4 @@ fn loan_is_returned_when_the_closure_unwinds() {
     // at the next poll, after which the stack's buffer went back.
     assert_eq!(latency_samples(&shard), 2);
     assert_handed_back(shard);
-}
-
-#[test]
-fn a_traced_stack_leaves_the_shard_with_its_calls() {
-    let mut shard = shard();
-    let calls = |s: &Stack| {
-        s.trace().events().filter(|(_, e)| matches!(e, TraceEvent::Call { .. })).count()
-    };
-    shard.ctl(0, queue_a_send, &mut NullSink);
-    // Inside a loan the stack's calls are in the shard's tail, and its
-    // trace counts them as dropped.
-    let (held, dropped) = shard.ctl(0, |s| (calls(s), s.trace().dropped()), &mut NullSink);
-    assert_eq!(held, 0);
-    assert!(dropped >= 1, "the net call is traced, in the shard's tail");
-    let (_, stack) = shard.into_stacks().pop().expect("one stack");
-    assert_eq!(stack.trace().dropped(), 0, "the stack's calls came back with it");
-    assert_eq!(stack.trace().events().count() as u64, stack.trace().pushed());
-    assert!(calls(&stack) >= 1);
 }

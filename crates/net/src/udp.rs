@@ -271,10 +271,12 @@ mod tests {
     /// for it and responds in its name.
     #[test]
     fn neither_direction_goes_through_net() {
-        use dpu_core::TraceEvent;
+        use dpu_core::{TraceEvent, TraceLog};
         assert!(UdpModule::new().requires().is_empty());
         let (mut stack, udp, user) = udp_stack();
         run_until_idle(&mut stack); // the three `on_start`s
+        stack.take_trace();
+        let (t0, id) = (stack.now(), stack.id());
         let d = Dgram { peer: StackId(1), channel: ch(7), data: Bytes::from_static(b"hello") };
         stack.call_as(user, &ServiceId::new(crate::UDP_SVC), dgram::SEND, wire::to_bytes(&d));
         let sent =
@@ -289,19 +291,15 @@ mod tests {
             t = Time(t.0 + 1);
         }
         assert_eq!(stepped, vec![user], "no step of `udp` to send, none to receive");
-        let net = ServiceId::new(dpu_core::svc::NET);
-        let on_net = stack.trace().events().any(|(_, e)| match e {
-            TraceEvent::Call { service, .. } | TraceEvent::Response { service, .. } => {
-                *service == net
-            }
-            _ => false,
-        });
-        assert!(!on_net, "a call to or response on `net` on a stack built over `udp`");
-        let recv = stack.trace().events().find_map(|(_, e)| match e {
-            TraceEvent::Response { from, fanout, .. } => Some((*from, *fanout)),
-            _ => None,
-        });
-        assert_eq!(recv, Some((udp, 1)), "the edge responds in `udp`'s name");
+        // The call to `udp`, and the edge's response in `udp`'s name to
+        // the one module listening: nothing on `net`, nothing else.
+        let service = ServiceId::new(crate::UDP_SVC);
+        let mut expected = TraceLog::new();
+        let op = dgram::SEND;
+        expected.push(t0, TraceEvent::Call { stack: id, service, op, from: user, to: udp });
+        let (op, fanout) = (dgram::RECV, 1);
+        expected.push(Time(5), TraceEvent::Response { stack: id, service, op, from: udp, fanout });
+        assert_eq!(stack.trace().fingerprint(), expected.fingerprint());
     }
 
     #[test]

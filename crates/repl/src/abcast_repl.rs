@@ -178,8 +178,10 @@ impl Algorithm1 {
         self.seq_number += 1; // line 11
         let outgoing = ctx.bound(&self.ind.required);
         ctx.unbind(&self.ind.required); // line 12
-        layer::install(ctx, spec); // lines 13–14
-        layer::activated(ctx);
+        let installed = layer::install(ctx, spec); // lines 13–14
+        if installed {
+            layer::activated(ctx);
+        }
         outgoing
     }
 
@@ -427,6 +429,55 @@ mod tests {
         let m = reg.build(&ModuleSpec::new(KIND)).unwrap();
         assert_eq!(m.kind(), KIND);
         assert_eq!(m.provides(), vec![ServiceId::new("r-abcast")]);
+    }
+
+    /// Provides `abcast` and, once started, ADELIVERs the one payload it
+    /// holds: an ordered `NewAbcast` nobody proposed here.
+    struct Forger(ReplPayload);
+
+    impl Module for Forger {
+        fn kind(&self) -> &str {
+            "forger"
+        }
+        fn provides(&self) -> Vec<ServiceId> {
+            vec![ServiceId::new(dpu_protocols::ABCAST_SVC)]
+        }
+        fn requires(&self) -> Vec<ServiceId> {
+            Vec::new()
+        }
+        fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
+            let data = ctx.encode(&self.0);
+            ctx.respond(&ServiceId::new(dpu_protocols::ABCAST_SVC), ab_ops::ADELIVER, data);
+        }
+        fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
+        fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
+    }
+
+    /// A member of a mixed-build group, or one sent a forged ordered
+    /// request, is ADELIVERed a switch to a kind its catalogue lacks: it
+    /// refuses it on the record and leaves `abcast` unbound.
+    #[test]
+    fn an_agreed_switch_this_stack_cannot_build_is_refused_not_a_panic() {
+        use dpu_core::{FactoryRegistry, Stack, StackConfig};
+        let mut reg = FactoryRegistry::new();
+        ReplAbcastModule::register(&mut reg);
+        let mut stack = Stack::new(StackConfig::nth(0, 3, 1), reg);
+        let spec = ModuleSpec::new("abcast.unknown");
+        let forger = stack.add_module(Box::new(Forger(ReplPayload::NewAbcast { sn: 0, spec })));
+        let abcast = ServiceId::new(dpu_protocols::ABCAST_SVC);
+        stack.bind(&abcast, forger);
+        let repl = stack.install(&ModuleSpec::new(KIND)).expect("the catalogue has the layer");
+        let mut t = Time::ZERO;
+        while stack.step(t).is_some() {
+            t = Time(t.0 + 1);
+        }
+        assert_eq!(stack.with_module::<ReplAbcastModule, _>(repl, |m| m.seq_number()), Some(1));
+        assert_eq!(stack.bound(&abcast), None, "the service stays unbound");
+        let mut dump = String::new();
+        stack.telemetry().dump_flight("stack 0", &mut dump);
+        assert_eq!(dump.matches("switch-refused").count(), 1, "{dump}");
+        let wellformed = dpu_core::props::check_stack_well_formedness(stack.trace());
+        assert!(wellformed.weak, "{:?}", wellformed.violations);
     }
 
     #[test]

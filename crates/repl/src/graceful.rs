@@ -116,6 +116,7 @@ impl Module for GracefulSwitcher {
             // Phase 1, `Prepare`: instantiate the new AAC; traffic still
             // flows through the old one. Then `Prepared`.
             Some(Step::Start(spec)) => {
+                // A spec it cannot build leaves `abcast.alt` unbound.
                 layer::install(ctx, &spec);
                 self.sw.ack(ctx, 1);
             }

@@ -54,15 +54,20 @@ pub(crate) fn activated(ctx: &mut ModuleCtx<'_>) {
 }
 
 /// `create_module(prot)` for a switch the group has already agreed on
-/// (binds the new provider and recursively creates what it requires).
-/// [`Indirection::change_requested`] keeps a request this stack could not
-/// build from ever being proposed, so failing here means a peer has a
-/// factory this stack lacks: surface loudly. The service stays unbound,
-/// so calls block (weak well-formedness) rather than corrupt state.
-pub(crate) fn install(ctx: &mut ModuleCtx<'_>, spec: &ModuleSpec) {
-    if let Err(e) = ctx.create_module(spec) {
-        panic!("replacement failed on {}: {e}", ctx.stack_id());
+/// (binds the new provider and recursively creates what it requires);
+/// `false` if this stack could not build it. [`Indirection::change_requested`]
+/// keeps such a request from ever being proposed here, so it comes from
+/// a peer with a factory this stack lacks (a group of mixed builds) or
+/// from a forged ordered request. It is recorded as a refused switch, in
+/// the flight recorder, and the service stays unbound, so calls block
+/// (weak well-formedness) rather than corrupt state; the host runs on.
+pub(crate) fn install(ctx: &mut ModuleCtx<'_>, spec: &ModuleSpec) -> bool {
+    let installed = ctx.create_module(spec).is_ok();
+    if !installed {
+        let now_ns = ctx.now().as_nanos();
+        ctx.telemetry().note_switch_refused(now_ns);
     }
+    installed
 }
 
 /// The level of indirection of §4: callers are wired to `provided`

@@ -112,8 +112,9 @@ impl Module for MaestroSwitcher {
                 if let Some(old) = ctx.bound(&self.sw.ind.required) {
                     ctx.destroy_module(old);
                 }
-                layer::install(ctx, &spec);
-                layer::activated(ctx);
+                if layer::install(ctx, &spec) {
+                    layer::activated(ctx);
+                }
                 self.sw.ack(ctx, 1);
             }
             // `Resume`: everyone is ready.

@@ -154,11 +154,10 @@ pub struct SimConfig {
     /// CPU model.
     pub cpu: CpuConfig,
     /// Record a trace in each stack: every bind, unbind, module lifetime
-    /// and blocked call, plus a digest of every call and response — per
-    /// stack what its replacements add, per shard one fixed tail of
-    /// recent calls, whatever the length of the run (`dpu_core::trace`).
-    /// A stack's calls live in its shard's tail until
-    /// [`Sim::merged_trace`] hands them back and reads them.
+    /// and blocked call, plus a digest and a per-`(service, op)` tally of
+    /// every call and response — per stack what its replacements and the
+    /// services it binds add, whatever the length of the run
+    /// (`dpu_core::trace`). [`Sim::merged_trace`] reads them.
     pub trace: bool,
     /// The network: the [`NetConfig`] of every link class (one for a
     /// flat topology, intra-cluster and backbone for a clustered one)
@@ -939,14 +938,12 @@ impl Sim {
     /// Merge and take the traces of all stacks, shard by shard and slot
     /// by slot — stack order, and the same whatever the worker count —
     /// which is the order the merged [`TraceLog::fingerprint`] joins the
-    /// per-stack digests in. Each shard first hands its stacks back their
-    /// calls and responses from its one tail
-    /// ([`ShardPools::hand_back_trace`]), so the result keeps the last
-    /// 4096 of them per shard and then of the merged stream.
+    /// per-stack digests in. The result holds every structural entry of
+    /// the run, the joined digest and the summed tally: calls and
+    /// responses live on only in those two.
     pub fn merged_trace(&mut self) -> TraceLog {
         let mut merged = TraceLog::new();
         for shard in &mut self.shards {
-            shard.pools.hand_back_trace(shard.nodes.drivers_mut().map(StackDriver::stack_mut));
             for driver in shard.nodes.drivers_mut() {
                 let t = driver.stack_mut().take_trace();
                 merged.merge(&t);
@@ -1061,10 +1058,10 @@ mod tests {
 
     /// What a stack pushes before its first loan — its build, in
     /// `Sim::new` or `restart_node_with` — and outside any (a crash)
-    /// lands in the merged trace in order: in time, and ahead of the
-    /// calls of the incarnation it built, and no call of an incarnation
-    /// a restart replaced is left. (A stack stamps its build at
-    /// its own clock, zero, also when a restart builds it.)
+    /// lands in the merged trace in order: in time, each stack's build
+    /// in the order it happened, the crash at its time and nothing of
+    /// the crashed stack after it. (A stack stamps its build at its own
+    /// clock, zero, also when a restart builds it.)
     #[test]
     fn entries_pushed_outside_a_loan_land_in_order() {
         use dpu_core::TraceEvent;
@@ -1075,22 +1072,11 @@ mod tests {
         sim.crash_at(restart + Dur::millis(2), StackId(3));
         sim.run_until(restart + Dur::millis(10));
         let trace = sim.merged_trace();
-        assert_eq!(trace.dropped(), 0);
         let events: Vec<_> = trace.events().collect();
         assert!(events.windows(2).all(|w| w[0].0 <= w[1].0), "the merged trace is in time order");
         for stack in 0..4 {
             let id = StackId(stack);
-            let mine: Vec<_> = events.iter().filter(|(_, e)| e.stack() == id).collect();
-            let call = |e: &TraceEvent| matches!(e, TraceEvent::Call { .. });
-            let dispatch = |e: &TraceEvent| call(e) || matches!(e, TraceEvent::Response { .. });
-            // The old incarnation of stack 2 went with its trace, calls
-            // and all, though its calls were in the shard's tail.
-            if stack == 2 {
-                assert!(mine.iter().all(|(t, e)| !dispatch(e) || *t >= restart));
-            }
-            let first_call = mine.iter().position(|(_, e)| call(e)).expect("the stack pinged");
-            let build: Vec<_> =
-                mine.iter().enumerate().filter(|(_, (_, e))| !dispatch(e)).take(3).collect();
+            let build: Vec<_> = events.iter().filter(|(_, e)| e.stack() == id).take(3).collect();
             let created =
                 TraceEvent::ModuleCreated { stack: id, module: PINGER, kind: "pinger".into() };
             let bound = TraceEvent::Bind {
@@ -1098,11 +1084,10 @@ mod tests {
                 service: ServiceId::new(dpu_core::svc::NET),
                 module: dpu_core::ModuleId(1),
             };
-            let kinds = build.iter().map(|(_, (_, e))| std::mem::discriminant(e));
+            let kinds = build.iter().map(|(_, e)| std::mem::discriminant(e));
             let order = [&created, &bound, &created].map(std::mem::discriminant);
             assert!(kinds.eq(order), "stack {stack}: the bridge, its bind, the pinger");
-            assert_eq!(build[2].1 .1, created, "stack {stack}'s pinger is built last");
-            assert!(build[2].0 < first_call, "stack {stack}'s build comes before its calls");
+            assert_eq!(build[2].1, created, "stack {stack}'s pinger is built last");
         }
         let crash = events
             .iter()
