@@ -30,14 +30,15 @@
 //! and (4) returns [`LiveShard::into_stacks`] on shutdown. It never
 //! touches a driver, a pool or a loan itself.
 //!
-//! # One packet, one cascade
+//! # One input, one cascade
 //!
-//! [`LiveShard::deliver`] runs the full dispatch cascade of a packet
-//! before it returns — matching the simulator. Injecting a whole batch
-//! of packets before polling would mix the cascades of
-//! consecutive packets in the stack's breadth-first queue, letting a
-//! packet overtake the module-creation reactions of the packet before
-//! it (fatal across a protocol switch).
+//! The order is the stack's, not the host's: a stack takes the next
+//! input (a packet, a fired timer, a control closure's call) only once
+//! the dispatch cascade of the one before has drained (see
+//! `stack/dispatch.rs`), on this host as on the simulator, so a packet
+//! never overtakes the module-creation reactions of the packet before
+//! it. [`LiveShard::deliver`] also runs the cascade before it returns,
+//! so a shard's reply to the control plane sees its effects.
 
 use super::{ActionSink, ShardPools, StackDriver, Wakeup};
 use crate::ids::StackId;

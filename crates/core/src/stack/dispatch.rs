@@ -1,7 +1,19 @@
-//! Running the work: the delivery queue and the count of modules still
-//! to start, [`Stack::step`] (one delivery to one module handler), the
-//! timer table, and the shard loan of the dispatch and encode buffers
-//! and the trace tail.
+//! Running the work: the cascade queue, the inbox and the count of
+//! modules still to start, [`Stack::step`] (one delivery to one module
+//! handler), the timer table, and the shard loan of the dispatch
+//! buffers.
+//!
+//! # One input, one cascade
+//!
+//! Work a step produces joins the **cascade** queue; a call, response or
+//! timer that enters from outside a step (a packet, a host's call, a
+//! timer, a control closure) waits in the **inbox**, and the next input
+//! is taken from it only once the cascade queue has drained. So an
+//! input's whole dispatch cascade — breadth-first within itself — runs
+//! before the next input's first step, on every host: the order is the
+//! stack's, not the host's. A module's start or stop always joins the
+//! cascade queue, so it runs before anything routed to that module
+//! after it.
 
 use super::{HostAction, ModuleCtx, Stack};
 use crate::ids::{ModuleId, StackId, TimerId};
@@ -93,14 +105,18 @@ impl Timers {
     }
 }
 
-/// Dispatch capacity: the delivery queue and the action buffer, which a
-/// stack needs only while it has work, boxed so that a stack without
-/// work holds one null word. A cascade's burst ratchets a buffer to its
-/// peak; lent, that is paid once per shard ([`ShardDispatch`]). A stack
-/// nobody lends to boxes its own with its first delivery or action.
+/// Dispatch capacity: the cascade queue, the inbox and the action
+/// buffer, which a stack needs only while it has work, boxed so that a
+/// stack without work holds one null word. A cascade's burst ratchets a
+/// buffer to its peak; lent, that is paid once per shard
+/// ([`ShardDispatch`]). A stack nobody lends to boxes its own with its
+/// first delivery or action.
 #[derive(Default)]
 pub(crate) struct DispatchBuf {
+    /// The running cascade: what its steps produced, breadth-first.
     queue: VecDeque<Delivery>,
+    /// Inputs from outside a step, each taken once `queue` is empty.
+    inbox: VecDeque<Delivery>,
     actions: Vec<HostAction>,
 }
 
@@ -129,19 +145,29 @@ impl DispatchBuf {
 
     /// Deliveries queued.
     pub(super) fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.inbox.len()
+    }
+
+    /// Delivery slots held, in both queues.
+    fn capacity(&self) -> usize {
+        self.queue.capacity() + self.inbox.capacity()
     }
 }
 
 impl Stack {
-    /// Queue `work` for module `to`, behind the starts still counted
-    /// (see [`Stack::next_module_id`]), which go into the queue first.
+    /// Queue `work` for module `to`: in the cascade queue if a step
+    /// produced it or it starts or stops a module (so it runs before
+    /// anything routed to that module later), else in the inbox. The
+    /// starts still counted (see [`Stack::next_module_id`]) head the
+    /// cascade queue first.
     pub(super) fn enqueue(&mut self, to: ModuleId, work: Work) {
-        let queue = &mut DispatchBuf::of(&mut self.dispatch).queue;
+        let buf = DispatchBuf::of(&mut self.dispatch);
         for id in self.next_module - u64::from(self.starting)..self.next_module {
-            queue.push_back(Delivery { to: ModuleId(id), work: Work::Start });
+            buf.queue.push_back(Delivery { to: ModuleId(id), work: Work::Start });
         }
         self.starting = 0;
+        let cascade = self.stepping || matches!(work, Work::Start | Work::Stop);
+        let queue = if cascade { &mut buf.queue } else { &mut buf.inbox };
         queue.push_back(Delivery { to, work });
     }
 
@@ -161,10 +187,12 @@ impl Stack {
         id
     }
 
-    /// The next delivery: a counted start, or the head of the queue.
+    /// The next delivery: a counted start, else the head of the cascade
+    /// queue, else the next input.
     fn next_delivery(&mut self) -> Option<Delivery> {
         if self.starting == 0 {
-            return self.dispatch.as_mut().and_then(|d| d.queue.pop_front());
+            let buf = self.dispatch.as_mut()?;
+            return buf.queue.pop_front().or_else(|| buf.inbox.pop_front());
         }
         let to = ModuleId(self.next_module - u64::from(self.starting));
         self.starting -= 1;
@@ -260,6 +288,7 @@ impl Stack {
             // Deliveries to destroyed modules are dropped silently.
             let Some(slot) = self.modules.get_mut(&to) else { continue };
             let mut module = slot.module.take().expect("module re-entrancy");
+            self.stepping = true;
             let mut ctx = ModuleCtx { stack: self, me: to, destroyed_self: false };
             let category = match work {
                 Work::Call(call) => {
@@ -284,11 +313,12 @@ impl Stack {
                 }
             };
             let destroyed = ctx.destroyed_self;
-            if self.pending() == 0 {
+            self.stepping = false;
+            if self.starting == 0 && self.dispatch.as_ref().is_none_or(|d| d.queue.is_empty()) {
                 // The cascade drained with this step: close it here, so
                 // hosts that only schedule steps while work is pending
                 // (the sim never calls `step` on an empty queue) still
-                // feed the depth histogram.
+                // feed the depth histogram, one sample an input.
                 self.telemetry.cascade_end();
             }
             if destroyed {
@@ -314,7 +344,7 @@ impl Stack {
     /// Delivery and host-action slots this stack holds (capacity): none
     /// once idle, if a shard lends to it ([`crate::host::ShardPools`]).
     pub fn dispatch_capacity(&self) -> (usize, usize) {
-        self.dispatch.as_ref().map_or((0, 0), |d| (d.queue.capacity(), d.actions.capacity()))
+        self.dispatch.as_ref().map_or((0, 0), |d| (d.capacity(), d.actions.capacity()))
     }
 
     /// Swap this stack's scratch pointer with `pool` — the scratch part
@@ -338,8 +368,8 @@ impl Stack {
     }
 
     /// Ending a shard loan: the action buffer leaves, unless it holds
-    /// actions not settled yet, and the box leaves if its queue is
-    /// empty. The shard keeps the larger of each.
+    /// actions not settled yet, and the box leaves if both its queues
+    /// are empty. The shard keeps the larger of each.
     pub(crate) fn return_dispatch(&mut self, shard: &mut ShardDispatch) {
         let Some(buf) = self.dispatch.as_deref_mut() else { return };
         if !buf.actions.is_empty() {
@@ -349,9 +379,9 @@ impl Stack {
         if actions.capacity() > shard.actions.capacity() {
             shard.actions = actions;
         }
-        let Some(idle) = self.dispatch.take_if(|d| d.queue.is_empty()) else { return };
+        let Some(idle) = self.dispatch.take_if(|d| d.pending() == 0) else { return };
         match &mut shard.buf {
-            Some(own) if own.queue.capacity() >= idle.queue.capacity() => {}
+            Some(own) if own.capacity() >= idle.capacity() => {}
             own => *own = Some(idle),
         }
     }
@@ -384,7 +414,7 @@ mod tests {
 
     /// The capacity of the shard's queue and action buffer.
     fn capacity(shard: &Shard) -> (usize, usize) {
-        (shard.buf.as_ref().map_or(0, |d| d.queue.capacity()), shard.actions.capacity())
+        (shard.buf.as_ref().map_or(0, |d| d.capacity()), shard.actions.capacity())
     }
 
     /// A stack with an echo provider and a client of it: a call queues a
@@ -430,7 +460,8 @@ mod tests {
         lent(&mut stack, &mut shard, run_until_idle); // the `on_start`s
         let mut warm = DispatchBuf::default();
         warm.queue.reserve(64);
-        let warm_cap = warm.queue.capacity();
+        warm.inbox.reserve(64);
+        let warm_cap = warm.queue.capacity() + warm.inbox.capacity();
         shard.buf = Some(Box::new(warm));
         let call = |s: &mut Stack, i: u8| {
             s.call_as(client, &ServiceId::new("echo"), 1, Bytes::copy_from_slice(&[i]));
@@ -441,7 +472,7 @@ mod tests {
         for i in 0..5 {
             lent(&mut stack, &mut shard, |s| call(s, i));
             assert_eq!(stack.pending(), usize::from(i) + 1);
-            assert_eq!(stack.dispatch_capacity(), (warm_cap, 0), "the one queue, not a copy");
+            assert_eq!(stack.dispatch_capacity(), (warm_cap, 0), "the one box, not a copy");
             assert!(shard.buf.is_none(), "nothing carried back");
         }
         lent(&mut stack, &mut shard, |s| s.step(Time(1)));
@@ -526,23 +557,46 @@ mod tests {
         assert_eq!(stack.pending(), 3);
         stack.call_as(client, &ServiceId::new("echo"), 1, Bytes::new());
         let late = stack.add_module(Box::new(Client::default()));
-        assert_eq!(stack.pending(), 5, "the call queued behind the starts, then a start");
+        assert_eq!(stack.pending(), 5, "the starts, the call in the inbox, and a start");
         let mut steps = Vec::new();
         while let Some(info) = stack.step(Time(1)) {
             steps.push((info.module, info.category));
         }
         use StepCategory::{Call, Response, Start};
         let (bridge, echo) = (ModuleId(1), ModuleId(2));
-        let starts = [(bridge, Start), (echo, Start), (client, Start)];
-        assert_eq!(steps[..3], starts, "in creation order");
-        let rest = [(echo, Call), (late, Start), (client, Response), (late, Response)];
-        assert_eq!(steps[3..], rest);
+        let starts = [(bridge, Start), (echo, Start), (client, Start), (late, Start)];
+        assert_eq!(steps[..4], starts, "in creation order, before any input");
+        let rest = [(echo, Call), (client, Response), (late, Response)];
+        assert_eq!(steps[4..], rest);
         // Created once the stack is idle, a module's start is counted too.
         let mut fresh = new_stack();
         fresh.step(Time(1));
         let more = fresh.add_module(Box::new(Echo));
         assert!(fresh.dispatch.is_none() && fresh.pending() == 1);
         assert_eq!(fresh.step(Time(2)).map(|i| (i.module, i.category)), Some((more, Start)));
+    }
+
+    /// Two calls queued from outside: the first one's response reaches
+    /// both clients before the second call is dispatched, and each call
+    /// is one cascade in the depth histogram.
+    #[test]
+    fn an_input_runs_its_whole_cascade_before_the_next_input() {
+        let (mut stack, client) = echo_stack();
+        let other = stack.add_module(Box::new(Client::default()));
+        run_until_idle(&mut stack); // the `on_start`s: one cascade
+        let echo_svc = ServiceId::new("echo");
+        stack.call_as(client, &echo_svc, 1, Bytes::from_static(b"a"));
+        stack.call_as(other, &echo_svc, 1, Bytes::from_static(b"b"));
+        let mut steps = Vec::new();
+        while let Some(info) = stack.step(Time(1)) {
+            steps.push((info.module, info.category));
+        }
+        use StepCategory::{Call, Response};
+        let echo = ModuleId(2);
+        let one = [(echo, Call), (client, Response), (other, Response)];
+        assert_eq!(steps, [one, one].concat());
+        let depth = &stack.telemetry().state().expect("always on").cascade_depth;
+        assert_eq!((depth.count(), depth.min(), depth.max()), (3, 3, 4), "starts, then 3 and 3");
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //!
 //! A stack is a deterministic, single-threaded, run-to-completion engine.
 //! All pending work (service calls, responses, timer expirations, module
-//! lifecycle events) sits in an internal FIFO; the *host* — the
-//! deterministic simulator (`dpu-sim`) or the threaded runtime
-//! (`dpu-runtime`) — repeatedly invokes [`Stack::step`] to dispatch one
-//! item to one module handler. Handlers interact with the world only
-//! through [`ModuleCtx`], which enqueues further work and emits
-//! [`HostAction`]s (network sends, timer arming) for the host to execute.
+//! lifecycle events) sits in two internal FIFOs — the running cascade and
+//! the inbox of inputs behind it; the *host* — the deterministic
+//! simulator (`dpu-sim`) or a live host (`dpu-runtime`, `dpu-reactor`) —
+//! repeatedly invokes [`Stack::step`] to dispatch one item to one module
+//! handler. Handlers interact with the world only through [`ModuleCtx`],
+//! which enqueues further work and emits [`HostAction`]s (network sends,
+//! timer arming) for the host to execute.
 //!
 //! This split is what lets the same protocol modules run unchanged under
 //! virtual time (for reproducible experiments) and real time.
@@ -200,13 +201,17 @@ pub struct Stack {
     /// Calls blocked on an unbound service (weak stack-well-formedness),
     /// and responses held back for a listener not created yet.
     waiting: VecMap<ServiceId, VecDeque<Waiting>>,
-    /// The delivery queue and the action buffer: the shard's while it
-    /// lends them, kept only while they hold work ([`DispatchBuf`]).
+    /// The cascade queue, the inbox and the action buffer: the shard's
+    /// while it lends them, kept only while they hold work
+    /// ([`DispatchBuf`]).
     dispatch: Option<Box<DispatchBuf>>,
     /// Modules created last whose start is due before anything queued:
     /// the ids `next_module - starting .. next_module`
     /// ([`Stack::next_module_id`]).
     starting: u16,
+    /// Whether a module handler is running: what it queues joins the
+    /// cascade, the calls and responses of anyone else the inbox.
+    stepping: bool,
     /// The one timer table: every armed timer's deadline, the module it
     /// fires into, and its tag.
     timers: Timers,
@@ -267,6 +272,7 @@ impl Stack {
             waiting: VecMap::new(),
             dispatch: None,
             starting: 0,
+            stepping: false,
             timers: Timers::default(),
             factory,
             trace,

@@ -537,7 +537,8 @@ mod tests {
         assert_eq!(got(&mut stack, also_on_4).unwrap(), [4, NO_CHANNEL, 4]);
         assert_eq!(got(&mut stack, on_all).unwrap(), [3, 4, 9, NO_CHANNEL, 4]);
         // The trace counts the modules reached, not the modules requiring:
-        // the five calls at once, then a response a step, one ns apart.
+        // the five calls at once, then each call's response and the steps
+        // it fans out to, one ns apart, before the next call is taken.
         let id = stack.id();
         let (mux_svc, echo_svc) = (ServiceId::new("mux"), ServiceId::new("echo"));
         let call =
@@ -552,10 +553,10 @@ mod tests {
             call(mux_svc, NO_CHANNEL, mux),
             call(echo_svc, 4, echo),
             response(0, mux_svc, 3, mux, 2),
-            response(1, mux_svc, 4, mux, 3),
-            response(2, mux_svc, 9, mux, 1),
-            response(3, mux_svc, NO_CHANNEL, mux, 4),
-            response(4, echo_svc, 4, echo, 4),
+            response(3, mux_svc, 4, mux, 3),
+            response(7, mux_svc, 9, mux, 1),
+            response(9, mux_svc, NO_CHANNEL, mux, 4),
+            response(14, echo_svc, 4, echo, 4),
         ];
         assert_eq!(stack.trace().fingerprint(), digest(expected));
     }

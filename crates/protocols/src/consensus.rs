@@ -94,8 +94,9 @@
 //!    pair, so nothing of `(ns, k)` is still in flight towards this
 //!    process — **and** the user has proposed a higher `k` in `ns`, so it
 //!    is done with `DECIDE(k)`. (Hearing everyone is not enough: the
-//!    stack dispatches breadth-first, so a user may `PROPOSE k` after the
-//!    decision and before its own `DECIDE(k)` reaches it.) That `(ns, k)`
+//!    stack dispatches breadth-first within a cascade, so a user may
+//!    `PROPOSE k` after the decision and before its own `DECIDE(k)`
+//!    reaches it.) That `(ns, k)`
 //!    was collected is remembered in an [`IntervalSet`] — one watermark
 //!    per namespace in practice — so a duplicated or forged frame for it
 //!    is dropped instead of starting the instance afresh. An instance

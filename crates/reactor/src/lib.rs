@@ -198,8 +198,9 @@ impl Loop {
     }
 
     /// Read every queued datagram off one socket, decode, and deliver
-    /// to the destination driver (one packet, one cascade — see
-    /// [`dpu_core::host::live`]).
+    /// to the destination driver, which runs its whole cascade before
+    /// the next packet's first step (the stack's order on every host —
+    /// see [`dpu_core::host::live`]).
     fn drain_socket(&mut self, sock_i: usize, buf: &mut [u8]) {
         loop {
             let len = match self.wire.sockets[sock_i].recv_from(buf) {

@@ -719,6 +719,51 @@ mod tests {
         }
     }
 
+    /// A Graceful group of mixed builds: stacks 0 and 1 know a kind
+    /// stack 2 lacks. The switch to it goes through on 0 and 1; stack 2
+    /// refuses it at phase 1, keeps the old protocol in service at
+    /// phase 3 and reports no activation, in its timeline or in its
+    /// flight recorder.
+    #[test]
+    fn graceful_activates_nothing_where_the_install_was_refused() {
+        const NEWER: &str = "abcast.seq.newer";
+        let opts = GroupStackOpts { layer: SwitchLayer::Graceful, ..Default::default() };
+        let older = catalogue(&opts);
+        let mut newer = older.clone();
+        newer.register_with(NEWER, SeqAbcastModule::new);
+        let mut handles = None;
+        let mut sim = Sim::new(SimConfig::lan(3, 13), |sc| {
+            let catalogue = if sc.id == StackId(2) { &older } else { &newer };
+            let built = build_in(sc, &opts, catalogue.clone());
+            handles.get_or_insert(built.handles);
+            built.stack
+        });
+        let h = handles.expect("three stacks built");
+        sim.run_until(Time::ZERO + Dur::millis(300));
+        let params = SeqAbcastParams { namespace: 1, service: "abcast.alt".into() };
+        request_change(&mut sim, StackId(0), &h, &ModuleSpec::with_params(NEWER, &params));
+        sim.run_until(Time::ZERO + Dur::secs(3));
+        send_probe(&mut sim, StackId(0), &h);
+        sim.run_until(Time::ZERO + Dur::secs(5));
+        let (alt, abcast) = (ServiceId::new("abcast.alt"), ServiceId::new("abcast"));
+        for id in sim.stack_ids() {
+            let refused = id == StackId(2);
+            let stack = sim.stack(id);
+            let mut dump = String::new();
+            stack.telemetry().dump_flight("", &mut dump);
+            let count = |event| dump.matches(event).count();
+            assert_eq!(count("switch-refused"), usize::from(refused), "{id}: {dump}");
+            assert_eq!(count("switch-activated"), usize::from(!refused), "{id}: {dump}");
+            let timeline = &stack.telemetry().state().expect("always on").switches;
+            assert_eq!(timeline.completed(), u64::from(!refused), "{id}");
+            let open = timeline.pending().map(|r| r.activated_ns);
+            assert_eq!(open, refused.then_some(u64::MAX), "{id}: requested, never activated");
+            assert_eq!(stack.bound(&alt).is_some(), !refused, "{id}");
+            let kind = stack.bound(&abcast).and_then(|m| stack.module_kind(m));
+            assert_eq!(kind, refused.then_some(CT_KIND), "{id}: the old protocol serves");
+        }
+    }
+
     #[test]
     fn group_on_the_runtime_yields_the_same_handles_as_group_sim() {
         use dpu_runtime::{Runtime, RuntimeConfig};

@@ -116,7 +116,9 @@ impl Module for GracefulSwitcher {
             // Phase 1, `Prepare`: instantiate the new AAC; traffic still
             // flows through the old one. Then `Prepared`.
             Some(Step::Start(spec)) => {
-                // A spec it cannot build leaves `abcast.alt` unbound.
+                // A spec it cannot build leaves the spare slot unbound
+                // (and refused on the record); the group still needs
+                // this stack's ack to go on.
                 layer::install(ctx, &spec);
                 self.sw.ack(ctx, 1);
             }
@@ -126,13 +128,17 @@ impl Module for GracefulSwitcher {
             Some(Step::Go(1)) => self.sw.begin_drain(ctx),
             Some(Step::Drained) => self.sw.ack(ctx, 2),
             // Phase 3, `Activate`: retire the old AAC, redirect to the
-            // new one and release the queued sends through it.
+            // new one and release the queued sends through it. With the
+            // spare slot unbound (phase 1 refused the spec) the old AAC
+            // stays in service and no activation is stamped.
             Some(Step::Go(_)) => {
-                if let Some(old) = ctx.bound(&self.sw.ind.required) {
-                    ctx.destroy_module(old);
+                if ctx.bound(&self.spare).is_some() {
+                    if let Some(old) = ctx.bound(&self.sw.ind.required) {
+                        ctx.destroy_module(old);
+                    }
+                    std::mem::swap(&mut self.sw.ind.required, &mut self.spare);
+                    layer::activated(ctx);
                 }
-                std::mem::swap(&mut self.sw.ind.required, &mut self.spare);
-                layer::activated(ctx);
                 self.sw.finish(ctx);
             }
             None => {}

@@ -127,7 +127,8 @@ pub struct TelemetryState {
     /// The set this stack records into: its shard's while lent, else
     /// its own, boxed by its first record.
     pub set: Option<Box<TelemetrySet>>,
-    /// Dispatch-cascade depth (stack steps per external trigger).
+    /// Dispatch-cascade depth (stack steps per external trigger: one
+    /// sample each time the stack's cascade queue drains).
     pub cascade_depth: Histogram,
     /// Switch-phase timeline: the open record, completed count and
     /// retained records, this stack's own under any loan.
