@@ -31,9 +31,11 @@
 //! costs does; all four were re-recorded again. Consensus then stopped
 //! moving to the next round after an ack and sending frames to itself,
 //! and all four were re-recorded once more; and again when round 0 of
-//! consensus lost its estimates (its coordinator proposes at once). A
-//! change that does not mean to alter protocol behaviour must reproduce
-//! them bit for bit.
+//! consensus lost its estimates (its coordinator proposes at once), and
+//! when a stack began to finish an input's whole dispatch cascade before
+//! it takes the next (the simulator had interleaved a packet that
+//! arrived mid-cascade with it). A change that does not mean to alter
+//! protocol behaviour must reproduce them bit for bit.
 
 use dpu::repl::builder::{
     drive_load, group, group_sim, request_change, send_probe, specs, GroupStackOpts, SwitchLayer,
@@ -82,8 +84,7 @@ fn golden_run() -> (dpu::sim::SimStats, u64) {
 #[test]
 fn sim_through_stack_driver_matches_pre_refactor_recording() {
     let (stats, fp) = golden_run();
-    // Values recorded with round 0 of consensus proposing at once; see
-    // module docs.
+    // Values recorded with one input, one cascade; see module docs.
     println!("stats: {stats:?}");
     println!("fingerprint: {fp:#x}");
     assert_eq!(fp, GOLDEN_FP, "merged trace diverged from the recording");
@@ -91,10 +92,13 @@ fn sim_through_stack_driver_matches_pre_refactor_recording() {
     assert_eq!(stats.packets_delivered, GOLDEN_DELIVERED);
 }
 
-/// Recorded 2026-10-17 with round 0 of consensus proposing at once and
-/// no participant sending it an estimate unless it suspects someone,
-/// scenario and seed as in [`golden_run`]: 6 262 dispatch steps where
-/// there were 6 286, 2468 packets where there were 2476. Before:
+/// Recorded 2026-10-19 with a stack finishing an input's cascade before
+/// it takes the next, scenario and seed as in [`golden_run`]: 6 262
+/// dispatch steps and 2468 packets, as before. Before:
+/// `0x1d40603b742fc78f`, recorded 2026-10-17 with round 0 of consensus
+/// proposing at once and no participant sending it an estimate unless
+/// it suspects someone (6 262 dispatch steps where there were 6 286,
+/// 2468 packets where there were 2476); before that
 /// `0x38c07db7a37f92b5`, recorded 2026-10-16 with a consensus instance
 /// that ends in round 0 (a process that acked waits for the decision, and
 /// none sends a frame to itself: 6 286 steps where there were 6 387, 2476
@@ -118,7 +122,7 @@ fn sim_through_stack_driver_matches_pre_refactor_recording() {
 /// reverse traffic); before that `0x4026a4be2f99a940`, 2620 / 2620,
 /// recorded 2026-07-29 from commit 181cd88 (hand-rolled drive loops in
 /// both hosts).
-const GOLDEN_FP: u64 = 0x1d40603b742fc78f;
+const GOLDEN_FP: u64 = 0x456df50592dc29da;
 const GOLDEN_SENT: u64 = 2468;
 const GOLDEN_DELIVERED: u64 = 2468;
 
@@ -168,7 +172,9 @@ fn ct_replacement_run(seed: u64) -> u64 {
     trace_fingerprint(&sim.merged_trace())
 }
 
-/// Recorded with [`GOLDEN_FP`]. Before, with a consensus instance that
+/// Recorded with [`GOLDEN_FP`]. Before, with round 0 of consensus
+/// proposing at once: `0x5c18701aeeba828f`, `0x9240943590377dca`,
+/// `0x6602b9ca33e9a177`; before that, with a consensus instance that
 /// ends in round 0: `0xa968ca25fc666ba3`, `0xcd18f7389d21eafe`,
 /// `0x21acf588ee43360e`; before that, with a fan-out one `rp2p` call:
 /// `0x30ccf9a0058f367a`, `0x957ece490890830e`, `0x21d86a0f65f42e99`;
@@ -186,7 +192,7 @@ fn ct_replacement_run(seed: u64) -> u64 {
 /// collection): `0x6d4c3f10a13194cf`, `0xef232e8e86088525`,
 /// `0xc9794b3925be4984`.
 const CT_REPLACEMENT_FPS: [(u64, u64); 3] =
-    [(11, 0x5c18701aeeba828f), (12, 0x9240943590377dca), (13, 0x6602b9ca33e9a177)];
+    [(11, 0x9108f4a78c54a712), (12, 0x6755d4f725df28c8), (13, 0x9ed33f70335db530)];
 
 #[test]
 fn ct_under_replacement_matches_the_recording_from_before_collection() {
