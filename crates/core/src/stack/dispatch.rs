@@ -121,15 +121,15 @@ pub(crate) struct DispatchBuf {
 }
 
 /// What a shard keeps of the dispatch capacity between loans: a box
-/// whose queue is empty, and the action buffer, apart from it. A loan
+/// whose queues are empty, and the action buffer, apart from it. A loan
 /// hands a stack a box — its own if it is busy, else the shard's, else
 /// a new one — with the shard's action buffer in it
 /// ([`Stack::lend_dispatch`]). At the end of the loan the action
 /// buffer, empty after every settle, comes back whatever the stack's
-/// state, and the box comes back too if its queue is empty; the shard
+/// state, and the box comes back too if its queues are empty; the shard
 /// keeps the larger of each ([`Stack::return_dispatch`]). So a busy
-/// stack keeps only its queue, and the next stack lent while it does
-/// allocates a box and a queue but no action buffer.
+/// stack keeps only its queues, and the next stack lent while it does
+/// allocates a box and queues but no action buffer.
 #[derive(Default)]
 pub(crate) struct ShardDispatch {
     buf: Option<Box<DispatchBuf>>,
