@@ -46,15 +46,16 @@ fn a_group_of_stacks_shares_one_catalogue() {
     let bytes = (ALLOC.live() - live0) / u64::from(N);
     let allocs = (ALLOC.allocs() - allocs0) / u64::from(N);
     println!("built: {bytes} B and {allocs} allocations a stack");
-    // Each bound is its reading plus 4 %, lowered only: 2 808 B and 42
-    // allocations (3 582 B and 49 while a built stack's starts waited in
+    // Each bound is its reading plus 4 %, lowered only: 2 789 B and 42
+    // allocations (2 797 B while the slab row was 240 B, the driver
+    // holding a pointer to its own event queue; 3 582 B and 49 while a built stack's starts waited in
     // a boxed queue, its requirers were per-service lists and its slab
     // row was 344 B; 3 790 B and 48 while a stack's slab row held an inline scratch
     // pool, inline dispatch buffers and inline switch records; 7 432 B
     // while each of the scheduler wheel's 768 buckets a shard was an
     // empty `Vec`, not a 4-byte chain head; 9 983 B and 97 with a
     // catalogue per stack and fat module slots).
-    assert!(bytes <= 2_920, "a built stack holds {bytes} B");
+    assert!(bytes <= 2_900, "a built stack holds {bytes} B");
     assert!(allocs <= 43, "a stack's build took {allocs} allocations");
     drop(sim);
 }

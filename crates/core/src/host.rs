@@ -1,32 +1,32 @@
-//! The unified host API: [`StackDriver`] owns a [`Stack`] plus the
-//! events injected into it and encapsulates the *canonical drive loop*
-//! every host used to hand-duplicate — drain due timers, step the stack
-//! until idle, execute the produced [`HostAction`]s, report the next
-//! wakeup deadline.
+//! The unified host API: [`StackDriver`] owns a [`Stack`] and
+//! encapsulates the *canonical drive loop* every host used to
+//! hand-duplicate — drain due timers, step the stack until idle, execute
+//! the produced [`HostAction`]s, report the next wakeup deadline.
 //!
-//! The contract between a stack and the outside world is three calls:
+//! Every input from outside a step — a packet, a host's call, a fired
+//! timer, a control closure — waits in the stack's one inbox; the driver
+//! keeps no queue of its own. The hosts reach it through these calls:
 //!
-//! * [`StackDriver::inject`] — feed an external [`HostEvent`] in: a
-//!   packet arrival or a control closure to run against the stack;
-//! * [`StackDriver::poll`] — run the drive loop at time `now`, handing
-//!   every network send to an [`ActionSink`], and learn from the returned
-//!   [`Wakeup`] when the driver next needs CPU;
-//! * [`ActionSink`] — implemented by the host; receives the
-//!   [`HostAction::NetSend`]s the loop executes.
+//! * the simulator (`dpu-sim`): [`StackDriver::deliver`] for a packet at
+//!   its scheduled arrival, [`StackDriver::wake`] for due timers, and the
+//!   split-phase [`StackDriver::step_raw`] + [`StackDriver::settle`], so
+//!   it can charge modeled CPU time per step; a control closure mutates
+//!   the stack through `Sim::with_stack`. Its conservative parallel
+//!   engine (`dpu_sim::par`) moves whole shards of drivers between
+//!   worker threads across epoch barriers: drivers own all per-stack
+//!   mutable state, so a shard changes hands by a plain `Send` move;
+//! * the live shards (`dpu-runtime`, `dpu-reactor`, through the
+//!   [`LiveShard`] they share, see [`live`]): [`StackDriver::deliver`]
+//!   and [`poll`] under the wall clock, and [`LiveShard::ctl`] for a
+//!   control closure, each host adding only its transport;
+//! * [`StackDriver::inject`] applies a [`HostEvent`] to the stack at
+//!   once; only the benchmark package's null host calls it.
 //!
-//! Every host of the workspace is built on this API: `dpu-sim` drives
-//! one `StackDriver` per simulated machine under a virtual clock (using
-//! the split-phase [`StackDriver::step_raw`]/[`StackDriver::settle`] so
-//! it can charge modeled CPU time per step), its conservative parallel
-//! engine (`dpu_sim::par`) moves whole shards of drivers between worker
-//! threads across epoch barriers (drivers own all per-stack mutable
-//! state, so shard ownership transfers are plain `Send` moves — no
-//! shared-state protocol beyond the barrier itself), and the two live
-//! hosts (`dpu-runtime`, `dpu-reactor`) multiplex many drivers per
-//! shard thread under the wall clock via [`poll`] — through the
-//! [`LiveShard`] they share (see [`live`]), each adding only its
-//! transport. All three lend each shard's [`ShardPools`] to the stack
-//! they are driving through the one guard, [`Loan`].
+//! The host implements [`ActionSink`], which receives the
+//! [`HostAction::NetSend`]s the drive loop executes, and learns from the
+//! [`Wakeup`] that [`poll`] returns when the driver next needs CPU. All
+//! three hosts lend each shard's [`ShardPools`] to the stack they are
+//! driving through the one guard, [`Loan`].
 //!
 //! # Timers
 //!
@@ -57,7 +57,6 @@ use crate::time::Time;
 use crate::wire::{ScratchStats, WireScratch};
 use bytes::Bytes;
 use dpu_telemetry::ShardTelemetry;
-use std::collections::VecDeque;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
@@ -94,7 +93,7 @@ impl fmt::Debug for HostEvent {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Wakeup {
     /// No armed timers and no pending work: the driver only needs CPU
-    /// when the host injects the next event.
+    /// when the host hands the stack its next input.
     Idle,
     /// Poll again no later than this instant (the earliest armed timer).
     At(Time),
@@ -129,27 +128,19 @@ impl ActionSink for NullSink {
     fn net_send(&mut self, _at: Time, _src: StackId, _dst: StackId, _payload: Bytes) {}
 }
 
-/// Owns one [`Stack`] plus the events injected into it and runs the
-/// canonical drive loop. See the [module docs](self) for the host
-/// contract.
+/// Owns one [`Stack`] and runs the canonical drive loop; it holds
+/// nothing else, since every input waits in the stack's own inbox. See
+/// the [module docs](self) for the calls each host makes.
+#[derive(Debug)]
 pub struct StackDriver {
     stack: Stack,
-    /// Injected events not applied yet, boxed by the first
-    /// [`StackDriver::inject`]: the simulator delivers directly and never
-    /// injects, so its drivers hold one null word here.
-    pending: Option<Box<Injected>>,
 }
-
-/// A driver's queue of injected events, boxed whole so that a driver
-/// that never has one holds a null word, not a queue header.
-#[derive(Default)]
-struct Injected(VecDeque<HostEvent>);
 
 impl StackDriver {
     /// Wrap a stack. Any actions the stack produced before wrapping are
     /// executed on the first [`StackDriver::poll`]/[`StackDriver::settle`].
     pub fn new(stack: Stack) -> StackDriver {
-        StackDriver { stack, pending: None }
+        StackDriver { stack }
     }
 
     /// The driven stack's id.
@@ -170,54 +161,38 @@ impl StackDriver {
         &mut self.stack
     }
 
-    /// Unwrap, discarding pending events.
+    /// Unwrap.
     pub(crate) fn into_stack(self) -> Stack {
         self.stack
     }
 
-    /// Drop everything the driven incarnation holds — injected events,
+    /// Drop everything the driven incarnation holds — queued work,
     /// modules, timers, buffers, trace and lifecycle records — leaving
     /// an empty stack with the same id in place: what a host does to a
     /// restarted node's slot before it builds the next incarnation, so
     /// that the two never coexist.
     pub fn tear_down(&mut self) {
-        self.pending = None;
         self.stack.tear_down();
     }
 
-    /// Queue an external event. Applied by the next
-    /// [`StackDriver::poll`] or [`StackDriver::deliver`].
+    /// Apply an external event at once: a packet enters the stack's
+    /// inbox at the stack's clock, a control closure runs against the
+    /// stack. The next [`StackDriver::poll`] runs whatever either queued.
     pub fn inject(&mut self, ev: HostEvent) {
-        self.pending.get_or_insert_with(Box::default).0.push_back(ev);
-    }
-
-    /// Whether injected events wait to be applied.
-    fn has_injected(&self) -> bool {
-        self.pending.as_ref().is_some_and(|p| !p.0.is_empty())
-    }
-
-    /// Apply all queued injected events to the stack at time `now`.
-    fn absorb(&mut self, now: Time) {
-        while let Some(ev) = self.pending.as_mut().and_then(|p| p.0.pop_front()) {
-            match ev {
-                HostEvent::Packet { src, payload } => self.stack.packet_in(now, src, payload),
-                HostEvent::Control(f) => f(&mut self.stack),
+        match ev {
+            HostEvent::Packet { src, payload } => {
+                let now = self.stack.now();
+                self.stack.packet_in(now, src, payload);
             }
+            HostEvent::Control(f) => f(&mut self.stack),
         }
     }
 
-    /// Deliver one packet directly at time `now`: any queued injected
-    /// events are applied first (preserving injection order), then the
-    /// packet enters the stack — without a round-trip through the
-    /// pending queue, which is what `inject(HostEvent::Packet{..})`
-    /// would take. Virtual-time hosts deliver this way, so the packet
-    /// enters at its scheduled time; the simulator's packet-arrival path
-    /// (its hottest event) is this call.
+    /// Deliver one packet at time `now`: it enters the stack's inbox at
+    /// that time. The simulator's packet-arrival path (its hottest
+    /// event) and the live shards' receive path are this call.
     #[inline]
     pub fn deliver(&mut self, now: Time, src: StackId, payload: Bytes) {
-        if self.has_injected() {
-            self.absorb(now);
-        }
         self.stack.packet_in(now, src, payload);
     }
 
@@ -241,11 +216,6 @@ impl StackDriver {
         self.stack.next_deadline()
     }
 
-    /// Whether the stack has dispatchable work queued.
-    pub fn has_work(&self) -> bool {
-        self.stack.has_work() || self.has_injected()
-    }
-
     /// Split-phase stepping for hosts that charge modeled CPU cost:
     /// dispatch one stack step at `now` *without* executing the actions
     /// it produced. The host inspects the returned [`StepInfo`], decides
@@ -264,9 +234,9 @@ impl StackDriver {
         self.stack.settle(at, |dst, payload| sink.net_send(at, src, dst, payload));
     }
 
-    /// The canonical drive loop: absorb injected events, then repeat
-    /// {fire due timers, step until idle, execute actions} until nothing
-    /// is due and the stack is idle. Returns when to poll next.
+    /// The canonical drive loop: repeat {fire due timers, step until
+    /// idle, execute actions} until nothing is due and the stack is idle.
+    /// Returns when to poll next.
     ///
     /// The loop is *bounded* two ways so a pathological module cannot
     /// wedge one `poll` call forever and starve the host's other work:
@@ -274,10 +244,9 @@ impl StackDriver {
     /// re-arm spin) and at most `MAX_POLL_STEPS` stack steps (a
     /// call/response cycle that never drains). On either bound the call
     /// returns `Wakeup::At(now)` — the stack still [`has
-    /// work`](StackDriver::has_work) — and the host polls again after
+    /// work`](Stack::has_work) — and the host polls again after
     /// servicing its mailbox/event queue.
     pub fn poll(&mut self, now: Time, sink: &mut dyn ActionSink) -> Wakeup {
-        self.absorb(now);
         let mut steps = 0usize;
         for _ in 0..MAX_POLL_ROUNDS {
             self.fire_due(now);
@@ -392,15 +361,6 @@ impl DerefMut for Loan<'_> {
     }
 }
 
-impl fmt::Debug for StackDriver {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StackDriver")
-            .field("stack", &self.stack)
-            .field("pending_events", &self.pending.as_ref().map_or(0, |p| p.0.len()))
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,7 +457,7 @@ mod tests {
         let mut sink = RecSink::default();
         assert_eq!(d.poll(Time(5), &mut sink), Wakeup::Idle);
         assert!(sink.sent.is_empty());
-        assert!(!d.has_work());
+        assert!(!d.stack().has_work());
     }
 
     #[test]
@@ -506,7 +466,7 @@ mod tests {
         let mut sink = RecSink::default();
         d.poll(Time(0), &mut sink);
         d.inject(HostEvent::Packet { src: StackId(1), payload: Bytes::from_static(b"ping") });
-        assert!(d.has_work());
+        assert!(d.stack().has_work());
         let w = d.poll(Time(42), &mut sink);
         assert_eq!(w, Wakeup::Idle);
         assert_eq!(sink.sent.len(), 1);
@@ -530,6 +490,51 @@ mod tests {
         assert_eq!(sink.sent.len(), 1);
         assert_eq!(sink.sent[0].0, Time(7));
         assert_eq!(sink.sent[0].3.as_ref(), b"hello");
+    }
+
+    /// Provides `order` and records what it is dispatched: the sender of
+    /// each datagram, the op of each call.
+    struct Order {
+        seen: Vec<u32>,
+    }
+
+    impl Module for Order {
+        fn kind(&self) -> &str {
+            "order"
+        }
+        fn provides(&self) -> Vec<ServiceId> {
+            vec![ServiceId::new("order")]
+        }
+        fn requires(&self) -> Vec<ServiceId> {
+            vec![ServiceId::new(crate::svc::NET)]
+        }
+        fn on_call(&mut self, _: &mut ModuleCtx<'_>, call: Call) {
+            self.seen.push(u32::from(call.op));
+        }
+        fn on_response(&mut self, _: &mut ModuleCtx<'_>, resp: Response) {
+            let (src, _): (StackId, Bytes) = resp.decode().unwrap();
+            self.seen.push(src.0);
+        }
+    }
+
+    #[test]
+    fn packets_and_closures_run_in_injection_order() {
+        const ORDER: ModuleId = ModuleId(2);
+        let mut s = Stack::new(StackConfig::nth(0, 4, 1), FactoryRegistry::new());
+        s.add_module(Box::new(Order { seen: Vec::new() }));
+        s.bind(&ServiceId::new("order"), ORDER);
+        let mut d = StackDriver::new(s);
+        d.poll(Time(0), &mut NullSink);
+        let packet = |src| HostEvent::Packet { src: StackId(src), payload: Bytes::new() };
+        d.inject(packet(1));
+        d.inject(HostEvent::Control(Box::new(|s: &mut Stack| {
+            s.call_as(ORDER, &ServiceId::new("order"), 2, Bytes::new());
+        })));
+        d.inject(packet(3));
+        assert!(d.stack().has_work(), "all three wait in the stack's inbox");
+        d.poll(Time(9), &mut NullSink);
+        let seen = d.stack_mut().with_module::<Order, _>(ORDER, |o| o.seen.clone());
+        assert_eq!(seen.expect("order module"), [1, 2, 3]);
     }
 
     #[test]
@@ -639,7 +644,7 @@ mod tests {
         // Must return (step budget), asking to be re-polled immediately.
         let w = d.poll(Time(3), &mut NullSink);
         assert_eq!(w, Wakeup::At(Time(3)));
-        assert!(d.has_work(), "the cycle is still pending, host re-polls");
+        assert!(d.stack().has_work(), "the cycle is still pending, host re-polls");
     }
 
     #[test]
@@ -763,7 +768,7 @@ mod tests {
         assert_eq!(w, Wakeup::At(due), "the module is gone, its timers stay armed");
         assert!(d.stack().module_kind(TIES).is_none());
         assert_eq!(d.wake(due), None);
-        assert!(!d.has_work(), "no delivery for the destroyed module");
+        assert!(!d.stack().has_work(), "no delivery for the destroyed module");
         assert!(d.step_raw(due).is_none(), "and no step");
     }
 
@@ -798,7 +803,10 @@ mod tests {
         };
         let net = ServiceId::new(crate::svc::NET);
         for (d, from) in [(&mut pp, PP), (&mut beat, BEAT)] {
-            assert!(d.stack().at_rest() && d.has_work(), "building counts the modules' starts");
+            assert!(
+                d.stack().at_rest() && d.stack().has_work(),
+                "building counts the modules' starts"
+            );
             // A send made outside a loan waits in a box of the stack's own.
             let data = (StackId(0), Bytes::from_static(b"x")).to_bytes();
             d.stack_mut().call_as(from, &net, net_ops::SEND, data);

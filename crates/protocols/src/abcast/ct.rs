@@ -301,7 +301,8 @@ impl Module for CtAbcastModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abcast::testkit::{abcast, assert_total_order, delivered, mk_stack, ABCAST};
+    use crate::abcast::testkit::{abcast, assert_total_order, delivered, ABCAST};
+    use crate::testing::stack_over;
     use dpu_core::time::{Dur, Time};
     use dpu_core::wire;
     use dpu_core::StackId;
@@ -309,7 +310,7 @@ mod tests {
 
     fn ct_sim(n: u32, seed: u64) -> Sim {
         Sim::new(SimConfig::lan(n, seed), |sc| {
-            mk_stack(sc, || Box::new(CtAbcastModule::new(CtAbcastParams::default())))
+            stack_over(sc, Box::new(CtAbcastModule::new(CtAbcastParams::default())))
         })
     }
 
@@ -371,7 +372,7 @@ mod tests {
         let mut cfg = SimConfig::lan(3, 11);
         cfg.topology = Topology::flat(NetConfig::lossy(0.15));
         let mut sim = Sim::new(cfg, |sc| {
-            mk_stack(sc, || Box::new(CtAbcastModule::new(CtAbcastParams::default())))
+            stack_over(sc, Box::new(CtAbcastModule::new(CtAbcastParams::default())))
         });
         sim.run_until(Time::ZERO + Dur::millis(100));
         for j in 0..5u8 {
@@ -430,23 +431,19 @@ mod tests {
     fn different_namespaces_do_not_interfere() {
         // Two abcast modules (ns 1 and ns 2) side by side in each stack on
         // different service names; streams stay independent.
-        use crate::abcast::testkit::App;
+        use crate::testing::RecordingApp;
         use dpu_core::stack::Stack;
         use dpu_core::{ModuleId, ServiceId};
         let mk = |sc: dpu_core::StackConfig| -> Stack {
-            let mut s = mk_stack(sc, || {
-                Box::new(CtAbcastModule::new(CtAbcastParams {
-                    namespace: 1,
-                    ..CtAbcastParams::default()
-                }))
-            });
+            let ns1 = CtAbcastParams { namespace: 1, ..CtAbcastParams::default() };
+            let mut s = stack_over(sc, Box::new(CtAbcastModule::new(ns1)));
             let ab2 = s.add_module(Box::new(CtAbcastModule::new(CtAbcastParams {
                 namespace: 2,
                 service: "abcast2".into(),
                 consensus: crate::CONSENSUS_SVC.into(),
                 ..CtAbcastParams::default()
             })));
-            s.add_module(Box::new(App { delivered: vec![] })); // m9? no: requires "abcast"
+            s.add_module(Box::new(RecordingApp { delivered: vec![] }));
             s.bind(&ServiceId::new("abcast2"), ab2);
             s
         };
@@ -493,12 +490,8 @@ mod tests {
     fn batch_delay_reduces_consensus_instances() {
         let run = |delay: dpu_core::time::Dur| {
             let mut sim = Sim::new(SimConfig::lan(3, 77), move |sc| {
-                mk_stack(sc, || {
-                    Box::new(CtAbcastModule::new(CtAbcastParams {
-                        batch_delay: delay,
-                        ..CtAbcastParams::default()
-                    }))
-                })
+                let params = CtAbcastParams { batch_delay: delay, ..CtAbcastParams::default() };
+                stack_over(sc, Box::new(CtAbcastModule::new(params)))
             });
             sim.run_until(Time::ZERO + Dur::millis(100));
             // A burst of closely spaced messages.

@@ -415,7 +415,8 @@ impl Module for HierAbcastModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abcast::testkit::{abcast, assert_total_order, delivered, mk_stack};
+    use crate::abcast::testkit::{abcast, assert_total_order, delivered};
+    use crate::testing::stack_over;
     use dpu_core::time::Time;
     use dpu_core::wire;
     use dpu_sim::{NetConfig, Sim, SimConfig};
@@ -425,14 +426,14 @@ mod tests {
     }
 
     fn flat_sim(n: u32, seed: u64) -> Sim {
-        Sim::new(SimConfig::lan(n, seed), |sc| mk_stack(sc, hier_default))
+        Sim::new(SimConfig::lan(n, seed), |sc| stack_over(sc, hier_default()))
     }
 
     /// 3-node clusters on a datacenter fabric over a LAN backbone; the
     /// cluster size reaches the module through the stack config.
     fn clustered_sim(n: u32, seed: u64) -> Sim {
         let cfg = SimConfig::clustered(n, seed, 3, NetConfig::datacenter(), NetConfig::lan());
-        Sim::new(cfg, |sc| mk_stack(sc, hier_default))
+        Sim::new(cfg, |sc| stack_over(sc, hier_default()))
     }
 
     #[test]
@@ -517,7 +518,7 @@ mod tests {
     #[test]
     fn loss_is_recovered_by_rp2p_underneath() {
         let cfg = SimConfig::clustered(6, 11, 3, NetConfig::lossy(0.2), NetConfig::lossy(0.2));
-        let mut sim = Sim::new(cfg, |sc| mk_stack(sc, hier_default));
+        let mut sim = Sim::new(cfg, |sc| stack_over(sc, hier_default()));
         sim.run_until(Time::ZERO + Dur::millis(50));
         for j in 0..10u8 {
             abcast(&mut sim, 5, &[j]);
@@ -535,7 +536,7 @@ mod tests {
         let cfg = SimConfig::clustered(9, 21, 3, NetConfig::datacenter(), NetConfig::lan());
         let mut sim = Sim::new(cfg, move |sc| {
             let params = params.clone();
-            mk_stack(sc, move || Box::new(HierAbcastModule::new(params)))
+            stack_over(sc, Box::new(HierAbcastModule::new(params)))
         });
         sim.run_until(Time::ZERO + Dur::millis(50));
         for i in 0..9u32 {

@@ -192,14 +192,15 @@ impl Module for RingAbcastModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abcast::testkit::{abcast, assert_total_order, mk_stack, ABCAST};
+    use crate::abcast::testkit::{abcast, assert_total_order, ABCAST};
+    use crate::testing::stack_over;
     use dpu_core::time::Time;
     use dpu_core::wire;
     use dpu_sim::{NetConfig, Sim, SimConfig, Topology};
 
     fn ring_sim(n: u32, seed: u64) -> Sim {
         Sim::new(SimConfig::lan(n, seed), |sc| {
-            mk_stack(sc, || Box::new(RingAbcastModule::new(RingAbcastParams::default())))
+            stack_over(sc, Box::new(RingAbcastModule::new(RingAbcastParams::default())))
         })
     }
 
@@ -266,7 +267,7 @@ mod tests {
         let mut cfg = SimConfig::lan(3, 11);
         cfg.topology = Topology::flat(NetConfig::lossy(0.2));
         let mut sim = Sim::new(cfg, |sc| {
-            mk_stack(sc, || Box::new(RingAbcastModule::new(RingAbcastParams::default())))
+            stack_over(sc, Box::new(RingAbcastModule::new(RingAbcastParams::default())))
         });
         sim.run_until(Time::ZERO + Dur::millis(50));
         for j in 0..10u8 {

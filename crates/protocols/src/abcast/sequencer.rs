@@ -150,14 +150,15 @@ impl Module for SeqAbcastModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abcast::testkit::{abcast, assert_total_order, delivered, mk_stack};
+    use crate::abcast::testkit::{abcast, assert_total_order, delivered};
+    use crate::testing::stack_over;
     use dpu_core::time::{Dur, Time};
     use dpu_core::wire;
     use dpu_sim::{NetConfig, Sim, SimConfig, Topology};
 
     fn seq_sim(n: u32, seed: u64) -> Sim {
         Sim::new(SimConfig::lan(n, seed), |sc| {
-            mk_stack(sc, || Box::new(SeqAbcastModule::new(SeqAbcastParams::default())))
+            stack_over(sc, Box::new(SeqAbcastModule::new(SeqAbcastParams::default())))
         })
     }
 
@@ -214,7 +215,7 @@ mod tests {
         let mut cfg = SimConfig::lan(3, 11);
         cfg.topology = Topology::flat(NetConfig::lossy(0.2));
         let mut sim = Sim::new(cfg, |sc| {
-            mk_stack(sc, || Box::new(SeqAbcastModule::new(SeqAbcastParams::default())))
+            stack_over(sc, Box::new(SeqAbcastModule::new(SeqAbcastParams::default())))
         });
         sim.run_until(Time::ZERO + Dur::millis(50));
         for j in 0..10u8 {

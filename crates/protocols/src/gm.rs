@@ -208,18 +208,18 @@ impl Module for GmModule {
 mod tests {
     use super::*;
     use crate::abcast::ct::{CtAbcastModule, CtAbcastParams};
-    use crate::abcast::testkit::mk_stack;
+    use crate::testing::stack_over;
     use dpu_core::stack::{Stack, StackConfig};
     use dpu_core::time::{Dur, Time};
     use dpu_core::wire;
     use dpu_core::ModuleId;
     use dpu_sim::{Sim, SimConfig};
 
-    /// Test stack layout: testkit's m1..m7, then GM is m8.
+    /// Test stack layout: `stack_over`'s m1..m7, then GM is m8.
     const GM: ModuleId = ModuleId(8);
 
     fn mk_gm_stack(sc: StackConfig) -> Stack {
-        let mut s = mk_stack(sc, || Box::new(CtAbcastModule::new(CtAbcastParams::default())));
+        let mut s = stack_over(sc, Box::new(CtAbcastModule::new(CtAbcastParams::default())));
         let gm = s.add_module(Box::new(GmModule::new(GmParams::default())));
         s.bind(&ServiceId::new(crate::GM_SVC), gm);
         s
@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn auto_exclude_removes_crashed_member_from_all_views() {
         let mk = |sc: StackConfig| -> Stack {
-            let mut s = mk_stack(sc, || Box::new(CtAbcastModule::new(CtAbcastParams::default())));
+            let mut s = stack_over(sc, Box::new(CtAbcastModule::new(CtAbcastParams::default())));
             let gm = s.add_module(Box::new(GmModule::new(GmParams {
                 auto_exclude: true,
                 ..GmParams::default()

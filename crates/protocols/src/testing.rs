@@ -104,10 +104,16 @@ impl Module for RecordingApp {
 /// Module id of the [`RecordingApp`] in a [`conformance_stack`].
 pub(crate) const APP: ModuleId = ModuleId(7);
 
-/// Build the standard conformance stack: net bridge → udp → rp2p → fd →
-/// consensus → `variant` abcast → `RecordingApp`. Identical layout
-/// for every variant, so runs differ only in the protocol under test.
+/// Build the standard conformance stack over `variant`'s module with
+/// incarnation `ns`: identical layout for every variant, so runs differ
+/// only in the protocol under test.
 pub fn conformance_stack(sc: StackConfig, variant: Variant, ns: u64) -> Stack {
+    stack_over(sc, variant.module(ns))
+}
+
+/// The conformance stack over any `abcast` module: net bridge → udp →
+/// rp2p → fd → consensus → `abcast` → [`RecordingApp`], modules 1 to 7.
+pub(crate) fn stack_over(sc: StackConfig, abcast: Box<dyn Module>) -> Stack {
     let mut s = Stack::new(sc, FactoryRegistry::new());
     let udp = s.add_module(Box::new(UdpModule::new()));
     let rp2p = s.add_module(Box::new(Rp2pModule::new(Rp2pConfig::default())));
@@ -116,7 +122,7 @@ pub fn conformance_stack(sc: StackConfig, variant: Variant, ns: u64) -> Stack {
         ConsensusParams::default(),
         CoordPolicy::Rotating,
     )));
-    let ab = s.add_module(variant.module(ns));
+    let ab = s.add_module(abcast);
     s.add_module(Box::new(RecordingApp { delivered: vec![] }));
     s.bind(&ServiceId::new(dpu_net::UDP_SVC), udp);
     s.bind(&ServiceId::new(dpu_net::RP2P_SVC), rp2p);

@@ -78,7 +78,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sched::Scheduler;
 use slab::NodeSlab;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// CPU model: virtual service time charged per dispatched stack step, by
@@ -488,32 +488,8 @@ impl Shard {
     }
 }
 
-/// A barrier-time control closure: `(time, seq)`-ordered entries of the
-/// simulation's action queue. Actions at time `t` run after every shard
-/// event before `t` and before any shard event at or after `t`.
-struct ActionEntry {
-    at: Time,
-    seq: u64,
-    f: Box<dyn FnOnce(&mut Sim) + Send>,
-}
-
-impl PartialEq for ActionEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl Eq for ActionEntry {}
-impl PartialOrd for ActionEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ActionEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the min key on top.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
+/// A barrier-time control closure ([`Sim::schedule`]).
+type Action = Box<dyn FnOnce(&mut Sim) + Send>;
 
 /// Builds the [`SimShared`] view without borrowing all of `self`, so
 /// shard borrows stay disjoint from the read-only fields.
@@ -545,9 +521,11 @@ pub struct Sim {
     workers: usize,
     now: Time,
     shards: Vec<Shard>,
-    /// Barrier-time actions ([`Sim::schedule`]), run between stretches
-    /// of shard epochs on every topology.
-    actions: BinaryHeap<ActionEntry>,
+    /// Barrier-time actions ([`Sim::schedule`]) by `(time, seq)`, run
+    /// between stretches of shard epochs on every topology: the actions
+    /// at `t` run after every shard event before `t` and before any shard
+    /// event at or after `t`.
+    actions: BTreeMap<(Time, u64), Action>,
     action_seq: u64,
     /// Actions dispatched from the barrier queue (counted into
     /// [`SimStats::events`]; they belong to no shard).
@@ -604,7 +582,7 @@ impl Sim {
             workers,
             now: Time::ZERO,
             shards: Vec::with_capacity(nshards),
-            actions: BinaryHeap::new(),
+            actions: BTreeMap::new(),
             action_seq: 0,
             actions_dispatched: 0,
             workloads: Vec::new(),
@@ -754,7 +732,7 @@ impl Sim {
         let at = at.max(self.now);
         let seq = self.action_seq;
         self.action_seq += 1;
-        self.actions.push(ActionEntry { at, seq, f: Box::new(f) });
+        self.actions.insert((at, seq), Box::new(f));
     }
 
     /// Schedule a closure `delay` from now.
@@ -854,7 +832,7 @@ impl Sim {
     fn run_events(&mut self, t: Time) {
         let cap = Time(t.0.saturating_add(1)); // exclusive event bound
         loop {
-            let bound = self.actions.peek().map_or(cap, |a| a.at.min(cap));
+            let bound = self.actions.first_key_value().map_or(cap, |(&(at, _), _)| at.min(cap));
             self.run_stretch(bound);
             let reached = self.shards.iter().map(|s| s.now).max().unwrap_or(self.now);
             self.now = self.now.max(reached);
@@ -862,13 +840,13 @@ impl Sim {
                 return;
             }
             self.now = bound;
-            loop {
-                let entry = match self.actions.peek_mut() {
-                    Some(top) if top.at <= bound => PeekMut::pop(top),
-                    _ => break,
-                };
+            while let Some(entry) = self.actions.first_entry() {
+                if entry.key().0 > bound {
+                    break;
+                }
+                let action = entry.remove();
                 self.actions_dispatched += 1;
-                (entry.f)(self);
+                action(self);
             }
         }
     }
@@ -1269,6 +1247,26 @@ mod tests {
             assert!(sim.stack(StackId(1)).is_crashed());
             assert!(sim.stats().steps > 0);
         }
+    }
+
+    #[test]
+    fn actions_at_one_instant_run_in_the_order_they_were_scheduled() {
+        let mut sim = pinger_sim(2, 5);
+        let ran = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let at = Time::ZERO + Dur::millis(1);
+        for i in 0..8 {
+            let ran = Arc::clone(&ran);
+            sim.schedule(at, move |sim| {
+                ran.lock().unwrap().push(i);
+                if i == 0 {
+                    // Scheduled at its own instant, it comes after the
+                    // actions already waiting there.
+                    sim.schedule(sim.now(), move |_| ran.lock().unwrap().push(8));
+                }
+            });
+        }
+        sim.run_until(at);
+        assert_eq!(*ran.lock().unwrap(), (0..9).collect::<Vec<_>>());
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //! entries at n = 1024 — and every sift level moves a full-size event
 //! payload (packets carry `Bytes`, actions carry boxed closures) through
 //! cache-hostile strides. The per-node event queues (each stack's
-//! timer table and `StackDriver`'s pending-event buffer, with a single
-//! stamped wake/step entry per node, from PR 2) already bound how many
-//! entries a node contributes; what they feed deserves better than
-//! `O(log E)` per event.
+//! timer table and inbox, with a single stamped wake/step entry per
+//! node, from PR 2) already bound how many entries a node contributes;
+//! what they feed deserves better than `O(log E)` per event.
 //!
 //! # The hierarchical timing wheel
 //!
