@@ -1,58 +1,52 @@
-//! The unified host API: [`StackDriver`] owns a [`Stack`] and
-//! encapsulates the *canonical drive loop* every host used to
-//! hand-duplicate — drain due timers, step the stack until idle, execute
-//! the produced [`HostAction`]s, report the next wakeup deadline.
+//! The unified host API: the drive loop on [`Stack`] and the
+//! [`ActionSink`] boundary. Every host holds and drives `Stack`s; the
+//! canonical drive loop that every host used to hand-duplicate — fire
+//! due timers, step the stack until idle, execute what the steps asked
+//! of the host, report the next wakeup deadline — is [`Stack::poll`].
 //!
 //! Every input from outside a step — a packet, a host's call, a fired
-//! timer, a control closure — waits in the stack's one inbox; the driver
-//! keeps no queue of its own. The hosts reach it through these calls:
+//! timer, a control closure — waits in the stack's one inbox. The hosts
+//! reach a stack through these calls:
 //!
-//! * the simulator (`dpu-sim`): [`StackDriver::deliver`] for a packet at
-//!   its scheduled arrival, [`StackDriver::wake`] for due timers, and the
-//!   split-phase [`StackDriver::step_raw`] + [`StackDriver::settle`], so
-//!   it can charge modeled CPU time per step; a control closure mutates
-//!   the stack through `Sim::with_stack`. Its conservative parallel
-//!   engine (`dpu_sim::par`) moves whole shards of drivers between
-//!   worker threads across epoch barriers: drivers own all per-stack
-//!   mutable state, so a shard changes hands by a plain `Send` move;
+//! * the simulator (`dpu-sim`): [`Stack::packet_in`] for a packet at its
+//!   scheduled arrival, [`Stack::wake`] for due timers, and the
+//!   split-phase [`Stack::step`] + [`Stack::settle`], so it can charge
+//!   modeled CPU time per step; a control closure mutates the stack
+//!   through `Sim::with_stack`. Its conservative parallel engine
+//!   (`dpu_sim::par`) moves whole shards of stacks between worker
+//!   threads across epoch barriers: a stack owns all its mutable state,
+//!   so a shard changes hands by a plain `Send` move;
 //! * the live shards (`dpu-runtime`, `dpu-reactor`, through the
-//!   [`LiveShard`] they share, see [`live`]): [`StackDriver::deliver`]
-//!   and [`poll`] under the wall clock, and [`LiveShard::ctl`] for a
-//!   control closure, each host adding only its transport;
-//! * [`StackDriver::inject`] applies a [`HostEvent`] to the stack at
-//!   once; only the benchmark package's null host calls it.
+//!   [`LiveShard`] they share, see [`live`]): [`Stack::packet_in`] and
+//!   [`Stack::poll`] under the wall clock, and [`LiveShard::ctl`] for a
+//!   control closure, each host adding only its transport.
 //!
-//! The host implements [`ActionSink`], which receives the
-//! [`HostAction::NetSend`]s the drive loop executes, and learns from the
-//! [`Wakeup`] that [`poll`] returns when the driver next needs CPU. All
+//! The host implements [`ActionSink`], which receives the sends a settle
+//! executes, and learns from the [`Wakeup`] that [`Stack::poll`] returns
+//! (or from [`Stack::next_deadline`]) when the stack next needs CPU. All
 //! three hosts lend each shard's [`ShardPools`] to the stack they are
-//! driving through the one guard, [`Loan`].
+//! driving through the one guard, [`Loan`]. [`StackDriver`] is the
+//! benchmark package's adapter over the same calls.
 //!
 //! # Timers
 //!
 //! A stack keeps one timer table: each armed timer's deadline, module
 //! and tag, under its id. A module's `set_timer` enters the timer, and
-//! the driver's settle of the step's [`HostAction::SetTimer`] stamps its
-//! deadline, relative to the settle time. Timers due together fire
-//! earliest deadline first and, on equal deadlines, in the order they
-//! were set (ids rise with every `set_timer`). A timer is never
-//! cancelled: a module ignores a stale fire by its tag, and a destroyed
-//! module's timers stay in the table, wake the driver when due and fire
-//! into nothing. Hosts never see timer actions; they only need to call
-//! [`StackDriver::poll`] again no later than the returned [`Wakeup`]
+//! the settle of its step stamps the deadline, relative to the settle
+//! time. Timers due together fire earliest deadline first and, on equal
+//! deadlines, in the order they were set (ids rise with every
+//! `set_timer`). A timer is never cancelled: a module ignores a stale
+//! fire by its tag, and a destroyed module's timers stay in the table,
+//! wake the stack when due and fire into nothing. A host only needs to
+//! call [`Stack::wake`] or [`Stack::poll`] again no later than the next
 //! deadline.
-//!
-//! [`poll`]: StackDriver::poll
-//! [`HostAction`]: crate::HostAction
-//! [`HostAction::NetSend`]: crate::HostAction::NetSend
-//! [`HostAction::SetTimer`]: crate::HostAction::SetTimer
 
 pub mod live;
 
 pub use live::{dump_flight, Ctl, Host, LiveShard, LossModel, ReportFold, ShardPort, WallClock};
 
 use crate::ids::StackId;
-use crate::stack::{ShardDispatch, Stack, StepInfo};
+use crate::stack::{ShardDispatch, Stack};
 use crate::time::Time;
 use crate::wire::{ScratchStats, WireScratch};
 use bytes::Bytes;
@@ -60,11 +54,8 @@ use dpu_telemetry::ShardTelemetry;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
-/// A closure a host routes to the driver to run against its stack
-/// (a REPL command, a scripted fault, ...).
-pub(crate) type ControlFn = Box<dyn FnOnce(&mut Stack) + Send>;
-
-/// An external event a host feeds into a [`StackDriver`].
+/// An external event the benchmark's null host feeds into a
+/// [`StackDriver`].
 pub enum HostEvent {
     /// A datagram arrived from stack `src`.
     Packet {
@@ -74,7 +65,7 @@ pub enum HostEvent {
         payload: Bytes,
     },
     /// Run a closure against the stack (control plane).
-    Control(ControlFn),
+    Control(Box<dyn FnOnce(&mut Stack) + Send>),
 }
 
 impl fmt::Debug for HostEvent {
@@ -88,12 +79,11 @@ impl fmt::Debug for HostEvent {
     }
 }
 
-/// When a [`StackDriver`] next needs to be polled, as reported by
-/// [`StackDriver::poll`].
+/// When a stack next needs to be polled, as reported by [`Stack::poll`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Wakeup {
-    /// No armed timers and no pending work: the driver only needs CPU
-    /// when the host hands the stack its next input.
+    /// No armed timers and no pending work: the stack only needs CPU
+    /// when the host hands it its next input.
     Idle,
     /// Poll again no later than this instant (the earliest armed timer).
     At(Time),
@@ -109,14 +99,15 @@ impl Wakeup {
     }
 }
 
-/// Receiver of the network sends a [`StackDriver`] executes. Implemented
-/// by the host: the simulator models latency/loss and schedules arrival
-/// events; the sharded runtime routes to the destination shard's mailbox.
+/// Receiver of the network sends a [`Stack::settle`] executes.
+/// Implemented by the host: the simulator models latency/loss and
+/// schedules arrival events; the sharded runtime routes to the
+/// destination shard's mailbox.
 pub trait ActionSink {
     /// Stack `src` sent `payload` to stack `dst` at time `at`.
     ///
-    /// `at` is the time the send was executed — under modeled CPU cost it
-    /// may lie after the `now` passed to the driver call that produced it.
+    /// `at` is the settle time — under modeled CPU cost it may lie after
+    /// the time the step that sent ran at.
     fn net_send(&mut self, at: Time, src: StackId, dst: StackId, payload: Bytes);
 }
 
@@ -128,115 +119,28 @@ impl ActionSink for NullSink {
     fn net_send(&mut self, _at: Time, _src: StackId, _dst: StackId, _payload: Bytes) {}
 }
 
-/// Owns one [`Stack`] and runs the canonical drive loop; it holds
-/// nothing else, since every input waits in the stack's own inbox. See
-/// the [module docs](self) for the calls each host makes.
-#[derive(Debug)]
-pub struct StackDriver {
-    stack: Stack,
+/// The recording sink: every send, in order, as `(at, src, dst,
+/// payload)` — for a host that replays sends once its borrow of the
+/// stack ends (the simulator), and for tests.
+impl ActionSink for Vec<(Time, StackId, StackId, Bytes)> {
+    fn net_send(&mut self, at: Time, src: StackId, dst: StackId, payload: Bytes) {
+        self.push((at, src, dst, payload));
+    }
 }
 
-impl StackDriver {
-    /// Wrap a stack. Any actions the stack produced before wrapping are
-    /// executed on the first [`StackDriver::poll`]/[`StackDriver::settle`].
-    pub fn new(stack: Stack) -> StackDriver {
-        StackDriver { stack }
-    }
-
-    /// The driven stack's id.
-    pub fn id(&self) -> StackId {
-        self.stack.id()
-    }
-
-    /// Immutable access to the stack.
-    pub fn stack(&self) -> &Stack {
-        &self.stack
-    }
-
-    /// Mutable access to the stack. After mutating, call
-    /// [`StackDriver::poll`] (or [`StackDriver::settle`]) so any actions
-    /// the mutation produced are executed — `Sim::with_stack`-style
-    /// hosts do this for their callers.
-    pub fn stack_mut(&mut self) -> &mut Stack {
-        &mut self.stack
-    }
-
-    /// Unwrap.
-    pub(crate) fn into_stack(self) -> Stack {
-        self.stack
-    }
-
-    /// Drop everything the driven incarnation holds — queued work,
-    /// modules, timers, buffers, trace and lifecycle records — leaving
-    /// an empty stack with the same id in place: what a host does to a
-    /// restarted node's slot before it builds the next incarnation, so
-    /// that the two never coexist.
-    pub fn tear_down(&mut self) {
-        self.stack.tear_down();
-    }
-
-    /// Apply an external event at once: a packet enters the stack's
-    /// inbox at the stack's clock, a control closure runs against the
-    /// stack. The next [`StackDriver::poll`] runs whatever either queued.
-    pub fn inject(&mut self, ev: HostEvent) {
-        match ev {
-            HostEvent::Packet { src, payload } => {
-                let now = self.stack.now();
-                self.stack.packet_in(now, src, payload);
-            }
-            HostEvent::Control(f) => f(&mut self.stack),
-        }
-    }
-
-    /// Deliver one packet at time `now`: it enters the stack's inbox at
-    /// that time. The simulator's packet-arrival path (its hottest
-    /// event) and the live shards' receive path are this call.
-    #[inline]
-    pub fn deliver(&mut self, now: Time, src: StackId, payload: Bytes) {
-        self.stack.packet_in(now, src, payload);
-    }
-
+impl Stack {
     /// The wake hook: fire every timer due at or before `now` and report
     /// the next armed deadline. Virtual-time hosts batch their per-node
-    /// wake handling through this.
+    /// wake handling through this, then step and settle.
     #[inline]
     pub fn wake(&mut self, now: Time) -> Option<Time> {
         self.fire_due(now);
         self.next_deadline()
     }
 
-    /// Fire every armed timer due at or before `now`. Returns how many
-    /// fired.
-    pub fn fire_due(&mut self, now: Time) -> usize {
-        self.stack.fire_due(now)
-    }
-
-    /// The earliest armed deadline, or `None` if no timers are armed.
-    pub fn next_deadline(&self) -> Option<Time> {
-        self.stack.next_deadline()
-    }
-
-    /// Split-phase stepping for hosts that charge modeled CPU cost:
-    /// dispatch one stack step at `now` *without* executing the actions
-    /// it produced. The host inspects the returned [`StepInfo`], decides
-    /// the completion time, and calls [`StackDriver::settle`] with it.
-    pub fn step_raw(&mut self, now: Time) -> Option<StepInfo> {
-        self.stack.step(now)
-    }
-
-    /// Execute all actions the stack has produced, as of time `at`:
-    /// timers are due relative to `at`, sends reach the sink stamped `at`.
-    /// The actions are drained in place: the buffer keeps its capacity
-    /// for the next step (or goes back to a lending shard when the stack
-    /// is idle — see [`ShardPools`]).
-    pub fn settle(&mut self, at: Time, sink: &mut dyn ActionSink) {
-        let src = self.stack.id();
-        self.stack.settle(at, |dst, payload| sink.net_send(at, src, dst, payload));
-    }
-
     /// The canonical drive loop: repeat {fire due timers, step until
-    /// idle, execute actions} until nothing is due and the stack is idle.
-    /// Returns when to poll next.
+    /// idle, settle} until nothing is due and the stack is idle. Returns
+    /// when to poll next.
     ///
     /// The loop is *bounded* two ways so a pathological module cannot
     /// wedge one `poll` call forever and starve the host's other work:
@@ -250,7 +154,7 @@ impl StackDriver {
         let mut steps = 0usize;
         for _ in 0..MAX_POLL_ROUNDS {
             self.fire_due(now);
-            while self.step_raw(now).is_some() {
+            while self.step(now).is_some() {
                 self.settle(now, sink);
                 steps += 1;
                 if steps >= MAX_POLL_STEPS {
@@ -258,7 +162,7 @@ impl StackDriver {
                 }
             }
             // Actions can be produced without a step (e.g. by a control
-            // closure or a pre-wrap mutation); drain defensively.
+            // closure or a mutation between polls); drain defensively.
             self.settle(now, sink);
             // A just-executed action may have armed an already-due timer.
             match self.next_deadline() {
@@ -271,15 +175,57 @@ impl StackDriver {
     }
 }
 
-/// Bound on the fire/step/settle rounds of one [`StackDriver::poll`]
-/// call (see its docs). Generous: an honest stack re-enters the loop
-/// only when an action armed a timer that is already due.
-pub(crate) const MAX_POLL_ROUNDS: usize = 64;
+/// Bound on the fire/step/settle rounds of one [`Stack::poll`] call
+/// (see its docs). Generous: an honest stack re-enters the loop only
+/// when an action armed a timer that is already due.
+const MAX_POLL_ROUNDS: usize = 64;
 
-/// Bound on stack steps dispatched by one [`StackDriver::poll`] call
-/// (see its docs). Generous: steps are sub-microsecond, so an honest
-/// burst this large still returns within milliseconds.
-pub(crate) const MAX_POLL_STEPS: usize = 100_000;
+/// Bound on stack steps dispatched by one [`Stack::poll`] call (see its
+/// docs). Generous: steps are sub-microsecond, so an honest burst this
+/// large still returns within milliseconds.
+const MAX_POLL_STEPS: usize = 100_000;
+
+/// The benchmark package's adapter: a [`Stack`] fed [`HostEvent`]s. No
+/// host in the workspace holds one — they drive `Stack`s — and it goes,
+/// with `inject` and [`HostEvent`], once the benchmark's null host
+/// calls the stack directly.
+#[derive(Debug)]
+pub struct StackDriver {
+    stack: Stack,
+}
+
+impl StackDriver {
+    /// Wrap a stack.
+    pub fn new(stack: Stack) -> StackDriver {
+        StackDriver { stack }
+    }
+
+    /// Apply an external event at once: a packet enters the stack's
+    /// inbox at the stack's clock, a control closure runs against the
+    /// stack. The next [`StackDriver::poll`] runs whatever either queued.
+    pub fn inject(&mut self, ev: HostEvent) {
+        let now = self.stack.now();
+        match ev {
+            HostEvent::Packet { src, payload } => self.stack.packet_in(now, src, payload),
+            HostEvent::Control(f) => f(&mut self.stack),
+        }
+    }
+
+    /// [`Stack::poll`].
+    pub fn poll(&mut self, now: Time, sink: &mut dyn ActionSink) -> Wakeup {
+        self.stack.poll(now, sink)
+    }
+
+    /// The stack.
+    pub fn stack(&self) -> &Stack {
+        &self.stack
+    }
+
+    /// The stack, mutably.
+    pub fn stack_mut(&mut self) -> &mut Stack {
+        &mut self.stack
+    }
+}
 
 /// What a host shard lends whichever stack it is driving: the
 /// encode-buffer pool, the dispatch buffers and the telemetry set — one
@@ -300,14 +246,14 @@ pub struct ShardPools {
 }
 
 impl ShardPools {
-    /// Lend the pools to `driver`'s stack for as long as the returned
-    /// [`Loan`] lives. Wrap every driver call that can run module code,
-    /// encode or enqueue work.
-    pub fn lend<'a>(&'a mut self, driver: &'a mut StackDriver) -> Loan<'a> {
+    /// Lend the pools to `stack` for as long as the returned [`Loan`]
+    /// lives. Wrap every stack call that can run module code, encode or
+    /// enqueue work.
+    pub fn lend<'a>(&'a mut self, stack: &'a mut Stack) -> Loan<'a> {
         self.scratch.get_or_insert_with(Box::default);
-        let mut loan = Loan { driver, pools: self };
+        let mut loan = Loan { stack, pools: self };
         loan.swap();
-        loan.driver.stack.lend_dispatch(&mut loan.pools.dispatch);
+        loan.stack.lend_dispatch(&mut loan.pools.dispatch);
         loan
     }
 
@@ -318,16 +264,16 @@ impl ShardPools {
 }
 
 /// The shard loan, the one way a host lends its [`ShardPools`]: while
-/// it lives, the driver's stack encodes into the shard's pool, records
-/// into the shard's telemetry set, and dispatches through the shard's
-/// buffers unless it still holds a queue of its own. Dropping it hands
-/// the pool, the set and the action buffer back, and with them the
-/// dispatch box if the stack no longer needs it — on return, early
-/// return and unwind alike, so a loan cannot leak pool capacity or a
-/// histogram into a stack, and a stack without work holds no scratch,
-/// no dispatch box and no telemetry set. Dereferences to the driver.
+/// it lives, the stack encodes into the shard's pool, records into the
+/// shard's telemetry set, and dispatches through the shard's buffers
+/// unless it still holds a queue of its own. Dropping it hands the
+/// pool, the set and the action buffer back, and with them the dispatch
+/// box if the stack no longer needs it — on return, early return and
+/// unwind alike, so a loan cannot leak pool capacity or a histogram
+/// into a stack, and a stack without work holds no scratch, no dispatch
+/// box and no telemetry set. Dereferences to the stack.
 pub struct Loan<'a> {
-    driver: &'a mut StackDriver,
+    stack: &'a mut Stack,
     pools: &'a mut ShardPools,
 }
 
@@ -335,29 +281,28 @@ impl Loan<'_> {
     /// The symmetric part, both ways: the pool is one pointer swap, the
     /// telemetry two.
     fn swap(&mut self) {
-        let stack = &mut self.driver.stack;
-        stack.swap_scratch(&mut self.pools.scratch);
-        stack.telemetry_mut().swap_set(&mut self.pools.telemetry);
+        self.stack.swap_scratch(&mut self.pools.scratch);
+        self.stack.telemetry_mut().swap_set(&mut self.pools.telemetry);
     }
 }
 
 impl Drop for Loan<'_> {
     fn drop(&mut self) {
-        self.driver.stack.return_dispatch(&mut self.pools.dispatch);
+        self.stack.return_dispatch(&mut self.pools.dispatch);
         self.swap();
     }
 }
 
 impl Deref for Loan<'_> {
-    type Target = StackDriver;
-    fn deref(&self) -> &StackDriver {
-        self.driver
+    type Target = Stack;
+    fn deref(&self) -> &Stack {
+        self.stack
     }
 }
 
 impl DerefMut for Loan<'_> {
-    fn deref_mut(&mut self) -> &mut StackDriver {
-        self.driver
+    fn deref_mut(&mut self) -> &mut Stack {
+        self.stack
     }
 }
 
@@ -370,18 +315,6 @@ mod tests {
     use crate::time::Dur;
     use crate::wire::Encode;
     use crate::ModuleId;
-
-    /// Collects sends with their timestamps.
-    #[derive(Default)]
-    struct RecSink {
-        sent: Vec<(Time, StackId, StackId, Bytes)>,
-    }
-
-    impl ActionSink for RecSink {
-        fn net_send(&mut self, at: Time, src: StackId, dst: StackId, payload: Bytes) {
-            self.sent.push((at, src, dst, payload));
-        }
-    }
 
     /// Replies "pong" to any "ping"; counts receipts.
     struct PingPong {
@@ -445,51 +378,41 @@ mod tests {
     const PP: ModuleId = ModuleId(2);
     const BEAT: ModuleId = ModuleId(2);
 
-    fn pingpong_driver() -> StackDriver {
+    fn pingpong() -> Stack {
         let mut s = Stack::new(StackConfig::nth(0, 2, 1), FactoryRegistry::new());
         s.add_module(Box::new(PingPong { got: 0 }));
-        StackDriver::new(s)
+        s
     }
 
     #[test]
     fn poll_runs_start_work_and_reports_idle() {
-        let mut d = pingpong_driver();
-        let mut sink = RecSink::default();
-        assert_eq!(d.poll(Time(5), &mut sink), Wakeup::Idle);
-        assert!(sink.sent.is_empty());
-        assert!(!d.stack().has_work());
+        let mut s = pingpong();
+        let mut sent = Vec::new();
+        assert_eq!(s.poll(Time(5), &mut sent), Wakeup::Idle);
+        assert!(sent.is_empty());
+        assert!(!s.has_work());
     }
 
     #[test]
-    fn injected_packet_produces_timestamped_send() {
-        let mut d = pingpong_driver();
-        let mut sink = RecSink::default();
-        d.poll(Time(0), &mut sink);
-        d.inject(HostEvent::Packet { src: StackId(1), payload: Bytes::from_static(b"ping") });
-        assert!(d.stack().has_work());
-        let w = d.poll(Time(42), &mut sink);
-        assert_eq!(w, Wakeup::Idle);
-        assert_eq!(sink.sent.len(), 1);
-        let (at, src, dst, ref payload) = sink.sent[0];
-        assert_eq!(at, Time(42));
-        assert_eq!(src, StackId(0));
-        assert_eq!(dst, StackId(1));
-        assert_eq!(payload.as_ref(), b"pong");
+    fn a_packet_produces_a_send_stamped_at_the_poll() {
+        let mut s = pingpong();
+        let mut sent = Vec::new();
+        s.poll(Time(0), &mut sent);
+        s.packet_in(Time(0), StackId(1), Bytes::from_static(b"ping"));
+        assert!(s.has_work());
+        assert_eq!(s.poll(Time(42), &mut sent), Wakeup::Idle);
+        assert_eq!(sent, [(Time(42), StackId(0), StackId(1), Bytes::from_static(b"pong"))]);
     }
 
     #[test]
-    fn control_closures_run_in_injection_order() {
-        let mut d = pingpong_driver();
-        let mut sink = RecSink::default();
-        d.poll(Time(0), &mut sink);
+    fn a_call_made_between_polls_leaves_with_the_next_poll() {
+        let mut s = pingpong();
+        let mut sent = Vec::new();
+        s.poll(Time(0), &mut sent);
         let data = (StackId(1), Bytes::from_static(b"hello")).to_bytes();
-        d.inject(HostEvent::Control(Box::new(move |s: &mut Stack| {
-            s.call_as(PP, &ServiceId::new(crate::svc::NET), net_ops::SEND, data);
-        })));
-        d.poll(Time(7), &mut sink);
-        assert_eq!(sink.sent.len(), 1);
-        assert_eq!(sink.sent[0].0, Time(7));
-        assert_eq!(sink.sent[0].3.as_ref(), b"hello");
+        s.call_as(PP, &ServiceId::new(crate::svc::NET), net_ops::SEND, data);
+        s.poll(Time(7), &mut sent);
+        assert_eq!(sent, [(Time(7), StackId(0), StackId(1), Bytes::from_static(b"hello"))]);
     }
 
     /// Provides `order` and records what it is dispatched: the sender of
@@ -517,6 +440,8 @@ mod tests {
         }
     }
 
+    /// The benchmark's adapter: each event reaches the stack's inbox as
+    /// it is injected.
     #[test]
     fn packets_and_closures_run_in_injection_order() {
         const ORDER: ModuleId = ModuleId(2);
@@ -539,9 +464,8 @@ mod tests {
 
     #[test]
     fn timers_fire_through_poll_and_wakeup_tracks_earliest() {
-        let mut s = Stack::new(StackConfig::nth(0, 1, 1), FactoryRegistry::new());
-        s.add_module(Box::new(Beat { beats: 0 }));
-        let mut d = StackDriver::new(s);
+        let mut d = Stack::new(StackConfig::nth(0, 1, 1), FactoryRegistry::new());
+        d.add_module(Box::new(Beat { beats: 0 }));
         let mut sink = NullSink;
         let w = d.poll(Time::ZERO, &mut sink);
         assert_eq!(w, Wakeup::At(Time::ZERO + Dur::millis(1)));
@@ -554,7 +478,7 @@ mod tests {
         // The final beat does not re-arm: no timer remains.
         let w = d.poll(Time::ZERO + Dur::secs(1) + Dur::millis(1), &mut sink);
         assert_eq!(w, Wakeup::Idle);
-        let beats = d.stack_mut().with_module::<Beat, _>(BEAT, |b| b.beats).expect("beat module");
+        let beats = d.with_module::<Beat, _>(BEAT, |b| b.beats).expect("beat module");
         assert_eq!(beats, 3);
     }
 
@@ -582,9 +506,8 @@ mod tests {
         }
         let mut s = Stack::new(StackConfig::nth(0, 1, 1), FactoryRegistry::new());
         s.add_module(Box::new(ZeroSpin));
-        let mut d = StackDriver::new(s);
         // Must return (bounded), asking to be re-polled immediately.
-        let w = d.poll(Time(5), &mut NullSink);
+        let w = s.poll(Time(5), &mut NullSink);
         assert_eq!(w, Wakeup::At(Time(5)));
     }
 
@@ -630,39 +553,39 @@ mod tests {
         }
     }
 
-    fn cycle_driver(cfg: StackConfig) -> StackDriver {
+    fn cycle(cfg: StackConfig) -> Stack {
         let mut s = Stack::new(cfg, FactoryRegistry::new());
         let echo = s.add_module(Box::new(EchoC));
         s.add_module(Box::new(Relentless));
         s.bind(&ServiceId::new("c"), echo);
-        StackDriver::new(s)
+        s
     }
 
     #[test]
     fn endless_call_response_cycle_cannot_wedge_poll() {
-        let mut d = cycle_driver(StackConfig::nth(0, 1, 1));
+        let mut s = cycle(StackConfig::nth(0, 1, 1));
         // Must return (step budget), asking to be re-polled immediately.
-        let w = d.poll(Time(3), &mut NullSink);
+        let w = s.poll(Time(3), &mut NullSink);
         assert_eq!(w, Wakeup::At(Time(3)));
-        assert!(d.stack().has_work(), "the cycle is still pending, host re-polls");
+        assert!(s.has_work(), "the cycle is still pending, host re-polls");
     }
 
     #[test]
     fn a_traced_stack_under_a_loan_keeps_no_calls_and_tallies_every_one() {
         let mut pools = ShardPools::default();
-        let mut driver = cycle_driver(StackConfig::nth(0, 1, 1));
-        let mut steps = |driver: &mut StackDriver, n| {
-            let mut loan = pools.lend(driver);
+        let mut stack = cycle(StackConfig::nth(0, 1, 1));
+        let mut steps = |stack: &mut Stack, n| {
+            let mut loan = pools.lend(stack);
             for _ in 0..n {
-                loan.step_raw(Time(0)).expect("the cycle never ends");
+                loan.step(Time(0)).expect("the cycle never ends");
                 loan.settle(Time(0), &mut NullSink);
             }
         };
         // Its modules start and make their first call and response.
-        steps(&mut driver, 4);
-        let first = driver.stack().trace().mem_bytes();
-        steps(&mut driver, 10_000);
-        let trace = driver.stack().trace();
+        steps(&mut stack, 4);
+        let first = stack.trace().mem_bytes();
+        steps(&mut stack, 10_000);
+        let trace = stack.trace();
         let calls: u64 = trace.tally().iter().map(|(_, _, tally)| tally.calls).sum();
         let responses: u64 = trace.tally().iter().map(|(_, _, tally)| tally.responses).sum();
         assert!(calls > 4_096, "{calls} calls");
@@ -674,16 +597,16 @@ mod tests {
 
     #[test]
     fn split_phase_settle_stamps_action_time() {
-        let mut d = pingpong_driver();
-        d.poll(Time(0), &mut NullSink);
-        d.deliver(Time(10), StackId(1), Bytes::from_static(b"ping"));
-        let mut sink = RecSink::default();
+        let mut s = pingpong();
+        s.poll(Time(0), &mut NullSink);
+        s.packet_in(Time(10), StackId(1), Bytes::from_static(b"ping"));
+        let mut sent = Vec::new();
         // Step at t=10 but settle at t=25 (modeled CPU cost), like Sim.
-        while d.step_raw(Time(10)).is_some() {
-            d.settle(Time(25), &mut sink);
+        while s.step(Time(10)).is_some() {
+            s.settle(Time(25), &mut sent);
         }
-        assert_eq!(sink.sent.len(), 1);
-        assert_eq!(sink.sent[0].0, Time(25));
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent[0].0, Time(25));
     }
 
     /// Provides `ties`. Sets timers `1` and `2` on start, both 2 ms
@@ -717,147 +640,147 @@ mod tests {
 
     const TIES: ModuleId = ModuleId(2);
 
-    fn ties_driver() -> StackDriver {
+    fn ties() -> Stack {
         let mut s = Stack::new(StackConfig::nth(0, 1, 1), FactoryRegistry::new());
         s.add_module(Box::new(Ties { fired: Vec::new() }));
         s.bind(&ServiceId::new("ties"), TIES);
-        StackDriver::new(s)
+        s
     }
 
     fn call_ties(s: &mut Stack, ms: u16) {
         s.call_as(TIES, &ServiceId::new("ties"), ms, Bytes::new());
     }
 
-    fn fired(d: &mut StackDriver) -> Vec<u64> {
-        d.stack_mut().with_module::<Ties, _>(TIES, |t| t.fired.clone()).expect("ties module")
+    fn fired(s: &mut Stack) -> Vec<u64> {
+        s.with_module::<Ties, _>(TIES, |t| t.fired.clone()).expect("ties module")
+    }
+
+    /// Step and settle at `now` until the stack is idle.
+    fn drain(s: &mut Stack, now: Time) {
+        while s.step(now).is_some() {
+            s.settle(now, &mut NullSink);
+        }
     }
 
     #[test]
     fn timers_due_together_fire_in_the_order_they_were_set() {
         let due = Time::ZERO + Dur::millis(2);
         // Through `poll`: two set in one step, the third in a later step.
-        let mut d = ties_driver();
-        d.inject(HostEvent::Control(Box::new(|s: &mut Stack| call_ties(s, 2))));
-        assert_eq!(d.poll(Time::ZERO, &mut NullSink), Wakeup::At(due));
-        assert_eq!(d.poll(due, &mut NullSink), Wakeup::Idle);
-        assert_eq!(fired(&mut d), [1, 2, 3]);
+        let mut s = ties();
+        call_ties(&mut s, 2);
+        assert_eq!(s.poll(Time::ZERO, &mut NullSink), Wakeup::At(due));
+        assert_eq!(s.poll(due, &mut NullSink), Wakeup::Idle);
+        assert_eq!(fired(&mut s), [1, 2, 3]);
 
         // Through `wake`, split-phase as the simulator drives it: the
         // third is set 1 ms later, 1 ms out.
-        let mut d = ties_driver();
-        d.poll(Time::ZERO, &mut NullSink);
+        let mut s = ties();
+        s.poll(Time::ZERO, &mut NullSink);
         let later = Time::ZERO + Dur::millis(1);
-        call_ties(d.stack_mut(), 1);
-        while d.step_raw(later).is_some() {
-            d.settle(later, &mut NullSink);
-        }
-        assert_eq!(d.wake(due), None);
-        while d.step_raw(due).is_some() {
-            d.settle(due, &mut NullSink);
-        }
-        assert_eq!(fired(&mut d), [1, 2, 3]);
+        call_ties(&mut s, 1);
+        drain(&mut s, later);
+        assert_eq!(s.wake(due), None);
+        drain(&mut s, due);
+        assert_eq!(fired(&mut s), [1, 2, 3]);
     }
 
     #[test]
     fn a_destroyed_modules_timers_fire_into_nothing() {
         let due = Time::ZERO + Dur::millis(2);
-        let mut d = ties_driver();
-        d.poll(Time::ZERO, &mut NullSink);
-        d.stack_mut().destroy_module(TIES);
-        let w = d.poll(Time::ZERO + Dur::millis(1), &mut NullSink);
+        let mut s = ties();
+        s.poll(Time::ZERO, &mut NullSink);
+        s.destroy_module(TIES);
+        let w = s.poll(Time::ZERO + Dur::millis(1), &mut NullSink);
         assert_eq!(w, Wakeup::At(due), "the module is gone, its timers stay armed");
-        assert!(d.stack().module_kind(TIES).is_none());
-        assert_eq!(d.wake(due), None);
-        assert!(!d.stack().has_work(), "no delivery for the destroyed module");
-        assert!(d.step_raw(due).is_none(), "and no step");
+        assert!(s.module_kind(TIES).is_none());
+        assert_eq!(s.wake(due), None);
+        assert!(!s.has_work(), "no delivery for the destroyed module");
+        assert!(s.step(due).is_none(), "and no step");
+    }
+
+    #[test]
+    fn a_crashed_stacks_timers_fire_into_nothing_and_are_forgotten() {
+        let due = Time::ZERO + Dur::millis(2);
+        let mut s = ties();
+        assert_eq!(s.poll(Time::ZERO, &mut NullSink), Wakeup::At(due));
+        s.crash(Time::ZERO + Dur::millis(1));
+        assert_eq!(s.wake(due), None, "both timers fired, and are gone");
+        assert!(!s.has_work() && s.step(due).is_none());
+        assert!(fired(&mut s).is_empty());
     }
 
     #[test]
     fn timers_fire_earliest_deadline_first_then_lowest_id() {
         // Timers 1 and 2 are due at 2 ms; timer 3, set later, at 1 ms.
-        let mut d = ties_driver();
-        d.inject(HostEvent::Control(Box::new(|s: &mut Stack| call_ties(s, 1))));
-        assert_eq!(d.poll(Time::ZERO, &mut NullSink), Wakeup::At(Time::ZERO + Dur::millis(1)));
+        let mut s = ties();
+        call_ties(&mut s, 1);
+        assert_eq!(s.poll(Time::ZERO, &mut NullSink), Wakeup::At(Time::ZERO + Dur::millis(1)));
         let due = Time::ZERO + Dur::millis(2);
-        assert_eq!(d.wake(due), None, "all three were due");
-        while d.step_raw(due).is_some() {
-            d.settle(due, &mut NullSink);
-        }
-        assert_eq!(fired(&mut d), [3, 1, 2]);
+        assert_eq!(s.wake(due), None, "all three were due");
+        drain(&mut s, due);
+        assert_eq!(fired(&mut s), [3, 1, 2]);
     }
 
     #[test]
     fn a_hosted_stack_at_rest_holds_no_scratch_and_no_dispatch_box() {
         let mut pools = ShardPools::default();
-        let mut pp = pingpong_driver();
-        let mut beat = StackDriver::new({
-            let mut s = Stack::new(StackConfig::nth(1, 2, 1), FactoryRegistry::new());
-            s.add_module(Box::new(Beat { beats: 0 }));
-            s
-        });
-        let drain = |d: &mut StackDriver, now: Time, pools: &mut ShardPools| {
-            let mut loan = pools.lend(d);
-            while loan.step_raw(now).is_some() {
-                loan.settle(now, &mut NullSink);
-            }
-        };
+        let mut pp = pingpong();
+        let mut beat = Stack::new(StackConfig::nth(1, 2, 1), FactoryRegistry::new());
+        beat.add_module(Box::new(Beat { beats: 0 }));
         let net = ServiceId::new(crate::svc::NET);
-        for (d, from) in [(&mut pp, PP), (&mut beat, BEAT)] {
-            assert!(
-                d.stack().at_rest() && d.stack().has_work(),
-                "building counts the modules' starts"
-            );
+        for (s, from) in [(&mut pp, PP), (&mut beat, BEAT)] {
+            assert!(s.at_rest() && s.has_work(), "building counts the modules' starts");
             // A send made outside a loan waits in a box of the stack's own.
             let data = (StackId(0), Bytes::from_static(b"x")).to_bytes();
-            d.stack_mut().call_as(from, &net, net_ops::SEND, data);
-            assert!(!d.stack().at_rest(), "the send waits in the stack's own box");
-            drain(d, Time::ZERO, &mut pools);
-            assert!(d.stack().at_rest(), "step and settle");
+            s.call_as(from, &net, net_ops::SEND, data);
+            assert!(!s.at_rest(), "the send waits in the stack's own box");
+            drain(&mut pools.lend(s), Time::ZERO);
+            assert!(s.at_rest(), "step and settle");
         }
         // An arrival encodes through the pool and leaves work queued: the
         // busy stack keeps the box, the pool goes back.
-        pools.lend(&mut pp).deliver(Time(1), StackId(1), Bytes::from_static(b"ping"));
-        assert!(pp.stack().has_work() && pp.stack().wire_stats() == Default::default());
-        drain(&mut pp, Time(1), &mut pools);
-        assert!(pp.stack().at_rest(), "arrival, then its steps");
+        pools.lend(&mut pp).packet_in(Time(1), StackId(1), Bytes::from_static(b"ping"));
+        assert!(pp.has_work() && pp.wire_stats() == Default::default());
+        drain(&mut pools.lend(&mut pp), Time(1));
+        assert!(pp.at_rest(), "arrival, then its steps");
         let due = Time::ZERO + Dur::millis(1);
         assert_eq!(pools.lend(&mut beat).wake(due), None);
-        drain(&mut beat, due, &mut pools);
-        assert!(beat.stack().at_rest(), "wake, then its steps");
-        // A control closure run through `poll`, as `Sim::with_stack` runs
-        // one: the encode lands in the pool.
+        drain(&mut pools.lend(&mut beat), due);
+        assert!(beat.at_rest(), "wake, then its steps");
+        // A mutation under a loan, then `poll`, as `Sim::with_stack` runs
+        // a control closure: the encode lands in the pool.
         let mut loan = pools.lend(&mut pp);
-        loan.inject(HostEvent::Control(Box::new(|s: &mut Stack| drop(s.encode(&7u64)))));
+        drop(loan.encode(&7u64));
         loan.poll(Time(2), &mut NullSink);
         drop(loan);
-        assert!(pp.stack().at_rest(), "control closure");
+        assert!(pp.at_rest(), "control closure");
         assert_eq!(pools.wire_stats().emitted, 2, "the arrival's and the closure's encodes");
     }
 
     #[test]
     fn a_hosted_stack_at_rest_holds_no_telemetry_set() {
         let mut pools = ShardPools::default();
-        let mut hosted = pingpong_driver();
+        let mut hosted = pingpong();
         for now in 1..4 {
             let mut loan = pools.lend(&mut hosted);
-            loan.deliver(Time(now), StackId(1), Bytes::from_static(b"ping"));
-            loan.stack_mut().telemetry_mut().note_delivery(now, 7);
+            loan.packet_in(Time(now), StackId(1), Bytes::from_static(b"ping"));
+            loan.telemetry_mut().note_delivery(now, 7);
             loan.poll(Time(now), &mut NullSink);
         }
-        let state = hosted.stack().telemetry().state().expect("always on");
+        let state = hosted.telemetry().state().expect("always on");
         assert!(state.set.is_none(), "no set at rest");
-        assert_eq!(hosted.stack().telemetry().set_bytes(), 0);
+        assert_eq!(hosted.telemetry().set_bytes(), 0);
         let set = pools.telemetry.set.as_deref().expect("the shard's, boxed under the first loan");
         assert_eq!(set.delivery_latency.count(), 3);
         assert!(pools.telemetry.cascade_depth.count() > 0, "the cascades ran under loans");
         // A stack that recorded before it was hosted keeps its own set:
         // it parks in the shard during a loan and comes back.
-        let mut bare = pingpong_driver();
-        bare.stack_mut().telemetry_mut().note_delivery(0, 1);
-        let own = bare.stack().telemetry().set_bytes();
+        let mut bare = pingpong();
+        bare.telemetry_mut().note_delivery(0, 1);
+        let own = bare.telemetry().set_bytes();
         assert!(own > 0, "a bare stack boxes its own");
         pools.lend(&mut bare).poll(Time(5), &mut NullSink);
-        assert_eq!(bare.stack().telemetry().set_bytes(), own);
+        assert_eq!(bare.telemetry().set_bytes(), own);
         assert_eq!(pools.telemetry.set.as_deref().map(|s| s.delivery_latency.count()), Some(3));
     }
 }

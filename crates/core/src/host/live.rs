@@ -2,14 +2,14 @@
 //!
 //! A *live* host drives stacks under the wall clock on one or more
 //! shard threads. What differs between live hosts is only the
-//! **transport** — how a [`NetSend`](crate::HostAction::NetSend) leaves a
-//! shard and how a packet comes back in (crossbeam mailboxes in the
+//! **transport** — how a send that reaches the shard's
+//! [`ActionSink`] leaves it and how a packet comes back in (crossbeam mailboxes in the
 //! runtime, UDP sockets in the reactor). Everything else lives here,
 //! once:
 //!
-//! * [`LiveShard`] — the thread-side half: the drivers and their ids,
-//!   the shard's [`ShardPools`] (lent through the [`Loan`](super::Loan)
-//!   the simulator takes too), and the stamped heap of wake deadlines;
+//! * [`LiveShard`] — the thread-side half: the stacks, the shard's
+//!   [`ShardPools`] (lent through the [`Loan`](super::Loan) the
+//!   simulator takes too), and the stamped heap of wake deadlines;
 //! * [`Ctl`] + [`ShardPort`] — the control plane: a closure shipped to a
 //!   shard thread and the calling-thread helpers built on it
 //!   (`with_stack`, the report fold, the flight dump);
@@ -28,7 +28,9 @@
 //! [`LiveShard::next_deadline`], (3) hands every arrived packet to
 //! [`LiveShard::deliver`] and every control request to [`Ctl::run`],
 //! and (4) returns [`LiveShard::into_stacks`] on shutdown. It never
-//! touches a driver, a pool or a loan itself.
+//! touches a stack, a pool or a loan itself: the shard hands each stack
+//! its packets through [`Stack::packet_in`] and runs it through
+//! [`Stack::poll`].
 //!
 //! # One input, one cascade
 //!
@@ -40,7 +42,7 @@
 //! it. [`LiveShard::deliver`] also runs the cascade before it returns,
 //! so a shard's reply to the control plane sees its effects.
 
-use super::{ActionSink, ShardPools, StackDriver, Wakeup};
+use super::{ActionSink, ShardPools, Wakeup};
 use crate::ids::StackId;
 use crate::stack::Stack;
 use crate::time::Time;
@@ -102,14 +104,13 @@ impl LossModel {
     }
 }
 
-/// The thread-side half of a live host: a set of drivers, the pools
+/// The thread-side half of a live host: a set of stacks, the pools
 /// they borrow, and when each next needs CPU. See the [module
 /// docs](self) for what the owning transport loop must do.
 pub struct LiveShard {
-    ids: Vec<StackId>,
-    drivers: Vec<StackDriver>,
+    stacks: Vec<Stack>,
     index_of: BTreeMap<StackId, usize>,
-    /// Scheduled wake time per local driver. A heap entry whose time
+    /// Scheduled wake time per local stack. A heap entry whose time
     /// differs from the stamp is stale and is skipped; the stamp moves
     /// whenever a nearer deadline is scheduled, so superseded wakeups
     /// purge themselves on pop.
@@ -117,25 +118,23 @@ pub struct LiveShard {
     wakes: BinaryHeap<Reverse<(Time, usize)>>,
     clock: WallClock,
     /// Encode buffers, dispatch buffers and the telemetry set, lent to
-    /// whichever driver is running: retained memory and event-rate
+    /// whichever stack is running: retained memory and event-rate
     /// samples scale with shard threads, not stacks.
     pools: ShardPools,
 }
 
 impl LiveShard {
     /// A shard hosting `stacks`, in the given order (local index = the
-    /// position in `stacks`). Every driver starts out due, so the first
+    /// position in `stacks`). Every stack starts out due, so the first
     /// [`LiveShard::fire_due`] services the stacks' start-up work
     /// (`on_start` handlers, first timers).
     pub fn new(clock: WallClock, stacks: impl IntoIterator<Item = Stack>) -> LiveShard {
-        let drivers: Vec<StackDriver> = stacks.into_iter().map(StackDriver::new).collect();
-        let ids: Vec<StackId> = drivers.iter().map(StackDriver::id).collect();
+        let stacks: Vec<Stack> = stacks.into_iter().collect();
         LiveShard {
-            index_of: ids.iter().enumerate().map(|(local, &id)| (id, local)).collect(),
-            next_wake: vec![Some(Time::ZERO); drivers.len()],
-            wakes: (0..drivers.len()).map(|local| Reverse((Time::ZERO, local))).collect(),
-            ids,
-            drivers,
+            index_of: stacks.iter().enumerate().map(|(local, s)| (s.id(), local)).collect(),
+            next_wake: vec![Some(Time::ZERO); stacks.len()],
+            wakes: (0..stacks.len()).map(|local| Reverse((Time::ZERO, local))).collect(),
+            stacks,
             clock,
             pools: ShardPools::default(),
         }
@@ -153,12 +152,11 @@ impl LiveShard {
         self.index_of.get(&id).copied()
     }
 
-    /// Run one driver's canonical drive loop (under the loan —
-    /// dispatched handlers encode) and keep a wake scheduled at its next
-    /// deadline.
+    /// Run one stack's drive loop (under the loan — dispatched handlers
+    /// encode) and keep a wake scheduled at its next deadline.
     fn poll(&mut self, local: usize, sink: &mut dyn ActionSink) {
         let now = self.now();
-        let wakeup = self.pools.lend(&mut self.drivers[local]).poll(now, sink);
+        let wakeup = self.pools.lend(&mut self.stacks[local]).poll(now, sink);
         self.arm(local, wakeup);
     }
 
@@ -173,8 +171,8 @@ impl LiveShard {
     ) {
         let now = self.now();
         let wakeup = {
-            let mut loan = self.pools.lend(&mut self.drivers[local]);
-            loan.deliver(now, src, payload);
+            let mut loan = self.pools.lend(&mut self.stacks[local]);
+            loan.packet_in(now, src, payload);
             loan.poll(now, sink)
         };
         self.arm(local, wakeup);
@@ -189,7 +187,7 @@ impl LiveShard {
         f: impl FnOnce(&mut Stack) -> R,
         sink: &mut dyn ActionSink,
     ) -> R {
-        let r = f(self.pools.lend(&mut self.drivers[local]).stack_mut());
+        let r = f(&mut self.pools.lend(&mut self.stacks[local]));
         self.poll(local, sink);
         r
     }
@@ -203,8 +201,8 @@ impl LiveShard {
         }
     }
 
-    /// The earliest instant some driver needs CPU, or `None` when every
-    /// driver is idle (the transport may then block indefinitely).
+    /// The earliest instant some stack needs CPU, or `None` when every
+    /// stack is idle (the transport may then block indefinitely).
     pub fn next_deadline(&mut self) -> Option<Time> {
         while let Some(&Reverse((at, local))) = self.wakes.peek() {
             if self.next_wake[local] == Some(at) {
@@ -215,7 +213,7 @@ impl LiveShard {
         None
     }
 
-    /// Poll every driver whose wake deadline is at or before `now`.
+    /// Poll every stack whose wake deadline is at or before `now`.
     pub fn fire_due(&mut self, now: Time, sink: &mut dyn ActionSink) {
         while let Some(&Reverse((at, local))) = self.wakes.peek() {
             if at > now {
@@ -229,22 +227,18 @@ impl LiveShard {
         }
     }
 
-    fn stacks(&self) -> impl Iterator<Item = &Stack> {
-        self.drivers.iter().map(StackDriver::stack)
-    }
-
     /// This shard's part of the host's report: its stacks plus its pools
     /// (where every encode and every sample lands under the loan
     /// discipline — the per-stack residuals stay zero).
     pub fn fold_report(&self) -> ReportFold {
-        let mut fold = ReportFold::of_stacks(self.stacks());
+        let mut fold = ReportFold::of_stacks(&self.stacks);
         fold.absorb_pools(&self.pools);
         fold
     }
 
     /// This shard's flight recorders (see [`dump_flight`]).
     pub fn dump_flight(&self) -> String {
-        dump_flight(self.stacks(), &self.pools)
+        dump_flight(&self.stacks, &self.pools)
     }
 
     /// Unwrap into `(id, stack)` pairs in hosting order, discarding
@@ -252,7 +246,7 @@ impl LiveShard {
     /// whole in it: its structural entries, its digest and its tally
     /// (calls and responses are kept nowhere else).
     pub fn into_stacks(self) -> Vec<(StackId, Stack)> {
-        self.ids.into_iter().zip(self.drivers.into_iter().map(StackDriver::into_stack)).collect()
+        self.stacks.into_iter().map(|stack| (stack.id(), stack)).collect()
     }
 }
 

@@ -20,11 +20,11 @@
 //!
 //! On top of the model, the crate provides:
 //!
-//! * the host boundary: [`HostAction`]s through which a stack talks to
-//!   the outside world (network sends, timers), and the unified host API
-//!   ([`host`]) whose [`StackDriver`] encapsulates the canonical drive
-//!   loop so the same stack runs unchanged under the deterministic
-//!   simulator (`dpu-sim`) and the sharded live runtime (`dpu-runtime`);
+//! * the host boundary ([`host`]): the drive loop on the stack itself
+//!   ([`Stack::poll`], or [`Stack::step`] + [`Stack::settle`] split-phase)
+//!   and the [`ActionSink`] that receives its network sends, so the same
+//!   stack runs unchanged under the deterministic simulator (`dpu-sim`)
+//!   and the live hosts (`dpu-runtime`, `dpu-reactor`);
 //! * a binary wire codec ([`wire`]) used by all protocol messages;
 //! * trace recording ([`trace`]) and mechanical checkers for the paper's
 //!   generic DPU correctness properties ([`props`]) — strong/weak
@@ -57,20 +57,20 @@ pub mod wire;
 
 pub use dpu_telemetry as telemetry;
 pub use dpu_telemetry::{StackTelemetry, TelemetryConfig};
-pub use host::{ActionSink, HostEvent, StackDriver, Wakeup};
+pub use host::{ActionSink, Wakeup};
 pub use ids::{Channel, ModuleId, Name, ServiceId, StackId, TimerId};
 pub use module::{Call, Module, ModuleSpec, Op, Response, TransportStats};
 pub use sets::{HeardSet, InOrder, IntervalSet};
-pub use stack::{FactoryRegistry, HostAction, ModuleCtx, Stack, StackConfig};
+pub use stack::{FactoryRegistry, ModuleCtx, Stack, StackConfig};
 pub use time::{Dur, Time};
 pub use trace::{Chain, Tally, TraceEvent, TraceLog};
 
 /// Well-known service names used across the workspace.
 pub mod svc {
     /// The raw network service provided by the host environment (the
-    /// paper's "Net" at the bottom of Figure 1). Calls on it become
-    /// [`crate::HostAction::NetSend`] inside the caller's step, as calls on
-    /// [`UDP`] do; on a stack with no module bound to [`UDP`], packet
+    /// paper's "Net" at the bottom of Figure 1). A call on it leaves for
+    /// the host's [`crate::ActionSink`] inside the caller's step, as calls
+    /// on [`UDP`] do; on a stack with no module bound to [`UDP`], packet
     /// arrivals come back as responses on it.
     pub const NET: &str = "net";
 

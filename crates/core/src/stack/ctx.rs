@@ -157,8 +157,9 @@ impl ModuleCtx<'_> {
         self.stack.module_kind(id)
     }
 
-    /// Put a datagram on the wire: the host transmits `payload` to stack
-    /// `dst` as it is ([`HostAction::NetSend`]). Only the bottom of a
+    /// Put a datagram on the wire: the next settle hands `payload` to the
+    /// host's [`ActionSink`](crate::ActionSink), which transmits it to
+    /// stack `dst` as it is. Only the bottom of a
     /// stack sends this way, from a step — `udp` for a call that waited
     /// for it to be bound, the built-in `net` bridge on stacks without
     /// `udp`. A protocol module above the bottom calls `udp` (or `rp2p`)

@@ -16,12 +16,12 @@
 //! after it.
 
 use super::{HostAction, ModuleCtx, Stack};
-use crate::ids::{ModuleId, StackId, TimerId};
+use crate::host::ActionSink;
+use crate::ids::{ModuleId, TimerId};
 use crate::module::{Call, Response};
 use crate::time::Time;
 use crate::trace::TraceEvent;
 use crate::wire::WireScratch;
-use bytes::Bytes;
 use std::collections::VecDeque;
 
 /// What kind of work one [`Stack::step`] dispatched — hosts use this to
@@ -204,10 +204,10 @@ impl Stack {
         DispatchBuf::of(&mut self.dispatch).actions.push(action);
     }
 
-    /// Fire a timer previously armed via [`HostAction::SetTimer`]. Firing
-    /// an unknown timer, or one whose module was destroyed, is a no-op;
-    /// so is firing any timer on a crashed stack, which forgets it.
-    pub fn timer_fired(&mut self, now: Time, id: TimerId) {
+    /// Fire armed timer `id`. Firing a timer whose module was destroyed
+    /// is a no-op; so is firing any timer on a crashed stack, which
+    /// forgets it.
+    fn timer_fired(&mut self, now: Time, id: TimerId) {
         let armed = self.timers.remove(id);
         if self.crashed {
             return;
@@ -224,14 +224,10 @@ impl Stack {
 
     /// Fire every armed timer due at or before `now`, earliest deadline
     /// first and, among equal deadlines, the lower id (set first).
-    /// Returns how many fired.
-    pub(crate) fn fire_due(&mut self, now: Time) -> usize {
-        let mut fired = 0;
+    pub(crate) fn fire_due(&mut self, now: Time) {
         while let Some(id) = self.next_due(now) {
             self.timer_fired(now, id);
-            fired += 1;
         }
-        fired
     }
 
     /// The timer to fire next at `now`, if any is due.
@@ -246,20 +242,24 @@ impl Stack {
         next.map(|(_, id)| id)
     }
 
-    /// The earliest settled deadline, or `None` if no timer is armed.
-    pub(crate) fn next_deadline(&self) -> Option<Time> {
+    /// The earliest settled deadline, or `None` if no timer is armed:
+    /// when a host must next call [`Stack::wake`] or [`Stack::poll`].
+    pub fn next_deadline(&self) -> Option<Time> {
         self.timers.0.iter().map(|(_, a)| a.at).filter(|&at| at != UNSETTLED).min()
     }
 
-    /// Execute the actions produced since the last settle, as of `at`:
-    /// each timer set since is due at `at` plus its delay, and each send
-    /// goes to `send`. The buffer is drained in place and keeps its
-    /// capacity for the next step.
-    pub(crate) fn settle(&mut self, at: Time, mut send: impl FnMut(StackId, Bytes)) {
+    /// Execute what the steps since the last settle asked of the host,
+    /// as of `at`: each timer set since is due at `at` plus its delay, and
+    /// each send reaches `sink` stamped `at`. A host that charges modeled
+    /// CPU cost steps at one time and settles at the step's completion.
+    /// The buffer is drained in place and keeps its capacity for the next
+    /// step (or goes back to a lending shard when the stack is idle — see
+    /// [`ShardPools`](crate::host::ShardPools)).
+    pub fn settle(&mut self, at: Time, sink: &mut dyn ActionSink) {
         let Some(buf) = self.dispatch.as_deref_mut() else { return };
         for action in buf.actions.drain(..) {
             match action {
-                HostAction::NetSend { dst, payload } => send(dst, payload),
+                HostAction::NetSend { dst, payload } => sink.net_send(at, self.id, dst, payload),
                 HostAction::SetTimer { id, delay } => {
                     if let Some(armed) = self.timers.get_mut(id) {
                         armed.at = at + delay;
@@ -335,12 +335,6 @@ impl Stack {
         }
     }
 
-    /// Drain the host actions produced since the last drain, in order,
-    /// in place: the buffer keeps its capacity for the next step.
-    pub fn drain_actions(&mut self) -> impl Iterator<Item = HostAction> + '_ {
-        self.dispatch.iter_mut().flat_map(|d| d.actions.drain(..))
-    }
-
     /// Delivery and host-action slots this stack holds (capacity): none
     /// once idle, if a shard lends to it ([`crate::host::ShardPools`]).
     pub fn dispatch_capacity(&self) -> (usize, usize) {
@@ -398,7 +392,8 @@ impl Stack {
 mod tests {
     use super::*;
     use crate::ids::ServiceId;
-    use crate::stack::tests::{net_send_from, new_stack, run_until_idle, Client, Echo};
+    use crate::ids::StackId;
+    use crate::stack::tests::{net_send_from, new_stack, run_until_idle, settled, Client, Echo};
     use bytes::Bytes;
 
     type Shard = ShardDispatch;
@@ -441,7 +436,7 @@ mod tests {
         for _ in 0..3 {
             let sent = lent(&mut stack, &mut shard, |s| {
                 call_and_send(s, client);
-                s.drain_actions().count()
+                settled(s).len()
             });
             assert_eq!(sent, 1);
             assert!(stack.dispatch.is_none(), "the box went back to the shard");
@@ -517,7 +512,7 @@ mod tests {
         // queued: busy.
         let sent = lent(&mut a, &mut shard, |s| {
             net_send_from(s, a_client);
-            let sent = s.drain_actions().count();
+            let sent = settled(s).len();
             s.call_as(a_client, &echo, 1, Bytes::new());
             sent
         });
@@ -530,7 +525,7 @@ mod tests {
         let sent = lent(&mut b, &mut shard, |s| {
             assert_eq!(s.dispatch_capacity().1, actions, "the shard's action buffer");
             net_send_from(s, b_client);
-            s.drain_actions().count()
+            settled(s).len()
         });
         assert_eq!(sent, 1);
         assert!(b.dispatch.is_none() && shard.buf.is_some(), "idle: its box stays with the shard");
@@ -544,7 +539,7 @@ mod tests {
         let (mut stack, client) = echo_stack();
         for _ in 0..3 {
             call_and_send(&mut stack, client);
-            assert_eq!(stack.drain_actions().count(), 1);
+            assert_eq!(settled(&mut stack).len(), 1);
             let (queue, actions) = stack.dispatch_capacity();
             assert!(queue > 0 && actions > 0, "its own buffers, drained in place");
         }

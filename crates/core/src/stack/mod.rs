@@ -9,9 +9,11 @@
 //! the inbox of inputs behind it; the *host* — the deterministic
 //! simulator (`dpu-sim`) or a live host (`dpu-runtime`, `dpu-reactor`) —
 //! repeatedly invokes [`Stack::step`] to dispatch one item to one module
-//! handler. Handlers interact with the world only through [`ModuleCtx`],
-//! which enqueues further work and emits [`HostAction`]s (network sends,
-//! timer arming) for the host to execute.
+//! handler, or lets [`Stack::poll`] run the whole drive loop. Handlers
+//! interact with the world only through [`ModuleCtx`], which enqueues
+//! further work and records what a step asks of the host (network sends,
+//! timer arming); [`Stack::settle`] hands the sends to the host's
+//! [`ActionSink`](crate::ActionSink) and stamps the timers' deadlines.
 //!
 //! This split is what lets the same protocol modules run unchanged under
 //! virtual time (for reproducible experiments) and real time.
@@ -70,9 +72,8 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-/// An effect a stack asks its host to perform.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum HostAction {
+/// An effect a step asks of its host, executed by [`Stack::settle`].
+pub(crate) enum HostAction {
     /// Transmit `payload` to stack `dst` over the (unreliable) network.
     NetSend {
         /// Destination stack.
@@ -80,8 +81,7 @@ pub enum HostAction {
         /// Raw datagram contents.
         payload: Bytes,
     },
-    /// Arm a one-shot timer; the host must call
-    /// [`Stack::timer_fired`] with `id` after `delay` elapses.
+    /// Stamp timer `id`'s deadline: `delay` after the settle time.
     SetTimer {
         /// Timer handle.
         id: TimerId,
@@ -285,9 +285,12 @@ impl Stack {
         }
     }
 
-    /// Drop everything this incarnation holds, leaving an empty stack
-    /// with the same id and peers (see `StackDriver::tear_down`).
-    pub(crate) fn tear_down(&mut self) {
+    /// Drop everything this incarnation holds — queued work, modules,
+    /// timers, buffers, trace and lifecycle records — leaving an empty
+    /// stack with the same id and peers in place: what a host does to a
+    /// restarted node's slot before it builds the next incarnation, so
+    /// that the two never coexist.
+    pub fn tear_down(&mut self) {
         let telemetry = StackTelemetry::new(&TelemetryConfig::default(), self.id.0);
         let (peers, factory) = (Arc::clone(&self.peers), self.factory.clone());
         *self = Stack::empty(self.id, peers, None, factory, TraceLog::disabled(), telemetry);
@@ -512,6 +515,14 @@ mod tests {
         Stack::new(StackConfig::nth(0, 3, 42), FactoryRegistry::new())
     }
 
+    /// The sends the steps since the last settle made, settled at the
+    /// stack's clock into a recording sink.
+    pub(super) fn settled(stack: &mut Stack) -> Vec<(Time, StackId, StackId, Bytes)> {
+        let mut sent = Vec::new();
+        stack.settle(stack.now(), &mut sent);
+        sent
+    }
+
     pub(super) fn net_send_from(stack: &mut Stack, from: ModuleId) {
         let data = (StackId(2), Bytes::from_static(b"x")).to_bytes();
         stack.call_as(from, &ServiceId::new(crate::svc::NET), net_ops::SEND, data);
@@ -528,7 +539,7 @@ mod tests {
         assert!(stack.is_crashed());
         assert!(stack.step(Time(6)).is_none());
         stack.packet_in(Time(7), StackId(1), Bytes::new());
-        stack.timer_fired(Time(8), TimerId(1));
+        assert_eq!(stack.wake(Time(8)), None);
         assert!(!stack.has_work());
         assert!(stack.trace().events().any(|(_, e)| matches!(e, TraceEvent::Crash { .. })));
     }

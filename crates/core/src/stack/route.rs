@@ -247,7 +247,7 @@ impl Stack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stack::tests::{new_stack, run_until_idle, Client, Echo};
+    use crate::stack::tests::{new_stack, run_until_idle, settled, Client, Echo};
     use crate::stack::StepCategory;
     use crate::wire::{Encode, WireScratch};
     use crate::TraceLog;
@@ -302,8 +302,7 @@ mod tests {
         let data = (StackId(2), payload.clone()).to_bytes();
         stack.call_as(client, &ServiceId::new(crate::svc::NET), net_ops::SEND, data);
         assert_eq!(steps_and_actions(&mut stack), vec![], "no step sends the datagram");
-        let actions: Vec<_> = stack.drain_actions().collect();
-        assert_eq!(actions, vec![HostAction::NetSend { dst: StackId(2), payload }]);
+        assert_eq!(settled(&mut stack), [(stack.now(), stack.id(), StackId(2), payload)]);
     }
 
     #[test]
@@ -620,17 +619,21 @@ mod tests {
         Sender(crate::svc::UDP, 1, Bytes::from_static(payload))
     }
 
-    /// Steps until idle: `(module, category, actions drained after it)`.
-    fn steps_and_actions(stack: &mut Stack) -> Vec<(ModuleId, StepCategory, Vec<HostAction>)> {
+    /// Steps until idle: `(module, category, (dst, payload) of each send
+    /// settled after it)`.
+    fn steps_and_actions(stack: &mut Stack) -> Vec<(ModuleId, StepCategory, Vec<Sent>)> {
         let mut out = Vec::new();
         while let Some(info) = stack.step(stack.now()) {
-            out.push((info.module, info.category, stack.drain_actions().collect()));
+            let sent = settled(stack).into_iter().map(|(_, _, dst, payload)| (dst, payload));
+            out.push((info.module, info.category, sent.collect()));
         }
         out
     }
 
-    fn sent(payload: &'static [u8]) -> Vec<HostAction> {
-        vec![HostAction::NetSend { dst: StackId(2), payload: Bytes::from_static(payload) }]
+    type Sent = (StackId, Bytes);
+
+    fn sent(payload: &'static [u8]) -> Vec<Sent> {
+        vec![(StackId(2), Bytes::from_static(payload))]
     }
 
     #[test]
@@ -664,10 +667,10 @@ mod tests {
         let mut stack = new_stack();
         let sender = stack.add_module(Box::new(udp_sender(b"early")));
         run_until_idle(&mut stack);
-        assert!(stack.drain_actions().next().is_none(), "nothing bound to `udp`: the call waits");
+        assert!(settled(&mut stack).is_empty(), "nothing bound to `udp`: the call waits");
         let wire = stack.add_module(Box::new(Wire { edge: true }));
         stack.bind(&ServiceId::new(crate::svc::UDP), wire);
-        assert!(stack.drain_actions().next().is_none(), "a released call is queued, not sent");
+        assert!(settled(&mut stack).is_empty(), "a released call is queued, not sent");
         assert_eq!(
             steps_and_actions(&mut stack),
             vec![(wire, StepCategory::Start, vec![]), (wire, StepCategory::Call, sent(b"early"))]

@@ -238,14 +238,11 @@ const _: () = assert!(std::mem::size_of::<Name>() == 8);
 const _: () = assert!(std::mem::size_of::<Entry>() == 40);
 const _: () = assert!(std::mem::size_of::<crate::stack::ModuleSlot>() == 24);
 const _: () = assert!(std::mem::size_of::<TraceLog>() == 8);
-// The slab row of every hosted stack, which is the stack alone: the
-// driver keeps no state of its own. A stack at rest holds only its own
-// state: what a loan lends (the scratch pool, the dispatch buffers, the
-// telemetry set) is one pointer each, the switch records are boxed by
-// their first use, the tables built at build or switch time are exact
-// boxed slices, and its timers are one table.
-const _: () =
-    assert!(std::mem::size_of::<crate::host::StackDriver>() == std::mem::size_of::<crate::Stack>());
+// The slab row of every hosted stack: hosts hold `Stack`s. A stack at
+// rest holds only its own state: what a loan lends (the scratch pool,
+// the dispatch buffers, the telemetry set) is one pointer each, the
+// switch records are boxed by their first use, the tables built at build
+// or switch time are exact boxed slices, and its timers are one table.
 const _: () = assert!(std::mem::size_of::<crate::Stack>() <= 232);
 
 /// What the calls and responses of one `(service, op)` came to — what a

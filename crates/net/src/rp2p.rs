@@ -539,18 +539,15 @@ mod tests {
     fn fan_out(to: &[u32]) -> (u32, Vec<StackId>, Vec<Dgram>) {
         let mut s = mk_stack(StackConfig::nth(0, 4, 1));
         while s.step(Time::ZERO).is_some() {}
-        s.drain_actions().for_each(drop);
+        s.settle(Time::ZERO, &mut dpu_core::host::NullSink);
         s.add_module(Box::new(Fan(to.iter().copied().map(StackId).collect())));
         let mut rp2p_steps = 0;
         while let Some(info) = s.step(Time::ZERO) {
             rp2p_steps += u32::from(info.module == RP2P);
         }
-        let sent = (s.drain_actions())
-            .filter_map(|a| match a {
-                dpu_core::HostAction::NetSend { dst, .. } => Some(dst),
-                _ => None,
-            })
-            .collect();
+        let mut sent = Vec::new();
+        s.settle(Time::ZERO, &mut sent);
+        let sent = sent.into_iter().map(|(_, _, dst, _)| dst).collect();
         let looped = s.with_module::<Rp2pSink, _>(SINK, |k| k.got.clone()).unwrap();
         (rp2p_steps, sent, looped)
     }

@@ -36,7 +36,7 @@ pub struct SockFrame {
     /// Destination stack.
     pub dst: StackId,
     /// The stack-level wire frame, handed to
-    /// [`dpu_core::host::StackDriver::inject`] unchanged on receive.
+    /// [`dpu_core::host::LiveShard::deliver`] unchanged on receive.
     pub payload: Bytes,
 }
 

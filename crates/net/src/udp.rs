@@ -134,7 +134,7 @@ impl Module for UdpModule {
 mod tests {
     use super::*;
     use crate::dgram::Dgram;
-    use dpu_core::stack::{FactoryRegistry, HostAction, Stack, StackConfig};
+    use dpu_core::stack::{FactoryRegistry, Stack, StackConfig};
     use dpu_core::time::Time;
     use dpu_core::ModuleId;
 
@@ -177,17 +177,22 @@ mod tests {
         }
     }
 
+    /// `(dst, payload)` of each send since the last settle.
+    fn sent(stack: &mut Stack) -> Vec<(StackId, Bytes)> {
+        let mut sent = Vec::new();
+        stack.settle(stack.now(), &mut sent);
+        sent.into_iter().map(|(_, _, dst, payload)| (dst, payload)).collect()
+    }
+
     #[test]
     fn send_produces_net_host_action_with_frame() {
         let (mut stack, _, user) = udp_stack();
         let d = Dgram { peer: StackId(1), channel: ch(7), data: Bytes::from_static(b"hello") };
         stack.call_as(user, &ServiceId::new(crate::UDP_SVC), dgram::SEND, wire::to_bytes(&d));
         run_until_idle(&mut stack);
-        let actions: Vec<_> = stack.drain_actions().collect();
-        assert_eq!(actions.len(), 1);
-        let HostAction::NetSend { dst, payload } = &actions[0] else {
-            panic!("expected NetSend");
-        };
+        let sent = sent(&mut stack);
+        assert_eq!(sent.len(), 1);
+        let (dst, payload) = &sent[0];
         assert_eq!(*dst, StackId(1));
         let (channel, data): (Channel, Bytes) = wire::from_bytes(payload).unwrap();
         assert_eq!(channel, ch(7));
@@ -245,11 +250,7 @@ mod tests {
             stack.call_as(user, &ServiceId::new(crate::UDP_SVC), dgram::SEND, data);
             run_until_idle(&mut stack);
             let old = stack.encode(&(d.channel, d.data.clone()));
-            assert_eq!(
-                stack.drain_actions().collect::<Vec<_>>(),
-                vec![HostAction::NetSend { dst: d.peer, payload: old }],
-                "{d:?}"
-            );
+            assert_eq!(sent(&mut stack), vec![(d.peer, old)], "{d:?}");
         }
     }
 
@@ -279,10 +280,8 @@ mod tests {
         let (t0, id) = (stack.now(), stack.id());
         let d = Dgram { peer: StackId(1), channel: ch(7), data: Bytes::from_static(b"hello") };
         stack.call_as(user, &ServiceId::new(crate::UDP_SVC), dgram::SEND, wire::to_bytes(&d));
-        let sent =
-            vec![HostAction::NetSend { dst: StackId(1), payload: stack.encode(&(ch(7), d.data)) }];
-        let actions: Vec<_> = stack.drain_actions().collect();
-        assert_eq!(actions, sent, "the datagram leaves with the call");
+        let frame = stack.encode(&(ch(7), d.data));
+        assert_eq!(sent(&mut stack), [(StackId(1), frame)], "the datagram leaves with the call");
         stack.packet_in(Time(5), StackId(1), wire::to_bytes(&(ch(7), Bytes::from_static(b"yo"))));
         let mut stepped = Vec::new();
         let mut t = stack.now();

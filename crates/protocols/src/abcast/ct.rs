@@ -430,10 +430,15 @@ mod tests {
     #[test]
     fn different_namespaces_do_not_interfere() {
         // Two abcast modules (ns 1 and ns 2) side by side in each stack on
-        // different service names; streams stay independent.
+        // different service names, each with an app of its own; streams
+        // stay independent.
         use crate::testing::RecordingApp;
+        use bytes::Bytes;
         use dpu_core::stack::Stack;
         use dpu_core::{ModuleId, ServiceId};
+        // The second app's id: after the conformance stack's seven
+        // modules and the ns-2 abcast.
+        const APP2: ModuleId = ModuleId(9);
         let mk = |sc: dpu_core::StackConfig| -> Stack {
             let ns1 = CtAbcastParams { namespace: 1, ..CtAbcastParams::default() };
             let mut s = stack_over(sc, Box::new(CtAbcastModule::new(ns1)));
@@ -443,27 +448,27 @@ mod tests {
                 consensus: crate::CONSENSUS_SVC.into(),
                 ..CtAbcastParams::default()
             })));
-            s.add_module(Box::new(RecordingApp { delivered: vec![] }));
+            let app2 = RecordingApp { service: "abcast2", delivered: vec![] };
+            assert_eq!(s.add_module(Box::new(app2)), APP2);
             s.bind(&ServiceId::new("abcast2"), ab2);
             s
         };
         let mut sim = Sim::new(SimConfig::lan(3, 5), mk);
         sim.run_until(Time::ZERO + Dur::millis(100));
         abcast(&mut sim, 0, b"ns1-message");
-        // Send on the second service directly.
         sim.with_stack(StackId(1), |s| {
-            s.call_as(
-                ModuleId(7),
-                &ServiceId::new("abcast2"),
-                ops::ABCAST,
-                bytes::Bytes::from_static(b"ns2-message"),
-            )
+            let payload = Bytes::from_static(b"ns2-message");
+            s.call_as(APP2, &ServiceId::new("abcast2"), ops::ABCAST, payload)
         });
         sim.run_until(Time::ZERO + Dur::secs(5));
-        // The primary app (bound to "abcast") sees only the ns1 message.
+        // Each app sees its own stream's message, on every stack.
         for node in 0..3 {
             let d = delivered(&mut sim, node);
-            assert_eq!(d, vec![bytes::Bytes::from_static(b"ns1-message")]);
+            assert_eq!(d, vec![Bytes::from_static(b"ns1-message")], "stack {node}");
+            let d2 = sim.with_stack(StackId(node), |s| {
+                s.with_module::<RecordingApp, _>(APP2, |a| a.delivered.clone())
+            });
+            assert_eq!(d2, Some(vec![Bytes::from_static(b"ns2-message")]), "stack {node}");
         }
     }
 

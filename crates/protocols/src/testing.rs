@@ -79,6 +79,8 @@ impl Variant {
 /// Records every ADELIVER payload, in order. The conformance assertions
 /// run over these logs.
 pub(crate) struct RecordingApp {
+    /// The abcast service it requires, and records the deliveries of.
+    pub service: &'static str,
     /// The delivery log, in Adelivery order.
     pub delivered: Vec<Bytes>,
 }
@@ -91,7 +93,7 @@ impl Module for RecordingApp {
         Vec::new()
     }
     fn requires(&self) -> Vec<ServiceId> {
-        vec![ServiceId::new(crate::ABCAST_SVC)]
+        vec![ServiceId::new(self.service)]
     }
     fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
     fn on_response(&mut self, _: &mut ModuleCtx<'_>, resp: Response) {
@@ -123,7 +125,7 @@ pub(crate) fn stack_over(sc: StackConfig, abcast: Box<dyn Module>) -> Stack {
         CoordPolicy::Rotating,
     )));
     let ab = s.add_module(abcast);
-    s.add_module(Box::new(RecordingApp { delivered: vec![] }));
+    s.add_module(Box::new(RecordingApp { service: crate::ABCAST_SVC, delivered: vec![] }));
     s.bind(&ServiceId::new(dpu_net::UDP_SVC), udp);
     s.bind(&ServiceId::new(dpu_net::RP2P_SVC), rp2p);
     s.bind(&ServiceId::new(crate::FD_SVC), fd);

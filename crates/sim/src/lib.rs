@@ -69,7 +69,7 @@ pub use stats::{ShardStats, SimStats, WorkloadStats};
 pub use topology::{NetConfig, Topology};
 
 use bytes::Bytes;
-use dpu_core::host::{ActionSink, ReportFold, ShardPools, StackDriver};
+use dpu_core::host::{ReportFold, ShardPools};
 use dpu_core::stack::StepCategory;
 use dpu_core::time::{Dur, Time};
 use dpu_core::trace::TraceLog;
@@ -214,7 +214,7 @@ pub(crate) enum EventKind {
         src: StackId,
         payload: Bytes,
     },
-    /// Wake a node's [`StackDriver`] so it fires its due timers. One
+    /// Wake a node's [`Stack`] so it fires its due timers. One
     /// wake is kept scheduled per node, stamped in [`Node::wake`];
     /// entries whose time no longer matches the stamp are stale
     /// (a nearer deadline was scheduled since) and are skipped.
@@ -227,19 +227,6 @@ pub(crate) enum EventKind {
     Crash {
         node: StackId,
     },
-}
-
-/// [`ActionSink`] that buffers sends so they can be replayed through the
-/// network model once the driver borrow ends.
-#[derive(Default)]
-struct SendBuf {
-    sends: Vec<(Time, StackId, StackId, Bytes)>,
-}
-
-impl ActionSink for SendBuf {
-    fn net_send(&mut self, at: Time, src: StackId, dst: StackId, payload: Bytes) {
-        self.sends.push((at, src, dst, payload));
-    }
 }
 
 /// A cross-cluster packet in transit between shards: arrival time,
@@ -266,7 +253,7 @@ pub(crate) struct Shard {
     /// First global node id owned by this shard (clusters are
     /// contiguous id ranges).
     base: u32,
-    /// Slot-stable drivers + SoA hot fields (see [`slab`]); slot =
+    /// Slot-stable stacks + SoA hot fields (see [`slab`]); slot =
     /// `id - base`.
     nodes: NodeSlab,
     sched: Scheduler<EventKind>,
@@ -299,10 +286,6 @@ impl Shard {
         let seq = self.seq;
         self.seq += 1;
         self.sched.push(at, seq, kind);
-    }
-
-    fn stacks(&self) -> impl Iterator<Item = &Stack> {
-        self.nodes.drivers().map(StackDriver::stack)
     }
 
     /// The earliest queued event's time (the epoch-floor probe).
@@ -342,7 +325,7 @@ impl Shard {
                 if self.nodes.crashed(slot) {
                     return;
                 }
-                self.pools.lend(self.nodes.driver_mut(slot)).deliver(at, src, payload);
+                self.pools.lend(self.nodes.stack_mut(slot)).packet_in(at, src, payload);
                 self.stats.packets_delivered += 1;
                 self.ensure_step(dst);
             }
@@ -353,7 +336,7 @@ impl Shard {
                     return;
                 }
                 self.nodes.set_wake(slot, None);
-                let next = self.pools.lend(self.nodes.driver_mut(slot)).wake(at);
+                let next = self.pools.lend(self.nodes.stack_mut(slot)).wake(at);
                 self.ensure_step(node);
                 self.ensure_wake_at(node, next);
             }
@@ -365,7 +348,7 @@ impl Shard {
             EventKind::Crash { node } => {
                 let slot = self.slot(node);
                 self.nodes.set_crashed(slot);
-                self.nodes.driver_mut(slot).stack_mut().crash(at);
+                self.nodes.stack_mut(slot).crash(at);
             }
         }
     }
@@ -375,23 +358,23 @@ impl Shard {
         if self.nodes.crashed(slot) {
             return;
         }
-        let mut loan = self.pools.lend(self.nodes.driver_mut(slot));
-        let Some(info) = loan.step_raw(at) else { return };
+        let mut loan = self.pools.lend(self.nodes.stack_mut(slot));
+        let Some(info) = loan.step(at) else { return };
         let done = at + shared.cpu.cost(info.category);
-        let mut buf = SendBuf::default();
-        loan.settle(done, &mut buf);
+        let mut sends = Vec::new();
+        loan.settle(done, &mut sends);
         drop(loan);
         self.stats.steps += 1;
         self.nodes.set_cpu_free(slot, done);
-        self.flush_sends(shared, buf);
+        self.flush_sends(shared, sends);
         self.ensure_step(id);
         self.ensure_wake(id);
     }
 
-    /// Replay sends buffered by a [`StackDriver`] call through the
-    /// network model, in action order.
-    fn flush_sends(&mut self, shared: &SimShared<'_>, buf: SendBuf) {
-        for (at, src, dst, payload) in buf.sends {
+    /// Replay sends a settle recorded through the network model, in
+    /// order.
+    fn flush_sends(&mut self, shared: &SimShared<'_>, sends: Vec<(Time, StackId, StackId, Bytes)>) {
+        for (at, src, dst, payload) in sends {
             self.net_send(shared, src, dst, payload, at);
         }
     }
@@ -446,7 +429,7 @@ impl Shard {
         let slot = self.slot(id);
         if self.nodes.crashed(slot)
             || self.nodes.step_scheduled(slot)
-            || !self.nodes.driver(slot).stack().has_work()
+            || !self.nodes.stack(slot).has_work()
         {
             return;
         }
@@ -455,12 +438,12 @@ impl Shard {
         self.push(at, EventKind::NodeStep { node: id });
     }
 
-    /// Keep one [`EventKind::NodeWake`] scheduled at the driver's
+    /// Keep one [`EventKind::NodeWake`] scheduled at the stack's
     /// earliest timer deadline. Scheduling a nearer wake strands the old
     /// queue entry; the wake stamp in the [`NodeSlab`] marks it stale.
     fn ensure_wake(&mut self, id: StackId) {
         let slot = self.slot(id);
-        let deadline = self.nodes.driver_mut(slot).next_deadline();
+        let deadline = self.nodes.stack(slot).next_deadline();
         self.ensure_wake_at(id, deadline);
     }
 
@@ -468,11 +451,11 @@ impl Shard {
     /// remainder into the shard's retired partial — called just before
     /// [`NodeSlab::retire`] tears the old stack down.
     fn absorb_retiring(&mut self, slot: usize) {
-        self.retired.retire(self.nodes.driver(slot).stack());
+        self.retired.retire(self.nodes.stack(slot));
     }
 
     /// [`Shard::ensure_wake`] with the deadline already in hand (the
-    /// fused [`StackDriver::wake`] hook reports it for free).
+    /// fused [`Stack::wake`] hook reports it for free).
     fn ensure_wake_at(&mut self, id: StackId, deadline: Option<Time>) {
         let slot = self.slot(id);
         if self.nodes.crashed(slot) {
@@ -594,12 +577,11 @@ impl Sim {
         for k in 0..nshards as u32 {
             let base = k * cluster_size;
             let count = cluster_size.min(n - base);
-            let drivers = (base..base + count)
-                .map(|i| StackDriver::new(mk_stack(sim.stack_config(StackId(i)))))
-                .collect();
+            let stacks =
+                (base..base + count).map(|i| mk_stack(sim.stack_config(StackId(i)))).collect();
             sim.shards.push(Shard {
                 base,
-                nodes: NodeSlab::new(drivers),
+                nodes: NodeSlab::new(stacks),
                 sched: Scheduler::new(&SchedConfig::default(), count as usize),
                 seq: 0,
                 rng: SmallRng::seed_from_u64(shard_seed(seed, k)),
@@ -681,7 +663,7 @@ impl Sim {
     pub fn stack(&self, id: StackId) -> &Stack {
         let k = self.topology.cluster_of(id) as usize;
         let shard = &self.shards[k];
-        shard.nodes.driver(shard.slot(id)).stack()
+        shard.nodes.stack(shard.slot(id))
     }
 
     /// Mutate a stack, then reschedule its CPU if the mutation produced
@@ -692,13 +674,13 @@ impl Sim {
         let k = shared.topology.cluster_of(id) as usize;
         let shard = &mut self.shards[k];
         shard.now = shard.now.max(now);
-        let mut loan = shard.pools.lend(shard.nodes.driver_mut(shard.slot(id)));
-        let r = f(loan.stack_mut());
+        let mut loan = shard.pools.lend(shard.nodes.stack_mut(shard.slot(id)));
+        let r = f(&mut loan);
         // A mutation (e.g. install()) may have produced host actions.
-        let mut buf = SendBuf::default();
-        loan.settle(now, &mut buf);
+        let mut sends = Vec::new();
+        loan.settle(now, &mut sends);
         drop(loan);
-        shard.flush_sends(&shared, buf);
+        shard.flush_sends(&shared, sends);
         shard.ensure_step(id);
         shard.ensure_wake(id);
         self.flush_outboxes_from(k);
@@ -767,10 +749,10 @@ impl Sim {
         // so run totals stay exact across churn.
         shard.absorb_retiring(slot);
         shard.nodes.retire(slot);
-        let driver = StackDriver::new(factory(cfg));
+        let stack = factory(cfg);
         let now = self.now;
         let shard = self.shard_of(id);
-        shard.nodes.recycle(slot, driver, now);
+        shard.nodes.recycle(slot, stack, now);
         // Settle what building the stack produced; schedule its CPU.
         self.with_stack(id, |_| ());
     }
@@ -879,7 +861,7 @@ impl Sim {
     }
 
     fn stacks(&self) -> impl Iterator<Item = &Stack> {
-        self.shards.iter().flat_map(Shard::stacks)
+        self.shards.iter().flat_map(|shard| shard.nodes.stacks())
     }
 
     /// Every stack folded through [`dpu_core::host::ReportFold`] (the
@@ -909,7 +891,7 @@ impl Sim {
     pub fn dump_flight_recorders(&self) -> String {
         self.shards
             .iter()
-            .map(|shard| dpu_core::host::dump_flight(shard.stacks(), &shard.pools))
+            .map(|shard| dpu_core::host::dump_flight(shard.nodes.stacks(), &shard.pools))
             .collect()
     }
 
@@ -922,8 +904,8 @@ impl Sim {
     pub fn merged_trace(&mut self) -> TraceLog {
         let mut merged = TraceLog::new();
         for shard in &mut self.shards {
-            for driver in shard.nodes.drivers_mut() {
-                let t = driver.stack_mut().take_trace();
+            for stack in shard.nodes.stacks_mut() {
+                let t = stack.take_trace();
                 merged.merge(&t);
             }
         }

@@ -279,7 +279,7 @@ const MAX_W_SHIFT: u32 = 26;
 
 impl<E> Scheduler<E> {
     /// Build a scheduler. `_homes` is unused (the wheel is node-agnostic:
-    /// per-node queues live in each node's `StackDriver`); it stays only
+    /// the per-node queue is each stack's own inbox); it stays only
     /// because `benchmark/src/kernels.rs` names it, and ROADMAP item 7
     /// drops it.
     pub fn new(cfg: &SchedConfig, _homes: usize) -> Scheduler<E> {

@@ -1,12 +1,12 @@
 //! Slab + struct-of-arrays storage for per-node simulator state.
 //!
-//! The old layout kept one `Node` struct per stack — driver, CPU/NIC
+//! The old layout kept one `Node` struct per stack — stack, CPU/NIC
 //! clocks, flags and wake stamp boxed together — so the epoch loop's
 //! hot checks (`crashed`, `step_scheduled`, `cpu_free`, `nic_free`,
 //! `wake`) chased a 100+-byte stride to poke a few bytes. [`NodeSlab`]
 //! splits the shard's nodes the other way:
 //!
-//! * **slab**: the [`StackDriver`]s sit in a slot-stable vector, indexed
+//! * **slab**: the [`Stack`]s sit in a slot-stable vector, indexed
 //!   by `id - shard.base`. Slots are never moved after construction;
 //!   churn restarts *recycle* a slot in place ([`NodeSlab::retire`] +
 //!   [`NodeSlab::recycle`]), so a restart frees the old incarnation's
@@ -21,8 +21,8 @@
 //! are untouched, so the golden trace fingerprint and serial/parallel
 //! bit-equality are preserved by construction.
 
-use dpu_core::host::StackDriver;
 use dpu_core::time::Time;
+use dpu_core::Stack;
 
 /// Sentinel for "no wake scheduled" in the dense wake-stamp array
 /// (replaces the old `Option<Time>` field — `u64::MAX` is beyond any
@@ -32,13 +32,13 @@ const NO_WAKE: Time = Time(u64::MAX);
 const CRASHED: u8 = 1 << 0;
 const STEP_SCHEDULED: u8 = 1 << 1;
 
-/// Slot-stable driver slab + SoA hot fields for one shard's nodes. See
+/// Slot-stable stack slab + SoA hot fields for one shard's nodes. See
 /// module docs.
 pub(crate) struct NodeSlab {
     /// Between [`NodeSlab::retire`] and the [`NodeSlab::recycle`] that
-    /// refills a slot, its driver is an empty shell (no event dispatch
+    /// refills a slot, its stack is an empty shell (no event dispatch
     /// can observe it — the simulation is paused during a restart).
-    drivers: Vec<StackDriver>,
+    stacks: Vec<Stack>,
     cpu_free: Vec<Time>,
     /// When each node's outbound link finishes its current
     /// transmission; sends serialise behind it (NIC queueing).
@@ -50,10 +50,10 @@ pub(crate) struct NodeSlab {
 }
 
 impl NodeSlab {
-    pub(crate) fn new(drivers: Vec<StackDriver>) -> NodeSlab {
-        let n = drivers.len();
+    pub(crate) fn new(stacks: Vec<Stack>) -> NodeSlab {
+        let n = stacks.len();
         NodeSlab {
-            drivers,
+            stacks,
             cpu_free: vec![Time::ZERO; n],
             nic_free: vec![Time::ZERO; n],
             wake: vec![NO_WAKE; n],
@@ -62,23 +62,23 @@ impl NodeSlab {
     }
 
     #[inline]
-    pub(crate) fn driver(&self, slot: usize) -> &StackDriver {
-        &self.drivers[slot]
+    pub(crate) fn stack(&self, slot: usize) -> &Stack {
+        &self.stacks[slot]
     }
 
     #[inline]
-    pub(crate) fn driver_mut(&mut self, slot: usize) -> &mut StackDriver {
-        &mut self.drivers[slot]
+    pub(crate) fn stack_mut(&mut self, slot: usize) -> &mut Stack {
+        &mut self.stacks[slot]
     }
 
-    /// The drivers, in slot order (stats/trace aggregation).
-    pub(crate) fn drivers(&self) -> impl Iterator<Item = &StackDriver> {
-        self.drivers.iter()
+    /// The stacks, in slot order (stats/trace aggregation).
+    pub(crate) fn stacks(&self) -> &[Stack] {
+        &self.stacks
     }
 
-    /// Mutable drivers, in slot order.
-    pub(crate) fn drivers_mut(&mut self) -> impl Iterator<Item = &mut StackDriver> {
-        self.drivers.iter_mut()
+    /// Mutable stacks, in slot order.
+    pub(crate) fn stacks_mut(&mut self) -> &mut [Stack] {
+        &mut self.stacks
     }
 
     /// Tear the slot's incarnation down *now*, in place, leaving a shell
@@ -86,13 +86,13 @@ impl NodeSlab {
     /// from the refill is what caps a churn restart's resident peak at
     /// one incarnation.
     pub(crate) fn retire(&mut self, slot: usize) {
-        self.drivers[slot].tear_down();
+        self.stacks[slot].tear_down();
     }
 
     /// Refill a slot with a fresh incarnation and reset its SoA state
     /// (revived, idle CPU/NIC as of `now`, no wake scheduled).
-    pub(crate) fn recycle(&mut self, slot: usize, driver: StackDriver, now: Time) {
-        self.drivers[slot] = driver;
+    pub(crate) fn recycle(&mut self, slot: usize, stack: Stack, now: Time) {
+        self.stacks[slot] = stack;
         self.cpu_free[slot] = now;
         self.nic_free[slot] = now;
         self.wake[slot] = NO_WAKE;

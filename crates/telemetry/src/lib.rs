@@ -31,7 +31,7 @@
 //! ([`ShardTelemetry`]) and swaps both into whichever stack it is
 //! driving — two pointer swaps — through the very loan that lends the
 //! shard's `WireScratch` pool; a stack nobody lends to (a bare
-//! `StackDriver`, a unit test) boxes its own set through the same code.
+//! `Stack`, a unit test) boxes its own set through the same code.
 //! Histogram merge is exact bucket addition, so the shard's set *is*
 //! the sum of what its stacks would have recorded one by one, and the
 //! report is bit-identical whichever way the samples were split. Per

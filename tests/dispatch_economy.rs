@@ -36,14 +36,13 @@ use dpu_core::probe::Probe;
 use dpu_core::stack::{StepCategory, StepInfo};
 use dpu_core::time::{Dur, Time};
 use dpu_core::{
-    svc, FactoryRegistry, HostAction, Op, ServiceId, Stack, StackConfig, StackId, Tally, TimerId,
-    TraceEvent, TraceLog,
+    svc, FactoryRegistry, Op, ServiceId, Stack, StackConfig, StackId, Tally, TraceEvent, TraceLog,
 };
 use dpu_net::dgram;
 use dpu_protocols::abcast::ct::KIND as CT_KIND;
 use dpu_protocols::abcast::ops::ABCAST;
 use dpu_repl::abcast_repl::ReplAbcastModule;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 
 /// The half second of warm-up before the load (`paper_testbed_3s`), and
 /// the load's 3 s plus the half second its last broadcasts take to settle:
@@ -184,41 +183,39 @@ fn a_datagram_is_dispatched_to_the_module_listening_on_its_channel() {
 }
 
 /// Steps every stack at `now` until none has work and nothing is on the
-/// wire: a datagram is delivered the moment it is sent, a timer is armed
-/// into `timers` as `(deadline, stack index, id)`. `stepped` sees every
-/// step; returns how many datagrams were sent.
-fn quiesce(
-    stacks: &mut [Stack],
-    now: Time,
-    timers: &mut BTreeSet<(Time, usize, TimerId)>,
-    mut stepped: impl FnMut(&Stack, &StepInfo),
-) -> u64 {
-    let (mut wire, mut sends) = (VecDeque::new(), 0);
+/// wire: each step is settled at `now` (which stamps the timers it set in
+/// the stack's own table) into a recording sink, and a datagram is
+/// delivered the moment it is sent. `stepped` sees every step; returns
+/// how many datagrams were sent.
+fn quiesce(stacks: &mut [Stack], now: Time, mut stepped: impl FnMut(&Stack, &StepInfo)) -> u64 {
+    let (mut wire, mut sends) = (Vec::new(), 0);
     loop {
-        for (i, s) in stacks.iter_mut().enumerate() {
-            loop {
-                let info = s.step(now);
-                for action in s.drain_actions().collect::<Vec<_>>() {
-                    match action {
-                        HostAction::NetSend { dst, payload } => {
-                            sends += 1;
-                            wire.push_back((s.id(), dst, payload));
-                        }
-                        HostAction::SetTimer { id, delay } => {
-                            timers.insert((now + delay, i, id));
-                        }
-                    }
-                }
-                let Some(info) = info else { break };
+        for s in stacks.iter_mut() {
+            while let Some(info) = s.step(now) {
+                s.settle(now, &mut wire);
                 stepped(s, &info);
             }
+            s.settle(now, &mut wire);
         }
         if wire.is_empty() {
             return sends;
         }
-        while let Some((src, dst, payload)) = wire.pop_front() {
+        sends += wire.len() as u64;
+        for (_, src, dst, payload) in wire.drain(..) {
             stacks[dst.idx()].packet_in(now, src, payload);
         }
+    }
+}
+
+/// The earliest timer deadline over all stacks.
+fn next_deadline(stacks: &[Stack]) -> Option<Time> {
+    stacks.iter().filter_map(Stack::next_deadline).min()
+}
+
+/// Fire every timer due at `now`, on every stack.
+fn wake(stacks: &mut [Stack], now: Time) {
+    for s in stacks {
+        s.wake(now);
     }
 }
 
@@ -249,13 +246,12 @@ fn no_step_is_dispatched_to_the_module_bound_to_udp() {
     let h = build(StackConfig::nth(0, N, 42), &opts).handles;
     let probe = h.probe.expect("probe");
     let udp = ServiceId::new(svc::UDP);
-    let mut timers = BTreeSet::new();
     let (mut steps, mut sends) = (0u64, 0u64);
     let (load_from, load_end, end) = (Dur::millis(300), Dur::millis(1300), Dur::millis(2500));
     let mut now = Time::ZERO;
     let mut tick = Time::ZERO + load_from;
     while now < Time::ZERO + end {
-        sends += quiesce(&mut stacks, now, &mut timers, |s, info| {
+        sends += quiesce(&mut stacks, now, |s, info| {
             steps += 1;
             let udp_stepped = Some(info.module) == s.bound(&udp);
             assert!(
@@ -266,11 +262,10 @@ fn no_step_is_dispatched_to_the_module_bound_to_udp() {
         });
         // The next timer, or the next round of broadcasts.
         let load = tick < Time::ZERO + load_end;
-        match timers.first().copied() {
-            Some((due, i, id)) if !load || due <= tick => {
-                timers.pop_first();
+        match next_deadline(&stacks) {
+            Some(due) if !load || due <= tick => {
                 now = due;
-                stacks[i].timer_fired(now, id);
+                wake(&mut stacks, now);
             }
             _ if load => {
                 now = tick;
@@ -328,11 +323,10 @@ fn no_step_is_dispatched_to_the_net_bridge() {
         })
         .collect();
     let net = ServiceId::new(svc::NET);
-    let mut timers = BTreeSet::new();
     let (mut sends, mut responses) = (0u64, 0u64);
     let mut now = Time::ZERO;
     while now < Time::ZERO + Dur::millis(50) {
-        sends += quiesce(&mut stacks, now, &mut timers, |s, info| {
+        sends += quiesce(&mut stacks, now, |s, info| {
             let bridge_stepped = Some(info.module) == s.bound(&net);
             assert!(
                 !bridge_stepped || info.category == StepCategory::Start,
@@ -341,9 +335,9 @@ fn no_step_is_dispatched_to_the_net_bridge() {
             );
             responses += u64::from(info.category == StepCategory::Response);
         });
-        let Some((due, i, id)) = timers.pop_first() else { break };
+        let Some(due) = next_deadline(&stacks) else { break };
         now = due;
-        stacks[i].timer_fired(now, id);
+        wake(&mut stacks, now);
     }
     println!("{sends} datagrams, {responses} received: none stepped net.bridge");
     assert!(sends > 1_000, "the generators must have sent: {sends}");

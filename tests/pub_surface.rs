@@ -28,7 +28,7 @@ const ALLOWED: &[(&str, &str)] = &[
     ("bench::MsgLatency", "returned by `stats::collect_latencies`"),
     ("core::DeliveryRecord", "returned by `Probe::delivered`"),
     ("core::Loan", "returned by `ShardPools::lend`"),
-    ("core::Wakeup", "returned by `StackDriver::poll`"),
+    ("core::Wakeup", "returned by `Stack::poll`"),
     ("repl::BuiltStack", "returned by `builder::build`"),
     ("repl::RunReport", "returned by `builder::check_run`"),
     ("sim::ShardStats", "the element type of `SimStats::per_shard`"),

@@ -2,8 +2,9 @@
 //! stacks multiplexed on 4 shard threads, performing a live protocol
 //! switch (the paper's `changeABcast`) while messages flow. This is the
 //! "thousands of stacks per process" architecture exercised end to end:
-//! every stack is driven through `dpu_core::host::StackDriver`, timers
-//! ride the per-shard wheels, packets are delivery-timestamped.
+//! every stack is driven by a `dpu_core::host::LiveShard` through
+//! `Stack::packet_in` and `Stack::poll`, its timers wake the shard from
+//! the stack's own table, packets are delivery-timestamped.
 //!
 //! The group uses the fixed-sequencer broadcast (seq -> rp2p -> udp): a
 //! 256-member Chandra–Toueg stack would put an all-to-all heartbeat
