@@ -30,7 +30,6 @@
 use dpu_bench::mem::CountingAlloc;
 use dpu_bench::synth::datagram_soak_sim;
 use dpu_bench::Args;
-use dpu_core::telemetry::json::JsonWriter;
 use dpu_core::time::{Dur, Time};
 use std::time::Instant;
 
@@ -113,65 +112,63 @@ fn main() {
     let window = Dur::millis(50);
     let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
 
-    let mut w = JsonWriter::new();
-    w.begin_obj()
-        .field_str(
-            "bench",
-            "capacity: measured heap bytes/stack + events/sec, datagram soak (see \
-             crates/bench/src/bin/bench_scale.rs)",
-        )
-        .field_u64("workers", workers as u64)
-        .field_u64("host_cores", host_cores as u64)
-        .field_u64("window_ms", window.as_nanos() / 1_000_000)
-        .field_str(
-            "note",
-            "bytes are live-heap deltas from a counting GlobalAlloc (built = after construction, \
-             run = steady state incl. in-flight datagrams, peak = high-water during the window); \
-             telemetry is on (always); ev/sec is machine-bound",
-        )
-        .key("rows")
-        .begin_arr();
-    let mut headline = 0u64;
+    let mut rows = Vec::new();
+    let mut headline = (0, 0);
     for &n in sizes {
         let r = run_row(n, workers, window);
+        let per_stack = |bytes: u64| bytes / u64::from(n);
         eprintln!(
             "n={n:<6} build {:>5.2}s  {:>7} B/stack built, {:>7} B/stack run (peak {:>7})  \
              {:>9.0} ev/s ({} events)",
             r.build_secs,
-            r.bytes_built / u64::from(n),
-            r.bytes_run / u64::from(n),
-            r.bytes_peak / u64::from(n),
+            per_stack(r.bytes_built),
+            per_stack(r.bytes_run),
+            per_stack(r.bytes_peak),
             r.ev_per_sec,
             r.events
         );
-        w.elem()
-            .begin_obj()
-            .field_u64("n", u64::from(n))
-            .field_f64("build_secs", r.build_secs, 2)
-            .field_u64("bytes_per_stack_built", r.bytes_built / u64::from(n))
-            .field_u64("bytes_per_stack_run", r.bytes_run / u64::from(n))
-            .field_u64("bytes_per_stack_peak", r.bytes_peak / u64::from(n))
-            .field_u64("events", r.events)
-            .field_f64("ev_per_sec", r.ev_per_sec, 0)
-            .end_obj();
-        headline = r.bytes_run / u64::from(n);
+        rows.push(format!(
+            r#"    {{
+      "n": {n},
+      "build_secs": {:.2},
+      "bytes_per_stack_built": {},
+      "bytes_per_stack_run": {},
+      "bytes_per_stack_peak": {},
+      "events": {},
+      "ev_per_sec": {:.0}
+    }}"#,
+            r.build_secs,
+            per_stack(r.bytes_built),
+            per_stack(r.bytes_run),
+            per_stack(r.bytes_peak),
+            r.events,
+            r.ev_per_sec
+        ));
+        headline = (n, per_stack(r.bytes_run));
     }
-    w.end_arr()
-        .field_raw("uninstrumented", UNINSTRUMENTED)
-        .field_raw("pre_refactor", PRE_REFACTOR)
-        .key("headline")
-        .begin_obj()
-        .field_str(
-            "metric",
-            &format!(
-                "steady-state heap bytes per stack, {}-stack datagram soak",
-                sizes.last().unwrap()
-            ),
-        )
-        .field_u64("bytes_per_stack", headline)
-        .end_obj()
-        .end_obj();
-    let json = w.finish();
+    let json = format!(
+        r#"{{
+  "bench": "capacity: measured heap bytes/stack + events/sec, datagram soak (see crates/bench/src/bin/bench_scale.rs)",
+  "workers": {workers},
+  "host_cores": {host_cores},
+  "window_ms": {},
+  "note": "bytes are live-heap deltas from a counting GlobalAlloc (built = after construction, run = steady state incl. in-flight datagrams, peak = high-water during the window); telemetry is on (always); ev/sec is machine-bound",
+  "rows": [
+{}
+  ],
+  "uninstrumented": {UNINSTRUMENTED},
+  "pre_refactor": {PRE_REFACTOR},
+  "headline": {{
+    "metric": "steady-state heap bytes per stack, {}-stack datagram soak",
+    "bytes_per_stack": {}
+  }}
+}}
+"#,
+        window.as_nanos() / 1_000_000,
+        rows.join(",\n"),
+        headline.0,
+        headline.1
+    );
     std::fs::write(out, &json).expect("write capacity baseline json");
     print!("{json}");
     eprintln!("wrote {out}");

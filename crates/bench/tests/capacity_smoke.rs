@@ -52,7 +52,7 @@ fn capacity_smoke_65536_stacks() {
     // The same run is observed: every stack is instrumented and the
     // samples land in the 16 shard sets.
     let tel = sim.telemetry_report();
-    assert_eq!(tel.stacks_enabled, n, "every stack must be instrumented");
+    assert_eq!(tel.stacks, n, "every stack must be instrumented");
     assert!(tel.scratch_occupancy_bytes.count > 0, "the soak must record occupancy samples");
     assert!(tel.delivery_latency_ns.count > 0, "the soak must record delivery latency");
 }

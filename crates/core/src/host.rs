@@ -43,14 +43,14 @@
 
 pub mod live;
 
-pub use live::{dump_flight, Ctl, Host, LiveShard, LossModel, ReportFold, ShardPort, WallClock};
+pub use live::{dump_flight, Ctl, Host, LiveShard, LossModel, ShardPort, WallClock};
 
 use crate::ids::StackId;
 use crate::stack::{ShardDispatch, Stack};
 use crate::time::Time;
 use crate::wire::{ScratchStats, WireScratch};
 use bytes::Bytes;
-use dpu_telemetry::ShardTelemetry;
+use dpu_telemetry::{ShardTelemetry, TelemetryAggregate};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
@@ -261,6 +261,31 @@ impl ShardPools {
     pub(crate) fn wire_stats(&self) -> ScratchStats {
         self.scratch.as_ref().map_or(ScratchStats::default(), |s| s.stats())
     }
+}
+
+/// Fold one stack into a host's report: its telemetry, its resident
+/// scratch counters and its transport modules' counters. `hosted`
+/// counts it among the report's stacks; an incarnation a restart is
+/// about to drop adds everything it counted and measured, but no seat.
+pub fn fold_stack(report: &mut TelemetryAggregate, stack: &Stack, hosted: bool) {
+    if hosted {
+        report.absorb(stack.telemetry());
+    } else {
+        report.absorb_retired(stack.telemetry());
+    }
+    report.wire.absorb(stack.wire_stats());
+    report.transport.absorb(stack.transport_stats());
+}
+
+/// Fold one host shard into a host's report: every stack it hosts, and
+/// what its pools hold and its stacks do not — the scratch pool's
+/// counters and the telemetry set.
+pub fn fold_shard(report: &mut TelemetryAggregate, stacks: &[Stack], pools: &ShardPools) {
+    for stack in stacks {
+        fold_stack(report, stack, true);
+    }
+    report.wire.absorb(pools.wire_stats());
+    report.absorb_set(&pools.telemetry);
 }
 
 /// The shard loan, the one way a host lends its [`ShardPools`]: while

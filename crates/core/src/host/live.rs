@@ -13,8 +13,6 @@
 //! * [`Ctl`] + [`ShardPort`] — the control plane: a closure shipped to a
 //!   shard thread and the calling-thread helpers built on it
 //!   (`with_stack`, the report fold, the flight dump);
-//! * [`ReportFold`] — the one place a [`TelemetryReport`] is built from
-//!   stacks, shared with the simulator;
 //! * [`Host`] — `now` / `with_stack` / `telemetry_report` over all
 //!   three hosts, so harness code is written once;
 //! * [`WallClock`] and [`LossModel`] — the clock and the fault injector
@@ -42,14 +40,12 @@
 //! it. [`LiveShard::deliver`] also runs the cascade before it returns,
 //! so a shard's reply to the control plane sees its effects.
 
-use super::{ActionSink, ShardPools, Wakeup};
+use super::{fold_shard, ActionSink, ShardPools, Wakeup};
 use crate::ids::StackId;
 use crate::stack::Stack;
 use crate::time::Time;
-use crate::wire::ScratchStats;
-use crate::TransportStats;
 use bytes::Bytes;
-use dpu_telemetry::{SocketCounters, TelemetryAggregate, TelemetryReport};
+use dpu_telemetry::{TelemetryAggregate, TelemetryReport};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -230,10 +226,10 @@ impl LiveShard {
     /// This shard's part of the host's report: its stacks plus its pools
     /// (where every encode and every sample lands under the loan
     /// discipline — the per-stack residuals stay zero).
-    pub fn fold_report(&self) -> ReportFold {
-        let mut fold = ReportFold::of_stacks(&self.stacks);
-        fold.absorb_pools(&self.pools);
-        fold
+    pub fn fold_report(&self) -> TelemetryAggregate {
+        let mut report = TelemetryAggregate::new();
+        fold_shard(&mut report, &self.stacks, &self.pools);
+        report
     }
 
     /// This shard's flight recorders (see [`dump_flight`]).
@@ -263,71 +259,6 @@ pub fn dump_flight<'a>(stacks: impl IntoIterator<Item = &'a Stack>, pools: &Shar
         deliveries.dump("shard deliveries", &mut out);
     }
     out
-}
-
-/// A partial [`TelemetryReport`]: shard telemetry sets and per-stack
-/// remainders folded through a [`TelemetryAggregate`] (which also
-/// counts the hosted stacks), wire and transport counters folded by
-/// addition. Every constituent merges by addition, so partials from
-/// shard threads (or simulator shards) combine in any order.
-#[derive(Debug, Default)]
-pub struct ReportFold {
-    telemetry: TelemetryAggregate,
-    /// Scratch-pool counters; public for the hosts' own reports.
-    pub wire: ScratchStats,
-    /// Reliable-transport counters (same).
-    pub transport: TransportStats,
-}
-
-impl ReportFold {
-    /// Fold `stacks`: their telemetry, resident scratch counters and
-    /// transport-module counters.
-    pub fn of_stacks<'a>(stacks: impl IntoIterator<Item = &'a Stack>) -> ReportFold {
-        let mut fold = ReportFold::default();
-        for stack in stacks {
-            fold.telemetry.absorb(stack.telemetry());
-            fold.wire.absorb(stack.wire_stats());
-            fold.transport.absorb(stack.transport_stats());
-        }
-        fold
-    }
-
-    /// Add what a shard's pools hold and its stacks do not: the scratch
-    /// pool's counters and the telemetry set.
-    pub fn absorb_pools(&mut self, pools: &ShardPools) {
-        self.wire.absorb(pools.wire_stats());
-        self.telemetry.absorb_set(&pools.telemetry);
-    }
-
-    /// Fold in a stack incarnation a restart is about to drop: all it
-    /// counted and measured, without counting it as hosted.
-    pub fn retire(&mut self, stack: &Stack) {
-        self.telemetry.absorb_retired(stack.telemetry());
-        self.wire.absorb(stack.wire_stats());
-        self.transport.absorb(stack.transport_stats());
-    }
-
-    /// Fold another partial into this one.
-    pub fn merge(&mut self, other: &ReportFold) {
-        self.telemetry.merge(&other.telemetry);
-        self.wire.absorb(other.wire);
-        self.transport.absorb(other.transport);
-    }
-
-    /// Condense into the report `host` hands to callers.
-    pub fn into_report(
-        self,
-        host: &'static str,
-        now: Time,
-        sockets: Option<SocketCounters>,
-    ) -> TelemetryReport {
-        let stacks = self.telemetry.stacks_enabled;
-        let mut report = self.telemetry.report(host, stacks, now.as_nanos());
-        report.wire = self.wire;
-        report.transport = self.transport;
-        report.sockets = sockets;
-        report
-    }
 }
 
 /// A control request: a closure a host handle ships to a shard thread,
@@ -407,8 +338,8 @@ pub trait ShardPort {
 
     /// The report partial of every shard, folded: one control round-trip
     /// per shard, not one per stack.
-    fn fold_report(&self) -> ReportFold {
-        let mut total = ReportFold::default();
+    fn fold_report(&self) -> TelemetryAggregate {
+        let mut total = TelemetryAggregate::new();
         for shard in 0..self.shards() {
             total.merge(&self.on_shard(shard, |core, _| core.fold_report()));
         }

@@ -27,7 +27,7 @@ fn pool(shard: &mut LiveShard) -> ScratchStats {
 
 /// Delivery-latency samples in the shard's report.
 fn latency_samples(shard: &LiveShard) -> u64 {
-    shard.fold_report().into_report("test", shard.now(), None).delivery_latency_ns.count
+    shard.fold_report().report("test", shard.now().as_nanos(), None).delivery_latency_ns.count
 }
 
 /// Queue a datagram to the stack itself through the built-in `net`

@@ -391,7 +391,7 @@ impl Reactor {
     /// `Runtime::telemetry_report`.
     pub fn telemetry_report(&self) -> TelemetryReport {
         let (fold, sockets) = self.cmds.on_shard(0, |core, wire| (core.fold_report(), wire.stats));
-        fold.into_report("reactor", self.now(), Some(sockets))
+        fold.report("reactor", self.now().as_nanos(), Some(sockets))
     }
 
     /// Dump the flight recorders: every hosted stack's lifecycle events,

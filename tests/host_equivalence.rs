@@ -81,6 +81,10 @@ fn golden_run() -> (dpu::sim::SimStats, u64) {
     (stats, fp)
 }
 
+/// The golden run: three probes on the fixed scenario, pinned to the
+/// recorded fingerprint and packet counts. The name is historical: the
+/// simulator holds and steps `Stack`s directly, and no `StackDriver` is
+/// on its path any more; the test keeps the name it is known by.
 #[test]
 fn sim_through_stack_driver_matches_pre_refactor_recording() {
     let (stats, fp) = golden_run();
