@@ -118,7 +118,7 @@ fn main() {
         let r = run_row(n, workers, window);
         let per_stack = |bytes: u64| bytes / u64::from(n);
         eprintln!(
-            "n={n:<6} build {:>5.2}s  {:>7} B/stack built, {:>7} B/stack run (peak {:>7})  \
+            "n={n:<6} build {:>7.4}s  {:>7} B/stack built, {:>7} B/stack run (peak {:>7})  \
              {:>9.0} ev/s ({} events)",
             r.build_secs,
             per_stack(r.bytes_built),
@@ -130,7 +130,7 @@ fn main() {
         rows.push(format!(
             r#"    {{
       "n": {n},
-      "build_secs": {:.2},
+      "build_secs": {:.4},
       "bytes_per_stack_built": {},
       "bytes_per_stack_run": {},
       "bytes_per_stack_peak": {},

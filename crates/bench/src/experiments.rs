@@ -3,6 +3,7 @@
 //! comparison.
 
 use crate::stats::{collect_latencies, MsgLatency, Summary};
+use dpu_core::telemetry::flight::FlightKind;
 use dpu_core::time::{Dur, Time};
 use dpu_core::{ModuleSpec, StackId};
 use dpu_repl::abcast_repl::ReplAbcastModule;
@@ -192,7 +193,7 @@ fn run_one_comparison(cfg: &ExpConfig, layer: SwitchLayer) -> CompareRow {
     sim.run_until(cfg.measure_end() + cfg.tail);
 
     // Read every layer off the same grid: the switch is complete when
-    // the last stack's timeline says the replacement serves it (the
+    // the last stack's lifecycle ring says the replacement serves it (the
     // paper's "all machines have replaced the old modules"); what it cost
     // beyond the broadcasts comes from the layer skeleton.
     let mut blocked = Dur::ZERO;
@@ -200,8 +201,10 @@ fn run_one_comparison(cfg: &ExpConfig, layer: SwitchLayer) -> CompareRow {
     let mut complete = trigger;
     for id in sim.stack_ids() {
         let (activated_ns, (b, c)) = sim.with_stack(id, |s| {
-            let timeline = &s.telemetry().state().expect("always on").switches;
-            (timeline.recent().first().map(|r| r.activated_ns), switch_cost(s, &h))
+            let ring = &s.telemetry().state().expect("always on").flight;
+            assert_eq!(ring.dropped(), 0, "{id}: the lifecycle ring lost its first events");
+            let first = ring.events().find(|e| e.kind == FlightKind::SwitchActivated);
+            (first.map(|e| e.at_ns), switch_cost(s, &h))
         });
         if let Some(ns) = activated_ns {
             complete = complete.max(Time::ZERO + Dur::nanos(ns));
@@ -363,6 +366,9 @@ mod tests {
         assert!(graceful.coord_msgs > maestro.coord_msgs, "three barriers cost more");
         assert_eq!(repl.blocked_ms, 0.0, "Algorithm 1 never blocks the app");
         assert!(maestro.blocked_ms > 0.0);
+        for row in &rows {
+            assert!(row.switch_ms > 0.0, "{}: no stack's ring shows the activation", row.name);
+        }
     }
 
     #[test]

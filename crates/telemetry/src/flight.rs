@@ -30,7 +30,7 @@ pub(crate) const FLIGHT_CAPACITY: usize = 64;
 /// What happened, for the dump reader. Kinds mirror the trace event
 /// vocabulary but stay a closed enum so the recorder needs no strings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum FlightKind {
+pub enum FlightKind {
     /// A message reached its final consumer (probe/application layer).
     Delivery,
     /// A protocol switch was requested on this stack.
@@ -73,9 +73,9 @@ impl fmt::Display for FlightKind {
 /// detail word (switch sequence number, latency, peer id — the dump
 /// labels it generically).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct FlightEvent {
+pub struct FlightEvent {
     /// Stack-local time in nanoseconds.
-    pub(crate) at_ns: u64,
+    pub at_ns: u64,
     /// Kind-specific detail (0 when the kind has none).
     pub(crate) detail: u64,
     /// The stack the event happened on (rides in what would otherwise be
@@ -122,7 +122,7 @@ impl FlightRecorder {
     }
 
     /// Retained events, oldest first.
-    pub(crate) fn events(&self) -> impl Iterator<Item = &FlightEvent> {
+    pub fn events(&self) -> impl Iterator<Item = &FlightEvent> {
         self.ring.iter().flat_map(|r| r.events.iter())
     }
 

@@ -39,7 +39,10 @@
 //! the completed count and the first few completed records, boxed by
 //! the stack's first switch, the running cascade depth, and a lifecycle
 //! flight ring allocated by the stack's first switch or crash — 48 B at
-//! rest (see ARCHITECTURE.md "Observability" for the budget).
+//! rest (see ARCHITECTURE.md "Observability" for the budget). Of the
+//! switch records a report folds only the completed count; the
+//! histograms carry the blackout and swap gap, the lifecycle ring the
+//! stamps.
 //!
 //! Recording is wait-free and, after the set's and each handle's first
 //! sample, alloc-free: a stack is single-threaded by construction
@@ -240,7 +243,8 @@ impl StackTelemetry {
             if let Some(g) = done.swap_gap_ns() {
                 set.swap_gap.record(g);
             }
-            self.lifecycle(now_ns, FlightKind::SwitchFirstDelivery, done.ordinal);
+            let closed = self.state.switches.completed();
+            self.lifecycle(now_ns, FlightKind::SwitchFirstDelivery, closed);
         }
     }
 
@@ -296,8 +300,11 @@ impl StackTelemetry {
         self.set().reseq_depth.record(depth);
     }
 
+    /// The open switch's number on this stack (the one after those
+    /// completed), or 0 while none is open: its lifecycle events' detail.
     fn pending_ordinal(&self) -> u64 {
-        self.state.switches.pending().map_or(0, |r| r.ordinal)
+        let switches = &self.state.switches;
+        switches.pending().map_or(0, |_| switches.completed() + 1)
     }
 
     /// The stack learned a protocol switch is coming (idempotent while
@@ -517,6 +524,22 @@ mod tests {
         assert_eq!(s.switches.completed(), 1);
         assert_eq!(s.switches.recent().len(), 1);
         assert_eq!(s.flight.len(), 3, "lifecycle events stay with the stack");
+    }
+
+    #[test]
+    fn switch_events_carry_the_number_of_their_switch() {
+        let mut t = telemetry();
+        t.switch_requested(100);
+        t.switch_flushed(200);
+        t.switch_activated(300);
+        t.note_switch_delivery(400);
+        t.switch_requested(500);
+        t.switch_flushed(600);
+        let s = t.state().unwrap();
+        let details: Vec<u64> = s.flight.events().map(|e| e.detail).collect();
+        assert_eq!(details, [1, 1, 1, 1, 2, 2], "switch 1 closed, switch 2 open");
+        assert_eq!(s.switches.recent().len(), 1);
+        assert!(s.switches.pending().is_some(), "switch 2 is still open");
     }
 
     #[test]

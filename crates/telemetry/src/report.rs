@@ -19,7 +19,6 @@
 //! `Display` renders it, the one way a report is printed.
 
 use crate::hist::{HistSummary, Histogram};
-use crate::timeline::SwitchTimeline;
 use crate::{ShardTelemetry, StackTelemetry, TelemetrySet};
 use std::fmt;
 
@@ -190,8 +189,8 @@ pub struct TelemetryAggregate {
     pub set: Option<Box<TelemetrySet>>,
     /// Dispatch-cascade depth (steps per externally-triggered cascade).
     pub cascade_depth: Histogram,
-    /// Merged switch timelines.
-    pub switches: SwitchTimeline,
+    /// Completed switches, summed over stacks.
+    pub switches_completed: u64,
     /// Replaced modules destroyed by the switch layer, summed over stacks.
     pub(crate) modules_retired: u64,
     /// Flight-recorder events evicted across all rings.
@@ -208,8 +207,8 @@ impl TelemetryAggregate {
         TelemetryAggregate::default()
     }
 
-    /// Fold one hosted stack's telemetry in: its switch counters and
-    /// retained records, its lifecycle ring's drop count, and whatever
+    /// Fold one hosted stack's telemetry in: its completed and retired
+    /// switch counts, its lifecycle ring's drop count, and whatever
     /// it recorded into a set and a cascade histogram of its own
     /// (nothing, on a stack whose host lends it a set).
     pub fn absorb(&mut self, t: &StackTelemetry) {
@@ -223,7 +222,7 @@ impl TelemetryAggregate {
     pub fn absorb_retired(&mut self, t: &StackTelemetry) {
         let state = &t.state;
         self.absorb_handles(state.set.as_deref(), &state.cascade_depth);
-        self.switches.merge(&state.switches);
+        self.switches_completed += state.switches.completed();
         self.modules_retired += u64::from(state.retired);
         self.flight_dropped += state.flight.dropped();
     }
@@ -250,7 +249,7 @@ impl TelemetryAggregate {
     pub fn merge(&mut self, other: &TelemetryAggregate) {
         self.stacks += other.stacks;
         self.absorb_handles(other.set.as_deref(), &other.cascade_depth);
-        self.switches.merge(&other.switches);
+        self.switches_completed += other.switches_completed;
         self.modules_retired += other.modules_retired;
         self.flight_dropped += other.flight_dropped;
         self.wire.absorb(other.wire);
@@ -276,7 +275,7 @@ impl TelemetryAggregate {
             scratch_occupancy_bytes: set.scratch_occupancy.summary(),
             reseq_depth: set.reseq_depth.summary(),
             switches: SwitchSummary {
-                completed: self.switches.completed(),
+                completed: self.switches_completed,
                 retired: self.modules_retired,
                 blackout_ns: set.blackout.summary(),
                 swap_gap_ns: set.swap_gap.summary(),

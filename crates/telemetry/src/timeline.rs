@@ -23,10 +23,12 @@
 //! blackout and flush→activate gap into the histograms of a
 //! [`crate::TelemetrySet`] (on a hosted stack, the shard's, lent for
 //! the duration of a drive call). What the timeline itself owns is the
-//! open record, the completed count and a bounded list of raw records
-//! for the flight dump, boxed by the first switch stamp: a stack that
-//! never switches holds one null word of it, and the footprint is
-//! bounded no matter how many switches a soak performs.
+//! open record, the completed count and the first few completed records
+//! (a stack's k-th is its switch k; the whole-system benchmark reads
+//! their blackout windows exactly), boxed by the first switch stamp: a
+//! stack that never switches holds one null word of it, and the
+//! footprint is bounded no matter how many switches a soak performs.
+//! Nothing merges timelines across stacks: a report sums their counts.
 
 /// Raw switch records retained (beyond this, only histograms grow).
 const RETAINED_RECORDS: usize = 16;
@@ -35,8 +37,6 @@ const RETAINED_RECORDS: usize = 16;
 /// stack-local nanoseconds; `u64::MAX` marks a stamp not yet taken.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SwitchRecord {
-    /// Monotonic per-stack switch ordinal (1-based; 0 is no switch).
-    pub(crate) ordinal: u64,
     /// When the stack learned of the switch.
     pub(crate) requested_ns: u64,
     /// When the outgoing module finished flushing (unbound).
@@ -50,24 +50,14 @@ pub struct SwitchRecord {
 const UNSET: u64 = u64::MAX;
 
 impl SwitchRecord {
-    /// A timeline's open record while no switch is underway.
+    /// A timeline's open record while no switch is underway: no stamp
+    /// taken, not even `requested`.
     const IDLE: SwitchRecord = SwitchRecord {
-        ordinal: 0,
         requested_ns: UNSET,
         flushed_ns: UNSET,
         activated_ns: UNSET,
         first_delivery_ns: UNSET,
     };
-
-    fn new(ordinal: u64, requested_ns: u64) -> SwitchRecord {
-        SwitchRecord {
-            ordinal,
-            requested_ns,
-            flushed_ns: UNSET,
-            activated_ns: UNSET,
-            first_delivery_ns: UNSET,
-        }
-    }
 
     /// Blackout window (`first_delivery − requested`), if complete.
     pub fn blackout_ns(&self) -> Option<u64> {
@@ -84,7 +74,7 @@ impl SwitchRecord {
 
 /// Per-stack switch timeline: at most one pending record and a bounded
 /// history grown one record at a time.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Debug)]
 pub struct SwitchTimeline {
     /// What switches leave on this stack; `None` until the first one.
     records: Option<Box<Records>>,
@@ -92,10 +82,11 @@ pub struct SwitchTimeline {
 
 /// The timeline's own part: the open record, the completed count and
 /// the retained records.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug)]
 struct Records {
-    /// The open record, [`SwitchRecord::IDLE`] (ordinal 0) while no
-    /// switch is underway: an `Option` would cost a word.
+    /// The open record — switch `completed + 1` — or
+    /// [`SwitchRecord::IDLE`] while no switch is underway: an `Option`
+    /// would cost a word.
     pending: SwitchRecord,
     completed: u64,
     recent: Vec<SwitchRecord>,
@@ -108,7 +99,7 @@ impl Records {
 
 impl SwitchTimeline {
     /// An empty timeline.
-    pub fn new() -> SwitchTimeline {
+    pub(crate) fn new() -> SwitchTimeline {
         SwitchTimeline { records: None }
     }
 
@@ -122,14 +113,14 @@ impl SwitchTimeline {
     /// when the totally-ordered announcement comes back.
     pub fn requested(&mut self, now_ns: u64) {
         let records = self.records_mut();
-        if records.pending.ordinal == 0 {
-            records.pending = SwitchRecord::new(records.completed + 1, now_ns);
+        if records.pending.requested_ns == UNSET {
+            records.pending = SwitchRecord { requested_ns: now_ns, ..SwitchRecord::IDLE };
         }
     }
 
     fn pending_mut(&mut self) -> Option<&mut SwitchRecord> {
         let records = self.records.as_deref_mut()?;
-        (records.pending.ordinal != 0).then_some(&mut records.pending)
+        (records.pending.requested_ns != UNSET).then_some(&mut records.pending)
     }
 
     /// Stamp "old module flushed and unbound".
@@ -179,22 +170,12 @@ impl SwitchTimeline {
 
     /// The in-flight record, if a switch is underway.
     pub fn pending(&self) -> Option<&SwitchRecord> {
-        self.records.as_deref().map(|r| &r.pending).filter(|p| p.ordinal != 0)
+        self.records.as_deref().map(|r| &r.pending).filter(|p| p.requested_ns != UNSET)
     }
 
     /// First few completed records, oldest first (bounded).
     pub fn recent(&self) -> &[SwitchRecord] {
         self.records.as_deref().map_or(&[], |r| &r.recent)
-    }
-
-    /// Fold another stack's timeline into this aggregate: the completed
-    /// counts add; raw records merge up to the retained cap.
-    pub fn merge(&mut self, other: &SwitchTimeline) {
-        let Some(theirs) = other.records.as_deref() else { return };
-        let ours = self.records_mut();
-        ours.completed += theirs.completed;
-        let room = RETAINED_RECORDS.saturating_sub(ours.recent.len());
-        ours.recent.extend(theirs.recent.iter().take(room));
     }
 }
 
@@ -238,7 +219,6 @@ mod tests {
         // A new switch may start afresh once the previous one closed.
         tl.requested(1_000);
         assert_eq!(tl.pending().unwrap().requested_ns, 1_000);
-        assert_eq!(tl.pending().unwrap().ordinal, 2);
     }
 
     #[test]
@@ -249,32 +229,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counts_and_records() {
-        let mut a = SwitchTimeline::new();
-        a.requested(0);
-        a.activated(10);
-        a.note_delivery(30);
-        let mut b = SwitchTimeline::new();
-        b.requested(0);
-        b.activated(40);
-        b.note_delivery(100);
-        let mut agg = SwitchTimeline::new();
-        agg.merge(&a);
-        agg.merge(&b);
-        assert_eq!(agg.completed(), 2);
-        let blackouts: Vec<_> = agg.recent().iter().map(SwitchRecord::blackout_ns).collect();
-        assert_eq!(blackouts, [Some(30), Some(100)]);
-    }
-
-    #[test]
     fn a_timeline_that_never_switched_holds_no_records() {
         let mut tl = SwitchTimeline::new();
         tl.flushed(1);
         tl.activated(2);
         assert!(tl.note_delivery(3).is_none());
-        let mut agg = SwitchTimeline::new();
-        agg.merge(&tl);
-        assert!(tl.records.is_none() && agg.records.is_none());
+        assert!(tl.records.is_none());
         assert_eq!((tl.completed(), tl.recent(), tl.pending()), (0, &[][..], None));
         tl.requested(4);
         assert!(tl.records.is_some(), "the first switch stamp boxes them");
@@ -294,18 +254,12 @@ mod tests {
         for (k, rec) in (0u64..).zip(tl.recent()) {
             let t = k * 100;
             let want = SwitchRecord {
-                ordinal: k + 1,
                 requested_ns: t,
                 flushed_ns: t + 10,
                 activated_ns: t + 20,
                 first_delivery_ns: t + 50,
             };
-            assert_eq!(*rec, want);
+            assert_eq!(*rec, want, "switch {}", k + 1);
         }
-        let mut agg = SwitchTimeline::new();
-        agg.merge(&tl);
-        agg.merge(&tl);
-        assert_eq!(agg.completed(), 40);
-        assert_eq!(agg.recent(), tl.recent(), "the first sixteen, merged in order");
     }
 }

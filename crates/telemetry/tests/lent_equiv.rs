@@ -3,8 +3,9 @@
 //! sequence over `k` stacks — once with every stack recording into
 //! a set of its own, once with all of them recording into one set
 //! that is swapped in and out around random stretches of the sequence —
-//! must fold to the same [`TelemetryAggregate`]: histograms `==`,
-//! completed switches, retained records, flight drops per stack.
+//! must fold to the same [`TelemetryAggregate`] (histograms `==`,
+//! completed switches) and leave each stack the same retained records,
+//! open record and lifecycle ring.
 //!
 //! The crate is dependency-free, so the property runs over a seeded
 //! xorshift stream instead of a strategy library: 200 seeds, each a
@@ -103,8 +104,7 @@ fn assert_same_fold(owned: &TelemetryAggregate, lent: &TelemetryAggregate, seed:
     assert_eq!(o.reseq_depth, l.reseq_depth, "seed {seed}: reseq depth");
     assert_eq!(o.blackout, l.blackout, "seed {seed}: blackout");
     assert_eq!(o.swap_gap, l.swap_gap, "seed {seed}: swap gap");
-    assert_eq!(owned.switches.completed(), lent.switches.completed(), "seed {seed}: completed");
-    assert_eq!(owned.switches.recent(), lent.switches.recent(), "seed {seed}: retained records");
+    assert_eq!(owned.switches_completed, lent.switches_completed, "seed {seed}: completed");
     assert_eq!(owned.stacks, lent.stacks, "seed {seed}: head-count");
     assert_eq!(o.hold_back, l.hold_back, "seed {seed}: hold-back");
 }
@@ -171,7 +171,7 @@ fn lent_and_owned_recording_fold_to_the_same_aggregate() {
             delivered as u64,
             "seed {seed}: every delivery reached the shared ring"
         );
-        total_switches += owned_agg.switches.completed();
+        total_switches += owned_agg.switches_completed;
     }
     assert!(total_switches > 100, "the sequences must complete switches: {total_switches}");
 }

@@ -35,6 +35,7 @@ const ALLOWED: &[(&str, &str)] = &[
     ("sim::WorkloadStats", "the element type of `SimStats::workloads`"),
     ("sim::bandwidth_bps", "`NetConfig { .., ..NetConfig::lan() }` outside needs every field"),
     ("sim::header_bytes", "`NetConfig { .., ..NetConfig::lan() }` outside needs every field"),
+    ("telemetry::FlightEvent", "yielded by `FlightRecorder::events`"),
     ("telemetry::FlightRecorder", "the type of `TelemetrySet::deliveries`"),
     ("telemetry::SwitchRecord", "returned by `SwitchTimeline::pending`"),
     ("telemetry::SwitchSummary", "the type of `TelemetryReport::switches`"),
