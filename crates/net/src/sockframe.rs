@@ -160,6 +160,17 @@ mod tests {
         }
     }
 
+    /// One whole frame, byte for byte: the magic (`b"DPU0"` as a varint),
+    /// `src`, `dst`, the payload's length and the payload.
+    #[test]
+    fn whole_frame_wire_bytes() {
+        let payload = Bytes::from_static(b"abc");
+        let pinned = [0xb0, 0xaa, 0xc1, 0xa2, 0x04, 3, 12, 3, b'a', b'b', b'c'];
+        let f = SockFrame { src: StackId(3), dst: StackId(12), payload: payload.clone() };
+        wire::testing::assert_wire_bytes(&f, &pinned);
+        assert_eq!(FrameCodec::new().encode(StackId(3), StackId(12), &payload), pinned[..]);
+    }
+
     #[test]
     fn codec_encode_matches_owned_frame() {
         let mut codec = FrameCodec::new();
