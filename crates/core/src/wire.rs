@@ -13,11 +13,13 @@
 //! fields in wire order given to [`wire_codec!`](crate::wire_codec), which
 //! writes `encode`, `encoded_len` and `decode` from that one list. Written
 //! by hand are only the codecs that list cannot say: `dpu-repl`'s `Coord`
-//! (its round is computed from the tag, 2k − 1 and 2k), `dpu-net`'s
-//! `SockFrame` and [`ProbeMsg`](crate::probe::ProbeMsg) (a magic prefix,
-//! checked on decode), and the borrowed views that write a window or a
-//! nested frame forward (`dpu-net`'s `udp::Arrived`, `DgramRef`,
-//! `DgramManyRef` and `sockframe`'s `Out`).
+//! (its round is computed from the tag, 2k − 1 and 2k),
+//! [`ProbeMsg`](crate::probe::ProbeMsg) (a magic prefix, checked on
+//! decode), and the borrowed views that write a window or a nested frame
+//! forward (`dpu-net`'s `udp::Arrived`, `DgramRef`, `DgramManyRef` and
+//! `sockframe`'s `Out`). A magic that tells one layout from another is an
+//! enum's tag: `sockframe::Datagram`'s two variants are a whole frame and
+//! a piece of one.
 //!
 //! The codec exists because the offline dependency set contains `serde` but
 //! no serde *format* crate; a direct `Encode`/`Decode` pair is smaller and

@@ -11,21 +11,19 @@
 //!   built on UDP with sequence numbers, cumulative acks and
 //!   retransmission. A fan-out to many peers is one call
 //!   ([`dgram::SEND_MANY`]) that puts one frame per peer on the wire.
-//! * [`frag::FragModule`] — MTU fragmentation/reassembly for oversized
-//!   payloads, slotting between RP2P and UDP
-//!   (`rp2p → frag → udp`) when protocol messages outgrow a datagram.
 //!
-//! All are ordinary [`dpu_core::Module`]s; they are wired into stacks via
+//! Both are ordinary [`dpu_core::Module`]s; they are wired into stacks via
 //! service names [`UDP_SVC`] and [`RP2P_SVC`].
 //!
 //! [`sockframe`] is not a module but the datagram envelope used by the
 //! real-socket host (`dpu-reactor`) to carry `(src, dst, payload)`
-//! across an actual wire.
+//! across an actual wire. It is also where a frame too large for one
+//! datagram is split and put back together: only that host has a
+//! datagram limit, so no module of the stack splits frames.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod frag;
 pub mod rp2p;
 pub mod sockframe;
 pub mod udp;
@@ -34,11 +32,6 @@ pub mod udp;
 pub const UDP_SVC: &str = dpu_core::svc::UDP;
 /// Service name of the reliable point-to-point service.
 pub const RP2P_SVC: &str = "rp2p";
-/// Service name of the MTU fragmentation service (same datagram
-/// interface as UDP, for oversized payloads).
-pub(crate) const FRAG_SVC: &str = "frag";
-/// UDP channel reserved for fragmentation frames.
-pub const FRAG_UDP_CHANNEL: dpu_core::Channel = dpu_core::Channel::new(2, 0);
 
 /// Shared operation codes and payload shapes for datagram-style services
 /// (`udp` and `rp2p` use the same interface shape), and the client side
@@ -61,7 +54,7 @@ pub mod dgram {
     /// wire: `rp2p` treats each listed stack — in list order, a repeat
     /// as often as it is listed, the stack itself by loopback — exactly as
     /// a [`SEND`] to it. What a protocol fans out to its peers goes this
-    /// way, through [`send_many`]; `udp` and `frag` offer only [`SEND`].
+    /// way, through [`send_many`]; `udp` offers only [`SEND`].
     pub const SEND_MANY: Op = 3;
 
     /// Payload of [`SEND`] and [`RECV`].

@@ -102,8 +102,9 @@ pub struct Rp2pConfig {
     /// next, up to 64 periods (see the module docs). An ack waits at most a
     /// quarter of it for a data frame to ride.
     pub retransmit: Dur,
-    /// The datagram service underneath (default [`crate::UDP_SVC`]; point
-    /// it at `crate::FRAG_SVC` when frames can exceed the MTU).
+    /// The datagram service underneath. [`crate::UDP_SVC`] is the only
+    /// one: a frame too large for one datagram is split by the host that
+    /// has the limit (`crate::sockframe`), not by a module below `rp2p`.
     pub lower: String,
     /// Give up on a frame after this many retransmissions (`0` =
     /// unbounded, the default). Without a cap a permanently-dead peer

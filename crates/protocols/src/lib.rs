@@ -71,12 +71,12 @@ pub const GM_SVC: &str = "gm";
 pub const RB_SVC: &str = "rb";
 
 /// The channel table: one base (< 16) per protocol, at incarnation 0.
-/// On `udp` base 0 is `rp2p`'s own frames and base 2 `frag`'s
-/// (`dpu_net::rp2p::RP2P_UDP_CHANNEL`, `dpu_net::FRAG_UDP_CHANNEL`); on
+/// On `udp` base 0 is `rp2p`'s own frames
+/// (`dpu_net::rp2p::RP2P_UDP_CHANNEL`), and base 2 is free; on
 /// `consensus` a user listens on `crate::consensus::USER` at its
-/// namespace. A
-/// protocol that a replacement runs side by side with itself keys its
-/// frames with its incarnation: `ABCAST_CT.at(namespace)`.
+/// namespace. A protocol that a replacement runs side by side with
+/// itself keys its frames with its incarnation:
+/// `ABCAST_CT.at(namespace)`.
 pub mod channels {
     use dpu_core::Channel;
 

@@ -14,7 +14,7 @@
 //!        ┌───────────── reactor thread ──────────────┐
 //!        │ epoll_wait(sockets…, eventfd, deadline)   │
 //!        │   ├─ readable socket → recv_from drain    │
-//!        │   │    └─ SockFrame decode → deliver      │
+//!        │   │    └─ frame whole? → deliver          │
 //!        │   ├─ eventfd → command queue (Ctl,        │
 //!        │   │    set_peer, stop)                    │
 //!        │   └─ deadline → LiveShard::fire_due       │
@@ -22,9 +22,11 @@
 //! ```
 //!
 //! * Each hosted stack owns one nonblocking `UdpSocket`; frames are
-//!   [`dpu_net::sockframe::SockFrame`] envelopes carrying
+//!   [`dpu_net::sockframe::Datagram`] envelopes carrying
 //!   `(src, dst, payload)`, encoded through a scratch-pooled
-//!   [`dpu_net::sockframe::FrameCodec`].
+//!   [`dpu_net::sockframe::FrameCodec`]. A frame over
+//!   [`dpu_net::sockframe::PIECE`] bytes goes as several datagrams, and
+//!   the codec delivers it once the last piece is in.
 //! * A [`NodeAddr`] peer table maps every [`StackId`] of the group —
 //!   local or in another process — to its `SocketAddr`; **all** sends
 //!   go through a real `send_to`, even stack-to-stack within one
@@ -125,6 +127,8 @@ struct Wire {
     /// `StackId::idx() → SocketAddr` for the whole group.
     peers: Vec<Option<SocketAddr>>,
     codec: dpu_net::sockframe::FrameCodec,
+    /// Every socket-path count but `malformed_dropped`, which is the
+    /// codec's (see [`Wire::counters`]).
     stats: SocketCounters,
     loss: LossModel,
 }
@@ -140,20 +144,35 @@ impl ActionSink for Wire {
             self.stats.unroutable += 1;
             return;
         };
-        let frame = self.codec.encode(src, dst, &payload);
         let sock = self.index_of.get(&src).map(|&i| &self.sockets[i]).unwrap_or(&self.sockets[0]);
-        // A full socket buffer or transient OS error is just packet
-        // loss to the protocols above — counted, not escalated.
-        if sock.send_to(&frame, addr).is_err() {
+        // A frame too large to send at all, a full socket buffer or a
+        // transient OS error is just packet loss to the protocols above —
+        // counted, not escalated. The rest of a frame whose piece failed
+        // would only be dropped by the receiver.
+        let Some(datagrams) = self.codec.datagrams(src, dst, &payload) else {
             self.stats.send_errors += 1;
+            return;
+        };
+        for datagram in datagrams {
+            if sock.send_to(&datagram, addr).is_err() {
+                self.stats.send_errors += 1;
+                break;
+            }
         }
     }
 }
 
-/// Largest datagram the reactor accepts (the UDP maximum). Nothing keeps
-/// a sender below it: no stack contains `dpu_net::frag`, and a larger
-/// frame is refused by `sendto` and counted in `send_errors` above
-/// (`tests/reactor_live.rs`, the 70 000-byte broadcast).
+impl Wire {
+    /// The socket-path counters; the codec owns the malformed count.
+    fn counters(&self) -> SocketCounters {
+        SocketCounters { malformed_dropped: self.codec.malformed_dropped(), ..self.stats }
+    }
+}
+
+/// Largest datagram the reactor accepts (the UDP maximum). The codec
+/// keeps every datagram it makes below it: a frame over
+/// [`dpu_net::sockframe::PIECE`] bytes goes in pieces
+/// (`tests/reactor_live.rs`, the 70 000- and 150 000-byte broadcasts).
 const RECV_BUF: usize = 64 * 1024;
 
 /// The event-loop thread: a [`LiveShard`] over the UDP transport.
@@ -198,9 +217,11 @@ impl Loop {
     }
 
     /// Read every queued datagram off one socket, decode, and deliver
-    /// to the destination driver, which runs its whole cascade before
-    /// the next packet's first step (the stack's order on every host —
-    /// see [`dpu_core::host::live`]).
+    /// each frame that is whole to the destination driver, which runs its
+    /// whole cascade before the next packet's first step (the stack's
+    /// order on every host — see [`dpu_core::host::live`]). A malformed
+    /// datagram is counted by the codec; a piece of an unfinished frame
+    /// waits in it.
     fn drain_socket(&mut self, sock_i: usize, buf: &mut [u8]) {
         loop {
             let len = match self.wire.sockets[sock_i].recv_from(buf) {
@@ -211,7 +232,6 @@ impl Loop {
                 Err(_) => continue,
             };
             let Some(frame) = self.wire.codec.decode(&buf[..len]) else {
-                self.wire.stats.malformed_dropped += 1;
                 continue;
             };
             let Some(local) = self.core.local_of(frame.dst) else {
@@ -380,7 +400,7 @@ impl Reactor {
 
     /// Snapshot of the socket-path counters.
     pub fn stats(&self) -> SocketCounters {
-        self.cmds.on_shard(0, |_, wire| wire.stats)
+        self.cmds.on_shard(0, |_, wire| wire.counters())
     }
 
     /// Unified telemetry snapshot across the hosted stacks: the
@@ -390,7 +410,8 @@ impl Reactor {
     /// Shape-identical to `Sim::telemetry_report` and
     /// `Runtime::telemetry_report`.
     pub fn telemetry_report(&self) -> TelemetryReport {
-        let (fold, sockets) = self.cmds.on_shard(0, |core, wire| (core.fold_report(), wire.stats));
+        let (fold, sockets) =
+            self.cmds.on_shard(0, |core, wire| (core.fold_report(), wire.counters()));
         fold.report("reactor", self.now().as_nanos(), Some(sockets))
     }
 

@@ -9,7 +9,7 @@ use dpu_core::wire::{self, Encode};
 use dpu_core::{Call, Channel, Module, ModuleId, Response, ServiceId, StackId};
 use dpu_net::dgram::{self, Dgram};
 use dpu_net::rp2p::{Rp2pConfig, Rp2pModule};
-use dpu_net::sockframe::SockFrame;
+use dpu_net::sockframe::{Datagram, Piece, SockFrame, MAX_PARTIALS, MAX_PIECES, PIECE};
 use dpu_net::udp::UdpModule;
 use dpu_reactor::{NodeAddr, Reactor, ReactorConfig};
 use std::time::{Duration, Instant};
@@ -156,8 +156,8 @@ fn junk_datagrams_are_counted_drops_never_panics() {
         junk_sent += 1;
     }
     // 2. Truncations and corruptions of a well-formed frame.
-    let good = SockFrame { src: StackId(1), dst: StackId(0), payload: Bytes::from(vec![0xab; 32]) }
-        .to_bytes();
+    let good = SockFrame { src: StackId(1), dst: StackId(0), payload: Bytes::from(vec![0xab; 32]) };
+    let good = Datagram::Whole(good).to_bytes();
     for cut in 0..good.len() {
         attacker.send_to(&good[..cut], target).expect("send truncated");
         junk_sent += 1;
@@ -166,18 +166,61 @@ fn junk_datagrams_are_counted_drops_never_panics() {
     corrupted[0] ^= 0xff; // break the magic
     attacker.send_to(&corrupted, target).expect("send corrupted");
     junk_sent += 1;
-    // 3. A well-formed frame for a stack this reactor does not host.
-    let misdirected =
-        SockFrame { src: StackId(0), dst: StackId(7), payload: Bytes::new() }.to_bytes();
-    attacker.send_to(&misdirected, target).expect("send misdirected");
-
-    // The reactor must absorb all of it as counted drops...
+    // 3. Hostile pieces, all addressed to a stack this reactor does not
+    // host, so a frame they completed would count as misdirected.
+    let piece = |src: u32, msg: u64, index: u32, count: u32| {
+        let data = Bytes::from_static(b"piece");
+        Piece { src: StackId(src), dst: StackId(7), msg, index, count, data }
+    };
+    // Counts and indexes out of range, and a piece over the limit: malformed.
+    let long = Piece { data: Bytes::from(vec![0; PIECE + 1]), ..piece(1, 0, 0, 2) };
+    let malformed = [
+        piece(1, 0, 0, 0),
+        piece(1, 0, 0, 1),
+        piece(1, 0, 0, MAX_PIECES + 1),
+        piece(1, 0, 2, 2),
+        long,
+    ];
+    for p in malformed {
+        attacker.send_to(&Datagram::Piece(p).to_bytes(), target).expect("send a malformed piece");
+        junk_sent += 1;
+    }
+    // Not every junk datagram is malformed (a 0-length datagram or an
+    // unlucky prefix may decode), so compare against a floor. (Waiting
+    // here also keeps the socket's receive buffer from overflowing.)
     wait_until("junk to be counted", || {
         let s = r.stats();
-        // Not every junk datagram is malformed (a 0-length datagram or
-        // an unlucky prefix may decode), so compare against a floor.
-        s.malformed_dropped + s.packets_received >= junk_sent && s.misdirected >= 1
+        s.malformed_dropped + s.packets_received >= junk_sent
     });
+    // Well-formed pieces that lie about their frame: a count that changes
+    // within it, another frame's number, an index out of order or twice.
+    let lies = [
+        piece(2, 5, 0, 3),
+        piece(2, 5, 1, 2),
+        piece(2, 5, 2, 3),
+        piece(3, 1, 0, 2),
+        piece(3, 2, 1, 2),
+        piece(3, 1, 1, 2),
+        piece(4, 9, 1, 2),
+        piece(4, 9, 0, 2),
+        piece(4, 9, 0, 2),
+    ];
+    // First pieces from more pairs than the codec holds frames for.
+    let flood = (0..=MAX_PARTIALS as u32).map(|i| piece(100 + i, 0, 0, 2));
+    for p in lies.into_iter().chain(flood) {
+        attacker.send_to(&Datagram::Piece(p).to_bytes(), target).expect("send a hostile piece");
+    }
+    // 4. A well-formed frame for a stack this reactor does not host: the
+    // last datagram sent, so once it is counted every one before it was
+    // read.
+    let misdirected = SockFrame { src: StackId(0), dst: StackId(7), payload: Bytes::new() };
+    attacker.send_to(&Datagram::Whole(misdirected).to_bytes(), target).expect("send misdirected");
+
+    // The reactor must absorb all of it as counted drops or unfinished
+    // frames...
+    wait_until("the last datagram to be read", || r.stats().misdirected >= 1);
+    let s = r.stats();
+    assert_eq!(s.misdirected, 1, "a hostile piece completed a frame: {s:?}");
     // ...and still do its job afterwards.
     for i in 0..5u8 {
         send(&r, 1, 0, i);

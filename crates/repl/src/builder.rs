@@ -126,7 +126,6 @@ pub mod specs {
 pub fn registry() -> FactoryRegistry {
     let mut reg = FactoryRegistry::new();
     UdpModule::register(&mut reg);
-    dpu_net::frag::FragModule::register(&mut reg);
     Rp2pModule::register(&mut reg);
     FdModule::register(&mut reg);
     ConsensusModule::register(&mut reg);
