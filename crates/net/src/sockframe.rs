@@ -40,7 +40,7 @@ pub const PIECE: usize = 60_000;
 /// Most pieces one frame goes in. A larger frame is not sent.
 pub const MAX_PIECES: u32 = 64;
 /// Most frames a codec holds unfinished, over all pairs; the first piece
-/// of one more is dropped. Bounds the bytes held to about
+/// of one more is dropped. Bounds the payload bytes held to
 /// `MAX_PARTIALS × MAX_PIECES × PIECE`.
 pub const MAX_PARTIALS: usize = 16;
 
@@ -226,31 +226,28 @@ impl FrameCodec {
     /// so a frame put together is always one that was sent.
     fn reassemble(&mut self, piece: Piece) -> Option<SockFrame> {
         let pair = self.partials.iter().position(|p| (p.src, p.dst) == (piece.src, piece.dst));
-        let next = pair.filter(|&i| {
-            let p = &self.partials[i];
-            (p.msg, p.count, p.next) == (piece.msg, piece.count, piece.index)
-        });
-        let Some(i) = next else {
-            let held = pair.map_or(0, |i| self.partials.swap_remove(i).next);
-            if piece.index > 0 || self.partials.len() == MAX_PARTIALS {
-                self.stats.pieces_dropped += u64::from(held) + 1;
-                return None;
+        if let Some(i) = pair {
+            let p = &mut self.partials[i];
+            if (p.msg, p.count, p.next) == (piece.msg, piece.count, piece.index) {
+                p.payload.extend_from_slice(&piece.data);
+                p.next += 1;
+                if p.next < p.count {
+                    return None;
+                }
+                let Partial { src, dst, payload, .. } = self.partials.swap_remove(i);
+                return Some(SockFrame { src, dst, payload: payload.freeze() });
             }
-            self.stats.pieces_dropped += u64::from(held);
-            let mut payload = BytesMut::with_capacity(piece.count as usize * piece.data.len());
-            payload.extend_from_slice(&piece.data);
-            let Piece { src, dst, msg, count, .. } = piece;
-            self.partials.push(Partial { src, dst, msg, count, next: 1, payload });
-            return None;
-        };
-        let p = &mut self.partials[i];
-        p.payload.extend_from_slice(&piece.data);
-        p.next += 1;
-        if p.next < p.count {
+            self.stats.pieces_dropped += u64::from(self.partials.swap_remove(i).next);
+        }
+        if piece.index > 0 || self.partials.len() == MAX_PARTIALS {
+            self.stats.pieces_dropped += 1;
             return None;
         }
-        let Partial { src, dst, payload, .. } = self.partials.swap_remove(i);
-        Some(SockFrame { src, dst, payload: payload.freeze() })
+        let mut payload = BytesMut::with_capacity(piece.count as usize * piece.data.len());
+        payload.extend_from_slice(&piece.data);
+        let Piece { src, dst, msg, count, .. } = piece;
+        self.partials.push(Partial { src, dst, msg, count, next: 1, payload });
+        None
     }
 
     /// Received datagrams refused as malformed: the one count behind the
@@ -339,7 +336,7 @@ mod tests {
     }
 
     /// The datagrams of a `len`-byte frame from `src` to 12, each byte its
-    /// offset mod 251 plus `fill`.
+    /// offset mod 251 xor `fill`.
     fn split(codec: &mut FrameCodec, src: u32, len: usize, fill: u8) -> (Bytes, Vec<Bytes>) {
         let payload: Bytes = (0..len).map(|i| (i % 251) as u8 ^ fill).collect::<Vec<u8>>().into();
         let datagrams = codec.datagrams(StackId(src), StackId(12), &payload).expect("sendable");
@@ -362,7 +359,7 @@ mod tests {
             let (mut tx, mut rx) = (FrameCodec::new(), FrameCodec::new());
             let (payload, datagrams) = split(&mut tx, 3, len, 0x5a);
             assert_eq!(datagrams.len(), count, "{len} bytes");
-            assert!(datagrams.iter().all(|d| d.len() < 65_507), "{len} bytes");
+            assert!(datagrams.iter().all(|d| d.len() <= 65_507), "{len} bytes");
             let got = feed(&mut rx, &datagrams);
             assert_eq!(got, [payload], "{len} bytes");
             assert_eq!((tx.stats.encoded, rx.stats.decoded), (1, 1));
