@@ -172,7 +172,7 @@ impl Wire {
 /// Largest datagram the reactor accepts (the UDP maximum). The codec
 /// keeps every datagram it makes below it: a frame over
 /// [`dpu_net::sockframe::PIECE`] bytes goes in pieces
-/// (`tests/reactor_live.rs`, the 70 000- and 150 000-byte broadcasts).
+/// (`tests/reactor_live.rs`, the 70 000- and 179 000-byte broadcasts).
 const RECV_BUF: usize = 64 * 1024;
 
 /// The event-loop thread: a [`LiveShard`] over the UDP transport.

@@ -51,8 +51,11 @@ fn mk_stack(sc: StackConfig) -> Stack {
 }
 
 fn send(r: &Reactor, from: u32, to: u32, tagbyte: u8) {
-    let d =
-        Dgram { peer: StackId(to), channel: Channel::new(5, 0), data: Bytes::from(vec![tagbyte]) };
+    send_data(r, from, to, Bytes::from(vec![tagbyte]));
+}
+
+fn send_data(r: &Reactor, from: u32, to: u32, data: Bytes) {
+    let d = Dgram { peer: StackId(to), channel: Channel::new(5, 0), data };
     r.with_stack(StackId(from), move |s| {
         s.call_as(SINK, &ServiceId::new(dpu_net::RP2P_SVC), dgram::SEND, wire::to_bytes(&d))
     });
@@ -227,6 +230,14 @@ fn junk_datagrams_are_counted_drops_never_panics() {
     }
     wait_until("normal delivery after junk", || sink_data(&r, 0).len() == 5);
     assert_eq!(sink_data(&r, 0), (0..5).collect::<Vec<u8>>());
+    // The flood's unfinished frames do not keep out a frame in pieces:
+    // its first piece pushes out the oldest of them.
+    send_data(&r, 1, 0, Bytes::from(vec![5; 70_000]));
+    wait_until("a 70 000-byte frame after the flood", || sink_data(&r, 0).len() == 6);
+    let last_len = r.with_stack(StackId(0), |s| {
+        s.with_module::<Rp2pSink, _>(SINK, |k| k.got.last().map(|d| d.data.len())).unwrap()
+    });
+    assert_eq!(last_len, Some(70_000));
     let stats = r.stats();
     assert!(stats.malformed_dropped > 0, "junk must land in the malformed counter: {stats:?}");
     r.shutdown();

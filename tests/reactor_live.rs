@@ -11,6 +11,7 @@
 mod common;
 
 use common::live_switch_scenario;
+use dpu::net::sockframe::{MAX_PIECES, PIECE};
 use dpu::reactor::{Reactor, ReactorConfig};
 use dpu::repl::builder::{group, send_probe, specs, GroupStackOpts, SwitchLayer};
 use dpu_core::probe::Probe;
@@ -66,15 +67,19 @@ fn live_switch_across_two_reactors_over_loopback_udp() {
 }
 
 /// A frame over one datagram's limit reaches every stack: a probe of
-/// 70 000 bytes (two pieces on the wire) and one of 150 000 (three) are
-/// each adelivered by all three stacks of one reactor, with no send
-/// error. The reactor's codec sends a frame over `sockframe::PIECE`
-/// bytes as pieces and delivers it once the last one is in; `sendto`
-/// refuses any datagram over UDP's 65 507 bytes, so without the split no
-/// stack adelivers either probe and `rp2p` resends it for ever.
+/// 70 000 bytes (two pieces on the wire) and one of the most pieces a
+/// frame may go in (`sockframe::MAX_PIECES`) are each adelivered by all
+/// three stacks of one reactor, with no send error. The reactor's codec
+/// sends a frame over `sockframe::PIECE` bytes as pieces and delivers it
+/// once the last one is in; `sendto` refuses any datagram over UDP's
+/// 65 507 bytes, so without the split no stack adelivers either probe and
+/// `rp2p` resends it for ever. A probe one piece larger is not sent: its
+/// pieces would overflow the receiving socket's buffer unseen, so the
+/// reactor refuses it and counts each try in `send_errors`.
 #[test]
 fn a_70_000_byte_broadcast_is_adelivered_everywhere() {
-    for pad in [70_000, 150_000] {
+    let largest = MAX_PIECES as usize * PIECE - 1_000;
+    for (pad, sendable) in [(70_000, true), (largest, true), (largest + 2_000, false)] {
         let opts = GroupStackOpts {
             abcast: specs::ct(0),
             layer: SwitchLayer::Repl,
@@ -95,8 +100,9 @@ fn a_70_000_byte_broadcast_is_adelivered_everywhere() {
             };
             [on(0), on(1), on(2)]
         };
+        let done = || if sendable { delivered() == [1, 1, 1] } else { r.stats().send_errors > 0 };
         let deadline = Instant::now() + Duration::from_millis(1500);
-        while delivered() != [1, 1, 1] && Instant::now() < deadline {
+        while !done() && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
         let (delivered, stats) = (delivered(), r.stats());
@@ -105,7 +111,12 @@ fn a_70_000_byte_broadcast_is_adelivered_everywhere() {
             stats.send_errors, stats.packets_sent
         );
         r.shutdown();
-        assert_eq!(delivered, [1, 1, 1], "the {pad}-byte broadcast was not adelivered everywhere");
-        assert_eq!(stats.send_errors, 0, "{pad} B: {stats:?}");
+        if sendable {
+            assert_eq!(delivered, [1, 1, 1], "the {pad}-byte broadcast was not adelivered");
+            assert_eq!(stats.send_errors, 0, "{pad} B: {stats:?}");
+        } else {
+            assert_eq!(delivered, [0, 0, 0], "{pad} B: a frame over MAX_PIECES was sent");
+            assert!(stats.send_errors > 0, "{pad} B: a refused frame went uncounted: {stats:?}");
+        }
     }
 }
