@@ -16,9 +16,9 @@ use std::collections::BTreeMap;
 /// allocated) and a boxed slice beyond.
 ///
 /// Users: Repl marks the origins adelivered under the current
-/// `seqNumber` (module retirement), a marker drain the senders of flush
-/// markers, a switch coordinator the senders of acks, consensus the
-/// deciders whose `Decide` relay has arrived (instance collection).
+/// `seqNumber` (module retirement) — starting from the members the
+/// group membership view left out — a marker drain the senders of flush
+/// markers, a switch coordinator the senders of acks.
 ///
 /// The default set is that of an empty group: complete, and deaf to
 /// marks. Starting over is assigning a [`HeardSet::new`].
@@ -60,21 +60,26 @@ impl HeardSet {
         }
     }
 
+    /// The word of `words` and the bit in it that stand for `who`.
+    fn bit(peers: &[StackId], who: StackId) -> Option<(usize, u64)> {
+        // Every host numbers its group 0..n; search only if one does not.
+        let identity = (peers.get(who.idx()) == Some(&who)).then_some(who.idx());
+        let idx = identity.or_else(|| peers.iter().position(|p| *p == who))?;
+        Some((idx / 64, 1u64 << (idx % 64)))
+    }
+
     /// `origin` has been heard. True when that makes the set complete:
     /// exactly once per set, and never for a duplicate, a stack outside
     /// `peers`, or the default set.
     pub fn mark(&mut self, peers: &[StackId], origin: StackId) -> bool {
-        // Every host numbers its group 0..n; search only if one does not.
-        let identity = (peers.get(origin.idx()) == Some(&origin)).then_some(origin.idx());
-        let Some(idx) = identity.or_else(|| peers.iter().position(|p| *p == origin)) else {
+        let Some((word, bit)) = HeardSet::bit(peers, origin) else {
             return false; // not a member of the group
         };
         let words = match &mut self.0 {
             Bits::Word(word) => std::slice::from_mut(word),
             Bits::Words(words) => &mut words[..],
         };
-        let Some(word) = words.get_mut(idx / 64) else { return false };
-        let bit = 1u64 << (idx % 64);
+        let Some(word) = words.get_mut(word) else { return false };
         if *word & bit != 0 {
             return false;
         }
@@ -82,8 +87,15 @@ impl HeardSet {
         self.is_complete()
     }
 
+    /// Whether `who`, a member of `peers`, has been heard.
+    pub fn contains(&self, peers: &[StackId], who: StackId) -> bool {
+        HeardSet::bit(peers, who)
+            .and_then(|(word, bit)| self.words().get(word).map(|w| w & bit != 0))
+            .unwrap_or(false)
+    }
+
     /// Every member has been heard (always, for the default set).
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.words().iter().all(|w| *w == u64::MAX)
     }
 }
@@ -285,6 +297,7 @@ mod tests {
                         let fresh = peers.contains(&origin) && model.insert(origin);
                         let completed = set.mark(&peers, origin);
                         assert_eq!(completed, fresh && model.len() == n, "n={n} origin={origin}");
+                        assert_eq!(set.contains(&peers, origin), model.contains(&origin));
                         assert_eq!(set.is_complete(), model.len() == n, "n={n}");
                         completions += usize::from(completed);
                     }

@@ -228,6 +228,11 @@ impl Module for CtAbcastModule {
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
+        if call.op == ops::VIEW {
+            // Consensus collects by who counts.
+            ctx.call(&self.cons_svc, cons_ops::VIEW, call.data);
+            return;
+        }
         if call.op != ops::ABCAST {
             return;
         }

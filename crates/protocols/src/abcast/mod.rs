@@ -18,7 +18,7 @@
 //! | [`ring::RingAbcastModule`] | privilege-based: a circulating token carries the sequence counter | non-fault-tolerant; throughput-friendly, latency grows with ring position |
 //! | [`hier::HierAbcastModule`] | hierarchical: one local sequencer per topology cluster, streams merged by a leader cluster | local-sequencer failover; leader remains a single point of failure; scales fan-out across clusters |
 //!
-//! All variants provide the same two-operation service ([`ops`]), so the
+//! All variants provide the same service ([`ops`]), so the
 //! replacement module of `dpu-repl` can switch between them on the fly —
 //! exactly the paper's "switching between different atomic broadcast
 //! protocols" scenario. The non-fault-tolerant variants are realistic
@@ -45,6 +45,11 @@ pub mod ops {
     pub const ABCAST: Op = 1;
     /// Response: a payload is Adelivered (in total order).
     pub const ADELIVER: Op = 2;
+    /// Call: the members that count, a `Vec<StackId>` — the view the
+    /// group membership module installed, passed down. A variant whose
+    /// state waits until every member is done with it hands it to what
+    /// it requires (`abcast.ct` to consensus); the others ignore it.
+    pub const VIEW: Op = 3;
 }
 
 /// Internal identity of a broadcast message: `(origin, per-origin seq)`.

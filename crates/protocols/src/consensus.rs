@@ -23,14 +23,15 @@
 //!    proposal arrives nacks — to every other process, not only the
 //!    coordinator — and moves to `r + 1` at once. A nack heard before
 //!    the proposal takes effect only after the ack;
-//! 4. on a majority of acks the coordinator decides and reliably
-//!    broadcasts the decision (every receiver relays it once).
+//! 4. on a majority of acks the coordinator decides and sends `Decide`
+//!    to the n − 1 others, once. Nobody relays it unless the coordinator
+//!    fails (below).
 //!
 //! No process sends a frame to itself: the coordinator files its own
 //! estimate, its own copy of the proposal and its own ack in place, and
 //! sends the proposal to the n − 1 others. Where no process suspects
 //! another, an instance ends in round 0 with one proposal: n − 1
-//! proposals and n − 1 acks, then the `Decide` relays. Round 0's
+//! proposals, n − 1 acks and n − 1 `Decide`s. Round 0's
 //! coordinator hears nothing from the others until one of them suspects
 //! someone, so it proposes when its own user does — as the user of every
 //! correct process does — or on the first estimate a suspicion sends it.
@@ -50,6 +51,29 @@
 //! correct process hears a nack and moves on. A nacker that crashed
 //! after reaching only some peers changes neither case.
 //!
+//! # The decision, sent once
+//!
+//! Agreement does not rest on spreading `Decide`: the value is locked at a
+//! majority before anyone decides. Termination does, and it is kept by
+//! *lazy* reliable broadcast (Guerraoui & Rodrigues, *Introduction to
+//! Reliable Distributed Programming*, 2006) instead of the eager relay of
+//! every receiver:
+//!
+//! * a decider relays `Decide` to every other process only once it comes
+//!   to suspect the coordinator of the round the decision was made in —
+//!   if that coordinator is correct, its own `Decide` reaches everyone;
+//! * a decided process answers a frame of the instance for a round
+//!   *later* than the deciding round with `Decide` to its sender: that
+//!   process moved on without the decision. Frames of the deciding round
+//!   or earlier draw nothing — the 4th to 6th round-0 acks at n = 7 come
+//!   in after every failure-free decision.
+//!
+//! A correct process that never gets the coordinator's `Decide` suspects
+//! the coordinator and moves on; the coordinator of its next round either
+//! has decided, and answers, or runs that round, which can only decide
+//! the locked value, while every decider that suspects the crashed
+//! coordinator relays.
+//!
 //! # Service interface (`consensus`, instance-keyed)
 //!
 //! Instances are identified by `(namespace, k)`: the namespace isolates
@@ -57,6 +81,8 @@
 //! dynamic protocol update) and `k` is the user's instance counter.
 //!
 //! * call `ops::PROPOSE` — `(ns, k, value)`;
+//! * call `ops::VIEW` — the members that count for collection (below),
+//!   passed down by the group membership module through `abcast`;
 //! * response `ops::DECIDE` — `(ns, k, value)`;
 //! * response `ops::NEED_PROPOSAL` — `(ns, k)`: the instance is running
 //!   remotely but has no local proposal yet; users should propose. Round
@@ -71,48 +97,59 @@
 //! so two consensus incarnations never see each other's.
 //!
 //! Proposing `(ns, k)` also tells the module that its user has consumed
-//! every decision of `ns` below `k`: instance numbers of a namespace are
-//! proposed in order (atomic broadcast proposes `k + 1` only after it has
-//! delivered batch `k`).
+//! every decision of `ns` below `k`: instance numbers of a namespace
+//! start at 0 and are proposed in order (atomic broadcast proposes
+//! `k + 1` only after it has delivered batch `k`).
 //!
 //! # What an instance costs, and for how long
 //!
-//! Where no process suspects another, an instance costs (n + 2)(n − 1)
-//! frames: the n − 1 proposals, the n − 1 acks and each decider's
-//! `Decide` to the n − 1 others. It is collected by *stability*, read off
-//! frames the algorithm sends anyway — no message, timer or dispatch step
-//! is added for it:
+//! Where no process suspects another, an instance costs 3(n − 1) frames:
+//! the n − 1 proposals, the n − 1 acks and the coordinator's n − 1
+//! `Decide`s. It is collected by *stability*, read off frames the
+//! algorithm sends anyway — no message, timer or dispatch step is added
+//! for it:
 //!
-//! 1. at the local decision it shrinks to a tombstone: the decided value
-//!    (a late `PROPOSE` is re-answered with it), whether the user was ever
-//!    asked for a proposal (a late frame still raises `NEED_PROPOSAL`
-//!    once if not), and a [`HeardSet`] of the deciders whose `Decide` has
-//!    arrived. Estimates, proposals and acks go, and late ones are no
-//!    longer filed;
-//! 2. the tombstone goes once `Decide` has been heard from **every**
-//!    member — each decider relays `Decide` to all and rp2p is FIFO per
-//!    pair, so nothing of `(ns, k)` is still in flight towards this
-//!    process — **and** the user has proposed a higher `k` in `ns`, so it
-//!    is done with `DECIDE(k)`. (Hearing everyone is not enough: the
-//!    stack dispatches breadth-first within a cascade, so a user may
-//!    `PROPOSE k` after the decision and before its own `DECIDE(k)`
-//!    reaches it.) That `(ns, k)`
-//!    was collected is remembered in an [`IntervalSet`] — one watermark
-//!    per namespace in practice — so a duplicated or forged frame for it
-//!    is dropped instead of starting the instance afresh. An instance
-//!    this process has simply not seen yet is not in that set, whatever
-//!    its number, and opens as ever.
+//! 1. at the local decision it shrinks to a tombstone: the decided value,
+//!    copied out of the frame it came in so that no pooled buffer stays
+//!    pinned by it, and its round (a late `PROPOSE` is re-answered with
+//!    it, a later round's frame answered, a suspicion relayed), and whether the user
+//!    was ever asked for a proposal (a late frame still raises
+//!    `NEED_PROPOSAL` once if not). Estimates, proposals and acks go, and
+//!    late ones are no longer filed;
+//! 2. every frame carries two watermarks of its namespace: `done`, the
+//!    sender decided every instance below it, and `stable`, every member
+//!    the sender counts did, as far as it knows. The second is how a
+//!    participant, which under the rotating policy hears only round 0's
+//!    coordinator, learns of the others. A process keeps, per namespace,
+//!    the highest of each member's watermarks it has heard;
+//! 3. the tombstone of `k` goes once every member that counts is known
+//!    past `k` — rp2p is FIFO per pair, so nothing that member sent of
+//!    `(ns, k)` before deciding it is still in flight, and nobody will
+//!    need this process's `Decide` — **and** the user has proposed a
+//!    higher `k` in `ns`, so it is done with `DECIDE(k)`. (The group
+//!    alone is not enough: the stack dispatches breadth-first within a
+//!    cascade, so a user may `PROPOSE k` after the decision and before
+//!    its own `DECIDE(k)` reaches it.) Everything below that point is
+//!    collected, one number per namespace, so a duplicated or forged
+//!    frame for it is dropped instead of starting the instance afresh.
+//!    An instance at or above it opens as ever.
+//!
+//! The members that count are the peer table, or, where a group
+//! membership module is attached, its current view: each view it
+//! installs comes down as `VIEW`, and an excluded member stops counting.
+//! Majorities and send lists stay on the peer table.
 //!
 //! What stays is bounded by the group and the namespaces, not by the
 //! run: the instances in flight plus, per namespace ever used, its last
-//! tombstone (nothing higher is ever proposed there), its watermark and
-//! its highest proposed `k` — a few hundred bytes that grow with
-//! *replacements* of the user above, not with messages. A crashed or
-//! silent member is never heard and pins every tombstone decided after
-//! it fell silent, exactly as it pins module retirement in `dpu-repl`;
+//! tombstones (nothing higher is ever proposed there, and no later frame
+//! says the group is past them) and its watermarks — a few hundred bytes
+//! that grow with *replacements* of the user above, not with messages.
+//! A crashed or silent member's watermark stops, and without a view that
+//! excludes it, it pins every tombstone decided after it fell silent,
+//! exactly as it pins module retirement in `dpu-repl`;
 //! [`ConsensusModule::live_instances`] and the `held` gauge of
-//! [`dpu_core::TransportStats`] show the pin, and it lifts once the
-//! heard-sets follow the membership view (ROADMAP item 1(b)).
+//! [`dpu_core::TransportStats`] show the pin, and
+//! [`ConsensusModule::pinned_by`] names the member.
 //!
 //! # Variants
 //!
@@ -126,12 +163,10 @@
 use crate::channels;
 use bytes::Bytes;
 use dpu_core::stack::ModuleCtx;
-use dpu_core::{
-    Call, Channel, HeardSet, IntervalSet, Module, Response, ServiceId, StackId, TransportStats,
-};
+use dpu_core::{Call, Channel, Module, Response, ServiceId, StackId, TransportStats};
 use dpu_net::dgram;
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Module kind name of the rotating-coordinator variant.
 pub const KIND_CT: &str = "consensus.ct";
@@ -147,6 +182,9 @@ pub mod ops {
     pub(crate) const DECIDE: Op = 2;
     /// Response: instance `(ns, k)` needs a local proposal.
     pub(crate) const NEED_PROPOSAL: Op = 3;
+    /// Call: the members that count for collection, a `Vec<StackId>`
+    /// (the group membership view).
+    pub(crate) const VIEW: Op = 4;
 }
 
 /// The channel base of the `consensus` service: a user with namespace
@@ -209,6 +247,11 @@ struct WireMsg {
     ns: u64,
     k: u64,
     round: u64,
+    /// The sender decided every instance of `ns` below this.
+    done: u64,
+    /// Every member the sender counts decided every instance of `ns`
+    /// below this, as far as the sender knows.
+    stable: u64,
     body: Body,
 }
 
@@ -219,7 +262,7 @@ dpu_core::wire_codec!(enum Body {
     3 => Nack,
     4 => Decide { v },
 });
-dpu_core::wire_codec!(WireMsg { ns, k, round, body });
+dpu_core::wire_codec!(WireMsg { ns, k, round, done, stable, body });
 
 /// An instance this process has not decided yet.
 #[derive(Default)]
@@ -257,8 +300,8 @@ enum Step {
     ToCoord(StackId, u64, Body),
     /// Send `body` for the round to every other process.
     ToOthers(u64, Body),
-    /// A majority acked this process's proposal of the value.
-    Decide(Bytes),
+    /// A majority acked this process's proposal of the value in the round.
+    Decide(u64, Bytes),
 }
 
 impl Open {
@@ -304,11 +347,11 @@ impl Open {
         }
 
         // Phase 4: a majority of acks on an own proposal → decide.
-        let won = self.acks.iter().find_map(|(r, acks)| {
-            (acks.len() >= majority).then(|| self.coord_proposal.get(r)).flatten()
+        let won = self.acks.iter().find_map(|(&r, acks)| {
+            (acks.len() >= majority).then(|| self.coord_proposal.get(&r).map(|v| (r, v))).flatten()
         });
-        if let Some(v) = won {
-            return Step::Decide(v.clone());
+        if let Some((r, v)) = won {
+            return Step::Decide(r, v.clone());
         }
 
         // Phase 1: my estimate for my current round. In round 0 a
@@ -363,14 +406,47 @@ impl Open {
     }
 }
 
-/// The tombstone of an instance this process has decided (and relayed):
-/// what it can still be asked for. See the module docs.
+/// The tombstone of an instance this process has decided: what it can
+/// still be asked for. See the module docs.
 struct Decided {
     value: Bytes,
+    /// The round the decision was made in.
+    round: u64,
     /// The user proposed here, or was asked to.
     prompted: bool,
-    /// The deciders whose `Decide` has arrived, this process included.
-    heard: HeardSet,
+    /// This process sent `Decide` to every other: as the coordinator that
+    /// decided, or as a decider that came to suspect that coordinator.
+    sent: bool,
+}
+
+/// How far one namespace has got: its user, this process and each member
+/// as last heard. See the module docs.
+struct Space {
+    ns: u64,
+    /// The highest `k` the user has proposed.
+    proposed: u64,
+    /// This process decided every instance below it.
+    done: u64,
+    /// Every instance below it is collected.
+    gone: u64,
+    /// Per slot of the peer table: that member decided every instance
+    /// below it, as last heard from it or from a peer's `stable`.
+    heard: Box<[u64]>,
+}
+
+impl Space {
+    /// Every member of `view` (all of `peers` for `None`) decided every
+    /// instance below it, as far as this process knows: what its frames
+    /// carry as `stable`.
+    fn stable(&self, peers: &[StackId], view: Option<&[StackId]>) -> u64 {
+        let counted = peers
+            .iter()
+            .zip(self.heard.iter())
+            .filter(|(p, _)| counts(view, p))
+            .map(|(_, mark)| *mark)
+            .min();
+        counted.map_or(self.done, |c| c.min(self.done))
+    }
 }
 
 /// The consensus module. See module docs.
@@ -380,15 +456,32 @@ pub struct ConsensusModule {
     svc: ServiceId,
     rp2p_svc: ServiceId,
     fd_svc: ServiceId,
+    /// This stack and the peer table, taken at start.
+    me: StackId,
+    peers: Arc<[StackId]>,
     suspected: BTreeSet<StackId>,
     open: BTreeMap<(u64, u64), Open>,
     decided: BTreeMap<(u64, u64), Decided>,
-    /// The instances collected so far, by namespace.
-    collected: IntervalSet<u64>,
-    /// The highest `k` the user has proposed, by namespace.
-    proposed_hi: BTreeMap<u64, u64>,
+    /// One per namespace ever used, by namespace.
+    spaces: Vec<Space>,
+    /// The members that count, sorted: the last view passed down, or
+    /// `None` for the whole peer table.
+    view: Option<Box<[StackId]>>,
     decided_count: u64,
     max_round_seen: u64,
+}
+
+/// Whether `member` counts for collection: it is in the last `view`, or
+/// no view came down.
+fn counts(view: Option<&[StackId]>, member: &StackId) -> bool {
+    view.is_none_or(|v| v.binary_search(member).is_ok())
+}
+
+/// `who`'s slot in `peers`. Every host numbers its group 0..n; search
+/// only if one does not.
+fn slot(peers: &[StackId], who: StackId) -> Option<usize> {
+    let identity = (peers.get(who.idx()) == Some(&who)).then_some(who.idx());
+    identity.or_else(|| peers.iter().position(|p| *p == who))
 }
 
 impl ConsensusModule {
@@ -401,11 +494,13 @@ impl ConsensusModule {
             svc,
             rp2p_svc: ServiceId::new(dpu_net::RP2P_SVC),
             fd_svc: ServiceId::new(crate::FD_SVC),
+            me: StackId(0),
+            peers: Arc::from([]),
             suspected: BTreeSet::new(),
             open: BTreeMap::new(),
             decided: BTreeMap::new(),
-            collected: IntervalSet::new(),
-            proposed_hi: BTreeMap::new(),
+            spaces: Vec::new(),
+            view: None,
             decided_count: 0,
             max_round_seen: 0,
         }
@@ -428,8 +523,9 @@ impl ConsensusModule {
     }
 
     /// Instances this module holds state for: those still running plus
-    /// the tombstones not yet collected. In flight + one per namespace
-    /// while every member answers; see the module docs for what pins it.
+    /// the tombstones not yet collected. In flight + the last few per
+    /// namespace while every member that counts answers; see the module
+    /// docs for what pins it.
     pub fn live_instances(&self) -> usize {
         self.open.len() + self.decided.len()
     }
@@ -441,6 +537,24 @@ impl ConsensusModule {
         self.max_round_seen
     }
 
+    /// The members whose watermark holds collection back: of the
+    /// tombstones the user is done with (it proposed beyond them), the
+    /// lowest one's namespace, and there the members that count heard
+    /// least far. Empty while no such tombstone is held. Read off the
+    /// watermarks frames already carry, so it names a member only as
+    /// precisely as this process hears it: round 0's coordinator hears
+    /// every ack, while a participant that hears only that coordinator
+    /// knows the others by its `stable` and names them all.
+    pub fn pinned_by(&self) -> Vec<StackId> {
+        let waiting =
+            self.decided.keys().find_map(|&(ns, k)| self.find(ns).filter(|s| k < s.proposed));
+        let Some(space) = waiting else { return Vec::new() };
+        let view = self.view.as_deref();
+        let counted = || self.peers.iter().zip(space.heard.iter()).filter(|(p, _)| counts(view, p));
+        let least = counted().map(|(_, mark)| *mark).min();
+        counted().filter(|(_, mark)| Some(**mark) == least).map(|(p, _)| *p).collect()
+    }
+
     fn majority(ctx: &ModuleCtx<'_>) -> usize {
         ctx.peers().len() / 2 + 1
     }
@@ -450,137 +564,269 @@ impl ConsensusModule {
         channels::CONSENSUS.at(self.params.incarnation)
     }
 
-    /// `msg` to every process but this one, in one call of `rp2p`.
-    fn send_others(ctx: &mut ModuleCtx<'_>, rp2p: &ServiceId, channel: Channel, msg: &WireMsg) {
-        let me = ctx.stack_id();
-        let table = ctx.peer_table();
-        dgram::send_many(ctx, rp2p, table.iter().copied().filter(|&p| p != me), channel, msg);
+    fn find(&self, ns: u64) -> Option<&Space> {
+        let at = self.spaces.binary_search_by_key(&ns, |s| s.ns).ok()?;
+        self.spaces.get(at)
     }
 
-    /// `(ns, k)` decided `v`: this process found out itself (`from` is
-    /// this stack) or `from` relayed it. The first time, decide, relay and
-    /// answer the user; every time, note that `from` has decided.
-    fn decide(&mut self, ctx: &mut ModuleCtx<'_>, ns: u64, k: u64, v: Bytes, from: StackId) {
-        let channel = self.channel();
-        let done = match self.decided.entry((ns, k)) {
-            Entry::Occupied(done) => done.into_mut(),
-            Entry::Vacant(_) if self.collected.contains((ns, k)) => return,
-            Entry::Vacant(slot) => {
-                let prompted =
-                    self.open.remove(&(ns, k)).is_some_and(|o| o.proposal.is_some() || o.need_sent);
-                let mut heard = HeardSet::new(ctx.peers().len());
-                heard.mark(ctx.peers(), ctx.stack_id());
-                self.decided_count += 1;
-                let msg = WireMsg { ns, k, round: 0, body: Body::Decide { v: v.clone() } };
-                Self::send_others(ctx, &self.rp2p_svc, channel, &msg);
-                let data = ctx.encode(&(ns, k, &v));
-                ctx.respond_on(&self.svc, USER.at(ns), ops::DECIDE, data);
-                slot.insert(Decided { value: v, prompted, heard })
+    fn space(&mut self, ns: u64) -> &mut Space {
+        let at = match self.spaces.binary_search_by_key(&ns, |s| s.ns) {
+            Ok(at) => at,
+            Err(at) => {
+                let heard = vec![0; self.peers.len()].into();
+                self.spaces.insert(at, Space { ns, proposed: 0, done: 0, gone: 0, heard });
+                at
             }
         };
-        done.heard.mark(ctx.peers(), from);
-        if done.heard.is_complete() && self.proposed_hi.get(&ns).is_some_and(|hi| k < *hi) {
-            self.collect(ns, k);
+        &mut self.spaces[at]
+    }
+
+    /// Whether `(ns, k)` was collected.
+    fn is_gone(&self, ns: u64, k: u64) -> bool {
+        self.find(ns).is_some_and(|s| k < s.gone)
+    }
+
+    /// `body` of `(ns, k)` for `round`, stamped with this process's
+    /// watermarks of `ns`, to `to` — or, for `None`, to every process but
+    /// this one, in one call of `rp2p`.
+    fn send(
+        &self,
+        ctx: &mut ModuleCtx<'_>,
+        to: Option<StackId>,
+        (ns, k, round): (u64, u64, u64),
+        body: Body,
+    ) {
+        let (done, stable) =
+            self.find(ns).map_or((0, 0), |s| (s.done, s.stable(&self.peers, self.view.as_deref())));
+        let msg = WireMsg { ns, k, round, done, stable, body };
+        let channel = self.channel();
+        match to {
+            Some(to) => dgram::send(ctx, &self.rp2p_svc, to, channel, &msg),
+            None => {
+                let me = ctx.stack_id();
+                let table = ctx.peer_table();
+                let others = table.iter().copied().filter(|&p| p != me);
+                dgram::send_many(ctx, &self.rp2p_svc, others, channel, &msg);
+            }
         }
     }
 
-    /// Nothing of `(ns, k)` is in flight towards this process and its user
-    /// is done with it: forget it, remember that.
-    fn collect(&mut self, ns: u64, k: u64) {
-        self.decided.remove(&(ns, k));
-        self.collected.insert((ns, k));
-    }
-
-    /// The user proposes `(ns, k)`, so it has consumed the decisions of
-    /// `ns` below `k`: collect those everyone has been heard on. Only the
-    /// numbers since the last proposal need a look — a lower tombstone
-    /// still here is waiting for a `Decide`, and goes when that arrives.
-    fn release_below(&mut self, ns: u64, k: u64) {
-        let hi = self.proposed_hi.entry(ns).or_insert(0);
-        if k <= *hi {
+    /// `(ns, k)` decided `v` in `round`: this process found out itself
+    /// (`from` is this stack) or `from` sent it. The first time, decide
+    /// and answer the user. The coordinator that decided sends `Decide`
+    /// to the others, once; anyone else only once it suspects that
+    /// coordinator.
+    fn decide(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        (ns, k, round): (u64, u64, u64),
+        v: Bytes,
+        from: StackId,
+    ) {
+        if self.decided.contains_key(&(ns, k)) || self.is_gone(ns, k) {
             return;
         }
-        let mut from = std::mem::replace(hi, k);
-        while let Some(ripe) = self
-            .decided
-            .range((ns, from)..(ns, k))
-            .find(|(_, done)| done.heard.is_complete())
-            .map(|(&(_, ripe), _)| ripe)
-        {
-            self.collect(ns, ripe);
-            from = ripe + 1;
+        let me = self.me;
+        let prompted =
+            self.open.remove(&(ns, k)).is_some_and(|o| o.proposal.is_some() || o.need_sent);
+        self.decided_count += 1;
+        let coord = self.policy.coord(&self.peers, k, round);
+        let sent = from == me || (coord != me && self.suspected.contains(&coord));
+        // A buffer of its own: a slice of the frame the value came in
+        // would keep that whole buffer — a sender's pooled encode buffer,
+        // capacity and all — alive and out of its pool for as long as the
+        // tombstone lives.
+        let value = Bytes::copy_from_slice(&v);
+        self.decided.insert((ns, k), Decided { value, round, prompted, sent });
+        let mut done = self.space(ns).done;
+        while self.decided.contains_key(&(ns, done)) {
+            done += 1;
+        }
+        let mine = slot(&self.peers, me);
+        let space = self.space(ns);
+        space.done = done;
+        if let Some(mine) = mine {
+            space.heard[mine] = done;
+        }
+        self.settle(ns);
+        if sent {
+            self.send(ctx, None, (ns, k, round), Body::Decide { v: v.clone() });
+        }
+        let data = ctx.encode(&(ns, k, &v));
+        ctx.respond_on(&self.svc, USER.at(ns), ops::DECIDE, data);
+    }
+
+    /// `from` sent a frame of `ns`: it decided every instance below
+    /// `done`, and every member it counts did below `stable`.
+    fn heard(&mut self, from: StackId, ns: u64, done: u64, stable: u64) {
+        let (Some(from), mine) = (slot(&self.peers, from), slot(&self.peers, self.me)) else {
+            return; // not a member of the group
+        };
+        for (i, mark) in self.space(ns).heard.iter_mut().enumerate() {
+            if Some(i) != mine {
+                *mark = (*mark).max(if i == from { done.max(stable) } else { stable });
+            }
+        }
+    }
+
+    /// Recompute what `ns` is stable below, and collect every tombstone
+    /// below it that the user is done with.
+    fn settle(&mut self, ns: u64) {
+        let Ok(at) = self.spaces.binary_search_by_key(&ns, |s| s.ns) else { return };
+        let space = &mut self.spaces[at];
+        let below = space.stable(&self.peers, self.view.as_deref()).min(space.proposed);
+        if below <= space.gone {
+            return;
+        }
+        space.gone = below;
+        while let Some(key) = self.decided.range((ns, 0)..(ns, below)).next().map(|(&key, _)| key) {
+            self.decided.remove(&key);
         }
     }
 
     /// The idempotent progress engine: take every step of the CT
     /// algorithm the instance's state enables, one [`Open::step`] a pass,
-    /// until it waits or decides. The decision arrives via the reliable
-    /// broadcast of `Decide` and terminates the instance.
+    /// until it waits or decides.
     fn advance(&mut self, ctx: &mut ModuleCtx<'_>, ns: u64, k: u64) {
-        let me = ctx.stack_id();
+        let me = self.me;
         let majority = Self::majority(ctx);
         let policy = self.policy;
         loop {
             let Some(inst) = self.open.get_mut(&(ns, k)) else { return }; // decided
             self.max_round_seen = self.max_round_seen.max(inst.round);
-            let peers = ctx.peers();
+            let peers = &self.peers;
             let step = inst.step(me, majority, |r| policy.coord(peers, k, r), &self.suspected);
             match step {
                 Step::Wait => return,
                 Step::Again => {}
-                Step::ToCoord(to, round, body) => {
-                    let msg = WireMsg { ns, k, round, body };
-                    dgram::send(ctx, &self.rp2p_svc, to, self.channel(), &msg);
-                }
-                Step::ToOthers(round, body) => {
-                    let msg = WireMsg { ns, k, round, body };
-                    Self::send_others(ctx, &self.rp2p_svc, self.channel(), &msg);
-                }
-                Step::Decide(v) => return self.decide(ctx, ns, k, v, me),
+                Step::ToCoord(to, round, body) => self.send(ctx, Some(to), (ns, k, round), body),
+                Step::ToOthers(round, body) => self.send(ctx, None, (ns, k, round), body),
+                Step::Decide(round, v) => return self.decide(ctx, (ns, k, round), v, me),
             }
         }
     }
 
     fn on_wire(&mut self, ctx: &mut ModuleCtx<'_>, from: StackId, msg: WireMsg) {
-        let (ns, k, round) = (msg.ns, msg.k, msg.round);
-        match msg.body {
-            Body::Estimate { est, ts } => self.on_frame(ctx, ns, k, |inst| {
+        let WireMsg { ns, k, round, done, stable, body } = msg;
+        self.heard(from, ns, done, stable);
+        match body {
+            Body::Estimate { est, ts } => self.on_frame(ctx, from, (ns, k, round), |inst| {
                 inst.estimates.entry(round).or_default().insert(from, (est, ts));
             }),
-            Body::Proposal { v } => self.on_frame(ctx, ns, k, |inst| inst.file_proposal(round, v)),
-            Body::Ack => self.on_frame(ctx, ns, k, |inst| {
+            Body::Proposal { v } => {
+                self.on_frame(ctx, from, (ns, k, round), |inst| inst.file_proposal(round, v))
+            }
+            Body::Ack => self.on_frame(ctx, from, (ns, k, round), |inst| {
                 inst.acks.entry(round).or_default().insert(from);
             }),
             // The nacker moved on: whoever acked `round` stops waiting
             // for its decision. The coordinator still counts the acks
             // that arrive.
-            Body::Nack => self.on_frame(ctx, ns, k, |inst| {
+            Body::Nack => self.on_frame(ctx, from, (ns, k, round), |inst| {
                 inst.nacked.insert(round);
             }),
-            Body::Decide { v } => self.decide(ctx, ns, k, v, from),
+            Body::Decide { v } => self.decide(ctx, (ns, k, round), v, from),
         }
+        self.settle(ns);
     }
 
     /// A frame of a running instance: `file` it (opening the instance if
     /// this is the first this process sees of it), ask the user for a
     /// proposal if it is a bystander, and take every step now enabled.
-    /// For a decided instance only the question is left; for a collected
-    /// one, nothing.
-    fn on_frame(&mut self, ctx: &mut ModuleCtx<'_>, ns: u64, k: u64, file: impl FnOnce(&mut Open)) {
-        let unprompted = if let Some(done) = self.decided.get_mut(&(ns, k)) {
-            !std::mem::replace(&mut done.prompted, true)
-        } else if self.collected.contains((ns, k)) {
+    /// For a decided instance only the question is left, and a frame of a
+    /// round past the decision's is answered with it: its sender moved on
+    /// without it. For a collected one, nothing.
+    fn on_frame(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        from: StackId,
+        (ns, k, round): (u64, u64, u64),
+        file: impl FnOnce(&mut Open),
+    ) {
+        let (unprompted, answer) = if let Some(done) = self.decided.get_mut(&(ns, k)) {
+            let answer = (round > done.round).then(|| (done.round, done.value.clone()));
+            (!std::mem::replace(&mut done.prompted, true), answer)
+        } else if self.is_gone(ns, k) {
             return;
         } else {
             let inst = self.open.entry((ns, k)).or_default();
             file(inst);
-            inst.proposal.is_none() && !std::mem::replace(&mut inst.need_sent, true)
+            (inst.proposal.is_none() && !std::mem::replace(&mut inst.need_sent, true), None)
         };
         if unprompted {
             let data = ctx.encode(&(ns, k));
             ctx.respond_on(&self.svc, USER.at(ns), ops::NEED_PROPOSAL, data);
         }
+        if let Some((decided_in, v)) = answer {
+            self.send(ctx, Some(from), (ns, k, decided_in), Body::Decide { v });
+        }
         self.advance(ctx, ns, k);
+    }
+
+    fn on_propose(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
+        let Ok((ns, k, v)) = call.decode::<(u64, u64, Bytes)>() else { return };
+        // The user is done with every decision of `ns` below `k`.
+        let space = self.space(ns);
+        space.proposed = space.proposed.max(k);
+        self.settle(ns);
+        if let Some(done) = self.decided.get(&(ns, k)) {
+            // Already decided (e.g. the decision arrived before the local
+            // proposal): re-respond for the late proposer.
+            let data = ctx.encode(&(ns, k, &done.value));
+            ctx.respond_on(&self.svc, USER.at(ns), ops::DECIDE, data);
+            return;
+        }
+        if self.is_gone(ns, k) {
+            return; // proposed out of order: the user was done with it
+        }
+        let inst = self.open.entry((ns, k)).or_default();
+        if inst.proposal.is_some() {
+            return; // at most one proposal per instance per process
+        }
+        inst.proposal = Some(v.clone());
+        if inst.estimate.is_none() {
+            inst.estimate = Some((v, 0));
+        }
+        self.advance(ctx, ns, k);
+    }
+
+    /// A new view came down: only its members count from now on.
+    fn on_view(&mut self, call: Call) {
+        let Ok(mut members) = call.decode::<Vec<StackId>>() else { return };
+        members.sort_unstable();
+        self.view = Some(members.into());
+        for at in 0..self.spaces.len() {
+            self.settle(self.spaces[at].ns);
+        }
+    }
+
+    /// The suspects changed: relay every decision whose round's
+    /// coordinator is now suspected and was not sent on yet, and let
+    /// every open instance move.
+    fn on_suspects(&mut self, ctx: &mut ModuleCtx<'_>, suspected: BTreeSet<StackId>) {
+        self.suspected = suspected;
+        let me = self.me;
+        let relays: Vec<((u64, u64), u64, Bytes)> = self
+            .decided
+            .iter_mut()
+            .filter(|((_, k), done)| {
+                let coord = self.policy.coord(&self.peers, *k, done.round);
+                !done.sent && coord != me && self.suspected.contains(&coord)
+            })
+            .map(|(&key, done)| {
+                done.sent = true;
+                (key, done.round, done.value.clone())
+            })
+            .collect();
+        for ((ns, k), round, v) in relays {
+            self.send(ctx, None, (ns, k, round), Body::Decide { v });
+        }
+        // Suspicions may unblock round changes in any open instance.
+        let open: Vec<(u64, u64)> =
+            self.open.iter().filter(|(_, i)| i.estimate.is_some()).map(|(&key, _)| key).collect();
+        for (ns, k) in open {
+            self.advance(ctx, ns, k);
+        }
     }
 }
 
@@ -604,50 +850,25 @@ impl Module for ConsensusModule {
         (*service == self.rp2p_svc).then_some(self.channel())
     }
 
+    fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
+        self.me = ctx.stack_id();
+        self.peers = ctx.peer_table();
+    }
+
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
-        if call.op != ops::PROPOSE {
-            return;
+        match call.op {
+            ops::PROPOSE => self.on_propose(ctx, call),
+            ops::VIEW => self.on_view(call),
+            _ => {}
         }
-        let Ok((ns, k, v)) = call.decode::<(u64, u64, Bytes)>() else { return };
-        self.release_below(ns, k);
-        if let Some(done) = self.decided.get(&(ns, k)) {
-            // Already decided (e.g. the decision arrived before the local
-            // proposal): re-respond for the late proposer.
-            let data = ctx.encode(&(ns, k, &done.value));
-            ctx.respond_on(&self.svc, USER.at(ns), ops::DECIDE, data);
-            return;
-        }
-        if self.collected.contains((ns, k)) {
-            return; // proposed out of order: the user was done with it
-        }
-        let inst = self.open.entry((ns, k)).or_default();
-        if inst.proposal.is_some() {
-            return; // at most one proposal per instance per process
-        }
-        inst.proposal = Some(v.clone());
-        if inst.estimate.is_none() {
-            inst.estimate = Some((v, 0));
-        }
-        self.advance(ctx, ns, k);
     }
 
     fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, resp: Response) {
         if resp.service == self.fd_svc && resp.op == crate::fd::ops::SUSPECTS {
             let Ok(list) = resp.decode::<Vec<StackId>>() else { return };
             let new: BTreeSet<StackId> = list.into_iter().collect();
-            if new == self.suspected {
-                return;
-            }
-            self.suspected = new;
-            // Suspicions may unblock round changes in any open instance.
-            let open: Vec<(u64, u64)> = self
-                .open
-                .iter()
-                .filter(|(_, i)| i.estimate.is_some())
-                .map(|(&key, _)| key)
-                .collect();
-            for (ns, k) in open {
-                self.advance(ctx, ns, k);
+            if new != self.suspected {
+                self.on_suspects(ctx, new);
             }
             return;
         }
@@ -1040,19 +1261,20 @@ mod tests {
             Body::Decide { v: Bytes::new() },
         ];
         for body in bodies {
-            assert_wire_contract(&WireMsg { ns: 1, k: 2, round: 3, body });
+            assert_wire_contract(&WireMsg { ns: 1, k: 2, round: 3, done: 5, stable: 4, body });
         }
         assert_wire_contract(&ConsensusParams { service: "c2".into(), incarnation: 9 });
         use dpu_core::wire::testing::assert_wire_bytes;
+        // `ns, k, round`, the watermarks `done` and `stable`, then the body.
         let pinned: [(Body, &[u8]); 5] = [
-            (Body::Estimate { est: Bytes::from("e"), ts: 4 }, &[1, 2, 3, 0, 1, b'e', 4]),
-            (Body::Proposal { v: Bytes::from("p") }, &[1, 2, 3, 1, 1, b'p']),
-            (Body::Ack, &[1, 2, 3, 2]),
-            (Body::Nack, &[1, 2, 3, 3]),
-            (Body::Decide { v: Bytes::new() }, &[1, 2, 3, 4, 0]),
+            (Body::Estimate { est: Bytes::from("e"), ts: 4 }, &[1, 2, 3, 5, 4, 0, 1, b'e', 4]),
+            (Body::Proposal { v: Bytes::from("p") }, &[1, 2, 3, 5, 4, 1, 1, b'p']),
+            (Body::Ack, &[1, 2, 3, 5, 4, 2]),
+            (Body::Nack, &[1, 2, 3, 5, 4, 3]),
+            (Body::Decide { v: Bytes::new() }, &[1, 2, 3, 5, 4, 4, 0]),
         ];
         for (body, bytes) in pinned {
-            assert_wire_bytes(&WireMsg { ns: 1, k: 2, round: 3, body }, bytes);
+            assert_wire_bytes(&WireMsg { ns: 1, k: 2, round: 3, done: 5, stable: 4, body }, bytes);
         }
         let params = ConsensusParams { service: "c2".into(), incarnation: 9 };
         assert_wire_bytes(&params, &[2, b'c', b'2', 9]);
@@ -1147,9 +1369,23 @@ mod tests {
             while self.stack.step(Time::ZERO).is_some() {}
         }
 
-        /// A frame of instance `(0, k)`, round 0, arrives from `from`.
+        /// A frame of instance `(0, k)`, round 0, arrives from `from`,
+        /// its sender's watermarks 0.
         fn recv(&mut self, from: u32, k: u64, body: Body) {
-            let msg = WireMsg { ns: 0, k, round: 0, body };
+            self.recv_in(from, (k, 0), (0, 0), body);
+        }
+
+        /// A frame of instance `(0, k)` for `round` arrives from `from`,
+        /// which decided below `done` and knows the group did below
+        /// `stable`.
+        fn recv_in(
+            &mut self,
+            from: u32,
+            (k, round): (u64, u64),
+            (done, stable): (u64, u64),
+            body: Body,
+        ) {
+            let msg = WireMsg { ns: 0, k, round, done, stable, body };
             let d = DgramRef { peer: StackId(from), channel: channels::CONSENSUS, body: &msg };
             self.stack.call_as(
                 Self::USER,
@@ -1158,6 +1394,25 @@ mod tests {
                 d.to_bytes(),
             );
             self.settle();
+        }
+
+        /// The group membership view `members` comes down.
+        fn view(&mut self, members: &[u32]) {
+            let list: Vec<StackId> = members.iter().copied().map(StackId).collect();
+            let svc = ServiceId::new(crate::CONSENSUS_SVC);
+            self.stack.call_as(Self::USER, &svc, ops::VIEW, list.to_bytes());
+            self.settle();
+        }
+
+        /// `(done, stable)` as the last frame sent carried them.
+        fn marks(&mut self) -> (u64, u64) {
+            let sent = self.stack.with_module::<Wire, _>(Self::WIRE, |w| w.sent.clone()).unwrap();
+            let msg = wire::from_bytes::<WireMsg>(&sent.last().unwrap().data).unwrap();
+            (msg.done, msg.stable)
+        }
+
+        fn pinned_by(&mut self) -> Vec<StackId> {
+            self.stack.with_module::<ConsensusModule, _>(Self::CONS, |m| m.pinned_by()).unwrap()
         }
 
         fn propose(&mut self, k: u64, v: &'static [u8]) {
@@ -1218,45 +1473,156 @@ mod tests {
         }
     }
 
+    /// Stack 2, a participant, after instance 0 decided everywhere and
+    /// its user proposed 1: what is left of instance 0 is gone.
+    fn a_participant_past_instance_0() -> Lone {
+        let v = || Bytes::from_static(b"v");
+        let mut lone = Lone::at(2);
+        lone.propose(0, b"mine");
+        // Round 0's coordinator decided, and says so: decide, tell the
+        // user, send nothing.
+        lone.recv_in(0, (0, 0), (1, 0), Body::Decide { v: v() });
+        assert_eq!(lone.state(0), (0, 1, Some(v()), vec![]));
+        // Its proposal of instance 1 says everyone is past 0 (stable 1); it
+        // is acked and the user asked. The user has not proposed beyond 0
+        // yet, so the tombstone stays: its own DECIDE(0) may still sit
+        // behind a PROPOSE 0 in the dispatch queue.
+        lone.recv_in(0, (1, 0), (1, 1), Body::Proposal { v: v() });
+        assert_eq!(lone.state(0), (1, 2, None, vec![(0, 1)]));
+        // That late PROPOSE 0: re-answered, nothing sent, nothing run.
+        lone.propose(0, b"late");
+        assert_eq!(lone.state(0), (1, 2, Some(v()), vec![(0, 1)]));
+        // PROPOSE 1 says the user is done with 0: collected.
+        lone.propose(1, b"next");
+        assert_eq!(lone.state(0), (1, 1, None, vec![(0, 1)]));
+        lone
+    }
+
     #[test]
     fn late_propose_is_re_answered_until_a_higher_one_releases_the_instance() {
+        let mut lone = a_participant_past_instance_0();
+        // The frames it sends now say the group is past 0.
+        lone.recv_in(0, (1, 0), (1, 1), Body::Decide { v: Bytes::from_static(b"w") });
+        assert_eq!(lone.state(1), (1, 1, Some(Bytes::from_static(b"w")), vec![(0, 1)]));
+        lone.recv_in(1, (1, 1), (1, 1), Body::Nack);
+        assert_eq!(lone.marks(), (2, 1));
+    }
+
+    #[test]
+    fn a_late_duplicate_of_a_collected_instance_opens_nothing_and_sends_nothing() {
+        let mut lone = a_participant_past_instance_0();
+        // Frames of instance 0 of every kind and round, injected late —
+        // the round-1 ones would be answered while the tombstone stood —
+        // find nothing and start nothing: no instance, no frame, no
+        // NEED_PROPOSAL, no decision.
+        lone.recv_in(0, (0, 0), (1, 0), Body::Decide { v: Bytes::from_static(b"forged") });
+        lone.recv_in(0, (0, 0), (1, 0), Body::Proposal { v: Bytes::from_static(b"v") });
+        lone.recv_in(1, (0, 1), (0, 0), Body::Estimate { est: Bytes::new(), ts: 0 });
+        lone.recv_in(1, (0, 1), (0, 0), Body::Nack);
+        lone.recv(1, 0, Body::Ack);
+        lone.propose(0, b"again");
+        assert_eq!(lone.state(0), (1, 1, None, vec![(0, 1)]));
+    }
+
+    #[test]
+    fn a_decided_process_answers_a_later_round_with_the_decision() {
         let v = || Bytes::from_static(b"v");
+        let mut lone = Lone::at(1);
+        lone.propose(0, b"mine");
+        lone.recv(0, 0, Body::Proposal { v: v() });
+        lone.recv(0, 0, Body::Decide { v: v() });
+        assert_eq!(lone.frames(), [frame(0, 0, "ack")]);
+        // Stack 2 never got the decision. Its nack of round 0 draws
+        // nothing: the coordinator's `Decide` is on its way to it. Its
+        // estimate for round 1, which this stack coordinates, and its nack
+        // of round 1 each draw the decision, made in round 0.
+        lone.recv(2, 0, Body::Nack);
+        lone.recv_in(2, (0, 1), (0, 0), Body::Estimate { est: Bytes::from_static(b"e"), ts: 0 });
+        lone.recv_in(2, (0, 1), (0, 0), Body::Nack);
+        let expected = [frame(0, 0, "ack"), frame(2, 0, "decide v"), frame(2, 0, "decide v")];
+        assert_eq!(lone.frames(), expected);
+        assert_eq!(lone.marks(), (1, 0), "it decided 0; nobody said the others did");
+    }
+
+    #[test]
+    fn a_late_round_0_ack_draws_nothing() {
         let mut lone = Lone::at(0);
-        // Stack 1 relays the decision of (0, 4): decide, relay to both
-        // peers, tell the user. The user never proposed and is not asked.
-        lone.recv(1, 4, Body::Decide { v: v() });
-        assert_eq!(lone.state(4), (2, 1, Some(v()), vec![]));
-        // Stack 2's relay completes the heard-set. Nobody proposed beyond
-        // 4 yet, so the tombstone stays: the user's own DECIDE(4) may
-        // still sit behind a PROPOSE 4 in the dispatch queue.
-        lone.recv(2, 4, Body::Decide { v: v() });
-        assert_eq!(lone.state(4), (2, 1, None, vec![]));
-        // That late PROPOSE 4: re-answered, nothing sent, nothing run.
-        lone.propose(4, b"late");
-        assert_eq!(lone.state(4), (2, 1, Some(v()), vec![]));
-        // PROPOSE 5 says the user is done with 4: collected. Instance 5
-        // opens, and this stack, its round-0 coordinator, proposes its own
-        // estimate to the two others at once.
-        lone.propose(5, b"next");
-        assert_eq!(lone.state(4), (4, 1, None, vec![]));
-        // A stray frame for 4, of any kind, finds nothing and starts
-        // nothing: no instance, no frame, no NEED_PROPOSAL, no decision.
-        lone.recv(1, 4, Body::Estimate { est: v(), ts: 0 });
-        lone.recv(2, 4, Body::Ack);
-        lone.recv(2, 4, Body::Decide { v: Bytes::from_static(b"forged") });
-        lone.propose(4, b"again");
-        assert_eq!(lone.state(4), (4, 1, None, vec![]));
-        // An instance below the highest proposed k that this stack never
-        // saw is not "collected": it opens as ever, proposes the estimate
-        // to the two others and asks the user.
-        lone.recv(1, 2, Body::Estimate { est: v(), ts: 0 });
-        assert_eq!(lone.state(2), (6, 2, None, vec![(0, 2)]));
-        // It decides, is heard from everyone, and goes at once: the user
-        // proposed beyond it long ago.
-        lone.recv(1, 2, Body::Decide { v: v() });
-        assert_eq!(lone.state(2), (8, 2, Some(v()), vec![(0, 2)]));
-        lone.recv(2, 2, Body::Decide { v: v() });
-        assert_eq!(lone.state(2), (8, 1, None, vec![(0, 2)]));
+        lone.propose(0, b"mine");
+        // Stack 1's ack is a majority: decide, and tell the two others.
+        lone.recv(1, 0, Body::Ack);
+        let decided = [
+            frame(1, 0, "proposal mine"),
+            frame(2, 0, "proposal mine"),
+            frame(1, 0, "decide mine"),
+            frame(2, 0, "decide mine"),
+        ];
+        assert_eq!(lone.frames(), decided);
+        // Stack 2's ack of the deciding round comes in after the decision,
+        // as the last n − 1 − majority acks of every failure-free instance
+        // do: no answer.
+        lone.recv(2, 0, Body::Ack);
+        assert_eq!(lone.frames(), decided);
+    }
+
+    #[test]
+    fn a_decider_relays_only_once_it_suspects_the_deciding_coordinator() {
+        let v = || Bytes::from_static(b"v");
+        let mut lone = Lone::at(2);
+        lone.propose(0, b"mine");
+        lone.recv(0, 0, Body::Decide { v: v() });
+        // Suspecting someone else sends nothing.
+        lone.suspect(&[1]);
+        assert_eq!(lone.frames(), []);
+        // Suspecting round 0's coordinator relays to both others, once.
+        lone.suspect(&[0]);
+        let relayed = [frame(0, 0, "decide v"), frame(1, 0, "decide v")];
+        assert_eq!(lone.frames(), relayed);
+        lone.suspect(&[]);
+        lone.suspect(&[0]);
+        assert_eq!(lone.frames(), relayed);
+        // A decision that arrives while its coordinator is suspected is
+        // relayed at once.
+        lone.recv(1, 1, Body::Decide { v: v() });
+        assert_eq!(lone.frames()[2..], relayed);
+    }
+
+    #[test]
+    fn a_tombstone_goes_once_every_member_is_known_past_it() {
+        let mut lone = Lone::at(0);
+        lone.propose(0, b"a");
+        lone.recv(1, 0, Body::Ack);
+        // Its `Decide` says it decided 0, and knows no more.
+        assert_eq!(lone.marks(), (1, 0));
+        lone.propose(1, b"b");
+        // Stack 1's ack of instance 1 says it decided 0; stack 2 was not
+        // heard past 0: the tombstone the user is done with stays, and
+        // stack 2 is named as what holds it.
+        lone.recv_in(1, (1, 0), (1, 0), Body::Ack);
+        assert_eq!(lone.state(0).1, 2);
+        assert_eq!(lone.pinned_by(), [StackId(2)]);
+        // Stack 2's late ack of instance 1 says it decided 0 too: gone.
+        // The tombstone of 1 stays, but the user is not done with it.
+        lone.recv_in(2, (1, 0), (1, 0), Body::Ack);
+        assert_eq!(lone.state(0).1, 1);
+        assert_eq!(lone.pinned_by(), []);
+    }
+
+    #[test]
+    fn a_member_the_view_excludes_stops_pinning() {
+        let mut lone = Lone::at(0);
+        // Stack 2 is silent; stack 1 acks instances 0, 1 and 2.
+        for k in 0..3 {
+            lone.propose(k, b"a");
+            lone.recv_in(1, (k, 0), (k, 0), Body::Ack);
+        }
+        assert_eq!(lone.state(0).1, 3);
+        assert_eq!(lone.pinned_by(), [StackId(2)]);
+        // A view without stack 2: what stack 1 is past (0 and 1) goes.
+        lone.view(&[0, 1]);
+        assert_eq!(lone.state(0).1, 1);
+        assert_eq!(lone.pinned_by(), []);
+        lone.propose(3, b"a");
+        assert_eq!(lone.marks(), (3, 2));
     }
 
     /// `(to, round, what)`, as [`Lone::frames`] lists a frame.
@@ -1273,11 +1639,10 @@ mod tests {
         let acked = [frame(0, 0, "ack")];
         assert_eq!(lone.frames(), acked);
         assert_eq!(lone.max_round_seen(), 0);
-        // Its decision ends the instance: the relay to both peers is all
-        // that follows.
+        // Its decision ends the instance, and nothing follows: the
+        // coordinator sent it to everyone.
         lone.recv(0, 0, Body::Decide { v: Bytes::from_static(b"v") });
-        let relayed = [frame(0, 0, "decide v"), frame(1, 0, "decide v")];
-        assert_eq!(lone.frames()[1..], relayed);
+        assert_eq!(lone.frames(), acked);
         assert_eq!(lone.max_round_seen(), 0);
     }
 
@@ -1366,7 +1731,7 @@ mod tests {
         // A later estimate, however long, changes nothing.
         lone.recv(1, 0, Body::Estimate { est: Bytes::from_static(b"theirs"), ts: 0 });
         assert_eq!(lone.frames(), proposed);
-        // One more ack is a majority: decide and relay to the two others.
+        // One more ack is a majority: decide and tell the two others.
         lone.recv(2, 0, Body::Ack);
         let decided = [frame(1, 0, "decide mine"), frame(2, 0, "decide mine")];
         assert_eq!(lone.frames()[2..], decided);
@@ -1379,16 +1744,16 @@ mod tests {
         lone.recv(1, 0, Body::Decide { v: Bytes::from_static(b"v") });
         // Decided without the user ever having been asked: the first late
         // frame asks (as it always did), the second does not, neither is
-        // filed or answered on the wire.
+        // filed or answered on the wire (both are of the deciding round).
         lone.recv(2, 0, Body::Estimate { est: Bytes::new(), ts: 0 });
         lone.recv(2, 0, Body::Nack);
         let (sent, live, _, needs) = lone.state(0);
-        assert_eq!((sent, live, needs), (2, 1, vec![(0, 0)]));
+        assert_eq!((sent, live, needs), (0, 1, vec![(0, 0)]));
     }
 
     #[test]
     fn wire_msg_rejects_bad_tag() {
-        let raw = wire::to_bytes(&(0u64, 0u64, 0u64, 9u32));
+        let raw = wire::to_bytes(&((0u64, 0u64, 0u64), (0u64, 0u64), 9u32));
         assert!(wire::from_bytes::<WireMsg>(&raw).is_err());
     }
 }

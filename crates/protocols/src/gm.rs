@@ -18,6 +18,14 @@
 //!
 //! * call [`ops::REQUEST`] — a [`GmOp`] (join/leave);
 //! * response `ops::VIEW` — the newly installed [`View`].
+//!
+//! Each view after the first also goes *down* the stack, as a
+//! [`crate::abcast::ops::VIEW`] call of the atomic broadcast service
+//! carrying its members. The replacement layer retires a replaced module,
+//! and consensus collects a decided instance, once every member has been
+//! heard; from then on only the view's members count, so a member
+//! excluded for a crash pins neither. The first view is the whole peer
+//! table, which is what those layers count without one.
 
 use crate::abcast::ops as ab_ops;
 use dpu_core::stack::ModuleCtx;
@@ -139,6 +147,10 @@ impl GmModule {
             self.view.id += 1;
             let data = ctx.encode(&self.view);
             ctx.respond(&self.svc, ops::VIEW, data);
+            // Down the stack too: what waits for every member to be done
+            // with it counts only the members.
+            let members = ctx.encode(&self.view.members);
+            ctx.call(&self.abcast_svc, ab_ops::VIEW, members);
         }
     }
 }

@@ -18,6 +18,18 @@
 //! needs dissemination without ordering, and is the simplest complete
 //! example of a broadcast `Module`.
 //!
+//! It relays *eagerly*, on first delivery. Consensus's `Decide` is the
+//! one broadcast of the system that a *lazy* variant (relay only once
+//! the sender is suspected) could carry, and it does not ride this
+//! module: a lazy `rb` has to keep each message until every member is
+//! known to have it, so that it can still relay it — a retention buffer
+//! until stability. Consensus keeps exactly that already, the tombstone
+//! of each decided instance, collected by the decided watermarks its own
+//! frames carry; a `Decide` sent through `rb` would be kept twice. So
+//! consensus sends its decision once and relays it lazily itself (see
+//! [`crate::consensus`]), and this module stays the eager, stand-alone
+//! example.
+//!
 //! ## Service interface (`rb`)
 //!
 //! * call [`ops::BCAST`] — broadcast the payload bytes;

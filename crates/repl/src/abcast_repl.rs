@@ -70,9 +70,14 @@
 //! silent peer is never heard either and pins retirement: the replaced
 //! modules then stay, exactly as the listing has it, and the gap shows
 //! as `completed − retired` in the telemetry report and as
-//! [`ReplAbcastModule::pending_retirement`] here. No timer, no message,
-//! no option; the bookkeeping is one bit per group member (a
-//! [`HeardSet`]) plus the pending ids.
+//! [`ReplAbcastModule::pending_retirement`] here. Where a group
+//! membership module sits above, the pin lifts once the peer is
+//! excluded: each view it installs comes down as an `abcast` `VIEW`
+//! call, and the members it leaves out count as heard — at once, and in
+//! the set every later switch starts from. The view goes on down to the
+//! protocol underneath. No timer, no message, no option; the
+//! bookkeeping is one bit per group member (a [`HeardSet`]), the members
+//! left out, and the pending ids.
 
 use crate::layer::{self, Indirection};
 use crate::CHANGE_OP;
@@ -214,10 +219,13 @@ pub struct ReplAbcastModule {
     /// The stacks whose message tagged with the current `seqNumber` was
     /// adelivered here. Empty until the first switch.
     heard: HeardSet,
+    /// The members the last group membership view left out, marked: what
+    /// `heard` starts from at each switch. `None` until a view comes down.
+    excluded: Option<Box<HeardSet>>,
     retired_total: u32,
     // ---- instrumentation (not part of the algorithm) ----
+    ahead_dropped: u32,
     reissued_total: u64,
-    ahead_dropped: u64,
     switch_times: Vec<Time>,
 }
 
@@ -228,6 +236,7 @@ impl ReplAbcastModule {
             core: Algorithm1::over(&params.service),
             pending: Vec::new(),
             heard: HeardSet::default(),
+            excluded: None,
             retired_total: 0,
             reissued_total: 0,
             ahead_dropped: 0,
@@ -271,7 +280,7 @@ impl ReplAbcastModule {
     /// stack's own and discarded by the `sn` guards of lines 10 and 18:
     /// traffic of a newer protocol that overtook the local switch.
     pub fn ahead_dropped(&self) -> u64 {
-        self.ahead_dropped
+        u64::from(self.ahead_dropped)
     }
 
     /// Local application times of every replacement, in order. The
@@ -286,8 +295,37 @@ impl ReplAbcastModule {
     /// one, adelivered ahead of the local switch, fails the same test and
     /// is counted apart — nothing re-sends it.
     fn is_current(&mut self, sn: u64) -> bool {
-        self.ahead_dropped += u64::from(sn > self.core.seq_number);
+        self.ahead_dropped =
+            self.ahead_dropped.saturating_add(u32::from(sn > self.core.seq_number));
         sn == self.core.seq_number
+    }
+
+    /// A new view came down from group membership: a member it leaves out
+    /// counts as heard, now and at every later switch, and the view goes
+    /// on down to the protocol underneath. A member back in the view may
+    /// not have been heard under the current `seqNumber`, so a view that
+    /// brings one back starts the set afresh.
+    fn on_view(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
+        let Ok(members) = call.decode::<Vec<StackId>>() else { return };
+        let peers = ctx.peers();
+        let back = self
+            .excluded
+            .as_ref()
+            .is_some_and(|old| members.iter().any(|&m| old.contains(peers, m)));
+        let mut excluded = HeardSet::new(peers.len());
+        if back {
+            self.heard = HeardSet::new(peers.len());
+        }
+        let mut complete = false;
+        for &p in peers.iter().filter(|p| !members.contains(p)) {
+            excluded.mark(peers, p);
+            complete |= self.heard.mark(peers, p);
+        }
+        self.excluded = Some(Box::new(excluded));
+        ctx.call(&self.core.ind.required, ab_ops::VIEW, call.data);
+        if complete && !self.pending.is_empty() {
+            self.retire(ctx);
+        }
     }
 
     /// Every member has been heard under the current `seqNumber`, so no
@@ -316,6 +354,9 @@ impl Module for ReplAbcastModule {
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
+        if call.op == ab_ops::VIEW {
+            return self.on_view(ctx, call);
+        }
         self.core.on_call(ctx, call);
     }
 
@@ -334,7 +375,10 @@ impl Module for ReplAbcastModule {
                     self.pending.reserve_exact(1);
                     self.pending.push(outgoing);
                 }
-                self.heard = HeardSet::new(ctx.peers().len());
+                self.heard = match &self.excluded {
+                    Some(excluded) => HeardSet::clone(excluded),
+                    None => HeardSet::new(ctx.peers().len()),
+                };
                 self.switch_times.reserve_exact(1);
                 self.switch_times.push(ctx.now());
                 self.reissued_total += self.core.reissue(ctx);

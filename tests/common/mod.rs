@@ -9,11 +9,15 @@
 //! The paper's testbed in the simulator ([`paper_testbed_3s`]), whose
 //! packets `transport_economy` counts and whose dispatch steps
 //! `dispatch_economy` counts.
+//!
+//! A group whose membership module excludes the members the failure
+//! detector suspects ([`excluding_group_sim`]), where `collection` and
+//! `retirement` check that a crashed member pins nothing once excluded.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
 use dpu::repl::builder::{
-    assert_one_delivery_order, drive_load, group_sim, request_change, send_probe, specs,
+    assert_one_delivery_order, drive_load, group, group_sim, request_change, send_probe, specs,
     GroupStackOpts, Handles, SwitchLayer,
 };
 use dpu::sim::{Sim, SimConfig};
@@ -21,7 +25,8 @@ use dpu_core::abcast_check::AbcastChecker;
 use dpu_core::host::Host;
 use dpu_core::probe::Probe;
 use dpu_core::time::{Dur, Time};
-use dpu_core::StackId;
+use dpu_core::{ModuleId, ServiceId, StackId};
+use dpu_protocols::gm::{GmModule, GmParams, View};
 use dpu_repl::abcast_repl::ReplAbcastModule;
 use std::time::{Duration, Instant};
 
@@ -127,4 +132,30 @@ pub fn paper_testbed_3s(mut warm_up: impl FnMut(&mut Sim, Time)) -> (Sim, Handle
         });
     }
     (sim, h, until)
+}
+
+/// [`group_sim`] with a group membership module on top of the
+/// application's broadcast service that proposes the exclusion of every
+/// member the failure detector suspects. It is each stack's last module,
+/// returned beside the handles.
+pub fn excluding_group_sim(cfg: SimConfig, opts: &GroupStackOpts) -> (Sim, Handles, ModuleId) {
+    let abcast = ServiceId::new(dpu_protocols::ABCAST_SVC);
+    let top = if matches!(opts.layer, SwitchLayer::None) { abcast } else { abcast.replaced() };
+    let mut gm = None;
+    let (sim, h) = group(opts, |mk| {
+        Sim::new(cfg, |sc| {
+            let mut s = mk(sc);
+            let params = GmParams { abcast: top.name().to_string(), auto_exclude: true };
+            let m = s.add_module(Box::new(GmModule::new(params)));
+            s.bind(&ServiceId::new(dpu_protocols::GM_SVC), m);
+            gm = Some(m);
+            s
+        })
+    });
+    (sim, h, gm.expect("a stack was built"))
+}
+
+/// The view installed on `id` by the membership module `gm`.
+pub fn view(sim: &mut Sim, id: StackId, gm: ModuleId) -> View {
+    sim.with_stack(id, |s| s.with_module::<GmModule, _>(gm, |m| m.view().clone()).expect("gm"))
 }

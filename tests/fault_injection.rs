@@ -7,9 +7,10 @@ use dpu::repl::builder::{
     check_run, drive_load, group_sim, request_change, send_probe, specs, GroupStackOpts,
     SwitchLayer,
 };
-use dpu::sim::{NetConfig, SimConfig, Topology};
+use dpu::sim::{NetConfig, Sim, SimConfig, Topology};
 use dpu_core::time::{Dur, Time};
 use dpu_core::StackId;
+use dpu_protocols::consensus::ConsensusModule;
 
 fn opts() -> GroupStackOpts {
     GroupStackOpts {
@@ -250,4 +251,51 @@ fn non_fault_tolerant_protocol_stalls_on_crash_and_checker_sees_it() {
     let report = check_run(&mut sim, &h);
     let violations = report.checker.check();
     assert!(!violations.is_empty(), "checker must flag the stalled run");
+}
+
+/// `(instances decided, highest round reached)` by consensus on `id`.
+fn consensus_progress(sim: &mut Sim, id: StackId) -> (u64, u64) {
+    sim.with_stack(id, |s| {
+        let cons = s.bound(&dpu_protocols::CONSENSUS_SVC.into()).expect("consensus bound");
+        s.with_module::<ConsensusModule, _>(cons, |m| (m.decided_count(), m.max_round_seen()))
+            .expect("consensus module")
+    })
+}
+
+#[test]
+fn a_coordinator_that_crashes_after_its_decide_reached_one_process_leaves_no_one_undecided() {
+    // Stack 0 coordinates round 0 of every instance. Cut off from stack 2,
+    // it still gets stack 1's ack — a majority of three with its own —
+    // decides, and its `Decide` reaches stack 1 alone; then it crashes.
+    // Nobody relays a decision on receipt, so stack 2 learns it only
+    // because it gives round 0 up and asks round 1's coordinator, stack 1,
+    // which answers, or because stack 1 comes to suspect stack 0 and
+    // relays.
+    let (mut sim, h) = group_sim(SimConfig::lan(3, 29), &opts());
+    sim.run_until(Time::ZERO + Dur::millis(300));
+    sim.partition(&[StackId(0)], &[StackId(2)]);
+    send_probe(&mut sim, StackId(1), &h);
+    let deadline = sim.now() + Dur::millis(50);
+    while consensus_progress(&mut sim, StackId(1)).0 == 0 {
+        assert!(sim.now() < deadline, "stack 1 never decided the first instance");
+        sim.run_until(sim.now() + Dur::micros(10));
+    }
+    assert_eq!(consensus_progress(&mut sim, StackId(2)).0, 0, "stack 2 decided too early");
+    sim.crash_at(sim.now(), StackId(0));
+    sim.run_until(sim.now() + Dur::secs(2));
+    let until = sim.now() + Dur::secs(1);
+    drive_load(&mut sim, &h, 30.0, until);
+    sim.run_until(until + Dur::secs(3));
+
+    let report = check_run(&mut sim, &h);
+    report.assert_ok();
+    let sent = report.checker.broadcast_count();
+    assert!(sent > 20, "{sent} broadcasts");
+    let mut rounds = Vec::new();
+    for id in [StackId(1), StackId(2)] {
+        assert_eq!(report.checker.delivery_count(id), sent, "{id} missed deliveries");
+        rounds.push(consensus_progress(&mut sim, id).1);
+    }
+    println!("highest round reached on stacks 1 and 2: {rounds:?}");
+    assert!(rounds.iter().any(|&r| r >= 1), "no survivor went past round 0: {rounds:?}");
 }

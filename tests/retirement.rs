@@ -2,7 +2,10 @@
 //! `dpu_repl::abcast_repl`): a replaced module goes once every stack has
 //! been heard under the new protocol — never earlier, whatever the
 //! outgoing protocol relays through its peers; a stack that lags keeps
-//! the old protocol alive everywhere; a crashed peer pins it.
+//! the old protocol alive everywhere; a crashed peer pins it, until a
+//! group membership view excludes it.
+
+mod common;
 
 use dpu::repl::builder::{
     check_run, drive_load, group_sim, request_change, specs, GroupStackOpts, Handles,
@@ -345,5 +348,37 @@ fn a_crashed_peer_pins_retirement_and_the_report_shows_it() {
     let report = sim.telemetry_report();
     assert_eq!(report.switches.completed, 4, "two live stacks, two replacements each");
     assert_eq!(report.switches.retired, 0, "completed − retired = replaced modules riding along");
+    check_run(&mut sim, &h).assert_ok();
+}
+
+#[test]
+fn a_crashed_peer_excluded_by_the_view_pins_no_retirement() {
+    // The same run with a membership module that excludes whom the
+    // failure detector suspects: once the view without stack 2 comes
+    // down, it stops counting, and both replaced modules go.
+    let (mut sim, h, gm) =
+        common::excluding_group_sim(SimConfig::lan(3, 73), &GroupStackOpts::default());
+    sim.run_until(Time::ZERO + Dur::millis(300));
+    let until = sim.now() + Dur::secs(4);
+    drive_load(&mut sim, &h, 60.0, until);
+    sim.crash_at(Time::ZERO + Dur::millis(800), StackId(2));
+    for k in 1..=2u64 {
+        let h = h.clone();
+        sim.schedule_in(Dur::secs(k), move |sim| {
+            request_change(sim, StackId(0), &h, &specs::ct(k))
+        });
+    }
+    sim.run_until(until + Dur::secs(6));
+    for id in [StackId(0), StackId(1)] {
+        let view = common::view(&mut sim, id, gm);
+        assert_eq!(view.members, [StackId(0), StackId(1)], "{id}: stack 2 is excluded");
+        let state = repl_state(&mut sim, &h, id);
+        println!("{id}: view {view:?}, (sn, retired, pending) {state:?}");
+        assert_eq!(state, (2, 2, 0), "{id}: (sn, retired, pending)");
+        assert_eq!(unbound_abcast_modules(&sim, id), 0, "{id}");
+    }
+    let report = sim.telemetry_report();
+    assert_eq!(report.switches.completed, 4, "two live stacks, two replacements each");
+    assert_eq!(report.switches.retired, 4, "every replaced module went");
     check_run(&mut sim, &h).assert_ok();
 }

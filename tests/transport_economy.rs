@@ -19,8 +19,10 @@
 //! stack: the ceiling of 125 that stood here failed on a change that made
 //! every broadcast cheaper. It read 135.5 while a process that acked a
 //! consensus round went straight on to the next, 118.6 once it waited for
-//! the decision, and 112.7 since round 0 has no estimates: its coordinator
-//! proposes at once.
+//! the decision, 112.7 once round 0 had no estimates (its coordinator
+//! proposes at once), and 53.8 since the coordinator alone sends the
+//! decision: 3(n − 1) consensus frames an instance instead of
+//! (n + 2)(n − 1).
 //!
 //! The run is failure-free, so every consensus instance must end in its
 //! first round: a round-1 cascade that came back would fail here.
@@ -66,7 +68,10 @@ fn a_lossless_run_resends_nothing_and_acks_on_the_reverse_traffic() {
     // on each side of the wire an owed ack leaves before the reverse data
     // it used to ride turns up. The limits were set at 0.44 and 36.0, each
     // + 10 %, and stand. Aging a debt a full `retransmit / 4` read 0.22
-    // against 0.37, at a cost in bytes a stack (ROADMAP item 6).
+    // against 0.37, at a cost in bytes a stack (ROADMAP item 6). Once no
+    // decider relayed `Decide` the acks fell with the frames they answer,
+    // to 13.3 a broadcast and 0.33 per other packet (36.0 and 0.47 with
+    // the relays): the bounds stand.
     let acks_per_packet = transport.acks as f64 / (packets - transport.acks) as f64;
     assert!(acks_per_packet <= 0.48, "{acks_per_packet:.2} standalone acks per other packet");
     let acks_per_msg = transport.acks as f64 / broadcasts;
