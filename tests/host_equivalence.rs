@@ -34,8 +34,10 @@
 //! consensus lost its estimates (its coordinator proposes at once), and
 //! when a stack began to finish an input's whole dispatch cascade before
 //! it takes the next (the simulator had interleaved a packet that
-//! arrived mid-cascade with it). A change that does not mean to alter
-//! protocol behaviour must reproduce them bit for bit.
+//! arrived mid-cascade with it), and when consensus began to send its
+//! decision once, from the coordinator, instead of a relay from every
+//! decider. A change that does not mean to alter protocol behaviour must
+//! reproduce them bit for bit.
 
 use dpu::repl::builder::{
     drive_load, group, group_sim, request_change, send_probe, specs, GroupStackOpts, SwitchLayer,
@@ -96,9 +98,12 @@ fn sim_through_stack_driver_matches_pre_refactor_recording() {
     assert_eq!(stats.packets_delivered, GOLDEN_DELIVERED);
 }
 
-/// Recorded 2026-10-19 with a stack finishing an input's cascade before
-/// it takes the next, scenario and seed as in [`golden_run`]: 6 262
-/// dispatch steps and 2468 packets, as before. Before:
+/// Recorded 2026-10-19 with consensus sending its decision once, from the
+/// coordinator that decided, scenario and seed as in [`golden_run`]:
+/// 6 223 dispatch steps where there were 6 262, 2453 packets where there
+/// were 2468. Before: `0x456df50592dc29da`, recorded 2026-10-19 with a
+/// stack finishing an input's cascade before it takes the next (6 262
+/// dispatch steps and 2468 packets, as before); before that
 /// `0x1d40603b742fc78f`, recorded 2026-10-17 with round 0 of consensus
 /// proposing at once and no participant sending it an estimate unless
 /// it suspects someone (6 262 dispatch steps where there were 6 286,
@@ -126,9 +131,9 @@ fn sim_through_stack_driver_matches_pre_refactor_recording() {
 /// reverse traffic); before that `0x4026a4be2f99a940`, 2620 / 2620,
 /// recorded 2026-07-29 from commit 181cd88 (hand-rolled drive loops in
 /// both hosts).
-const GOLDEN_FP: u64 = 0x456df50592dc29da;
-const GOLDEN_SENT: u64 = 2468;
-const GOLDEN_DELIVERED: u64 = 2468;
+const GOLDEN_FP: u64 = 0x50f45da57a74ba53;
+const GOLDEN_SENT: u64 = 2453;
+const GOLDEN_DELIVERED: u64 = 2453;
 
 #[test]
 fn shutdown_under_in_flight_load_returns_all_stacks() {
@@ -176,8 +181,10 @@ fn ct_replacement_run(seed: u64) -> u64 {
     trace_fingerprint(&sim.merged_trace())
 }
 
-/// Recorded with [`GOLDEN_FP`]. Before, with round 0 of consensus
-/// proposing at once: `0x5c18701aeeba828f`, `0x9240943590377dca`,
+/// Recorded with [`GOLDEN_FP`]. Before, with a stack finishing an input's
+/// cascade before it takes the next: `0x9108f4a78c54a712`,
+/// `0x6755d4f725df28c8`, `0x9ed33f70335db530`; before that, with round 0
+/// of consensus proposing at once: `0x5c18701aeeba828f`, `0x9240943590377dca`,
 /// `0x6602b9ca33e9a177`; before that, with a consensus instance that
 /// ends in round 0: `0xa968ca25fc666ba3`, `0xcd18f7389d21eafe`,
 /// `0x21acf588ee43360e`; before that, with a fan-out one `rp2p` call:
@@ -196,7 +203,7 @@ fn ct_replacement_run(seed: u64) -> u64 {
 /// collection): `0x6d4c3f10a13194cf`, `0xef232e8e86088525`,
 /// `0xc9794b3925be4984`.
 const CT_REPLACEMENT_FPS: [(u64, u64); 3] =
-    [(11, 0x9108f4a78c54a712), (12, 0x6755d4f725df28c8), (13, 0x9ed33f70335db530)];
+    [(11, 0xeaf5db5e98faf339), (12, 0x50d09dd8a9183c1f), (13, 0x1c09fe22ece27313)];
 
 #[test]
 fn ct_under_replacement_matches_the_recording_from_before_collection() {
