@@ -183,7 +183,11 @@ impl LiveShard {
         f: impl FnOnce(&mut Stack) -> R,
         sink: &mut dyn ActionSink,
     ) -> R {
-        let r = f(&mut self.pools.lend(&mut self.stacks[local]));
+        let now = self.now();
+        let mut loan = self.pools.lend(&mut self.stacks[local]);
+        loan.advance_to(now);
+        let r = f(&mut loan);
+        drop(loan);
         self.poll(local, sink);
         r
     }

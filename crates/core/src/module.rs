@@ -117,18 +117,40 @@ pub trait Module: Any + Send {
         None
     }
 
+    /// Whether this module works at the stack's edge, where a datagram
+    /// enters and leaves: a call to a service it is bound to runs its
+    /// [`Module::on_call`] inside the caller's step, and a response that
+    /// reaches it runs its [`Module::on_response`] where the response was
+    /// issued — inside the responder's step, or, for what
+    /// [`Module::on_packet`] makes of an arriving datagram, as the packet
+    /// enters. Neither is a step of its own; its `on_start` and its
+    /// timers are. `false`, the default, queues both as steps. Meant for
+    /// the transports (`udp`, `rp2p`, the built-in `net` bridge), whose
+    /// work per frame is short and bounded, so that the first module a
+    /// datagram costs a step is the protocol it is for. The stack asks as
+    /// it routes, so the answer must be a pure function of the module's
+    /// kind. Work for an edge module that is running right now (out of
+    /// its slot) is queued as a step, like any other; and an edge module
+    /// may be reached before its `on_start` has run.
+    fn at_edge(&self) -> bool {
+        false
+    }
+
     /// The edge's question to the module bound to [`crate::svc::UDP`],
     /// asked by [`crate::Stack::packet_in`] of every arriving datagram
     /// before anything is queued: parse the header `frame` carries and
     /// return `(channel, op, data)`, which the stack issues as this
     /// module's response on that service and channel — so the first
-    /// module *stepped* for a packet is the one listening on its channel.
-    /// The frame's layout stays with the module that owns it; the stack
-    /// reads none of it. `None` — the default, and what a module answers
-    /// for a frame it refuses (and counts) — leaves the datagram to the
-    /// `net` service, where on a stack built over `udp` nobody listens.
-    /// `frame` is untrusted wire input. The way out is
-    /// [`Module::on_send`].
+    /// module reached by a packet is the one listening on its channel,
+    /// run there and then if it is at the edge too ([`Module::at_edge`]:
+    /// `rp2p` sequences, acks and hands its frame up before anything is
+    /// stepped). The frame's layout stays with the module that owns it;
+    /// the stack reads none of it. `None` — the default, and what a
+    /// module answers for a frame it refuses (and counts) — leaves the
+    /// datagram to the `net` service, where on a stack built over `udp`
+    /// nobody listens. `frame` is untrusted wire input. On the way out
+    /// the same module is at the edge: a call to it sends inside the
+    /// caller's step.
     fn on_packet(
         &mut self,
         src: StackId,
@@ -136,19 +158,6 @@ pub trait Module: Any + Send {
         scratch: &mut WireScratch,
     ) -> Option<(Channel, Op, Bytes)> {
         let _ = (src, frame, scratch);
-        None
-    }
-
-    /// The mirror of [`Module::on_packet`], on the way out: what this
-    /// module, bound to [`crate::svc::UDP`] or [`crate::svc::NET`], would
-    /// put on the wire for a call `op` with payload `data` —
-    /// `(destination, datagram)`. The stack asks it when the call is made
-    /// (the call is traced as any other) and hands the datagram to the
-    /// host inside the caller's step, so no step of this module sends.
-    /// `None` — the default, and the answer for a call it would not send
-    /// — queues the call to [`Module::on_call`] as for any other service.
-    fn on_send(&mut self, op: Op, data: &Bytes) -> Option<(StackId, Bytes)> {
-        let _ = (op, data);
         None
     }
 

@@ -159,14 +159,13 @@ impl ModuleCtx<'_> {
 
     /// Put a datagram on the wire: the next settle hands `payload` to the
     /// host's [`ActionSink`](crate::ActionSink), which transmits it to
-    /// stack `dst` as it is. Only the bottom of a
-    /// stack sends this way, from a step — `udp` for a call that waited
-    /// for it to be bound, the built-in `net` bridge on stacks without
-    /// `udp`. A protocol module above the bottom calls `udp` (or `rp2p`)
-    /// instead, so that its send is a service interaction the trace sees
-    /// and a rebinding can redirect; that costs no step of `udp`, whose
-    /// datagram leaves inside the caller's step
-    /// ([`Module::on_send`](crate::module::Module::on_send)).
+    /// stack `dst` as it is. Only the bottom of a stack sends this way —
+    /// `udp`, or the built-in `net` bridge on stacks without `udp` — and,
+    /// being at the edge ([`Module::at_edge`](crate::module::Module::at_edge)),
+    /// inside whichever step called it. A protocol module above the bottom
+    /// calls `udp` (or `rp2p`) instead, so that its send is a service
+    /// interaction the trace sees and a rebinding can redirect; that costs
+    /// it no step either.
     pub fn net_send(&mut self, dst: StackId, payload: Bytes) {
         self.stack.act(HostAction::NetSend { dst, payload });
     }

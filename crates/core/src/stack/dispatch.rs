@@ -13,7 +13,10 @@
 //! before the next input's first step, on every host: the order is the
 //! stack's, not the host's. A module's start or stop always joins the
 //! cascade queue, so it runs before anything routed to that module
-//! after it.
+//! after it. A module at the edge (`Module::at_edge`) is not queued at
+//! all: it runs where its work is issued, and what it issues goes where
+//! its issuer's would — into the cascade inside a step, into the inbox
+//! from a packet, one input a frame it hands up.
 
 use super::{HostAction, ModuleCtx, Stack};
 use crate::host::ActionSink;
@@ -285,35 +288,11 @@ impl Stack {
                 return None;
             };
             self.telemetry.cascade_step();
-            // Deliveries to destroyed modules are dropped silently.
-            let Some(slot) = self.modules.get_mut(&to) else { continue };
-            let mut module = slot.module.take().expect("module re-entrancy");
             self.stepping = true;
-            let mut ctx = ModuleCtx { stack: self, me: to, destroyed_self: false };
-            let category = match work {
-                Work::Call(call) => {
-                    module.on_call(&mut ctx, call);
-                    StepCategory::Call
-                }
-                Work::Response(resp) => {
-                    module.on_response(&mut ctx, resp);
-                    StepCategory::Response
-                }
-                Work::Timer(id, tag) => {
-                    module.on_timer(&mut ctx, id, tag);
-                    StepCategory::Timer
-                }
-                Work::Start => {
-                    module.on_start(&mut ctx);
-                    StepCategory::Start
-                }
-                Work::Stop => {
-                    ctx.destroyed_self = true;
-                    StepCategory::Stop
-                }
-            };
-            let destroyed = ctx.destroyed_self;
+            // Deliveries to destroyed modules are dropped silently.
+            let category = self.run(to, work);
             self.stepping = false;
+            let Some(category) = category else { continue };
             if self.starting == 0 && self.dispatch.as_ref().is_none_or(|d| d.queue.is_empty()) {
                 // The cascade drained with this step: close it here, so
                 // hosts that only schedule steps while work is pending
@@ -321,18 +300,50 @@ impl Stack {
                 // feed the depth histogram, one sample an input.
                 self.telemetry.cascade_end();
             }
-            if destroyed {
-                self.telemetry.note_module_destroyed(self.now.as_nanos());
-                if let Some(kind) = self.modules.get(&to).map(|slot| slot.kind) {
-                    let event = TraceEvent::ModuleDestroyed { stack: self.id, module: to, kind };
-                    self.trace.push(self.now, event);
-                }
-                self.remove_module_records(to);
-            } else if let Some(slot) = self.modules.get_mut(&to) {
-                slot.module = Some(module);
-            }
             return Some(StepInfo { module: to, category });
         }
+    }
+
+    /// Run `work` in module `to`'s handler, the module taken out of its
+    /// slot meanwhile: a step's delivery, or work the edge runs where it
+    /// was issued ([`Module::at_edge`](crate::module::Module::at_edge)).
+    /// `None` if the module is gone.
+    pub(super) fn run(&mut self, to: ModuleId, work: Work) -> Option<StepCategory> {
+        let mut module = self.modules.get_mut(&to)?.module.take().expect("module re-entrancy");
+        let mut ctx = ModuleCtx { stack: self, me: to, destroyed_self: false };
+        let category = match work {
+            Work::Call(call) => {
+                module.on_call(&mut ctx, call);
+                StepCategory::Call
+            }
+            Work::Response(resp) => {
+                module.on_response(&mut ctx, resp);
+                StepCategory::Response
+            }
+            Work::Timer(id, tag) => {
+                module.on_timer(&mut ctx, id, tag);
+                StepCategory::Timer
+            }
+            Work::Start => {
+                module.on_start(&mut ctx);
+                StepCategory::Start
+            }
+            Work::Stop => {
+                ctx.destroyed_self = true;
+                StepCategory::Stop
+            }
+        };
+        if ctx.destroyed_self {
+            self.telemetry.note_module_destroyed(self.now.as_nanos());
+            if let Some(kind) = self.modules.get(&to).map(|slot| slot.kind) {
+                let event = TraceEvent::ModuleDestroyed { stack: self.id, module: to, kind };
+                self.trace.push(self.now, event);
+            }
+            self.remove_module_records(to);
+        } else if let Some(slot) = self.modules.get_mut(&to) {
+            slot.module = Some(module);
+        }
+        Some(category)
     }
 
     /// Delivery and host-action slots this stack holds (capacity): none

@@ -317,6 +317,15 @@ impl Stack {
         self.now
     }
 
+    /// Tell the stack that the host's clock reads `now`, before the host
+    /// calls into it from outside a step ([`Stack::call_as`] in a control
+    /// closure): a module at the edge runs such a call at once, and reads
+    /// the time it sent at from [`ModuleCtx::now`]. The clock never moves
+    /// back.
+    pub fn advance_to(&mut self, now: Time) {
+        self.now = self.now.max(now);
+    }
+
     /// Whether the stack has crashed. A crashed stack ignores all input.
     pub fn is_crashed(&self) -> bool {
         self.crashed

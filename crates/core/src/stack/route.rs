@@ -1,11 +1,12 @@
 //! Where work goes: the one call path, the one response path, the
-//! hold-back for a listener not created yet, and the stack's edge — a
-//! call to `udp` or `net` sent inside the caller's step on the way out,
-//! [`Stack::packet_in`] on the way in, and, for stacks without `udp`, the
-//! built-in [`NetBridge`] that answers for `net`.
+//! hold-back for a listener not created yet, and the stack's edge — the
+//! transports ([`Module::at_edge`]) run where their work is issued, a
+//! call inside the caller's step on the way out and a frame as
+//! [`Stack::packet_in`] takes it on the way in — and, for stacks without
+//! `udp`, the built-in [`NetBridge`] that answers for `net`.
 
 use super::dispatch::Work;
-use super::{HostAction, ModuleCtx, Stack};
+use super::{ModuleCtx, Stack};
 use crate::ids::{Channel, ModuleId, ServiceId, StackId};
 use crate::module::{Call, Module, Op, Response};
 use crate::time::Time;
@@ -51,13 +52,12 @@ fn udp_service() -> &'static ServiceId {
 
 /// The built-in module bound to the `net` service, for stacks with no
 /// `udp` module (test sinks, load generators, ping-pong probes). It is
-/// never stepped for a datagram either way: a `net.SEND` call leaves at
-/// the edge inside the caller's step ([`Module::on_send`], the decoded
-/// destination and a window on the caller's payload), and
-/// [`Stack::packet_in`] fans arrivals out as `net.RECV` responses in its
-/// name. A call the edge does not send — one released after blocking, or
-/// one `on_send` refuses — is queued to [`Module::on_call`], which sends
-/// what `on_send` would have.
+/// never stepped for a datagram either way: it is at the edge
+/// ([`Module::at_edge`]), so a `net.SEND` call leaves inside the caller's
+/// step — the decoded destination and a window on the caller's payload —
+/// and [`Stack::packet_in`] fans arrivals out as `net.RECV` responses in
+/// its name. A call released after blocking is a step of it, and sends
+/// the same.
 pub(super) struct NetBridge;
 
 impl Module for NetBridge {
@@ -73,22 +73,35 @@ impl Module for NetBridge {
         Vec::new()
     }
 
+    fn at_edge(&self) -> bool {
+        true
+    }
+
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
-        if let Some((dst, payload)) = self.on_send(call.op, &call.data) {
+        if call.op != net_ops::SEND {
+            return;
+        }
+        // Decoding `Bytes` is zero-copy: the datagram is a window on the
+        // caller's payload, not a re-encoding of it.
+        if let Ok((dst, payload)) = wire::from_bytes::<(StackId, Bytes)>(&call.data) {
             ctx.net_send(dst, payload);
         }
     }
 
-    fn on_send(&mut self, op: Op, data: &Bytes) -> Option<(StackId, Bytes)> {
-        if op != net_ops::SEND {
-            return None;
-        }
-        // Decoding `Bytes` is zero-copy: the datagram is a window on the
-        // caller's payload, not a re-encoding of it.
-        wire::from_bytes(data).ok()
-    }
-
     fn on_response(&mut self, _ctx: &mut ModuleCtx<'_>, _resp: Response) {}
+}
+
+/// Whether a response reaches a requirer, and how.
+enum Reach {
+    /// Not at all: it listens on another channel.
+    No,
+    /// Not at all, and the response is stale: it listens on a later
+    /// incarnation of the response's channel base.
+    Stale,
+    /// As a step of its own.
+    Step,
+    /// Run where the response was issued ([`Module::at_edge`]).
+    Edge,
 }
 
 impl Stack {
@@ -98,13 +111,18 @@ impl Stack {
         self.enqueue_call(Call { service: *service, op, data, from });
     }
 
-    /// The one call path. A call to `udp` or `net` is also the edge on
-    /// the way out: the module bound there is asked what it would put on
-    /// the wire ([`Module::on_send`]) and the datagram leaves inside the
-    /// caller's step, with the call traced as any other — so a rebinding
-    /// still redirects it — and that module never stepped. Its slot holds
-    /// it (only the caller is out), unless it is the caller itself; an
-    /// answer of `None` takes the queued path.
+    /// Whether module `to` is in its slot and at the edge: work for it
+    /// runs where it is issued. A module out of its slot is running (it
+    /// is the caller, or an edge module under way); its work is queued.
+    fn at_edge(&self, to: ModuleId) -> bool {
+        self.modules.get(&to).and_then(|slot| slot.module.as_deref()).is_some_and(|m| m.at_edge())
+    }
+
+    /// The one call path. A call to a module at the edge
+    /// ([`Module::at_edge`]: `udp`, `rp2p`, the `net` bridge) runs inside
+    /// the caller's step — a datagram it sends leaves with the caller's
+    /// settle — traced as any other call, so a rebinding still redirects
+    /// it; any other call is queued to its provider.
     pub(super) fn enqueue_call(&mut self, call: Call) {
         let Some(&to) = self.bindings.get(&call.service) else {
             self.trace.push(
@@ -129,21 +147,41 @@ impl Stack {
                 to,
             },
         );
-        if call.service == *udp_service() || call.service == *net_service() {
-            let module = self.modules.get_mut(&to).and_then(|slot| slot.module.as_mut());
-            if let Some((dst, payload)) = module.and_then(|m| m.on_send(call.op, &call.data)) {
-                return self.act(HostAction::NetSend { dst, payload });
-            }
+        if self.at_edge(to) {
+            self.run(to, Work::Call(call));
+        } else {
+            self.enqueue(to, Work::Call(call));
         }
-        self.enqueue(to, Work::Call(call));
+    }
+
+    /// How `resp`, issued on `channel`, reaches requirer `to`.
+    fn reach(&self, to: ModuleId, resp: &Response, channel: Option<Channel>) -> Reach {
+        let Some(slot) = self.modules.get(&to).filter(|_| to != resp.from) else {
+            return Reach::No;
+        };
+        let module = slot.module.as_deref();
+        let wanted = channel.and(module).and_then(|m| m.listens_on(&resp.service));
+        if wanted.is_some() && wanted != channel {
+            let stale = wanted.zip(channel).is_some_and(|(w, c)| w.supersedes(c));
+            return if stale { Reach::Stale } else { Reach::No };
+        }
+        if module.is_some_and(|m| m.at_edge()) {
+            Reach::Edge
+        } else {
+            Reach::Step
+        }
     }
 
     /// The one response path. `channel` is the provider's end of the
     /// routing key (`None`: a plain [`ModuleCtx::respond`], reaches every
     /// requirer); a requirer's end is [`Module::listens_on`], asked here
-    /// rather than stored — every requirer is in its slot (only the
-    /// module being dispatched is out, and that is the responder), so the
-    /// key costs a stack no byte at rest.
+    /// rather than stored, so the key costs a stack no byte at rest. Only
+    /// a running module is out of its slot and cannot be asked: the
+    /// responder, and, when the responder is at the edge, whoever called
+    /// it (a loopback `rp2p` frame to its own sender); such a requirer is
+    /// reached whatever it listens on, and keeps its own check. A
+    /// requirer at the edge ([`Module::at_edge`]) runs the response here,
+    /// once it is traced and every other requirer has it queued.
     ///
     /// A response on a channel that reaches no module is held back, not
     /// dropped: the first module created that listens on that channel
@@ -154,22 +192,22 @@ impl Stack {
     /// ([`Channel::supersedes`]): incarnations only rise, so its module
     /// was here and has been retired. It is dropped and counted.
     pub(super) fn enqueue_response(&mut self, resp: Response, channel: Option<Channel>) {
-        let (mut fanout, mut stale) = (0, false);
+        let (mut fanout, mut stale, mut edge) = (0, false, false);
         let first = self.requirers.partition_point(|&(s, _)| s < resp.service);
         let count = self.requirers[first..].partition_point(|&(s, _)| s == resp.service);
         for i in first..first + count {
             let to = self.requirers[i].1;
-            if to == resp.from {
-                continue;
-            }
-            let Some(slot) = self.modules.get(&to) else { continue };
-            let wanted =
-                channel.and(slot.module.as_deref()).and_then(|m| m.listens_on(&resp.service));
-            if wanted.is_none() || wanted == channel {
-                self.enqueue(to, Work::Response(resp.clone()));
-                fanout += 1;
-            } else {
-                stale |= wanted.zip(channel).is_some_and(|(w, c)| w.supersedes(c));
+            match self.reach(to, &resp, channel) {
+                Reach::No => {}
+                Reach::Stale => stale = true,
+                Reach::Step => {
+                    self.enqueue(to, Work::Response(resp.clone()));
+                    fanout += 1;
+                }
+                Reach::Edge => {
+                    edge = true;
+                    fanout += 1;
+                }
             }
         }
         self.trace.push(
@@ -184,6 +222,27 @@ impl Stack {
         );
         if let (0, Some(channel)) = (fanout, channel) {
             self.hold_back(resp, channel, stale);
+        } else if edge {
+            self.run_at_edge(resp, channel);
+        }
+    }
+
+    /// Run `resp` in each requirer at the edge that it reaches, in id
+    /// order. Each run may create or remove modules, so the next requirer
+    /// is looked up afresh after it; one created since the response was
+    /// issued is not reached.
+    fn run_at_edge(&mut self, resp: Response, channel: Option<Channel>) {
+        let (service, newest) = (resp.service, ModuleId(self.next_module));
+        let mut i = self.requirers.partition_point(|&(s, _)| s < service);
+        while let Some(&(s, to)) =
+            self.requirers.get(i).filter(|&&(s, to)| s == service && to < newest)
+        {
+            if let Reach::Edge = self.reach(to, &resp, channel) {
+                self.run(to, Work::Response(resp.clone()));
+                i = self.requirers.partition_point(|&r| r <= (s, to));
+            } else {
+                i += 1;
+            }
         }
     }
 
@@ -213,10 +272,14 @@ impl Stack {
     /// host delivers through. The header is read once, here: the module
     /// bound to `udp` says which channel the datagram is for
     /// ([`Module::on_packet`]) and the stack responds on `udp` and that
-    /// channel in its name, without stepping it, so the first module
-    /// dispatched is the one listening there. With no module bound to
-    /// `udp`, or a datagram it does not take, the arrival fans out as a
-    /// `net.RECV` response to every module requiring the `net` service.
+    /// channel in its name, without stepping it. A listener there at the
+    /// edge runs the response at once ([`Module::at_edge`]: `rp2p`
+    /// sequences the frame, acks it and hands up what is due), so the
+    /// first module dispatched is the protocol the frame is for. With no
+    /// module bound to `udp`, or a datagram it does not take, the arrival
+    /// fans out as a `net.RECV` response to every module requiring the
+    /// `net` service. What the edge asks of the host here — an ack, a
+    /// timer — waits for the next [`Stack::settle`].
     pub fn packet_in(&mut self, now: Time, src: StackId, payload: Bytes) {
         if self.crashed {
             return;
@@ -560,16 +623,11 @@ mod tests {
         assert_eq!(stack.trace().fingerprint(), digest(expected));
     }
 
-    /// Provides `udp` and answers the edge for `SEND` (op 1) calls whose
-    /// payload is non-empty: one datagram to stack 2; with `edge` off it
-    /// has no `on_send` and sends from `on_call` instead, as a module
-    /// without the method does.
+    /// Provides `udp` and sends one datagram to stack 2 for a call of op
+    /// 1 (`SEND`) whose payload is non-empty; at the edge or not, as
+    /// `edge` says.
     struct Wire {
         edge: bool,
-    }
-
-    fn wire_frame(data: &Bytes) -> Option<(StackId, Bytes)> {
-        (!data.is_empty()).then(|| (StackId(2), data.clone()))
     }
 
     impl Module for Wire {
@@ -582,15 +640,15 @@ mod tests {
         fn requires(&self) -> Vec<ServiceId> {
             Vec::new()
         }
+        fn at_edge(&self) -> bool {
+            self.edge
+        }
         fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
-            if let Some((dst, payload)) = wire_frame(&call.data).filter(|_| call.op == 1) {
-                ctx.net_send(dst, payload);
+            if call.op == 1 && !call.data.is_empty() {
+                ctx.net_send(StackId(2), call.data);
             }
         }
         fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
-        fn on_send(&mut self, op: Op, data: &Bytes) -> Option<(StackId, Bytes)> {
-            wire_frame(data).filter(|_| self.edge && op == 1)
-        }
     }
 
     /// Calls service `.0` with op `.1` and payload `.2` from its own
@@ -657,9 +715,11 @@ mod tests {
         ];
         assert_eq!(stack.trace().fingerprint(), digest(expected), "the send is a traced call");
 
-        // A call the module would not send (empty payload) is queued to it.
+        // A call it does not send (empty payload) runs at the edge too:
+        // no datagram, and no step.
         stack.call_as(sender, &ServiceId::new(crate::svc::UDP), 1, Bytes::new());
-        assert_eq!(steps_and_actions(&mut stack), vec![(wire, StepCategory::Call, vec![])]);
+        assert_eq!(steps_and_actions(&mut stack), vec![]);
+        assert!(settled(&mut stack).is_empty());
     }
 
     #[test]
@@ -685,7 +745,7 @@ mod tests {
     }
 
     #[test]
-    fn a_udp_module_without_on_send_is_stepped_as_before() {
+    fn a_udp_module_not_at_the_edge_is_stepped() {
         let mut stack = new_stack();
         let wire = stack.add_module(Box::new(Wire { edge: false }));
         stack.bind(&ServiceId::new(crate::svc::UDP), wire);
@@ -730,7 +790,7 @@ mod tests {
         assert_eq!(stack.trace().fingerprint(), digest(expected), "traced to the bridge");
 
         // A wrong op, a payload that does not decode, one with bytes left
-        // over: queued to the bridge, which sends none of them.
+        // over: the bridge sends none of them, and is stepped for none.
         let mut trailing = data.to_vec();
         trailing.push(0);
         for (op, data) in [
@@ -739,7 +799,8 @@ mod tests {
             (net_ops::SEND, Bytes::from(trailing)),
         ] {
             stack.call_as(caller, &net, op, data);
-            assert_eq!(steps_and_actions(&mut stack), vec![(bridge, StepCategory::Call, vec![])]);
+            assert_eq!(steps_and_actions(&mut stack), vec![]);
+            assert!(settled(&mut stack).is_empty());
         }
 
         // A call the edge cannot take — released by a bind after blocking
@@ -826,6 +887,97 @@ mod tests {
 
     fn tuned(stack: &mut Stack, id: ModuleId) -> Vec<Bytes> {
         stack.with_module::<Tuned, _>(id, |t| t.got.clone()).unwrap()
+    }
+
+    /// At the edge: requires `chan`, listening on channel 3, and hands
+    /// what reaches it up on `relay` (as `rp2p` hands up what `udp`
+    /// classified).
+    struct Relay;
+
+    impl Module for Relay {
+        fn kind(&self) -> &str {
+            "relay"
+        }
+        fn provides(&self) -> Vec<ServiceId> {
+            vec![ServiceId::new("relay")]
+        }
+        fn requires(&self) -> Vec<ServiceId> {
+            vec![ServiceId::new("chan")]
+        }
+        fn listens_on(&self, _: &ServiceId) -> Option<Channel> {
+            Some(chan(3))
+        }
+        fn at_edge(&self) -> bool {
+            true
+        }
+        fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
+        fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, resp: Response) {
+            ctx.respond(&ServiceId::new("relay"), 1, resp.data);
+        }
+    }
+
+    /// Requires `relay`; records what it gets.
+    #[derive(Default)]
+    struct Above(Vec<Bytes>);
+
+    impl Module for Above {
+        fn kind(&self) -> &str {
+            "above"
+        }
+        fn provides(&self) -> Vec<ServiceId> {
+            Vec::new()
+        }
+        fn requires(&self) -> Vec<ServiceId> {
+            vec![ServiceId::new("relay")]
+        }
+        fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
+        fn on_response(&mut self, _: &mut ModuleCtx<'_>, resp: Response) {
+            self.0.push(resp.data);
+        }
+    }
+
+    #[test]
+    fn a_response_that_reaches_a_module_at_the_edge_runs_where_it_was_issued() {
+        let (mut stack, chan) = chan_stack(&[]);
+        let relay = stack.add_module(Box::new(Relay));
+        let above = stack.add_module(Box::new(Above::default()));
+        run_until_idle(&mut stack);
+        stack.take_trace();
+        let (t, id, service) = (stack.now(), stack.id(), ServiceId::new("chan"));
+        // On the relay's channel, on another, and on none.
+        for (op, data) in [(3, b"a"), (4, b"x"), (NO_CHANNEL, b"b")] {
+            stack.call_as(chan, &service, op, Bytes::from_static(data));
+        }
+        let stepped: Vec<_> =
+            steps_and_actions(&mut stack).into_iter().map(|(m, c, _)| (m, c)).collect();
+        let (call, response) = (StepCategory::Call, StepCategory::Response);
+        assert_eq!(
+            stepped,
+            [(chan, call), (above, response), (chan, call), (chan, call), (above, response)],
+            "the relay is never stepped: each response it hands up is the step after its cause"
+        );
+        let got = stack.with_module::<Above, _>(above, |a| a.0.clone()).unwrap();
+        assert_eq!(got, [&b"a"[..], b"b"]);
+        assert_eq!(hold_back(&stack), (1, 0, 0), "channel 4 reached nobody");
+        // The response that reached the relay is traced before the one the
+        // relay issued in turn, inside the same step.
+        let relay_svc = ServiceId::new("relay");
+        let call = |op| (t, TraceEvent::Call { stack: id, service, op, from: chan, to: chan });
+        let response = |service, from, fanout| {
+            let op = if service == relay_svc { 1 } else { 0 };
+            (t, TraceEvent::Response { stack: id, service, op, from, fanout })
+        };
+        let expected = [
+            call(3),
+            call(4),
+            call(NO_CHANNEL),
+            response(service, chan, 1),
+            response(relay_svc, relay, 1),
+            response(service, chan, 0),
+            response(service, chan, 1),
+            response(relay_svc, relay, 1),
+        ];
+        assert_eq!(stack.trace().fingerprint(), digest(expected));
     }
 
     /// `(held, released, dropped)`, as this stack counted them.

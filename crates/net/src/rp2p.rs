@@ -12,6 +12,19 @@
 //!
 //! Sends to the local stack are looped back directly (no wire traffic).
 //!
+//! # At the edge
+//!
+//! `rp2p` works at the stack's edge, as `udp` does ([`Module::at_edge`]):
+//! it is stepped only by its timers (the resend scan, the deferred ack)
+//! and its `on_start`. A call runs inside the caller's step — the
+//! sequence number, the ack riding along, the unacked copy and the `udp`
+//! datagram, which leaves with the caller's settle. An arriving frame is
+//! taken where `udp` classifies the datagram (`dpu_core::Stack::packet_in`):
+//! acked, sequenced, deduplicated and handed up on its channel before
+//! anything is stepped, so the first step a frame costs is its listener's.
+//! On a host that charges CPU per step (the paper's testbed) that is two
+//! steps fewer a frame: one to send it, one to take it.
+//!
 //! # One call, many frames
 //!
 //! A protocol that fans a message out to its peers makes one call,
@@ -19,12 +32,11 @@
 //! channel and the body once. `rp2p` runs the one-destination [`dgram::SEND`] logic for each
 //! listed stack in list order — its own sequence number, the ack it owes
 //! that peer riding along, its own unacked entry, loopback for this stack
-//! — in that one dispatch step. Every frame it builds shares the one body
-//! buffer. Each frame is still its own datagram, acked and resent on its
-//! own: the per-pair guarantees above hold frame by frame, exactly as if
-//! each destination had been sent to alone. With the simulator charging a
-//! step of CPU per dispatch, n − 1 calls were n − 1 steps between the
-//! first peer's frame and the last's.
+//! — all inside the caller's step. Every frame it builds shares the one
+//! body buffer. Each frame is still its own datagram, acked and resent on
+//! its own: the per-pair guarantees above hold frame by frame, exactly as
+//! if each destination had been sent to alone. One call is one trace
+//! entry and one decode of the body, where n − 1 calls were n − 1.
 //!
 //! # What goes on the wire, and when
 //!
@@ -382,6 +394,10 @@ impl Module for Rp2pModule {
         (*service == self.udp_svc).then_some(RP2P_UDP_CHANNEL)
     }
 
+    fn at_edge(&self) -> bool {
+        true
+    }
+
     fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
         ctx.set_timer(self.cfg.retransmit, TAG_RETRANSMIT);
     }
@@ -442,14 +458,15 @@ impl Module for Rp2pModule {
 mod tests {
     use super::*;
     use crate::udp::UdpModule;
-    use dpu_core::stack::{FactoryRegistry, Stack, StackConfig};
+    use dpu_core::stack::{FactoryRegistry, Stack, StackConfig, StepCategory};
     use dpu_core::time::Time;
     use dpu_core::wire;
     use dpu_core::ModuleId;
     use dpu_sim::{NetConfig, Sim, SimConfig, Topology};
 
-    /// Records `rp2p` RECV responses.
+    /// Records `rp2p` RECV responses on `channel` (`None`: on every one).
     struct Rp2pSink {
+        channel: Option<Channel>,
         got: Vec<Dgram>,
     }
 
@@ -463,6 +480,9 @@ mod tests {
         fn requires(&self) -> Vec<ServiceId> {
             vec![ServiceId::new(crate::RP2P_SVC)]
         }
+        fn listens_on(&self, _: &ServiceId) -> Option<Channel> {
+            self.channel
+        }
         fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
         fn on_response(&mut self, _: &mut ModuleCtx<'_>, resp: Response) {
             if resp.op == dgram::RECV {
@@ -471,8 +491,8 @@ mod tests {
         }
     }
 
-    /// Stack layout used here: m1 net bridge (never stepped), m2 udp, m3
-    /// rp2p, m4 sink.
+    /// Stack layout used here: m1 net bridge, m2 udp, m3 rp2p (none of
+    /// them stepped but for their starts and rp2p's timers), m4 sink.
     const RP2P: ModuleId = ModuleId(3);
     const SINK: ModuleId = ModuleId(4);
     /// The channel the tests send on.
@@ -482,7 +502,7 @@ mod tests {
         let mut s = Stack::new(sc, FactoryRegistry::new());
         let udp = s.add_module(Box::new(UdpModule::new()));
         let rp2p = s.add_module(Box::new(Rp2pModule::new(Rp2pConfig::default())));
-        s.add_module(Box::new(Rp2pSink { got: vec![] }));
+        s.add_module(Box::new(Rp2pSink { channel: None, got: vec![] }));
         s.bind(&ServiceId::new(crate::UDP_SVC), udp);
         s.bind(&ServiceId::new(crate::RP2P_SVC), rp2p);
         s
@@ -535,34 +555,198 @@ mod tests {
         fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
     }
 
-    /// Stack 0 of four, stepped by hand, fans out to `to`: the steps of
-    /// rp2p that took, the datagrams it sent, what it looped back.
-    fn fan_out(to: &[u32]) -> (u32, Vec<StackId>, Vec<Dgram>) {
-        let mut s = mk_stack(StackConfig::nth(0, 4, 1));
-        while s.step(Time::ZERO).is_some() {}
-        s.settle(Time::ZERO, &mut dpu_core::host::NullSink);
-        s.add_module(Box::new(Fan(to.iter().copied().map(StackId).collect())));
-        let mut rp2p_steps = 0;
-        while let Some(info) = s.step(Time::ZERO) {
-            rp2p_steps += u32::from(info.module == RP2P);
-        }
+    /// `(destination, datagram)`: a send as a settle hands it to the host.
+    type Sent = (StackId, Bytes);
+
+    /// What `s` asked of the host since its last settle, settled at its
+    /// clock: the datagrams.
+    fn settled(s: &mut Stack) -> Vec<Sent> {
         let mut sent = Vec::new();
-        s.settle(Time::ZERO, &mut sent);
-        let sent = sent.into_iter().map(|(_, _, dst, _)| dst).collect();
+        s.settle(s.now(), &mut sent);
+        sent.into_iter().map(|(_, _, dst, payload)| (dst, payload)).collect()
+    }
+
+    /// Each step's module, category and the datagrams settled after it.
+    type Steps = Vec<(ModuleId, StepCategory, Vec<Sent>)>;
+
+    /// Steps `s` at its clock until it has no work.
+    fn steps(s: &mut Stack) -> Steps {
+        let mut out = Vec::new();
+        while let Some(info) = s.step(s.now()) {
+            out.push((info.module, info.category, settled(s)));
+        }
+        out
+    }
+
+    /// Stack `i` of `n`, built and started, nothing sent.
+    fn started(i: u32, n: u32) -> Stack {
+        let mut s = mk_stack(StackConfig::nth(i, n, 1));
+        steps(&mut s);
+        s
+    }
+
+    /// Stack 0 of four, stepped by hand, fans out to `to`: every step
+    /// with what its settle sent, and what the sink got back by loopback.
+    fn fan_out(to: &[u32]) -> (Steps, Vec<Dgram>) {
+        let mut s = started(0, 4);
+        s.add_module(Box::new(Fan(to.iter().copied().map(StackId).collect())));
+        let stepped = steps(&mut s);
         let looped = s.with_module::<Rp2pSink, _>(SINK, |k| k.got.clone()).unwrap();
-        (rp2p_steps, sent, looped)
+        (stepped, looped)
     }
 
     #[test]
-    fn a_fan_out_is_one_step_and_one_frame_per_listed_stack() {
+    fn a_call_to_rp2p_leaves_inside_the_callers_step() {
         // Stack 2, this stack, stack 1 and stack 2 again.
-        let (steps, sent, looped) = fan_out(&[2, 0, 1, 2]);
-        assert_eq!(steps, 1);
-        assert_eq!(sent, [2, 1, 2].map(StackId), "a frame a listed peer, in list order");
+        let (stepped, looped) = fan_out(&[2, 0, 1, 2]);
+        let fan = ModuleId(5);
+        let (start, response) = (StepCategory::Start, StepCategory::Response);
+        let dsts: Vec<_> = stepped.iter().map(|(m, c, sent)| (*m, *c, dsts(sent))).collect();
+        assert_eq!(
+            dsts,
+            [
+                (fan, start, [2, 1, 2].map(StackId).to_vec()),
+                (SINK, response, vec![]),
+                (fan, response, vec![]),
+            ],
+            "one step, the caller's, with a frame a listed peer in list order in its settle; \
+             then the loopback's listeners"
+        );
+        assert!(stepped.iter().all(|(m, ..)| *m != RP2P), "no step of rp2p");
         let data = wire::to_bytes(&7u8);
         assert_eq!(looped, [Dgram { peer: StackId(0), channel: CH, data }]);
         // An empty list is no call at all.
-        assert_eq!(fan_out(&[]), (0, vec![], vec![]));
+        assert_eq!(fan_out(&[]).1, vec![]);
+    }
+
+    fn dsts(sent: &[Sent]) -> Vec<StackId> {
+        sent.iter().map(|(dst, _)| *dst).collect()
+    }
+
+    /// Two stacks passing datagrams by hand. Stack 0 sends `frames` to
+    /// stack 1 through `rp2p` (each a call from outside a step: its
+    /// datagram settles at once) and returns the datagrams in order.
+    fn pair(frames: &[u8]) -> ([Stack; 2], Vec<Bytes>) {
+        let mut stacks = [started(0, 2), started(1, 2)];
+        let sent = frames.iter().map(|&f| {
+            send_from(&mut stacks[0], f);
+            let sent = settled(&mut stacks[0]);
+            assert_eq!(dsts(&sent), [StackId(1)]);
+            sent[0].1.clone()
+        });
+        let sent = sent.collect();
+        (stacks, sent)
+    }
+
+    fn send_from(s: &mut Stack, tagbyte: u8) {
+        let d =
+            Dgram { peer: StackId(1 - s.id().0), channel: CH, data: Bytes::from(vec![tagbyte]) };
+        s.call_as(SINK, &ServiceId::new(crate::RP2P_SVC), dgram::SEND, wire::to_bytes(&d));
+    }
+
+    /// `datagram` arrives at `s` from the other stack: what the edge sent
+    /// back as it arrived (the ack), and then every step it caused, with
+    /// what each step's settle sent.
+    type Arrival = (Vec<Sent>, Steps);
+
+    fn arrive(s: &mut Stack, datagram: &Bytes) -> Arrival {
+        s.packet_in(s.now(), StackId(1 - s.id().0), datagram.clone());
+        (settled(s), steps(s))
+    }
+
+    /// The sink's data on `s`, in arrival order.
+    fn got(s: &mut Stack) -> Vec<u8> {
+        s.with_module::<Rp2pSink, _>(SINK, |k| k.got.iter().map(|d| d.data[0]).collect()).unwrap()
+    }
+
+    fn sink_steps(n: usize) -> Steps {
+        vec![(SINK, StepCategory::Response, vec![]); n]
+    }
+
+    #[test]
+    fn an_arriving_data_frames_first_step_is_its_listeners() {
+        let (mut stacks, sent) = pair(&[1]);
+        let (acked, stepped) = arrive(&mut stacks[1], &sent[0]);
+        assert_eq!(dsts(&acked), [StackId(0)], "a one-way receiver acks as the frame arrives");
+        assert_eq!(stepped, sink_steps(1), "one step, the listener's");
+        assert_eq!(got(&mut stacks[1]), [1]);
+        // The ack is taken at the edge of stack 0: no step at all.
+        assert_eq!(arrive(&mut stacks[0], &acked[0].1), (vec![], vec![]));
+        assert_eq!(stacks[0].transport_stats().unacked, 0);
+    }
+
+    #[test]
+    fn a_duplicate_is_acked_at_the_edge_and_never_stepped() {
+        let (mut stacks, sent) = pair(&[1]);
+        arrive(&mut stacks[1], &sent[0]);
+        let (acked, stepped) = arrive(&mut stacks[1], &sent[0]);
+        assert_eq!((dsts(&acked), stepped), (vec![StackId(0)], vec![]), "re-acked, not stepped");
+        assert_eq!(got(&mut stacks[1]), [1], "exactly once");
+        assert_eq!(stacks[1].transport_stats().acks, 2);
+    }
+
+    #[test]
+    fn a_reordered_pair_goes_up_in_order_when_the_first_arrives() {
+        let (mut stacks, sent) = pair(&[1, 2]);
+        let (_, stepped) = arrive(&mut stacks[1], &sent[1]);
+        assert_eq!(stepped, [], "held in rp2p until the gap is filled");
+        let (_, stepped) = arrive(&mut stacks[1], &sent[0]);
+        assert_eq!(stepped, sink_steps(2));
+        assert_eq!(got(&mut stacks[1]), [1, 2]);
+    }
+
+    #[test]
+    fn a_gap_filled_by_a_resend_goes_up_once_in_order() {
+        let (mut stacks, sent) = pair(&[1, 2]);
+        // The first frame is lost; the second waits for it.
+        let (_, stepped) = arrive(&mut stacks[1], &sent[1]);
+        assert_eq!(stepped, []);
+        // Stack 0's resend scan: a timer step of rp2p, the one kind it has
+        // (with `on_start`), resends both — neither was acked.
+        let scan = Time::ZERO + Rp2pConfig::default().retransmit;
+        stacks[0].wake(scan);
+        let stepped = steps(&mut stacks[0]);
+        assert_eq!(stepped.len(), 1);
+        let (module, category, resent) = &stepped[0];
+        assert_eq!(
+            (*module, *category, dsts(resent)),
+            (RP2P, StepCategory::Timer, vec![StackId(1); 2])
+        );
+        let (_, stepped) = arrive(&mut stacks[1], &resent[0].1);
+        assert_eq!(stepped, sink_steps(2), "the resend fills the gap: both go up");
+        let (_, stepped) = arrive(&mut stacks[1], &resent[1].1);
+        assert_eq!(stepped, [], "the second again is a duplicate");
+        assert_eq!(got(&mut stacks[1]), [1, 2]);
+        assert_eq!(stacks[0].transport_stats().retransmissions, 2);
+    }
+
+    #[test]
+    fn a_frame_for_an_incarnation_not_created_yet_is_held_then_delivered_once() {
+        let later = CH.at(1);
+        let mut stacks = [started(0, 2), started(1, 2)];
+        let d = Dgram { peer: StackId(1), channel: later, data: Bytes::from_static(b"\x09") };
+        let rp2p = ServiceId::new(crate::RP2P_SVC);
+        stacks[0].call_as(SINK, &rp2p, dgram::SEND, wire::to_bytes(&d));
+        let sent = settled(&mut stacks[0]);
+        // Stack 1's sink listens on incarnation 0 of the channel.
+        stacks[1].destroy_module(SINK);
+        steps(&mut stacks[1]);
+        stacks[1].add_module(Box::new(Rp2pSink { channel: Some(CH), got: vec![] }));
+        steps(&mut stacks[1]);
+        let (acked, stepped) = arrive(&mut stacks[1], &sent[0].1);
+        assert_eq!((dsts(&acked), stepped), (vec![StackId(0)], vec![]), "acked, held, no step");
+        assert_eq!(stacks[1].held_back(), 1);
+        // The incarnation it is for is created: it gets the frame right
+        // after its `on_start`, and a duplicate afterwards gets nowhere.
+        let next = stacks[1].add_module(Box::new(Rp2pSink { channel: Some(later), got: vec![] }));
+        let stepped = steps(&mut stacks[1]);
+        let stepped: Vec<_> = stepped.into_iter().map(|(m, c, _)| (m, c)).collect();
+        assert_eq!(stepped, [(next, StepCategory::Start), (next, StepCategory::Response)]);
+        let (_, stepped) = arrive(&mut stacks[1], &sent[0].1);
+        assert_eq!(stepped, []);
+        let got = stacks[1].with_module::<Rp2pSink, _>(next, |k| k.got.clone()).unwrap();
+        assert_eq!(got, [Dgram { peer: StackId(0), ..d }]);
+        assert_eq!(stacks[1].held_back(), 0);
     }
 
     #[test]
@@ -638,7 +822,7 @@ mod tests {
                 max_retransmits: cap,
                 ..Rp2pConfig::default()
             })));
-            s.add_module(Box::new(Rp2pSink { got: vec![] }));
+            s.add_module(Box::new(Rp2pSink { channel: None, got: vec![] }));
             s.bind(&ServiceId::new(crate::UDP_SVC), udp);
             s.bind(&ServiceId::new(crate::RP2P_SVC), rp2p);
             s
@@ -819,17 +1003,14 @@ mod tests {
         }
         sim.run_until(Time::ZERO + Dur::millis(5));
         assert_eq!(transport(&mut sim, 0).unacked, 0);
-        // Frame 3 gets through; the wire dies behind it, under its ack —
-        // timed from the frame's send (loss is drawn as a datagram leaves,
-        // so the one in flight arrives; the ack leaves at the earliest a
-        // link latency later, inside the step that takes the frame), not
-        // from what the steps on either side of the wire happen to cost.
+        // Frame 3 gets through; the wire dies behind it, under its ack.
+        // Loss is drawn as a datagram leaves: the frame leaves inside the
+        // call, so it is in flight and arrives; the ack leaves a link
+        // latency later, as the frame reaches stack 1's edge.
+        let sent = sim.stats().packets_sent;
         send(&mut sim, 0, 1, 3);
         let sent_at = sim.now();
-        let sent = sim.stats().packets_sent;
-        while sim.stats().packets_sent == sent {
-            sim.run_until(sim.now() + Dur::micros(10));
-        }
+        assert_eq!(sim.stats().packets_sent, sent + 1, "the frame leaves inside the call");
         sim.set_loss(1.0);
         sim.run_until(sent_at + Dur::millis(2));
         sim.set_loss(0.0);

@@ -2,15 +2,17 @@
 //! the unreliable network with channel multiplexing.
 //!
 //! Provides service [`crate::UDP_SVC`] and requires nothing: it *is* the
-//! bottom, and the stack's edge does its work in both directions without
-//! stepping it. A `SEND` call is checked at the edge ([`Module::on_send`])
-//! and leaves for the host inside the caller's step; an arriving datagram
-//! is classified there ([`Module::on_packet`]) and surfaces as a `RECV` on
-//! its channel. One validator serves both (`channel_of`). A call that
-//! waited for `udp` to be bound is released to a step of this module and
-//! goes out through [`ModuleCtx::net_send`] the same way. Send semantics match the
-//! underlying network: datagrams may be lost, duplicated or reordered;
-//! whatever arrives is handed up unchanged.
+//! bottom, and it works at the stack's edge ([`Module::at_edge`]) in both
+//! directions, never stepped but for its `on_start`. A `SEND` call runs
+//! inside the caller's step and its datagram leaves with the caller's
+//! settle; an arriving datagram is classified as it enters
+//! ([`Module::on_packet`]) and surfaces as a `RECV` on its channel — run
+//! there and then by `rp2p`, the other module at the edge, when the
+//! channel is its own. One validator serves both (`channel_of`). A call
+//! that waited for `udp` to be bound is released to a step of this module
+//! and goes out the same way. Send semantics match the underlying network:
+//! datagrams may be lost, duplicated or reordered; whatever arrives is
+//! handed up unchanged.
 
 use crate::dgram;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -94,22 +96,21 @@ impl Module for UdpModule {
         Vec::new()
     }
 
-    fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
-        if let Some((dst, frame)) = self.on_send(call.op, &call.data) {
-            ctx.net_send(dst, frame);
-        }
+    fn at_edge(&self) -> bool {
+        true
     }
 
-    fn on_send(&mut self, op: Op, data: &Bytes) -> Option<(StackId, Bytes)> {
-        if op != dgram::SEND {
-            return None;
+    fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
+        if call.op != dgram::SEND {
+            return;
         }
         // The frame is what follows the destination in the caller's own
         // bytes: checked, then forwarded as it is, not rebuilt.
-        let mut frame = data.clone();
-        let dst = StackId::decode(&mut frame).ok()?;
-        channel_of(&frame)?;
-        Some((dst, frame))
+        let mut frame = call.data;
+        let Ok(dst) = StackId::decode(&mut frame) else { return };
+        if channel_of(&frame).is_some() {
+            ctx.net_send(dst, frame);
+        }
     }
 
     fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}

@@ -49,8 +49,6 @@ pub struct CtAbcastParams {
     /// the consensus decisions this module listens on, and the key of its
     /// consensus instances.
     pub namespace: u64,
-    /// Service name to provide (default [`crate::ABCAST_SVC`]).
-    pub service: String,
     /// Consensus service to require (default [`crate::CONSENSUS_SVC`]).
     /// Pointing a new incarnation at a different consensus service is how
     /// the consensus-replacement experiment swaps the agreement protocol
@@ -68,14 +66,13 @@ impl Default for CtAbcastParams {
     fn default() -> Self {
         CtAbcastParams {
             namespace: 0,
-            service: crate::ABCAST_SVC.to_string(),
             consensus: crate::CONSENSUS_SVC.to_string(),
             batch_delay: dpu_core::time::Dur::ZERO,
         }
     }
 }
 
-dpu_core::wire_codec!(CtAbcastParams { namespace, service, consensus, batch_delay });
+dpu_core::wire_codec!(CtAbcastParams { namespace, consensus, batch_delay });
 
 /// Gossip frame: `(origin, seq, payload)`.
 struct Gossip {
@@ -110,7 +107,7 @@ const TAG_BATCH: u64 = 1;
 impl CtAbcastModule {
     /// Build with explicit parameters.
     pub fn new(params: CtAbcastParams) -> CtAbcastModule {
-        let svc = ServiceId::new(&params.service);
+        let svc = ServiceId::new(crate::ABCAST_SVC);
         let cons_svc = ServiceId::new(&params.consensus);
         CtAbcastModule {
             params,
@@ -330,13 +327,9 @@ mod tests {
         use dpu_core::wire::testing::assert_wire_bytes;
         let gossip = Gossip { key: (StackId(1), 99), data: Bytes::from("g") };
         assert_wire_bytes(&gossip, &[1, 99, 1, b'g']);
-        let params = CtAbcastParams {
-            namespace: 2,
-            service: "a".into(),
-            consensus: "c".into(),
-            batch_delay: Dur::nanos(300),
-        };
-        assert_wire_bytes(&params, &[2, 1, b'a', 1, b'c', 0xac, 0x02]);
+        let params =
+            CtAbcastParams { namespace: 2, consensus: "c".into(), batch_delay: Dur::nanos(300) };
+        assert_wire_bytes(&params, &[2, 1, b'c', 0xac, 0x02]);
     }
 
     #[test]
@@ -434,46 +427,37 @@ mod tests {
 
     #[test]
     fn different_namespaces_do_not_interfere() {
-        // Two abcast modules (ns 1 and ns 2) side by side in each stack on
-        // different service names, each with an app of its own; streams
-        // stay independent.
-        use crate::testing::RecordingApp;
+        // Two abcast modules (ns 1 and ns 2) side by side in each stack,
+        // both providing `abcast` to the one app: the first message goes
+        // through ns 1, then every stack binds ns 2 and the second goes
+        // through it. Each orders only its own stream, so the app gets
+        // each message once — a module that took the other's gossip or
+        // decisions would deliver one twice.
+        use crate::testing::send;
         use bytes::Bytes;
         use dpu_core::stack::Stack;
         use dpu_core::{ModuleId, ServiceId};
-        // The second app's id: after the conformance stack's seven
-        // modules and the ns-2 abcast.
-        const APP2: ModuleId = ModuleId(9);
+        // The ns-2 abcast's id: after the conformance stack's seven modules.
+        const AB2: ModuleId = ModuleId(8);
         let mk = |sc: dpu_core::StackConfig| -> Stack {
             let ns1 = CtAbcastParams { namespace: 1, ..CtAbcastParams::default() };
             let mut s = stack_over(sc, Box::new(CtAbcastModule::new(ns1)));
-            let ab2 = s.add_module(Box::new(CtAbcastModule::new(CtAbcastParams {
-                namespace: 2,
-                service: "abcast2".into(),
-                consensus: crate::CONSENSUS_SVC.into(),
-                ..CtAbcastParams::default()
-            })));
-            let app2 = RecordingApp { service: "abcast2", delivered: vec![] };
-            assert_eq!(s.add_module(Box::new(app2)), APP2);
-            s.bind(&ServiceId::new("abcast2"), ab2);
+            let ns2 = CtAbcastParams { namespace: 2, ..CtAbcastParams::default() };
+            assert_eq!(s.add_module(Box::new(CtAbcastModule::new(ns2))), AB2);
             s
         };
         let mut sim = Sim::new(SimConfig::lan(3, 5), mk);
         sim.run_until(Time::ZERO + Dur::millis(100));
         abcast(&mut sim, 0, b"ns1-message");
-        sim.with_stack(StackId(1), |s| {
-            let payload = Bytes::from_static(b"ns2-message");
-            s.call_as(APP2, &ServiceId::new("abcast2"), ops::ABCAST, payload)
-        });
-        sim.run_until(Time::ZERO + Dur::secs(5));
-        // Each app sees its own stream's message, on every stack.
+        sim.run_until(Time::ZERO + Dur::secs(2));
         for node in 0..3 {
-            let d = delivered(&mut sim, node);
-            assert_eq!(d, vec![Bytes::from_static(b"ns1-message")], "stack {node}");
-            let d2 = sim.with_stack(StackId(node), |s| {
-                s.with_module::<RecordingApp, _>(APP2, |a| a.delivered.clone())
-            });
-            assert_eq!(d2, Some(vec![Bytes::from_static(b"ns2-message")]), "stack {node}");
+            sim.with_stack(StackId(node), |s| s.bind(&ServiceId::new(crate::ABCAST_SVC), AB2));
+        }
+        sim.with_stack(StackId(1), |s| send(s, Bytes::from_static(b"ns2-message")));
+        sim.run_until(Time::ZERO + Dur::secs(5));
+        let both = [&b"ns1-message"[..], b"ns2-message"].map(Bytes::from_static);
+        for node in 0..3 {
+            assert_eq!(delivered(&mut sim, node), both, "stack {node}");
         }
     }
 
@@ -524,7 +508,6 @@ mod tests {
     fn params_roundtrip_and_factory() {
         let p = CtAbcastParams {
             namespace: 3,
-            service: "abc".into(),
             consensus: "c2".into(),
             batch_delay: dpu_core::time::Dur::millis(2),
         };
@@ -534,7 +517,7 @@ mod tests {
         CtAbcastModule::register(&mut reg);
         let m = reg.build(&dpu_core::ModuleSpec::with_params(KIND, &p)).unwrap();
         assert_eq!(m.kind(), KIND);
-        assert_eq!(m.provides(), vec![dpu_core::ServiceId::new("abc")]);
+        assert_eq!(m.provides(), vec![dpu_core::ServiceId::new(crate::ABCAST_SVC)]);
         assert!(m.requires().contains(&dpu_core::ServiceId::new("c2")));
     }
 }

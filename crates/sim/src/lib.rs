@@ -326,9 +326,18 @@ impl Shard {
                 if self.nodes.stack(slot).is_crashed() {
                     return;
                 }
-                self.pools.lend(self.nodes.stack_mut(slot)).packet_in(at, src, payload);
+                let mut loan = self.pools.lend(self.nodes.stack_mut(slot));
+                loan.packet_in(at, src, payload);
+                // What the stack's edge did with the packet as it arrived
+                // — an ack sent, a timer armed — is settled as it arrives,
+                // charged no CPU.
+                let mut sends = Vec::new();
+                loan.settle(at, &mut sends);
+                drop(loan);
                 self.stats.packets_delivered += 1;
+                self.flush_sends(shared, sends);
                 self.ensure_step(dst);
+                self.ensure_wake(dst);
             }
             EventKind::NodeWake { node } => {
                 let slot = self.slot(node);
@@ -665,6 +674,7 @@ impl Sim {
         let shard = &mut self.shards[k];
         shard.now = shard.now.max(now);
         let mut loan = shard.pools.lend(shard.nodes.stack_mut(shard.slot(id)));
+        loan.advance_to(now);
         let r = f(&mut loan);
         // A mutation (e.g. install()) may have produced host actions.
         let mut sends = Vec::new();

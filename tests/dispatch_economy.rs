@@ -7,26 +7,28 @@
 //! channel it listens on (`Module::listens_on`), so `fd` is not stepped
 //! for `rp2p`'s frames, `rp2p` not for `fd`'s heartbeats, `abcast.ct`
 //! and `consensus` not for each other's, and a replaced `abcast.ct` not
-//! for its successor's (the channel carries the incarnation). And `udp` is the bottom of the
-//! stack, and the stack's edge does its work: no step puts a datagram on
-//! the wire (a call to `udp` is traced and leaves inside the caller's
-//! step, `Module::on_send`), none takes it off (`Stack::packet_in`
-//! responds on `udp` itself), so the `net` service is never called and
-//! never responds, and the module bound to `udp` is never stepped. With
-//! the simulator charging 40 µs a step that is most of the latency: routed
-//! by service name alone this run took 861 steps a broadcast, 727 routed
-//! by channel through `net`, 483 with one step of `udp` a datagram sent,
-//! 373 with none, 308 once a fan-out to many peers was one `rp2p` call
-//! (`dgram::SEND_MANY`) rather than one call, and one step, a peer, 251
-//! once a consensus instance ended in round 0 and no process sent a frame
-//! to itself, ≈ 234 once round 0 had no estimates (its coordinator
-//! proposes at once), and ≈ 132 now that the decision goes out once, from
-//! the coordinator, instead of a relay from every decider.
+//! for its successor's (the channel carries the incarnation). And `udp`
+//! and `rp2p` work at the stack's edge (`Module::at_edge`): no step puts
+//! a datagram on the wire (a call to either is traced and runs inside the
+//! caller's step), none takes it off (`Stack::packet_in` responds on
+//! `udp` itself, and `rp2p` acks, sequences and hands the frame up right
+//! there), so the `net` service is never called and never responds, the
+//! module bound to `udp` is never stepped, and the one bound to `rp2p`
+//! only for its timers. With the simulator charging 40 µs a step that is
+//! most of the latency: routed by service name alone this run took 861
+//! steps a broadcast, 727 routed by channel through `net`, 483 with one
+//! step of `udp` a datagram sent, 373 with none, 308 once a fan-out to
+//! many peers was one `rp2p` call (`dgram::SEND_MANY`) rather than one
+//! call, and one step, a peer, 251 once a consensus instance ended in
+//! round 0 and no process sent a frame to itself, ≈ 234 once round 0 had
+//! no estimates (its coordinator proposes at once), ≈ 132 once the
+//! decision went out once, from the coordinator, instead of a relay from
+//! every decider, and ≈ 86 now that `rp2p` is stepped by its timers alone.
 //!
 //! A stack without `udp` (the `LoadGen` of the datagram benchmarks) calls
-//! the built-in `net` service instead, and the edge sends for the bridge
-//! bound there the same way: the last two tests pin that it is never
-//! stepped and what a datagram costs.
+//! the built-in `net` service instead, and the bridge bound there is at
+//! the edge the same way: the last two tests pin that it is never stepped
+//! and what a datagram costs.
 
 mod common;
 
@@ -135,15 +137,16 @@ fn a_datagram_is_dispatched_to_the_module_listening_on_its_channel() {
         *charged.entry((service, "responses")).or_default() += after.reached - before.reached;
     }
     for ((service, what), n) in &charged {
-        let edge = if service.name() == svc::UDP && *what == "calls" {
-            ", taken at the edge: no step"
-        } else {
-            ""
+        let edge = match (service.name(), *what) {
+            (svc::UDP | dpu_net::RP2P_SVC, "calls") => ", taken at the edge: no step",
+            (svc::UDP, _) => ", rp2p's taken at the edge: fd's alone are steps",
+            _ => "",
         };
         println!("  {:>6.1} {what} on {service}{edge}", *n as f64 / broadcasts as f64);
     }
-    // 132.2 here (233.6 while every decider relayed `Decide` to every
-    // other process; 251.4 while every participant sent the coordinator a
+    // 85.9 here (132.2 while a call to `rp2p` and each frame it took off
+    // `udp` were steps of `rp2p`; 233.6 while every decider relayed
+    // `Decide` to every other process; 251.4 while every participant sent the coordinator a
     // round-0 estimate it did not need; 307.9 while a process that acked a
     // consensus round went straight on to the next and the coordinator
     // sent its own estimate, proposal and ack to itself; 373.4 while every
@@ -152,8 +155,9 @@ fn a_datagram_is_dispatched_to_the_module_listening_on_its_channel() {
     // `net`: a call to the bridge to put a datagram on the wire and a
     // response through `udp` to take it off); the bound is that reading
     // + 4 %.
-    assert!(per_msg <= 137.5, "{per_msg:.1} dispatch steps a broadcast");
-    // 9.0 (15.1 with each decider's relay, 21.1 with the round-0
+    assert!(per_msg <= 89.3, "{per_msg:.1} dispatch steps a broadcast");
+    // 9.1 (9.0 while the calls were steps of `rp2p`; 15.1 with each
+    // decider's relay, 21.1 with the round-0
     // estimates, 37.4 with the round-1 cascade and the frames to itself,
     // 94.6 with a call a peer): the gossip, the coordinator's proposal and
     // its `Decide` are one call each; the rest are the acks, one each for
@@ -223,15 +227,17 @@ fn wake(stacks: &mut [Stack], now: Time) {
     }
 }
 
-/// The paper's stacks (n = 4 here) stepped by hand, so that every
+/// The paper's stacks (`n` of them) stepped by hand, so that every
 /// `StepInfo` can be read: each datagram is delivered the moment it is
 /// sent, each timer fires at its deadline, every stack broadcasts every
-/// 10 ms for a second and a ct → ct replacement is requested halfway. No
-/// step, on any stack, is dispatched to the module bound to `udp` but its
-/// `on_start`.
-#[test]
-fn no_step_is_dispatched_to_the_module_bound_to_udp() {
-    const N: u32 = 4;
+/// 10 ms for a second and a ct → ct replacement is requested halfway.
+/// `stepped` sees every step, with the stack it ran on and the time.
+/// Checks that every broadcast was delivered in one total order and that
+/// every stack applied the replacement; returns the steps and datagrams.
+fn hand_stepped_paper_stacks(
+    n: u32,
+    mut stepped: impl FnMut(&Stack, &StepInfo, Time),
+) -> (u64, u64) {
     let opts = GroupStackOpts {
         abcast: specs::ct(0),
         layer: SwitchLayer::Repl,
@@ -239,17 +245,16 @@ fn no_step_is_dispatched_to_the_module_bound_to_udp() {
         with_gm: false,
         extra_defaults: Vec::new(),
     };
-    let peers = StackConfig::peer_table(N);
-    let mut stacks: Vec<Stack> = (0..N)
+    let peers = StackConfig::peer_table(n);
+    let mut stacks: Vec<Stack> = (0..n)
         .map(|i| {
             let sc =
-                StackConfig { peers: peers.clone(), trace: false, ..StackConfig::nth(i, N, 42) };
+                StackConfig { peers: peers.clone(), trace: false, ..StackConfig::nth(i, n, 42) };
             build(sc, &opts).stack
         })
         .collect();
-    let h = build(StackConfig::nth(0, N, 42), &opts).handles;
+    let h = build(StackConfig::nth(0, n, 42), &opts).handles;
     let probe = h.probe.expect("probe");
-    let udp = ServiceId::new(svc::UDP);
     let (mut steps, mut sends) = (0u64, 0u64);
     let (load_from, load_end, end) = (Dur::millis(300), Dur::millis(1300), Dur::millis(2500));
     let mut now = Time::ZERO;
@@ -257,12 +262,7 @@ fn no_step_is_dispatched_to_the_module_bound_to_udp() {
     while now < Time::ZERO + end {
         sends += quiesce(&mut stacks, now, |s, info| {
             steps += 1;
-            let udp_stepped = Some(info.module) == s.bound(&udp);
-            assert!(
-                !udp_stepped || info.category == StepCategory::Start,
-                "{} at {now}: {info:?}",
-                s.id()
-            );
+            stepped(s, info, now);
         });
         // The next timer, or the next round of broadcasts.
         let load = tick < Time::ZERO + load_end;
@@ -296,8 +296,7 @@ fn no_step_is_dispatched_to_the_module_bound_to_udp() {
                 .expect("probe present")
         })
         .collect();
-    let broadcasts = u64::from(N) * 100;
-    println!("{steps} steps, {sends} datagrams, {broadcasts} broadcasts: none stepped udp");
+    let broadcasts = u64::from(n) * 100;
     assert_eq!(orders[0].len() as u64, broadcasts, "every broadcast delivered");
     assert!(orders.iter().all(|o| *o == orders[0]), "one total order");
     let layer = h.layer.expect("replacement layer");
@@ -305,12 +304,56 @@ fn no_step_is_dispatched_to_the_module_bound_to_udp() {
         let sn = s.with_module::<ReplAbcastModule, _>(layer, |m| m.seq_number());
         assert_eq!(sn, Some(1), "{} applied the replacement", s.id());
     }
+    (steps, sends)
+}
+
+/// No step, on any of four hand-stepped stacks
+/// ([`hand_stepped_paper_stacks`]), is dispatched to the module bound to
+/// `udp` but its `on_start`.
+#[test]
+fn no_step_is_dispatched_to_the_module_bound_to_udp() {
+    let udp = ServiceId::new(svc::UDP);
+    let (steps, sends) = hand_stepped_paper_stacks(4, |s, info, now| {
+        let udp_stepped = Some(info.module) == s.bound(&udp);
+        assert!(
+            !udp_stepped || info.category == StepCategory::Start,
+            "{} at {now}: {info:?}",
+            s.id()
+        );
+    });
+    println!("{steps} steps, {sends} datagrams: none stepped udp");
+}
+
+/// `rp2p` works at the edge as `udp` does: a call to it sends inside the
+/// caller's step and an arriving frame is acked, sequenced and handed up
+/// as it enters, so on the paper's seven hand-stepped stacks
+/// ([`hand_stepped_paper_stacks`]) the module bound to `rp2p` is stepped
+/// for its `on_start` and its timers (the resend scan, the deferred ack)
+/// alone — and never for a call or a response.
+#[test]
+fn no_step_is_dispatched_to_rp2p_but_its_timers() {
+    let rp2p = ServiceId::new(dpu_net::RP2P_SVC);
+    let mut timers = 0u64;
+    let (steps, sends) = hand_stepped_paper_stacks(7, |s, info, now| {
+        if Some(info.module) != s.bound(&rp2p) {
+            return;
+        }
+        let category = info.category;
+        assert!(
+            matches!(category, StepCategory::Start | StepCategory::Timer),
+            "{} at {now}: {info:?}",
+            s.id()
+        );
+        timers += u64::from(category == StepCategory::Timer);
+    });
+    println!("{steps} steps, {sends} datagrams: {timers} rp2p timer steps and no other");
+    assert!(timers > 0, "the resend scan runs every 20 ms on every stack");
 }
 
 /// The stacks of the `dgram-64k-sim` benchmark and the capacity soaks
-/// carry no `udp`: `LoadGen` calls the built-in `net` service, and the
-/// edge sends for it as for `udp` (`Module::on_send`), so the bridge bound
-/// there is never stepped but for its `on_start` either. Stepped by hand
+/// carry no `udp`: `LoadGen` calls the built-in `net` service, whose
+/// bridge is at the edge as `udp` is (`Module::at_edge`), so it is never
+/// stepped but for its `on_start` either. Stepped by hand
 /// (every datagram delivered the moment it is sent, every timer at its
 /// deadline), 32 generators in clusters of 8 for 50 ms.
 #[test]

@@ -20,9 +20,10 @@
 //! every broadcast cheaper. It read 135.5 while a process that acked a
 //! consensus round went straight on to the next, 118.6 once it waited for
 //! the decision, 112.7 once round 0 had no estimates (its coordinator
-//! proposes at once), and 53.8 since the coordinator alone sends the
+//! proposes at once), 53.8 once the coordinator alone sent the
 //! decision: 3(n − 1) consensus frames an instance instead of
-//! (n + 2)(n − 1).
+//! (n + 2)(n − 1), and 50.9 since `rp2p` works at the stack's edge (the
+//! standalone acks fell: see below).
 //!
 //! The run is failure-free, so every consensus instance must end in its
 //! first round: a round-1 cascade that came back would fail here.
@@ -71,7 +72,8 @@ fn a_lossless_run_resends_nothing_and_acks_on_the_reverse_traffic() {
     // against 0.37, at a cost in bytes a stack (ROADMAP item 6). Once no
     // decider relayed `Decide` the acks fell with the frames they answer,
     // to 13.3 a broadcast and 0.33 per other packet (36.0 and 0.47 with
-    // the relays): the bounds stand.
+    // the relays): the bounds stand. With `rp2p` at the edge they read
+    // 10.4 and 0.26: the bounds stand.
     let acks_per_packet = transport.acks as f64 / (packets - transport.acks) as f64;
     assert!(acks_per_packet <= 0.48, "{acks_per_packet:.2} standalone acks per other packet");
     let acks_per_msg = transport.acks as f64 / broadcasts;
