@@ -98,10 +98,14 @@ fn sim_through_stack_driver_matches_pre_refactor_recording() {
     assert_eq!(stats.packets_delivered, GOLDEN_DELIVERED);
 }
 
-/// Recorded 2026-10-19 with consensus sending its decision once, from the
-/// coordinator that decided, scenario and seed as in [`golden_run`]:
-/// 6 223 dispatch steps where there were 6 262, 2453 packets where there
-/// were 2468. Before: `0x456df50592dc29da`, recorded 2026-10-19 with a
+/// Recorded 2026-10-20 with `rp2p` at the stack's edge (a call to it runs
+/// inside the caller's step, a frame is taken as it arrives), scenario and
+/// seed as in [`golden_run`]: 6 143 dispatch steps where there were
+/// 6 223, 2453 packets as before. Before: `0x50f45da57a74ba53`, recorded
+/// 2026-10-19 with consensus sending its decision once, from the
+/// coordinator that decided (6 223 dispatch steps where there were
+/// 6 262, 2453 packets where there were 2468); before that
+/// `0x456df50592dc29da`, recorded 2026-10-19 with a
 /// stack finishing an input's cascade before it takes the next (6 262
 /// dispatch steps and 2468 packets, as before); before that
 /// `0x1d40603b742fc78f`, recorded 2026-10-17 with round 0 of consensus
@@ -131,7 +135,7 @@ fn sim_through_stack_driver_matches_pre_refactor_recording() {
 /// reverse traffic); before that `0x4026a4be2f99a940`, 2620 / 2620,
 /// recorded 2026-07-29 from commit 181cd88 (hand-rolled drive loops in
 /// both hosts).
-const GOLDEN_FP: u64 = 0x50f45da57a74ba53;
+const GOLDEN_FP: u64 = 0x6849680b2ee7283f;
 const GOLDEN_SENT: u64 = 2453;
 const GOLDEN_DELIVERED: u64 = 2453;
 
@@ -181,7 +185,9 @@ fn ct_replacement_run(seed: u64) -> u64 {
     trace_fingerprint(&sim.merged_trace())
 }
 
-/// Recorded with [`GOLDEN_FP`]. Before, with a stack finishing an input's
+/// Recorded with [`GOLDEN_FP`]. Before, with consensus sending its
+/// decision once: `0xeaf5db5e98faf339`, `0x50d09dd8a9183c1f`,
+/// `0x1c09fe22ece27313`; before that, with a stack finishing an input's
 /// cascade before it takes the next: `0x9108f4a78c54a712`,
 /// `0x6755d4f725df28c8`, `0x9ed33f70335db530`; before that, with round 0
 /// of consensus proposing at once: `0x5c18701aeeba828f`, `0x9240943590377dca`,
@@ -203,7 +209,7 @@ fn ct_replacement_run(seed: u64) -> u64 {
 /// collection): `0x6d4c3f10a13194cf`, `0xef232e8e86088525`,
 /// `0xc9794b3925be4984`.
 const CT_REPLACEMENT_FPS: [(u64, u64); 3] =
-    [(11, 0xeaf5db5e98faf339), (12, 0x50d09dd8a9183c1f), (13, 0x1c09fe22ece27313)];
+    [(11, 0x1b086d480f85d544), (12, 0x203c59bcb120c75d), (13, 0x7fc59d3017a6fa5b)];
 
 #[test]
 fn ct_under_replacement_matches_the_recording_from_before_collection() {
