@@ -615,8 +615,8 @@ mod tests {
         assert!(stepped.iter().all(|(m, ..)| *m != RP2P), "no step of rp2p");
         let data = wire::to_bytes(&7u8);
         assert_eq!(looped, [Dgram { peer: StackId(0), channel: CH, data }]);
-        // An empty list is no call at all.
-        assert_eq!(fan_out(&[]).1, vec![]);
+        // An empty list is no call at all: the caller's step sends nothing.
+        assert_eq!(fan_out(&[]), (vec![(fan, start, vec![])], vec![]));
     }
 
     fn dsts(sent: &[Sent]) -> Vec<StackId> {
@@ -628,13 +628,15 @@ mod tests {
     /// datagram settles at once) and returns the datagrams in order.
     fn pair(frames: &[u8]) -> ([Stack; 2], Vec<Bytes>) {
         let mut stacks = [started(0, 2), started(1, 2)];
-        let sent = frames.iter().map(|&f| {
-            send_from(&mut stacks[0], f);
-            let sent = settled(&mut stacks[0]);
-            assert_eq!(dsts(&sent), [StackId(1)]);
-            sent[0].1.clone()
-        });
-        let sent = sent.collect();
+        let sent = frames
+            .iter()
+            .map(|&f| {
+                send_from(&mut stacks[0], f);
+                let sent = settled(&mut stacks[0]);
+                assert_eq!(dsts(&sent), [StackId(1)]);
+                sent[0].1.clone()
+            })
+            .collect();
         (stacks, sent)
     }
 
