@@ -20,6 +20,13 @@
 //! switch layer (one incarnation for the whole run), and a third drives
 //! `rb` on its own.
 //!
+//! The other axis is the replacements: the same load with four times the
+//! replacements must leave (almost) the same live heap per stack too.
+//! Retirement passes the ids of what it destroys down to consensus, which
+//! forgets the namespaces they used; while it did not, each replacement
+//! left ≈ 500 B of consensus state on every stack for good and this
+//! ratio read 1.42.
+//!
 //! The counting allocator is process-global: the scenarios share one lock.
 
 use bytes::Bytes;
@@ -50,6 +57,17 @@ const RATE: f64 = 150.0;
 /// Load of the short run; the long run has four times as much.
 const SHORT: Dur = Dur::secs(5);
 const DRAIN: Dur = Dur::secs(2);
+/// Consensus instances a stack may hold at any time: the instances in
+/// flight plus the last tombstones of the namespaces not yet retired —
+/// however many messages, and however many replacements. Reads 2 at
+/// every 100 ms sample (4 and 16 replacements, 5 and 20 s of load); it
+/// grew by one namespace's tombstones a replacement while a retired
+/// namespace's state stayed for good.
+const LIVE_INSTANCES: usize = 8;
+/// `transport.held` a stack at the end of a run: reads 13 for the group
+/// of seven after 0, 4 and 16 replacements (it grew by 13 a replacement
+/// while retired namespaces stayed).
+const HELD_PER_STACK: u64 = 4;
 
 /// Live consensus instances on `id` (running + tombstoned).
 fn live_instances(sim: &mut Sim, id: StackId) -> usize {
@@ -87,13 +105,9 @@ fn ct_run(layer: SwitchLayer, switches: u64, load: Dur, traced: bool) -> u64 {
     while sim.now() < start + load + DRAIN {
         let next = sim.now() + Dur::millis(100);
         sim.run_until(next);
-        // In flight, plus the last tombstone of every namespace used so
-        // far; never the number of instances the run has decided.
-        let namespaces = 1 + sim.now().since(start).as_nanos() / Dur::secs(1).as_nanos();
-        let bound = namespaces.min(1 + switches) as usize + 8;
         for &id in &ids {
-            let live = live_instances(&mut sim, id);
-            assert!(live <= bound, "{id} holds {live} consensus instances at {}", sim.now());
+            let (live, at) = (live_instances(&mut sim, id), sim.now());
+            assert!(live <= LIVE_INSTANCES, "{id} holds {live} consensus instances at {at}");
         }
     }
     // The probe's records are the measurement, not the system: they go
@@ -117,7 +131,7 @@ fn ct_run(layer: SwitchLayer, switches: u64, load: Dur, traced: bool) -> u64 {
     }
     drop(checker);
     let held = sim.telemetry_report().transport.held;
-    assert!(held <= u64::from(N) * (1 + switches + 8), "held = {held} at the end of the run");
+    assert!(held <= u64::from(N) * HELD_PER_STACK, "held = {held} at the end of the run");
     let live = (ALLOC.live() - live0) / u64::from(N);
     // What the trace kept is what the §3 checker reads, whole.
     let trace = sim.merged_trace();
@@ -139,6 +153,22 @@ fn four_times_the_messages_cost_the_same_bytes_under_repl() {
     let short = ct_run(SwitchLayer::Repl, 4, SHORT, false);
     let long = ct_run(SwitchLayer::Repl, 4, SHORT * 4, false);
     assert_flat("repl over ct", short, long, 1.1);
+}
+
+/// 4 vs 16 replacements, one a second, in the same 20 s of load. Reads
+/// 17 515 → 18 855 B a stack (1.077). Destroying each module at the end
+/// of 40 s runs splits what is left: consensus 4 295 B at 4, 16 and 32
+/// replacements (5 040 / 11 682 / 19 015 B while retired namespaces
+/// stayed), Repl 712 / 808 / 936 B (a switch time each), the rest of the
+/// stack 12 693 / 13 767 / 14 356 B.
+#[test]
+fn four_times_the_replacements_cost_the_same_bytes() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let few = ct_run(SwitchLayer::Repl, 4, SHORT * 4, false);
+    let many = ct_run(SwitchLayer::Repl, 16, SHORT * 4, false);
+    let ratio = many as f64 / few as f64;
+    println!("replacements: {few} B/stack at 4, {many} B/stack at 16: ratio {ratio:.3}");
+    assert!(ratio <= 1.1, "live bytes per stack grew {ratio:.2}x with 4x the replacements");
 }
 
 #[test]

@@ -528,7 +528,13 @@ macro_rules! impl_newtype {
     )*};
 }
 
-impl_newtype!(crate::ids::StackId, crate::ids::Channel, crate::time::Time, crate::time::Dur);
+impl_newtype!(
+    crate::ids::StackId,
+    crate::ids::ModuleId,
+    crate::ids::Channel,
+    crate::time::Time,
+    crate::time::Dur
+);
 
 /// Implements [`Encode`] and [`Decode`] for a type from one list of its
 /// fields in wire order: the one place its layout is written.
@@ -989,6 +995,7 @@ mod tests {
     #[test]
     fn stack_id_and_time_roundtrip() {
         roundtrip(crate::ids::StackId(5));
+        roundtrip(crate::ids::ModuleId(7));
         roundtrip(crate::time::Time(123_456_789));
         roundtrip(crate::time::Dur(987_654_321));
         assert_eq!(to_bytes(&crate::time::Dur::nanos(300)), to_bytes(&300u64));

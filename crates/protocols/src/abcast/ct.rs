@@ -225,9 +225,15 @@ impl Module for CtAbcastModule {
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
-        if call.op == ops::VIEW {
-            // Consensus collects by who counts.
-            ctx.call(&self.cons_svc, cons_ops::VIEW, call.data);
+        // Consensus collects by who counts, and forgets the namespaces of
+        // the incarnations retired above it.
+        let down = match call.op {
+            ops::VIEW => Some(cons_ops::VIEW),
+            ops::RETIRED => Some(cons_ops::RETIRED),
+            _ => None,
+        };
+        if let Some(op) = down {
+            ctx.call(&self.cons_svc, op, call.data);
             return;
         }
         if call.op != ops::ABCAST {

@@ -50,6 +50,11 @@ pub mod ops {
     /// state waits until every member is done with it hands it to what
     /// it requires (`abcast.ct` to consensus); the others ignore it.
     pub const VIEW: Op = 3;
+    /// Call: the replaced incarnations the replacement layer has just
+    /// destroyed, a `Vec<ModuleId>` — every member is past them. Like
+    /// `VIEW`, `abcast.ct` hands it to consensus, which forgets the
+    /// namespaces they used; the others ignore it.
+    pub const RETIRED: Op = 4;
 }
 
 /// Internal identity of a broadcast message: `(origin, per-origin seq)`.

@@ -83,6 +83,8 @@
 //! * call `ops::PROPOSE` — `(ns, k, value)`;
 //! * call `ops::VIEW` — the members that count for collection (below),
 //!   passed down by the group membership module through `abcast`;
+//! * call `ops::RETIRED` — modules the replacement layer destroyed, passed
+//!   down through `abcast`: the namespaces they used are forgotten (below);
 //! * response `ops::DECIDE` — `(ns, k, value)`;
 //! * response `ops::NEED_PROPOSAL` — `(ns, k)`: the instance is running
 //!   remotely but has no local proposal yet; users should propose. Round
@@ -139,17 +141,35 @@
 //! installs comes down as `VIEW`, and an excluded member stops counting.
 //! Majorities and send lists stay on the peer table.
 //!
-//! What stays is bounded by the group and the namespaces, not by the
-//! run: the instances in flight plus, per namespace ever used, its last
-//! tombstones (nothing higher is ever proposed there, and no later frame
-//! says the group is past them) and its watermarks — a few hundred bytes
-//! that grow with *replacements* of the user above, not with messages.
-//! A crashed or silent member's watermark stops, and without a view that
-//! excludes it, it pins every tombstone decided after it fell silent,
-//! exactly as it pins module retirement in `dpu-repl`;
+//! What stays is bounded by the group, not by the run: the instances in
+//! flight plus, per namespace not yet retired here, its last tombstones
+//! (nothing higher is ever proposed there, and no later frame says the
+//! group is past them) and its watermarks — a few hundred bytes a
+//! namespace. A crashed or silent member's watermark stops, and without a
+//! view that excludes it, it pins every tombstone decided after it fell
+//! silent, exactly as it pins module retirement in `dpu-repl`;
 //! [`ConsensusModule::live_instances`] and the `held` gauge of
 //! [`dpu_core::TransportStats`] show the pin, and
 //! [`ConsensusModule::pinned_by`] names the member.
+//!
+//! # Forgetting a namespace
+//!
+//! A namespace's *user* is the module that proposed in it (the
+//! `Call::from` of its `PROPOSE`s). When the replacement layer above
+//! retires an incarnation of atomic broadcast, every member is past it —
+//! each has switched and been heard under the next protocol, so none will
+//! propose, ack or wait for a decision in its namespace again — and the
+//! layer names the modules it destroyed in a `RETIRED` call that comes
+//! down through `abcast`. Each namespace whose user is among them goes
+//! whole: its `Space`, its open instances and its tombstones. What is
+//! left of it is one entry in an [`IntervalSet`] of closed namespaces
+//! (one run while incarnations retire in order: SSB's "everything up to
+//! k", over namespaces), and a later frame of any body for a closed
+//! namespace, or a `PROPOSE` in it, is dropped: it opens nothing, sends
+//! nothing, and a closed namespace is never reopened. A namespace whose
+//! user has not proposed yet is never forgotten, and two users side by
+//! side each keep their own. So what a stack holds no longer grows with
+//! the replacements above it: at most the namespaces not yet retired.
 //!
 //! # Variants
 //!
@@ -163,7 +183,9 @@
 use crate::channels;
 use bytes::Bytes;
 use dpu_core::stack::ModuleCtx;
-use dpu_core::{Call, Channel, Module, Response, ServiceId, StackId, TransportStats};
+use dpu_core::{
+    Call, Channel, IntervalSet, Module, ModuleId, Response, ServiceId, StackId, TransportStats,
+};
 use dpu_net::dgram;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -185,6 +207,9 @@ pub mod ops {
     /// Call: the members that count for collection, a `Vec<StackId>`
     /// (the group membership view).
     pub(crate) const VIEW: Op = 4;
+    /// Call: modules the replacement layer destroyed, a `Vec<ModuleId>`:
+    /// forget every namespace one of them is the user of.
+    pub(crate) const RETIRED: Op = 5;
 }
 
 /// The channel base of the `consensus` service: a user with namespace
@@ -423,6 +448,9 @@ struct Decided {
 /// as last heard. See the module docs.
 struct Space {
     ns: u64,
+    /// The module that proposed here: once it is retired, the namespace
+    /// goes. `None` until its first `PROPOSE`.
+    user: Option<ModuleId>,
     /// The highest `k` the user has proposed.
     proposed: u64,
     /// This process decided every instance below it.
@@ -462,8 +490,11 @@ pub struct ConsensusModule {
     suspected: BTreeSet<StackId>,
     open: BTreeMap<(u64, u64), Open>,
     decided: BTreeMap<(u64, u64), Decided>,
-    /// One per namespace ever used, by namespace.
+    /// One per namespace in use, by namespace: the only per-namespace
+    /// state, so that forgetting one is dropping its entry.
     spaces: Vec<Space>,
+    /// The namespaces forgotten: a frame or a proposal for one is dropped.
+    closed: IntervalSet<()>,
     /// The members that count, sorted: the last view passed down, or
     /// `None` for the whole peer table.
     view: Option<Box<[StackId]>>,
@@ -500,6 +531,7 @@ impl ConsensusModule {
             open: BTreeMap::new(),
             decided: BTreeMap::new(),
             spaces: Vec::new(),
+            closed: IntervalSet::new(),
             view: None,
             decided_count: 0,
             max_round_seen: 0,
@@ -574,7 +606,8 @@ impl ConsensusModule {
             Ok(at) => at,
             Err(at) => {
                 let heard = vec![0; self.peers.len()].into();
-                self.spaces.insert(at, Space { ns, proposed: 0, done: 0, gone: 0, heard });
+                let space = Space { ns, user: None, proposed: 0, done: 0, gone: 0, heard };
+                self.spaces.insert(at, space);
                 at
             }
         };
@@ -708,6 +741,9 @@ impl ConsensusModule {
 
     fn on_wire(&mut self, ctx: &mut ModuleCtx<'_>, from: StackId, msg: WireMsg) {
         let WireMsg { ns, k, round, done, stable, body } = msg;
+        if self.closed.contains(((), ns)) {
+            return; // a late frame of a forgotten namespace
+        }
         self.heard(from, ns, done, stable);
         match body {
             Body::Estimate { est, ts } => self.on_frame(ctx, from, (ns, k, round), |inst| {
@@ -765,8 +801,12 @@ impl ConsensusModule {
 
     fn on_propose(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
         let Ok((ns, k, v)) = call.decode::<(u64, u64, Bytes)>() else { return };
+        if self.closed.contains(((), ns)) {
+            return; // its user was retired: it is not reopened
+        }
         // The user is done with every decision of `ns` below `k`.
         let space = self.space(ns);
+        space.user.get_or_insert(call.from);
         space.proposed = space.proposed.max(k);
         self.settle(ns);
         if let Some(done) = self.decided.get(&(ns, k)) {
@@ -797,6 +837,23 @@ impl ConsensusModule {
         self.view = Some(members.into());
         for at in 0..self.spaces.len() {
             self.settle(self.spaces[at].ns);
+        }
+    }
+
+    /// The replacement layer destroyed `modules`: forget every namespace
+    /// one of them proposed in, and close it.
+    fn on_retired(&mut self, call: Call) {
+        let Ok(modules) = call.decode::<Vec<ModuleId>>() else { return };
+        let retired = |s: &Space| s.user.is_some_and(|u| modules.contains(&u));
+        let gone: Vec<u64> = self.spaces.iter().filter(|s| retired(s)).map(|s| s.ns).collect();
+        if gone.is_empty() {
+            return;
+        }
+        self.spaces.retain(|s| !retired(s));
+        self.open.retain(|(ns, _), _| !gone.contains(ns));
+        self.decided.retain(|(ns, _), _| !gone.contains(ns));
+        for ns in gone {
+            self.closed.insert(((), ns));
         }
     }
 
@@ -859,6 +916,7 @@ impl Module for ConsensusModule {
         match call.op {
             ops::PROPOSE => self.on_propose(ctx, call),
             ops::VIEW => self.on_view(call),
+            ops::RETIRED => self.on_retired(call),
             _ => {}
         }
     }
@@ -1385,7 +1443,19 @@ mod tests {
             (done, stable): (u64, u64),
             body: Body,
         ) {
-            let msg = WireMsg { ns: 0, k, round, done, stable, body };
+            self.recv_ns(from, (0, k, round), (done, stable), body);
+        }
+
+        /// A frame of instance `(ns, k)` for `round` arrives from `from`,
+        /// its sender's watermarks `(done, stable)`.
+        fn recv_ns(
+            &mut self,
+            from: u32,
+            (ns, k, round): (u64, u64, u64),
+            (done, stable): (u64, u64),
+            body: Body,
+        ) {
+            let msg = WireMsg { ns, k, round, done, stable, body };
             let d = DgramRef { peer: StackId(from), channel: channels::CONSENSUS, body: &msg };
             self.stack.call_as(
                 Self::USER,
@@ -1416,10 +1486,28 @@ mod tests {
         }
 
         fn propose(&mut self, k: u64, v: &'static [u8]) {
-            let payload = (0u64, k, Bytes::from_static(v)).to_bytes();
+            self.propose_as(Self::USER, (0, k), v);
+        }
+
+        /// `user` proposes `v` for `(ns, k)`.
+        fn propose_as(&mut self, user: ModuleId, (ns, k): (u64, u64), v: &'static [u8]) {
+            let payload = (ns, k, Bytes::from_static(v)).to_bytes();
             let svc = ServiceId::new(crate::CONSENSUS_SVC);
-            self.stack.call_as(Self::USER, &svc, ops::PROPOSE, payload);
+            self.stack.call_as(user, &svc, ops::PROPOSE, payload);
             self.settle();
+        }
+
+        /// The replacement layer above destroyed `modules`.
+        fn retire(&mut self, modules: &[ModuleId]) {
+            let svc = ServiceId::new(crate::CONSENSUS_SVC);
+            self.stack.call_as(Self::USER, &svc, ops::RETIRED, modules.to_vec().to_bytes());
+            self.settle();
+        }
+
+        fn live_instances(&mut self) -> usize {
+            self.stack
+                .with_module::<ConsensusModule, _>(Self::CONS, |m| m.live_instances())
+                .unwrap()
         }
 
         /// `fd` reports `who` suspected.
@@ -1623,6 +1711,96 @@ mod tests {
         assert_eq!(lone.pinned_by(), []);
         lone.propose(3, b"a");
         assert_eq!(lone.marks(), (3, 2));
+    }
+
+    /// One frame of every body, as a late duplicate would carry it.
+    fn every_body() -> [Body; 5] {
+        let v = || Bytes::from_static(b"late");
+        [
+            Body::Estimate { est: v(), ts: 0 },
+            Body::Proposal { v: v() },
+            Body::Ack,
+            Body::Nack,
+            Body::Decide { v: v() },
+        ]
+    }
+
+    #[test]
+    fn a_forgotten_namespace_opens_nothing_and_sends_nothing() {
+        let mut lone = Lone::at(0);
+        // Instances 0 and 1 of namespace 0 decided; stack 2 was never heard,
+        // so both tombstones stay and stack 2 is named.
+        lone.propose(0, b"a");
+        lone.recv(1, 0, Body::Ack);
+        lone.propose(1, b"b");
+        lone.recv_in(1, (1, 0), (1, 0), Body::Ack);
+        assert_eq!(lone.live_instances(), 2);
+        assert_eq!(lone.pinned_by(), [StackId(2)]);
+        // The user was retired: the namespace goes whole.
+        lone.retire(&[Lone::USER]);
+        assert_eq!(lone.live_instances(), 0);
+        assert_eq!(lone.pinned_by(), []);
+        let sent = lone.frames().len();
+        let needs = lone.state(0).3;
+        // A late duplicate of every body, of a decided instance in its
+        // round and in a later one (answered while the tombstone stood),
+        // and of an instance never seen: nothing is opened, sent, asked or
+        // decided. Nor does a proposal reopen the namespace.
+        for (k, round) in [(0, 0), (1, 1), (7, 0)] {
+            for body in every_body() {
+                lone.recv_ns(2, (0, k, round), (2, 2), body);
+            }
+        }
+        lone.propose(2, b"c");
+        assert_eq!(lone.state(0), (sent, 0, None, needs.clone()));
+        assert_eq!(lone.state(7), (sent, 0, None, needs));
+        assert_eq!(lone.pinned_by(), []);
+    }
+
+    #[test]
+    fn a_retirement_of_a_module_that_is_no_users_forgets_nothing() {
+        let mut lone = Lone::at(0);
+        lone.propose(0, b"a");
+        lone.recv(1, 0, Body::Ack);
+        lone.propose(1, b"b");
+        // Namespace 5 was opened by a frame alone: its user has not
+        // proposed yet, so no retirement can name it.
+        lone.recv_ns(1, (5, 0, 0), (0, 0), Body::Estimate { est: Bytes::new(), ts: 0 });
+        assert_eq!(lone.live_instances(), 3);
+        lone.retire(&[ModuleId(99), Lone::WIRE, Lone::CONS]);
+        assert_eq!(lone.live_instances(), 3);
+        assert_eq!(lone.pinned_by(), [StackId(1), StackId(2)]);
+        // Instance 1 still decides.
+        lone.recv_in(1, (1, 0), (1, 0), Body::Ack);
+        assert_eq!(lone.state(1).2, Some(Bytes::from_static(b"b")));
+    }
+
+    #[test]
+    fn retiring_one_user_leaves_the_namespace_beside_it_deciding() {
+        // Two users side by side, as two abcast incarnations around a
+        // replacement: m4 proposes in namespace 1, m5 in namespace 2.
+        let mut lone = Lone::at(0);
+        let second = User { decisions: BTreeMap::new(), needs: vec![], auto_value: None };
+        let other = lone.stack.add_module(Box::new(second));
+        lone.settle();
+        lone.propose_as(Lone::USER, (1, 0), b"one");
+        lone.propose_as(other, (2, 0), b"two");
+        assert_eq!(lone.live_instances(), 2);
+        lone.retire(&[Lone::USER]);
+        assert_eq!(lone.live_instances(), 1);
+        // Stack 1's ack is a majority in namespace 2, which decides and
+        // says so; its ack in namespace 1 finds nothing.
+        let sent = lone.frames().len();
+        lone.recv_ns(1, (1, 0, 0), (0, 0), Body::Ack);
+        assert_eq!(lone.frames().len(), sent);
+        lone.recv_ns(1, (2, 0, 0), (0, 0), Body::Ack);
+        assert_eq!(lone.frames()[sent..], [frame(1, 0, "decide two"), frame(2, 0, "decide two")]);
+        let decided = lone.stack.with_module::<User, _>(other, |u| u.decisions.clone()).unwrap();
+        assert_eq!(decided.keys().copied().collect::<Vec<_>>(), [(2, 0)]);
+        // Retiring the second user forgets namespace 2 too.
+        lone.retire(&[other]);
+        assert_eq!(lone.live_instances(), 0);
+        assert_eq!(lone.pinned_by(), []);
     }
 
     /// `(to, round, what)`, as [`Lone::frames`] lists a frame.

@@ -77,7 +77,16 @@
 //! the set every later switch starts from. The view goes on down to the
 //! protocol underneath. No timer, no message, no option; the
 //! bookkeeping is one bit per group member (a [`HeardSet`]), the members
-//! left out, and the pending ids.
+//! left out, and the pending ids. [`ReplAbcastModule::pinned_by`] names
+//! the members not yet heard while a replaced module waits.
+//!
+//! Retirement also passes down the stack, as the view does: the ids of
+//! the modules it destroys go to the protocol underneath in an `abcast`
+//! `RETIRED` call. `abcast.ct` hands them on to consensus, which forgets
+//! every namespace a destroyed incarnation used — its last tombstones and
+//! watermarks — so a stack that replaces its protocol again and again
+//! holds no more for it than for the namespaces not yet retired. A stalled
+//! retirement is therefore also what keeps those namespaces.
 
 use crate::layer::{self, Indirection};
 use crate::CHANGE_OP;
@@ -87,6 +96,7 @@ use dpu_core::time::Time;
 use dpu_core::{Call, HeardSet, Module, ModuleId, ModuleSpec, Response, ServiceId, StackId};
 use dpu_protocols::abcast::ops as ab_ops;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Module kind name, for factory registration.
 pub const KIND: &str = "repl.abcast";
@@ -215,18 +225,29 @@ pub struct ReplAbcastModule {
     core: Algorithm1,
     // ---- retirement (see the module docs) ----
     /// Replaced providers still in the stack, oldest first.
-    pending: Vec<ModuleId>,
+    pending: Box<[ModuleId]>,
     /// The stacks whose message tagged with the current `seqNumber` was
     /// adelivered here. Empty until the first switch.
     heard: HeardSet,
     /// The members the last group membership view left out, marked: what
     /// `heard` starts from at each switch. `None` until a view comes down.
     excluded: Option<Box<HeardSet>>,
+    /// The peer table, taken at start: whom `heard` stands for.
+    peers: Arc<[StackId]>,
     retired_total: u32,
     // ---- instrumentation (not part of the algorithm) ----
     ahead_dropped: u32,
     reissued_total: u64,
-    switch_times: Vec<Time>,
+    switch_times: Box<[Time]>,
+}
+
+/// Append `item` to `slice`, reallocating it to exactly one more: what a
+/// switch adds is rare, and a `Vec` would hold a capacity word for it.
+fn push_exact<T>(slice: &mut Box<[T]>, item: T) {
+    let mut v = std::mem::take(slice).into_vec();
+    v.reserve_exact(1);
+    v.push(item);
+    *slice = v.into_boxed_slice();
 }
 
 impl ReplAbcastModule {
@@ -234,13 +255,14 @@ impl ReplAbcastModule {
     pub fn new(params: ReplParams) -> ReplAbcastModule {
         ReplAbcastModule {
             core: Algorithm1::over(&params.service),
-            pending: Vec::new(),
+            pending: Box::default(),
             heard: HeardSet::default(),
             excluded: None,
+            peers: Arc::from([]),
             retired_total: 0,
             reissued_total: 0,
             ahead_dropped: 0,
-            switch_times: Vec::new(),
+            switch_times: Box::default(),
         }
     }
 
@@ -269,6 +291,16 @@ impl ReplAbcastModule {
     /// for as long as a peer is crashed or silent.
     pub fn pending_retirement(&self) -> usize {
         self.pending.len()
+    }
+
+    /// The members not yet heard under the current `seqNumber` while a
+    /// replaced module waits for them: who pins retirement here. Empty
+    /// while nothing is pending.
+    pub fn pinned_by(&self) -> Vec<StackId> {
+        if self.pending.is_empty() {
+            return Vec::new();
+        }
+        self.peers.iter().copied().filter(|&p| !self.heard.contains(&self.peers, p)).collect()
     }
 
     /// Total messages re-issued across all switches (lines 15–16).
@@ -329,14 +361,18 @@ impl ReplAbcastModule {
     }
 
     /// Every member has been heard under the current `seqNumber`, so no
-    /// stack has a pending module bound any more: destroy them.
+    /// stack has a pending module bound any more: destroy them, and name
+    /// them to the protocol underneath.
     fn retire(&mut self, ctx: &mut ModuleCtx<'_>) {
-        let retired = self.pending.len() as u32;
-        for module in self.pending.drain(..) {
+        let retired = std::mem::take(&mut self.pending).into_vec();
+        for &module in &retired {
             ctx.destroy_module(module);
         }
-        self.retired_total += retired;
-        ctx.telemetry().note_retired(retired);
+        let count = retired.len() as u32;
+        self.retired_total += count;
+        ctx.telemetry().note_retired(count);
+        let data = ctx.encode(&retired);
+        ctx.call(&self.core.ind.required, ab_ops::RETIRED, data);
     }
 }
 
@@ -351,6 +387,10 @@ impl Module for ReplAbcastModule {
 
     fn requires(&self) -> Vec<ServiceId> {
         vec![self.core.ind.required]
+    }
+
+    fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
+        self.peers = ctx.peer_table();
     }
 
     fn on_call(&mut self, ctx: &mut ModuleCtx<'_>, call: Call) {
@@ -372,15 +412,13 @@ impl Module for ReplAbcastModule {
                 // has been heard under the new `seqNumber` yet. Exact
                 // growth, like the timeline's records: switches are rare.
                 if let Some(outgoing) = self.core.switch_to(ctx, &spec) {
-                    self.pending.reserve_exact(1);
-                    self.pending.push(outgoing);
+                    push_exact(&mut self.pending, outgoing);
                 }
                 self.heard = match &self.excluded {
                     Some(excluded) => HeardSet::clone(excluded),
                     None => HeardSet::new(ctx.peers().len()),
                 };
-                self.switch_times.reserve_exact(1);
-                self.switch_times.push(ctx.now());
+                push_exact(&mut self.switch_times, ctx.now());
                 self.reissued_total += self.core.reissue(ctx);
             }
             // Lines 17–21: Adeliver(nil, sn, m).
@@ -527,7 +565,7 @@ mod tests {
     #[test]
     fn the_module_is_no_larger_than_before_the_skeleton() {
         // `switch-1k-sim` and `fig5-ct-sim` carry one per stack.
-        assert!(std::mem::size_of::<ReplAbcastModule>() <= 160);
+        assert!(std::mem::size_of::<ReplAbcastModule>() <= 144);
     }
 
     // End-to-end switching behaviour (multi-stack, across protocols,

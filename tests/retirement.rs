@@ -29,6 +29,14 @@ fn repl_state(sim: &mut Sim, h: &Handles, id: StackId) -> (u64, u64, usize) {
     })
 }
 
+/// The members the replacement module on `id` waits to hear.
+fn pinned_by(sim: &mut Sim, h: &Handles, id: StackId) -> Vec<StackId> {
+    let layer = h.layer.expect("replacement layer present");
+    sim.with_stack(id, |s| {
+        s.with_module::<ReplAbcastModule, _>(layer, |m| m.pinned_by()).expect("replacement module")
+    })
+}
+
 /// Unbound `abcast.*` modules still in stack `id`.
 fn unbound_abcast_modules(sim: &Sim, id: StackId) -> usize {
     let stack = sim.stack(id);
@@ -344,6 +352,10 @@ fn a_crashed_peer_pins_retirement_and_the_report_shows_it() {
     for id in [StackId(0), StackId(1)] {
         assert_eq!(repl_state(&mut sim, &h, id), (2, 0, 2), "{id}: (sn, retired, pending)");
         assert_eq!(unbound_abcast_modules(&sim, id), 2, "{id}");
+        // The crashed stack is the one not heard under the new protocol.
+        let pin = pinned_by(&mut sim, &h, id);
+        println!("{id}: retirement pinned by {pin:?}");
+        assert_eq!(pin, [StackId(2)], "{id}");
     }
     let report = sim.telemetry_report();
     assert_eq!(report.switches.completed, 4, "two live stacks, two replacements each");
@@ -376,6 +388,7 @@ fn a_crashed_peer_excluded_by_the_view_pins_no_retirement() {
         println!("{id}: view {view:?}, (sn, retired, pending) {state:?}");
         assert_eq!(state, (2, 2, 0), "{id}: (sn, retired, pending)");
         assert_eq!(unbound_abcast_modules(&sim, id), 0, "{id}");
+        assert_eq!(pinned_by(&mut sim, &h, id), [], "{id}: nothing waits");
     }
     let report = sim.telemetry_report();
     assert_eq!(report.switches.completed, 4, "two live stacks, two replacements each");
